@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from repro.bench import run_s1
 from repro.dist import DistributedRangeTree
+from repro.query import count
 from repro.workloads import selectivity_queries, uniform_points
 
 from conftest import run_once, show
@@ -28,4 +29,4 @@ def test_batch_count_wallclock_n1024(benchmark):
     pts = uniform_points(1024, 2, seed=0)
     tree = DistributedRangeTree.build(pts, p=8)
     qs = selectivity_queries(1024, 2, seed=1, selectivity=0.01)
-    benchmark(lambda: tree.batch_count(qs))
+    benchmark(lambda: tree.run([count(q) for q in qs]).values())

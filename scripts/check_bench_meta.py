@@ -5,7 +5,7 @@ Usage: ``PYTHONPATH=src python scripts/check_bench_meta.py [repo_root]``
 
 Loads each ``BENCH_*.json`` at the repo root and validates its ``meta``
 block against :mod:`repro.bench.meta` (schema version, host shape,
-toolchain versions, git rev, data plane).  Exit code 1 — failing the
+toolchain versions, git rev).  Exit code 1 — failing the
 workflow — if any file is missing, unparseable, or off-schema, so bench
 JSON drift is caught at the PR that introduces it.
 """
@@ -42,7 +42,7 @@ def main(root: Path) -> int:
             meta = payload["meta"]
             print(
                 f"ok   {path.name}: schema v{meta['schema_version']}, "
-                f"rev {meta.get('git_rev')}, dataplane {meta.get('dataplane')}"
+                f"rev {meta.get('git_rev')}"
             )
     if failures:
         print(

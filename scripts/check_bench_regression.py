@@ -8,7 +8,7 @@ this script diffs each one against its committed version (``git show
 HEAD:<file>``) and fails — exit 1 — on a wall-clock regression beyond
 the tolerance (default 25%, override with ``REPRO_BENCH_TOLERANCE``).
 
-Rows pair up by their identity fields (plane/backend/n/m/p/...), so a
+Rows pair up by their identity fields (backend/mode/n/m/p/...), so a
 quick sweep only gates the configs it actually re-ran — which is why
 the full sweeps commit their quick config's rows too.  Wall-clock is
 only comparable on the machine that produced the baseline: when the
@@ -28,7 +28,7 @@ from pathlib import Path
 
 #: Row fields that identify a measurement (everything else is a metric).
 ID_KEYS = (
-    "plane", "valueplane", "backend", "mode", "n", "m", "p", "d", "k",
+    "backend", "mode", "n", "m", "p", "d", "k",
     # serve-layer sweeps (BENCH_serve.json): the flush policy and the
     # client population are part of a row's identity
     "transport", "arrival", "clients", "max_wait_ms", "max_batch",

@@ -5,7 +5,7 @@ truth, but a number without its environment is noise: a "speedup" on a
 1-core container or an old numpy is a different fact than the same
 number on an 8-core host.  Every driver therefore stamps its output with
 one uniform ``meta`` block from :func:`bench_meta` — schema version,
-host shape, toolchain versions, git revision, active data plane — and CI
+host shape, toolchain versions, git revision — and CI
 fails any ``BENCH_*.json`` missing the schema
 (``scripts/check_bench_meta.py`` runs :func:`validate_meta`).
 """
@@ -21,13 +21,10 @@ from typing import Any, Dict, List
 
 import numpy as np
 
-from ..cgm.columns import get_dataplane
-from ..semigroup.kernels import get_valueplane
-
 __all__ = ["SCHEMA_VERSION", "REQUIRED_KEYS", "bench_meta", "validate_meta"]
 
-#: Bump when the meta block's shape changes incompatibly.
-#: v2: added ``valueplane`` (the semigroup kernel engine's A/B switch).
+#: Bump when the meta block's shape changes incompatibly (extra keys in
+#: an older committed JSON are not incompatible).
 SCHEMA_VERSION = 2
 
 #: Keys every emitted meta block must carry (the CI contract).
@@ -38,8 +35,6 @@ REQUIRED_KEYS = (
     "numpy_version",
     "platform",
     "git_rev",
-    "dataplane",
-    "valueplane",
     "generated_unix",
 )
 
@@ -68,8 +63,6 @@ def bench_meta() -> Dict[str, Any]:
         "numpy_version": np.__version__,
         "platform": platform.platform(),
         "git_rev": _git_rev(),
-        "dataplane": get_dataplane(),
-        "valueplane": get_valueplane(),
         "generated_unix": int(time.time()),
     }
 

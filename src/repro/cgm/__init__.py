@@ -33,12 +33,8 @@ from .columns import (
     RecordCodec,
     codec_for,
     codec_for_type,
-    columnar_enabled,
-    dataplane,
-    get_dataplane,
     register_codec,
     registered_codecs,
-    set_dataplane,
 )
 from .cost import CostModel
 from .loadbalance import (
@@ -100,8 +96,4 @@ __all__ = [
     "codec_for",
     "codec_for_type",
     "registered_codecs",
-    "dataplane",
-    "get_dataplane",
-    "set_dataplane",
-    "columnar_enabled",
 ]

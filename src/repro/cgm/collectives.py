@@ -86,7 +86,7 @@ def route_batches(
 
     Rows keep their relative order per ``(source, destination)`` pair —
     one ``take`` per destination over the ascending row indices — so the
-    deterministic inbox merge is byte-for-byte the object path's.
+    deterministic inbox merge is byte-for-byte :func:`route`'s.
     ``template`` shapes empty inboxes (any batch of the stream's codec).
     """
     p = mach.p

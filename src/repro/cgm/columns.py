@@ -1,4 +1,4 @@
-"""The columnar data plane: struct-of-arrays record traffic.
+"""Column-packed record traffic: struct-of-arrays batches.
 
 The paper's cost model (§1, Theorems 2-5) charges every CGM round by the
 *volume* of records moved, yet a frozen dataclass per record makes the
@@ -9,8 +9,8 @@ is the batch-packed alternative: a :class:`RecordBatch` keeps one record
 :class:`Ragged` int columns for variable-length paths, and an object
 column only where semigroup values require one (builtin semigroups ride
 as typed :class:`~repro.semigroup.kernels.KernelColumn` matrices with
-exact byte accounting; see the value plane) — so sorting becomes
-``numpy`` argsort over encoded key columns, routing becomes array
+exact byte accounting; see :mod:`repro.semigroup.kernels`) — so sorting
+becomes ``numpy`` argsort over encoded key columns, routing becomes array
 slicing, and backend transport pickles whole arrays instead of object
 lists.
 
@@ -25,18 +25,16 @@ one big-endian byte string per row whose lexicographic (bytes) order
 equals the row-wise tuple order — a single ``np.argsort`` /
 ``np.searchsorted`` then stands in for Python comparator tuples.
 
-The plane is switchable for A/B measurement: :func:`set_dataplane` /
-:func:`dataplane` toggle between ``"columnar"`` (default) and
-``"object"`` (the legacy per-record path), which is how
-``benchmarks/bench_dataplane.py`` measures the speedup honestly.
+Batches are the only representation Construct, Search and the demux
+move; the record-list primitives of :mod:`repro.cgm.sort` and
+:mod:`repro.cgm.collectives` remain as the §1 reference toolbox the
+``*_cols`` property tests compare against.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import sys
-from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -53,10 +51,6 @@ __all__ = [
     "codec_for_type",
     "registered_codecs",
     "encode_keys",
-    "get_dataplane",
-    "set_dataplane",
-    "dataplane",
-    "columnar_enabled",
     "estimate_nbytes",
     "estimate_object_bytes",
     "estimate_box_nbytes",
@@ -411,50 +405,7 @@ def encode_keys(columns: Sequence[np.ndarray], length: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the dataplane toggle
-# ---------------------------------------------------------------------------
-_DATAPLANES = ("columnar", "object")
-_dataplane: str = os.environ.get("REPRO_DATAPLANE", "columnar")
-if _dataplane not in _DATAPLANES:  # pragma: no cover - env misuse
-    _dataplane = "columnar"
-
-
-def get_dataplane() -> str:
-    """The active data plane: ``"columnar"`` (default) or ``"object"``."""
-    return _dataplane
-
-
-def set_dataplane(name: str) -> None:
-    """Select the record-traffic representation for subsequent passes.
-
-    The toggle is driver-side only: it decides which registered phases
-    the drivers dispatch, so worker processes need no synchronization.
-    """
-    global _dataplane
-    if name not in _DATAPLANES:
-        raise ValueError(
-            f"unknown dataplane {name!r}; choose one of {_DATAPLANES}"
-        )
-    _dataplane = name
-
-
-@contextmanager
-def dataplane(name: str):
-    """Temporarily select a data plane (the A/B benchmark's switch)."""
-    prev = get_dataplane()
-    set_dataplane(name)
-    try:
-        yield
-    finally:
-        set_dataplane(prev)
-
-
-def columnar_enabled() -> bool:
-    return _dataplane == "columnar"
-
-
-# ---------------------------------------------------------------------------
-# bytes estimation for object-path rounds
+# bytes estimation for record-list rounds
 # ---------------------------------------------------------------------------
 _SCALAR_NBYTES = {int: 28, float: 24, bool: 28, type(None): 16}
 
@@ -464,8 +415,9 @@ def estimate_nbytes(obj: Any, _depth: int = 0) -> int:
 
     Exact for numpy arrays; shallow-recursive (two levels) for tuples,
     lists, and slotted/dataclass records; ``sys.getsizeof`` otherwise.
-    Used to attribute routed bytes to object-path rounds — columnar
-    rounds report exact column nbytes instead.
+    Used to attribute routed bytes to record-list rounds (summaries,
+    root infos, replicated stores) — batch rounds report exact column
+    nbytes instead.
     """
     t = type(obj)
     fixed = _SCALAR_NBYTES.get(t)
@@ -498,9 +450,9 @@ def estimate_nbytes(obj: Any, _depth: int = 0) -> int:
 
 #: Fixed seed of the object-bytes samplers.  The sample positions are a
 #: pure function of ``(seed, stream length)`` — never of wall clock,
-#: hashing salt, or iteration state — so ``comm_bytes`` metrics on the
-#: object plane are reproducible run to run (and across backends, which
-#: route the same streams in the same order).
+#: hashing salt, or iteration state — so the ``comm_bytes`` of
+#: record-list rounds are reproducible run to run (and across backends,
+#: which route the same streams in the same order).
 ESTIMATE_SAMPLE_SEED = 0xC61A
 
 
@@ -529,7 +481,7 @@ def estimate_box_nbytes(box: Sequence[Any]) -> int:
     """Estimated bytes of one outbox record list, by seeded sampling.
 
     Record streams within a round are homogeneous, so a few sampled
-    records extrapolate well at O(1) cost per box — the object path's
-    byte accounting must not slow the object path down.
+    records extrapolate well at O(1) cost per box — byte accounting
+    must not slow the round it accounts for.
     """
     return estimate_object_bytes(box, k=4)

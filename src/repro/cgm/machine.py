@@ -266,7 +266,7 @@ class Machine:
         toward the h-relation — or, when ``weight_col`` names an int
         column, ``max(1, weight)`` units per record, mirroring
         :meth:`exchange_weighted` for bulk records — so round/h
-        accounting is identical to the object path; routed bytes are
+        accounting is identical to :meth:`exchange`; routed bytes are
         exact column sizes.  ``template`` supplies the schema for
         destinations that receive nothing (any batch of the stream's
         codec works).

@@ -12,9 +12,9 @@ experiment harness reads off:
 * ``modeled_time``    — the BSP cost under a :class:`~repro.cgm.cost.CostModel`,
 * ``total_comm_bytes`` — routed **bytes** summed over rounds.  The
                         theorems charge rounds by communication *volume*;
-                        with the columnar data plane the byte figure is
-                        exact (column array sizes), while object-path
-                        rounds carry a sampled structural estimate
+                        for batch rounds the byte figure is exact
+                        (column array sizes), while record-list rounds
+                        carry a sampled structural estimate
                         (:func:`repro.cgm.columns.estimate_box_nbytes`).
 """
 

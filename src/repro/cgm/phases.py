@@ -17,7 +17,7 @@ closures cannot cross a process boundary, but a phase *name* plus a
 serializable payload can, and the heavy structures never move.
 
 Phases register at import time under a dotted name (``"cgm.sort.local"``,
-``"dist.construct.build_elements"``); worker processes resolve the name
+``"dist.construct.build_elements_cols"``); worker processes resolve the name
 against the same registry after importing :data:`BOOTSTRAP_MODULES`.
 """
 

@@ -26,17 +26,19 @@ picklable to sort on the process backend (module-level functions,
 ``functools.partial`` and ``operator.itemgetter`` all qualify; lambdas
 restrict the sort to in-process backends).
 
-Two data planes share the round structure:
+Two forms share the round structure:
 
-* :func:`sample_sort` — the legacy object path: items are arbitrary
-  Python objects, compared by ``(key(item), source rank, source index)``
-  tuples.
-* :func:`sample_sort_cols` — the columnar path: items are
+* :func:`sample_sort` — the generic record-list form (the §1 toolbox
+  primitive, and the reference the batch form is property-tested
+  against): items are arbitrary Python objects, compared by
+  ``(key(item), source rank, source index)`` tuples.
+* :func:`sample_sort_cols` — the batch form Construct and the demux
+  use: items are
   :class:`~repro.cgm.columns.RecordBatch` streams; the named key columns
   (plus implicit source rank/index columns for the same total order) are
   encoded once into fixed-width byte keys
   (:func:`~repro.cgm.columns.encode_keys`) and every comparison-heavy
-  step becomes one ``np.argsort`` / ``np.searchsorted``.  Both planes
+  step becomes one ``np.argsort`` / ``np.searchsorted``.  Both forms
   run exactly the same 4 rounds under the same labels.
 """
 
@@ -154,7 +156,7 @@ def sample_sort(
 
 
 # ---------------------------------------------------------------------------
-# the columnar plane: batches sort by encoded key columns
+# the batch form: batches sort by encoded key columns
 # ---------------------------------------------------------------------------
 def _key_columns(batch: RecordBatch, keyspec: tuple) -> list:
     """Resolve a key spec into 1-D int64 arrays, most significant first.
@@ -185,7 +187,7 @@ def _key_columns(batch: RecordBatch, keyspec: tuple) -> list:
 def _phase_local_sort_cols(ctx: ProcContext, payload) -> list:
     """Columnar steps 1-2: encode keys, argsort, sample.
 
-    The same total order as the object path — ``(key columns, source
+    The same total order as :func:`sample_sort` — ``(key columns, source
     rank, source index)`` — encoded into one fixed-width byte key per
     row, so one stable ``np.argsort`` replaces the comparator tuples.
     The sorted batch stays rank-resident under the call's state token.
@@ -221,7 +223,7 @@ def _phase_partition_cols(ctx: ProcContext, payload) -> list:
     enc = batch.col("__key")
     if splitters:
         # side="left": a row *equal* to a splitter lands after it, exactly
-        # like the object path's ``bisect_right`` over the item tuples
+        # like :func:`sample_sort`'s ``bisect_right`` over the item tuples
         # (keys are unique, so the sampled row itself crosses the cut).
         bounds = np.searchsorted(
             enc, np.asarray(splitters, dtype=enc.dtype), side="left"

@@ -588,12 +588,14 @@ def _cmd_demo(_args: argparse.Namespace) -> int:
         return 0
     # installed without the examples tree: run an inline mini-demo
     from .dist import DistributedRangeTree
+    from .query import count
     from .workloads import selectivity_queries, uniform_points
 
     pts = uniform_points(512, 2, seed=0)
     tree = DistributedRangeTree.build(pts, p=4)
     qs = selectivity_queries(64, 2, seed=1, selectivity=0.05)
-    print(f"{tree} -> first counts {tree.batch_count(qs)[:8]}")
+    counts = tree.run([count(q) for q in qs]).values()
+    print(f"{tree} -> first counts {counts[:8]}")
     return 0
 
 

@@ -20,16 +20,13 @@ together; queries go through the unified :mod:`repro.query` layer::
     tree = DistributedRangeTree.build(uniform_points(2048, 2, seed=0), p=8)
     rs = tree.run([count(b) for b in selectivity_queries(512, 2, seed=1)])
     counts = rs.values()
-
-The pre-1.1 per-mode calls (``batch_count``/``batch_report``/
-``batch_aggregate`` and their ``query_*`` singles) still work but are
-deprecated thin wrappers over :meth:`DistributedRangeTree.run`.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Iterable, List, Sequence
+
+import numpy as np
 
 from .._util import require_power_of_two
 from ..cgm.collectives import alltoall_broadcast
@@ -40,12 +37,7 @@ from ..geometry.box import Box
 from ..geometry.point import PointSet
 from ..geometry.rankspace import RankedPointSet, pad_to_power_of_two
 from ..semigroup import COUNT, Semigroup
-from ..semigroup.kernels import (
-    KernelColumn,
-    kernel_enabled,
-    kernel_for,
-    lift_kernel_column,
-)
+from ..semigroup.kernels import KernelColumn, kernel_for, lift_kernel_column
 from .construct import (
     ConstructResult,
     construct_distributed_tree,
@@ -55,7 +47,6 @@ from .construct import (
 from .forest import ForestElement, build_forest_element
 from .hat import Hat, HatNode
 from .labeling import is_valid_path
-from .modes import batched_counts, batched_report_pairs, fold_by_query, fold_pieces
 from .records import ForestRootInfo, HatSelectionRecord, SRecord, Subquery
 from .search import SearchOutput, run_search
 from .validate import ValidationReport, validate_tree
@@ -71,10 +62,6 @@ __all__ = [
     "HatNode",
     "SearchOutput",
     "run_search",
-    "fold_pieces",
-    "fold_by_query",
-    "batched_counts",
-    "batched_report_pairs",
     "ForestRootInfo",
     "HatSelectionRecord",
     "SRecord",
@@ -91,9 +78,8 @@ class _KernelRefitValues:
     ``mat`` holds one encoded row per real point; ``row_of`` maps pid to
     its row (``None`` = pids are the identity mapping ``0..n_real-1``,
     the common case).  Negative (sentinel) pids decode to the encoded
-    identity — exactly the object path's sentinel values.  Picklable, so
-    the refit ships typed arrays instead of a pid→value object dict on
-    the process backend.
+    identity.  Picklable, so the refit ships typed arrays instead of a
+    pid→value object dict on the process backend.
     """
 
     __slots__ = ("kernel", "mat", "row_of")
@@ -104,8 +90,6 @@ class _KernelRefitValues:
         self.row_of = row_of
 
     def column_for(self, pids: "Any") -> KernelColumn:
-        import numpy as np
-
         pids = np.asarray(pids, dtype=np.int64)
         n_real = len(self.mat)
         if self.row_of is None:
@@ -127,8 +111,8 @@ class _KernelRefitValues:
 def _phase_refit_relabel(ctx: ProcContext, payload) -> list:
     """Re-annotate this rank's resident forest elements; return root infos.
 
-    ``values`` is a pid→value dict on the object value plane, or a
-    :class:`_KernelRefitValues` carrier on the kernel plane (fresh
+    ``values`` is a pid→value dict for a semigroup without a kernel, or
+    a :class:`_KernelRefitValues` carrier for a kernelized one (fresh
     values gather as typed rows and the per-element refit runs as
     vectorized heap folds).  ``kernel`` covers the in-between case of a
     kernelizable semigroup whose lift could not vectorize.
@@ -166,23 +150,6 @@ def _phase_refit_refresh(ctx: ProcContext, payload) -> None:
         hat.refresh_aggregates(roots, semigroup)
         if ctx.rank == 0:
             ctx.charge(hat.size_nodes())
-
-
-def _warn_deprecated(old: str, new: str) -> None:
-    """Emit the wrapper deprecation, attributed to the *migration site*.
-
-    Frames at warn time: 1 = this helper, 2 = the wrapper method,
-    3 = the wrapper's caller — so ``stacklevel=3`` here is exactly
-    ``stacklevel=2`` written inline in the wrapper: the warning's
-    filename/lineno point at the user's call (asserted by
-    ``test_warning_points_at_the_caller``).
-    """
-    warnings.warn(
-        f"DistributedRangeTree.{old} is deprecated; use {new} "
-        "(the repro.query layer — see docs/ARCHITECTURE.md, 'Query layer')",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class DistributedRangeTree:
@@ -287,23 +254,17 @@ class DistributedRangeTree:
     def _build_values(
         cls, ranked: RankedPointSet, points: PointSet, semigroup: Semigroup
     ):
-        """Lifted values, as a typed column when the kernel plane can.
+        """Lifted values, as a typed column when the semigroup has a kernel.
 
-        On the kernel value plane a kernelizable semigroup lifts the
-        whole coordinate matrix in a few array ops (sentinel rows get
-        the encoded identity); everything else takes the per-point
-        object lift.
+        A kernelizable semigroup lifts the whole coordinate matrix in a
+        few array ops (sentinel rows get the encoded identity);
+        everything else takes the per-point lift.
         """
-        from ..cgm.columns import columnar_enabled
-
-        if columnar_enabled() and kernel_enabled():
-            kernel = kernel_for(semigroup)
-            if kernel is not None:
-                col = lift_kernel_column(
-                    kernel, semigroup, points.coords, ranked.n
-                )
-                if col is not None:
-                    return col
+        kernel = kernel_for(semigroup)
+        if kernel is not None:
+            col = lift_kernel_column(kernel, semigroup, points.coords, ranked.n)
+            if col is not None:
+                return col
         return cls._lift_values(ranked, points, semigroup)
 
     # ------------------------------------------------------------------
@@ -433,64 +394,6 @@ class DistributedRangeTree:
         self.close()
 
     # ------------------------------------------------------------------
-    # deprecated pre-1.1 per-mode calls (thin wrappers over run())
-    # ------------------------------------------------------------------
-    def batch_count(
-        self, boxes: Sequence[Box], replication: str = "doubling"
-    ) -> List[int]:
-        """Deprecated: use ``run([repro.query.count(box), ...])``."""
-        from ..query import QueryBatch, count
-
-        _warn_deprecated("batch_count", "run([repro.query.count(box), ...])")
-        return self.run(
-            QueryBatch([count(b) for b in boxes], replication=replication)
-        ).values()
-
-    def batch_report(
-        self, boxes: Sequence[Box], replication: str = "doubling"
-    ) -> List[List[int]]:
-        """Deprecated: use ``run([repro.query.report(box), ...])``."""
-        from ..query import QueryBatch, report
-
-        _warn_deprecated("batch_report", "run([repro.query.report(box), ...])")
-        return self.run(
-            QueryBatch([report(b) for b in boxes], replication=replication)
-        ).values()
-
-    def batch_aggregate(
-        self, boxes: Sequence[Box], replication: str = "doubling"
-    ) -> List[Any]:
-        """Deprecated: use ``run([repro.query.aggregate(box), ...])``."""
-        from ..query import QueryBatch, aggregate
-
-        _warn_deprecated("batch_aggregate", "run([repro.query.aggregate(box), ...])")
-        return self.run(
-            QueryBatch([aggregate(b) for b in boxes], replication=replication)
-        ).values()
-
-    # Single-query conveniences (§6 discusses the single-query regime).
-    def query_count(self, box: Box) -> int:
-        """Deprecated: use ``run(repro.query.count(box)).value(0)``."""
-        from ..query import count
-
-        _warn_deprecated("query_count", "run(repro.query.count(box)).value(0)")
-        return self.run(count(box)).value(0)
-
-    def query_report(self, box: Box) -> List[int]:
-        """Deprecated: use ``run(repro.query.report(box)).value(0)``."""
-        from ..query import report
-
-        _warn_deprecated("query_report", "run(repro.query.report(box)).value(0)")
-        return self.run(report(box)).value(0)
-
-    def query_aggregate(self, box: Box) -> Any:
-        """Deprecated: use ``run(repro.query.aggregate(box)).value(0)``."""
-        from ..query import aggregate
-
-        _warn_deprecated("query_aggregate", "run(repro.query.aggregate(box)).value(0)")
-        return self.run(aggregate(box)).value(0)
-
-    # ------------------------------------------------------------------
     # re-annotation (Algorithm AssociativeFunction step 1)
     # ------------------------------------------------------------------
     def reannotate(self, semigroup: Semigroup) -> None:
@@ -508,16 +411,8 @@ class DistributedRangeTree:
 
     def _refit(self, semigroup: Semigroup, label: str = "reannotate") -> None:
         """Re-annotate forest + hat with ``semigroup`` (one broadcast round)."""
-        from ..cgm.columns import columnar_enabled
-
-        import numpy as np
-
         self.semigroup = semigroup
-        kernel = (
-            kernel_for(semigroup)
-            if columnar_enabled() and kernel_enabled()
-            else None
-        )
+        kernel = kernel_for(semigroup)
         self.value_kernel = kernel
 
         values: Any = None

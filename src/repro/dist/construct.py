@@ -45,29 +45,16 @@ from typing import Any, List, Sequence
 import numpy as np
 
 from .._util import ilog2, require_power_of_two
-from ..cgm.collectives import (
-    allgather,
-    alltoall_broadcast,
-    global_positions,
-    route,
-    route_batches,
-    segmented_partial_sum,
-)
-from ..cgm.columns import (
-    Ragged,
-    RecordBatch,
-    columnar_enabled,
-    encode_keys,
-    obj_col,
-)
+from ..cgm.collectives import allgather, alltoall_broadcast, route_batches
+from ..cgm.columns import Ragged, RecordBatch, encode_keys, obj_col
 from ..cgm.machine import Machine
 from ..cgm.phases import ProcContext, register_phase
-from ..cgm.sort import sample_sort, sample_sort_cols
+from ..cgm.sort import sample_sort_cols
 from ..errors import MachineError
 from ..geometry.rankspace import RankedPointSet
 from ..semigroup import Semigroup
-from ..semigroup.kernels import KernelColumn, kernel_enabled, kernel_for
-from .forest import ForestElement, build_forest_element
+from ..semigroup.kernels import KernelColumn, kernel_for
+from .forest import build_forest_element
 from .hat import Hat
 from .labeling import (
     hat_ancestor_paths,
@@ -76,7 +63,7 @@ from .labeling import (
     root_index_of_tree,
     root_level_of_tree,
 )
-from .records import ForestRootInfo, SRecord, flatten_path, unflatten_path
+from .records import ForestRootInfo, flatten_path, unflatten_path
 
 __all__ = ["ConstructResult", "construct_distributed_tree"]
 
@@ -110,9 +97,9 @@ class ConstructResult:
     phase_record_counts: List[int]
     p: int = field(default=1)
     ns: str = field(default="")
-    #: Kernel backing the tree's value columns (``None`` on the object
-    #: value plane / for unkernelizable semigroups); the query engine
-    #: reads it to decide typed piece folds.
+    #: Kernel backing the tree's value columns (``None`` for semigroups
+    #: :func:`~repro.semigroup.kernels.kernel_for` cannot resolve); the
+    #: query engine reads it to decide typed piece folds.
     value_kernel: Any = field(default=None)
 
     def forest_group_sizes(self) -> List[int]:
@@ -120,106 +107,6 @@ class ConstructResult:
         return [
             sum(el.nleaves for el in store.values()) for store in self.forest_store
         ]
-
-
-class _SortKey:
-    """Picklable sort key for phase ``j``: ``(tree_id, rank_j)``."""
-
-    __slots__ = ("j",)
-
-    def __init__(self, j: int) -> None:
-        self.j = j
-
-    def __getstate__(self):
-        return self.j
-
-    def __setstate__(self, j) -> None:
-        self.j = j
-
-    def __call__(self, rec: SRecord):
-        return (rec.tree_id, rec.ranks[self.j])
-
-
-@register_phase("dist.construct.scatter")
-def _phase_scatter(ctx: ProcContext, payload) -> List[SRecord]:
-    """Initial distribution: this rank's block of point records."""
-    rank_rows, ids, values = payload
-    records = [
-        SRecord(
-            tree_id=(),
-            ranks=tuple(int(x) for x in rank_rows[i]),
-            pid=int(ids[i]),
-            value=values[i],
-        )
-        for i in range(len(ids))
-    ]
-    ctx.charge(len(records))
-    return records
-
-
-@register_phase("dist.construct.build_elements")
-def _phase_build_elements(ctx: ProcContext, payload) -> dict:
-    """Construct step 3-4: build owned forest elements, fan out phase j+1.
-
-    Elements land in the rank-resident ``{ns}:forest`` store; only the
-    broadcastable root infos, the next phase's records, and the held
-    record count (for the driver's capacity check) are returned.
-    """
-    inbox = payload["inbox"]
-    j = payload["j"]
-    group_base = payload["group_base"]
-    logn = payload["logn"]
-    leaf_level = payload["leaf_level"]
-    d = payload["d"]
-    semigroup = payload["semigroup"]
-    ns = payload["ns"]
-
-    r = ctx.rank
-    store = ctx.state.setdefault(forest_key(ns), {})
-    stored_key = f"{ns}:stored_records"
-    roots: List[ForestRootInfo] = []
-    next_records: List[SRecord] = []
-
-    groups: dict[int, list] = {}
-    for g, leaf_m, rec in inbox:
-        groups.setdefault(g, []).append((leaf_m, rec))
-    for g in sorted(groups):
-        members = groups[g]  # already in ascending global (rank) order
-        leaf_m = members[0][0]
-        recs = [rec for _m, rec in members]
-        tree_id = recs[0].tree_id
-        root_idx = root_index_of_tree(tree_id)
-        root_lvl = root_level_of_tree(tree_id, primary_height=logn)
-        idx = leaf_index(root_idx, root_lvl, leaf_level, leaf_m)
-        fid = make_path(idx, leaf_level, tree_id)
-        el = build_forest_element(
-            forest_id=fid,
-            dim=j,
-            location=r,
-            group_rank=group_base + g,
-            ranks_rows=[rec.ranks for rec in recs],
-            pids=[rec.pid for rec in recs],
-            values=[rec.value for rec in recs],
-            semigroup=semigroup,
-        )
-        store[fid] = el
-        roots.append(el.root_info())
-        ctx.state[stored_key] = ctx.state.get(stored_key, 0) + el.size_records
-        ctx.charge(el.size_records)
-        if j < d - 1:
-            for _m, rec in members:
-                for anc in hat_ancestor_paths(idx, leaf_level, root_lvl, tree_id):
-                    next_records.append(
-                        SRecord(
-                            tree_id=anc,
-                            ranks=rec.ranks,
-                            pid=rec.pid,
-                            value=rec.value,
-                        )
-                    )
-            ctx.charge(len(members))
-    held = ctx.state.get(stored_key, 0) + len(next_records)
-    return {"roots": roots, "next_records": next_records, "held": held}
 
 
 @register_phase("dist.construct.build_hat")
@@ -238,11 +125,11 @@ def _phase_build_hat(ctx: ProcContext, payload) -> "Hat | None":
 
 
 # ---------------------------------------------------------------------------
-# the columnar plane: SRecord traffic as column packs
+# SRecord traffic as column packs
 # ---------------------------------------------------------------------------
 def _empty_srecord_batch(d: int, tid_width: int, value_col=None) -> RecordBatch:
     """Zero-row SRecord batch; ``value_col`` shapes the value column
-    (an empty :class:`KernelColumn` on the kernel plane, so cross-rank
+    (an empty :class:`KernelColumn` for kernelized values, so cross-rank
     concatenation keeps one schema)."""
     if value_col is None:
         value_col = np.empty(0, dtype=object)
@@ -260,10 +147,10 @@ def _empty_srecord_batch(d: int, tid_width: int, value_col=None) -> RecordBatch:
 
 @register_phase("dist.construct.scatter_cols")
 def _phase_scatter_cols(ctx: ProcContext, payload) -> RecordBatch:
-    """Initial distribution, columnar: this rank's block as one batch.
+    """Initial distribution: this rank's block of points as one batch.
 
-    ``values`` arrives either as a plain list (object value plane) or as
-    a pre-encoded :class:`KernelColumn` slice (kernel plane — the driver
+    ``values`` arrives either as a plain list (a semigroup without a
+    kernel) or as a pre-encoded :class:`KernelColumn` slice (the driver
     encodes once, so typed value traffic starts at the very first round).
     """
     rank_rows, ids, values = payload
@@ -286,7 +173,11 @@ def _phase_scatter_cols(ctx: ProcContext, payload) -> RecordBatch:
 
 @register_phase("dist.construct.build_elements_cols")
 def _phase_build_elements_cols(ctx: ProcContext, payload) -> dict:
-    """Construct step 3-4, columnar: slice the routed batch into groups.
+    """Construct step 3-4: build owned forest elements, fan out phase j+1.
+
+    Elements land in the rank-resident ``{ns}:forest`` store; only the
+    broadcastable root infos, the next phase's records, and the held
+    record count (for the driver's capacity check) are returned.
 
     The inbox batch arrives in ascending global (rank) order — the sort
     plus the deterministic source-ordered merge guarantee it — so each
@@ -360,8 +251,7 @@ def _phase_build_elements_cols(ctx: ProcContext, payload) -> dict:
                     [flatten_path(a) for a in ancs], dtype=np.int64
                 )
                 cnt = e - s
-                # per member, one record per ancestor (member-major order,
-                # exactly the object path's emission order)
+                # per member, one record per ancestor (member-major order)
                 next_tid.append(np.tile(anc_mat, (cnt, 1)))
                 next_ranks.append(np.repeat(ranks[s:e], len(ancs), axis=0))
                 next_pid.append(np.repeat(pids[s:e], len(ancs)))
@@ -423,9 +313,9 @@ def _tree_id_encoding(b: RecordBatch) -> np.ndarray:
 def _in_tree_positions_cols(
     mach: Machine, batches: Sequence[RecordBatch], label: str
 ) -> List[np.ndarray]:
-    """Columnar step 2a: 1-based rank of every record inside its tree.
+    """Step 2a: 1-based rank of every record inside its tree.
 
-    The columnar twin of the ``(tree_id, 1)`` segmented prefix sum: one
+    A ``(tree_id, 1)`` segmented prefix sum over batches: one
     all-gather of per-rank run summaries (same round, same label), then
     pure array arithmetic for the within-run positions and the carry
     into each rank's first run.
@@ -517,35 +407,24 @@ def construct_distributed_tree(
     ns = mach.new_ns("tree")
 
     # Initial distribution: block of n/p point records per processor (the
-    # CGM input convention; a local-computation step, no round).  On the
-    # kernel value plane the driver encodes the lifted values once into a
-    # typed column and ships per-rank slices — the gate is driver-side
-    # only, workers just follow the representation that arrives.
-    columnar = columnar_enabled()
-    kernel = kernel_for(semigroup) if columnar and kernel_enabled() else None
+    # CGM input convention; a local-computation step, no round).  A
+    # kernelizable semigroup's lifted values are encoded once into a typed
+    # column and shipped as per-rank slices; workers follow the
+    # representation that arrives.
     if isinstance(values, KernelColumn):
-        if kernel is None:
-            # plane toggled off after the caller lifted: fall back
-            values = values.to_list()
-        else:
-            kernel = values.kernel  # already encoded (vectorized lift)
-    if kernel is not None:
-        all_values = (
-            values
-            if isinstance(values, KernelColumn)
-            else KernelColumn.from_values(kernel, values)
-        )
-        value_block = lambda r: all_values.islice(r * k, (r + 1) * k)  # noqa: E731
+        kernel = values.kernel  # already encoded (vectorized lift)
     else:
-        value_block = lambda r: list(values[r * k : (r + 1) * k])  # noqa: E731
+        kernel = kernel_for(semigroup)
+        if kernel is not None:
+            values = KernelColumn.from_values(kernel, values)
     current = mach.run_phase(
         "construct:scatter-points",
-        "dist.construct.scatter_cols" if columnar else "dist.construct.scatter",
+        "dist.construct.scatter_cols",
         [
             (
                 ranked.ranks[r * k : (r + 1) * k],
                 ranked.ids[r * k : (r + 1) * k],
-                value_block(r),
+                values[r * k : (r + 1) * k],
             )
             for r in range(p)
         ],
@@ -560,97 +439,59 @@ def construct_distributed_tree(
         phase_counts.append(sum(len(box) for box in current))
 
         # -- step 1: the black-box CGM sort --------------------------------
-        if columnar:
-            # keep_key retains the encoded sort key so step 2 reuses its
-            # tree-id prefix instead of re-encoding unchanged key columns.
-            current = sample_sort_cols(
-                mach,
-                current,
-                keyspec=("tree_id", ("ranks", j)),
-                label=f"{label}:sort",
-                keep_key=True,
-            )
-        else:
-            current = sample_sort(
-                mach,
-                current,
-                key=_SortKey(j),
-                label=f"{label}:sort",
-            )
+        # keep_key retains the encoded sort key so step 2 reuses its
+        # tree-id prefix instead of re-encoding unchanged key columns.
+        current = sample_sort_cols(
+            mach,
+            current,
+            keyspec=("tree_id", ("ranks", j)),
+            label=f"{label}:sort",
+            keep_key=True,
+        )
 
         # -- step 2: name positions (within tree + global) -----------------
-        if columnar:
-            in_tree = _in_tree_positions_cols(
-                mach, current, label=f"{label}:tree-rank"
-            )
-            all_counts = allgather(
-                mach, [len(b) for b in current], label=f"{label}:positions"
-            )[0]
-            total = sum(all_counts)
-        else:
-            in_tree = segmented_partial_sum(
-                mach,
-                [[(rec.tree_id, 1) for rec in box] for box in current],
-                op=lambda a, b: a + b,
-                zero=0,
-                label=f"{label}:tree-rank",
-            )
-            positions, total = global_positions(
-                mach, current, label=f"{label}:positions"
-            )
-        ngroups = total // k
+        in_tree = _in_tree_positions_cols(
+            mach, current, label=f"{label}:tree-rank"
+        )
+        all_counts = allgather(
+            mach, [len(b) for b in current], label=f"{label}:positions"
+        )[0]
+        ngroups = sum(all_counts) // k
 
         # -- step 3: route groups to their owners (group g -> g mod p) -----
-        if columnar:
-            tagged_cols: List[Any] = []
-            dests: List[np.ndarray] = []
-            base = 0
-            for r in range(p):
-                n_r = len(current[r])
-                g = (base + np.arange(n_r, dtype=np.int64)) // k
-                leaf_m = (
-                    (in_tree[r] - 1) // k
-                    if n_r
-                    else np.empty(0, dtype=np.int64)
-                )
-                # the cached sort key is spent: drop it before routing so
-                # the route-groups round ships exactly what it used to
-                tagged_cols.append(
-                    current[r]
-                    .drop("__key")
-                    .with_col("__g", g)
-                    .with_col("__leaf_m", leaf_m)
-                )
-                dests.append((group_base + g) % p)
-                base += all_counts[r]
-            inboxes = route_batches(
-                mach,
-                tagged_cols,
-                dests,
-                label=f"{label}:route-groups",
-                template=tagged_cols[0].islice(0, 0),
+        tagged_cols: List[Any] = []
+        dests: List[np.ndarray] = []
+        base = 0
+        for r in range(p):
+            n_r = len(current[r])
+            g = (base + np.arange(n_r, dtype=np.int64)) // k
+            leaf_m = (
+                (in_tree[r] - 1) // k
+                if n_r
+                else np.empty(0, dtype=np.int64)
             )
-        else:
-            tagged: List[List[tuple]] = [
-                [
-                    (pos // k, (pit - 1) // k, rec)
-                    for pos, pit, rec in zip(positions[r], in_tree[r], current[r])
-                ]
-                for r in range(p)
-            ]
-            inboxes = route(
-                mach,
-                tagged,
-                lambda _r, item: (group_base + item[0]) % p,
-                label=f"{label}:route-groups",
+            # the cached sort key is spent: drop it before routing so
+            # the route-groups round ships only record columns
+            tagged_cols.append(
+                current[r]
+                .drop("__key")
+                .with_col("__g", g)
+                .with_col("__leaf_m", leaf_m)
             )
+            dests.append((group_base + g) % p)
+            base += all_counts[r]
+        inboxes = route_batches(
+            mach,
+            tagged_cols,
+            dests,
+            label=f"{label}:route-groups",
+            template=tagged_cols[0].islice(0, 0),
+        )
 
         # -- step 4: build elements + fan out next-phase records locally ----
         built = mach.run_phase(
             f"{label}:build-elements",
-            "dist.construct.build_elements_cols"
-            if columnar
-            else "dist.construct.build_elements",
+            "dist.construct.build_elements_cols",
             [
                 {
                     "inbox": inboxes[r],

@@ -31,9 +31,8 @@ machine:
   records are dead the structure compacts into a freshly built forest.
 
 Everything observable — answers, superstep traces, charged ops — is
-deterministic across the serial/thread/process backends and both
-data/value planes, which is what the differential suite in
-``tests/test_dist_dynamic.py`` asserts.
+deterministic across the serial/thread/process backends, which is what
+the differential suite in ``tests/test_dist_dynamic.py`` asserts.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from .._util import require_power_of_two
-from ..cgm.columns import columnar_enabled
 from ..cgm.cost import CostModel
 from ..cgm.machine import Machine
 from ..cgm.phases import ProcContext, register_phase
@@ -152,7 +150,7 @@ def _records_bbox(records: List[Record], dim: int):
     """The ``(mins, maxs)`` bounding box of a record list.
 
     Rides the bbox kernel (one vectorized segmented fold) when it
-    resolves; the object-path semigroup fold otherwise.  Identical
+    resolves; the plain semigroup fold otherwise.  Identical
     results either way — the kernel's sign trick is exact on floats.
     """
     sg = bounding_box_semigroup(dim)
@@ -399,14 +397,12 @@ class DynamicDistributedRangeTree:
         tree = DistributedRangeTree.build(
             pts, machine=self.machine, semigroup=self.semigroup
         )
-        if columnar_enabled():
-            # warm the bucket's compiled hat and forest once at
-            # absorption — every epoch's query batches reuse them until
-            # the next refit
-            tree.hat.compiled()
-            for store in tree.forest_store:
-                for el in store.values():
-                    el.compiled()
+        # warm the bucket's compiled hat and forest once at absorption —
+        # every epoch's query batches reuse them until the next refit
+        tree.hat.compiled()
+        for store in tree.forest_store:
+            for el in store.values():
+                el.compiled()
         self._buckets[k] = _Bucket(
             level=k,
             tree=tree,

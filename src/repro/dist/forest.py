@@ -74,8 +74,8 @@ class ForestElement:
         self.group_rank = group_rank
         self.ranks = np.asarray(ranks, dtype=np.int64)
         self.pids = tuple(int(x) for x in pids)
-        # Kernel-plane value columns stay typed end to end; anything else
-        # is materialized as the per-record list the object plane folds.
+        # Kernelized value columns stay typed end to end; anything else
+        # is materialized as the per-record list ``combine`` folds.
         self.values = (
             values if isinstance(values, KernelColumn) else list(values)
         )

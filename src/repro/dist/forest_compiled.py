@@ -6,11 +6,11 @@ supplies the dist-side consumer — the routed subqueries of one rank,
 grouped by target element, walked as level-by-level frontier expansion
 and packed straight into the ``dist.forest_selection`` columns.
 
-The contract is bit-identity with the per-subquery object walk of the
-object data plane: same selections in the same order (inbox row order,
-emission order within a row), same charged visit totals, byte-identical
-ragged fid/pid columns, and the same typed-vs-object ``agg`` column
-decision the record-at-a-time pack it replaced would have made.
+The contract is bit-identity with a per-subquery
+:meth:`~repro.dist.forest.ForestElement.canonical` loop: same selections
+in the same order (inbox row order, emission order within a row), same
+charged visit totals, and a typed ``agg`` column exactly when every
+emitting element is annotated under one kernel.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def batched_forest_selections(
     it; ``los_m``/``his_m`` are the inbox bound matrices and
     ``want_mask`` flags the rows whose queries consume point ids.
     ``charge`` receives each group's visit total — ``max(1, visits)``
-    per subquery, the object loop's exact per-subquery accounting.
+    per subquery, exactly what a per-subquery ``canonical`` loop charges.
 
     Returns ``(sel_rows, nleaves, agg_col, pid_ragged)`` over all
     selections in inbox-row order (emission order within a row):
@@ -76,7 +76,7 @@ def batched_forest_selections(
     all_rows = np.concatenate(per_rows)
     # groups carve the inbox into disjoint row sets and each group's
     # selections are already (row, emission)-ordered, so one stable sort
-    # by source row restores the object loop's exact output order
+    # by source row restores inbox-row output order
     perm = np.argsort(all_rows, kind="stable")
     sel_rows = all_rows[perm]
     nleaves = np.concatenate(
@@ -84,8 +84,7 @@ def batched_forest_selections(
     )[perm]
 
     # typed agg column iff every emitting element kernelized under equal
-    # kernels; ``k0`` keys off the first selection in final order — the
-    # same pick the record-at-a-time pack keyed its kernel from
+    # kernels; ``k0`` keys off the first selection in final order
     uniform = all(comp.agg_mat is not None for comp, _e, _n, _r in emitted)
     if uniform:
         first = min(

@@ -457,8 +457,8 @@ class CompiledHat:
     node, ``tile_off``/``tile_len`` slice the flat ``tile_leaf_ids``
     block of its tree (the leaves under ``(idx, lvl)`` are the
     contiguous heap range ``[idx << h, (idx+1) << h)`` at the cut
-    level).  Aggregates ride as an object column plus, on the kernel
-    plane, a typed matrix encoded once by the semigroup's kernel.
+    level).  Aggregates ride as an object column plus, when the
+    semigroup has a kernel, a typed matrix encoded once by it.
 
     :meth:`walk_batch` is Search step 1 as level-by-level numpy
     frontier expansion: each iteration classifies every live
@@ -598,7 +598,7 @@ class CompiledHat:
         ``collect``), a ``dist.search.routing`` batch of the surviving
         subqueries (byte-identical to the per-record pack), and the
         per-query visited-node counts for Theorem 3 ``charge``
-        accounting (empty boxes visit nothing, as on the object path).
+        accounting (empty boxes visit nothing, as in :meth:`Hat.walk`).
         """
         nq = len(boxes)
         d = self.d

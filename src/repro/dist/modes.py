@@ -1,96 +1,33 @@
-"""Output modes over the search selections (§5, Theorems 4 and 5).
+"""The segmented run-fold behind the output modes (§5, Theorems 4 and 5).
 
 Algorithm Search leaves every query's answer scattered across the
-machine as O(log^d n) selection pieces.  The paper's two output modes
-reduce them:
+machine as O(log^d n) selection pieces.  The query engine
+(:mod:`repro.query.engine`) sorts *all* pieces of a batch — counts,
+semigroup values, point ids — by query id in one shared sample sort
+(4 rounds; its balanced output is Theorem 5's ``ceil(k/p)`` term), then
+folds the fold-family pieces per query with the functions here:
 
-* **Associative-function mode** (:func:`fold_by_query`): each piece
-  carries a semigroup value (``f(v)`` of a hat node, or the aggregate of
-  a forest selection); a global sort by query id followed by a segmented
-  fold leaves one ``(qid, ⊕ value)`` pair per query.  5 rounds total —
-  4 for the sort, 1 for the run-boundary scan — regardless of ``n``.
-* **Report mode** (:func:`batched_report_pairs`): pieces expand to
-  ``(qid, pid)`` pairs — forest selections carry their ids, hat
-  selections expand through the forest elements tiling their leaves —
-  and a balanced redistribution leaves every processor at most
-  ``ceil(k/p)`` of the ``k`` output pairs (the ``k/p`` term of
-  Theorem 5).
+* :func:`accumulate_runs` — the per-rank half: a left fold over one
+  rank's qid-sorted pieces, leaving one ``(qid, total)`` per local run;
+* :func:`resolve_sorted_runs` — the cross-rank half: a query's run may
+  straddle processor boundaries, so one all-gather of run summaries
+  resolves carries and decides which rank emits each query (1 round,
+  regardless of ``n``);
+* :func:`fold_sorted_runs` — both halves in one call.
 
-Both assume a commutative semigroup, as the paper does: pieces of one
+All assume a commutative semigroup, as the paper does: pieces of one
 query are folded in global sorted order, which interleaves hat and
 forest pieces arbitrarily.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import Any, Callable, List, Tuple
 
-from ..cgm.collectives import allgather, route, route_balanced
+from ..cgm.collectives import allgather
 from ..cgm.machine import Machine
-from ..cgm.sort import sample_sort
-from .search import SearchOutput
 
-__all__ = [
-    "fold_pieces",
-    "fold_sorted_runs",
-    "accumulate_runs",
-    "resolve_sorted_runs",
-    "fold_by_query",
-    "batched_counts",
-    "batched_report_pairs",
-]
-
-
-def fold_pieces(
-    mach: Machine,
-    pieces: List[List[Tuple[int, Any]]],
-    op: Callable[[Any, Any], Any],
-    zero: Any,
-    label: str = "fold",
-) -> List[List[Tuple[int, Any]]]:
-    """Sort ``(qid, value)`` pieces globally and fold each query's run.
-
-    The Theorem 4 pipeline with the piece *extraction* factored out: a
-    sample sort by query id (4 rounds) followed by the segmented
-    run-fold (1 all-gather round).  ``op`` must be commutative with
-    identity ``zero``.  The query engine runs the same two stages
-    separately (one shared sort for *all* modes of a mixed batch, then
-    :func:`fold_sorted_runs` over just the fold-family pieces), which is
-    what lets a mixed-mode batch finish in a single demultiplexing pass.
-    """
-    ordered = sample_sort(
-        mach, pieces, key=operator.itemgetter(0), label=f"{label}:sort"
-    )
-    return fold_sorted_runs(mach, ordered, op, zero, label)
-
-
-def fold_by_query(
-    mach: Machine,
-    out: SearchOutput,
-    hat_value: Callable[[Any], Any],
-    forest_value: Callable[[Any], Any],
-    op: Callable[[Any, Any], Any],
-    zero: Any,
-    label: str = "fold",
-) -> List[List[Tuple[int, Any]]]:
-    """Fold every query's selection pieces into one value (Theorem 4).
-
-    ``hat_value``/``forest_value`` extract the per-piece contribution
-    (leaf counts for counting, ``f(v)`` for a general semigroup); ``op``
-    must be commutative with identity ``zero``.  Returns, per processor,
-    ``(qid, folded value)`` pairs — one per query that produced pieces,
-    left where the fold's last piece landed (balanced by the sort).
-    """
-    p = mach.p
-    pieces: List[List[Tuple[int, Any]]] = [[] for _ in range(p)]
-    for r in range(p):
-        for h in out.hat_selections[r]:
-            pieces[r].append((h.qid, hat_value(h)))
-        for f in out.forest_selections[r]:
-            pieces[r].append((f.qid, forest_value(f)))
-
-    return fold_pieces(mach, pieces, op, zero, label)
+__all__ = ["fold_sorted_runs", "accumulate_runs", "resolve_sorted_runs"]
 
 
 def accumulate_runs(
@@ -99,7 +36,7 @@ def accumulate_runs(
     """Local run totals of one rank's qid-sorted pieces (left fold).
 
     The per-rank half of :func:`fold_sorted_runs`, exposed so callers
-    with a vectorized equivalent — the query engine's kernel-plane
+    with a vectorized equivalent — the query engine's kernel
     segmented reductions — can hand precombined runs straight to
     :func:`resolve_sorted_runs`.
     """
@@ -194,57 +131,3 @@ def resolve_sorted_runs(
             break
         result.append(runs)
     return result
-
-
-def batched_counts(mach: Machine, out: SearchOutput) -> List[List[Tuple[int, int]]]:
-    """Counting mode: fold leaf counts per query (Theorem 4 with ⊕ = +)."""
-    return fold_by_query(
-        mach,
-        out,
-        hat_value=lambda h: h.nleaves,
-        forest_value=lambda f: f.nleaves,
-        op=lambda a, b: a + b,
-        zero=0,
-        label="count",
-    )
-
-
-def batched_report_pairs(
-    mach: Machine, out: SearchOutput
-) -> List[List[Tuple[int, int]]]:
-    """Report mode: balanced ``(qid, pid)`` pairs (Theorem 5's ``k/p`` term).
-
-    Forest selections expand from their own id lists; hat selections
-    expand through the forest elements tiling their leaves — which is
-    why the facade runs Search with ``collect_leaves=True`` (a selection
-    walked without it carries no expansion and contributes nothing).
-    Because those elements live at their owners, the expansion requests
-    are *routed* there first (one round) and expanded in a charged
-    compute phase, so the pairs' cost is measured on the machine like
-    everything else.  Power-of-two padding sentinels (negative ids) are
-    dropped.  The final balanced route leaves every processor at most
-    ``ceil(k/p)`` pairs.
-    """
-    p = mach.p
-    pairs: List[List[Tuple[int, int]]] = [[] for _ in range(p)]
-    requests: List[List[Tuple[int, Any]]] = [[] for _ in range(p)]
-    for r in range(p):
-        for f in out.forest_selections[r]:
-            pairs[r].extend((f.qid, pid) for pid in f.pids() if pid >= 0)
-        for h in out.hat_selections[r]:
-            for fid, loc in zip(h.forest_ids, h.locations):
-                requests[r].append((h.qid, fid, loc))
-    routed = route(
-        mach, requests, lambda _r, req: req[2], label="report:expand-route"
-    )
-
-    def expand(ctx) -> None:
-        r = ctx.rank
-        store = out.owner_stores[r]
-        for qid, fid, _loc in routed[r]:
-            el = store[fid]
-            pairs[r].extend((qid, pid) for pid in el.all_pids() if pid >= 0)
-            ctx.charge(el.nleaves)
-
-    mach.compute("report:expand", expand)
-    return route_balanced(mach, pairs, label="report:balance")

@@ -22,16 +22,16 @@ message could not carry.
 * :class:`ExpandRequest` — a report-family query asking the owner of a
   forest element to expand a hat selection into point ids; rides the
   Search step-4 routing round so mixed-mode batches need no extra round.
-* :class:`ReportUnit` — a weighted chunk of report-mode output pairs
-  (Theorem 5's ``O(k/p)`` balancing operates on these).
 
-The dataclasses are the *per-record view*; the hot paths move these
-streams as column packs (:mod:`repro.cgm.columns`).  Every record type
-registers a :class:`~repro.cgm.columns.RecordCodec` here — paths and
-tree ids flatten into ragged int64 columns, rank vectors into ``(n, d)``
-matrices, and only semigroup values stay an object column — so
-``RecordBatch.from_records`` / lazy iteration round-trip each stream
-exactly (property-tested in ``tests/test_columns.py``).
+The dataclasses are the *per-record view*; the streams themselves move
+as column packs (:mod:`repro.cgm.columns`).  Every stream some round
+ships registers a :class:`~repro.cgm.columns.RecordCodec` here — paths
+and tree ids flatten into ragged int64 columns, rank vectors into
+``(n, d)`` matrices, and only semigroup values without a kernel stay an
+object column — so ``RecordBatch.from_records`` / lazy iteration
+round-trip each stream exactly (property-tested in
+``tests/test_columns.py``).  :class:`ForestRootInfo` lists ride the
+step-5 broadcast as plain records and need no codec.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "Subquery",
     "ForestSelection",
     "ExpandRequest",
-    "ReportUnit",
     "flatten_path",
     "unflatten_path",
 ]
@@ -163,22 +162,6 @@ class ExpandRequest:
     location: int
 
 
-@dataclass(frozen=True, slots=True)
-class ReportUnit:
-    """A chunk of report-mode output: point ids matching query ``qid``.
-
-    Theorem 5's balancing step treats a unit's ``weight`` (its id count)
-    as the h-relation cost of moving it.
-    """
-
-    qid: int
-    ids: Tuple[int, ...] = ()
-
-    @property
-    def weight(self) -> int:
-        return len(self.ids)
-
-
 # ---------------------------------------------------------------------------
 # columnar codecs: the batch-packed view of each record stream
 # ---------------------------------------------------------------------------
@@ -235,62 +218,6 @@ class SRecordCodec(RecordCodec):
         )
 
 
-class ForestRootInfoCodec(RecordCodec):
-    name = "dist.forest_root_info"
-    record_type = ForestRootInfo
-
-    def pack(self, records):
-        return {
-            "path": _path_col([r.path for r in records]),
-            "dim": _int_col(r.dim for r in records),
-            "seg": _rank_matrix([r.seg for r in records]),
-            "nleaves": _int_col(r.nleaves for r in records),
-            "location": _int_col(r.location for r in records),
-            "group_rank": _int_col(r.group_rank for r in records),
-            "agg": _obj_col([r.agg for r in records]),
-        }
-
-    def unpack(self, cols, i):
-        return ForestRootInfo(
-            path=unflatten_path(cols["path"].row(i)),
-            dim=int(cols["dim"][i]),
-            seg=tuple(int(x) for x in cols["seg"][i]),
-            nleaves=int(cols["nleaves"][i]),
-            location=int(cols["location"][i]),
-            group_rank=int(cols["group_rank"][i]),
-            agg=cols["agg"][i],
-        )
-
-
-class HatSelectionCodec(RecordCodec):
-    """Hat selections: the leaf tiling (``forest_ids``) is a tuple of
-    *paths of varying length*, so it stays an object column — the walk
-    output never rides a sort, only the demand/expansion bookkeeping."""
-
-    name = "dist.hat_selection"
-    record_type = HatSelectionRecord
-
-    def pack(self, records):
-        return {
-            "qid": _int_col(r.qid for r in records),
-            "path": _path_col([r.path for r in records]),
-            "nleaves": _int_col(r.nleaves for r in records),
-            "agg": _obj_col([r.agg for r in records]),
-            "forest_ids": _obj_col([r.forest_ids for r in records]),
-            "locations": Ragged.from_rows([r.locations for r in records]),
-        }
-
-    def unpack(self, cols, i):
-        return HatSelectionRecord(
-            qid=int(cols["qid"][i]),
-            path=unflatten_path(cols["path"].row(i)),
-            nleaves=int(cols["nleaves"][i]),
-            agg=cols["agg"][i],
-            forest_ids=cols["forest_ids"][i],
-            locations=tuple(int(x) for x in cols["locations"].row(i)),
-        )
-
-
 class HatSelectionColsCodec(RecordCodec):
     """Hat selections as the compiled walk packs them (no object column
     for the tiling): ``locations`` is a ragged row per selection and the
@@ -303,7 +230,7 @@ class HatSelectionColsCodec(RecordCodec):
     """
 
     name = "dist.hat_selection_cols"
-    record_type = object  # HatSelectionRecord already claims its type
+    record_type = HatSelectionRecord
 
     def pack(self, records):
         return {
@@ -335,29 +262,6 @@ class HatSelectionColsCodec(RecordCodec):
         )
 
 
-class SubqueryCodec(RecordCodec):
-    name = "dist.subquery"
-    record_type = Subquery
-
-    def pack(self, records):
-        return {
-            "qid": _int_col(r.qid for r in records),
-            "los": _rank_matrix([r.los for r in records]),
-            "his": _rank_matrix([r.his for r in records]),
-            "forest_id": _path_col([r.forest_id for r in records]),
-            "location": _int_col(r.location for r in records),
-        }
-
-    def unpack(self, cols, i):
-        return Subquery(
-            qid=int(cols["qid"][i]),
-            los=tuple(int(x) for x in cols["los"][i]),
-            his=tuple(int(x) for x in cols["his"][i]),
-            forest_id=unflatten_path(cols["forest_id"].row(i)),
-            location=int(cols["location"][i]),
-        )
-
-
 class ForestSelectionCodec(RecordCodec):
     name = "dist.forest_selection"
     record_type = ForestSelection
@@ -378,42 +282,6 @@ class ForestSelectionCodec(RecordCodec):
             nleaves=int(cols["nleaves"][i]),
             agg=cols["agg"][i],
             pid_tuple=tuple(int(x) for x in cols["pid_tuple"].row(i)),
-        )
-
-
-class ExpandRequestCodec(RecordCodec):
-    name = "dist.expand_request"
-    record_type = ExpandRequest
-
-    def pack(self, records):
-        return {
-            "qid": _int_col(r.qid for r in records),
-            "forest_id": _path_col([r.forest_id for r in records]),
-            "location": _int_col(r.location for r in records),
-        }
-
-    def unpack(self, cols, i):
-        return ExpandRequest(
-            qid=int(cols["qid"][i]),
-            forest_id=unflatten_path(cols["forest_id"].row(i)),
-            location=int(cols["location"][i]),
-        )
-
-
-class ReportUnitCodec(RecordCodec):
-    name = "dist.report_unit"
-    record_type = ReportUnit
-
-    def pack(self, records):
-        return {
-            "qid": _int_col(r.qid for r in records),
-            "ids": Ragged.from_rows([r.ids for r in records]),
-        }
-
-    def unpack(self, cols, i):
-        return ReportUnit(
-            qid=int(cols["qid"][i]),
-            ids=tuple(int(x) for x in cols["ids"].row(i)),
         )
 
 
@@ -489,13 +357,8 @@ class ReportPairCodec(RecordCodec):
 
 for _codec in (
     SRecordCodec(),
-    ForestRootInfoCodec(),
-    HatSelectionCodec(),
     HatSelectionColsCodec(),
-    SubqueryCodec(),
     ForestSelectionCodec(),
-    ExpandRequestCodec(),
-    ReportUnitCodec(),
     RoutingCodec(),
     ReportPairCodec(),
 ):

@@ -4,7 +4,8 @@ A batch of ``m = O(n)`` rank-space queries is answered in a constant
 number of h-relations:
 
 1. **Hat walk** (local): each processor walks its resident hat replica
-   for its block of queries (:meth:`repro.dist.hat.Hat.walk`), producing
+   for its block of queries (:meth:`repro.dist.hat.CompiledHat.walk_batch`;
+   :meth:`repro.dist.hat.Hat.walk` is the per-query reference), producing
    dimension-``d`` hat selections and the surviving subquery set ``Q'``
    aimed at forest elements.
 2. **Demand count** (1 round): one all-gather sums, per owner ``j``, the
@@ -28,8 +29,9 @@ number of h-relations:
    into ``c_j`` chunks of at most ``ceil(|Q'|/p)`` and routed to the
    copy holders, so no processor serves more than ``O(|Q'|/p)``.
 5. **Forest walk** (local): each holder resumes the canonical walk
-   inside its (copies of) forest elements, emitting
-   :class:`~repro.dist.records.ForestSelection` records.
+   inside its (copies of) forest elements, emitting a
+   ``dist.forest_selection`` batch (rows unpack to
+   :class:`~repro.dist.records.ForestSelection`).
 
 The output modes of Theorems 4-5 (:mod:`repro.dist.modes`) then fold the
 selections per query.
@@ -37,7 +39,7 @@ selections per query.
 SPMD residency: steps 1, 3 and 5 are registered phases
 (``dist.search.*``) reading the rank-resident ``{ns}:forest`` /
 ``{ns}:hat`` state that Algorithm Construct left behind; only query
-boxes, selection records, subqueries and replicated element stores cross
+boxes, selection/routing batches and replicated element stores cross
 the boundary.  Callers without a resident structure (hand-built stores
 in tests) omit ``ns`` and the stores are seeded first — by reference on
 in-process backends, by pickle on the process backend.
@@ -52,7 +54,7 @@ import numpy as np
 
 from .._util import ilog2
 from ..cgm.collectives import allgather, route_batches
-from ..cgm.columns import Ragged, RecordBatch, columnar_enabled
+from ..cgm.columns import Ragged, RecordBatch
 from ..cgm.loadbalance import (
     assign_copies_round_robin,
     compute_copy_counts,
@@ -62,19 +64,10 @@ from ..cgm.machine import Machine
 from ..cgm.phases import ProcContext, register_phase
 from ..errors import ProtocolError
 from ..geometry.box import RankBox
-from ..seq.segment_tree import WalkStats
 from .construct import forest_key, hat_key
 from .forest_compiled import batched_forest_selections
 from .hat import Hat
-from .records import (
-    ExpandRequest,
-    ForestSelection,
-    HatSelectionRecord,
-    RoutingCodec,
-    Subquery,
-    flatten_path,
-    unflatten_path,
-)
+from .records import RoutingCodec, unflatten_path
 
 __all__ = ["SearchOutput", "run_search"]
 
@@ -83,19 +76,11 @@ def _normalize_flag(flag: "bool | Collection[int]") -> "bool | frozenset":
     """Normalize a per-batch bool / per-query id collection once per phase.
 
     Callers may pass any collection (list, set, range, dict keys); the
-    walk loops check membership per record, so the collection must be a
-    frozenset before the loop — never an O(n) scan inside it.
+    phases turn it into a qid mask once (:func:`_flag_mask`).
     """
     if isinstance(flag, bool):
         return flag
     return flag if isinstance(flag, frozenset) else frozenset(flag)
-
-
-def _wants(flag: "bool | frozenset", qid: int) -> bool:
-    """Interpret a normalized per-batch bool or per-query id set."""
-    if isinstance(flag, bool):
-        return flag
-    return qid in flag
 
 
 def _flag_mask(flag: "bool | frozenset", qids: np.ndarray) -> np.ndarray:
@@ -114,103 +99,39 @@ def _holders_key(ns: str) -> str:
 class SearchOutput:
     """Everything Algorithm Search leaves distributed over the machine.
 
-    ``hat_selections[r]``/``forest_selections[r]`` are the records
-    produced at rank ``r`` — on the columnar plane each is a lazy
-    :class:`~repro.cgm.columns.RecordBatch` whose rows unpack to the
-    same records the object walk emits; ``owner_stores`` exposes the
-    per-owner forest stores so report mode can expand hat selections
-    into point ids.  The load-balancing observables of steps 2-4
+    ``hat_selections[r]``/``forest_selections[r]`` are the selections
+    produced at rank ``r``, always as a
+    :class:`~repro.cgm.columns.RecordBatch` (``dist.hat_selection_cols``
+    / ``dist.forest_selection``) whose rows lazily unpack to the records
+    the reference walks (:meth:`Hat.walk`,
+    :meth:`ForestElement.canonical`) emit; ``owner_stores`` exposes the
+    per-owner forest stores.  The load-balancing observables of steps 2-4
     (``demands`` per owner, ``copy_counts``, per-processor subquery
     counts) are what the M1/S1 experiments and the Theorem 3 tests
     measure.
     """
 
-    hat_selections: "List[List[HatSelectionRecord] | RecordBatch]"
-    forest_selections: List[List[ForestSelection]]
+    hat_selections: List[RecordBatch]
+    forest_selections: List[RecordBatch]
     owner_stores: Sequence[dict]
     demands: List[int] = field(default_factory=list)
     copy_counts: List[int] = field(default_factory=list)
     subqueries_per_proc: List[int] = field(default_factory=list)
     total_subqueries: int = 0
     #: ``(qid, pid)`` pairs produced by in-pass hat-selection expansion
-    #: (``expand_qids``); empty unless the caller requested expansion.
-    report_pairs: List[List[Tuple[int, int]]] = field(default_factory=list)
-
-
-@register_phase("dist.search.walk")
-def _phase_walk(ctx: ProcContext, payload) -> tuple:
-    """Step 1: walk the resident hat for this rank's query block.
-
-    Also resets the pass-local replica cache — stale copies from a
-    previous batch must never serve this one.
-    """
-    qlo, boxes, collect, ns = payload
-    hat: Hat = ctx.state[hat_key(ns)]
-    ctx.state[_holders_key(ns)] = {}
-    collect = _normalize_flag(collect)
-    sels: List[HatSelectionRecord] = []
-    subqs: List[Subquery] = []
-    for i, box in enumerate(boxes):
-        qid = qlo + i
-        s, q = hat.walk(
-            qid,
-            box,
-            collect_leaves=_wants(collect, qid),
-            charge=ctx.charge,
-        )
-        sels.extend(s)
-        subqs.extend(q)
-    return sels, subqs
+    #: (``expand_qids``), one ``dist.report_pair`` batch per rank.
+    report_pairs: List[RecordBatch] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
-# the columnar plane: routed subquery/expansion/selection traffic as batches
+# routed subquery/expansion/selection traffic as batches
 # ---------------------------------------------------------------------------
-def _pack_routing(records: Sequence[Any], d: int) -> RecordBatch:
-    """Pack a mixed Subquery/ExpandRequest stream with a known box width.
-
-    The codec's generic :meth:`pack` infers ``d`` from the first subquery
-    present; the search driver knows the batch dimension, so empty and
-    expansion-only boxes still get correctly-shaped ``(n, d)`` columns
-    (batch concatenation across sources needs uniform shapes).
-    """
-    n = len(records)
-    kind = np.empty(n, dtype=np.int64)
-    qid = np.empty(n, dtype=np.int64)
-    loc = np.empty(n, dtype=np.int64)
-    los = np.zeros((n, d), dtype=np.int64)
-    his = np.zeros((n, d), dtype=np.int64)
-    fid_rows: List[List[int]] = []
-    for i, r in enumerate(records):
-        qid[i] = r.qid
-        loc[i] = r.location
-        fid_rows.append(flatten_path(r.forest_id))
-        if isinstance(r, Subquery):
-            kind[i] = RoutingCodec.KIND_SUBQUERY
-            los[i] = r.los
-            his[i] = r.his
-        else:
-            kind[i] = RoutingCodec.KIND_EXPAND
-    return RecordBatch(
-        "dist.search.routing",
-        {
-            "kind": kind,
-            "qid": qid,
-            "los": los,
-            "his": his,
-            "forest_id": Ragged.from_rows(fid_rows),
-            "location": loc,
-        },
-        n,
-    )
-
-
 def _expand_routing_cols(
     selections: RecordBatch, expand: frozenset, d: int
 ) -> "RecordBatch | None":
     """Expansion requests for a packed selection batch (Search step 4).
 
-    Mirrors the object path exactly: one :class:`ExpandRequest` per
+    One :class:`~repro.dist.records.ExpandRequest` row per
     ``(forest_id, location)`` tiling entry of every selection whose qid
     is in ``expand``, in batch row order — selections that carried no
     tiling (``collect_leaves`` off for that query) emit nothing.  The
@@ -263,17 +184,20 @@ def _expand_routing_cols(
 
 @register_phase("dist.search.walk_cols")
 def _phase_walk_cols(ctx: ProcContext, payload) -> tuple:
-    """Step 1, columnar: the *compiled* hat walk over the whole slice.
+    """Step 1: the compiled hat walk over this rank's whole query slice.
 
     One :meth:`~repro.dist.hat.CompiledHat.walk_batch` call classifies
     every live ``(query, node)`` frontier pair with array comparisons
     and returns both outputs column-packed — selections as a
-    ``dist.hat_selection_cols`` batch (lazy-unpacking to the records the
-    object walk emits, in the same order), subqueries as the routing
+    ``dist.hat_selection_cols`` batch (lazy-unpacking to the records
+    :meth:`Hat.walk` emits, in the same order), subqueries as the routing
     batch the step-4 exchange ships.  The per-query visit counts charge
-    the same Theorem 3 total as the object walk's per-query calls.
+    the same Theorem 3 total as per-query :meth:`Hat.walk` calls.
+
+    Also resets the pass-local replica cache — stale copies from a
+    previous batch must never serve this one.
     """
-    qlo, boxes, collect, ns, d = payload
+    qlo, boxes, collect, ns = payload
     hat: Hat = ctx.state[hat_key(ns)]
     ctx.state[_holders_key(ns)] = {}
     sels, routing, visits = hat.compiled().walk_batch(
@@ -287,7 +211,7 @@ def _phase_walk_cols(ctx: ProcContext, payload) -> tuple:
 
 @register_phase("dist.search.forest_cols")
 def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
-    """Step 5, columnar: *compiled* batched walks over resident elements.
+    """Step 5: compiled batched walks over resident forest elements.
 
     The inbox is one routing batch (subqueries and expansion requests
     mixed, source-ordered).  Subqueries group by target element and each
@@ -295,13 +219,13 @@ def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
     level-by-level frontier expansion over the element's lowered arrays
     — then :func:`~repro.dist.forest_compiled.batched_forest_selections`
     packs every group's selections straight into the
-    ``dist.forest_selection`` columns, restored to inbox-row order (the
-    object loop's exact output order).  ``collect_pids`` (bool or qid
-    set) limits pid materialization to the queries whose output mode
-    consumes point ids: fold-family selections carry an empty
-    ``pid_tuple``, saving the per-leaf gather for every count/aggregate
-    subquery.  Charged visit totals match the per-subquery object walk
-    exactly (``max(1, visits)`` per subquery, ``nleaves`` per expand).
+    ``dist.forest_selection`` columns, restored to inbox-row order.
+    ``collect_pids`` (bool or qid set) limits pid materialization to the
+    queries whose output mode consumes point ids: fold-family selections
+    carry an empty ``pid_tuple``, saving the per-leaf gather for every
+    count/aggregate subquery.  Charged visit totals match a per-subquery
+    :meth:`ForestElement.canonical` loop exactly (``max(1, visits)`` per
+    subquery, ``nleaves`` per expand).
     """
     inbox, ns, collect_pids = payload
     r = ctx.rank
@@ -318,8 +242,8 @@ def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
 
     # One pass over the inbox: expansions run in place (row order), and
     # subquery rows bucket by target element — store resolution happens
-    # at each element's first row, so a missing copy raises at the same
-    # row the record-at-a-time loop would have raised at.
+    # at each element's first row, so a missing copy raises at the first
+    # row that needs it.
     pair_qids: List[np.ndarray] = []
     pair_pids: List[np.ndarray] = []
     group_rows: dict = {}
@@ -408,46 +332,6 @@ def _phase_replicate_unpack(ctx: ProcContext, payload) -> None:
     return None
 
 
-@register_phase("dist.search.forest")
-def _phase_forest(ctx: ProcContext, payload) -> tuple:
-    """Step 5: resume the canonical walk inside resident forest elements."""
-    inbox, ns = payload
-    r = ctx.rank
-    forest = ctx.state.get(forest_key(ns)) or {}
-    holders = ctx.state.get(_holders_key(ns)) or {}
-    forest_selections: List[ForestSelection] = []
-    report_pairs: List[Tuple[int, int]] = []
-    for sq in inbox:
-        if isinstance(sq, ExpandRequest):
-            # Owners always keep their own store; expand in place.
-            el = forest[sq.forest_id]
-            report_pairs.extend(
-                (sq.qid, pid) for pid in el.all_pids() if pid >= 0
-            )
-            ctx.charge(el.nleaves)
-            continue
-        store = forest if sq.location == r else holders.get(sq.location)
-        if store is None or sq.forest_id not in store:
-            raise ProtocolError(
-                f"rank {r} received subquery for {sq.forest_id} "
-                f"without holding a copy of group {sq.location}"
-            )
-        el = store[sq.forest_id]
-        stats = WalkStats()
-        for sel in el.canonical(RankBox(sq.los, sq.his), stats=stats):
-            forest_selections.append(
-                ForestSelection(
-                    qid=sq.qid,
-                    forest_id=sq.forest_id,
-                    nleaves=sel.leaf_count,
-                    agg=sel.agg(),
-                    pid_tuple=el.selection_pids(sel),
-                )
-            )
-        ctx.charge(max(1, stats.nodes_visited))
-    return forest_selections, report_pairs
-
-
 def run_search(
     mach: Machine,
     hat: Hat,
@@ -473,9 +357,9 @@ def run_search(
     ``ns`` names the machine state namespace where Construct left the
     structure resident (:attr:`ConstructResult.ns`); when omitted,
     ``hat``/``forest_store`` are seeded into a fresh namespace first.
-    ``collect_pids`` (columnar plane) restricts per-selection pid
-    materialization to the given query ids — the query engine passes its
-    report-family set so fold-family selections skip the leaf gather.
+    ``collect_pids`` restricts per-selection pid materialization to the
+    given query ids — the query engine passes its report-family set so
+    fold-family selections skip the leaf gather.
     """
     p = mach.p
     expand = frozenset(expand_qids) if expand_qids else frozenset()
@@ -519,18 +403,13 @@ def _run_search_resident(
     p = mach.p
     m = len(rank_boxes)
     chunk = -(-m // p) if m else 1
-    columnar = columnar_enabled()
     d = len(rank_boxes[0].los) if m else 0
 
     # -- step 1: hat walk over each processor's query block ----------------
-    collect = (
-        collect_leaves
-        if isinstance(collect_leaves, bool)
-        else frozenset(collect_leaves)
-    )
+    collect = _normalize_flag(collect_leaves)
     walked = mach.run_phase(
         "search:walk",
-        "dist.search.walk_cols" if columnar else "dist.search.walk",
+        "dist.search.walk_cols",
         [
             (
                 r * chunk,
@@ -538,7 +417,6 @@ def _run_search_resident(
                 collect,
                 ns,
             )
-            + ((d,) if columnar else ())
             for r in range(p)
         ],
     )
@@ -546,18 +424,15 @@ def _run_search_resident(
     local_subqs = [w[1] for w in walked]
 
     # -- step 2: demand per forest group (one all-gather) ------------------
-    local_demand = []
-    for r in range(p):
-        if columnar:
-            vec = np.bincount(
+    local_demand = [
+        tuple(
+            int(x)
+            for x in np.bincount(
                 np.asarray(local_subqs[r].col("location")), minlength=p
             )
-            local_demand.append(tuple(int(x) for x in vec))
-        else:
-            vec = [0] * p
-            for sq in local_subqs[r]:
-                vec[sq.location] += 1
-            local_demand.append(tuple(vec))
+        )
+        for r in range(p)
+    ]
     demand_matrix = allgather(mach, local_demand, label="search:demands")[0]
     demands = [sum(row[j] for row in demand_matrix) for j in range(p)]
     total = sum(demands)
@@ -568,107 +443,62 @@ def _run_search_resident(
     _replicate_stores(mach, ns, targets, replication)
 
     # -- step 4: split each owner's subqueries over its copies and route ---
+    # Owner j's subqueries are numbered globally (rank-major, then local
+    # order); subquery number g goes to copy ``g // per_copy[j]``.  The
+    # arithmetic runs as arrays (occurrence index per owner via boolean
+    # masks — p is small), then one routed exchange of whole batches.
+    # Subqueries precede expansion requests per source.
     per_copy = [max(1, -(-demands[j] // len(targets[j]))) for j in range(p)]
     offsets = [
         [sum(demand_matrix[q][j] for q in range(r)) for j in range(p)]
         for r in range(p)
     ]
-
-    def dest_for(r: int, sq: Subquery, counter: List[int]) -> int:
-        j = sq.location
-        global_idx = offsets[r][j] + counter[j]
-        counter[j] += 1
-        copy = min(global_idx // per_copy[j], len(targets[j]) - 1)
-        return targets[j][copy]
-
-    if columnar:
-        # Vectorized dest rule: same global-index arithmetic, computed as
-        # arrays (occurrence index per owner via boolean masks — p is
-        # small), then one routed exchange of whole batches.  Subqueries
-        # precede expansion requests per source, as on the object path.
-        per_copy_arr = np.asarray(per_copy, dtype=np.int64)
-        tlen = np.asarray([len(t) for t in targets], dtype=np.int64)
-        tmat = np.zeros((p, int(tlen.max())), dtype=np.int64)
+    per_copy_arr = np.asarray(per_copy, dtype=np.int64)
+    tlen = np.asarray([len(t) for t in targets], dtype=np.int64)
+    tmat = np.zeros((p, int(tlen.max())), dtype=np.int64)
+    for j in range(p):
+        tmat[j, : len(targets[j])] = targets[j]
+    routed: List[RecordBatch] = []
+    dests: List[np.ndarray] = []
+    for r in range(p):
+        subq_b = local_subqs[r]
+        n_r = len(subq_b)
+        loc = np.asarray(subq_b.col("location"))
+        occ = np.empty(n_r, dtype=np.int64)
+        offs_r = np.asarray(offsets[r], dtype=np.int64)
         for j in range(p):
-            tmat[j, : len(targets[j])] = targets[j]
-        routed: List[RecordBatch] = []
-        dests: List[np.ndarray] = []
-        for r in range(p):
-            subq_b = local_subqs[r]
-            n_r = len(subq_b)
-            loc = np.asarray(subq_b.col("location"))
-            occ = np.empty(n_r, dtype=np.int64)
-            offs_r = np.asarray(offsets[r], dtype=np.int64)
-            for j in range(p):
-                mask = loc == j
-                occ[mask] = np.arange(int(mask.sum()), dtype=np.int64)
-            gidx = offs_r[loc] + occ if n_r else np.empty(0, dtype=np.int64)
-            copy = np.minimum(gidx // per_copy_arr[loc], tlen[loc] - 1)
-            dest = tmat[loc, copy]
-            hb = hat_selections[r]
-            if isinstance(hb, RecordBatch):
-                exp_b = _expand_routing_cols(hb, expand, d)
-            else:
-                # hand-seeded record lists (tests) keep the record path
-                expands = [
-                    ExpandRequest(qid=h.qid, forest_id=fid, location=loc_)
-                    for h in hb
-                    if h.qid in expand
-                    for fid, loc_ in zip(h.forest_ids, h.locations)
-                ]
-                exp_b = _pack_routing(expands, d) if expands else None
-            if exp_b is not None:
-                routed.append(RecordBatch.concat([subq_b, exp_b]))
-                dests.append(
-                    np.concatenate([dest, np.asarray(exp_b.col("location"))])
-                )
-            else:
-                routed.append(subq_b)
-                dests.append(dest)
-        inboxes = route_batches(
-            mach,
-            routed,
-            dests,
-            label="search:route-subqueries",
-            template=_pack_routing([], d),
-        )
-        subqueries_per_proc = [
-            int(
-                (np.asarray(box.col("kind")) == RoutingCodec.KIND_SUBQUERY).sum()
+            mask = loc == j
+            occ[mask] = np.arange(int(mask.sum()), dtype=np.int64)
+        gidx = offs_r[loc] + occ if n_r else np.empty(0, dtype=np.int64)
+        copy = np.minimum(gidx // per_copy_arr[loc], tlen[loc] - 1)
+        dest = tmat[loc, copy]
+        exp_b = _expand_routing_cols(hat_selections[r], expand, d)
+        if exp_b is not None:
+            routed.append(RecordBatch.concat([subq_b, exp_b]))
+            dests.append(
+                np.concatenate([dest, np.asarray(exp_b.col("location"))])
             )
-            for box in inboxes
-        ]
-    else:
-        outboxes = mach.empty_outboxes()
-        for r in range(p):
-            counter = [0] * p
-            for sq in local_subqs[r]:
-                outboxes[r][dest_for(r, sq, counter)].append(sq)
-            for h in hat_selections[r]:
-                if h.qid in expand:
-                    for fid, loc in zip(h.forest_ids, h.locations):
-                        outboxes[r][loc].append(
-                            ExpandRequest(qid=h.qid, forest_id=fid, location=loc)
-                        )
-        inboxes = mach.exchange("search:route-subqueries", outboxes)
-        subqueries_per_proc = [
-            sum(1 for rec in box if isinstance(rec, Subquery)) for box in inboxes
-        ]
+        else:
+            routed.append(subq_b)
+            dests.append(dest)
+    inboxes = route_batches(
+        mach,
+        routed,
+        dests,
+        label="search:route-subqueries",
+        template=local_subqs[0],
+    )
+    subqueries_per_proc = [
+        int((np.asarray(box.col("kind")) == RoutingCodec.KIND_SUBQUERY).sum())
+        for box in inboxes
+    ]
 
     # -- step 5: resume the canonical walk inside the forest ---------------
-    if columnar:
-        pid_spec = (
-            collect_pids
-            if isinstance(collect_pids, bool)
-            else frozenset(collect_pids)
-        )
-        payloads = [(inboxes[r], ns, pid_spec) for r in range(p)]
-    else:
-        payloads = [(inboxes[r], ns) for r in range(p)]
+    pid_spec = _normalize_flag(collect_pids)
     processed = mach.run_phase(
         "search:forest",
-        "dist.search.forest_cols" if columnar else "dist.search.forest",
-        payloads,
+        "dist.search.forest_cols",
+        [(inboxes[r], ns, pid_spec) for r in range(p)],
     )
     forest_selections = [o[0] for o in processed]
     report_pairs = [o[1] for o in processed]

@@ -15,8 +15,8 @@ engine turns a :class:`~repro.query.descriptors.QueryBatch` into:
    demand round, one replication round-set, one routing round — §5);
 4. a single shared **demultiplexing fold**: every query's pieces —
    counts, semigroup values, point ids — ride one sample sort and one
-   segmented run-fold (:func:`repro.dist.modes.fold_pieces`), with the
-   combine operation dispatched per query id;
+   segmented run-fold (:mod:`repro.dist.modes`), with the combine
+   operation dispatched per query id;
 5. a :class:`~repro.query.result.ResultSet` carrying the answers in
    batch order plus the pass's superstep trace.
 
@@ -26,14 +26,13 @@ batch of the same size: modes share the pass instead of re-running it.
 
 from __future__ import annotations
 
-import operator
 from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..cgm.columns import RecordBatch, RecordCodec, columnar_enabled, register_codec
-from ..cgm.sort import sample_sort, sample_sort_cols
-from ..dist.modes import accumulate_runs, fold_sorted_runs, resolve_sorted_runs
+from ..cgm.columns import RecordBatch, RecordCodec, register_codec
+from ..cgm.sort import sample_sort_cols
+from ..dist.modes import accumulate_runs, resolve_sorted_runs
 from ..dist.search import run_search
 from ..errors import DimensionMismatch, ProtocolError
 from ..semigroup import COUNT, ProductSemigroup, Semigroup, product_semigroup
@@ -41,7 +40,6 @@ from ..semigroup.kernels import (
     KernelColumn,
     ProductKernel,
     fold_segments,
-    kernel_enabled,
     kernel_for,
 )
 from .descriptors import Query, QueryBatch
@@ -55,9 +53,9 @@ class PieceCodec(RecordCodec):
     """The demux piece stream: ``qid`` key column, ``pid`` for report
     pieces (−1 otherwise), ``val`` object column for fold payloads.
 
-    The per-record view reproduces the object-path piece tuples —
-    ``(qid, pid)`` for report pieces, ``(qid, (qid, value))`` for fold
-    pieces — so either plane feeds the same segmented run-fold.
+    The per-record view is the piece tuple the segmented run-fold
+    consumes — ``(qid, pid)`` for report pieces, ``(qid, (qid, value))``
+    for fold pieces.
     """
 
     name = "query.piece"
@@ -137,7 +135,8 @@ class _SelectionRow:
 
 def _merge_runs(a: List[tuple], b: List[tuple]) -> List[tuple]:
     """Merge two qid-ordered run lists with disjoint qids (a query folds
-    through exactly one plane) into one qid-ordered list."""
+    either through a kernel or through ``combine``, never both) into one
+    qid-ordered list."""
     if not a:
         return b
     if not b:
@@ -407,14 +406,9 @@ class QueryEngine:
         specs = plan.specs
         p = mach.p
 
-        kernel_runs = None
-        if columnar_enabled():
-            kplan = self._kernel_fold_plan(plan)
-            report_ids, fold_lists, kernel_runs = self._demux_pieces_cols(
-                plan, out, kplan
-            )
-        else:
-            report_ids, fold_lists = self._demux_pieces(plan, out)
+        report_ids, fold_lists, kernel_runs = self._demux_pieces(
+            plan, out, self._kernel_fold_plan(plan)
+        )
 
         def op(a, b):
             if a is None:
@@ -424,22 +418,15 @@ class QueryEngine:
             qid = a[0]
             return (qid, specs[qid].combine(a[1], b[1]))
 
-        if kernel_runs is None:
-            folded = fold_sorted_runs(mach, fold_lists, op, None, "query:demux")
-        else:
-            # Kernel-plane queries arrive as precombined run totals from
-            # the segmented numpy folds; object-fold queries (disjoint
-            # qids) accumulate as before.  One merged, qid-ordered run
-            # list per rank feeds the same boundary-resolution round.
-            local_runs = [
-                _merge_runs(
-                    accumulate_runs(fold_lists[r], op), kernel_runs[r]
-                )
-                for r in range(p)
-            ]
-            folded = resolve_sorted_runs(
-                mach, local_runs, op, None, "query:demux"
-            )
+        # Kernel-fold queries arrive as precombined run totals from the
+        # segmented numpy folds; the rest (disjoint qids) accumulate
+        # through ``combine``.  One merged, qid-ordered run list per rank
+        # feeds the boundary-resolution round.
+        local_runs = [
+            _merge_runs(accumulate_runs(fold_lists[r], op), kernel_runs[r])
+            for r in range(p)
+        ]
+        folded = resolve_sorted_runs(mach, local_runs, op, None, "query:demux")
 
         answers: List[Any] = [spec.finalize(spec.default) for spec in specs]
         for qid, ids in report_ids.items():
@@ -451,48 +438,6 @@ class QueryEngine:
                 answers[qid] = specs[qid].finalize(tagged[1])
         return answers
 
-    def _demux_pieces(self, plan: QueryPlan, out) -> Tuple[dict, List[list]]:
-        """Object-plane piece extraction + shared sort (the legacy path)."""
-        mach = self.tree.machine
-        specs = plan.specs
-        p = mach.p
-
-        # Fold pieces are (qid, (qid, value)) so the fold's combine can
-        # dispatch per query; report pieces are plain (qid, pid).
-        pieces: List[List[Tuple[int, Any]]] = [[] for _ in range(p)]
-        for r in range(p):
-            bucket = pieces[r]
-            for h in out.hat_selections[r]:
-                spec = specs[h.qid]
-                if spec.hat_value is not None:
-                    bucket.append((h.qid, (h.qid, spec.hat_value(h))))
-            for f in out.forest_selections[r]:
-                spec = specs[f.qid]
-                if spec.report_pids:
-                    bucket.extend(
-                        (f.qid, pid) for pid in f.pid_tuple if pid >= 0
-                    )
-                elif spec.forest_value is not None:
-                    bucket.append((f.qid, (f.qid, spec.forest_value(f))))
-            for qid, pid in out.report_pairs[r] if out.report_pairs else ():
-                bucket.append((qid, pid))
-
-        ordered = sample_sort(
-            mach, pieces, key=operator.itemgetter(0), label="query:demux:sort"
-        )
-
-        # Split the balanced sorted output: ids are final as-is; fold
-        # pieces (still qid-sorted) continue into the segmented fold.
-        report_ids: dict[int, List[int]] = {}
-        fold_lists: List[List[Tuple[int, Any]]] = [[] for _ in range(p)]
-        for r in range(p):
-            for qid, payload in ordered[r]:
-                if specs[qid].report_pids:
-                    report_ids.setdefault(qid, []).append(payload)
-                else:
-                    fold_lists[r].append((qid, payload))
-        return report_ids, fold_lists
-
     def _kernel_fold_plan(self, plan: QueryPlan) -> "_KernelFoldPlan | None":
         """Resolve which fold-family specs ride typed kernel columns.
 
@@ -500,11 +445,10 @@ class QueryEngine:
         typed ``nleaves`` column); aggregate-family queries qualify when
         their semigroup has a kernel *and* the tree's annotation storage
         is kernel-backed with a matching component slot.  Everything
-        else — top-k merges, user semigroups, object-plane trees —
-        keeps the per-record object fold, row by row, in the same batch.
+        else — top-k merges, user semigroups, trees whose annotation has
+        no kernel — folds through ``combine``, row by row, in the same
+        batch.
         """
-        if not kernel_enabled():
-            return None
         specs = plan.specs
         vk = getattr(self.tree, "value_kernel", None)
         names = [c.name for c in plan.annotations]
@@ -572,10 +516,10 @@ class QueryEngine:
                 runs[at] = (qid, (qid, kern.decode_row(folded[j])))
         return runs
 
-    def _demux_pieces_cols(
-        self, plan: QueryPlan, out, kplan: "_KernelFoldPlan | None" = None
-    ) -> Tuple[dict, List[list], "List[list] | None"]:
-        """Columnar piece extraction: one ``query.piece`` batch per rank.
+    def _demux_pieces(
+        self, plan: QueryPlan, out, kplan: "_KernelFoldPlan | None"
+    ) -> Tuple[dict, List[list], List[list]]:
+        """Piece extraction + shared sort: one ``query.piece`` batch per rank.
 
         Report-family pieces never touch Python loops: forest-selection
         pid tuples explode via ``np.repeat`` over the ragged column, the
@@ -585,7 +529,10 @@ class QueryEngine:
         Python either — their values fill a shared float64 ``kval``
         matrix straight from the typed ``nleaves``/``agg`` columns and
         fold as segmented reductions after the sort — leaving per-record
-        extraction only to object-fold specs.
+        extraction only to specs that fold through ``combine``.
+
+        Returns the harvested report ids, and per rank the qid-sorted
+        ``combine``-fold pieces and the kernel runs' precombined totals.
 
         Known trade-off: ``kval`` is one dense per-row matrix so it can
         ride the shared sort, which means a *mixed* batch pays
@@ -682,35 +629,7 @@ class QueryEngine:
         batches: List[RecordBatch] = []
         for r in range(p):
             parts = []
-            hb = out.hat_selections[r]
-            if isinstance(hb, RecordBatch):
-                parts.append(hat_part_cols(hb))
-            else:
-                # hat fold pieces from record lists (hand-seeded tests)
-                hq: List[int] = []
-                hv: List[Any] = []
-                hk: List[Tuple[int, int, Any]] = []  # (row, gid, value)
-                for h in hb:
-                    spec = specs[h.qid]
-                    if spec.hat_value is None:
-                        continue
-                    g = int(kplan.gid[h.qid]) if kplan is not None else -1
-                    if g >= 0:
-                        hk.append((len(hq), g, spec.hat_value(h)))
-                        hq.append(h.qid)
-                        hv.append(None)
-                    else:
-                        hq.append(h.qid)
-                        hv.append((h.qid, spec.hat_value(h)))
-                hkv = None
-                if hk and W:
-                    hkv = np.zeros((len(hq), W), dtype=np.float64)
-                    for g, (_kind, kern, _off) in enumerate(kplan.kinds):
-                        rows = [(at, v) for at, gg, v in hk if gg == g]
-                        if rows:
-                            enc = kern.encode([v for _at, v in rows])
-                            hkv[[at for at, _v in rows], : kern.width] = enc
-                parts.append(part(hq, None, hv, hkv))
+            parts.append(hat_part_cols(out.hat_selections[r]))
             fb = out.forest_selections[r]
             if len(fb):
                 fqid = np.asarray(fb.col("qid"))
@@ -766,8 +685,8 @@ class QueryEngine:
                     rq = np.repeat(fqid[ridx], pt.lengths)
                     keep = flat >= 0
                     parts.append(part(rq[keep], flat[keep], None))
-            pb = out.report_pairs[r] if out.report_pairs else None
-            if pb is not None and len(pb):
+            pb = out.report_pairs[r]
+            if len(pb):
                 parts.append(part(pb.col("qid"), pb.col("pid"), None))
             parts = [x for x in parts if x is not None]
             if parts:
@@ -794,9 +713,7 @@ class QueryEngine:
 
         report_ids: dict[int, List[int]] = {}
         fold_lists: List[List[Tuple[int, Any]]] = [[] for _ in range(p)]
-        kernel_runs: "List[list] | None" = (
-            [[] for _ in range(p)] if kplan is not None else None
-        )
+        kernel_runs: List[list] = [[] for _ in range(p)]
         for r in range(p):
             b = ordered[r]
             if not len(b):

@@ -9,7 +9,7 @@ difference, in two families:
 * **fold family** (count, aggregate, topk): each hat/forest selection
   contributes one semigroup value; all pieces of the batch go through a
   *single* shared sort-and-segmented-fold
-  (:func:`repro.dist.modes.fold_pieces`).
+  (:func:`repro.dist.modes.fold_sorted_runs`).
 * **report family** (report, sample): selections expand into point ids
   — forest selections locally, hat selections via in-pass
   :class:`~repro.dist.records.ExpandRequest` routing — and the per-id

@@ -20,12 +20,8 @@ from .kernels import (
     KernelAggs,
     KernelColumn,
     SemigroupKernel,
-    get_valueplane,
-    kernel_enabled,
     kernel_for,
     register_kernel_resolver,
-    set_valueplane,
-    valueplane,
 )
 
 __all__ = [
@@ -51,8 +47,4 @@ __all__ = [
     "KernelAggs",
     "kernel_for",
     "register_kernel_resolver",
-    "get_valueplane",
-    "set_valueplane",
-    "valueplane",
-    "kernel_enabled",
 ]

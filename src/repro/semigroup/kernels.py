@@ -13,48 +13,42 @@ handful of array calls.
 
 Bit-identity contract
 ---------------------
-A kernel must reproduce the object plane's answers *bit for bit*, so the
+A kernel must reproduce the semigroup's own ``combine`` answers *bit for
+bit* (the sequential oracle and brute force fold Python values), so the
 reduction order is chosen per column kind (``col_ops``):
 
 * ``"iadd"`` — integer-exact addition (count slots): any association is
   exact, so ``np.add.reduceat`` (pairwise) is safe.
 * ``"fadd"`` — float addition (sum slots): numpy's pairwise summation
-  does **not** match the object plane's sequential left fold, so
+  does **not** match a sequential left fold of Python floats, so
   segmented folds run a masked position-by-position left fold instead —
   ``O(max segment length)`` vectorized steps, each combining one element
-  into every open segment's accumulator in the exact object-plane order.
+  into every open segment's accumulator in left-to-right order.
 * ``"min"`` — min/max/bbox slots: max slots are stored *negated* so
   every extreme is an ``np.minimum`` (decode flips the sign back, which
   is exact in IEEE-754); min folds are associative-exact, so
   ``np.minimum.reduceat`` is safe.
 
-Heap folds (node annotation) combine children pairwise by structure on
-both planes, so the vectorized level-by-level fold is bit-identical by
-construction for every column kind.
+Heap folds (node annotation) combine children pairwise by structure, as
+the per-node ``combine`` loop does, so the vectorized level-by-level fold
+is bit-identical by construction for every column kind.
 
-Resolution and the value plane
-------------------------------
+Resolution
+----------
 :func:`kernel_for` resolves a :class:`~repro.semigroup.base.Semigroup`
 to its kernel by inspecting the *functions* it was built from (never the
 name, which users may reuse), walking an extensible resolver registry
 (:func:`register_kernel_resolver`).  Unkernelizable semigroups — unions,
-top-k merges, user lambdas — resolve to ``None`` and transparently keep
-the object path.
-
-:func:`valueplane` / :func:`set_valueplane` toggle the engine globally
-(``"kernel"``, the default, or ``"object"``) with the same A/B
-discipline as :func:`repro.cgm.columns.dataplane`: the toggle is
-consulted driver-side only (construct, refit, demux), so worker
-processes need no synchronization — the chosen representation simply
-rides the payloads.
+top-k merges, user lambdas — resolve to ``None``: their values ride
+object columns and fold through ``combine``, in the same batch as the
+kernelized ones.  The decision is made once per build or refit, from
+the semigroup, and carried on the tree's ``value_kernel``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import os
-from contextlib import contextmanager
 from functools import lru_cache, partial
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
@@ -85,10 +79,6 @@ __all__ = [
     "batched_heap_fold",
     "fold_segments",
     "lift_kernel_column",
-    "get_valueplane",
-    "set_valueplane",
-    "valueplane",
-    "kernel_enabled",
 ]
 
 _I64 = np.int64
@@ -109,8 +99,8 @@ class SemigroupKernel:
     Values live as ``(n, width)`` matrices of ``dtype``; ``col_ops``
     names the fold kind of every column; ``identity_row`` is the encoded
     identity (max/bbox-max slots already negated).  ``encode`` maps a
-    list of object-plane values to a matrix, ``decode_row`` inverts one
-    row back to the exact object-plane value (type included) — the
+    list of semigroup values to a matrix, ``decode_row`` inverts one
+    row back to the exact semigroup value (type included) — the
     round trip is bit-identical, property-tested per kernel.
 
     ``lift_columns`` (optional) vectorizes the semigroup's *lift*: it
@@ -360,7 +350,7 @@ def lift_kernel_column(
     """Lift a whole coordinate matrix into a padded typed value column.
 
     Rows past ``len(coords)`` (power-of-two padding sentinels) get the
-    encoded identity, matching the object plane's sentinel values.
+    encoded identity, matching ``semigroup.identity`` for sentinels.
     Returns ``None`` when the kernel cannot vectorize this lift — the
     caller then lifts per point and encodes.
     """
@@ -402,8 +392,8 @@ def heap_fold(kernel: SemigroupKernel, leaves: np.ndarray) -> np.ndarray:
 
     Returns a ``(2m, width)`` matrix: row ``m + k`` is leaf ``k``, row
     ``v < m`` is ``combine(row 2v, row 2v+1)`` and row 0 the identity.
-    Children combine pairwise — the exact association of the object
-    plane's bottom-up loop — so every column kind is bit-identical.
+    Children combine pairwise — the exact association of the per-node
+    bottom-up ``combine`` loop — so every column kind is bit-identical.
     """
     m = len(leaves)
     out = np.empty((2 * m, kernel.width), dtype=kernel.dtype)
@@ -525,7 +515,7 @@ class KernelColumn:
 
     The drop-in replacement for the object value column of a
     :class:`~repro.cgm.columns.RecordBatch`: integer indexing decodes
-    one object-plane value (so lazy record unpacking keeps working),
+    one semigroup value (so lazy record unpacking keeps working),
     slices/arrays produce new columns, and ``nbytes`` is *exact* —
     kernel-backed value traffic needs no sampled byte estimates.
     """
@@ -596,7 +586,7 @@ class KernelColumn:
 class KernelAggs:
     """Heap-ordered node aggregates as one typed matrix (``aggs`` twin).
 
-    Indexing by heap node id decodes the object-plane value, so
+    Indexing by heap node id decodes the semigroup value, so
     :meth:`repro.seq.range_tree.CanonicalSelection.agg` and friends work
     unchanged; the search phases read :attr:`mat` directly to emit typed
     selection columns without per-node decoding.
@@ -698,7 +688,7 @@ def register_kernel_resolver(
 
 @lru_cache(maxsize=512)
 def kernel_for(sg: Semigroup) -> Optional[SemigroupKernel]:
-    """The kernel backing ``sg``, or ``None`` (object-path fallback).
+    """The kernel backing ``sg``, or ``None`` (object columns + ``combine``).
 
     Resolution inspects the semigroup's actual lift/combine functions —
     a user semigroup merely *named* "count" with different semantics
@@ -709,47 +699,3 @@ def kernel_for(sg: Semigroup) -> Optional[SemigroupKernel]:
         if kernel is not None:
             return kernel
     return None
-
-
-# ---------------------------------------------------------------------------
-# the value-plane toggle (A/B discipline of the dataplane switch)
-# ---------------------------------------------------------------------------
-_VALUEPLANES = ("kernel", "object")
-_valueplane: str = os.environ.get("REPRO_VALUEPLANE", "kernel")
-if _valueplane not in _VALUEPLANES:  # pragma: no cover - env misuse
-    _valueplane = "kernel"
-
-
-def get_valueplane() -> str:
-    """The active value plane: ``"kernel"`` (default) or ``"object"``."""
-    return _valueplane
-
-
-def set_valueplane(name: str) -> None:
-    """Select the semigroup-value representation for subsequent passes.
-
-    Driver-side only, like the data plane: the toggle decides what the
-    drivers encode into payloads and how the engine folds pieces; worker
-    processes simply follow the representation that arrives.
-    """
-    global _valueplane
-    if name not in _VALUEPLANES:
-        raise ValueError(
-            f"unknown valueplane {name!r}; choose one of {_VALUEPLANES}"
-        )
-    _valueplane = name
-
-
-@contextmanager
-def valueplane(name: str):
-    """Temporarily select a value plane (the A/B benchmark's switch)."""
-    prev = get_valueplane()
-    set_valueplane(name)
-    try:
-        yield
-    finally:
-        set_valueplane(prev)
-
-
-def kernel_enabled() -> bool:
-    return _valueplane == "kernel"

@@ -1,12 +1,11 @@
 """The compiled range tree: struct-of-arrays lowering + batched walks.
 
 The canonical walk (:meth:`repro.seq.range_tree.RangeTree.canonical_pairs`)
-is the inner loop of both the sequential oracle and Search step 5 — and,
-like the hat before PR 8, it chases Python objects one query at a time.
-A range tree's topology is *fixed* after construction (refits replace
+chases Python objects one query at a time; it is the reference.  A range
+tree's topology is *fixed* after construction (refits replace
 aggregates, never structure), so it lowers once into flat arrays and
-every batch of boxes walks it as level-by-level numpy frontier
-expansion.
+every batch of boxes — the sequential ``*_many`` queries and Search
+step 5 alike — walks it as level-by-level numpy frontier expansion.
 
 Two invariants make the lowering exact, mirroring ``CompiledHat``:
 
@@ -29,17 +28,12 @@ walked in Python at compile time, and each last-dimension size class is
 filled with a handful of vectorized gathers (the same batching trick as
 kernel annotation).
 
-The ``walkplane`` toggle A/Bs the sequential batched queries the same
-way ``dataplane``/``valueplane`` A/B their layers: ``"compiled"``
-(default) walks the lowered arrays, ``"object"`` loops the per-box
-object walk — bit-identical answers either way, pinned by
-``tests/test_compiled_forest.py``.
+``tests/test_compiled_forest.py`` pins the batched walk against the
+per-box reference walk: same selections, same order, same visit counts.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from functools import lru_cache
 from typing import TYPE_CHECKING, Any, List, Sequence, Tuple
 
@@ -50,13 +44,7 @@ from ..semigroup.kernels import KernelAggs
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from .range_tree import DimTree, RangeTree
 
-__all__ = [
-    "CompiledForest",
-    "get_walkplane",
-    "set_walkplane",
-    "walkplane",
-    "compiled_walk_enabled",
-]
+__all__ = ["CompiledForest"]
 
 _I64 = np.int64
 
@@ -400,13 +388,13 @@ class CompiledForest:
         return self.row_block[self.tile_positions(sel_n, lengths)]
 
     def decode_aggs(self, sel_n: np.ndarray) -> List[Any]:
-        """Object-plane aggregate values for selected nodes, in order.
+        """Decoded aggregate values for selected nodes, in order.
 
         Decodes exactly like
         :meth:`~repro.seq.range_tree.CanonicalSelection.agg` — through
         each owning tree's ``aggs`` store — so the values are
-        bit-identical to the object walk's whichever value plane the
-        tree was annotated under.
+        bit-identical to the reference walk's whether the tree holds
+        typed or object aggregates.
         """
         trees = self.trees
         tof = self.tree_of
@@ -415,41 +403,3 @@ class CompiledForest:
             trees[int(tof[j])].aggs[int(hp[j])] for j in sel_n  # type: ignore[index]
         ]
 
-
-# ---------------------------------------------------------------------------
-# the walk-plane toggle (A/B discipline of the dataplane/valueplane switches)
-# ---------------------------------------------------------------------------
-_WALKPLANES = ("compiled", "object")
-_walkplane: str = os.environ.get("REPRO_WALKPLANE", "compiled")
-if _walkplane not in _WALKPLANES:  # pragma: no cover - env misuse
-    _walkplane = "compiled"
-
-
-def get_walkplane() -> str:
-    """The active sequential walk plane: ``"compiled"`` or ``"object"``."""
-    return _walkplane
-
-
-def set_walkplane(name: str) -> None:
-    """Select how the sequential batched queries traverse the tree."""
-    global _walkplane
-    if name not in _WALKPLANES:
-        raise ValueError(
-            f"unknown walkplane {name!r}; choose one of {_WALKPLANES}"
-        )
-    _walkplane = name
-
-
-@contextmanager
-def walkplane(name: str):
-    """Temporarily select a walk plane (the A/B benchmark's switch)."""
-    prev = get_walkplane()
-    set_walkplane(name)
-    try:
-        yield
-    finally:
-        set_walkplane(prev)
-
-
-def compiled_walk_enabled() -> bool:
-    return _walkplane == "compiled"

@@ -33,7 +33,7 @@ from ..geometry.rankspace import RankedPointSet, pad_to_power_of_two
 from ..semigroup import COUNT, Semigroup
 from ..semigroup.kernels import KernelAggs, KernelColumn
 from ..semigroup.kernels import batched_heap_fold as _batched_heap_fold
-from .compiled import CompiledForest, compiled_walk_enabled
+from .compiled import CompiledForest
 from .segment_tree import SegTree, WalkStats
 
 __all__ = ["RangeTree", "DimTree", "SequentialRangeTree", "CanonicalSelection"]
@@ -198,8 +198,8 @@ class RangeTree:
         seg = SegTree(self.ranks[order, dim], validate=False)
         if dim == self.d - 1:
             if isinstance(self.values, KernelColumn):
-                # kernel value plane: annotation is deferred to one
-                # batched fold over all last-dimension trees
+                # typed values: annotation is deferred to one batched
+                # fold over all last-dimension trees
                 return DimTree(dim, seg, order, None, None)
             aggs = self._build_aggs(seg, order)
             return DimTree(dim, seg, order, None, aggs)
@@ -370,8 +370,6 @@ class RangeTree:
     ) -> list[int]:
         """:meth:`count` over a batch of boxes in one compiled walk."""
         st = stats if stats is not None else self.stats
-        if not compiled_walk_enabled():
-            return [self.count(box, st) for box in boxes]
         comp, sel_q, sel_n = self._walk_batch(boxes, st)
         out = np.zeros(len(boxes), dtype=np.int64)
         np.add.at(out, sel_q, comp.nleaves[sel_n])
@@ -383,8 +381,6 @@ class RangeTree:
         """:meth:`aggregate` over a batch: one walk, per-query folds in
         the object walk's exact emission order."""
         st = stats if stats is not None else self.stats
-        if not compiled_walk_enabled():
-            return [self.aggregate(box, st) for box in boxes]
         comp, sel_q, sel_n = self._walk_batch(boxes, st)
         vals = comp.decode_aggs(sel_n)
         cuts = np.searchsorted(sel_q, np.arange(len(boxes) + 1))
@@ -399,8 +395,6 @@ class RangeTree:
         """:meth:`report` over a batch: selection rows gathered with one
         flat fancy index over the compiled pid tiling."""
         st = stats if stats is not None else self.stats
-        if not compiled_walk_enabled():
-            return [self.report(box, st) for box in boxes]
         comp, sel_q, sel_n = self._walk_batch(boxes, st)
         lens = comp.nleaves[sel_n]
         flat = comp.rows_flat(sel_n, lens)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from repro.errors import ReproError
@@ -14,6 +16,7 @@ from repro.query import (
     sample_report,
     top_k,
 )
+from repro.semigroup import ProductSemigroup, Semigroup, product_semigroup
 from repro.semigroup.group import sum_group
 
 
@@ -38,6 +41,23 @@ def grid_of_boxes(d: int, per_dim: int = 3) -> list[Box]:
             bounds[j] = (float(cuts[k]), float(cuts[k + 1]))
             boxes.append(Box(bounds))
     return boxes
+
+
+def unkernelized(sg: Semigroup) -> Semigroup:
+    """``sg`` behind fresh lift/combine callables: same name, same values,
+    but ``kernel_for`` resolves ``None`` — so a builtin's answers can be
+    compared between typed kernel columns and object columns + ``combine``
+    without any switch.  Products wrap component by component (the engine
+    looks annotation layers up by component name); a group keeps its
+    inverse."""
+    if isinstance(sg, ProductSemigroup):
+        return product_semigroup([unkernelized(c) for c in sg.components])
+    lift, combine = sg.lift, sg.combine
+    return dataclasses.replace(
+        sg,
+        lift=lambda pid, coords: lift(pid, coords),
+        combine=lambda a, b: combine(a, b),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,41 @@ class TestQueryCommand:
         assert all(q["mode"] == "count" for q in payload["queries"])
         assert all(isinstance(q["value"], int) for q in payload["queries"])
 
+    def test_retired_plane_env_vars_are_inert(self):
+        """``REPRO_{DATA,VALUE,WALK}PLANE`` used to switch implementations
+        process-wide; nothing reads them any more.  Same command, with
+        and without them: identical JSON (``wall_seconds`` is wall clock,
+        which no two runs share)."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        cmd = [sys.executable, "-m", "repro", "query",
+               "--n", "64", "--m", "8", "--p", "4", "--json"]
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        clean = {
+            k: v for k, v in os.environ.items() if not k.startswith("REPRO_")
+        }
+        clean["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in clean.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+        retired = {
+            f"REPRO_{layer}PLANE": "object" for layer in ("DATA", "VALUE", "WALK")
+        }
+        outs = []
+        for env in (clean, {**clean, **retired}):
+            proc = subprocess.run(
+                cmd, env=env, capture_output=True, text=True, timeout=60
+            )
+            assert proc.returncode == 0, proc.stderr
+            payload = json.loads(proc.stdout)
+            payload.pop("wall_seconds")
+            outs.append(json.dumps(payload, sort_keys=True))
+        assert outs[0] == outs[1]
+
     def test_stream_oracle_agrees(self, capsys):
         rc = main(["stream", "--n-ops", "60", "--p", "4", "--seed", "5"])
         assert rc == 0

@@ -1,16 +1,15 @@
-"""The columnar data plane: codecs, batches, sorts, and A/B parity.
+"""Column-packed record traffic: codecs, batches, sorts, and end-to-end parity.
 
-Three contracts hold the plane together:
+Three contracts hold it together:
 
 1. **Codec round-trips** — ``pack → (route) → unpack`` is an identity on
    every registered record stream, at d = 1..3, with padding sentinels,
    negative pids, and per-query semigroup values in the columns.
-2. **Sort/balance equivalence** — the columnar sample sort and weighted
-   balance produce exactly the object-plane outputs (same total order,
-   same rounds, same h-relations).
-3. **Plane parity** — a full build + mixed-mode batch answers
-   bit-identically on either plane (bytes accounting exempt: exact on
-   columnar, estimated on object).
+2. **Sort/balance equivalence** — the batch sample sort and weighted
+   balance produce exactly the outputs of the record-list reference
+   primitives (same total order, same rounds, same h-relations).
+3. **End-to-end parity** — a full build + mixed-mode batch answers
+   exactly what the sequential range tree and brute force answer.
 """
 
 from __future__ import annotations
@@ -29,26 +28,22 @@ from repro.cgm.columns import (
     RecordBatch,
     codec_for,
     codec_for_type,
-    dataplane,
     encode_keys,
-    get_dataplane,
     registered_codecs,
-    set_dataplane,
 )
 from repro.cgm.loadbalance import balance_by_weight, balance_by_weight_cols
 from repro.cgm.sort import sample_sort, sample_sort_cols
+from repro.dist import DistributedRangeTree
 from repro.dist.records import (
     ExpandRequest,
-    ForestRootInfo,
     ForestSelection,
     HatSelectionRecord,
-    ReportUnit,
     SRecord,
     Subquery,
 )
-from repro.dist.search import _pack_routing
 from repro.query import QueryBatch, aggregate, count, report
 from repro.semigroup import sum_of_dim
+from repro.seq import SequentialRangeTree, bf_aggregate, bf_count, bf_report
 from repro.workloads import make_points
 
 from tests.helpers import random_boxes
@@ -140,7 +135,7 @@ class TestCodecRoundTrips:
         records = data.draw(
             st.lists(subquery_strategy(d), min_size=1, max_size=12)
         )
-        batch = RecordBatch.from_records("dist.subquery", records)
+        batch = RecordBatch.from_records("dist.search.routing", records)
         assert batch.to_records() == records
 
     @settings(max_examples=25, deadline=None)
@@ -154,67 +149,21 @@ class TestCodecRoundTrips:
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
-    def test_expand_and_report_unit_identity(self, data):
+    def test_expand_and_report_pair_identity(self, data):
         expands = data.draw(st.lists(expand_strategy(), min_size=0, max_size=8))
         assert (
-            RecordBatch.from_records("dist.expand_request", expands).to_records()
+            RecordBatch.from_records("dist.search.routing", expands).to_records()
             == expands
         )
-        units = [
-            ReportUnit(qid=q, ids=tuple(ids))
-            for q, ids in enumerate(
-                data.draw(
-                    st.lists(
-                        st.lists(st.integers(-4, 1 << 16), max_size=5),
-                        max_size=6,
-                    )
-                )
+        pairs = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, 1 << 20), st.integers(-4, 1 << 16)),
+                max_size=12,
             )
-        ]
-        assert (
-            RecordBatch.from_records("dist.report_unit", units).to_records()
-            == units
         )
-
-    def test_root_info_and_hat_selection_identity(self):
-        roots = [
-            ForestRootInfo(
-                path=((5, 2), (3, 4)),
-                dim=1,
-                seg=(0, 7),
-                nleaves=8,
-                location=2,
-                group_rank=5,
-                agg=3.5,
-            ),
-            ForestRootInfo(
-                path=((1, 0),),
-                dim=0,
-                seg=(8, 15),
-                nleaves=8,
-                location=0,
-                group_rank=0,
-                agg=None,
-            ),
-        ]
         assert (
-            RecordBatch.from_records("dist.forest_root_info", roots).to_records()
-            == roots
-        )
-        sels = [
-            HatSelectionRecord(
-                qid=3,
-                path=((2, 3),),
-                nleaves=16,
-                agg=(1.0, 2),
-                forest_ids=(((4, 1), (2, 3)), ((5, 1), (2, 3))),
-                locations=(0, 1),
-            ),
-            HatSelectionRecord(qid=0, path=((1, 5), (1, 6)), nleaves=4),
-        ]
-        assert (
-            RecordBatch.from_records("dist.hat_selection", sels).to_records()
-            == sels
+            RecordBatch.from_records("dist.report_pair", pairs).to_records()
+            == pairs
         )
 
     def test_hat_selection_cols_roundtrip(self):
@@ -270,7 +219,7 @@ class TestCodecRoundTrips:
                 max_size=len(records),
             )
         )
-        batch = _pack_routing(records, d)
+        batch = RecordBatch.from_records("dist.search.routing", records)
         mach = Machine(p)
         outboxes = [[None] * p for _ in range(p)]
         dest_arr = np.asarray(dests)
@@ -278,7 +227,7 @@ class TestCodecRoundTrips:
             idx = np.nonzero(dest_arr == dst)[0]
             if len(idx):
                 outboxes[0][dst] = batch.take(idx)
-        inboxes = mach.exchange_batches("t", outboxes, _pack_routing([], d))
+        inboxes = mach.exchange_batches("t", outboxes, batch)
         for dst in range(p):
             expected = [r for r, dd in zip(records, dests) if dd == dst]
             assert inboxes[dst].to_records() == expected
@@ -287,13 +236,8 @@ class TestCodecRoundTrips:
         """The suite covers each registered stream (new codecs need tests)."""
         assert set(registered_codecs()) == {
             "dist.srecord",
-            "dist.forest_root_info",
-            "dist.hat_selection",
             "dist.hat_selection_cols",
-            "dist.subquery",
             "dist.forest_selection",
-            "dist.expand_request",
-            "dist.report_unit",
             "dist.search.routing",
             "dist.report_pair",
             "query.piece",
@@ -353,7 +297,7 @@ class TestColumnPrimitives:
             Subquery(qid=i, los=(i,), his=(i + 1,), forest_id=((1, 0),), location=0)
             for i in range(5)
         ]
-        batch = RecordBatch.from_records("dist.subquery", records)
+        batch = RecordBatch.from_records("dist.search.routing", records)
         assert len(batch) == 5
         assert batch[2] == records[2]
         assert batch[-1] == records[-1]
@@ -382,7 +326,8 @@ class TestColumnarSortEquivalence:
 
         m2 = Machine(p)
         batches = [
-            RecordBatch.from_records("dist.subquery", box) for box in locals_
+            RecordBatch.from_records("dist.search.routing", box)
+            for box in locals_
         ]
         cols = sample_sort_cols(m2, batches, keyspec=("qid",))
 
@@ -395,23 +340,28 @@ class TestColumnarSortEquivalence:
         ]  # same h-relations
 
     def test_balance_by_weight_cols_matches_object(self):
-        units = [ReportUnit(qid=q, ids=tuple(range(q % 7))) for q in range(37)]
+        units = [
+            ForestSelection(
+                qid=q,
+                forest_id=((1, 0),),
+                nleaves=q % 7,
+                agg=None,
+                pid_tuple=tuple(range(q % 7)),
+            )
+            for q in range(37)
+        ]
         p = 4
         chunk = -(-len(units) // p)
         locals_ = [units[r * chunk : (r + 1) * chunk] for r in range(p)]
 
         m1 = Machine(p)
-        obj = balance_by_weight(m1, locals_, weight=lambda u: u.weight)
+        obj = balance_by_weight(m1, locals_, weight=lambda u: u.nleaves)
 
         m2 = Machine(p)
         batches = []
         for box in locals_:
-            b = RecordBatch.from_records("dist.report_unit", box)
-            batches.append(
-                b.with_col(
-                    "weight", np.asarray([u.weight for u in box], dtype=np.int64)
-                )
-            )
+            b = RecordBatch.from_records("dist.forest_selection", box)
+            batches.append(b.with_col("weight", b.col("nleaves")))
         cols = balance_by_weight_cols(m2, batches, "weight")
         assert [[u for u in b] for b in cols] == obj
         # weighted h-relation accounting must match the object twin too
@@ -428,58 +378,34 @@ class TestColumnarSortEquivalence:
         assert comm1 == comm2
 
 
-class TestDataplaneToggle:
-    def test_default_is_columnar(self):
-        assert get_dataplane() == "columnar"
-
-    def test_context_manager_restores(self):
-        with dataplane("object"):
-            assert get_dataplane() == "object"
-        assert get_dataplane() == "columnar"
-
-    def test_unknown_plane_rejected(self):
-        with pytest.raises(ValueError, match="unknown dataplane"):
-            set_dataplane("rowwise")
-
-
 class TestPlaneParity:
-    """Answers and traces agree across planes (bytes accounting exempt)."""
-
-    @staticmethod
-    def _strip_bytes(obj):
-        if isinstance(obj, dict):
-            return {
-                k: TestPlaneParity._strip_bytes(v)
-                for k, v in obj.items()
-                if k != "comm_bytes"
-            }
-        if isinstance(obj, list):
-            return [TestPlaneParity._strip_bytes(v) for v in obj]
-        return obj
+    """A mixed batch answers what the sequential tree and brute force do."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_mixed_batch_to_dict_identical(self, d):
         pts = make_points("uniform", 48, d, seed=300 + d)
         boxes = random_boxes(np.random.default_rng(400 + d), 9, d)
-        cycle = [count, report, lambda b: aggregate(b, sum_of_dim(0))]
+        sg = sum_of_dim(0)
+        cycle = [count, report, lambda b: aggregate(b, sg)]
         batch = QueryBatch([cycle[i % 3](b) for i, b in enumerate(boxes)])
-        fingerprints = {}
-        for plane in ("object", "columnar"):
-            with dataplane(plane):
-                from repro.dist import DistributedRangeTree
-
-                with DistributedRangeTree.build(pts, p=4) as tree:
-                    rs = tree.run(batch)
-                    payload = rs.to_dict()
-                    payload.pop("wall_seconds")
-                    fingerprints[plane] = json.dumps(
-                        self._strip_bytes(payload), sort_keys=True
-                    )
-        assert fingerprints["object"] == fingerprints["columnar"]
+        seq = SequentialRangeTree(pts)
+        fingerprints = []
+        for _ in range(2):
+            with DistributedRangeTree.build(pts, p=4) as tree:
+                rs = tree.run(batch)
+                payload = rs.to_dict()
+                payload.pop("wall_seconds")
+                fingerprints.append(json.dumps(payload, sort_keys=True))
+        assert fingerprints[0] == fingerprints[1]  # comm_bytes included
+        for q, got in zip(batch, rs.values()):
+            if q.mode == "count":
+                assert got == seq.count(q.box) == bf_count(pts, q.box)
+            elif q.mode == "report":
+                assert got == seq.report(q.box) == bf_report(pts, q.box)
+            else:
+                assert got == pytest.approx(bf_aggregate(pts, q.box, sg))
 
     def test_search_rounds_report_bytes(self):
-        from repro.dist import DistributedRangeTree
-
         pts = make_points("uniform", 64, 2, seed=7)
         boxes = random_boxes(np.random.default_rng(8), 12, 2)
         with DistributedRangeTree.build(pts, p=4) as tree:

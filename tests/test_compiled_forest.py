@@ -1,31 +1,26 @@
-"""Compiled forest ≡ object canonical walk, bit for bit.
+"""Compiled forest ≡ reference canonical walk, bit for bit.
 
 The compiled walk (:meth:`repro.seq.compiled.CompiledForest.walk`) must
 reproduce :meth:`repro.seq.range_tree.RangeTree.canonical_pairs` exactly
 — same selections in the same emission order, same per-box visit counts
-— because the columnar plane's A/B guarantee (answers, rounds, charged
-ops identical across planes) now rests on step 5 emitting the same
-stream, and the sequential oracle's batched queries ride the same
-lowering.  These tests pin the walk-level identity directly, the
-plane-level identity through the engine, the tiling arithmetic, and the
-cache discipline around refits.
+— because Search step 5 and the sequential oracle's batched queries both
+ride the lowering.  These tests pin the walk-level identity directly,
+Algorithm Search's forest output against per-subquery ``canonical``
+calls, the engine's answers against the sequential oracle, the tiling
+arithmetic, and the cache discipline around refits.
 """
 
 from __future__ import annotations
 
-import json
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.cgm.columns import dataplane
 from repro.dist import DistributedRangeTree
-from repro.geometry import PointSet
-from repro.geometry.box import RankBox
 from repro.query import QueryBatch, aggregate
 from repro.semigroup import COUNT, sum_of_dim
-from repro.seq.compiled import set_walkplane, walkplane
+from repro.seq import bf_aggregate
 from repro.seq.range_tree import SequentialRangeTree
 from repro.seq.segment_tree import WalkStats
 from repro.workloads import make_points, uniform_points
@@ -35,7 +30,7 @@ from tests.test_compiled_hat import (
     BACKENDS,
     _mixed_batch,
     _rank_boxes,
-    _strip_bytes,
+    reference_search,
 )
 
 
@@ -120,14 +115,12 @@ class TestSeqBatchedAPIs:
             [t.aggregate(b) for b in boxes],
             [t.report(b) for b in boxes],
         )
-        for plane in ("object", "compiled"):
-            with walkplane(plane):
-                got = (
-                    t.count_many(boxes),
-                    t.aggregate_many(boxes),
-                    t.report_many(boxes),
-                )
-            assert repr(got) == repr(expected), plane
+        got = (
+            t.count_many(boxes),
+            t.aggregate_many(boxes),
+            t.report_many(boxes),
+        )
+        assert repr(got) == repr(expected)
 
     def test_batched_stats_match_scalar(self):
         pts = make_points("uniform", 48, 2, seed=71)
@@ -138,9 +131,8 @@ class TestSeqBatchedAPIs:
         for rb in rbs:
             t.core.count(rb, st_obj)
             t.core.report(rb, st_obj)
-        with walkplane("compiled"):
-            t.core.count_many(rbs, st_cmp)
-            t.core.report_many(rbs, st_cmp)
+        t.core.count_many(rbs, st_cmp)
+        t.core.report_many(rbs, st_cmp)
         assert (
             st_obj.nodes_visited,
             st_obj.nodes_selected,
@@ -151,60 +143,54 @@ class TestSeqBatchedAPIs:
             st_cmp.points_reported,
         )
 
-    def test_walkplane_toggle_validates(self):
-        with pytest.raises(ValueError):
-            set_walkplane("vectorized")
-        with walkplane("object"):
-            pass  # restores on exit
-
 
 class TestSearchOutputParity:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_planes_agree_on_search_output(self, d):
+        # a hot spot: oversubscribed groups are replicated, so subqueries
+        # are served by *copies* — the forest output must not notice
         pts = make_points("uniform", 48, d, seed=700 + d)
         boxes = random_boxes(np.random.default_rng(800 + d), 10, d)
-        results = {}
-        for plane in ("object", "columnar"):
-            with dataplane(plane):
-                with DistributedRangeTree.build(pts, p=4) as tree:
-                    out = tree.search(boxes, collect_leaves=True)
-                    forest_ops = [
-                        s.ops
-                        for s in tree.metrics.steps
-                        if s.label == "search:forest"
-                    ]
-                    results[plane] = (
-                        [list(per) for per in out.hat_selections],
-                        [list(per) for per in out.forest_selections],
-                        out.demands,
-                        out.copy_counts,
-                        out.subqueries_per_proc,
-                        out.total_subqueries,
-                        forest_ops,
-                    )
-        assert results["columnar"] == results["object"]
+        boxes += [boxes[0]] * 12
+        with DistributedRangeTree.build(pts, p=4) as tree:
+            tree.reset_metrics()
+            out = tree.search(boxes, collect_leaves=True)
+            forest_ops = next(
+                s.ops for s in tree.metrics.steps if s.label == "search:forest"
+            )
+            _hat, forest_sels, demands, _walk, ref_forest_ops = reference_search(
+                tree, boxes, collect_leaves=True
+            )
+        assert (
+            sorted((f for per in out.forest_selections for f in per), key=repr)
+            == forest_sels
+        )
+        assert out.demands == demands
+        assert sum(forest_ops) == ref_forest_ops
+        assert max(out.copy_counts) > 1
+        # step 4's guarantee: nobody serves more than ~|Q'|/p subqueries
+        cap = -(-out.total_subqueries // tree.p)
+        assert max(out.subqueries_per_proc) <= 2 * cap
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_engine_parity_across_planes_per_backend(self, backend):
-        """The compiled forest keeps the plane A/B bit-identical on every
-        backend (answers, rounds, charged ops; bytes accounting exempt).
-        The process backend additionally exercises the pickle path: the
-        compiled lowering and pid caches must rebuild on the worker."""
+        """On every backend the engine answers what the sequential range
+        tree answers.  The process backend additionally exercises the
+        pickle path: the compiled lowering and pid caches must rebuild on
+        the worker."""
         pts = make_points("clustered", 48, 2, seed=87)
         boxes = random_boxes(np.random.default_rng(88), 9, 2)
-        fingerprints = {}
-        for plane in ("object", "columnar"):
-            with dataplane(plane):
-                with DistributedRangeTree.build(
-                    pts, p=4, backend=backend
-                ) as tree:
-                    rs = tree.run(_mixed_batch(boxes))
-                    payload = rs.to_dict()
-                    payload.pop("wall_seconds")
-                    fingerprints[plane] = json.dumps(
-                        _strip_bytes(payload), sort_keys=True
-                    )
-        assert fingerprints["object"] == fingerprints["columnar"]
+        batch = _mixed_batch(boxes)
+        seq = SequentialRangeTree(pts)
+        with DistributedRangeTree.build(pts, p=4, backend=backend) as tree:
+            got = tree.run(batch).values()
+        for q, v in zip(batch, got):
+            if q.mode == "count":
+                assert v == seq.count(q.box)
+            elif q.mode == "report":
+                assert v == seq.report(q.box)
+            else:
+                assert v == pytest.approx(bf_aggregate(pts, q.box, q.semigroup))
 
 
 class TestCompileCache:
@@ -236,13 +222,14 @@ class TestCompileCache:
             compiles = [el.compiled() for el in els]
             boxes = random_boxes(np.random.default_rng(17), 6, 2)
             batch = QueryBatch([aggregate(b, sum_of_dim(1)) for b in boxes])
-            rs_cols = tree.run(batch)  # refits → invalidates → recompiles
+            rs = tree.run(batch)  # refits → invalidates → recompiles
             assert all(
                 el.compiled() is not c1 for el, c1 in zip(els, compiles)
             )
-            with dataplane("object"):
-                rs_obj = tree.run(batch)
-            assert rs_cols.values() == rs_obj.values()
+            # stale compiled aggregates would still be counts, not sums
+            assert rs.values() == pytest.approx(
+                [bf_aggregate(pts, b, sum_of_dim(1)) for b in boxes]
+            )
 
     def test_pickle_drops_caches(self):
         pts = uniform_points(32, 2, seed=18)

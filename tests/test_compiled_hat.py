@@ -1,27 +1,28 @@
-"""Compiled hat ≡ object hat walk, bit for bit.
+"""Compiled hat ≡ reference hat walk, bit for bit.
 
 The compiled walk (:meth:`repro.dist.hat.CompiledHat.walk_batch`) must
 reproduce :meth:`repro.dist.hat.Hat.walk` exactly — same selections in
 the same order, same subqueries, same per-query visit counts — because
-the columnar plane's whole A/B guarantee (answers, rounds, charged ops
-identical across planes) rests on step 1 emitting the same stream.
-These tests pin the walk-level identity directly, the plane-level
-identity through the engine, and the cache discipline around refits.
+everything downstream (answers, rounds, charged ops) rests on step 1
+emitting that stream.  These tests pin the walk-level identity
+directly, Algorithm Search's whole output against the per-query
+reference walks, the engine's answers against the sequential oracle,
+and the cache discipline around refits.
 """
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
-from repro.cgm.columns import RecordBatch, dataplane
+from repro.cgm.columns import RecordBatch
 from repro.dist import DistributedRangeTree
-from repro.dist.search import _pack_routing
+from repro.dist.records import ForestSelection
 from repro.geometry.box import RankBox
 from repro.query import QueryBatch, aggregate, count, report
 from repro.semigroup import sum_of_dim
+from repro.seq import SequentialRangeTree, bf_aggregate
+from repro.seq.segment_tree import WalkStats
 from repro.workloads import make_points, uniform_points
 
 from tests.helpers import random_boxes
@@ -93,7 +94,8 @@ class TestWalkBatchBitIdentity:
             # charge accounting: per-query visit counts match exactly
             assert [int(v) for v in visits] == charges
             # routing bytes: column-for-column identical to the record pack
-            ref = _pack_routing(exp_subqs, d)
+            assert exp_subqs, "workload too small: no subqueries to compare"
+            ref = RecordBatch.from_records("dist.search.routing", exp_subqs)
             for name in ("kind", "qid", "los", "his", "location"):
                 np.testing.assert_array_equal(
                     np.asarray(routing_b.col(name)), np.asarray(ref.col(name))
@@ -114,31 +116,76 @@ class TestWalkBatchBitIdentity:
             assert len(visits) == 0
 
 
+def reference_search(tree, boxes, collect_leaves: bool):
+    """Algorithm Search from the per-record reference walks alone.
+
+    ``Hat.walk`` per query over each rank's block, then
+    ``ForestElement.canonical`` per surviving subquery at its owner —
+    the record-at-a-time definition the batched phases must reproduce.
+    Forest selections are returned as one sorted list: which *copy* of
+    an element serves a subquery is a load-balancing decision, not part
+    of the answer.
+    """
+    p = tree.p
+    rank_boxes = [tree.ranked.to_rank_box(b) for b in boxes]
+    chunk = -(-len(rank_boxes) // p)
+    hat_sels, walk_ops, subqs = [], [], []
+    for r in range(p):
+        sels, ops = [], []
+        for qid in range(r * chunk, min(len(rank_boxes), (r + 1) * chunk)):
+            s, q = tree.hat.walk(
+                qid, rank_boxes[qid], collect_leaves=collect_leaves,
+                charge=ops.append,
+            )
+            sels.extend(s)
+            subqs.extend(q)
+        hat_sels.append(sels)
+        walk_ops.append(sum(ops))
+    forest_sels, forest_ops = [], 0
+    for sq in subqs:
+        el = tree.forest_store[sq.location][sq.forest_id]
+        stats = WalkStats()
+        for sel in el.canonical(RankBox(sq.los, sq.his), stats=stats):
+            forest_sels.append(
+                ForestSelection(
+                    qid=sq.qid,
+                    forest_id=sq.forest_id,
+                    nleaves=sel.leaf_count,
+                    agg=sel.agg(),
+                    pid_tuple=el.selection_pids(sel),
+                )
+            )
+        forest_ops += max(1, stats.nodes_visited)
+    demands = [sum(1 for sq in subqs if sq.location == j) for j in range(p)]
+    return hat_sels, sorted(forest_sels, key=repr), demands, walk_ops, forest_ops
+
+
 class TestSearchOutputParity:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_planes_agree_on_search_output(self, d):
         pts = make_points("uniform", 48, d, seed=500 + d)
         boxes = random_boxes(np.random.default_rng(600 + d), 10, d)
-        results = {}
-        for plane in ("object", "columnar"):
-            with dataplane(plane):
-                with DistributedRangeTree.build(pts, p=4) as tree:
-                    out = tree.search(boxes, collect_leaves=True)
-                    walk_ops = [
-                        s.ops
-                        for s in tree.metrics.steps
-                        if s.label == "search:walk"
-                    ]
-                    results[plane] = (
-                        [list(per) for per in out.hat_selections],
-                        [list(per) for per in out.forest_selections],
-                        out.demands,
-                        out.copy_counts,
-                        out.subqueries_per_proc,
-                        out.total_subqueries,
-                        walk_ops,
-                    )
-        assert results["columnar"] == results["object"]
+        with DistributedRangeTree.build(pts, p=4) as tree:
+            tree.reset_metrics()
+            out = tree.search(boxes, collect_leaves=True)
+            ops = {
+                s.label: s.ops
+                for s in tree.metrics.steps
+                if s.label in ("search:walk", "search:forest")
+            }
+            hat_sels, forest_sels, demands, walk_ops, forest_ops = (
+                reference_search(tree, boxes, collect_leaves=True)
+            )
+        assert [list(per) for per in out.hat_selections] == hat_sels
+        assert (
+            sorted((f for per in out.forest_selections for f in per), key=repr)
+            == forest_sels
+        )
+        assert out.demands == demands
+        assert out.total_subqueries == sum(demands)
+        assert sum(out.subqueries_per_proc) == sum(demands)
+        assert list(ops["search:walk"]) == walk_ops
+        assert sum(ops["search:forest"]) == forest_ops
 
     def test_compiled_is_columnar_default(self):
         pts = uniform_points(32, 2, seed=11)
@@ -152,33 +199,21 @@ class TestSearchOutputParity:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_engine_parity_across_planes_per_backend(self, backend):
-        """The compiled walk keeps the plane A/B bit-identical on every
-        backend (answers, rounds, charged ops; bytes accounting exempt)."""
+        """On every backend the engine answers what the sequential range
+        tree answers (float sums up to fold association)."""
         pts = make_points("clustered", 48, 2, seed=77)
         boxes = random_boxes(np.random.default_rng(78), 9, 2)
-        fingerprints = {}
-        for plane in ("object", "columnar"):
-            with dataplane(plane):
-                with DistributedRangeTree.build(
-                    pts, p=4, backend=backend
-                ) as tree:
-                    rs = tree.run(_mixed_batch(boxes))
-                    payload = rs.to_dict()
-                    payload.pop("wall_seconds")
-                    fingerprints[plane] = json.dumps(
-                        _strip_bytes(payload), sort_keys=True
-                    )
-        assert fingerprints["object"] == fingerprints["columnar"]
-
-
-def _strip_bytes(obj):
-    if isinstance(obj, dict):
-        return {
-            k: _strip_bytes(v) for k, v in obj.items() if k != "comm_bytes"
-        }
-    if isinstance(obj, list):
-        return [_strip_bytes(v) for v in obj]
-    return obj
+        batch = _mixed_batch(boxes)
+        seq = SequentialRangeTree(pts)
+        with DistributedRangeTree.build(pts, p=4, backend=backend) as tree:
+            got = tree.run(batch).values()
+        for q, v in zip(batch, got):
+            if q.mode == "count":
+                assert v == seq.count(q.box)
+            elif q.mode == "report":
+                assert v == seq.report(q.box)
+            else:
+                assert v == pytest.approx(bf_aggregate(pts, q.box, q.semigroup))
 
 
 class TestCompileCache:
@@ -198,11 +233,12 @@ class TestCompileCache:
             batch = QueryBatch(
                 [aggregate(b, sum_of_dim(0)) for b in boxes]
             )
-            rs_cols = tree.run(batch)  # refits → invalidates → recompiles
+            rs = tree.run(batch)  # refits → invalidates → recompiles
             assert hat.compiled() is not c1
-            with dataplane("object"):
-                rs_obj = tree.run(batch)
-            assert rs_cols.values() == rs_obj.values()
+            # stale compiled aggregates would still be counts, not sums
+            assert rs.values() == pytest.approx(
+                [bf_aggregate(pts, b, sum_of_dim(0)) for b in boxes]
+            )
 
     def test_refresh_aggregates_clears_cache_directly(self):
         pts = uniform_points(32, 2, seed=6)

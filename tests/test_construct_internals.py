@@ -10,6 +10,7 @@ from repro.dist import DistributedRangeTree
 from repro.dist.hat import Hat
 from repro.dist.records import ForestRootInfo
 from repro.errors import ProtocolError
+from repro.query import count
 from repro.semigroup import COUNT
 from repro.workloads import uniform_points
 
@@ -118,4 +119,4 @@ class TestConstructDeterminismAcrossP:
         expected = [bf_count(pts, q) for q in qs]
         for p in (1, 2, 4, 8, 16, 32, 64):
             tree = DistributedRangeTree.build(pts, p=p)
-            assert tree.batch_count(qs) == expected, f"p={p}"
+            assert tree.run([count(q) for q in qs]).values() == expected, f"p={p}"

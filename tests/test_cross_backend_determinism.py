@@ -19,10 +19,16 @@ import pytest
 from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree
 from repro.errors import ReproError
 from repro.query import QueryBatch, aggregate, count, report
-from repro.semigroup import sum_of_dim, valueplane
+from repro.semigroup import sum_of_dim
+from repro.seq import SequentialRangeTree, bf_aggregate
 from repro.workloads import make_points, update_query_stream
 
-from tests.helpers import STREAM_GROUP, checkpoint_batch, random_boxes
+from tests.helpers import (
+    STREAM_GROUP,
+    checkpoint_batch,
+    random_boxes,
+    unkernelized,
+)
 
 BACKENDS = ("serial", "thread", "process")
 
@@ -82,44 +88,29 @@ class TestCrossBackendDeterminism:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_compiled_walk_bit_identical_across_backends(self, d):
-        """The columnar fingerprint above runs the *compiled* hat walk
-        (the columnar-plane default); pin that against the object plane
-        too, so a compiled-walk divergence can't hide behind a matching
+        """The fingerprints above all run the compiled hat and forest
+        walks; pin their answers against the sequential range tree too,
+        so a compiled-walk divergence can't hide behind a matching
         cross-backend comparison that is wrong on every backend."""
-        from repro.cgm.columns import dataplane
-
-        base = None
+        pts = make_points("uniform", 48, d, seed=1000 + d)
+        boxes = random_boxes(np.random.default_rng(2000 + d), 9, d)
+        seq = SequentialRangeTree(pts)
+        oracle = (
+            seq.count,
+            seq.report,
+            # float sums agree up to fold association
+            lambda b: pytest.approx(bf_aggregate(pts, b, sum_of_dim(0))),
+        )
+        want = [oracle[i % 3](b) for i, b in enumerate(boxes)]
         for backend in BACKENDS:
-            for plane in ("columnar", "object"):
-                with dataplane(plane):
-                    payload, _trace, sizes = _fingerprint(
-                        backend, d, "uniform"
-                    )
-                # traces differ across planes only in byte accounting;
-                # answers, rounds and charged ops live in the payload
-                stripped = json.dumps(
-                    _strip_comm_bytes(json.loads(payload)), sort_keys=True
-                )
-                if base is None:
-                    base = (stripped, sizes)
-                assert (stripped, sizes) == base, (
-                    f"{backend}/{plane} diverges from serial/columnar"
-                )
+            payload, _trace, _sizes = _fingerprint(backend, d, "uniform")
+            got = [q["value"] for q in json.loads(payload)["queries"]]
+            assert got == want, f"{backend} diverges from the oracle"
 
 
-def _strip_comm_bytes(obj):
-    if isinstance(obj, dict):
-        return {
-            k: _strip_comm_bytes(v)
-            for k, v in obj.items()
-            if k != "comm_bytes"
-        }
-    if isinstance(obj, list):
-        return [_strip_comm_bytes(v) for v in obj]
-    return obj
-
-
-def _dynamic_fingerprint(backend: str, d: int = 2) -> tuple:
+def _dynamic_fingerprint(
+    backend: str, d: int = 2, semigroup=STREAM_GROUP
+) -> tuple:
     """Replay one fixed update/query stream; fingerprint every checkpoint.
 
     The dynamization contract extends decision 6: for the same stream the
@@ -130,7 +121,7 @@ def _dynamic_fingerprint(backend: str, d: int = 2) -> tuple:
     ops = update_query_stream(45, d, seed=4000 + d)
     payloads = []
     with DynamicDistributedRangeTree(
-        d, p=4, backend=backend, semigroup=STREAM_GROUP, flush_threshold=8
+        d, p=4, backend=backend, semigroup=semigroup, flush_threshold=8
     ) as dyn:
         checkpoints = 0
         for op in ops:
@@ -156,7 +147,7 @@ def _dynamic_fingerprint(backend: str, d: int = 2) -> tuple:
 
 
 class TestDynamicEpochDeterminism:
-    """Same stream -> bit-identical epochs across backends and planes."""
+    """Same stream -> bit-identical epochs across backends and value columns."""
 
     def test_dynamic_stream_bit_identical_across_backends(self):
         base = _dynamic_fingerprint("serial")
@@ -167,18 +158,23 @@ class TestDynamicEpochDeterminism:
             assert other[2] == base[2], f"{backend} epoch layout diverges"
 
     def test_dynamic_answers_identical_across_valueplanes(self):
-        """Kernel and object value planes agree on every checkpoint answer.
+        """Typed kernel columns and object columns (the same group behind
+        fresh callables) agree on every checkpoint answer.
 
-        Only the answers are compared — the planes legitimately move
-        different byte counts, so the traces may differ.
+        Only the answers are compared — the two representations
+        legitimately move different byte counts.
         """
-        by_plane = {}
-        for vplane in ("kernel", "object"):
-            with valueplane(vplane):
-                payloads, _trace, layout = _dynamic_fingerprint("serial", d=1)
+        by_values = {}
+        for name, group in (
+            ("kernel", STREAM_GROUP),
+            ("object", unkernelized(STREAM_GROUP)),
+        ):
+            payloads, _trace, layout = _dynamic_fingerprint(
+                "serial", d=1, semigroup=group
+            )
             answers = [
                 [q["value"] for q in checkpoint["queries"]]
                 for checkpoint in json.loads(payloads)
             ]
-            by_plane[vplane] = (answers, layout)
-        assert by_plane["kernel"] == by_plane["object"]
+            by_values[name] = (answers, layout)
+        assert by_values["kernel"] == by_values["object"]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dist import DistributedRangeTree
+from repro.query import count, report
 from repro.workloads import selectivity_queries, uniform_points
 
 
@@ -12,8 +13,8 @@ def _run(backend: str, replication: str = "doubling"):
     pts = uniform_points(64, 2, seed=100)
     tree = DistributedRangeTree.build(pts, p=4, backend=backend)
     qs = selectivity_queries(32, 2, seed=101, selectivity=0.1)
-    counts = tree.batch_count(qs, replication=replication)
-    reports = tree.batch_report(qs, replication=replication)
+    counts = tree.run([count(q) for q in qs], replication=replication).values()
+    reports = tree.run([report(q) for q in qs], replication=replication).values()
     trace = [
         (s.kind, s.label, s.ops, s.sent, s.received) for s in tree.metrics.steps
     ]
@@ -53,7 +54,7 @@ class TestRunToRunDeterminism:
         pts = uniform_points(64, 2, seed=102)
         qs = selectivity_queries(20, 2, seed=103, selectivity=0.15)
         tree = DistributedRangeTree.build(pts, p=4)
-        base = tree.batch_count(qs)
+        base = tree.run([count(q) for q in qs]).values()
         perm = list(np.random.default_rng(0).permutation(len(qs)))
-        shuffled = tree.batch_count([qs[i] for i in perm])
+        shuffled = tree.run([count(qs[i]) for i in perm]).values()
         assert shuffled == [base[i] for i in perm]

@@ -8,7 +8,7 @@ Three layers:
   the sequential :class:`~repro.seq.DynamicRangeTree` oracle *and*
   rebuild-from-scratch static trees (``tests.helpers.drive_stream``);
 * the heavy ``@pytest.mark.stream`` matrix — longer streams across
-  d=1..3, all three backends, and both data/value planes — excluded from
+  d=1..3, all three backends, typed and object value columns — excluded from
   the tier-1 run (``-m "not stream"`` in addopts) and run by its own CI
   job.
 """
@@ -18,7 +18,6 @@ from __future__ import annotations
 import pytest
 
 from repro.cgm import Machine
-from repro.cgm.columns import dataplane
 from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree
 from repro.errors import DimensionMismatch, GeometryError, ReproError
 from repro.geometry import Box
@@ -30,7 +29,7 @@ from repro.query import (
     sample_report,
     top_k,
 )
-from repro.semigroup import max_of_dim, sum_of_dim, valueplane
+from repro.semigroup import max_of_dim, sum_of_dim
 from repro.semigroup.group import sum_group
 from repro.seq import DynamicRangeTree
 from repro.workloads import stream_counts, update_query_stream
@@ -41,10 +40,13 @@ from tests.helpers import (
     drive_stream,
     empty_structure_values,
     oracle_values,
+    unkernelized,
 )
 
 BACKENDS = ("serial", "thread", "process")
-PLANES = (("columnar", "kernel"), ("object", "object"))
+#: the stream aggregate held as typed kernel columns, and behind fresh
+#: callables so it rides object columns + ``combine``
+VALUE_GROUPS = {"kernel": STREAM_GROUP, "object": unkernelized(STREAM_GROUP)}
 
 
 def dyadic(i: int, grid: int = 16) -> float:
@@ -287,15 +289,14 @@ class TestDifferentialQuick:
             checkpoints = drive_stream(ops, dyn, oracle, rebuild_every=3)
         assert checkpoints >= 3
 
-    @pytest.mark.parametrize("plane,vplane", PLANES)
-    def test_stream_parity_on_both_planes(self, plane, vplane):
+    @pytest.mark.parametrize("values", sorted(VALUE_GROUPS))
+    def test_stream_parity_on_both_planes(self, values):
         ops = update_query_stream(50, 2, seed=77)
-        with dataplane(plane), valueplane(vplane):
-            with DynamicDistributedRangeTree(
-                2, p=4, semigroup=STREAM_GROUP, flush_threshold=8
-            ) as dyn:
-                oracle = DynamicRangeTree(2, semigroup=STREAM_GROUP)
-                assert drive_stream(ops, dyn, oracle, rebuild_every=2) >= 2
+        with DynamicDistributedRangeTree(
+            2, p=4, semigroup=VALUE_GROUPS[values], flush_threshold=8
+        ) as dyn:
+            oracle = DynamicRangeTree(2, semigroup=STREAM_GROUP)
+            assert drive_stream(ops, dyn, oracle, rebuild_every=2) >= 2
 
     def test_stream_generator_has_the_advertised_shapes(self):
         ops = update_query_stream(80, 2, seed=5)
@@ -315,7 +316,8 @@ class TestDifferentialQuick:
 
 @pytest.mark.stream
 class TestDifferentialStream:
-    """The heavy matrix: longer streams, d=1..3, all backends, both planes."""
+    """The heavy matrix: longer streams, d=1..3, all backends, typed and
+    object value columns."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -331,16 +333,15 @@ class TestDifferentialStream:
             oracle = DynamicRangeTree(d, semigroup=STREAM_GROUP)
             assert drive_stream(ops, dyn, oracle, rebuild_every=4) >= 5
 
-    @pytest.mark.parametrize("plane,vplane", PLANES)
+    @pytest.mark.parametrize("values", sorted(VALUE_GROUPS))
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_stream_planes_matrix(self, d, plane, vplane):
+    def test_stream_planes_matrix(self, d, values):
         ops = update_query_stream(120, d, seed=200 + d)
-        with dataplane(plane), valueplane(vplane):
-            with DynamicDistributedRangeTree(
-                d, p=4, semigroup=STREAM_GROUP, flush_threshold=8
-            ) as dyn:
-                oracle = DynamicRangeTree(d, semigroup=STREAM_GROUP)
-                assert drive_stream(ops, dyn, oracle, rebuild_every=4) >= 4
+        with DynamicDistributedRangeTree(
+            d, p=4, semigroup=VALUE_GROUPS[values], flush_threshold=8
+        ) as dyn:
+            oracle = DynamicRangeTree(d, semigroup=STREAM_GROUP)
+            assert drive_stream(ops, dyn, oracle, rebuild_every=4) >= 4
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_more_seeds_process_backend(self, seed):

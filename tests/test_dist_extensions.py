@@ -7,6 +7,7 @@ import pytest
 
 from repro.dist import DistributedRangeTree
 from repro.geometry import Box
+from repro.query import aggregate, count, report
 from repro.semigroup import id_set, max_of_dim, sum_of_dim
 from repro.seq import bf_aggregate, bf_count, bf_report
 from repro.workloads import selectivity_queries, uniform_points
@@ -25,27 +26,27 @@ class TestReannotate:
         pts, tree, qs = built
         sg = sum_of_dim(0)
         tree.reannotate(sg)
-        got = tree.batch_aggregate(qs)
+        got = tree.run([aggregate(q) for q in qs]).values()
         for g, q in zip(got, qs):
             assert g == pytest.approx(bf_aggregate(pts, q, sg))
 
     def test_counts_unchanged_by_reannotation(self, built):
         pts, tree, qs = built
-        before = tree.batch_count(qs)
+        before = tree.run([count(q) for q in qs]).values()
         tree.reannotate(max_of_dim(1))
-        assert tree.batch_count(qs) == before
+        assert tree.run([count(q) for q in qs]).values() == before
 
     def test_reports_unchanged_by_reannotation(self, built):
         pts, tree, qs = built
-        before = tree.batch_report(qs)
+        before = tree.run([report(q) for q in qs]).values()
         tree.reannotate(sum_of_dim(1))
-        assert tree.batch_report(qs) == before
+        assert tree.run([report(q) for q in qs]).values() == before
 
     def test_multiple_reannotations(self, built):
         pts, tree, qs = built
         for sg in (sum_of_dim(0), max_of_dim(0), id_set()):
             tree.reannotate(sg)
-            got = tree.batch_aggregate(qs)
+            got = tree.run([aggregate(q) for q in qs]).values()
             for g, q in zip(got, qs):
                 exp = bf_aggregate(pts, q, sg)
                 if isinstance(exp, float):
@@ -76,8 +77,8 @@ class TestSingleQueryAPI:
     def test_matches_batch(self, built):
         pts, tree, qs = built
         for q in qs[:5]:
-            assert tree.query_count(q) == bf_count(pts, q)
-            assert tree.query_report(q) == bf_report(pts, q)
+            assert tree.run(count(q)).value(0) == bf_count(pts, q)
+            assert tree.run(report(q)).value(0) == bf_report(pts, q)
 
     def test_single_query_spreads_over_processors(self):
         """One broad query must fan its subqueries across several owners."""
@@ -90,12 +91,12 @@ class TestSingleQueryAPI:
         touched = sum(1 for c in out.subqueries_per_proc if c > 0)
         assert out.total_subqueries >= 2
         assert touched >= 2
-        assert tree.query_count(q) == bf_count(pts, q)
+        assert tree.run(count(q)).value(0) == bf_count(pts, q)
 
     def test_aggregate_single(self, built):
         pts, tree, qs = built
         tree.reannotate(sum_of_dim(1))
         q = qs[0]
-        assert tree.query_aggregate(q) == pytest.approx(
+        assert tree.run(aggregate(q)).value(0) == pytest.approx(
             bf_aggregate(pts, q, sum_of_dim(1))
         )

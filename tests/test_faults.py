@@ -55,10 +55,10 @@ class TestFaultRule:
 
     def test_matches_exact_glob_and_rank(self):
         rule = FaultRule("dist.search.*", "raise", rank=1)
-        assert rule.matches("dist.search.walk", 1)
-        assert not rule.matches("dist.search.walk", 0)
+        assert rule.matches("dist.search.walk_cols", 1)
+        assert not rule.matches("dist.search.walk_cols", 0)
         # rank-agnostic dispatch sites (kernel.fold) match ranked rules
-        assert rule.matches("dist.search.walk", None)
+        assert rule.matches("dist.search.walk_cols", None)
         assert not rule.matches("dist.build.walk", 1)
 
     def test_fires_window(self):

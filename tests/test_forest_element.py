@@ -10,7 +10,6 @@ from repro.dist.forest import build_forest_element
 from repro.dist.records import (
     ForestRootInfo,
     HatSelectionRecord,
-    ReportUnit,
     SRecord,
     Subquery,
 )
@@ -117,11 +116,6 @@ class TestRecords:
     def test_hat_selection_defaults(self):
         h = HatSelectionRecord(qid=0, path=((1, 1),), nleaves=4, agg=4)
         assert h.forest_ids == () and h.locations == ()
-
-    def test_report_unit_weight(self):
-        u = ReportUnit(qid=1, ids=(5, 6, 7))
-        assert u.weight == 3
-        assert ReportUnit(qid=1).weight == 0
 
 
 class TestElementsInsideBuiltTree:

@@ -14,6 +14,7 @@ import pytest
 from repro.cgm import Machine
 from repro.dist import DistributedRangeTree, validate_tree
 from repro.errors import CapacityExceeded
+from repro.query import aggregate, count, report
 from repro.semigroup import sum_of_dim
 from repro.semigroup.group import count_group
 from repro.seq import (
@@ -68,8 +69,12 @@ class TestEveryStructureEveryDistribution:
     def test_distributed_tree(self, dist_name, d):
         pts, boxes = self._fixtures(dist_name, d)
         tree = DistributedRangeTree.build(pts, p=4)
-        assert tree.batch_count(boxes) == [bf_count(pts, b) for b in boxes]
-        assert tree.batch_report(boxes) == [bf_report(pts, b) for b in boxes]
+        assert tree.run([count(q) for q in boxes]).values() == [
+            bf_count(pts, b) for b in boxes
+        ]
+        assert tree.run([report(q) for q in boxes]).values() == [
+            bf_report(pts, b) for b in boxes
+        ]
         assert validate_tree(tree).ok
 
 
@@ -81,7 +86,7 @@ class TestAggregateMatrix:
         tree = DistributedRangeTree.build(pts, p=4, semigroup=sg)
         rng = np.random.default_rng(4)
         boxes = random_boxes(rng, 8, 2)
-        got = tree.batch_aggregate(boxes)
+        got = tree.run([aggregate(q) for q in boxes]).values()
         for g, b in zip(got, boxes):
             assert g == pytest.approx(bf_aggregate(pts, b, sg))
 

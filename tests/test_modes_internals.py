@@ -2,111 +2,66 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.cgm import Machine
 from repro.dist import DistributedRangeTree
-from repro.dist.modes import batched_counts, batched_report_pairs, fold_by_query
-from repro.dist.search import SearchOutput
-from repro.dist.records import HatSelectionRecord
+from repro.dist.modes import (
+    accumulate_runs,
+    fold_sorted_runs,
+    resolve_sorted_runs,
+)
 from repro.geometry import Box
-from repro.seq import bf_count
+from repro.query import count, report
+from repro.seq import bf_count, bf_report
 from repro.workloads import selectivity_queries, uniform_points
 
 
-def fake_output(p: int, hat_sels: list[list[HatSelectionRecord]]) -> SearchOutput:
-    return SearchOutput(
-        hat_selections=hat_sels,
-        forest_selections=[[] for _ in range(p)],
-        owner_stores=[{} for _ in range(p)],
+def add(a, b):
+    return a + b
+
+
+def fold(mach: Machine, ordered):
+    """Per-rank qid-sorted ``(qid, value)`` pieces -> ``{qid: total}`` plus
+    the emission list (to check every query is emitted exactly once)."""
+    out = fold_sorted_runs(mach, ordered, add, 0, "t")
+    # the two-stage form the engine uses must agree with the one-call form
+    staged = resolve_sorted_runs(
+        mach, [accumulate_runs(o, add) for o in ordered], add, 0, "t"
     )
-
-
-def hs(qid: int, nleaves: int, agg=None) -> HatSelectionRecord:
-    return HatSelectionRecord(qid=qid, path=((qid + 1, 0),), nleaves=nleaves, agg=agg)
+    assert staged == out
+    return [(qid, v) for box in out for qid, v in box]
 
 
 class TestFoldByQuery:
     def test_single_query_many_pieces(self):
         mach = Machine(4)
-        # query 0's selections scattered over every processor
-        sels = [[hs(0, 1)], [hs(0, 2)], [hs(0, 3)], [hs(0, 4)]]
-        out = fold_by_query(
-            mach,
-            fake_output(4, sels),
-            hat_value=lambda h: h.nleaves,
-            forest_value=lambda f: 0,
-            op=lambda a, b: a + b,
-            zero=0,
-        )
-        results = {qid: v for box in out for qid, v in box}
-        assert results == {0: 10}
+        # query 0's pieces scattered over every processor
+        emitted = fold(mach, [[(0, 1)], [(0, 2)], [(0, 3)], [(0, 4)]])
+        assert emitted == [(0, 10)]
 
     def test_many_queries_one_processor(self):
         mach = Machine(4)
-        sels = [[hs(q, q + 1) for q in range(6)], [], [], []]
-        out = fold_by_query(
-            mach,
-            fake_output(4, sels),
-            hat_value=lambda h: h.nleaves,
-            forest_value=lambda f: 0,
-            op=lambda a, b: a + b,
-            zero=0,
-        )
-        results = {qid: v for box in out for qid, v in box}
-        assert results == {q: q + 1 for q in range(6)}
+        emitted = fold(mach, [[(q, q + 1) for q in range(6)], [], [], []])
+        assert dict(emitted) == {q: q + 1 for q in range(6)}
+        assert len(emitted) == 6
 
     def test_query_block_spanning_processor_boundary(self):
         """After sorting, one query's run may straddle processors; the
         segmented sum and last-of-run logic must still fold it once."""
         mach = Machine(2)
-        sels = [[hs(7, 1) for _ in range(5)], [hs(7, 1) for _ in range(5)]]
-        out = fold_by_query(
-            mach,
-            fake_output(2, sels),
-            hat_value=lambda h: h.nleaves,
-            forest_value=lambda f: 0,
-            op=lambda a, b: a + b,
-            zero=0,
-        )
-        results = [(qid, v) for box in out for qid, v in box]
-        assert results == [(7, 10)]
+        emitted = fold(mach, [[(7, 1)] * 5, [(7, 1)] * 5])
+        assert emitted == [(7, 10)]
 
     def test_empty_output(self):
         mach = Machine(2)
-        out = fold_by_query(
-            mach,
-            fake_output(2, [[], []]),
-            hat_value=lambda h: 0,
-            forest_value=lambda f: 0,
-            op=lambda a, b: a + b,
-            zero=0,
-        )
-        assert out == [[], []]
+        assert fold_sorted_runs(mach, [[], []], add, 0, "t") == [[], []]
 
     def test_noncommutative_use_rejected_by_convention(self):
-        """fold_by_query assumes a commutative op — document via behaviour:
+        """The run-fold assumes a commutative op — document via behaviour:
         with a commutative op the result is piece-order independent."""
         mach = Machine(3)
-        a = fold_by_query(
-            mach,
-            fake_output(3, [[hs(1, 2)], [hs(1, 5)], [hs(1, 11)]]),
-            hat_value=lambda h: h.nleaves,
-            forest_value=lambda f: 0,
-            op=lambda x, y: x + y,
-            zero=0,
-        )
-        b = fold_by_query(
-            mach,
-            fake_output(3, [[hs(1, 11)], [hs(1, 2)], [hs(1, 5)]]),
-            hat_value=lambda h: h.nleaves,
-            forest_value=lambda f: 0,
-            op=lambda x, y: x + y,
-            zero=0,
-        )
-        va = [v for box in a for _q, v in box]
-        vb = [v for box in b for _q, v in box]
-        assert va == vb == [18]
+        a = fold(mach, [[(1, 2)], [(1, 5)], [(1, 11)]])
+        b = fold(mach, [[(1, 11)], [(1, 2)], [(1, 5)]])
+        assert a == b == [(1, 18)]
 
 
 class TestBatchedCountsEndToEnd:
@@ -115,35 +70,34 @@ class TestBatchedCountsEndToEnd:
         tree = DistributedRangeTree.build(pts, p=8)
         qs = selectivity_queries(64, 2, seed=71, selectivity=0.2)
         out = tree.search(qs)
-        results = batched_counts(tree.machine, out)
-        got = {}
-        for box in results:
-            for qid, v in box:
-                got[qid] = v
-        for i, q in enumerate(qs):
-            assert got.get(i, 0) == bf_count(pts, q)
+        # both piece sources are live in this workload
+        assert sum(len(b) for b in out.hat_selections)
+        assert sum(len(b) for b in out.forest_selections)
+        got = tree.run([count(q) for q in qs]).values()
+        assert got == [bf_count(pts, q) for q in qs]
 
 
 class TestReportPairsEndToEnd:
     def test_requires_collect_leaves_for_hat_expansion(self):
         pts = uniform_points(64, 2, seed=72)
         tree = DistributedRangeTree.build(pts, p=4)
-        # the full box selects hat nodes; without collect_leaves the hat
-        # selections carry no expansion, so pairs silently drop them —
-        # the facade always passes collect_leaves=True; check both paths.
+        # the full box selects hat nodes; only a walk with collect_leaves
+        # names the forest elements tiling them, which is what in-pass
+        # expansion routes to the owners — the engine always asks for it.
         full = Box.full(2, -1.0, 2.0)
-        out_with = tree.search([full], collect_leaves=True)
-        pairs = batched_report_pairs(tree.machine, out_with)
-        assert sum(len(b) for b in pairs) == 64
+        bare = tree.search([full]).hat_selections
+        tiled = tree.search([full], collect_leaves=True).hat_selections
+        assert sum(len(h.locations) for b in bare for h in b) == 0
+        assert sum(len(h.locations) for b in tiled for h in b) == 4
+        assert len(tree.run(report(full)).value(0)) == 64
 
     def test_pair_multiset_exact(self):
         pts = uniform_points(96, 2, seed=73)
         tree = DistributedRangeTree.build(pts, p=8)
         qs = selectivity_queries(24, 2, seed=74, selectivity=0.15)
-        out = tree.search(qs, collect_leaves=True)
-        pairs = batched_report_pairs(tree.machine, out)
-        flat = sorted(pr for box in pairs for pr in box)
+        rs = tree.run([report(q) for q in qs])
+        flat = sorted((i, pid) for i, ids in enumerate(rs.values()) for pid in ids)
         expected = sorted(
-            (i, pid) for i, q in enumerate(qs) for pid in __import__("repro.seq", fromlist=["bf_report"]).bf_report(pts, q)
+            (i, pid) for i, q in enumerate(qs) for pid in bf_report(pts, q)
         )
         assert flat == expected

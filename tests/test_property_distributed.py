@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.dist import DistributedRangeTree
 from repro.geometry import Box, PointSet
+from repro.query import aggregate, count, report
 from repro.semigroup import sum_of_dim
 from repro.seq import bf_aggregate, bf_count, bf_report
 
@@ -49,35 +50,45 @@ class TestDistributedMatchesOracle:
     @settings(**COMMON)
     def test_1d(self, pts, boxes):
         tree = DistributedRangeTree.build(pts, p=2)
-        assert tree.batch_count(boxes) == [bf_count(pts, b) for b in boxes]
-        assert tree.batch_report(boxes) == [bf_report(pts, b) for b in boxes]
+        assert tree.run([count(q) for q in boxes]).values() == [
+            bf_count(pts, b) for b in boxes
+        ]
+        assert tree.run([report(q) for q in boxes]).values() == [
+            bf_report(pts, b) for b in boxes
+        ]
 
     @given(points_strategy(2), st.lists(box_strategy(2), min_size=1, max_size=6))
     @settings(**COMMON)
     def test_2d_p4(self, pts, boxes):
         tree = DistributedRangeTree.build(pts, p=4)
-        assert tree.batch_count(boxes) == [bf_count(pts, b) for b in boxes]
-        assert tree.batch_report(boxes) == [bf_report(pts, b) for b in boxes]
+        assert tree.run([count(q) for q in boxes]).values() == [
+            bf_count(pts, b) for b in boxes
+        ]
+        assert tree.run([report(q) for q in boxes]).values() == [
+            bf_report(pts, b) for b in boxes
+        ]
 
     @given(points_strategy(3, max_n=16), st.lists(box_strategy(3), min_size=1, max_size=4))
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_3d(self, pts, boxes):
         tree = DistributedRangeTree.build(pts, p=2)
-        assert tree.batch_count(boxes) == [bf_count(pts, b) for b in boxes]
+        assert tree.run([count(q) for q in boxes]).values() == [
+            bf_count(pts, b) for b in boxes
+        ]
 
     @given(points_strategy(2), box_strategy(2))
     @settings(**COMMON)
     def test_aggregate_sum(self, pts, box):
         sg = sum_of_dim(0)
         tree = DistributedRangeTree.build(pts, p=4, semigroup=sg)
-        got = tree.batch_aggregate([box])[0]
+        got = tree.run([aggregate(box)]).values()[0]
         assert got == pytest.approx(bf_aggregate(pts, box, sg))
 
     @given(points_strategy(2))
     @settings(**COMMON)
     def test_full_domain_counts_n(self, pts):
         tree = DistributedRangeTree.build(pts, p=4)
-        assert tree.batch_count([Box.full(2, 0.0, 1.0)]) == [pts.n]
+        assert tree.run([count(Box.full(2, 0.0, 1.0))]).values() == [pts.n]
 
 
 class TestStructuralInvariants:

@@ -1,5 +1,5 @@
 """Tests for the unified query layer (repro.query): planner, engine,
-output-mode registry, lazy annotation refits, ResultSet, deprecations."""
+output-mode registry, lazy annotation refits, ResultSet."""
 
 from __future__ import annotations
 
@@ -356,105 +356,6 @@ class TestResultSet:
         first = tree.run(count(b))
         second = tree.run(count(b))
         assert first.rounds == second.rounds  # construction rounds excluded
-
-
-class TestDeprecatedWrappers:
-    def setup_method(self):
-        self.pts = uniform_points(48, 2, seed=110)
-        self.tree = build(self.pts, p=4)
-        self.boxes = selectivity_queries(6, 2, seed=111, selectivity=0.2)
-
-    def test_batch_count_warns_and_matches(self):
-        with pytest.warns(DeprecationWarning, match="batch_count"):
-            got = self.tree.batch_count(self.boxes)
-        assert got == [bf_count(self.pts, b) for b in self.boxes]
-
-    def test_batch_report_warns_and_matches(self):
-        with pytest.warns(DeprecationWarning, match="batch_report"):
-            got = self.tree.batch_report(self.boxes)
-        assert got == [bf_report(self.pts, b) for b in self.boxes]
-
-    def test_batch_aggregate_warns_and_matches(self):
-        with pytest.warns(DeprecationWarning, match="batch_aggregate"):
-            got = self.tree.batch_aggregate(self.boxes)
-        assert got == [bf_count(self.pts, b) for b in self.boxes]
-
-    def test_query_singles_warn_and_match(self):
-        b = self.boxes[0]
-        with pytest.warns(DeprecationWarning, match="query_count"):
-            assert self.tree.query_count(b) == bf_count(self.pts, b)
-        with pytest.warns(DeprecationWarning, match="query_report"):
-            assert self.tree.query_report(b) == bf_report(self.pts, b)
-        with pytest.warns(DeprecationWarning, match="query_aggregate"):
-            assert self.tree.query_aggregate(b) == bf_count(self.pts, b)
-
-    def test_warning_points_at_the_caller(self):
-        """``stacklevel=2``: the warning's origin is the *migration site*.
-
-        A deprecation aimed at the wrapper's own line is useless — the
-        user needs the file/line of *their* call to fix.  ``warnings``
-        resolves ``stacklevel`` to filename + lineno, so catching with
-        record=True exposes exactly what the user would see.
-        """
-        import warnings as _warnings
-
-        wrappers = [
-            lambda: self.tree.batch_count(self.boxes),
-            lambda: self.tree.batch_report(self.boxes),
-            lambda: self.tree.batch_aggregate(self.boxes),
-            lambda: self.tree.query_count(self.boxes[0]),
-            lambda: self.tree.query_report(self.boxes[0]),
-            lambda: self.tree.query_aggregate(self.boxes[0]),
-        ]
-        for call in wrappers:
-            with _warnings.catch_warnings(record=True) as caught:
-                _warnings.simplefilter("always")
-                call()
-            deps = [w for w in caught if w.category is DeprecationWarning]
-            assert deps, "wrapper emitted no DeprecationWarning"
-            assert deps[0].filename == __file__, (
-                f"warning origin {deps[0].filename}:{deps[0].lineno} is not "
-                "the caller — stacklevel is wrong"
-            )
-
-    def test_wrappers_cannot_diverge_from_run(self):
-        """The wrappers are *thin*: their answers equal tree.run's exactly."""
-        with pytest.warns(DeprecationWarning):
-            got = {
-                "count": self.tree.batch_count(self.boxes),
-                "report": self.tree.batch_report(self.boxes),
-                "aggregate": self.tree.batch_aggregate(self.boxes),
-            }
-        assert got["count"] == self.tree.run(
-            [count(b) for b in self.boxes]
-        ).values()
-        assert got["report"] == self.tree.run(
-            [report(b) for b in self.boxes]
-        ).values()
-        assert got["aggregate"] == self.tree.run(
-            [aggregate(b) for b in self.boxes]
-        ).values()
-
-    def test_every_wrapper_warns(self):
-        """Each deprecated entry point emits DeprecationWarning, always."""
-        import warnings
-
-        b = self.boxes[0]
-        wrappers = [
-            lambda: self.tree.batch_count([b]),
-            lambda: self.tree.batch_report([b]),
-            lambda: self.tree.batch_aggregate([b]),
-            lambda: self.tree.query_count(b),
-            lambda: self.tree.query_report(b),
-            lambda: self.tree.query_aggregate(b),
-        ]
-        for fn in wrappers:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                fn()
-            assert any(
-                issubclass(w.category, DeprecationWarning) for w in caught
-            ), f"{fn} no longer warns"
 
 
 class TestBatchDescriptors:

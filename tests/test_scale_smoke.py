@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.dist import DistributedRangeTree, validate_tree
+from repro.query import aggregate, count, report
 from repro.semigroup import moments_of_dim
 from repro.seq import bf_aggregate, bf_count
 from repro.workloads import clustered_points, selectivity_queries
@@ -33,7 +34,7 @@ def test_structure_valid_at_scale(big):
 
 def test_counts_at_scale(big):
     pts, tree, qs = big
-    got = tree.batch_count(qs)
+    got = tree.run([count(q) for q in qs]).values()
     rng = np.random.default_rng(0)
     for i in rng.choice(len(qs), size=64, replace=False):
         assert got[i] == bf_count(pts, qs[int(i)])
@@ -44,7 +45,7 @@ def test_report_at_scale_sampled(big):
 
     pts, tree, qs = big
     sample = qs[:64]
-    got = tree.batch_report(sample)
+    got = tree.run([report(q) for q in sample]).values()
     for ids, q in zip(got, sample):
         assert ids == bf_report(pts, q)
 
@@ -54,7 +55,7 @@ def test_moments_aggregate_at_scale():
     sg = moments_of_dim(0)
     tree = DistributedRangeTree.build(pts, p=8, semigroup=sg)
     qs = selectivity_queries(128, D, seed=10, selectivity=0.05)
-    got = tree.batch_aggregate(qs)
+    got = tree.run([aggregate(q) for q in qs]).values()
     for g, q in zip(got[:32], qs[:32]):
         cnt, s, ss = g
         ecnt, es, ess = bf_aggregate(pts, q, sg)
@@ -66,6 +67,6 @@ def test_moments_aggregate_at_scale():
 def test_rounds_small_and_fixed_at_scale(big):
     pts, tree, qs = big
     tree.reset_metrics()
-    tree.batch_count(qs)
+    tree.run([count(q) for q in qs])
     # search (3) + fold (5) + boundary allgather (1) = single digits, always
     assert tree.metrics.rounds <= 12

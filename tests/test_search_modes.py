@@ -9,6 +9,7 @@ import pytest
 
 from repro.dist import DistributedRangeTree
 from repro.geometry import Box
+from repro.query import aggregate, count, report
 from repro.semigroup import id_set, max_of_dim, min_of_dim, sum_of_dim
 from repro.seq import bf_aggregate, bf_count, bf_report
 from repro.workloads import (
@@ -35,62 +36,75 @@ class TestCorrectnessMatrix:
         pts = uniform_points(48, d, seed=d * 10 + p)
         tree = build(pts, p=p)
         qs = selectivity_queries(24, d, seed=99, selectivity=0.1)
-        assert tree.batch_count(qs) == [bf_count(pts, q) for q in qs]
-        assert tree.batch_report(qs) == [bf_report(pts, q) for q in qs]
+        assert tree.run([count(q) for q in qs]).values() == [
+            bf_count(pts, q) for q in qs
+        ]
+        assert tree.run([report(q) for q in qs]).values() == [
+            bf_report(pts, q) for q in qs
+        ]
 
     def test_grid_duplicates(self):
         pts = grid_points(64, 2, seed=5, cells=4)
         tree = build(pts, p=4)
         rng = np.random.default_rng(6)
         qs = random_boxes(rng, 30, 2)
-        assert tree.batch_count(qs) == [bf_count(pts, q) for q in qs]
-        assert tree.batch_report(qs) == [bf_report(pts, q) for q in qs]
+        assert tree.run([count(q) for q in qs]).values() == [
+            bf_count(pts, q) for q in qs
+        ]
+        assert tree.run([report(q) for q in qs]).values() == [
+            bf_report(pts, q) for q in qs
+        ]
 
     def test_clustered_hotspot(self):
         pts = clustered_points(96, 2, seed=7)
         tree = build(pts, p=8)
         qs = hotspot_queries(40, 2, seed=8, centre=0.5, half_width=0.2)
-        assert tree.batch_count(qs) == [bf_count(pts, q) for q in qs]
+        assert tree.run([count(q) for q in qs]).values() == [
+            bf_count(pts, q) for q in qs
+        ]
 
     def test_band_queries(self):
         pts = uniform_points(64, 2, seed=9)
         tree = build(pts, p=8)
         qs = grid_of_boxes(2)
-        assert tree.batch_report(qs) == [bf_report(pts, q) for q in qs]
+        assert tree.run([report(q) for q in qs]).values() == [
+            bf_report(pts, q) for q in qs
+        ]
 
     def test_empty_and_full_queries(self):
         pts = uniform_points(32, 2, seed=11)
         tree = build(pts, p=4)
         empty = Box.full(2, 5.0, 6.0)
         full = Box.full(2, -1.0, 2.0)
-        assert tree.batch_count([empty, full]) == [0, 32]
-        rep = tree.batch_report([empty, full])
+        assert tree.run([count(empty), count(full)]).values() == [0, 32]
+        rep = tree.run([report(empty), report(full)]).values()
         assert rep[0] == [] and rep[1] == list(range(32))
 
     def test_single_query_batch(self):
         pts = uniform_points(32, 2, seed=12)
         tree = build(pts, p=4)
         q = Box([(0.2, 0.7), (0.3, 0.8)])
-        assert tree.batch_count([q]) == [bf_count(pts, q)]
+        assert tree.run([count(q)]).values() == [bf_count(pts, q)]
 
     def test_empty_batch(self):
         tree = build(uniform_points(16, 2, seed=13), p=4)
-        assert tree.batch_count([]) == []
-        assert tree.batch_report([]) == []
+        assert tree.run([]).values() == []
 
     def test_large_batch_m_equals_n(self):
         """The paper's regime: m = O(n) queries in one batch."""
         pts = uniform_points(64, 2, seed=14)
         tree = build(pts, p=8)
         qs = selectivity_queries(64, 2, seed=15, selectivity=0.05)
-        assert tree.batch_count(qs) == [bf_count(pts, q) for q in qs]
+        assert tree.run([count(q) for q in qs]).values() == [
+            bf_count(pts, q) for q in qs
+        ]
 
     @pytest.mark.parametrize("replication", ["direct", "doubling"])
     def test_replication_strategies_agree(self, replication):
         pts = uniform_points(48, 2, seed=16)
         tree = build(pts, p=8)
         qs = hotspot_queries(32, 2, seed=17)
-        assert tree.batch_count(qs, replication=replication) == [
+        assert tree.run([count(q) for q in qs], replication=replication).values() == [
             bf_count(pts, q) for q in qs
         ]
 
@@ -101,7 +115,7 @@ class TestAssociativeMode:
         sg = sum_of_dim(0)
         tree = build(pts, p=4, semigroup=sg)
         qs = selectivity_queries(20, 2, seed=21, selectivity=0.15)
-        got = tree.batch_aggregate(qs)
+        got = tree.run([aggregate(q) for q in qs]).values()
         for g, q in zip(got, qs):
             assert g == pytest.approx(bf_aggregate(pts, q, sg))
 
@@ -110,22 +124,22 @@ class TestAssociativeMode:
         for sg in (min_of_dim(1), max_of_dim(0)):
             tree = build(pts, p=4, semigroup=sg)
             qs = selectivity_queries(15, 2, seed=23, selectivity=0.2)
-            got = tree.batch_aggregate(qs)
+            got = tree.run([aggregate(q) for q in qs]).values()
             exp = [bf_aggregate(pts, q, sg) for q in qs]
             assert got == exp
 
     def test_empty_query_yields_identity(self):
         sg = min_of_dim(0)
         tree = build(uniform_points(32, 2, seed=24), p=4, semigroup=sg)
-        got = tree.batch_aggregate([Box.full(2, 7.0, 8.0)])
+        got = tree.run([aggregate(Box.full(2, 7.0, 8.0))]).values()
         assert got == [math.inf]
 
     def test_idset_matches_report(self):
         pts = uniform_points(32, 2, seed=25)
         tree = build(pts, p=4, semigroup=id_set())
         qs = selectivity_queries(10, 2, seed=26, selectivity=0.2)
-        sets = tree.batch_aggregate(qs)
-        reports = tree.batch_report(qs)
+        sets = tree.run([aggregate(q) for q in qs]).values()
+        reports = tree.run([report(q) for q in qs]).values()
         assert [sorted(s) for s in sets] == reports
 
     def test_3d_aggregate(self):
@@ -133,7 +147,7 @@ class TestAssociativeMode:
         sg = sum_of_dim(2)
         tree = build(pts, p=4, semigroup=sg)
         qs = selectivity_queries(12, 3, seed=28, selectivity=0.3)
-        got = tree.batch_aggregate(qs)
+        got = tree.run([aggregate(q) for q in qs]).values()
         for g, q in zip(got, qs):
             assert g == pytest.approx(bf_aggregate(pts, q, sg))
 
@@ -183,45 +197,53 @@ class TestSearchInternals:
             tree = build(pts, p=4)
             tree.reset_metrics()
             qs = selectivity_queries(n, 2, seed=39, selectivity=0.1)
-            tree.batch_count(qs)
+            tree.run([count(q) for q in qs])
             rounds.append(tree.metrics.rounds)
         assert len(set(rounds)) == 1, rounds
+
+
+def pairs_per_rank(rs) -> tuple:
+    """Output pairs each rank holds after a report-only batch.
+
+    Every demux piece of such a batch is one ``(qid, pid)`` output pair,
+    so the balance round of the shared demux sort *is* Theorem 5's
+    redistribution: what each rank receives there is its final share.
+    """
+    return next(
+        s.received
+        for s in rs.metrics.comm_steps()
+        if s.label == "query:demux:sort:balance"
+    )
 
 
 class TestReportBalance:
     def test_output_pairs_balanced(self):
         """Theorem 5: report mode ends with <= ceil(k/p) pairs per proc."""
-        from repro.dist.modes import batched_report_pairs
-
         pts = uniform_points(128, 2, seed=40)
         tree = build(pts, p=8)
         qs = selectivity_queries(32, 2, seed=41, selectivity=0.3)
-        out = tree.search(qs, collect_leaves=True)
-        pairs = batched_report_pairs(tree.machine, out)
-        sizes = [len(b) for b in pairs]
+        rs = tree.run([report(q) for q in qs])
+        sizes = pairs_per_rank(rs)
         k = sum(sizes)
-        if k:
-            assert max(sizes) <= -(-k // 8)
+        assert k == sum(len(ids) for ids in rs.values()) > 0
+        assert max(sizes) <= -(-k // 8)
 
     def test_skewed_queries_still_balanced(self):
-        from repro.dist.modes import batched_report_pairs
-
         pts = clustered_points(128, 2, seed=42, clusters=2)
         tree = build(pts, p=8)
         qs = hotspot_queries(16, 2, seed=43, half_width=0.4)
-        out = tree.search(qs, collect_leaves=True)
-        pairs = batched_report_pairs(tree.machine, out)
-        sizes = [len(b) for b in pairs]
+        rs = tree.run([report(q) for q in qs])
+        sizes = pairs_per_rank(rs)
         k = sum(sizes)
-        if k:
-            assert max(sizes) <= -(-k // 8)
+        assert k == sum(len(ids) for ids in rs.values()) > 0
+        assert max(sizes) <= -(-k // 8)
 
     def test_report_ids_deduplicated_nowhere(self):
         """Every (query, point) pair appears exactly once."""
         pts = uniform_points(48, 2, seed=44)
         tree = build(pts, p=4)
         qs = selectivity_queries(16, 2, seed=45, selectivity=0.2)
-        rep = tree.batch_report(qs)
+        rep = tree.run([report(q) for q in qs]).values()
         for ids, q in zip(rep, qs):
             assert len(ids) == len(set(ids))
             assert ids == bf_report(pts, q)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.dist import DistributedRangeTree
+from repro.query import aggregate
 from repro.semigroup import Semigroup, histogram_of_dim, top_k_ids
 from repro.seq import SequentialRangeTree, bf_aggregate
 from repro.workloads import uniform_points
@@ -59,7 +60,9 @@ class TestTopK:
         tree = DistributedRangeTree.build(pts, p=4, semigroup=sg)
         rng = np.random.default_rng(4)
         boxes = random_boxes(rng, 10, 2)
-        assert tree.batch_aggregate(boxes) == [bf_aggregate(pts, b, sg) for b in boxes]
+        assert tree.run([aggregate(q) for q in boxes]).values() == [
+            bf_aggregate(pts, b, sg) for b in boxes
+        ]
 
 
 class TestHistogram:
@@ -89,4 +92,6 @@ class TestHistogram:
         tree = DistributedRangeTree.build(pts, p=8, semigroup=sg)
         rng = np.random.default_rng(8)
         boxes = random_boxes(rng, 10, 2)
-        assert tree.batch_aggregate(boxes) == [bf_aggregate(pts, b, sg) for b in boxes]
+        assert tree.run([aggregate(q) for q in boxes]).values() == [
+            bf_aggregate(pts, b, sg) for b in boxes
+        ]

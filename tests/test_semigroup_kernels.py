@@ -1,13 +1,14 @@
-"""The semigroup kernel engine: resolution, folds, and plane parity.
+"""The semigroup kernel engine: resolution, folds, and value parity.
 
 The engine's contract is *bit-identity*: every kernel-backed fold must
-reproduce the object plane's values exactly — same bits, same Python
-types — across every builtin semigroup, empty and single-element
-segments, and negative/sentinel pids.  These tests check the kernels in
-isolation (encode/decode round trips, segmented folds vs
-``Semigroup.fold``, heap folds vs the bottom-up loop) and the planes
-end to end (``valueplane("kernel")`` vs ``valueplane("object")`` on
-mixed batches in d = 1..3).
+reproduce the semigroup's own ``combine`` values exactly — same bits,
+same Python types — across every builtin semigroup, empty and
+single-element segments, and negative/sentinel pids.  These tests check
+the kernels in isolation (encode/decode round trips, segmented folds vs
+``Semigroup.fold``, heap folds vs the bottom-up loop) and end to end:
+a builtin (typed kernel columns) against the same semigroup behind
+:func:`tests.helpers.unkernelized` (object columns + ``combine``) on
+mixed batches in d = 1..3.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from repro.semigroup import (
     product_semigroup,
     sum_of_dim,
     top_k_ids,
-    valueplane,
 )
 from repro.semigroup.kernels import (
     KernelColumn,
@@ -45,11 +45,14 @@ from repro.semigroup.kernels import (
     kernel_for,
     lift_kernel_column,
 )
+from repro.seq import bf_aggregate, bf_count
 from repro.workloads import selectivity_queries, uniform_points
+
+from tests.helpers import unkernelized
 
 
 def _random_values(sg: Semigroup, n: int, d: int, rng: random.Random):
-    """Lift ``n`` random points through ``sg`` (the object-plane values)."""
+    """Lift ``n`` random points through ``sg`` (plain semigroup values)."""
     out = []
     for i in range(n):
         coords = [rng.uniform(-100, 100) for _ in range(d)]
@@ -168,7 +171,7 @@ def test_heap_fold_matches_pairwise_combine(m):
         kernel = kernel_for(sg)
         values = _random_values(sg, m, 2, rng)
         heap = heap_fold(kernel, kernel.encode(values))
-        # object-plane reference: the bottom-up loop of _build_aggs
+        # reference: the bottom-up ``combine`` loop of _build_aggs
         aggs = [None] * (2 * m)
         for k in range(m):
             aggs[m + k] = values[k]
@@ -239,15 +242,25 @@ def test_kernel_column_pickles():
 
 
 # ---------------------------------------------------------------------------
-# end-to-end plane parity (the dataplane A/B discipline)
+# end-to-end value parity: builtin (kernel columns) vs unkernelized (object)
 # ---------------------------------------------------------------------------
-def _mixed_batch(d: int, m: int = 36):
+_VARIANTS = {"builtin": lambda sg: sg, "wrapped": unkernelized}
+
+
+def _mixed_batch(d: int, variant, topk: bool, m: int = 36):
+    """Kernelized counts, reports and four aggregates (kernelized or
+    not, per ``variant``) sharing one pass — with ``topk``, a
+    non-kernelizing top-k rides along and the annotation product it
+    joins falls back to object storage for every layer."""
     boxes = selectivity_queries(m, d, seed=21, selectivity=0.15)
     sgs = [
-        sum_of_dim(0),
-        min_of_dim(0),
-        max_of_dim(d - 1),
-        bounding_box_semigroup(d),
+        variant(sg)
+        for sg in (
+            sum_of_dim(0),
+            min_of_dim(0),
+            max_of_dim(d - 1),
+            bounding_box_semigroup(d),
+        )
     ]
     qs = []
     for i, b in enumerate(boxes):
@@ -257,17 +270,17 @@ def _mixed_batch(d: int, m: int = 36):
         elif k == 1:
             qs.append(report(b))
         elif k == 2:
-            qs.append(top_k(b, k=2))
+            qs.append(top_k(b, k=2) if topk else count(b))
         else:
             qs.append(aggregate(b, sgs[k % 4]))
     return QueryBatch(qs)
 
 
 def _strip_nondeterministic(d):
-    """Drop wall clock and byte figures: the planes must agree on
-    answers, rounds, and h-relations bit for bit, while routed *bytes*
-    legitimately differ (kernel columns report exact sizes, object
-    columns a sampled estimate)."""
+    """Drop wall clock and byte figures: the two value representations
+    must agree on answers, rounds, and h-relations bit for bit, while
+    routed *bytes* legitimately differ (kernel columns report exact
+    sizes, object columns a sampled estimate)."""
     if isinstance(d, dict):
         return {
             k: _strip_nondeterministic(v)
@@ -282,20 +295,80 @@ def _strip_nondeterministic(d):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_planes_bit_identical_end_to_end(d):
     # n = 13 forces power-of-two padding => negative sentinel pids ride
-    # every routed round and must fold to identity on both planes
+    # every routed round and must fold to identity in both representations
     pts = uniform_points(13 if d < 3 else 29, d, seed=31)
-    batch = _mixed_batch(d)
     dicts = {}
-    for plane in ("object", "kernel"):
-        with valueplane(plane):
-            with DistributedRangeTree.build(pts, p=4) as tree:
-                rs1 = tree.run(batch)  # triggers the lazy refit
-                rs2 = tree.run(batch)  # cached annotation
-                dicts[plane] = (
-                    repr(_strip_nondeterministic(rs1.to_dict())),
-                    repr(_strip_nondeterministic(rs2.to_dict())),
-                )
-    assert dicts["object"] == dicts["kernel"]
+    for name, variant in _VARIANTS.items():
+        plain = _mixed_batch(d, variant, topk=False)
+        batch = _mixed_batch(d, variant, topk=True)
+        with DistributedRangeTree.build(pts, p=4) as tree:
+            rs0 = tree.run(plain)  # lazy refit to a 5-layer product
+            assert (tree.value_kernel is None) == (name == "wrapped")
+            rs1 = tree.run(batch)  # refit again: top-k joins the product
+            assert tree.value_kernel is None
+            rs2 = tree.run(batch)  # cached annotation
+            dicts[name] = [
+                repr(_strip_nondeterministic(rs.to_dict()))
+                for rs in (rs0, rs1, rs2)
+            ]
+        for q, got in zip(batch, rs1.values()):
+            if q.mode == "count":
+                assert got == bf_count(pts, q.box)
+            elif q.mode == "aggregate":
+                # the tree's fold association differs from a linear scan,
+                # so float sums agree with brute force only approximately
+                # (extremes and boxes are exact)
+                want = bf_aggregate(pts, q.box, q.semigroup)
+                assert got == (pytest.approx(want) if isinstance(want, float) else want)
+    assert dicts["builtin"] == dicts["wrapped"]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_build_semigroup_kernelized_or_not_agree(d):
+    """The *declared* semigroup decides ``value_kernel`` at build: same
+    answers, rounds and h-relations from typed and object storage."""
+    pts = uniform_points(45, d, seed=33)
+    base = product_semigroup([COUNT, sum_of_dim(0), bounding_box_semigroup(d)])
+    boxes = selectivity_queries(18, d, seed=34, selectivity=0.2)
+    batch = QueryBatch(
+        [aggregate(b) if i % 2 else count(b) for i, b in enumerate(boxes)]
+    )
+    dicts = {}
+    for name, variant in _VARIANTS.items():
+        with DistributedRangeTree.build(pts, p=4, semigroup=variant(base)) as tree:
+            assert (tree.value_kernel is None) == (name == "wrapped")
+            rs = tree.run(batch)
+            # construct + search + demux: every round's h-relation
+            rounds = [
+                (s.label, s.sent, s.received) for s in tree.metrics.comm_steps()
+            ]
+            dicts[name] = (repr(_strip_nondeterministic(rs.to_dict())), rounds)
+    assert dicts["builtin"] == dicts["wrapped"]
+
+
+def test_refit_from_kernel_to_object_storage_and_back():
+    """``value_kernel`` follows every refit (decided from the semigroup,
+    never from a process-global): typed -> object -> typed, with the
+    answers bit-identical throughout."""
+    pts = uniform_points(50, 2, seed=35)
+    sg = sum_of_dim(1)
+    boxes = selectivity_queries(10, 2, seed=36, selectivity=0.25)
+    batch = [aggregate(b) for b in boxes]
+    want = [bf_aggregate(pts, b, sg) for b in boxes]
+    with DistributedRangeTree.build(pts, p=4, semigroup=sg) as tree:
+        assert tree.value_kernel == kernel_for(sg)
+        first = tree.run(batch)
+        tree.reannotate(unkernelized(sg))
+        assert tree.value_kernel is None
+        second = tree.run(batch)
+        tree.reannotate(sg)
+        assert tree.value_kernel == kernel_for(sg)
+        third = tree.run(batch)
+    for rs in (second, third):
+        for got, same, exp in zip(rs.values(), first.values(), want):
+            _assert_same_value(got, same)
+            assert got == pytest.approx(exp)
+        assert rs.rounds == first.rounds and rs.max_h == first.max_h
 
 
 def test_kernel_plane_is_the_default_and_annotates_typed():
@@ -318,38 +391,37 @@ def test_empty_and_single_element_queries_agree():
             (pts.coords[0][1] - 1e-9, pts.coords[0][1] + 1e-9),
         ]
     )
-    sgs = [sum_of_dim(0), bounding_box_semigroup(2), min_of_dim(1)]
-    batch = QueryBatch(
-        [aggregate(empty, sg) for sg in sgs]
-        + [aggregate(single, sg) for sg in sgs]
-        + [count(empty), count(single)]
-    )
     outs = {}
-    for plane in ("object", "kernel"):
-        with valueplane(plane):
-            with DistributedRangeTree.build(pts, p=4) as tree:
-                outs[plane] = repr(tree.run(batch).values())
-    assert outs["object"] == outs["kernel"]
-    # empty aggregates are the identities, on both planes
-    vals = eval(outs["kernel"], {"inf": math.inf})
+    for name, variant in _VARIANTS.items():
+        sgs = [
+            variant(sg)
+            for sg in (sum_of_dim(0), bounding_box_semigroup(2), min_of_dim(1))
+        ]
+        batch = QueryBatch(
+            [aggregate(empty, sg) for sg in sgs]
+            + [aggregate(single, sg) for sg in sgs]
+            + [count(empty), count(single)]
+        )
+        with DistributedRangeTree.build(pts, p=4) as tree:
+            outs[name] = repr(tree.run(batch).values())
+    assert outs["builtin"] == outs["wrapped"]
+    # empty aggregates are the identities, typed or not
+    vals = eval(outs["builtin"], {"inf": math.inf})
     assert vals[0] == 0.0 and vals[2] == math.inf and vals[6] == 0
 
 
 def test_object_storage_with_kernel_demux_counts():
     """Count queries fold typed even when the tree's storage is object
-    (a hand-annotated or unkernelizable tree)."""
+    (an unkernelizable tree)."""
     pts = uniform_points(48, 2, seed=61)
-    batch = QueryBatch(
-        [count(b) for b in selectivity_queries(12, 2, seed=62, selectivity=0.2)]
-    )
-    with valueplane("kernel"):
-        with DistributedRangeTree.build(pts, p=4, semigroup=id_set()) as tree:
-            assert tree.value_kernel is None  # id_set is unkernelizable
-            kernel_counts = tree.run(batch).values()
-    with valueplane("object"):
-        with DistributedRangeTree.build(pts, p=4, semigroup=id_set()) as tree:
-            object_counts = tree.run(batch).values()
-    assert kernel_counts == object_counts
+    boxes = selectivity_queries(12, 2, seed=62, selectivity=0.2)
+    with DistributedRangeTree.build(pts, p=4, semigroup=id_set()) as tree:
+        assert tree.value_kernel is None  # id_set is unkernelizable
+        assert tree.engine._kernel_fold_plan(
+            tree.engine.plan(QueryBatch([count(b) for b in boxes]))
+        ) is not None
+        counts = tree.run([count(b) for b in boxes]).values()
+    assert counts == [bf_count(pts, b) for b in boxes]
 
 
 # ---------------------------------------------------------------------------
@@ -373,16 +445,19 @@ def test_estimate_object_bytes_is_deterministic_and_seeded():
 
 
 def test_object_plane_comm_bytes_reproducible():
+    """Object value columns report a *sampled* byte estimate; the seeded
+    sampler keeps ``comm_bytes`` reproducible run to run."""
     pts = uniform_points(64, 2, seed=71)
+    sg = unkernelized(sum_of_dim(0))
     batch = QueryBatch(
-        [count(b) for b in selectivity_queries(16, 2, seed=72, selectivity=0.2)]
+        [aggregate(b) for b in selectivity_queries(16, 2, seed=72, selectivity=0.2)]
     )
     totals = []
     for _ in range(2):
-        with columns.dataplane("object"):
-            with DistributedRangeTree.build(pts, p=4) as tree:
-                rs = tree.run(batch)
-                totals.append(rs.metrics.total_comm_bytes)
+        with DistributedRangeTree.build(pts, p=4, semigroup=sg) as tree:
+            build_bytes = tree.metrics.total_comm_bytes
+            rs = tree.run(batch)
+            totals.append((build_bytes, rs.metrics.total_comm_bytes))
     assert totals[0] == totals[1]
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.dist import DistributedRangeTree, validate_tree
+from repro.query import report
 from repro.semigroup import sum_of_dim
 from repro.workloads import clustered_points, grid_points, uniform_points
 
@@ -40,7 +41,8 @@ class TestValidatorPasses:
         from repro.workloads import selectivity_queries
 
         tree = DistributedRangeTree.build(uniform_points(64, 2, seed=64), p=8)
-        tree.batch_report(selectivity_queries(32, 2, seed=65, selectivity=0.1))
+        qs = selectivity_queries(32, 2, seed=65, selectivity=0.1)
+        tree.run([report(q) for q in qs])
         assert validate_tree(tree).ok, "queries must not mutate the structure"
 
 
