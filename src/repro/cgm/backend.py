@@ -43,6 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from ..errors import WorkerCrash
+from ..faults import maybe_inject
 from .phases import ProcContext, bootstrap, get_phase
 
 __all__ = [
@@ -71,8 +72,6 @@ class WorkerError(RuntimeError):
 
 
 def _invoke(fn, ctx: ProcContext, payload: Any, site: str) -> PhaseOutcome:
-    from ..faults import maybe_inject
-
     maybe_inject(site, ctx.rank)
     t0 = time.perf_counter()
     result = fn(ctx, payload)
@@ -130,10 +129,16 @@ class _InProcessBackend(Backend):
             self._states.extend(dict() for _ in range(p - len(self._states)))
         return self._states[:p]
 
-    def _outcome(self, p: int, phase: str, rank: int, payload: Any) -> PhaseOutcome:
+    def _calls(self, p: int, phase: str, payloads: Sequence[Any]) -> List[tuple]:
+        """One :func:`_invoke` argument tuple per rank — the phase resolved
+        and the rank stores materialized once per dispatch, before any
+        fan-out (no racy lazy init)."""
         fn = get_phase(phase)
-        ctx = ProcContext(rank=rank, p=p, state=self.states(p)[rank])
-        return _invoke(fn, ctx, payload, phase)
+        states = self.states(p)
+        return [
+            (fn, ProcContext(rank=r, p=p, state=states[r]), payloads[r], phase)
+            for r in range(p)
+        ]
 
     def fetch_state(self, p: int, key: str) -> List[Any]:
         return [st.get(key) for st in self.states(p)]
@@ -152,7 +157,7 @@ class SerialBackend(_InProcessBackend):
     def run_phase(
         self, p: int, phase: str, payloads: Sequence[Any]
     ) -> List[PhaseOutcome]:
-        return [self._outcome(p, phase, r, payloads[r]) for r in range(p)]
+        return [_invoke(*call) for call in self._calls(p, phase, payloads)]
 
 
 class ThreadBackend(_InProcessBackend):
@@ -181,10 +186,9 @@ class ThreadBackend(_InProcessBackend):
     def run_phase(
         self, p: int, phase: str, payloads: Sequence[Any]
     ) -> List[PhaseOutcome]:
-        self.states(p)  # materialize before fan-out: no racy lazy init
         pool = self._ensure_pool(p)
         futures = [
-            pool.submit(self._outcome, p, phase, r, payloads[r]) for r in range(p)
+            pool.submit(_invoke, *call) for call in self._calls(p, phase, payloads)
         ]
         return [f.result() for f in futures]
 

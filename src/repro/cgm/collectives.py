@@ -119,12 +119,9 @@ def alltoall_broadcast(
     Result per rank is the concatenation ordered by source rank — identical
     on every processor.
     """
-    out = mach.empty_outboxes()
-    for src in range(mach.p):
-        items = list(locals_[src])
-        for dst in range(mach.p):
-            out[src][dst] = items
-    return mach.exchange(label, out)
+    # one list object per source in all of its destination slots, which
+    # is what lets the exchange size a broadcast list once
+    return mach.exchange(label, [[list(items)] * mach.p for items in locals_])
 
 
 def allgather(mach: Machine, values: Sequence[T], label: str = "allgather") -> list[list[T]]:

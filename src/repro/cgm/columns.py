@@ -33,7 +33,6 @@ move; the record-list primitives of :mod:`repro.cgm.sort` and
 
 from __future__ import annotations
 
-import random
 import sys
 from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
@@ -127,6 +126,8 @@ class Ragged:
 
     def take(self, idx: np.ndarray) -> "Ragged":
         idx = np.asarray(idx, dtype=_I64)
+        if not len(idx):
+            return Ragged(self.flat[:0], np.zeros(1, dtype=_I64))
         lengths = self.lengths[idx]
         offsets = np.zeros(len(idx) + 1, dtype=_I64)
         np.cumsum(lengths, out=offsets[1:])
@@ -360,6 +361,8 @@ class RecordBatch(Sequence):
         batches = [b for b in batches if b is not None]
         if not batches:
             raise ValueError("concat needs at least one batch")
+        # zero-row batches add no rows: skip their column concatenation
+        batches = [b for b in batches if len(b)] or batches[:1]
         if len(batches) == 1:
             return batches[0]
         first = batches[0]
@@ -461,9 +464,10 @@ def estimate_object_bytes(
 ) -> int:
     """Estimated payload bytes of an object stream, by seeded sampling.
 
-    Draws ``k`` deterministic positions spread over the stream (seeded
-    :class:`random.Random` keyed by ``seed ^ len``), estimates each with
-    :func:`estimate_nbytes`, and extrapolates the mean — O(1) per
+    Reads ``k`` positions one stride (``n / k``) apart, starting at
+    ``(seed ^ n) % n`` — plain arithmetic, no generator object, since
+    this runs once per routed stream on the hot path — estimates each
+    with :func:`estimate_nbytes`, and extrapolates the mean: O(1) per
     stream, deterministic run to run, and less biased than head-only
     sampling when a stream's early records are unrepresentative.
     Exact (full sum) when the stream has at most ``k`` items.
@@ -473,8 +477,9 @@ def estimate_object_bytes(
         return 0
     if n <= k:
         return sum(estimate_nbytes(items[i]) for i in range(n))
-    idx = random.Random(seed ^ n).sample(range(n), k)
-    return int(sum(estimate_nbytes(items[i]) for i in idx) * n / k)
+    start = (seed ^ n) % n
+    sampled = sum(estimate_nbytes(items[(start + i * n // k) % n]) for i in range(k))
+    return int(sampled * n / k)
 
 
 def estimate_box_nbytes(box: Sequence[Any]) -> int:

@@ -31,6 +31,8 @@ import itertools
 import time
 from typing import Any, Callable, List, Sequence, TypeVar
 
+import numpy as np
+
 from ..errors import MachineError, ProtocolError
 from .backend import Backend, make_backend
 from .columns import RecordBatch, estimate_box_nbytes
@@ -233,16 +235,20 @@ class Machine:
         :meth:`exchange_batches`.
         """
         self._validate_outboxes(outboxes)
-        sent = [sum(len(box) for box in procbox) for procbox in outboxes]
-        sent_bytes = [
-            sum(estimate_box_nbytes(box) for box in procbox if box)
-            for procbox in outboxes
-        ]
+        sent = [0] * self.p
+        sent_bytes = [0] * self.p
         inboxes: list[list[Any]] = [[] for _ in range(self.p)]
-        for src in range(self.p):
-            for dst in range(self.p):
-                box = outboxes[src][dst]
+        # A broadcast puts one list object in every destination slot: size
+        # each distinct list once (the outboxes keep every id alive).
+        sized: dict[int, int] = {}
+        for src, procbox in enumerate(outboxes):
+            for dst, box in enumerate(procbox):
                 if box:
+                    nbytes = sized.get(id(box))
+                    if nbytes is None:
+                        nbytes = sized[id(box)] = estimate_box_nbytes(box)
+                    sent[src] += len(box)
+                    sent_bytes[src] += nbytes
                     inboxes[dst].extend(box)
         received = [len(b) for b in inboxes]
         self.metrics.record_comm(label, sent, received, sent_bytes)
@@ -276,40 +282,28 @@ class Machine:
         def units(batch: RecordBatch) -> int:
             if weight_col is None:
                 return len(batch)
-            import numpy as _np
+            return int(np.maximum(np.asarray(batch.col(weight_col)), 1).sum())
 
-            w = _np.asarray(batch.col(weight_col))
-            return int(_np.maximum(w, 1).sum())
-
-        sent = [
-            sum(units(b) for b in procbox if b is not None)
-            for procbox in outboxes
-        ]
-        sent_bytes = [
-            sum(b.nbytes for b in procbox if b is not None and len(b))
-            for procbox in outboxes
-        ]
+        sent = [0] * self.p
+        sent_bytes = [0] * self.p
+        parts: list[list[RecordBatch]] = [[] for _ in range(self.p)]
+        for src, procbox in enumerate(outboxes):
+            for dst, batch in enumerate(procbox):
+                if batch is not None:
+                    parts[dst].append(batch)
+                    if len(batch):
+                        sent[src] += units(batch)
+                        sent_bytes[src] += batch.nbytes
         if template is None:
-            template = next(
-                (b for procbox in outboxes for b in procbox if b is not None),
-                None,
-            )
+            template = next((b for part in parts for b in part), None)
         if template is None:
             raise ProtocolError(
                 "exchange_batches needs at least one batch or a template "
                 "to shape empty inboxes"
             )
-        inboxes: list[RecordBatch] = []
-        for dst in range(self.p):
-            parts = [
-                outboxes[src][dst]
-                for src in range(self.p)
-                if outboxes[src][dst] is not None
-            ]
-            if parts:
-                inboxes.append(RecordBatch.concat(parts))
-            else:
-                inboxes.append(RecordBatch.empty_like(template))
+        # one zero-row batch serves every rank that receives nothing
+        nothing = RecordBatch.empty_like(template)
+        inboxes = [RecordBatch.concat(part) if part else nothing for part in parts]
         received = [units(b) for b in inboxes]
         self.metrics.record_comm(label, sent, received, sent_bytes)
         self._note_storage(received)

@@ -293,10 +293,17 @@ class Metrics:
         """Communication rounds attributed to one phase prefix."""
         return sum(1 for s in self.comm_steps() if s.phase == phase)
 
+    def mark(self) -> int:
+        """Position in the trace, for :meth:`since` — O(1), unlike
+        :meth:`snapshot`, so a per-pass diff never costs the uptime."""
+        return len(self.steps)
+
     def snapshot(self) -> "Metrics":
         """Copy of the current trace (for before/after diffs)."""
         return Metrics(steps=list(self.steps))
 
-    def since(self, snap: "Metrics") -> "Metrics":
-        """Trace of steps recorded after ``snap`` was taken."""
-        return Metrics(steps=self.steps[len(snap.steps):])
+    def since(self, snap: "Metrics | int") -> "Metrics":
+        """Trace of steps recorded after ``snap`` (a :meth:`mark` or a
+        :meth:`snapshot`) was taken."""
+        start = snap if isinstance(snap, int) else len(snap.steps)
+        return Metrics(steps=self.steps[start:])

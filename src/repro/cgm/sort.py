@@ -194,6 +194,12 @@ def _phase_local_sort_cols(ctx: ProcContext, payload) -> list:
     """
     batch, keyspec, token = payload
     n = len(batch)
+    if not n:
+        # nothing to order or sample; the partition step slices nothing
+        # out of a zero-row run, so the run needs no key column either
+        ctx.charge(1)
+        ctx.state[token] = batch
+        return []
     key_cols = _key_columns(batch, keyspec)
     key_cols.append(np.full(n, ctx.rank, dtype=np.int64))
     key_cols.append(np.arange(n, dtype=np.int64))
@@ -202,11 +208,8 @@ def _phase_local_sort_cols(ctx: ProcContext, payload) -> list:
     ctx.charge(max(1, n) * max(1, n.bit_length()))
     sorted_batch = batch.take(order).with_col("__key", enc[order])
     ctx.state[token] = sorted_batch
-    samples: list = []
-    if n:
-        step = max(1, n // ctx.p)
-        samples = [bytes(k) for k in sorted_batch.col("__key")[::step]]
-    return samples
+    step = max(1, n // ctx.p)
+    return [bytes(k) for k in sorted_batch.col("__key")[::step]]
 
 
 @register_phase("cgm.sort.partition_cols")
@@ -245,8 +248,10 @@ def _phase_merge_cols(ctx: ProcContext, payload) -> RecordBatch:
     """Columnar step 5: re-sort the concatenation of the received runs."""
     batch: RecordBatch = payload
     n = len(batch)
-    order = np.argsort(batch.col("__key"), kind="stable")
     ctx.charge(max(1, n) * max(1, n.bit_length()))
+    if not n:
+        return batch
+    order = np.argsort(batch.col("__key"), kind="stable")
     return batch.take(order)
 
 

@@ -452,7 +452,7 @@ class DynamicDistributedRangeTree:
             if q.box.dim != self.dim:
                 raise DimensionMismatch(self.dim, q.box.dim, f"query {qid} box")
         mach = self.machine
-        snap = mach.metrics.snapshot()
+        snap = mach.metrics.mark()
         combiner = EpochCombiner(
             batch, self.semigroup, self.dim, self._coords_of
         )

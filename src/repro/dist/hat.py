@@ -487,6 +487,7 @@ class CompiledHat:
         "agg_obj",
         "agg_kernel",
         "agg_mat",
+        "idle",
     )
 
     def __init__(self, **arrays: Any) -> None:
@@ -558,7 +559,7 @@ class CompiledHat:
                 agg_mat = agg_kernel.encode([v.agg for v in nodes])
             except (TypeError, ValueError):
                 agg_kernel = None
-        return cls(
+        compiled = cls(
             d=d,
             leaf_level=leaf_lvl,
             dim=np.fromiter((v.dim for v in nodes), np.int64, len(nodes)),
@@ -578,7 +579,13 @@ class CompiledHat:
             agg_obj=agg_obj,
             agg_kernel=agg_kernel,
             agg_mat=agg_mat,
+            idle=None,
         )
+        # What a rank holding no queries returns: the walk's own output
+        # for an empty slice, computed once (zero-row columns, nothing in
+        # them to mutate) so an idle rank does no numpy work per pass.
+        compiled.idle = compiled.walk_batch(0, [], False)
+        return compiled
 
     @property
     def size_nodes(self) -> int:
@@ -599,8 +606,11 @@ class CompiledHat:
         subqueries (byte-identical to the per-record pack), and the
         per-query visited-node counts for Theorem 3 ``charge``
         accounting (empty boxes visit nothing, as in :meth:`Hat.walk`).
+        An empty slice returns the shared zero-row :attr:`idle` triple.
         """
         nq = len(boxes)
+        if not nq and self.idle is not None:
+            return self.idle
         d = self.d
         if nq:
             los = np.asarray([b.los for b in boxes], dtype=np.int64)

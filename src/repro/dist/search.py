@@ -20,11 +20,13 @@ number of h-relations:
    the data (the Corollary tests measure exactly this).  The *schedule*
    is computed in the driver (it is data-independent —
    :func:`repro.cgm.loadbalance.replication_schedule`); the element
-   stores move between ranks through pack/unpack phases and land in the
-   receiving rank's replica cache.  Like every exchange, the transfer is
-   routed via the driver's deterministic merge — on the process backend
-   that means one pickle up and one down per round, the heaviest payload
-   in the pipeline (in-process backends pass references).
+   stores move between ranks through pack/unpack phases — dispatched
+   only for a round that moves a store; an empty round is recorded and
+   nothing more — and land in the receiving rank's replica cache.  Like
+   every exchange, the transfer is routed via the driver's
+   deterministic merge — on the process backend that means one pickle
+   up and one down per round, the heaviest payload in the pipeline
+   (in-process backends pass references).
 4. **Subquery routing** (1 round): owner ``j``'s subqueries are split
    into ``c_j`` chunks of at most ``ceil(|Q'|/p)`` and routed to the
    copy holders, so no processor serves more than ``O(|Q'|/p)``.
@@ -138,7 +140,7 @@ def _expand_routing_cols(
     forest ids come from the same heap arithmetic the selection codec
     unpacks with, so no record objects are built.
     """
-    if not expand:
+    if not expand or not len(selections):
         return None
     sel_mask = _flag_mask(expand, selections.col("qid"))
     rows = np.nonzero(sel_mask)[0]
@@ -191,8 +193,11 @@ def _phase_walk_cols(ctx: ProcContext, payload) -> tuple:
     and returns both outputs column-packed — selections as a
     ``dist.hat_selection_cols`` batch (lazy-unpacking to the records
     :meth:`Hat.walk` emits, in the same order), subqueries as the routing
-    batch the step-4 exchange ships.  The per-query visit counts charge
-    the same Theorem 3 total as per-query :meth:`Hat.walk` calls.
+    batch the step-4 exchange ships, plus this rank's share of step 2's
+    demand count (subqueries per owner — nothing is exchanged between the
+    walk and the count, so they are one phase).  The per-query visit
+    counts charge the same Theorem 3 total as per-query :meth:`Hat.walk`
+    calls.
 
     Also resets the pass-local replica cache — stale copies from a
     previous batch must never serve this one.
@@ -203,10 +208,37 @@ def _phase_walk_cols(ctx: ProcContext, payload) -> tuple:
     sels, routing, visits = hat.compiled().walk_batch(
         qlo, boxes, _normalize_flag(collect)
     )
-    total = int(visits.sum())
-    if total:
-        ctx.charge(total)
-    return sels, routing
+    if len(visits):
+        ctx.charge(int(visits.sum()))
+    demand = np.bincount(np.asarray(routing.col("location")), minlength=ctx.p)
+    return sels, routing, demand
+
+
+def _forest_output(qid, forest_id, nleaves, agg, pids, pair_qid, pair_pid) -> tuple:
+    """Step 5's result: the selection batch and the in-pass report pairs."""
+    return (
+        RecordBatch(
+            "dist.forest_selection",
+            {
+                "qid": qid,
+                "forest_id": forest_id,
+                "nleaves": nleaves,
+                "agg": agg,
+                "pid_tuple": pids,
+            },
+            len(qid),
+        ),
+        RecordBatch("dist.report_pair", {"qid": pair_qid, "pid": pair_pid}),
+    )
+
+
+_NO_ROWS = np.empty(0, dtype=np.int64)
+_NO_PATHS = Ragged.concat([])
+#: What a rank with an empty inbox returns from step 5 (an object ``agg``
+#: column, as for any inbox whose walks select nothing).
+_NO_FOREST_ROWS = _forest_output(
+    _NO_ROWS, _NO_PATHS, _NO_ROWS, np.empty(0, dtype=object), _NO_PATHS, _NO_ROWS, _NO_ROWS
+)
 
 
 @register_phase("dist.search.forest_cols")
@@ -228,6 +260,8 @@ def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
     subquery, ``nleaves`` per expand).
     """
     inbox, ns, collect_pids = payload
+    if not len(inbox):
+        return _NO_FOREST_ROWS
     r = ctx.rank
     forest = ctx.state.get(forest_key(ns)) or {}
     holders = ctx.state.get(_holders_key(ns)) or {}
@@ -283,25 +317,15 @@ def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
         want_mask,
         ctx.charge,
     )
-    selections = RecordBatch(
-        "dist.forest_selection",
-        {
-            "qid": qid_col[sel_rows],
-            "forest_id": fid_col.take(sel_rows),
-            "nleaves": nleaves,
-            "agg": agg_col,
-            "pid_tuple": pid_ragged,
-        },
-        len(sel_rows),
+    return _forest_output(
+        qid_col[sel_rows],
+        fid_col.take(sel_rows),
+        nleaves,
+        agg_col,
+        pid_ragged,
+        np.concatenate(pair_qids) if pair_qids else _NO_ROWS,
+        np.concatenate(pair_pids) if pair_pids else _NO_ROWS,
     )
-    pairs = RecordBatch(
-        "dist.report_pair",
-        {
-            "qid": np.concatenate(pair_qids) if pair_qids else np.empty(0, np.int64),
-            "pid": np.concatenate(pair_pids) if pair_pids else np.empty(0, np.int64),
-        },
-    )
-    return selections, pairs
 
 
 @register_phase("dist.search.replicate_pack")
@@ -424,17 +448,11 @@ def _run_search_resident(
     local_subqs = [w[1] for w in walked]
 
     # -- step 2: demand per forest group (one all-gather) ------------------
-    local_demand = [
-        tuple(
-            int(x)
-            for x in np.bincount(
-                np.asarray(local_subqs[r].col("location")), minlength=p
-            )
-        )
-        for r in range(p)
-    ]
-    demand_matrix = allgather(mach, local_demand, label="search:demands")[0]
-    demands = [sum(row[j] for row in demand_matrix) for j in range(p)]
+    demand_matrix = np.stack(
+        allgather(mach, [w[2] for w in walked], label="search:demands")[0]
+    )
+    per_owner = demand_matrix.sum(axis=0)
+    demands = per_owner.tolist()
     total = sum(demands)
     copy_counts = compute_copy_counts(demands, total, p)
     targets = assign_copies_round_robin(copy_counts, p)
@@ -444,34 +462,28 @@ def _run_search_resident(
 
     # -- step 4: split each owner's subqueries over its copies and route ---
     # Owner j's subqueries are numbered globally (rank-major, then local
-    # order); subquery number g goes to copy ``g // per_copy[j]``.  The
-    # arithmetic runs as arrays (occurrence index per owner via boolean
-    # masks — p is small), then one routed exchange of whole batches.
-    # Subqueries precede expansion requests per source.
-    per_copy = [max(1, -(-demands[j] // len(targets[j]))) for j in range(p)]
-    offsets = [
-        [sum(demand_matrix[q][j] for q in range(r)) for j in range(p)]
-        for r in range(p)
-    ]
-    per_copy_arr = np.asarray(per_copy, dtype=np.int64)
+    # order) — their occurrence index in the rank-major concatenation of
+    # the location columns, read off one stable argsort — and subquery
+    # number g goes to copy ``g // per_copy[j]``.  One pass over all
+    # subqueries, then one routed exchange of whole batches.  Subqueries
+    # precede expansion requests per source.
     tlen = np.asarray([len(t) for t in targets], dtype=np.int64)
+    per_copy = np.maximum(1, -(-per_owner // tlen))
     tmat = np.zeros((p, int(tlen.max())), dtype=np.int64)
     for j in range(p):
         tmat[j, : len(targets[j])] = targets[j]
+    loc = np.concatenate([np.asarray(b.col("location")) for b in local_subqs])
+    order = np.argsort(loc, kind="stable")
+    first = np.cumsum(per_owner) - per_owner  # start of owner j's sorted run
+    gidx = np.empty(total, dtype=np.int64)
+    gidx[order] = np.arange(total, dtype=np.int64) - first[loc[order]]
+    dest_all = tmat[loc, np.minimum(gidx // per_copy[loc], tlen[loc] - 1)]
+    ends = np.cumsum([len(b) for b in local_subqs])
     routed: List[RecordBatch] = []
     dests: List[np.ndarray] = []
     for r in range(p):
         subq_b = local_subqs[r]
-        n_r = len(subq_b)
-        loc = np.asarray(subq_b.col("location"))
-        occ = np.empty(n_r, dtype=np.int64)
-        offs_r = np.asarray(offsets[r], dtype=np.int64)
-        for j in range(p):
-            mask = loc == j
-            occ[mask] = np.arange(int(mask.sum()), dtype=np.int64)
-        gidx = offs_r[loc] + occ if n_r else np.empty(0, dtype=np.int64)
-        copy = np.minimum(gidx // per_copy_arr[loc], tlen[loc] - 1)
-        dest = tmat[loc, copy]
+        dest = dest_all[ends[r] - len(subq_b) : ends[r]]
         exp_b = _expand_routing_cols(hat_selections[r], expand, d)
         if exp_b is not None:
             routed.append(RecordBatch.concat([subq_b, exp_b]))
@@ -490,6 +502,8 @@ def _run_search_resident(
     )
     subqueries_per_proc = [
         int((np.asarray(box.col("kind")) == RoutingCodec.KIND_SUBQUERY).sum())
+        if len(box)
+        else 0
         for box in inboxes
     ]
 
@@ -529,20 +543,28 @@ def _replicate_stores(
     independent of n" claim holds by construction, not by luck); the
     stores move between ranks via the pack/unpack phases — routed, like
     every exchange, through the driver's deterministic merge — and stay
-    in each holder's rank-resident replica cache.
+    in each holder's rank-resident replica cache.  Rounds, not
+    dispatches, are the data-independent observable: a round whose
+    schedule is empty is still recorded, with nothing sent.
     """
     p = mach.p
     fixed = ilog2(p) if strategy == "doubling" else None
     schedule = replication_schedule(p, targets, strategy, fixed_rounds=fixed)
     for rnd, transfers in enumerate(schedule):
-        instructions: List[List[tuple]] = [[] for _ in range(p)]
-        for sender, owner, dest in transfers:
-            instructions[sender].append((owner, dest))
-        rows = mach.run_phase(
-            f"search:replicate:pack-{rnd}",
-            "dist.search.replicate_pack",
-            [(instructions[r], ns) for r in range(p)],
-        )
+        # Every scheduled round is *recorded* (the round count is the
+        # data-independent observable); pack/unpack are dispatched only
+        # when the round moves a store — an empty one costs no rank a call.
+        if transfers:
+            instructions: List[List[tuple]] = [[] for _ in range(p)]
+            for sender, owner, dest in transfers:
+                instructions[sender].append((owner, dest))
+            rows = mach.run_phase(
+                f"search:replicate:pack-{rnd}",
+                "dist.search.replicate_pack",
+                [(instructions[r], ns) for r in range(p)],
+            )
+        else:
+            rows = mach.empty_outboxes()
         round_label = (
             "search:replicate:direct"
             if strategy == "direct"
@@ -561,8 +583,9 @@ def _replicate_stores(
                 for el in rec[1].values()
             ),
         )
-        mach.run_phase(
-            f"search:replicate:unpack-{rnd}",
-            "dist.search.replicate_unpack",
-            [(inboxes[r], ns) for r in range(p)],
-        )
+        if transfers:
+            mach.run_phase(
+                f"search:replicate:unpack-{rnd}",
+                "dist.search.replicate_unpack",
+                [(inboxes[r], ns) for r in range(p)],
+            )

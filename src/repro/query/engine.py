@@ -347,7 +347,7 @@ class QueryEngine:
         if plan.annotation_token is not tree.semigroup:
             plan = self.plan(plan.batch)
         batch = plan.batch
-        snap = tree.machine.metrics.snapshot()
+        snap = tree.machine.metrics.mark()
 
         # Lazy annotation refit: local work + one broadcast round, cached.
         if plan.refit_semigroup is not None:
@@ -578,6 +578,9 @@ class QueryEngine:
         has_hv = np.fromiter(
             (s.hat_value is not None for s in specs), dtype=bool, count=n_specs
         )
+        has_fv = np.fromiter(
+            (s.forest_value is not None for s in specs), dtype=bool, count=n_specs
+        )
 
         def hat_part_cols(hb: RecordBatch) -> "tuple | None":
             """Hat fold pieces straight from the compiled walk's columns.
@@ -587,6 +590,8 @@ class QueryEngine:
             per fold kind); only object-fold specs call ``hat_value``
             per row, through the shared lazy row view.
             """
+            if not len(hb):
+                return None
             hqid = np.asarray(hb.col("qid"))
             hidx = np.nonzero(has_hv[hqid])[0]
             if not len(hidx):
@@ -626,6 +631,15 @@ class QueryEngine:
                         )
             return part(hq_col, None, h_val, h_kval)
 
+        no_cols = {
+            "qid": np.empty(0, dtype=np.int64),
+            "pid": np.empty(0, dtype=np.int64),
+            "val": np.empty(0, dtype=object),
+        }
+        if W:
+            no_cols["kval"] = np.zeros((0, W), dtype=np.float64)
+        no_pieces = RecordBatch("query.piece", no_cols)  # every idle rank's batch
+
         batches: List[RecordBatch] = []
         for r in range(p):
             parts = []
@@ -634,11 +648,6 @@ class QueryEngine:
             if len(fb):
                 fqid = np.asarray(fb.col("qid"))
                 rep = is_report[fqid]
-                has_fv = np.fromiter(
-                    (s.forest_value is not None for s in specs),
-                    dtype=bool,
-                    count=n_specs,
-                )
                 fidx = np.nonzero(~rep & has_fv[fqid])[0]
                 if len(fidx):
                     fq_col = fqid[fidx]
@@ -689,22 +698,16 @@ class QueryEngine:
             if len(pb):
                 parts.append(part(pb.col("qid"), pb.col("pid"), None))
             parts = [x for x in parts if x is not None]
-            if parts:
-                cols = {
-                    "qid": np.concatenate([x[0] for x in parts]),
-                    "pid": np.concatenate([x[1] for x in parts]),
-                    "val": np.concatenate([x[2] for x in parts]),
-                }
-                if W:
-                    cols["kval"] = np.concatenate([x[3] for x in parts])
-            else:
-                cols = {
-                    "qid": np.empty(0, dtype=np.int64),
-                    "pid": np.empty(0, dtype=np.int64),
-                    "val": np.empty(0, dtype=object),
-                }
-                if W:
-                    cols["kval"] = np.zeros((0, W), dtype=np.float64)
+            if not parts:
+                batches.append(no_pieces)
+                continue
+            cols = {
+                "qid": np.concatenate([x[0] for x in parts]),
+                "pid": np.concatenate([x[1] for x in parts]),
+                "val": np.concatenate([x[2] for x in parts]),
+            }
+            if W:
+                cols["kval"] = np.concatenate([x[3] for x in parts])
             batches.append(RecordBatch("query.piece", cols))
 
         ordered = sample_sort_cols(

@@ -47,10 +47,14 @@ class TestCrashChaos:
     def test_worker_crash_with_recovery_is_bit_identical(self):
         baseline = _fault_free()
         plan = FaultPlan(
+            # mid-pass: rank 1 dies entering step 5, after its walk ran and
+            # the subqueries were routed.  (Occurrences count per concrete
+            # site, and a pass that replicates nothing dispatches each
+            # search phase once — a glob with at=2 would never fire.)
             rules=(
-                FaultRule("dist.search.*", "crash", rank=1, at=2),
+                FaultRule("dist.search.forest_cols", "crash", rank=1, at=1),
             ),
-            name="crash-rank1-2nd-search-dispatch",
+            name="crash-rank1-forest-dispatch",
         )
         pts = make_points("uniform", N, D, seed=9)
         backend = ProcessBackend(recovery=True)

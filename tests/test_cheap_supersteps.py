@@ -1,0 +1,345 @@
+"""Cheap supersteps: an idle rank and an empty round cost (almost) nothing,
+and nothing the theorems observe moved to get there.
+
+A one-query pass runs the same phases, the same comm rounds under the
+same labels, and charges the same ops and h-relations as a full batch's
+pass; what it no longer does is dispatch pack/unpack for replication
+rounds that move no store, size one broadcast list ``p`` times, or run
+numpy over zero rows.  The tables below were taken at the commit before
+that change (b659289) and must keep holding.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+import numpy as np
+import pytest
+
+import repro.cgm.machine as machine_mod
+from repro.cgm import Machine
+from repro.cgm.collectives import allgather
+from repro.cgm.columns import Ragged, RecordBatch
+from repro.cgm.metrics import Metrics
+from repro.cgm.phases import ProcContext, get_phase
+from repro.cgm.sort import sample_sort_cols
+from repro.dist import DistributedRangeTree
+from repro.errors import InjectedFault
+from repro.faults import FaultPlan, FaultRule, injected
+from repro.geometry.box import Box, RankBox
+from repro.query import aggregate, count, report
+from repro.semigroup import sum_of_dim
+from repro.semigroup.kernels import KernelColumn
+from repro.seq import bf_count
+from repro.workloads import make_points
+
+from tests.helpers import unkernelized
+
+BOX = Box(((0.2, 0.7), (0.1, 0.6)))
+HOT = Box(((0.0, 0.25), (0.0, 1.0)))
+MODES = {"count": count, "report": report, "aggregate": aggregate}
+
+TAIL = [
+    "search:route-subqueries",
+    "query:demux:sort:samples",
+    "query:demux:sort:route",
+    "query:demux:sort:balance-count",
+    "query:demux:sort:balance",
+    "query:demux:runs",
+]
+
+
+def expected_labels(p: int, strategy: str) -> list:
+    if strategy == "direct":
+        replicate = ["search:replicate:direct"]
+    else:
+        replicate = [
+            f"search:replicate:double-{i}" for i in range(p.bit_length() - 1)
+        ]
+    return ["search:demands"] + replicate + TAIL
+
+
+#: (mode, strategy, p) -> (rounds, total charged ops, records routed, max h,
+#: sha1[:12] of repr([(label, sent, received) per comm round])) of the pass
+#: answering ``BOX`` alone over make_points("uniform", 256, 2, seed=5) —
+#: measured at b659289, before idle ranks and empty rounds got cheap.
+PARENT_PASS = {
+    ("count", "doubling", 2): (8, 243, 62, 11, "5f3c2da6ded2"),
+    ("count", "direct", 2): (8, 243, 62, 11, "92f625dbfc12"),
+    ("report", "doubling", 2): (8, 946, 170, 41, "d28882e25387"),
+    ("report", "direct", 2): (8, 946, 170, 41, "25cdb74d9ed6"),
+    ("aggregate", "doubling", 2): (8, 243, 62, 11, "5f3c2da6ded2"),
+    ("aggregate", "direct", 2): (8, 243, 62, 11, "92f625dbfc12"),
+    ("count", "doubling", 4): (9, 222, 145, 24, "3713af3d967c"),
+    ("count", "direct", 4): (8, 222, 145, 24, "63b6c874ca3f"),
+    ("report", "doubling", 4): (9, 880, 251, 33, "4406c5c63cad"),
+    ("report", "direct", 4): (8, 880, 251, 33, "8b00e7e4f583"),
+    ("aggregate", "doubling", 4): (9, 222, 145, 24, "3713af3d967c"),
+    ("aggregate", "direct", 4): (8, 222, 145, 24, "63b6c874ca3f"),
+    ("count", "doubling", 8): (10, 194, 387, 48, "b58fccf49a20"),
+    ("count", "direct", 8): (8, 194, 387, 48, "021088d42e04"),
+    ("report", "doubling", 8): (10, 755, 717, 96, "fb0a458a19cf"),
+    ("report", "direct", 8): (8, 755, 717, 96, "ba546660a891"),
+    ("aggregate", "doubling", 8): (10, 194, 387, 48, "b58fccf49a20"),
+    ("aggregate", "direct", 8): (8, 194, 387, 48, "021088d42e04"),
+}
+
+
+def _comm(metrics: Metrics) -> list:
+    return [(s.label, s.sent, s.received) for s in metrics.comm_steps()]
+
+
+def _dispatches(metrics: Metrics) -> list:
+    return [s.label for s in metrics.compute_steps()]
+
+
+# ---------------------------------------------------------------------------
+# (a) the pass shape of one query is the parent's
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("p", [2, 4, 8])
+def test_one_query_pass_shape_is_the_parents(p):
+    pts = make_points("uniform", 256, 2, seed=5)
+    with DistributedRangeTree.build(pts, p=p) as tree:
+        for mode, make in MODES.items():
+            for strategy in ("doubling", "direct"):
+                m = tree.run([make(BOX)], replication=strategy).metrics
+                comm = _comm(m)
+                assert [c[0] for c in comm] == expected_labels(p, strategy)
+                digest = hashlib.sha1(repr(comm).encode()).hexdigest()[:12]
+                got = (m.rounds, m.total_work, m.total_volume, m.max_h, digest)
+                assert got == PARENT_PASS[(mode, strategy, p)], (mode, strategy)
+                # nothing to replicate: no pack/unpack dispatch, five in all
+                assert _dispatches(m) == [
+                    "search:walk",
+                    "search:forest",
+                    "query:demux:sort:local-sort",
+                    "query:demux:sort:partition",
+                    "query:demux:sort:merge",
+                ]
+
+
+def test_one_query_and_full_batch_share_the_round_sequence():
+    pts = make_points("uniform", 256, 2, seed=5)
+    boxes = [Box(((0.01 * i, 0.3 + 0.01 * i), (0.2, 0.9))) for i in range(48)]
+    with DistributedRangeTree.build(pts, p=8) as tree:
+        one = tree.run([count(BOX)]).metrics
+        full = tree.run([count(b) for b in boxes]).metrics
+    assert [c[0] for c in _comm(one)] == [c[0] for c in _comm(full)]
+
+
+# ---------------------------------------------------------------------------
+# (b) a batch that does replicate still ships the stores
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("strategy", ["doubling", "direct"])
+def test_hot_spot_still_dispatches_pack_and_unpack(strategy):
+    pts = make_points("uniform", 64, 2, seed=42)
+    with DistributedRangeTree.build(pts, p=4) as tree:
+        out = tree.search([HOT] * 20, replication=strategy)
+        assert max(out.copy_counts) > 1
+        rs = tree.run([count(HOT)] * 20, replication=strategy)
+    assert rs.values() == [bf_count(pts, HOT)] * 20
+    m = rs.metrics
+    shipped = [
+        s for s in m.comm_steps() if s.label.startswith("search:replicate")
+    ]
+    moving = [s for s in shipped if s.volume]
+    assert moving and all(s.volume_bytes for s in moving)
+    # pack/unpack run for exactly the rounds that move a store ...
+    assert sum("replicate:pack" in l for l in _dispatches(m)) == len(moving)
+    assert sum("replicate:unpack" in l for l in _dispatches(m)) == len(moving)
+    # ... while every scheduled round is recorded either way
+    assert [c[0] for c in _comm(m)] == expected_labels(4, strategy)
+
+
+# ---------------------------------------------------------------------------
+# (c) zero-row outputs have the general path's schema
+# ---------------------------------------------------------------------------
+def _schema(batch: RecordBatch) -> list:
+    out = []
+    for name, col in batch.cols.items():
+        if isinstance(col, Ragged):
+            out.append((name, "ragged", col.uniform_width(), col.flat.dtype))
+        elif isinstance(col, KernelColumn):
+            out.append((name, "kernel", col.kernel.name, col.data.shape[1:]))
+        else:
+            out.append((name, "array", col.dtype, col.shape[1:]))
+    return [(batch.codec_name, len(batch))] + out
+
+
+@pytest.mark.parametrize("kernelised", [True, False])
+def test_zero_row_walk_and_forest_match_the_general_path(kernelised):
+    sg = sum_of_dim(0) if kernelised else unkernelized(sum_of_dim(0))
+    pts = make_points("uniform", 64, 2, seed=11)
+    nothing = RankBox((5, 5), (4, 9))  # empty in dimension 0: selects nothing
+    with DistributedRangeTree.build(pts, p=4, semigroup=sg) as tree:
+        hat = tree.hat.compiled()
+        idle = hat.walk_batch(3, [], frozenset({3}))
+        general = hat.walk_batch(3, [nothing], frozenset({3}))
+        assert ("kenc" in idle[0].cols) == kernelised
+        assert _schema(idle[0]) == _schema(general[0])
+        assert _schema(idle[1]) == _schema(general[1])
+        assert idle[2].dtype == general[2].dtype and len(idle[2]) == 0
+
+        # step 5: an empty inbox vs an inbox whose one subquery selects nothing
+        ns = tree._ensure_resident()
+        mach = tree.machine
+        _sels, routing, _visits = hat.walk_batch(
+            0, [tree.ranked.to_rank_box(BOX)], False
+        )
+        assert len(routing)
+        one = routing.take(np.array([0]))
+        owner = int(one.col("location")[0])
+        missing = one.with_col("los", np.asarray(one.col("his")) + 1)
+        forest_cols = get_phase("dist.search.forest_cols")
+
+        def step5(inbox):
+            ctx = ProcContext(
+                rank=owner, p=mach.p, state=mach.backend.states(mach.p)[owner]
+            )
+            return forest_cols(ctx, (inbox, ns, False)), ctx.ops
+
+        (idle_sel, idle_pairs), idle_ops = step5(routing.take(np.array([], int)))
+        (gen_sel, gen_pairs), gen_ops = step5(missing)
+        assert _schema(idle_sel) == _schema(gen_sel)
+        assert _schema(idle_pairs) == _schema(gen_pairs)
+        assert (idle_ops, gen_ops) == (0, 1)  # max(1, visits) per subquery
+
+
+def test_zero_row_sort_phases():
+    with Machine(4) as mach:
+        state = mach.backend.states(4)[2]
+        ctx = ProcContext(rank=2, p=4, state=state)
+        empty = RecordBatch(
+            "query.piece",
+            {
+                "qid": np.empty(0, np.int64),
+                "pid": np.empty(0, np.int64),
+                "val": np.empty(0, object),
+            },
+        )
+        assert get_phase("cgm.sort.local_cols")(ctx, (empty, ("qid",), "t")) == []
+        assert get_phase("cgm.sort.partition_cols")(ctx, ([b"x"], "t")) == [None] * 4
+        assert "t" not in state
+        merged = get_phase("cgm.sort.merge_cols")(ctx, empty)
+        assert _schema(merged) == _schema(empty)
+        assert ctx.ops == 1 + 0 + 1  # what sorting nothing has always charged
+
+        # the whole sort over nothing: schema-shaped output (and, as ever,
+        # no final balance route once the count round has summed to zero)
+        out = sample_sort_cols(mach, [empty] * 4, ("qid",), label="s")
+        assert [_schema(b) for b in out] == [_schema(empty)] * 4
+        assert [s.label for s in mach.metrics.comm_steps()] == [
+            "s:samples",
+            "s:route",
+            "s:balance-count",
+        ]
+
+
+def test_zero_row_batch_primitives():
+    ragged = Ragged.from_rows([[1, 2], [3]])
+    none = ragged.take(np.empty(0, np.int64))
+    assert len(none) == 0 and none.offsets.tolist() == [0] and none.flat.dtype == np.int64
+    full = RecordBatch("query.piece", {"qid": np.arange(3), "path": ragged.take([0, 1, 0])})
+    empty = RecordBatch.empty_like(full)
+    assert _schema(empty)[1:] == [
+        ("qid", "array", np.dtype(np.int64), ()),
+        ("path", "ragged", 0, np.dtype(np.int64)),
+    ]
+    assert RecordBatch.concat([empty, full, empty]) is full
+    assert RecordBatch.concat([empty, empty]) is empty
+    both = RecordBatch.concat([full, empty, full])
+    assert len(both) == 6 and both.col("path").lengths.tolist() == [2, 1, 2] * 2
+
+
+# ---------------------------------------------------------------------------
+# (e) record-list rounds: deterministic bytes, sized once, no generator objects
+# ---------------------------------------------------------------------------
+def test_record_list_round_bytes_are_deterministic_and_sized_once(monkeypatch):
+    made = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    pts = make_points("uniform", 512, 2, seed=13)
+    boxes = [Box(((0.01 * i, 0.4 + 0.01 * i), (0.1, 0.8))) for i in range(40)]
+    batch = [(count, report, aggregate)[i % 3](b) for i, b in enumerate(boxes)]
+    by_round = []
+    for _ in range(2):
+        with DistributedRangeTree.build(pts, p=8) as tree:
+            monkeypatch.setattr(random, "Random", CountingRandom)
+            by_round.append(tree.run(batch).metrics.comm_bytes_by_round())
+            monkeypatch.undo()
+    assert by_round[0] == by_round[1]
+    assert all(r["bytes"] > 0 for r in by_round[0] if r["records"])
+    assert made == []
+
+    # a broadcast list is sized once per source, not once per destination
+    sized = []
+    real = machine_mod.estimate_box_nbytes
+    monkeypatch.setattr(
+        machine_mod, "estimate_box_nbytes", lambda box: sized.append(box) or real(box)
+    )
+    with Machine(8) as mach:
+        allgather(mach, [(r, r) for r in range(8)], label="g")
+        step = mach.metrics.steps[-1]
+    assert len(sized) == 8
+    assert step.sent == (8,) * 8 and step.received == (8,) * 8
+    assert step.sent_bytes == (8 * real([(0, 0)]),) * 8
+
+
+# ---------------------------------------------------------------------------
+# satellite: per-pass metrics cost nothing of the uptime
+# ---------------------------------------------------------------------------
+def test_pass_metrics_do_not_depend_on_or_copy_history(monkeypatch):
+    pts = make_points("uniform", 128, 2, seed=17)
+
+    def pass_trace(preceding: int):
+        with DistributedRangeTree.build(pts, p=4) as tree:
+            tree.reset_metrics()
+            for _ in range(preceding):
+                tree.metrics.record_compute("uptime:filler", [0] * 4, [0.0] * 4)
+            monkeypatch.setattr(
+                Metrics, "snapshot", lambda self: pytest.fail("history copied")
+            )
+            rs = tree.run([count(BOX), report(BOX)])
+            monkeypatch.undo()
+            assert type(tree.metrics.steps) is list
+            assert len(tree.metrics.steps) == preceding + len(rs.metrics.steps)
+            return [
+                (s.kind, s.label, s.ops, s.sent, s.received, s.sent_bytes)
+                for s in rs.metrics.steps
+            ], rs.metrics.summary()["rounds"]
+
+    assert pass_trace(0) == pass_trace(5000)
+
+
+def test_since_accepts_a_mark_or_a_snapshot():
+    m = Metrics()
+    m.record_comm("a", [1], [1])
+    mark, snap = m.mark(), m.snapshot()
+    m.record_comm("b", [2], [2])
+    assert mark == 1
+    assert [s.label for s in m.since(mark).steps] == ["b"]
+    assert [s.label for s in m.since(snap).steps] == ["b"]
+
+
+# ---------------------------------------------------------------------------
+# satellite: the replicate_pack fault site fires when (and only when) it runs
+# ---------------------------------------------------------------------------
+def test_replicate_pack_fault_fires_only_on_a_pass_that_replicates():
+    plan = FaultPlan(
+        rules=(FaultRule("dist.search.replicate_pack", "raise", count=0),),
+        name="poison-every-pack",
+    )
+    pts = make_points("uniform", 64, 2, seed=42)
+    with DistributedRangeTree.build(pts, p=4) as tree:
+        with injected(plan, env=False):
+            # nothing to replicate: the site is never dispatched, so never fires
+            assert tree.run([count(BOX)]).values() == [bf_count(pts, BOX)]
+            with pytest.raises(InjectedFault) as exc:
+                tree.run([count(HOT)] * 20)
+        assert exc.value.site == "dist.search.replicate_pack"
+        assert tree.run([count(HOT)] * 20).values() == [bf_count(pts, HOT)] * 20

@@ -38,9 +38,9 @@ def _mixed_batch(boxes) -> QueryBatch:
     return QueryBatch([cycle[i % 3](b) for i, b in enumerate(boxes)])
 
 
-def _fingerprint(backend: str, d: int, dist_name: str) -> tuple:
+def _fingerprint(backend: str, d: int, dist_name: str, m: int = 9) -> tuple:
     pts = make_points(dist_name, 48, d, seed=1000 + d)
-    boxes = random_boxes(np.random.default_rng(2000 + d), 9, d)
+    boxes = random_boxes(np.random.default_rng(2000 + d), 9, d)[:m]
     with DistributedRangeTree.build(pts, p=4, backend=backend) as tree:
         rs = tree.run(_mixed_batch(boxes))
         payload = rs.to_dict()
@@ -63,6 +63,16 @@ class TestCrossBackendDeterminism:
             assert other[0] == base[0], f"{backend} ResultSet.to_dict diverges"
             assert other[1] == base[1], f"{backend} superstep trace diverges"
             assert other[2] == base[2], f"{backend} forest layout diverges"
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_idle_ranks_bit_identical(self, m):
+        """One query leaves p-1 ranks idle in every phase, none leaves
+        them all idle: zero-row payloads must cross the process boundary
+        (and come back) exactly as they pass by reference in-process."""
+        base = _fingerprint("serial", 2, "uniform", m)
+        assert len(json.loads(base[0])["queries"]) == m
+        for backend in BACKENDS[1:]:
+            assert _fingerprint(backend, 2, "uniform", m) == base, backend
 
     def test_replication_strategies_identical_across_backends(self):
         """A hot spot (every query on one box) forces real copy traffic."""
