@@ -372,8 +372,6 @@ def route_balanced(
     """Redistribute items so every rank holds ``ceil(total/p)`` or fewer,
     preserving global rank-major order.  Two rounds (count + route)."""
     positions, total = global_positions(mach, locals_, label=f"{label}-count")
-    if total == 0:
-        return [[] for _ in range(mach.p)]
     chunk = -(-total // mach.p)  # ceil division
     out = mach.empty_outboxes()
     for r in range(mach.p):

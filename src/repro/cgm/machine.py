@@ -326,23 +326,20 @@ class Machine:
         without deep-walking the payloads).
         """
         self._validate_outboxes(outboxes)
-        if nbytes is None:
-            nbytes = lambda rec: weight(rec) * 32  # noqa: E731 - nominal record
-        sent = [
-            sum(weight(rec) for box in procbox for rec in box) for procbox in outboxes
-        ]
-        sent_bytes = [
-            sum(nbytes(rec) for box in procbox for rec in box)
-            for procbox in outboxes
-        ]
-        inboxes: list[list[Any]] = [[] for _ in range(self.p)]
+        sent = [0] * self.p
+        sent_bytes = [0] * self.p
         received = [0] * self.p
-        for src in range(self.p):
-            for dst in range(self.p):
-                box = outboxes[src][dst]
-                if box:
-                    inboxes[dst].extend(box)
-                    received[dst] += sum(weight(rec) for rec in box)
+        inboxes: list[list[Any]] = [[] for _ in range(self.p)]
+        # one ``weight`` (and one ``nbytes``) call per record: the callback
+        # may walk the payload, and sender and receiver share the number
+        for src, procbox in enumerate(outboxes):
+            for dst, box in enumerate(procbox):
+                inboxes[dst].extend(box)
+                for rec in box:
+                    w = weight(rec)
+                    sent[src] += w
+                    received[dst] += w
+                    sent_bytes[src] += w * 32 if nbytes is None else nbytes(rec)
         self.metrics.record_comm(label, sent, received, sent_bytes)
         self._note_storage(received)
         return inboxes

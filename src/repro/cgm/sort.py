@@ -273,10 +273,7 @@ def _route_balanced_cols(
     p = mach.p
     counts = [len(b) for b in batches]
     all_counts = allgather(mach, counts, label=f"{label}-count")[0]
-    total = sum(all_counts)
-    if total == 0:
-        return [_empty_keyed(template) for _ in range(p)]
-    chunk = -(-total // p)
+    chunk = -(-sum(all_counts) // p)
     outboxes: list[list] = [[None] * p for _ in range(p)]
     base = 0
     for r in range(p):

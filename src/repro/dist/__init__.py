@@ -334,12 +334,11 @@ class DistributedRangeTree:
         replication: str = "doubling",
     ) -> SearchOutput:
         """Run Algorithm Search for a batch of real-coordinate boxes."""
-        rank_boxes = [self.ranked.to_rank_box(b) for b in boxes]
         return run_search(
             self.machine,
             self.hat,
             self.forest_store,
-            rank_boxes,
+            self.ranked.to_rank_bounds(*Box.stack(boxes)),
             collect_leaves=collect_leaves,
             replication=replication,
             ns=self._ensure_resident(),

@@ -102,21 +102,17 @@ def _phase_scan(ctx: ProcContext, payload) -> list:
     so the scan is O(|buffer| · m) — the constant-size epoch-0 cost the
     logarithmic method trades for cheap inserts.
     """
-    ns, bounds = payload
+    ns, lo, hi = payload
     buf = ctx.state.get(buffer_key(ns)) or []
-    out: list = []
-    if buf and bounds:
-        for qid, lo, hi in bounds:
-            for pid, coords in buf:
-                inside = True
-                for c, l, h in zip(coords, lo, hi):
-                    if c < l or c > h:
-                        inside = False
-                        break
-                if inside:
-                    out.append((qid, pid))
-        ctx.charge(len(buf) * len(bounds))
-    return out
+    if not (buf and len(lo)):
+        return []
+    ctx.charge(len(buf) * len(lo))
+    return _closed_matches(
+        lo,
+        hi,
+        np.array([pid for pid, _coords in buf], dtype=np.int64),
+        np.array([coords for _pid, coords in buf], dtype=np.float64),
+    )
 
 
 @register_phase("dist.dynamic.clear")
@@ -169,13 +165,21 @@ def _records_bbox(records: List[Record], dim: int):
 def _bbox_hits_any(bbox, batch: QueryBatch) -> bool:
     """Does ``(mins, maxs)`` intersect at least one query box (closed)?"""
     mins, maxs = bbox
-    for q in batch:
-        lo, hi = q.box.lo, q.box.hi
-        if all(
-            mn <= h and mx >= l for mn, mx, l, h in zip(mins, maxs, lo, hi)
-        ):
-            return True
-    return False
+    lo, hi = batch.bounds
+    return len(lo) > 0 and bool(((lo <= maxs) & (hi >= mins)).all(axis=1).any())
+
+
+def _closed_matches(
+    lo: np.ndarray, hi: np.ndarray, ids: np.ndarray, xy: np.ndarray
+) -> List[Tuple[int, int]]:
+    """``(qid, ids[k])`` for every point ``xy[k]`` inside the closed box
+    ``[lo[qid], hi[qid]]`` — one broadcast comparison for the whole batch,
+    pairs ordered by qid, then by row ``k``."""
+    if not (len(lo) and len(ids)):
+        return []
+    inside = ((xy >= lo[:, None]) & (xy <= hi[:, None])).all(axis=2)
+    qid, k = np.nonzero(inside)
+    return list(zip(qid.tolist(), ids[k].tolist()))
 
 
 class DynamicDistributedRangeTree:
@@ -223,9 +227,12 @@ class DynamicDistributedRangeTree:
         self._buffer: Dict[int, Tuple[Tuple[float, ...], int]] = {}
         self._ids: set[int] = set()
         self._coords_by_id: Dict[int, Tuple[float, ...]] = {}
-        #: deleted-but-still-bucketed ids and their coordinates
+        #: deleted-but-still-bucketed ids, and their coordinates as a
+        #: sorted-id ``(t,)`` / ``(t, d)`` array pair (the dead-match scan
+        #: compares the whole batch against it at once)
         self._tombstones: set[int] = set()
-        self._dead_coords: Dict[int, Tuple[float, ...]] = {}
+        self._dead_ids = np.empty(0, dtype=np.int64)
+        self._dead_xy = np.empty((0, dim), dtype=np.float64)
         self._next_auto_id = 0
         self._route_counter = 0
         self._rebuild_points = 0
@@ -338,7 +345,9 @@ class DynamicDistributedRangeTree:
             mach.run_phase("dynamic:remove", "dist.dynamic.remove", payloads)
             return
         self._tombstones.add(pid)
-        self._dead_coords[pid] = coords
+        at = int(np.searchsorted(self._dead_ids, pid))
+        self._dead_ids = np.insert(self._dead_ids, at, pid)
+        self._dead_xy = np.insert(self._dead_xy, at, coords, axis=0)
         total = sum(len(b.records) for b in self._buckets.values())
         if self._tombstones and 2 * len(self._tombstones) >= total:
             self._compact()
@@ -426,7 +435,8 @@ class DynamicDistributedRangeTree:
             bucket.tree.close()
         self._buckets.clear()
         self._tombstones.clear()
-        self._dead_coords.clear()
+        self._dead_ids = self._dead_ids[:0]
+        self._dead_xy = self._dead_xy[:0]
         if live:
             self._absorb(live)
 
@@ -465,7 +475,7 @@ class DynamicDistributedRangeTree:
         for level in sorted(self._buckets):
             bucket = self._buckets[level]
             if bucket.bbox is not None and not _bbox_hits_any(
-                bucket.bbox, batch
+                bucket.bbox, sub
             ):
                 if empty_values is None:
                     empty_values = combiner.empty_epoch_values()
@@ -473,7 +483,7 @@ class DynamicDistributedRangeTree:
                 self._pruned_bucket_passes += 1
                 continue
             epoch_values.append(bucket.tree.run(sub).values())
-        buffered_ids, dead_ids = self._side_matches(batch)
+        buffered_ids, dead_ids = self._side_matches(sub)
         answers = combiner.finalize_all(epoch_values, buffered_ids, dead_ids)
         results = [
             QueryResult(qid=qid, mode=q.mode, query=q, value=v)
@@ -488,18 +498,11 @@ class DynamicDistributedRangeTree:
     ) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
         """Per-query buffered matches (one scan phase) and dead matches."""
         mach = self.machine
-        bounds = tuple(
-            (
-                qid,
-                tuple(float(x) for x in q.box.lo),
-                tuple(float(x) for x in q.box.hi),
-            )
-            for qid, q in enumerate(batch)
-        )
+        lo, hi = batch.bounds
         per_rank = mach.run_phase(
             "dynamic:scan",
             "dist.dynamic.scan",
-            [(self._ns, bounds)] * mach.p,
+            [(self._ns, lo, hi)] * mach.p,
         )
         buffered: Dict[int, List[int]] = {}
         for r in range(mach.p):
@@ -508,22 +511,15 @@ class DynamicDistributedRangeTree:
         for ids in buffered.values():
             ids.sort()
         dead: Dict[int, List[int]] = {}
-        if self._dead_coords:
-            dead_items = sorted(self._dead_coords.items())
-            for qid, q in enumerate(batch):
-                hits = [
-                    pid
-                    for pid, coords in dead_items
-                    if q.box.contains_point(coords)
-                ]
-                if hits:
-                    dead[qid] = hits
+        for qid, pid in _closed_matches(lo, hi, self._dead_ids, self._dead_xy):
+            dead.setdefault(qid, []).append(pid)
         return buffered, dead
 
     def _coords_of(self, pid: int) -> Tuple[float, ...]:
         coords = self._coords_by_id.get(pid)
         if coords is None:
-            coords = self._dead_coords[pid]
+            at = int(np.searchsorted(self._dead_ids, pid))
+            coords = tuple(self._dead_xy[at].tolist())
         return coords
 
     # ------------------------------------------------------------------

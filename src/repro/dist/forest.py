@@ -52,6 +52,7 @@ class ForestElement:
         "values",
         "semigroup",
         "tree",
+        "size_records",
         "_pids_arr",
         "_all_pids_arr",
         "_pid_block",
@@ -81,6 +82,12 @@ class ForestElement:
         )
         self.semigroup = semigroup
         self.tree = RangeTree(self.ranks, self.values, semigroup, start_dim=dim)
+        #: Total leaf records across the element's segment trees: its
+        #: contribution to the ``O(s/p)`` memory of Theorem 1(ii) and the
+        #: weight Search charges for replicating it.  Fixed by topology,
+        #: so counted once here — it survives ``reannotate`` and travels
+        #: in pickles (structure, not one of the ``_CACHE_SLOTS``).
+        self.size_records = self.tree.space_leaves()
         self._pids_arr: "np.ndarray | None" = None
         self._all_pids_arr: "np.ndarray | None" = None
         self._pid_block: "np.ndarray | None" = None
@@ -115,15 +122,6 @@ class ForestElement:
     def seg(self) -> Tuple[int, int]:
         """Closed rank interval covered in the element's own dimension."""
         return self.tree.root_tree.seg.seg(1)
-
-    @property
-    def size_records(self) -> int:
-        """Total leaf records across the element's segment trees.
-
-        This is the element's contribution to the ``O(s/p)`` memory of
-        Theorem 1(ii), and the weight used when Search replicates it.
-        """
-        return self.tree.space_leaves()
 
     def root_info(self) -> ForestRootInfo:
         """The summary Construct step 5 broadcasts for the hat build."""

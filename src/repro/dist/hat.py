@@ -584,7 +584,8 @@ class CompiledHat:
         # What a rank holding no queries returns: the walk's own output
         # for an empty slice, computed once (zero-row columns, nothing in
         # them to mutate) so an idle rank does no numpy work per pass.
-        compiled.idle = compiled.walk_batch(0, [], False)
+        none = np.zeros((0, d), dtype=np.int64)
+        compiled.idle = compiled.walk_batch(0, none, none, False)
         return compiled
 
     @property
@@ -594,12 +595,15 @@ class CompiledHat:
     def walk_batch(
         self,
         qlo: int,
-        boxes: Sequence[RankBox],
+        los: np.ndarray,
+        his: np.ndarray,
         collect: "bool | Collection[int]",
     ) -> Tuple[RecordBatch, RecordBatch, np.ndarray]:
         """Search step 1 for a whole query slice at once.
 
-        Returns ``(selections, routing, visits)``: a
+        ``los``/``his`` are the slice's int64 ``(nq, d)`` rank bounds
+        (queries ``qlo .. qlo + nq - 1``), read in place.  Returns
+        ``(selections, routing, visits)``: a
         ``dist.hat_selection_cols`` batch of the dimension-``d``
         selections (leaf tilings materialized only for queries in
         ``collect``), a ``dist.search.routing`` batch of the surviving
@@ -608,16 +612,9 @@ class CompiledHat:
         accounting (empty boxes visit nothing, as in :meth:`Hat.walk`).
         An empty slice returns the shared zero-row :attr:`idle` triple.
         """
-        nq = len(boxes)
+        nq = len(los)
         if not nq and self.idle is not None:
             return self.idle
-        d = self.d
-        if nq:
-            los = np.asarray([b.los for b in boxes], dtype=np.int64)
-            his = np.asarray([b.his for b in boxes], dtype=np.int64)
-        else:
-            los = np.zeros((0, d), dtype=np.int64)
-            his = np.zeros((0, d), dtype=np.int64)
         if isinstance(collect, bool):
             cmask = np.full(nq, collect, dtype=bool)
         else:

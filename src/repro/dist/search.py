@@ -65,7 +65,7 @@ from ..cgm.loadbalance import (
 from ..cgm.machine import Machine
 from ..cgm.phases import ProcContext, register_phase
 from ..errors import ProtocolError
-from ..geometry.box import RankBox
+from ..geometry.box import RankBoxes, rank_bounds
 from .construct import forest_key, hat_key
 from .forest_compiled import batched_forest_selections
 from .hat import Hat
@@ -202,11 +202,11 @@ def _phase_walk_cols(ctx: ProcContext, payload) -> tuple:
     Also resets the pass-local replica cache — stale copies from a
     previous batch must never serve this one.
     """
-    qlo, boxes, collect, ns = payload
+    qlo, los, his, collect, ns = payload
     hat: Hat = ctx.state[hat_key(ns)]
     ctx.state[_holders_key(ns)] = {}
     sels, routing, visits = hat.compiled().walk_batch(
-        qlo, boxes, _normalize_flag(collect)
+        qlo, los, his, _normalize_flag(collect)
     )
     if len(visits):
         ctx.charge(int(visits.sum()))
@@ -360,7 +360,7 @@ def run_search(
     mach: Machine,
     hat: Hat,
     forest_store: Sequence[dict],
-    rank_boxes: Sequence[RankBox],
+    rank_boxes: RankBoxes,
     collect_leaves: "bool | Collection[int]" = False,
     replication: str = "doubling",
     expand_qids: "Collection[int] | None" = None,
@@ -368,6 +368,11 @@ def run_search(
     collect_pids: "bool | Collection[int]" = True,
 ) -> SearchOutput:
     """Execute Algorithm Search for a batch of rank-space queries.
+
+    ``rank_boxes`` is the int64 ``(m, d)`` pair ``(los, his)`` of
+    :meth:`~repro.geometry.rankspace.RankSpace.to_rank_bounds` — the
+    form the batch keeps down to the hat walk, sliced per rank as views
+    — or a :class:`RankBox` sequence, stacked once on entry.
 
     ``collect_leaves`` may be a bool (whole batch) or a set of query ids —
     mixed-mode batches collect leaf tilings only for report-family
@@ -398,7 +403,7 @@ def run_search(
             mach,
             ns,
             forest_store,
-            rank_boxes,
+            rank_bounds(rank_boxes),
             collect_leaves,
             replication,
             expand,
@@ -417,7 +422,7 @@ def _run_search_resident(
     mach: Machine,
     ns: str,
     forest_store: Sequence[dict],
-    rank_boxes: Sequence[RankBox],
+    bounds: Tuple[np.ndarray, np.ndarray],
     collect_leaves: "bool | Collection[int]",
     replication: str,
     expand: frozenset,
@@ -425,9 +430,9 @@ def _run_search_resident(
 ) -> SearchOutput:
     """The pass itself, against an already-resident structure."""
     p = mach.p
-    m = len(rank_boxes)
+    los, his = bounds
+    m, d = los.shape
     chunk = -(-m // p) if m else 1
-    d = len(rank_boxes[0].los) if m else 0
 
     # -- step 1: hat walk over each processor's query block ----------------
     collect = _normalize_flag(collect_leaves)
@@ -437,7 +442,8 @@ def _run_search_resident(
         [
             (
                 r * chunk,
-                list(rank_boxes[r * chunk : min(m, (r + 1) * chunk)]),
+                los[r * chunk : (r + 1) * chunk],
+                his[r * chunk : (r + 1) * chunk],
                 collect,
                 ns,
             )

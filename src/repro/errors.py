@@ -36,7 +36,7 @@ class GeometryError(ReproError):
 class DimensionMismatch(GeometryError):
     """Objects of different dimensionality were combined."""
 
-    def __init__(self, expected: int, got: int, what: str = "object") -> None:
+    def __init__(self, expected: int, got: "int | tuple", what: str = "object") -> None:
         super().__init__(f"expected {what} of dimension {expected}, got {got}")
         self.expected = expected
         self.got = got

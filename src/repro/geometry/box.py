@@ -13,13 +13,23 @@ search this is a product of closed intervals.  Two box types exist:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import DimensionMismatch, GeometryError
 
-__all__ = ["Box", "RankBox", "Interval"]
+__all__ = ["Box", "RankBox", "RankBoxes", "Interval", "rank_bounds"]
+
+
+def _stack(rows: Sequence, dtype, what: str) -> np.ndarray:
+    """Equal-length ``rows`` as one ``(m, d)`` matrix (``(0, 0)`` for none)."""
+    try:
+        mat = np.array(rows, dtype=dtype)
+    except ValueError:  # ragged: numpy refuses an inhomogeneous shape
+        d = len(rows[0])
+        raise DimensionMismatch(d, next(len(r) for r in rows if len(r) != d), what) from None
+    return mat.reshape(len(rows), -1) if len(rows) else mat.reshape(0, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,7 +101,8 @@ class Box:
         """True iff the (real-coordinate) point lies inside the closed box."""
         c = np.asarray(coords, dtype=np.float64)
         if c.shape != (self.dim,):
-            raise DimensionMismatch(self.dim, int(c.shape[0]), "point")
+            got = c.shape[0] if c.ndim == 1 else c.shape
+            raise DimensionMismatch(self.dim, got, "point")
         return bool(np.all(self._lo <= c) and np.all(c <= self._hi))
 
     def contains_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -114,6 +125,15 @@ class Box:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = ", ".join(f"[{l:g},{h:g}]" for l, h in zip(self._lo, self._hi))
         return f"Box({parts})"
+
+    @staticmethod
+    def stack(boxes: Sequence["Box"]) -> tuple[np.ndarray, np.ndarray]:
+        """The boxes' bounds as two float64 ``(m, d)`` matrices ``(lo, hi)``
+        — the form a batch travels in from plan to walk."""
+        return (
+            _stack([b._lo for b in boxes], np.float64, "box"),
+            _stack([b._hi for b in boxes], np.float64, "box"),
+        )
 
     @staticmethod
     def around_point(center: Sequence[float], half_width: float) -> "Box":
@@ -164,3 +184,24 @@ class RankBox:
         if self.is_empty():
             return 0
         return min(hi - lo + 1 for lo, hi in zip(self.los, self.his))
+
+
+#: A batch of rank-space queries: :class:`RankBox` objects, or the int64
+#: ``(m, d)`` matrix pair ``(los, his)`` they stack to.
+RankBoxes = Union[Sequence[RankBox], Tuple[np.ndarray, np.ndarray]]
+
+
+def rank_bounds(boxes: RankBoxes) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-space queries as the int64 ``(m, d)`` pair ``(los, his)``.
+
+    This is what :meth:`RankSpace.to_rank_bounds
+    <repro.geometry.rankspace.RankSpace.to_rank_bounds>` produces and what
+    every batched walk consumes; such a pair passes through untouched, a
+    :class:`RankBox` sequence is stacked once.
+    """
+    if isinstance(boxes, tuple) and len(boxes) == 2 and isinstance(boxes[0], np.ndarray):
+        return boxes
+    return (
+        _stack([b.los for b in boxes], np.int64, "rank box"),
+        _stack([b.his for b in boxes], np.int64, "rank box"),
+    )

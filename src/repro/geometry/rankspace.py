@@ -77,26 +77,35 @@ class RankSpace:
         """The real coordinate occupying ``rank`` in dimension ``dim``."""
         return float(self._sorted_coords[dim][rank])
 
-    def to_rank_box(self, box: Box) -> RankBox:
-        """Translate a real-coordinate closed box into rank space.
+    def to_rank_bounds(
+        self, lo: np.ndarray, hi: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Translate ``m`` real-coordinate closed boxes into rank space.
 
-        Dimension ``j`` of the result is the (possibly empty) set of ranks
-        whose coordinate lies in ``[lo_j, hi_j]``.  Because ranks are
+        ``lo``/``hi`` are the ``(m, d)`` float64 bounds (:meth:`Box.stack`);
+        the result is the int64 ``(m, d)`` pair ``(los, his)``, two
+        ``searchsorted`` calls per dimension whatever ``m`` is.  Column
+        ``j`` of row ``i`` is the (possibly empty) set of ranks whose
+        coordinate lies in ``[lo[i, j], hi[i, j]]``.  Because ranks are
         assigned to *all* duplicates of a coordinate value, the rank
         interval is exact: a point matches the rank box iff it matches the
         real box.
         """
-        if box.dim != self._dim:
-            raise DimensionMismatch(self._dim, box.dim, "query box")
-        los = []
-        his = []
-        for j in range(self._dim):
-            col = self._sorted_coords[j]
-            a = int(np.searchsorted(col, box.lo[j], side="left"))
-            b = int(np.searchsorted(col, box.hi[j], side="right")) - 1
-            los.append(a)
-            his.append(b)
-        return RankBox(tuple(los), tuple(his))
+        m = len(lo)
+        los = np.empty((m, self._dim), dtype=np.int64)
+        his = np.empty((m, self._dim), dtype=np.int64)
+        if m:  # an empty batch has no columns to read (its bounds are (0, 0))
+            if lo.shape[1] != self._dim:
+                raise DimensionMismatch(self._dim, lo.shape[1], "query box")
+            for j, col in enumerate(self._sorted_coords):
+                los[:, j] = col.searchsorted(lo[:, j], side="left")
+                his[:, j] = col.searchsorted(hi[:, j], side="right") - 1
+        return los, his
+
+    def to_rank_box(self, box: Box) -> RankBox:
+        """:meth:`to_rank_bounds` for one box, as a :class:`RankBox`."""
+        los, his = self.to_rank_bounds(box.lo[None], box.hi[None])
+        return RankBox(tuple(los[0].tolist()), tuple(his[0].tolist()))
 
     def full_rank_box(self) -> RankBox:
         """The rank box covering every real point."""
@@ -141,6 +150,12 @@ class RankedPointSet:
     def to_rank_box(self, box: Box) -> RankBox:
         """Rank-space translation (sentinels can never match)."""
         return self.space.to_rank_box(box)
+
+    def to_rank_bounds(
+        self, lo: np.ndarray, hi: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Batch rank-space translation (:meth:`RankSpace.to_rank_bounds`)."""
+        return self.space.to_rank_bounds(lo, hi)
 
 
 def pad_to_power_of_two(points: PointSet, minimum: int = 1) -> RankedPointSet:

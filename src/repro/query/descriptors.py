@@ -17,7 +17,10 @@ works without importing any geometry type.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from ..geometry.box import Box
 from ..semigroup import Semigroup
@@ -133,6 +136,14 @@ class QueryBatch:
 
     def __getitem__(self, i: int) -> Query:
         return self.queries[i]
+
+    @cached_property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The boxes as float64 ``(m, d)`` matrices ``(lo, hi)``, stacked
+        once: the engine's plan touches it and every later consumer of
+        the batch (``execute``, each bucket pass and side scan of the
+        dynamic tree) reads the same pair."""
+        return Box.stack([q.box for q in self.queries])
 
     def modes(self) -> set[str]:
         """The distinct output modes present in the batch."""

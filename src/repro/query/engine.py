@@ -303,6 +303,7 @@ class QueryEngine:
             else:
                 extract = lambda agg: agg
             specs.append(mode.spec(query, qid, sg, extract))
+        batch.bounds  # stack the boxes now: the serve pipeline plans off the executor
         return QueryPlan(
             batch,
             specs,
@@ -370,7 +371,7 @@ class QueryEngine:
             tree.machine,
             tree.hat,
             tree.forest_store,
-            [tree.ranked.to_rank_box(q.box) for q in batch],
+            tree.ranked.to_rank_bounds(*batch.bounds),
             collect_leaves=plan.leaf_qids,
             replication=batch.replication,
             expand_qids=plan.leaf_qids,

@@ -27,7 +27,7 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from ..errors import DimensionMismatch, GeometryError
-from ..geometry.box import Box, RankBox
+from ..geometry.box import Box, RankBox, RankBoxes, rank_bounds
 from ..geometry.point import PointSet
 from ..geometry.rankspace import RankedPointSet, pad_to_power_of_two
 from ..semigroup import COUNT, Semigroup
@@ -350,61 +350,59 @@ class RangeTree:
     # batched queries (the compiled walk; bit-identical to the loops)
     # ------------------------------------------------------------------
     def _walk_batch(
-        self, boxes: Sequence[RankBox], st: WalkStats
-    ) -> tuple[CompiledForest, np.ndarray, np.ndarray]:
-        nq = len(boxes)
-        los = np.empty((nq, self.d), dtype=np.int64)
-        his = np.empty((nq, self.d), dtype=np.int64)
-        for i, box in enumerate(boxes):
-            self._check_box(box)
-            los[i] = box.los
-            his[i] = box.his
+        self, boxes: RankBoxes, st: WalkStats
+    ) -> tuple[int, CompiledForest, np.ndarray, np.ndarray]:
+        """One compiled walk over ``boxes`` — a :class:`RankBox` sequence
+        or the ``(los, his)`` pair of ``RankSpace.to_rank_bounds``."""
+        los, his = rank_bounds(boxes)
+        if len(los) and los.shape[1] != self.d:
+            raise DimensionMismatch(self.d, los.shape[1], "rank box")
         comp = self.compiled()
         sel_q, sel_n, visits = comp.walk(los, his)
         st.nodes_visited += int(visits.sum())
         st.nodes_selected += int(sel_n.shape[0])
-        return comp, sel_q, sel_n
+        return len(los), comp, sel_q, sel_n
 
     def count_many(
-        self, boxes: Sequence[RankBox], stats: WalkStats | None = None
+        self, boxes: RankBoxes, stats: WalkStats | None = None
     ) -> list[int]:
         """:meth:`count` over a batch of boxes in one compiled walk."""
         st = stats if stats is not None else self.stats
-        comp, sel_q, sel_n = self._walk_batch(boxes, st)
-        out = np.zeros(len(boxes), dtype=np.int64)
+        nq, comp, sel_q, sel_n = self._walk_batch(boxes, st)
+        out = np.zeros(nq, dtype=np.int64)
         np.add.at(out, sel_q, comp.nleaves[sel_n])
         return [int(c) for c in out]
 
     def aggregate_many(
-        self, boxes: Sequence[RankBox], stats: WalkStats | None = None
+        self, boxes: RankBoxes, stats: WalkStats | None = None
     ) -> list[Any]:
         """:meth:`aggregate` over a batch: one walk, per-query folds in
         the object walk's exact emission order."""
         st = stats if stats is not None else self.stats
-        comp, sel_q, sel_n = self._walk_batch(boxes, st)
+        nq, comp, sel_q, sel_n = self._walk_batch(boxes, st)
         vals = comp.decode_aggs(sel_n)
-        cuts = np.searchsorted(sel_q, np.arange(len(boxes) + 1))
+        cuts = np.searchsorted(sel_q, np.arange(nq + 1))
         fold = self.semigroup.fold
         return [
-            fold(vals[cuts[i] : cuts[i + 1]]) for i in range(len(boxes))
+            fold(vals[cuts[i] : cuts[i + 1]]) for i in range(nq)
         ]
 
     def report_many(
-        self, boxes: Sequence[RankBox], stats: WalkStats | None = None
+        self, boxes: RankBoxes, stats: WalkStats | None = None
     ) -> list[np.ndarray]:
         """:meth:`report` over a batch: selection rows gathered with one
         flat fancy index over the compiled pid tiling."""
         st = stats if stats is not None else self.stats
-        comp, sel_q, sel_n = self._walk_batch(boxes, st)
+        nq, comp, sel_q, sel_n = self._walk_batch(boxes, st)
         lens = comp.nleaves[sel_n]
         flat = comp.rows_flat(sel_n, lens)
         st.points_reported += int(flat.shape[0])
         offsets = np.zeros(len(sel_n) + 1, dtype=np.int64)
         np.cumsum(lens, out=offsets[1:])
-        cuts = np.searchsorted(sel_q, np.arange(len(boxes) + 1))
+        cuts = np.searchsorted(sel_q, np.arange(nq + 1))
         return [
             flat[offsets[cuts[i]] : offsets[cuts[i + 1]]]
-            for i in range(len(boxes))
+            for i in range(nq)
         ]
 
     # ------------------------------------------------------------------
@@ -506,14 +504,18 @@ class SequentialRangeTree:
 
     # batched forms: one compiled walk for the whole slice (the oracle's
     # hot path in the differential stream tests and the CLI checkpoints)
+    def rank_bounds(self, boxes: Sequence[Box]) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`rank_box` for a whole slice: the ``(los, his)`` matrix pair."""
+        return self.ranked.to_rank_bounds(*Box.stack(boxes))
+
     def count_many(self, boxes: Sequence[Box]) -> list[int]:
-        return self.core.count_many([self.rank_box(b) for b in boxes])
+        return self.core.count_many(self.rank_bounds(boxes))
 
     def aggregate_many(self, boxes: Sequence[Box]) -> list[Any]:
-        return self.core.aggregate_many([self.rank_box(b) for b in boxes])
+        return self.core.aggregate_many(self.rank_bounds(boxes))
 
     def report_many(self, boxes: Sequence[Box]) -> list[list[int]]:
-        outs = self.core.report_many([self.rank_box(b) for b in boxes])
+        outs = self.core.report_many(self.rank_bounds(boxes))
         ids = self.ranked.ids
         return [
             sorted(int(i) for i in ids[rows] if i >= 0) for rows in outs

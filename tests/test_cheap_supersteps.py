@@ -12,6 +12,7 @@ that change (b659289) and must keep holding.
 from __future__ import annotations
 
 import hashlib
+import pickle
 import random
 
 import numpy as np
@@ -27,7 +28,7 @@ from repro.cgm.sort import sample_sort_cols
 from repro.dist import DistributedRangeTree
 from repro.errors import InjectedFault
 from repro.faults import FaultPlan, FaultRule, injected
-from repro.geometry.box import Box, RankBox
+from repro.geometry.box import Box, RankBox, rank_bounds
 from repro.query import aggregate, count, report
 from repro.semigroup import sum_of_dim
 from repro.semigroup.kernels import KernelColumn
@@ -128,6 +129,21 @@ def test_one_query_and_full_batch_share_the_round_sequence():
     assert [c[0] for c in _comm(one)] == [c[0] for c in _comm(full)]
 
 
+@pytest.mark.parametrize("strategy", ["doubling", "direct"])
+def test_an_empty_batch_records_every_round_with_nothing_sent(strategy):
+    # m = 0: nothing to sort, yet ``sort:balance`` is recorded like any
+    # other round — no round count reads the data
+    pts = make_points("uniform", 256, 2, seed=5)
+    with DistributedRangeTree.build(pts, p=8) as tree:
+        rs = tree.run([], replication=strategy)
+        nothing_matches = tree.run([count(Box(((2.0, 3.0), (2.0, 3.0))))])
+    assert rs.values() == [] and nothing_matches.values() == [0]
+    assert [c[0] for c in _comm(rs.metrics)] == expected_labels(8, strategy)
+    balance = [c for c in _comm(rs.metrics) if c[0] == "query:demux:sort:balance"]
+    assert balance == [("query:demux:sort:balance", (0,) * 8, (0,) * 8)]
+    assert [c[0] for c in _comm(nothing_matches.metrics)] == expected_labels(8, "doubling")
+
+
 # ---------------------------------------------------------------------------
 # (b) a batch that does replicate still ships the stores
 # ---------------------------------------------------------------------------
@@ -152,6 +168,78 @@ def test_hot_spot_still_dispatches_pack_and_unpack(strategy):
     assert [c[0] for c in _comm(m)] == expected_labels(4, strategy)
 
 
+#: (p, strategy) -> [(label, sent, received, volume_bytes)] of the
+#: ``search:replicate:*`` rounds answering ``[count(HOT)] * 40`` over
+#: make_points("uniform", 256, 2, seed=42) — measured at 37ac758, where each
+#: number came from walking every nested tree of every shipped element.
+PARENT_REPLICATION = {
+    (4, "doubling"): [
+        ("search:replicate:double-0", (640, 640, 0, 0), (0, 640, 640, 0), 37248),
+        ("search:replicate:double-1", (0, 0, 0, 0), (0, 0, 0, 0), 0),
+    ],
+    (4, "direct"): [
+        ("search:replicate:direct", (640, 640, 0, 0), (0, 640, 640, 0), 37248),
+    ],
+    (8, "doubling"): [
+        ("search:replicate:double-0", (0, 0, 320, 0, 0, 0, 0, 0), (320, 0, 0, 0, 0, 0, 0, 0), 9984),
+        ("search:replicate:double-1", (320, 0, 320, 0, 0, 0, 0, 0), (0, 320, 0, 320, 0, 0, 0, 0), 19968),
+        ("search:replicate:double-2", (320, 320, 320, 320, 0, 0, 0, 0), (0, 0, 0, 0, 320, 320, 320, 320), 39936),
+    ],
+    (8, "direct"): [
+        ("search:replicate:direct", (0, 0, 2240, 0, 0, 0, 0, 0), (320, 320, 0, 320, 320, 320, 320, 320), 69888),
+    ],
+}
+
+
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("p, strategy", sorted(PARENT_REPLICATION))
+def test_replication_rounds_charge_the_parents_numbers(backend, p, strategy):
+    pts = make_points("uniform", 256, 2, seed=42)
+
+    def replication_rounds(tree):
+        rs = tree.run([count(HOT)] * 40, replication=strategy)
+        assert rs.values() == [bf_count(pts, HOT)] * 40
+        return [
+            (s.label, s.sent, s.received, s.volume_bytes)
+            for s in rs.metrics.comm_steps()
+            if s.label.startswith("search:replicate")
+        ]
+
+    with DistributedRangeTree.build(pts, p=p, backend=backend) as tree:
+        assert replication_rounds(tree) == PARENT_REPLICATION[(p, strategy)]
+        # the count is structure: a refit neither recounts nor loses it
+        tree.reannotate(sum_of_dim(0))
+        assert replication_rounds(tree) == PARENT_REPLICATION[(p, strategy)]
+
+
+def test_the_stored_record_count_is_the_tree_walk_and_survives_a_pickle():
+    pts = make_points("uniform", 64, 3, seed=3)
+    with DistributedRangeTree.build(pts, p=4) as tree:
+        for store in tree.forest_store:
+            for el in store.values():
+                assert el.size_records == el.tree.space_leaves()
+                assert pickle.loads(pickle.dumps(el)).size_records == el.size_records
+
+
+def test_weighted_exchange_evaluates_each_callback_once_per_record():
+    calls = {"weight": 0, "nbytes": 0}
+
+    def weight(rec):
+        calls["weight"] += 1
+        return rec
+
+    def nbytes(rec):
+        calls["nbytes"] += 1
+        return 10 * rec
+
+    with Machine(2) as mach:
+        inboxes = mach.exchange_weighted("x", [[[3], [5, 7]], [[], [11]]], weight, nbytes)
+        step = mach.metrics.steps[-1]
+    assert inboxes == [[3], [5, 7, 11]]
+    assert calls == {"weight": 4, "nbytes": 4}
+    assert (step.sent, step.received, step.sent_bytes) == ((15, 11), (3, 23), (150, 110))
+
+
 # ---------------------------------------------------------------------------
 # (c) zero-row outputs have the general path's schema
 # ---------------------------------------------------------------------------
@@ -174,8 +262,8 @@ def test_zero_row_walk_and_forest_match_the_general_path(kernelised):
     nothing = RankBox((5, 5), (4, 9))  # empty in dimension 0: selects nothing
     with DistributedRangeTree.build(pts, p=4, semigroup=sg) as tree:
         hat = tree.hat.compiled()
-        idle = hat.walk_batch(3, [], frozenset({3}))
-        general = hat.walk_batch(3, [nothing], frozenset({3}))
+        idle = hat.walk_batch(3, *rank_bounds([]), frozenset({3}))
+        general = hat.walk_batch(3, *rank_bounds([nothing]), frozenset({3}))
         assert ("kenc" in idle[0].cols) == kernelised
         assert _schema(idle[0]) == _schema(general[0])
         assert _schema(idle[1]) == _schema(general[1])
@@ -185,7 +273,7 @@ def test_zero_row_walk_and_forest_match_the_general_path(kernelised):
         ns = tree._ensure_resident()
         mach = tree.machine
         _sels, routing, _visits = hat.walk_batch(
-            0, [tree.ranked.to_rank_box(BOX)], False
+            0, *tree.ranked.to_rank_bounds(*Box.stack([BOX])), False
         )
         assert len(routing)
         one = routing.take(np.array([0]))
@@ -225,14 +313,15 @@ def test_zero_row_sort_phases():
         assert _schema(merged) == _schema(empty)
         assert ctx.ops == 1 + 0 + 1  # what sorting nothing has always charged
 
-        # the whole sort over nothing: schema-shaped output (and, as ever,
-        # no final balance route once the count round has summed to zero)
+        # the whole sort over nothing: schema-shaped output from the same
+        # four rounds as any sort (the round count does not read the data)
         out = sample_sort_cols(mach, [empty] * 4, ("qid",), label="s")
         assert [_schema(b) for b in out] == [_schema(empty)] * 4
         assert [s.label for s in mach.metrics.comm_steps()] == [
             "s:samples",
             "s:route",
             "s:balance-count",
+            "s:balance",
         ]
 
 

@@ -18,7 +18,7 @@ import pytest
 from repro.cgm.columns import RecordBatch
 from repro.dist import DistributedRangeTree
 from repro.dist.records import ForestSelection
-from repro.geometry.box import RankBox
+from repro.geometry.box import RankBox, rank_bounds
 from repro.query import QueryBatch, aggregate, count, report
 from repro.semigroup import sum_of_dim
 from repro.seq import SequentialRangeTree, bf_aggregate
@@ -86,7 +86,7 @@ class TestWalkBatchBitIdentity:
                 exp_subqs.extend(q)
                 charges.append(sum(got))
             sel_b, routing_b, visits = hat.compiled().walk_batch(
-                qlo, boxes, cflag
+                qlo, *rank_bounds(boxes), cflag
             )
             # records: same selections and subqueries, same order
             assert list(sel_b) == exp_sels
@@ -110,7 +110,7 @@ class TestWalkBatchBitIdentity:
         pts = uniform_points(32, 2, seed=9)
         with DistributedRangeTree.build(pts, p=4) as tree:
             sel_b, routing_b, visits = tree.hat.compiled().walk_batch(
-                0, [], False
+                0, *rank_bounds([]), False
             )
             assert len(sel_b) == 0 and len(routing_b) == 0
             assert len(visits) == 0

@@ -276,6 +276,89 @@ class TestUpdates:
             assert dt.live_points().coords[0][0] == 0.25
 
 
+class TestSideScansAreClosed:
+    """Dead and buffered matches against the per-point definition, for
+    boxes whose faces pass exactly through the scanned coordinates."""
+
+    @staticmethod
+    def _per_point(dt, batch):
+        buffered, dead = {}, {}
+        for qid, q in enumerate(batch):
+            hits = sorted(
+                pid for pid, (c, _rank) in dt._buffer.items() if q.box.contains_point(c)
+            )
+            if hits:
+                buffered[qid] = hits
+            hits = [
+                int(pid)
+                for pid, c in zip(dt._dead_ids, dt._dead_xy)
+                if q.box.contains_point(c)
+            ]
+            if hits:
+                dead[qid] = hits
+        return buffered, dead
+
+    @staticmethod
+    def _faces_through(coords):
+        x, y = coords
+        eps = 1 / 64
+        return [
+            Box([(x, x), (y, y)]),  # the point itself
+            Box([(x, 1.0), (0.0, y)]),  # lower x face and upper y face on it
+            Box([(0.0, x), (y, 1.0)]),
+            Box([(x + eps, 1.0), (0.0, 1.0)]),  # just past it
+            Box([(0.0, 1.0), (-1.0, y - eps)]),
+        ]
+
+    def _check(self, dt, live, boxes):
+        g = dt.semigroup
+        batch = QueryBatch(
+            [make(b) for b in boxes for make in (count, report, aggregate)]
+        )
+        assert dt._side_matches(batch) == self._per_point(dt, batch)
+        assert sorted(dt._tombstones) == dt._dead_ids.tolist()
+        want = []
+        for b in boxes:
+            inside = sorted(pid for pid, c in live.items() if b.contains_point(c))
+            want += [len(inside), inside, g.fold(g.lift(pid, live[pid]) for pid in inside)]
+        assert dt.run(batch).values() == want
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_faces_through_tombstoned_and_buffered_points(self, backend):
+        grid = {i: (dyadic(i), dyadic(3 * i % 16)) for i in range(16)}
+        with DynamicDistributedRangeTree(
+            2, p=4, backend=backend, semigroup=sum_group(0), flush_threshold=8
+        ) as dt:
+            live = dict(grid)
+            for pid, c in grid.items():
+                dt.insert(c, pid=pid)
+            for pid in (11, 2, 5):  # deleted out of id order
+                dt.delete(pid)
+                del live[pid]
+            for k in range(5):
+                live[100 + k] = (dyadic(2 * k + 1), dyadic(k))
+                dt.insert(live[100 + k], pid=100 + k)
+            assert dt._dead_ids.tolist() == [2, 5, 11] and dt.buffered_count == 5
+            boxes = [unit_box(2)]
+            for pid in (2, 5, 11, 100, 103):
+                boxes += self._faces_through(grid.get(pid) or live[pid])
+            self._check(dt, live, boxes)
+
+            # delete -> reinsert of one id: the compaction in between drops
+            # every dead row, and the id comes back as a buffered point
+            dt.delete(7)
+            assert dt._dead_ids.tolist() == [2, 5, 7, 11]
+            live[7] = (dyadic(15), dyadic(15))
+            dt.insert(live[7], pid=7)
+            assert dt._dead_ids.tolist() == [] and dt._dead_xy.shape == (0, 2)
+            dt.delete(3)
+            del live[3]
+            boxes = [unit_box(2)]
+            for c in (grid[7], live[7], grid[3], grid[2]):
+                boxes += self._faces_through(c)
+            self._check(dt, live, boxes)
+
+
 class TestDifferentialQuick:
     """Short streams, serial backend — runs in the tier-1 suite."""
 

@@ -17,6 +17,7 @@ from repro.geometry import (
     RankSpace,
     pad_to_power_of_two,
 )
+from repro.geometry.box import rank_bounds
 
 
 class TestPoint:
@@ -130,6 +131,22 @@ class TestBox:
         b = Box([(0.0, 1.0)])
         with pytest.raises(DimensionMismatch):
             b.contains_point((0.5, 0.5))
+
+    @pytest.mark.parametrize(
+        "coords, got", [(0.5, ()), ([[0.5, 0.5]], (1, 2)), ((0.5,), 1)]
+    )
+    def test_wrong_shape_is_a_dimension_mismatch_naming_it(self, coords, got):
+        with pytest.raises(DimensionMismatch, match="dimension 2") as exc:
+            Box([(0.0, 1.0), (0.0, 1.0)]).contains_point(coords)
+        assert exc.value.got == got
+
+    def test_stack(self):
+        lo, hi = Box.stack([Box([(0.0, 1.0), (2.0, 3.0)]), Box([(4.0, 5.0), (6.0, 7.0)])])
+        assert lo.tolist() == [[0.0, 2.0], [4.0, 6.0]] and lo.dtype == np.float64
+        assert hi.tolist() == [[1.0, 3.0], [5.0, 7.0]]
+        assert Box.stack([])[0].shape == (0, 0)
+        with pytest.raises(DimensionMismatch):
+            Box.stack([Box([(0.0, 1.0)]), Box([(0.0, 1.0), (0.0, 1.0)])])
 
     def test_inverted_rejected(self):
         with pytest.raises(GeometryError):
@@ -248,6 +265,60 @@ class TestRankSpace:
             real = 0.25 <= x <= 0.75
             in_rank = rb.los[0] <= rs.ranks[i, 0] <= rb.his[0]
             assert real == in_rank
+
+
+def _scalar_rank_box(space: RankSpace, box: Box) -> RankBox:
+    """The per-box translation the batch form replaced: 2·d scalar searches."""
+    los, his = [], []
+    for j in range(space.dim):
+        col = space.sorted_coords(j)
+        los.append(int(np.searchsorted(col, box.lo[j], side="left")))
+        his.append(int(np.searchsorted(col, box.hi[j], side="right")) - 1)
+    return RankBox(tuple(los), tuple(his))
+
+
+#: a coarse grid: duplicate coordinates, and box faces that hit them exactly
+_GRID = st.integers(0, 6).map(lambda k: k / 4)
+#: faces on the grid, between grid values, or wholly outside the data
+_FACE = st.one_of(_GRID, st.sampled_from([-3.0, -0.125, 0.375, 0.8, 1.6, 9.0]))
+
+
+class TestBatchTranslation:
+    @given(data=st.data(), d=st.integers(1, 3))
+    @settings(max_examples=120, deadline=None)
+    def test_batch_equals_per_box_row_for_row(self, data, d):
+        pts = data.draw(st.lists(st.tuples(*[_GRID] * d), min_size=1, max_size=24))
+        faces = data.draw(
+            st.lists(st.tuples(*[st.tuples(_FACE, _FACE)] * d), max_size=12)
+        )
+        boxes = [Box([sorted(pair) for pair in f]) for f in faces]
+        ranked = pad_to_power_of_two(PointSet(pts))
+        los, his = ranked.to_rank_bounds(*Box.stack(boxes))
+        assert los.shape == his.shape == (len(boxes), d)
+        assert los.dtype == his.dtype == np.int64
+        coords = np.asarray(pts, dtype=np.float64)
+        for i, box in enumerate(boxes):
+            want = _scalar_rank_box(ranked.space, box)
+            assert (tuple(los[i]), tuple(his[i])) == (want.los, want.his)
+            assert ranked.to_rank_box(box) == want  # the m = 1 case
+            inside = np.all(
+                (ranked.space.ranks >= los[i]) & (ranked.space.ranks <= his[i]), axis=1
+            )
+            assert inside.tolist() == box.contains_rows(coords).tolist()
+            assert want.is_empty() == bool((los[i] > his[i]).any())
+
+    def test_wrong_width_is_a_dimension_mismatch(self):
+        space = RankSpace(PointSet([(1.0, 2.0)]))
+        with pytest.raises(DimensionMismatch):
+            space.to_rank_bounds(np.zeros((3, 1)), np.ones((3, 1)))
+
+    def test_rank_bounds_coerces_boxes_once_and_passes_pairs_through(self):
+        pair = rank_bounds([RankBox((1, 2), (3, 4)), RankBox((5, 6), (7, 8))])
+        assert pair[0].tolist() == [[1, 2], [5, 6]] and pair[1].tolist() == [[3, 4], [7, 8]]
+        assert rank_bounds(pair) is pair
+        assert rank_bounds([])[0].shape == (0, 0)
+        with pytest.raises(DimensionMismatch):
+            rank_bounds([RankBox((1,), (2,)), RankBox((1, 2), (3, 4))])
 
 
 class TestPadding:
