@@ -19,21 +19,29 @@ Builds n=512, p=8 and runs an empty, a one-query and a 64-query
   for record-list rounds is plain arithmetic, once per routed list),
 * the 64-query pass never calls the one-box ``to_rank_box`` (a batch's
   boxes are translated as two matrices),
-* a warmed pass that replicates stores never calls
-  ``RangeTree.space_leaves``/``iter_dim_trees`` (step 3 is sized from the
-  count each element stores), and
 * a ``dyn.run`` over >= 100 tombstones never calls ``Box.contains_point``
-  (the dead and buffered scans are one array comparison per batch).
+  (the dead and buffered scans are one array comparison per batch), and
+* the forest has one representation: on every backend a build, a lazy
+  refit and a hot-spot (replicating) pass construct no ``DimTree``,
+  ``SegTree`` or ``RangeTree`` (so step 3 cannot be sized by walking one:
+  it reads the count each element stores); no pass — the first after the
+  build, the first after the refit, nor one whose stores cross a pickle
+  under the process backend — calls ``CompiledForest.from_ranks`` (arrays
+  are built at Construct, kept through refits and shipped as they are);
+  and no ``DimTree`` is alive after a dynamic tree's absorbs.
 
-A later change that re-prices idle ranks, or puts a per-object Python loop
-back on the batch path, fails here before it shows up as a slower
-``single_query`` or ``batch_d3`` row.
+A later change that re-prices idle ranks, puts a per-object Python loop
+back on the batch path, or holds a forest element in a second form fails
+here before it shows up as a slower ``single_query`` or ``batch_d3`` row.
 """
 
 from __future__ import annotations
 
+import gc
+import os
 import random
 import sys
+import tempfile
 from contextlib import contextmanager
 
 MAX_ONE_QUERY_DISPATCHES = 5
@@ -61,13 +69,80 @@ def counting(calls: dict, *targets):
             setattr(cls, name, real)
 
 
+@contextmanager
+def counting_across_forks(cls, name):
+    """Count calls to a classmethod here *and* in worker processes forked
+    while it is patched: every call appends one byte to a temp file.
+    Yields a function returning the count so far."""
+    real = cls.__dict__[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "calls")
+        open(path, "ab").close()
+
+        def wrapper(klass, *args, **kwargs):
+            with open(path, "ab") as f:
+                f.write(b".")
+            return real.__func__(klass, *args, **kwargs)
+
+        setattr(cls, name, classmethod(wrapper))
+        try:
+            yield lambda: os.path.getsize(path)
+        finally:
+            setattr(cls, name, real)
+
+
+def second_representation_calls() -> dict:
+    """Object trees built, and array builds on a pass: all must be 0."""
+    from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree
+    from repro.geometry.box import Box
+    from repro.query import aggregate, count
+    from repro.semigroup import sum_of_dim
+    from repro.seq.compiled import CompiledForest
+    from repro.seq.range_tree import DimTree, RangeTree
+    from repro.seq.segment_tree import SegTree
+    from repro.workloads import make_points
+
+    calls: dict = {}
+    pts = make_points("uniform", 512, 2, seed=1)
+    hot_box = Box(((0.0, 0.2), (0.0, 1.0)))
+    hot = [count(hot_box)] * 64
+    for backend in ("serial", "thread", "process"):
+        # patched before the build: the process backend forks its workers
+        # at first use, and they must inherit the counter
+        with counting(
+            calls, (DimTree, "__init__"), (SegTree, "__init__"), (RangeTree, "__init__")
+        ), counting_across_forks(CompiledForest, "from_ranks") as builds:
+            with DistributedRangeTree.build(pts, p=8, backend=backend) as tree:
+                built = builds()
+                first = tree.run(hot)  # first pass after the build; replicates
+                tree.run([aggregate(hot_box, sum_of_dim(0))] * 64)  # lazy refit + pass
+                again = tree.run(hot)
+                calls[f"CompiledForest.from_ranks on a pass ({backend})"] = builds() - built
+        for rs in (first, again):
+            if not any(
+                s.volume for s in rs.metrics.comm_steps() if s.label.startswith("search:replicate")
+            ):
+                calls[f"(a hot-spot pass replicated nothing on {backend})"] = 1
+        if not built:
+            calls[f"(the {backend} build was not counted)"] = 1
+
+    coords = make_points("uniform", 512, 2, seed=2).coords
+    with DynamicDistributedRangeTree.build(coords[:300], p=4, flush_threshold=64) as dyn:
+        for c in coords[300:]:
+            dyn.insert(c)
+        gc.collect()
+        calls["DimTree alive after dynamic absorbs"] = sum(
+            isinstance(o, DimTree) for o in gc.get_objects()
+        )
+    return calls
+
+
 def object_loop_calls() -> dict:
     """Calls a batch pass must not make, counted on three small passes."""
     from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree
     from repro.geometry.box import Box
     from repro.geometry.rankspace import RankedPointSet, RankSpace
     from repro.query import count, report
-    from repro.seq.range_tree import RangeTree
     from repro.workloads import make_points
 
     calls: dict = {}
@@ -77,8 +152,6 @@ def object_loop_calls() -> dict:
         tree.run(hot)
         with counting(
             calls,
-            (RangeTree, "space_leaves"),
-            (RangeTree, "iter_dim_trees"),
             (RankSpace, "to_rank_box"),
             (RankedPointSet, "to_rank_box"),
         ):
@@ -124,7 +197,6 @@ def main() -> int:
             super().__init__(*args, **kwargs)
 
     with DistributedRangeTree.build(pts, p=8) as tree:
-        tree.run(batch[:3])  # lazy lowering happens outside the measured passes
         random.Random = CountingRandom
         try:
             none = tree.run([]).metrics
@@ -152,16 +224,16 @@ def main() -> int:
         failures.append(
             f"{len(constructed)} random.Random constructed during the passes"
         )
-    object_calls = object_loop_calls()
+    object_calls = {**object_loop_calls(), **second_representation_calls()}
     for name, n in object_calls.items():
         if n:
-            failures.append(f"{name}: {n} calls on a batch pass (must be 0)")
+            failures.append(f"{name}: {n} (must be 0)")
     print(
         f"empty pass: {len(none_rounds)} rounds; "
         f"one-query pass: {len(one_rounds)} rounds, {len(dispatches)} dispatches; "
         f"64-query pass: {len(full_rounds)} rounds; "
         f"random.Random constructed: {len(constructed)}; "
-        f"per-object calls: {object_calls}"
+        f"per-object and second-representation calls: {object_calls}"
     )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

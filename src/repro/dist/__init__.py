@@ -121,9 +121,9 @@ def _phase_refit_relabel(ctx: ProcContext, payload) -> list:
     infos = []
     for el in (ctx.state.get(forest_key(ns)) or {}).values():
         if isinstance(values, _KernelRefitValues):
-            fresh = values.column_for(el.pids_array)
+            fresh = values.column_for(el.pids)
         else:
-            fresh = [values[pid] for pid in el.pids]
+            fresh = [values[pid] for pid in el.pids.tolist()]
             if kernel is not None:
                 fresh = KernelColumn.from_values(kernel, fresh)
         el.reannotate(fresh, semigroup)
@@ -383,6 +383,10 @@ class DistributedRangeTree:
                 except Exception:  # backend already shut down
                     break
         self._closed = True
+        # the engine points back at the tree: drop it, so a closed tree
+        # (and the arrays it holds) is freed by reference count instead
+        # of waiting for a cyclic collection nothing here provokes
+        self._engine = None
         if self._owns_machine:
             self.machine.close()
 

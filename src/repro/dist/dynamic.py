@@ -45,7 +45,7 @@ from ..cgm.cost import CostModel
 from ..cgm.machine import Machine
 from ..cgm.phases import ProcContext, register_phase
 from ..errors import DimensionMismatch, GeometryError, ReproError
-from ..geometry.point import PointSet
+from ..geometry.point import PointSet, checked_coords
 from ..query.descriptors import Query, QueryBatch
 from ..query.epochs import EpochCombiner
 from ..query.result import QueryResult, ResultSet
@@ -298,10 +298,7 @@ class DynamicDistributedRangeTree:
     def insert(self, coords: Sequence[float], pid: int | None = None) -> int:
         """Insert one point; returns its id (auto-assigned if omitted)."""
         self._check_open()
-        if len(coords) != self.dim:
-            raise GeometryError(
-                f"expected {self.dim} coordinates, got {len(coords)}"
-            )
+        coords_t = checked_coords(coords, self.dim)
         if pid is None:
             pid = self._next_auto_id
         if pid in self._ids:
@@ -310,7 +307,6 @@ class DynamicDistributedRangeTree:
             # a dead copy of this id still sits in a bucket; a plain
             # re-insert would be hidden by its own tombstone — purge first
             self._compact()
-        coords_t = tuple(float(c) for c in coords)
         self._ids.add(pid)
         self._coords_by_id[pid] = coords_t
         self._next_auto_id = max(self._next_auto_id, pid + 1)
@@ -406,12 +402,9 @@ class DynamicDistributedRangeTree:
         tree = DistributedRangeTree.build(
             pts, machine=self.machine, semigroup=self.semigroup
         )
-        # warm the bucket's compiled hat and forest once at absorption —
-        # every epoch's query batches reuse them until the next refit
+        # warm the bucket's compiled hat once at absorption — every
+        # epoch's query batches reuse it until the next refit
         tree.hat.compiled()
-        for store in tree.forest_store:
-            for el in store.values():
-                el.compiled()
         self._buckets[k] = _Bucket(
             level=k,
             tree=tree,

@@ -1,16 +1,17 @@
-"""Batched forest walks: Search step 5 over compiled elements.
+"""Batched forest walks: Search step 5 over the elements' arrays.
 
-:class:`~repro.seq.compiled.CompiledForest` (re-exported here) lowers a
-forest element's range tree into struct-of-arrays form once; this module
+:class:`~repro.seq.compiled.CompiledForest` (re-exported here) is the
+struct-of-arrays range tree every forest element holds; this module
 supplies the dist-side consumer — the routed subqueries of one rank,
 grouped by target element, walked as level-by-level frontier expansion
 and packed straight into the ``dist.forest_selection`` columns.
 
 The contract is bit-identity with a per-subquery
-:meth:`~repro.dist.forest.ForestElement.canonical` loop: same selections
-in the same order (inbox row order, emission order within a row), same
-charged visit totals, and a typed ``agg`` column exactly when every
-emitting element is annotated under one kernel.
+:meth:`~repro.seq.range_tree.RangeTree.canonical` loop over the same
+points: same selections in the same order (inbox row order, emission
+order within a row), same charged visit totals, and a typed ``agg``
+column exactly when every emitting element is annotated under one
+kernel.
 """
 
 from __future__ import annotations
@@ -49,14 +50,14 @@ def batched_forest_selections(
     the source inbox row of each selection — ``qid``/``forest_id``
     columns are gathers of the inbox columns by it — plus the selection
     leaf counts, the ``agg`` column (typed when every emitting element
-    compiled under one kernel, decoded objects otherwise), and the
+    is annotated under one kernel, decoded objects otherwise), and the
     per-selection pid rows (empty rows for fold-family queries).
     """
     emitted: List[Tuple[CompiledForest, Any, np.ndarray, np.ndarray]] = []
     per_rows: List[np.ndarray] = []
 
     for el, rows in groups:
-        comp: CompiledForest = el.compiled()
+        comp: CompiledForest = el.soa
         sel_q, sel_n, visits = comp.walk(los_m[rows], his_m[rows])
         charge(int(np.maximum(visits, 1).sum()))
         if len(sel_n):
@@ -110,8 +111,8 @@ def batched_forest_selections(
             pos += len(sel_n)
         agg_col = agg_col[perm]
 
-    # pid rows: nleaves-long tilings gathered from each element's flat
-    # pid block for report-family rows, zero-length rows otherwise
+    # pid rows: nleaves-long tilings of each element's rows, mapped to
+    # point ids, for report-family rows; zero-length rows otherwise
     per_lens = [
         np.where(want_mask[rows_s], comp.nleaves[sel_n], 0)
         for comp, _el, sel_n, rows_s in emitted
@@ -121,7 +122,7 @@ def batched_forest_selections(
     np.cumsum(lens_cat, out=offsets[1:])
     flat = np.concatenate(
         [
-            el.pid_block[comp.tile_positions(sel_n, lens)]
+            el.pids[comp.rows_flat(sel_n, lens)]
             for (comp, el, sel_n, _r), lens in zip(emitted, per_lens)
         ]
     )

@@ -106,7 +106,8 @@ class SearchOutput:
     :class:`~repro.cgm.columns.RecordBatch` (``dist.hat_selection_cols``
     / ``dist.forest_selection``) whose rows lazily unpack to the records
     the reference walks (:meth:`Hat.walk`,
-    :meth:`ForestElement.canonical`) emit; ``owner_stores`` exposes the
+    :meth:`RangeTree.canonical <repro.seq.range_tree.RangeTree.canonical>`)
+    emit; ``owner_stores`` exposes the
     per-owner forest stores.  The load-balancing observables of steps 2-4
     (``demands`` per owner, ``copy_counts``, per-processor subquery
     counts) are what the M1/S1 experiments and the Theorem 3 tests
@@ -243,12 +244,12 @@ _NO_FOREST_ROWS = _forest_output(
 
 @register_phase("dist.search.forest_cols")
 def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
-    """Step 5: compiled batched walks over resident forest elements.
+    """Step 5: batched walks over resident forest elements.
 
     The inbox is one routing batch (subqueries and expansion requests
     mixed, source-ordered).  Subqueries group by target element and each
     group runs one :meth:`~repro.seq.compiled.CompiledForest.walk` —
-    level-by-level frontier expansion over the element's lowered arrays
+    level-by-level frontier expansion over the element's arrays
     — then :func:`~repro.dist.forest_compiled.batched_forest_selections`
     packs every group's selections straight into the
     ``dist.forest_selection`` columns, restored to inbox-row order.
@@ -256,7 +257,7 @@ def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
     queries whose output mode consumes point ids: fold-family selections
     carry an empty ``pid_tuple``, saving the per-leaf gather for every
     count/aggregate subquery.  Charged visit totals match a per-subquery
-    :meth:`ForestElement.canonical` loop exactly (``max(1, visits)`` per
+    object-tree ``canonical`` loop exactly (``max(1, visits)`` per
     subquery, ``nleaves`` per expand).
     """
     inbox, ns, collect_pids = payload
@@ -287,8 +288,9 @@ def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
         if int(kind[i]) == RoutingCodec.KIND_EXPAND:
             # Owners always keep their own store; expand in place.
             el = forest[unflatten_path(fid_flat)]
-            pids = el.all_pids_array()
-            pids = pids[pids >= 0]
+            # rows ascend in the element's own dimension: the order
+            # the hat-side expansion has always emitted
+            pids = el.pids[el.pids >= 0]
             pair_qids.append(
                 np.full(len(pids), int(qid_col[i]), dtype=np.int64)
             )

@@ -6,14 +6,18 @@ Theorem 1 ownership layout, and the aggregate annotations ``f(v)`` of
 Algorithm AssociativeFunction — against a live tree.  Used by the CLI's
 ``--validate`` flag and by tests to prove queries never mutate the
 structure; corruption of any single field (an aggregate, an owner
-location, a heap index) must be caught.
+location, a heap index, one slot of a forest element's arrays) must be
+caught.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Callable, List, Tuple
 
+import numpy as np
+
+from .._util import ilog2
 from .labeling import is_valid_path
 
 __all__ = ["ValidationReport", "validate_tree"]
@@ -35,6 +39,105 @@ class ValidationReport:
         extra = len(self.failures) - max_failures
         tail = f" (+{extra} more)" if extra > 0 else ""
         return f"validation: FAILED after {self.checks_run} checks — {shown}{tail}"
+
+
+def _closed_form_sizes(w: int, r: int) -> Tuple[int, int, int]:
+    """``(T, R, S)`` of an ``r``-dimensional range tree on ``w`` leaves:
+    nodes, ``row_block`` rows (last-dimension leaves) and leaf records of
+    all segment trees.  Summed level by level — a primary tree has
+    ``2^l`` nodes of width ``w/2^l`` at level ``l``, each anchoring one
+    ``(r−1)``-dimensional tree — where the builder recurses root-down:
+    the independent form."""
+    if r == 1:
+        return 2 * w - 1, w, w
+    nodes, rows, leaves = 0, 0, w
+    for level in range(ilog2(w) + 1):
+        t, rr, s = _closed_form_sizes(w >> level, r - 1)
+        nodes += (1 + t) << level
+        rows += rr << level
+        leaves += s << level
+    return nodes, rows, leaves
+
+
+def _check_element_arrays(el, check: Callable[[bool, str], None]) -> None:
+    """A forest element's arrays against Definition 2's closed forms.
+
+    Reads only the arrays (and the rank rows they index): sizes, interval
+    order and nesting, the arithmetic links, and — through each node's
+    ``row_block`` slice — that children partition their parent's rows,
+    which makes every tree's slice a permutation of its parent's.
+    """
+    soa = el.soa
+    fid = el.forest_id
+    m = el.nleaves
+    r = soa.d - el.dim
+    n_want, rows_want, records_want = _closed_form_sizes(m, r)
+    node_arrays = (
+        soa.dim_ix, soa.lo, soa.hi, soa.left, soa.right,
+        soa.desc, soa.last, soa.nleaves, soa.row_off,
+    )
+    sized = all(len(a) == n_want for a in node_arrays)
+    check(sized, f"element {fid}: node count is not T({m}, {r}) = {n_want}")
+    rows_ok = len(soa.row_block) == rows_want and el.size_records == records_want
+    check(
+        rows_ok,
+        f"element {fid}: not R({m}, {r}) = {rows_want} row_block rows "
+        f"and {records_want} leaf records",
+    )
+    if not (sized and rows_ok):
+        return  # the slot checks below index by these sizes
+
+    ids = np.arange(n_want, dtype=np.int64)
+    last, nleaves = soa.last, soa.nleaves
+    internal = nleaves > 1
+    check((soa.lo <= soa.hi).all(), f"element {fid}: a node has lo > hi")
+    check(
+        (soa.left[last] == np.where(internal, ids + 1, -1)[last]).all()
+        and (soa.right[last] == np.where(internal, ids + nleaves, -1)[last]).all(),
+        f"element {fid}: last-dimension links are not left = id+1, right = id+nleaves",
+    )
+    check(
+        (soa.desc == np.where(last, -1, ids + 1)).all(),
+        f"element {fid}: descendant links are not id+1 off the last dimension",
+    )
+
+    def at(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        # a corrupt link or offset must fail a check, not the validator
+        return arr.take(idx, mode="clip")
+
+    v = np.flatnonzero(internal)
+    kids = (soa.left[v], soa.right[v])
+    check(
+        all(
+            (
+                (soa.lo[v] <= at(soa.lo, k))
+                & (at(soa.hi, k) <= soa.hi[v])
+                & (at(soa.dim_ix, k) == soa.dim_ix[v])
+            ).all()
+            for k in kids
+        ),
+        f"element {fid}: a child interval does not nest in its parent's",
+    )
+    # rows under any node: the (row_off, nleaves) slice of the
+    # last-dimension tree its descendant links reach, one hop per
+    # earlier dimension
+    start = at(soa.row_off, ids + (soa.d - 1 - soa.dim_ix))
+
+    def rows_under(nodes: np.ndarray, w: int) -> np.ndarray:
+        span = np.arange(w, dtype=np.int64)
+        return np.sort(at(soa.row_block, at(start, nodes)[:, None] + span), axis=1)
+
+    partitions = np.array_equal(rows_under(ids[:1], m)[0], np.arange(m))
+    for w in np.unique(nleaves[v]):
+        of_w = nleaves[v] == w
+        halves = [rows_under(k[of_w], w // 2) for k in kids]
+        partitions = partitions and np.array_equal(
+            rows_under(v[of_w], w), np.sort(np.concatenate(halves, axis=1), axis=1)
+        )
+    check(
+        partitions,
+        f"element {fid}: a tree's row_block slice is not a permutation of its parent's",
+    )
 
 
 def validate_tree(tree) -> ValidationReport:
@@ -125,9 +228,10 @@ def validate_tree(tree) -> ValidationReport:
             f"element {leaf.path} violates the group-to-processor rule",
         )
         check(
-            el.tree.root_agg() == leaf.agg,
+            el.soa.root_agg() == leaf.agg,
             f"hat-leaf aggregate stale for {leaf.path}",
         )
+        _check_element_arrays(el, check)
 
     # -- Store side: every stored element is a known, correctly-placed leaf -
     seen: set = set()

@@ -9,6 +9,7 @@ the input to rank-space normalisation (:mod:`repro.geometry.rankspace`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -16,7 +17,20 @@ import numpy as np
 
 from ..errors import DimensionMismatch, EmptyPointSet, GeometryError
 
-__all__ = ["Point", "PointSet"]
+__all__ = ["Point", "PointSet", "checked_coords"]
+
+
+def checked_coords(coords: Sequence[float], dim: int) -> tuple[float, ...]:
+    """One point's coordinates as a float tuple, or :class:`GeometryError`
+    — the check :class:`PointSet` runs on a whole set, for the structures
+    that take points one at a time and must reject a bad one *before*
+    mutating any state."""
+    if len(coords) != dim:
+        raise GeometryError(f"expected {dim} coordinates, got {len(coords)}")
+    out = tuple(float(c) for c in coords)
+    if not all(math.isfinite(c) for c in out):
+        raise GeometryError("coordinates must be finite")
+    return out
 
 
 @dataclass(frozen=True, slots=True)

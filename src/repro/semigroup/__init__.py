@@ -17,7 +17,6 @@ from .builtin import (
     sum_of_dim,
 )
 from .kernels import (
-    KernelAggs,
     KernelColumn,
     SemigroupKernel,
     kernel_for,
@@ -44,7 +43,6 @@ __all__ = [
     "histogram_of_dim",
     "SemigroupKernel",
     "KernelColumn",
-    "KernelAggs",
     "kernel_for",
     "register_kernel_resolver",
 ]

@@ -31,7 +31,11 @@ reduction order is chosen per column kind (``col_ops``):
 
 Heap folds (node annotation) combine children pairwise by structure, as
 the per-node ``combine`` loop does, so the vectorized level-by-level fold
-is bit-identical by construction for every column kind.
+is bit-identical by construction for every column kind.  Their one
+consumer is :meth:`repro.seq.compiled.CompiledForest.annotate`, which
+stacks each size class of a forest element's last-dimension trees into
+one :func:`batched_heap_fold` and keeps the folded rows as the element's
+``agg_mat`` — the typed aggregates live there, not in a per-tree store.
 
 Resolution
 ----------
@@ -72,7 +76,6 @@ __all__ = [
     "BBoxKernel",
     "ProductKernel",
     "KernelColumn",
-    "KernelAggs",
     "kernel_for",
     "register_kernel_resolver",
     "heap_fold",
@@ -388,41 +391,23 @@ def combine_mats(kernel: SemigroupKernel, a: np.ndarray, b: np.ndarray) -> np.nd
 
 
 def heap_fold(kernel: SemigroupKernel, leaves: np.ndarray) -> np.ndarray:
-    """Heap-ordered node aggregates from ``m`` leaf rows, level by level.
-
-    Returns a ``(2m, width)`` matrix: row ``m + k`` is leaf ``k``, row
-    ``v < m`` is ``combine(row 2v, row 2v+1)`` and row 0 the identity.
-    Children combine pairwise — the exact association of the per-node
-    bottom-up ``combine`` loop — so every column kind is bit-identical.
-    """
-    m = len(leaves)
-    out = np.empty((2 * m, kernel.width), dtype=kernel.dtype)
-    out[0] = np.asarray(kernel.identity_row, dtype=kernel.dtype)
-    out[m:] = leaves
-    groups = _col_groups(kernel.col_ops)
-    pos = m
-    while pos > 1:
-        lo = pos >> 1
-        left = out[pos : 2 * pos : 2]
-        right = out[pos + 1 : 2 * pos : 2]
-        for op, cols in groups:
-            if op == OP_MIN:
-                out[lo:pos, cols] = np.minimum(left[:, cols], right[:, cols])
-            else:
-                out[lo:pos, cols] = left[:, cols] + right[:, cols]
-        pos = lo
-    return out
+    """One tree's heap-ordered node aggregates from its ``m`` leaf rows:
+    a one-plane :func:`batched_heap_fold`."""
+    return batched_heap_fold(kernel, leaves[None])[0]
 
 
 def batched_heap_fold(kernel: SemigroupKernel, leaves: np.ndarray) -> np.ndarray:
-    """:func:`heap_fold` over a stack of equal-size trees at once.
+    """Heap-ordered node aggregates of a stack of equal-size trees.
 
     ``leaves`` is ``(trees, m, width)``; the result is ``(trees, 2m,
-    width)`` with each tree's heap in its own plane.  One level loop
-    annotates the whole stack — the batching that makes kernel
-    annotation win even when a range tree holds thousands of tiny
-    last-dimension trees (per-tree numpy calls would cost more than the
-    Python combines they replace).
+    width)`` with each tree's heap in its own plane: row ``m + k`` is
+    leaf ``k``, row ``v < m`` is ``combine(row 2v, row 2v+1)`` and row 0
+    the identity.  Children combine pairwise — the exact association of
+    the per-node bottom-up ``combine`` loop — so every column kind is
+    bit-identical.  One level loop annotates the whole stack — the
+    batching that makes kernel annotation win even when a range tree
+    holds thousands of tiny last-dimension trees (per-tree numpy calls
+    would cost more than the Python combines they replace).
     """
     k, m, w = leaves.shape
     out = np.empty((k, 2 * m, w), dtype=kernel.dtype)
@@ -508,7 +493,7 @@ def fold_segments(
 
 
 # ---------------------------------------------------------------------------
-# typed columns and heap annotations (the batch/tree carriers)
+# typed value columns (the batch/tree carrier)
 # ---------------------------------------------------------------------------
 class KernelColumn:
     """A typed value column: one ``(n, width)`` matrix plus its kernel.
@@ -581,57 +566,6 @@ class KernelColumn:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KernelColumn({self.kernel.name!r}, n={len(self.data)})"
-
-
-class KernelAggs:
-    """Heap-ordered node aggregates as one typed matrix (``aggs`` twin).
-
-    Indexing by heap node id decodes the semigroup value, so
-    :meth:`repro.seq.range_tree.CanonicalSelection.agg` and friends work
-    unchanged; the search phases read :attr:`mat` directly to emit typed
-    selection columns without per-node decoding.
-
-    ``block``/``plane`` expose the 3-D batch this heap was folded inside
-    (``mat is block[plane]``): consumers gathering rows from *many*
-    aggs stores — the forest walk's selection column — group picks by
-    block and fetch each group with one fancy index instead of a numpy
-    row copy per selection.  A standalone heap is its own 1-plane block.
-    """
-
-    __slots__ = ("kernel", "mat", "block", "plane")
-
-    def __init__(
-        self,
-        kernel: SemigroupKernel,
-        mat: np.ndarray,
-        block: "np.ndarray | None" = None,
-        plane: int = 0,
-    ) -> None:
-        self.kernel = kernel
-        self.mat = mat
-        self.block = block if block is not None else mat[None]
-        self.plane = plane
-
-    @classmethod
-    def build(cls, column: KernelColumn, order: np.ndarray) -> "KernelAggs":
-        return cls(column.kernel, heap_fold(column.kernel, column.data[order]))
-
-    def __getstate__(self):
-        # never pickle the shared batch block: every tree of a size
-        # class references it, and replication ships whole elements —
-        # the per-tree view (materialized by numpy's pickle) suffices
-        return (self.kernel, self.mat)
-
-    def __setstate__(self, state) -> None:
-        self.kernel, self.mat = state
-        self.block = self.mat[None]
-        self.plane = 0
-
-    def __len__(self) -> int:
-        return len(self.mat)
-
-    def __getitem__(self, node: int) -> Any:
-        return self.kernel.decode(self.mat, int(node))
 
 
 # ---------------------------------------------------------------------------

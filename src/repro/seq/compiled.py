@@ -1,20 +1,27 @@
-"""The compiled range tree: struct-of-arrays lowering + batched walks.
+"""The range tree as struct-of-arrays: direct build + batched walks.
 
-The canonical walk (:meth:`repro.seq.range_tree.RangeTree.canonical_pairs`)
+The canonical walk (:meth:`repro.seq.range_tree.RangeTree.canonical`)
 chases Python objects one query at a time; it is the reference.  A range
 tree's topology is *fixed* after construction (refits replace
-aggregates, never structure), so it lowers once into flat arrays and
-every batch of boxes — the sequential ``*_many`` queries and Search
-step 5 alike — walks it as level-by-level numpy frontier expansion.
+aggregates, never structure) and every label in it is Definition 2
+arithmetic, so :meth:`CompiledForest.from_ranks` emits the flat arrays
+straight from the rank table — no object tree in between — and every
+batch of boxes (the sequential ``*_many`` queries and Search step 5
+alike) walks them as level-by-level numpy frontier expansion.
 
-Two invariants make the lowering exact, mirroring ``CompiledHat``:
+Two invariants make the arrays exact, mirroring ``CompiledHat``:
 
 * **Emission order.**  Node ids are assigned in the object walk's own
   DFS emission order — ``order(v) = [v] + order(descendant tree of v) +
   order(left subtree) + order(right subtree)`` — so each query's
   selection order is monotone in node id and one
   ``np.lexsort((node, query))`` reproduces the object walk's exact
-  per-query emission order.
+  per-query emission order.  With ``T(w, r)`` nodes and ``R(w, r)``
+  ``row_block`` rows in an ``r``-dimensional tree on ``w`` leaves,
+  ``T(w, 1) = 2w − 1``, ``R(w, 1) = w`` and, for ``r > 1``,
+  ``T(w, r) = 1 + T(w, r−1) + 2·T(w/2, r)`` (``R`` likewise without the
+  ``1``; the halves vanish at ``w = 1``) — every id and row offset is a
+  sum of these.
 * **Visit accounting.**  :meth:`~repro.seq.segment_tree.SegTree.decompose_counted`
   pre-checks child overlap before pushing, so only roots of per-node
   walks can die; the frontier walk applies the same pre-check at push
@@ -23,26 +30,22 @@ Two invariants make the lowering exact, mirroring ``CompiledHat``:
 
 Within one last-dimension segment tree the DFS order is plain preorder,
 which makes the child links arithmetic (``left = id + 1``,
-``right = id + width``); only the minority of earlier-dimension nodes is
-walked in Python at compile time, and each last-dimension size class is
-filled with a handful of vectorized gathers (the same batching trick as
-kernel annotation).
+``right = id + nleaves``).
 
-``tests/test_compiled_forest.py`` pins the batched walk against the
-per-box reference walk: same selections, same order, same visit counts.
+``tests/test_compiled_forest.py`` pins the arrays against the object
+tree: same selections, same order, same visit counts, same aggregates.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, List, Sequence, Tuple
+from typing import Any, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from ..semigroup.kernels import KernelAggs
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
-    from .range_tree import DimTree, RangeTree
+from .._util import require_power_of_two
+from ..semigroup import Semigroup
+from ..semigroup.kernels import KernelColumn, batched_heap_fold
 
 __all__ = ["CompiledForest"]
 
@@ -79,22 +82,69 @@ def _preorder_layout(m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return heap, start, width
 
 
+@lru_cache(maxsize=None)
+def _sizes(w: int, r: int) -> Tuple[int, int]:
+    """``(T, R)``: node and ``row_block`` counts of an ``r``-dimensional
+    range tree on ``w`` leaves (Definition 2 arithmetic).
+
+    ``T(w, 1) = 2w − 1`` and ``R(w, 1) = w``; for ``r > 1`` a tree is its
+    primary root, the root's ``(r − 1)``-dimensional descendant tree and
+    the two half-width subtrees: ``T(w, r) = 1 + T(w, r−1) + 2·T(w/2, r)``
+    (``R`` likewise, without the ``1``), the halves vanishing at ``w = 1``.
+    """
+    if r == 1:
+        return 2 * w - 1, w
+    t1, r1 = _sizes(w, r - 1)
+    if w == 1:
+        return 1 + t1, r1
+    th, rh = _sizes(w >> 1, r)
+    return 1 + t1 + 2 * th, r1 + 2 * rh
+
+
+@lru_cache(maxsize=256)
+def _primary_layout(w: int, r: int) -> Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]:
+    """Per level of an ``r > 1``-dimensional tree's primary segment tree:
+    each node's DFS-emission offset from the tree's first id, and its
+    descendant tree's offset into the tree's ``row_block`` slice.
+
+    A node at offset ``o`` of width ``v`` emits itself, its descendant
+    tree (``T(v, r−1)`` ids from ``o + 1``, ``R(v, r−1)`` rows), its left
+    subtree and then its right subtree — so the children's offsets are
+    sums of :func:`_sizes`.  Memoized per ``(w, r)``; read-only.
+    """
+    node = [np.zeros(1, dtype=_I64)]
+    row = [np.zeros(1, dtype=_I64)]
+    v = w
+    while v > 1:
+        t1, r1 = _sizes(v, r - 1)
+        th, rh = _sizes(v >> 1, r)
+        nxt_n = np.empty(2 * len(node[-1]), dtype=_I64)
+        nxt_n[0::2] = node[-1] + (1 + t1)
+        nxt_n[1::2] = node[-1] + (1 + t1 + th)
+        nxt_r = np.empty_like(nxt_n)
+        nxt_r[0::2] = row[-1] + r1
+        nxt_r[1::2] = row[-1] + (r1 + rh)
+        node.append(nxt_n)
+        row.append(nxt_r)
+        v >>= 1
+    return tuple(node), tuple(row)
+
+
 class CompiledForest:
-    """A range tree lowered to flat arrays, walked for many boxes at once.
+    """A range tree as flat arrays, walked for many boxes at once.
 
     Per node (global DFS emission-order id): ``dim_ix`` the absolute
     dimension compared at that node, ``lo``/``hi`` its closed rank
     interval, ``left``/``right``/``desc`` child links (−1 when absent),
     ``last`` flags last-dimension membership, ``nleaves`` the leaf count.
-    Last-dimension nodes additionally carry ``tree_of``/``heap`` (the
-    owning :class:`~repro.seq.range_tree.DimTree` and its heap id, for
-    aggregate reads) and ``row_off`` — the node's leaf rows as a
-    contiguous ``(offset, nleaves)`` slice of the flat ``row_block``
-    (heap arithmetic at compile time, no traversal at walk time).  When
-    every last-dimension tree is kernel-annotated (§6c), ``agg_mat``
-    snapshots all node aggregates as one pre-encoded matrix sliced per
-    canonical selection; otherwise ``agg_kernel is None`` and consumers
-    decode through ``trees[tree_of].aggs[heap]``.
+    Last-dimension nodes additionally carry ``row_off`` — the node's
+    leaf rows as a contiguous ``(offset, nleaves)`` slice of the flat
+    ``row_block`` (layout arithmetic at build time, no traversal at walk
+    time).  Node aggregates live in exactly one of two columns, decided
+    by the value column handed in: ``agg_mat`` (pre-encoded rows under
+    ``agg_kernel``, §6c) for a typed
+    :class:`~repro.semigroup.kernels.KernelColumn`, ``agg_obj`` (the
+    semigroup's own Python values) otherwise.
     """
 
     __slots__ = (
@@ -107,85 +157,46 @@ class CompiledForest:
         "desc",
         "last",
         "nleaves",
-        "tree_of",
-        "heap",
         "row_off",
         "row_block",
-        "trees",
         "agg_kernel",
         "agg_mat",
+        "agg_obj",
     )
 
     def __init__(self, **arrays: Any) -> None:
         for name in self.__slots__:
-            setattr(self, name, arrays[name])
+            setattr(self, name, arrays.get(name))
 
     @property
     def size_nodes(self) -> int:
         return len(self.lo)
 
     # ------------------------------------------------------------------
-    # lowering
+    # construction
     # ------------------------------------------------------------------
     @classmethod
-    def build(cls, rt: "RangeTree") -> "CompiledForest":
-        """Lower ``rt`` into DFS emission-ordered arrays (one pass)."""
-        d = rt.d
-        last_dim = d - 1
-        counter = 0
-        row_base = 0
-        #: (tree, first node id, first row_block offset) per last-dim tree
-        blocks: List[Tuple["DimTree", int, int]] = []
-        # earlier-dimension nodes, recorded by the Python DFS (a
-        # minority: ~2m of the ~2m·log m total nodes per element)
-        nl_id: List[int] = []
-        nl_dim: List[int] = []
-        nl_lo: List[int] = []
-        nl_hi: List[int] = []
-        nl_w: List[int] = []
-        nl_left: List[int] = []
-        nl_right: List[int] = []
-        nl_desc: List[int] = []
+    def from_ranks(
+        cls,
+        ranks: np.ndarray,
+        values: Sequence[Any],
+        semigroup: Semigroup,
+        start_dim: int = 0,
+    ) -> "CompiledForest":
+        """The range tree over all rows of ``ranks``, dividing dimensions
+        ``start_dim .. d−1``, emitted directly as arrays.
 
-        def visit_tree(t: "DimTree") -> int:
-            nonlocal counter, row_base
-            if t.dim == last_dim:
-                base = counter
-                counter += 2 * t.seg.m - 1
-                blocks.append((t, base, row_base))
-                row_base += t.seg.m
-                return base
-            return visit(t, 1, 0, t.seg.m)
-
-        def visit(t: "DimTree", h: int, s: int, w: int) -> int:
-            nonlocal counter
-            i = counter
-            counter += 1
-            pos = len(nl_id)
-            ranks = t.seg.ranks
-            nl_id.append(i)
-            nl_dim.append(t.dim)
-            nl_lo.append(int(ranks[s]))
-            nl_hi.append(int(ranks[s + w - 1]))
-            nl_w.append(w)
-            nl_left.append(-1)
-            nl_right.append(-1)
-            # number the descendant tree before the children: the object
-            # walk emits a selected node's descendants before anything
-            # under its siblings (the emission-order theorem)
-            assert t.descendants is not None
-            nl_desc.append(-1)
-            nl_desc[pos] = visit_tree(t.descendants[h])
-            if w > 1:
-                half = w >> 1
-                nl_left[pos] = visit(t, 2 * h, s, half)
-                nl_right[pos] = visit(t, 2 * h + 1, s + half, half)
-            return i
-
-        visit_tree(rt.root_tree)
-
-        n = counter
-        dim_ix = np.full(n, last_dim, dtype=_I64)
+        Trees are built a *batch* at a time: ``k`` equal-width trees of
+        one dimension are one ``argsort(axis=1)`` plus a few scatters
+        through the memoized ``(w, r)`` layout, and the descendant trees
+        of their level-``l`` nodes are the next batch,
+        ``rows.reshape(k·2^l, w/2^l)``.
+        """
+        ranks = np.asarray(ranks, dtype=_I64)
+        m, d = ranks.shape
+        require_power_of_two("range tree point count", m)
+        n, nrows = _sizes(m, d - start_dim)
+        dim_ix = np.full(n, d - 1, dtype=_I64)
         lo = np.empty(n, dtype=_I64)
         hi = np.empty(n, dtype=_I64)
         left = np.empty(n, dtype=_I64)
@@ -193,91 +204,65 @@ class CompiledForest:
         desc = np.full(n, -1, dtype=_I64)
         last = np.ones(n, dtype=bool)
         nleaves = np.empty(n, dtype=_I64)
-        tree_of = np.full(n, -1, dtype=_I64)
-        heap = np.zeros(n, dtype=_I64)
         row_off = np.zeros(n, dtype=_I64)
-        row_block = np.empty(row_base, dtype=_I64)
+        row_block = np.empty(nrows, dtype=_I64)
 
-        if nl_id:
-            ids = np.asarray(nl_id, dtype=_I64)
-            dim_ix[ids] = nl_dim
-            lo[ids] = nl_lo
-            hi[ids] = nl_hi
-            left[ids] = nl_left
-            right[ids] = nl_right
-            desc[ids] = nl_desc
-            last[ids] = False
-            nleaves[ids] = nl_w
+        # a batch: (rows (k, w), dimension, first node id (k,), first row (k,))
+        zero = np.zeros(1, dtype=_I64)
+        batches = [(np.arange(m, dtype=_I64)[None, :], start_dim, zero, zero)]
+        while batches:
+            rows, dim, base, rbase = batches.pop()
+            k, w = rows.shape
+            keys = ranks[rows, dim]
+            # stable, as the per-tree argsort of the object builder
+            order = np.argsort(keys, axis=1, kind="stable")
+            rows = np.take_along_axis(rows, order, axis=1)
+            keys = np.take_along_axis(keys, order, axis=1)
+            if dim == d - 1:
+                # preorder within a last-dimension tree makes the links
+                # arithmetic: left = id + 1, right = id + nleaves
+                _heap, s_arr, w_arr = _preorder_layout(w)
+                gids = base[:, None] + np.arange(2 * w - 1, dtype=_I64)
+                flat = gids.ravel()
+                nleaves[flat] = np.broadcast_to(w_arr, gids.shape).ravel()
+                row_off[flat] = (rbase[:, None] + s_arr).ravel()
+                internal = w_arr > 1
+                left[flat] = np.where(internal, gids + 1, -1).ravel()
+                right[flat] = np.where(internal, gids + w_arr, -1).ravel()
+                lo[flat] = keys[:, s_arr].ravel()
+                hi[flat] = keys[:, s_arr + w_arr - 1].ravel()
+                row_block[
+                    (rbase[:, None] + np.arange(w, dtype=_I64)).ravel()
+                ] = rows.ravel()
+                continue
+            node_offs, row_offs = _primary_layout(w, d - dim)
+            for level, (noff, roff) in enumerate(zip(node_offs, row_offs)):
+                v = w >> level
+                ids = (base[:, None] + noff).ravel()
+                dim_ix[ids] = dim
+                last[ids] = False
+                nleaves[ids] = v
+                lo[ids] = keys[:, ::v].ravel()
+                hi[ids] = keys[:, v - 1 :: v].ravel()
+                # a selected node's descendant tree is emitted before
+                # anything under its siblings (the emission-order theorem)
+                desc[ids] = ids + 1
+                if v > 1:
+                    kids = base[:, None] + node_offs[level + 1]
+                    left[ids] = kids[:, 0::2].ravel()
+                    right[ids] = kids[:, 1::2].ravel()
+                else:
+                    left[ids] = right[ids] = -1
+                batches.append(
+                    (
+                        rows.reshape(k << level, v),
+                        dim + 1,
+                        ids + 1,
+                        (rbase[:, None] + roff).ravel(),
+                    )
+                )
 
-        trees = [t for t, _base, _rb in blocks]
-        kernel = None
-        agg_mat = None
-        if blocks and all(
-            isinstance(t.aggs, KernelAggs) for t, _b, _r in blocks
-        ):
-            k0 = blocks[0][0].aggs.kernel  # type: ignore[union-attr]
-            if all(
-                t.aggs.kernel is k0 or t.aggs.kernel == k0  # type: ignore[union-attr]
-                for t, _b, _r in blocks
-            ):
-                kernel = k0
-                agg_mat = np.zeros((n, k0.width), dtype=k0.dtype)
-
-        # fill the last-dimension blocks one *size class* at a time:
-        # trees of equal m share a preorder layout, so the whole class
-        # lands with a few broadcast gathers instead of per-tree loops
-        by_m: dict = {}
-        for ti, (t, base, rb) in enumerate(blocks):
-            by_m.setdefault(t.seg.m, []).append((ti, t, base, rb))
-        for m, group in by_m.items():
-            pre, s_arr, w_arr = _preorder_layout(m)
-            size = 2 * m - 1
-            k = len(group)
-            bases = np.asarray([b for _ti, _t, b, _rb in group], dtype=_I64)
-            rbases = np.asarray([rb for _ti, _t, _b, rb in group], dtype=_I64)
-            tids = np.asarray([ti for ti, _t, _b, _rb in group], dtype=_I64)
-            gids = bases[:, None] + np.arange(size, dtype=_I64)[None, :]
-            flat = gids.ravel()
-            heap[flat] = np.broadcast_to(pre, (k, size)).ravel()
-            tree_of[flat] = np.repeat(tids, size)
-            nleaves[flat] = np.broadcast_to(w_arr, (k, size)).ravel()
-            row_off[flat] = (rbases[:, None] + s_arr[None, :]).ravel()
-            internal = w_arr > 1
-            left[flat] = np.where(
-                internal[None, :], gids + 1, -1
-            ).ravel()
-            right[flat] = np.where(
-                internal[None, :], gids + w_arr[None, :], -1
-            ).ravel()
-            orders = (
-                group[0][1].order.reshape(1, m)
-                if k == 1
-                else np.stack([t.order for _ti, t, _b, _rb in group])
-            )
-            row_block[
-                (rbases[:, None] + np.arange(m, dtype=_I64)).ravel()
-            ] = orders.ravel()
-            ranks = rt.ranks[orders, last_dim]
-            lo[flat] = ranks[:, s_arr].ravel()
-            hi[flat] = ranks[:, s_arr + w_arr - 1].ravel()
-            if agg_mat is not None:
-                # one 3-D gather per shared fold block (usually one per
-                # size class — the batched annotation stacks them)
-                by_block: dict = {}
-                for gi, (_ti, t, _b, _rb) in enumerate(group):
-                    a = t.aggs
-                    ent = by_block.get(id(a.block))  # type: ignore[union-attr]
-                    if ent is None:
-                        by_block[id(a.block)] = ent = (a.block, [], [])  # type: ignore[union-attr]
-                    ent[1].append(gi)
-                    ent[2].append(a.plane)  # type: ignore[union-attr]
-                for blk, gis, planes in by_block.values():
-                    rows = blk[
-                        np.asarray(planes, dtype=_I64)[:, None], pre[None, :]
-                    ]
-                    agg_mat[gids[gis].ravel()] = rows.reshape(-1, kernel.width)
-
-        return cls(
+        forest = cls(
             d=d,
             dim_ix=dim_ix,
             lo=lo,
@@ -287,14 +272,73 @@ class CompiledForest:
             desc=desc,
             last=last,
             nleaves=nleaves,
-            tree_of=tree_of,
-            heap=heap,
             row_off=row_off,
             row_block=row_block,
-            trees=trees,
-            agg_kernel=kernel,
-            agg_mat=agg_mat,
         )
+        forest.annotate(values, semigroup)
+        return forest
+
+    def _last_dim_classes(
+        self,
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The last-dimension segment trees, one size class at a time.
+
+        Yields ``(rows, gids, heap)`` per leaf count ``w``: the ``(k, w)``
+        leaf rows of the class's ``k`` trees in last-dimension rank
+        order, their ``(k, 2w − 1)`` node ids, and the heap id at each
+        preorder position — all read back from the held topology, so a
+        build and a refit annotate through the same child pairs.
+        """
+        # a last-dimension tree hangs off a node of dimension d−2 — or is
+        # the whole structure, when only the last dimension is divided
+        roots = self.desc[~self.last]
+        roots = roots[self.last[roots]] if len(roots) else np.zeros(1, dtype=_I64)
+        widths = self.nleaves[roots]
+        for w in np.unique(widths).tolist():
+            sel = roots[widths == w]
+            heap, _start, _width = _preorder_layout(w)
+            rows = self.row_block[
+                self.row_off[sel][:, None] + np.arange(w, dtype=_I64)
+            ]
+            yield rows, sel[:, None] + np.arange(2 * w - 1, dtype=_I64), heap
+
+    def annotate(self, values: Sequence[Any], semigroup: Semigroup) -> None:
+        """(Re)compute every last-dimension node's aggregate ``f(v)`` over
+        the held topology and rebind the aggregate columns.
+
+        Step 1 of Algorithm AssociativeFunction: O(s) work, no topology
+        touched.  Each size class of last-dimension trees folds as one
+        stack — thousands of mostly tiny trees would drown per-tree numpy
+        calls — combining the same child pairs as a per-node bottom-up
+        ``combine`` loop, hence bit-identical values.
+        """
+        n = self.size_nodes
+        if isinstance(values, KernelColumn):
+            kernel = values.kernel
+            agg_mat = np.zeros((n, kernel.width), dtype=kernel.dtype)
+            for rows, gids, heap in self._last_dim_classes():
+                heaps = batched_heap_fold(kernel, values.data[rows])
+                agg_mat[gids.ravel()] = heaps[:, heap].reshape(-1, kernel.width)
+            self.agg_kernel, self.agg_mat, self.agg_obj = kernel, agg_mat, None
+            return
+        leaves = np.empty(len(values), dtype=object)
+        for i, v in enumerate(values):
+            leaves[i] = v
+        combine = np.frompyfunc(semigroup.combine, 2, 1)
+        agg_obj = np.empty(n, dtype=object)
+        for rows, gids, heap in self._last_dim_classes():
+            k, w = rows.shape
+            heaps = np.empty((k, 2 * w), dtype=object)
+            heaps[:, w:] = leaves[rows]
+            pos = w
+            while pos > 1:
+                half = pos >> 1
+                heaps[:, half:pos] = combine(
+                    heaps[:, pos : 2 * pos : 2], heaps[:, pos + 1 : 2 * pos : 2]
+                )
+                pos = half
+            agg_obj[gids.ravel()] = heaps[:, heap].ravel()
+        self.agg_kernel, self.agg_mat, self.agg_obj = None, None, agg_obj
 
     # ------------------------------------------------------------------
     # the batched walk
@@ -359,47 +403,37 @@ class CompiledForest:
         order = np.lexsort((sel_n, sel_q))
         return sel_q[order], sel_n[order], visits
 
-    def tile_positions(
+    def rows_flat(
         self, sel_n: np.ndarray, lengths: np.ndarray
     ) -> np.ndarray:
-        """Flat ``row_block`` positions of each selection's leaf tiling.
+        """Leaf rows under each selected node, concatenated.
 
         ``lengths`` is the per-selection row count to take (``nleaves``
-        of the node, or 0 to skip a selection); the result indexes
-        ``row_block`` — or any same-layout flat block, like an element's
-        pid tiling — with one fancy gather, no traversal.
+        of the node, or 0 to skip a selection); each selection's rows
+        are the ``(row_off, length)`` slice of ``row_block`` — one fancy
+        gather, no traversal.
         """
         offsets = np.zeros(len(sel_n) + 1, dtype=_I64)
         np.cumsum(lengths, out=offsets[1:])
         total = int(offsets[-1])
         if not total:
             return np.empty(0, dtype=_I64)
-        return (
+        return self.row_block[
             np.arange(total, dtype=_I64)
             - np.repeat(offsets[:-1], lengths)
             + np.repeat(self.row_off[sel_n], lengths)
-        )
-
-    def rows_flat(
-        self, sel_n: np.ndarray, lengths: np.ndarray
-    ) -> np.ndarray:
-        """Leaf rows under each selected node, concatenated — the
-        tiling-arithmetic twin of per-selection ``rows_under`` calls."""
-        return self.row_block[self.tile_positions(sel_n, lengths)]
-
-    def decode_aggs(self, sel_n: np.ndarray) -> List[Any]:
-        """Decoded aggregate values for selected nodes, in order.
-
-        Decodes exactly like
-        :meth:`~repro.seq.range_tree.CanonicalSelection.agg` — through
-        each owning tree's ``aggs`` store — so the values are
-        bit-identical to the reference walk's whether the tree holds
-        typed or object aggregates.
-        """
-        trees = self.trees
-        tof = self.tree_of
-        hp = self.heap
-        return [
-            trees[int(tof[j])].aggs[int(hp[j])] for j in sel_n  # type: ignore[index]
         ]
 
+    def decode_aggs(self, sel_n: np.ndarray) -> List[Any]:
+        """The semigroup values of selected nodes, in order — exactly
+        what :meth:`~repro.seq.range_tree.CanonicalSelection.agg` reads
+        off the object tree, typed or object aggregates alike."""
+        if self.agg_kernel is None:
+            return self.agg_obj[sel_n].tolist()
+        return self.agg_kernel.decode_list(self.agg_mat[sel_n])
+
+    def root_agg(self) -> Any:
+        """Aggregate over all points of the tree: the root of the
+        last-dimension tree reached through the root's descendant
+        links (``desc = id + 1``, one hop per earlier dimension)."""
+        return self.decode_aggs([self.d - 1 - int(self.dim_ix[0])])[0]

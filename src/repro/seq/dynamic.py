@@ -24,7 +24,7 @@ from typing import Any, Iterable, Sequence
 
 from ..errors import GeometryError, ReproError
 from ..geometry.box import Box
-from ..geometry.point import PointSet
+from ..geometry.point import PointSet, checked_coords
 from ..semigroup import COUNT, Semigroup
 from ..semigroup.group import AbelianGroup
 from .range_tree import SequentialRangeTree
@@ -54,8 +54,7 @@ class DynamicRangeTree:
     # ------------------------------------------------------------------
     def insert(self, coords: Sequence[float], pid: int | None = None) -> int:
         """Insert one point; returns its id (auto-assigned if omitted)."""
-        if len(coords) != self.dim:
-            raise GeometryError(f"expected {self.dim} coordinates, got {len(coords)}")
+        coords_t = checked_coords(coords, self.dim)
         if pid is None:
             pid = self._next_auto_id
         if pid in self._ids:
@@ -65,9 +64,9 @@ class DynamicRangeTree:
             # re-insert would be hidden by its own tombstone — purge first
             self._compact()
         self._ids.add(pid)
-        self._coords_by_id[pid] = tuple(float(c) for c in coords)
+        self._coords_by_id[pid] = coords_t
         self._next_auto_id = max(self._next_auto_id, pid + 1)
-        carry: list[tuple[int, tuple[float, ...]]] = [(pid, tuple(float(c) for c in coords))]
+        carry: list[tuple[int, tuple[float, ...]]] = [(pid, coords_t)]
         k = 0
         while k in self._buckets:
             _tree, recs = self._buckets.pop(k)

@@ -7,17 +7,21 @@ to a (j-1)-dimensional range tree over the points ``W(v)`` covered by
 
 Two classes live here:
 
-* :class:`RangeTree` — the rank-space core.  It operates on *global* rank
-  vectors and arbitrary row subsets, which lets the distributed layer build
-  forest elements (range trees on ``n/p`` points embedded in the global
-  rank domain) with the same code, and lets the paper's hat/forest
-  interplay compare segments consistently.
+* :class:`RangeTree` — the rank-space core, as explicit objects: one
+  :class:`DimTree` per segment tree, aggregates as the semigroup's own
+  Python values.  It operates on *global* rank vectors and any
+  ``start_dim``, so it is the oracle a forest element (a range tree on
+  ``n/p`` points embedded in the global rank domain, held by
+  :mod:`repro.dist` as :class:`~repro.seq.compiled.CompiledForest` arrays
+  only) is tested against.
 * :class:`SequentialRangeTree` — the user-facing facade over real
   coordinates (rank normalisation, power-of-two padding, id filtering).
 
 Queries support the paper's three outcomes: the canonical dimension-d
 selection (:meth:`RangeTree.canonical`), the associative-function mode
 (:meth:`RangeTree.aggregate`) and the report mode (:meth:`RangeTree.report`).
+The batched ``*_many`` forms walk the same points as arrays, built by the
+one constructor :meth:`~repro.seq.compiled.CompiledForest.from_ranks`.
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ from ..geometry.box import Box, RankBox, RankBoxes, rank_bounds
 from ..geometry.point import PointSet
 from ..geometry.rankspace import RankedPointSet, pad_to_power_of_two
 from ..semigroup import COUNT, Semigroup
-from ..semigroup.kernels import KernelAggs, KernelColumn
-from ..semigroup.kernels import batched_heap_fold as _batched_heap_fold
 from .compiled import CompiledForest
 from .segment_tree import SegTree, WalkStats
 
@@ -105,22 +107,18 @@ class CanonicalSelection:
 
 
 class RangeTree:
-    """Rank-space range tree over a subset of rows of a global rank table.
+    """Rank-space range tree over the rows of a global rank table.
 
     Parameters
     ----------
     ranks:
         ``(N, d)`` global rank table (each column a permutation-unique
-        integer key).
+        integer key); ``N`` must be a power of two.
     values:
         Sequence of length ``N``: the lifted semigroup value of each row
         (identity for padding sentinels).
     semigroup:
         Supplies ``combine``/``identity`` for aggregate maintenance.
-    rows:
-        Row indices this tree covers; defaults to all rows.  ``len(rows)``
-        must be a power of two (guaranteed if the global table was padded
-        and rows come from segment-tree slices).
     start_dim:
         First dimension this tree divides; the tree spans dimensions
         ``start_dim .. d-1`` (a ``(d - start_dim)``-dimensional range tree,
@@ -143,7 +141,6 @@ class RangeTree:
         ranks: np.ndarray,
         values: Sequence[Any],
         semigroup: Semigroup,
-        rows: np.ndarray | None = None,
         start_dim: int = 0,
         stats: WalkStats | None = None,
     ) -> None:
@@ -158,35 +155,18 @@ class RangeTree:
             raise DimensionMismatch(self.d, start_dim, "start dimension")
         self.start_dim = start_dim
         self.stats = stats if stats is not None else WalkStats()
-        if rows is None:
-            rows = np.arange(ranks.shape[0], dtype=np.int64)
-        else:
-            rows = np.asarray(rows, dtype=np.int64)
         self._compiled: CompiledForest | None = None
-        self.root_tree = self._build(rows, start_dim)
-        if isinstance(values, KernelColumn):
-            self._annotate_kernel(values)
-
-    def __getstate__(self):
-        # The compiled lowering never crosses a process boundary:
-        # replication ships forest elements by pickle, and the arrays
-        # rebuild in one pass on the receiving rank (SegTree precedent).
-        return {
-            name: getattr(self, name)
-            for name in self.__slots__
-            if name != "_compiled"
-        }
-
-    def __setstate__(self, state) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._compiled = None
+        self.root_tree = self._build(
+            np.arange(ranks.shape[0], dtype=np.int64), start_dim
+        )
 
     def compiled(self) -> CompiledForest:
-        """The struct-of-arrays lowering of this tree, built lazily and
-        cached until :meth:`reannotate` swaps the aggregates out."""
+        """The same tree as arrays, built on the first ``*_many`` call
+        (the tree is immutable, so it is never rebuilt)."""
         if self._compiled is None:
-            self._compiled = CompiledForest.build(self)
+            self._compiled = CompiledForest.from_ranks(
+                self.ranks, self.values, self.semigroup, self.start_dim
+            )
         return self._compiled
 
     # ------------------------------------------------------------------
@@ -197,12 +177,7 @@ class RangeTree:
         # ranks are unique per dimension and just sorted: trusted input
         seg = SegTree(self.ranks[order, dim], validate=False)
         if dim == self.d - 1:
-            if isinstance(self.values, KernelColumn):
-                # typed values: annotation is deferred to one batched
-                # fold over all last-dimension trees
-                return DimTree(dim, seg, order, None, None)
-            aggs = self._build_aggs(seg, order)
-            return DimTree(dim, seg, order, None, aggs)
+            return DimTree(dim, seg, order, None, self._build_aggs(seg, order))
         m = seg.m
         descendants: list[DimTree | None] = [None] * (2 * m)
         for node in range(2 * m - 1, 0, -1):
@@ -221,52 +196,6 @@ class RangeTree:
             aggs[node] = combine(aggs[2 * node], aggs[2 * node + 1])
         return aggs
 
-    def _annotate_kernel(self, column: KernelColumn) -> None:
-        """Annotate every last-dimension tree from a typed value column.
-
-        The range tree holds one last-dimension segment tree per node of
-        every earlier dimension — thousands of mostly tiny trees — so a
-        numpy fold *per tree* would drown in per-call overhead.  Trees
-        of equal leaf count fold together instead: their leaf rows stack
-        into one ``(trees, m, width)`` block and a single level-by-level
-        pairwise fold annotates the whole size class (the same child
-        pairs as the per-node loop in :meth:`_build_aggs`, hence
-        bit-identical values).  O(log classes × log m) array calls
-        replace O(nodes) Python ``combine`` calls.
-        """
-        kernel = column.kernel
-        groups: dict[int, list[DimTree]] = {}
-        for t in self.iter_dim_trees():
-            if t.dim == self.d - 1:
-                groups.setdefault(t.seg.m, []).append(t)
-        for m, trees in groups.items():
-            orders = (
-                trees[0].order.reshape(1, m)
-                if len(trees) == 1
-                else np.stack([t.order for t in trees])
-            )
-            heaps = _batched_heap_fold(kernel, column.data[orders])
-            for i, t in enumerate(trees):
-                t.aggs = KernelAggs(kernel, heaps[i], block=heaps, plane=i)
-
-    def reannotate(self, values: Sequence[Any], semigroup: Semigroup) -> None:
-        """Swap in a new aggregate function ``f`` without rebuilding topology.
-
-        Re-runs step 1 of Algorithm AssociativeFunction (bottom-up ``f(v)``
-        recomputation) over the existing segment trees; O(s) work instead
-        of the full O(s log s) construction.
-        """
-        self.values = values
-        self.semigroup = semigroup
-        # the lowering snapshots aggregates; a refit makes it stale
-        self._compiled = None
-        if isinstance(values, KernelColumn):
-            self._annotate_kernel(values)
-            return
-        for t in self.iter_dim_trees():
-            if t.dim == self.d - 1:
-                t.aggs = self._build_aggs(t.seg, t.order)
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -283,48 +212,33 @@ class RangeTree:
         one query: the ``O(log^d n)`` maximal last-dimension nodes whose
         leaves are exactly the points in the query domain.
 
-        ``stats`` overrides the tree's shared counter — callers that share
-        one tree object across virtual processors (forest copies) pass a
-        per-call counter so charging is race-free under the thread backend.
+        ``stats`` overrides the tree's shared counter for this call.
         """
-        return [
-            CanonicalSelection(tree, node)
-            for tree, node in self.canonical_pairs(box, stats)
-        ]
-
-    def canonical_pairs(
-        self, box: RankBox, stats: WalkStats | None = None
-    ) -> list[tuple[DimTree, int]]:
-        """:meth:`canonical` as raw ``(tree, node)`` pairs — same walk,
-        same selection set, no per-selection wrapper objects.  The hot
-        batched consumers (the columnar forest phase) read the tree and
-        heap id directly; :class:`CanonicalSelection` remains the
-        per-record view."""
         self._check_box(box)
         st = stats if stats is not None else self.stats
         if box.is_empty():
             return []
-        out: list[tuple[DimTree, int]] = []
-        self._canonical_pairs_rec(self.root_tree, box, out, st)
+        out: list[CanonicalSelection] = []
+        self._canonical_rec(self.root_tree, box, out, st)
         st.nodes_selected += len(out)
         return out
 
-    def _canonical_pairs_rec(
+    def _canonical_rec(
         self,
         tree: DimTree,
         box: RankBox,
-        out: list[tuple[DimTree, int]],
+        out: list[CanonicalSelection],
         st: WalkStats,
     ) -> None:
         a, b = box.interval(tree.dim)
         nodes, visited = tree.seg.decompose_counted(a, b)
         st.nodes_visited += visited
         if tree.dim == self.d - 1:
-            out.extend((tree, node) for node in nodes)
+            out.extend(CanonicalSelection(tree, node) for node in nodes)
             return
         assert tree.descendants is not None
         for node in nodes:
-            self._canonical_pairs_rec(tree.descendants[node], box, out, st)
+            self._canonical_rec(tree.descendants[node], box, out, st)
 
     def aggregate(self, box: RankBox, stats: WalkStats | None = None) -> Any:
         """Associative-function mode: fold ``f`` over the selection."""

@@ -16,8 +16,14 @@ from repro.query import (
     sample_report,
     top_k,
 )
-from repro.semigroup import ProductSemigroup, Semigroup, product_semigroup
+from repro.semigroup import (
+    KernelColumn,
+    ProductSemigroup,
+    Semigroup,
+    product_semigroup,
+)
 from repro.semigroup.group import sum_group
+from repro.seq.range_tree import RangeTree
 
 
 def random_boxes(rng: np.random.Generator, m: int, d: int, max_side: float = 0.5) -> list[Box]:
@@ -58,6 +64,16 @@ def unkernelized(sg: Semigroup) -> Semigroup:
         lift=lambda pid, coords: lift(pid, coords),
         combine=lambda a, b: combine(a, b),
     )
+
+
+def reference_tree(el) -> RangeTree:
+    """The object-tree oracle of a forest element: the sequential
+    :class:`RangeTree` over the same rank rows, dimensions and (decoded)
+    values — what the element's arrays must agree with, walk for walk."""
+    values = el.values
+    if isinstance(values, KernelColumn):
+        values = values.to_list()
+    return RangeTree(el.ranks, values, el.semigroup, start_dim=el.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
-"""Compiled forest ≡ reference canonical walk, bit for bit.
+"""Forest arrays ≡ the object range tree, bit for bit.
 
-The compiled walk (:meth:`repro.seq.compiled.CompiledForest.walk`) must
-reproduce :meth:`repro.seq.range_tree.RangeTree.canonical_pairs` exactly
-— same selections in the same emission order, same per-box visit counts
-— because Search step 5 and the sequential oracle's batched queries both
-ride the lowering.  These tests pin the walk-level identity directly,
-Algorithm Search's forest output against per-subquery ``canonical``
-calls, the engine's answers against the sequential oracle, the tiling
-arithmetic, and the cache discipline around refits.
+:meth:`repro.seq.compiled.CompiledForest.from_ranks` emits a forest
+element's range tree directly as arrays; the object
+:class:`~repro.seq.range_tree.RangeTree` over the same rank rows
+(:func:`tests.helpers.reference_tree`) is the oracle.  The walk over the
+arrays must reproduce ``RangeTree.canonical`` exactly — same selections
+(identical leaf rows) in the same emission order, same per-box visit
+counts, bit-identical aggregates — because Search step 5 and the
+sequential oracle's batched queries both ride the arrays.  These tests
+pin that identity directly (a hypothesis property over d, start
+dimension, width and value representation), Algorithm Search's forest
+output against per-subquery ``canonical`` calls, the engine's answers
+against the sequential oracle, the tiling arithmetic, and what a refit
+and a pickle may and may not touch.
 """
 
 from __future__ import annotations
@@ -16,21 +21,38 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.dist import DistributedRangeTree
+from repro.dist.forest import build_forest_element
+from repro.geometry.box import rank_bounds
 from repro.query import QueryBatch, aggregate
-from repro.semigroup import COUNT, sum_of_dim
+from repro.semigroup import (
+    COUNT,
+    KernelColumn,
+    bounding_box_semigroup,
+    kernel_for,
+    max_of_dim,
+    product_semigroup,
+    sum_of_dim,
+)
 from repro.seq import bf_aggregate
 from repro.seq.range_tree import SequentialRangeTree
 from repro.seq.segment_tree import WalkStats
 from repro.workloads import make_points, uniform_points
 
-from tests.helpers import random_boxes
+from tests.helpers import random_boxes, reference_tree, unkernelized
 from tests.test_compiled_hat import (
     BACKENDS,
     _mixed_batch,
     _rank_boxes,
     reference_search,
+)
+
+TOPOLOGY = (
+    "dim_ix", "lo", "hi", "left", "right", "desc", "last", "nleaves",
+    "row_off", "row_block",
 )
 
 
@@ -39,31 +61,127 @@ def _forest_elements(tree):
 
 
 def _object_walk(el, boxes):
-    """Per-box object walk: structural selection keys, per-box visits.
-
-    Keys are ``(compiled tree index, heap id)`` — the index lookup by
-    object identity doubles as a check that the compile references the
-    very trees the object walk selects from.
-    """
-    tix = {id(t): i for i, t in enumerate(el.compiled().trees)}
+    """Per-box object walk over the element's oracle tree: each selection
+    as ``(leaf rows, aggregate)``, plus per-box visit counts."""
+    ref = reference_tree(el)
     sels, visits = [], []
     for box in boxes:
-        st = WalkStats()
-        pairs = el.canonical_pairs(box, stats=st)
-        sels.append([(tix[id(t)], node) for t, node in pairs])
-        visits.append(st.nodes_visited)
+        st_ = WalkStats()
+        sels.append(
+            [
+                (sel.rows().tolist(), repr(sel.agg()))
+                for sel in ref.canonical(box, stats=st_)
+            ]
+        )
+        visits.append(st_.nodes_visited)
     return sels, visits
 
 
-def _compiled_walk(el, boxes):
-    comp = el.compiled()
-    los = np.asarray([b.los for b in boxes], dtype=np.int64)
-    his = np.asarray([b.his for b in boxes], dtype=np.int64)
-    sel_q, sel_n, vis = comp.walk(los, his)
+def _array_walk(el, boxes, soa=None):
+    soa = el.soa if soa is None else soa
+    sel_q, sel_n, vis = soa.walk(*rank_bounds(boxes))
+    aggs = soa.decode_aggs(sel_n)
     sels = [[] for _ in boxes]
-    for q, j in zip(sel_q, sel_n):
-        sels[int(q)].append((int(comp.tree_of[j]), int(comp.heap[j])))
+    for q, j, agg in zip(sel_q, sel_n, aggs):
+        off, ln = int(soa.row_off[j]), int(soa.nleaves[j])
+        sels[int(q)].append((soa.row_block[off : off + ln].tolist(), repr(agg)))
     return sels, [int(v) for v in vis]
+
+
+def _emission_rows(t, h=1):
+    """The object tree's nodes in DFS emission order — ``[v] +
+    order(descendant tree of v) + order(left) + order(right)``, plain
+    preorder inside a last-dimension tree — as each node's leaf rows
+    (``None`` for a node of an earlier dimension)."""
+    if t.descendants is None:
+        yield t.rows_under(h)
+    else:
+        yield None
+        yield from _emission_rows(t.descendants[h])
+    if h < t.seg.m:
+        yield from _emission_rows(t, 2 * h)
+        yield from _emission_rows(t, 2 * h + 1)
+
+
+def _random_element(rng, d, dim, width, semigroup, typed):
+    """A forest element on ``width`` random rank rows: contiguous and
+    ascending in ``dim`` (one hat-leaf segment), arbitrary elsewhere."""
+    span = 4 * width
+    ranks = np.stack(
+        [rng.permutation(span)[:width] for _ in range(d)], axis=1
+    ).astype(np.int64)
+    ranks[:, dim] = width + np.arange(width)
+    coords = rng.random((width, d))
+    values = [semigroup.lift(i, tuple(coords[i])) for i in range(width)]
+    sg = semigroup if typed else unkernelized(semigroup)
+    assert (kernel_for(sg) is not None) == typed
+    if typed:
+        values = KernelColumn.from_values(kernel_for(sg), values)
+    el = build_forest_element(
+        forest_id=((1, 0),),
+        dim=dim,
+        location=0,
+        group_rank=0,
+        ranks_rows=ranks,
+        pids=np.arange(width) + 7,
+        values=values,
+        semigroup=sg,
+    )
+    return el, span
+
+
+class TestDirectBuildAgainstTheObjectOracle:
+    """Every shape (d, start dimension, width), both value representations."""
+
+    @given(
+        d=st.integers(1, 4),
+        data=st.data(),
+        log_width=st.integers(0, 6),
+        typed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_walk_refit_and_pickle(self, d, data, log_width, typed, seed):
+        dim = data.draw(st.integers(0, d - 1))
+        rng = np.random.default_rng(seed)
+        sg = product_semigroup(
+            [COUNT, sum_of_dim(0), max_of_dim(d - 1), bounding_box_semigroup(d)]
+        )
+        el, span = _random_element(rng, d, dim, 1 << log_width, sg, typed)
+        boxes = _rank_boxes(rng, 12, d, span)
+
+        # same selections (identical leaf rows), emission order, per-box
+        # visit counts and aggregates as the object walk
+        want = _object_walk(el, boxes)
+        assert _array_walk(el, boxes) == want
+
+        # default pickling: the clone answers identically, nothing rebuilt
+        # (the arrays alone: a test-local unkernelized semigroup wraps
+        # lambdas, which no element could ship anyway)
+        clone = pickle.loads(pickle.dumps(el.soa))
+        assert _array_walk(el, boxes, soa=clone) == want
+
+        # refits, kernel -> object -> kernel: topology arrays stay the
+        # *same objects*, only the aggregate slots change
+        soa = el.soa
+        held = {name: getattr(soa, name) for name in TOPOLOGY}
+        for refit_sg in (COUNT, unkernelized(sum_of_dim(0)), sum_of_dim(dim)):
+            coords = rng.random((el.nleaves, d))
+            fresh = [refit_sg.lift(i, tuple(coords[i])) for i in range(el.nleaves)]
+            kernel = kernel_for(refit_sg)
+            if kernel is not None:
+                fresh = KernelColumn.from_values(kernel, fresh)
+            el.reannotate(fresh, refit_sg)
+            assert el.soa is soa
+            assert all(getattr(soa, name) is arr for name, arr in held.items())
+            assert (soa.agg_kernel is None) == (kernel is None)
+            assert (soa.agg_mat is None) == (kernel is None)
+            assert (soa.agg_obj is None) == (kernel is not None)
+            assert _array_walk(el, boxes) == _object_walk(el, boxes)
 
 
 class TestWalkBitIdentity:
@@ -76,7 +194,7 @@ class TestWalkBitIdentity:
             for el in _forest_elements(tree):
                 boxes = _rank_boxes(rng, 25, d, tree.hat.n)
                 exp_sels, exp_vis = _object_walk(el, boxes)
-                got_sels, got_vis = _compiled_walk(el, boxes)
+                got_sels, got_vis = _array_walk(el, boxes)
                 # same selections, same per-query emission order
                 assert got_sels == exp_sels
                 # same visit accounting (empty boxes visit nothing)
@@ -91,15 +209,14 @@ class TestWalkBitIdentity:
             assert els and all(el.nleaves == 1 for el in els)
             for el in els:
                 boxes = _rank_boxes(rng, 12, 2, tree.hat.n)
-                assert _object_walk(el, boxes) == _compiled_walk(el, boxes)
+                assert _object_walk(el, boxes) == _array_walk(el, boxes)
 
     def test_empty_batch(self):
         pts = uniform_points(16, 2, seed=53)
         with DistributedRangeTree.build(pts, p=4) as tree:
             el = _forest_elements(tree)[0]
-            comp = el.compiled()
             empty = np.empty((0, 2), dtype=np.int64)
-            sel_q, sel_n, vis = comp.walk(empty, empty)
+            sel_q, sel_n, vis = el.soa.walk(empty, empty)
             assert len(sel_q) == len(sel_n) == len(vis) == 0
 
 
@@ -176,8 +293,7 @@ class TestSearchOutputParity:
     def test_engine_parity_across_planes_per_backend(self, backend):
         """On every backend the engine answers what the sequential range
         tree answers.  The process backend additionally exercises the
-        pickle path: the compiled lowering and pid caches must rebuild on
-        the worker."""
+        pickle path: replicated elements arrive as the arrays they are."""
         pts = make_points("clustered", 48, 2, seed=87)
         boxes = random_boxes(np.random.default_rng(88), 9, 2)
         batch = _mixed_batch(boxes)
@@ -193,78 +309,64 @@ class TestSearchOutputParity:
                 assert v == pytest.approx(bf_aggregate(pts, q.box, q.semigroup))
 
 
-class TestCompileCache:
-    def test_compile_is_cached(self):
-        pts = uniform_points(32, 2, seed=14)
+class TestOneRepresentation:
+    def test_pickle_ships_the_arrays(self):
+        pts = uniform_points(32, 2, seed=18)
         with DistributedRangeTree.build(pts, p=4) as tree:
             el = _forest_elements(tree)[0]
-            c1 = el.compiled()
-            assert el.compiled() is c1
+            clone = pickle.loads(pickle.dumps(el))
+            for name in TOPOLOGY + ("agg_mat",):
+                np.testing.assert_array_equal(
+                    getattr(clone.soa, name), getattr(el.soa, name)
+                )
+            assert clone.size_records == el.size_records
+            rng = np.random.default_rng(19)
+            boxes = _rank_boxes(rng, 10, 2, tree.hat.n)
+            assert _array_walk(clone, boxes) == _object_walk(el, boxes)
 
-    def test_reannotate_invalidates_compiled_cache(self):
-        pts = uniform_points(32, 2, seed=15)
-        with DistributedRangeTree.build(pts, p=4) as tree:
-            el = _forest_elements(tree)[0]
-            c1 = el.compiled()
-            _ = el.pid_block
-            fresh = [0 if pid < 0 else 1 for pid in el.pids]
-            el.reannotate(fresh, COUNT)
-            assert el.tree._compiled is None
-            assert el.compiled() is not c1
+
+class TestCompileCache:
+    """Named for the bug class it guards; the cache itself is gone."""
 
     def test_refit_then_query_matches_object_plane(self):
         """The PR 8 cache-discipline bug class, on the forest side: a
-        per-query-semigroup refit must never leave stale compiled
-        aggregates behind."""
+        per-query-semigroup refit must never leave stale aggregates
+        behind — there is no cache left to go stale, only the aggregate
+        columns the refit rebinds."""
         pts = uniform_points(32, 2, seed=16)
         with DistributedRangeTree.build(pts, p=4) as tree:
             els = _forest_elements(tree)
-            compiles = [el.compiled() for el in els]
+            soas = [el.soa for el in els]
             boxes = random_boxes(np.random.default_rng(17), 6, 2)
             batch = QueryBatch([aggregate(b, sum_of_dim(1)) for b in boxes])
-            rs = tree.run(batch)  # refits → invalidates → recompiles
-            assert all(
-                el.compiled() is not c1 for el, c1 in zip(els, compiles)
-            )
-            # stale compiled aggregates would still be counts, not sums
+            rs = tree.run(batch)  # refits in place
+            assert all(el.soa is soa for el, soa in zip(els, soas))
+            # stale aggregates would still be counts, not sums
             assert rs.values() == pytest.approx(
                 [bf_aggregate(pts, b, sum_of_dim(1)) for b in boxes]
             )
 
-    def test_pickle_drops_caches(self):
-        pts = uniform_points(32, 2, seed=18)
-        with DistributedRangeTree.build(pts, p=4) as tree:
-            el = _forest_elements(tree)[0]
-            el.compiled()
-            _ = el.pid_block
-            _ = el.all_pids_array()
-            clone = pickle.loads(pickle.dumps(el))
-            assert clone.tree._compiled is None
-            assert clone._pids_arr is None
-            assert clone._all_pids_arr is None
-            assert clone._pid_block is None
-            # and the clone's fresh compile answers identically
-            rng = np.random.default_rng(19)
-            boxes = _rank_boxes(rng, 10, 2, tree.hat.n)
-            assert _compiled_walk(clone, boxes) == _object_walk(el, boxes)
-
 
 class TestTilingEquivalence:
     def test_row_tilings_match_rows_under(self):
+        """Every last-dimension node's ``(row_off, nleaves)`` slice is the
+        object tree's ``rows_under`` — compared node for node, in the
+        emission order the ids encode."""
         pts = uniform_points(48, 2, seed=21)
         with DistributedRangeTree.build(pts, p=4) as tree:
             for el in _forest_elements(tree):
-                comp = el.compiled()
-                for j in range(comp.size_nodes):
-                    if not comp.last[j]:
-                        continue
-                    t = comp.trees[int(comp.tree_of[j])]
-                    rows = t.rows_under(int(comp.heap[j]))
-                    off = int(comp.row_off[j])
-                    ln = int(comp.nleaves[j])
-                    np.testing.assert_array_equal(
-                        comp.row_block[off : off + ln], rows
-                    )
+                soa = el.soa
+                ref = reference_tree(el)
+                # rows per node id; None off the last dimension
+                want = list(_emission_rows(ref.root_tree))
+                assert len(want) == soa.size_nodes
+                for j, rows in enumerate(want):
+                    assert bool(soa.last[j]) == (rows is not None)
+                    if rows is not None:
+                        off, ln = int(soa.row_off[j]), int(soa.nleaves[j])
+                        np.testing.assert_array_equal(
+                            soa.row_block[off : off + ln], rows
+                        )
 
     def test_pid_block_matches_selection_pids(self):
         # padded build: sentinel (negative) pids live in the elements
@@ -272,34 +374,30 @@ class TestTilingEquivalence:
         with DistributedRangeTree.build(pts, p=4) as tree:
             els = _forest_elements(tree)
             # 48 points pad to 64: sentinels live in the high-rank elements
-            assert any((el.pid_block < 0).any() for el in els)
+            assert any((el.pids < 0).any() for el in els)
             boxes = _rank_boxes(np.random.default_rng(23), 8, 2, tree.hat.n)
             for el in els:
-                comp = el.compiled()
-                for box in boxes:
-                    for sel in el.canonical(box, stats=WalkStats()):
-                        want = el.selection_pids_array(sel)
-                        j = next(
-                            jj
-                            for jj in range(comp.size_nodes)
-                            if comp.trees[int(comp.tree_of[jj])] is sel.tree
-                            and int(comp.heap[jj]) == sel.node
-                        )
-                        off = int(comp.row_off[j])
-                        ln = int(comp.nleaves[j])
-                        np.testing.assert_array_equal(
-                            el.pid_block[off : off + ln], want
-                        )
+                ref = reference_tree(el)
+                sel_q, sel_n, _vis = el.soa.walk(*rank_bounds(boxes))
+                got = el.pids[el.soa.rows_flat(sel_n, el.soa.nleaves[sel_n])]
+                want = [
+                    el.pids[sel.rows()]
+                    for box in boxes
+                    for sel in ref.canonical(box, stats=WalkStats())
+                ]
+                np.testing.assert_array_equal(
+                    got, np.concatenate(want) if want else np.empty(0, np.int64)
+                )
 
-    def test_all_pids_array_is_memoized(self):
+    def test_pids_are_in_primary_rank_order(self):
+        """What the in-pass hat-piece expansion emits: an element's pids
+        as held, which is ascending primary-dimension rank."""
         pts = uniform_points(32, 2, seed=24)
         with DistributedRangeTree.build(pts, p=4) as tree:
-            el = _forest_elements(tree)[0]
-            first = el.all_pids_array()
-            assert el.all_pids_array() is first
-            np.testing.assert_array_equal(
-                first, el.pids_array[el.tree.root_tree.order]
-            )
+            for el in _forest_elements(tree):
+                np.testing.assert_array_equal(
+                    el.pids, el.pids[reference_tree(el).root_tree.order]
+                )
 
     def test_kernel_agg_matrix_matches_decoded(self):
         pts = uniform_points(32, 2, seed=25)
@@ -307,11 +405,13 @@ class TestTilingEquivalence:
             pts, p=4, semigroup=sum_of_dim(0)
         ) as tree:
             el = _forest_elements(tree)[0]
-            comp = el.compiled()
-            assert comp.agg_kernel is not None
-            last = np.nonzero(comp.last)[0]
-            decoded = comp.decode_aggs(last)
+            soa = el.soa
+            assert soa.agg_kernel is not None and soa.agg_obj is None
+            last = np.nonzero(soa.last)[0]
+            decoded = soa.decode_aggs(last)
             for j, val in zip(last, decoded):
-                row = comp.agg_mat[int(j)]
-                dec = comp.agg_kernel.decode(row[None, :], 0)
+                row = soa.agg_mat[int(j)]
+                dec = soa.agg_kernel.decode(row[None, :], 0)
                 assert repr(dec) == repr(val)
+            # the object oracle folds Python floats over the same child pairs
+            assert repr(soa.root_agg()) == repr(reference_tree(el).root_agg())

@@ -25,7 +25,7 @@ from repro.seq import SequentialRangeTree, bf_aggregate
 from repro.seq.segment_tree import WalkStats
 from repro.workloads import make_points, uniform_points
 
-from tests.helpers import random_boxes
+from tests.helpers import random_boxes, reference_tree
 
 BACKENDS = ("serial", "thread", "process")
 
@@ -119,9 +119,10 @@ class TestWalkBatchBitIdentity:
 def reference_search(tree, boxes, collect_leaves: bool):
     """Algorithm Search from the per-record reference walks alone.
 
-    ``Hat.walk`` per query over each rank's block, then
-    ``ForestElement.canonical`` per surviving subquery at its owner —
-    the record-at-a-time definition the batched phases must reproduce.
+    ``Hat.walk`` per query over each rank's block, then the object
+    tree's ``canonical`` (:func:`tests.helpers.reference_tree`) per
+    surviving subquery at its owner — the record-at-a-time definition
+    the batched phases must reproduce.
     Forest selections are returned as one sorted list: which *copy* of
     an element serves a subquery is a load-balancing decision, not part
     of the answer.
@@ -142,17 +143,22 @@ def reference_search(tree, boxes, collect_leaves: bool):
         hat_sels.append(sels)
         walk_ops.append(sum(ops))
     forest_sels, forest_ops = [], 0
+    oracles: dict = {}
     for sq in subqs:
         el = tree.forest_store[sq.location][sq.forest_id]
+        if sq.forest_id not in oracles:
+            oracles[sq.forest_id] = reference_tree(el)
         stats = WalkStats()
-        for sel in el.canonical(RankBox(sq.los, sq.his), stats=stats):
+        for sel in oracles[sq.forest_id].canonical(
+            RankBox(sq.los, sq.his), stats=stats
+        ):
             forest_sels.append(
                 ForestSelection(
                     qid=sq.qid,
                     forest_id=sq.forest_id,
                     nleaves=sel.leaf_count,
                     agg=sel.agg(),
-                    pid_tuple=el.selection_pids(sel),
+                    pid_tuple=tuple(el.pids[sel.rows()].tolist()),
                 )
             )
         forest_ops += max(1, stats.nodes_visited)

@@ -100,6 +100,28 @@ class TestUpdates:
             with pytest.raises(GeometryError):
                 dt.insert((0.5,))
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected_before_any_state_changes(self, backend, bad):
+        """A poisoned record must never reach the buffer: at the parent it
+        was accepted and every later flush raised on it."""
+        with DynamicDistributedRangeTree(
+            2, p=4, backend=backend, flush_threshold=4
+        ) as dt:
+            for i in range(6):  # one bucket of 4 + two buffered
+                dt.insert((dyadic(i), 0.5))
+            before = (len(dt), dt.buffered_count, dt.bucket_sizes)
+            answers = dt.run([count(unit_box(2)), report(unit_box(2))]).values()
+            with pytest.raises(GeometryError, match="finite"):
+                dt.insert((bad, 0.5))
+            assert (len(dt), dt.buffered_count, dt.bucket_sizes) == before
+            assert dt.run([count(unit_box(2)), report(unit_box(2))]).values() == answers
+            # the next flush_threshold inserts succeed (and flush)
+            ids = [dt.insert((dyadic(6 + i), 0.25)) for i in range(4)]
+            assert ids == [6, 7, 8, 9]  # the rejected insert took no id
+            assert dt.buffered_count < 4
+            assert dt.run([count(unit_box(2))]).values() == [10]
+
     def test_delete_unknown_and_double_delete_rejected(self):
         with DynamicDistributedRangeTree(1, p=4) as dt:
             with pytest.raises(ReproError, match="not present"):

@@ -55,6 +55,19 @@ class TestInsert:
         with pytest.raises(GeometryError):
             dt.insert((0.1,))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected_before_any_state_changes(self, bad):
+        dt = DynamicRangeTree(2)
+        for i in range(3):  # buckets 1 and 2 occupied: an insert would pop both
+            dt.insert((i / 4, 0.5))
+        box = Box([(0.0, 1.0)] * 2)
+        before = (len(dt), dt.bucket_sizes, dt.report(box), dt.rebuild_points_total)
+        with pytest.raises(GeometryError):
+            dt.insert((bad, 0.5))
+        assert (len(dt), dt.bucket_sizes, dt.report(box), dt.rebuild_points_total) == before
+        assert dt.insert((0.75, 0.5)) == 3  # the rejected insert took no id
+        assert dt.count(box) == 4
+
     def test_amortised_rebuild_cost(self):
         """Total rebuilt points over n inserts is O(n log n)."""
         dt = DynamicRangeTree(1)

@@ -13,10 +13,14 @@ from repro.dist.records import (
     SRecord,
     Subquery,
 )
+from repro.errors import GeometryError
 from repro.geometry import RankBox
+from repro.geometry.box import rank_bounds
 from repro.semigroup import COUNT, sum_of_dim
 from repro.seq.segment_tree import WalkStats
 from repro.workloads import uniform_points
+
+from tests.helpers import reference_tree
 
 
 def make_element(m=8, d=2, dim=0, seed=0, semigroup=COUNT):
@@ -61,34 +65,55 @@ class TestForestElement:
     def test_canonical_walk(self):
         el, ranks = make_element()
         box = RankBox((16, 0), (19, 63))
-        sels = el.canonical(box)
-        total = sum(s.leaf_count for s in sels)
         expected = sum(1 for r in ranks if 16 <= r[0] <= 19)
-        assert total == expected
+        assert sum(s.leaf_count for s in reference_tree(el).canonical(box)) == expected
+        _sel_q, sel_n, _visits = el.soa.walk(*rank_bounds([box]))
+        assert int(el.soa.nleaves[sel_n].sum()) == expected
 
     def test_selection_pids(self):
         el, ranks = make_element()
-        box = RankBox((16, 0), (23, 63))
-        sels = el.canonical(box)
-        pids = sorted(pid for s in sels for pid in el.selection_pids(s))
-        assert pids == list(range(100, 108))
+        _sel_q, sel_n, _visits = el.soa.walk(
+            *rank_bounds([RankBox((16, 0), (23, 63))])
+        )
+        rows = el.soa.rows_flat(sel_n, el.soa.nleaves[sel_n])
+        assert sorted(el.pids[rows].tolist()) == list(range(100, 108))
 
     def test_all_pids(self):
+        # rows (and so pids) are held in ascending primary-dimension rank
         el, _ = make_element()
-        assert el.all_pids() == tuple(range(100, 108))
+        assert el.pids.tolist() == list(range(100, 108))
+
+    def test_rows_must_ascend_in_the_primary_dimension(self):
+        el, ranks = make_element()
+        with pytest.raises(GeometryError):
+            build_forest_element(
+                forest_id=el.forest_id,
+                dim=0,
+                location=2,
+                group_rank=10,
+                ranks_rows=ranks[::-1],
+                pids=list(range(8)),
+                values=[1] * 8,
+                semigroup=COUNT,
+            )
 
     def test_stats_override_isolated(self):
+        # visits are returned per box by the walk itself: nothing shared
         el, _ = make_element()
+        box = RankBox((16, 0), (20, 63))
         st = WalkStats()
-        el.canonical(RankBox((16, 0), (20, 63)), stats=st)
+        reference_tree(el).canonical(box, stats=st)
+        _sel_q, _sel_n, visits = el.soa.walk(*rank_bounds([box, box]))
         assert st.nodes_visited > 0
+        assert visits.tolist() == [st.nodes_visited] * 2
 
     def test_reannotate(self):
         sg = sum_of_dim(0)
         el, _ = make_element()
         new_values = [float(i) for i in range(8)]
         el.reannotate(new_values, sg)
-        assert el.tree.root_agg() == sum(range(8))
+        assert el.soa.root_agg() == sum(range(8))
+        assert el.root_info().agg == sum(range(8))
 
 
 class TestRecords:
@@ -131,5 +156,7 @@ class TestElementsInsideBuiltTree:
                 his = [tree.n - 1] * d
                 los[el.dim] = lo
                 his[el.dim] = hi
-                sels = el.canonical(RankBox(tuple(los), tuple(his)))
-                assert sum(s.leaf_count for s in sels) == el.nleaves
+                _q, sel_n, _v = el.soa.walk(
+                    *rank_bounds([RankBox(tuple(los), tuple(his))])
+                )
+                assert int(el.soa.nleaves[sel_n].sum()) == el.nleaves

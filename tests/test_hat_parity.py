@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.dist import DistributedRangeTree
+from repro.geometry import Box
 from repro.seq import SequentialRangeTree
 from repro.workloads import grid_points, uniform_points
 
@@ -27,7 +28,9 @@ def setup():
     dist = DistributedRangeTree.build(pts, p=8)
     seq = SequentialRangeTree(pts)
     rng = np.random.default_rng(91)
-    boxes = random_boxes(rng, 40, 2)
+    # a wide box first: it selects hat nodes, so the hat-piece expansion
+    # through the forest elements' pids is exercised too
+    boxes = [Box([(0.0, 1.0), (0.05, 0.95)])] + random_boxes(rng, 39, 2)
     return pts, dist, seq, boxes
 
 
@@ -60,7 +63,7 @@ class TestSelectionParity:
             # expand hat pieces through their forest elements
             for h in hat_pieces:
                 for fid, loc in zip(h.forest_ids, h.locations):
-                    pids.extend(dist.forest_store[loc][fid].all_pids())
+                    pids.extend(dist.forest_store[loc][fid].pids.tolist())
             real = [p for p in pids if p >= 0]
             assert len(real) == len(set(real)), "selection pieces overlap"
 
@@ -75,7 +78,7 @@ class TestSelectionParity:
                 pids.update(f.pids())
             for h in hat_pieces:
                 for fid, loc in zip(h.forest_ids, h.locations):
-                    pids.update(dist.forest_store[loc][fid].all_pids())
+                    pids.update(dist.forest_store[loc][fid].pids.tolist())
             assert sorted(p for p in pids if p >= 0) == bf_report(pts, box)
 
     def test_selection_count_polylog(self, setup):

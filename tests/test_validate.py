@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.dist import DistributedRangeTree, validate_tree
@@ -82,6 +83,74 @@ class TestValidatorCatchesCorruption:
         store.pop(next(iter(store)))
         rep = validate_tree(tree)
         assert not rep.ok
+
+    # -- one slot of a forest element's arrays at a time -------------------
+    def _element(self, tree, dim=0):
+        """An element of dimension ``dim`` (``dim=0`` has both earlier-
+        and last-dimension nodes) and the first internal node id of each."""
+        el = next(
+            el for store in tree.forest_store for el in store.values() if el.dim == dim
+        )
+        soa = el.soa
+        inner = np.flatnonzero(soa.nleaves > 1)
+        return el, int(inner[~soa.last[inner]][0]), int(inner[soa.last[inner]][0])
+
+    def _assert_caught(self, tree, needle):
+        rep = validate_tree(tree)
+        assert not rep.ok
+        assert any(needle in f for f in rep.failures), rep.failures
+
+    def test_detects_wrong_node_count(self):
+        tree = self._tree()
+        el, _, _ = self._element(tree)
+        el.soa.lo = el.soa.lo[:-1]
+        self._assert_caught(tree, "node count is not T(")
+
+    def test_detects_wrong_record_counts(self):
+        tree = self._tree()
+        el, _, _ = self._element(tree)
+        el.soa.row_block = el.soa.row_block[:-1]
+        self._assert_caught(tree, "row_block rows")
+        tree = self._tree()
+        el, _, _ = self._element(tree)
+        el.size_records += 1
+        self._assert_caught(tree, "leaf records")
+
+    def test_detects_inverted_interval(self):
+        tree = self._tree()
+        el, _, j = self._element(tree)
+        el.soa.lo[j], el.soa.hi[j] = el.soa.hi[j], el.soa.lo[j]
+        self._assert_caught(tree, "lo > hi")
+
+    def test_detects_child_interval_escaping_its_parent(self):
+        tree = self._tree()
+        el, j, _ = self._element(tree)
+        el.soa.hi[el.soa.right[j]] += 1
+        self._assert_caught(tree, "does not nest")
+
+    def test_detects_broken_last_dimension_link(self):
+        tree = self._tree()
+        el, _, j = self._element(tree)
+        el.soa.right[j] += 1
+        self._assert_caught(tree, "left = id+1, right = id+nleaves")
+
+    def test_detects_broken_descendant_link(self):
+        tree = self._tree()
+        el, j, _ = self._element(tree)
+        el.soa.desc[j] += 1
+        self._assert_caught(tree, "descendant links")
+
+    def test_detects_row_block_slice_that_is_not_a_permutation(self):
+        tree = self._tree()
+        el, _, _ = self._element(tree)
+        el.soa.row_block[-1] = el.soa.row_block[-2]  # one row twice, one lost
+        self._assert_caught(tree, "not a permutation")
+
+    def test_detects_stale_element_root_aggregate(self):
+        tree = self._tree()
+        el, _, _ = self._element(tree)
+        el.soa.agg_mat[el.soa.d - 1 - el.dim] += 1
+        self._assert_caught(tree, "hat-leaf aggregate stale")
 
     def test_summary_truncates(self):
         rep = validate_tree(self._tree())
