@@ -28,11 +28,16 @@ Builds n=512, p=8 and runs an empty, a one-query and a 64-query
   build, the first after the refit, nor one whose stores cross a pickle
   under the process backend — calls ``CompiledForest.from_ranks`` (arrays
   are built at Construct, kept through refits and shipped as they are);
-  and no ``DimTree`` is alive after a dynamic tree's absorbs.
+  and no ``DimTree`` is alive after a dynamic tree's absorbs, and
+* the forest walk is arithmetic: one ``searchsorted`` and one closed-form
+  cover per divided dimension whether an element holds 64 points or 2048
+  (the loop is per dimension, not per level), and ``CompiledForest`` holds
+  no per-node bound or link array (``lo/hi/left/right/desc/last/dim_ix``).
 
 A later change that re-prices idle ranks, puts a per-object Python loop
-back on the batch path, or holds a forest element in a second form fails
-here before it shows up as a slower ``single_query`` or ``batch_d3`` row.
+back on the batch path, holds a forest element in a second form or walks
+it level by level fails here before it shows up as a slower
+``single_query`` or ``batch_d3`` row.
 """
 
 from __future__ import annotations
@@ -175,6 +180,54 @@ def object_loop_calls() -> dict:
     return calls
 
 
+DESCENT_ARRAYS = ("lo", "hi", "left", "right", "desc", "last", "dim_ix")
+
+
+def walk_shape_failures() -> list:
+    """The walk's step counts must not grow with an element's size, and
+    the arrays only a descent would read must stay gone."""
+    import numpy as np
+
+    from repro.semigroup import COUNT
+    from repro.seq import compiled
+    from repro.seq.compiled import CompiledForest
+
+    failures = []
+    back = sorted(set(CompiledForest.__slots__) & set(DESCENT_ARRAYS))
+    if back:
+        failures.append(f"CompiledForest.__slots__ regained {back}")
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3):
+        steps = {}
+        for m in (64, 2048):
+            ranks = np.stack([rng.permutation(m) for _ in range(d)], axis=1)
+            forest = CompiledForest.from_ranks(ranks, [1] * m, COUNT)
+            los = rng.integers(0, m // 2, size=(32, d))
+            calls = {"searchsorted": 0, "cover": 0}
+
+            def counted(name, real):
+                def wrapper(*args, **kwargs):
+                    calls[name] += 1
+                    return real(*args, **kwargs)
+
+                return wrapper
+
+            real = np.searchsorted, compiled._cover_bits
+            np.searchsorted = counted("searchsorted", real[0])
+            compiled._cover_bits = counted("cover", real[1])
+            try:
+                forest.walk(los, los + m // 3)
+            finally:
+                np.searchsorted, compiled._cover_bits = real
+            steps[m] = calls
+        if steps[64] != steps[2048] or steps[64] != {"searchsorted": d, "cover": d}:
+            failures.append(
+                f"d={d} walk steps depend on the element's size "
+                f"(want {d} of each): m=64 {steps[64]}, m=2048 {steps[2048]}"
+            )
+    return failures
+
+
 def main() -> int:
     from repro.dist import DistributedRangeTree
     from repro.geometry.box import Box
@@ -224,6 +277,7 @@ def main() -> int:
         failures.append(
             f"{len(constructed)} random.Random constructed during the passes"
         )
+    failures.extend(walk_shape_failures())
     object_calls = {**object_loop_calls(), **second_representation_calls()}
     for name, n in object_calls.items():
         if n:

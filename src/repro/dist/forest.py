@@ -54,7 +54,6 @@ class ForestElement:
         "values",
         "semigroup",
         "soa",
-        "size_records",
     )
 
     def __init__(
@@ -91,11 +90,6 @@ class ForestElement:
         self.soa = CompiledForest.from_ranks(
             self.ranks, self.values, semigroup, start_dim=dim
         )
-        #: Total leaf records across the element's segment trees, primary
-        #: trees included: its contribution to the ``O(s/p)`` memory of
-        #: Theorem 1(ii) and the weight Search charges for replicating
-        #: it.  Fixed by topology, so counted once here.
-        self.size_records = int(np.count_nonzero(self.soa.nleaves == 1))
 
     # ------------------------------------------------------------------
     # structure
@@ -108,7 +102,22 @@ class ForestElement:
     @property
     def seg(self) -> Tuple[int, int]:
         """Closed rank interval covered in the element's own dimension."""
-        return int(self.soa.lo[0]), int(self.soa.hi[0])
+        return int(self.ranks[0, self.dim]), int(self.ranks[-1, self.dim])
+
+    @property
+    def size_records(self) -> int:
+        """Total leaf records across the element's segment trees, primary
+        trees included: its contribution to the ``O(s/p)`` memory of
+        Theorem 1(ii) and the weight Search charges for replicating it —
+        fixed by topology, Definition 2 arithmetic."""
+        return self.soa.size_records
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays the element is — what replicating it
+        moves (untyped values count one pointer each)."""
+        values = getattr(self.values, "nbytes", 8 * len(self.values))
+        return self.ranks.nbytes + self.pids.nbytes + values + self.soa.nbytes
 
     def root_info(self) -> ForestRootInfo:
         """The summary Construct step 5 broadcasts for the hat build."""

@@ -3,8 +3,8 @@
 :class:`~repro.seq.compiled.CompiledForest` (re-exported here) is the
 struct-of-arrays range tree every forest element holds; this module
 supplies the dist-side consumer — the routed subqueries of one rank,
-grouped by target element, walked as level-by-level frontier expansion
-and packed straight into the ``dist.forest_selection`` columns.
+grouped by target element, located in its key blocks by arithmetic and
+packed straight into the ``dist.forest_selection`` columns.
 
 The contract is bit-identity with a per-subquery
 :meth:`~repro.seq.range_tree.RangeTree.canonical` loop over the same
@@ -22,7 +22,7 @@ import numpy as np
 
 from ..cgm.columns import Ragged
 from ..semigroup.kernels import KernelColumn
-from ..seq.compiled import CompiledForest
+from ..seq.compiled import CompiledForest, Selections
 
 __all__ = ["CompiledForest", "batched_forest_selections"]
 
@@ -53,18 +53,16 @@ def batched_forest_selections(
     is annotated under one kernel, decoded objects otherwise), and the
     per-selection pid rows (empty rows for fold-family queries).
     """
-    emitted: List[Tuple[CompiledForest, Any, np.ndarray, np.ndarray]] = []
-    per_rows: List[np.ndarray] = []
+    # per emitting element: (element, its selections, their inbox rows)
+    emitted: List[Tuple[Any, Selections, np.ndarray]] = []
 
     for el, rows in groups:
-        comp: CompiledForest = el.soa
-        sel_q, sel_n, visits = comp.walk(los_m[rows], his_m[rows])
-        charge(int(np.maximum(visits, 1).sum()))
-        if len(sel_n):
-            emitted.append((comp, el, sel_n, rows[sel_q]))
-            per_rows.append(rows[sel_q])
+        sel = el.soa.walk(los_m[rows], his_m[rows])
+        charge(int(np.maximum(sel.visits, 1).sum()))
+        if len(sel.node):
+            emitted.append((el, sel, rows[sel.q]))
 
-    nsel = sum(len(r) for r in per_rows)
+    nsel = sum(len(rows_s) for _el, _sel, rows_s in emitted)
     if not nsel:
         empty = np.empty(0, dtype=_I64)
         return (
@@ -74,56 +72,53 @@ def batched_forest_selections(
             Ragged(empty, np.zeros(1, dtype=_I64)),
         )
 
-    all_rows = np.concatenate(per_rows)
+    all_rows = np.concatenate([rows_s for _el, _sel, rows_s in emitted])
     # groups carve the inbox into disjoint row sets and each group's
     # selections are already (row, emission)-ordered, so one stable sort
     # by source row restores inbox-row output order
     perm = np.argsort(all_rows, kind="stable")
     sel_rows = all_rows[perm]
-    nleaves = np.concatenate(
-        [comp.nleaves[sel_n] for comp, _el, sel_n, _r in emitted]
-    )[perm]
+    nleaves = np.concatenate([sel.length for _el, sel, _r in emitted])[perm]
 
     # typed agg column iff every emitting element kernelized under equal
     # kernels; ``k0`` keys off the first selection in final order
-    uniform = all(comp.agg_mat is not None for comp, _e, _n, _r in emitted)
+    uniform = all(el.soa.agg_mat is not None for el, _sel, _r in emitted)
     if uniform:
         first = min(
-            emitted, key=lambda e: int(e[3][0])
+            emitted, key=lambda e: int(e[2][0])
         )  # group owning the earliest inbox row
-        k0 = first[0].agg_kernel
+        k0 = first[0].soa.agg_kernel
         uniform = all(
-            comp.agg_kernel is k0 or comp.agg_kernel == k0
-            for comp, _e, _n, _r in emitted
+            el.soa.agg_kernel is k0 or el.soa.agg_kernel == k0
+            for el, _sel, _r in emitted
         )
     if uniform:
         agg_col: Any = KernelColumn(
             k0,
             np.concatenate(
-                [comp.agg_mat[sel_n] for comp, _e, sel_n, _r in emitted]
+                [el.soa.agg_mat.take(sel.node, axis=0) for el, sel, _r in emitted]
             )[perm],
         )
     else:
         agg_col = np.empty(nsel, dtype=object)
         pos = 0
-        for comp, _el, sel_n, _rows in emitted:
-            agg_col[pos : pos + len(sel_n)] = comp.decode_aggs(sel_n)
-            pos += len(sel_n)
+        for el, sel, _rows in emitted:
+            agg_col[pos : pos + len(sel.node)] = el.soa.decode_aggs(sel.node)
+            pos += len(sel.node)
         agg_col = agg_col[perm]
 
     # pid rows: nleaves-long tilings of each element's rows, mapped to
     # point ids, for report-family rows; zero-length rows otherwise
     per_lens = [
-        np.where(want_mask[rows_s], comp.nleaves[sel_n], 0)
-        for comp, _el, sel_n, rows_s in emitted
+        np.where(want_mask[rows_s], sel.length, 0) for _el, sel, rows_s in emitted
     ]
     lens_cat = np.concatenate(per_lens)
     offsets = np.zeros(nsel + 1, dtype=_I64)
     np.cumsum(lens_cat, out=offsets[1:])
     flat = np.concatenate(
         [
-            el.pids[comp.rows_flat(sel_n, lens)]
-            for (comp, el, sel_n, _r), lens in zip(emitted, per_lens)
+            el.pids[el.soa.rows_flat(sel.off, lens)]
+            for (el, sel, _r), lens in zip(emitted, per_lens)
         ]
     )
     pid_ragged = Ragged(flat, offsets).take(perm)

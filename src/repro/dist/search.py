@@ -249,8 +249,8 @@ def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
     The inbox is one routing batch (subqueries and expansion requests
     mixed, source-ordered).  Subqueries group by target element and each
     group runs one :meth:`~repro.seq.compiled.CompiledForest.walk` —
-    level-by-level frontier expansion over the element's arrays
-    — then :func:`~repro.dist.forest_compiled.batched_forest_selections`
+    one ``searchsorted`` and one closed-form cover per dimension of the
+    element's key blocks — then :func:`~repro.dist.forest_compiled.batched_forest_selections`
     packs every group's selections straight into the
     ``dist.forest_selection`` columns, restored to inbox-row order.
     ``collect_pids`` (bool or qid set) limits pid materialization to the
@@ -584,12 +584,8 @@ def _replicate_stores(
             weight=lambda rec: max(
                 1, sum(el.size_records for el in rec[1].values())
             ),
-            # bytes: the rank matrix moves verbatim; pids/values/topology
-            # are modeled at a nominal 24 bytes per stored record.
-            nbytes=lambda rec: sum(
-                el.ranks.nbytes + 24 * el.size_records + 64
-                for el in rec[1].values()
-            ),
+            # bytes: the arrays the elements are, as the pickle ships them
+            nbytes=lambda rec: sum(el.nbytes for el in rec[1].values()),
         )
         if transfers:
             mach.run_phase(

@@ -62,81 +62,68 @@ def _closed_form_sizes(w: int, r: int) -> Tuple[int, int, int]:
 def _check_element_arrays(el, check: Callable[[bool, str], None]) -> None:
     """A forest element's arrays against Definition 2's closed forms.
 
-    Reads only the arrays (and the rank rows they index): sizes, interval
-    order and nesting, the arithmetic links, and — through each node's
-    ``row_block`` slice — that children partition their parent's rows,
-    which makes every tree's slice a permutation of its parent's.
+    Reads only the arrays (and the rank rows and values they index):
+    block sizes; per segment tree — enumerated by arithmetic, its rows
+    read through ``row_block`` — that its key slice is its own start plus
+    its rows' ranks, ascending, and that the same rows carry exactly the
+    ranks of the parent node's key slice (so every tree's rows are the
+    rows under its parent node); and every aggregate slot, by re-folding.
     """
     soa = el.soa
     fid = el.forest_id
     m = el.nleaves
-    r = soa.d - el.dim
+    r = el.ranks.shape[1] - el.dim
     n_want, rows_want, records_want = _closed_form_sizes(m, r)
-    node_arrays = (
-        soa.dim_ix, soa.lo, soa.hi, soa.left, soa.right,
-        soa.desc, soa.last, soa.nleaves, soa.row_off,
-    )
-    sized = all(len(a) == n_want for a in node_arrays)
+    sized = len(soa.aggs) == n_want
     check(sized, f"element {fid}: node count is not T({m}, {r}) = {n_want}")
-    rows_ok = len(soa.row_block) == rows_want and el.size_records == records_want
+    rows_ok = (
+        len(soa.keys) == r
+        and all(
+            len(block) == _closed_form_sizes(m, k + 1)[1]
+            for k, block in enumerate(soa.keys)
+        )
+        and len(soa.row_block) == rows_want
+        and el.size_records == records_want
+        # a corrupt row must fail a check, not the validator
+        and bool(((soa.row_block >= 0) & (soa.row_block < m)).all())
+    )
     check(
         rows_ok,
         f"element {fid}: not R({m}, {r}) = {rows_want} row_block rows "
-        f"and {records_want} leaf records",
+        f"in 0..{m - 1} and {records_want} leaf records",
     )
     if not (sized and rows_ok):
         return  # the slot checks below index by these sizes
 
-    ids = np.arange(n_want, dtype=np.int64)
-    last, nleaves = soa.last, soa.nleaves
-    internal = nleaves > 1
-    check((soa.lo <= soa.hi).all(), f"element {fid}: a node has lo > hi")
+    keyed = partitions = True
+    for k, classes in enumerate(soa.trees()):
+        for w, (starts, parent) in classes.items():
+            at = np.arange(w, dtype=np.int64)
+            rows = soa.row_block[starts[:, -2:-1] + at]
+            own = el.ranks[rows, el.dim + k]
+            if k < r - 1:
+                own = np.sort(own, axis=1)  # the last block is held in row_block order
+            start = starts[:, :1]
+            keyed = keyed and np.array_equal(soa.keys[k][start + at], start * soa.span + own)
+            if k:
+                partitions = partitions and np.array_equal(
+                    soa.keys[k - 1][parent[:, None] + at] % soa.span,
+                    np.sort(el.ranks[rows, el.dim + k - 1], axis=1),
+                )
     check(
-        (soa.left[last] == np.where(internal, ids + 1, -1)[last]).all()
-        and (soa.right[last] == np.where(internal, ids + nleaves, -1)[last]).all(),
-        f"element {fid}: last-dimension links are not left = id+1, right = id+nleaves",
+        keyed,
+        f"element {fid}: a key block slot is not its tree's start and its row's rank",
     )
-    check(
-        (soa.desc == np.where(last, -1, ids + 1)).all(),
-        f"element {fid}: descendant links are not id+1 off the last dimension",
-    )
-
-    def at(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        # a corrupt link or offset must fail a check, not the validator
-        return arr.take(idx, mode="clip")
-
-    v = np.flatnonzero(internal)
-    kids = (soa.left[v], soa.right[v])
-    check(
-        all(
-            (
-                (soa.lo[v] <= at(soa.lo, k))
-                & (at(soa.hi, k) <= soa.hi[v])
-                & (at(soa.dim_ix, k) == soa.dim_ix[v])
-            ).all()
-            for k in kids
-        ),
-        f"element {fid}: a child interval does not nest in its parent's",
-    )
-    # rows under any node: the (row_off, nleaves) slice of the
-    # last-dimension tree its descendant links reach, one hop per
-    # earlier dimension
-    start = at(soa.row_off, ids + (soa.d - 1 - soa.dim_ix))
-
-    def rows_under(nodes: np.ndarray, w: int) -> np.ndarray:
-        span = np.arange(w, dtype=np.int64)
-        return np.sort(at(soa.row_block, at(start, nodes)[:, None] + span), axis=1)
-
-    partitions = np.array_equal(rows_under(ids[:1], m)[0], np.arange(m))
-    for w in np.unique(nleaves[v]):
-        of_w = nleaves[v] == w
-        halves = [rows_under(k[of_w], w // 2) for k in kids]
-        partitions = partitions and np.array_equal(
-            rows_under(v[of_w], w), np.sort(np.concatenate(halves, axis=1), axis=1)
-        )
     check(
         partitions,
         f"element {fid}: a tree's row_block slice is not a permutation of its parent's",
+    )
+    # every aggregate slot: re-fold the values over the held topology
+    fresh = type(soa)(span=soa.span, keys=soa.keys, row_block=soa.row_block)
+    fresh.annotate(el.values, el.semigroup)
+    check(
+        (fresh.agg_mat is None) == (soa.agg_mat is None) and bool(np.all(fresh.aggs == soa.aggs)),
+        f"element {fid}: an aggregate is not the fold of the values under its node",
     )
 
 

@@ -1,36 +1,50 @@
-"""The range tree as struct-of-arrays: direct build + batched walks.
+"""The range tree as sorted arrays: direct build + arithmetic walks.
 
 The canonical walk (:meth:`repro.seq.range_tree.RangeTree.canonical`)
 chases Python objects one query at a time; it is the reference.  A range
 tree's topology is *fixed* after construction (refits replace
-aggregates, never structure) and every label in it is Definition 2
-arithmetic, so :meth:`CompiledForest.from_ranks` emits the flat arrays
-straight from the rank table — no object tree in between — and every
-batch of boxes (the sequential ``*_many`` queries and Search step 5
-alike) walks them as level-by-level numpy frontier expansion.
+aggregates, never structure): every segment tree in it is perfect, every
+label Definition 2 arithmetic.  So the structure held here is, per
+divided dimension, one **key block** — every segment tree of that
+dimension as its rows' ranks in sorted order, trees laid end to end —
+plus ``row_block`` (the row behind each slot of the last block: the
+``s = n log^{d−1} n`` of the paper, stored once) and one aggregate per
+node.  No node carries bounds or links: a batch of boxes (the sequential
+``*_many`` queries and Search step 5 alike) finds its canonical nodes
+with one ``searchsorted`` pair and a closed-form cover per dimension.
 
-Two invariants make the arrays exact, mirroring ``CompiledHat``:
+Three invariants make the arithmetic exact:
 
-* **Emission order.**  Node ids are assigned in the object walk's own
-  DFS emission order — ``order(v) = [v] + order(descendant tree of v) +
-  order(left subtree) + order(right subtree)`` — so each query's
-  selection order is monotone in node id and one
-  ``np.lexsort((node, query))`` reproduces the object walk's exact
-  per-query emission order.  With ``T(w, r)`` nodes and ``R(w, r)``
+* **Emission order.**  Node ids are the object walk's own DFS emission
+  order — ``order(v) = [v] + order(descendant tree of v) + order(left
+  subtree) + order(right subtree)``, plain preorder inside a
+  last-dimension tree.  With ``T(w, r)`` nodes and ``R(w, r)``
   ``row_block`` rows in an ``r``-dimensional tree on ``w`` leaves,
   ``T(w, 1) = 2w − 1``, ``R(w, 1) = w`` and, for ``r > 1``,
   ``T(w, r) = 1 + T(w, r−1) + 2·T(w/2, r)`` (``R`` likewise without the
-  ``1``; the halves vanish at ``w = 1``) — every id and row offset is a
-  sum of these.
-* **Visit accounting.**  :meth:`~repro.seq.segment_tree.SegTree.decompose_counted`
-  pre-checks child overlap before pushing, so only roots of per-node
-  walks can die; the frontier walk applies the same pre-check at push
-  time, making ``np.bincount`` per-box visit totals equal the object
-  walk's charged counts exactly.
-
-Within one last-dimension segment tree the DFS order is plain preorder,
-which makes the child links arithmetic (``left = id + 1``,
-``right = id + nleaves``).
+  ``1``; the halves vanish at ``w = 1``).  A node covering positions
+  ``[s, s + 2^t)`` of a width-``2^e`` tree therefore sits, past the
+  tree's first id, the descendant trees of its ``e − t`` proper
+  ancestors plus one half-width subtree per set bit of ``s``
+  (:func:`_path_sums`) — ``2s − popcount(s) + (e − t)`` in the last
+  dimension.  Canonical nodes of one query are disjoint, so their
+  left-to-right order *is* their id order: the walk emits selections
+  already in the object walk's per-query order, no sort.
+* **Closed-form cover.**  A closed rank interval ``[a, b]`` is the
+  position interval ``[i, j)`` of a tree's sorted keys.  With
+  ``z = bit_length(i ^ j) − 1`` the split level and
+  ``c = (j >> z) << z`` the split point, its canonical cover is one
+  width-``2^t`` block per set bit ``t`` of ``c − i``, ascending, then
+  one per set bit of ``j − c``, descending — left to right they tile
+  ``[i, j)``, each starting where the one before ended.
+* **Visit accounting.**
+  :meth:`~repro.seq.segment_tree.SegTree.decompose_counted` visits the
+  canonical nodes and every node straddling an end of ``[i, j)``:
+  ``popcount(c − i) + popcount(j − c) + (e − z) + (z − tz(c − i)) +
+  (z − tz(j − c))`` for a non-empty interval (``tz`` the trailing
+  zeros; the last term is 0 when ``j = c``); an empty one visits the
+  ``e − tz(i)`` nodes straddling ``i``, or just the dying root at
+  ``i ∈ {0, w}``.
 
 ``tests/test_compiled_forest.py`` pins the arrays against the object
 tree: same selections, same order, same visit counts, same aggregates.
@@ -39,138 +53,204 @@ tree: same selections, same order, same visit counts, same aggregates.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Iterator, List, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .._util import require_power_of_two
+from .._util import ilog2, require_power_of_two
 from ..semigroup import Semigroup
 from ..semigroup.kernels import KernelColumn, batched_heap_fold
 
-__all__ = ["CompiledForest"]
+__all__ = ["CompiledForest", "Selections"]
 
 _I64 = np.int64
 
 
-@lru_cache(maxsize=128)
-def _preorder_layout(m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Preorder layout of a complete segment tree with ``m`` leaves.
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """``int.bit_length`` of each non-negative entry (exact below 2^53)."""
+    return np.frexp(x)[1]
 
-    Returns ``(heap, start, width)`` over the ``2m - 1`` preorder
-    positions: the heap id at each position, its leaf-slice start, and
-    its leaf count.  Preorder is the object walk's emission order within
-    one last-dimension tree, and it makes child links arithmetic:
-    ``left(pos) = pos + 1``, ``right(pos) = pos + width(pos)``.
-    Memoized per ``m`` — every tree of a size class shares one layout.
-    """
-    size = 2 * m - 1
-    heap = np.empty(size, dtype=_I64)
-    start = np.empty(size, dtype=_I64)
-    width = np.empty(size, dtype=_I64)
-    stack: List[Tuple[int, int, int]] = [(1, 0, m)]
-    i = 0
-    while stack:
-        h, s, w = stack.pop()
-        heap[i] = h
-        start[i] = s
-        width[i] = w
-        i += 1
-        if w > 1:
-            half = w >> 1
-            stack.append((2 * h + 1, s + half, half))
-            stack.append((2 * h, s, half))
-    return heap, start, width
+
+def _trailing_zeros(x: np.ndarray) -> np.ndarray:
+    """Index of the lowest set bit of each positive entry."""
+    return _bit_length(x & -x) - 1
 
 
 @lru_cache(maxsize=None)
-def _sizes(w: int, r: int) -> Tuple[int, int]:
-    """``(T, R)``: node and ``row_block`` counts of an ``r``-dimensional
+def _sizes(w: int, r: int) -> Tuple[int, int, int]:
+    """``(T, R, S)``: nodes, ``row_block`` rows and leaf records (leaves
+    of all segment trees, primary ones included) of an ``r``-dimensional
     range tree on ``w`` leaves (Definition 2 arithmetic).
 
-    ``T(w, 1) = 2w − 1`` and ``R(w, 1) = w``; for ``r > 1`` a tree is its
-    primary root, the root's ``(r − 1)``-dimensional descendant tree and
-    the two half-width subtrees: ``T(w, r) = 1 + T(w, r−1) + 2·T(w/2, r)``
-    (``R`` likewise, without the ``1``), the halves vanishing at ``w = 1``.
+    ``T(w, 1) = 2w − 1`` and ``R(w, 1) = S(w, 1) = w``; for ``r > 1`` a
+    tree is its primary root, the root's ``(r − 1)``-dimensional
+    descendant tree and the two half-width subtrees:
+    ``T(w, r) = 1 + T(w, r−1) + 2·T(w/2, r)`` (``R`` and ``S`` likewise,
+    without the ``1``); at ``w = 1`` the halves vanish and the root is
+    itself a leaf record.  A 0-dimensional tree is nothing.
     """
-    if r == 1:
-        return 2 * w - 1, w
-    t1, r1 = _sizes(w, r - 1)
+    if r <= 1:
+        return (2 * w - 1, w, w) if r else (0, 0, 0)
+    t1, r1, s1 = _sizes(w, r - 1)
     if w == 1:
-        return 1 + t1, r1
-    th, rh = _sizes(w >> 1, r)
-    return 1 + t1 + 2 * th, r1 + 2 * rh
+        return 1 + t1, r1, 1 + s1
+    th, rh, sh = _sizes(w >> 1, r)
+    return 1 + t1 + 2 * th, r1 + 2 * rh, s1 + 2 * sh
 
 
-@lru_cache(maxsize=256)
-def _primary_layout(w: int, r: int) -> Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]:
-    """Per level of an ``r > 1``-dimensional tree's primary segment tree:
-    each node's DFS-emission offset from the tree's first id, and its
-    descendant tree's offset into the tree's ``row_block`` slice.
+@lru_cache(maxsize=None)
+def _path_sums(e: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Where the node covering ``[s, s + 2^t)`` of a width-``2^e'`` tree
+    (``e' ≤ e``) dividing ``q`` dimensions sits, as sums along its root
+    path: ``before[e'] − before[t] + sibs[s]`` past the tree's own start
+    — ``before`` sums what each proper ancestor (widths ``2^(t+1) ..
+    2^e'``) emits ahead of its subtrees, ``sibs[s]`` one left sibling
+    subtree per set bit of ``s``.
 
-    A node at offset ``o`` of width ``v`` emits itself, its descendant
-    tree (``T(v, r−1)`` ids from ``o + 1``, ``R(v, r−1)`` rows), its left
-    subtree and then its right subtree — so the children's offsets are
-    sums of :func:`_sizes`.  Memoized per ``(w, r)``; read-only.
+    One column per space the tree occupies.  Columns ``b = 0 .. q−1``:
+    the key block ``b`` dimensions down — an ancestor's descendant tree
+    holds ``R(·, b)`` rows there, a sibling subtree ``R(·, b + 1)`` — so
+    column 0 is just ``s`` (the node's own key slice) and the others are
+    where its descendant tree starts.  Column ``q``: node ids — an
+    ancestor emits itself and its ``T(·, q−1)`` descendant tree, a
+    sibling ``T(·, q)`` ids (``2s − popcount(s) + e' − t`` when
+    ``q = 1``); the descendant tree starts one id later.
     """
-    node = [np.zeros(1, dtype=_I64)]
-    row = [np.zeros(1, dtype=_I64)]
-    v = w
-    while v > 1:
-        t1, r1 = _sizes(v, r - 1)
-        th, rh = _sizes(v >> 1, r)
-        nxt_n = np.empty(2 * len(node[-1]), dtype=_I64)
-        nxt_n[0::2] = node[-1] + (1 + t1)
-        nxt_n[1::2] = node[-1] + (1 + t1 + th)
-        nxt_r = np.empty_like(nxt_n)
-        nxt_r[0::2] = row[-1] + r1
-        nxt_r[1::2] = row[-1] + (r1 + rh)
-        node.append(nxt_n)
-        row.append(nxt_r)
-        v >>= 1
-    return tuple(node), tuple(row)
+    ahead = [
+        [_sizes(1 << u, b)[1] for b in range(q)] + [1 + _sizes(1 << u, q - 1)[0]]
+        for u in range(e + 1)
+    ]
+    before = np.cumsum(ahead, axis=0, dtype=_I64)
+    sibs = np.zeros((1, q + 1), dtype=_I64)
+    for u in range(e):
+        half = [_sizes(1 << u, b + 1)[1] for b in range(q)] + [_sizes(1 << u, q)[0]]
+        sibs = np.concatenate([sibs, sibs + half])
+    return before, sibs
+
+
+@lru_cache(maxsize=None)
+def _cover_bits(nbits: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The candidate blocks of a cover whose two sides fit ``nbits``
+    bits, left to right: ``level`` (log2 width per column — the bits of
+    ``c − i`` ascending, then the bits of ``j − c`` descending) and the
+    matching ``(2, nbits)`` bit masks."""
+    level = np.arange(nbits, dtype=_I64)
+    level = np.concatenate([level, level[::-1]])
+    return level, (1 << level).reshape(2, nbits)
+
+
+@lru_cache(maxsize=128)
+def _preorder_heap(w: int) -> np.ndarray:
+    """The heap id at each preorder position of a complete segment tree
+    with ``w`` leaves — preorder is the emission order within one
+    last-dimension tree.  Memoized; every tree of a size class shares it.
+    """
+    e = ilog2(w)
+    heap = np.arange(1, 2 * w, dtype=_I64)
+    depth = _bit_length(heap) - 1
+    before, sibs = _path_sums(e, 1)
+    at = before[e] - before[e - depth] + sibs[(heap - (1 << depth)) << (e - depth)]
+    out = np.empty(2 * w - 1, dtype=_I64)
+    out[at[:, 1]] = heap
+    return out
+
+
+@lru_cache(maxsize=32)
+def _layout(m: int, r: int) -> Tuple[Dict[int, Tuple[np.ndarray, np.ndarray]], ...]:
+    """Every segment tree of an ``r``-dimensional range tree on ``m``
+    leaves, by arithmetic: per divided dimension ``k``, per tree width
+    ``w``, the trees' ``(starts, parent)`` — ``starts`` one row per
+    tree, columns as in :func:`_path_sums` (its start in each key block
+    ``k .. r−1``, then its first node id); ``parent`` the block-``k−1``
+    position of the parent node's key slice, whose rows are the tree's.
+
+    The one enumeration behind the build, the aggregate fill and the
+    validator; read-only.
+    """
+    levels = [{m: (np.zeros((1, r + 1), dtype=_I64), np.zeros(1, dtype=_I64))}]
+    for k in range(r - 1):
+        kids: Dict[int, List[np.ndarray]] = {}
+        before, sibs = _path_sums(ilog2(m), r - k)
+        for w, (starts, _parent) in levels[-1].items():
+            e = ilog2(w)
+            for t in range(e + 1):
+                off = before[e] - before[t] + sibs[: w : 1 << t]
+                kids.setdefault(1 << t, []).append(
+                    (starts[:, None, :] + off).reshape(-1, r - k + 1)
+                )
+        level = {}
+        for w, parts in kids.items():
+            at = np.concatenate(parts)
+            at[:, -1] += 1  # a descendant tree starts one id after its anchor
+            level[w] = (at[:, 1:], at[:, 0])
+        levels.append(level)
+    return tuple(levels)
+
+
+class Selections(NamedTuple):
+    """What :meth:`CompiledForest.walk` returns: one entry per selected
+    last-dimension node, in the object walk's exact emission order, plus
+    the per-box visit counts."""
+
+    q: np.ndarray  #: index of the box that selected the node
+    node: np.ndarray  #: its emission-order node id (indexes the aggregates)
+    off: np.ndarray  #: its leaf rows start here in ``row_block`` …
+    length: np.ndarray  #: … and are this many (the node's width)
+    visits: np.ndarray  #: per *box*: nodes visited, ``decompose_counted``'s count
 
 
 class CompiledForest:
-    """A range tree as flat arrays, walked for many boxes at once.
+    """A range tree as sorted arrays, walked for many boxes at once.
 
-    Per node (global DFS emission-order id): ``dim_ix`` the absolute
-    dimension compared at that node, ``lo``/``hi`` its closed rank
-    interval, ``left``/``right``/``desc`` child links (−1 when absent),
-    ``last`` flags last-dimension membership, ``nleaves`` the leaf count.
-    Last-dimension nodes additionally carry ``row_off`` — the node's
-    leaf rows as a contiguous ``(offset, nleaves)`` slice of the flat
-    ``row_block`` (layout arithmetic at build time, no traversal at walk
-    time).  Node aggregates live in exactly one of two columns, decided
-    by the value column handed in: ``agg_mat`` (pre-encoded rows under
-    ``agg_kernel``, §6c) for a typed
-    :class:`~repro.semigroup.kernels.KernelColumn`, ``agg_obj`` (the
-    semigroup's own Python values) otherwise.
+    ``keys[k]`` is the key block of divided dimension ``k`` (the last
+    ``len(keys)`` dimensions are the divided ones): one int64 per stored row,
+    ``tree_start · span + rank`` with the trees in emission order and
+    each tree's ranks ascending — so the whole block ascends and one
+    ``searchsorted`` locates a bound inside any tree.  ``span`` exceeds
+    every rank by two, leaving room to clip a bound to "before all" /
+    "after all" without leaving the tree's key range.  ``row_block``
+    aligns with the last block: the row whose last-dimension rank each
+    slot holds, so a last-dimension node's leaf rows are a contiguous
+    ``(offset, width)`` slice.  Node aggregates live in exactly one of
+    two columns indexed by emission-order node id, decided by the value
+    column handed in: ``agg_mat`` (pre-encoded rows under ``agg_kernel``,
+    §6c) for a typed :class:`~repro.semigroup.kernels.KernelColumn`,
+    ``agg_obj`` (the semigroup's own Python values) otherwise.
     """
 
-    __slots__ = (
-        "d",
-        "dim_ix",
-        "lo",
-        "hi",
-        "left",
-        "right",
-        "desc",
-        "last",
-        "nleaves",
-        "row_off",
-        "row_block",
-        "agg_kernel",
-        "agg_mat",
-        "agg_obj",
-    )
+    __slots__ = ("span", "keys", "row_block", "agg_kernel", "agg_mat", "agg_obj")
 
     def __init__(self, **arrays: Any) -> None:
         for name in self.__slots__:
             setattr(self, name, arrays.get(name))
 
     @property
+    def shape(self) -> Tuple[int, int]:
+        """``(leaves, divided dimensions)`` — all the topology there is."""
+        return len(self.keys[0]), len(self.keys)
+
+    def trees(self) -> Tuple[Dict[int, Tuple[np.ndarray, np.ndarray]], ...]:
+        """Every segment tree by arithmetic — see :func:`_layout`."""
+        return _layout(*self.shape)
+
+    @property
     def size_nodes(self) -> int:
-        return len(self.lo)
+        return _sizes(*self.shape)[0]
+
+    @property
+    def size_records(self) -> int:
+        """Leaf records across all segment trees, primary ones included."""
+        return _sizes(*self.shape)[2]
+
+    @property
+    def aggs(self) -> np.ndarray:
+        """The aggregate column in force: ``agg_mat`` or ``agg_obj``."""
+        return self.agg_obj if self.agg_mat is None else self.agg_mat
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the held arrays (what a pickle of the forest ships)."""
+        return sum(a.nbytes for a in (*self.keys, self.row_block, self.aggs))
 
     # ------------------------------------------------------------------
     # construction
@@ -183,98 +263,36 @@ class CompiledForest:
         semigroup: Semigroup,
         start_dim: int = 0,
     ) -> "CompiledForest":
-        """The range tree over all rows of ``ranks``, dividing dimensions
-        ``start_dim .. d−1``, emitted directly as arrays.
+        """The range tree over all rows of ``ranks`` (non-negative,
+        distinct per dimension), dividing dimensions ``start_dim .. d−1``,
+        emitted directly as arrays.
 
-        Trees are built a *batch* at a time: ``k`` equal-width trees of
-        one dimension are one ``argsort(axis=1)`` plus a few scatters
-        through the memoized ``(w, r)`` layout, and the descendant trees
-        of their level-``l`` nodes are the next batch,
-        ``rows.reshape(k·2^l, w/2^l)``.
+        One dimension at a time, one width class at a time: the trees of
+        a class take their rows from their parents' sorted key slices and
+        are one ``argsort(axis=1)`` plus two scatters.
         """
         ranks = np.asarray(ranks, dtype=_I64)
         m, d = ranks.shape
         require_power_of_two("range tree point count", m)
-        n, nrows = _sizes(m, d - start_dim)
-        dim_ix = np.full(n, d - 1, dtype=_I64)
-        lo = np.empty(n, dtype=_I64)
-        hi = np.empty(n, dtype=_I64)
-        left = np.empty(n, dtype=_I64)
-        right = np.empty(n, dtype=_I64)
-        desc = np.full(n, -1, dtype=_I64)
-        last = np.ones(n, dtype=bool)
-        nleaves = np.empty(n, dtype=_I64)
-        row_off = np.zeros(n, dtype=_I64)
-        row_block = np.empty(nrows, dtype=_I64)
-
-        # a batch: (rows (k, w), dimension, first node id (k,), first row (k,))
-        zero = np.zeros(1, dtype=_I64)
-        batches = [(np.arange(m, dtype=_I64)[None, :], start_dim, zero, zero)]
-        while batches:
-            rows, dim, base, rbase = batches.pop()
-            k, w = rows.shape
-            keys = ranks[rows, dim]
-            # stable, as the per-tree argsort of the object builder
-            order = np.argsort(keys, axis=1, kind="stable")
-            rows = np.take_along_axis(rows, order, axis=1)
-            keys = np.take_along_axis(keys, order, axis=1)
-            if dim == d - 1:
-                # preorder within a last-dimension tree makes the links
-                # arithmetic: left = id + 1, right = id + nleaves
-                _heap, s_arr, w_arr = _preorder_layout(w)
-                gids = base[:, None] + np.arange(2 * w - 1, dtype=_I64)
-                flat = gids.ravel()
-                nleaves[flat] = np.broadcast_to(w_arr, gids.shape).ravel()
-                row_off[flat] = (rbase[:, None] + s_arr).ravel()
-                internal = w_arr > 1
-                left[flat] = np.where(internal, gids + 1, -1).ravel()
-                right[flat] = np.where(internal, gids + w_arr, -1).ravel()
-                lo[flat] = keys[:, s_arr].ravel()
-                hi[flat] = keys[:, s_arr + w_arr - 1].ravel()
-                row_block[
-                    (rbase[:, None] + np.arange(w, dtype=_I64)).ravel()
-                ] = rows.ravel()
-                continue
-            node_offs, row_offs = _primary_layout(w, d - dim)
-            for level, (noff, roff) in enumerate(zip(node_offs, row_offs)):
-                v = w >> level
-                ids = (base[:, None] + noff).ravel()
-                dim_ix[ids] = dim
-                last[ids] = False
-                nleaves[ids] = v
-                lo[ids] = keys[:, ::v].ravel()
-                hi[ids] = keys[:, v - 1 :: v].ravel()
-                # a selected node's descendant tree is emitted before
-                # anything under its siblings (the emission-order theorem)
-                desc[ids] = ids + 1
-                if v > 1:
-                    kids = base[:, None] + node_offs[level + 1]
-                    left[ids] = kids[:, 0::2].ravel()
-                    right[ids] = kids[:, 1::2].ravel()
-                else:
-                    left[ids] = right[ids] = -1
-                batches.append(
-                    (
-                        rows.reshape(k << level, v),
-                        dim + 1,
-                        ids + 1,
-                        (rbase[:, None] + roff).ravel(),
-                    )
-                )
-
-        forest = cls(
-            d=d,
-            dim_ix=dim_ix,
-            lo=lo,
-            hi=hi,
-            left=left,
-            right=right,
-            desc=desc,
-            last=last,
-            nleaves=nleaves,
-            row_off=row_off,
-            row_block=row_block,
-        )
+        span = int(ranks.max()) + 2
+        keys: List[np.ndarray] = []
+        rows_above = np.arange(m, dtype=_I64)
+        for k, classes in enumerate(_layout(m, d - start_dim)):
+            col = ranks[:, start_dim + k]
+            block = np.empty(_sizes(m, k + 1)[1], dtype=_I64)
+            rows_here = np.empty_like(block)
+            for w, (starts, parent) in classes.items():
+                at = np.arange(w, dtype=_I64)
+                rows = rows_above[parent[:, None] + at]
+                tree_keys = col[rows]
+                # stable, as the per-tree argsort of the object builder
+                order = np.argsort(tree_keys, axis=1, kind="stable")
+                start = starts[:, :1]
+                block[start + at] = start * span + np.take_along_axis(tree_keys, order, axis=1)
+                rows_here[start + at] = np.take_along_axis(rows, order, axis=1)
+            keys.append(block)
+            rows_above = rows_here
+        forest = cls(span=span, keys=tuple(keys), row_block=rows_above)
         forest.annotate(values, semigroup)
         return forest
 
@@ -286,21 +304,12 @@ class CompiledForest:
         Yields ``(rows, gids, heap)`` per leaf count ``w``: the ``(k, w)``
         leaf rows of the class's ``k`` trees in last-dimension rank
         order, their ``(k, 2w − 1)`` node ids, and the heap id at each
-        preorder position — all read back from the held topology, so a
-        build and a refit annotate through the same child pairs.
+        preorder position — so a build and a refit annotate through the
+        same child pairs.
         """
-        # a last-dimension tree hangs off a node of dimension d−2 — or is
-        # the whole structure, when only the last dimension is divided
-        roots = self.desc[~self.last]
-        roots = roots[self.last[roots]] if len(roots) else np.zeros(1, dtype=_I64)
-        widths = self.nleaves[roots]
-        for w in np.unique(widths).tolist():
-            sel = roots[widths == w]
-            heap, _start, _width = _preorder_layout(w)
-            rows = self.row_block[
-                self.row_off[sel][:, None] + np.arange(w, dtype=_I64)
-            ]
-            yield rows, sel[:, None] + np.arange(2 * w - 1, dtype=_I64), heap
+        for w, (starts, _parent) in self.trees()[-1].items():
+            rows = self.row_block[starts[:, :1] + np.arange(w, dtype=_I64)]
+            yield rows, starts[:, 1:] + np.arange(2 * w - 1, dtype=_I64), _preorder_heap(w)
 
     def annotate(self, values: Sequence[Any], semigroup: Semigroup) -> None:
         """(Re)compute every last-dimension node's aggregate ``f(v)`` over
@@ -343,85 +352,85 @@ class CompiledForest:
     # ------------------------------------------------------------------
     # the batched walk
     # ------------------------------------------------------------------
-    def walk(
-        self, los: np.ndarray, his: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def walk(self, los: np.ndarray, his: np.ndarray) -> Selections:
         """Canonical selections for a whole batch of rank boxes at once.
 
-        ``los``/``his`` are ``(nq, d)`` int64 closed bounds.  Returns
-        ``(sel_q, sel_n, visits)``: the selected last-dimension node ids
-        per query, lexsorted to the object walk's exact emission order,
-        and per-box visited-node counts with
-        :meth:`~repro.seq.segment_tree.SegTree.decompose_counted`'s
-        semantics (children join the frontier only if they overlap, so
-        only per-tree roots can die; empty boxes visit nothing).
+        ``los``/``his`` are ``(nq, d)`` int64 closed bounds.  Visit
+        counts follow
+        :meth:`~repro.seq.segment_tree.SegTree.decompose_counted` (only
+        per-tree roots can die; empty boxes visit nothing).
+
+        One step per divided dimension over the live ``(box, tree)``
+        pairs: a ``searchsorted`` pair, the closed-form cover, and each
+        cover node's descendant tree as the next step's pair.
         """
         nq = len(los)
+        m, r = self.shape
+        top = ilog2(m)
+        span = self.span
         visits = np.zeros(nq, dtype=_I64)
-        if nq:
-            fq = np.nonzero((los <= his).all(axis=1))[0].astype(_I64)
-        else:
-            fq = np.empty(0, dtype=_I64)
-        fn = np.zeros(len(fq), dtype=_I64)
-        sel_q_parts: List[np.ndarray] = []
-        sel_n_parts: List[np.ndarray] = []
-        while len(fq):
-            visits += np.bincount(fq, minlength=nq)
-            dims = self.dim_ix[fn]
-            a = los[fq, dims]
-            b = his[fq, dims]
-            nlo = self.lo[fn]
-            nhi = self.hi[fn]
-            alive = ~((b < nlo) | (nhi < a))  # only roots can die
-            selm = alive & (a <= nlo) & (nhi <= b)
-            lastm = self.last[fn]
-            hit = selm & lastm  # dimension-d canonical selection
-            down = selm & ~lastm  # selected earlier: descend
-            split = alive & ~selm  # partial overlap: try both children
-            if hit.any():
-                sel_q_parts.append(fq[hit])
-                sel_n_parts.append(fn[hit])
-            sq = fq[split]
-            a2 = a[split]
-            b2 = b[split]
-            ln = self.left[fn[split]]
-            rn = self.right[fn[split]]
-            # decompose_counted pushes a child only when it overlaps —
-            # the pre-check that keeps visit counts bit-identical
-            lkeep = ~((b2 < self.lo[ln]) | (self.hi[ln] < a2))
-            rkeep = ~((b2 < self.lo[rn]) | (self.hi[rn] < a2))
-            fq = np.concatenate([fq[down], sq[lkeep], sq[rkeep]])
-            fn = np.concatenate(
-                [self.desc[fn[down]], ln[lkeep], rn[rkeep]]
+        pq = np.flatnonzero((los <= his).all(axis=1))
+        if not len(pq):
+            return Selections(pq, pq, pq, pq, visits)
+        # (lo, hi) per divided dimension, clipped once to "before all" ..
+        # "after all" of any tree's key range; hi + 1 makes both left searches
+        bounds = np.stack([los.T[-r:], his.T[-r:]], axis=2)
+        bounds = np.clip(bounds, (0, -1), (span - 1, span - 2)) + (0, 1)
+        e = np.full(len(pq), top, dtype=_I64)  # log2 width of each pair's tree
+        starts = np.zeros((len(pq), r + 1), dtype=_I64)  # columns as in _path_sums
+        for k in range(r):
+            start = starts[:, :1]
+            ends = np.searchsorted(self.keys[k], start * span + bounds[k].take(pq, axis=0)) - start
+            i, j = ends[:, 0], ends[:, 1]
+            z = np.maximum(_bit_length(i ^ j) - 1, 0)
+            c = (j >> z) << z
+            sides = np.abs(ends - c[:, None])  # c − i, j − c
+            level, masks = _cover_bits(int(z.max(initial=0)) + 1)
+            hits = np.flatnonzero((sides[:, :, None] & masks) != 0)
+            pair = hits // len(level)
+            t = level[hits - pair * len(level)]
+            width = 1 << t
+            # a pair's blocks tile [i, j) left to right
+            length = j - i
+            s = np.cumsum(width) - width + (i - (np.cumsum(length) - length))[pair]
+
+            low = _trailing_zeros(np.stack([sides[:, 0], sides[:, 1] | (1 << z), i | (1 << e)]))
+            seen = np.where(
+                length > 0,
+                np.bincount(pair, minlength=len(pq)) + e + z - low[0] - low[1],
+                np.maximum(e - low[2], 1),
             )
-        if sel_q_parts:
-            sel_q = np.concatenate(sel_q_parts)
-            sel_n = np.concatenate(sel_n_parts)
-        else:
-            sel_q = np.empty(0, dtype=_I64)
-            sel_n = np.empty(0, dtype=_I64)
-        order = np.lexsort((sel_n, sel_q))
-        return sel_q[order], sel_n[order], visits
+            visits += np.bincount(pq, weights=seen, minlength=nq).astype(_I64)
+
+            before, sibs = _path_sums(top, r - k)
+            at = (
+                starts.take(pair, axis=0)
+                + before.take(e[pair], axis=0)
+                - before.take(t, axis=0)
+                + sibs.take(s, axis=0)
+            )
+            # the next dimension's pairs: each cover node's descendant tree
+            pq, e, starts = pq[pair], t, at[:, 1:]
+        # a descendant tree starts one id after its anchor: r − 1 skipped
+        return Selections(pq, at[:, -1] + (r - 1), at[:, 0], width, visits)
 
     def rows_flat(
-        self, sel_n: np.ndarray, lengths: np.ndarray
+        self, sel_off: np.ndarray, lengths: np.ndarray
     ) -> np.ndarray:
         """Leaf rows under each selected node, concatenated.
 
-        ``lengths`` is the per-selection row count to take (``nleaves``
-        of the node, or 0 to skip a selection); each selection's rows
-        are the ``(row_off, length)`` slice of ``row_block`` — one fancy
-        gather, no traversal.
+        ``sel_off`` is each selection's ``row_block`` offset and
+        ``lengths`` the row count to take from it (the node's width, or 0
+        to skip a selection) — one fancy gather, no traversal.
         """
-        offsets = np.zeros(len(sel_n) + 1, dtype=_I64)
+        offsets = np.zeros(len(sel_off) + 1, dtype=_I64)
         np.cumsum(lengths, out=offsets[1:])
         total = int(offsets[-1])
         if not total:
             return np.empty(0, dtype=_I64)
         return self.row_block[
             np.arange(total, dtype=_I64)
-            - np.repeat(offsets[:-1], lengths)
-            + np.repeat(self.row_off[sel_n], lengths)
+            + np.repeat(sel_off - offsets[:-1], lengths)
         ]
 
     def decode_aggs(self, sel_n: np.ndarray) -> List[Any]:
@@ -434,6 +443,7 @@ class CompiledForest:
 
     def root_agg(self) -> Any:
         """Aggregate over all points of the tree: the root of the
-        last-dimension tree reached through the root's descendant
-        links (``desc = id + 1``, one hop per earlier dimension)."""
-        return self.decode_aggs([self.d - 1 - int(self.dim_ix[0])])[0]
+        last-dimension tree reached through the root's descendant trees
+        (each starts one id after its anchor, one hop per earlier
+        dimension)."""
+        return self.decode_aggs([len(self.keys) - 1])[0]

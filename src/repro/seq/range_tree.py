@@ -35,7 +35,7 @@ from ..geometry.box import Box, RankBox, RankBoxes, rank_bounds
 from ..geometry.point import PointSet
 from ..geometry.rankspace import RankedPointSet, pad_to_power_of_two
 from ..semigroup import COUNT, Semigroup
-from .compiled import CompiledForest
+from .compiled import CompiledForest, Selections
 from .segment_tree import SegTree, WalkStats
 
 __all__ = ["RangeTree", "DimTree", "SequentialRangeTree", "CanonicalSelection"]
@@ -265,26 +265,26 @@ class RangeTree:
     # ------------------------------------------------------------------
     def _walk_batch(
         self, boxes: RankBoxes, st: WalkStats
-    ) -> tuple[int, CompiledForest, np.ndarray, np.ndarray]:
+    ) -> tuple[int, CompiledForest, Selections]:
         """One compiled walk over ``boxes`` — a :class:`RankBox` sequence
         or the ``(los, his)`` pair of ``RankSpace.to_rank_bounds``."""
         los, his = rank_bounds(boxes)
         if len(los) and los.shape[1] != self.d:
             raise DimensionMismatch(self.d, los.shape[1], "rank box")
         comp = self.compiled()
-        sel_q, sel_n, visits = comp.walk(los, his)
-        st.nodes_visited += int(visits.sum())
-        st.nodes_selected += int(sel_n.shape[0])
-        return len(los), comp, sel_q, sel_n
+        sel = comp.walk(los, his)
+        st.nodes_visited += int(sel.visits.sum())
+        st.nodes_selected += int(sel.node.shape[0])
+        return len(los), comp, sel
 
     def count_many(
         self, boxes: RankBoxes, stats: WalkStats | None = None
     ) -> list[int]:
         """:meth:`count` over a batch of boxes in one compiled walk."""
         st = stats if stats is not None else self.stats
-        nq, comp, sel_q, sel_n = self._walk_batch(boxes, st)
+        nq, _comp, sel = self._walk_batch(boxes, st)
         out = np.zeros(nq, dtype=np.int64)
-        np.add.at(out, sel_q, comp.nleaves[sel_n])
+        np.add.at(out, sel.q, sel.length)
         return [int(c) for c in out]
 
     def aggregate_many(
@@ -293,9 +293,9 @@ class RangeTree:
         """:meth:`aggregate` over a batch: one walk, per-query folds in
         the object walk's exact emission order."""
         st = stats if stats is not None else self.stats
-        nq, comp, sel_q, sel_n = self._walk_batch(boxes, st)
-        vals = comp.decode_aggs(sel_n)
-        cuts = np.searchsorted(sel_q, np.arange(nq + 1))
+        nq, comp, sel = self._walk_batch(boxes, st)
+        vals = comp.decode_aggs(sel.node)
+        cuts = np.searchsorted(sel.q, np.arange(nq + 1))
         fold = self.semigroup.fold
         return [
             fold(vals[cuts[i] : cuts[i + 1]]) for i in range(nq)
@@ -307,13 +307,12 @@ class RangeTree:
         """:meth:`report` over a batch: selection rows gathered with one
         flat fancy index over the compiled pid tiling."""
         st = stats if stats is not None else self.stats
-        nq, comp, sel_q, sel_n = self._walk_batch(boxes, st)
-        lens = comp.nleaves[sel_n]
-        flat = comp.rows_flat(sel_n, lens)
+        nq, comp, sel = self._walk_batch(boxes, st)
+        flat = comp.rows_flat(sel.off, sel.length)
         st.points_reported += int(flat.shape[0])
-        offsets = np.zeros(len(sel_n) + 1, dtype=np.int64)
-        np.cumsum(lens, out=offsets[1:])
-        cuts = np.searchsorted(sel_q, np.arange(nq + 1))
+        offsets = np.zeros(len(sel.length) + 1, dtype=np.int64)
+        np.cumsum(sel.length, out=offsets[1:])
+        cuts = np.searchsorted(sel.q, np.arange(nq + 1))
         return [
             flat[offsets[cuts[i]] : offsets[cuts[i + 1]]]
             for i in range(nq)

@@ -170,23 +170,25 @@ def test_hot_spot_still_dispatches_pack_and_unpack(strategy):
 
 #: (p, strategy) -> [(label, sent, received, volume_bytes)] of the
 #: ``search:replicate:*`` rounds answering ``[count(HOT)] * 40`` over
-#: make_points("uniform", 256, 2, seed=42) — measured at 37ac758, where each
-#: number came from walking every nested tree of every shipped element.
+#: make_points("uniform", 256, 2, seed=42).  The record counts were measured
+#: at 37ac758, where each came from walking every nested tree of every
+#: shipped element; the bytes are the shipped elements' arrays (rank rows,
+#: pids, values, key blocks, row_block, aggregates), summed ``nbytes``.
 PARENT_REPLICATION = {
     (4, "doubling"): [
-        ("search:replicate:double-0", (640, 640, 0, 0), (0, 640, 640, 0), 37248),
+        ("search:replicate:double-0", (640, 640, 0, 0), (0, 640, 640, 0), 50144),
         ("search:replicate:double-1", (0, 0, 0, 0), (0, 0, 0, 0), 0),
     ],
     (4, "direct"): [
-        ("search:replicate:direct", (640, 640, 0, 0), (0, 640, 640, 0), 37248),
+        ("search:replicate:direct", (640, 640, 0, 0), (0, 640, 640, 0), 50144),
     ],
     (8, "doubling"): [
-        ("search:replicate:double-0", (0, 0, 320, 0, 0, 0, 0, 0), (320, 0, 0, 0, 0, 0, 0, 0), 9984),
-        ("search:replicate:double-1", (320, 0, 320, 0, 0, 0, 0, 0), (0, 320, 0, 320, 0, 0, 0, 0), 19968),
-        ("search:replicate:double-2", (320, 320, 320, 320, 0, 0, 0, 0), (0, 0, 0, 0, 320, 320, 320, 320), 39936),
+        ("search:replicate:double-0", (0, 0, 320, 0, 0, 0, 0, 0), (320, 0, 0, 0, 0, 0, 0, 0), 13544),
+        ("search:replicate:double-1", (320, 0, 320, 0, 0, 0, 0, 0), (0, 320, 0, 320, 0, 0, 0, 0), 27088),
+        ("search:replicate:double-2", (320, 320, 320, 320, 0, 0, 0, 0), (0, 0, 0, 0, 320, 320, 320, 320), 54176),
     ],
     (8, "direct"): [
-        ("search:replicate:direct", (0, 0, 2240, 0, 0, 0, 0, 0), (320, 320, 0, 320, 320, 320, 320, 320), 69888),
+        ("search:replicate:direct", (0, 0, 2240, 0, 0, 0, 0, 0), (320, 320, 0, 320, 320, 320, 320, 320), 94808),
     ],
 }
 
@@ -219,6 +221,18 @@ def test_the_stored_record_count_is_the_tree_walk_and_survives_a_pickle():
             for el in store.values():
                 assert el.size_records == reference_tree(el).space_leaves()
                 assert pickle.loads(pickle.dumps(el)).size_records == el.size_records
+
+
+def test_the_bytes_charged_for_an_element_are_what_its_pickle_ships():
+    pts = make_points("uniform", 64, 3, seed=3)
+    with DistributedRangeTree.build(pts, p=4) as tree:
+        for store in tree.forest_store:
+            for el in store.values():
+                soa = el.soa
+                arrays = (el.ranks, el.pids, el.values.data, *soa.keys, soa.row_block, soa.agg_mat)
+                assert el.nbytes == sum(a.nbytes for a in arrays)
+                # the pickle adds only its envelope (class paths, shapes, ids)
+                assert 0 < len(pickle.dumps(el)) - el.nbytes < 2048
 
 
 def test_weighted_exchange_evaluates_each_callback_once_per_record():

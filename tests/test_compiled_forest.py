@@ -38,8 +38,9 @@ from repro.semigroup import (
     sum_of_dim,
 )
 from repro.seq import bf_aggregate
+from repro.seq.compiled import CompiledForest
 from repro.seq.range_tree import SequentialRangeTree
-from repro.seq.segment_tree import WalkStats
+from repro.seq.segment_tree import SegTree, WalkStats
 from repro.workloads import make_points, uniform_points
 
 from tests.helpers import random_boxes, reference_tree, unkernelized
@@ -50,10 +51,7 @@ from tests.test_compiled_hat import (
     reference_search,
 )
 
-TOPOLOGY = (
-    "dim_ix", "lo", "hi", "left", "right", "desc", "last", "nleaves",
-    "row_off", "row_block",
-)
+TOPOLOGY = ("keys", "row_block")
 
 
 def _forest_elements(tree):
@@ -79,13 +77,12 @@ def _object_walk(el, boxes):
 
 def _array_walk(el, boxes, soa=None):
     soa = el.soa if soa is None else soa
-    sel_q, sel_n, vis = soa.walk(*rank_bounds(boxes))
-    aggs = soa.decode_aggs(sel_n)
+    sel = soa.walk(*rank_bounds(boxes))
+    aggs = soa.decode_aggs(sel.node)
     sels = [[] for _ in boxes]
-    for q, j, agg in zip(sel_q, sel_n, aggs):
-        off, ln = int(soa.row_off[j]), int(soa.nleaves[j])
+    for q, off, ln, agg in zip(sel.q, sel.off, sel.length, aggs):
         sels[int(q)].append((soa.row_block[off : off + ln].tolist(), repr(agg)))
-    return sels, [int(v) for v in vis]
+    return sels, [int(v) for v in sel.visits]
 
 
 def _emission_rows(t, h=1):
@@ -184,6 +181,39 @@ class TestDirectBuildAgainstTheObjectOracle:
             assert _array_walk(el, boxes) == _object_walk(el, boxes)
 
 
+class TestClosedFormCover:
+    """One dimension, isolated: position arithmetic ≡ the 4-case descent."""
+
+    @given(log_w=st.integers(0, 10), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_cover_and_visits_equal_decompose_counted(self, log_w, data):
+        w = 1 << log_w
+        top = 4 * w
+        keys = np.array(
+            sorted(data.draw(st.sets(st.integers(0, top), min_size=w, max_size=w)))
+        )
+        bound = st.integers(-3, top + 3)  # gaps, a > b, outside the key range
+        bounds = data.draw(st.lists(st.tuples(bound, bound), min_size=1, max_size=8))
+        seg = SegTree(keys)
+        forest = CompiledForest.from_ranks(keys[:, None], [1] * w, unkernelized(COUNT))
+        sel = forest.walk(
+            np.array([[a] for a, _b in bounds]), np.array([[b] for _a, b in bounds])
+        )
+        assert (np.diff(sel.q) >= 0).all()
+        for q, (a, b) in enumerate(bounds):
+            want_nodes, want_visits = seg.decompose_counted(a, b)
+            mine = sel.q == q
+            # heap id of the node covering [off, off + length)
+            got = (w + sel.off[mine]) // sel.length[mine]
+            assert got.tolist() == want_nodes
+            assert int(sel.visits[q]) == want_visits
+            # node ids are preorder positions: 2s − popcount(s) + depth
+            assert sel.node[mine].tolist() == [
+                2 * int(s) - bin(int(s)).count("1") + log_w - int(ln).bit_length() + 1
+                for s, ln in zip(sel.off[mine], sel.length[mine])
+            ]
+
+
 class TestWalkBitIdentity:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_object_walk(self, d):
@@ -216,8 +246,7 @@ class TestWalkBitIdentity:
         with DistributedRangeTree.build(pts, p=4) as tree:
             el = _forest_elements(tree)[0]
             empty = np.empty((0, 2), dtype=np.int64)
-            sel_q, sel_n, vis = el.soa.walk(empty, empty)
-            assert len(sel_q) == len(sel_n) == len(vis) == 0
+            assert all(len(part) == 0 for part in el.soa.walk(empty, empty))
 
 
 class TestSeqBatchedAPIs:
@@ -315,10 +344,12 @@ class TestOneRepresentation:
         with DistributedRangeTree.build(pts, p=4) as tree:
             el = _forest_elements(tree)[0]
             clone = pickle.loads(pickle.dumps(el))
-            for name in TOPOLOGY + ("agg_mat",):
-                np.testing.assert_array_equal(
-                    getattr(clone.soa, name), getattr(el.soa, name)
-                )
+            for mine, theirs in zip(
+                (*clone.soa.keys, clone.soa.row_block, clone.soa.agg_mat),
+                (*el.soa.keys, el.soa.row_block, el.soa.agg_mat),
+            ):
+                np.testing.assert_array_equal(mine, theirs)
+            assert clone.soa.span == el.soa.span
             assert clone.size_records == el.size_records
             rng = np.random.default_rng(19)
             boxes = _rank_boxes(rng, 10, 2, tree.hat.n)
@@ -349,9 +380,10 @@ class TestCompileCache:
 
 class TestTilingEquivalence:
     def test_row_tilings_match_rows_under(self):
-        """Every last-dimension node's ``(row_off, nleaves)`` slice is the
-        object tree's ``rows_under`` — compared node for node, in the
-        emission order the ids encode."""
+        """Every last-dimension node's ``row_block`` slice — its tree's
+        start plus its heap position's leaf span — is the object tree's
+        ``rows_under``, compared node for node, in the emission order the
+        ids encode."""
         pts = uniform_points(48, 2, seed=21)
         with DistributedRangeTree.build(pts, p=4) as tree:
             for el in _forest_elements(tree):
@@ -360,13 +392,17 @@ class TestTilingEquivalence:
                 # rows per node id; None off the last dimension
                 want = list(_emission_rows(ref.root_tree))
                 assert len(want) == soa.size_nodes
-                for j, rows in enumerate(want):
-                    assert bool(soa.last[j]) == (rows is not None)
-                    if rows is not None:
-                        off, ln = int(soa.row_off[j]), int(soa.nleaves[j])
-                        np.testing.assert_array_equal(
-                            soa.row_block[off : off + ln], rows
-                        )
+                got = [None] * soa.size_nodes
+                for rows, gids, heap in soa._last_dim_classes():
+                    w = rows.shape[1]
+                    for tree_rows, tree_ids in zip(rows, gids):
+                        for j, h in zip(tree_ids, heap):
+                            width = w >> (int(h).bit_length() - 1)
+                            start = (int(h) * width) % w
+                            got[j] = tree_rows[start : start + width].tolist()
+                assert got == [
+                    None if rows is None else rows.tolist() for rows in want
+                ]
 
     def test_pid_block_matches_selection_pids(self):
         # padded build: sentinel (negative) pids live in the elements
@@ -378,8 +414,8 @@ class TestTilingEquivalence:
             boxes = _rank_boxes(np.random.default_rng(23), 8, 2, tree.hat.n)
             for el in els:
                 ref = reference_tree(el)
-                sel_q, sel_n, _vis = el.soa.walk(*rank_bounds(boxes))
-                got = el.pids[el.soa.rows_flat(sel_n, el.soa.nleaves[sel_n])]
+                sel = el.soa.walk(*rank_bounds(boxes))
+                got = el.pids[el.soa.rows_flat(sel.off, sel.length)]
                 want = [
                     el.pids[sel.rows()]
                     for box in boxes
@@ -407,7 +443,9 @@ class TestTilingEquivalence:
             el = _forest_elements(tree)[0]
             soa = el.soa
             assert soa.agg_kernel is not None and soa.agg_obj is None
-            last = np.nonzero(soa.last)[0]
+            last = np.concatenate(
+                [gids.ravel() for _rows, gids, _heap in soa._last_dim_classes()]
+            )
             decoded = soa.decode_aggs(last)
             for j, val in zip(last, decoded):
                 row = soa.agg_mat[int(j)]

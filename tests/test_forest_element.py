@@ -67,15 +67,12 @@ class TestForestElement:
         box = RankBox((16, 0), (19, 63))
         expected = sum(1 for r in ranks if 16 <= r[0] <= 19)
         assert sum(s.leaf_count for s in reference_tree(el).canonical(box)) == expected
-        _sel_q, sel_n, _visits = el.soa.walk(*rank_bounds([box]))
-        assert int(el.soa.nleaves[sel_n].sum()) == expected
+        assert int(el.soa.walk(*rank_bounds([box])).length.sum()) == expected
 
     def test_selection_pids(self):
         el, ranks = make_element()
-        _sel_q, sel_n, _visits = el.soa.walk(
-            *rank_bounds([RankBox((16, 0), (23, 63))])
-        )
-        rows = el.soa.rows_flat(sel_n, el.soa.nleaves[sel_n])
+        sel = el.soa.walk(*rank_bounds([RankBox((16, 0), (23, 63))]))
+        rows = el.soa.rows_flat(sel.off, sel.length)
         assert sorted(el.pids[rows].tolist()) == list(range(100, 108))
 
     def test_all_pids(self):
@@ -103,7 +100,7 @@ class TestForestElement:
         box = RankBox((16, 0), (20, 63))
         st = WalkStats()
         reference_tree(el).canonical(box, stats=st)
-        _sel_q, _sel_n, visits = el.soa.walk(*rank_bounds([box, box]))
+        visits = el.soa.walk(*rank_bounds([box, box])).visits
         assert st.nodes_visited > 0
         assert visits.tolist() == [st.nodes_visited] * 2
 
@@ -156,7 +153,5 @@ class TestElementsInsideBuiltTree:
                 his = [tree.n - 1] * d
                 los[el.dim] = lo
                 his[el.dim] = hi
-                _q, sel_n, _v = el.soa.walk(
-                    *rank_bounds([RankBox(tuple(los), tuple(his))])
-                )
-                assert int(el.soa.nleaves[sel_n].sum()) == el.nleaves
+                sel = el.soa.walk(*rank_bounds([RankBox(tuple(los), tuple(his))]))
+                assert int(sel.length.sum()) == el.nleaves

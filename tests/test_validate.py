@@ -86,14 +86,11 @@ class TestValidatorCatchesCorruption:
 
     # -- one slot of a forest element's arrays at a time -------------------
     def _element(self, tree, dim=0):
-        """An element of dimension ``dim`` (``dim=0`` has both earlier-
-        and last-dimension nodes) and the first internal node id of each."""
-        el = next(
+        """An element of dimension ``dim`` (``dim=0`` holds two key
+        blocks: its primary tree, then every last-dimension tree)."""
+        return next(
             el for store in tree.forest_store for el in store.values() if el.dim == dim
         )
-        soa = el.soa
-        inner = np.flatnonzero(soa.nleaves > 1)
-        return el, int(inner[~soa.last[inner]][0]), int(inner[soa.last[inner]][0])
 
     def _assert_caught(self, tree, needle):
         rep = validate_tree(tree)
@@ -102,55 +99,81 @@ class TestValidatorCatchesCorruption:
 
     def test_detects_wrong_node_count(self):
         tree = self._tree()
-        el, _, _ = self._element(tree)
-        el.soa.lo = el.soa.lo[:-1]
+        el = self._element(tree)
+        el.soa.agg_mat = el.soa.agg_mat[:-1]
         self._assert_caught(tree, "node count is not T(")
 
     def test_detects_wrong_record_counts(self):
         tree = self._tree()
-        el, _, _ = self._element(tree)
+        el = self._element(tree)
         el.soa.row_block = el.soa.row_block[:-1]
         self._assert_caught(tree, "row_block rows")
         tree = self._tree()
-        el, _, _ = self._element(tree)
-        el.size_records += 1
-        self._assert_caught(tree, "leaf records")
+        el = self._element(tree)
+        el.soa.keys = (el.soa.keys[0], el.soa.keys[1][:-1])
+        self._assert_caught(tree, "row_block rows")
 
     def test_detects_inverted_interval(self):
+        """A tree whose key slice runs ``hi .. lo``: the primary tree's
+        first and last keys swapped."""
         tree = self._tree()
-        el, _, j = self._element(tree)
-        el.soa.lo[j], el.soa.hi[j] = el.soa.hi[j], el.soa.lo[j]
-        self._assert_caught(tree, "lo > hi")
+        primary = self._element(tree).soa.keys[0]
+        primary[0], primary[-1] = primary[-1], primary[0]
+        self._assert_caught(tree, "key block slot")
 
     def test_detects_child_interval_escaping_its_parent(self):
+        """A descendant tree claiming a rank none of its rows has."""
         tree = self._tree()
-        el, j, _ = self._element(tree)
-        el.soa.hi[el.soa.right[j]] += 1
-        self._assert_caught(tree, "does not nest")
+        el = self._element(tree)
+        el.soa.keys[1][el.nleaves + 1] += 1  # inside the root's left child's tree
+        self._assert_caught(tree, "key block slot")
 
     def test_detects_broken_last_dimension_link(self):
+        """A last-dimension key slot is linked to its row by position:
+        two rows of one tree swapped keep every row *set* intact."""
         tree = self._tree()
-        el, _, j = self._element(tree)
-        el.soa.right[j] += 1
-        self._assert_caught(tree, "left = id+1, right = id+nleaves")
+        rows = self._element(tree).soa.row_block
+        rows[0], rows[1] = rows[1], rows[0]
+        self._assert_caught(tree, "key block slot")
 
     def test_detects_broken_descendant_link(self):
+        """A key is linked to its tree by the start it is prefixed with:
+        one slot re-prefixed to the neighbouring tree."""
         tree = self._tree()
-        el, j, _ = self._element(tree)
-        el.soa.desc[j] += 1
-        self._assert_caught(tree, "descendant links")
+        el = self._element(tree)
+        el.soa.keys[1][el.nleaves] -= el.soa.span
+        self._assert_caught(tree, "key block slot")
 
     def test_detects_row_block_slice_that_is_not_a_permutation(self):
         tree = self._tree()
-        el, _, _ = self._element(tree)
+        el = self._element(tree)
         el.soa.row_block[-1] = el.soa.row_block[-2]  # one row twice, one lost
         self._assert_caught(tree, "not a permutation")
 
     def test_detects_stale_element_root_aggregate(self):
         tree = self._tree()
-        el, _, _ = self._element(tree)
-        el.soa.agg_mat[el.soa.d - 1 - el.dim] += 1
+        el = self._element(tree)
+        el.soa.agg_mat[len(el.soa.keys) - 1] += 1  # the last dimension's root
         self._assert_caught(tree, "hat-leaf aggregate stale")
+
+    @pytest.mark.parametrize("dim", [0, 1])
+    def test_detects_every_single_slot_corruption(self, dim):
+        """Each slot of each held array, one at a time (aggregates: the
+        slots of last-dimension nodes — the others are never read)."""
+        tree = self._tree()
+        el = self._element(tree, dim=dim)
+        soa = el.soa
+        assert validate_tree(tree).ok
+        last = np.concatenate([g.ravel() for _r, g, _h in soa._last_dim_classes()])
+        for arr, slots in [(b, range(len(b))) for b in (*soa.keys, soa.row_block)] + [
+            (soa.agg_mat, last.tolist())
+        ]:
+            for j in slots:
+                keep = arr[j].copy()
+                arr[j] += 1
+                assert not validate_tree(tree).ok, (len(arr), j)
+                arr[j] = keep
+        assert validate_tree(tree).ok
 
     def test_summary_truncates(self):
         rep = validate_tree(self._tree())
