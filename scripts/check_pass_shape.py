@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""CI gate: an idle rank and an empty round stay cheap, and a batch pass
-pays for rows, not objects.
+"""CI gate: an idle rank and an empty round stay cheap, a batch pass
+pays for rows, not objects, and the forest and the hat each have one
+representation.
 
 Usage::
 
@@ -29,15 +30,23 @@ Builds n=512, p=8 and runs an empty, a one-query and a 64-query
   under the process backend — calls ``CompiledForest.from_ranks`` (arrays
   are built at Construct, kept through refits and shipped as they are);
   and no ``DimTree`` is alive after a dynamic tree's absorbs, and
+* the hat has one representation: ``repro.dist.hat`` exposes no
+  ``HatNode``/``CompiledHat`` and a built ``Hat`` has no ``compiled``/
+  ``_compiled``/``nodes_by_path``/``root``; on every backend the same
+  build, lazy refit and replicating passes — and a dynamic tree's absorbs
+  — call ``Hat.build`` once per rank per Construct and never in a query
+  pass or a refit; and a refit constructs no ``Hat`` and no per-node
+  object: it rebinds the aggregate column (and ``idle``) and leaves every
+  other column the same array, and
 * the forest walk is arithmetic: one ``searchsorted`` and one closed-form
   cover per divided dimension whether an element holds 64 points or 2048
   (the loop is per dimension, not per level), and ``CompiledForest`` holds
   no per-node bound or link array (``lo/hi/left/right/desc/last/dim_ix``).
 
 A later change that re-prices idle ranks, puts a per-object Python loop
-back on the batch path, holds a forest element in a second form or walks
-it level by level fails here before it shows up as a slower
-``single_query`` or ``batch_d3`` row.
+back on the batch path, holds a forest element or the hat in a second
+form or walks an element level by level fails here before it shows up as
+a slower ``single_query`` or ``batch_d3`` row.
 """
 
 from __future__ import annotations
@@ -99,6 +108,7 @@ def counting_across_forks(cls, name):
 def second_representation_calls() -> dict:
     """Object trees built, and array builds on a pass: all must be 0."""
     from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree
+    from repro.dist.hat import Hat
     from repro.geometry.box import Box
     from repro.query import aggregate, count
     from repro.semigroup import sum_of_dim
@@ -116,13 +126,17 @@ def second_representation_calls() -> dict:
         # at first use, and they must inherit the counter
         with counting(
             calls, (DimTree, "__init__"), (SegTree, "__init__"), (RangeTree, "__init__")
-        ), counting_across_forks(CompiledForest, "from_ranks") as builds:
+        ), counting_across_forks(CompiledForest, "from_ranks") as builds, counting_across_forks(
+            Hat, "build"
+        ) as hats:
             with DistributedRangeTree.build(pts, p=8, backend=backend) as tree:
                 built = builds()
+                calls[f"Hat.build not once per rank in Construct ({backend})"] = hats() - tree.p
                 first = tree.run(hot)  # first pass after the build; replicates
                 tree.run([aggregate(hot_box, sum_of_dim(0))] * 64)  # lazy refit + pass
                 again = tree.run(hot)
                 calls[f"CompiledForest.from_ranks on a pass ({backend})"] = builds() - built
+                calls[f"Hat.build on a pass or a refit ({backend})"] = hats() - tree.p
         for rs in (first, again):
             if not any(
                 s.volume for s in rs.metrics.comm_steps() if s.label.startswith("search:replicate")
@@ -132,14 +146,65 @@ def second_representation_calls() -> dict:
             calls[f"(the {backend} build was not counted)"] = 1
 
     coords = make_points("uniform", 512, 2, seed=2).coords
-    with DynamicDistributedRangeTree.build(coords[:300], p=4, flush_threshold=64) as dyn:
-        for c in coords[300:]:
-            dyn.insert(c)
-        gc.collect()
-        calls["DimTree alive after dynamic absorbs"] = sum(
-            isinstance(o, DimTree) for o in gc.get_objects()
-        )
+    with counting_across_forks(Hat, "build") as hats, counting_across_forks(
+        DistributedRangeTree, "build"
+    ) as constructs:
+        with DynamicDistributedRangeTree.build(coords[:300], p=4, flush_threshold=64) as dyn:
+            for c in coords[300:]:
+                dyn.insert(c)
+            dyn.run([count(hot_box)])
+            calls["Hat.build outside Construct in dynamic absorbs"] = hats() - 4 * constructs()
+            if not constructs():
+                calls["(no dynamic absorb was counted)"] = 1
+            gc.collect()
+            calls["DimTree alive after dynamic absorbs"] = sum(
+                isinstance(o, DimTree) for o in gc.get_objects()
+            )
     return calls
+
+
+#: What a refit may rebind on a ``Hat``; every other attribute is topology.
+HAT_ANNOTATION = {"semigroup", "agg_kernel", "agg_mat", "agg_obj", "idle"}
+HAT_SECOND_FORM = ("compiled", "_compiled", "nodes_by_path", "root")
+
+
+def hat_shape_failures() -> list:
+    """The hat is its columns: the object form's names stay gone, and a
+    refit rebinds the annotation without constructing anything per node."""
+    import numpy as np
+
+    from repro.cgm.columns import Ragged
+    from repro.dist import DistributedRangeTree
+    from repro.dist import hat as hat_module
+    from repro.semigroup import top_k_ids
+    from repro.workloads import make_points
+
+    failures = [
+        f"repro.dist.hat regained {name}"
+        for name in ("HatNode", "CompiledHat")
+        if hasattr(hat_module, name)
+    ]
+    calls: dict = {}
+    with DistributedRangeTree.build(make_points("uniform", 512, 2, seed=1), p=8) as tree:
+        hat = tree.hat
+        failures += [f"Hat regained {name}" for name in HAT_SECOND_FORM if hasattr(hat, name)]
+        before = dict(vars(hat))
+        with counting(calls, (hat_module.Hat, "__init__")):
+            tree.reannotate(top_k_ids(2))  # an object column: the per-value case
+        if calls["Hat.__init__"]:
+            failures.append(f"a refit constructed {calls['Hat.__init__']} Hat(s)")
+        after = vars(tree.hat)
+        moved = sorted(k for k in after if k not in HAT_ANNOTATION and after[k] is not before.get(k))
+        if tree.hat is not hat or moved or set(after) != set(before):
+            failures.append(f"a refit rebuilt hat topology: {moved or 'a new Hat'}")
+        per_node = sorted(
+            k
+            for k, v in after.items()
+            if k not in HAT_ANNOTATION and not isinstance(v, (np.ndarray, Ragged, int))
+        )
+        if per_node:
+            failures.append(f"Hat holds non-array state: {per_node}")
+    return failures
 
 
 def object_loop_calls() -> dict:
@@ -278,6 +343,7 @@ def main() -> int:
             f"{len(constructed)} random.Random constructed during the passes"
         )
     failures.extend(walk_shape_failures())
+    failures.extend(hat_shape_failures())
     object_calls = {**object_loop_calls(), **second_representation_calls()}
     for name, n in object_calls.items():
         if n:

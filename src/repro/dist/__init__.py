@@ -45,7 +45,7 @@ from .construct import (
     hat_key,
 )
 from .forest import ForestElement, build_forest_element
-from .hat import Hat, HatNode
+from .hat import Hat
 from .labeling import is_valid_path
 from .records import ForestRootInfo, HatSelectionRecord, SRecord, Subquery
 from .search import SearchOutput, run_search
@@ -59,7 +59,6 @@ __all__ = [
     "ForestElement",
     "build_forest_element",
     "Hat",
-    "HatNode",
     "SearchOutput",
     "run_search",
     "ForestRootInfo",
@@ -136,11 +135,13 @@ def _phase_refit_relabel(ctx: ProcContext, payload) -> list:
 def _phase_refit_refresh(ctx: ProcContext, payload) -> None:
     """Refresh the resident hat's aggregates from the broadcast roots.
 
-    On in-process backends every rank aliases one shared hat object, so
-    only rank 0 refreshes it (``solo=True``) — the pre-SPMD behaviour
-    that keeps the thread backend race-free.  Worker processes each hold
-    their own replica and all must refresh.  Charging stays on rank 0
-    alone either way, so the metric trace is backend-independent.
+    On in-process backends every rank aliases one shared :class:`Hat`, so
+    it is refreshed once, by rank 0 (``solo=True``) — the other ranks
+    return at once, and the rebind of its aggregate column is a single
+    assignment, so the thread backend has nothing to race on.  Worker
+    processes each hold their own replica and all must refresh.
+    Charging stays on rank 0 alone either way, so the metric trace is
+    backend-independent.
     """
     roots, semigroup, ns, solo = payload
     if solo and ctx.rank != 0:

@@ -24,7 +24,7 @@ phase ``j`` (one per dimension, ``j = 0 .. d-1``)
 
 finale
     5. **Broadcast** every element's :class:`ForestRootInfo` (1 round);
-       every processor then rebuilds the identical hat locally
+       every processor then emits the identical hat columns locally
        (:meth:`repro.dist.hat.Hat.build`) with zero further rounds.
 
 The round count is ``7d + 1`` — fixed by ``d`` alone, never by ``n``,
@@ -111,11 +111,12 @@ class ConstructResult:
 
 @register_phase("dist.construct.build_hat")
 def _phase_build_hat(ctx: ProcContext, payload) -> "Hat | None":
-    """Construct step 5 finale: every rank rebuilds the identical hat.
+    """Construct step 5 finale: every rank emits the identical hat.
 
-    The hat stays rank-resident under ``{ns}:hat``; only rank 0 returns
-    its copy (the driver's introspection handle) to keep the result
-    round cheap on the process backend.
+    The hat — its columns, the only form it has — stays rank-resident
+    under ``{ns}:hat``; only rank 0 returns its copy (the driver's
+    introspection handle) to keep the result round cheap on the process
+    backend.
     """
     roots, d, n, p, semigroup, ns = payload
     hat = Hat.build(roots, d=d, n=n, p=p, semigroup=semigroup)

@@ -402,9 +402,6 @@ class DynamicDistributedRangeTree:
         tree = DistributedRangeTree.build(
             pts, machine=self.machine, semigroup=self.semigroup
         )
-        # warm the bucket's compiled hat once at absorption — every
-        # epoch's query batches reuse it until the next refit
-        tree.hat.compiled()
         self._buckets[k] = _Bucket(
             level=k,
             tree=tree,

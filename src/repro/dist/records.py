@@ -219,14 +219,15 @@ class SRecordCodec(RecordCodec):
 
 
 class HatSelectionColsCodec(RecordCodec):
-    """Hat selections as the compiled walk packs them (no object column
+    """Hat selections as the batched walk packs them (no object column
     for the tiling): ``locations`` is a ragged row per selection and the
     ``forest_ids`` are *reconstructed arithmetically* on unpack — the
     leaves under node ``(idx, lvl)`` are the contiguous heap range
     ``[idx·2^h, (idx+1)·2^h)`` at level ``lvl − h`` of the same tree,
-    where ``2^h`` is the row width (Definition 2).  An optional ``kenc``
-    column carries the kernel-encoded aggregates for the typed fold
-    path; the ``agg`` object column stays authoritative for unpacking.
+    where ``2^h`` is the row width (Definition 2).  ``agg`` follows
+    ``dist.forest_selection``'s contract: a typed
+    :class:`~repro.semigroup.kernels.KernelColumn` when the hat is
+    kernel-backed (rows decode on unpack), an object column otherwise.
     """
 
     name = "dist.hat_selection_cols"

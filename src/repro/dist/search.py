@@ -4,7 +4,7 @@ A batch of ``m = O(n)`` rank-space queries is answered in a constant
 number of h-relations:
 
 1. **Hat walk** (local): each processor walks its resident hat replica
-   for its block of queries (:meth:`repro.dist.hat.CompiledHat.walk_batch`;
+   for its block of queries (:meth:`repro.dist.hat.Hat.walk_batch`;
    :meth:`repro.dist.hat.Hat.walk` is the per-query reference), producing
    dimension-``d`` hat selections and the surviving subquery set ``Q'``
    aimed at forest elements.
@@ -68,7 +68,7 @@ from ..errors import ProtocolError
 from ..geometry.box import RankBoxes, rank_bounds
 from .construct import forest_key, hat_key
 from .forest_compiled import batched_forest_selections
-from .hat import Hat
+from .hat import Hat, flag_mask
 from .records import RoutingCodec, unflatten_path
 
 __all__ = ["SearchOutput", "run_search"]
@@ -78,19 +78,11 @@ def _normalize_flag(flag: "bool | Collection[int]") -> "bool | frozenset":
     """Normalize a per-batch bool / per-query id collection once per phase.
 
     Callers may pass any collection (list, set, range, dict keys); the
-    phases turn it into a qid mask once (:func:`_flag_mask`).
+    phases turn it into a qid mask once (:func:`repro.dist.hat.flag_mask`).
     """
     if isinstance(flag, bool):
         return flag
     return flag if isinstance(flag, frozenset) else frozenset(flag)
-
-
-def _flag_mask(flag: "bool | frozenset", qids: np.ndarray) -> np.ndarray:
-    """The normalized flag as a boolean mask over a qid column."""
-    if isinstance(flag, bool):
-        return np.full(len(qids), flag, dtype=bool)
-    ids = np.fromiter(flag, np.int64, len(flag))
-    return np.isin(np.asarray(qids), ids)
 
 
 def _holders_key(ns: str) -> str:
@@ -143,7 +135,7 @@ def _expand_routing_cols(
     """
     if not expand or not len(selections):
         return None
-    sel_mask = _flag_mask(expand, selections.col("qid"))
+    sel_mask = flag_mask(expand, selections.col("qid"))
     rows = np.nonzero(sel_mask)[0]
     if not len(rows):
         return None
@@ -187,9 +179,9 @@ def _expand_routing_cols(
 
 @register_phase("dist.search.walk_cols")
 def _phase_walk_cols(ctx: ProcContext, payload) -> tuple:
-    """Step 1: the compiled hat walk over this rank's whole query slice.
+    """Step 1: the hat walk over this rank's whole query slice.
 
-    One :meth:`~repro.dist.hat.CompiledHat.walk_batch` call classifies
+    One :meth:`~repro.dist.hat.Hat.walk_batch` call classifies
     every live ``(query, node)`` frontier pair with array comparisons
     and returns both outputs column-packed — selections as a
     ``dist.hat_selection_cols`` batch (lazy-unpacking to the records
@@ -206,9 +198,7 @@ def _phase_walk_cols(ctx: ProcContext, payload) -> tuple:
     qlo, los, his, collect, ns = payload
     hat: Hat = ctx.state[hat_key(ns)]
     ctx.state[_holders_key(ns)] = {}
-    sels, routing, visits = hat.compiled().walk_batch(
-        qlo, los, his, _normalize_flag(collect)
-    )
+    sels, routing, visits = hat.walk_batch(qlo, los, his, _normalize_flag(collect))
     if len(visits):
         ctx.charge(int(visits.sum()))
     demand = np.bincount(np.asarray(routing.col("location")), minlength=ctx.p)
@@ -273,7 +263,7 @@ def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
     his_m = np.asarray(inbox.col("his"))
     fid_col = inbox.col("forest_id")
     loc_col = inbox.col("location")
-    want_mask = _flag_mask(_normalize_flag(collect_pids), qid_col)
+    want_mask = flag_mask(_normalize_flag(collect_pids), qid_col)
 
     # One pass over the inbox: expansions run in place (row order), and
     # subquery rows bucket by target element — store resolution happens

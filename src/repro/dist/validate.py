@@ -13,7 +13,7 @@ caught.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import Any, Callable, List, Tuple
 
 import numpy as np
 
@@ -127,6 +127,146 @@ def _check_element_arrays(el, check: Callable[[bool, str], None]) -> None:
     )
 
 
+def _hat_size(w: int, r: int) -> int:
+    """``H(w, r)``: nodes of a hat whose trees have ``w`` hat leaves, over
+    ``r`` dimensions — a root, its descendant tree (same width, one
+    dimension fewer) and two half-width subtrees."""
+    if w == 1:
+        return 1
+    if r == 1:
+        return 2 * w - 1
+    return 1 + _hat_size(w, r - 1) + 2 * _hat_size(w // 2, r)
+
+
+def _check_hat(tree, check: Callable[[bool, str], None]) -> set:
+    """The hat's columns against Definitions 1-3, read from other sources.
+
+    Row numbers follow from ``H(w, r)`` alone (a node's descendant tree
+    is emitted right after it, then its left and right subtrees), names
+    from Definition 2's arithmetic, and every hat-leaf value from the
+    forest element the leaf names; internal rows must be the union / sum
+    / ``combine`` of their children.  Returns the hat-leaf paths.
+    """
+    hat = tree.hat
+    p, d = tree.p, tree.dim
+    combine = tree.semigroup.combine
+    size = _hat_size(p, d)
+    per_node = ("dim", "lo", "hi", "nleaves", "leaf", "last_dim", "left", "right",
+                "desc", "location", "tile_off", "tile_len", "paths")
+    aggs = hat.agg_obj if hat.agg_mat is None else hat.agg_mat
+    sized = aggs is not None and all(
+        len(col) == size for col in [aggs, *(getattr(hat, c) for c in per_node)]
+    )
+    check(sized, f"hat: node count is not H({p}, {d}) = {size}")
+    if not sized:
+        return set()  # the row arithmetic below indexes by this size
+    check(
+        hat.path(0) == ((1, ilog2(tree.n)),)
+        and hat.leaf_level == ilog2(tree.n) - ilog2(p),
+        "hat root is not node (1, log n) cut at level log(n/p)",
+    )
+    want: List[Any] = [None] * size  # f(v), folded from the elements' own roots
+    leaf_paths: set = set()
+
+    def visit_leaf(i: int, path) -> None:
+        leaf_paths.add(path)
+        want[i] = hat.agg(i)
+        loc = int(hat.location[i])
+        check(0 <= loc < p, f"hat leaf {path} has owner {loc} outside 0..{p - 1}")
+        if not 0 <= loc < p:
+            return
+        el = tree.forest_store[loc].get(path)
+        check(el is not None, f"missing forest element {path} at rank {loc}")
+        if el is None:
+            return
+        check(el.location == loc, f"element {path} lies about its owner")
+        check(
+            el.nleaves == hat.nleaves[i] and el.seg == (hat.lo[i], hat.hi[i]),
+            f"element {path} disagrees with its hat leaf",
+        )
+        check(
+            el.group_rank % p == loc,
+            f"element {path} violates the group-to-processor rule",
+        )
+        want[i] = el.soa.root_agg()
+        check(want[i] == hat.agg(i), f"hat-leaf aggregate stale for {path}")
+        _check_element_arrays(el, check)
+
+    def visit(i: int, w: int, r: int) -> List[int]:
+        """Check row ``i`` — ``w`` hat leaves below it in its own tree,
+        ``r`` dimensions left — and everything emitted under it; returns
+        the rows of those leaves, left to right."""
+        path = hat.path(i)
+        check(is_valid_path(path), f"invalid path {path}")
+        check(
+            hat.dim[i] == d - r
+            and hat.leaf[i] == (w == 1)
+            and hat.last_dim[i] == (r == 1),
+            f"dimension / leaf flags wrong at {path}",
+        )
+        desc = i + 1 if w > 1 and r > 1 else -1
+        left = i + 1 + (_hat_size(w, r - 1) if r > 1 else 0) if w > 1 else -1
+        right = left + _hat_size(w // 2, r) if w > 1 else -1
+        check(
+            (hat.desc[i], hat.left[i], hat.right[i]) == (desc, left, right),
+            f"child or descendant link broken at {path}",
+        )
+        if w == 1:
+            visit_leaf(i, path)
+            leaves = [i]
+        else:
+            if r > 1:
+                visit(desc, w, r - 1)
+                check(
+                    hat.path(desc) == (path[0],) + path
+                    and hat.nleaves[desc] == hat.nleaves[i],
+                    f"descendant tree inconsistent at {path}",
+                )
+            leaves = visit(left, w // 2, r) + visit(right, w // 2, r)
+            (idx, lvl), tree_id = path[0], path[1:]
+            check(
+                hat.path(left) == ((2 * idx, lvl - 1),) + tree_id
+                and hat.path(right) == ((2 * idx + 1, lvl - 1),) + tree_id,
+                f"sibling index arithmetic broken at {path}",
+            )
+            check(
+                hat.lo[i] == hat.lo[left]
+                and hat.hi[i] == hat.hi[right]
+                and hat.hi[left] < hat.lo[right],
+                f"segment not the disjoint union of children at {path}",
+            )
+            check(
+                hat.nleaves[i] == hat.nleaves[left] + hat.nleaves[right],
+                f"leaf count mismatch at {path}",
+            )
+            check(hat.location[i] == -1, f"internal node {path} names an owner")
+            # every dimension's f(v), though Search reads the last one's only
+            want[i] = combine(want[left], want[right])
+            check(want[i] == hat.agg(i), f"aggregate f(v) mismatch at {path}")
+        off, length = int(hat.tile_off[i]), int(hat.tile_len[i])
+        tile = leaves if r == 1 else []  # tilings are held where Search selects
+        check(
+            length == len(tile)
+            and hat.tile_leaf_ids[off : off + length].tolist() == tile,
+            f"tile slice of {path} is not the hat leaves under it, left to right",
+        )
+        return leaves
+
+    visit(0, p, d)
+    check(
+        (hat.agg_obj is None and hat.agg_kernel is not None)
+        if hat.agg_mat is not None
+        else hat.agg_kernel is None,
+        "hat holds its aggregates in more than one column",
+    )
+    if hat.agg_mat is not None:
+        check(
+            np.array_equal(hat.agg_mat, hat.agg_kernel.encode(want)),
+            "hat agg_mat is not its kernel's encoding of the f(v) values",
+        )
+    return leaf_paths
+
+
 def validate_tree(tree) -> ValidationReport:
     """Verify every structural invariant of a :class:`DistributedRangeTree`.
 
@@ -135,11 +275,6 @@ def validate_tree(tree) -> ValidationReport:
     """
     failures: List[str] = []
     checks = 0
-    hat = tree.hat
-    p = tree.p
-    d = tree.dim
-    sg = tree.semigroup
-    combine = sg.combine
 
     def check(cond: bool, message: str) -> None:
         nonlocal checks
@@ -147,78 +282,9 @@ def validate_tree(tree) -> ValidationReport:
         if not cond:
             failures.append(message)
 
-    # -- Definition 2: labeling arithmetic and heap-index relations --------
-    for v in hat.iter_nodes():
-        check(is_valid_path(v.path), f"invalid path {v.path}")
-        if not v.is_hat_leaf:
-            check(
-                v.left is not None
-                and v.right is not None
-                and v.left.index == 2 * v.index
-                and v.right.index == 2 * v.index + 1,
-                f"sibling index arithmetic broken at {v.path}",
-            )
-            check(
-                v.lo == v.left.lo and v.hi == v.right.hi and v.left.hi < v.right.lo,
-                f"segment not the disjoint union of children at {v.path}",
-            )
-            check(
-                v.nleaves == v.left.nleaves + v.right.nleaves,
-                f"leaf count mismatch at {v.path}",
-            )
-
-    # -- Definition 1: descendant pointers ---------------------------------
-    for v in hat.iter_nodes():
-        if v.descendant is not None:
-            check(
-                v.descendant.dim == v.dim + 1
-                and v.descendant.nleaves == v.nleaves
-                and v.descendant.index == v.index,
-                f"descendant tree inconsistent at {v.path}",
-            )
-        if v.dim == d - 1:
-            check(v.descendant is None, f"last-dimension node {v.path} has a descendant")
-
-    # -- Algorithm AssociativeFunction: the f(v) annotations ---------------
-    # Every internal hat node of every dimension folds its children
-    # (Hat.build and refresh_aggregates maintain all of them, even though
-    # Search only reads the last dimension's).
-    for v in hat.iter_nodes():
-        if not v.is_hat_leaf:
-            check(
-                v.agg == combine(v.left.agg, v.right.agg),
-                f"aggregate f(v) mismatch at {v.path}",
-            )
-
-    # -- Definition 3 / Theorem 1: hat leaves name the forest exactly ------
-    for leaf in hat.hat_leaves():
-        check(
-            leaf.location is not None and 0 <= leaf.location < p,
-            f"hat leaf {leaf.path} has owner {leaf.location} outside 0..{p - 1}",
-        )
-        if not (leaf.location is not None and 0 <= leaf.location < p):
-            continue
-        el = tree.forest_store[leaf.location].get(leaf.path)
-        check(
-            el is not None,
-            f"missing forest element {leaf.path} at rank {leaf.location}",
-        )
-        if el is None:
-            continue
-        check(el.location == leaf.location, f"element {leaf.path} lies about its owner")
-        check(
-            el.nleaves == leaf.nleaves and el.seg == (leaf.lo, leaf.hi),
-            f"element {leaf.path} disagrees with its hat leaf",
-        )
-        check(
-            el.group_rank == leaf.group_rank and el.group_rank % p == leaf.location,
-            f"element {leaf.path} violates the group-to-processor rule",
-        )
-        check(
-            el.soa.root_agg() == leaf.agg,
-            f"hat-leaf aggregate stale for {leaf.path}",
-        )
-        _check_element_arrays(el, check)
+    # -- Definitions 1-3, Theorem 1, AssociativeFunction: the hat, and the
+    # forest elements its leaves name -------------------------------------
+    leaf_paths = _check_hat(tree, check)
 
     # -- Store side: every stored element is a known, correctly-placed leaf -
     seen: set = set()
@@ -234,10 +300,6 @@ def validate_tree(tree) -> ValidationReport:
                 el.forest_id == fid,
                 f"element stored under {fid} is labeled {el.forest_id}",
             )
-            node = hat.nodes_by_path.get(fid)
-            check(
-                node is not None and node.is_hat_leaf,
-                f"stored element {fid} is not a hat leaf",
-            )
+            check(fid in leaf_paths, f"stored element {fid} is not a hat leaf")
 
     return ValidationReport(ok=not failures, failures=failures, checks_run=checks)

@@ -576,61 +576,70 @@ class QueryEngine:
                 kvals = np.zeros((n, W), dtype=np.float64)
             return (qid_col, pid_col, val_col, kvals)
 
-        has_hv = np.fromiter(
-            (s.hat_value is not None for s in specs), dtype=bool, count=n_specs
+        # per query: the callback that reads a fold piece off a hat / a
+        # forest selection, and which queries take one
+        hat_values = [s.hat_value for s in specs]
+        forest_values = [s.forest_value for s in specs]
+        from_hat = np.fromiter(
+            (v is not None for v in hat_values), dtype=bool, count=n_specs
         )
-        has_fv = np.fromiter(
-            (s.forest_value is not None for s in specs), dtype=bool, count=n_specs
+        from_forest = ~is_report & np.fromiter(
+            (v is not None for v in forest_values), dtype=bool, count=n_specs
         )
 
-        def hat_part_cols(hb: RecordBatch) -> "tuple | None":
-            """Hat fold pieces straight from the compiled walk's columns.
+        def fold_part(
+            batch: RecordBatch, wanted: np.ndarray, values: list
+        ) -> "tuple | None":
+            """Fold pieces straight from a selection batch's columns.
 
-            Kernel-eligible queries gather their piece rows from the
-            batch's typed ``nleaves``/``kenc`` columns (one fancy index
-            per fold kind); only object-fold specs call ``hat_value``
-            per row, through the shared lazy row view.
+            Hat and forest batches alike: ``wanted[qid]`` flags the
+            queries this selection kind feeds.  Kernel-eligible queries
+            gather their piece rows from the batch's typed
+            ``nleaves``/``agg`` columns (one fancy index per fold kind);
+            only object-fold specs call their callback in ``values``
+            (``hat_value``/``forest_value``) per row, through the shared
+            lazy row view.
             """
-            if not len(hb):
+            if not len(batch):
                 return None
-            hqid = np.asarray(hb.col("qid"))
-            hidx = np.nonzero(has_hv[hqid])[0]
-            if not len(hidx):
+            qid = np.asarray(batch.col("qid"))
+            idx = np.nonzero(wanted[qid])[0]
+            if not len(idx):
                 return None
-            hq_col = hqid[hidx]
-            nh = len(hidx)
-            h_val = np.empty(nh, dtype=object)
-            h_kval = np.zeros((nh, W), dtype=np.float64) if W else None
-            hg = (
-                kplan.gid[hq_col]
+            q_col = qid[idx]
+            n = len(idx)
+            val = np.empty(n, dtype=object)
+            kval = np.zeros((n, W), dtype=np.float64) if W else None
+            gid = (
+                kplan.gid[q_col]
                 if kplan is not None
-                else np.full(nh, -1, dtype=np.int64)
+                else np.full(n, -1, dtype=np.int64)
             )
-            row = _SelectionRow(hb.cols)
-            for at in np.nonzero(hg < 0)[0]:
-                q = int(hq_col[at])
-                row.i = int(hidx[at])
-                h_val[at] = (q, specs[q].hat_value(row))
+            row = _SelectionRow(batch.cols)
+            for at in np.nonzero(gid < 0)[0]:
+                q = int(q_col[at])
+                row.i = int(idx[at])
+                val[at] = (q, values[q](row))
             if kplan is not None:
-                nlv = np.asarray(hb.col("nleaves"))
-                kenc = hb.cols.get("kenc")
+                nlv = np.asarray(batch.col("nleaves"))
+                agg_col = batch.cols["agg"]
                 for g, (kind, kern, off) in enumerate(kplan.kinds):
-                    pos = np.nonzero(hg == g)[0]
+                    pos = np.nonzero(gid == g)[0]
                     if not len(pos):
                         continue
-                    rows_idx = hidx[pos]
+                    rows_idx = idx[pos]
                     if kind == "count":
-                        h_kval[pos, 0] = nlv[rows_idx]
+                        kval[pos, 0] = nlv[rows_idx]
                     else:
-                        if not isinstance(kenc, KernelColumn):
+                        if not isinstance(agg_col, KernelColumn):
                             raise ProtocolError(
-                                "kernel fold planned over a hat batch "
-                                "without typed aggregates"
+                                "kernel fold planned over an "
+                                "object-typed selection column"
                             )
-                        h_kval[pos, : kern.width] = kenc.component_rows(
+                        kval[pos, : kern.width] = agg_col.component_rows(
                             rows_idx, off, kern.width
                         )
-            return part(hq_col, None, h_val, h_kval)
+            return part(q_col, None, val, kval)
 
         no_cols = {
             "qid": np.empty(0, dtype=np.int64),
@@ -643,51 +652,14 @@ class QueryEngine:
 
         batches: List[RecordBatch] = []
         for r in range(p):
-            parts = []
-            parts.append(hat_part_cols(out.hat_selections[r]))
             fb = out.forest_selections[r]
+            parts = [
+                fold_part(out.hat_selections[r], from_hat, hat_values),
+                fold_part(fb, from_forest, forest_values),
+            ]
             if len(fb):
                 fqid = np.asarray(fb.col("qid"))
                 rep = is_report[fqid]
-                fidx = np.nonzero(~rep & has_fv[fqid])[0]
-                if len(fidx):
-                    fq_col = fqid[fidx]
-                    nf = len(fidx)
-                    f_val = np.empty(nf, dtype=object)
-                    f_kval = (
-                        np.zeros((nf, W), dtype=np.float64) if W else None
-                    )
-                    fg = (
-                        kplan.gid[fq_col]
-                        if kplan is not None
-                        else np.full(nf, -1, dtype=np.int64)
-                    )
-                    row = _SelectionRow(fb.cols)
-                    for at in np.nonzero(fg < 0)[0]:
-                        i = int(fidx[at])
-                        q = int(fq_col[at])
-                        row.i = i
-                        f_val[at] = (q, specs[q].forest_value(row))
-                    if kplan is not None:
-                        nlv = np.asarray(fb.col("nleaves"))
-                        agg_col = fb.cols["agg"]
-                        for g, (kind, kern, off) in enumerate(kplan.kinds):
-                            pos = np.nonzero(fg == g)[0]
-                            if not len(pos):
-                                continue
-                            rows_idx = fidx[pos]
-                            if kind == "count":
-                                f_kval[pos, 0] = nlv[rows_idx]
-                            else:
-                                if not isinstance(agg_col, KernelColumn):
-                                    raise ProtocolError(
-                                        "kernel fold planned over an "
-                                        "object-typed selection column"
-                                    )
-                                f_kval[pos, : kern.width] = agg_col.component_rows(
-                                    rows_idx, off, kern.width
-                                )
-                    parts.append(part(fq_col, None, f_val, f_kval))
                 ridx = np.nonzero(rep)[0]
                 if len(ridx):
                     pt = fb.col("pid_tuple").take(ridx)

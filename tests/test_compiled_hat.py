@@ -1,16 +1,19 @@
-"""Compiled hat ≡ reference hat walk, bit for bit.
+"""Batched hat walk ≡ reference hat walk, bit for bit.
 
-The compiled walk (:meth:`repro.dist.hat.CompiledHat.walk_batch`) must
+The batched walk (:meth:`repro.dist.hat.Hat.walk_batch`) must
 reproduce :meth:`repro.dist.hat.Hat.walk` exactly — same selections in
 the same order, same subqueries, same per-query visit counts — because
 everything downstream (answers, rounds, charged ops) rests on step 1
 emitting that stream.  These tests pin the walk-level identity
 directly, Algorithm Search's whole output against the per-query
 reference walks, the engine's answers against the sequential oracle,
-and the cache discipline around refits.
+and — on batches of wide boxes, the one traffic that reaches hat
+selections — every fold family's answers across a refit.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
@@ -19,9 +22,11 @@ from repro.cgm.columns import RecordBatch
 from repro.dist import DistributedRangeTree
 from repro.dist.records import ForestSelection
 from repro.geometry.box import RankBox, rank_bounds
-from repro.query import QueryBatch, aggregate, count, report
-from repro.semigroup import sum_of_dim
-from repro.seq import SequentialRangeTree, bf_aggregate
+from repro.geometry import Box
+from repro.query import QueryBatch, aggregate, count, report, top_k
+from repro.semigroup import max_of_dim, sum_of_dim
+from repro.seq import SequentialRangeTree, bf_aggregate, bf_count, bf_report
+from repro.semigroup.kernels import KernelColumn
 from repro.seq.segment_tree import WalkStats
 from repro.workloads import make_points, uniform_points
 
@@ -85,7 +90,7 @@ class TestWalkBatchBitIdentity:
                 exp_sels.extend(s)
                 exp_subqs.extend(q)
                 charges.append(sum(got))
-            sel_b, routing_b, visits = hat.compiled().walk_batch(
+            sel_b, routing_b, visits = hat.walk_batch(
                 qlo, *rank_bounds(boxes), cflag
             )
             # records: same selections and subqueries, same order
@@ -109,7 +114,7 @@ class TestWalkBatchBitIdentity:
     def test_empty_slice(self):
         pts = uniform_points(32, 2, seed=9)
         with DistributedRangeTree.build(pts, p=4) as tree:
-            sel_b, routing_b, visits = tree.hat.compiled().walk_batch(
+            sel_b, routing_b, visits = tree.hat.walk_batch(
                 0, *rank_bounds([]), False
             )
             assert len(sel_b) == 0 and len(routing_b) == 0
@@ -222,74 +227,75 @@ class TestSearchOutputParity:
                 assert v == pytest.approx(bf_aggregate(pts, q.box, q.semigroup))
 
 
-class TestCompileCache:
-    def test_compile_is_cached(self):
-        pts = uniform_points(32, 2, seed=3)
-        with DistributedRangeTree.build(pts, p=4) as tree:
-            c1 = tree.hat.compiled()
-            assert tree.hat.compiled() is c1
-
-    def test_refit_invalidates_compiled_cache(self):
-        """A refit must never leave stale compiled aggregates behind."""
-        pts = uniform_points(32, 2, seed=4)
-        with DistributedRangeTree.build(pts, p=4) as tree:
-            hat = tree.hat
-            c1 = hat.compiled()
-            boxes = random_boxes(np.random.default_rng(5), 6, 2)
-            batch = QueryBatch(
-                [aggregate(b, sum_of_dim(0)) for b in boxes]
-            )
-            rs = tree.run(batch)  # refits → invalidates → recompiles
-            assert hat.compiled() is not c1
-            # stale compiled aggregates would still be counts, not sums
-            assert rs.values() == pytest.approx(
-                [bf_aggregate(pts, b, sum_of_dim(0)) for b in boxes]
-            )
-
-    def test_refresh_aggregates_clears_cache_directly(self):
-        pts = uniform_points(32, 2, seed=6)
-        with DistributedRangeTree.build(pts, p=4) as tree:
-            hat = tree.hat
-            hat.compiled()
-            hat.refresh_aggregates(
-                list(tree.construct_result.roots), hat.semigroup
-            )
-            assert hat._compiled is None
+def _wide_boxes(rng, m: int, d: int) -> list:
+    """Boxes from below every point to past two thirds of the unit cube:
+    each contains the lower half of every hat tree it enters, so the walk
+    resolves part of the answer inside the hat."""
+    out = []
+    for _ in range(m):
+        lo = rng.uniform(-0.1, -0.01, size=d)
+        hi = rng.uniform(0.7, 1.05, size=d)
+        out.append(Box(list(zip(lo.tolist(), hi.tolist()))))
+    return out
 
 
-class TestMemoizedTilings:
-    def test_forest_leaves_under_is_memoized(self):
-        pts = uniform_points(64, 2, seed=8)
-        with DistributedRangeTree.build(pts, p=8) as tree:
-            hat = tree.hat
-            node = next(
-                v
-                for v in hat.iter_nodes()
-                if v.dim == hat.d - 1 and not v.is_hat_leaf
-            )
-            first = hat.forest_leaves_under(node)
-            assert hat.forest_leaves_under(node) is first
-            # and the tiling is still correct: leaves left to right
-            assert all(l.is_hat_leaf for l in first)
-            assert [l.index for l in first] == sorted(l.index for l in first)
+def _assert_walks_identically(a, b, los, his) -> None:
+    for got, want in zip(a.walk_batch(0, los, his, True), b.walk_batch(0, los, his, True)):
+        if isinstance(want, RecordBatch):
+            assert list(got) == list(want)
+        else:
+            np.testing.assert_array_equal(got, want)
 
-    def test_compiled_tilings_match_object_tilings(self):
-        pts = uniform_points(64, 2, seed=13)
-        with DistributedRangeTree.build(pts, p=8) as tree:
-            hat = tree.hat
-            comp = hat.compiled()
-            for i in range(comp.size_nodes):
-                if not comp.last_dim[i]:
-                    continue
-                node = hat.nodes_by_path[
-                    tuple(
-                        (int(a), int(b))
-                        for a, b in zip(*[iter(comp.paths.row(i))] * 2)
-                    )
-                ]
-                leaves = hat.forest_leaves_under(node)
-                off, ln = int(comp.tile_off[i]), int(comp.tile_len[i])
-                got = comp.tile_leaf_ids[off : off + ln]
-                assert [
-                    int(comp.location[j]) for j in got
-                ] == [l.location for l in leaves]
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_hat_selections_answer_every_fold_family_across_refits(d, backend):
+    """No benchmark workload emits a hat selection; these batches do, and
+    every mode's answer must come out of them right — through a typed
+    column, then an object one — with nothing to announce a refit to the
+    walk."""
+    pts = make_points("uniform", 96, d, seed=40 + d)
+    boxes = _wide_boxes(np.random.default_rng(50 + d), 10, d)
+    sg0, sg1, sg2 = sum_of_dim(0), max_of_dim(d - 1), sum_of_dim(d - 1)
+    none = np.zeros((0, d), dtype=np.int64)
+
+    def answers_hold(tree, cycle) -> None:
+        batch = QueryBatch([cycle[i % len(cycle)](b) for i, b in enumerate(boxes * 2)])
+        got = tree.run(batch).values()  # refits first, when the batch needs one
+        out = tree.search(boxes)
+        assert sum(len(b) for b in out.hat_selections) > 0
+        for q, v in zip(batch, got):
+            if q.mode == "count":
+                assert v == bf_count(pts, q.box)
+            elif q.mode == "report":
+                assert v == bf_report(pts, q.box)
+            elif q.mode == "topk":
+                inside = bf_report(pts, q.box)
+                inside.sort(key=lambda i: (pts.coords[i][0], i))
+                assert v == inside[:3]
+            else:
+                sg = q.semigroup or tree.base_semigroup
+                assert v == pytest.approx(bf_aggregate(pts, q.box, sg))
+
+    with DistributedRangeTree.build(pts, p=4, backend=backend, semigroup=sg0) as tree:
+        hat = tree.hat
+        # a lazy refit to sg0 x sg1: kernel folds read the hat's typed column
+        answers_hold(
+            tree,
+            [count, report, lambda b: aggregate(b, sg0), lambda b: aggregate(b, sg1)],
+        )
+        assert hat.agg_obj is None and hat.agg_kernel.name == tree.value_kernel.name
+        tree.reannotate(sg2)
+        idle_agg = hat.walk_batch(0, none, none, False)[0].col("agg")
+        assert isinstance(idle_agg, KernelColumn)
+        assert idle_agg.kernel == hat.agg_kernel == tree.value_kernel
+        assert idle_agg.kernel.name != "product"
+        # a lazy refit to sg2 x top-3, which no kernel holds: object folds
+        answers_hold(
+            tree, [count, report, aggregate, lambda b: top_k(b, 3, dim=0)]
+        )
+        assert tree.hat is hat and hat.agg_mat is None and hat.agg_kernel is None
+        assert hat.walk_batch(0, none, none, False)[0].col("agg").dtype == object
+
+        bounds = tree.ranked.to_rank_bounds(*Box.stack(boxes))
+        _assert_walks_identically(pickle.loads(pickle.dumps(hat)), hat, *bounds)

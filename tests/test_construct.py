@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro._util import ilog2
@@ -99,12 +100,13 @@ class TestStructuralAgreement:
         """Step 5: the broadcast gives every proc the same root set, and
         the derived hat locations agree with where elements actually live."""
         tree = build(n=64, d=2, p=8)
-        for leaf in tree.hat.hat_leaves():
-            store = tree.forest_store[leaf.location]
-            assert leaf.path in store
-            el = store[leaf.path]
-            assert el.nleaves == leaf.nleaves
-            assert (el.seg[0], el.seg[1]) == (leaf.lo, leaf.hi)
+        hat = tree.hat
+        for leaf in np.nonzero(hat.leaf)[0]:
+            store = tree.forest_store[hat.location[leaf]]
+            assert hat.path(leaf) in store
+            el = store[hat.path(leaf)]
+            assert el.nleaves == hat.nleaves[leaf]
+            assert (el.seg[0], el.seg[1]) == (hat.lo[leaf], hat.hi[leaf])
 
     def test_forest_elements_power_of_two_points(self):
         tree = build(n=64, d=3, p=4)

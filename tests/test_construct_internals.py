@@ -3,6 +3,7 @@ builder's protocol error handling."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro._util import ilog2
@@ -29,15 +30,17 @@ class TestRecordFlow:
 
     def test_phase_j_trees_hang_from_phase_j_minus_1_hat_nodes(self):
         tree = build(d=2, p=8)
+        hat = tree.hat
+        row_of = {hat.path(i): i for i in range(hat.size_nodes())}
         for store in tree.forest_store:
             for fid, el in store.items():
                 if el.dim == 0:
                     assert fid[1:] == ()
                 else:
-                    anchor = tree.hat.nodes_by_path.get(fid[1:])
+                    anchor = row_of.get(fid[1:])
                     assert anchor is not None, f"no hat anchor for {fid}"
-                    assert anchor.dim == el.dim - 1
-                    assert not anchor.is_hat_leaf
+                    assert hat.dim[anchor] == el.dim - 1
+                    assert not hat.leaf[anchor]
 
     def test_deep_phase_element_counts(self):
         """Phase-1 elements: one per hat internal node per n/p leaf group =
@@ -53,7 +56,8 @@ class TestRecordFlow:
         n, p = 64, 4
         tree = build(n=n, d=3, p=p)
         ll = ilog2(n) - ilog2(p)
-        assert {v.level for v in tree.hat.hat_leaves()} == {ll}
+        hat = tree.hat
+        assert {hat.path(i)[0][1] for i in np.nonzero(hat.leaf)[0]} == {ll}
 
     def test_seg_partition_within_each_tree(self):
         """Forest elements of one segment tree tile its rank range."""

@@ -66,11 +66,12 @@ class TestReannotate:
         pts, tree, qs = built
         sg = sum_of_dim(0)
         tree.reannotate(sg)
-        root = tree.hat.root
-        while root.descendant is not None:
-            root = root.descendant
+        hat = tree.hat
+        root = 0
+        while hat.desc[root] >= 0:
+            root = hat.desc[root]
         total = bf_aggregate(pts, Box.full(2, -10.0, 10.0), sg)
-        assert root.agg == pytest.approx(total)
+        assert hat.agg(root) == pytest.approx(total)
 
 
 class TestSingleQueryAPI:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro._util import ilog2
@@ -77,110 +78,109 @@ class TestFigure3Structure:
         n, p = 64, 8
         tree = build(n=n, d=2, p=p)
         leaf_level = ilog2(n) - ilog2(p)
-        for node in tree.hat.iter_nodes():
-            assert node.level >= leaf_level
-            if node.is_hat_leaf:
-                assert node.level == leaf_level
+        hat = tree.hat
+        for i in range(hat.size_nodes()):
+            level = hat.path(i)[0][1]
+            assert level >= leaf_level
+            if hat.leaf[i]:
+                assert level == leaf_level
 
     def test_primary_hat_has_p_leaves(self):
         tree = build(n=64, d=2, p=8)
-        primary_leaves = [
-            v for v in tree.hat.iter_nodes() if v.is_hat_leaf and v.dim == 0
-        ]
-        assert len(primary_leaves) == 8
+        hat = tree.hat
+        assert int((hat.leaf & (hat.dim == 0)).sum()) == 8
 
     def test_descendant_trees_on_halving_point_counts(self):
         """Figure 3: hat nodes carry descendant range trees on n, n/2, n/4...
         points (one per internal node of the primary hat)."""
         n, p = 64, 8
         tree = build(n=n, d=2, p=p)
-        sizes = sorted(
-            (
-                v.nleaves
-                for v in tree.hat.iter_nodes()
-                if v.dim == 0 and not v.is_hat_leaf
-            ),
-            reverse=True,
-        )
+        hat = tree.hat
+        sizes = sorted(hat.nleaves[(hat.dim == 0) & ~hat.leaf].tolist(), reverse=True)
         assert sizes == [64, 32, 32, 16, 16, 16, 16]
 
     def test_internal_nodes_have_descendants(self):
         tree = build(n=64, d=2, p=8)
-        for v in tree.hat.iter_nodes():
-            if v.dim == 0 and not v.is_hat_leaf:
-                assert v.descendant is not None
-                assert v.descendant.dim == 1
-                assert v.descendant.nleaves == v.nleaves
+        hat = tree.hat
+        for i in np.nonzero((hat.dim == 0) & ~hat.leaf)[0]:
+            desc = hat.desc[i]
+            assert desc >= 0
+            assert hat.dim[desc] == 1
+            assert hat.nleaves[desc] == hat.nleaves[i]
 
     def test_hat_leaf_of_last_dim_has_no_descendant(self):
         tree = build(n=64, d=2, p=8)
-        for v in tree.hat.iter_nodes():
-            if v.dim == 1:
-                assert v.descendant is None
+        hat = tree.hat
+        assert (hat.desc[hat.dim == 1] == -1).all()
 
 
 class TestHatIntegrity:
     def test_segments_union_of_children(self):
         tree = build(n=64, d=2, p=8)
-        for v in tree.hat.iter_nodes():
-            if not v.is_hat_leaf:
-                assert v.lo == v.left.lo
-                assert v.hi == v.right.hi
-                assert v.left.hi < v.right.lo
+        hat = tree.hat
+        for i in np.nonzero(~hat.leaf)[0]:
+            left, right = hat.left[i], hat.right[i]
+            assert hat.lo[i] == hat.lo[left]
+            assert hat.hi[i] == hat.hi[right]
+            assert hat.hi[left] < hat.lo[right]
 
     def test_sibling_indices(self):
         tree = build(n=64, d=2, p=8)
-        for v in tree.hat.iter_nodes():
-            if not v.is_hat_leaf:
-                assert v.left.index == 2 * v.index
-                assert v.right.index == 2 * v.index + 1
+        hat = tree.hat
+        for i in np.nonzero(~hat.leaf)[0]:
+            index = hat.path(i)[0][0]
+            assert hat.path(hat.left[i])[0][0] == 2 * index
+            assert hat.path(hat.right[i])[0][0] == 2 * index + 1
 
     def test_paths_unique_and_valid(self):
         from repro.dist import is_valid_path
 
         tree = build(n=64, d=3, p=4)
-        paths = [v.path for v in tree.hat.iter_nodes()]
+        paths = [tree.hat.path(i) for i in range(tree.hat.size_nodes())]
         assert len(paths) == len(set(paths))
         assert all(is_valid_path(p) for p in paths)
 
     def test_dim_d_aggregates_consistent(self):
         """f(v) of a dimension-d hat node = sum of its children's values."""
         tree = build(n=64, d=2, p=8)
-        for v in tree.hat.iter_nodes():
-            if v.dim == 1 and not v.is_hat_leaf:
-                assert v.agg == v.left.agg + v.right.agg
+        hat = tree.hat
+        for i in np.nonzero((hat.dim == 1) & ~hat.leaf)[0]:
+            assert hat.agg(i) == hat.agg(hat.left[i]) + hat.agg(hat.right[i])
 
     def test_root_aggregate_counts_all_points(self):
         n = 64
         tree = build(n=n, d=2, p=8)
-        root = tree.hat.root
-        assert root.descendant is not None
-        assert root.descendant.agg == n  # count over every (padded) point
+        hat = tree.hat
+        assert hat.desc[0] >= 0
+        assert hat.agg(hat.desc[0]) == n  # count over every (padded) point
 
     def test_forest_leaves_under_root_is_p(self):
         tree = build(n=64, d=2, p=8)
-        leaves = tree.hat.forest_leaves_under(tree.hat.root)
+        hat = tree.hat
+        top = int(hat.desc[0])  # tilings are held for the last dimension's trees
+        leaves = hat.tile_leaf_ids[hat.tile_off[top] : hat.tile_off[top] + hat.tile_len[top]]
         assert len(leaves) == 8
         # left-to-right segment order
-        los = [l.lo for l in leaves]
+        los = hat.lo[leaves].tolist()
         assert los == sorted(los)
 
     def test_hat_leaf_location_known(self):
         tree = build(n=64, d=2, p=8)
-        for v in tree.hat.hat_leaves():
-            assert 0 <= v.location < 8
+        hat = tree.hat
+        locations = hat.location[hat.leaf]
+        assert ((0 <= locations) & (locations < 8)).all()
 
     def test_p1_hat_is_single_leaf(self):
         tree = build(n=32, d=2, p=1)
         assert tree.hat.size_nodes() == 1
-        assert tree.hat.root.is_hat_leaf
+        assert tree.hat.leaf[0]
 
     def test_p_equals_n(self):
         tree = build(n=16, d=2, p=16)
         leaf_level = 0
-        assert all(v.level >= leaf_level for v in tree.hat.iter_nodes())
-        prim = [v for v in tree.hat.iter_nodes() if v.dim == 0 and v.is_hat_leaf]
-        assert len(prim) == 16
+        hat = tree.hat
+        assert all(hat.path(i)[0][1] >= leaf_level for i in range(hat.size_nodes()))
+        assert int((hat.leaf & (hat.dim == 0)).sum()) == 16
 
 
 class TestHatWalkVsSequential:

@@ -8,6 +8,7 @@ clustering) and arbitrary query boxes, and the entire distributed pipeline
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -106,6 +107,6 @@ class TestStructuralInvariants:
     @settings(**COMMON)
     def test_hat_leaves_match_forest_elements(self, pts):
         tree = DistributedRangeTree.build(pts, p=4)
-        hat_ids = {v.path for v in tree.hat.hat_leaves()}
+        hat_ids = {tree.hat.path(i) for i in np.nonzero(tree.hat.leaf)[0]}
         forest_ids = {fid for store in tree.forest_store for fid in store}
         assert hat_ids == forest_ids

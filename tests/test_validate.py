@@ -53,10 +53,9 @@ class TestValidatorCatchesCorruption:
 
     def test_detects_bad_aggregate(self):
         tree = self._tree()
-        for v in tree.hat.iter_nodes():
-            if v.dim == 1 and not v.is_hat_leaf:
-                v.agg = v.agg + 1  # corrupt one f(v)
-                break
+        hat = tree.hat
+        i = np.nonzero((hat.dim == 1) & ~hat.leaf)[0][0]
+        hat.agg_mat[i] += 1  # corrupt one f(v)
         rep = validate_tree(tree)
         assert not rep.ok
         assert any("aggregate" in f for f in rep.failures)
@@ -71,8 +70,8 @@ class TestValidatorCatchesCorruption:
 
     def test_detects_bad_index_arithmetic(self):
         tree = self._tree()
-        root = tree.hat.root
-        root.left.index += 1
+        hat = tree.hat
+        hat.paths.flat[hat.paths.offsets[hat.left[0]]] += 1  # the root's left child's index
         rep = validate_tree(tree)
         assert not rep.ok
         assert any("sibling" in f or "path" in f for f in rep.failures)

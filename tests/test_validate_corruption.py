@@ -10,6 +10,7 @@ failure summary must say so.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.dist import DistributedRangeTree, validate_tree
@@ -21,62 +22,131 @@ def tree():
     return DistributedRangeTree.build(uniform_points(64, 2, seed=120), p=4)
 
 
-def _first_internal(tree, dim):
-    for v in tree.hat.iter_nodes():
-        if v.dim == dim and not v.is_hat_leaf:
-            return v
-    raise AssertionError("no internal node found")
+def _first_internal(tree, dim) -> int:
+    hat = tree.hat
+    return int(np.nonzero((hat.dim == dim) & ~hat.leaf)[0][0])
+
+
+def _first_leaf(tree) -> int:
+    return int(np.nonzero(tree.hat.leaf)[0][0])
+
+
+def _assert_caught(tree, needle):
+    rep = validate_tree(tree)
+    assert not rep.ok
+    assert any(needle in f for f in rep.failures), rep.failures
 
 
 class TestCorruptHat:
     def test_detects_bad_leaf_count(self, tree):
-        v = _first_internal(tree, 0)
-        v.nleaves += 4
+        tree.hat.nleaves[_first_internal(tree, 0)] += 4
         rep = validate_tree(tree)
         assert not rep.ok
         assert any("leaf count" in f for f in rep.failures)
 
     def test_detects_broken_segment_union(self, tree):
-        v = _first_internal(tree, 0)
-        v.lo = v.left.lo + 1  # no longer the union of its children
+        hat = tree.hat
+        i = _first_internal(tree, 0)
+        hat.lo[i] = hat.lo[hat.left[i]] + 1  # no longer the union of its children
         rep = validate_tree(tree)
         assert not rep.ok
         assert any("union of children" in f for f in rep.failures)
 
     def test_detects_swapped_descendant(self, tree):
-        internals = [
-            v
-            for v in tree.hat.iter_nodes()
-            if v.dim == 0 and not v.is_hat_leaf and v.nleaves == 32
-        ]
-        a, b = internals[0], internals[1]
-        a.descendant, b.descendant = b.descendant, a.descendant
+        hat = tree.hat
+        a, b = np.nonzero((hat.dim == 0) & ~hat.leaf & (hat.nleaves == 32))[0][:2]
+        hat.desc[[a, b]] = hat.desc[[b, a]]
         rep = validate_tree(tree)
         assert not rep.ok
         assert any("descendant" in f for f in rep.failures)
 
     def test_detects_earlier_dimension_aggregate(self, tree):
         """f(v) must be validated on every dimension, not just the last."""
-        v = _first_internal(tree, 0)
-        v.agg = v.agg + 1
+        tree.hat.agg_mat[_first_internal(tree, 0)] += 1
         rep = validate_tree(tree)
         assert not rep.ok
         assert any("aggregate" in f for f in rep.failures)
 
     def test_detects_stale_hat_leaf_aggregate(self, tree):
-        leaf = tree.hat.hat_leaves()[0]
-        leaf.agg = leaf.agg + 1
+        tree.hat.agg_mat[_first_leaf(tree)] += 1
         rep = validate_tree(tree)
         assert not rep.ok
         assert any("stale" in f or "aggregate" in f for f in rep.failures)
 
     def test_summary_reports_failure(self, tree):
-        leaf = tree.hat.hat_leaves()[0]
-        leaf.agg = leaf.agg + 1
+        tree.hat.agg_mat[_first_leaf(tree)] += 1
         rep = validate_tree(tree)
         text = rep.summary()
         assert text.startswith("validation: FAILED")
         assert "checks" in text
+
+    # -- one entry of each hat column at a time ----------------------------
+    @pytest.mark.parametrize(
+        "column,needle",
+        [
+            ("dim", "flags wrong"),
+            ("leaf", "flags wrong"),
+            ("last_dim", "flags wrong"),
+            ("lo", "union of children"),
+            ("hi", "union of children"),
+            ("nleaves", "leaf count"),
+            ("left", "link broken"),
+            ("right", "link broken"),
+            ("desc", "link broken"),
+            ("location", "names an owner"),
+            ("tile_off", "tile slice"),
+            ("tile_len", "tile slice"),
+            ("agg_mat", "aggregate f(v) mismatch"),
+        ],
+    )
+    def test_detects_one_corrupt_internal_entry(self, tree, column, needle):
+        hat = tree.hat
+        i = int(np.nonzero(hat.last_dim & ~hat.leaf)[0][-1])
+        col = getattr(hat, column)
+        col[i] = ~col[i] if col.dtype == bool else col[i] + 1
+        _assert_caught(tree, needle)
+
+    @pytest.mark.parametrize(
+        "column,needle",
+        [
+            ("lo", "disagrees with its hat leaf"),
+            ("hi", "disagrees with its hat leaf"),
+            ("nleaves", "disagrees with its hat leaf"),
+            ("location", "has owner 4 outside 0..3"),
+            ("agg_mat", "hat-leaf aggregate stale"),
+        ],
+    )
+    def test_detects_one_corrupt_leaf_entry(self, tree, column, needle):
+        i = int(np.nonzero(tree.hat.leaf)[0][-1])
+        getattr(tree.hat, column)[i] += 1
+        _assert_caught(tree, needle)
+
+    def test_detects_corrupt_tile_leaf_id(self, tree):
+        tree.hat.tile_leaf_ids[-1] -= 1
+        _assert_caught(tree, "tile slice")
+
+    def test_detects_corrupt_path_entry(self, tree):
+        tree.hat.paths.flat[-1] += 1  # the last node's level
+        _assert_caught(tree, "sibling index arithmetic")
+
+    def test_detects_wrong_node_count(self, tree):
+        tree.hat.dim = tree.hat.dim[:-1]
+        _assert_caught(tree, "H(4, 2) = 20")
+
+    def test_detects_second_aggregate_column(self, tree):
+        tree.hat.agg_obj = np.empty(tree.hat.size_nodes(), dtype=object)
+        _assert_caught(tree, "more than one column")
+
+    def test_detects_untyped_hat_aggregates(self):
+        """The same checks read an object column (a semigroup no kernel holds)."""
+        from repro.semigroup import top_k_ids
+
+        tree = DistributedRangeTree.build(
+            uniform_points(64, 2, seed=121), p=4, semigroup=top_k_ids(2)
+        )
+        assert tree.hat.agg_mat is None and validate_tree(tree).ok
+        tree.hat.agg_obj[0] = ()
+        _assert_caught(tree, "aggregate f(v) mismatch")
 
 
 class TestMislabeledForest:
