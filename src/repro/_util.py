@@ -58,7 +58,7 @@ def percentiles(
     """Linear-interpolated percentiles, keyed ``"p50"``, ``"p95"``, ...
 
     The one shared implementation behind every latency/percentile figure
-    the repo reports (serve metrics, bench writers) — so "p99" means the
+    the repo reports (serve metrics, loadgen rows) — so "p99" means the
     same estimator everywhere.  Uses the inclusive linear interpolation
     between closest ranks (numpy's default method), computed on a sorted
     copy.  Empty input maps every key to ``None`` rather than inventing

@@ -1,15 +1,15 @@
-"""Experiment harness: one driver per DESIGN.md experiment id.
+"""Experiment harness: one driver per claim of the paper.
 
 Each ``run_*`` function executes a self-contained experiment and returns a
-:class:`~repro.bench.tables.Table`; the pytest benches in ``benchmarks/``
-time them and print the tables, the CLI (``python -m repro experiments``)
-renders all of them, and EXPERIMENTS.md is generated from the same output.
+:class:`~repro.bench.tables.Table` of exact counters (rounds, h, charged
+work, record counts — no wall-clock, so a table renders identically run
+to run); the CLI (``python -m repro experiments``) renders them, and
+``tests/test_bench_drivers.py`` asserts the claim each table reproduces.
 """
 
 from .baselines import run_b1, run_b2, run_x1
 from .construction import run_c1, run_c2, run_cav1
 from .extensions import run_d1, run_dy1, run_sq1
-from .meta import SCHEMA_VERSION, bench_meta, validate_meta
 from .queries import run_a1, run_m1, run_r1, run_s1
 from .speedup import run_sp1
 from .structure import run_f1, run_f2, run_f3, run_t1
@@ -40,9 +40,6 @@ EXPERIMENTS = {
 __all__ = [
     "Table",
     "EXPERIMENTS",
-    "SCHEMA_VERSION",
-    "bench_meta",
-    "validate_meta",
     "run_f1",
     "run_f2",
     "run_f3",

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import random
-import time
 
 from .._util import ilog2
 from ..cgm import Machine, sample_sort
-from ..seq import KDTree, LayeredSequentialRangeTree, SequentialRangeTree, bf_count
+from ..seq import KDTree, LayeredSequentialRangeTree, SequentialRangeTree
 from ..workloads import selectivity_queries, uniform_points
 from .tables import Table
 
@@ -16,36 +15,24 @@ __all__ = ["run_b1", "run_b2", "run_x1"]
 
 def run_b1(d: int = 2) -> Table:
     """Section 1 baselines: range tree O(log^d n) vs k-D tree O(d n^{1-1/d})
-    vs brute force O(dn) — query-time shape comparison."""
+    vs brute force O(dn) — query-cost shape comparison in nodes visited."""
     t = Table(
         f"B1 — sequential baselines (d={d}, 200 queries, sel=1%)",
-        ["n", "range tree µs/q", "k-D tree µs/q", "brute µs/q", "RT visits/q", "kD visits/q"],
+        ["n", "RT visits/q", "kD visits/q"],
     )
     for n in (256, 1024, 4096):
         pts = uniform_points(n, d, seed=14)
         qs = selectivity_queries(200, d, seed=15, selectivity=0.01)
         rt = SequentialRangeTree(pts)
         kd = KDTree(pts)
-
-        t0 = time.perf_counter()
         for q in qs:
             rt.count(q)
-        rt_us = (time.perf_counter() - t0) / len(qs) * 1e6
-        rt_visits = rt.stats.nodes_visited / len(qs)
-
-        t0 = time.perf_counter()
-        for q in qs:
             kd.count(q)
-        kd_us = (time.perf_counter() - t0) / len(qs) * 1e6
+        rt_visits = rt.stats.nodes_visited / len(qs)
         kd_visits = kd.stats.nodes_visited / len(qs)
-
-        t0 = time.perf_counter()
-        for q in qs:
-            bf_count(pts, q)
-        bf_us = (time.perf_counter() - t0) / len(qs) * 1e6
-
-        t.add_row(n, round(rt_us, 1), round(kd_us, 1), round(bf_us, 1), round(rt_visits, 1), round(kd_visits, 1))
+        t.add_row(n, round(rt_visits, 1), round(kd_visits, 1))
     t.add_note("shape claim: range-tree visits grow polylogarithmically, k-D tree visits polynomially")
+    t.add_note("brute force scans all n points per query")
     return t
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import time
-
 from .._util import ilog2
 from ..dist import DistributedRangeTree
 from ..workloads import uniform_points
@@ -21,16 +19,14 @@ def run_c1(p: int = 8) -> Table:
     """Theorem 2, n-scaling: local work tracks s/p; rounds constant in n."""
     t = Table(
         f"C1 — Construct scaling in n (p={p})",
-        ["d", "n", "s/p", "max work", "work/(s/p)", "rounds", "max h", "build sec"],
+        ["d", "n", "s/p", "max work", "work/(s/p)", "rounds", "max h"],
     )
     for d, ns in [(1, (256, 1024, 4096)), (2, (256, 1024, 4096)), (3, (128, 256, 512))]:
         for n in ns:
-            t0 = time.perf_counter()
             tree = DistributedRangeTree.build(uniform_points(n, d, seed=2), p=p)
-            dt = time.perf_counter() - t0
             m = tree.metrics
             sp = _s(n, d) // p
-            t.add_row(d, n, sp, m.max_work, round(m.max_work / sp, 2), m.rounds, m.max_h, round(dt, 3))
+            t.add_row(d, n, sp, m.max_work, round(m.max_work / sp, 2), m.rounds, m.max_h)
     t.add_note("'work/(s/p)' must stay roughly flat per d (work = Θ(s/p))")
     t.add_note("'rounds' must be identical within each d (O(1) h-relations)")
     return t

@@ -1,8 +1,9 @@
 """Tiny table formatter for experiment output.
 
-Every experiment driver returns a :class:`Table`; the pytest benches print
-it, the CLI renders it to the terminal, and the EXPERIMENTS.md generator
-emits the markdown flavour.  No dependencies, fixed-width rendering.
+Every experiment driver returns a :class:`Table`; the CLI renders it to
+the terminal (``experiments``) or as markdown (``experiments --markdown``),
+and the claim tests read its columns.  No dependencies, fixed-width
+rendering.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class Table:
         self.notes.append(note)
 
     def column(self, name: str) -> list[Any]:
-        """All values of one column (for assertions in benches)."""
+        """All values of one column (for the claim tests' assertions)."""
         idx = self.columns.index(name)
         return [row[idx] for row in self.rows]
 

@@ -28,10 +28,7 @@ object list with one dataclass per record.  The backends need no special
 casing: a batch is just a payload whose pickle happens to be flat.
 
 All backends must produce bit-identical results and identical metric
-traces; tests assert this.  Legacy thunk-closure phases
-(:meth:`Backend.run`) execute in the driver process on every backend —
-closures cannot cross a process boundary, so only registered phases
-parallelize under :class:`ProcessBackend`.
+traces; tests assert this.
 """
 
 from __future__ import annotations
@@ -91,12 +88,6 @@ class Backend:
     name = "abstract"
     in_process = True
 
-    # -- legacy thunk-closure phases (driver-side state) -------------------
-    def run(self, thunks: Sequence[Callable[[], Any]]) -> list[Any]:
-        """Run closure thunks in rank order, in the driver process."""
-        return [t() for t in thunks]
-
-    # -- SPMD phases over rank-resident state ------------------------------
     def run_phase(
         self, p: int, phase: str, payloads: Sequence[Any]
     ) -> List[PhaseOutcome]:
@@ -177,11 +168,6 @@ class ThreadBackend(_InProcessBackend):
                 thread_name_prefix="cgm-proc",
             )
         return self._pool
-
-    def run(self, thunks: Sequence[Callable[[], Any]]) -> list[Any]:
-        pool = self._ensure_pool(len(thunks))
-        futures = [pool.submit(t) for t in thunks]
-        return [f.result() for f in futures]
 
     def run_phase(
         self, p: int, phase: str, payloads: Sequence[Any]
@@ -324,9 +310,6 @@ class ProcessBackend(Backend):
     cross-backend determinism contract).  Without recovery, a crash
     resets the whole pool so the next use fails loudly on missing state
     instead of silently pairing stale replies with new commands.
-
-    Legacy closure phases (:meth:`run`) execute serially in the driver —
-    correct on any consumer, parallel only for migrated ones.
     """
 
     name = "process"

@@ -11,10 +11,6 @@ records::
     results = mach.run_phase("build", "myalgo.build", payloads)
     inboxes = mach.exchange("route", outboxes)   # outboxes[src][dst] = [records]
 
-(The pre-SPMD thunk-closure style, ``mach.compute(label, fn)``, is kept
-for driver-local experiments; closures execute in the driver process and
-therefore never parallelize on the process backend.)
-
 Every phase is recorded in :attr:`Machine.metrics` — operation counts and
 wall-clock per processor for compute phases, per-processor sent/received
 record counts (the h-relation) for communication rounds.  The paper's
@@ -28,8 +24,7 @@ send order within a source, regardless of backend.
 from __future__ import annotations
 
 import itertools
-import time
-from typing import Any, Callable, List, Sequence, TypeVar
+from typing import Any, Callable, List, Sequence
 
 import numpy as np
 
@@ -39,8 +34,6 @@ from .columns import RecordBatch, estimate_box_nbytes
 from .cost import CostModel
 from .metrics import Metrics
 from .phases import ProcContext
-
-T = TypeVar("T")
 
 __all__ = ["Machine", "ProcContext"]
 
@@ -191,31 +184,6 @@ class Machine:
         if self.backend.in_process:
             return _materialize(self.fetch_state(key), default)
         return StateView(self, key, default=default)
-
-    def compute(self, label: str, fn: Callable[[ProcContext], T]) -> list[T]:
-        """Run closure ``fn`` once per processor (legacy driver-state style).
-
-        Returns the per-rank results in rank order.  Wall-clock and charged
-        ops are recorded per rank.  Closures execute in the driver process
-        on the process backend (they cannot cross the boundary), so prefer
-        :meth:`run_phase` for anything performance-relevant.
-        """
-        contexts = [ProcContext(rank=r, p=self.p) for r in range(self.p)]
-        seconds = [0.0] * self.p
-
-        def thunk_for(r: int) -> Callable[[], T]:
-            def thunk() -> T:
-                t0 = time.perf_counter()
-                try:
-                    return fn(contexts[r])
-                finally:
-                    seconds[r] = time.perf_counter() - t0
-
-            return thunk
-
-        results = self.backend.run([thunk_for(r) for r in range(self.p)])
-        self.metrics.record_compute(label, [c.ops for c in contexts], seconds)
-        return results
 
     # ------------------------------------------------------------------
     # the communication kernel: one personalized all-to-all round

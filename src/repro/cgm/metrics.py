@@ -103,7 +103,7 @@ class LatencyStats:
     how long the shared pass took.  This accumulator records one sample
     per query (milliseconds) and summarises with the shared
     :func:`repro._util.percentiles` estimator, so serve metrics and
-    bench writers report the same p50/p95/p99 definition.
+    loadgen rows report the same p50/p95/p99 definition.
     """
 
     __slots__ = ("name", "values_ms")
@@ -134,7 +134,7 @@ class LatencyStats:
         return percentiles(self.values_ms, pcts)
 
     def summary(self) -> dict:
-        """Flat dict for serve metrics / bench rows (``*_ms`` keys)."""
+        """Flat dict for serve metrics / loadgen rows (``*_ms`` keys)."""
         pct = self.percentiles()
         out = {"count": self.count, "mean_ms": round(self.mean_ms, 4)}
         for key, val in pct.items():
@@ -251,7 +251,7 @@ class Metrics:
         return t
 
     def summary(self) -> dict:
-        """Flat dict for tables / EXPERIMENTS.md rows."""
+        """Flat dict of the totals (one table row, one JSON object)."""
         return {
             "rounds": self.rounds,
             "max_h": self.max_h,

@@ -3,9 +3,9 @@
 The subcommands::
 
     repro-range-search experiments [IDS ...] [--markdown] [-o FILE]
-        Run the paper-reproduction experiments (DESIGN.md index) and print
-        their tables; with --markdown/-o, emit/update EXPERIMENTS-style
-        markdown.
+        Run the paper-reproduction experiments (``--list`` names them)
+        and print their tables of exact counters; --markdown renders
+        them as markdown, -o writes to FILE.
 
     repro-range-search query --points uniform --n 2048 --d 2 --p 8 \
                              --queries selectivity --m 512 --mode count

@@ -19,13 +19,12 @@ query layer (:mod:`repro.query`) already makes a heterogeneous
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` — the
   newline-delimited-JSON TCP transport (:mod:`repro.serve.protocol`).
 * :mod:`repro.serve.loadgen` — open-loop Poisson and closed-loop client
-  populations driving either transport, emitting the qps / p50 / p99
-  rows behind ``BENCH_serve.json``.
+  populations driving either transport, emitting qps / p50 / p99 rows
+  (``repro loadgen``).
 
 Everything here is a *front-end*: answers are produced by the ordinary
 engine pass, so they are bit-identical to handing the same queries to
-``tree.run`` directly — asserted by the bench driver and the serve
-test suite.
+``tree.run`` directly — asserted by the serve test suite.
 """
 
 from .client import ServeClient

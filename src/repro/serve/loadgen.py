@@ -1,4 +1,4 @@
-"""Load generation against the serve daemon: the bench behind the bench.
+"""Load generation against the serve daemon.
 
 Two client populations, both seeded and deterministic in *what* they
 ask (wall-clock timing is the measurement, not the input):

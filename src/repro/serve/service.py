@@ -87,7 +87,7 @@ class FlushPolicy:
     ``max_wait_ms`` bounds any query's time in the batching window (the
     latency a client pays for batching); ``max_batch`` bounds the batch
     size (the throughput lever).  ``max_batch=1`` disables coalescing —
-    the batch-size-1 baseline the serve bench compares against.
+    the batch-size-1 baseline.
     """
 
     max_wait_ms: float = 2.0

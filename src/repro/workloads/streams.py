@@ -6,9 +6,8 @@ logarithmic method — the paper's own reference [4]) is validated by
 insert/delete/query stream against the structure under test and an
 oracle, and require identical answers at every query checkpoint.  This
 module is the single source of those streams, shared by the test suite
-(:mod:`tests.test_dist_dynamic`) and the benchmark driver
-(``benchmarks/bench_dynamic.py``), so both exercise the same adversarial
-shapes:
+(:mod:`tests.test_dist_dynamic`) and the CLI (``repro stream``), so both
+exercise the same adversarial shapes:
 
 * **insert bursts** — several points arrive between checkpoints, forcing
   repeated bucket carries/merges rather than one merge per checkpoint;
@@ -146,7 +145,7 @@ def update_query_stream(
 
 
 def stream_counts(ops: Sequence[StreamOp]) -> dict:
-    """Shape summary of a stream (used by benches and sanity tests)."""
+    """Shape summary of a stream (used by the CLI and sanity tests)."""
     kinds = [op.kind for op in ops]
     return {
         "ops": len(ops),

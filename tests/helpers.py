@@ -1,4 +1,5 @@
-"""Shared test helpers (query generators + the dynamic stream harness)."""
+"""Shared test helpers (query generators, two tiny compute phases, and the
+dynamic stream harness)."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import dataclasses
 
 import numpy as np
 
+from repro.cgm import register_phase
 from repro.errors import ReproError
 from repro.geometry import Box
 from repro.query import (
@@ -24,6 +26,18 @@ from repro.semigroup import (
 )
 from repro.semigroup.group import sum_group
 from repro.seq.range_tree import RangeTree
+
+
+@register_phase("test.echo")
+def _phase_echo(ctx, payload):
+    """Who am I: ``(rank, p)`` — also the no-op phase when the result is unused."""
+    return ctx.rank, ctx.p
+
+
+@register_phase("test.charge")
+def _phase_charge(ctx, payload):
+    """Charge ``payload`` abstract ops to this rank."""
+    ctx.charge(payload)
 
 
 def random_boxes(rng: np.random.Generator, m: int, d: int, max_side: float = 0.5) -> list[Box]:

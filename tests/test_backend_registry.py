@@ -15,6 +15,8 @@ from repro.cgm import (
 )
 from repro.cgm.backend import _BACKENDS, register_backend
 
+import tests.helpers  # noqa: F401  (registers the test.* phases)
+
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
@@ -46,8 +48,8 @@ class TestRegistry:
             assert "echo" in available_backends()
             assert make_backend("echo").name == "echo"
             with Machine(2, backend="echo") as mach:
-                out = mach.compute("r", lambda ctx: ctx.rank)
-            assert out == [0, 1]
+                out = mach.run_phase("r", "test.echo")
+            assert out == [(0, 2), (1, 2)]
         finally:
             _BACKENDS.pop("echo")
 
@@ -69,7 +71,7 @@ class TestRegistry:
 class TestOwnership:
     def test_machine_closes_owned_backend(self):
         mach = Machine(2, backend="thread")
-        mach.compute("warm", lambda ctx: ctx.rank)
+        mach.run_phase("warm", "test.echo")
         pool = mach.backend._pool
         assert pool is not None
         mach.close()
@@ -78,14 +80,14 @@ class TestOwnership:
     def test_machine_leaves_passed_backend_open(self):
         backend = ThreadBackend()
         with Machine(2, backend=backend) as mach:
-            mach.compute("warm", lambda ctx: ctx.rank)
+            mach.run_phase("warm", "test.echo")
         assert backend._pool is not None  # caller's responsibility
         backend.close()
         assert backend._pool is None
 
     def test_machine_context_manager(self):
         with Machine(2, backend="thread") as mach:
-            mach.compute("warm", lambda ctx: ctx.rank)
+            mach.run_phase("warm", "test.echo")
         assert mach.backend._pool is None
 
     def test_tree_closes_owned_machine(self):
@@ -108,7 +110,7 @@ class TestOwnership:
             ):
                 pass
             # the tree exited; the shared machine must still be usable
-            assert mach.compute("alive", lambda ctx: ctx.rank) == [0, 1, 2, 3]
+            assert mach.run_phase("alive", "test.echo") == [(r, 4) for r in range(4)]
 
     def test_close_idempotent(self):
         mach = Machine(2, backend="process")
@@ -161,6 +163,3 @@ class TestAbstractBackend:
     def test_run_phase_abstract(self):
         with pytest.raises(NotImplementedError):
             Backend().run_phase(1, "cgm.sort.merge", [None])
-
-    def test_legacy_run_default_is_serial(self):
-        assert Backend().run([lambda: 1, lambda: 2]) == [1, 2]

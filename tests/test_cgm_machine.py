@@ -7,6 +7,8 @@ import pytest
 from repro.cgm import CostModel, Machine, SerialBackend, ThreadBackend, make_backend
 from repro.errors import CapacityExceeded, MachineError, ProtocolError
 
+import tests.helpers  # noqa: F401  (registers the test.* phases)
+
 
 class TestConstruction:
     def test_needs_positive_p(self):
@@ -32,16 +34,12 @@ class TestConstruction:
 class TestCompute:
     def test_results_in_rank_order(self):
         mach = Machine(4)
-        out = mach.compute("ranks", lambda ctx: ctx.rank * 10)
-        assert out == [0, 10, 20, 30]
+        out = mach.run_phase("ranks", "test.echo")
+        assert [rank for rank, _p in out] == [0, 1, 2, 3]
 
     def test_charging_recorded_per_rank(self):
         mach = Machine(3)
-
-        def work(ctx):
-            ctx.charge(ctx.rank + 1)
-
-        mach.compute("w", work)
+        mach.run_phase("w", "test.charge", [1, 2, 3])
         step = mach.metrics.steps[-1]
         assert step.ops == (1, 2, 3)
         assert step.max_ops == 3
@@ -49,14 +47,14 @@ class TestCompute:
 
     def test_wall_clock_recorded(self):
         mach = Machine(2)
-        mach.compute("t", lambda ctx: sum(range(1000)))
+        mach.run_phase("t", "test.echo")
         step = mach.metrics.steps[-1]
         assert all(s >= 0 for s in step.seconds)
         assert step.kind == "compute"
 
     def test_context_identity(self):
         mach = Machine(3)
-        out = mach.compute("ctx", lambda ctx: (ctx.rank, ctx.p))
+        out = mach.run_phase("ctx", "test.echo")
         assert out == [(0, 3), (1, 3), (2, 3)]
 
 
@@ -129,14 +127,14 @@ class TestCapacity:
 class TestMetrics:
     def test_rounds_count_comm_only(self):
         mach = Machine(2)
-        mach.compute("c1", lambda ctx: None)
+        mach.run_phase("c1", "test.echo")
         mach.exchange("x", mach.empty_outboxes())
-        mach.compute("c2", lambda ctx: None)
+        mach.run_phase("c2", "test.echo")
         assert mach.metrics.rounds == 1
 
     def test_modeled_time(self):
         mach = Machine(2, cost=CostModel(g=2.0, L=5.0))
-        mach.compute("c", lambda ctx: ctx.charge(10))
+        mach.run_phase("c", "test.charge", [10, 10])
         out = mach.empty_outboxes()
         out[0][1] = [1, 2]
         mach.exchange("x", out)
@@ -145,14 +143,14 @@ class TestMetrics:
 
     def test_reset(self):
         mach = Machine(2)
-        mach.compute("c", lambda ctx: ctx.charge(1))
+        mach.run_phase("c", "test.charge", [1, 1])
         mach.reset_metrics()
         assert mach.metrics.steps == []
         assert mach.peak_storage == [0, 0]
 
     def test_snapshot_since(self):
         mach = Machine(2)
-        mach.compute("c1", lambda ctx: None)
+        mach.run_phase("c1", "test.echo")
         snap = mach.metrics.snapshot()
         mach.exchange("x", mach.empty_outboxes())
         diff = mach.metrics.since(snap)
@@ -161,7 +159,7 @@ class TestMetrics:
 
     def test_summary_keys(self):
         mach = Machine(2)
-        mach.compute("c", lambda ctx: ctx.charge(3))
+        mach.run_phase("c", "test.charge", [3, 3])
         s = mach.metrics.summary()
         assert set(s) == {
             "rounds",
@@ -178,7 +176,7 @@ class TestBackendEquivalence:
     def test_thread_equals_serial(self):
         def run(backend):
             mach = Machine(4, backend=backend)
-            r1 = mach.compute("a", lambda ctx: ctx.rank ** 2)
+            r1 = mach.run_phase("a", "test.echo")
             out = mach.empty_outboxes()
             for src in range(4):
                 out[src][(src + 1) % 4] = [src]

@@ -119,11 +119,6 @@ class TestProcessExecution:
         assert pmach.fetch_state("sync") == [1, 2, 3, 4]
         assert pmach.run_phase("d", "test.double", [1, 2, 3, 4]) == [2, 4, 6, 8]
 
-    def test_legacy_compute_falls_back_to_driver(self, pmach):
-        marker = []  # closure side effects prove driver-side execution
-        out = pmach.compute("legacy", lambda ctx: marker.append(ctx.rank))
-        assert marker == [0, 1, 2, 3] and out == [None] * 4
-
 
 class TestProcessPipeline:
     def test_sample_sort_on_process_backend(self, pmach):
