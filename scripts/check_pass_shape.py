@@ -41,7 +41,15 @@ Builds n=512, p=8 and runs an empty, a one-query and a 64-query
 * the forest walk is arithmetic: one ``searchsorted`` and one closed-form
   cover per divided dimension whether an element holds 64 points or 2048
   (the loop is per dimension, not per level), and ``CompiledForest`` holds
-  no per-node bound or link array (``lo/hi/left/right/desc/last/dim_ix``).
+  no per-node bound or link array (``lo/hi/left/right/desc/last/dim_ix``), and
+* a query folds or it reports, said once: ``run_search`` takes one
+  ``report`` mask and no ``collect_*``/``expand_*`` parameter, no phase of
+  a 64-query mixed pass calls ``np.isin`` or builds a ``frozenset`` (the
+  mask is indexed, never rebuilt from a qid set), the
+  ``dist.forest_selection`` batches carry ``qid, forest_id, nleaves, agg``
+  and no ragged pid column (a reporting query's points leave step 5 as
+  ``dist.report_pair`` rows), and padding sentinels (negative pids) are
+  dropped in one function on the Search/demux path.
 
 A later change that re-prices idle ranks, puts a per-object Python loop
 back on the batch path, holds a forest element or the hat in a second
@@ -51,7 +59,10 @@ a slower ``single_query`` or ``batch_d3`` row.
 
 from __future__ import annotations
 
+import ast
+import builtins
 import gc
+import inspect
 import os
 import random
 import sys
@@ -293,6 +304,83 @@ def walk_shape_failures() -> list:
     return failures
 
 
+#: The one function that may compare a pid with 0 between the hat walk
+#: and the demux.
+SENTINEL_FILTER = ["repro.dist.search._forest_output"]
+
+
+def report_mask_failures(tree, batch) -> list:
+    """One mask from plan to walk: the second spellings of "this query
+    reports" (qid sets, per-phase re-masking, a ragged pid column beside
+    the pair batch, a second sentinel filter) must stay gone."""
+    import numpy as np
+
+    from repro.cgm.columns import Ragged
+    from repro.cgm.machine import Machine
+    from repro.dist import forest_compiled, hat, search
+    from repro.query import engine
+
+    failures = []
+    params = list(inspect.signature(search.run_search).parameters)
+    stale = [name for name in params if name.startswith(("collect_", "expand_"))]
+    if stale or "report" not in params:
+        return [f"run_search({', '.join(params)}): want one `report` mask, no {stale}"]
+
+    calls = {"np.isin": 0, "frozenset": 0}
+    real_isin, real_frozenset, real_run_phase = np.isin, frozenset, Machine.run_phase
+
+    def isin(*args, **kwargs):
+        calls["np.isin"] += 1
+        return real_isin(*args, **kwargs)
+
+    class CountingFrozenset(real_frozenset):
+        def __new__(cls, *args):
+            calls["frozenset"] += 1
+            return real_frozenset.__new__(cls, *args)
+
+    def run_phase(self, *args, **kwargs):
+        np.isin, builtins.frozenset = isin, CountingFrozenset
+        try:
+            return real_run_phase(self, *args, **kwargs)
+        finally:
+            np.isin, builtins.frozenset = real_isin, real_frozenset
+
+    Machine.run_phase = run_phase
+    try:
+        tree.run(batch)
+        out = tree.search(
+            [q.box for q in batch], report=np.array([q.mode == "report" for q in batch])
+        )
+    finally:
+        Machine.run_phase = real_run_phase
+    failures += [f"{name} called in a phase: {n} (must be 0)" for name, n in calls.items() if n]
+    if not sum(len(b) for b in out.report_pairs):
+        failures.append("(the mixed pass reported nothing)")
+    for batch in out.forest_selections:
+        ragged = sorted(k for k, v in batch.cols.items() if isinstance(v, Ragged))
+        if sorted(batch.cols) != ["agg", "forest_id", "nleaves", "qid"] or ragged != ["forest_id"]:
+            failures.append(f"dist.forest_selection columns {sorted(batch.cols)}, ragged {ragged}")
+            break
+
+    filters = []
+    for module in (hat, search, forest_compiled, engine):
+        for fn in ast.walk(ast.parse(inspect.getsource(module))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Compare)
+                    and isinstance(node.ops[0], (ast.GtE, ast.Lt))
+                    and isinstance(node.comparators[0], ast.Constant)
+                    and node.comparators[0].value == 0
+                    and "pid" in ast.unparse(node.left)
+                ):
+                    filters.append(f"{module.__name__}.{fn.name}")
+    if filters != SENTINEL_FILTER:
+        failures.append(f"negative pids are filtered in {filters}, want {SENTINEL_FILTER}")
+    return failures
+
+
 def main() -> int:
     from repro.dist import DistributedRangeTree
     from repro.geometry.box import Box
@@ -322,8 +410,8 @@ def main() -> int:
             full = tree.run(batch).metrics
         finally:
             random.Random = real_random
+        failures = report_mask_failures(tree, batch)
 
-    failures = []
     none_rounds = [s.label for s in none.comm_steps()]
     one_rounds = [s.label for s in one.comm_steps()]
     full_rounds = [s.label for s in full.comm_steps()]

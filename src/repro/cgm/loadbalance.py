@@ -29,7 +29,11 @@ __all__ = [
     "assign_copies_round_robin",
     "replication_schedule",
     "replicate_groups",
+    "REPLICATION_STRATEGIES",
 ]
+
+#: The Search step-3 strategies :func:`replication_schedule` plans.
+REPLICATION_STRATEGIES = ("doubling", "direct")
 
 
 def balance_by_weight(
@@ -218,7 +222,10 @@ def replication_schedule(
         return [transfers]
 
     if strategy != "doubling":
-        raise ValueError(f"unknown replication strategy {strategy!r}")
+        raise ValueError(
+            f"unknown replication strategy {strategy!r}; "
+            f"expected one of {REPLICATION_STRATEGIES}"
+        )
 
     have: list[list[int]] = [[j] if present[j] else [] for j in range(p)]
     rounds: list[list[tuple[int, int, int]]] = []

@@ -331,16 +331,18 @@ class DistributedRangeTree:
     def search(
         self,
         boxes: Sequence[Box],
-        collect_leaves: bool = False,
+        report: "np.ndarray | bool" = False,
         replication: str = "doubling",
     ) -> SearchOutput:
-        """Run Algorithm Search for a batch of real-coordinate boxes."""
+        """Run Algorithm Search for a batch of real-coordinate boxes;
+        ``report`` (one bool, or a mask over ``boxes``) marks the queries
+        whose points the pass emits as ``(qid, pid)`` pairs."""
         return run_search(
             self.machine,
             self.hat,
             self.forest_store,
             self.ranked.to_rank_bounds(*Box.stack(boxes)),
-            collect_leaves=collect_leaves,
+            report=report,
             replication=replication,
             ns=self._ensure_resident(),
         )

@@ -33,25 +33,27 @@ def batched_forest_selections(
     groups: Sequence[Tuple[Any, np.ndarray]],
     los_m: np.ndarray,
     his_m: np.ndarray,
-    want_mask: np.ndarray,
+    report: np.ndarray,
     charge: Callable[[int], None],
-) -> Tuple[np.ndarray, np.ndarray, Any, Ragged]:
+) -> Tuple[np.ndarray, np.ndarray, Any, np.ndarray, np.ndarray]:
     """Walk each element's routed subqueries in one compiled batch.
 
     ``groups`` pairs each target :class:`~repro.dist.forest.ForestElement`
     with the inbox row indices (ascending) of the subqueries routed to
     it; ``los_m``/``his_m`` are the inbox bound matrices and
-    ``want_mask`` flags the rows whose queries consume point ids.
+    ``report`` flags the rows whose queries consume point ids.
     ``charge`` receives each group's visit total — ``max(1, visits)``
     per subquery, exactly what a per-subquery ``canonical`` loop charges.
 
-    Returns ``(sel_rows, nleaves, agg_col, pid_ragged)`` over all
-    selections in inbox-row order (emission order within a row):
-    the source inbox row of each selection — ``qid``/``forest_id``
-    columns are gathers of the inbox columns by it — plus the selection
-    leaf counts, the ``agg`` column (typed when every emitting element
-    is annotated under one kernel, decoded objects otherwise), and the
-    per-selection pid rows (empty rows for fold-family queries).
+    Returns ``(sel_rows, nleaves, agg_col, pair_rows, pair_pids)``.  The
+    first three run over all selections in inbox-row order (emission
+    order within a row): the source inbox row of each selection —
+    ``qid``/``forest_id`` columns are gathers of the inbox columns by
+    it — the selection leaf counts and the ``agg`` column (typed when
+    every emitting element is annotated under one kernel, decoded
+    objects otherwise).  The last two are the points under every
+    selection of a ``report`` row, in the same order: each point's
+    source inbox row and its id (padding sentinels included).
     """
     # per emitting element: (element, its selections, their inbox rows)
     emitted: List[Tuple[Any, Selections, np.ndarray]] = []
@@ -65,12 +67,7 @@ def batched_forest_selections(
     nsel = sum(len(rows_s) for _el, _sel, rows_s in emitted)
     if not nsel:
         empty = np.empty(0, dtype=_I64)
-        return (
-            empty,
-            empty,
-            np.empty(0, dtype=object),
-            Ragged(empty, np.zeros(1, dtype=_I64)),
-        )
+        return empty, empty, np.empty(0, dtype=object), empty, empty
 
     all_rows = np.concatenate([rows_s for _el, _sel, rows_s in emitted])
     # groups carve the inbox into disjoint row sets and each group's
@@ -108,9 +105,9 @@ def batched_forest_selections(
         agg_col = agg_col[perm]
 
     # pid rows: nleaves-long tilings of each element's rows, mapped to
-    # point ids, for report-family rows; zero-length rows otherwise
+    # point ids, for report rows; zero-length rows otherwise
     per_lens = [
-        np.where(want_mask[rows_s], sel.length, 0) for _el, sel, rows_s in emitted
+        np.where(report[rows_s], sel.length, 0) for _el, sel, rows_s in emitted
     ]
     lens_cat = np.concatenate(per_lens)
     offsets = np.zeros(nsel + 1, dtype=_I64)
@@ -121,5 +118,5 @@ def batched_forest_selections(
             for (el, sel, _r), lens in zip(emitted, per_lens)
         ]
     )
-    pid_ragged = Ragged(flat, offsets).take(perm)
-    return sel_rows, nleaves, agg_col, pid_ragged
+    pids = Ragged(flat, offsets).take(perm)
+    return sel_rows, nleaves, agg_col, np.repeat(sel_rows, pids.lengths), pids.flat

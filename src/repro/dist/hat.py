@@ -29,7 +29,7 @@ walk is pinned against.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Collection, List, Sequence, Tuple
+from typing import Any, Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -48,15 +48,7 @@ from .records import (
     unflatten_path,
 )
 
-__all__ = ["Hat", "flag_mask"]
-
-
-def flag_mask(flag: "bool | Collection[int]", qids: np.ndarray) -> np.ndarray:
-    """A per-batch bool / per-query id collection as a mask over ``qids``."""
-    if isinstance(flag, bool):
-        return np.full(len(qids), flag, dtype=bool)
-    ids = np.fromiter(flag, np.int64, len(flag))
-    return np.isin(np.asarray(qids), ids)
+__all__ = ["Hat"]
 
 
 def _fold(
@@ -223,7 +215,7 @@ class Hat:
         # for an empty slice, computed once (zero-row columns, nothing in
         # them to mutate) so an idle rank does no numpy work per pass.
         none = np.zeros((0, d), dtype=np.int64)
-        hat.idle = hat._walk_rows(0, none, none, False)
+        hat.idle = hat._walk_rows(0, none, none, np.zeros(0, dtype=bool))
         return hat
 
     # ------------------------------------------------------------------
@@ -254,7 +246,7 @@ class Hat:
         self,
         qid: int,
         box: RankBox,
-        collect_leaves: bool = False,
+        report: bool = False,
         charge: Callable[[int], None] | None = None,
     ) -> Tuple[List[HatSelectionRecord], List[Subquery]]:
         """Walk the hat for one rank-space query (§4's four cases).
@@ -262,7 +254,7 @@ class Hat:
         Returns ``(selections, subqueries)``: the dimension-``d`` hat
         nodes whose segments are contained in the query (each with its
         precomputed ``f(v)``), and the continuations into forest elements
-        for walks that reached a hat leaf.  With ``collect_leaves``, each
+        for walks that reached a hat leaf.  With ``report``, each
         selection also names the forest elements tiling its leaves so
         report mode can expand it into point ids.  ``charge`` (if given)
         receives the number of hat nodes visited — the O(log^d p) term of
@@ -284,7 +276,7 @@ class Hat:
             selected = a <= v_lo and v_hi <= b
             if selected and self.last_dim[i]:
                 leaves: Sequence[int] = ()
-                if collect_leaves:
+                if report:
                     off = int(self.tile_off[i])
                     leaves = self.tile_leaf_ids[off : off + int(self.tile_len[i])]
                 sels.append(
@@ -321,16 +313,17 @@ class Hat:
         qlo: int,
         los: np.ndarray,
         his: np.ndarray,
-        collect: "bool | Collection[int]",
+        report: np.ndarray,
     ) -> Tuple[RecordBatch, RecordBatch, np.ndarray]:
         """Search step 1 for a whole query slice at once.
 
         ``los``/``his`` are the slice's int64 ``(nq, d)`` rank bounds
-        (queries ``qlo .. qlo + nq - 1``), read in place.  Returns
+        (queries ``qlo .. qlo + nq - 1``), read in place, and ``report``
+        its bool ``(nq,)`` slice of the pass's report mask.  Returns
         ``(selections, routing, visits)``: a
         ``dist.hat_selection_cols`` batch of the dimension-``d``
-        selections (leaf tilings materialized only for queries in
-        ``collect``; ``agg`` a :class:`KernelColumn` when the hat is
+        selections (leaf tilings materialized only where ``report`` is
+        set; ``agg`` a :class:`KernelColumn` when the hat is
         kernel-backed, an object column otherwise), a
         ``dist.search.routing`` batch of the surviving subqueries
         (byte-identical to the per-record pack), and the per-query
@@ -343,17 +336,16 @@ class Hat:
         """
         if not len(los):
             return self.idle
-        return self._walk_rows(qlo, los, his, collect)
+        return self._walk_rows(qlo, los, his, report)
 
     def _walk_rows(
         self,
         qlo: int,
         los: np.ndarray,
         his: np.ndarray,
-        collect: "bool | Collection[int]",
+        report: np.ndarray,
     ) -> Tuple[RecordBatch, RecordBatch, np.ndarray]:
         nq = len(los)
-        cmask = flag_mask(collect, qlo + np.arange(nq, dtype=np.int64))
         visits = np.zeros(nq, dtype=np.int64)
 
         # frontier: parallel (query, node) arrays; roots of non-empty boxes
@@ -398,7 +390,7 @@ class Hat:
         uq, un = uq[order], un[order]
 
         # selections: tilings gathered as flat slices of the tree blocks
-        lens = np.where(cmask[sq], self.tile_len[sn], 0) if len(sq) else np.empty(0, np.int64)
+        lens = np.where(report[sq], self.tile_len[sn], 0) if len(sq) else np.empty(0, np.int64)
         offsets = np.zeros(len(sq) + 1, dtype=np.int64)
         np.cumsum(lens, out=offsets[1:])
         total = int(offsets[-1])

@@ -101,10 +101,10 @@ class HatSelectionRecord:
     """A dimension-``d`` hat node selected for query ``qid`` (Search step 1).
 
     ``agg`` is the precomputed ``f(v)`` of the node (``None`` when the
-    caller only needs leaf counts).  When the walk runs with
-    ``collect_leaves=True``, ``forest_ids``/``locations`` name the forest
-    elements tiling the node's leaves so report mode can expand the
-    selection into point ids (Theorem 5).
+    caller only needs leaf counts).  For a reporting query,
+    ``forest_ids``/``locations`` name the forest elements tiling the
+    node's leaves so the pass can expand the selection into point ids
+    (Theorem 5).
     """
 
     qid: int
@@ -134,17 +134,14 @@ class Subquery:
 
 @dataclass(frozen=True, slots=True)
 class ForestSelection:
-    """A dimension-``d`` node selected inside a forest element (Search step 5)."""
+    """A dimension-``d`` node selected inside a forest element (Search
+    step 5); a reporting query's points leave the step beside it, as
+    ``dist.report_pair`` rows."""
 
     qid: int
     forest_id: Path
     nleaves: int
     agg: Any
-    pid_tuple: Tuple[int, ...] = ()
-
-    def pids(self) -> Tuple[int, ...]:
-        """Point ids below the selected node (may include negative sentinels)."""
-        return self.pid_tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -273,7 +270,6 @@ class ForestSelectionCodec(RecordCodec):
             "forest_id": _path_col([r.forest_id for r in records]),
             "nleaves": _int_col(r.nleaves for r in records),
             "agg": _obj_col([r.agg for r in records]),
-            "pid_tuple": Ragged.from_rows([r.pid_tuple for r in records]),
         }
 
     def unpack(self, cols, i):
@@ -282,7 +278,6 @@ class ForestSelectionCodec(RecordCodec):
             forest_id=unflatten_path(cols["forest_id"].row(i)),
             nleaves=int(cols["nleaves"][i]),
             agg=cols["agg"][i],
-            pid_tuple=tuple(int(x) for x in cols["pid_tuple"].row(i)),
         )
 
 
@@ -341,7 +336,7 @@ class RoutingCodec(RecordCodec):
 
 
 class ReportPairCodec(RecordCodec):
-    """In-pass expansion output: plain ``(qid, pid)`` pairs as two int columns."""
+    """Search step 5's report output: plain ``(qid, pid)`` pairs as two int columns."""
 
     name = "dist.report_pair"
     record_type = object  # the per-record view is a plain tuple

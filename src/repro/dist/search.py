@@ -33,10 +33,13 @@ number of h-relations:
 5. **Forest walk** (local): each holder resumes the canonical walk
    inside its (copies of) forest elements, emitting a
    ``dist.forest_selection`` batch (rows unpack to
-   :class:`~repro.dist.records.ForestSelection`).
+   :class:`~repro.dist.records.ForestSelection`) and, for the queries
+   the pass's ``report`` mask marks, the ``(qid, pid)`` pairs of a
+   ``dist.report_pair`` batch.
 
-The output modes of Theorems 4-5 (:mod:`repro.dist.modes`) then fold the
-selections per query.
+A query folds or it reports (Theorems 4-5): one bool mask over the batch
+says which, from the hat walk's tilings to step 5's pairs, and
+:mod:`repro.dist.modes` then folds the selections per query.
 
 SPMD residency: steps 1, 3 and 5 are registered phases
 (``dist.search.*``) reading the rank-resident ``{ns}:forest`` /
@@ -50,7 +53,7 @@ in-process backends, by pickle on the process backend.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Collection, List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
@@ -68,21 +71,10 @@ from ..errors import ProtocolError
 from ..geometry.box import RankBoxes, rank_bounds
 from .construct import forest_key, hat_key
 from .forest_compiled import batched_forest_selections
-from .hat import Hat, flag_mask
+from .hat import Hat
 from .records import RoutingCodec, unflatten_path
 
 __all__ = ["SearchOutput", "run_search"]
-
-
-def _normalize_flag(flag: "bool | Collection[int]") -> "bool | frozenset":
-    """Normalize a per-batch bool / per-query id collection once per phase.
-
-    Callers may pass any collection (list, set, range, dict keys); the
-    phases turn it into a qid mask once (:func:`repro.dist.hat.flag_mask`).
-    """
-    if isinstance(flag, bool):
-        return flag
-    return flag if isinstance(flag, frozenset) else frozenset(flag)
 
 
 def _holders_key(ns: str) -> str:
@@ -113,43 +105,37 @@ class SearchOutput:
     copy_counts: List[int] = field(default_factory=list)
     subqueries_per_proc: List[int] = field(default_factory=list)
     total_subqueries: int = 0
-    #: ``(qid, pid)`` pairs produced by in-pass hat-selection expansion
-    #: (``expand_qids``), one ``dist.report_pair`` batch per rank.
+    #: The points of the queries the pass's ``report`` mask marks, one
+    #: ``dist.report_pair`` batch of ``(qid, pid)`` per rank: the points
+    #: under its forest selections, then those of the hat selections
+    #: expanded at the elements' owners.
     report_pairs: List[RecordBatch] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
 # routed subquery/expansion/selection traffic as batches
 # ---------------------------------------------------------------------------
-def _expand_routing_cols(
-    selections: RecordBatch, expand: frozenset, d: int
-) -> "RecordBatch | None":
+def _expand_routing_cols(selections: RecordBatch, d: int) -> "RecordBatch | None":
     """Expansion requests for a packed selection batch (Search step 4).
 
     One :class:`~repro.dist.records.ExpandRequest` row per
-    ``(forest_id, location)`` tiling entry of every selection whose qid
-    is in ``expand``, in batch row order — selections that carried no
-    tiling (``collect_leaves`` off for that query) emit nothing.  The
-    forest ids come from the same heap arithmetic the selection codec
-    unpacks with, so no record objects are built.
+    ``(forest_id, location)`` tiling entry of every selection, in batch
+    row order — the walk tiles only reporting queries' selections, so
+    the others emit nothing.  The forest ids come from the same heap
+    arithmetic the selection codec unpacks with, so no record objects
+    are built.
     """
-    if not expand or not len(selections):
-        return None
-    sel_mask = flag_mask(expand, selections.col("qid"))
-    rows = np.nonzero(sel_mask)[0]
-    if not len(rows):
+    locs: Ragged = selections.col("locations")
+    if not len(locs.flat):
         return None
     qid_col = selections.col("qid")
     paths: Ragged = selections.col("path")
-    locs: Ragged = selections.col("locations")
     out_qid: List[int] = []
     out_loc: List[int] = []
     fid_rows: List[List[int]] = []
-    for i in rows:
+    for i in np.nonzero(locs.lengths)[0]:
         lrow = locs.row(i)
         w = len(lrow)
-        if not w:
-            continue
         prow = paths.row(i)
         h = w.bit_length() - 1
         base = int(prow[0]) << h
@@ -161,8 +147,6 @@ def _expand_routing_cols(
             fid_rows.append([base + k, lvl] + tid)
             out_loc.append(int(lrow[k]))
     n = len(out_qid)
-    if not n:
-        return None
     return RecordBatch(
         "dist.search.routing",
         {
@@ -195,31 +179,27 @@ def _phase_walk_cols(ctx: ProcContext, payload) -> tuple:
     Also resets the pass-local replica cache — stale copies from a
     previous batch must never serve this one.
     """
-    qlo, los, his, collect, ns = payload
+    qlo, los, his, report, ns = payload
     hat: Hat = ctx.state[hat_key(ns)]
     ctx.state[_holders_key(ns)] = {}
-    sels, routing, visits = hat.walk_batch(qlo, los, his, _normalize_flag(collect))
+    sels, routing, visits = hat.walk_batch(qlo, los, his, report)
     if len(visits):
         ctx.charge(int(visits.sum()))
     demand = np.bincount(np.asarray(routing.col("location")), minlength=ctx.p)
     return sels, routing, demand
 
 
-def _forest_output(qid, forest_id, nleaves, agg, pids, pair_qid, pair_pid) -> tuple:
-    """Step 5's result: the selection batch and the in-pass report pairs."""
+def _forest_output(qid, forest_id, nleaves, agg, pair_qid, pair_pid) -> tuple:
+    """Step 5's result: the selection batch and the report pairs — real
+    points only; power-of-two padding sentinels are dropped here."""
+    real = pair_pid >= 0
     return (
         RecordBatch(
             "dist.forest_selection",
-            {
-                "qid": qid,
-                "forest_id": forest_id,
-                "nleaves": nleaves,
-                "agg": agg,
-                "pid_tuple": pids,
-            },
+            {"qid": qid, "forest_id": forest_id, "nleaves": nleaves, "agg": agg},
             len(qid),
         ),
-        RecordBatch("dist.report_pair", {"qid": pair_qid, "pid": pair_pid}),
+        RecordBatch("dist.report_pair", {"qid": pair_qid[real], "pid": pair_pid[real]}),
     )
 
 
@@ -228,7 +208,7 @@ _NO_PATHS = Ragged.concat([])
 #: What a rank with an empty inbox returns from step 5 (an object ``agg``
 #: column, as for any inbox whose walks select nothing).
 _NO_FOREST_ROWS = _forest_output(
-    _NO_ROWS, _NO_PATHS, _NO_ROWS, np.empty(0, dtype=object), _NO_PATHS, _NO_ROWS, _NO_ROWS
+    _NO_ROWS, _NO_PATHS, _NO_ROWS, np.empty(0, dtype=object), _NO_ROWS, _NO_ROWS
 )
 
 
@@ -243,14 +223,16 @@ def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
     element's key blocks — then :func:`~repro.dist.forest_compiled.batched_forest_selections`
     packs every group's selections straight into the
     ``dist.forest_selection`` columns, restored to inbox-row order.
-    ``collect_pids`` (bool or qid set) limits pid materialization to the
-    queries whose output mode consumes point ids: fold-family selections
-    carry an empty ``pid_tuple``, saving the per-leaf gather for every
-    count/aggregate subquery.  Charged visit totals match a per-subquery
-    object-tree ``canonical`` loop exactly (``max(1, visits)`` per
-    subquery, ``nleaves`` per expand).
+    ``report`` (the pass's bool mask over query ids) limits pid
+    materialization to the queries whose output mode consumes point
+    ids, saving the per-leaf gather for every count/aggregate subquery:
+    the ``dist.report_pair`` batch holds the points under each reporting
+    selection, in selection order, then those of the expansion requests.
+    Charged visit totals match a per-subquery object-tree ``canonical``
+    loop exactly (``max(1, visits)`` per subquery, ``nleaves`` per
+    expand).
     """
-    inbox, ns, collect_pids = payload
+    inbox, ns, report = payload
     if not len(inbox):
         return _NO_FOREST_ROWS
     r = ctx.rank
@@ -263,14 +245,13 @@ def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
     his_m = np.asarray(inbox.col("his"))
     fid_col = inbox.col("forest_id")
     loc_col = inbox.col("location")
-    want_mask = flag_mask(_normalize_flag(collect_pids), qid_col)
 
     # One pass over the inbox: expansions run in place (row order), and
     # subquery rows bucket by target element — store resolution happens
     # at each element's first row, so a missing copy raises at the first
     # row that needs it.
-    pair_qids: List[np.ndarray] = []
-    pair_pids: List[np.ndarray] = []
+    exp_qids: List[np.ndarray] = []
+    exp_pids: List[np.ndarray] = []
     group_rows: dict = {}
     group_order: List[Tuple[Any, List[int]]] = []
     for i in range(len(inbox)):
@@ -280,11 +261,8 @@ def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
             el = forest[unflatten_path(fid_flat)]
             # rows ascend in the element's own dimension: the order
             # the hat-side expansion has always emitted
-            pids = el.pids[el.pids >= 0]
-            pair_qids.append(
-                np.full(len(pids), int(qid_col[i]), dtype=np.int64)
-            )
-            pair_pids.append(pids)
+            exp_qids.append(np.full(len(el.pids), qid_col[i]))
+            exp_pids.append(el.pids)
             ctx.charge(el.nleaves)
             continue
         location = int(loc_col[i])
@@ -302,11 +280,11 @@ def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
             group_order.append((store[fid], rows))
         rows.append(i)
 
-    sel_rows, nleaves, agg_col, pid_ragged = batched_forest_selections(
+    sel_rows, nleaves, agg_col, pair_rows, pair_pids = batched_forest_selections(
         [(el, np.asarray(rows, dtype=np.int64)) for el, rows in group_order],
         los_m,
         his_m,
-        want_mask,
+        report[qid_col],
         ctx.charge,
     )
     return _forest_output(
@@ -314,9 +292,8 @@ def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
         fid_col.take(sel_rows),
         nleaves,
         agg_col,
-        pid_ragged,
-        np.concatenate(pair_qids) if pair_qids else _NO_ROWS,
-        np.concatenate(pair_pids) if pair_pids else _NO_ROWS,
+        np.concatenate([qid_col[pair_rows], *exp_qids]),
+        np.concatenate([pair_pids, *exp_pids]),
     )
 
 
@@ -353,11 +330,9 @@ def run_search(
     hat: Hat,
     forest_store: Sequence[dict],
     rank_boxes: RankBoxes,
-    collect_leaves: "bool | Collection[int]" = False,
+    report: "np.ndarray | bool | None" = None,
     replication: str = "doubling",
-    expand_qids: "Collection[int] | None" = None,
     ns: str | None = None,
-    collect_pids: "bool | Collection[int]" = True,
 ) -> SearchOutput:
     """Execute Algorithm Search for a batch of rank-space queries.
 
@@ -366,24 +341,24 @@ def run_search(
     form the batch keeps down to the hat walk, sliced per rank as views
     — or a :class:`RankBox` sequence, stacked once on entry.
 
-    ``collect_leaves`` may be a bool (whole batch) or a set of query ids —
-    mixed-mode batches collect leaf tilings only for report-family
-    queries.  When ``expand_qids`` is given, hat selections of those
-    queries are additionally expanded into ``(qid, pid)`` pairs *inside*
-    the pass: the expansion requests ride the step-4 routing round to the
-    elements' owners and the owners expand them during the step-5 walk, so
+    ``report`` is a bool ``(m,)`` mask (or one bool for the whole batch;
+    ``None``: no query reports) — a query folds its selections or it
+    reports its points.  A marked query's hat selections carry their
+    leaf tilings and are expanded into ``(qid, pid)`` pairs *inside* the
+    pass: the expansion requests ride the step-4 routing round to the
+    elements' owners and the owners expand them during the step-5 walk,
+    which also emits the points under the query's forest selections, so
     report output costs no communication round beyond the pass itself
-    (``SearchOutput.report_pairs`` holds the results per rank).
+    (``SearchOutput.report_pairs`` holds the pairs per rank).  Unmarked
+    queries skip the tilings and the leaf gather.
 
     ``ns`` names the machine state namespace where Construct left the
     structure resident (:attr:`ConstructResult.ns`); when omitted,
     ``hat``/``forest_store`` are seeded into a fresh namespace first.
-    ``collect_pids`` restricts per-selection pid materialization to the
-    given query ids — the query engine passes its report-family set so
-    fold-family selections skip the leaf gather.
     """
     p = mach.p
-    expand = frozenset(expand_qids) if expand_qids else frozenset()
+    bounds = rank_bounds(rank_boxes)
+    report = np.broadcast_to(np.asarray(report, dtype=bool), (len(bounds[0]),))
 
     temp_ns = ns is None
     if temp_ns:
@@ -392,14 +367,7 @@ def run_search(
         mach.seed_state(forest_key(ns), list(forest_store))
     try:
         return _run_search_resident(
-            mach,
-            ns,
-            forest_store,
-            rank_bounds(rank_boxes),
-            collect_leaves,
-            replication,
-            expand,
-            collect_pids,
+            mach, ns, forest_store, bounds, report, replication
         )
     finally:
         if temp_ns:
@@ -415,10 +383,8 @@ def _run_search_resident(
     ns: str,
     forest_store: Sequence[dict],
     bounds: Tuple[np.ndarray, np.ndarray],
-    collect_leaves: "bool | Collection[int]",
+    report: np.ndarray,
     replication: str,
-    expand: frozenset,
-    collect_pids: "bool | Collection[int]" = True,
 ) -> SearchOutput:
     """The pass itself, against an already-resident structure."""
     p = mach.p
@@ -427,7 +393,6 @@ def _run_search_resident(
     chunk = -(-m // p) if m else 1
 
     # -- step 1: hat walk over each processor's query block ----------------
-    collect = _normalize_flag(collect_leaves)
     walked = mach.run_phase(
         "search:walk",
         "dist.search.walk_cols",
@@ -436,7 +401,7 @@ def _run_search_resident(
                 r * chunk,
                 los[r * chunk : (r + 1) * chunk],
                 his[r * chunk : (r + 1) * chunk],
-                collect,
+                report[r * chunk : (r + 1) * chunk],
                 ns,
             )
             for r in range(p)
@@ -482,7 +447,7 @@ def _run_search_resident(
     for r in range(p):
         subq_b = local_subqs[r]
         dest = dest_all[ends[r] - len(subq_b) : ends[r]]
-        exp_b = _expand_routing_cols(hat_selections[r], expand, d)
+        exp_b = _expand_routing_cols(hat_selections[r], d)
         if exp_b is not None:
             routed.append(RecordBatch.concat([subq_b, exp_b]))
             dests.append(
@@ -506,11 +471,10 @@ def _run_search_resident(
     ]
 
     # -- step 5: resume the canonical walk inside the forest ---------------
-    pid_spec = _normalize_flag(collect_pids)
     processed = mach.run_phase(
         "search:forest",
         "dist.search.forest_cols",
-        [(inboxes[r], ns, pid_spec) for r in range(p)],
+        [(inboxes[r], ns, report) for r in range(p)],
     )
     forest_selections = [o[0] for o in processed]
     report_pairs = [o[1] for o in processed]

@@ -22,6 +22,8 @@ from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ..cgm.loadbalance import REPLICATION_STRATEGIES
+from ..errors import ReproError
 from ..geometry.box import Box
 from ..semigroup import Semigroup
 
@@ -112,8 +114,9 @@ class QueryBatch:
     """An ordered batch of (possibly mixed-mode) queries.
 
     ``replication`` picks the Search step-3 strategy (``"doubling"`` or
-    ``"direct"``) for the whole batch; answers come back in query order
-    through a :class:`~repro.query.result.ResultSet`.
+    ``"direct"``) for the whole batch — checked here, before any pass
+    starts; answers come back in query order through a
+    :class:`~repro.query.result.ResultSet`.
     """
 
     queries: Sequence[Query]
@@ -127,6 +130,11 @@ class QueryBatch:
                     f"QueryBatch takes Query descriptors, got {type(q).__name__}; "
                     "wrap boxes with repro.query.count/report/aggregate"
                 )
+        if self.replication not in REPLICATION_STRATEGIES:
+            raise ReproError(
+                f"unknown replication strategy {self.replication!r}; "
+                f"expected one of {REPLICATION_STRATEGIES}"
+            )
 
     def __len__(self) -> int:
         return len(self.queries)

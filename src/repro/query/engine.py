@@ -4,7 +4,7 @@ This is the facade-over-engine split the public API is built on.  The
 engine turns a :class:`~repro.query.descriptors.QueryBatch` into:
 
 1. a **plan** — per-query :class:`~repro.query.modes.QuerySpec` demux
-   rules, the set of queries needing leaf collection/expansion, and the
+   rules, the mask of the queries that report rather than fold, and the
    annotation (semigroup) layers the pass requires;
 2. a lazy **annotation refit** when an aggregate-family query names a
    semigroup the tree is not currently annotated with — a
@@ -84,15 +84,15 @@ register_codec(PieceCodec())
 
 
 class _SelectionRow:
-    """Lazy row view of a forest-selection batch, for fold-family demux.
+    """Lazy row view of a hat- or forest-selection batch, for fold-family
+    demux.
 
-    ``forest_value`` callbacks read ``nleaves``/``agg`` (and nothing
-    else on the built-in modes); materializing a full dataclass record —
-    pid tuple, unflattened path — per fold piece would give back a big
-    slice of the columnar win.  The view is reused across rows within
-    one demux pass, so callbacks must not retain it (the built-ins fold
-    immediately; a custom mode that needs a real record can call
-    ``batch.record(i)``).
+    ``piece_value`` callbacks read ``nleaves``/``agg`` — what both
+    selection kinds carry; materializing a full dataclass record (the
+    unflattened path) per fold piece would give back a big slice of the
+    columnar win.  The view is reused across rows within one demux
+    pass, so callbacks must not retain it (the built-ins fold
+    immediately).
     """
 
     __slots__ = ("_cols", "i")
@@ -113,25 +113,6 @@ class _SelectionRow:
     def agg(self):
         return self._cols["agg"][self.i]
 
-    @property
-    def forest_id(self):
-        from ..dist.records import unflatten_path
-
-        return unflatten_path(self._cols["forest_id"].row(self.i))
-
-    @property
-    def path(self):
-        # hat-selection batches name their path column "path"
-        from ..dist.records import unflatten_path
-
-        return unflatten_path(self._cols["path"].row(self.i))
-
-    @property
-    def pid_tuple(self):
-        return tuple(int(x) for x in self._cols["pid_tuple"].row(self.i))
-
-    def pids(self):
-        return self.pid_tuple
 
 def _merge_runs(a: List[tuple], b: List[tuple]) -> List[tuple]:
     """Merge two qid-ordered run lists with disjoint qids (a query folds
@@ -187,9 +168,10 @@ MAX_ANNOTATION_LAYERS = 8
 class QueryPlan:
     """The resolved execution shape of one batch (inspectable, immutable).
 
-    ``specs[qid]`` is the demux rule for query ``qid``; ``leaf_qids``
-    are the queries that need hat-leaf collection and in-pass expansion
-    (report family); ``annotations`` lists the semigroups the pass folds
+    ``specs[qid]`` is the demux rule for query ``qid``; ``report`` is
+    the bool mask of the queries that report point ids instead of
+    folding (``spec.report_pids``, stored once for the pass and the
+    demux); ``annotations`` lists the semigroups the pass folds
     and ``refit_semigroup`` is the product the tree must be annotated
     with first (``None`` when the current annotation already covers it).
     """
@@ -198,14 +180,14 @@ class QueryPlan:
         self,
         batch: QueryBatch,
         specs: List[QuerySpec],
-        leaf_qids: frozenset,
+        report: np.ndarray,
         annotations: List[Semigroup],
         refit_semigroup: Semigroup | None,
         annotation_token: Any = None,
     ) -> None:
         self.batch = batch
         self.specs = specs
-        self.leaf_qids = leaf_qids
+        self.report = report
         self.annotations = annotations
         self.refit_semigroup = refit_semigroup
         #: The tree annotation (by identity) this plan was computed
@@ -227,7 +209,7 @@ class QueryPlan:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"QueryPlan(m={len(self.specs)}, modes={self.mode_counts()}, "
-            f"leaf_qids={len(self.leaf_qids)}, refit={self.needs_refit})"
+            f"report={int(self.report.sum())}, refit={self.needs_refit})"
         )
 
 
@@ -256,7 +238,6 @@ class QueryEngine:
 
         needed: Dict[str, Semigroup] = {}
         mode_of: List[Tuple[Query, Any, Semigroup | None]] = []
-        leaf_qids = set()
         for qid, query in enumerate(batch):
             if query.box.dim != tree.dim:
                 raise DimensionMismatch(tree.dim, query.box.dim, f"query {qid} box")
@@ -266,8 +247,6 @@ class QueryEngine:
             if sg is not None and sg.name not in needed:
                 needed[sg.name] = sg
             mode_of.append((query, mode, sg))
-            if mode.needs_leaves:
-                leaf_qids.add(qid)
 
         missing = [sg for name, sg in needed.items() if name not in current_names]
         refit: Semigroup | None = None
@@ -307,7 +286,7 @@ class QueryEngine:
         return QueryPlan(
             batch,
             specs,
-            frozenset(leaf_qids),
+            np.fromiter((s.report_pids for s in specs), dtype=bool, count=len(specs)),
             final,
             refit,
             annotation_token=tree.semigroup,
@@ -372,11 +351,9 @@ class QueryEngine:
             tree.hat,
             tree.forest_store,
             tree.ranked.to_rank_bounds(*batch.bounds),
-            collect_leaves=plan.leaf_qids,
+            report=plan.report,
             replication=batch.replication,
-            expand_qids=plan.leaf_qids,
             ns=tree._ensure_resident(),
-            collect_pids=plan.leaf_qids,
         )
 
         answers = self._demux(plan, out)
@@ -457,7 +434,7 @@ class QueryEngine:
         kind_index: Dict[tuple, int] = {}
         gid = np.full(len(specs), -1, dtype=np.int64)
         for i, spec in enumerate(specs):
-            if spec.report_pids or spec.forest_value is None:
+            if spec.report_pids:
                 continue
             if spec.mode.__class__ is CountMode:
                 entry = ("count", kernel_for(COUNT), 0)
@@ -522,9 +499,8 @@ class QueryEngine:
     ) -> Tuple[dict, List[list], List[list]]:
         """Piece extraction + shared sort: one ``query.piece`` batch per rank.
 
-        Report-family pieces never touch Python loops: forest-selection
-        pid tuples explode via ``np.repeat`` over the ragged column, the
-        in-pass expansion pairs append their columns verbatim, and the
+        Report-family pieces never touch Python loops: the pass's
+        ``(qid, pid)`` pairs append their columns verbatim, and the
         shared sort is the columnar sample sort keyed on ``qid``.  With
         a kernel fold plan, kernel-eligible fold pieces never touch
         Python either — their values fill a shared float64 ``kval``
@@ -547,63 +523,33 @@ class QueryEngine:
         mach = self.tree.machine
         specs = plan.specs
         p = mach.p
-        n_specs = len(specs)
-        is_report = np.fromiter(
-            (s.report_pids for s in specs), dtype=bool, count=n_specs
-        )
+        is_report = plan.report
         W = kplan.width if kplan is not None else 0
 
-        def part(qids, pids, vals, kvals=None) -> "tuple | None":
-            n = len(qids)
-            if n == 0:
-                return None
-            qid_col = np.asarray(qids, dtype=np.int64)
-            pid_col = (
-                np.asarray(pids, dtype=np.int64)
-                if pids is not None
-                else np.full(n, -1, dtype=np.int64)
-            )
-            if isinstance(vals, np.ndarray):
-                val_col = vals
-            else:
-                val_col = np.empty(n, dtype=object)
-                if vals is not None:
-                    for i, v in enumerate(vals):
-                        val_col[i] = v
-            if not W:
-                return (qid_col, pid_col, val_col)
-            if kvals is None:
-                kvals = np.zeros((n, W), dtype=np.float64)
-            return (qid_col, pid_col, val_col, kvals)
+        def fold_rows(qid, val, kval) -> tuple:
+            """Piece columns of fold rows: no pid, a value per row."""
+            cols = (qid, np.full(len(qid), -1, dtype=np.int64), val)
+            return cols + (kval,) if W else cols
 
-        # per query: the callback that reads a fold piece off a hat / a
-        # forest selection, and which queries take one
-        hat_values = [s.hat_value for s in specs]
-        forest_values = [s.forest_value for s in specs]
-        from_hat = np.fromiter(
-            (v is not None for v in hat_values), dtype=bool, count=n_specs
-        )
-        from_forest = ~is_report & np.fromiter(
-            (v is not None for v in forest_values), dtype=bool, count=n_specs
-        )
+        def pair_rows(pairs: RecordBatch) -> tuple:
+            """Piece columns of ``(qid, pid)`` pairs: no value."""
+            n = len(pairs)
+            cols = (pairs.col("qid"), pairs.col("pid"), np.empty(n, dtype=object))
+            return cols + (np.zeros((n, W), dtype=np.float64),) if W else cols
 
-        def fold_part(
-            batch: RecordBatch, wanted: np.ndarray, values: list
-        ) -> "tuple | None":
+        def fold_part(batch: RecordBatch) -> "tuple | None":
             """Fold pieces straight from a selection batch's columns.
 
-            Hat and forest batches alike: ``wanted[qid]`` flags the
-            queries this selection kind feeds.  Kernel-eligible queries
-            gather their piece rows from the batch's typed
-            ``nleaves``/``agg`` columns (one fancy index per fold kind);
-            only object-fold specs call their callback in ``values``
-            (``hat_value``/``forest_value``) per row, through the shared
-            lazy row view.
+            Hat and forest batches alike, for every query that folds.
+            Kernel-eligible queries gather their piece rows from the
+            batch's typed ``nleaves``/``agg`` columns (one fancy index
+            per fold kind); only object-fold specs call their
+            ``piece_value`` per row, through the shared lazy row view.
             """
             if not len(batch):
                 return None
             qid = np.asarray(batch.col("qid"))
-            idx = np.nonzero(wanted[qid])[0]
+            idx = np.nonzero(~is_report[qid])[0]
             if not len(idx):
                 return None
             q_col = qid[idx]
@@ -619,7 +565,7 @@ class QueryEngine:
             for at in np.nonzero(gid < 0)[0]:
                 q = int(q_col[at])
                 row.i = int(idx[at])
-                val[at] = (q, values[q](row))
+                val[at] = (q, specs[q].piece_value(row))
             if kplan is not None:
                 nlv = np.asarray(batch.col("nleaves"))
                 agg_col = batch.cols["agg"]
@@ -639,7 +585,7 @@ class QueryEngine:
                         kval[pos, : kern.width] = agg_col.component_rows(
                             rows_idx, off, kern.width
                         )
-            return part(q_col, None, val, kval)
+            return fold_rows(q_col, val, kval)
 
         no_cols = {
             "qid": np.empty(0, dtype=np.int64),
@@ -652,24 +598,12 @@ class QueryEngine:
 
         batches: List[RecordBatch] = []
         for r in range(p):
-            fb = out.forest_selections[r]
             parts = [
-                fold_part(out.hat_selections[r], from_hat, hat_values),
-                fold_part(fb, from_forest, forest_values),
+                fold_part(out.hat_selections[r]),
+                fold_part(out.forest_selections[r]),
             ]
-            if len(fb):
-                fqid = np.asarray(fb.col("qid"))
-                rep = is_report[fqid]
-                ridx = np.nonzero(rep)[0]
-                if len(ridx):
-                    pt = fb.col("pid_tuple").take(ridx)
-                    flat = pt.flat
-                    rq = np.repeat(fqid[ridx], pt.lengths)
-                    keep = flat >= 0
-                    parts.append(part(rq[keep], flat[keep], None))
-            pb = out.report_pairs[r]
-            if len(pb):
-                parts.append(part(pb.col("qid"), pb.col("pid"), None))
+            if len(out.report_pairs[r]):
+                parts.append(pair_rows(out.report_pairs[r]))
             parts = [x for x in parts if x is not None]
             if not parts:
                 batches.append(no_pieces)

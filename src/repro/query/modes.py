@@ -49,12 +49,13 @@ __all__ = [
 class QuerySpec:
     """Everything the engine needs to demultiplex one query's answer.
 
-    ``hat_value``/``forest_value`` extract a fold piece from a selection
-    record (``None`` means the selection kind contributes no fold piece);
-    ``report_pids`` switches the query to per-point-id pieces (forest
-    selections and in-pass expansion pairs).  ``combine``/``default``
-    drive the shared segmented fold; ``finalize`` maps the folded value
-    to the user-visible answer.
+    A query folds or it reports: ``piece_value`` reads a fold piece off
+    a selection row (hat and forest selections alike — ``nleaves`` and
+    ``agg`` are what both carry); ``report_pids`` instead marks the
+    query in the pass's report mask, and its pieces are the ``(qid,
+    pid)`` pairs Algorithm Search emits.  ``combine``/``default`` drive
+    the shared segmented fold; ``finalize`` maps the folded value to the
+    user-visible answer.
     """
 
     qid: int
@@ -63,8 +64,7 @@ class QuerySpec:
     combine: Callable[[Any, Any], Any]
     default: Any
     finalize: Callable[[Any], Any]
-    hat_value: Callable[[Any], Any] | None = None
-    forest_value: Callable[[Any], Any] | None = None
+    piece_value: Callable[[Any], Any] | None = None
     report_pids: bool = False
     #: The semigroup this query folds (``None`` when the mode needs no
     #: annotation, e.g. count).  Lets the engine resolve a columnar
@@ -76,15 +76,13 @@ class QuerySpec:
 class OutputMode:
     """Base class for output modes; subclass and :func:`register_mode`.
 
-    ``needs_leaves`` marks report-family modes: their queries walk the
-    hat with leaf collection on and their hat selections are expanded to
-    point ids inside the search pass.  ``required_semigroup`` names the
-    annotation the mode folds (fold family); a non-build semigroup makes
-    the engine refit the tree's annotations lazily before the pass.
+    ``required_semigroup`` names the annotation the mode folds (fold
+    family); a non-build semigroup makes the engine refit the tree's
+    annotations lazily before the pass.  A report-family mode says so
+    in the spec it builds (``report_pids``).
     """
 
     name: str = ""
-    needs_leaves: bool = False
 
     def validate(self, query: Query, dim: int) -> None:
         """Reject malformed queries early (box/dimension checks are global)."""
@@ -119,8 +117,7 @@ class CountMode(OutputMode):
             combine=lambda a, b: a + b,
             default=0,
             finalize=lambda v: v,
-            hat_value=lambda h: h.nleaves,
-            forest_value=lambda f: f.nleaves,
+            piece_value=lambda sel: sel.nleaves,
         )
 
 
@@ -140,8 +137,7 @@ class AggregateMode(OutputMode):
             combine=semigroup.combine,
             default=semigroup.identity,
             finalize=lambda v: v,
-            hat_value=lambda h: extract(h.agg),
-            forest_value=lambda f: extract(f.agg),
+            piece_value=lambda sel: extract(sel.agg),
             semigroup=semigroup,
         )
 
@@ -150,7 +146,6 @@ class ReportMode(OutputMode):
     """Theorem 5: the matching point ids, globally sorted per query."""
 
     name = "report"
-    needs_leaves = True
 
     def validate(self, query, dim):
         limit = query.option("limit")

@@ -61,9 +61,10 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, List
+from typing import Any, Callable, Deque, List
 
 from ..cgm.metrics import LatencyStats
 from ..errors import DeadlineExceeded, Overloaded, QueryFailed, ServeError
@@ -75,6 +76,10 @@ __all__ = ["FlushPolicy", "ServeResponse", "ServeMetrics", "QueryService"]
 #: Backstop admission cap: even a service nobody configured sheds rather
 #: than queueing without bound (satellite of the fault-tolerance layer).
 DEFAULT_MAX_INFLIGHT = 8192
+
+#: How many executed batches ``ServeMetrics.batch_log`` remembers: a
+#: daemon's memory must not grow with its uptime.
+BATCH_LOG_LEN = 128
 
 #: Sentinel that travels the request and executor queues on shutdown.
 _CLOSE = object()
@@ -130,9 +135,10 @@ class ServeMetrics:
     (the shared estimator); ``flushes`` counts every window close by
     cause (``size`` / ``timer`` / ``drain``) including windows that
     turned out empty after cancellations, while ``batches`` counts only
-    executed ones.  ``batch_log`` keeps one entry per executed batch
-    (cause, size, flush/exec timestamps on the loop clock) — the
-    pipeline-overlap observable the tests assert on.
+    executed ones.  ``batch_log`` keeps one entry per executed batch,
+    the last :data:`BATCH_LOG_LEN` of them (cause, size, flush/exec
+    timestamps on the loop clock) — the pipeline-overlap observable the
+    tests assert on.
     """
 
     def __init__(self) -> None:
@@ -141,6 +147,7 @@ class ServeMetrics:
         self.total_latency = LatencyStats("total")
         self.queries = 0
         self.batches = 0
+        self.batched_queries = 0
         self.cancelled = 0
         self.errors = 0
         self.shed = 0
@@ -149,7 +156,7 @@ class ServeMetrics:
         self.bisect_passes = 0
         self.peak_inflight = 0
         self.flushes = {"size": 0, "timer": 0, "drain": 0}
-        self.batch_log: List[dict] = []
+        self.batch_log: Deque[dict] = deque(maxlen=BATCH_LOG_LEN)
 
     def record_query(self, queue_ms: float, exec_ms: float) -> None:
         self.queries += 1
@@ -157,15 +164,18 @@ class ServeMetrics:
         self.exec_latency.record(exec_ms)
         self.total_latency.record(queue_ms + exec_ms)
 
+    def record_batch(self, log: dict) -> None:
+        self.batches += 1
+        self.batched_queries += log["size"]
+        self.batch_log.append(log)
+
     def note_inflight(self, depth: int) -> None:
         if depth > self.peak_inflight:
             self.peak_inflight = depth
 
     @property
     def mean_batch_size(self) -> float:
-        if not self.batch_log:
-            return 0.0
-        return sum(b["size"] for b in self.batch_log) / len(self.batch_log)
+        return self.batched_queries / self.batches if self.batches else 0.0
 
     def summary(self) -> dict:
         """Flat dict for the CLI / loadgen reports (JSON-safe)."""
@@ -480,21 +490,30 @@ class QueryService:
                         ServeError(f"batch planning failed: {exc}")
                     )
             return
-        self.metrics.batches += 1
-        self.metrics.batch_log.append(log)
+        self.metrics.record_batch(log)
         await self._exec_queue.put(_PlannedBatch(live, batch, plan, seq, log))
 
     # ------------------------------------------------------------------
     # stage 2: the executor (one engine pass at a time) + demux
     # ------------------------------------------------------------------
+    def _one_pass(self, run: Callable, arg):
+        """One pass on the worker thread, its steps then dropped from the
+        machine's trace: the ``ResultSet`` carries its own copy, nothing
+        here reads the machine's, and a daemon's must not grow with
+        uptime."""
+        try:
+            return run(arg)
+        finally:
+            self.tree.machine.metrics.reset()
+
     def _run_batch(self, item: _PlannedBatch):
         """The worker-thread body: one shared engine pass for the batch."""
         from ..faults import maybe_inject
 
         maybe_inject("serve.execute")
         if item.plan is not None:
-            return self.tree.engine.execute(item.plan)
-        return self.tree.run(item.batch)
+            return self._one_pass(self.tree.engine.execute, item.plan)
+        return self._one_pass(self.tree.run, item.batch)
 
     def _bisect_batch(self, requests: List[_Request]):
         """Worker-thread body: isolate poisoned queries in a failed batch.
@@ -506,7 +525,9 @@ class QueryService:
         Returns ``[(request, ("ok", value) | ("err", exc)), ...]``.
         """
         try:
-            rs = self.tree.run(QueryBatch([r.query for r in requests]))
+            rs = self._one_pass(
+                self.tree.run, QueryBatch([r.query for r in requests])
+            )
         except Exception as exc:
             if len(requests) == 1:
                 return [(requests[0], ("err", exc))]

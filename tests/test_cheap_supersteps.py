@@ -32,7 +32,7 @@ from repro.geometry.box import Box, RankBox, rank_bounds
 from repro.query import aggregate, count, report
 from repro.semigroup import sum_of_dim
 from repro.semigroup.kernels import KernelColumn
-from repro.seq import bf_count
+from repro.seq import bf_count, bf_report
 from repro.workloads import make_points
 
 from tests.helpers import reference_tree, unkernelized
@@ -214,6 +214,48 @@ def test_replication_rounds_charge_the_parents_numbers(backend, p, strategy):
         assert replication_rounds(tree) == PARENT_REPLICATION[(p, strategy)]
 
 
+#: A Search pass over make_points("uniform", 256, 2, seed=42) at p=4 for
+#: six HOT, three BOX and three full-range boxes of which every query but
+#: each third reports — measured at 8c0069c, where that fact went into
+#: ``run_search`` as the same qid set under three flags: the charged ops
+#: of every dispatch, and every round's h-relation.
+PARENT_MASKED_OPS = [
+    ("search:walk", (15, 15, 21, 6)),
+    ("search:replicate:pack-0", (0, 0, 0, 0)),
+    ("search:replicate:unpack-0", (0, 0, 0, 0)),
+    ("search:forest", (134, 159, 307, 128)),
+]
+PARENT_MASKED_ROUNDS = [
+    ("search:demands", (4, 4, 4, 4), (4, 4, 4, 4)),
+    ("search:replicate:double-0", (640, 640, 0, 0), (0, 640, 640, 0)),
+    ("search:replicate:double-1", (0, 0, 0, 0), (0, 0, 0, 0)),
+    ("search:route-subqueries", (6, 6, 6, 8), (5, 10, 9, 2)),
+]
+
+
+@pytest.mark.parametrize("backend", ["serial", "process"])
+def test_a_masked_pass_charges_the_parents_numbers(backend):
+    pts = make_points("uniform", 256, 2, seed=42)
+    boxes = [HOT] * 6 + [BOX] * 3 + [Box.full(2, -1.0, 2.0)] * 3
+    mask = np.arange(len(boxes)) % 3 != 0
+    with DistributedRangeTree.build(pts, p=4, backend=backend) as tree:
+        snap = tree.metrics.mark()
+        out = tree.search(boxes, report=mask)
+        m = tree.metrics.since(snap)
+    assert [(s.label, tuple(s.ops)) for s in m.compute_steps()] == PARENT_MASKED_OPS
+    assert _comm(m) == PARENT_MASKED_ROUNDS
+    # replication, hat selections and expansion requests all occurred
+    assert out.copy_counts == [2, 2, 1, 1]
+    assert sum(len(b) for b in out.hat_selections) == 3
+    reported = [[] for _ in boxes]
+    for batch in out.report_pairs:
+        for qid, pid in batch:
+            reported[qid].append(pid)
+    assert [sorted(ids) for ids in reported] == [
+        bf_report(pts, box) if on else [] for box, on in zip(boxes, mask)
+    ]
+
+
 def test_the_stored_record_count_is_the_tree_walk_and_survives_a_pickle():
     pts = make_points("uniform", 64, 3, seed=3)
     with DistributedRangeTree.build(pts, p=4) as tree:
@@ -276,8 +318,8 @@ def test_zero_row_walk_and_forest_match_the_general_path(kernelised):
     nothing = RankBox((5, 5), (4, 9))  # empty in dimension 0: selects nothing
     with DistributedRangeTree.build(pts, p=4, semigroup=sg) as tree:
         hat = tree.hat
-        idle = hat.walk_batch(3, *rank_bounds([]), frozenset({3}))
-        general = hat.walk_batch(3, *rank_bounds([nothing]), frozenset({3}))
+        idle = hat.walk_batch(3, *rank_bounds([]), np.ones(0, dtype=bool))
+        general = hat.walk_batch(3, *rank_bounds([nothing]), np.ones(1, dtype=bool))
         assert isinstance(idle[0].col("agg"), KernelColumn) == kernelised
         assert _schema(idle[0]) == _schema(general[0])
         assert _schema(idle[1]) == _schema(general[1])
@@ -287,7 +329,7 @@ def test_zero_row_walk_and_forest_match_the_general_path(kernelised):
         ns = tree._ensure_resident()
         mach = tree.machine
         _sels, routing, _visits = hat.walk_batch(
-            0, *tree.ranked.to_rank_bounds(*Box.stack([BOX])), False
+            0, *tree.ranked.to_rank_bounds(*Box.stack([BOX])), np.zeros(1, dtype=bool)
         )
         assert len(routing)
         one = routing.take(np.array([0]))
@@ -299,7 +341,7 @@ def test_zero_row_walk_and_forest_match_the_general_path(kernelised):
             ctx = ProcContext(
                 rank=owner, p=mach.p, state=mach.backend.states(mach.p)[owner]
             )
-            return forest_cols(ctx, (inbox, ns, False)), ctx.ops
+            return forest_cols(ctx, (inbox, ns, np.zeros(1, dtype=bool))), ctx.ops
 
         (idle_sel, idle_pairs), idle_ops = step5(routing.take(np.array([], int)))
         (gen_sel, gen_pairs), gen_ops = step5(missing)

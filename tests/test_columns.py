@@ -110,9 +110,6 @@ def selection_strategy():
         forest_id=path_strategy(1, 3),
         nleaves=st.integers(0, 1 << 12),
         agg=value_strategy(),
-        pid_tuple=st.lists(
-            st.integers(-(1 << 16), 1 << 16), max_size=6
-        ).map(tuple),
     )
 
 
@@ -346,7 +343,6 @@ class TestColumnarSortEquivalence:
                 forest_id=((1, 0),),
                 nleaves=q % 7,
                 agg=None,
-                pid_tuple=tuple(range(q % 7)),
             )
             for q in range(37)
         ]

@@ -24,9 +24,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cgm.columns import RecordBatch
+from repro.cgm.phases import ProcContext, get_phase
 from repro.dist import DistributedRangeTree
 from repro.dist.forest import build_forest_element
-from repro.geometry.box import rank_bounds
+from repro.dist.records import ExpandRequest, Subquery
+from repro.dist.search import _expand_routing_cols
+from repro.geometry import Box
+from repro.geometry.box import RankBox, rank_bounds
 from repro.query import QueryBatch, aggregate
 from repro.semigroup import (
     COUNT,
@@ -49,6 +54,7 @@ from tests.test_compiled_hat import (
     _mixed_batch,
     _rank_boxes,
     reference_search,
+    search_pairs,
 )
 
 TOPOLOGY = ("keys", "row_block")
@@ -300,23 +306,72 @@ class TestSearchOutputParity:
         boxes += [boxes[0]] * 12
         with DistributedRangeTree.build(pts, p=4) as tree:
             tree.reset_metrics()
-            out = tree.search(boxes, collect_leaves=True)
+            out = tree.search(boxes, report=True)
             forest_ops = next(
                 s.ops for s in tree.metrics.steps if s.label == "search:forest"
             )
-            _hat, forest_sels, demands, _walk, ref_forest_ops = reference_search(
-                tree, boxes, collect_leaves=True
+            _hat, forest_sels, pairs, demands, _walk, ref_forest_ops = (
+                reference_search(tree, boxes, report=True)
             )
         assert (
             sorted((f for per in out.forest_selections for f in per), key=repr)
             == forest_sels
         )
+        assert search_pairs(out) == pairs
         assert out.demands == demands
         assert sum(forest_ops) == ref_forest_ops
         assert max(out.copy_counts) > 1
         # step 4's guarantee: nobody serves more than ~|Q'|/p subqueries
         cap = -(-out.total_subqueries // tree.p)
         assert max(out.subqueries_per_proc) <= 2 * cap
+
+    def test_forest_phase_emits_the_pair_sequence(self):
+        """Step 5 at one rank, driven directly: the pairs are the real
+        points under each reporting query's selections, in selection
+        order, then the expansion requests' elements in request order —
+        padding sentinels dropped, non-reporting queries absent."""
+        pts = uniform_points(48, 2, seed=26)  # pads to 64: sentinel pids
+        boxes = random_boxes(np.random.default_rng(27), 10, 2)
+        report = np.arange(len(boxes) + 2) % 2 == 1
+        report[-2:] = True
+        with DistributedRangeTree.build(pts, p=4) as tree:
+            ns, mach = tree._ensure_resident(), tree.machine
+            los, his = tree.ranked.to_rank_bounds(*Box.stack(boxes))
+            # two rank-space rows no real box maps to: all of rank space
+            # (the hat's root, 4 expansions, sentinels included) and its
+            # upper three quarters (selections inside the padded element)
+            los = np.vstack([los, [[0, 0], [16, 16]]])
+            his = np.vstack([his, [[63, 63], [63, 63]]])
+            sels, routing, _visits = tree.hat.walk_batch(0, los, his, report)
+            expansions = _expand_routing_cols(sels, 2)
+            assert len(expansions) >= 4
+            inbox = RecordBatch.concat([routing, expansions])
+            owners = np.asarray(inbox.col("location"))
+            dropped = 0
+            for owner in range(tree.p):
+                mine = inbox.take(np.nonzero(owners == owner)[0])
+                raw = []
+                for rec in mine:
+                    if isinstance(rec, Subquery) and report[rec.qid]:
+                        el = tree.forest_store[owner][rec.forest_id]
+                        for sel in reference_tree(el).canonical(
+                            RankBox(rec.los, rec.his), stats=WalkStats()
+                        ):
+                            raw += [(rec.qid, pid) for pid in el.pids[sel.rows()].tolist()]
+                for rec in mine:
+                    if isinstance(rec, ExpandRequest):
+                        el = tree.forest_store[owner][rec.forest_id]
+                        raw += [(rec.qid, pid) for pid in el.pids.tolist()]
+                ctx = ProcContext(
+                    rank=owner, p=tree.p, state=mach.backend.states(tree.p)[owner]
+                )
+                sel_b, pair_b = get_phase("dist.search.forest_cols")(
+                    ctx, (mine, ns, report)
+                )
+                assert set(sel_b.cols) == {"qid", "forest_id", "nleaves", "agg"}
+                assert list(pair_b) == [pair for pair in raw if pair[1] >= 0]
+                dropped += sum(1 for _q, pid in raw if pid < 0)
+            assert dropped, "workload too small: no sentinel reached a pair"
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_engine_parity_across_planes_per_backend(self, backend):

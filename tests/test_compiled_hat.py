@@ -65,8 +65,8 @@ def _mixed_batch(boxes) -> QueryBatch:
 
 class TestWalkBatchBitIdentity:
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("collect", [False, True, "some"])
-    def test_matches_object_walk(self, d, collect):
+    @pytest.mark.parametrize("report", [False, True, "some"])
+    def test_matches_object_walk(self, d, report):
         # 48 points pad to n=64 with sentinel pids in the forest
         pts = uniform_points(48, d, seed=10 + d)
         with DistributedRangeTree.build(pts, p=4) as tree:
@@ -74,24 +74,21 @@ class TestWalkBatchBitIdentity:
             rng = np.random.default_rng(20 + d)
             boxes = _rank_boxes(rng, 30, d, hat.n)
             qlo = 5
-            cflag = (
-                frozenset(qlo + i for i in range(0, 30, 3))
-                if collect == "some"
-                else collect
-            )
+            # the slice's mask is indexed by position, not by query id
+            mask = np.full(30, report is True)
+            if report == "some":
+                mask[::3] = True
             exp_sels, exp_subqs, charges = [], [], []
             for i, box in enumerate(boxes):
-                qid = qlo + i
                 got: list[int] = []
-                want = cflag if isinstance(cflag, bool) else qid in cflag
                 s, q = hat.walk(
-                    qid, box, collect_leaves=want, charge=got.append
+                    qlo + i, box, report=bool(mask[i]), charge=got.append
                 )
                 exp_sels.extend(s)
                 exp_subqs.extend(q)
                 charges.append(sum(got))
             sel_b, routing_b, visits = hat.walk_batch(
-                qlo, *rank_bounds(boxes), cflag
+                qlo, *rank_bounds(boxes), mask
             )
             # records: same selections and subqueries, same order
             assert list(sel_b) == exp_sels
@@ -115,39 +112,44 @@ class TestWalkBatchBitIdentity:
         pts = uniform_points(32, 2, seed=9)
         with DistributedRangeTree.build(pts, p=4) as tree:
             sel_b, routing_b, visits = tree.hat.walk_batch(
-                0, *rank_bounds([]), False
+                0, *rank_bounds([]), np.zeros(0, dtype=bool)
             )
             assert len(sel_b) == 0 and len(routing_b) == 0
             assert len(visits) == 0
 
 
-def reference_search(tree, boxes, collect_leaves: bool):
+def reference_search(tree, boxes, report):
     """Algorithm Search from the per-record reference walks alone.
 
     ``Hat.walk`` per query over each rank's block, then the object
     tree's ``canonical`` (:func:`tests.helpers.reference_tree`) per
-    surviving subquery at its owner — the record-at-a-time definition
-    the batched phases must reproduce.
-    Forest selections are returned as one sorted list: which *copy* of
-    an element serves a subquery is a load-balancing decision, not part
-    of the answer.
+    surviving subquery at its owner, then one expansion per tiling entry
+    of a reporting query's hat selections — the record-at-a-time
+    definition the batched phases must reproduce.  ``report`` is the
+    pass's mask (or one bool); the ``(qid, pid)`` pairs are the real
+    points under each reporting query's forest selections, in selection
+    order, then those of the expanded elements.
+    Forest selections and pairs are returned as sorted lists: which
+    *copy* of an element serves a subquery is a load-balancing decision,
+    not part of the answer.
     """
     p = tree.p
     rank_boxes = [tree.ranked.to_rank_box(b) for b in boxes]
+    report = np.broadcast_to(np.asarray(report, dtype=bool), (len(boxes),))
     chunk = -(-len(rank_boxes) // p)
     hat_sels, walk_ops, subqs = [], [], []
     for r in range(p):
         sels, ops = [], []
         for qid in range(r * chunk, min(len(rank_boxes), (r + 1) * chunk)):
             s, q = tree.hat.walk(
-                qid, rank_boxes[qid], collect_leaves=collect_leaves,
+                qid, rank_boxes[qid], report=bool(report[qid]),
                 charge=ops.append,
             )
             sels.extend(s)
             subqs.extend(q)
         hat_sels.append(sels)
         walk_ops.append(sum(ops))
-    forest_sels, forest_ops = [], 0
+    forest_sels, pairs, forest_ops = [], [], 0
     oracles: dict = {}
     for sq in subqs:
         el = tree.forest_store[sq.location][sq.forest_id]
@@ -163,35 +165,60 @@ def reference_search(tree, boxes, collect_leaves: bool):
                     forest_id=sq.forest_id,
                     nleaves=sel.leaf_count,
                     agg=sel.agg(),
-                    pid_tuple=tuple(el.pids[sel.rows()].tolist()),
                 )
             )
+            if report[sq.qid]:
+                pairs += [(sq.qid, pid) for pid in el.pids[sel.rows()].tolist()]
         forest_ops += max(1, stats.nodes_visited)
+    for hs in (hs for sels in hat_sels for hs in sels):
+        # only a reporting query's selections carry a tiling
+        for fid, loc in zip(hs.forest_ids, hs.locations):
+            el = tree.forest_store[loc][fid]
+            pairs += [(hs.qid, pid) for pid in el.pids.tolist()]
+            forest_ops += el.nleaves
     demands = [sum(1 for sq in subqs if sq.location == j) for j in range(p)]
-    return hat_sels, sorted(forest_sels, key=repr), demands, walk_ops, forest_ops
+    return (
+        hat_sels,
+        sorted(forest_sels, key=repr),
+        sorted(pair for pair in pairs if pair[1] >= 0),
+        demands,
+        walk_ops,
+        forest_ops,
+    )
+
+
+def search_pairs(out) -> list:
+    """Every rank's ``dist.report_pair`` rows as one sorted list."""
+    return sorted(pair for per in out.report_pairs for pair in per)
 
 
 class TestSearchOutputParity:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_planes_agree_on_search_output(self, d):
         pts = make_points("uniform", 48, d, seed=500 + d)
+        # wide and full-range boxes: hat selections, hence expansion requests
         boxes = random_boxes(np.random.default_rng(600 + d), 10, d)
+        boxes += _wide_boxes(np.random.default_rng(650 + d), 2, d)
+        boxes.append(Box.full(d, -1.0, 2.0))
+        report = np.arange(len(boxes)) % 3 != 1
         with DistributedRangeTree.build(pts, p=4) as tree:
             tree.reset_metrics()
-            out = tree.search(boxes, collect_leaves=True)
+            out = tree.search(boxes, report=report)
             ops = {
                 s.label: s.ops
                 for s in tree.metrics.steps
                 if s.label in ("search:walk", "search:forest")
             }
-            hat_sels, forest_sels, demands, walk_ops, forest_ops = (
-                reference_search(tree, boxes, collect_leaves=True)
+            hat_sels, forest_sels, pairs, demands, walk_ops, forest_ops = (
+                reference_search(tree, boxes, report)
             )
+        assert any(hs.locations for sels in hat_sels for hs in sels)
         assert [list(per) for per in out.hat_selections] == hat_sels
         assert (
             sorted((f for per in out.forest_selections for f in per), key=repr)
             == forest_sels
         )
+        assert search_pairs(out) == pairs
         assert out.demands == demands
         assert out.total_subqueries == sum(demands)
         assert sum(out.subqueries_per_proc) == sum(demands)
@@ -240,7 +267,8 @@ def _wide_boxes(rng, m: int, d: int) -> list:
 
 
 def _assert_walks_identically(a, b, los, his) -> None:
-    for got, want in zip(a.walk_batch(0, los, his, True), b.walk_batch(0, los, his, True)):
+    report = np.ones(len(los), dtype=bool)
+    for got, want in zip(a.walk_batch(0, los, his, report), b.walk_batch(0, los, his, report)):
         if isinstance(want, RecordBatch):
             assert list(got) == list(want)
         else:
@@ -258,6 +286,7 @@ def test_hat_selections_answer_every_fold_family_across_refits(d, backend):
     boxes = _wide_boxes(np.random.default_rng(50 + d), 10, d)
     sg0, sg1, sg2 = sum_of_dim(0), max_of_dim(d - 1), sum_of_dim(d - 1)
     none = np.zeros((0, d), dtype=np.int64)
+    nobody = np.zeros(0, dtype=bool)
 
     def answers_hold(tree, cycle) -> None:
         batch = QueryBatch([cycle[i % len(cycle)](b) for i, b in enumerate(boxes * 2)])
@@ -286,7 +315,7 @@ def test_hat_selections_answer_every_fold_family_across_refits(d, backend):
         )
         assert hat.agg_obj is None and hat.agg_kernel.name == tree.value_kernel.name
         tree.reannotate(sg2)
-        idle_agg = hat.walk_batch(0, none, none, False)[0].col("agg")
+        idle_agg = hat.walk_batch(0, none, none, nobody)[0].col("agg")
         assert isinstance(idle_agg, KernelColumn)
         assert idle_agg.kernel == hat.agg_kernel == tree.value_kernel
         assert idle_agg.kernel.name != "product"
@@ -295,7 +324,7 @@ def test_hat_selections_answer_every_fold_family_across_refits(d, backend):
             tree, [count, report, aggregate, lambda b: top_k(b, 3, dim=0)]
         )
         assert tree.hat is hat and hat.agg_mat is None and hat.agg_kernel is None
-        assert hat.walk_batch(0, none, none, False)[0].col("agg").dtype == object
+        assert hat.walk_batch(0, none, none, nobody)[0].col("agg").dtype == object
 
         bounds = tree.ranked.to_rank_bounds(*Box.stack(boxes))
         _assert_walks_identically(pickle.loads(pickle.dumps(hat)), hat, *bounds)

@@ -190,7 +190,7 @@ class TestHatWalkVsSequential:
         in the mode tests; here we check the hat pieces are disjoint)."""
         tree = build(n=64, d=2, p=8, seed=3)
         box = tree.ranked.to_rank_box(Box([(0.1, 0.9), (0.2, 0.8)]))
-        sels, subqs = tree.hat.walk(0, box, collect_leaves=True)
+        sels, subqs = tree.hat.walk(0, box, report=True)
         # selected hat nodes must be pairwise disjoint in the last dim
         seen_paths = set()
         for s in sels:

@@ -35,11 +35,19 @@ def setup():
 
 
 def _distributed_pieces(dist, box):
-    """(hat piece leaf counts, forest piece pid sets) for one query."""
-    out = dist.search([box], collect_leaves=True)
+    """(hat pieces, forest pieces) for one reporting query."""
+    out = dist.search([box], report=True)
     hat_pieces = [hs for per in out.hat_selections for hs in per]
     forest_pieces = [fs for per in out.forest_selections for fs in per]
     return hat_pieces, forest_pieces
+
+
+def _reported_pids(dist, box):
+    """The pass's ``(qid, pid)`` pairs for one reporting query, as pids:
+    the points under its forest pieces plus its hat pieces expanded
+    through the forest elements tiling them."""
+    out = dist.search([box], report=True)
+    return [pid for per in out.report_pairs for _qid, pid in per]
 
 
 class TestSelectionParity:
@@ -57,29 +65,28 @@ class TestSelectionParity:
         pts, dist, seq, boxes = setup
         for box in boxes[:15]:
             hat_pieces, forest_pieces = _distributed_pieces(dist, box)
-            pids: list[int] = []
-            for f in forest_pieces:
-                pids.extend(f.pids())
-            # expand hat pieces through their forest elements
+            pids = _reported_pids(dist, box)
+            assert all(p >= 0 for p in pids)
+            assert len(pids) == len(set(pids)), "selection pieces overlap"
+            # a point per selected leaf (a real box selects no padding),
+            # the hat pieces' through the elements their tilings name
+            assert len(pids) == sum(
+                piece.nleaves for piece in hat_pieces + forest_pieces
+            )
             for h in hat_pieces:
-                for fid, loc in zip(h.forest_ids, h.locations):
-                    pids.extend(dist.forest_store[loc][fid].pids.tolist())
-            real = [p for p in pids if p >= 0]
-            assert len(real) == len(set(real)), "selection pieces overlap"
+                under = {
+                    pid
+                    for fid, loc in zip(h.forest_ids, h.locations)
+                    for pid in dist.forest_store[loc][fid].pids.tolist()
+                }
+                assert len(under) == h.nleaves and under <= set(pids)
 
     def test_coverage_equals_bruteforce(self, setup):
         from repro.seq import bf_report
 
         pts, dist, seq, boxes = setup
         for box in boxes[:15]:
-            hat_pieces, forest_pieces = _distributed_pieces(dist, box)
-            pids: set[int] = set()
-            for f in forest_pieces:
-                pids.update(f.pids())
-            for h in hat_pieces:
-                for fid, loc in zip(h.forest_ids, h.locations):
-                    pids.update(dist.forest_store[loc][fid].pids.tolist())
-            assert sorted(p for p in pids if p >= 0) == bf_report(pts, box)
+            assert sorted(_reported_pids(dist, box)) == bf_report(pts, box)
 
     def test_selection_count_polylog(self, setup):
         """O(log^d n) pieces per query, distributed or not."""

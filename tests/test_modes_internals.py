@@ -78,17 +78,19 @@ class TestBatchedCountsEndToEnd:
 
 
 class TestReportPairsEndToEnd:
-    def test_requires_collect_leaves_for_hat_expansion(self):
+    def test_hat_expansion_needs_a_reporting_query(self):
         pts = uniform_points(64, 2, seed=72)
         tree = DistributedRangeTree.build(pts, p=4)
-        # the full box selects hat nodes; only a walk with collect_leaves
+        # the full box selects hat nodes; only a reporting query's walk
         # names the forest elements tiling them, which is what in-pass
-        # expansion routes to the owners — the engine always asks for it.
+        # expansion routes to the owners — the engine marks report modes.
         full = Box.full(2, -1.0, 2.0)
-        bare = tree.search([full]).hat_selections
-        tiled = tree.search([full], collect_leaves=True).hat_selections
-        assert sum(len(h.locations) for b in bare for h in b) == 0
-        assert sum(len(h.locations) for b in tiled for h in b) == 4
+        bare = tree.search([full])
+        tiled = tree.search([full], report=True)
+        assert sum(len(h.locations) for b in bare.hat_selections for h in b) == 0
+        assert sum(len(h.locations) for b in tiled.hat_selections for h in b) == 4
+        assert sum(len(b) for b in bare.report_pairs) == 0
+        assert sum(len(b) for b in tiled.report_pairs) == 64
         assert len(tree.run(report(full)).value(0)) == 64
 
     def test_pair_multiset_exact(self):

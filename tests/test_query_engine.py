@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cgm.loadbalance import replication_schedule
 from repro.dist import DistributedRangeTree
 from repro.errors import DimensionMismatch, ReproError
 from repro.geometry import Box, PointSet
@@ -232,7 +233,7 @@ class TestLazyRefit:
         assert plan.needs_refit
         plan2 = tree.engine.plan(QueryBatch([count(b), report(b)]))
         assert not plan2.needs_refit
-        assert plan2.leaf_qids == frozenset({1})
+        assert plan2.report.tolist() == [False, True]
         assert plan2.mode_counts() == {"count": 1, "report": 1}
 
 
@@ -292,8 +293,7 @@ class TestModeRegistry:
                     combine=lambda a, b: a + b,
                     default=0,
                     finalize=lambda v: v % 2,
-                    hat_value=lambda h: h.nleaves,
-                    forest_value=lambda f: f.nleaves,
+                    piece_value=lambda sel: sel.nleaves,
                 )
 
         register_mode(ParityMode())
@@ -369,6 +369,27 @@ class TestBatchDescriptors:
         assert len(batch) == 2
         assert batch.modes() == {"count", "report"}
         assert batch[1].mode == "report"
+
+    def test_unknown_replication_is_rejected_before_any_superstep(self):
+        """Both entry points fail when the batch is built — naming the
+        two strategies — not in Search step 3, after the walk phase and
+        the demand round have already been recorded on the machine."""
+        b = Box.full(2, 0.0, 1.0)
+        with pytest.raises(ReproError, match=r"'bogus'.*doubling.*direct"):
+            QueryBatch([count(b)], replication="bogus")
+        pts = uniform_points(32, 2, seed=121)
+        tree = build(pts, p=4)
+        good = tree.run([count(b)], replication="direct")
+        before = [(s.kind, s.label) for s in tree.metrics.steps]
+        with pytest.raises(ReproError, match=r"'bogus'.*doubling.*direct"):
+            tree.run([count(b)], replication="bogus")
+        with pytest.raises(ReproError, match="bogus"):
+            tree.run(QueryBatch([count(b)]), replication="bogus")
+        assert [(s.kind, s.label) for s in tree.metrics.steps] == before
+        assert tree.run([count(b)], replication="direct").values() == good.values()
+        # direct callers of the schedule keep its own check
+        with pytest.raises(ValueError, match="bogus"):
+            replication_schedule(4, [[0], [1], [2], [3]], "bogus")
 
     def test_report_limit_validation(self):
         tree = DistributedRangeTree.build([(0.1, 0.2), (0.3, 0.4)], p=2)

@@ -22,6 +22,7 @@ from repro.serve import (
     start_tcp_server,
 )
 from repro.serve.protocol import decode_line, encode_error, encode_response
+from repro.serve.service import BATCH_LOG_LEN
 from repro.workloads import make_points
 
 D = 2
@@ -248,6 +249,37 @@ def test_pipeline_overlaps_planning_with_execution(tree):
     for entry in log:
         assert entry["t_exec_start"] >= entry["t_flush"]
         assert entry["t_exec_end"] >= entry["t_exec_start"]
+
+
+def test_daemon_memory_does_not_grow_with_uptime(tree):
+    """200 one-query batches: the machine keeps no pass's steps (each
+    ``ResultSet`` carries its own copy), the batch log is a ring, and
+    the summary's mean batch size no longer reads the log."""
+    tree.reset_metrics()
+    one_pass = len(tree.run(QueryBatch([count(BOX)])).metrics.steps)
+    assert len(tree.metrics.steps) == one_pass
+    batches = 200
+
+    async def go():
+        async with QueryService(tree, FlushPolicy(max_batch=1)) as svc:
+            first = await svc.query(count(BOX))
+            short = svc.metrics.summary(), list(svc.metrics.batch_log)
+            for _ in range(batches - 1):
+                await svc.query(count(FAR_BOX))
+            return first, short, svc.metrics
+
+    first, (summary, log), metrics = run(go())
+    assert len(tree.metrics.steps) <= one_pass
+    assert first.value == tree.run(QueryBatch([count(BOX)])).values()[0]
+    # a short run: the summary the unbounded log gave
+    assert summary["batches"] == len(log) == 1
+    assert summary["mean_batch_size"] == sum(b["size"] for b in log) / len(log)
+    # a long one: every batch counted, the last BATCH_LOG_LEN remembered
+    assert BATCH_LOG_LEN < batches == metrics.batches
+    assert [b["seq"] for b in metrics.batch_log] == list(
+        range(batches - BATCH_LOG_LEN, batches)
+    )
+    assert metrics.summary()["mean_batch_size"] == 1.0
 
 
 # ---------------------------------------------------------------------------
