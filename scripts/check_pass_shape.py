@@ -49,7 +49,17 @@ Builds n=512, p=8 and runs an empty, a one-query and a 64-query
   ``dist.forest_selection`` batches carry ``qid, forest_id, nleaves, agg``
   and no ragged pid column (a reporting query's points leave step 5 as
   ``dist.report_pair`` rows), and padding sentinels (negative pids) are
-  dropped in one function on the Search/demux path.
+  dropped in one function on the Search/demux path, and
+* how a query folds is said once: planning + executing the 64-query
+  count/report/aggregate batch constructs exactly 2 ``Fold``s (leaf
+  counts and ``sum[x0]`` — one per distinct semigroup, not per query) and
+  resolves typed-vs-``combine`` in one ``_fold_kernels`` call;
+  ``query/engine.py`` and ``query/modes.py`` define the classes and
+  functions listed in ``QUERY_DEFINES`` and no other (no per-query spec,
+  row view, execute-time kernel plan, run merge or piece codec beside
+  them), a registered mode has ``OutputMode``'s five attributes and no
+  further method; and ``run_search`` runs against resident state only (a
+  required ``ns``, no ``hat`` to seed a temp namespace from).
 
 A later change that re-prices idle ranks, puts a per-object Python loop
 back on the batch path, holds a forest element or the hat in a second
@@ -381,6 +391,77 @@ def report_mask_failures(tree, batch) -> list:
     return failures
 
 
+#: What the two modules that say how a query folds define, in full.
+QUERY_DEFINES = {
+    "repro.query.engine": {
+        "Fold", "QueryPlan", "QueryEngine", "plan_batch", "_annotation_components",
+    },
+    "repro.query.modes": {
+        "OutputMode", "CountMode", "AggregateMode", "ReportMode", "TopKMode",
+        "SampleReportMode", "register_mode", "get_mode", "registered_modes",
+    },
+}
+MODE_SURFACE = {"name", "reports", "validate", "required_semigroup", "finalize"}
+
+
+def fold_said_once_failures(tree, boxes) -> list:
+    """A mode names its semigroup, the plan groups the batch by it: folds
+    are per distinct semigroup, the kernel choice is per group and made
+    once, and ``run_search`` has one entrance."""
+    from repro.dist import search
+    from repro.query import aggregate, count, engine, modes, registered_modes, report
+    from repro.semigroup import sum_of_dim
+
+    failures = []
+    makers = (count, report, lambda b: aggregate(b, sum_of_dim(0)))
+    batch = [makers[i % 3](b) for i, b in enumerate(boxes)]
+    folds, calls = [], {}
+    real_fold = engine.Fold
+
+    def counted_fold(*args):
+        folds.append(real_fold(*args))
+        return folds[-1]
+
+    engine.Fold = counted_fold
+    try:
+        with counting(calls, (engine.QueryEngine, "_fold_kernels")):
+            tree.run(batch)
+    finally:
+        engine.Fold = real_fold
+    got = [(f.semigroup.name, f.slot is None) for f in folds]
+    if got != [("count", True), ("sum[x0]", False)]:
+        failures.append(f"a 64-query c/r/a batch built Folds {got}, want leaf counts + sum[x0]")
+    if calls != {"QueryEngine._fold_kernels": 1}:
+        failures.append(f"kernel choice made {calls} times, want once per pass")
+
+    for module in (engine, modes):
+        defined = {
+            name
+            for name, obj in vars(module).items()
+            if getattr(obj, "__module__", None) == module.__name__
+            and (inspect.isclass(obj) or inspect.isfunction(obj))
+        }
+        if defined != QUERY_DEFINES[module.__name__]:
+            failures.append(
+                f"{module.__name__} defines {sorted(defined ^ QUERY_DEFINES[module.__name__])} "
+                "beside/short of QUERY_DEFINES: a second way to say how a query folds?"
+            )
+    for name, mode in registered_modes().items():
+        extra = {
+            attr
+            for cls in type(mode).__mro__[:-1]
+            for attr in vars(cls)
+            if not attr.startswith("__")
+        } - MODE_SURFACE
+        if extra:
+            failures.append(f"output mode {name!r} defines {sorted(extra)} beyond {sorted(MODE_SURFACE)}")
+
+    params = inspect.signature(search.run_search).parameters
+    if "hat" in params or "ns" not in params or params["ns"].default is not inspect.Parameter.empty:
+        failures.append(f"run_search({', '.join(params)}): want a required `ns`, no `hat`")
+    return failures
+
+
 def main() -> int:
     from repro.dist import DistributedRangeTree
     from repro.geometry.box import Box
@@ -411,6 +492,7 @@ def main() -> int:
         finally:
             random.Random = real_random
         failures = report_mask_failures(tree, batch)
+        failures += fold_said_once_failures(tree, boxes)
 
     none_rounds = [s.label for s in none.comm_steps()]
     one_rounds = [s.label for s in one.comm_steps()]

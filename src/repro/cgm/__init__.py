@@ -40,7 +40,6 @@ from .cost import CostModel
 from .loadbalance import (
     assign_copies_round_robin,
     balance_by_weight,
-    balance_by_weight_cols,
     compute_copy_counts,
 )
 from .machine import Machine, ProcContext
@@ -86,7 +85,6 @@ __all__ = [
     "sorted_and_balanced",
     "render_trace",
     "balance_by_weight",
-    "balance_by_weight_cols",
     "compute_copy_counts",
     "assign_copies_round_robin",
     "RecordBatch",

@@ -14,17 +14,13 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence, TypeVar
 
-import numpy as np
-
-from .collectives import allgather, partial_sum
-from .columns import RecordBatch
+from .collectives import partial_sum
 from .machine import Machine
 
 T = TypeVar("T")
 
 __all__ = [
     "balance_by_weight",
-    "balance_by_weight_cols",
     "compute_copy_counts",
     "assign_copies_round_robin",
     "replication_schedule",
@@ -74,58 +70,6 @@ def balance_by_weight(
             out[r][dest].append(it)
     return mach.exchange_weighted(
         f"{label}:route", out, weight=lambda it: max(1, int(weight(it)))
-    )
-
-
-def balance_by_weight_cols(
-    mach: Machine,
-    batches: Sequence[RecordBatch],
-    weight_col: str,
-    label: str = "balance-weight",
-) -> list[RecordBatch]:
-    """Columnar :func:`balance_by_weight`: batches with an int weight column.
-
-    Same two rounds (prefix sum + route) under the same labels, same
-    exclusive-prefix destination rule, same weighted h-relation
-    accounting (``max(1, weight)`` units per record via the route's
-    ``weight_col``) — but the prefix sums are one ``np.cumsum`` per rank
-    and the route slices whole column packs.  Destinations are
-    nondecreasing in global order, so each rank ships at most ``p``
-    contiguous slices.
-    """
-    p = mach.p
-    weights = [
-        np.maximum(np.asarray(b.col(weight_col), dtype=np.int64), 0)
-        for b in batches
-    ]
-    local_totals = [int(w.sum()) for w in weights]
-    totals = allgather(mach, local_totals, label=f"{label}:psum")[0]
-    total = sum(totals)
-    if total == 0:
-        # all weights zero: count balancing keeps items spread (legacy rule)
-        from .sort import _empty_keyed, _route_balanced_cols
-
-        return [
-            b.drop("__key")
-            for b in _route_balanced_cols(
-                mach, batches, label, _empty_keyed(batches[0])
-            )
-        ]
-    outboxes: list[list] = [[None] * p for _ in range(p)]
-    base = 0
-    for r in range(p):
-        w = weights[r]
-        if len(w):
-            excl = base + np.cumsum(w) - w  # exclusive prefix, global
-            dest = np.minimum(p - 1, (p * excl) // total)
-            change = np.nonzero(dest[1:] != dest[:-1])[0] + 1
-            starts = np.concatenate(([0], change))
-            ends = np.concatenate((change, [len(w)]))
-            for s, e in zip(starts, ends):
-                outboxes[r][int(dest[s])] = batches[r].islice(int(s), int(e))
-        base += totals[r]
-    return mach.exchange_batches(
-        f"{label}:route", outboxes, batches[0], weight_col=weight_col
     )
 
 

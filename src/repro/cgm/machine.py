@@ -26,8 +26,6 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, List, Sequence
 
-import numpy as np
-
 from ..errors import MachineError, ProtocolError
 from .backend import Backend, make_backend
 from .columns import RecordBatch, estimate_box_nbytes
@@ -228,7 +226,6 @@ class Machine:
         label: str,
         outboxes: Sequence[Sequence["RecordBatch | None"]],
         template: "RecordBatch | None" = None,
-        weight_col: "str | None" = None,
     ) -> list[RecordBatch]:
         """One h-relation of column-packed record batches.
 
@@ -237,21 +234,12 @@ class Machine:
         *column-wise concatenation* of everything sent to it, ordered by
         source rank — the same deterministic merge as :meth:`exchange`,
         but moving whole arrays.  Each packed record counts one unit
-        toward the h-relation — or, when ``weight_col`` names an int
-        column, ``max(1, weight)`` units per record, mirroring
-        :meth:`exchange_weighted` for bulk records — so round/h
-        accounting is identical to :meth:`exchange`; routed bytes are
-        exact column sizes.  ``template`` supplies the schema for
-        destinations that receive nothing (any batch of the stream's
-        codec works).
+        toward the h-relation, so round/h accounting is identical to
+        :meth:`exchange`; routed bytes are exact column sizes.
+        ``template`` supplies the schema for destinations that receive
+        nothing (any batch of the stream's codec works).
         """
         self._validate_outboxes(outboxes)
-
-        def units(batch: RecordBatch) -> int:
-            if weight_col is None:
-                return len(batch)
-            return int(np.maximum(np.asarray(batch.col(weight_col)), 1).sum())
-
         sent = [0] * self.p
         sent_bytes = [0] * self.p
         parts: list[list[RecordBatch]] = [[] for _ in range(self.p)]
@@ -260,7 +248,7 @@ class Machine:
                 if batch is not None:
                     parts[dst].append(batch)
                     if len(batch):
-                        sent[src] += units(batch)
+                        sent[src] += len(batch)
                         sent_bytes[src] += batch.nbytes
         if template is None:
             template = next((b for part in parts for b in part), None)
@@ -272,7 +260,7 @@ class Machine:
         # one zero-row batch serves every rank that receives nothing
         nothing = RecordBatch.empty_like(template)
         inboxes = [RecordBatch.concat(part) if part else nothing for part in parts]
-        received = [units(b) for b in inboxes]
+        received = [len(b) for b in inboxes]
         self.metrics.record_comm(label, sent, received, sent_bytes)
         self._note_storage(received)
         return inboxes

@@ -339,12 +339,11 @@ class DistributedRangeTree:
         whose points the pass emits as ``(qid, pid)`` pairs."""
         return run_search(
             self.machine,
-            self.hat,
+            self._ensure_resident(),
             self.forest_store,
             self.ranked.to_rank_bounds(*Box.stack(boxes)),
             report=report,
             replication=replication,
-            ns=self._ensure_resident(),
         )
 
     # ------------------------------------------------------------------

@@ -46,7 +46,7 @@ from ..cgm.machine import Machine
 from ..cgm.phases import ProcContext, register_phase
 from ..errors import DimensionMismatch, GeometryError, ReproError
 from ..geometry.point import PointSet, checked_coords
-from ..query.descriptors import Query, QueryBatch
+from ..query.descriptors import QueryBatch
 from ..query.epochs import EpochCombiner
 from ..query.result import QueryResult, ResultSet
 from ..semigroup import COUNT, Semigroup
@@ -442,12 +442,7 @@ class DynamicDistributedRangeTree:
         scan), so rounds/h-relations stay observable per batch.
         """
         self._check_open()
-        if isinstance(batch, Query):
-            batch = QueryBatch([batch])
-        elif not isinstance(batch, QueryBatch):
-            batch = QueryBatch(list(batch))
-        if replication is not None:
-            batch = QueryBatch(batch.queries, replication=replication)
+        batch = QueryBatch.coerce(batch, replication)
         for qid, q in enumerate(batch):
             if q.box.dim != self.dim:
                 raise DimensionMismatch(self.dim, q.box.dim, f"query {qid} box")

@@ -327,14 +327,18 @@ def _phase_replicate_unpack(ctx: ProcContext, payload) -> None:
 
 def run_search(
     mach: Machine,
-    hat: Hat,
+    ns: str,
     forest_store: Sequence[dict],
     rank_boxes: RankBoxes,
     report: "np.ndarray | bool | None" = None,
     replication: str = "doubling",
-    ns: str | None = None,
 ) -> SearchOutput:
     """Execute Algorithm Search for a batch of rank-space queries.
+
+    ``ns`` names the machine state namespace where Construct left the
+    structure resident (:attr:`ConstructResult.ns`; a tree's
+    ``_ensure_resident()``); ``forest_store`` is the driver's view of
+    the owners' elements, handed on in the output.
 
     ``rank_boxes`` is the int64 ``(m, d)`` pair ``(los, his)`` of
     :meth:`~repro.geometry.rankspace.RankSpace.to_rank_bounds` — the
@@ -351,45 +355,11 @@ def run_search(
     report output costs no communication round beyond the pass itself
     (``SearchOutput.report_pairs`` holds the pairs per rank).  Unmarked
     queries skip the tilings and the leaf gather.
-
-    ``ns`` names the machine state namespace where Construct left the
-    structure resident (:attr:`ConstructResult.ns`); when omitted,
-    ``hat``/``forest_store`` are seeded into a fresh namespace first.
     """
     p = mach.p
-    bounds = rank_bounds(rank_boxes)
-    report = np.broadcast_to(np.asarray(report, dtype=bool), (len(bounds[0]),))
-
-    temp_ns = ns is None
-    if temp_ns:
-        ns = mach.new_ns("search")
-        mach.seed_state(hat_key(ns), [hat] * p)
-        mach.seed_state(forest_key(ns), list(forest_store))
-    try:
-        return _run_search_resident(
-            mach, ns, forest_store, bounds, report, replication
-        )
-    finally:
-        if temp_ns:
-            # One-shot namespace: release the seeded structures (success
-            # *or* failure) so repeated non-resident calls cannot
-            # accumulate copies in the rank stores.
-            for key in (hat_key(ns), forest_key(ns), _holders_key(ns)):
-                mach.seed_state(key, [None] * p)
-
-
-def _run_search_resident(
-    mach: Machine,
-    ns: str,
-    forest_store: Sequence[dict],
-    bounds: Tuple[np.ndarray, np.ndarray],
-    report: np.ndarray,
-    replication: str,
-) -> SearchOutput:
-    """The pass itself, against an already-resident structure."""
-    p = mach.p
-    los, his = bounds
+    los, his = rank_bounds(rank_boxes)
     m, d = los.shape
+    report = np.broadcast_to(np.asarray(report, dtype=bool), (m,))
     chunk = -(-m // p) if m else 1
 
     # -- step 1: hat walk over each processor's query block ----------------

@@ -39,7 +39,6 @@ from .modes import (
     AggregateMode,
     CountMode,
     OutputMode,
-    QuerySpec,
     ReportMode,
     SampleReportMode,
     TopKMode,
@@ -63,7 +62,6 @@ __all__ = [
     "plan_batch",
     "EpochCombiner",
     "OutputMode",
-    "QuerySpec",
     "register_mode",
     "get_mode",
     "registered_modes",

@@ -136,6 +136,19 @@ class QueryBatch:
                 f"expected one of {REPLICATION_STRATEGIES}"
             )
 
+    @classmethod
+    def coerce(cls, batch: Any, replication: str | None = None) -> "QueryBatch":
+        """What every ``run(batch, replication=None)`` accepts — a batch,
+        a sequence of :class:`Query` descriptors or a single one — as a
+        batch; a ``replication`` overrides the batch's own."""
+        if isinstance(batch, Query):
+            batch = cls([batch])
+        elif not isinstance(batch, cls):
+            batch = cls(list(batch))
+        if replication is not None:
+            batch = cls(batch.queries, replication=replication)
+        return batch
+
     def __len__(self) -> int:
         return len(self.queries)
 

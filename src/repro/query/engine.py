@@ -3,8 +3,9 @@
 This is the facade-over-engine split the public API is built on.  The
 engine turns a :class:`~repro.query.descriptors.QueryBatch` into:
 
-1. a **plan** — per-query :class:`~repro.query.modes.QuerySpec` demux
-   rules, the mask of the queries that report rather than fold, and the
+1. a **plan** — the batch grouped by how it folds: one :class:`Fold` per
+   distinct semigroup (plus one for leaf counts), ``group[qid]`` naming
+   each query's fold or ``-1`` for a query that reports, and the
    annotation (semigroup) layers the pass requires;
 2. a lazy **annotation refit** when an aggregate-family query names a
    semigroup the tree is not currently annotated with — a
@@ -14,9 +15,9 @@ engine turns a :class:`~repro.query.descriptors.QueryBatch` into:
 3. a single **Algorithm Search pass** over all boxes (one hat walk, one
    demand round, one replication round-set, one routing round — §5);
 4. a single shared **demultiplexing fold**: every query's pieces —
-   counts, semigroup values, point ids — ride one sample sort and one
-   segmented run-fold (:mod:`repro.dist.modes`), with the combine
-   operation dispatched per query id;
+   counts, semigroup values, point ids — ride one sample sort, then each
+   group's runs fold under that group's semigroup
+   (:mod:`repro.dist.modes`);
 5. a :class:`~repro.query.result.ResultSet` carrying the answers in
    batch order plus the pass's superstep trace.
 
@@ -26,11 +27,12 @@ batch of the same size: modes share the pass instead of re-running it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
-from ..cgm.columns import RecordBatch, RecordCodec, register_codec
+from ..cgm.columns import RecordBatch
 from ..cgm.sort import sample_sort_cols
 from ..dist.modes import accumulate_runs, resolve_sorted_runs
 from ..dist.search import run_search
@@ -39,120 +41,25 @@ from ..semigroup import COUNT, ProductSemigroup, Semigroup, product_semigroup
 from ..semigroup.kernels import (
     KernelColumn,
     ProductKernel,
+    SemigroupKernel,
     fold_segments,
     kernel_for,
 )
-from .descriptors import Query, QueryBatch
-from .modes import CountMode, QuerySpec, get_mode
+from .descriptors import QueryBatch
+from .modes import OutputMode, get_mode
 from .result import QueryResult, ResultSet
 
-__all__ = ["QueryEngine", "QueryPlan", "plan_batch"]
+__all__ = ["QueryEngine", "QueryPlan", "Fold", "plan_batch"]
 
 
-class PieceCodec(RecordCodec):
-    """The demux piece stream: ``qid`` key column, ``pid`` for report
-    pieces (−1 otherwise), ``val`` object column for fold payloads.
+class Fold(NamedTuple):
+    """How one group of a batch folds: the semigroup, and where its piece
+    values sit in a selection row — ``slot is None``: the row's leaf
+    count (under :data:`~repro.semigroup.COUNT`); else the component
+    index in the annotation the pass runs under."""
 
-    The per-record view is the piece tuple the segmented run-fold
-    consumes — ``(qid, pid)`` for report pieces, ``(qid, (qid, value))``
-    for fold pieces.
-    """
-
-    name = "query.piece"
-    record_type = object
-
-    def pack(self, records):
-        qid = np.fromiter((q for q, _ in records), dtype=np.int64, count=len(records))
-        pid = np.empty(len(records), dtype=np.int64)
-        val = np.empty(len(records), dtype=object)
-        for i, (_q, payload) in enumerate(records):
-            if isinstance(payload, (int, np.integer)):
-                pid[i] = payload
-            else:
-                pid[i] = -1
-                val[i] = payload
-        return {"qid": qid, "pid": pid, "val": val}
-
-    def unpack(self, cols, i):
-        v = cols["val"][i]
-        if v is None:
-            return (int(cols["qid"][i]), int(cols["pid"][i]))
-        return (int(cols["qid"][i]), v)
-
-
-register_codec(PieceCodec())
-
-
-class _SelectionRow:
-    """Lazy row view of a hat- or forest-selection batch, for fold-family
-    demux.
-
-    ``piece_value`` callbacks read ``nleaves``/``agg`` — what both
-    selection kinds carry; materializing a full dataclass record (the
-    unflattened path) per fold piece would give back a big slice of the
-    columnar win.  The view is reused across rows within one demux
-    pass, so callbacks must not retain it (the built-ins fold
-    immediately).
-    """
-
-    __slots__ = ("_cols", "i")
-
-    def __init__(self, cols) -> None:
-        self._cols = cols
-        self.i = 0
-
-    @property
-    def qid(self) -> int:
-        return int(self._cols["qid"][self.i])
-
-    @property
-    def nleaves(self) -> int:
-        return int(self._cols["nleaves"][self.i])
-
-    @property
-    def agg(self):
-        return self._cols["agg"][self.i]
-
-
-def _merge_runs(a: List[tuple], b: List[tuple]) -> List[tuple]:
-    """Merge two qid-ordered run lists with disjoint qids (a query folds
-    either through a kernel or through ``combine``, never both) into one
-    qid-ordered list."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out: List[tuple] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i][0] < b[j][0]:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return out
-
-
-class _KernelFoldPlan:
-    """Which specs fold through typed kernels, and how (driver-decided).
-
-    ``gid[qid]`` is ``-1`` for object-fold queries, else an index into
-    ``kinds``; a kind is ``("count", kernel, 0)`` — piece values are the
-    selections' leaf counts — or ``("slot", kernel, offset)`` — piece
-    values are one component's columns of the typed annotation storage,
-    starting at ``offset``.  ``width`` sizes the shared float64 piece
-    matrix (the widest participating kernel).
-    """
-
-    __slots__ = ("gid", "kinds", "width")
-
-    def __init__(self, gid: np.ndarray, kinds: list) -> None:
-        self.gid = gid
-        self.kinds = kinds
-        self.width = max(k.width for _kind, k, _off in kinds)
+    semigroup: Semigroup
+    slot: "int | None"
 
 
 #: Cap on annotation layers the lazy-refit cache keeps on a tree.  A
@@ -168,26 +75,31 @@ MAX_ANNOTATION_LAYERS = 8
 class QueryPlan:
     """The resolved execution shape of one batch (inspectable, immutable).
 
-    ``specs[qid]`` is the demux rule for query ``qid``; ``report`` is
-    the bool mask of the queries that report point ids instead of
-    folding (``spec.report_pids``, stored once for the pass and the
-    demux); ``annotations`` lists the semigroups the pass folds
-    and ``refit_semigroup`` is the product the tree must be annotated
-    with first (``None`` when the current annotation already covers it).
+    ``modes[qid]`` is query ``qid``'s output mode; ``group[qid]`` indexes
+    ``folds`` — one :class:`Fold` per distinct semigroup the batch folds,
+    leaf counts included — or is ``-1`` for a query that reports point
+    ids instead, and ``report`` (``group < 0``) is the one mask the pass
+    and the demux take.  ``annotations`` lists the semigroups the pass
+    runs under and ``refit_semigroup`` is the product the tree must be
+    annotated with first (``None`` when the current annotation already
+    covers it).
     """
 
     def __init__(
         self,
         batch: QueryBatch,
-        specs: List[QuerySpec],
-        report: np.ndarray,
+        modes: List[OutputMode],
+        group: np.ndarray,
+        folds: List[Fold],
         annotations: List[Semigroup],
         refit_semigroup: Semigroup | None,
         annotation_token: Any = None,
     ) -> None:
         self.batch = batch
-        self.specs = specs
-        self.report = report
+        self.modes = modes
+        self.group = group
+        self.folds = folds
+        self.report = group < 0
         self.annotations = annotations
         self.refit_semigroup = refit_semigroup
         #: The tree annotation (by identity) this plan was computed
@@ -202,13 +114,14 @@ class QueryPlan:
 
     def mode_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
-        for spec in self.specs:
-            counts[spec.mode.name] = counts.get(spec.mode.name, 0) + 1
+        for mode in self.modes:
+            counts[mode.name] = counts.get(mode.name, 0) + 1
         return counts
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"QueryPlan(m={len(self.specs)}, modes={self.mode_counts()}, "
+            f"QueryPlan(m={len(self.modes)}, modes={self.mode_counts()}, "
+            f"folds={[f.semigroup.name for f in self.folds]}, "
             f"report={int(self.report.sum())}, refit={self.needs_refit})"
         )
 
@@ -230,25 +143,38 @@ class QueryEngine:
     # planning
     # ------------------------------------------------------------------
     def plan(self, batch: QueryBatch) -> QueryPlan:
-        """Resolve modes, annotation needs, and demux specs for ``batch``."""
+        """Resolve modes, fold groups and annotation needs for ``batch``."""
         tree = self.tree
         base = tree.base_semigroup
         current = _annotation_components(tree.semigroup)
         current_names = [c.name for c in current]
 
-        needed: Dict[str, Semigroup] = {}
-        mode_of: List[Tuple[Query, Any, Semigroup | None]] = []
+        modes: List[OutputMode] = []
+        group = np.full(len(batch), -1, dtype=np.int64)
+        #: the batch's distinct folds in first-use order, keyed by semigroup
+        #: name (``None``: leaf counts, which need no annotation)
+        semigroups: List[Semigroup | None] = []
+        gid_of: Dict[Any, int] = {}
         for qid, query in enumerate(batch):
             if query.box.dim != tree.dim:
                 raise DimensionMismatch(tree.dim, query.box.dim, f"query {qid} box")
             mode = get_mode(query.mode)
             mode.validate(query, tree.dim)
+            modes.append(mode)
+            if mode.reports:
+                continue
             sg = mode.required_semigroup(query, base)
-            if sg is not None and sg.name not in needed:
-                needed[sg.name] = sg
-            mode_of.append((query, mode, sg))
+            key = None if sg is None else sg.name
+            g = gid_of.get(key)
+            if g is None:
+                g = gid_of[key] = len(semigroups)
+                semigroups.append(sg)
+            group[qid] = g
 
-        missing = [sg for name, sg in needed.items() if name not in current_names]
+        missing = [
+            sg for sg in semigroups
+            if sg is not None and sg.name not in current_names
+        ]
         refit: Semigroup | None = None
         if missing:
             merged = current + missing
@@ -256,7 +182,7 @@ class QueryEngine:
                 # Evict oldest extra layers: keep the build-time layer,
                 # everything this batch needs, then the newest others.
                 keep = [merged[0]]
-                keep += [c for c in merged[1:] if c.name in needed]
+                keep += [c for c in merged[1:] if c.name in gid_of]
                 kept = {c.name for c in keep}
                 for c in reversed(merged[1:]):
                     if len(keep) >= MAX_ANNOTATION_LAYERS:
@@ -267,29 +193,16 @@ class QueryEngine:
                 merged = keep
             refit = product_semigroup(merged)
 
-        # Demux specs are built against the annotation the pass will see.
+        # Slots are read against the annotation the pass will see.
         final = _annotation_components(refit if refit is not None else tree.semigroup)
         final_names = [c.name for c in final]
-        product = len(final) > 1
-
-        specs: List[QuerySpec] = []
-        for qid, (query, mode, sg) in enumerate(mode_of):
-            if sg is None:
-                extract = lambda agg: agg
-            elif product:
-                slot = final_names.index(sg.name)
-                extract = lambda agg, _i=slot: agg[_i]
-            else:
-                extract = lambda agg: agg
-            specs.append(mode.spec(query, qid, sg, extract))
+        folds = [
+            Fold(COUNT, None) if sg is None else Fold(sg, final_names.index(sg.name))
+            for sg in semigroups
+        ]
         batch.bounds  # stack the boxes now: the serve pipeline plans off the executor
         return QueryPlan(
-            batch,
-            specs,
-            np.fromiter((s.report_pids for s in specs), dtype=bool, count=len(specs)),
-            final,
-            refit,
-            annotation_token=tree.semigroup,
+            batch, modes, group, folds, final, refit, annotation_token=tree.semigroup
         )
 
     # ------------------------------------------------------------------
@@ -305,13 +218,7 @@ class QueryEngine:
         layer's collector/executor pipeline) call the two halves
         separately.
         """
-        if isinstance(batch, Query):
-            batch = QueryBatch([batch])
-        elif not isinstance(batch, QueryBatch):
-            batch = QueryBatch(list(batch))
-        if replication is not None:
-            batch = QueryBatch(batch.queries, replication=replication)
-        return self.execute(self.plan(batch))
+        return self.execute(self.plan(QueryBatch.coerce(batch, replication)))
 
     def execute(self, plan: QueryPlan) -> ResultSet:
         """Run a previously computed :class:`QueryPlan`.
@@ -348,18 +255,17 @@ class QueryEngine:
 
         out = run_search(
             tree.machine,
-            tree.hat,
+            tree._ensure_resident(),
             tree.forest_store,
             tree.ranked.to_rank_bounds(*batch.bounds),
             report=plan.report,
             replication=batch.replication,
-            ns=tree._ensure_resident(),
         )
 
         answers = self._demux(plan, out)
         results = [
-            QueryResult(qid=spec.qid, mode=spec.mode.name, query=spec.query, value=v)
-            for spec, v in zip(plan.specs, answers)
+            QueryResult(qid=qid, mode=mode.name, query=query, value=v)
+            for qid, (mode, query, v) in enumerate(zip(plan.modes, batch, answers))
         ]
         metrics = tree.machine.metrics.since(snap)
         return ResultSet(results, metrics, replication=batch.replication)
@@ -367,26 +273,54 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # the shared demultiplexing fold
     # ------------------------------------------------------------------
+    def _fold_kernels(
+        self, plan: QueryPlan
+    ) -> List["Tuple[SemigroupKernel, int] | None"]:
+        """Per fold group: the typed kernel its pieces ride and the column
+        offset of its slot in the annotation storage, or ``None``.
+
+        Leaf counts always qualify (their piece values are the typed
+        ``nleaves`` column); an annotation fold qualifies when its
+        semigroup has a kernel *and* the tree's annotation storage is
+        kernel-backed with a matching component slot.  Everything else —
+        top-k merges, user semigroups, trees whose annotation has no
+        kernel — folds through ``combine``, row by row, in the same
+        batch.
+        """
+        vk = getattr(self.tree, "value_kernel", None)
+        kernels: List["Tuple[SemigroupKernel, int] | None"] = []
+        for fold in plan.folds:
+            sk, slot = kernel_for(fold.semigroup), fold.slot
+            if slot is None:
+                off = 0
+            elif sk is None or vk is None:
+                off = None
+            elif isinstance(vk, ProductKernel):
+                fits = slot < len(vk.components) and vk.component(slot) == sk
+                off = vk.offset(slot) if fits else None
+            else:
+                off = 0 if slot == 0 and vk == sk else None
+            kernels.append(None if off is None else (sk, off))
+        return kernels
+
     def _demux(self, plan: QueryPlan, out) -> List[Any]:
-        """One sort + one segmented fold answers every mode at once.
+        """One sort + one fold per group answers every mode at once.
 
         Every piece of the batch — counts, semigroup values, point ids,
         one record each — rides one sample sort by query id, so the sort
         output is balanced over *all* pieces (Theorem 5's ``k/p`` term:
         no processor ends with more than ``ceil(total/p)`` of them).
-        Report-family ids are then harvested directly from the sorted
-        output, while fold-family pieces go through the segmented
-        run-fold, whose combine dispatches on the query id; the run
-        summaries therefore carry only scalar-sized fold values, never a
-        query's id list.
+        Each rank then cuts its sorted rows into runs of one query:
+        reporting queries' ids are harvested as they lie, a kernel
+        group's runs fold in a handful of array calls
+        (:func:`~repro.semigroup.kernels.fold_segments`), the others
+        through ``combine``; the run summaries of the boundary round
+        therefore carry only scalar-sized fold values, never a query's
+        id list.
         """
-        mach = self.tree.machine
-        specs = plan.specs
-        p = mach.p
-
-        report_ids, fold_lists, kernel_runs = self._demux_pieces(
-            plan, out, self._kernel_fold_plan(plan)
-        )
+        group, folds = plan.group, plan.folds
+        kernels = self._fold_kernels(plan)
+        combine = [f.semigroup.combine for f in folds]
 
         def op(a, b):
             if a is None:
@@ -394,158 +328,84 @@ class QueryEngine:
             if b is None:
                 return a
             qid = a[0]
-            return (qid, specs[qid].combine(a[1], b[1]))
+            return (qid, combine[group[qid]](a[1], b[1]))
 
-        # Kernel-fold queries arrive as precombined run totals from the
-        # segmented numpy folds; the rest (disjoint qids) accumulate
-        # through ``combine``.  One merged, qid-ordered run list per rank
-        # feeds the boundary-resolution round.
-        local_runs = [
-            _merge_runs(accumulate_runs(fold_lists[r], op), kernel_runs[r])
-            for r in range(p)
+        values: List[Any] = [
+            [] if g < 0 else folds[g].semigroup.identity for g in group.tolist()
         ]
-        folded = resolve_sorted_runs(mach, local_runs, op, None, "query:demux")
-
-        answers: List[Any] = [spec.finalize(spec.default) for spec in specs]
-        for qid, ids in report_ids.items():
-            answers[qid] = specs[qid].finalize(ids)
-        for per_proc in folded:
-            for qid, tagged in per_proc:
-                if tagged is None:
-                    continue
-                answers[qid] = specs[qid].finalize(tagged[1])
-        return answers
-
-    def _kernel_fold_plan(self, plan: QueryPlan) -> "_KernelFoldPlan | None":
-        """Resolve which fold-family specs ride typed kernel columns.
-
-        Count-mode queries always qualify (their piece values are the
-        typed ``nleaves`` column); aggregate-family queries qualify when
-        their semigroup has a kernel *and* the tree's annotation storage
-        is kernel-backed with a matching component slot.  Everything
-        else — top-k merges, user semigroups, trees whose annotation has
-        no kernel — folds through ``combine``, row by row, in the same
-        batch.
-        """
-        specs = plan.specs
-        vk = getattr(self.tree, "value_kernel", None)
-        names = [c.name for c in plan.annotations]
-        kinds: List[tuple] = []
-        kind_index: Dict[tuple, int] = {}
-        gid = np.full(len(specs), -1, dtype=np.int64)
-        for i, spec in enumerate(specs):
-            if spec.report_pids:
+        local_runs: List[List[Tuple[int, Any]]] = []
+        for b in self._sorted_pieces(plan, out, kernels):
+            runs: List[Tuple[int, Any]] = []
+            local_runs.append(runs)
+            if not len(b):
                 continue
-            if spec.mode.__class__ is CountMode:
-                entry = ("count", kernel_for(COUNT), 0)
-            elif spec.semigroup is not None and vk is not None:
-                sk = kernel_for(spec.semigroup)
-                if sk is None or spec.semigroup.name not in names:
+            q = np.asarray(b.col("qid"))
+            change = np.nonzero(q[1:] != q[:-1])[0] + 1
+            starts = np.concatenate(([0], change))
+            ends = np.concatenate((change, [len(q)]))
+            run_q = q[starts]
+            run_g = group[run_q]
+            pid = np.asarray(b.col("pid"))
+            for at in np.nonzero(run_g < 0)[0]:
+                values[run_q[at]] += pid[starts[at] : ends[at]].tolist()
+            for g, typed in enumerate(kernels):
+                pos = np.nonzero(run_g == g)[0]
+                if not len(pos):
                     continue
-                slot = names.index(spec.semigroup.name)
-                if isinstance(vk, ProductKernel):
-                    if slot >= len(vk.components) or vk.component(slot) != sk:
-                        continue
-                    entry = ("slot", sk, vk.offset(slot))
-                elif slot == 0 and vk == sk:
-                    entry = ("slot", sk, 0)
+                if typed is None:
+                    val = b.col("val")
+                    rows = np.nonzero(group[q] == g)[0]
+                    runs += accumulate_runs([(int(q[i]), val[i]) for i in rows], op)
                 else:
-                    continue
-            else:
-                continue
-            key = (entry[0], entry[1].name, entry[2])
-            g = kind_index.get(key)
-            if g is None:
-                g = len(kinds)
-                kinds.append(entry)
-                kind_index[key] = g
-            gid[i] = g
-        if not kinds:
-            return None
-        return _KernelFoldPlan(gid, kinds)
+                    kern = typed[0]
+                    totals = fold_segments(
+                        kern, np.asarray(b.col("kval")), starts[pos], ends[pos]
+                    )
+                    runs += [
+                        (qid, (qid, kern.decode_row(row)))
+                        for qid, row in zip(run_q[pos].tolist(), totals)
+                    ]
+            runs.sort(key=itemgetter(0))
 
-    def _fold_kernel_runs(
-        self, kq: np.ndarray, kmat: np.ndarray, kplan: _KernelFoldPlan
-    ) -> List[Tuple[int, Any]]:
-        """Run totals of the kernel-fold piece rows, via segmented folds.
+        mach = self.tree.machine
+        for per_proc in resolve_sorted_runs(mach, local_runs, op, None, "query:demux"):
+            for qid, tagged in per_proc:
+                values[qid] = tagged[1]
+        return [
+            mode.finalize(v, query)
+            for mode, v, query in zip(plan.modes, values, plan.batch)
+        ]
 
-        ``kq``/``kmat`` are the qid-sorted kernel rows of one rank; runs
-        (contiguous equal qids) group by fold kind, each kind folding all
-        its runs in a handful of array calls — the engine's replacement
-        for one Python ``combine`` per piece.  Decoding happens once per
-        *run*, so the output is the exact ``(qid, (qid, value))`` tagged
-        structure :func:`~repro.dist.modes.accumulate_runs` produces.
-        """
-        if not len(kq):
-            return []
-        change = np.nonzero(kq[1:] != kq[:-1])[0] + 1
-        starts = np.concatenate(([0], change))
-        ends = np.concatenate((change, [len(kq)]))
-        run_q = kq[starts]
-        run_g = kplan.gid[run_q]
-        runs: List[Any] = [None] * len(starts)
-        for g, (_kind, kern, _off) in enumerate(kplan.kinds):
-            pos = np.nonzero(run_g == g)[0]
-            if not len(pos):
-                continue
-            folded = fold_segments(kern, kmat, starts[pos], ends[pos])
-            for j, at in enumerate(pos):
-                qid = int(run_q[at])
-                runs[at] = (qid, (qid, kern.decode_row(folded[j])))
-        return runs
-
-    def _demux_pieces(
-        self, plan: QueryPlan, out, kplan: "_KernelFoldPlan | None"
-    ) -> Tuple[dict, List[list], List[list]]:
+    def _sorted_pieces(
+        self, plan: QueryPlan, out, kernels: list
+    ) -> List[RecordBatch]:
         """Piece extraction + shared sort: one ``query.piece`` batch per rank.
 
-        Report-family pieces never touch Python loops: the pass's
-        ``(qid, pid)`` pairs append their columns verbatim, and the
-        shared sort is the columnar sample sort keyed on ``qid``.  With
-        a kernel fold plan, kernel-eligible fold pieces never touch
-        Python either — their values fill a shared float64 ``kval``
-        matrix straight from the typed ``nleaves``/``agg`` columns and
-        fold as segmented reductions after the sort — leaving per-record
-        extraction only to specs that fold through ``combine``.
-
-        Returns the harvested report ids, and per rank the qid-sorted
-        ``combine``-fold pieces and the kernel runs' precombined totals.
+        No piece of a typed group touches a Python loop: the pass's
+        ``(qid, pid)`` pairs append their columns verbatim, a kernel
+        group's values fill a shared float64 ``kval`` matrix straight
+        from the typed ``nleaves``/``agg`` columns, and the shared sort
+        is the columnar sample sort keyed on ``qid`` — leaving per-row
+        extraction (into the object ``val`` column) only to groups that
+        fold through ``combine``.
 
         Known trade-off: ``kval`` is one dense per-row matrix so it can
         ride the shared sort, which means a *mixed* batch pays
         ``8 * W`` zero bytes per report piece in the demux rounds
-        (``W`` = widest eligible kernel; 1 for count/sum-only mixes).
-        Report-only batches plan no kernel folds (no ``kval``), and
-        fold-only batches waste nothing, so only report-heavy batches
-        mixed with wide aggregates (bbox/product) notice — a masked
-        column kind could drop it if that mix becomes hot.
+        (``W`` = widest participating kernel; 1 for count/sum-only
+        mixes).  Report-only batches have no kernel group (no ``kval``),
+        and fold-only batches waste nothing, so only report-heavy
+        batches mixed with wide aggregates (bbox/product) notice — a
+        masked column kind could drop it if that mix becomes hot.
         """
         mach = self.tree.machine
-        specs = plan.specs
-        p = mach.p
-        is_report = plan.report
-        W = kplan.width if kplan is not None else 0
-
-        def fold_rows(qid, val, kval) -> tuple:
-            """Piece columns of fold rows: no pid, a value per row."""
-            cols = (qid, np.full(len(qid), -1, dtype=np.int64), val)
-            return cols + (kval,) if W else cols
-
-        def pair_rows(pairs: RecordBatch) -> tuple:
-            """Piece columns of ``(qid, pid)`` pairs: no value."""
-            n = len(pairs)
-            cols = (pairs.col("qid"), pairs.col("pid"), np.empty(n, dtype=object))
-            return cols + (np.zeros((n, W), dtype=np.float64),) if W else cols
+        group, folds, is_report = plan.group, plan.folds, plan.report
+        product = len(plan.annotations) > 1
+        W = max((k[0].width for k in kernels if k is not None), default=0)
 
         def fold_part(batch: RecordBatch) -> "tuple | None":
-            """Fold pieces straight from a selection batch's columns.
-
-            Hat and forest batches alike, for every query that folds.
-            Kernel-eligible queries gather their piece rows from the
-            batch's typed ``nleaves``/``agg`` columns (one fancy index
-            per fold kind); only object-fold specs call their
-            ``piece_value`` per row, through the shared lazy row view.
-            """
+            """Fold pieces straight from a selection batch's columns —
+            hat and forest batches alike: one gather per fold group."""
             if not len(batch):
                 return None
             qid = np.asarray(batch.col("qid"))
@@ -555,107 +415,70 @@ class QueryEngine:
             q_col = qid[idx]
             n = len(idx)
             val = np.empty(n, dtype=object)
-            kval = np.zeros((n, W), dtype=np.float64) if W else None
-            gid = (
-                kplan.gid[q_col]
-                if kplan is not None
-                else np.full(n, -1, dtype=np.int64)
+            kval = np.zeros((n, W), dtype=np.float64)
+            gid = group[q_col]
+            agg_col = batch.cols["agg"]
+            for g, (fold, typed) in enumerate(zip(folds, kernels)):
+                pos = np.nonzero(gid == g)[0]
+                if not len(pos):
+                    continue
+                rows = idx[pos]
+                if fold.slot is None:
+                    kval[pos, 0] = np.asarray(batch.col("nleaves"))[rows]
+                elif typed is None:
+                    for at, q, i in zip(pos.tolist(), q_col[pos].tolist(), rows.tolist()):
+                        v = agg_col[i]
+                        val[at] = (q, v[fold.slot] if product else v)
+                elif isinstance(agg_col, KernelColumn):
+                    kern, off = typed
+                    kval[pos, : kern.width] = agg_col.component_rows(
+                        rows, off, kern.width
+                    )
+                else:
+                    raise ProtocolError(
+                        "kernel fold planned over an object-typed selection column"
+                    )
+            return q_col, np.full(n, -1, dtype=np.int64), val, kval
+
+        def pair_rows(pairs: RecordBatch) -> tuple:
+            """Piece columns of ``(qid, pid)`` pairs: no value."""
+            n = len(pairs)
+            return (
+                pairs.col("qid"),
+                pairs.col("pid"),
+                np.empty(n, dtype=object),
+                np.zeros((n, W), dtype=np.float64),
             )
-            row = _SelectionRow(batch.cols)
-            for at in np.nonzero(gid < 0)[0]:
-                q = int(q_col[at])
-                row.i = int(idx[at])
-                val[at] = (q, specs[q].piece_value(row))
-            if kplan is not None:
-                nlv = np.asarray(batch.col("nleaves"))
-                agg_col = batch.cols["agg"]
-                for g, (kind, kern, off) in enumerate(kplan.kinds):
-                    pos = np.nonzero(gid == g)[0]
-                    if not len(pos):
-                        continue
-                    rows_idx = idx[pos]
-                    if kind == "count":
-                        kval[pos, 0] = nlv[rows_idx]
-                    else:
-                        if not isinstance(agg_col, KernelColumn):
-                            raise ProtocolError(
-                                "kernel fold planned over an "
-                                "object-typed selection column"
-                            )
-                        kval[pos, : kern.width] = agg_col.component_rows(
-                            rows_idx, off, kern.width
-                        )
-            return fold_rows(q_col, val, kval)
 
-        no_cols = {
-            "qid": np.empty(0, dtype=np.int64),
-            "pid": np.empty(0, dtype=np.int64),
-            "val": np.empty(0, dtype=object),
-        }
-        if W:
-            no_cols["kval"] = np.zeros((0, W), dtype=np.float64)
-        no_pieces = RecordBatch("query.piece", no_cols)  # every idle rank's batch
-
+        # no typed group, no ``kval`` column on the wire
+        names = ("qid", "pid", "val", "kval")[: 4 if W else 3]
+        no_pieces = (
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=object),
+            np.zeros((0, W), dtype=np.float64),
+        )
         batches: List[RecordBatch] = []
-        for r in range(p):
+        for r in range(mach.p):
             parts = [
                 fold_part(out.hat_selections[r]),
                 fold_part(out.forest_selections[r]),
             ]
             if len(out.report_pairs[r]):
                 parts.append(pair_rows(out.report_pairs[r]))
-            parts = [x for x in parts if x is not None]
-            if not parts:
-                batches.append(no_pieces)
-                continue
-            cols = {
-                "qid": np.concatenate([x[0] for x in parts]),
-                "pid": np.concatenate([x[1] for x in parts]),
-                "val": np.concatenate([x[2] for x in parts]),
-            }
-            if W:
-                cols["kval"] = np.concatenate([x[3] for x in parts])
-            batches.append(RecordBatch("query.piece", cols))
-
-        ordered = sample_sort_cols(
+            parts = [x for x in parts if x is not None] or [no_pieces]
+            batches.append(
+                RecordBatch(
+                    "query.piece",
+                    {
+                        name: np.concatenate([x[j] for x in parts])
+                        for j, name in enumerate(names)
+                    },
+                )
+            )
+        return sample_sort_cols(
             mach, batches, keyspec=("qid",), label="query:demux:sort"
         )
-
-        report_ids: dict[int, List[int]] = {}
-        fold_lists: List[List[Tuple[int, Any]]] = [[] for _ in range(p)]
-        kernel_runs: List[list] = [[] for _ in range(p)]
-        for r in range(p):
-            b = ordered[r]
-            if not len(b):
-                continue
-            q = np.asarray(b.col("qid"))
-            pid_col = np.asarray(b.col("pid"))
-            val_col = b.col("val")
-            rep = is_report[q]
-            ridx = np.nonzero(rep)[0]
-            if len(ridx):
-                rq = q[ridx]
-                rp = pid_col[ridx]
-                change = np.nonzero(rq[1:] != rq[:-1])[0] + 1
-                starts = np.concatenate(([0], change))
-                ends = np.concatenate((change, [len(rq)]))
-                for s, e in zip(starts, ends):
-                    report_ids.setdefault(int(rq[s]), []).extend(
-                        rp[s:e].tolist()
-                    )
-            fidx = np.nonzero(~rep)[0]
-            if kplan is None:
-                fold_lists[r] = [(int(q[i]), val_col[i]) for i in fidx]
-            else:
-                fg = kplan.gid[q[fidx]]
-                fold_lists[r] = [
-                    (int(q[i]), val_col[i]) for i in fidx[fg < 0]
-                ]
-                ker = fidx[fg >= 0]
-                kernel_runs[r] = self._fold_kernel_runs(
-                    q[ker], np.asarray(b.col("kval"))[ker], kplan
-                )
-        return report_ids, fold_lists, kernel_runs
 
 
 def plan_batch(tree, batch: QueryBatch) -> QueryPlan:

@@ -178,4 +178,4 @@ class EpochCombiner:
                 sg.lift(pid, self.coords_of(pid)) for pid in ids
             )
             return [pid for _coord, pid in best]
-        return get_mode(q.mode).finalize_ids(ids, q)
+        return get_mode(q.mode).finalize(ids, q)

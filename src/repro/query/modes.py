@@ -1,31 +1,33 @@
 """Pluggable output modes and their registry.
 
-The paper's output modes (count — Theorem 4 with ⊕ = + —, report —
-Theorem 5 —, associative function — Theorem 4) differ only in how the
-selection pieces Algorithm Search leaves on the machine are turned into
-per-query answers.  An :class:`OutputMode` captures exactly that
-difference, in two families:
+In the paper an output mode is one of two things (§5): ``⊕ f(point)``
+over a commutative semigroup (Theorem 4; count is ⊕ = + over leaf
+counts) or the list of matching points (Theorem 5).  An
+:class:`OutputMode` says which, and nothing about *how*:
 
-* **fold family** (count, aggregate, topk): each hat/forest selection
-  contributes one semigroup value; all pieces of the batch go through a
-  *single* shared sort-and-segmented-fold
-  (:func:`repro.dist.modes.fold_sorted_runs`).
-* **report family** (report, sample): selections expand into point ids
-  — forest selections locally, hat selections via in-pass
-  :class:`~repro.dist.records.ExpandRequest` routing — and the per-id
-  pieces ride the *same* shared sort, harvested directly from its
-  balanced output (Theorem 5's ``ceil(k/p)``-per-processor term).
+* **fold family** (count, aggregate, topk): the mode names its semigroup
+  (:meth:`OutputMode.required_semigroup`; ``None`` folds the selections'
+  leaf counts under :data:`~repro.semigroup.COUNT`).  The engine's plan
+  groups the batch by semigroup and folds each group's pieces after one
+  shared sort (:func:`repro.dist.modes.accumulate_runs` /
+  :func:`~repro.semigroup.kernels.fold_segments`, carries resolved by
+  :func:`repro.dist.modes.resolve_sorted_runs`).
+* **report family** (report, sample): ``reports = True`` marks the query
+  in the pass's report mask; Algorithm Search emits its ``(qid, pid)``
+  pairs, which ride the *same* shared sort and are harvested directly
+  from its balanced output (Theorem 5's ``ceil(k/p)``-per-processor
+  term).
 
-New modes register with :func:`register_mode` and plug in without
-touching ``search.py`` or the engine: the engine only ever talks to the
-:class:`QuerySpec` a mode builds.
+Either way :meth:`OutputMode.finalize` maps the folded value (or the id
+list) to the user-visible answer.  New modes register with
+:func:`register_mode` and plug in without touching ``search.py`` or the
+engine.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List
+from typing import Any, Dict
 
 from ..errors import ReproError
 from ..semigroup import Semigroup, top_k_ids
@@ -33,7 +35,6 @@ from .descriptors import Query
 
 __all__ = [
     "OutputMode",
-    "QuerySpec",
     "register_mode",
     "get_mode",
     "registered_modes",
@@ -45,80 +46,38 @@ __all__ = [
 ]
 
 
-@dataclass
-class QuerySpec:
-    """Everything the engine needs to demultiplex one query's answer.
-
-    A query folds or it reports: ``piece_value`` reads a fold piece off
-    a selection row (hat and forest selections alike — ``nleaves`` and
-    ``agg`` are what both carry); ``report_pids`` instead marks the
-    query in the pass's report mask, and its pieces are the ``(qid,
-    pid)`` pairs Algorithm Search emits.  ``combine``/``default`` drive
-    the shared segmented fold; ``finalize`` maps the folded value to the
-    user-visible answer.
-    """
-
-    qid: int
-    query: Query
-    mode: "OutputMode"
-    combine: Callable[[Any, Any], Any]
-    default: Any
-    finalize: Callable[[Any], Any]
-    piece_value: Callable[[Any], Any] | None = None
-    report_pids: bool = False
-    #: The semigroup this query folds (``None`` when the mode needs no
-    #: annotation, e.g. count).  Lets the engine resolve a columnar
-    #: kernel for the query's pieces; modes that leave it unset simply
-    #: keep the object fold path.
-    semigroup: Semigroup | None = None
-
-
 class OutputMode:
     """Base class for output modes; subclass and :func:`register_mode`.
 
-    ``required_semigroup`` names the annotation the mode folds (fold
-    family); a non-build semigroup makes the engine refit the tree's
-    annotations lazily before the pass.  A report-family mode says so
-    in the spec it builds (``report_pids``).
+    A query folds or it reports.  A folding mode names the semigroup of
+    its answer in ``required_semigroup`` (one the tree is not annotated
+    with makes the engine refit lazily before the pass); a reporting
+    mode sets ``reports`` and receives the matching point ids.
     """
 
     name: str = ""
+    #: ``True``: the answer is built from the matching point ids, not a fold
+    reports: bool = False
 
     def validate(self, query: Query, dim: int) -> None:
         """Reject malformed queries early (box/dimension checks are global)."""
 
     def required_semigroup(self, query: Query, base: Semigroup) -> Semigroup | None:
-        """The semigroup whose annotation this query folds, if any."""
+        """The semigroup whose annotation this query folds; ``None`` folds
+        the selections' leaf counts (no annotation needed)."""
         return None
 
-    def spec(
-        self,
-        query: Query,
-        qid: int,
-        semigroup: Semigroup | None,
-        extract: Callable[[Any], Any],
-    ) -> QuerySpec:
-        """Build the demux spec; ``extract`` projects a node annotation
-        value onto ``semigroup``'s component (identity when the tree's
-        annotation *is* that semigroup)."""
-        raise NotImplementedError
+    def finalize(self, value: Any, query: Query) -> Any:
+        """The user-visible answer from the folded value — the semigroup's
+        identity when nothing matched — or, for a reporting mode, from
+        the matching ids (in no particular order)."""
+        return value
 
 
 class CountMode(OutputMode):
     """Theorem 4 with ⊕ = +: leaf counts need no annotation at all."""
 
     name = "count"
-
-    def spec(self, query, qid, semigroup, extract) -> QuerySpec:
-        return QuerySpec(
-            qid=qid,
-            query=query,
-            mode=self,
-            combine=lambda a, b: a + b,
-            default=0,
-            finalize=lambda v: v,
-            piece_value=lambda sel: sel.nleaves,
-        )
 
 
 class AggregateMode(OutputMode):
@@ -129,46 +88,21 @@ class AggregateMode(OutputMode):
     def required_semigroup(self, query, base):
         return query.semigroup if query.semigroup is not None else base
 
-    def spec(self, query, qid, semigroup, extract) -> QuerySpec:
-        return QuerySpec(
-            qid=qid,
-            query=query,
-            mode=self,
-            combine=semigroup.combine,
-            default=semigroup.identity,
-            finalize=lambda v: v,
-            piece_value=lambda sel: extract(sel.agg),
-            semigroup=semigroup,
-        )
-
 
 class ReportMode(OutputMode):
     """Theorem 5: the matching point ids, globally sorted per query."""
 
     name = "report"
+    reports = True
 
     def validate(self, query, dim):
         limit = query.option("limit")
         if limit is not None and limit < 0:
             raise ReproError(f"report limit must be >= 0, got {limit}")
 
-    def finalize_ids(self, ids: List[int], query: Query) -> Any:
-        limit = query.option("limit")
+    def finalize(self, value, query):
+        ids, limit = sorted(value), query.option("limit")
         return ids if limit is None else ids[:limit]
-
-    def spec(self, query, qid, semigroup, extract) -> QuerySpec:
-        # report_pids queries bypass the segmented fold entirely: their
-        # per-id pieces are harvested straight from the balanced sort
-        # output, so combine is never called for them.
-        return QuerySpec(
-            qid=qid,
-            query=query,
-            mode=self,
-            combine=lambda a, b: a + b,
-            default=(),
-            finalize=lambda v: self.finalize_ids(sorted(v), query),
-            report_pids=True,
-        )
 
 
 class TopKMode(AggregateMode):
@@ -192,10 +126,8 @@ class TopKMode(AggregateMode):
     def required_semigroup(self, query, base):
         return top_k_ids(query.option("k"), query.option("dim", 0))
 
-    def spec(self, query, qid, semigroup, extract) -> QuerySpec:
-        base = super().spec(query, qid, semigroup, extract)
-        base.finalize = lambda v: [pid for _coord, pid in v]
-        return base
+    def finalize(self, value, query):
+        return [pid for _coord, pid in value]
 
 
 class SampleReportMode(ReportMode):
@@ -208,7 +140,8 @@ class SampleReportMode(ReportMode):
         if not k or k < 1:
             raise ReproError(f"sample needs option k >= 1, got {k!r}")
 
-    def finalize_ids(self, ids, query):
+    def finalize(self, value, query):
+        ids = sorted(value)
         k = query.option("k")
         if len(ids) <= k:
             return ids

@@ -31,7 +31,6 @@ from repro.cgm.columns import (
     encode_keys,
     registered_codecs,
 )
-from repro.cgm.loadbalance import balance_by_weight, balance_by_weight_cols
 from repro.cgm.sort import sample_sort, sample_sort_cols
 from repro.dist import DistributedRangeTree
 from repro.dist.records import (
@@ -237,7 +236,6 @@ class TestCodecRoundTrips:
             "dist.forest_selection",
             "dist.search.routing",
             "dist.report_pair",
-            "query.piece",
         }
         assert codec_for_type(SRecord) is codec_for("dist.srecord")
 
@@ -335,43 +333,6 @@ class TestColumnarSortEquivalence:
         assert [t[2:] for t in t1 if t[0] == "comm"] == [
             t[2:] for t in t2 if t[0] == "comm"
         ]  # same h-relations
-
-    def test_balance_by_weight_cols_matches_object(self):
-        units = [
-            ForestSelection(
-                qid=q,
-                forest_id=((1, 0),),
-                nleaves=q % 7,
-                agg=None,
-            )
-            for q in range(37)
-        ]
-        p = 4
-        chunk = -(-len(units) // p)
-        locals_ = [units[r * chunk : (r + 1) * chunk] for r in range(p)]
-
-        m1 = Machine(p)
-        obj = balance_by_weight(m1, locals_, weight=lambda u: u.nleaves)
-
-        m2 = Machine(p)
-        batches = []
-        for box in locals_:
-            b = RecordBatch.from_records("dist.forest_selection", box)
-            batches.append(b.with_col("weight", b.col("nleaves")))
-        cols = balance_by_weight_cols(m2, batches, "weight")
-        assert [[u for u in b] for b in cols] == obj
-        # weighted h-relation accounting must match the object twin too
-        comm1 = [
-            (s.label, s.sent, s.received)
-            for s in m1.metrics.steps
-            if s.kind == "comm"
-        ]
-        comm2 = [
-            (s.label, s.sent, s.received)
-            for s in m2.metrics.steps
-            if s.kind == "comm"
-        ]
-        assert comm1 == comm2
 
 
 class TestPlaneParity:

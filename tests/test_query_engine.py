@@ -18,7 +18,6 @@ from repro.query import (
     OutputMode,
     Query,
     QueryBatch,
-    QuerySpec,
     ResultSet,
     aggregate,
     count,
@@ -285,16 +284,8 @@ class TestModeRegistry:
         class ParityMode(OutputMode):
             name = "parity-test-mode"
 
-            def spec(self, query, qid, semigroup, extract):
-                return QuerySpec(
-                    qid=qid,
-                    query=query,
-                    mode=self,
-                    combine=lambda a, b: a + b,
-                    default=0,
-                    finalize=lambda v: v % 2,
-                    piece_value=lambda sel: sel.nleaves,
-                )
+            def finalize(self, value, query):
+                return value % 2
 
         register_mode(ParityMode())
         try:

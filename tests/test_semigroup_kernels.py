@@ -417,9 +417,8 @@ def test_object_storage_with_kernel_demux_counts():
     boxes = selectivity_queries(12, 2, seed=62, selectivity=0.2)
     with DistributedRangeTree.build(pts, p=4, semigroup=id_set()) as tree:
         assert tree.value_kernel is None  # id_set is unkernelizable
-        assert tree.engine._kernel_fold_plan(
-            tree.engine.plan(QueryBatch([count(b) for b in boxes]))
-        ) is not None
+        plan = tree.engine.plan(QueryBatch([count(b) for b in boxes]))
+        assert tree.engine._fold_kernels(plan) == [(kernel_for(COUNT), 0)]
         counts = tree.run([count(b) for b in boxes]).values()
     assert counts == [bf_count(pts, b) for b in boxes]
 

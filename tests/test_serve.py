@@ -166,7 +166,8 @@ def test_client_cancel_mid_batch_does_not_poison_batch(tree, monkeypatch):
     started = None
 
     def slow_run_batch(self, item):
-        started.set()  # loop thread may now cancel while we sleep
+        # worker thread: an asyncio.Event is the loop's to set
+        self._loop.call_soon_threadsafe(started.set)
         import time as _time
 
         _time.sleep(0.05)
