@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI gate: an idle rank and an empty round stay cheap, a batch pass
-pays for rows, not objects, and the forest and the hat each have one
-representation.
+pays for rows, not objects, and the forest, the hat and a name each have
+one representation.
 
 Usage::
 
@@ -11,55 +11,36 @@ Builds n=512, p=8 and runs an empty, a one-query and a 64-query
 ``tree.run``.  Fails unless
 
 * all three passes record the same comm-round label sequence (rounds are
-  the data-independent observable — Theorem 3 — whatever the batch size,
-  ``m = 0`` included),
-* the one-query pass makes at most 5 ``run_phase`` dispatches (walk,
-  forest and the three sort steps: replication rounds that move no store
-  are recorded without dispatching pack/unpack),
-* no ``random.Random`` is constructed during either pass (byte accounting
-  for record-list rounds is plain arithmetic, once per routed list),
-* the 64-query pass never calls the one-box ``to_rank_box`` (a batch's
-  boxes are translated as two matrices),
-* a ``dyn.run`` over >= 100 tombstones never calls ``Box.contains_point``
-  (the dead and buffered scans are one array comparison per batch), and
-* the forest has one representation: on every backend a build, a lazy
-  refit and a hot-spot (replicating) pass construct no ``DimTree``,
-  ``SegTree`` or ``RangeTree`` (so step 3 cannot be sized by walking one:
-  it reads the count each element stores); no pass — the first after the
-  build, the first after the refit, nor one whose stores cross a pickle
-  under the process backend — calls ``CompiledForest.from_ranks`` (arrays
-  are built at Construct, kept through refits and shipped as they are);
-  and no ``DimTree`` is alive after a dynamic tree's absorbs, and
-* the hat has one representation: ``repro.dist.hat`` exposes no
-  ``HatNode``/``CompiledHat`` and a built ``Hat`` has no ``compiled``/
-  ``_compiled``/``nodes_by_path``/``root``; on every backend the same
-  build, lazy refit and replicating passes — and a dynamic tree's absorbs
-  — call ``Hat.build`` once per rank per Construct and never in a query
-  pass or a refit; and a refit constructs no ``Hat`` and no per-node
-  object: it rebinds the aggregate column (and ``idle``) and leaves every
-  other column the same array, and
-* the forest walk is arithmetic: one ``searchsorted`` and one closed-form
-  cover per divided dimension whether an element holds 64 points or 2048
-  (the loop is per dimension, not per level), and ``CompiledForest`` holds
-  no per-node bound or link array (``lo/hi/left/right/desc/last/dim_ix``), and
-* a query folds or it reports, said once: ``run_search`` takes one
-  ``report`` mask and no ``collect_*``/``expand_*`` parameter, no phase of
-  a 64-query mixed pass calls ``np.isin`` or builds a ``frozenset`` (the
-  mask is indexed, never rebuilt from a qid set), the
-  ``dist.forest_selection`` batches carry ``qid, forest_id, nleaves, agg``
-  and no ragged pid column (a reporting query's points leave step 5 as
-  ``dist.report_pair`` rows), and padding sentinels (negative pids) are
-  dropped in one function on the Search/demux path, and
-* how a query folds is said once: planning + executing the 64-query
-  count/report/aggregate batch constructs exactly 2 ``Fold``s (leaf
-  counts and ``sum[x0]`` — one per distinct semigroup, not per query) and
-  resolves typed-vs-``combine`` in one ``_fold_kernels`` call;
-  ``query/engine.py`` and ``query/modes.py`` define the classes and
-  functions listed in ``QUERY_DEFINES`` and no other (no per-query spec,
-  row view, execute-time kernel plan, run merge or piece codec beside
-  them), a registered mode has ``OutputMode``'s five attributes and no
-  further method; and ``run_search`` runs against resident state only (a
-  required ``ns``, no ``hat`` to seed a temp namespace from).
+  the data-independent observable — Theorem 3 — ``m = 0`` included), the
+  one-query pass makes at most 5 ``run_phase`` dispatches (an empty
+  replication round dispatches nothing) and no pass constructs a
+  ``random.Random`` (``main``);
+* a batch pass calls no one-box ``to_rank_box`` and a ``dyn.run`` over
+  >= 100 tombstones no ``Box.contains_point`` (``object_loop_calls``);
+* on every backend a build, a lazy refit and a replicating pass construct
+  no ``DimTree``/``SegTree``/``RangeTree``, no pass calls
+  ``CompiledForest.from_ranks``, ``Hat.build`` runs once per rank per
+  Construct and never on a pass, a refit or outside a dynamic absorb's
+  Construct (``second_representation_calls``), and a refit rebinds the
+  hat's aggregate column (and ``idle``) and nothing else
+  (``hat_shape_failures``);
+* the forest walk makes one ``searchsorted`` and one closed-form cover per
+  divided dimension whether an element holds 64 points or 2048
+  (``walk_shape_failures``);
+* on a 64-query mixed pass no phase calls ``np.isin`` or builds a
+  ``frozenset`` (the report mask is indexed, never rebuilt from a qid
+  set), negative pids are dropped in one function, every column of a
+  batch reaching ``Machine.exchange_batches`` or leaving Search step 5 is
+  an ``np.ndarray`` or a ``KernelColumn``, and step 5 at one rank makes
+  the same number of Python-level calls on 640 subqueries as on 64 over
+  the same elements — a name is resolved per element, not per row
+  (``report_mask_failures``);
+* the 64-query count/report/aggregate batch builds exactly 2 ``Fold``s
+  and resolves typed-vs-``combine`` in one ``_fold_kernels`` call,
+  ``query/engine.py`` and ``query/modes.py`` define ``QUERY_DEFINES`` and
+  no other, a registered mode has ``OutputMode``'s five attributes, and
+  ``run_search`` takes a required ``ns`` and no ``hat``
+  (``fold_said_once_failures``).
 
 A later change that re-prices idle ranks, puts a per-object Python loop
 back on the batch path, holds a forest element or the hat in a second
@@ -78,6 +59,8 @@ import random
 import sys
 import tempfile
 from contextlib import contextmanager
+
+from repro.geometry.box import Box
 
 MAX_ONE_QUERY_DISPATCHES = 5
 
@@ -130,7 +113,6 @@ def second_representation_calls() -> dict:
     """Object trees built, and array builds on a pass: all must be 0."""
     from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree
     from repro.dist.hat import Hat
-    from repro.geometry.box import Box
     from repro.query import aggregate, count
     from repro.semigroup import sum_of_dim
     from repro.seq.compiled import CompiledForest
@@ -186,31 +168,24 @@ def second_representation_calls() -> dict:
 
 #: What a refit may rebind on a ``Hat``; every other attribute is topology.
 HAT_ANNOTATION = {"semigroup", "agg_kernel", "agg_mat", "agg_obj", "idle"}
-HAT_SECOND_FORM = ("compiled", "_compiled", "nodes_by_path", "root")
 
 
 def hat_shape_failures() -> list:
-    """The hat is its columns: the object form's names stay gone, and a
-    refit rebinds the annotation without constructing anything per node."""
+    """The hat is its columns: a refit rebinds the annotation without
+    constructing anything per node."""
     import numpy as np
 
-    from repro.cgm.columns import Ragged
     from repro.dist import DistributedRangeTree
-    from repro.dist import hat as hat_module
+    from repro.dist.hat import Hat
     from repro.semigroup import top_k_ids
     from repro.workloads import make_points
 
-    failures = [
-        f"repro.dist.hat regained {name}"
-        for name in ("HatNode", "CompiledHat")
-        if hasattr(hat_module, name)
-    ]
+    failures = []
     calls: dict = {}
     with DistributedRangeTree.build(make_points("uniform", 512, 2, seed=1), p=8) as tree:
         hat = tree.hat
-        failures += [f"Hat regained {name}" for name in HAT_SECOND_FORM if hasattr(hat, name)]
         before = dict(vars(hat))
-        with counting(calls, (hat_module.Hat, "__init__")):
+        with counting(calls, (Hat, "__init__")):
             tree.reannotate(top_k_ids(2))  # an object column: the per-value case
         if calls["Hat.__init__"]:
             failures.append(f"a refit constructed {calls['Hat.__init__']} Hat(s)")
@@ -221,7 +196,7 @@ def hat_shape_failures() -> list:
         per_node = sorted(
             k
             for k, v in after.items()
-            if k not in HAT_ANNOTATION and not isinstance(v, (np.ndarray, Ragged, int))
+            if k not in HAT_ANNOTATION and not isinstance(v, (np.ndarray, int))
         )
         if per_node:
             failures.append(f"Hat holds non-array state: {per_node}")
@@ -231,7 +206,6 @@ def hat_shape_failures() -> list:
 def object_loop_calls() -> dict:
     """Calls a batch pass must not make, counted on three small passes."""
     from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree
-    from repro.geometry.box import Box
     from repro.geometry.rankspace import RankedPointSet, RankSpace
     from repro.query import count, report
     from repro.workloads import make_points
@@ -266,12 +240,8 @@ def object_loop_calls() -> dict:
     return calls
 
 
-DESCENT_ARRAYS = ("lo", "hi", "left", "right", "desc", "last", "dim_ix")
-
-
 def walk_shape_failures() -> list:
-    """The walk's step counts must not grow with an element's size, and
-    the arrays only a descent would read must stay gone."""
+    """The walk's step counts must not grow with an element's size."""
     import numpy as np
 
     from repro.semigroup import COUNT
@@ -279,9 +249,6 @@ def walk_shape_failures() -> list:
     from repro.seq.compiled import CompiledForest
 
     failures = []
-    back = sorted(set(CompiledForest.__slots__) & set(DESCENT_ARRAYS))
-    if back:
-        failures.append(f"CompiledForest.__slots__ regained {back}")
     rng = np.random.default_rng(5)
     for d in (1, 2, 3):
         steps = {}
@@ -289,24 +256,11 @@ def walk_shape_failures() -> list:
             ranks = np.stack([rng.permutation(m) for _ in range(d)], axis=1)
             forest = CompiledForest.from_ranks(ranks, [1] * m, COUNT)
             los = rng.integers(0, m // 2, size=(32, d))
-            calls = {"searchsorted": 0, "cover": 0}
-
-            def counted(name, real):
-                def wrapper(*args, **kwargs):
-                    calls[name] += 1
-                    return real(*args, **kwargs)
-
-                return wrapper
-
-            real = np.searchsorted, compiled._cover_bits
-            np.searchsorted = counted("searchsorted", real[0])
-            compiled._cover_bits = counted("cover", real[1])
-            try:
+            with counting({}, (np, "searchsorted"), (compiled, "_cover_bits")) as calls:
                 forest.walk(los, los + m // 3)
-            finally:
-                np.searchsorted, compiled._cover_bits = real
             steps[m] = calls
-        if steps[64] != steps[2048] or steps[64] != {"searchsorted": d, "cover": d}:
+        want = {"numpy.searchsorted": d, "repro.seq.compiled._cover_bits": d}
+        if steps[64] != steps[2048] or steps[64] != want:
             failures.append(
                 f"d={d} walk steps depend on the element's size "
                 f"(want {d} of each): m=64 {steps[64]}, m=2048 {steps[2048]}"
@@ -320,24 +274,23 @@ SENTINEL_FILTER = ["repro.dist.search._forest_output"]
 
 
 def report_mask_failures(tree, batch) -> list:
-    """One mask from plan to walk: the second spellings of "this query
-    reports" (qid sets, per-phase re-masking, a ragged pid column beside
-    the pair batch, a second sentinel filter) must stay gone."""
+    """One mask from plan to walk, one int64 per name: the second
+    spellings of "this query reports" (qid sets, per-phase re-masking, a
+    second sentinel filter) and of "this element" (a column that is not
+    an array, a per-row decode in step 5) must stay gone."""
     import numpy as np
 
-    from repro.cgm.columns import Ragged
     from repro.cgm.machine import Machine
+    from repro.cgm.phases import ProcContext, get_phase
     from repro.dist import forest_compiled, hat, search
     from repro.query import engine
+    from repro.semigroup.kernels import KernelColumn
 
     failures = []
-    params = list(inspect.signature(search.run_search).parameters)
-    stale = [name for name in params if name.startswith(("collect_", "expand_"))]
-    if stale or "report" not in params:
-        return [f"run_search({', '.join(params)}): want one `report` mask, no {stale}"]
-
     calls = {"np.isin": 0, "frozenset": 0}
-    real_isin, real_frozenset, real_run_phase = np.isin, frozenset, Machine.run_phase
+    shipped = []
+    real_isin, real_frozenset = np.isin, frozenset
+    real_run_phase, real_exchange = Machine.run_phase, Machine.exchange_batches
 
     def isin(*args, **kwargs):
         calls["np.isin"] += 1
@@ -355,22 +308,67 @@ def report_mask_failures(tree, batch) -> list:
         finally:
             np.isin, builtins.frozenset = real_isin, real_frozenset
 
-    Machine.run_phase = run_phase
+    def exchange_batches(self, label, outboxes, template=None):
+        shipped.extend((label, b) for box in outboxes for b in box if b is not None)
+        return real_exchange(self, label, outboxes, template)
+
+    mask = np.array([q.mode == "report" for q in batch])
+    Machine.run_phase, Machine.exchange_batches = run_phase, exchange_batches
     try:
         tree.run(batch)
-        out = tree.search(
-            [q.box for q in batch], report=np.array([q.mode == "report" for q in batch])
-        )
+        out = tree.search([q.box for q in batch], report=mask)
     finally:
-        Machine.run_phase = real_run_phase
+        Machine.run_phase, Machine.exchange_batches = real_run_phase, real_exchange
     failures += [f"{name} called in a phase: {n} (must be 0)" for name, n in calls.items() if n]
     if not sum(len(b) for b in out.report_pairs):
         failures.append("(the mixed pass reported nothing)")
-    for batch in out.forest_selections:
-        ragged = sorted(k for k, v in batch.cols.items() if isinstance(v, Ragged))
-        if sorted(batch.cols) != ["agg", "forest_id", "nleaves", "qid"] or ragged != ["forest_id"]:
-            failures.append(f"dist.forest_selection columns {sorted(batch.cols)}, ragged {ragged}")
-            break
+    shipped += [("search:forest output", b) for b in out.forest_selections + out.report_pairs]
+    odd = sorted(
+        {
+            f"{label}: {b.schema}.{name} is a {type(col).__name__}"
+            for label, b in shipped
+            for name, col in b.cols.items()
+            if type(col) is not np.ndarray and not isinstance(col, KernelColumn)
+        }
+    )
+    if odd or not shipped:
+        failures.append(f"batch columns that are neither ndarray nor KernelColumn: {odd}")
+
+    # step 5 at the busiest owner, on 64 and on 640 subqueries over the
+    # same elements: what it does in Python is per element, not per row
+    ns, mach = tree._ensure_resident(), tree.machine
+    _sels, routing, _exps, _visits = tree.hat.walk_batch(
+        0, *tree.ranked.to_rank_bounds(*Box.stack([q.box for q in batch])), mask
+    )
+    owners = routing.col("location")
+    owner = int(np.bincount(owners).argmax())
+    mine = np.flatnonzero(owners == owner)
+    forest_cols = get_phase("dist.search.forest_cols")
+
+    def step5(rows: int) -> int:
+        """Python-level calls of step 5 on ``rows`` of ``owner``'s subqueries."""
+        ctx = ProcContext(rank=owner, p=mach.p, state=mach.backend.states(mach.p)[owner])
+        inbox = routing.take(np.resize(mine, rows))
+        n = 0
+
+        def profile(_frame, event, _arg):
+            nonlocal n
+            n += event == "call"
+
+        sys.setprofile(profile)
+        try:
+            forest_cols(ctx, (inbox, ns, mask))
+        finally:
+            sys.setprofile(None)
+        return n
+
+    step5(64)  # warm the walk's memoised tables
+    few, many = step5(64), step5(640)
+    if few != many or len(np.unique(routing.col("element")[mine])) < 2:
+        failures.append(
+            f"step 5 made {few} Python calls on 64 subqueries and {many} on 640 "
+            "over the same elements: a per-row decode?"
+        )
 
     filters = []
     for module in (hat, search, forest_compiled, engine):
@@ -464,7 +462,6 @@ def fold_said_once_failures(tree, boxes) -> list:
 
 def main() -> int:
     from repro.dist import DistributedRangeTree
-    from repro.geometry.box import Box
     from repro.query import aggregate, count, report
     from repro.workloads import make_points
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence, TypeVar
 
+import numpy as np
+
 from .errors import PowerOfTwoError
 
 T = TypeVar("T")
@@ -16,6 +18,7 @@ __all__ = [
     "chunks",
     "pairwise_disjoint",
     "percentiles",
+    "slice_positions",
 ]
 
 
@@ -92,3 +95,12 @@ def pairwise_disjoint(sets: Iterable[Iterable[T]]) -> bool:
                 return False
             seen.add(x)
     return True
+
+
+def slice_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Indices of the slices ``[starts[k], starts[k] + lengths[k])``, end
+    to end: ``flat[slice_positions(starts, lengths)]`` gathers ragged
+    rows of a flat array with one ``repeat`` and one fancy index."""
+    first = np.cumsum(lengths) - lengths
+    total = int(lengths.sum())
+    return np.repeat(starts - first, lengths) + np.arange(total, dtype=np.int64)

@@ -27,15 +27,7 @@ from .collectives import (
     segmented_gather,
     segmented_partial_sum,
 )
-from .columns import (
-    Ragged,
-    RecordBatch,
-    RecordCodec,
-    codec_for,
-    codec_for_type,
-    register_codec,
-    registered_codecs,
-)
+from .columns import RecordBatch
 from .cost import CostModel
 from .loadbalance import (
     assign_copies_round_robin,
@@ -88,10 +80,4 @@ __all__ = [
     "compute_copy_counts",
     "assign_copies_round_robin",
     "RecordBatch",
-    "RecordCodec",
-    "Ragged",
-    "register_codec",
-    "codec_for",
-    "codec_for_type",
-    "registered_codecs",
 ]

@@ -87,7 +87,7 @@ def route_batches(
     Rows keep their relative order per ``(source, destination)`` pair —
     one ``take`` per destination over the ascending row indices — so the
     deterministic inbox merge is byte-for-byte :func:`route`'s.
-    ``template`` shapes empty inboxes (any batch of the stream's codec).
+    ``template`` shapes empty inboxes (any batch of the stream's schema).
     """
     p = mach.p
     outboxes: list[list] = [[None] * p for _ in range(p)]

@@ -1,24 +1,18 @@
 """Column-packed record traffic: struct-of-arrays batches.
 
 The paper's cost model (§1, Theorems 2-5) charges every CGM round by the
-*volume* of records moved, yet a frozen dataclass per record makes the
-hot paths pay per-object allocation, per-object comparison in the sample
-sort, and per-object pickling across the process backend.  This module
-is the batch-packed alternative: a :class:`RecordBatch` keeps one record
-*stream* as typed column packs — int64 arrays for ids/ranks/owners,
-:class:`Ragged` int columns for variable-length paths, and an object
-column only where semigroup values require one (builtin semigroups ride
-as typed :class:`~repro.semigroup.kernels.KernelColumn` matrices with
-exact byte accounting; see :mod:`repro.semigroup.kernels`) — so sorting
-becomes ``numpy`` argsort over encoded key columns, routing becomes array
-slicing, and backend transport pickles whole arrays instead of object
-lists.
-
-The dataclass record types (:mod:`repro.dist.records`) remain the
-public, per-record view: every batch carries a :class:`RecordCodec`
-registered for its record type, iterating a batch lazily *unpacks*
-dataclass records one at a time, and ``pack → route → unpack`` is an
-identity on the record stream (property-tested).
+*volume* of records moved.  A :class:`RecordBatch` keeps one record
+*stream* as named columns of exactly two kinds — an ``np.ndarray``
+(int64 ids, ranks, owners and hat rows; ``(n, k)`` matrices for rank
+vectors and Definition 2 labels, whose width is fixed per stream; an
+object array only for semigroup values no kernel encodes) or a typed
+:class:`~repro.semigroup.kernels.KernelColumn` with exact byte
+accounting (see :mod:`repro.semigroup.kernels`) — so sorting is a
+``numpy`` argsort over encoded key columns, routing is array slicing,
+and backend transport pickles whole arrays.  A batch's ``schema`` names
+its stream (the schemas Construct and Search ship are listed in
+:mod:`repro.dist.records`); iterating a batch yields one named tuple per
+record, its fields named by the columns.
 
 ``encode_keys`` is the sort workhorse: ``k`` int64 key columns become
 one big-endian byte string per row whose lexicographic (bytes) order
@@ -34,21 +28,16 @@ move; the record-list primitives of :mod:`repro.cgm.sort` and
 from __future__ import annotations
 
 import sys
-from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
+from collections import namedtuple
+from typing import Any, Dict, Iterator, List, Sequence
 
 import numpy as np
 
 from ..semigroup.kernels import KernelColumn
 
 __all__ = [
-    "Ragged",
     "RecordBatch",
-    "RecordCodec",
     "obj_col",
-    "register_codec",
-    "codec_for",
-    "codec_for_type",
-    "registered_codecs",
     "encode_keys",
     "estimate_nbytes",
     "estimate_object_bytes",
@@ -61,110 +50,11 @@ _I64 = np.int64
 # ---------------------------------------------------------------------------
 # column kinds
 # ---------------------------------------------------------------------------
-class Ragged:
-    """A ragged int64 column: per-row integer tuples of varying length.
-
-    Stored as one flat value array plus ``offsets`` (length ``n + 1``):
-    row ``i`` is ``flat[offsets[i]:offsets[i+1]]``.  Used for the
-    Definition 2 path/tree-id columns, whose length varies with the
-    construction phase, and for report-mode pid lists.
-    """
-
-    __slots__ = ("flat", "offsets")
-
-    def __init__(self, flat: np.ndarray, offsets: np.ndarray) -> None:
-        self.flat = np.asarray(flat, dtype=_I64)
-        self.offsets = np.asarray(offsets, dtype=_I64)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Ragged":
-        lengths = np.fromiter((len(r) for r in rows), dtype=_I64, count=len(rows))
-        offsets = np.zeros(len(rows) + 1, dtype=_I64)
-        np.cumsum(lengths, out=offsets[1:])
-        flat = np.empty(int(offsets[-1]), dtype=_I64)
-        for i, r in enumerate(rows):
-            flat[offsets[i] : offsets[i + 1]] = r
-        return cls(flat, offsets)
-
-    @classmethod
-    def from_matrix(cls, mat: np.ndarray) -> "Ragged":
-        """Uniform-width rows from a 2-D int array (width may be zero)."""
-        mat = np.ascontiguousarray(mat, dtype=_I64)
-        n, w = mat.shape
-        offsets = np.arange(n + 1, dtype=_I64) * w
-        return cls(mat.reshape(-1), offsets)
-
-    def __len__(self) -> int:
-        return len(self.offsets) - 1
-
-    def row(self, i: int) -> np.ndarray:
-        return self.flat[self.offsets[i] : self.offsets[i + 1]]
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return np.diff(self.offsets)
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.flat.nbytes + self.offsets.nbytes)
-
-    def uniform_width(self) -> "int | None":
-        """The common row width, or ``None`` when rows differ."""
-        n = len(self)
-        if n == 0:
-            return 0
-        lengths = self.lengths
-        w = int(lengths[0])
-        return w if bool(np.all(lengths == w)) else None
-
-    def as_matrix(self) -> np.ndarray:
-        """The rows as an ``(n, w)`` matrix (requires uniform width)."""
-        w = self.uniform_width()
-        if w is None:
-            raise ValueError("ragged column has non-uniform row widths")
-        return self.flat.reshape(len(self), w)
-
-    def take(self, idx: np.ndarray) -> "Ragged":
-        idx = np.asarray(idx, dtype=_I64)
-        if not len(idx):
-            return Ragged(self.flat[:0], np.zeros(1, dtype=_I64))
-        lengths = self.lengths[idx]
-        offsets = np.zeros(len(idx) + 1, dtype=_I64)
-        np.cumsum(lengths, out=offsets[1:])
-        total = int(offsets[-1])
-        if total == 0:
-            return Ragged(np.empty(0, dtype=_I64), offsets)
-        starts = self.offsets[idx]
-        # flat gather: position r of output row i reads flat[starts[i] + r]
-        pos = (
-            np.arange(total, dtype=_I64)
-            - np.repeat(offsets[:-1], lengths)
-            + np.repeat(starts, lengths)
-        )
-        return Ragged(self.flat[pos], offsets)
-
-    @classmethod
-    def concat(cls, cols: Sequence["Ragged"]) -> "Ragged":
-        if not cols:
-            return cls(np.empty(0, dtype=_I64), np.zeros(1, dtype=_I64))
-        flat = np.concatenate([c.flat for c in cols])
-        n = sum(len(c) for c in cols)
-        offsets = np.zeros(n + 1, dtype=_I64)
-        base = 0
-        pos = 1
-        for c in cols:
-            k = len(c)
-            offsets[pos : pos + k] = c.offsets[1:] + base
-            base += int(c.offsets[-1])
-            pos += k
-        return cls(flat, offsets)
-
-
 def obj_col(values: Sequence[Any]) -> np.ndarray:
     """An object column: numpy object array (fancy-indexable).
 
-    The one column kind reserved for semigroup values — everything else
-    in a batch is typed int storage.
+    The one column kind reserved for semigroup values without a kernel —
+    everything else in a batch is typed storage.
     """
     col = np.empty(len(values), dtype=object)
     for i, v in enumerate(values):
@@ -172,26 +62,18 @@ def obj_col(values: Sequence[Any]) -> np.ndarray:
     return col
 
 
-def _col_len(col: Any) -> int:
-    return len(col)
-
-
 def _col_take(col: Any, idx: np.ndarray) -> Any:
-    if isinstance(col, (Ragged, KernelColumn)):
-        return col.take(idx)
-    return col[idx]
+    return col.take(idx) if isinstance(col, KernelColumn) else col[idx]
 
 
 def _col_concat(cols: List[Any]) -> Any:
-    if isinstance(cols[0], Ragged):
-        return Ragged.concat(cols)
     if isinstance(cols[0], KernelColumn):
         return KernelColumn.concat(cols)
     return np.concatenate(cols)
 
 
 def _col_nbytes(col: Any) -> int:
-    if isinstance(col, (Ragged, KernelColumn)):
+    if isinstance(col, KernelColumn):
         # Typed storage: exact bytes, no sampling (the kernel engine's
         # byte-accounting guarantee for value columns).
         return col.nbytes
@@ -204,123 +86,50 @@ def _col_nbytes(col: Any) -> int:
     return int(col.nbytes)
 
 
-# ---------------------------------------------------------------------------
-# codecs: per-record-type pack/unpack
-# ---------------------------------------------------------------------------
-class RecordCodec:
-    """Packs a homogeneous record stream into columns and back.
-
-    Subclasses define ``name``, ``record_type``, :meth:`pack` (records →
-    column dict) and :meth:`unpack` (columns + row index → record).
-    ``pack(unpack) == identity`` on the stream is the contract the codec
-    property tests enforce for every registered record type.
-    """
-
-    name: str = ""
-    record_type: type = object
-
-    def pack(self, records: Sequence[Any]) -> Dict[str, Any]:
-        raise NotImplementedError
-
-    def unpack(self, cols: Dict[str, Any], i: int) -> Any:
-        raise NotImplementedError
+def _col_rows(col: Any) -> list:
+    """A column's cells as Python values: ints, decoded semigroup values,
+    one tuple per matrix row."""
+    if isinstance(col, KernelColumn):
+        return col.to_list()
+    if col.ndim == 2:
+        return [tuple(row) for row in col.tolist()]
+    return col.tolist()
 
 
-_CODECS: Dict[str, RecordCodec] = {}
-_CODECS_BY_TYPE: Dict[type, RecordCodec] = {}
+class RecordBatch:
+    """One record stream as named columns under a schema name.
 
-
-def register_codec(codec: RecordCodec) -> RecordCodec:
-    """Register ``codec`` under ``codec.name`` (and its record type)."""
-    if not codec.name:
-        raise ValueError("a RecordCodec must define a non-empty name")
-    existing = _CODECS.get(codec.name)
-    if existing is not None and type(existing) is not type(codec):
-        raise ValueError(f"codec {codec.name!r} is already registered")
-    _CODECS[codec.name] = codec
-    if codec.record_type is not object:
-        _CODECS_BY_TYPE[codec.record_type] = codec
-    return codec
-
-
-def codec_for(name: str) -> RecordCodec:
-    try:
-        return _CODECS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown record codec {name!r}; registered: {sorted(_CODECS)}"
-        ) from None
-
-
-def codec_for_type(record_type: type) -> RecordCodec:
-    try:
-        return _CODECS_BY_TYPE[record_type]
-    except KeyError:
-        raise KeyError(
-            f"no codec registered for record type {record_type.__name__}"
-        ) from None
-
-
-def registered_codecs() -> Tuple[str, ...]:
-    return tuple(sorted(_CODECS))
-
-
-class RecordBatch(Sequence):
-    """A packed record stream: named columns plus the codec that views it.
-
-    Behaves as a read-only sequence of records — ``len``, indexing, and
-    iteration lazily unpack the per-record dataclass view, so consumers
-    written against record lists keep working — while the hot paths read
-    the columns directly (``col``, ``take``, ``concat``) and transport
-    pickles whole arrays.
+    A column is an ``np.ndarray`` (1-D, or 2-D with one row per record)
+    or a :class:`~repro.semigroup.kernels.KernelColumn`; the hot paths
+    read the columns directly (``col``, ``take``, ``concat``) and
+    transport pickles whole arrays.  Iterating yields one named tuple
+    per record, its fields named by the columns.
 
     Internal helper columns (sort keys, routing tags) use ``__``-prefixed
     names; :meth:`drop` removes them before a batch goes public.
     """
 
-    __slots__ = ("codec_name", "cols", "_len")
+    __slots__ = ("schema", "cols", "_len")
 
-    def __init__(self, codec_name: str, cols: Dict[str, Any], length: "int | None" = None) -> None:
-        self.codec_name = codec_name
+    def __init__(self, schema: str, cols: Dict[str, Any], length: "int | None" = None) -> None:
+        self.schema = schema
         self.cols = cols
         if length is None:
-            length = _col_len(next(iter(cols.values()))) if cols else 0
+            length = len(next(iter(cols.values()))) if cols else 0
         self._len = int(length)
-
-    # -- construction ------------------------------------------------------
-    @classmethod
-    def from_records(cls, codec_name: str, records: Sequence[Any]) -> "RecordBatch":
-        codec = codec_for(codec_name)
-        return cls(codec_name, codec.pack(records), len(records))
 
     @classmethod
     def empty_like(cls, template: "RecordBatch") -> "RecordBatch":
         return template.take(np.empty(0, dtype=_I64))
 
-    # -- sequence-of-records view -----------------------------------------
+    # -- row view ------------------------------------------------------------
     def __len__(self) -> int:
         return self._len
 
-    def record(self, i: int) -> Any:
-        return codec_for(self.codec_name).unpack(self.cols, i)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self.record(j) for j in range(*i.indices(self._len))]
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError(i)
-        return self.record(i)
-
-    def __iter__(self) -> Iterator[Any]:
-        codec = codec_for(self.codec_name)
-        cols = self.cols
-        for i in range(self._len):
-            yield codec.unpack(cols, i)
-
-    def to_records(self) -> List[Any]:
-        return list(self)
+    def __iter__(self) -> Iterator[tuple]:
+        # helper columns are not identifiers: ``rename`` numbers them
+        row = namedtuple("Row", list(self.cols), rename=True)
+        return map(row._make, zip(*map(_col_rows, self.cols.values())))
 
     # -- columnar view -----------------------------------------------------
     def col(self, name: str) -> Any:
@@ -329,32 +138,23 @@ class RecordBatch(Sequence):
     def with_col(self, name: str, col: Any) -> "RecordBatch":
         cols = dict(self.cols)
         cols[name] = col
-        return RecordBatch(self.codec_name, cols, self._len)
+        return RecordBatch(self.schema, cols, self._len)
 
     def drop(self, *names: str) -> "RecordBatch":
         cols = {k: v for k, v in self.cols.items() if k not in names}
-        return RecordBatch(self.codec_name, cols, self._len)
+        return RecordBatch(self.schema, cols, self._len)
 
     def take(self, idx: np.ndarray) -> "RecordBatch":
         idx = np.asarray(idx, dtype=_I64)
         return RecordBatch(
-            self.codec_name,
+            self.schema,
             {k: _col_take(v, idx) for k, v in self.cols.items()},
             len(idx),
         )
 
     def islice(self, start: int, stop: int) -> "RecordBatch":
-        cols: Dict[str, Any] = {}
-        for k, v in self.cols.items():
-            if isinstance(v, Ragged):
-                base = int(v.offsets[start])
-                cols[k] = Ragged(
-                    v.flat[base : int(v.offsets[stop])],
-                    v.offsets[start : stop + 1] - base,
-                )
-            else:
-                cols[k] = v[start:stop]
-        return RecordBatch(self.codec_name, cols, stop - start)
+        cols = {k: v[start:stop] for k, v in self.cols.items()}
+        return RecordBatch(self.schema, cols, stop - start)
 
     @classmethod
     def concat(cls, batches: Sequence["RecordBatch"]) -> "RecordBatch":
@@ -369,7 +169,7 @@ class RecordBatch(Sequence):
         cols = {
             k: _col_concat([b.cols[k] for b in batches]) for k in first.cols
         }
-        return cls(first.codec_name, cols, sum(len(b) for b in batches))
+        return cls(first.schema, cols, sum(len(b) for b in batches))
 
     @property
     def nbytes(self) -> int:
@@ -378,7 +178,7 @@ class RecordBatch(Sequence):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"RecordBatch({self.codec_name!r}, n={self._len}, "
+            f"RecordBatch({self.schema!r}, n={self._len}, "
             f"cols={list(self.cols)})"
         )
 

@@ -237,7 +237,7 @@ class Machine:
         toward the h-relation, so round/h accounting is identical to
         :meth:`exchange`; routed bytes are exact column sizes.
         ``template`` supplies the schema for destinations that receive
-        nothing (any batch of the stream's codec works).
+        nothing (any batch of the stream's schema works).
         """
         self._validate_outboxes(outboxes)
         sent = [0] * self.p

@@ -50,7 +50,7 @@ from typing import Any, Callable, Sequence, TypeVar
 import numpy as np
 
 from .collectives import allgather, alltoall_broadcast, route_balanced
-from .columns import RecordBatch, Ragged, encode_keys
+from .columns import RecordBatch, encode_keys
 from .machine import Machine
 from .phases import ProcContext, register_phase
 
@@ -162,20 +162,16 @@ def _key_columns(batch: RecordBatch, keyspec: tuple) -> list:
     """Resolve a key spec into 1-D int64 arrays, most significant first.
 
     A spec entry is a column name — a 1-D column contributes itself, a
-    2-D or uniform-width ragged column contributes *all* its columns in
-    order (tuple comparison of the rows) — or ``(name, j)`` for one
-    column of a matrix.
+    2-D column contributes *all* its columns in order (tuple comparison
+    of the rows) — or ``(name, j)`` for one column of a matrix.
     """
     cols: list = []
     for sel in keyspec:
         if isinstance(sel, tuple):
             name, j = sel
-            col = batch.col(name)
-            mat = col.as_matrix() if isinstance(col, Ragged) else np.asarray(col)
-            cols.append(mat[:, j])
+            cols.append(np.asarray(batch.col(name))[:, j])
         else:
-            col = batch.col(sel)
-            mat = col.as_matrix() if isinstance(col, Ragged) else np.asarray(col)
+            mat = np.asarray(batch.col(sel))
             if mat.ndim == 2:
                 cols.extend(mat[:, j] for j in range(mat.shape[1]))
             else:

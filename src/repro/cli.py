@@ -600,20 +600,25 @@ def _cmd_demo(_args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand; a :class:`~repro.errors.ReproError` (bad
+    ``--p``, ``--d``, …) is reported on stderr and exits 2, as argparse
+    does for a malformed command line."""
+    from .errors import ReproError
+
     args = build_parser().parse_args(argv)
-    if args.command == "experiments":
-        return _cmd_experiments(args)
-    if args.command == "query":
-        return _cmd_query(args)
-    if args.command == "stream":
-        return _cmd_stream(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "loadgen":
-        return _cmd_loadgen(args)
-    if args.command == "demo":
-        return _cmd_demo(args)
-    raise AssertionError("unreachable")
+    command = {
+        "experiments": _cmd_experiments,
+        "query": _cmd_query,
+        "stream": _cmd_stream,
+        "serve": _cmd_serve,
+        "loadgen": _cmd_loadgen,
+        "demo": _cmd_demo,
+    }[args.command]
+    try:
+        return command(args)
+    except ReproError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -47,7 +47,7 @@ from .construct import (
 from .forest import ForestElement, build_forest_element
 from .hat import Hat
 from .labeling import is_valid_path
-from .records import ForestRootInfo, HatSelectionRecord, SRecord, Subquery
+from .records import ForestRootInfo
 from .search import SearchOutput, run_search
 from .validate import ValidationReport, validate_tree
 
@@ -62,9 +62,6 @@ __all__ = [
     "SearchOutput",
     "run_search",
     "ForestRootInfo",
-    "HatSelectionRecord",
-    "SRecord",
-    "Subquery",
     "ValidationReport",
     "validate_tree",
     "is_valid_path",

@@ -6,8 +6,9 @@ processor and a *constant* number of communication rounds per dimension.
 The implementation follows the paper's record flow:
 
 phase ``j`` (one per dimension, ``j = 0 .. d-1``)
-    1. **Sort** the phase's :class:`~repro.dist.records.SRecord` set by
-       ``(tree_id, rank_j)`` — the black-box CGM sample sort (4 rounds).
+    1. **Sort** the phase's ``dist.srecord`` batches (the S-records of
+       §5; see :mod:`repro.dist.records`) by ``(tree_id, rank_j)`` — the
+       black-box CGM sample sort (4 rounds).
        Per the §6 caveat, phase ``j`` sorts ``n·log^{j-1} p`` records,
        not ``n``; :attr:`ConstructResult.phase_record_counts` measures it.
     2. **Name** every record's position: a segmented scan gives its rank
@@ -18,7 +19,7 @@ phase ``j`` (one per dimension, ``j = 0 .. d-1``)
        yields each group's forest id and its owner ``group_rank mod p``.
     3. **Route** each group to its owner (1 round) and build the forest
        element locally — a ``(d-j)``-dimensional sequential range tree on
-       ``n/p`` points.  Each record also fans out one new ``SRecord`` per
+       ``n/p`` points.  Each record also fans out one new record per
        internal hat ancestor of its group's leaf: the input of phase
        ``j+1`` (the descendant trees those ancestors anchor).
 
@@ -33,7 +34,7 @@ which is exactly what the Corollary 1 tests measure.
 SPMD residency: the per-rank steps run as registered phases
 (``dist.construct.*``), and what they build *stays with the executor* —
 forest elements under the ``{ns}:forest`` state key, the hat replica
-under ``{ns}:hat``.  Only records (:class:`SRecord`, root infos) and
+under ``{ns}:hat``.  Only records (S-record batches, root infos) and
 numpy rank blocks ever cross the driver/worker boundary.
 """
 
@@ -46,7 +47,7 @@ import numpy as np
 
 from .._util import ilog2, require_power_of_two
 from ..cgm.collectives import allgather, alltoall_broadcast, route_batches
-from ..cgm.columns import Ragged, RecordBatch, encode_keys, obj_col
+from ..cgm.columns import RecordBatch, encode_keys, obj_col
 from ..cgm.machine import Machine
 from ..cgm.phases import ProcContext, register_phase
 from ..cgm.sort import sample_sort_cols
@@ -126,10 +127,10 @@ def _phase_build_hat(ctx: ProcContext, payload) -> "Hat | None":
 
 
 # ---------------------------------------------------------------------------
-# SRecord traffic as column packs
+# S-record traffic as column packs
 # ---------------------------------------------------------------------------
 def _empty_srecord_batch(d: int, tid_width: int, value_col=None) -> RecordBatch:
-    """Zero-row SRecord batch; ``value_col`` shapes the value column
+    """Zero-row ``dist.srecord`` batch; ``value_col`` shapes the value column
     (an empty :class:`KernelColumn` for kernelized values, so cross-rank
     concatenation keeps one schema)."""
     if value_col is None:
@@ -137,7 +138,7 @@ def _empty_srecord_batch(d: int, tid_width: int, value_col=None) -> RecordBatch:
     return RecordBatch(
         "dist.srecord",
         {
-            "tree_id": Ragged.from_matrix(np.empty((0, tid_width), dtype=np.int64)),
+            "tree_id": np.empty((0, tid_width), dtype=np.int64),
             "ranks": np.empty((0, d), dtype=np.int64),
             "pid": np.empty(0, dtype=np.int64),
             "value": value_col,
@@ -163,7 +164,7 @@ def _phase_scatter_cols(ctx: ProcContext, payload) -> RecordBatch:
     return RecordBatch(
         "dist.srecord",
         {
-            "tree_id": Ragged.from_matrix(np.empty((n, 0), dtype=np.int64)),
+            "tree_id": np.empty((n, 0), dtype=np.int64),
             "ranks": np.ascontiguousarray(rank_rows, dtype=np.int64),
             "pid": np.asarray(ids, dtype=np.int64),
             "value": value_col,
@@ -203,8 +204,7 @@ def _phase_build_elements_cols(ctx: ProcContext, payload) -> dict:
     n = len(batch)
     gcol = np.asarray(batch.col("__g"))
     leaf_mcol = np.asarray(batch.col("__leaf_m"))
-    tid = batch.col("tree_id")
-    tid_mat = tid.flat.reshape(n, 2 * j) if n else np.empty((0, 2 * j), np.int64)
+    tid_mat = batch.col("tree_id")
     ranks = batch.col("ranks")
     pids = batch.col("pid")
     values = batch.col("value")
@@ -267,7 +267,7 @@ def _phase_build_elements_cols(ctx: ProcContext, payload) -> dict:
         next_batch = RecordBatch(
             "dist.srecord",
             {
-                "tree_id": Ragged.from_matrix(np.vstack(next_tid)),
+                "tree_id": np.vstack(next_tid),
                 "ranks": np.vstack(next_ranks),
                 "pid": np.concatenate(next_pid),
                 "value": KernelColumn.concat(next_val)
@@ -297,8 +297,8 @@ def _tree_id_encoding(b: RecordBatch) -> np.ndarray:
     from scratch (bit-identical by construction, property-tested).
     """
     n = len(b)
-    tid = b.col("tree_id")
-    w = tid.uniform_width() or 0
+    mat = b.col("tree_id")
+    w = mat.shape[1]
     key = b.cols.get("__key")
     if key is not None and n and key.dtype.itemsize >= 8 * w:
         if w == 0:
@@ -307,7 +307,6 @@ def _tree_id_encoding(b: RecordBatch) -> np.ndarray:
             key.view("u1").reshape(n, key.dtype.itemsize)[:, : 8 * w]
         )
         return prefix.view(f"S{8 * w}").reshape(n)
-    mat = tid.flat.reshape(n, w)
     return encode_keys([mat[:, c] for c in range(w)], n)
 
 

@@ -38,8 +38,8 @@ class ForestElement:
     """One element of the forest: a range tree on ``n/p`` points.
 
     Parameters mirror the record flow of Algorithm Construct: the element
-    is built at its owner from the routed group of
-    :class:`~repro.dist.records.SRecord` payloads, whose rank rows are
+    is built at its owner from the routed group of ``dist.srecord``
+    rows, whose rank rows are
     contiguous in dimension ``dim`` (they tile one hat-leaf segment) and
     arbitrary in the later dimensions the element spans.
     """

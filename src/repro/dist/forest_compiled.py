@@ -20,7 +20,7 @@ from typing import Any, Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from ..cgm.columns import Ragged
+from .._util import slice_positions
 from ..semigroup.kernels import KernelColumn
 from ..seq.compiled import CompiledForest, Selections
 
@@ -48,7 +48,7 @@ def batched_forest_selections(
     Returns ``(sel_rows, nleaves, agg_col, pair_rows, pair_pids)``.  The
     first three run over all selections in inbox-row order (emission
     order within a row): the source inbox row of each selection —
-    ``qid``/``forest_id`` columns are gathers of the inbox columns by
+    ``qid``/``element`` columns are gathers of the inbox columns by
     it — the selection leaf counts and the ``agg`` column (typed when
     every emitting element is annotated under one kernel, decoded
     objects otherwise).  The last two are the points under every
@@ -104,19 +104,18 @@ def batched_forest_selections(
             pos += len(sel.node)
         agg_col = agg_col[perm]
 
-    # pid rows: nleaves-long tilings of each element's rows, mapped to
-    # point ids, for report rows; zero-length rows otherwise
+    # the points under each report row's selections, walked in output
+    # order: selection ``perm[k]``'s slice of the emission-ordered ``flat``
     per_lens = [
         np.where(report[rows_s], sel.length, 0) for _el, sel, rows_s in emitted
     ]
-    lens_cat = np.concatenate(per_lens)
-    offsets = np.zeros(nsel + 1, dtype=_I64)
-    np.cumsum(lens_cat, out=offsets[1:])
     flat = np.concatenate(
         [
             el.pids[el.soa.rows_flat(sel.off, lens)]
             for (el, sel, _r), lens in zip(emitted, per_lens)
         ]
     )
-    pids = Ragged(flat, offsets).take(perm)
-    return sel_rows, nleaves, agg_col, np.repeat(sel_rows, pids.lengths), pids.flat
+    lens_cat = np.concatenate(per_lens)
+    starts, lens = (np.cumsum(lens_cat) - lens_cat)[perm], lens_cat[perm]
+    pids = flat[slice_positions(starts, lens)]
+    return sel_rows, nleaves, agg_col, np.repeat(sel_rows, lens), pids

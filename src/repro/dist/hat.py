@@ -33,17 +33,17 @@ from typing import Any, Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .._util import ilog2, require_power_of_two
-from ..cgm.columns import Ragged, RecordBatch, obj_col
+from .._util import ilog2, require_power_of_two, slice_positions
+from ..cgm.columns import RecordBatch, obj_col
 from ..errors import MachineError, ProtocolError
 from ..geometry.box import RankBox
 from ..semigroup import Semigroup
 from ..semigroup.kernels import KernelColumn, kernel_for
 from .labeling import Path, make_path
 from .records import (
+    KIND_EXPAND,
+    KIND_SUBQUERY,
     ForestRootInfo,
-    HatSelectionRecord,
-    Subquery,
     flatten_path,
     unflatten_path,
 )
@@ -92,7 +92,11 @@ class Hat:
     ``left``/``right`` children and the ``desc`` pointer of Definition 1
     (row numbers, −1 when absent), the owner ``location`` of the forest
     element rooted at a hat leaf (−1 on internal nodes) and the
-    Definition 2 name as a row of ``paths``.  Every dimension-``d``
+    Definition 2 name as a row of ``paths`` (``−1``-padded to ``2d``
+    ints; a dimension-``k`` node's label is its first ``2(k+1)``).  A
+    row number is the node's name in every Search stream — the hat is
+    bit-identical on every processor — and a hat-leaf row names the
+    forest element rooted there.  Every dimension-``d``
     node's hat leaves, left to right, are the rows
     ``tile_leaf_ids[tile_off : tile_off + tile_len]``.  The ``f(v)``
     annotations are held once: ``agg_mat`` (rows encoded under
@@ -197,6 +201,9 @@ class Hat:
             tile_leaf_ids=tile_leaf_ids,
         )
         cols = {name: np.asarray(col, dtype=np.int64) for name, col in ints.items()}
+        path_mat = np.full((len(paths), 2 * d), -1, dtype=np.int64)
+        for i, path in enumerate(paths):
+            path_mat[i, : 2 * len(path)] = flatten_path(path)
         hat = cls(
             d=d,
             n=n,
@@ -205,7 +212,7 @@ class Hat:
             semigroup=semigroup,
             leaf=cols["left"] < 0,
             last_dim=cols["dim"] == d - 1,
-            paths=Ragged.from_rows([flatten_path(path) for path in paths]),
+            paths=path_mat,
             agg_kernel=agg_kernel,
             agg_mat=agg_mat,
             agg_obj=agg_obj,
@@ -231,7 +238,7 @@ class Hat:
 
     def path(self, i: int) -> Path:
         """The Definition 2 name of node ``i``."""
-        return unflatten_path(self.paths.row(i))
+        return unflatten_path(self.paths[i, : 2 * (int(self.dim[i]) + 1)])
 
     def agg(self, i: int) -> Any:
         """The annotation ``f(v)`` of node ``i`` as a semigroup value."""
@@ -248,22 +255,26 @@ class Hat:
         box: RankBox,
         report: bool = False,
         charge: Callable[[int], None] | None = None,
-    ) -> Tuple[List[HatSelectionRecord], List[Subquery]]:
+    ) -> Tuple[List[tuple], List[tuple], List[tuple]]:
         """Walk the hat for one rank-space query (§4's four cases).
 
-        Returns ``(selections, subqueries)``: the dimension-``d`` hat
-        nodes whose segments are contained in the query (each with its
-        precomputed ``f(v)``), and the continuations into forest elements
-        for walks that reached a hat leaf.  With ``report``, each
-        selection also names the forest elements tiling its leaves so
-        report mode can expand it into point ids.  ``charge`` (if given)
-        receives the number of hat nodes visited — the O(log^d p) term of
-        Theorem 3's work bound.
+        Returns ``(selections, subqueries, expansions)`` as the rows
+        :meth:`walk_batch` packs: a ``(qid, node, nleaves, agg)`` per
+        dimension-``d`` hat node whose segment is contained in the query
+        (with its precomputed ``f(v)``), a ``(KIND_SUBQUERY, qid, los,
+        his, element, location)`` continuation per hat leaf the walk
+        reached, and — with ``report`` — a ``(KIND_EXPAND, qid, zeros,
+        zeros, element, location)`` request per forest element tiling a
+        selection's leaves, so report mode can expand it into point ids.
+        ``charge`` (if given) receives the number of hat nodes visited —
+        the O(log^d p) term of Theorem 3's work bound.
         """
-        sels: List[HatSelectionRecord] = []
-        subqs: List[Subquery] = []
+        sels: List[tuple] = []
+        subqs: List[tuple] = []
+        exps: List[tuple] = []
         if box.is_empty():
-            return sels, subqs
+            return sels, subqs, exps
+        zeros = (0,) * self.d
         visited = 0
         stack = [0]
         while stack:
@@ -275,29 +286,16 @@ class Hat:
                 continue  # die
             selected = a <= v_lo and v_hi <= b
             if selected and self.last_dim[i]:
-                leaves: Sequence[int] = ()
+                sels.append((qid, i, int(self.nleaves[i]), self.agg(i)))
                 if report:
                     off = int(self.tile_off[i])
-                    leaves = self.tile_leaf_ids[off : off + int(self.tile_len[i])]
-                sels.append(
-                    HatSelectionRecord(
-                        qid=qid,
-                        path=self.path(i),
-                        nleaves=int(self.nleaves[i]),
-                        agg=self.agg(i),
-                        forest_ids=tuple(self.path(l) for l in leaves),
-                        locations=tuple(int(self.location[l]) for l in leaves),
-                    )
-                )
+                    for l in self.tile_leaf_ids[off : off + int(self.tile_len[i])].tolist():
+                        exps.append(
+                            (KIND_EXPAND, qid, zeros, zeros, l, int(self.location[l]))
+                        )
             elif self.leaf[i]:  # continue inside the forest element
                 subqs.append(
-                    Subquery(
-                        qid=qid,
-                        los=box.los,
-                        his=box.his,
-                        forest_id=self.path(i),
-                        location=int(self.location[i]),
-                    )
+                    (KIND_SUBQUERY, qid, box.los, box.his, i, int(self.location[i]))
                 )
             elif selected:  # off the last dimension: descend
                 stack.append(int(self.desc[i]))
@@ -306,7 +304,7 @@ class Hat:
                 stack.append(int(self.left[i]))
         if charge is not None:
             charge(visited)
-        return sels, subqs
+        return sels, subqs, exps
 
     def walk_batch(
         self,
@@ -314,25 +312,24 @@ class Hat:
         los: np.ndarray,
         his: np.ndarray,
         report: np.ndarray,
-    ) -> Tuple[RecordBatch, RecordBatch, np.ndarray]:
+    ) -> Tuple[RecordBatch, RecordBatch, RecordBatch, np.ndarray]:
         """Search step 1 for a whole query slice at once.
 
         ``los``/``his`` are the slice's int64 ``(nq, d)`` rank bounds
         (queries ``qlo .. qlo + nq - 1``), read in place, and ``report``
         its bool ``(nq,)`` slice of the pass's report mask.  Returns
-        ``(selections, routing, visits)``: a
-        ``dist.hat_selection_cols`` batch of the dimension-``d``
-        selections (leaf tilings materialized only where ``report`` is
-        set; ``agg`` a :class:`KernelColumn` when the hat is
-        kernel-backed, an object column otherwise), a
-        ``dist.search.routing`` batch of the surviving subqueries
-        (byte-identical to the per-record pack), and the per-query
-        visited-node counts for Theorem 3 ``charge`` accounting (empty
-        boxes visit nothing, as in :meth:`walk`).  Each iteration
-        classifies every live ``(query, node)`` pair into
-        die/select/split/descend with array comparisons — bit-identical
-        to :meth:`walk` run per query.  An empty slice returns the
-        shared zero-row :attr:`idle` triple.
+        ``(selections, subqueries, expansions, visits)``: a
+        ``dist.hat_selection`` batch of the dimension-``d`` selections
+        (``agg`` a :class:`KernelColumn` when the hat is kernel-backed,
+        an object column otherwise), two ``dist.search.routing`` batches
+        — the surviving subqueries, and one expansion request per forest
+        element tiling a selection whose query ``report`` marks — and
+        the per-query visited-node counts for Theorem 3 ``charge``
+        accounting (empty boxes visit nothing, as in :meth:`walk`).
+        Each iteration classifies every live ``(query, node)`` pair into
+        die/select/split/descend with array comparisons — row for row
+        what :meth:`walk` emits per query.  An empty slice returns the
+        shared zero-row :attr:`idle` output.
         """
         if not len(los):
             return self.idle
@@ -344,7 +341,7 @@ class Hat:
         los: np.ndarray,
         his: np.ndarray,
         report: np.ndarray,
-    ) -> Tuple[RecordBatch, RecordBatch, np.ndarray]:
+    ) -> Tuple[RecordBatch, RecordBatch, RecordBatch, np.ndarray]:
         nq = len(los)
         visits = np.zeros(nq, dtype=np.int64)
 
@@ -389,44 +386,40 @@ class Hat:
         order = np.lexsort((un, uq))
         uq, un = uq[order], un[order]
 
-        # selections: tilings gathered as flat slices of the tree blocks
-        lens = np.where(report[sq], self.tile_len[sn], 0) if len(sq) else np.empty(0, np.int64)
-        offsets = np.zeros(len(sq) + 1, dtype=np.int64)
-        np.cumsum(lens, out=offsets[1:])
-        total = int(offsets[-1])
-        if total:
-            pos = (
-                np.arange(total, dtype=np.int64)
-                - np.repeat(offsets[:-1], lens)
-                + np.repeat(self.tile_off[sn], lens)
-            )
-            loc_flat = self.location[self.tile_leaf_ids[pos]]
-        else:
-            loc_flat = np.empty(0, dtype=np.int64)
+        # expansions: each reporting selection's slice of its tree block
+        lens = np.where(report[sq], self.tile_len[sn], 0)
+        elements = self.tile_leaf_ids[slice_positions(self.tile_off[sn], lens)]
         selections = RecordBatch(
-            "dist.hat_selection_cols",
+            "dist.hat_selection",
             {
                 "qid": qlo + sq,
-                "path": self.paths.take(sn),
+                "node": sn,
                 "nleaves": self.nleaves[sn],
                 "agg": _agg_column(self.agg_kernel, self.agg_mat, self.agg_obj, sn),
-                "locations": Ragged(loc_flat, offsets),
             },
             len(sq),
         )
-        routing = RecordBatch(
+        subqueries = self._routing(KIND_SUBQUERY, qlo + uq, los[uq], his[uq], un)
+        none = np.zeros((len(elements), self.d), dtype=np.int64)
+        expansions = self._routing(
+            KIND_EXPAND, np.repeat(qlo + sq, lens), none, none, elements
+        )
+        return selections, subqueries, expansions, visits
+
+    def _routing(self, kind: int, qid, los, his, element) -> RecordBatch:
+        """A ``dist.search.routing`` batch aimed at ``element``'s owners."""
+        return RecordBatch(
             "dist.search.routing",
             {
-                "kind": np.zeros(len(uq), dtype=np.int64),
-                "qid": qlo + uq,
-                "los": los[uq],
-                "his": his[uq],
-                "forest_id": self.paths.take(un),
-                "location": self.location[un],
+                "kind": np.full(len(qid), kind, dtype=np.int64),
+                "qid": qid,
+                "los": los,
+                "his": his,
+                "element": element,
+                "location": self.location[element],
             },
-            len(uq),
+            len(qid),
         )
-        return selections, routing, visits
 
     # ------------------------------------------------------------------
     # re-annotation support (Algorithm AssociativeFunction step 1)
@@ -453,9 +446,8 @@ class Hat:
         kernel, mat, obj = _fold(
             semigroup, aggs, self.left.tolist(), self.right.tolist()
         )
-        sels, routing, visits = self.idle
         no_rows = _agg_column(kernel, mat, obj, slice(0, 0))
-        idle = (sels.with_col("agg", no_rows), routing, visits)
+        idle = (self.idle[0].with_col("agg", no_rows), *self.idle[1:])
         self.semigroup, self.agg_kernel, self.agg_mat, self.agg_obj, self.idle = (
             semigroup, kernel, mat, obj, idle,
         )

@@ -32,22 +32,25 @@ number of h-relations:
    copy holders, so no processor serves more than ``O(|Q'|/p)``.
 5. **Forest walk** (local): each holder resumes the canonical walk
    inside its (copies of) forest elements, emitting a
-   ``dist.forest_selection`` batch (rows unpack to
-   :class:`~repro.dist.records.ForestSelection`) and, for the queries
-   the pass's ``report`` mask marks, the ``(qid, pid)`` pairs of a
+   ``dist.forest_selection`` batch and, for the queries the pass's
+   ``report`` mask marks, the ``(qid, pid)`` pairs of a
    ``dist.report_pair`` batch.
 
 A query folds or it reports (Theorems 4-5): one bool mask over the batch
-says which, from the hat walk's tilings to step 5's pairs, and
-:mod:`repro.dist.modes` then folds the selections per query.
+says which, from the hat walk's expansion requests to step 5's pairs,
+and :mod:`repro.dist.modes` then folds the selections per query.
+
+Every stream of a pass names a hat node — and the forest element rooted
+at a hat leaf — by its hat row (``node`` / ``element`` columns; see
+:mod:`repro.dist.records`): the hat is replicated, so the row is the
+same name on every processor and no step re-derives a Definition 2
+label except to look an element up in a store, once per element.
 
 SPMD residency: steps 1, 3 and 5 are registered phases
 (``dist.search.*``) reading the rank-resident ``{ns}:forest`` /
-``{ns}:hat`` state that Algorithm Construct left behind; only query
-boxes, selection/routing batches and replicated element stores cross
-the boundary.  Callers without a resident structure (hand-built stores
-in tests) omit ``ns`` and the stores are seeded first — by reference on
-in-process backends, by pickle on the process backend.
+``{ns}:hat`` state that Algorithm Construct left behind under the
+namespace ``ns``; only query boxes, selection/routing batches and
+replicated element stores cross the boundary.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ import numpy as np
 
 from .._util import ilog2
 from ..cgm.collectives import allgather, route_batches
-from ..cgm.columns import Ragged, RecordBatch
+from ..cgm.columns import RecordBatch
 from ..cgm.loadbalance import (
     assign_copies_round_robin,
     compute_copy_counts,
@@ -67,12 +70,12 @@ from ..cgm.loadbalance import (
 )
 from ..cgm.machine import Machine
 from ..cgm.phases import ProcContext, register_phase
-from ..errors import ProtocolError
+from ..errors import ProtocolError, ReproError
 from ..geometry.box import RankBoxes, rank_bounds
 from .construct import forest_key, hat_key
 from .forest_compiled import batched_forest_selections
 from .hat import Hat
-from .records import RoutingCodec, unflatten_path
+from .records import KIND_EXPAND, KIND_SUBQUERY
 
 __all__ = ["SearchOutput", "run_search"]
 
@@ -87,9 +90,9 @@ class SearchOutput:
 
     ``hat_selections[r]``/``forest_selections[r]`` are the selections
     produced at rank ``r``, always as a
-    :class:`~repro.cgm.columns.RecordBatch` (``dist.hat_selection_cols``
-    / ``dist.forest_selection``) whose rows lazily unpack to the records
-    the reference walks (:meth:`Hat.walk`,
+    :class:`~repro.cgm.columns.RecordBatch` (``dist.hat_selection`` /
+    ``dist.forest_selection``) naming nodes and elements by hat row —
+    row for row what the reference walks (:meth:`Hat.walk`,
     :meth:`RangeTree.canonical <repro.seq.range_tree.RangeTree.canonical>`)
     emit; ``owner_stores`` exposes the
     per-owner forest stores.  The load-balancing observables of steps 2-4
@@ -112,69 +115,19 @@ class SearchOutput:
     report_pairs: List[RecordBatch] = field(default_factory=list)
 
 
-# ---------------------------------------------------------------------------
-# routed subquery/expansion/selection traffic as batches
-# ---------------------------------------------------------------------------
-def _expand_routing_cols(selections: RecordBatch, d: int) -> "RecordBatch | None":
-    """Expansion requests for a packed selection batch (Search step 4).
-
-    One :class:`~repro.dist.records.ExpandRequest` row per
-    ``(forest_id, location)`` tiling entry of every selection, in batch
-    row order — the walk tiles only reporting queries' selections, so
-    the others emit nothing.  The forest ids come from the same heap
-    arithmetic the selection codec unpacks with, so no record objects
-    are built.
-    """
-    locs: Ragged = selections.col("locations")
-    if not len(locs.flat):
-        return None
-    qid_col = selections.col("qid")
-    paths: Ragged = selections.col("path")
-    out_qid: List[int] = []
-    out_loc: List[int] = []
-    fid_rows: List[List[int]] = []
-    for i in np.nonzero(locs.lengths)[0]:
-        lrow = locs.row(i)
-        w = len(lrow)
-        prow = paths.row(i)
-        h = w.bit_length() - 1
-        base = int(prow[0]) << h
-        lvl = int(prow[1]) - h
-        tid = [int(x) for x in prow[2:]]
-        q = int(qid_col[i])
-        for k in range(w):
-            out_qid.append(q)
-            fid_rows.append([base + k, lvl] + tid)
-            out_loc.append(int(lrow[k]))
-    n = len(out_qid)
-    return RecordBatch(
-        "dist.search.routing",
-        {
-            "kind": np.full(n, RoutingCodec.KIND_EXPAND, dtype=np.int64),
-            "qid": np.asarray(out_qid, dtype=np.int64),
-            "los": np.zeros((n, d), dtype=np.int64),
-            "his": np.zeros((n, d), dtype=np.int64),
-            "forest_id": Ragged.from_rows(fid_rows),
-            "location": np.asarray(out_loc, dtype=np.int64),
-        },
-        n,
-    )
-
-
 @register_phase("dist.search.walk_cols")
 def _phase_walk_cols(ctx: ProcContext, payload) -> tuple:
     """Step 1: the hat walk over this rank's whole query slice.
 
     One :meth:`~repro.dist.hat.Hat.walk_batch` call classifies
     every live ``(query, node)`` frontier pair with array comparisons
-    and returns both outputs column-packed — selections as a
-    ``dist.hat_selection_cols`` batch (lazy-unpacking to the records
-    :meth:`Hat.walk` emits, in the same order), subqueries as the routing
-    batch the step-4 exchange ships, plus this rank's share of step 2's
-    demand count (subqueries per owner — nothing is exchanged between the
-    walk and the count, so they are one phase).  The per-query visit
-    counts charge the same Theorem 3 total as per-query :meth:`Hat.walk`
-    calls.
+    and returns its outputs column-packed — the ``dist.hat_selection``
+    batch (row for row what :meth:`Hat.walk` emits, in the same order)
+    and the two routing batches the step-4 exchange ships, subqueries
+    and expansion requests — plus this rank's share of step 2's demand
+    count (subqueries per owner — nothing is exchanged between the walk
+    and the count, so they are one phase).  The per-query visit counts
+    charge the same Theorem 3 total as per-query :meth:`Hat.walk` calls.
 
     Also resets the pass-local replica cache — stale copies from a
     previous batch must never serve this one.
@@ -182,21 +135,21 @@ def _phase_walk_cols(ctx: ProcContext, payload) -> tuple:
     qlo, los, his, report, ns = payload
     hat: Hat = ctx.state[hat_key(ns)]
     ctx.state[_holders_key(ns)] = {}
-    sels, routing, visits = hat.walk_batch(qlo, los, his, report)
+    sels, subqueries, expansions, visits = hat.walk_batch(qlo, los, his, report)
     if len(visits):
         ctx.charge(int(visits.sum()))
-    demand = np.bincount(np.asarray(routing.col("location")), minlength=ctx.p)
-    return sels, routing, demand
+    demand = np.bincount(subqueries.col("location"), minlength=ctx.p)
+    return sels, subqueries, expansions, demand
 
 
-def _forest_output(qid, forest_id, nleaves, agg, pair_qid, pair_pid) -> tuple:
+def _forest_output(qid, element, nleaves, agg, pair_qid, pair_pid) -> tuple:
     """Step 5's result: the selection batch and the report pairs — real
     points only; power-of-two padding sentinels are dropped here."""
     real = pair_pid >= 0
     return (
         RecordBatch(
             "dist.forest_selection",
-            {"qid": qid, "forest_id": forest_id, "nleaves": nleaves, "agg": agg},
+            {"qid": qid, "element": element, "nleaves": nleaves, "agg": agg},
             len(qid),
         ),
         RecordBatch("dist.report_pair", {"qid": pair_qid[real], "pid": pair_pid[real]}),
@@ -204,11 +157,10 @@ def _forest_output(qid, forest_id, nleaves, agg, pair_qid, pair_pid) -> tuple:
 
 
 _NO_ROWS = np.empty(0, dtype=np.int64)
-_NO_PATHS = Ragged.concat([])
 #: What a rank with an empty inbox returns from step 5 (an object ``agg``
 #: column, as for any inbox whose walks select nothing).
 _NO_FOREST_ROWS = _forest_output(
-    _NO_ROWS, _NO_PATHS, _NO_ROWS, np.empty(0, dtype=object), _NO_ROWS, _NO_ROWS
+    _NO_ROWS, _NO_ROWS, _NO_ROWS, np.empty(0, dtype=object), _NO_ROWS, _NO_ROWS
 )
 
 
@@ -217,7 +169,10 @@ def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
     """Step 5: batched walks over resident forest elements.
 
     The inbox is one routing batch (subqueries and expansion requests
-    mixed, source-ordered).  Subqueries group by target element and each
+    mixed, source-ordered).  Subqueries group by target element — one
+    stable argsort of the ``element`` column; the element's label,
+    owner, store and :class:`~repro.dist.forest.ForestElement` are
+    resolved once per group through the resident hat — and each
     group runs one :meth:`~repro.seq.compiled.CompiledForest.walk` —
     one ``searchsorted`` and one closed-form cover per dimension of the
     element's key blocks — then :func:`~repro.dist.forest_compiled.batched_forest_selections`
@@ -236,60 +191,47 @@ def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
     if not len(inbox):
         return _NO_FOREST_ROWS
     r = ctx.rank
+    hat: Hat = ctx.state[hat_key(ns)]
     forest = ctx.state.get(forest_key(ns)) or {}
     holders = ctx.state.get(_holders_key(ns)) or {}
 
     kind = inbox.col("kind")
-    qid_col = np.asarray(inbox.col("qid"))
-    los_m = np.asarray(inbox.col("los"))
-    his_m = np.asarray(inbox.col("his"))
-    fid_col = inbox.col("forest_id")
-    loc_col = inbox.col("location")
+    qid_col = inbox.col("qid")
+    eid_col = inbox.col("element")
 
-    # One pass over the inbox: expansions run in place (row order), and
-    # subquery rows bucket by target element — store resolution happens
-    # at each element's first row, so a missing copy raises at the first
-    # row that needs it.
+    # Owners always keep their own store; expand in place (row order).
     exp_qids: List[np.ndarray] = []
     exp_pids: List[np.ndarray] = []
-    group_rows: dict = {}
-    group_order: List[Tuple[Any, List[int]]] = []
-    for i in range(len(inbox)):
-        fid_flat = fid_col.row(i)
-        if int(kind[i]) == RoutingCodec.KIND_EXPAND:
-            # Owners always keep their own store; expand in place.
-            el = forest[unflatten_path(fid_flat)]
-            # rows ascend in the element's own dimension: the order
-            # the hat-side expansion has always emitted
-            exp_qids.append(np.full(len(el.pids), qid_col[i]))
-            exp_pids.append(el.pids)
-            ctx.charge(el.nleaves)
-            continue
-        location = int(loc_col[i])
-        key = (location, fid_flat.tobytes())
-        rows = group_rows.get(key)
-        if rows is None:
-            store = forest if location == r else holders.get(location)
-            fid = unflatten_path(fid_flat)
-            if store is None or fid not in store:
-                raise ProtocolError(
-                    f"rank {r} received subquery for {fid} "
-                    f"without holding a copy of group {location}"
-                )
-            group_rows[key] = rows = []
-            group_order.append((store[fid], rows))
-        rows.append(i)
+    for i in np.flatnonzero(kind == KIND_EXPAND).tolist():
+        el = forest[hat.path(int(eid_col[i]))]
+        # rows ascend in the element's own dimension: the order
+        # the hat-side expansion has always emitted
+        exp_qids.append(np.full(len(el.pids), qid_col[i]))
+        exp_pids.append(el.pids)
+        ctx.charge(el.nleaves)
+
+    # Subquery rows by target element, inbox order within an element.
+    rows = np.flatnonzero(kind == KIND_SUBQUERY)
+    rows = rows[np.argsort(eid_col[rows], kind="stable")]
+    eids, starts = np.unique(eid_col[rows], return_index=True)
+    groups: List[Tuple[Any, np.ndarray]] = []
+    for eid, group in zip(eids.tolist(), np.split(rows, starts[1:])):
+        owner = int(hat.location[eid])
+        store = forest if owner == r else holders.get(owner)
+        fid = hat.path(eid)
+        if store is None or fid not in store:
+            raise ProtocolError(
+                f"rank {r} received subquery for {fid} "
+                f"without holding a copy of group {owner}"
+            )
+        groups.append((store[fid], group))
 
     sel_rows, nleaves, agg_col, pair_rows, pair_pids = batched_forest_selections(
-        [(el, np.asarray(rows, dtype=np.int64)) for el, rows in group_order],
-        los_m,
-        his_m,
-        report[qid_col],
-        ctx.charge,
+        groups, inbox.col("los"), inbox.col("his"), report[qid_col], ctx.charge
     )
     return _forest_output(
         qid_col[sel_rows],
-        fid_col.take(sel_rows),
+        eid_col[sel_rows],
         nleaves,
         agg_col,
         np.concatenate([qid_col[pair_rows], *exp_qids]),
@@ -347,19 +289,27 @@ def run_search(
 
     ``report`` is a bool ``(m,)`` mask (or one bool for the whole batch;
     ``None``: no query reports) — a query folds its selections or it
-    reports its points.  A marked query's hat selections carry their
-    leaf tilings and are expanded into ``(qid, pid)`` pairs *inside* the
-    pass: the expansion requests ride the step-4 routing round to the
+    reports its points; any other shape raises
+    :class:`~repro.errors.ReproError` before a phase runs.  A marked
+    query's hat selections are expanded into ``(qid, pid)`` pairs
+    *inside* the pass: the walk emits one expansion request per forest
+    element tiling them, the requests ride the step-4 routing round to the
     elements' owners and the owners expand them during the step-5 walk,
     which also emits the points under the query's forest selections, so
     report output costs no communication round beyond the pass itself
     (``SearchOutput.report_pairs`` holds the pairs per rank).  Unmarked
-    queries skip the tilings and the leaf gather.
+    queries skip the requests and the leaf gather.
     """
     p = mach.p
     los, his = rank_bounds(rank_boxes)
-    m, d = los.shape
-    report = np.broadcast_to(np.asarray(report, dtype=bool), (m,))
+    m = len(los)
+    report = np.asarray(report, dtype=bool)
+    if report.ndim and report.shape != (m,):
+        raise ReproError(
+            f"report mask has shape {report.shape} but the batch has m={m} "
+            "queries: pass one bool or one flag per query"
+        )
+    report = np.broadcast_to(report, (m,))
     chunk = -(-m // p) if m else 1
 
     # -- step 1: hat walk over each processor's query block ----------------
@@ -382,7 +332,7 @@ def run_search(
 
     # -- step 2: demand per forest group (one all-gather) ------------------
     demand_matrix = np.stack(
-        allgather(mach, [w[2] for w in walked], label="search:demands")[0]
+        allgather(mach, [w[3] for w in walked], label="search:demands")[0]
     )
     per_owner = demand_matrix.sum(axis=0)
     demands = per_owner.tolist()
@@ -405,7 +355,7 @@ def run_search(
     tmat = np.zeros((p, int(tlen.max())), dtype=np.int64)
     for j in range(p):
         tmat[j, : len(targets[j])] = targets[j]
-    loc = np.concatenate([np.asarray(b.col("location")) for b in local_subqs])
+    loc = np.concatenate([b.col("location") for b in local_subqs])
     order = np.argsort(loc, kind="stable")
     first = np.cumsum(per_owner) - per_owner  # start of owner j's sorted run
     gidx = np.empty(total, dtype=np.int64)
@@ -415,17 +365,11 @@ def run_search(
     routed: List[RecordBatch] = []
     dests: List[np.ndarray] = []
     for r in range(p):
-        subq_b = local_subqs[r]
+        _sels, subq_b, exp_b, _demand = walked[r]
         dest = dest_all[ends[r] - len(subq_b) : ends[r]]
-        exp_b = _expand_routing_cols(hat_selections[r], d)
-        if exp_b is not None:
-            routed.append(RecordBatch.concat([subq_b, exp_b]))
-            dests.append(
-                np.concatenate([dest, np.asarray(exp_b.col("location"))])
-            )
-        else:
-            routed.append(subq_b)
-            dests.append(dest)
+        # an expansion goes to its element's owner, which keeps its store
+        routed.append(RecordBatch.concat([subq_b, exp_b]))
+        dests.append(np.concatenate([dest, exp_b.col("location")]))
     inboxes = route_batches(
         mach,
         routed,
@@ -434,10 +378,7 @@ def run_search(
         template=local_subqs[0],
     )
     subqueries_per_proc = [
-        int((np.asarray(box.col("kind")) == RoutingCodec.KIND_SUBQUERY).sum())
-        if len(box)
-        else 0
-        for box in inboxes
+        int((box.col("kind") == KIND_SUBQUERY).sum()) for box in inboxes
     ]
 
     # -- step 5: resume the canonical walk inside the forest ---------------

@@ -57,7 +57,7 @@ from typing import Any, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .._util import ilog2, require_power_of_two
+from .._util import ilog2, require_power_of_two, slice_positions
 from ..semigroup import Semigroup
 from ..semigroup.kernels import KernelColumn, batched_heap_fold
 
@@ -423,15 +423,9 @@ class CompiledForest:
         ``lengths`` the row count to take from it (the node's width, or 0
         to skip a selection) — one fancy gather, no traversal.
         """
-        offsets = np.zeros(len(sel_off) + 1, dtype=_I64)
-        np.cumsum(lengths, out=offsets[1:])
-        total = int(offsets[-1])
-        if not total:
+        if not lengths.any():
             return np.empty(0, dtype=_I64)
-        return self.row_block[
-            np.arange(total, dtype=_I64)
-            + np.repeat(sel_off - offsets[:-1], lengths)
-        ]
+        return self.row_block[slice_positions(sel_off, lengths)]
 
     def decode_aggs(self, sel_n: np.ndarray) -> List[Any]:
         """The semigroup values of selected nodes, in order — exactly

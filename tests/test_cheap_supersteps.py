@@ -21,7 +21,7 @@ import pytest
 import repro.cgm.machine as machine_mod
 from repro.cgm import Machine
 from repro.cgm.collectives import allgather
-from repro.cgm.columns import Ragged, RecordBatch
+from repro.cgm.columns import RecordBatch
 from repro.cgm.metrics import Metrics
 from repro.cgm.phases import ProcContext, get_phase
 from repro.cgm.sort import sample_sort_cols
@@ -302,13 +302,11 @@ def test_weighted_exchange_evaluates_each_callback_once_per_record():
 def _schema(batch: RecordBatch) -> list:
     out = []
     for name, col in batch.cols.items():
-        if isinstance(col, Ragged):
-            out.append((name, "ragged", col.uniform_width(), col.flat.dtype))
-        elif isinstance(col, KernelColumn):
+        if isinstance(col, KernelColumn):
             out.append((name, "kernel", col.kernel.name, col.data.shape[1:]))
         else:
             out.append((name, "array", col.dtype, col.shape[1:]))
-    return [(batch.codec_name, len(batch))] + out
+    return [(batch.schema, len(batch))] + out
 
 
 @pytest.mark.parametrize("kernelised", [True, False])
@@ -321,14 +319,14 @@ def test_zero_row_walk_and_forest_match_the_general_path(kernelised):
         idle = hat.walk_batch(3, *rank_bounds([]), np.ones(0, dtype=bool))
         general = hat.walk_batch(3, *rank_bounds([nothing]), np.ones(1, dtype=bool))
         assert isinstance(idle[0].col("agg"), KernelColumn) == kernelised
-        assert _schema(idle[0]) == _schema(general[0])
-        assert _schema(idle[1]) == _schema(general[1])
-        assert idle[2].dtype == general[2].dtype and len(idle[2]) == 0
+        for idle_batch, general_batch in zip(idle[:3], general[:3]):
+            assert _schema(idle_batch) == _schema(general_batch)
+        assert idle[3].dtype == general[3].dtype and len(idle[3]) == 0
 
         # step 5: an empty inbox vs an inbox whose one subquery selects nothing
         ns = tree._ensure_resident()
         mach = tree.machine
-        _sels, routing, _visits = hat.walk_batch(
+        _sels, routing, _expansions, _visits = hat.walk_batch(
             0, *tree.ranked.to_rank_bounds(*Box.stack([BOX])), np.zeros(1, dtype=bool)
         )
         assert len(routing)
@@ -382,19 +380,17 @@ def test_zero_row_sort_phases():
 
 
 def test_zero_row_batch_primitives():
-    ragged = Ragged.from_rows([[1, 2], [3]])
-    none = ragged.take(np.empty(0, np.int64))
-    assert len(none) == 0 and none.offsets.tolist() == [0] and none.flat.dtype == np.int64
-    full = RecordBatch("query.piece", {"qid": np.arange(3), "path": ragged.take([0, 1, 0])})
+    paths = np.array([[1, 2], [3, -1]])
+    full = RecordBatch("query.piece", {"qid": np.arange(3), "path": paths[[0, 1, 0]]})
     empty = RecordBatch.empty_like(full)
     assert _schema(empty)[1:] == [
         ("qid", "array", np.dtype(np.int64), ()),
-        ("path", "ragged", 0, np.dtype(np.int64)),
+        ("path", "array", np.dtype(np.int64), (2,)),
     ]
     assert RecordBatch.concat([empty, full, empty]) is full
     assert RecordBatch.concat([empty, empty]) is empty
     both = RecordBatch.concat([full, empty, full])
-    assert len(both) == 6 and both.col("path").lengths.tolist() == [2, 1, 2] * 2
+    assert len(both) == 6 and both.col("path").tolist() == [[1, 2], [3, -1], [1, 2]] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,22 @@ import pytest
 from repro.cli import build_parser, main
 
 
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["query", "--n", "64", "--p", "3", "--m", "4"], "power of two, got 3"),
+        (["query", "--n", "64", "--d", "0", "--m", "4"], "at least one dimension"),
+        (["stream", "--n", "64", "--p", "3"], "power of two, got 3"),
+        (["loadgen", "--n", "64", "--p", "3"], "power of two, got 3"),
+    ],
+)
+def test_a_repro_error_is_one_line_on_stderr_and_exit_2(argv, needle, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: ") and needle in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

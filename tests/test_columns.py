@@ -1,10 +1,13 @@
-"""Column-packed record traffic: codecs, batches, sorts, and end-to-end parity.
+"""Column-packed record traffic: batches, rows, sorts, and end-to-end parity.
 
 Three contracts hold it together:
 
-1. **Codec round-trips** — ``pack → (route) → unpack`` is an identity on
-   every registered record stream, at d = 1..3, with padding sentinels,
-   negative pids, and per-query semigroup values in the columns.
+1. **Row view** — iterating a batch yields, per record, exactly the
+   cells of its columns (ints as ints, matrix rows as tuples, semigroup
+   values as themselves), for every stream schema Construct and Search
+   ship, at d = 1..3, with padding sentinels, negative pids, and
+   per-query semigroup values in the columns — and routing a batch
+   preserves its rows per destination.
 2. **Sort/balance equivalence** — the batch sample sort and weighted
    balance produce exactly the outputs of the record-list reference
    primitives (same total order, same rounds, same h-relations).
@@ -23,23 +26,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cgm import Machine
-from repro.cgm.columns import (
-    Ragged,
-    RecordBatch,
-    codec_for,
-    codec_for_type,
-    encode_keys,
-    registered_codecs,
-)
+from repro.cgm.columns import RecordBatch, encode_keys, obj_col
 from repro.cgm.sort import sample_sort, sample_sort_cols
 from repro.dist import DistributedRangeTree
-from repro.dist.records import (
-    ExpandRequest,
-    ForestSelection,
-    HatSelectionRecord,
-    SRecord,
-    Subquery,
-)
+from repro.dist.records import KIND_EXPAND, KIND_SUBQUERY, flatten_path
 from repro.query import QueryBatch, aggregate, count, report
 from repro.semigroup import sum_of_dim
 from repro.seq import SequentialRangeTree, bf_aggregate, bf_count, bf_report
@@ -48,11 +38,29 @@ from repro.workloads import make_points
 from tests.helpers import random_boxes
 
 # ---------------------------------------------------------------------------
-# record strategies: realistic Definition 2 paths, sentinels, values
+# record strategies: rows as plain tuples in column order, with realistic
+# Definition 2 tree ids, sentinels and values
 # ---------------------------------------------------------------------------
-def path_strategy(min_len=1, max_len=3):
-    pair = st.tuples(st.integers(1, 1 << 12), st.integers(0, 12))
-    return st.lists(pair, min_size=min_len, max_size=max_len).map(tuple)
+SRECORD = ("tree_id", "ranks", "pid", "value")
+ROUTING = ("kind", "qid", "los", "his", "element", "location")
+SELECTION = ("qid", "element", "nleaves", "agg")
+PAIR = ("qid", "pid")
+
+
+def pack(schema: str, names, rows, widths=None) -> RecordBatch:
+    """Rows → columns: ``widths`` names the matrix columns, ``value`` /
+    ``agg`` are object columns, everything else int64."""
+    widths = widths or {}
+    cols = {}
+    for j, name in enumerate(names):
+        cells = [row[j] for row in rows]
+        if name in widths:
+            cols[name] = np.asarray(cells, dtype=np.int64).reshape(len(rows), widths[name])
+        elif name in ("value", "agg"):
+            cols[name] = obj_col(cells)
+        else:
+            cols[name] = np.asarray(cells, dtype=np.int64)
+    return RecordBatch(schema, cols, len(rows))
 
 
 def ranks_strategy(d):
@@ -73,46 +81,51 @@ def value_strategy():
 
 def srecord_strategy(d, tid_len):
     # pids include the negative power-of-two padding sentinels
-    return st.builds(
-        SRecord,
-        tree_id=path_strategy(tid_len, tid_len),
-        ranks=ranks_strategy(d),
-        pid=st.integers(-(1 << 16), 1 << 16),
-        value=value_strategy(),
+    pair = st.tuples(st.integers(1, 1 << 12), st.integers(0, 12))
+    tree_id = st.lists(pair, min_size=tid_len, max_size=tid_len)
+    return st.tuples(
+        tree_id.map(lambda path: tuple(flatten_path(path))),
+        ranks_strategy(d),
+        st.integers(-(1 << 16), 1 << 16),
+        value_strategy(),
     )
 
 
 def subquery_strategy(d):
-    return st.builds(
-        Subquery,
-        qid=st.integers(0, 1 << 20),
-        los=ranks_strategy(d),
-        his=ranks_strategy(d),
-        forest_id=path_strategy(1, 3),
-        location=st.integers(0, 63),
+    return st.tuples(
+        st.just(KIND_SUBQUERY),
+        st.integers(0, 1 << 20),
+        ranks_strategy(d),
+        ranks_strategy(d),
+        st.integers(0, 1 << 10),
+        st.integers(0, 63),
     )
 
 
-def expand_strategy():
-    return st.builds(
-        ExpandRequest,
-        qid=st.integers(0, 1 << 20),
-        forest_id=path_strategy(1, 3),
-        location=st.integers(0, 63),
+def expand_strategy(d):
+    zeros = (0,) * d
+    return st.tuples(
+        st.just(KIND_EXPAND),
+        st.integers(0, 1 << 20),
+        st.just(zeros),
+        st.just(zeros),
+        st.integers(0, 1 << 10),
+        st.integers(0, 63),
     )
 
 
 def selection_strategy():
-    return st.builds(
-        ForestSelection,
-        qid=st.integers(0, 1 << 20),
-        forest_id=path_strategy(1, 3),
-        nleaves=st.integers(0, 1 << 12),
-        agg=value_strategy(),
+    return st.tuples(
+        st.integers(0, 1 << 20),
+        st.integers(0, 1 << 10),
+        st.integers(0, 1 << 12),
+        value_strategy(),
     )
 
 
 class TestCodecRoundTrips:
+    """``columns → rows`` is an identity on every shipped stream."""
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("tid_len", [0, 1, 2])
     @settings(max_examples=25, deadline=None)
@@ -121,8 +134,11 @@ class TestCodecRoundTrips:
         records = data.draw(
             st.lists(srecord_strategy(d, tid_len), min_size=0, max_size=12)
         )
-        batch = RecordBatch.from_records("dist.srecord", records)
-        assert batch.to_records() == records
+        batch = pack(
+            "dist.srecord", SRECORD, records, {"tree_id": 2 * tid_len, "ranks": d}
+        )
+        assert list(batch) == records
+        assert [r.pid for r in batch] == [r[2] for r in records]
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @settings(max_examples=25, deadline=None)
@@ -131,8 +147,8 @@ class TestCodecRoundTrips:
         records = data.draw(
             st.lists(subquery_strategy(d), min_size=1, max_size=12)
         )
-        batch = RecordBatch.from_records("dist.search.routing", records)
-        assert batch.to_records() == records
+        batch = pack("dist.search.routing", ROUTING, records, {"los": d, "his": d})
+        assert list(batch) == records
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -140,69 +156,31 @@ class TestCodecRoundTrips:
         records = data.draw(
             st.lists(selection_strategy(), min_size=0, max_size=12)
         )
-        batch = RecordBatch.from_records("dist.forest_selection", records)
-        assert batch.to_records() == records
+        batch = pack("dist.forest_selection", SELECTION, records)
+        assert list(batch) == records
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_expand_and_report_pair_identity(self, data):
-        expands = data.draw(st.lists(expand_strategy(), min_size=0, max_size=8))
-        assert (
-            RecordBatch.from_records("dist.search.routing", expands).to_records()
-            == expands
-        )
+        expands = data.draw(st.lists(expand_strategy(2), min_size=0, max_size=8))
+        batch = pack("dist.search.routing", ROUTING, expands, {"los": 2, "his": 2})
+        assert list(batch) == expands
         pairs = data.draw(
             st.lists(
                 st.tuples(st.integers(0, 1 << 20), st.integers(-4, 1 << 16)),
                 max_size=12,
             )
         )
-        assert (
-            RecordBatch.from_records("dist.report_pair", pairs).to_records()
-            == pairs
-        )
-
-    def test_hat_selection_cols_roundtrip(self):
-        """The compiled-walk selection pack reconstructs forest ids
-        arithmetically: leaves under (idx, lvl) are the heap range
-        [idx·2^h, (idx+1)·2^h) at level lvl − h of the same tree."""
-        sels = [
-            HatSelectionRecord(
-                qid=3,
-                path=((2, 3), (7, 5)),
-                nleaves=16,
-                agg=(1.0, 2),
-                # h = 1: leaves 4 and 5 at level 2, same tree id
-                forest_ids=(((4, 2), (7, 5)), ((5, 2), (7, 5))),
-                locations=(0, 1),
-            ),
-            HatSelectionRecord(qid=0, path=((1, 5), (1, 6)), nleaves=4),
-            HatSelectionRecord(
-                qid=1,
-                path=((3, 2),),
-                nleaves=1,
-                agg=None,
-                # h = 0: a hat leaf tiles itself
-                forest_ids=(((3, 2),),),
-                locations=(2,),
-            ),
-        ]
-        assert (
-            RecordBatch.from_records("dist.hat_selection_cols", sels).to_records()
-            == sels
-        )
-
-    def test_every_registered_codec_exercised_includes_hat_cols(self):
-        assert "dist.hat_selection_cols" in set(registered_codecs())
+        assert list(pack("dist.report_pair", PAIR, pairs)) == pairs
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_mixed_routing_stream_survives_routing(self, d, data):
-        """pack → exchange_batches → unpack is an identity per destination."""
+        """rows → exchange_batches → rows is an identity per destination."""
         records = data.draw(
             st.lists(
-                st.one_of(subquery_strategy(d), expand_strategy()),
+                st.one_of(subquery_strategy(d), expand_strategy(d)),
                 min_size=1,
                 max_size=16,
             )
@@ -215,7 +193,7 @@ class TestCodecRoundTrips:
                 max_size=len(records),
             )
         )
-        batch = RecordBatch.from_records("dist.search.routing", records)
+        batch = pack("dist.search.routing", ROUTING, records, {"los": d, "his": d})
         mach = Machine(p)
         outboxes = [[None] * p for _ in range(p)]
         dest_arr = np.asarray(dests)
@@ -226,43 +204,10 @@ class TestCodecRoundTrips:
         inboxes = mach.exchange_batches("t", outboxes, batch)
         for dst in range(p):
             expected = [r for r, dd in zip(records, dests) if dd == dst]
-            assert inboxes[dst].to_records() == expected
-
-    def test_every_registered_codec_exercised(self):
-        """The suite covers each registered stream (new codecs need tests)."""
-        assert set(registered_codecs()) == {
-            "dist.srecord",
-            "dist.hat_selection_cols",
-            "dist.forest_selection",
-            "dist.search.routing",
-            "dist.report_pair",
-        }
-        assert codec_for_type(SRecord) is codec_for("dist.srecord")
+            assert list(inboxes[dst]) == expected
 
 
 class TestColumnPrimitives:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        rows=st.lists(
-            st.lists(st.integers(-(1 << 40), 1 << 40), max_size=5), max_size=10
-        ),
-        data=st.data(),
-    )
-    def test_ragged_take_concat(self, rows, data):
-        col = Ragged.from_rows(rows)
-        assert [list(col.row(i)) for i in range(len(col))] == rows
-        idx = data.draw(
-            st.lists(st.integers(0, max(0, len(rows) - 1)), max_size=8)
-        ) if rows else []
-        taken = col.take(np.asarray(idx, dtype=np.int64))
-        assert [list(taken.row(i)) for i in range(len(taken))] == [
-            rows[i] for i in idx
-        ]
-        both = Ragged.concat([col, taken])
-        assert [list(both.row(i)) for i in range(len(both))] == rows + [
-            rows[i] for i in idx
-        ]
-
     @settings(max_examples=30, deadline=None)
     @given(
         keys=st.lists(
@@ -288,18 +233,20 @@ class TestColumnPrimitives:
         assert [keys[i] for i in np_order] == [keys[i] for i in by_tuple]
 
     def test_batch_sequence_view(self):
-        records = [
-            Subquery(qid=i, los=(i,), his=(i + 1,), forest_id=((1, 0),), location=0)
-            for i in range(5)
-        ]
-        batch = RecordBatch.from_records("dist.search.routing", records)
+        records = [(KIND_SUBQUERY, i, (i,), (i + 1,), 7, 0) for i in range(5)]
+        batch = pack("dist.search.routing", ROUTING, records, {"los": 1, "his": 1})
         assert len(batch) == 5
-        assert batch[2] == records[2]
-        assert batch[-1] == records[-1]
-        assert list(batch) == records
-        assert batch[1:3] == records[1:3]
-        with pytest.raises(IndexError):
-            batch[5]
+        rows = list(batch)
+        assert rows == records
+        # a row is named by the columns, and cells are plain Python values
+        assert rows[2]._fields == ROUTING
+        assert (rows[2].qid, rows[2].his, rows[-1].element) == (2, (3,), 7)
+        assert type(rows[2].qid) is int and type(rows[2].his[0]) is int
+        with pytest.raises(AttributeError):
+            rows[2].qid = 9
+        # helper columns are not identifiers: they are numbered, not dropped
+        tagged = batch.with_col("__key", np.arange(5))
+        assert [row[-1] for row in tagged] == [0, 1, 2, 3, 4]
 
 
 class TestColumnarSortEquivalence:
@@ -309,24 +256,21 @@ class TestColumnarSortEquivalence:
         p=st.sampled_from([1, 2, 4]),
     )
     def test_matches_object_sample_sort(self, values, p):
-        records = [
-            Subquery(qid=v, los=(i,), his=(i,), forest_id=((1, 0),), location=0)
-            for i, v in enumerate(values)
-        ]
+        records = [(KIND_SUBQUERY, v, (i,), (i,), 7, 0) for i, v in enumerate(values)]
         chunk = -(-max(1, len(records)) // p)
         locals_ = [records[r * chunk : (r + 1) * chunk] for r in range(p)]
 
         m1 = Machine(p)
-        obj = sample_sort(m1, locals_, key=operator.attrgetter("qid"))
+        obj = sample_sort(m1, locals_, key=operator.itemgetter(1))
 
         m2 = Machine(p)
         batches = [
-            RecordBatch.from_records("dist.search.routing", box)
+            pack("dist.search.routing", ROUTING, box, {"los": 1, "his": 1})
             for box in locals_
         ]
         cols = sample_sort_cols(m2, batches, keyspec=("qid",))
 
-        assert [b.to_records() for b in cols] == obj
+        assert [list(b) for b in cols] == obj
         t1 = [(s.kind, s.label, s.sent, s.received) for s in m1.metrics.steps]
         t2 = [(s.kind, s.label, s.sent, s.received) for s in m2.metrics.steps]
         assert [t[1] for t in t1] == [t[1] for t in t2]  # same round labels

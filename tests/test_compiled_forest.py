@@ -28,8 +28,7 @@ from repro.cgm.columns import RecordBatch
 from repro.cgm.phases import ProcContext, get_phase
 from repro.dist import DistributedRangeTree
 from repro.dist.forest import build_forest_element
-from repro.dist.records import ExpandRequest, Subquery
-from repro.dist.search import _expand_routing_cols
+from repro.dist.records import KIND_EXPAND, KIND_SUBQUERY
 from repro.geometry import Box
 from repro.geometry.box import RankBox, rank_bounds
 from repro.query import QueryBatch, aggregate
@@ -310,11 +309,11 @@ class TestSearchOutputParity:
             forest_ops = next(
                 s.ops for s in tree.metrics.steps if s.label == "search:forest"
             )
-            _hat, forest_sels, pairs, demands, _walk, ref_forest_ops = (
+            _hat, _exps, forest_sels, pairs, demands, _walk, ref_forest_ops = (
                 reference_search(tree, boxes, report=True)
             )
         assert (
-            sorted((f for per in out.forest_selections for f in per), key=repr)
+            sorted((tuple(f) for per in out.forest_selections for f in per), key=repr)
             == forest_sels
         )
         assert search_pairs(out) == pairs
@@ -342,8 +341,7 @@ class TestSearchOutputParity:
             # upper three quarters (selections inside the padded element)
             los = np.vstack([los, [[0, 0], [16, 16]]])
             his = np.vstack([his, [[63, 63], [63, 63]]])
-            sels, routing, _visits = tree.hat.walk_batch(0, los, his, report)
-            expansions = _expand_routing_cols(sels, 2)
+            _sels, routing, expansions, _visits = tree.hat.walk_batch(0, los, his, report)
             assert len(expansions) >= 4
             inbox = RecordBatch.concat([routing, expansions])
             owners = np.asarray(inbox.col("location"))
@@ -352,15 +350,15 @@ class TestSearchOutputParity:
                 mine = inbox.take(np.nonzero(owners == owner)[0])
                 raw = []
                 for rec in mine:
-                    if isinstance(rec, Subquery) and report[rec.qid]:
-                        el = tree.forest_store[owner][rec.forest_id]
+                    if rec.kind == KIND_SUBQUERY and report[rec.qid]:
+                        el = tree.forest_store[owner][tree.hat.path(rec.element)]
                         for sel in reference_tree(el).canonical(
                             RankBox(rec.los, rec.his), stats=WalkStats()
                         ):
                             raw += [(rec.qid, pid) for pid in el.pids[sel.rows()].tolist()]
                 for rec in mine:
-                    if isinstance(rec, ExpandRequest):
-                        el = tree.forest_store[owner][rec.forest_id]
+                    if rec.kind == KIND_EXPAND:
+                        el = tree.forest_store[owner][tree.hat.path(rec.element)]
                         raw += [(rec.qid, pid) for pid in el.pids.tolist()]
                 ctx = ProcContext(
                     rank=owner, p=tree.p, state=mach.backend.states(tree.p)[owner]
@@ -368,7 +366,7 @@ class TestSearchOutputParity:
                 sel_b, pair_b = get_phase("dist.search.forest_cols")(
                     ctx, (mine, ns, report)
                 )
-                assert set(sel_b.cols) == {"qid", "forest_id", "nleaves", "agg"}
+                assert set(sel_b.cols) == {"qid", "element", "nleaves", "agg"}
                 assert list(pair_b) == [pair for pair in raw if pair[1] >= 0]
                 dropped += sum(1 for _q, pid in raw if pid < 0)
             assert dropped, "workload too small: no sentinel reached a pair"

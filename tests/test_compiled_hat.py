@@ -20,7 +20,6 @@ import pytest
 
 from repro.cgm.columns import RecordBatch
 from repro.dist import DistributedRangeTree
-from repro.dist.records import ForestSelection
 from repro.geometry.box import RankBox, rank_bounds
 from repro.geometry import Box
 from repro.query import QueryBatch, aggregate, count, report, top_k
@@ -78,43 +77,49 @@ class TestWalkBatchBitIdentity:
             mask = np.full(30, report is True)
             if report == "some":
                 mask[::3] = True
-            exp_sels, exp_subqs, charges = [], [], []
+            exp_sels, exp_subqs, exp_exps, charges = [], [], [], []
             for i, box in enumerate(boxes):
                 got: list[int] = []
-                s, q = hat.walk(
+                s, q, e = hat.walk(
                     qlo + i, box, report=bool(mask[i]), charge=got.append
                 )
                 exp_sels.extend(s)
                 exp_subqs.extend(q)
+                exp_exps.extend(e)
                 charges.append(sum(got))
-            sel_b, routing_b, visits = hat.walk_batch(
+            sel_b, subq_b, exp_b, visits = hat.walk_batch(
                 qlo, *rank_bounds(boxes), mask
             )
-            # records: same selections and subqueries, same order
+            # rows: same selections, subqueries and expansions, same order
             assert list(sel_b) == exp_sels
-            assert list(routing_b) == exp_subqs
+            assert list(subq_b) == exp_subqs
+            assert list(exp_b) == exp_exps
             # charge accounting: per-query visit counts match exactly
             assert [int(v) for v in visits] == charges
-            # routing bytes: column-for-column identical to the record pack
             assert exp_subqs, "workload too small: no subqueries to compare"
-            ref = RecordBatch.from_records("dist.search.routing", exp_subqs)
-            for name in ("kind", "qid", "los", "his", "location"):
-                np.testing.assert_array_equal(
-                    np.asarray(routing_b.col(name)), np.asarray(ref.col(name))
-                )
-            for attr in ("flat", "offsets"):
-                np.testing.assert_array_equal(
-                    getattr(routing_b.col("forest_id"), attr),
-                    getattr(ref.col("forest_id"), attr),
+            # only a reporting query's selections are tiled, each by the
+            # hat leaves under it, left to right
+            assert bool(exp_exps) == bool(mask[[s[0] - qlo for s in exp_sels]].any())
+            tilings = [
+                hat.tile_leaf_ids[hat.tile_off[n] :][: hat.tile_len[n]].tolist()
+                for q, n, _nl, _agg in exp_sels
+                if mask[q - qlo]
+            ]
+            assert [e[4] for e in exp_exps] == [l for t in tilings for l in t]
+            # every routing column is one int64 array: names are hat rows
+            for batch in (subq_b, exp_b):
+                assert all(
+                    type(col) is np.ndarray and col.dtype == np.int64
+                    for col in batch.cols.values()
                 )
 
     def test_empty_slice(self):
         pts = uniform_points(32, 2, seed=9)
         with DistributedRangeTree.build(pts, p=4) as tree:
-            sel_b, routing_b, visits = tree.hat.walk_batch(
+            sel_b, subq_b, exp_b, visits = tree.hat.walk_batch(
                 0, *rank_bounds([]), np.zeros(0, dtype=bool)
             )
-            assert len(sel_b) == 0 and len(routing_b) == 0
+            assert len(sel_b) == 0 and len(subq_b) == 0 and len(exp_b) == 0
             assert len(visits) == 0
 
 
@@ -123,8 +128,8 @@ def reference_search(tree, boxes, report):
 
     ``Hat.walk`` per query over each rank's block, then the object
     tree's ``canonical`` (:func:`tests.helpers.reference_tree`) per
-    surviving subquery at its owner, then one expansion per tiling entry
-    of a reporting query's hat selections — the record-at-a-time
+    surviving subquery at its owner, then one expansion per request the
+    walk emitted for a reporting query's hat selections — the record-at-a-time
     definition the batched phases must reproduce.  ``report`` is the
     pass's mask (or one bool); the ``(qid, pid)`` pairs are the real
     points under each reporting query's forest selections, in selection
@@ -137,48 +142,41 @@ def reference_search(tree, boxes, report):
     rank_boxes = [tree.ranked.to_rank_box(b) for b in boxes]
     report = np.broadcast_to(np.asarray(report, dtype=bool), (len(boxes),))
     chunk = -(-len(rank_boxes) // p)
-    hat_sels, walk_ops, subqs = [], [], []
+    hat_sels, walk_ops, subqs, exps = [], [], [], []
     for r in range(p):
         sels, ops = [], []
         for qid in range(r * chunk, min(len(rank_boxes), (r + 1) * chunk)):
-            s, q = tree.hat.walk(
+            s, q, e = tree.hat.walk(
                 qid, rank_boxes[qid], report=bool(report[qid]),
                 charge=ops.append,
             )
             sels.extend(s)
             subqs.extend(q)
+            exps.extend(e)
         hat_sels.append(sels)
         walk_ops.append(sum(ops))
     forest_sels, pairs, forest_ops = [], [], 0
     oracles: dict = {}
-    for sq in subqs:
-        el = tree.forest_store[sq.location][sq.forest_id]
-        if sq.forest_id not in oracles:
-            oracles[sq.forest_id] = reference_tree(el)
+    for _kind, qid, los, his, element, location in subqs:
+        el = tree.forest_store[location][tree.hat.path(element)]
+        if element not in oracles:
+            oracles[element] = reference_tree(el)
         stats = WalkStats()
-        for sel in oracles[sq.forest_id].canonical(
-            RankBox(sq.los, sq.his), stats=stats
-        ):
-            forest_sels.append(
-                ForestSelection(
-                    qid=sq.qid,
-                    forest_id=sq.forest_id,
-                    nleaves=sel.leaf_count,
-                    agg=sel.agg(),
-                )
-            )
-            if report[sq.qid]:
-                pairs += [(sq.qid, pid) for pid in el.pids[sel.rows()].tolist()]
+        for sel in oracles[element].canonical(RankBox(los, his), stats=stats):
+            forest_sels.append((qid, element, sel.leaf_count, sel.agg()))
+            if report[qid]:
+                pairs += [(qid, pid) for pid in el.pids[sel.rows()].tolist()]
         forest_ops += max(1, stats.nodes_visited)
-    for hs in (hs for sels in hat_sels for hs in sels):
-        # only a reporting query's selections carry a tiling
-        for fid, loc in zip(hs.forest_ids, hs.locations):
-            el = tree.forest_store[loc][fid]
-            pairs += [(hs.qid, pid) for pid in el.pids.tolist()]
-            forest_ops += el.nleaves
-    demands = [sum(1 for sq in subqs if sq.location == j) for j in range(p)]
+    # only a reporting query's selections are expanded
+    assert {e[1] for e in exps} <= set(np.flatnonzero(report).tolist())
+    for _kind, qid, _los, _his, element, location in exps:
+        el = tree.forest_store[location][tree.hat.path(element)]
+        pairs += [(qid, pid) for pid in el.pids.tolist()]
+        forest_ops += el.nleaves
+    demands = [sum(1 for sq in subqs if sq[5] == j) for j in range(p)]
     return (
         hat_sels,
+        exps,
         sorted(forest_sels, key=repr),
         sorted(pair for pair in pairs if pair[1] >= 0),
         demands,
@@ -209,13 +207,13 @@ class TestSearchOutputParity:
                 for s in tree.metrics.steps
                 if s.label in ("search:walk", "search:forest")
             }
-            hat_sels, forest_sels, pairs, demands, walk_ops, forest_ops = (
+            hat_sels, exps, forest_sels, pairs, demands, walk_ops, forest_ops = (
                 reference_search(tree, boxes, report)
             )
-        assert any(hs.locations for sels in hat_sels for hs in sels)
+        assert exps
         assert [list(per) for per in out.hat_selections] == hat_sels
         assert (
-            sorted((f for per in out.forest_selections for f in per), key=repr)
+            sorted((tuple(f) for per in out.forest_selections for f in per), key=repr)
             == forest_sels
         )
         assert search_pairs(out) == pairs

@@ -7,12 +7,7 @@ import pytest
 
 from repro.dist import DistributedRangeTree
 from repro.dist.forest import build_forest_element
-from repro.dist.records import (
-    ForestRootInfo,
-    HatSelectionRecord,
-    SRecord,
-    Subquery,
-)
+from repro.dist.records import KIND_SUBQUERY, ForestRootInfo
 from repro.errors import GeometryError
 from repro.geometry import RankBox
 from repro.geometry.box import rank_bounds
@@ -114,11 +109,6 @@ class TestForestElement:
 
 
 class TestRecords:
-    def test_srecord_frozen(self):
-        r = SRecord(tree_id=(), ranks=(1, 2), pid=0, value=1)
-        with pytest.raises(Exception):
-            r.pid = 5  # type: ignore[misc]
-
     def test_forest_root_info_tree_id(self):
         info = ForestRootInfo(
             path=((12, 2), (3, 4)),
@@ -132,12 +122,16 @@ class TestRecords:
         assert info.tree_id == ((3, 4),)
 
     def test_subquery_carries_box(self):
-        sq = Subquery(qid=3, los=(0, 1), his=(5, 6), forest_id=((1, 0),), location=2)
-        assert RankBox(sq.los, sq.his).interval(1) == (1, 6)
-
-    def test_hat_selection_defaults(self):
-        h = HatSelectionRecord(qid=0, path=((1, 1),), nleaves=4, agg=4)
-        assert h.forest_ids == () and h.locations == ()
+        pts = uniform_points(32, 2, seed=81)
+        with DistributedRangeTree.build(pts, p=4) as tree:
+            box = RankBox((0, 1), (5, 6))
+            _sels, subqs, _exps = tree.hat.walk(3, box)
+            assert subqs
+            for kind, qid, los, his, element, location in subqs:
+                assert (kind, qid) == (KIND_SUBQUERY, 3)
+                assert RankBox(los, his).interval(1) == (1, 6)
+                assert tree.hat.leaf[element]
+                assert location == tree.hat.location[element]
 
 
 class TestElementsInsideBuiltTree:

@@ -190,31 +190,28 @@ class TestHatWalkVsSequential:
         in the mode tests; here we check the hat pieces are disjoint)."""
         tree = build(n=64, d=2, p=8, seed=3)
         box = tree.ranked.to_rank_box(Box([(0.1, 0.9), (0.2, 0.8)]))
-        sels, subqs = tree.hat.walk(0, box, report=True)
+        sels, subqs, _exps = tree.hat.walk(0, box, report=True)
         # selected hat nodes must be pairwise disjoint in the last dim
-        seen_paths = set()
-        for s in sels:
-            assert s.path not in seen_paths
-            seen_paths.add(s.path)
+        nodes = [node for _qid, node, _nleaves, _agg in sels]
+        assert len(nodes) == len(set(nodes))
         # subqueries name distinct forest elements
-        fids = [sq.forest_id for sq in subqs]
+        fids = [tree.hat.path(sq[4]) for sq in subqs]
         assert len(fids) == len(set(fids))
 
     def test_empty_box_walks_nowhere(self):
         tree = build(n=64, d=2, p=8)
         from repro.geometry import RankBox
 
-        sels, subqs = tree.hat.walk(0, RankBox((5, 0), (4, 63)))
-        assert sels == [] and subqs == []
+        assert tree.hat.walk(0, RankBox((5, 0), (4, 63))) == ([], [], [])
 
     def test_full_box_selects_root_descendant(self):
         tree = build(n=64, d=2, p=8)
         from repro.geometry import RankBox
 
-        sels, subqs = tree.hat.walk(0, RankBox((0, 0), (63, 63)))
+        sels, subqs, exps = tree.hat.walk(0, RankBox((0, 0), (63, 63)))
         # the whole domain: one selection (root of root's descendant), no subqueries
-        assert len(sels) == 1 and subqs == []
-        assert sels[0].nleaves == 64
+        assert subqs == [] and exps == []
+        assert sels == [(0, int(tree.hat.desc[0]), 64, 64)]
 
     def test_charge_callback_invoked(self):
         tree = build(n=64, d=2, p=8)

@@ -73,11 +73,15 @@ class TestSelectionParity:
             assert len(pids) == sum(
                 piece.nleaves for piece in hat_pieces + forest_pieces
             )
+            hat = dist.hat
             for h in hat_pieces:
+                tiling = hat.tile_leaf_ids[hat.tile_off[h.node] :][: hat.tile_len[h.node]]
                 under = {
                     pid
-                    for fid, loc in zip(h.forest_ids, h.locations)
-                    for pid in dist.forest_store[loc][fid].pids.tolist()
+                    for leaf in tiling.tolist()
+                    for pid in dist.forest_store[hat.location[leaf]][
+                        hat.path(leaf)
+                    ].pids.tolist()
                 }
                 assert len(under) == h.nleaves and under <= set(pids)
 

@@ -85,10 +85,16 @@ class TestReportPairsEndToEnd:
         # names the forest elements tiling them, which is what in-pass
         # expansion routes to the owners — the engine marks report modes.
         full = Box.full(2, -1.0, 2.0)
+        def expansions(out) -> int:
+            routed = [
+                s for s in tree.metrics.comm_steps() if s.label == "search:route-subqueries"
+            ][-1]
+            return sum(routed.sent) - out.total_subqueries
+
         bare = tree.search([full])
+        assert expansions(bare) == 0
         tiled = tree.search([full], report=True)
-        assert sum(len(h.locations) for b in bare.hat_selections for h in b) == 0
-        assert sum(len(h.locations) for b in tiled.hat_selections for h in b) == 4
+        assert expansions(tiled) == 4
         assert sum(len(b) for b in bare.report_pairs) == 0
         assert sum(len(b) for b in tiled.report_pairs) == 64
         assert len(tree.run(report(full)).value(0)) == 64

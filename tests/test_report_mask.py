@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 
 from repro.cgm import Machine
 from repro.dist import DistributedRangeTree
+from repro.dist.search import run_search
+from repro.errors import ReproError
 from repro.geometry import Box
 from repro.seq import bf_report
 from repro.workloads import make_points
@@ -78,7 +80,7 @@ def masked_batch(draw):
 
 def _hat_rows(out) -> list:
     return [
-        [(h.qid, h.path, h.nleaves, repr(h.agg)) for h in per] for per in out.hat_selections
+        [(h.qid, h.node, h.nleaves, repr(h.agg)) for h in per] for per in out.hat_selections
     ]
 
 
@@ -103,11 +105,13 @@ def test_the_mask_adds_the_masked_queries_points_and_nothing_else(trees, case):
         list(per) for per in bare.forest_selections
     ]
     assert _hat_rows(out) == _hat_rows(bare)
-    assert not any(h.locations for per in bare.hat_selections for h in per)
-    tiled = [h for per in out.hat_selections for h in per if h.locations]
-    assert {h.qid for h in tiled} == {
-        h.qid for per in out.hat_selections for h in per if mask[h.qid]
-    }
+    # ... and the routing round carries, beside the subqueries, one expansion
+    # request per hat leaf under each masked query's hat selections
+    assert sum(bare_rounds[-1][1]) == bare.total_subqueries == out.total_subqueries
+    tiled = [h for per in out.hat_selections for h in per if mask[h.qid]]
+    assert sum(rounds[-1][1]) - out.total_subqueries == sum(
+        int(tree.hat.tile_len[h.node]) for h in tiled
+    )
 
     # (b) the pairs are brute force for the masked queries, nothing for the rest
     assert not sum(len(per) for per in bare.report_pairs)
@@ -126,3 +130,21 @@ def test_the_mask_adds_the_masked_queries_points_and_nothing_else(trees, case):
     assert sum(ops["search:forest"]) - sum(bare_ops["search:forest"]) == sum(
         h.nleaves for h in tiled
     )
+
+
+@pytest.mark.parametrize("bad", [[True], [True] * 4, np.ones((3, 1), dtype=bool)])
+def test_a_mask_of_the_wrong_length_is_refused_before_any_phase(bad):
+    pts = make_points("uniform", 32, 2, seed=5)
+    boxes = [Box.full(2, -1.0, 2.0)] * 3
+    with DistributedRangeTree.build(pts, p=4) as tree:
+        snap = tree.metrics.mark()
+        with pytest.raises(ReproError, match=r"m=3 queries") as err:
+            tree.search(boxes, report=bad)
+        assert str(np.shape(bad)) in str(err.value)
+        assert not tree.metrics.since(snap).steps
+        # one flag and no flag still broadcast
+        assert sum(len(b) for b in tree.search(boxes, report=True).report_pairs) == 96
+        ns = tree._ensure_resident()
+        bounds = tree.ranked.to_rank_bounds(*Box.stack(boxes))
+        out = run_search(tree.machine, ns, tree.forest_store, bounds, report=None)
+        assert not sum(len(b) for b in out.report_pairs)

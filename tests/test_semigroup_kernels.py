@@ -464,12 +464,12 @@ def test_object_plane_comm_bytes_reproducible():
 # satellite: cached sort-key prefix == recomputed tree-id encoding
 # ---------------------------------------------------------------------------
 def test_tree_id_encoding_prefix_matches_recompute():
-    from repro.cgm.columns import Ragged, RecordBatch, encode_keys
+    from repro.cgm.columns import RecordBatch, encode_keys
     from repro.dist.construct import _tree_id_encoding
 
     rng = np.random.default_rng(0)
     n, w = 200, 4
-    tid = Ragged.from_matrix(rng.integers(-50, 50, size=(n, w)))
+    tid = rng.integers(-50, 50, size=(n, w))
     ranks = rng.integers(0, 1000, size=(n, 2))
     batch = RecordBatch(
         "dist.srecord",
@@ -483,8 +483,7 @@ def test_tree_id_encoding_prefix_matches_recompute():
     )
     recomputed = _tree_id_encoding(batch)
     # simulate the retained sort key: (tree cols, rank col, src, idx)
-    mat = tid.as_matrix()
-    key_cols = [mat[:, j] for j in range(w)]
+    key_cols = [tid[:, j] for j in range(w)]
     key_cols.append(ranks[:, 0])
     key_cols.append(np.zeros(n, dtype=np.int64))
     key_cols.append(np.arange(n, dtype=np.int64))

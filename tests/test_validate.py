@@ -71,7 +71,7 @@ class TestValidatorCatchesCorruption:
     def test_detects_bad_index_arithmetic(self):
         tree = self._tree()
         hat = tree.hat
-        hat.paths.flat[hat.paths.offsets[hat.left[0]]] += 1  # the root's left child's index
+        hat.paths[hat.left[0], 0] += 1  # the root's left child's index
         rep = validate_tree(tree)
         assert not rep.ok
         assert any("sibling" in f or "path" in f for f in rep.failures)

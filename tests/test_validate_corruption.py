@@ -126,7 +126,7 @@ class TestCorruptHat:
         _assert_caught(tree, "tile slice")
 
     def test_detects_corrupt_path_entry(self, tree):
-        tree.hat.paths.flat[-1] += 1  # the last node's level
+        tree.hat.paths[-1, 1] += 1  # the last node's level
         _assert_caught(tree, "sibling index arithmetic")
 
     def test_detects_wrong_node_count(self, tree):
