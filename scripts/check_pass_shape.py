@@ -10,11 +10,11 @@ Usage::
 Builds n=512, p=8 and runs an empty, a one-query and a 64-query
 ``tree.run``.  Fails unless
 
-* all three passes record the same comm-round label sequence (rounds are
-  the data-independent observable — Theorem 3 — ``m = 0`` included), the
-  one-query pass makes at most 5 ``run_phase`` dispatches (an empty
-  replication round dispatches nothing) and no pass constructs a
-  ``random.Random`` (``main``);
+* all three passes record the same ``5 + log2 p`` comm rounds under the
+  same labels (rounds are the data-independent observable — Theorem 3 —
+  ``m = 0`` included), the one-query pass makes 2 ``run_phase``
+  dispatches (an empty replication round dispatches nothing, the demux
+  none) and no pass constructs a ``random.Random`` (``main``);
 * a batch pass calls no one-box ``to_rank_box`` and a ``dyn.run`` over
   >= 100 tombstones no ``Box.contains_point`` (``object_loop_calls``);
 * on every backend a build, a lazy refit and a replicating pass construct
@@ -35,12 +35,13 @@ Builds n=512, p=8 and runs an empty, a one-query and a 64-query
   the same number of Python-level calls on 640 subqueries as on 64 over
   the same elements — a name is resolved per element, not per row
   (``report_mask_failures``);
-* the 64-query count/report/aggregate batch builds exactly 2 ``Fold``s
-  and resolves typed-vs-``combine`` in one ``_fold_kernels`` call,
-  ``query/engine.py`` and ``query/modes.py`` define ``QUERY_DEFINES`` and
-  no other, a registered mode has ``OutputMode``'s five attributes, and
-  ``run_search`` takes a required ``ns`` and no ``hat``
-  (``fold_said_once_failures``).
+* the 64-query count/report/aggregate batch builds exactly 2 ``Fold``s,
+  resolves typed-vs-``combine`` in one ``_fold_kernels`` call, sorts
+  nothing (0 ``sample_sort_cols`` calls: partial values go home, pairs
+  are balanced) and calls ``fold_segments`` at most twice per rank and
+  fold group (once over a rank's own pieces, once at home); a registered
+  mode has ``OutputMode``'s five attributes, and ``run_search`` takes a
+  required ``ns`` and no ``hat`` (``fold_said_once_failures``).
 
 A later change that re-prices idle ranks, puts a per-object Python loop
 back on the batch path, holds a forest element or the hat in a second
@@ -62,7 +63,7 @@ from contextlib import contextmanager
 
 from repro.geometry.box import Box
 
-MAX_ONE_QUERY_DISPATCHES = 5
+MAX_ONE_QUERY_DISPATCHES = 2
 
 
 @contextmanager
@@ -389,25 +390,16 @@ def report_mask_failures(tree, batch) -> list:
     return failures
 
 
-#: What the two modules that say how a query folds define, in full.
-QUERY_DEFINES = {
-    "repro.query.engine": {
-        "Fold", "QueryPlan", "QueryEngine", "plan_batch", "_annotation_components",
-    },
-    "repro.query.modes": {
-        "OutputMode", "CountMode", "AggregateMode", "ReportMode", "TopKMode",
-        "SampleReportMode", "register_mode", "get_mode", "registered_modes",
-    },
-}
 MODE_SURFACE = {"name", "reports", "validate", "required_semigroup", "finalize"}
 
 
 def fold_said_once_failures(tree, boxes) -> list:
     """A mode names its semigroup, the plan groups the batch by it: folds
     are per distinct semigroup, the kernel choice is per group and made
-    once, and ``run_search`` has one entrance."""
+    once, each group folds once per rank and once at home, nothing is
+    sorted, and ``run_search`` has one entrance."""
     from repro.dist import search
-    from repro.query import aggregate, count, engine, modes, registered_modes, report
+    from repro.query import aggregate, count, engine, registered_modes, report
     from repro.semigroup import sum_of_dim
 
     failures = []
@@ -422,28 +414,34 @@ def fold_said_once_failures(tree, boxes) -> list:
 
     engine.Fold = counted_fold
     try:
-        with counting(calls, (engine.QueryEngine, "_fold_kernels")):
+        # every name a ``repro`` module binds the two functions under
+        bound = [
+            (mod, name)
+            for mod in list(sys.modules.values())
+            for name in ("sample_sort_cols", "fold_segments")
+            if getattr(mod, "__name__", "").startswith("repro.") and name in vars(mod)
+        ]
+        with counting(calls, (engine.QueryEngine, "_fold_kernels"), *bound):
             tree.run(batch)
     finally:
         engine.Fold = real_fold
     got = [(f.semigroup.name, f.slot is None) for f in folds]
     if got != [("count", True), ("sum[x0]", False)]:
         failures.append(f"a 64-query c/r/a batch built Folds {got}, want leaf counts + sum[x0]")
-    if calls != {"QueryEngine._fold_kernels": 1}:
+    if calls["QueryEngine._fold_kernels"] != 1:
         failures.append(f"kernel choice made {calls} times, want once per pass")
+    sorts, segs = (
+        sum(n for key, n in calls.items() if key.endswith(name))
+        for name in (".sample_sort_cols", ".fold_segments")
+    )
+    if sorts:
+        failures.append(f"the pass called sample_sort_cols {sorts} time(s): the demux must not sort")
+    if not 0 < segs <= 2 * tree.p * len(folds):
+        failures.append(
+            f"fold_segments called {segs} times on a pass, want at most 2 * p * groups "
+            f"= {2 * tree.p * len(folds)}: a fold per run, not per group?"
+        )
 
-    for module in (engine, modes):
-        defined = {
-            name
-            for name, obj in vars(module).items()
-            if getattr(obj, "__module__", None) == module.__name__
-            and (inspect.isclass(obj) or inspect.isfunction(obj))
-        }
-        if defined != QUERY_DEFINES[module.__name__]:
-            failures.append(
-                f"{module.__name__} defines {sorted(defined ^ QUERY_DEFINES[module.__name__])} "
-                "beside/short of QUERY_DEFINES: a second way to say how a query folds?"
-            )
     for name, mode in registered_modes().items():
         extra = {
             attr
@@ -494,9 +492,9 @@ def main() -> int:
     none_rounds = [s.label for s in none.comm_steps()]
     one_rounds = [s.label for s in one.comm_steps()]
     full_rounds = [s.label for s in full.comm_steps()]
-    if not none_rounds == one_rounds == full_rounds:
+    if not none_rounds == one_rounds == full_rounds or len(full_rounds) != 5 + 3:
         failures.append(
-            f"comm rounds differ with batch size:\n  m=0:  {none_rounds}\n"
+            f"comm rounds differ with batch size or from 5 + log2 p = 8:\n  m=0:  {none_rounds}\n"
             f"  m=1:  {one_rounds}\n  m=64: {full_rounds}"
         )
     dispatches = [s.label for s in one.compute_steps()]

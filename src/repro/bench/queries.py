@@ -79,16 +79,16 @@ def run_a1(n: int = 1024, d: int = 2, p: int = 8) -> Table:
             for i, q in list(enumerate(qs))[:: max(1, len(qs) // 32)]
         )
         t.add_row(mode, tree.metrics.rounds, tree.metrics.max_work, "yes" if ok else "NO")
-    t.add_note("both modes share the Search round budget plus a sort + segmented scan")
+    t.add_note("both modes share the Search round budget plus one round home for the partial ⊕ values")
     return t
 
 
 def run_r1(n: int = 1024, d: int = 2, p: int = 8) -> Table:
     """Theorem 5 (report mode): per-processor output <= ceil(k/p).
 
-    A report-only batch's demux pieces are exactly its ``(qid, pid)``
-    output pairs, so what each rank holds after the demux sort's balance
-    round *is* the per-processor output Theorem 5 bounds.
+    The demux balances the batch's ``(qid, pid)`` output pairs in the
+    ``query:demux:pairs`` round, so what each rank receives there *is*
+    the per-processor output Theorem 5 bounds.
     """
     t = Table(
         f"R1 — report mode balance (n={n}, d={d}, p={p})",
@@ -103,7 +103,7 @@ def run_r1(n: int = 1024, d: int = 2, p: int = 8) -> Table:
         sizes = next(
             s.received
             for s in rs.metrics.comm_steps()
-            if s.label == "query:demux:sort:balance"
+            if s.label == "query:demux:pairs"
         )
         k = sum(sizes)
         cap = -(-k // p) if k else 0

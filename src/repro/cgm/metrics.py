@@ -36,7 +36,7 @@ def phase_of(label: str) -> str:
     """The phase a step label belongs to: the prefix before the first ``:``.
 
     Every algorithm labels its supersteps ``phase:step`` (``search:walk``,
-    ``query:demux:sort``, ``construct:route``); the phase prefix is the
+    ``query:demux:fold``, ``construct:route``); the phase prefix is the
     attribution unit the query layer reports per batch.
     """
     return label.split(":", 1)[0]

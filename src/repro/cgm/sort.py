@@ -32,14 +32,17 @@ Two forms share the round structure:
   primitive, and the reference the batch form is property-tested
   against): items are arbitrary Python objects, compared by
   ``(key(item), source rank, source index)`` tuples.
-* :func:`sample_sort_cols` — the batch form Construct and the demux
-  use: items are
+* :func:`sample_sort_cols` — the batch form Construct uses: items are
   :class:`~repro.cgm.columns.RecordBatch` streams; the named key columns
   (plus implicit source rank/index columns for the same total order) are
   encoded once into fixed-width byte keys
   (:func:`~repro.cgm.columns.encode_keys`) and every comparison-heavy
   step becomes one ``np.argsort`` / ``np.searchsorted``.  Both forms
   run exactly the same 4 rounds under the same labels.
+
+:func:`route_balanced_cols` is step 6 on its own — the §1 prefix-sum
+balance, for callers that need ``ceil(N/p)`` rows per rank and no order
+(the query demux's report pairs, Theorem 5).
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .phases import ProcContext, register_phase
 
 T = TypeVar("T")
 
-__all__ = ["sample_sort", "sample_sort_cols", "sorted_and_balanced"]
+__all__ = ["sample_sort", "sample_sort_cols", "route_balanced_cols", "sorted_and_balanced"]
 
 
 def _first3(t: tuple) -> tuple:
@@ -259,13 +262,15 @@ def _empty_keyed(template: RecordBatch) -> RecordBatch:
     return empty
 
 
-def _route_balanced_cols(
+def route_balanced_cols(
     mach: Machine,
     batches: Sequence[RecordBatch],
     label: str,
     template: RecordBatch,
 ) -> list[RecordBatch]:
-    """Balanced redistribution of batches (2 rounds: count + route)."""
+    """Balanced redistribution of batches (2 rounds: ``{label}-count``,
+    an all-gather of row counts, then ``label``): rank-major order is kept
+    and every rank ends with at most ``ceil(N/p)`` rows."""
     p = mach.p
     counts = [len(b) for b in batches]
     all_counts = allgather(mach, counts, label=f"{label}-count")[0]
@@ -340,7 +345,7 @@ def sample_sort_cols(
 
     merged = mach.run_phase(f"{label}:merge", "cgm.sort.merge_cols", inboxes)
 
-    balanced = _route_balanced_cols(mach, merged, f"{label}:balance", template)
+    balanced = route_balanced_cols(mach, merged, f"{label}:balance", template)
     if keep_key:
         return list(balanced)
     return [b.drop("__key") for b in balanced]

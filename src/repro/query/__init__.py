@@ -17,7 +17,7 @@ search pass no matter how the modes mix::
         aggregate(((0.0, 1.0), (0.0, 0.5))),
     ])
     rs.values()      # [3, [0, 1], 2]
-    rs.rounds        # one search pass + one shared demux fold
+    rs.rounds        # one search pass + three demux rounds (5 + log2 p)
 
 New output modes (top-k, sampled report, yours) plug in through the
 :mod:`repro.query.modes` registry without touching the search kernel.

@@ -82,8 +82,8 @@ def count(box: Any) -> Query:
 def report(box: Any, limit: int | None = None) -> Query:
     """Report mode: the sorted matching point ids (Theorem 5).
 
-    ``limit`` truncates the answer to its first ``limit`` ids after the
-    global sort — the full result is still computed and balanced.
+    ``limit`` truncates the answer to its ``limit`` smallest ids — the
+    full result is still computed and balanced.
     """
     opts = {} if limit is None else {"limit": int(limit)}
     return Query(box=box, mode="report", options=opts)

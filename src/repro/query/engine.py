@@ -14,27 +14,33 @@ engine turns a :class:`~repro.query.descriptors.QueryBatch` into:
    :class:`~repro.semigroup.ProductSemigroup` keyed by component name);
 3. a single **Algorithm Search pass** over all boxes (one hat walk, one
    demand round, one replication round-set, one routing round — §5);
-4. a single shared **demultiplexing fold**: every query's pieces —
-   counts, semigroup values, point ids — ride one sample sort, then each
-   group's runs fold under that group's semigroup
-   (:mod:`repro.dist.modes`);
+4. a **demux** that gives each output mode of §5 what its theorem asks
+   for and nothing more, in three rounds whatever the batch holds: every
+   rank folds its own pieces of a query under the query's group (``⊕`` is
+   commutative) and one routed round takes the partial values to the
+   query's home rank, where the same fold completes the answer
+   (Theorem 4); the ``(qid, pid)`` pairs of reporting queries are
+   balanced to ``ceil(k/p)`` per rank by a count + prefix-sum round pair
+   (Theorem 5).  Nothing is sorted;
 5. a :class:`~repro.query.result.ResultSet` carrying the answers in
    batch order plus the pass's superstep trace.
 
-The round count of a mixed batch therefore equals that of a single-mode
-batch of the same size: modes share the pass instead of re-running it.
+A pass is ``5 + log2 p`` communication rounds — demands, ``log2 p``
+replication rounds, subquery routing and the demux's three — for an
+empty, a one-query or a full batch, and a mixed batch costs the rounds
+of a single-mode one: modes share the pass instead of re-running it.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Any, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
 from ..cgm.columns import RecordBatch
-from ..cgm.sort import sample_sort_cols
-from ..dist.modes import accumulate_runs, resolve_sorted_runs
+from ..cgm.collectives import route_batches
+from ..cgm.sort import route_balanced_cols
+from ..dist.modes import accumulate_runs
 from ..dist.search import run_search
 from ..errors import DimensionMismatch, ProtocolError
 from ..semigroup import COUNT, ProductSemigroup, Semigroup, product_semigroup
@@ -155,11 +161,12 @@ class QueryEngine:
         #: name (``None``: leaf counts, which need no annotation)
         semigroups: List[Semigroup | None] = []
         gid_of: Dict[Any, int] = {}
+        dim = tree.dim
         for qid, query in enumerate(batch):
-            if query.box.dim != tree.dim:
-                raise DimensionMismatch(tree.dim, query.box.dim, f"query {qid} box")
+            if query.box.dim != dim:
+                raise DimensionMismatch(dim, query.box.dim, f"query {qid} box")
             mode = get_mode(query.mode)
-            mode.validate(query, tree.dim)
+            mode.validate(query, dim)
             modes.append(mode)
             if mode.reports:
                 continue
@@ -304,119 +311,125 @@ class QueryEngine:
         return kernels
 
     def _demux(self, plan: QueryPlan, out) -> List[Any]:
-        """One sort + one fold per group answers every mode at once.
+        """Partial ``⊕`` values go home combined; pairs are only balanced.
 
-        Every piece of the batch — counts, semigroup values, point ids,
-        one record each — rides one sample sort by query id, so the sort
-        output is balanced over *all* pieces (Theorem 5's ``k/p`` term:
-        no processor ends with more than ``ceil(total/p)`` of them).
-        Each rank then cuts its sorted rows into runs of one query:
-        reporting queries' ids are harvested as they lie, a kernel
-        group's runs fold in a handful of array calls
-        (:func:`~repro.semigroup.kernels.fold_segments`), the others
-        through ``combine``; the run summaries of the boundary round
-        therefore carry only scalar-sized fold values, never a query's
-        id list.
+        §5's two output modes need different things after Search, and
+        each gets exactly that, in three rounds whatever the batch holds:
+
+        * **fold side** (Theorem 4): ``⊕`` is commutative, so every rank
+          folds its own hat and forest pieces per query first
+          (:meth:`_fold_pieces`) and holds at most one ``query.piece``
+          row per query it touched.  One routed round
+          (``query:demux:fold``) sends that row to the query's *home*
+          rank ``qid // ceil(m/p)`` — the rank that walked the hat for it
+          in step 1 — where the same fold runs once more over at most
+          ``p`` rows per query and the answer is complete.  A rank sends
+          at most one row per query and receives at most ``p`` per query
+          it owns: ``sent <= m`` and ``received <= p * ceil(m/p)``, so
+          ``h < m + p``.
+        * **pair side** (Theorem 5): the pass's ``(qid, pid)`` pairs
+          travel as the two-column ``dist.report_pair`` batches they
+          already are through the count + prefix-sum balance
+          (:func:`~repro.cgm.sort.route_balanced_cols`, rounds
+          ``query:demux:pairs-count`` and ``query:demux:pairs``): no rank
+          ends with more than ``ceil(k/p)`` of the ``k`` pairs, and
+          nothing sorts them — the driver groups ids per query with one
+          int64 key sort when it assembles the answers.
         """
-        group, folds = plan.group, plan.folds
+        mach = self.tree.machine
+        p, group, folds = mach.p, plan.group, plan.folds
         kernels = self._fold_kernels(plan)
-        combine = [f.semigroup.combine for f in folds]
-
-        def op(a, b):
-            if a is None:
-                return b
-            if b is None:
-                return a
-            qid = a[0]
-            return (qid, combine[group[qid]](a[1], b[1]))
-
         values: List[Any] = [
             [] if g < 0 else folds[g].semigroup.identity for g in group.tolist()
         ]
-        local_runs: List[List[Tuple[int, Any]]] = []
-        for b in self._sorted_pieces(plan, out, kernels):
-            runs: List[Tuple[int, Any]] = []
-            local_runs.append(runs)
-            if not len(b):
-                continue
-            q = np.asarray(b.col("qid"))
-            change = np.nonzero(q[1:] != q[:-1])[0] + 1
-            starts = np.concatenate(([0], change))
-            ends = np.concatenate((change, [len(q)]))
-            run_q = q[starts]
-            run_g = group[run_q]
-            pid = np.asarray(b.col("pid"))
-            for at in np.nonzero(run_g < 0)[0]:
-                values[run_q[at]] += pid[starts[at] : ends[at]].tolist()
-            for g, typed in enumerate(kernels):
-                pos = np.nonzero(run_g == g)[0]
-                if not len(pos):
-                    continue
-                if typed is None:
-                    val = b.col("val")
-                    rows = np.nonzero(group[q] == g)[0]
-                    runs += accumulate_runs([(int(q[i]), val[i]) for i in rows], op)
-                else:
-                    kern = typed[0]
-                    totals = fold_segments(
-                        kern, np.asarray(b.col("kval")), starts[pos], ends[pos]
-                    )
-                    runs += [
-                        (qid, (qid, kern.decode_row(row)))
-                        for qid, row in zip(run_q[pos].tolist(), totals)
-                    ]
-            runs.sort(key=itemgetter(0))
 
-        mach = self.tree.machine
-        for per_proc in resolve_sorted_runs(mach, local_runs, op, None, "query:demux"):
-            for qid, tagged in per_proc:
-                values[qid] = tagged[1]
+        partial = [
+            self._fold_pieces(
+                plan,
+                kernels,
+                RecordBatch.concat(
+                    [
+                        self._pieces(plan, kernels, out.hat_selections[r]),
+                        self._pieces(plan, kernels, out.forest_selections[r]),
+                    ]
+                ),
+            )
+            for r in range(p)
+        ]
+        chunk = max(1, -(-len(group) // p))
+        homed = route_batches(
+            mach,
+            partial,
+            [b.col("qid") // chunk for b in partial],
+            label="query:demux:fold",
+            template=partial[0],
+        )
+        # home ranks own disjoint qid ranges: their totals concatenate
+        totals = RecordBatch.concat(
+            [self._fold_pieces(plan, kernels, b) for b in homed]
+        )
+        qid = totals.col("qid")
+        gid = group[qid]
+        for g, typed in enumerate(kernels):
+            pos = np.nonzero(gid == g)[0]
+            if typed is None:
+                decoded = totals.col("val")[pos].tolist()
+            else:
+                kern = typed[0]
+                decoded = map(
+                    kern.decode_row, totals.col("kval")[pos, : kern.width].tolist()
+                )
+            for q, v in zip(qid[pos].tolist(), decoded):
+                values[q] = v
+
+        balanced = route_balanced_cols(
+            mach, out.report_pairs, "query:demux:pairs", out.report_pairs[0]
+        )
+        qid = np.concatenate([b.col("qid") for b in balanced])
+        n = len(qid)
+        if n:
+            # group ids per query with one int64 key sort: ``qid`` packed
+            # above the row position (ids are user-supplied int64, a row
+            # position always fits); ``finalize`` orders each answer
+            pid = np.concatenate([b.col("pid") for b in balanced])
+            bits = n.bit_length()
+            key = (qid << bits) | np.arange(n)
+            key.sort()
+            ids = pid[key & ((1 << bits) - 1)].tolist()
+            qid = key >> bits
+            cuts = [0, *(np.nonzero(qid[1:] != qid[:-1])[0] + 1).tolist(), n]
+            for q, lo, hi in zip(qid[cuts[:-1]].tolist(), cuts, cuts[1:]):
+                values[q] = ids[lo:hi]
         return [
             mode.finalize(v, query)
             for mode, v, query in zip(plan.modes, values, plan.batch)
         ]
 
-    def _sorted_pieces(
-        self, plan: QueryPlan, out, kernels: list
-    ) -> List[RecordBatch]:
-        """Piece extraction + shared sort: one ``query.piece`` batch per rank.
+    def _pieces(self, plan: QueryPlan, kernels: list, batch: RecordBatch) -> RecordBatch:
+        """The fold rows of one selection batch — hat and forest batches
+        alike — as ``query.piece`` rows: ``qid``, an object ``val`` column
+        when some group folds through ``combine``, a float64 ``kval``
+        matrix when some group is typed (as wide as the widest kernel).
 
-        No piece of a typed group touches a Python loop: the pass's
-        ``(qid, pid)`` pairs append their columns verbatim, a kernel
-        group's values fill a shared float64 ``kval`` matrix straight
-        from the typed ``nleaves``/``agg`` columns, and the shared sort
-        is the columnar sample sort keyed on ``qid`` — leaving per-row
-        extraction (into the object ``val`` column) only to groups that
-        fold through ``combine``.
-
-        Known trade-off: ``kval`` is one dense per-row matrix so it can
-        ride the shared sort, which means a *mixed* batch pays
-        ``8 * W`` zero bytes per report piece in the demux rounds
-        (``W`` = widest participating kernel; 1 for count/sum-only
-        mixes).  Report-only batches have no kernel group (no ``kval``),
-        and fold-only batches waste nothing, so only report-heavy
-        batches mixed with wide aggregates (bbox/product) notice — a
-        masked column kind could drop it if that mix becomes hot.
+        No piece of a typed group touches a Python loop: a kernel group's
+        values fill ``kval`` straight from the typed ``nleaves``/``agg``
+        columns, one gather per fold group; per-row extraction is left to
+        the groups that fold through ``combine``.
         """
-        mach = self.tree.machine
-        group, folds, is_report = plan.group, plan.folds, plan.report
+        group, folds = plan.group, plan.folds
         product = len(plan.annotations) > 1
         W = max((k[0].width for k in kernels if k is not None), default=0)
-
-        def fold_part(batch: RecordBatch) -> "tuple | None":
-            """Fold pieces straight from a selection batch's columns —
-            hat and forest batches alike: one gather per fold group."""
-            if not len(batch):
-                return None
-            qid = np.asarray(batch.col("qid"))
-            idx = np.nonzero(~is_report[qid])[0]
-            if not len(idx):
-                return None
-            q_col = qid[idx]
-            n = len(idx)
-            val = np.empty(n, dtype=object)
-            kval = np.zeros((n, W), dtype=np.float64)
-            gid = group[q_col]
+        qid = np.asarray(batch.col("qid"))
+        gid = group[qid]
+        idx = np.nonzero(gid >= 0)[0]
+        q_col, gid = qid[idx], gid[idx]
+        n = len(idx)
+        cols: Dict[str, np.ndarray] = {"qid": q_col}
+        if None in kernels:
+            cols["val"] = val = np.empty(n, dtype=object)
+        if W:
+            cols["kval"] = kval = np.zeros((n, W), dtype=np.float64)
+        if n:
             agg_col = batch.cols["agg"]
             for g, (fold, typed) in enumerate(zip(folds, kernels)):
                 pos = np.nonzero(gid == g)[0]
@@ -426,9 +439,9 @@ class QueryEngine:
                 if fold.slot is None:
                     kval[pos, 0] = np.asarray(batch.col("nleaves"))[rows]
                 elif typed is None:
-                    for at, q, i in zip(pos.tolist(), q_col[pos].tolist(), rows.tolist()):
+                    for at, i in zip(pos.tolist(), rows.tolist()):
                         v = agg_col[i]
-                        val[at] = (q, v[fold.slot] if product else v)
+                        val[at] = v[fold.slot] if product else v
                 elif isinstance(agg_col, KernelColumn):
                     kern, off = typed
                     kval[pos, : kern.width] = agg_col.component_rows(
@@ -438,47 +451,54 @@ class QueryEngine:
                     raise ProtocolError(
                         "kernel fold planned over an object-typed selection column"
                     )
-            return q_col, np.full(n, -1, dtype=np.int64), val, kval
+        return RecordBatch("query.piece", cols, n)
 
-        def pair_rows(pairs: RecordBatch) -> tuple:
-            """Piece columns of ``(qid, pid)`` pairs: no value."""
-            n = len(pairs)
-            return (
-                pairs.col("qid"),
-                pairs.col("pid"),
-                np.empty(n, dtype=object),
-                np.zeros((n, W), dtype=np.float64),
-            )
+    def _fold_pieces(
+        self, plan: QueryPlan, kernels: list, pieces: RecordBatch
+    ) -> RecordBatch:
+        """``⊕`` of the pieces of each query: one row per distinct ``qid``,
+        ascending — run by a rank over its own pieces before they are
+        sent, and by the home rank over what it received.
 
-        # no typed group, no ``kval`` column on the wire
-        names = ("qid", "pid", "val", "kval")[: 4 if W else 3]
-        no_pieces = (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=object),
-            np.zeros((0, W), dtype=np.float64),
-        )
-        batches: List[RecordBatch] = []
-        for r in range(mach.p):
-            parts = [
-                fold_part(out.hat_selections[r]),
-                fold_part(out.forest_selections[r]),
-            ]
-            if len(out.report_pairs[r]):
-                parts.append(pair_rows(out.report_pairs[r]))
-            parts = [x for x in parts if x is not None] or [no_pieces]
-            batches.append(
-                RecordBatch(
-                    "query.piece",
-                    {
-                        name: np.concatenate([x[j] for x in parts])
-                        for j, name in enumerate(names)
-                    },
+        A query's group is a function of its ``qid``, so one stable
+        argsort cuts the rows into runs of one query and each group's
+        runs fold in a handful of array calls
+        (:func:`~repro.semigroup.kernels.fold_segments`), or through
+        ``combine`` (:func:`~repro.dist.modes.accumulate_runs`) when the
+        group has no typed kernel.
+        """
+        n = len(pieces)
+        if not n:
+            return pieces
+        pieces = pieces.take(np.argsort(pieces.col("qid"), kind="stable"))
+        q = pieces.col("qid")
+        starts = np.concatenate(([0], np.nonzero(q[1:] != q[:-1])[0] + 1))
+        ends = np.append(starts[1:], n)
+        run_q = q[starts]
+        run_g = plan.group[run_q]
+        val, kval = pieces.cols.get("val"), pieces.cols.get("kval")
+        cols: Dict[str, np.ndarray] = {"qid": run_q}
+        if val is not None:
+            cols["val"] = np.empty(len(run_q), dtype=object)
+        if kval is not None:
+            cols["kval"] = np.zeros((len(run_q), kval.shape[1]), dtype=np.float64)
+        for g, typed in enumerate(kernels):
+            pos = np.nonzero(run_g == g)[0]
+            if not len(pos):
+                continue
+            if typed is None:
+                rows = np.nonzero(plan.group[q] == g)[0]
+                runs = accumulate_runs(
+                    zip(q[rows].tolist(), val[rows]), plan.folds[g].semigroup.combine
                 )
-            )
-        return sample_sort_cols(
-            mach, batches, keyspec=("qid",), label="query:demux:sort"
-        )
+                for at, (_qid, total) in zip(pos.tolist(), runs):
+                    cols["val"][at] = total
+            else:
+                kern = typed[0]
+                cols["kval"][pos, : kern.width] = fold_segments(
+                    kern, kval, starts[pos], ends[pos]
+                )
+        return RecordBatch("query.piece", cols, len(run_q))
 
 
 def plan_batch(tree, batch: QueryBatch) -> QueryPlan:

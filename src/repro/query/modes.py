@@ -8,15 +8,14 @@ counts) or the list of matching points (Theorem 5).  An
 * **fold family** (count, aggregate, topk): the mode names its semigroup
   (:meth:`OutputMode.required_semigroup`; ``None`` folds the selections'
   leaf counts under :data:`~repro.semigroup.COUNT`).  The engine's plan
-  groups the batch by semigroup and folds each group's pieces after one
-  shared sort (:func:`repro.dist.modes.accumulate_runs` /
-  :func:`~repro.semigroup.kernels.fold_segments`, carries resolved by
-  :func:`repro.dist.modes.resolve_sorted_runs`).
+  groups the batch by semigroup; every rank folds its own pieces of a
+  query (:func:`~repro.semigroup.kernels.fold_segments` /
+  :func:`repro.dist.modes.accumulate_runs`), the partial values meet at
+  the query's home rank in one round and fold once more.
 * **report family** (report, sample): ``reports = True`` marks the query
   in the pass's report mask; Algorithm Search emits its ``(qid, pid)``
-  pairs, which ride the *same* shared sort and are harvested directly
-  from its balanced output (Theorem 5's ``ceil(k/p)``-per-processor
-  term).
+  pairs, which one count + balance round pair spreads ``ceil(k/p)`` per
+  processor (Theorem 5) — they are never sorted.
 
 Either way :meth:`OutputMode.finalize` maps the folded value (or the id
 list) to the user-visible answer.  New modes register with

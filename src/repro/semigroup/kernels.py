@@ -23,7 +23,11 @@ reduction order is chosen per column kind (``col_ops``):
   does **not** match a sequential left fold of Python floats, so
   segmented folds run a masked position-by-position left fold instead —
   ``O(max segment length)`` vectorized steps, each combining one element
-  into every open segment's accumulator in left-to-right order.
+  into every open segment's accumulator in left-to-right order.  The
+  contract is per call: the query demux folds a query's pieces rank by
+  rank and then the partial sums at the query's home rank, so a float
+  sum is associated per-rank-then-home — the same on every backend,
+  within the usual reassociation bound of a single left fold.
 * ``"min"`` — min/max/bbox slots: max slots are stored *negated* so
   every extreme is an ``np.minimum`` (decode flips the sign back, which
   is exact in IEEE-754); min folds are associative-exact, so
@@ -441,7 +445,9 @@ def fold_segments(
     The segmented reduction at the heart of the engine: ``reduceat``
     over interleaved ``(start, end)`` boundaries for the associativity-
     exact columns, a masked sequential left fold for float-add columns
-    (see the module docstring's bit-identity rules).  Only the first
+    (see the module docstring's bit-identity rules: each segment is
+    bit-identical to a left fold of its rows; folding a query in two
+    calls — per rank, then at home — reassociates).  Only the first
     ``kernel.width`` columns of ``mat`` participate, so a kernel can
     fold its slice of a wider shared piece matrix in place.
     """

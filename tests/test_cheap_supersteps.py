@@ -5,8 +5,11 @@ A one-query pass runs the same phases, the same comm rounds under the
 same labels, and charges the same ops and h-relations as a full batch's
 pass; what it no longer does is dispatch pack/unpack for replication
 rounds that move no store, size one broadcast list ``p`` times, or run
-numpy over zero rows.  The tables below were taken at the commit before
-that change (b659289) and must keep holding.
+numpy over zero rows.  The replication table below was taken at the
+commit before that change and must keep holding; ``PARENT_PASS`` was
+re-measured when the demux stopped sorting (a pass is ``5 + log2 p``
+rounds: the sort's four rounds, its boundary round and its ``n log n``
+charges left, ``query:demux:fold`` / ``pairs-count`` / ``pairs`` came).
 """
 
 from __future__ import annotations
@@ -43,11 +46,9 @@ MODES = {"count": count, "report": report, "aggregate": aggregate}
 
 TAIL = [
     "search:route-subqueries",
-    "query:demux:sort:samples",
-    "query:demux:sort:route",
-    "query:demux:sort:balance-count",
-    "query:demux:sort:balance",
-    "query:demux:runs",
+    "query:demux:fold",
+    "query:demux:pairs-count",
+    "query:demux:pairs",
 ]
 
 
@@ -64,26 +65,27 @@ def expected_labels(p: int, strategy: str) -> list:
 #: (mode, strategy, p) -> (rounds, total charged ops, records routed, max h,
 #: sha1[:12] of repr([(label, sent, received) per comm round])) of the pass
 #: answering ``BOX`` alone over make_points("uniform", 256, 2, seed=5) —
-#: measured at b659289, before idle ranks and empty rounds got cheap.
+#: re-measured at the PR that replaced the demux sort (the Search rounds'
+#: rows are b659289's, from before idle ranks and empty rounds got cheap).
 PARENT_PASS = {
-    ("count", "doubling", 2): (8, 243, 62, 11, "5f3c2da6ded2"),
-    ("count", "direct", 2): (8, 243, 62, 11, "92f625dbfc12"),
-    ("report", "doubling", 2): (8, 946, 170, 41, "d28882e25387"),
-    ("report", "direct", 2): (8, 946, 170, 41, "25cdb74d9ed6"),
-    ("aggregate", "doubling", 2): (8, 243, 62, 11, "5f3c2da6ded2"),
-    ("aggregate", "direct", 2): (8, 243, 62, 11, "92f625dbfc12"),
-    ("count", "doubling", 4): (9, 222, 145, 24, "3713af3d967c"),
-    ("count", "direct", 4): (8, 222, 145, 24, "63b6c874ca3f"),
-    ("report", "doubling", 4): (9, 880, 251, 33, "4406c5c63cad"),
-    ("report", "direct", 4): (8, 880, 251, 33, "8b00e7e4f583"),
-    ("aggregate", "doubling", 4): (9, 222, 145, 24, "3713af3d967c"),
-    ("aggregate", "direct", 4): (8, 222, 145, 24, "63b6c874ca3f"),
-    ("count", "doubling", 8): (10, 194, 387, 48, "b58fccf49a20"),
-    ("count", "direct", 8): (8, 194, 387, 48, "021088d42e04"),
-    ("report", "doubling", 8): (10, 755, 717, 96, "fb0a458a19cf"),
-    ("report", "direct", 8): (8, 755, 717, 96, "ba546660a891"),
-    ("aggregate", "doubling", 8): (10, 194, 387, 48, "b58fccf49a20"),
-    ("aggregate", "direct", 8): (8, 194, 387, 48, "021088d42e04"),
+    ("count", "doubling", 2): (6, 72, 12, 2, "9e78840632b5"),
+    ("count", "direct", 2): (6, 72, 12, 2, "ab099c65c687"),
+    ("report", "doubling", 2): (6, 72, 82, 41, "d72bd55fdd2b"),
+    ("report", "direct", 2): (6, 72, 82, 41, "577b6c45daa1"),
+    ("aggregate", "doubling", 2): (6, 72, 12, 2, "9e78840632b5"),
+    ("aggregate", "direct", 2): (6, 72, 12, 2, "ab099c65c687"),
+    ("count", "doubling", 4): (7, 74, 38, 4, "a09f6a49aca3"),
+    ("count", "direct", 4): (6, 74, 38, 4, "3b8dbd9264ad"),
+    ("report", "doubling", 4): (7, 74, 107, 33, "fc8f4160ab81"),
+    ("report", "direct", 4): (6, 74, 107, 33, "5c1c1113a6b5"),
+    ("aggregate", "doubling", 4): (7, 74, 38, 4, "a09f6a49aca3"),
+    ("aggregate", "direct", 4): (6, 74, 38, 4, "3b8dbd9264ad"),
+    ("count", "doubling", 8): (8, 77, 138, 8, "6402bd0d8f86"),
+    ("count", "direct", 8): (6, 77, 138, 8, "82d4ea6563c2"),
+    ("report", "doubling", 8): (8, 77, 205, 25, "220d5d57fb91"),
+    ("report", "direct", 8): (6, 77, 205, 25, "a001b6023e40"),
+    ("aggregate", "doubling", 8): (8, 77, 138, 8, "6402bd0d8f86"),
+    ("aggregate", "direct", 8): (6, 77, 138, 8, "82d4ea6563c2"),
 }
 
 
@@ -110,14 +112,9 @@ def test_one_query_pass_shape_is_the_parents(p):
                 digest = hashlib.sha1(repr(comm).encode()).hexdigest()[:12]
                 got = (m.rounds, m.total_work, m.total_volume, m.max_h, digest)
                 assert got == PARENT_PASS[(mode, strategy, p)], (mode, strategy)
-                # nothing to replicate: no pack/unpack dispatch, five in all
-                assert _dispatches(m) == [
-                    "search:walk",
-                    "search:forest",
-                    "query:demux:sort:local-sort",
-                    "query:demux:sort:partition",
-                    "query:demux:sort:merge",
-                ]
+                # nothing to replicate: no pack/unpack dispatch; the demux
+                # sorts nothing, so the two Search phases are all of them
+                assert _dispatches(m) == ["search:walk", "search:forest"]
 
 
 def test_one_query_and_full_batch_share_the_round_sequence():
@@ -131,16 +128,19 @@ def test_one_query_and_full_batch_share_the_round_sequence():
 
 @pytest.mark.parametrize("strategy", ["doubling", "direct"])
 def test_an_empty_batch_records_every_round_with_nothing_sent(strategy):
-    # m = 0: nothing to sort, yet ``sort:balance`` is recorded like any
-    # other round — no round count reads the data
+    # m = 0: nothing to fold or balance, yet the three demux rounds are
+    # recorded like any other round — no round count reads the data
     pts = make_points("uniform", 256, 2, seed=5)
     with DistributedRangeTree.build(pts, p=8) as tree:
         rs = tree.run([], replication=strategy)
         nothing_matches = tree.run([count(Box(((2.0, 3.0), (2.0, 3.0))))])
     assert rs.values() == [] and nothing_matches.values() == [0]
     assert [c[0] for c in _comm(rs.metrics)] == expected_labels(8, strategy)
-    balance = [c for c in _comm(rs.metrics) if c[0] == "query:demux:sort:balance"]
-    assert balance == [("query:demux:sort:balance", (0,) * 8, (0,) * 8)]
+    demux = [c for c in _comm(rs.metrics) if c[0] in ("query:demux:fold", "query:demux:pairs")]
+    assert demux == [
+        ("query:demux:fold", (0,) * 8, (0,) * 8),
+        ("query:demux:pairs", (0,) * 8, (0,) * 8),
+    ]
     assert [c[0] for c in _comm(nothing_matches.metrics)] == expected_labels(8, "doubling")
 
 

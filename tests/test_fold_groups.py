@@ -5,16 +5,20 @@ A batch that mixes count, report, sample and aggregates over several
 semigroups — typed and object, in any order — must answer what brute
 force answers, plan one :class:`~repro.query.engine.Fold` per distinct
 semigroup (known before any refit), and cost the comm rounds of a
-count-only batch over the same boxes.  The batches are few queries over
-wide boxes, so after the shared sort every rank holds a slice of some
-query's run: runs of a kernel group (leaf counts, and ``min``/``max``
-while the annotation is typed) and of an object group straddle rank
-boundaries and resolve through the carry round.
+count-only batch over the same boxes — the same ``5 + log2 p`` labels
+whether the pass holds 0, 1 or 64 queries.  The batches are few queries
+over wide boxes, so every rank holds pieces of most queries: each folds
+its own (a kernel group — leaf counts, and ``min``/``max`` while the
+annotation is typed — as array segments, an object group through
+``combine``), sends one row per query it touched to the query's home
+rank (``query:demux:fold``: ``h < m + p``), and the pairs of the reporting
+queries are balanced to ``ceil(k/p)`` per rank (``query:demux:pairs``).
 """
 
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -22,13 +26,15 @@ from hypothesis import strategies as st
 
 from repro.cgm import Machine
 from repro.dist import DistributedRangeTree
-from repro.geometry import Box
+from repro.geometry import Box, PointSet
 from repro.query import QueryBatch, aggregate, count, plan_batch, report, sample_report
 from repro.semigroup import (
+    COUNT,
     id_set,
     max_of_dim,
     min_of_dim,
     moments_of_dim,
+    product_semigroup,
     sum_of_dim,
     top_k_ids,
 )
@@ -37,7 +43,11 @@ from repro.seq import bf_aggregate, bf_count, bf_report
 from repro.workloads import make_points
 
 DIMS = (1, 2, 3)
-BASES = {"kernel": sum_of_dim(0), "object": id_set()}
+BASES = {
+    "kernel": sum_of_dim(0),
+    "object": id_set(),
+    "product": product_semigroup([sum_of_dim(0), COUNT]),
+}
 KERNEL_SGS = (min_of_dim(0), max_of_dim(0))
 OBJECT_SGS = (top_k_ids(2), moments_of_dim(0))
 KINDS = ("count", "report", "sample", "min", "max", "object")
@@ -109,6 +119,10 @@ def _round_labels(rs) -> list:
     return [s.label for s in rs.metrics.comm_steps()]
 
 
+def _round(rs, label: str):
+    return next(s for s in rs.metrics.comm_steps() if s.label == label)
+
+
 @settings(max_examples=12, deadline=None)
 @given(case=mixed_batch())
 def test_mixed_batch_folds_by_group(trees, case):
@@ -151,3 +165,71 @@ def test_mixed_batch_folds_by_group(trees, case):
     assert again.values() == rs.values()
     counts = tree.run([count(b) for b in boxes])
     assert _round_labels(again) == _round_labels(counts)
+
+    # (e) rounds do not read the data: m = 0, 1 and 64 record the same labels
+    p, m = tree.p, 64
+    big = [made[i % len(made)][0] for i in range(m)]
+    full = tree.run(big)
+    assert full.values() == [_expected(pts, *made[i % len(made)]) for i in range(m)]
+    assert len(_round_labels(full)) == 5 + p.bit_length() - 1
+    assert (
+        _round_labels(tree.run([]))
+        == _round_labels(tree.run(big[:1]))
+        == _round_labels(full)
+        == _round_labels(again)
+    )
+
+    # (f) partial values go home combined: a rank sends one row per folding
+    # query it holds a piece of (sent <= m), a home rank receives at most p
+    # per query it owns
+    folding = ~plan_batch(tree, QueryBatch(big)).report
+    out = tree.search([q.box for q in big], report=~folding)
+    holders = sum(
+        len(
+            {
+                q
+                for sel in (out.hat_selections[r], out.forest_selections[r])
+                for q in sel.col("qid").tolist()
+                if folding[q]
+            }
+        )
+        for r in range(p)
+    )
+    home = _round(full, "query:demux:fold")
+    assert sum(home.sent) == holders
+    assert max(home.sent) <= m and max(home.received) <= p * -(-m // p)
+
+    # (g) pairs are only balanced: ceil(k/p) per rank (Theorem 5)
+    k = sum(len(bf_report(pts, q.box)) for q in big if q.mode in ("report", "sample"))
+    pairs = _round(full, "query:demux:pairs")
+    assert sum(pairs.received) == k and max(pairs.received) <= -(-k // p)
+
+
+@pytest.mark.parametrize("p", [2, 4, 8])
+def test_float_sum_has_the_same_bits_on_every_backend(p):
+    """Random doubles are not dyadic, so float ``+`` does not reassociate:
+    the per-rank-then-home fold order is the same on every backend, and
+    differs from brute force's left fold by at most the usual bound."""
+    sg = sum_of_dim(0)
+    pts = make_points("uniform", 96, 2, seed=77)
+    boxes = [Box(((-0.5, 0.5 + 0.04 * i), (-0.5, 1.1 - 0.03 * i))) for i in range(12)]
+    values = {}
+    for backend in ("serial", "process"):
+        with DistributedRangeTree.build(pts, p=p, backend=backend, semigroup=sg) as tree:
+            values[backend] = tree.run([aggregate(b) for b in boxes]).values()
+    assert values["serial"] == values["process"]
+    for got, box in zip(values["serial"], boxes):
+        want, n = bf_aggregate(pts, box, sg), bf_count(pts, box)
+        assert n > 8 and abs(got - want) <= n * sys.float_info.epsilon * want
+
+
+def test_report_groups_user_ids_of_any_size():
+    """Ids are user-supplied int64 and span the whole range: the driver's
+    packed sort key carries ``qid`` and a row position, never an id."""
+    ids = [0] + [2**62 + i for i in range(63)]
+    pts = PointSet(make_points("uniform", 64, 2, seed=3).coords, ids=ids)
+    boxes = [Box(((0.0, 1.0), (0.0, 1.0))), Box(((0.1, 0.6), (0.2, 0.9))), Box(((2.0, 3.0),) * 2)]
+    with DistributedRangeTree.build(pts, p=4) as tree:
+        rs = tree.run([report(b) for b in boxes] + [count(boxes[1])])
+    assert rs.values() == [bf_report(pts, b) for b in boxes] + [bf_count(pts, boxes[1])]
+    assert rs.value(0) == sorted(ids)

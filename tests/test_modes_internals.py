@@ -2,66 +2,67 @@
 
 from __future__ import annotations
 
-from repro.cgm import Machine
+import numpy as np
+import pytest
+
+from repro.cgm.columns import RecordBatch
 from repro.dist import DistributedRangeTree
-from repro.dist.modes import (
-    accumulate_runs,
-    fold_sorted_runs,
-    resolve_sorted_runs,
-)
 from repro.geometry import Box
-from repro.query import count, report
+from repro.query import QueryBatch, aggregate, count, report
+from repro.query.engine import QueryEngine
+from repro.semigroup import Semigroup
 from repro.seq import bf_count, bf_report
 from repro.workloads import selectivity_queries, uniform_points
 
-
-def add(a, b):
-    return a + b
+PLAIN = Semigroup("plain-add", lambda pid, coords: 1, lambda a, b: a + b, 0)
 
 
-def fold(mach: Machine, ordered):
-    """Per-rank qid-sorted ``(qid, value)`` pieces -> ``{qid: total}`` plus
-    the emission list (to check every query is emitted exactly once)."""
-    out = fold_sorted_runs(mach, ordered, add, 0, "t")
-    # the two-stage form the engine uses must agree with the one-call form
-    staged = resolve_sorted_runs(
-        mach, [accumulate_runs(o, add) for o in ordered], add, 0, "t"
-    )
-    assert staged == out
-    return [(qid, v) for box in out for qid, v in box]
+@pytest.fixture(scope="module")
+def fold():
+    """Per-rank ``(qid, value)`` pieces -> the emission list, through the
+    engine's own fold (`QueryEngine._fold_pieces`) over a ``combine``
+    group: once per rank, then once over what the ranks would send home."""
+    with DistributedRangeTree.build(uniform_points(8, 1, seed=69), p=2, semigroup=PLAIN) as tree:
+        engine = QueryEngine(tree)
+        plan = engine.plan(QueryBatch([aggregate(Box.full(1, 0.0, 1.0))] * 12))
+        kernels = engine._fold_kernels(plan)
+        assert kernels == [None]
+
+        def pieces(rows):
+            cols = {
+                "qid": np.array([q for q, _v in rows], dtype=np.int64),
+                "val": np.array([v for _q, v in rows], dtype=object),
+            }
+            return RecordBatch("query.piece", cols, len(rows))
+
+        def run(per_rank):
+            partial = [engine._fold_pieces(plan, kernels, pieces(r)) for r in per_rank]
+            home = engine._fold_pieces(plan, kernels, RecordBatch.concat(partial))
+            return list(zip(home.col("qid").tolist(), home.col("val").tolist()))
+
+        yield run
 
 
 class TestFoldByQuery:
-    def test_single_query_many_pieces(self):
-        mach = Machine(4)
+    def test_single_query_many_pieces(self, fold):
         # query 0's pieces scattered over every processor
-        emitted = fold(mach, [[(0, 1)], [(0, 2)], [(0, 3)], [(0, 4)]])
+        emitted = fold([[(0, 1)], [(0, 2)], [(0, 3)], [(0, 4)]])
         assert emitted == [(0, 10)]
 
-    def test_many_queries_one_processor(self):
-        mach = Machine(4)
-        emitted = fold(mach, [[(q, q + 1) for q in range(6)], [], [], []])
-        assert dict(emitted) == {q: q + 1 for q in range(6)}
-        assert len(emitted) == 6
+    def test_many_queries_one_processor(self, fold):
+        emitted = fold([[(q, q + 1) for q in range(6)], [], [], []])
+        assert emitted == [(q, q + 1) for q in range(6)]
 
-    def test_query_block_spanning_processor_boundary(self):
-        """After sorting, one query's run may straddle processors; the
-        segmented sum and last-of-run logic must still fold it once."""
-        mach = Machine(2)
-        emitted = fold(mach, [[(7, 1)] * 5, [(7, 1)] * 5])
-        assert emitted == [(7, 10)]
+    def test_empty_output(self, fold):
+        assert fold([[], []]) == []
 
-    def test_empty_output(self):
-        mach = Machine(2)
-        assert fold_sorted_runs(mach, [[], []], add, 0, "t") == [[], []]
-
-    def test_noncommutative_use_rejected_by_convention(self):
-        """The run-fold assumes a commutative op — document via behaviour:
-        with a commutative op the result is piece-order independent."""
-        mach = Machine(3)
-        a = fold(mach, [[(1, 2)], [(1, 5)], [(1, 11)]])
-        b = fold(mach, [[(1, 11)], [(1, 2)], [(1, 5)]])
-        assert a == b == [(1, 18)]
+    def test_noncommutative_use_rejected_by_convention(self, fold):
+        """The fold assumes a commutative op — document via behaviour:
+        with a commutative op the result is piece-order independent,
+        whether a rank holds one piece of the query or several."""
+        a = fold([[(1, 2)], [(1, 5), (0, 1), (1, 11)]])
+        b = fold([[(1, 11), (1, 2)], [(0, 1)], [(1, 5)]])
+        assert a == b == [(0, 1), (1, 18)]
 
 
 class TestBatchedCountsEndToEnd:

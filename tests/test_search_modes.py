@@ -203,16 +203,16 @@ class TestSearchInternals:
 
 
 def pairs_per_rank(rs) -> tuple:
-    """Output pairs each rank holds after a report-only batch.
+    """Output pairs each rank holds after the demux.
 
-    Every demux piece of such a batch is one ``(qid, pid)`` output pair,
-    so the balance round of the shared demux sort *is* Theorem 5's
-    redistribution: what each rank receives there is its final share.
+    The ``query:demux:pairs`` round *is* Theorem 5's redistribution: it
+    carries the batch's ``(qid, pid)`` output pairs and nothing else, so
+    what each rank receives there is its final share.
     """
     return next(
         s.received
         for s in rs.metrics.comm_steps()
-        if s.label == "query:demux:sort:balance"
+        if s.label == "query:demux:pairs"
     )
 
 

@@ -90,7 +90,7 @@ def test_every_shipped_column_is_an_array_and_every_name_a_hat_row(
             tree.run(QueryBatch([cycle[i % 3](b) for i, b in enumerate(boxes)]))
             hat, stores = tree.hat, [set(store) for store in tree.forest_store]
     assert {b.schema for b in shipped} == {
-        "dist.srecord", "dist.search.routing", "query.piece"
+        "dist.srecord", "dist.search.routing", "query.piece", "dist.report_pair"
     }
     batches = shipped + out.hat_selections + out.forest_selections + out.report_pairs
 
