@@ -39,9 +39,14 @@ Builds n=512, p=8 and runs an empty, a one-query and a 64-query
   resolves typed-vs-``combine`` in one ``_fold_kernels`` call, sorts
   nothing (0 ``sample_sort_cols`` calls: partial values go home, pairs
   are balanced) and calls ``fold_segments`` at most twice per rank and
-  fold group (once over a rank's own pieces, once at home); a registered
-  mode has ``OutputMode``'s five attributes, and ``run_search`` takes a
-  required ``ns`` and no ``hat`` (``fold_said_once_failures``).
+  fold group (once over a rank's own pieces, once at home)
+  (``fold_said_once_failures``);
+* typed or object is the semigroup's ``kernel`` field and nothing else:
+  a tree built under ``sum_of_dim(0)`` with its ``lift`` swapped for a
+  counting one, then lazily refit to a product with ``max_of_dim(1)``,
+  calls that per-point ``lift`` 0 times on the serial and process
+  backends, and ``n_real`` times per lift (build, refit) once the field
+  is ``None`` (``kernel_field_failures``).
 
 A later change that re-prices idle ranks, puts a per-object Python loop
 back on the batch path, holds a forest element or the hat in a second
@@ -53,6 +58,7 @@ from __future__ import annotations
 
 import ast
 import builtins
+import dataclasses
 import gc
 import inspect
 import os
@@ -390,16 +396,12 @@ def report_mask_failures(tree, batch) -> list:
     return failures
 
 
-MODE_SURFACE = {"name", "reports", "validate", "required_semigroup", "finalize"}
-
-
 def fold_said_once_failures(tree, boxes) -> list:
     """A mode names its semigroup, the plan groups the batch by it: folds
     are per distinct semigroup, the kernel choice is per group and made
-    once, each group folds once per rank and once at home, nothing is
-    sorted, and ``run_search`` has one entrance."""
-    from repro.dist import search
-    from repro.query import aggregate, count, engine, registered_modes, report
+    once, each group folds once per rank and once at home and nothing is
+    sorted."""
+    from repro.query import aggregate, count, engine, report
     from repro.semigroup import sum_of_dim
 
     failures = []
@@ -441,20 +443,48 @@ def fold_said_once_failures(tree, boxes) -> list:
             f"fold_segments called {segs} times on a pass, want at most 2 * p * groups "
             f"= {2 * tree.p * len(folds)}: a fold per run, not per group?"
         )
+    return failures
 
-    for name, mode in registered_modes().items():
-        extra = {
-            attr
-            for cls in type(mode).__mro__[:-1]
-            for attr in vars(cls)
-            if not attr.startswith("__")
-        } - MODE_SURFACE
-        if extra:
-            failures.append(f"output mode {name!r} defines {sorted(extra)} beyond {sorted(MODE_SURFACE)}")
 
-    params = inspect.signature(search.run_search).parameters
-    if "hat" in params or "ns" not in params or params["ns"].default is not inspect.Parameter.empty:
-        failures.append(f"run_search({', '.join(params)}): want a required `ns`, no `hat`")
+#: where ``counting_lift`` logs a call (one byte each; a module global so
+#: the function pickles by reference and forked workers inherit the path)
+_LIFT_LOG = ""
+
+
+def counting_lift(pid, coords) -> float:
+    with open(_LIFT_LOG, "ab") as f:
+        f.write(b".")
+    return float(coords[0])
+
+
+def kernel_field_failures() -> list:
+    """The kernel travels in the semigroup's field: with it a build and a
+    refit lift by columns, never per point — whatever ``lift`` is —
+    and without it every lift is ``n_real`` per-point calls."""
+    global _LIFT_LOG
+    from repro.dist import DistributedRangeTree
+    from repro.query import aggregate
+    from repro.semigroup import max_of_dim, sum_of_dim
+    from repro.workloads import make_points
+
+    failures = []
+    pts = make_points("uniform", 100, 2, seed=3)  # padded to 128: sentinels lift nothing
+    box = Box(((0.0, 1.0), (0.0, 1.0)))
+    with tempfile.TemporaryDirectory() as tmp:
+        _LIFT_LOG = os.path.join(tmp, "lifts")
+        for backend in ("serial", "process"):
+            for kernel, want in ((sum_of_dim(0).kernel, 0), (None, 2 * pts.n)):
+                open(_LIFT_LOG, "wb").close()
+                sg = dataclasses.replace(sum_of_dim(0), lift=counting_lift, kernel=kernel)
+                with DistributedRangeTree.build(pts, p=4, backend=backend, semigroup=sg) as tree:
+                    got = tree.run([aggregate(box, max_of_dim(1))]).values()  # lazy refit
+                    typed = tree.value_kernel is not None
+                lifts = os.path.getsize(_LIFT_LOG)
+                if lifts != want or typed != (kernel is not None) or got != [pts.coords[:, 1].max()]:
+                    failures.append(
+                        f"build + refit to a product under kernel={kernel!r} on {backend}: "
+                        f"{lifts} per-point lift calls (want {want}), typed={typed}, answer {got}"
+                    )
     return failures
 
 
@@ -509,6 +539,7 @@ def main() -> int:
         )
     failures.extend(walk_shape_failures())
     failures.extend(hat_shape_failures())
+    failures.extend(kernel_field_failures())
     object_calls = {**object_loop_calls(), **second_representation_calls()}
     for name, n in object_calls.items():
         if n:

@@ -24,12 +24,13 @@ together; queries go through the unified :mod:`repro.query` layer::
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from .._util import require_power_of_two
 from ..cgm.collectives import alltoall_broadcast
+from ..cgm.columns import obj_col
 from ..cgm.cost import CostModel
 from ..cgm.machine import Machine
 from ..cgm.phases import ProcContext, register_phase
@@ -37,7 +38,7 @@ from ..geometry.box import Box
 from ..geometry.point import PointSet
 from ..geometry.rankspace import RankedPointSet, pad_to_power_of_two
 from ..semigroup import COUNT, Semigroup
-from ..semigroup.kernels import KernelColumn, kernel_for, lift_kernel_column
+from ..semigroup.kernels import lift_kernel_column
 from .construct import (
     ConstructResult,
     construct_distributed_tree,
@@ -68,61 +69,32 @@ __all__ = [
 ]
 
 
-class _KernelRefitValues:
-    """Vectorized refit payload: typed value rows addressable by pid.
+def lift_values(semigroup: Semigroup, ranked: RankedPointSet, points: PointSet):
+    """``f`` over every row of ``ranked``, identity on the sentinel rows.
 
-    ``mat`` holds one encoded row per real point; ``row_of`` maps pid to
-    its row (``None`` = pids are the identity mapping ``0..n_real-1``,
-    the common case).  Negative (sentinel) pids decode to the encoded
-    identity.  Picklable, so the refit ships typed arrays instead of a
-    pid→value object dict on the process backend.
+    A typed column when the semigroup names a kernel — the whole
+    coordinate matrix lifts in a few array ops — else an object column
+    of per-point ``lift`` values.  How values reach a build is how they
+    reach a refit.
     """
-
-    __slots__ = ("kernel", "mat", "row_of")
-
-    def __init__(self, kernel, mat, row_of) -> None:
-        self.kernel = kernel
-        self.mat = mat
-        self.row_of = row_of
-
-    def column_for(self, pids: "Any") -> KernelColumn:
-        pids = np.asarray(pids, dtype=np.int64)
-        n_real = len(self.mat)
-        if self.row_of is None:
-            idx = np.where((pids >= 0) & (pids < n_real), pids, -1)
-        else:
-            idx = np.fromiter(
-                (self.row_of.get(int(p), -1) for p in pids),
-                dtype=np.int64,
-                count=len(pids),
-            )
-        out = np.empty((len(pids), self.kernel.width), dtype=self.kernel.dtype)
-        mask = idx >= 0
-        out[mask] = self.mat[idx[mask]]
-        out[~mask] = np.asarray(self.kernel.identity_row, dtype=self.kernel.dtype)
-        return KernelColumn(self.kernel, out)
+    if semigroup.kernel is not None:
+        return lift_kernel_column(semigroup.kernel, points.coords, ranked.n)
+    lifted = [semigroup.lift(int(pid), row) for pid, row in zip(points.ids, points.coords)]
+    return obj_col(lifted + [semigroup.identity] * (ranked.n - ranked.n_real))
 
 
 @register_phase("dist.refit.relabel")
 def _phase_refit_relabel(ctx: ProcContext, payload) -> list:
     """Re-annotate this rank's resident forest elements; return root infos.
 
-    ``values`` is a pid→value dict for a semigroup without a kernel, or
-    a :class:`_KernelRefitValues` carrier for a kernelized one (fresh
-    values gather as typed rows and the per-element refit runs as
-    vectorized heap folds).  ``kernel`` covers the in-between case of a
-    kernelizable semigroup whose lift could not vectorize.
+    ``values`` is :func:`lift_values`' column (typed or object) reordered
+    to run along ``ids``, the ranked ids in sorted order, so one
+    ``searchsorted`` finds an element's fresh values.
     """
-    values, semigroup, ns, kernel = payload
+    values, ids, semigroup, ns = payload
     infos = []
     for el in (ctx.state.get(forest_key(ns)) or {}).values():
-        if isinstance(values, _KernelRefitValues):
-            fresh = values.column_for(el.pids)
-        else:
-            fresh = [values[pid] for pid in el.pids.tolist()]
-            if kernel is not None:
-                fresh = KernelColumn.from_values(kernel, fresh)
-        el.reannotate(fresh, semigroup)
+        el.reannotate(values[np.searchsorted(ids, el.pids)], semigroup)
         infos.append(el.root_info())
         ctx.charge(el.size_records)
     return infos
@@ -186,9 +158,6 @@ class DistributedRangeTree:
         self.construct_result = construct_result
         self.hat = construct_result.hat
         self.forest_store = construct_result.forest_store
-        #: Kernel backing the *current* annotation's value columns
-        #: (``None`` = object storage); updated by every refit.
-        self.value_kernel = getattr(construct_result, "value_kernel", None)
         self._engine = None
         self._owns_machine = owns_machine
         self._closed = False
@@ -230,40 +199,11 @@ class DistributedRangeTree:
             p = machine.p
             require_power_of_two("processor count p", p)
         ranked = pad_to_power_of_two(points, minimum=p)
-        values = cls._build_values(ranked, points, semigroup)
+        values = lift_values(semigroup, ranked, points)
         result = construct_distributed_tree(machine, ranked, values, semigroup)
         return cls(
             points, ranked, machine, semigroup, result, owns_machine=owns_machine
         )
-
-    @staticmethod
-    def _lift_values(
-        ranked: RankedPointSet, points: PointSet, semigroup: Semigroup
-    ) -> List[Any]:
-        values: List[Any] = []
-        for i in range(ranked.n):
-            if i < ranked.n_real:
-                values.append(semigroup.lift(points.point_id(i), points.coords[i]))
-            else:
-                values.append(semigroup.identity)
-        return values
-
-    @classmethod
-    def _build_values(
-        cls, ranked: RankedPointSet, points: PointSet, semigroup: Semigroup
-    ):
-        """Lifted values, as a typed column when the semigroup has a kernel.
-
-        A kernelizable semigroup lifts the whole coordinate matrix in a
-        few array ops (sentinel rows get the encoded identity);
-        everything else takes the per-point lift.
-        """
-        kernel = kernel_for(semigroup)
-        if kernel is not None:
-            col = lift_kernel_column(kernel, semigroup, points.coords, ranked.n)
-            if col is not None:
-                return col
-        return cls._lift_values(ranked, points, semigroup)
 
     # ------------------------------------------------------------------
     # basic shape
@@ -280,6 +220,12 @@ class DistributedRangeTree:
     @property
     def p(self) -> int:
         return self.machine.p
+
+    @property
+    def value_kernel(self):
+        """Kernel backing the *current* annotation's value columns
+        (``None`` = object storage)."""
+        return self.semigroup.kernel
 
     @property
     def metrics(self):
@@ -408,49 +354,23 @@ class DistributedRangeTree:
         same refit lazily — under ``query:refit:*`` labels — when a
         batch folds semigroups the annotation lacks.
         """
-        self.base_semigroup = semigroup
         self._refit(semigroup)
+        self.base_semigroup = semigroup
 
     def _refit(self, semigroup: Semigroup, label: str = "reannotate") -> None:
         """Re-annotate forest + hat with ``semigroup`` (one broadcast round)."""
+        # lift first: a semigroup that cannot read these points raises
+        # here, before anything is rebound
+        values = lift_values(semigroup, self.ranked, self.points)
         self.semigroup = semigroup
-        kernel = kernel_for(semigroup)
-        self.value_kernel = kernel
-
-        values: Any = None
-        if kernel is not None:
-            col = lift_kernel_column(
-                kernel, semigroup, self.points.coords, self.ranked.n_real
-            )
-            if col is not None:
-                n_real = self.ranked.n_real
-                real_ids = self.ranked.ids[:n_real]
-                row_of = (
-                    None
-                    if np.array_equal(
-                        real_ids, np.arange(n_real, dtype=real_ids.dtype)
-                    )
-                    else {int(real_ids[i]): i for i in range(n_real)}
-                )
-                values = _KernelRefitValues(kernel, col.data, row_of)
-        if values is None:
-            values_by_pid: dict[int, Any] = {}
-            for i in range(self.ranked.n):
-                pid = int(self.ranked.ids[i])
-                if i < self.ranked.n_real:
-                    values_by_pid[pid] = semigroup.lift(
-                        self.points.point_id(i), self.points.coords[i]
-                    )
-                else:
-                    values_by_pid[pid] = semigroup.identity
-            values = values_by_pid
+        by_id = np.argsort(self.ranked.ids)
 
         mach = self.machine
         ns = self._ensure_resident()
         roots_local = mach.run_phase(
             f"{label}:relabel",
             "dist.refit.relabel",
-            [(values, semigroup, ns, kernel)] * mach.p,
+            [(values[by_id], self.ranked.ids[by_id], semigroup, ns)] * mach.p,
         )
         gathered = alltoall_broadcast(mach, roots_local, label=f"{label}:roots")
 

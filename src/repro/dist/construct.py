@@ -54,7 +54,7 @@ from ..cgm.sort import sample_sort_cols
 from ..errors import MachineError
 from ..geometry.rankspace import RankedPointSet
 from ..semigroup import Semigroup
-from ..semigroup.kernels import KernelColumn, kernel_for
+from ..semigroup.kernels import KernelColumn
 from .forest import build_forest_element
 from .hat import Hat
 from .labeling import (
@@ -98,10 +98,6 @@ class ConstructResult:
     phase_record_counts: List[int]
     p: int = field(default=1)
     ns: str = field(default="")
-    #: Kernel backing the tree's value columns (``None`` for semigroups
-    #: :func:`~repro.semigroup.kernels.kernel_for` cannot resolve); the
-    #: query engine reads it to decide typed piece folds.
-    value_kernel: Any = field(default=None)
 
     def forest_group_sizes(self) -> List[int]:
         """Points held per processor's forest group (Theorem 1(ii) balance)."""
@@ -408,15 +404,11 @@ def construct_distributed_tree(
 
     # Initial distribution: block of n/p point records per processor (the
     # CGM input convention; a local-computation step, no round).  A
-    # kernelizable semigroup's lifted values are encoded once into a typed
-    # column and shipped as per-rank slices; workers follow the
-    # representation that arrives.
-    if isinstance(values, KernelColumn):
-        kernel = values.kernel  # already encoded (vectorized lift)
-    else:
-        kernel = kernel_for(semigroup)
-        if kernel is not None:
-            values = KernelColumn.from_values(kernel, values)
+    # kernelized semigroup's values ship as per-rank slices of one typed
+    # column (a plain list from a low-level caller is encoded here);
+    # workers follow the representation that arrives.
+    if semigroup.kernel is not None and not isinstance(values, KernelColumn):
+        values = KernelColumn.from_values(semigroup.kernel, values)
     current = mach.run_phase(
         "construct:scatter-points",
         "dist.construct.scatter_cols",
@@ -534,5 +526,4 @@ def construct_distributed_tree(
         phase_record_counts=phase_counts,
         p=p,
         ns=ns,
-        value_kernel=kernel,
     )

@@ -50,8 +50,6 @@ from ..query.descriptors import QueryBatch
 from ..query.epochs import EpochCombiner
 from ..query.result import QueryResult, ResultSet
 from ..semigroup import COUNT, Semigroup
-from ..semigroup.builtin import bounding_box_semigroup
-from ..semigroup.kernels import fold_segments, kernel_for
 
 import numpy as np
 
@@ -142,24 +140,9 @@ class _Bucket:
     bbox: "Tuple[Tuple[float, ...], Tuple[float, ...]] | None" = None
 
 
-def _records_bbox(records: List[Record], dim: int):
-    """The ``(mins, maxs)`` bounding box of a record list.
-
-    Rides the bbox kernel (one vectorized segmented fold) when it
-    resolves; the plain semigroup fold otherwise.  Identical
-    results either way — the kernel's sign trick is exact on floats.
-    """
-    sg = bounding_box_semigroup(dim)
-    kernel = kernel_for(sg)
-    if kernel is not None:
-        coords = np.asarray([c for _pid, c in records], dtype=np.float64)
-        mat = kernel.lift_columns(sg, coords)
-        if mat is not None:
-            folded = fold_segments(
-                kernel, mat, np.asarray([0]), np.asarray([len(records)])
-            )
-            return kernel.decode_row(folded[0])
-    return sg.fold(sg.lift(pid, c) for pid, c in records)
+def _records_bbox(coords: np.ndarray):
+    """The ``(mins, maxs)`` bounding box of a bucket's coordinate matrix."""
+    return tuple(coords.min(axis=0).tolist()), tuple(coords.max(axis=0).tolist())
 
 
 def _bbox_hits_any(bbox, batch: QueryBatch) -> bool:
@@ -301,6 +284,8 @@ class DynamicDistributedRangeTree:
         coords_t = checked_coords(coords, self.dim)
         if pid is None:
             pid = self._next_auto_id
+        if pid < 0:
+            raise GeometryError(f"point ids must be >= 0, got {pid}")
         if pid in self._ids:
             raise ReproError(f"point id {pid} already present")
         if pid in self._tombstones:
@@ -406,7 +391,7 @@ class DynamicDistributedRangeTree:
             level=k,
             tree=tree,
             records=carry,
-            bbox=_records_bbox(carry, self.dim),
+            bbox=_records_bbox(pts.coords),
         )
         self._rebuild_points += len(carry)
 
@@ -513,9 +498,9 @@ class DynamicDistributedRangeTree:
     def reannotate(self, semigroup: Semigroup) -> None:
         """Swap the aggregate ``f`` on every bucket forest in place."""
         self._check_open()
-        self.semigroup = semigroup
         for level in sorted(self._buckets):
             self._buckets[level].tree.reannotate(semigroup)
+        self.semigroup = semigroup
 
     # ------------------------------------------------------------------
     # introspection

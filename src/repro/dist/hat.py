@@ -38,7 +38,7 @@ from ..cgm.columns import RecordBatch, obj_col
 from ..errors import MachineError, ProtocolError
 from ..geometry.box import RankBox
 from ..semigroup import Semigroup
-from ..semigroup.kernels import KernelColumn, kernel_for
+from ..semigroup.kernels import KernelColumn
 from .labeling import Path, make_path
 from .records import (
     KIND_EXPAND,
@@ -58,17 +58,14 @@ def _fold(
 
     Children follow their parent in row order, so one backward sweep
     folds every child pair before its parent reads it.  The column is
-    typed when the semigroup has a kernel that encodes these values.
+    typed when the semigroup names a kernel.
     """
     for i in range(len(aggs) - 1, -1, -1):
         if left[i] >= 0:
             aggs[i] = semigroup.combine(aggs[left[i]], aggs[right[i]])
-    kernel = kernel_for(semigroup)
+    kernel = semigroup.kernel
     if kernel is not None:
-        try:
-            return kernel, kernel.encode(aggs), None
-        except (TypeError, ValueError):
-            pass
+        return kernel, kernel.encode(aggs), None
     return None, None, obj_col(aggs)
 
 

@@ -70,8 +70,9 @@ class PointSet:
         Anything convertible to an ``(n, d)`` float array: a list of
         coordinate tuples, a list of :class:`Point`, or a numpy array.
     ids:
-        Optional stable integer identifiers, one per point.  Defaults to
-        ``0..n-1``.  Report-mode answers refer to points by these ids.
+        Optional stable, non-negative integer identifiers, one per point.
+        Defaults to ``0..n-1``.  Report-mode answers refer to points by
+        these ids.
 
     Notes
     -----
@@ -115,6 +116,9 @@ class PointSet:
                 )
             if len(np.unique(id_arr)) != id_arr.shape[0]:
                 raise GeometryError("point ids must be unique")
+            if id_arr.min() < 0:
+                # negative ids name the power-of-two padding sentinels
+                raise GeometryError(f"point ids must be >= 0, got {int(id_arr.min())}")
         id_arr.setflags(write=False)
         self._ids = id_arr
 

@@ -49,7 +49,6 @@ from ..semigroup.kernels import (
     ProductKernel,
     SemigroupKernel,
     fold_segments,
-    kernel_for,
 )
 from .descriptors import QueryBatch
 from .modes import OutputMode, get_mode
@@ -294,10 +293,10 @@ class QueryEngine:
         kernel — folds through ``combine``, row by row, in the same
         batch.
         """
-        vk = getattr(self.tree, "value_kernel", None)
+        vk = self.tree.semigroup.kernel
         kernels: List["Tuple[SemigroupKernel, int] | None"] = []
         for fold in plan.folds:
-            sk, slot = kernel_for(fold.semigroup), fold.slot
+            sk, slot = fold.semigroup.kernel, fold.slot
             if slot is None:
                 off = 0
             elif sk is None or vk is None:

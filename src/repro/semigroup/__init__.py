@@ -16,12 +16,7 @@ from .builtin import (
     moments_of_dim,
     sum_of_dim,
 )
-from .kernels import (
-    KernelColumn,
-    SemigroupKernel,
-    kernel_for,
-    register_kernel_resolver,
-)
+from .kernels import KernelColumn, SemigroupKernel
 
 __all__ = [
     "Semigroup",
@@ -43,6 +38,4 @@ __all__ = [
     "histogram_of_dim",
     "SemigroupKernel",
     "KernelColumn",
-    "kernel_for",
-    "register_kernel_resolver",
 ]

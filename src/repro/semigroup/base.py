@@ -17,7 +17,10 @@ sidesteps this by assuming non-empty selections).  Every classical example
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generic, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Generic, Iterable, Sequence, TypeVar
+
+if TYPE_CHECKING:
+    from .kernels import SemigroupKernel
 
 V = TypeVar("V")
 
@@ -39,12 +42,18 @@ class Semigroup(Generic[V]):
         The commutative, associative binary operation.
     identity:
         Neutral element: ``combine(identity, v) == v`` for all ``v``.
+    kernel:
+        The typed columnar twin of ``lift``/``combine``/``identity``
+        (:mod:`repro.semigroup.kernels`), or ``None``: values ride object
+        columns and fold through ``combine``.  The builtin constructors
+        set it; a third-party semigroup passes its own.
     """
 
     name: str
     lift: Callable[[int, Sequence[float]], V]
     combine: Callable[[V, V], V]
     identity: V
+    kernel: "SemigroupKernel | None" = None
 
     def fold(self, values: Iterable[V]) -> V:
         """Combine many values (left fold starting at the identity)."""

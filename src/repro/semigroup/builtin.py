@@ -10,6 +10,12 @@ functions (closed over their parameters with :func:`functools.partial`),
 never lambdas, because semigroups ride inside forest elements and
 construction payloads across the process backend's boundary.  User-defined
 semigroups built from lambdas still work on the in-process backends.
+
+A constructor whose values have a typed columnar form says so here, once:
+it passes the :mod:`~repro.semigroup.kernels` kernel as the semigroup's
+``kernel`` field (a product has one when every component does).  The
+others — sets, moments, top-k, histograms — leave it ``None`` and fold
+through ``combine``.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from functools import partial
 from typing import Sequence
 
 from .base import Semigroup
+from .kernels import BBoxKernel, ProductKernel, ScalarKernel
 
 __all__ = [
     "COUNT",
@@ -114,6 +121,7 @@ def count_semigroup() -> Semigroup[int]:
         lift=_lift_one,
         combine=operator.add,
         identity=0,
+        kernel=ScalarKernel("count"),
     )
 
 
@@ -128,6 +136,7 @@ def sum_of_dim(dim: int) -> Semigroup[float]:
         lift=partial(_lift_coord, dim=dim),
         combine=operator.add,
         identity=0.0,
+        kernel=ScalarKernel("sum", dim),
     )
 
 
@@ -138,6 +147,7 @@ def min_of_dim(dim: int) -> Semigroup[float]:
         lift=partial(_lift_coord, dim=dim),
         combine=min,
         identity=math.inf,
+        kernel=ScalarKernel("min", dim),
     )
 
 
@@ -148,6 +158,7 @@ def max_of_dim(dim: int) -> Semigroup[float]:
         lift=partial(_lift_coord, dim=dim),
         combine=max,
         identity=-math.inf,
+        kernel=ScalarKernel("max", dim),
     )
 
 
@@ -177,6 +188,7 @@ def bounding_box_semigroup(dim: int) -> Semigroup[tuple]:
         lift=_bbox_lift,
         combine=_bbox_combine,
         identity=((inf,) * dim, (-inf,) * dim),
+        kernel=BBoxKernel(dim),
     )
 
 
@@ -243,6 +255,7 @@ def product_semigroup(components: Sequence[Semigroup]) -> ProductSemigroup:
         if c.name in seen:
             raise ValueError(f"duplicate component semigroup name {c.name!r}")
         seen.add(c.name)
+    kernels = [c.kernel for c in comps]
 
     return ProductSemigroup(
         name="(" + " x ".join(c.name for c in comps) + ")",
@@ -250,6 +263,7 @@ def product_semigroup(components: Sequence[Semigroup]) -> ProductSemigroup:
         combine=partial(_product_combine, comps=comps),
         identity=tuple(c.identity for c in comps),
         components=comps,
+        kernel=None if None in kernels else ProductKernel(kernels),
     )
 
 

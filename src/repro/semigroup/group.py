@@ -20,6 +20,7 @@ from functools import partial
 from typing import Callable, Generic, TypeVar
 
 from .base import Semigroup
+from .kernels import ScalarKernel
 
 V = TypeVar("V")
 
@@ -54,6 +55,7 @@ def count_group() -> AbelianGroup[int]:
         combine=operator.add,
         identity=0,
         inverse=operator.neg,
+        kernel=ScalarKernel("count"),
     )
 
 
@@ -67,6 +69,7 @@ def sum_group(dim: int) -> AbelianGroup[float]:
         combine=operator.add,
         identity=0.0,
         inverse=operator.neg,
+        kernel=ScalarKernel("sum", dim),
     )
 
 

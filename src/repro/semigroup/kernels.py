@@ -43,45 +43,32 @@ one :func:`batched_heap_fold` and keeps the folded rows as the element's
 
 Resolution
 ----------
-:func:`kernel_for` resolves a :class:`~repro.semigroup.base.Semigroup`
-to its kernel by inspecting the *functions* it was built from (never the
-name, which users may reuse), walking an extensible resolver registry
-(:func:`register_kernel_resolver`).  Unkernelizable semigroups — unions,
-top-k merges, user lambdas — resolve to ``None``: their values ride
-object columns and fold through ``combine``, in the same batch as the
-kernelized ones.  The decision is made once per build or refit, from
-the semigroup, and carried on the tree's ``value_kernel``.
+There is none: a :class:`~repro.semigroup.base.Semigroup` *names* its
+kernel in its ``kernel`` field, set by the builtin constructors
+(:mod:`repro.semigroup.builtin` imports this module, not the reverse)
+and picklable with the semigroup.  ``kernel is None`` — unions, top-k
+merges, user lambdas, any hand-built semigroup that does not pass one —
+means the values ride object columns and fold through ``combine``, in
+the same batch as the kernelized ones.  A kernel is total: it encodes,
+decodes, folds *and lifts* (:meth:`SemigroupKernel.lift`), so "typed or
+object" is decided by that one field and nowhere else.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from functools import lru_cache, partial
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
-from .base import Semigroup
-from .builtin import (
-    ProductSemigroup,
-    _bbox_combine,
-    _bbox_lift,
-    _lift_coord,
-    _lift_one,
-)
+from ..errors import DimensionMismatch
 
 __all__ = [
     "SemigroupKernel",
-    "CountKernel",
-    "SumKernel",
-    "MinKernel",
-    "MaxKernel",
+    "ScalarKernel",
     "BBoxKernel",
     "ProductKernel",
     "KernelColumn",
-    "kernel_for",
-    "register_kernel_resolver",
     "heap_fold",
     "batched_heap_fold",
     "fold_segments",
@@ -110,12 +97,11 @@ class SemigroupKernel:
     row back to the exact semigroup value (type included) — the
     round trip is bit-identical, property-tested per kernel.
 
-    ``lift_columns`` (optional) vectorizes the semigroup's *lift*: it
-    encodes a whole coordinate matrix straight into value columns,
-    skipping one Python ``lift`` call per point.  Exact because the
-    builtin lifts read ``float64`` coordinates unchanged; kernels whose
-    lift cannot vectorize return ``None`` and callers fall back to
-    per-point lifting plus :meth:`encode`.
+    ``lift`` is the semigroup's ``f`` over a whole ``(n, d)`` float64
+    coordinate matrix: ``n`` encoded rows in a few array ops instead of
+    one Python ``lift`` call per point.  Exact because the builtin lifts
+    read ``float64`` coordinates unchanged; coordinates the kernel cannot
+    read raise :class:`~repro.errors.DimensionMismatch`.
     """
 
     name: str = ""
@@ -130,10 +116,8 @@ class SemigroupKernel:
     def decode_row(self, row: Sequence[Any]) -> Any:
         raise NotImplementedError
 
-    def lift_columns(
-        self, sg: Semigroup, coords: np.ndarray
-    ) -> "np.ndarray | None":
-        return None
+    def lift(self, coords: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
 
     def decode(self, mat: np.ndarray, i: int) -> Any:
         return self.decode_row(mat[i])
@@ -147,8 +131,8 @@ class SemigroupKernel:
         return out
 
     # equality by name: kernels are parameterized only by what the name
-    # encodes (bbox dimension, product layout), so resolving the same
-    # semigroup twice yields interchangeable kernels.
+    # encodes (scalar kind and coordinate, bbox dimension, product
+    # layout), so a kernel that crossed a pickle equals its original.
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SemigroupKernel) and other.name == self.name
 
@@ -159,81 +143,46 @@ class SemigroupKernel:
         return f"{type(self).__name__}({self.name!r}, width={self.width})"
 
 
-class CountKernel(SemigroupKernel):
-    """Counting: one int64 column, folded with exact addition."""
+class ScalarKernel(SemigroupKernel):
+    """One column: a count, or the sum/min/max of coordinate ``dim``.
 
-    name = "count"
-    width = 1
-    dtype = _I64
-    col_ops = (OP_IADD,)
-    identity_row = (0,)
+    ``count`` is int64 ones under exact addition; the coordinate kinds
+    are float64 — ``sum`` folded in sequential order, ``max`` stored
+    *negated* so it folds, like ``min``, under ``np.minimum``.
+    """
 
-    def encode(self, values):
-        return np.asarray(values, dtype=_I64).reshape(len(values), 1)
+    #: kind -> (dtype, fold op, encoded identity, stored negated)
+    _KINDS = {
+        "count": (_I64, OP_IADD, 0, False),
+        "sum": (_F64, OP_FADD, 0.0, False),
+        "min": (_F64, OP_MIN, math.inf, False),
+        "max": (_F64, OP_MIN, math.inf, True),  # encoded: -(-inf)
+    }
 
-    def decode_row(self, row):
-        return int(row[0])
-
-    def lift_columns(self, sg, coords):
-        return np.ones((len(coords), 1), dtype=_I64)
-
-
-class SumKernel(SemigroupKernel):
-    """Float sum: one float64 column, folded in sequential order."""
-
-    name = "sum"
-    width = 1
-    dtype = _F64
-    col_ops = (OP_FADD,)
-    identity_row = (0.0,)
+    def __init__(self, kind: str, dim: int = 0) -> None:
+        self.kind = kind
+        self.dim = dim
+        self.dtype, op, identity, self._neg = self._KINDS[kind]
+        self.name = kind if kind == "count" else f"{kind}[x{dim}]"
+        self.col_ops = (op,)
+        self.identity_row = (identity,)
+        self._py = int if kind == "count" else float
 
     def encode(self, values):
-        return np.asarray(values, dtype=_F64).reshape(len(values), 1)
+        mat = np.asarray(values, dtype=self.dtype).reshape(len(values), 1)
+        return -mat if self._neg else mat
 
     def decode_row(self, row):
-        return float(row[0])
+        return self._py(-row[0] if self._neg else row[0])
 
-    def lift_columns(self, sg, coords):
-        return _coord_lift_column(sg, coords)
-
-
-class MinKernel(SemigroupKernel):
-    """Float minimum: one float64 column, identity ``+inf``."""
-
-    name = "min"
-    width = 1
-    dtype = _F64
-    col_ops = (OP_MIN,)
-    identity_row = (math.inf,)
-
-    def encode(self, values):
-        return np.asarray(values, dtype=_F64).reshape(len(values), 1)
-
-    def decode_row(self, row):
-        return float(row[0])
-
-    def lift_columns(self, sg, coords):
-        return _coord_lift_column(sg, coords)
-
-
-class MaxKernel(SemigroupKernel):
-    """Float maximum, stored negated so the fold is ``np.minimum``."""
-
-    name = "max"
-    width = 1
-    dtype = _F64
-    col_ops = (OP_MIN,)
-    identity_row = (math.inf,)  # encoded: -(-inf)
-
-    def encode(self, values):
-        return -np.asarray(values, dtype=_F64).reshape(len(values), 1)
-
-    def decode_row(self, row):
-        return float(-row[0])
-
-    def lift_columns(self, sg, coords):
-        col = _coord_lift_column(sg, coords)
-        return None if col is None else -col
+    def lift(self, coords):
+        n, d = coords.shape
+        if self.kind == "count":
+            return np.ones((n, 1), dtype=_I64)
+        if not 0 <= self.dim < d:
+            raise DimensionMismatch(d, self.dim, f"{self.name} coordinate index")
+        col = np.ascontiguousarray(coords[:, self.dim], dtype=_F64).reshape(n, 1)
+        return -col if self._neg else col
 
 
 class BBoxKernel(SemigroupKernel):
@@ -268,9 +217,9 @@ class BBoxKernel(SemigroupKernel):
             tuple(float(-x) for x in row[d:]),
         )
 
-    def lift_columns(self, sg, coords):
+    def lift(self, coords):
         if coords.shape[1] != self.d:
-            return None
+            raise DimensionMismatch(self.d, coords.shape[1], f"{self.name} points")
         c = np.asarray(coords, dtype=_F64)
         return np.hstack([c, -c])
 
@@ -322,48 +271,21 @@ class ProductKernel(SemigroupKernel):
             for c, off in zip(self.components, self._offsets)
         )
 
-    def lift_columns(self, sg, coords):
-        if not isinstance(sg, ProductSemigroup) or len(sg.components) != len(
-            self.components
-        ):
-            return None
-        blocks = []
-        for c, comp_sg in zip(self.components, sg.components):
-            block = c.lift_columns(comp_sg, coords)
-            if block is None:
-                return None
-            blocks.append(block.astype(self.dtype, copy=False))
-        return np.hstack(blocks)
-
-
-def _coord_lift_column(sg: Semigroup, coords: np.ndarray) -> "np.ndarray | None":
-    """Vectorized ``partial(_lift_coord, dim=k)``: one coordinate column."""
-    if not isinstance(sg.lift, partial) or sg.lift.func is not _lift_coord:
-        return None
-    dim = sg.lift.keywords.get("dim", 0)
-    if not 0 <= dim < coords.shape[1]:
-        return None
-    return np.ascontiguousarray(
-        coords[:, dim], dtype=_F64
-    ).reshape(len(coords), 1)
+    def lift(self, coords):
+        return np.hstack(
+            [c.lift(coords).astype(self.dtype, copy=False) for c in self.components]
+        )
 
 
 def lift_kernel_column(
-    kernel: SemigroupKernel,
-    sg: Semigroup,
-    coords: np.ndarray,
-    n_total: int,
-) -> "KernelColumn | None":
+    kernel: SemigroupKernel, coords: np.ndarray, n_total: int
+) -> "KernelColumn":
     """Lift a whole coordinate matrix into a padded typed value column.
 
     Rows past ``len(coords)`` (power-of-two padding sentinels) get the
     encoded identity, matching ``semigroup.identity`` for sentinels.
-    Returns ``None`` when the kernel cannot vectorize this lift — the
-    caller then lifts per point and encodes.
     """
-    block = kernel.lift_columns(sg, np.asarray(coords, dtype=_F64))
-    if block is None:
-        return None
+    block = kernel.lift(np.asarray(coords, dtype=_F64))
     n_real = len(block)
     if n_total == n_real:
         return KernelColumn(kernel, block.astype(kernel.dtype, copy=False))
@@ -572,70 +494,3 @@ class KernelColumn:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KernelColumn({self.kernel.name!r}, n={len(self.data)})"
-
-
-# ---------------------------------------------------------------------------
-# resolution: Semigroup -> kernel (or None)
-# ---------------------------------------------------------------------------
-def _is_coord_lift(fn: Any) -> bool:
-    return isinstance(fn, partial) and fn.func is _lift_coord
-
-
-def _resolve_builtin(sg: Semigroup) -> Optional[SemigroupKernel]:
-    if isinstance(sg, ProductSemigroup):
-        comps = [kernel_for(c) for c in sg.components]
-        if any(c is None for c in comps):
-            return None
-        return ProductKernel(comps)  # type: ignore[arg-type]
-    if sg.combine is operator.add:
-        if sg.lift is _lift_one and sg.identity == 0 and isinstance(sg.identity, int):
-            return _COUNT_KERNEL
-        if _is_coord_lift(sg.lift) and isinstance(sg.identity, float) and sg.identity == 0.0:
-            return _SUM_KERNEL
-        return None
-    if sg.combine is min and _is_coord_lift(sg.lift) and sg.identity == math.inf:
-        return _MIN_KERNEL
-    if sg.combine is max and _is_coord_lift(sg.lift) and sg.identity == -math.inf:
-        return _MAX_KERNEL
-    if sg.lift is _bbox_lift and sg.combine is _bbox_combine:
-        return BBoxKernel(len(sg.identity[0]))
-    return None
-
-
-_COUNT_KERNEL = CountKernel()
-_SUM_KERNEL = SumKernel()
-_MIN_KERNEL = MinKernel()
-_MAX_KERNEL = MaxKernel()
-
-_RESOLVERS: List[Callable[[Semigroup], Optional[SemigroupKernel]]] = [
-    _resolve_builtin
-]
-
-
-def register_kernel_resolver(
-    fn: Callable[[Semigroup], Optional[SemigroupKernel]]
-) -> Callable[[Semigroup], Optional[SemigroupKernel]]:
-    """Register an extension resolver (consulted before the builtins).
-
-    ``fn(semigroup)`` returns a kernel or ``None``; third-party
-    semigroups gain vectorized folds without touching this module.
-    Clears the resolution cache.
-    """
-    _RESOLVERS.insert(0, fn)
-    kernel_for.cache_clear()
-    return fn
-
-
-@lru_cache(maxsize=512)
-def kernel_for(sg: Semigroup) -> Optional[SemigroupKernel]:
-    """The kernel backing ``sg``, or ``None`` (object columns + ``combine``).
-
-    Resolution inspects the semigroup's actual lift/combine functions —
-    a user semigroup merely *named* "count" with different semantics
-    never matches — and is cached per semigroup instance.
-    """
-    for resolver in _RESOLVERS:
-        kernel = resolver(sg)
-        if kernel is not None:
-            return kernel
-    return None

@@ -64,20 +64,14 @@ def grid_of_boxes(d: int, per_dim: int = 3) -> list[Box]:
 
 
 def unkernelized(sg: Semigroup) -> Semigroup:
-    """``sg`` behind fresh lift/combine callables: same name, same values,
-    but ``kernel_for`` resolves ``None`` — so a builtin's answers can be
-    compared between typed kernel columns and object columns + ``combine``
-    without any switch.  Products wrap component by component (the engine
-    looks annotation layers up by component name); a group keeps its
-    inverse."""
+    """``sg`` without its kernel: same name, same functions, same values —
+    so a builtin's answers can be compared between typed kernel columns
+    and object columns + ``combine`` without any switch.  Products drop
+    it component by component (the engine reads a fold's kernel off the
+    queried component); a group keeps its inverse."""
     if isinstance(sg, ProductSemigroup):
         return product_semigroup([unkernelized(c) for c in sg.components])
-    lift, combine = sg.lift, sg.combine
-    return dataclasses.replace(
-        sg,
-        lift=lambda pid, coords: lift(pid, coords),
-        combine=lambda a, b: combine(a, b),
-    )
+    return dataclasses.replace(sg, kernel=None)
 
 
 def reference_tree(el) -> RangeTree:

@@ -36,7 +36,6 @@ from repro.semigroup import (
     COUNT,
     KernelColumn,
     bounding_box_semigroup,
-    kernel_for,
     max_of_dim,
     product_semigroup,
     sum_of_dim,
@@ -116,9 +115,9 @@ def _random_element(rng, d, dim, width, semigroup, typed):
     coords = rng.random((width, d))
     values = [semigroup.lift(i, tuple(coords[i])) for i in range(width)]
     sg = semigroup if typed else unkernelized(semigroup)
-    assert (kernel_for(sg) is not None) == typed
+    assert (sg.kernel is not None) == typed
     if typed:
-        values = KernelColumn.from_values(kernel_for(sg), values)
+        values = KernelColumn.from_values(sg.kernel, values)
     el = build_forest_element(
         forest_id=((1, 0),),
         dim=dim,
@@ -162,8 +161,6 @@ class TestDirectBuildAgainstTheObjectOracle:
         assert _array_walk(el, boxes) == want
 
         # default pickling: the clone answers identically, nothing rebuilt
-        # (the arrays alone: a test-local unkernelized semigroup wraps
-        # lambdas, which no element could ship anyway)
         clone = pickle.loads(pickle.dumps(el.soa))
         assert _array_walk(el, boxes, soa=clone) == want
 
@@ -174,7 +171,7 @@ class TestDirectBuildAgainstTheObjectOracle:
         for refit_sg in (COUNT, unkernelized(sum_of_dim(0)), sum_of_dim(dim)):
             coords = rng.random((el.nleaves, d))
             fresh = [refit_sg.lift(i, tuple(coords[i])) for i in range(el.nleaves)]
-            kernel = kernel_for(refit_sg)
+            kernel = refit_sg.kernel
             if kernel is not None:
                 fresh = KernelColumn.from_values(kernel, fresh)
             el.reannotate(fresh, refit_sg)

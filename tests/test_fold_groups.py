@@ -38,7 +38,6 @@ from repro.semigroup import (
     sum_of_dim,
     top_k_ids,
 )
-from repro.semigroup.kernels import kernel_for
 from repro.seq import bf_aggregate, bf_count, bf_report
 from repro.workloads import make_points
 
@@ -156,7 +155,7 @@ def test_mixed_batch_folds_by_group(trees, case):
     kernels = tree.engine._fold_kernels(plan_batch(tree, batch))
     typed_storage = tree.value_kernel is not None
     for fold, typed in zip(plan.folds, kernels):
-        want = fold.slot is None or (typed_storage and kernel_for(fold.semigroup) is not None)
+        want = fold.slot is None or (typed_storage and fold.semigroup.kernel is not None)
         assert (typed is not None) == want
 
     # (d) the annotation is in place now, and (c) the mix adds no round

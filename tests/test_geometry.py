@@ -59,6 +59,29 @@ class TestPointSet:
         with pytest.raises(GeometryError):
             PointSet([(0.0,), (1.0,)], ids=[7, 7])
 
+    @pytest.mark.parametrize("structure", ["sequential", "distributed", "dynamic"])
+    def test_negative_ids_rejected_at_the_boundary(self, structure):
+        """Negative ids name the padding sentinels: report filters them
+        out and the refit's id lookup would collide with them, so six
+        such points used to count 6 and report 4.  No structure takes one."""
+        from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree
+        from repro.seq import SequentialRangeTree
+
+        coords = [(0.1 * i, 0.1 * i) for i in range(1, 7)]
+        ids = [-1, -2, 5, 6, 7, 8]
+        with pytest.raises(GeometryError, match="point ids must be >= 0"):
+            if structure == "sequential":
+                SequentialRangeTree(PointSet(coords, ids=ids))
+            elif structure == "distributed":
+                DistributedRangeTree.build(PointSet(coords, ids=ids), p=2)
+            else:
+                with DynamicDistributedRangeTree.build(coords[2:], p=2) as dyn:
+                    n = len(dyn)
+                    try:
+                        dyn.insert((0.5, 0.5), pid=-7)
+                    finally:
+                        assert len(dyn) == n  # rejected before any mutation
+
     def test_wrong_id_count_rejected(self):
         with pytest.raises(GeometryError):
             PointSet([(0.0,), (1.0,)], ids=[1])

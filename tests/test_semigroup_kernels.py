@@ -1,4 +1,4 @@
-"""The semigroup kernel engine: resolution, folds, and value parity.
+"""The semigroup kernel engine: the ``kernel`` field, folds, and value parity.
 
 The engine's contract is *bit-identity*: every kernel-backed fold must
 reproduce the semigroup's own ``combine`` values exactly — same bits,
@@ -6,14 +6,16 @@ same Python types — across every builtin semigroup, empty and
 single-element segments, and negative/sentinel pids.  These tests check
 the kernels in isolation (encode/decode round trips, segmented folds vs
 ``Semigroup.fold``, heap folds vs the bottom-up loop) and end to end:
-a builtin (typed kernel columns) against the same semigroup behind
-:func:`tests.helpers.unkernelized` (object columns + ``combine``) on
-mixed batches in d = 1..3.
+a builtin (typed kernel columns) against the same semigroup without its
+kernel — :func:`tests.helpers.unkernelized`, and a hand-built
+``Semigroup`` over the builtin's own functions — (object columns +
+``combine``) on mixed batches in d = 1..3.
 """
 
 from __future__ import annotations
 
 import math
+import pickle
 import random
 
 import numpy as np
@@ -25,6 +27,7 @@ from repro.dist import DistributedRangeTree
 from repro.query import QueryBatch, aggregate, count, report, top_k
 from repro.semigroup import (
     COUNT,
+    ProductSemigroup,
     Semigroup,
     bounding_box_semigroup,
     count_semigroup,
@@ -42,7 +45,6 @@ from repro.semigroup.kernels import (
     batched_heap_fold,
     fold_segments,
     heap_fold,
-    kernel_for,
     lift_kernel_column,
 )
 from repro.seq import bf_aggregate, bf_count
@@ -74,12 +76,12 @@ def _kernelizable(d: int):
 
 
 # ---------------------------------------------------------------------------
-# resolution
+# the kernel field: set by the builtin constructors, by nothing else
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_builtins_resolve_to_kernels(d):
     for sg in _kernelizable(d):
-        assert kernel_for(sg) is not None, sg.name
+        assert sg.kernel is not None, sg.name
 
 
 def test_unkernelizable_semigroups_resolve_to_none():
@@ -91,13 +93,33 @@ def test_unkernelizable_semigroups_resolve_to_none():
         product_semigroup([COUNT, top_k_ids(2)]),  # one bad component
         Semigroup("count", lambda p, c: 1, lambda a, b: max(a, b), 0),
     ):
-        assert kernel_for(sg) is None, sg.name
+        assert sg.kernel is None, sg.name
 
 
-def test_resolution_inspects_functions_not_names():
-    # a user semigroup *named* like a builtin must not match
-    fake = Semigroup("sum[x0]", lambda p, c: 1.0, lambda a, b: a * b, 1.0)
-    assert kernel_for(fake) is None
+def _handbuilt(sg: Semigroup) -> Semigroup:
+    """``sg`` rebuilt by hand from its own ``lift``/``combine``/``identity``:
+    nothing sniffs those functions, so no kernel comes along."""
+    if isinstance(sg, ProductSemigroup):
+        return product_semigroup([_handbuilt(c) for c in sg.components])
+    return Semigroup(sg.name, sg.lift, sg.combine, sg.identity)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_handbuilt_semigroup_over_builtin_functions_has_no_kernel(d):
+    for sg in _kernelizable(d):
+        twin = _handbuilt(sg)
+        assert twin.kernel is None and twin != sg, sg.name
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kernelized_semigroup_pickles_with_an_equal_kernel(d):
+    for sg in _kernelizable(d):
+        back = pickle.loads(pickle.dumps(sg))
+        assert back.kernel == sg.kernel and back.kernel is not sg.kernel
+        assert back.kernel.col_ops == sg.kernel.col_ops
+        # the object twin crosses a process boundary too
+        twin = pickle.loads(pickle.dumps(unkernelized(sg)))
+        assert twin.kernel is None and twin.name == sg.name
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +139,7 @@ def _assert_same_value(a, b):
 def test_encode_decode_roundtrip_bit_identical(d):
     rng = random.Random(d)
     for sg in _kernelizable(d):
-        kernel = kernel_for(sg)
+        kernel = sg.kernel
         values = _random_values(sg, 40, d, rng) + [sg.identity]
         mat = kernel.encode(values)
         assert mat.shape == (len(values), kernel.width)
@@ -133,7 +155,7 @@ def test_encode_decode_roundtrip_bit_identical(d):
 def test_fold_segments_matches_object_fold(d, seed):
     rng = random.Random(seed * 10 + d)
     for sg in _kernelizable(d):
-        kernel = kernel_for(sg)
+        kernel = sg.kernel
         n = rng.randrange(1, 120)
         values = _random_values(sg, n, d, rng)
         mat = kernel.encode(values).astype(np.float64)
@@ -152,7 +174,7 @@ def test_fold_segments_float_sum_is_sequential_left_fold():
     # pathological magnitudes where pairwise and sequential summation differ
     rng = random.Random(7)
     sg = sum_of_dim(0)
-    kernel = kernel_for(sg)
+    kernel = sg.kernel
     values = [rng.uniform(-1, 1) * 10 ** rng.randrange(-8, 8) for _ in range(257)]
     mat = kernel.encode(values).astype(np.float64)
     folded = fold_segments(
@@ -168,7 +190,7 @@ def test_fold_segments_float_sum_is_sequential_left_fold():
 def test_heap_fold_matches_pairwise_combine(m):
     rng = random.Random(m)
     for sg in _kernelizable(2):
-        kernel = kernel_for(sg)
+        kernel = sg.kernel
         values = _random_values(sg, m, 2, rng)
         heap = heap_fold(kernel, kernel.encode(values))
         # reference: the bottom-up ``combine`` loop of _build_aggs
@@ -184,7 +206,7 @@ def test_heap_fold_matches_pairwise_combine(m):
 def test_batched_heap_fold_matches_per_tree():
     rng = random.Random(3)
     sg = product_semigroup([COUNT, sum_of_dim(0), bounding_box_semigroup(2)])
-    kernel = kernel_for(sg)
+    kernel = sg.kernel
     trees = [kernel.encode(_random_values(sg, 8, 2, rng)) for _ in range(5)]
     batched = batched_heap_fold(kernel, np.stack(trees))
     for i, leaves in enumerate(trees):
@@ -199,9 +221,9 @@ def test_lift_kernel_column_matches_pointwise_lift(d):
     pts = uniform_points(37, d, seed=5)
     n_total = 64  # power-of-two padding: rows past n_real are sentinels
     for sg in _kernelizable(d):
-        kernel = kernel_for(sg)
-        col = lift_kernel_column(kernel, sg, pts.coords, n_total)
-        assert col is not None and len(col) == n_total
+        kernel = sg.kernel
+        col = lift_kernel_column(kernel, pts.coords, n_total)
+        assert len(col) == n_total
         for i in range(len(pts)):
             _assert_same_value(
                 col[i], sg.lift(pts.point_id(i), pts.coords[i])
@@ -215,7 +237,7 @@ def test_lift_kernel_column_matches_pointwise_lift(d):
 # ---------------------------------------------------------------------------
 def test_kernel_column_ops_and_exact_nbytes():
     sg = bounding_box_semigroup(2)
-    kernel = kernel_for(sg)
+    kernel = sg.kernel
     rng = random.Random(0)
     values = _random_values(sg, 20, 2, rng)
     col = KernelColumn.from_values(kernel, values)
@@ -232,9 +254,7 @@ def test_kernel_column_ops_and_exact_nbytes():
 
 
 def test_kernel_column_pickles():
-    import pickle
-
-    kernel = kernel_for(sum_of_dim(0))
+    kernel = sum_of_dim(0).kernel
     col = KernelColumn(kernel, np.asarray([[1.5], [2.5]]))
     back = pickle.loads(pickle.dumps(col))
     assert list(back) == [1.5, 2.5]
@@ -242,9 +262,18 @@ def test_kernel_column_pickles():
 
 
 # ---------------------------------------------------------------------------
-# end-to-end value parity: builtin (kernel columns) vs unkernelized (object)
+# end-to-end value parity: builtin (kernel columns) vs kernel-less (object)
 # ---------------------------------------------------------------------------
-_VARIANTS = {"builtin": lambda sg: sg, "wrapped": unkernelized}
+_VARIANTS = {
+    "builtin": lambda sg: sg,
+    "wrapped": unkernelized,
+    "handbuilt": _handbuilt,
+}
+
+
+def _assert_variants_agree(outs: dict) -> None:
+    for name in _VARIANTS:
+        assert outs[name] == outs["builtin"], name
 
 
 def _mixed_batch(d: int, variant, topk: bool, m: int = 36):
@@ -303,7 +332,7 @@ def test_planes_bit_identical_end_to_end(d):
         batch = _mixed_batch(d, variant, topk=True)
         with DistributedRangeTree.build(pts, p=4) as tree:
             rs0 = tree.run(plain)  # lazy refit to a 5-layer product
-            assert (tree.value_kernel is None) == (name == "wrapped")
+            assert (tree.value_kernel is None) == (name != "builtin")
             rs1 = tree.run(batch)  # refit again: top-k joins the product
             assert tree.value_kernel is None
             rs2 = tree.run(batch)  # cached annotation
@@ -320,7 +349,7 @@ def test_planes_bit_identical_end_to_end(d):
                 # (extremes and boxes are exact)
                 want = bf_aggregate(pts, q.box, q.semigroup)
                 assert got == (pytest.approx(want) if isinstance(want, float) else want)
-    assert dicts["builtin"] == dicts["wrapped"]
+    _assert_variants_agree(dicts)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -336,19 +365,19 @@ def test_build_semigroup_kernelized_or_not_agree(d):
     dicts = {}
     for name, variant in _VARIANTS.items():
         with DistributedRangeTree.build(pts, p=4, semigroup=variant(base)) as tree:
-            assert (tree.value_kernel is None) == (name == "wrapped")
+            assert (tree.value_kernel is None) == (name != "builtin")
             rs = tree.run(batch)
             # construct + search + demux: every round's h-relation
             rounds = [
                 (s.label, s.sent, s.received) for s in tree.metrics.comm_steps()
             ]
             dicts[name] = (repr(_strip_nondeterministic(rs.to_dict())), rounds)
-    assert dicts["builtin"] == dicts["wrapped"]
+    _assert_variants_agree(dicts)
 
 
 def test_refit_from_kernel_to_object_storage_and_back():
-    """``value_kernel`` follows every refit (decided from the semigroup,
-    never from a process-global): typed -> object -> typed, with the
+    """``value_kernel`` follows every refit (it *is* the annotation
+    semigroup's ``kernel`` field): typed -> object -> typed, with the
     answers bit-identical throughout."""
     pts = uniform_points(50, 2, seed=35)
     sg = sum_of_dim(1)
@@ -356,19 +385,54 @@ def test_refit_from_kernel_to_object_storage_and_back():
     batch = [aggregate(b) for b in boxes]
     want = [bf_aggregate(pts, b, sg) for b in boxes]
     with DistributedRangeTree.build(pts, p=4, semigroup=sg) as tree:
-        assert tree.value_kernel == kernel_for(sg)
+        assert tree.value_kernel == sg.kernel
         first = tree.run(batch)
         tree.reannotate(unkernelized(sg))
         assert tree.value_kernel is None
         second = tree.run(batch)
         tree.reannotate(sg)
-        assert tree.value_kernel == kernel_for(sg)
+        assert tree.value_kernel == sg.kernel
         third = tree.run(batch)
     for rs in (second, third):
         for got, same, exp in zip(rs.values(), first.values(), want):
             _assert_same_value(got, same)
             assert got == pytest.approx(exp)
         assert rs.rounds == first.rounds and rs.max_h == first.max_h
+
+
+# a semigroup that cannot read the tree's points: typed error, tree untouched
+_UNREADABLE = {
+    "min[x5]": lambda: min_of_dim(5),  # kernel lift: coordinate out of range
+    "bbox[3d]": lambda: bounding_box_semigroup(3),  # kernel lift: 3-d on 2-d
+    "min[x5]-object": lambda: unkernelized(min_of_dim(5)),  # per-point lift
+}
+
+
+@pytest.mark.parametrize("via", ["reannotate", "per-query"])
+@pytest.mark.parametrize("bad", list(_UNREADABLE))
+def test_failed_refit_leaves_the_tree_as_it_was(bad, via):
+    """A refit lifts before it rebinds anything: after the failure the
+    tree still *says* and *answers* ``sum[x0]`` — it used to answer the
+    x0 sum under a ``min[x5]`` label."""
+    from repro.errors import DimensionMismatch
+    from repro.geometry import Box
+
+    pts = uniform_points(20, 2, seed=81)
+    box = Box.full(2, 0.0, 1.0)
+    sg = sum_of_dim(0)
+    error = IndexError if bad.endswith("-object") else DimensionMismatch
+    with DistributedRangeTree.build(pts, p=4, semigroup=sg) as tree:
+        before = tree.run([aggregate(box)]).values()
+        with pytest.raises(error):
+            if via == "reannotate":
+                tree.reannotate(_UNREADABLE[bad]())
+            else:  # the engine's lazy refit, and its rollback
+                tree.run([aggregate(box, _UNREADABLE[bad]())])
+        assert tree.semigroup is sg and tree.base_semigroup is sg
+        assert tree.value_kernel == sg.kernel == tree.hat.agg_kernel
+        after = tree.run([aggregate(box)]).values()
+    _assert_same_value(after[0], before[0])
+    assert after[0] == pytest.approx(bf_aggregate(pts, box, sg))
 
 
 def test_kernel_plane_is_the_default_and_annotates_typed():
@@ -404,7 +468,7 @@ def test_empty_and_single_element_queries_agree():
         )
         with DistributedRangeTree.build(pts, p=4) as tree:
             outs[name] = repr(tree.run(batch).values())
-    assert outs["builtin"] == outs["wrapped"]
+    _assert_variants_agree(outs)
     # empty aggregates are the identities, typed or not
     vals = eval(outs["builtin"], {"inf": math.inf})
     assert vals[0] == 0.0 and vals[2] == math.inf and vals[6] == 0
@@ -418,7 +482,7 @@ def test_object_storage_with_kernel_demux_counts():
     with DistributedRangeTree.build(pts, p=4, semigroup=id_set()) as tree:
         assert tree.value_kernel is None  # id_set is unkernelizable
         plan = tree.engine.plan(QueryBatch([count(b) for b in boxes]))
-        assert tree.engine._fold_kernels(plan) == [(kernel_for(COUNT), 0)]
+        assert tree.engine._fold_kernels(plan) == [(COUNT.kernel, 0)]
         counts = tree.run([count(b) for b in boxes]).values()
     assert counts == [bf_count(pts, b) for b in boxes]
 
