@@ -46,7 +46,11 @@ Builds n=512, p=8 and runs an empty, a one-query and a 64-query
   counting one, then lazily refit to a product with ``max_of_dim(1)``,
   calls that per-point ``lift`` 0 times on the serial and process
   backends, and ``n_real`` times per lift (build, refit) once the field
-  is ``None`` (``kernel_field_failures``).
+  is ``None`` (``kernel_field_failures``);
+* a dynamic batch is one Search pass: a ``dyn.run`` over >= 3 occupied
+  buckets calls ``run_search`` once, records a static pass's rounds and
+  answers what a static tree over its live points answers
+  (``dynamic_pass_failures``).
 
 A later change that re-prices idle ranks, puts a per-object Python loop
 back on the batch path, holds a forest element or the hat in a second
@@ -114,6 +118,17 @@ def counting_across_forks(cls, name):
             yield lambda: os.path.getsize(path)
         finally:
             setattr(cls, name, real)
+
+
+def bound_in_repro(*names) -> list:
+    """Every ``(module, name)`` a loaded ``repro`` module binds one of
+    ``names`` under — the targets that count every call of a function."""
+    return [
+        (mod, name)
+        for mod in list(sys.modules.values())
+        for name in names
+        if getattr(mod, "__name__", "").startswith("repro.") and name in vars(mod)
+    ]
 
 
 def second_representation_calls() -> dict:
@@ -364,7 +379,7 @@ def report_mask_failures(tree, batch) -> list:
 
         sys.setprofile(profile)
         try:
-            forest_cols(ctx, (inbox, ns, mask))
+            forest_cols(ctx, (inbox, (ns,), mask))
         finally:
             sys.setprofile(None)
         return n
@@ -416,14 +431,11 @@ def fold_said_once_failures(tree, boxes) -> list:
 
     engine.Fold = counted_fold
     try:
-        # every name a ``repro`` module binds the two functions under
-        bound = [
-            (mod, name)
-            for mod in list(sys.modules.values())
-            for name in ("sample_sort_cols", "fold_segments")
-            if getattr(mod, "__name__", "").startswith("repro.") and name in vars(mod)
-        ]
-        with counting(calls, (engine.QueryEngine, "_fold_kernels"), *bound):
+        with counting(
+            calls,
+            (engine.QueryEngine, "_fold_kernels"),
+            *bound_in_repro("sample_sort_cols", "fold_segments"),
+        ):
             tree.run(batch)
     finally:
         engine.Fold = real_fold
@@ -443,6 +455,51 @@ def fold_said_once_failures(tree, boxes) -> list:
             f"fold_segments called {segs} times on a pass, want at most 2 * p * groups "
             f"= {2 * tree.p * len(folds)}: a fold per run, not per group?"
         )
+    return failures
+
+
+def dynamic_pass_failures() -> list:
+    """A dynamic batch is one Search pass: over >= 3 occupied buckets
+    ``dyn.run`` calls ``run_search`` once and records the rounds of a
+    static tree's pass, answering what the static tree answers."""
+    import numpy as np
+
+    from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree
+    from repro.query import aggregate, count, report
+    from repro.semigroup.group import sum_group
+    from repro.workloads import make_points
+
+    failures = []
+    # on a dyadic grid: float sums are exact in any association
+    coords = np.floor(make_points("uniform", 352, 2, seed=4).coords * 1024) / 1024
+    box = Box(((0.0, 0.75), (0.25, 1.0)))
+    batch = [count(box), report(box), aggregate(box)]
+    with DynamicDistributedRangeTree.build(
+        coords[:256], p=4, semigroup=sum_group(0), flush_threshold=32
+    ) as dyn:
+        for c in coords[256:]:
+            dyn.insert(c)  # 96 inserts: buckets of 256, 64 and 32
+        buckets = len(dyn.bucket_sizes)
+        if buckets < 3:
+            failures.append(f"(the dynamic tree has buckets {dyn.bucket_sizes}, want >= 3)")
+        calls: dict = {}
+        with counting(calls, *bound_in_repro("run_search")):
+            got = dyn.run(batch)
+        with DistributedRangeTree.build(
+            dyn.live_points(), machine=dyn.machine, semigroup=dyn.semigroup
+        ) as static:
+            want = static.run(batch)
+    searches = sum(calls.values())
+    if searches != 1:
+        failures.append(
+            f"dyn.run over {buckets} buckets called run_search {searches} times, want 1"
+        )
+    if got.metrics.rounds != want.metrics.rounds:
+        failures.append(
+            f"dyn.run recorded {got.metrics.rounds} rounds, a static pass {want.metrics.rounds}"
+        )
+    if got.values() != want.values():
+        failures.append("dyn.run and the static rebuild answer differently")
     return failures
 
 
@@ -540,6 +597,7 @@ def main() -> int:
     failures.extend(walk_shape_failures())
     failures.extend(hat_shape_failures())
     failures.extend(kernel_field_failures())
+    failures.extend(dynamic_pass_failures())
     object_calls = {**object_loop_calls(), **second_representation_calls()}
     for name, n in object_calls.items():
         if n:

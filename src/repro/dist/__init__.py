@@ -282,9 +282,7 @@ class DistributedRangeTree:
         whose points the pass emits as ``(qid, pid)`` pairs."""
         return run_search(
             self.machine,
-            self._ensure_resident(),
-            self.forest_store,
-            self.ranked.to_rank_bounds(*Box.stack(boxes)),
+            [(self._ensure_resident(), self.ranked.to_rank_bounds(*Box.stack(boxes)))],
             report=report,
             replication=replication,
         )

@@ -19,11 +19,17 @@ machine:
   rebuilt bucket via the ordinary Construct machinery (amortised
   O((n/p) log n) rebuild work per insert, matching the sequential
   analysis);
-* **queries stay decomposable**: a batch runs once against every bucket
-  forest (one Algorithm Search pass each), the buffer answers with a
-  single ``dist.dynamic.scan`` phase, and
-  :class:`~repro.query.epochs.EpochCombiner` folds the per-epoch answers
-  — counts add, aggregates ⊕, id modes merge-then-finalise;
+* **queries stay decomposable — in one pass**: the answer over disjoint
+  buckets is the ⊕ of the per-bucket answers, so the buckets a batch can
+  reach (bounding-box pruning drops the rest) are the *parts* of one
+  Algorithm Search pass (:mod:`repro.dist.search`): one hat walk over
+  every bucket's hat, one demand count, one replication round-set, one
+  routing round, one forest step and one demux that folds every bucket's
+  pieces under the query id — ``5 + log2 p`` rounds whatever the number
+  of buckets.  The buffer answers with a single ``dist.dynamic.scan``
+  phase and :class:`~repro.query.epochs.EpochCombiner` corrects the
+  pass's answers for it and for the tombstones — counts add, aggregates
+  ⊕, id modes merge-then-finalise;
 * **deletes** tombstone bucket-resident points (filtered from id answers,
   subtracted from aggregates via an
   :class:`~repro.semigroup.group.AbelianGroup`) and physically remove
@@ -37,7 +43,7 @@ the differential suite in ``tests/test_dist_dynamic.py`` asserts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from .._util import require_power_of_two
@@ -47,6 +53,7 @@ from ..cgm.phases import ProcContext, register_phase
 from ..errors import DimensionMismatch, GeometryError, ReproError
 from ..geometry.point import PointSet, checked_coords
 from ..query.descriptors import QueryBatch
+from ..query.engine import QueryEngine
 from ..query.epochs import EpochCombiner
 from ..query.result import QueryResult, ResultSet
 from ..semigroup import COUNT, Semigroup
@@ -134,10 +141,10 @@ class _Bucket:
 
     level: int
     tree: Any  # DistributedRangeTree
-    records: List[Record] = field(default_factory=list)
+    records: List[Record]
     #: tight ``(mins, maxs)`` over *all* records — live and tombstoned —
     #: so pruning on it can never hide a pending aggregate subtraction
-    bbox: "Tuple[Tuple[float, ...], Tuple[float, ...]] | None" = None
+    bbox: Tuple[Tuple[float, ...], Tuple[float, ...]]
 
 
 def _records_bbox(coords: np.ndarray):
@@ -416,15 +423,15 @@ class DynamicDistributedRangeTree:
             self._absorb(live)
 
     # ------------------------------------------------------------------
-    # queries (decomposable: one Search pass per bucket + a buffer scan)
+    # queries (decomposable: one Search pass over the buckets + a buffer scan)
     # ------------------------------------------------------------------
     def run(self, batch, replication: str | None = None) -> ResultSet:
         """Answer a (mixed-mode) batch across every epoch.
 
         Accepts the same shapes as the static facade's ``run``; the
         returned :class:`~repro.query.ResultSet` carries the metrics of
-        the whole sweep (every bucket's search pass plus the buffer
-        scan), so rounds/h-relations stay observable per batch.
+        the whole batch (the one Search pass over the buckets plus the
+        buffer scan), so rounds/h-relations stay observable per batch.
         """
         self._check_open()
         batch = QueryBatch.coerce(batch, replication)
@@ -437,24 +444,20 @@ class DynamicDistributedRangeTree:
             batch, self.semigroup, self.dim, self._coords_of
         )
         sub = combiner.epoch_batch(batch.replication)
-        # bucket bbox pruning: an epoch whose bounding box (over live AND
-        # tombstoned records) misses every query box can only answer with
-        # identities — substitute them and skip its whole Search pass.
-        empty_values: "List[Any] | None" = None
-        epoch_values = []
-        for level in sorted(self._buckets):
+        # bucket bbox pruning: a bucket whose bounding box (over live AND
+        # tombstoned records) misses every query box holds no answer —
+        # leave it out of the pass.  The largest bucket leads: the plan is
+        # made against it, so it is the last to need a refit.
+        trees = []
+        for level in sorted(self._buckets, reverse=True):
             bucket = self._buckets[level]
-            if bucket.bbox is not None and not _bbox_hits_any(
-                bucket.bbox, sub
-            ):
-                if empty_values is None:
-                    empty_values = combiner.empty_epoch_values()
-                epoch_values.append(empty_values)
+            if _bbox_hits_any(bucket.bbox, sub):
+                trees.append(bucket.tree)
+            else:
                 self._pruned_bucket_passes += 1
-                continue
-            epoch_values.append(bucket.tree.run(sub).values())
+        values = QueryEngine(*trees).run(sub).values() if trees else None
         buffered_ids, dead_ids = self._side_matches(sub)
-        answers = combiner.finalize_all(epoch_values, buffered_ids, dead_ids)
+        answers = combiner.finalize_all(values, buffered_ids, dead_ids)
         results = [
             QueryResult(qid=qid, mode=q.mode, query=q, value=v)
             for qid, (q, v) in enumerate(zip(batch, answers))
@@ -534,7 +537,8 @@ class DynamicDistributedRangeTree:
 
     @property
     def pruned_bucket_passes(self) -> int:
-        """Bucket Search passes skipped by bounding-box pruning."""
+        """Buckets left out of a batch's Search pass by bounding-box
+        pruning, summed over batches."""
         return self._pruned_bucket_passes
 
     def live_points(self) -> PointSet | None:

@@ -40,21 +40,35 @@ A query folds or it reports (Theorems 4-5): one bool mask over the batch
 says which, from the hat walk's expansion requests to step 5's pairs,
 and :mod:`repro.dist.modes` then folds the selections per query.
 
+A pass runs over one or more **parts** — structures Construct built on
+the same machine, each with its own hat, forest and rank space (a static
+tree is one part; the buckets of :mod:`repro.dist.dynamic` are several).
+The batch is the same for every part, query ``q`` of each part is query
+``q`` of the pass, and the five steps run once for all of them: a rank
+walks its query slice against every part's hat, demand is counted per
+owner over all parts, a replica of owner ``j``'s group carries its
+stores of every part, one round routes every subquery and one step 5
+serves them.  Answers over disjoint parts combine by ``⊕`` under the
+query id, so the demux needs no notion of a part.
+
 Every stream of a pass names a hat node — and the forest element rooted
-at a hat leaf — by its hat row (``node`` / ``element`` columns; see
-:mod:`repro.dist.records`): the hat is replicated, so the row is the
-same name on every processor and no step re-derives a Definition 2
-label except to look an element up in a store, once per element.
+at a hat leaf — by its row in the parts' hats laid end to end
+(``node`` / ``element`` columns; see :mod:`repro.dist.records`): part
+``b``'s row ``i`` is ``base[b] + i``, ``base`` the running sum of the
+hat sizes.  The hats are replicated, so the row is the same name on
+every processor and no step re-derives a Definition 2 label except to
+look an element up in a store, once per element.
 
 SPMD residency: steps 1, 3 and 5 are registered phases
 (``dist.search.*``) reading the rank-resident ``{ns}:forest`` /
-``{ns}:hat`` state that Algorithm Construct left behind under the
-namespace ``ns``; only query boxes, selection/routing batches and
+``{ns}:hat`` state that Algorithm Construct left behind under each
+part's namespace ``ns``; only query boxes, selection/routing batches and
 replicated element stores cross the boundary.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, List, Sequence, Tuple
 
@@ -84,6 +98,15 @@ def _holders_key(ns: str) -> str:
     return f"{ns}:holders"
 
 
+def _hat_bases(hats: Sequence[Hat]) -> List[int]:
+    """Where each part's rows start in the hats laid end to end, plus
+    the total — the same list on every rank (the hats are replicated)."""
+    bases = [0]
+    for hat in hats:
+        bases.append(bases[-1] + hat.size_nodes())
+    return bases
+
+
 @dataclass
 class SearchOutput:
     """Everything Algorithm Search leaves distributed over the machine.
@@ -91,19 +114,17 @@ class SearchOutput:
     ``hat_selections[r]``/``forest_selections[r]`` are the selections
     produced at rank ``r``, always as a
     :class:`~repro.cgm.columns.RecordBatch` (``dist.hat_selection`` /
-    ``dist.forest_selection``) naming nodes and elements by hat row —
-    row for row what the reference walks (:meth:`Hat.walk`,
+    ``dist.forest_selection``) naming nodes and elements by their row in
+    the parts' hats laid end to end — for one part, row for row what the
+    reference walks (:meth:`Hat.walk`,
     :meth:`RangeTree.canonical <repro.seq.range_tree.RangeTree.canonical>`)
-    emit; ``owner_stores`` exposes the
-    per-owner forest stores.  The load-balancing observables of steps 2-4
-    (``demands`` per owner, ``copy_counts``, per-processor subquery
-    counts) are what the M1/S1 experiments and the Theorem 3 tests
-    measure.
+    emit.  The load-balancing observables of steps 2-4 (``demands`` per
+    owner, ``copy_counts``, per-processor subquery counts) are what the
+    M1/S1 experiments and the Theorem 3 tests measure.
     """
 
     hat_selections: List[RecordBatch]
     forest_selections: List[RecordBatch]
-    owner_stores: Sequence[dict]
     demands: List[int] = field(default_factory=list)
     copy_counts: List[int] = field(default_factory=list)
     subqueries_per_proc: List[int] = field(default_factory=list)
@@ -129,15 +150,30 @@ def _phase_walk_cols(ctx: ProcContext, payload) -> tuple:
     and the count, so they are one phase).  The per-query visit counts
     charge the same Theorem 3 total as per-query :meth:`Hat.walk` calls.
 
-    Also resets the pass-local replica cache — stale copies from a
+    ``parts`` holds one ``(ns, los, his)`` per part — its namespace and
+    this slice's rank bounds in its rank space; each part's hat is
+    walked in turn and its rows shifted past the hats before it, so the
+    three batches name nodes and elements by concatenated hat row.
+
+    Also resets the pass-local replica caches — stale copies from a
     previous batch must never serve this one.
     """
-    qlo, los, his, report, ns = payload
-    hat: Hat = ctx.state[hat_key(ns)]
-    ctx.state[_holders_key(ns)] = {}
-    sels, subqueries, expansions, visits = hat.walk_batch(qlo, los, his, report)
-    if len(visits):
-        ctx.charge(int(visits.sum()))
+    qlo, parts, report = payload
+    hats = [ctx.state[hat_key(ns)] for ns, _los, _his in parts]
+    walks = []
+    visited = 0
+    for (ns, los, his), hat, base in zip(parts, hats, _hat_bases(hats)):
+        ctx.state[_holders_key(ns)] = {}
+        sels, subqueries, expansions, visits = hat.walk_batch(qlo, los, his, report)
+        visited += int(visits.sum())
+        if base:
+            sels = sels.with_col("node", sels.col("node") + base)
+            subqueries = subqueries.with_col("element", subqueries.col("element") + base)
+            expansions = expansions.with_col("element", expansions.col("element") + base)
+        walks.append((sels, subqueries, expansions))
+    if len(report):
+        ctx.charge(visited)
+    sels, subqueries, expansions = map(RecordBatch.concat, zip(*walks))
     demand = np.bincount(subqueries.col("location"), minlength=ctx.p)
     return sels, subqueries, expansions, demand
 
@@ -170,9 +206,10 @@ def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
 
     The inbox is one routing batch (subqueries and expansion requests
     mixed, source-ordered).  Subqueries group by target element — one
-    stable argsort of the ``element`` column; the element's label,
-    owner, store and :class:`~repro.dist.forest.ForestElement` are
-    resolved once per group through the resident hat — and each
+    stable argsort of the ``element`` column; the element's part,
+    label, owner, store and :class:`~repro.dist.forest.ForestElement`
+    are resolved once per group through the parts' resident hats
+    (``nss`` names the parts in the pass's order) — and each
     group runs one :meth:`~repro.seq.compiled.CompiledForest.walk` —
     one ``searchsorted`` and one closed-form cover per dimension of the
     element's key blocks — then :func:`~repro.dist.forest_compiled.batched_forest_selections`
@@ -187,13 +224,19 @@ def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
     loop exactly (``max(1, visits)`` per subquery, ``nleaves`` per
     expand).
     """
-    inbox, ns, report = payload
+    inbox, nss, report = payload
     if not len(inbox):
         return _NO_FOREST_ROWS
     r = ctx.rank
-    hat: Hat = ctx.state[hat_key(ns)]
-    forest = ctx.state.get(forest_key(ns)) or {}
-    holders = ctx.state.get(_holders_key(ns)) or {}
+    hats = [ctx.state[hat_key(ns)] for ns in nss]
+    bases = _hat_bases(hats)
+    forests = [ctx.state.get(forest_key(ns)) or {} for ns in nss]
+    holders = [ctx.state.get(_holders_key(ns)) or {} for ns in nss]
+
+    def locate(eid: int) -> Tuple[int, Hat, int]:
+        """``(part, its hat, row in it)`` of concatenated hat row ``eid``."""
+        b = bisect_right(bases, eid) - 1
+        return b, hats[b], eid - bases[b]
 
     kind = inbox.col("kind")
     qid_col = inbox.col("qid")
@@ -203,7 +246,8 @@ def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
     exp_qids: List[np.ndarray] = []
     exp_pids: List[np.ndarray] = []
     for i in np.flatnonzero(kind == KIND_EXPAND).tolist():
-        el = forest[hat.path(int(eid_col[i]))]
+        b, hat, row = locate(int(eid_col[i]))
+        el = forests[b][hat.path(row)]
         # rows ascend in the element's own dimension: the order
         # the hat-side expansion has always emitted
         exp_qids.append(np.full(len(el.pids), qid_col[i]))
@@ -216,9 +260,10 @@ def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
     eids, starts = np.unique(eid_col[rows], return_index=True)
     groups: List[Tuple[Any, np.ndarray]] = []
     for eid, group in zip(eids.tolist(), np.split(rows, starts[1:])):
-        owner = int(hat.location[eid])
-        store = forest if owner == r else holders.get(owner)
-        fid = hat.path(eid)
+        b, hat, row = locate(eid)
+        owner = int(hat.location[row])
+        store = forests[b] if owner == r else holders[b].get(owner)
+        fid = hat.path(row)
         if store is None or fid not in store:
             raise ProtocolError(
                 f"rank {r} received subquery for {fid} "
@@ -241,51 +286,59 @@ def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
 
 @register_phase("dist.search.replicate_pack")
 def _phase_replicate_pack(ctx: ProcContext, payload) -> list:
-    """Step 3a: emit this rank's scheduled copy transfers as an outbox row."""
-    instructions, ns = payload
-    forest = ctx.state.get(forest_key(ns)) or {}
-    holders = ctx.state.setdefault(_holders_key(ns), {})
+    """Step 3a: emit this rank's scheduled copy transfers as an outbox row.
+
+    A copy of owner ``j``'s group is ``(j, stores)``, ``stores`` its
+    store of every part named in ``nss``, in that order.
+    """
+    instructions, nss = payload
+    forests = [ctx.state.get(forest_key(ns)) or {} for ns in nss]
+    holders = [ctx.state.setdefault(_holders_key(ns), {}) for ns in nss]
     out: list[list] = [[] for _ in range(ctx.p)]
     for owner, dest in instructions:
-        store = forest if owner == ctx.rank else holders.get(owner)
-        if store is None:
+        if owner == ctx.rank:
+            stores = tuple(forests)
+        else:
+            stores = tuple(held.get(owner) for held in holders)
+        if None in stores:
             raise ProtocolError(
                 f"rank {ctx.rank} was scheduled to forward group {owner} "
                 "without holding a copy"
             )
-        out[dest].append((owner, store))
+        out[dest].append((owner, stores))
     return out
 
 
 @register_phase("dist.search.replicate_unpack")
 def _phase_replicate_unpack(ctx: ProcContext, payload) -> None:
-    """Step 3b: file the received copies in the rank's replica cache."""
-    inbox, ns = payload
-    holders = ctx.state.setdefault(_holders_key(ns), {})
-    for owner, store in inbox:
-        holders[owner] = store
+    """Step 3b: file the received copies in the rank's replica caches."""
+    inbox, nss = payload
+    holders = [ctx.state.setdefault(_holders_key(ns), {}) for ns in nss]
+    for owner, stores in inbox:
+        for held, store in zip(holders, stores):
+            held[owner] = store
     return None
 
 
 def run_search(
     mach: Machine,
-    ns: str,
-    forest_store: Sequence[dict],
-    rank_boxes: RankBoxes,
+    parts: Sequence[Tuple[str, RankBoxes]],
     report: "np.ndarray | bool | None" = None,
     replication: str = "doubling",
 ) -> SearchOutput:
     """Execute Algorithm Search for a batch of rank-space queries.
 
-    ``ns`` names the machine state namespace where Construct left the
-    structure resident (:attr:`ConstructResult.ns`; a tree's
-    ``_ensure_resident()``); ``forest_store`` is the driver's view of
-    the owners' elements, handed on in the output.
-
-    ``rank_boxes`` is the int64 ``(m, d)`` pair ``(los, his)`` of
-    :meth:`~repro.geometry.rankspace.RankSpace.to_rank_bounds` — the
+    ``parts`` holds one ``(ns, rank_boxes)`` per structure the pass
+    searches (a static tree is one part).  ``ns`` names the machine
+    state namespace where Construct left the structure resident
+    (:attr:`ConstructResult.ns`; a tree's ``_ensure_resident()``);
+    ``rank_boxes`` is the batch in that structure's rank space — the
+    int64 ``(m, d)`` pair ``(los, his)`` of
+    :meth:`~repro.geometry.rankspace.RankSpace.to_rank_bounds`, the
     form the batch keeps down to the hat walk, sliced per rank as views
-    — or a :class:`RankBox` sequence, stacked once on entry.
+    — or a :class:`RankBox` sequence, stacked once on entry.  Every part
+    holds the same ``m`` queries; the parts' structures must share their
+    annotation, so their ``agg`` columns concatenate.
 
     ``report`` is a bool ``(m,)`` mask (or one bool for the whole batch;
     ``None``: no query reports) — a query folds its selections or it
@@ -301,8 +354,16 @@ def run_search(
     queries skip the requests and the leaf gather.
     """
     p = mach.p
-    los, his = rank_bounds(rank_boxes)
-    m = len(los)
+    if not parts:
+        raise ReproError("a Search pass needs at least one part")
+    nss = tuple(ns for ns, _boxes in parts)
+    bounds = [rank_bounds(boxes) for _ns, boxes in parts]
+    m = len(bounds[0][0])
+    if any(len(los) != m for los, _his in bounds):
+        raise ReproError(
+            f"every part of a pass holds the same queries, got batches of "
+            f"{[len(los) for los, _his in bounds]}"
+        )
     report = np.asarray(report, dtype=bool)
     if report.ndim and report.shape != (m,):
         raise ReproError(
@@ -312,17 +373,18 @@ def run_search(
     report = np.broadcast_to(report, (m,))
     chunk = -(-m // p) if m else 1
 
-    # -- step 1: hat walk over each processor's query block ----------------
+    # -- step 1: hat walk over each processor's query block, every part ----
     walked = mach.run_phase(
         "search:walk",
         "dist.search.walk_cols",
         [
             (
                 r * chunk,
-                los[r * chunk : (r + 1) * chunk],
-                his[r * chunk : (r + 1) * chunk],
+                tuple(
+                    (ns, los[r * chunk : (r + 1) * chunk], his[r * chunk : (r + 1) * chunk])
+                    for ns, (los, his) in zip(nss, bounds)
+                ),
                 report[r * chunk : (r + 1) * chunk],
-                ns,
             )
             for r in range(p)
         ],
@@ -340,8 +402,8 @@ def run_search(
     copy_counts = compute_copy_counts(demands, total, p)
     targets = assign_copies_round_robin(copy_counts, p)
 
-    # -- step 3: replicate oversubscribed groups ---------------------------
-    _replicate_stores(mach, ns, targets, replication)
+    # -- step 3: replicate oversubscribed groups (every part's stores) ------
+    _replicate_stores(mach, nss, targets, replication)
 
     # -- step 4: split each owner's subqueries over its copies and route ---
     # Owner j's subqueries are numbered globally (rank-major, then local
@@ -385,7 +447,7 @@ def run_search(
     processed = mach.run_phase(
         "search:forest",
         "dist.search.forest_cols",
-        [(inboxes[r], ns, report) for r in range(p)],
+        [(inboxes[r], nss, report) for r in range(p)],
     )
     forest_selections = [o[0] for o in processed]
     report_pairs = [o[1] for o in processed]
@@ -393,7 +455,6 @@ def run_search(
     return SearchOutput(
         hat_selections=hat_selections,
         forest_selections=forest_selections,
-        owner_stores=forest_store,
         demands=demands,
         copy_counts=copy_counts,
         subqueries_per_proc=subqueries_per_proc,
@@ -404,7 +465,7 @@ def run_search(
 
 def _replicate_stores(
     mach: Machine,
-    ns: str,
+    nss: Tuple[str, ...],
     targets: Sequence[Sequence[int]],
     strategy: str,
 ) -> None:
@@ -416,7 +477,8 @@ def _replicate_stores(
     independent of n" claim holds by construction, not by luck); the
     stores move between ranks via the pack/unpack phases — routed, like
     every exchange, through the driver's deterministic merge — and stay
-    in each holder's rank-resident replica cache.  Rounds, not
+    in each holder's rank-resident replica caches — a copy of a group
+    carries its stores of every part in ``nss``.  Rounds, not
     dispatches, are the data-independent observable: a round whose
     schedule is empty is still recorded, with nothing sent.
     """
@@ -434,7 +496,7 @@ def _replicate_stores(
             rows = mach.run_phase(
                 f"search:replicate:pack-{rnd}",
                 "dist.search.replicate_pack",
-                [(instructions[r], ns) for r in range(p)],
+                [(instructions[r], nss) for r in range(p)],
             )
         else:
             rows = mach.empty_outboxes()
@@ -447,14 +509,14 @@ def _replicate_stores(
             round_label,
             rows,
             weight=lambda rec: max(
-                1, sum(el.size_records for el in rec[1].values())
+                1, sum(el.size_records for store in rec[1] for el in store.values())
             ),
             # bytes: the arrays the elements are, as the pickle ships them
-            nbytes=lambda rec: sum(el.nbytes for el in rec[1].values()),
+            nbytes=lambda rec: sum(el.nbytes for store in rec[1] for el in store.values()),
         )
         if transfers:
             mach.run_phase(
                 f"search:replicate:unpack-{rnd}",
                 "dist.search.replicate_unpack",
-                [(inboxes[r], ns) for r in range(p)],
+                [(inboxes[r], nss) for r in range(p)],
             )

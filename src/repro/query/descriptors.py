@@ -162,8 +162,8 @@ class QueryBatch:
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """The boxes as float64 ``(m, d)`` matrices ``(lo, hi)``, stacked
         once: the engine's plan touches it and every later consumer of
-        the batch (``execute``, each bucket pass and side scan of the
-        dynamic tree) reads the same pair."""
+        the batch (``execute`` for every part of its pass, the side
+        scans of the dynamic tree) reads the same pair."""
         return Box.stack([q.box for q in self.queries])
 
     def modes(self) -> set[str]:

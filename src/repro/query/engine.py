@@ -29,6 +29,13 @@ A pass is ``5 + log2 p`` communication rounds — demands, ``log2 p``
 replication rounds, subquery routing and the demux's three — for an
 empty, a one-query or a full batch, and a mixed batch costs the rounds
 of a single-mode one: modes share the pass instead of re-running it.
+
+An engine runs over one tree or over several trees sharing one machine
+(the buckets of :mod:`repro.dist.dynamic`): the plan is made against
+the first, every tree annotated otherwise is refit to the plan's
+annotation, and the trees are the *parts* of the one Search pass.  A
+query's pieces from every tree fold under its qid, so the answer over
+the trees' disjoint point sets costs the rounds of one tree.
 """
 
 from __future__ import annotations
@@ -117,6 +124,11 @@ class QueryPlan:
     def needs_refit(self) -> bool:
         return self.refit_semigroup is not None
 
+    @property
+    def annotation(self) -> Semigroup:
+        """The annotation the pass runs under: every tree is refit to it."""
+        return self.annotation_token if self.refit_semigroup is None else self.refit_semigroup
+
     def mode_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
         for mode in self.modes:
@@ -139,10 +151,13 @@ def _annotation_components(semigroup: Semigroup) -> List[Semigroup]:
 
 
 class QueryEngine:
-    """Plans and executes query batches against one distributed tree."""
+    """Plans and executes query batches against one distributed tree, or
+    against several on one machine as the parts of one pass (``tree`` —
+    the first — is the one plans are made against)."""
 
-    def __init__(self, tree) -> None:
+    def __init__(self, tree, *more) -> None:
         self.tree = tree
+        self.trees = (tree, *more)
 
     # ------------------------------------------------------------------
     # planning
@@ -234,7 +249,8 @@ class QueryEngine:
         annotation (``annotation_token`` no longer matches), the batch
         is transparently re-planned first — cheap, driver-side, no
         communication — so pipelined planning can never fold against a
-        stale annotation layout.
+        stale annotation layout.  Every tree whose annotation is not the
+        plan's is refit to it before the pass; the trees are its parts.
         """
         tree = self.tree
         if plan.annotation_token is not tree.semigroup:
@@ -243,27 +259,17 @@ class QueryEngine:
         snap = tree.machine.metrics.mark()
 
         # Lazy annotation refit: local work + one broadcast round, cached.
-        if plan.refit_semigroup is not None:
-            prior = tree.semigroup
-            try:
-                tree._refit(plan.refit_semigroup, label="query:refit")
-            except Exception:
-                # A poisoned semigroup can raise mid-refold, leaving the
-                # aggregates half-swapped.  Restore the prior annotation
-                # (a full recompute from the points, so partial damage
-                # heals) before propagating: one bad query must not
-                # corrupt the tree for every batch after it.
-                try:
-                    tree._refit(prior, label="query:refit-rollback")
-                except Exception:
-                    pass  # best effort: the original failure leads
-                raise
+        annotation = plan.annotation
+        for part in self.trees:
+            if part.semigroup.name != annotation.name:
+                _refit(part, annotation)
 
         out = run_search(
             tree.machine,
-            tree._ensure_resident(),
-            tree.forest_store,
-            tree.ranked.to_rank_bounds(*batch.bounds),
+            [
+                (part._ensure_resident(), part.ranked.to_rank_bounds(*batch.bounds))
+                for part in self.trees
+            ],
             report=plan.report,
             replication=batch.replication,
         )
@@ -287,13 +293,13 @@ class QueryEngine:
 
         Leaf counts always qualify (their piece values are the typed
         ``nleaves`` column); an annotation fold qualifies when its
-        semigroup has a kernel *and* the tree's annotation storage is
-        kernel-backed with a matching component slot.  Everything else —
+        semigroup has a kernel *and* the annotation the pass runs under
+        is kernel-backed with a matching component slot.  Everything else —
         top-k merges, user semigroups, trees whose annotation has no
         kernel — folds through ``combine``, row by row, in the same
         batch.
         """
-        vk = self.tree.semigroup.kernel
+        vk = plan.annotation.kernel
         kernels: List["Tuple[SemigroupKernel, int] | None"] = []
         for fold in plan.folds:
             sk, slot = fold.semigroup.kernel, fold.slot
@@ -498,6 +504,25 @@ class QueryEngine:
                     kern, kval, starts[pos], ends[pos]
                 )
         return RecordBatch("query.piece", cols, len(run_q))
+
+
+def _refit(tree, semigroup: Semigroup) -> None:
+    """Annotate ``tree`` with ``semigroup`` (local work + one broadcast
+    round); if that raises, restore the prior annotation and re-raise."""
+    prior = tree.semigroup
+    try:
+        tree._refit(semigroup, label="query:refit")
+    except Exception:
+        # A poisoned semigroup can raise mid-refold, leaving the
+        # aggregates half-swapped.  Restore the prior annotation (a full
+        # recompute from the points, so partial damage heals) before
+        # propagating: one bad query must not corrupt the tree for every
+        # batch after it.
+        try:
+            tree._refit(prior, label="query:refit-rollback")
+        except Exception:
+            pass  # best effort: the original failure leads
+        raise
 
 
 def plan_batch(tree, batch: QueryBatch) -> QueryPlan:

@@ -1,30 +1,32 @@
-"""Folding per-epoch answers: the query side of the logarithmic method.
+"""The buffer and the tombstones: the query side of the logarithmic method.
 
 Range search is *decomposable* (Bentley, the paper's reference [4]): the
 answer over a union of disjoint structures is a fold of the per-structure
-answers.  The dynamized distributed tree
-(:mod:`repro.dist.dynamic`) keeps the point set as several static
-"epochs" — power-of-two bucket forests plus a rank-resident update
-buffer — so every user query becomes (a) one *epoch sub-query* run
-against each bucket through the ordinary engine, (b) a buffer scan, and
-(c) a final fold implemented here.
+answers.  The dynamized distributed tree (:mod:`repro.dist.dynamic`)
+keeps the point set as power-of-two bucket forests — static "epochs" —
+plus a rank-resident update buffer, so every user query becomes an
+*epoch sub-query* that (a) the buckets answer together, as the parts of
+one Search pass whose demux folds every bucket's pieces under the query
+id — the cross-epoch fold *is* the pass's fold — and (b) a buffer scan
+answers.  What is left, the correction, is implemented here.
 
-The fold is not uniform across output modes, because only the *raw*
-answers decompose — post-processing does not:
+It is not uniform across output modes, because only the *raw* answers
+decompose — post-processing does not:
 
-* ``count`` / ``aggregate`` fold ⊕ over epochs; tombstoned (deleted but
-  not yet compacted) points are subtracted, which for aggregates needs
-  an :class:`~repro.semigroup.group.AbelianGroup` (the paper's
+* ``count`` / ``aggregate`` pass through: the buffered matches are
+  added (⊕), tombstoned (deleted but not yet compacted) points are
+  subtracted, which for aggregates needs an
+  :class:`~repro.semigroup.group.AbelianGroup` (the paper's
   "associative functions with inverses" footnote);
 * ``report`` / ``sample`` / ``topk`` decompose over *matching id sets*:
-  each epoch answers a plain unlimited report, ids merge, tombstones
-  filter out, and only then does the mode's finalisation (limit
-  truncation, seeded sampling, top-k selection) apply — truncating or
-  sampling per epoch first would be wrong.
+  the sub-query is a plain unlimited report, buffered ids merge in,
+  tombstones filter out, and only then does the mode's finalisation
+  (limit truncation, seeded sampling, top-k selection) apply —
+  truncating or sampling before the merge would be wrong.
 
 :class:`EpochCombiner` packages exactly this: build it from the user
-batch, run :meth:`epoch_batch` against every bucket, then hand the
-per-epoch values plus the buffer/tombstone side information to
+batch, run :meth:`epoch_batch` through the pass, then hand the pass's
+answers plus the buffer/tombstone side information to
 :meth:`finalize_all`.
 """
 
@@ -46,7 +48,7 @@ _ID_MODES = frozenset({"report", "sample", "topk"})
 
 
 class EpochCombiner:
-    """Fold one batch's per-epoch answers into the global answers.
+    """Correct one batch's pass answers for the buffer and the tombstones.
 
     ``coords_of`` resolves a point id to its coordinates — it must cover
     both live and tombstoned ids, because aggregate subtraction and
@@ -72,10 +74,10 @@ class EpochCombiner:
                 )
 
     # ------------------------------------------------------------------
-    # the per-epoch sub-batch
+    # the sub-batch the buckets answer
     # ------------------------------------------------------------------
     def epoch_query(self, q: Query) -> Query:
-        """The sub-query each bucket answers for ``q``.
+        """The sub-query the buckets answer for ``q``.
 
         Fold-family queries pass through unchanged; id-family queries
         become unlimited reports (limits, sampling and top-k selection
@@ -93,47 +95,27 @@ class EpochCombiner:
     def semigroup_for(self, q: Query) -> Semigroup:
         return q.semigroup if q.semigroup is not None else self.base
 
-    def empty_epoch_values(self) -> List[Any]:
-        """What one epoch answers when *no* record can match the batch.
-
-        Exactly what running :meth:`epoch_batch` against an epoch with an
-        empty match set would return — 0 for counts, the semigroup
-        identity for aggregates, no ids for the report-family sub-queries
-        — so a caller that can prove emptiness (e.g. bucket bounding-box
-        pruning in :mod:`repro.dist.dynamic`) may substitute this list
-        for a whole Search pass.
-        """
-        out: List[Any] = []
-        for q in self.batch:
-            if q.mode == "count":
-                out.append(0)
-            elif q.mode == "aggregate":
-                out.append(self.semigroup_for(q).identity)
-            else:  # id family: the epoch sub-query is an unlimited report
-                out.append([])
-        return out
-
     # ------------------------------------------------------------------
-    # the global fold
+    # the correction
     # ------------------------------------------------------------------
     def finalize_all(
         self,
-        epoch_values: Sequence[Sequence[Any]],
+        values: "Sequence[Any] | None",
         buffered_ids: Dict[int, List[int]],
         dead_ids: Dict[int, List[int]],
     ) -> List[Any]:
-        """Fold per-epoch answers into one answer per query.
+        """The global answer of every query.
 
-        ``epoch_values[e][qid]`` is epoch ``e``'s answer to sub-query
-        ``qid``; ``buffered_ids[qid]`` are matching ids still in the
-        update buffer (always live); ``dead_ids[qid]`` are matching
-        tombstoned ids (present in some bucket but deleted).
+        ``values[qid]`` is the buckets' answer to sub-query ``qid``
+        (``None``: no bucket was searched — nothing matched there);
+        ``buffered_ids[qid]`` are matching ids still in the update
+        buffer (always live); ``dead_ids[qid]`` are matching tombstoned
+        ids (present in some bucket but deleted).
         """
         return [
             self._finalize_one(
-                qid,
                 q,
-                [epoch[qid] for epoch in epoch_values],
+                None if values is None else values[qid],
                 buffered_ids.get(qid, []),
                 dead_ids.get(qid, []),
             )
@@ -141,18 +123,13 @@ class EpochCombiner:
         ]
 
     def _finalize_one(
-        self,
-        qid: int,
-        q: Query,
-        values: List[Any],
-        buffered: List[int],
-        dead: List[int],
+        self, q: Query, value: Any, buffered: List[int], dead: List[int]
     ) -> Any:
         if q.mode == "count":
-            return int(sum(values)) + len(buffered) - len(dead)
+            return (value or 0) + len(buffered) - len(dead)
         if q.mode == "aggregate":
             sg = self.semigroup_for(q)
-            total = sg.fold(values)
+            total = sg.identity if value is None else value
             for pid in buffered:
                 total = sg.combine(total, sg.lift(pid, self.coords_of(pid)))
             if not dead:
@@ -166,12 +143,9 @@ class EpochCombiner:
             for pid in dead:
                 gone = sg.combine(gone, sg.lift(pid, self.coords_of(pid)))
             return sg.subtract(total, gone)
-        # id family: merge epochs' ids, drop tombstones, then finalise
+        # id family: merge the buffered ids, drop tombstones, then finalise
         drop = set(dead)
-        ids = sorted(
-            [pid for epoch_ids in values for pid in epoch_ids if pid not in drop]
-            + list(buffered)
-        )
+        ids = sorted([pid for pid in value or () if pid not in drop] + buffered)
         if q.mode == "topk":
             sg = top_k_ids(q.option("k"), q.option("dim", 0))
             best = sg.fold(

@@ -119,9 +119,11 @@ def oracle_values(oracle, batch: QueryBatch) -> list:
     """Answer ``batch`` with the sequential DynamicRangeTree oracle.
 
     Count/report/aggregate queries batch through the oracle's ``*_many``
-    APIs — one compiled walk per bucket for the whole slice — while the
-    order-statistic modes (topk/sample) stay per-query; answers are
-    positionally identical to a per-query loop either way.
+    APIs — the sequential oracle still walks its buckets one by one, one
+    compiled walk per bucket for the whole slice, where the distributed
+    tree searches all its buckets in one pass — while the order-statistic
+    modes (topk/sample) stay per-query; answers are positionally identical
+    to a per-query loop either way.
     """
     by_mode: dict[str, list[int]] = {"count": [], "report": [], "aggregate": []}
     for i, q in enumerate(batch):

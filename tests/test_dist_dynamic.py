@@ -15,6 +15,7 @@ Three layers:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cgm import Machine
@@ -29,7 +30,7 @@ from repro.query import (
     sample_report,
     top_k,
 )
-from repro.semigroup import max_of_dim, sum_of_dim
+from repro.semigroup import max_of_dim, min_of_dim, sum_of_dim
 from repro.semigroup.group import sum_group
 from repro.seq import DynamicRangeTree
 from repro.workloads import stream_counts, update_query_stream
@@ -40,6 +41,7 @@ from tests.helpers import (
     drive_stream,
     empty_structure_values,
     oracle_values,
+    rebuild_queries_dict,
     unkernelized,
 )
 
@@ -561,20 +563,158 @@ class TestBBoxPruning:
             rs = dyn.run(QueryBatch([count(((19.0, 21.0), (19.0, 21.0)))]))
             assert rs.values() == [8]
 
-    def test_empty_epoch_values_matches_real_empty_run(self):
-        # the identity substitution equals what a bucket actually answers
-        # for a no-match batch, mode by mode
-        from repro.query.epochs import EpochCombiner
-
+    def test_all_pruned_batch_answers_the_identities(self):
+        # every bucket pruned: no Search pass runs, and each mode answers
+        # what it answers over no points — 0, the identity, []
         with self._two_cluster_tree(semigroup=STREAM_GROUP) as dyn:
+            dyn.delete(sorted(dyn.live_points().ids)[0])  # a tombstone too
             far = ((99.0, 99.5), (99.0, 99.5))  # matches nothing anywhere
             batch = QueryBatch(
-                [count(far), aggregate(far), report(far), sample_report(far, 2)]
+                [
+                    count(far),
+                    aggregate(far),
+                    report(far),
+                    sample_report(far, 2),
+                    top_k(far, 3),
+                ]
             )
-            combiner = EpochCombiner(
-                batch, dyn.semigroup, dyn.dim, dyn._coords_of
-            )
-            sub = combiner.epoch_batch()
-            level = sorted(dyn._buckets)[0]
-            real = dyn._buckets[level].tree.run(sub).values()
-            assert combiner.empty_epoch_values() == real
+            rs = dyn.run(batch)
+            assert rs.values() == [0, 0.0, [], [], []]
+            assert rs.values() == empty_structure_values(batch, dyn.semigroup)
+            assert dyn.pruned_bucket_passes == 2
+            assert rs.metrics.rounds == 0
+
+
+def _grid_coords(n: int, seed: int) -> list:
+    """``n`` 2-d points on the 1/16 grid (float sums stay exact)."""
+    rng = np.random.default_rng(seed)
+    return (rng.integers(0, 17, size=(n, 2)) / 16).tolist()
+
+
+class TestOnePass:
+    """A dynamic batch is one Search pass: the buckets are its parts, so
+    rounds do not grow with their number and answers stay a rebuild's."""
+
+    BOXES = [
+        unit_box(2),
+        Box([(0.0, 0.5), (0.25, 1.0)]),
+        Box([(0.5, 1.0), (0.0, 0.75)]),
+        Box([(0.25, 0.75), (0.25, 0.75)]),
+        Box([(0.0, 1.0), (0.5, 0.5)]),
+    ]
+
+    @staticmethod
+    def _rebuilt(dyn, batch):
+        """A static tree over the live points answers ``batch``; returns
+        its answers and the rounds of one of its passes (run again, so a
+        lazy refit's round is not counted)."""
+        with DistributedRangeTree.build(
+            dyn.live_points(), machine=dyn.machine, semigroup=dyn.semigroup
+        ) as static:
+            want = static.run(batch).values()
+            return want, static.run(batch).metrics.rounds
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_rounds_are_constant_in_the_number_of_buckets(self, backend, p):
+        coords = _grid_coords(128 + 63, seed=40 + p)
+        batch = checkpoint_batch(self.BOXES * 2)
+        one_pass = 5 + p.bit_length() - 1
+        with DynamicDistributedRangeTree.build(
+            coords[:128], p=p, backend=backend, semigroup=STREAM_GROUP, flush_threshold=2
+        ) as dyn:
+            # inserts absorb two at a time: after n = 2 (2^j - 1) + 1 of them
+            # (n + 1 a power of two) the bulk bucket has j smaller
+            # neighbours and one point is buffered
+            for n, c in enumerate(coords[128:], 1):
+                dyn.insert(c)
+                if (n + 1) & n:
+                    continue
+                assert dyn.buffered_count == 1
+                levels = len(dyn.bucket_sizes)
+                dyn.delete(int(dyn.live_points().ids[n]))  # a bulk id: a tombstone
+                rs = dyn.run(batch)
+                want, static_rounds = self._rebuilt(dyn, batch)
+                assert rs.values() == want, f"{levels} buckets"
+                assert rs.metrics.rounds == static_rounds == one_pass, f"{levels} buckets"
+            assert levels == 6
+
+            # every bucket pruned: no pass at all
+            far = checkpoint_batch([Box([(5.0, 6.0), (5.0, 6.0)])] * 5)
+            rs = dyn.run(far)
+            assert rs.values() == empty_structure_values(far, dyn.semigroup)
+            assert rs.metrics.rounds == 0
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_a_buffer_only_structure_runs_no_pass(self, backend):
+        batch = checkpoint_batch(self.BOXES)
+        with DynamicDistributedRangeTree(
+            2, p=4, backend=backend, semigroup=STREAM_GROUP, flush_threshold=16
+        ) as dyn:
+            for c in _grid_coords(9, seed=3):
+                dyn.insert(c)
+            dyn.delete(4)  # physical: buffered points leave no tombstone
+            assert dyn.bucket_sizes == [] and dyn.buffered_count == 8
+            rs = dyn.run(batch)
+            assert rs.values() == self._rebuilt(dyn, batch)[0]
+            assert rs.metrics.rounds == 0
+
+    #: (bulk load, inserts before the first pass, inserts after it, bucket
+    #: sizes then, size of the bucket absorbed after the pass)
+    LAGGING = {
+        "smallest": (16, 0, 8, [8, 16], 8),  # a fresh 8 beside the refit 16
+        "largest": (4, 8, 8, [4, 16], 16),  # 8 + 8 carry into a fresh 16
+    }
+
+    @pytest.mark.parametrize("lagging", sorted(LAGGING))
+    def test_only_a_lagging_bucket_refits(self, monkeypatch, lagging):
+        """A per-query semigroup refits the buckets it meets; a bucket
+        absorbed afterwards lags, and the next pass refits it alone —
+        whether or not it is the bucket the plan is made against."""
+        bulk, before, after, sizes, fresh = self.LAGGING[lagging]
+        coords = _grid_coords(bulk + before + after, seed=9)
+        query = aggregate(unit_box(2), min_of_dim(1))
+        with DynamicDistributedRangeTree.build(
+            coords[:bulk], p=4, semigroup=sum_group(0), flush_threshold=8
+        ) as dyn:
+            for c in coords[bulk : bulk + before]:
+                dyn.insert(c)
+            assert dyn.run(query).value(0) == min(c[1] for c in coords[: bulk + before])
+            for c in coords[bulk + before :]:
+                dyn.insert(c)
+            assert dyn.bucket_sizes == sizes
+            trees = {len(b.records): b.tree for b in dyn._buckets.values()}
+            assert trees[fresh].semigroup.name != trees[sum(sizes) - fresh].semigroup.name
+
+            refits = []
+            real = DistributedRangeTree._refit
+
+            def counted(tree, semigroup, label="reannotate"):
+                refits.append(tree)
+                return real(tree, semigroup, label)
+
+            monkeypatch.setattr(DistributedRangeTree, "_refit", counted)
+            want = min(c[1] for c in coords)
+            assert dyn.run(query).value(0) == want
+            assert refits == [trees[fresh]]
+            assert len({t.semigroup.name for t in trees.values()}) == 1
+            assert dyn.run(query).value(0) == want
+            assert refits == [trees[fresh]]  # in place now: nothing lags
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_mixed_batch_with_tombstones_and_buffer_matches_rebuild(self, backend):
+        coords = _grid_coords(96 + 45, seed=12)
+        with DynamicDistributedRangeTree.build(
+            coords[:96], p=4, backend=backend, semigroup=sum_group(0), flush_threshold=16
+        ) as dyn:
+            for c in coords[96:]:
+                dyn.insert(c)
+            for pid in range(0, 60, 4):
+                dyn.delete(pid)
+            assert len(dyn.bucket_sizes) >= 2 and dyn.buffered_count
+            assert dyn.space_report()["tombstones"]
+            for offset in range(5):
+                batch = checkpoint_batch(self.BOXES, offset=offset)
+                assert dyn.run(batch).to_dict()["queries"] == rebuild_queries_dict(
+                    dyn, batch
+                )

@@ -146,5 +146,5 @@ def test_a_mask_of_the_wrong_length_is_refused_before_any_phase(bad):
         assert sum(len(b) for b in tree.search(boxes, report=True).report_pairs) == 96
         ns = tree._ensure_resident()
         bounds = tree.ranked.to_rank_bounds(*Box.stack(boxes))
-        out = run_search(tree.machine, ns, tree.forest_store, bounds, report=None)
+        out = run_search(tree.machine, [(ns, bounds)], report=None)
         assert not sum(len(b) for b in out.report_pairs)

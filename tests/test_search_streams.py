@@ -153,12 +153,12 @@ def test_step5_refuses_a_subquery_for_a_group_it_holds_no_copy_of(backend):
         with pytest.raises(ProtocolError, match=re.escape(want)):
             tree.machine.run_phase(
                 "t", "dist.search.forest_cols",
-                [(inbox if r == 0 else nothing, ns, nobody) for r in range(4)],
+                [(inbox if r == 0 else nothing, (ns,), nobody) for r in range(4)],
             )
         # the owner serves the same rows
         served = tree.machine.run_phase(
             "t", "dist.search.forest_cols",
-            [(inbox if r == 1 else nothing, ns, nobody) for r in range(4)],
+            [(inbox if r == 1 else nothing, (ns,), nobody) for r in range(4)],
         )
         assert [len(sel) for sel, _pairs in served] == [0, 2, 0, 0]
 
@@ -172,11 +172,12 @@ def test_step3_refuses_to_forward_a_group_it_does_not_hold(backend):
         with pytest.raises(ProtocolError, match=re.escape(want)):
             tree.machine.run_phase(
                 "t", "dist.search.replicate_pack",
-                [([(1, 2)] if r == 0 else [], ns) for r in range(4)],
+                [([(1, 2)] if r == 0 else [], (ns,)) for r in range(4)],
             )
         # its own group it may forward
         rows = tree.machine.run_phase(
             "t", "dist.search.replicate_pack",
-            [([(0, 2)] if r == 0 else [], ns) for r in range(4)],
+            [([(0, 2)] if r == 0 else [], (ns,)) for r in range(4)],
         )
-        assert [owner for owner, _store in rows[0][2]] == [0]
+        # a copy carries the owner's store of every part: here, one
+        assert [(owner, len(stores)) for owner, stores in rows[0][2]] == [(0, 1)]
