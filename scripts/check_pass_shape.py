@@ -17,7 +17,7 @@ Builds n=512, p=8 and runs an empty, a one-query and a 64-query
   none) and no pass constructs a ``random.Random`` (``main``);
 * a batch pass calls no one-box ``to_rank_box`` and a ``dyn.run`` over
   >= 100 tombstones no ``Box.contains_point`` (``object_loop_calls``);
-* on every backend a build, a lazy refit and a replicating pass construct
+* on both backends a build, a lazy refit and a replicating pass construct
   no ``DimTree``/``SegTree``/``RangeTree``, no pass calls
   ``CompiledForest.from_ranks``, ``Hat.build`` runs once per rank per
   Construct and never on a pass, a refit or outside a dynamic absorb's
@@ -46,11 +46,11 @@ Builds n=512, p=8 and runs an empty, a one-query and a 64-query
   counting one, then lazily refit to a product with ``max_of_dim(1)``,
   calls that per-point ``lift`` 0 times on the serial and process
   backends, and ``n_real`` times per lift (build, refit) once the field
-  is ``None`` (``kernel_field_failures``);
-* a dynamic batch is one Search pass: a ``dyn.run`` over >= 3 occupied
-  buckets calls ``run_search`` once, records a static pass's rounds and
-  answers what a static tree over its live points answers
-  (``dynamic_pass_failures``).
+  is ``None`` (``kernel_field_failures``).
+
+That a dynamic batch is one Search pass — its rounds do not grow with
+the number of buckets — is pinned by ``tests/test_dist_dynamic.py``'s
+``TestOnePass``.
 
 A later change that re-prices idle ranks, puts a per-object Python loop
 back on the batch path, holds a forest element or the hat in a second
@@ -146,7 +146,7 @@ def second_representation_calls() -> dict:
     pts = make_points("uniform", 512, 2, seed=1)
     hot_box = Box(((0.0, 0.2), (0.0, 1.0)))
     hot = [count(hot_box)] * 64
-    for backend in ("serial", "thread", "process"):
+    for backend in ("serial", "process"):
         # patched before the build: the process backend forks its workers
         # at first use, and they must inherit the counter
         with counting(
@@ -458,51 +458,6 @@ def fold_said_once_failures(tree, boxes) -> list:
     return failures
 
 
-def dynamic_pass_failures() -> list:
-    """A dynamic batch is one Search pass: over >= 3 occupied buckets
-    ``dyn.run`` calls ``run_search`` once and records the rounds of a
-    static tree's pass, answering what the static tree answers."""
-    import numpy as np
-
-    from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree
-    from repro.query import aggregate, count, report
-    from repro.semigroup.group import sum_group
-    from repro.workloads import make_points
-
-    failures = []
-    # on a dyadic grid: float sums are exact in any association
-    coords = np.floor(make_points("uniform", 352, 2, seed=4).coords * 1024) / 1024
-    box = Box(((0.0, 0.75), (0.25, 1.0)))
-    batch = [count(box), report(box), aggregate(box)]
-    with DynamicDistributedRangeTree.build(
-        coords[:256], p=4, semigroup=sum_group(0), flush_threshold=32
-    ) as dyn:
-        for c in coords[256:]:
-            dyn.insert(c)  # 96 inserts: buckets of 256, 64 and 32
-        buckets = len(dyn.bucket_sizes)
-        if buckets < 3:
-            failures.append(f"(the dynamic tree has buckets {dyn.bucket_sizes}, want >= 3)")
-        calls: dict = {}
-        with counting(calls, *bound_in_repro("run_search")):
-            got = dyn.run(batch)
-        with DistributedRangeTree.build(
-            dyn.live_points(), machine=dyn.machine, semigroup=dyn.semigroup
-        ) as static:
-            want = static.run(batch)
-    searches = sum(calls.values())
-    if searches != 1:
-        failures.append(
-            f"dyn.run over {buckets} buckets called run_search {searches} times, want 1"
-        )
-    if got.metrics.rounds != want.metrics.rounds:
-        failures.append(
-            f"dyn.run recorded {got.metrics.rounds} rounds, a static pass {want.metrics.rounds}"
-        )
-    if got.values() != want.values():
-        failures.append("dyn.run and the static rebuild answer differently")
-    return failures
-
-
 #: where ``counting_lift`` logs a call (one byte each; a module global so
 #: the function pickles by reference and forked workers inherit the path)
 _LIFT_LOG = ""
@@ -597,7 +552,6 @@ def main() -> int:
     failures.extend(walk_shape_failures())
     failures.extend(hat_shape_failures())
     failures.extend(kernel_field_failures())
-    failures.extend(dynamic_pass_failures())
     object_calls = {**object_loop_calls(), **second_representation_calls()}
     for name, n in object_calls.items():
         if n:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from .._util import ilog2
-from ..cgm import Machine, sample_sort
+from ..cgm import Machine, RecordBatch, sample_sort_cols, sorted_and_balanced
 from ..seq import KDTree, LayeredSequentialRangeTree, SequentialRangeTree
 from ..workloads import selectivity_queries, uniform_points
 from .tables import Table
@@ -62,16 +64,17 @@ def run_x1(p: int = 8) -> Table:
         f"X1 — CGM sort primitive (p={p})",
         ["N", "rounds", "max h", "N/p", "h/(N/p)", "sorted+balanced"],
     )
-    from ..cgm import sorted_and_balanced
-
     for N in (1_000, 10_000, 100_000):
         rng = random.Random(N)
-        xs = [rng.randrange(10 * N) for _ in range(N)]
+        xs = np.array([rng.randrange(10 * N) for _ in range(N)], dtype=np.int64)
         chunk = -(-N // p)
-        dist = [xs[i * chunk:(i + 1) * chunk] for i in range(p)]
+        dist = [
+            RecordBatch("bench.x1", {"x": xs[i * chunk:(i + 1) * chunk]})
+            for i in range(p)
+        ]
         mach = Machine(p)
-        out = sample_sort(mach, dist, key=lambda x: x)
-        ok = sorted_and_balanced(mach, out, key=lambda x: x)
+        out = sample_sort_cols(mach, dist, ("x",))
+        ok = sorted_and_balanced(mach, [b.col("x").tolist() for b in out], key=lambda x: x)
         t.add_row(
             N,
             mach.metrics.rounds,

@@ -3,22 +3,19 @@
 A backend executes the machine's compute phases — named, registered
 functions ``fn(ctx, payload) -> result`` (see :mod:`repro.cgm.phases`) —
 and owns the **rank-resident state** those phases read and write between
-supersteps.  Three implementations ship, all discoverable through the
-:func:`register_backend` registry (so the factory's error message and the
-CLI's ``--backend`` choices can never drift from the real set):
+supersteps.  Two implementations ship, each under one name (the
+factory's error message and the CLI's ``--backend`` choices both read
+:func:`available_backends`, so they can never drift from the real set):
 
 * :class:`SerialBackend` — runs ranks in a loop, in-process.
   Deterministic, zero overhead, the default for tests and benches
   (per-processor work is still *measured* per processor, so scaling
   claims are observable).
-* :class:`ThreadBackend` — a persistent thread pool.  Under CPython's GIL
-  pure-Python work does not speed up, but numpy-heavy phases release the
-  GIL, and the backend proves the algorithms are safe under concurrent
-  per-processor execution (no shared mutable state between ranks).
 * :class:`ProcessBackend` — persistent worker *processes*, one per rank.
   Payloads and results cross the boundary by pickle; rank state lives in
-  the worker and never moves.  This is the backend that turns the
-  theorems' measured speedups into wall-clock speedups.
+  the worker and never moves, so no rank can reach another's state.
+  This is the backend that turns the theorems' measured speedups into
+  wall-clock speedups.
 
 Transport note: the columnar data plane (:mod:`repro.cgm.columns`) makes
 the pickle boundary cheap by construction — record traffic crosses as
@@ -27,7 +24,7 @@ serializes a handful of numpy column arrays (O(1) objects) instead of an
 object list with one dataclass per record.  The backends need no special
 casing: a batch is just a payload whose pickle happens to be flat.
 
-All backends must produce bit-identical results and identical metric
+Both backends must produce bit-identical results and identical metric
 traces; tests assert this.
 """
 
@@ -36,8 +33,8 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..errors import WorkerCrash
 from ..faults import maybe_inject
@@ -46,12 +43,10 @@ from .phases import ProcContext, bootstrap, get_phase
 __all__ = [
     "Backend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "WorkerError",
     "WorkerCrash",
     "make_backend",
-    "register_backend",
     "available_backends",
 ]
 
@@ -79,7 +74,7 @@ class Backend:
     """Abstract executor of per-processor compute phases.
 
     ``in_process`` marks backends whose rank-state store lives in the
-    driver process (serial/thread): the driver may then alias state
+    driver process (serial): the driver may then alias state
     directly (``fetch_state`` returns the live objects, ``seed_state``
     stores references).  For out-of-process backends both operations move
     pickled copies.
@@ -105,83 +100,35 @@ class Backend:
         pass
 
 
-class _InProcessBackend(Backend):
-    """Shared plumbing for backends whose rank state lives in-process."""
+class SerialBackend(Backend):
+    """Run every virtual processor's phase in rank order, in-process."""
+
+    name = "serial"
 
     def __init__(self) -> None:
-        self._states: List[dict] | None = None
+        self._states: List[dict] = []
 
     def states(self, p: int) -> List[dict]:
         """The first ``p`` rank stores (grown on demand, never shrunk —
         a backend may serve a p=8 machine and a p=4 machine in turn)."""
-        if self._states is None:
-            self._states = [dict() for _ in range(p)]
-        elif len(self._states) < p:
-            self._states.extend(dict() for _ in range(p - len(self._states)))
+        self._states.extend(dict() for _ in range(p - len(self._states)))
         return self._states[:p]
 
-    def _calls(self, p: int, phase: str, payloads: Sequence[Any]) -> List[tuple]:
-        """One :func:`_invoke` argument tuple per rank — the phase resolved
-        and the rank stores materialized once per dispatch, before any
-        fan-out (no racy lazy init)."""
+    def run_phase(
+        self, p: int, phase: str, payloads: Sequence[Any]
+    ) -> List[PhaseOutcome]:
         fn = get_phase(phase)
-        states = self.states(p)
         return [
-            (fn, ProcContext(rank=r, p=p, state=states[r]), payloads[r], phase)
-            for r in range(p)
+            _invoke(fn, ProcContext(rank=r, p=p, state=st), payloads[r], phase)
+            for r, st in enumerate(self.states(p))
         ]
 
     def fetch_state(self, p: int, key: str) -> List[Any]:
         return [st.get(key) for st in self.states(p)]
 
     def seed_state(self, p: int, key: str, values: Sequence[Any]) -> None:
-        states = self.states(p)
-        for r in range(p):
-            states[r][key] = values[r]
-
-
-class SerialBackend(_InProcessBackend):
-    """Run every virtual processor's phase in rank order, in-process."""
-
-    name = "serial"
-
-    def run_phase(
-        self, p: int, phase: str, payloads: Sequence[Any]
-    ) -> List[PhaseOutcome]:
-        return [_invoke(*call) for call in self._calls(p, phase, payloads)]
-
-
-class ThreadBackend(_InProcessBackend):
-    """Run phases on a persistent thread pool (one worker per rank by default)."""
-
-    name = "thread"
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        super().__init__()
-        self._max_workers = max_workers
-        self._pool: ThreadPoolExecutor | None = None
-
-    def _ensure_pool(self, p: int) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._max_workers or p,
-                thread_name_prefix="cgm-proc",
-            )
-        return self._pool
-
-    def run_phase(
-        self, p: int, phase: str, payloads: Sequence[Any]
-    ) -> List[PhaseOutcome]:
-        pool = self._ensure_pool(p)
-        futures = [
-            pool.submit(_invoke, *call) for call in self._calls(p, phase, payloads)
-        ]
-        return [f.result() for f in futures]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        for st, value in zip(self.states(p), values):
+            st[key] = value
 
 
 # ---------------------------------------------------------------------------
@@ -573,40 +520,25 @@ class ProcessBackend(Backend):
 
 
 # ---------------------------------------------------------------------------
-# the backend registry
+# the backends by name
 # ---------------------------------------------------------------------------
-_BACKENDS: Dict[str, Callable[[], Backend]] = {}
-
-
-def register_backend(name: str, factory: Callable[[], Backend]) -> None:
-    """Register a backend factory under ``name`` (plug-in point).
-
-    The factory takes no arguments and returns a fresh :class:`Backend`.
-    ``make_backend``'s error message and the CLI's ``--backend`` choices
-    both derive from this registry, so they cannot drift.
-    """
-    _BACKENDS[name] = factory
+_BACKENDS = MappingProxyType({"serial": SerialBackend, "process": ProcessBackend})
 
 
 def available_backends() -> list[str]:
-    """Sorted names of every registered backend."""
+    """Sorted names of every backend :func:`make_backend` accepts."""
     return sorted(_BACKENDS)
 
 
 def make_backend(spec: "str | Backend") -> Backend:
-    """Backend factory: accepts a registered name or an instance."""
+    """Backend factory: accepts a backend name or an instance."""
     if isinstance(spec, Backend):
         return spec
     try:
-        factory = _BACKENDS[spec]
+        cls = _BACKENDS[spec]
     except KeyError:
         raise ValueError(
             f"unknown backend {spec!r}; choose one of "
             + ", ".join(repr(n) for n in available_backends())
         ) from None
-    return factory()
-
-
-register_backend("serial", SerialBackend)
-register_backend("thread", ThreadBackend)
-register_backend("process", ProcessBackend)
+    return cls()

@@ -19,10 +19,9 @@ one big-endian byte string per row whose lexicographic (bytes) order
 equals the row-wise tuple order — a single ``np.argsort`` /
 ``np.searchsorted`` then stands in for Python comparator tuples.
 
-Batches are the only representation Construct, Search and the demux
-move; the record-list primitives of :mod:`repro.cgm.sort` and
-:mod:`repro.cgm.collectives` remain as the §1 reference toolbox the
-``*_cols`` property tests compare against.
+Batches are how Construct, Search and the demux move records; only a
+few small rounds (sort samples, row counts, root summaries) still
+exchange plain Python lists.
 """
 
 from __future__ import annotations

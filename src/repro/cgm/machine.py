@@ -91,9 +91,8 @@ class Machine:
         Number of virtual processors (any positive integer; the distributed
         range tree additionally requires a power of two).
     backend:
-        A registered backend name — see
-        :func:`~repro.cgm.backend.available_backends` ("serial" is the
-        default; "thread" and "process" ship in the box) — or a
+        A backend name — "serial" (the default) or "process", see
+        :func:`~repro.cgm.backend.available_backends` — or a
         :class:`~repro.cgm.backend.Backend` instance.  A backend created
         here from a name is *owned*: :meth:`close` (and the context
         manager) shuts it down.  A passed-in instance stays the caller's

@@ -11,12 +11,12 @@ both must be picklable under the process backend (in-process backends
 pass them by reference).  Everything a rank keeps *between* phases — its
 forest elements, its hat replica, replica caches — lives in ``ctx.state``,
 a dict owned by the executor: a per-rank store inside the backend for
-serial/thread, the worker process's own memory for the process backend.
+serial, the worker process's own memory for the process backend.
 That is what makes a true process-parallel backend possible at all:
 closures cannot cross a process boundary, but a phase *name* plus a
 serializable payload can, and the heavy structures never move.
 
-Phases register at import time under a dotted name (``"cgm.sort.local"``,
+Phases register at import time under a dotted name (``"cgm.sort.local_cols"``,
 ``"dist.construct.build_elements_cols"``); worker processes resolve the name
 against the same registry after importing :data:`BOOTSTRAP_MODULES`.
 """

@@ -2,9 +2,9 @@
 
 The paper uses parallel sort as its communication workhorse (§1 cites
 Goodrich's communication-efficient sort, which achieves O(1) h-relations
-for ``n/p >= p``); Algorithm Construct (§5) sorts record sets, and the
-search/report algorithms (§5, Theorems 3-5) sort query-result pairs.  This implementation is the classic
-sample/regular-sampling sort:
+for ``n/p >= p``); Algorithm Construct (§5) sorts its record sets with
+:func:`sample_sort_cols`, the classic sample/regular-sampling sort over
+:class:`~repro.cgm.columns.RecordBatch` streams:
 
 1. local sort,
 2. each processor contributes ``p`` regular samples; all-to-all broadcast,
@@ -18,27 +18,14 @@ sample/regular-sampling sort:
 Rounds: exactly 4 ``exchange`` rounds regardless of input size — the
 constant the theorems require.  Duplicate keys are totally ordered by
 ``(key, source rank, source index)``, making the sort stable with respect
-to the original global order and the whole pipeline deterministic.
+to the original global order and the whole pipeline deterministic.  The
+named key columns plus the source rank/index are encoded once into
+fixed-width byte keys (:func:`~repro.cgm.columns.encode_keys`), so every
+comparison-heavy step is one ``np.argsort`` / ``np.searchsorted`` and the
+routed payloads are whole column arrays.
 
 The per-rank steps (1, 4, 5) are registered SPMD phases, so they execute
-wherever the backend's ranks live; items and the ``key`` callable must be
-picklable to sort on the process backend (module-level functions,
-``functools.partial`` and ``operator.itemgetter`` all qualify; lambdas
-restrict the sort to in-process backends).
-
-Two forms share the round structure:
-
-* :func:`sample_sort` — the generic record-list form (the §1 toolbox
-  primitive, and the reference the batch form is property-tested
-  against): items are arbitrary Python objects, compared by
-  ``(key(item), source rank, source index)`` tuples.
-* :func:`sample_sort_cols` — the batch form Construct uses: items are
-  :class:`~repro.cgm.columns.RecordBatch` streams; the named key columns
-  (plus implicit source rank/index columns for the same total order) are
-  encoded once into fixed-width byte keys
-  (:func:`~repro.cgm.columns.encode_keys`) and every comparison-heavy
-  step becomes one ``np.argsort`` / ``np.searchsorted``.  Both forms
-  run exactly the same 4 rounds under the same labels.
+wherever the backend's ranks live.
 
 :func:`route_balanced_cols` is step 6 on its own — the §1 prefix-sum
 balance, for callers that need ``ceil(N/p)`` rows per rank and no order
@@ -47,120 +34,20 @@ balance, for callers that need ``ceil(N/p)`` rows per rank and no order
 
 from __future__ import annotations
 
-import bisect
 from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .collectives import allgather, alltoall_broadcast, route_balanced
+from .collectives import allgather, alltoall_broadcast
 from .columns import RecordBatch, encode_keys
 from .machine import Machine
 from .phases import ProcContext, register_phase
 
 T = TypeVar("T")
 
-__all__ = ["sample_sort", "sample_sort_cols", "route_balanced_cols", "sorted_and_balanced"]
+__all__ = ["sample_sort_cols", "route_balanced_cols", "sorted_and_balanced"]
 
 
-def _first3(t: tuple) -> tuple:
-    return t[:3]
-
-
-@register_phase("cgm.sort.local")
-def _phase_local_sort(ctx: ProcContext, payload) -> list:
-    """Steps 1-2: decorate with ``(key, rank, index)``, sort, sample.
-
-    The decorated run stays *rank-resident* (stashed under the call's
-    state token) until the partition phase consumes it — only the tiny
-    sample set returns to the driver, saving two full-data crossings per
-    sort on the process backend.
-    """
-    items, key, token = payload
-    r = ctx.rank
-    decorated = [(key(it), r, i, it) for i, it in enumerate(items)]
-    decorated.sort(key=_first3)
-    ctx.charge(max(1, len(decorated)) * max(1, len(decorated).bit_length()))
-    ctx.state[token] = decorated
-    samples: list = []
-    m = len(decorated)
-    if m:
-        step = max(1, m // ctx.p)
-        samples = [decorated[j][:3] for j in range(0, m, step)]
-    return samples
-
-
-@register_phase("cgm.sort.partition")
-def _phase_partition(ctx: ProcContext, payload) -> list:
-    """Step 4a: split the stashed run at the splitters; returns the outbox row."""
-    splitters, token = payload
-    decorated = ctx.state.pop(token)
-    p = ctx.p
-    out: list[list] = [[] for _ in range(p)]
-    for item in decorated:
-        dest = bisect.bisect_right(splitters, item[:3])
-        out[min(dest, p - 1)].append(item)
-    ctx.charge(len(decorated))
-    return out
-
-
-@register_phase("cgm.sort.merge")
-def _phase_merge(ctx: ProcContext, payload) -> list:
-    """Step 5: merge the received sorted runs."""
-    items = sorted(payload, key=_first3)
-    ctx.charge(max(1, len(items)) * max(1, len(items).bit_length()))
-    return items
-
-
-def sample_sort(
-    mach: Machine,
-    locals_: Sequence[Sequence[T]],
-    key: Callable[[T], Any],
-    label: str = "sort",
-) -> list[list[T]]:
-    """Globally sort the distributed items by ``key``; balanced output.
-
-    Returns per-rank lists whose concatenation (rank-major) is the sorted
-    global sequence, with every rank holding at most ``ceil(N/p)`` items.
-    """
-    p = mach.p
-    token = mach.new_ns("sortbuf")
-
-    # Step 1-2: local sort and regular sampling (local computation).
-    samples_per_rank = mach.run_phase(
-        f"{label}:local-sort",
-        "cgm.sort.local",
-        [(list(locals_[r]), key, token) for r in range(p)],
-    )
-
-    # Step 2b: all-to-all broadcast of samples (1 round).
-    all_samples = alltoall_broadcast(mach, samples_per_rank, label=f"{label}:samples")
-
-    # Step 3: identical splitter choice everywhere (deterministic).
-    pool = sorted(all_samples[0])
-    splitters: list[tuple[Any, int, int]] = []
-    if pool and p > 1:
-        step = max(1, len(pool) // p)
-        splitters = [pool[j] for j in range(step, len(pool), step)][: p - 1]
-
-    # Step 4: partition by splitters and route (1 round).
-    out = mach.run_phase(
-        f"{label}:partition",
-        "cgm.sort.partition",
-        [(splitters, token)] * p,
-    )
-    inboxes = mach.exchange(f"{label}:route", out)
-
-    # Step 5: local merge (receivers hold sorted runs from each source).
-    merged = mach.run_phase(f"{label}:merge", "cgm.sort.merge", inboxes)
-
-    # Step 6: balanced redistribution (2 rounds: count + route).
-    balanced = route_balanced(mach, merged, label=f"{label}:balance")
-    return [[t[3] for t in box] for box in balanced]
-
-
-# ---------------------------------------------------------------------------
-# the batch form: batches sort by encoded key columns
-# ---------------------------------------------------------------------------
 def _key_columns(batch: RecordBatch, keyspec: tuple) -> list:
     """Resolve a key spec into 1-D int64 arrays, most significant first.
 
@@ -184,12 +71,12 @@ def _key_columns(batch: RecordBatch, keyspec: tuple) -> list:
 
 @register_phase("cgm.sort.local_cols")
 def _phase_local_sort_cols(ctx: ProcContext, payload) -> list:
-    """Columnar steps 1-2: encode keys, argsort, sample.
+    """Steps 1-2: encode keys, argsort, sample.
 
-    The same total order as :func:`sample_sort` — ``(key columns, source
-    rank, source index)`` — encoded into one fixed-width byte key per
-    row, so one stable ``np.argsort`` replaces the comparator tuples.
-    The sorted batch stays rank-resident under the call's state token.
+    The total order ``(key columns, source rank, source index)`` is
+    encoded into one fixed-width byte key per row, so one stable
+    ``np.argsort`` sorts the run.  The sorted batch stays rank-resident
+    under the call's state token; only the samples return.
     """
     batch, keyspec, token = payload
     n = len(batch)
@@ -213,7 +100,7 @@ def _phase_local_sort_cols(ctx: ProcContext, payload) -> list:
 
 @register_phase("cgm.sort.partition_cols")
 def _phase_partition_cols(ctx: ProcContext, payload) -> list:
-    """Columnar step 4a: slice the stashed run at the splitters."""
+    """Step 4a: slice the stashed run at the splitters."""
     splitters, token = payload
     batch: RecordBatch = ctx.state.pop(token)
     p = ctx.p
@@ -224,9 +111,8 @@ def _phase_partition_cols(ctx: ProcContext, payload) -> list:
         return out
     enc = batch.col("__key")
     if splitters:
-        # side="left": a row *equal* to a splitter lands after it, exactly
-        # like :func:`sample_sort`'s ``bisect_right`` over the item tuples
-        # (keys are unique, so the sampled row itself crosses the cut).
+        # side="left": a row *equal* to a splitter lands after it (keys
+        # are unique, so the sampled row itself crosses the cut).
         bounds = np.searchsorted(
             enc, np.asarray(splitters, dtype=enc.dtype), side="left"
         )
@@ -244,7 +130,7 @@ def _phase_partition_cols(ctx: ProcContext, payload) -> list:
 
 @register_phase("cgm.sort.merge_cols")
 def _phase_merge_cols(ctx: ProcContext, payload) -> RecordBatch:
-    """Columnar step 5: re-sort the concatenation of the received runs."""
+    """Step 5: re-sort the concatenation of the received runs."""
     batch: RecordBatch = payload
     n = len(batch)
     ctx.charge(max(1, n) * max(1, n.bit_length()))
@@ -302,11 +188,11 @@ def sample_sort_cols(
 ) -> list[RecordBatch]:
     """Globally sort distributed record batches by the named key columns.
 
-    The columnar twin of :func:`sample_sort`: same 4 communication
-    rounds under the same labels, same balanced ``ceil(N/p)`` output,
-    same ``(key, source rank, source index)`` total order — but every
-    local step is an ``np.argsort``/``np.searchsorted`` over encoded key
-    bytes and the routed payloads are whole column arrays.
+    Four communication rounds — ``{label}:samples``, ``{label}:route``,
+    ``{label}:balance-count`` and ``{label}:balance`` — and a balanced
+    ``ceil(N/p)`` rows per rank, in ``(key, source rank, source index)``
+    order.  A key spec entry is a column name (a matrix column
+    contributes all its columns) or ``(name, j)`` for one matrix column.
 
     With ``keep_key=True`` the output batches retain the encoded
     ``__key`` column (already riding every sort round, so no extra

@@ -90,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=available_backends(),
         default="serial",
-        help="execution backend (the registry's choices; 'process' runs "
-        "one worker process per virtual processor)",
+        help="execution backend ('process' runs one worker process per "
+        "virtual processor)",
     )
     q.add_argument("--verify", action="store_true", help="check against brute force")
     q.add_argument("--trace", action="store_true", help="print the superstep timeline")
@@ -356,7 +356,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         queries = make_queries(args.queries, args.m, args.d, seed=args.seed + 1)
 
     # The tree owns its machine (and that machine its backend): the
-    # with-block guarantees thread pools / worker processes shut down on
+    # with-block guarantees worker processes shut down on
     # every exit path, including --validate/--verify failures.
     with DistributedRangeTree.build(points, p=args.p, backend=args.backend) as tree:
         if not args.json:

@@ -104,11 +104,10 @@ def _phase_refit_relabel(ctx: ProcContext, payload) -> list:
 def _phase_refit_refresh(ctx: ProcContext, payload) -> None:
     """Refresh the resident hat's aggregates from the broadcast roots.
 
-    On in-process backends every rank aliases one shared :class:`Hat`, so
+    On the serial backend every rank aliases one shared :class:`Hat`, so
     it is refreshed once, by rank 0 (``solo=True``) — the other ranks
-    return at once, and the rebind of its aggregate column is a single
-    assignment, so the thread backend has nothing to race on.  Worker
-    processes each hold their own replica and all must refresh.
+    return at once.  Worker processes each hold their own replica and
+    all must refresh.
     Charging stays on rank 0 alone either way, so the metric trace is
     backend-independent.
     """

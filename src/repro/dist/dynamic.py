@@ -37,7 +37,7 @@ machine:
   records are dead the structure compacts into a freshly built forest.
 
 Everything observable — answers, superstep traces, charged ops — is
-deterministic across the serial/thread/process backends, which is what
+deterministic across the serial and process backends, which is what
 the differential suite in ``tests/test_dist_dynamic.py`` asserts.
 """
 

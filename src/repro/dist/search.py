@@ -74,7 +74,6 @@ from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
-from .._util import ilog2
 from ..cgm.collectives import allgather, route_batches
 from ..cgm.columns import RecordBatch
 from ..cgm.loadbalance import (
@@ -473,7 +472,7 @@ def _replicate_stores(
 
     The transfer plan comes from
     :func:`repro.cgm.loadbalance.replication_schedule` (``doubling`` is
-    pinned to exactly ``log2 p`` rounds so Theorem 3's "rounds
+    always exactly ``log2 p`` rounds, so Theorem 3's "rounds
     independent of n" claim holds by construction, not by luck); the
     stores move between ranks via the pack/unpack phases — routed, like
     every exchange, through the driver's deterministic merge — and stay
@@ -483,8 +482,7 @@ def _replicate_stores(
     schedule is empty is still recorded, with nothing sent.
     """
     p = mach.p
-    fixed = ilog2(p) if strategy == "doubling" else None
-    schedule = replication_schedule(p, targets, strategy, fixed_rounds=fixed)
+    schedule = replication_schedule(p, targets, strategy)
     for rnd, transfers in enumerate(schedule):
         # Every scheduled round is *recorded* (the round count is the
         # data-independent observable); pack/unpack are dispatched only

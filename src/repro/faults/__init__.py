@@ -6,7 +6,7 @@ service can absorb) — and neither can be tested by waiting for it to
 happen.  This package makes failures *first-class, reproducible inputs*:
 a :class:`FaultPlan` is a small, serializable set of rules ("crash rank
 1 at the 2nd ``dist.search.walk_cols`` dispatch", "delay every
-``cgm.sort.local`` by 5ms", "raise at the 3rd kernel fold"), and the
+``cgm.sort.local_cols`` by 5ms", "raise at the 3rd kernel fold"), and the
 runtime consults the installed plan at three hook sites:
 
 * **phase dispatch** — every backend's ``run_phase`` path calls

@@ -1,4 +1,4 @@
-"""The backend registry and machine/tree lifecycle ownership."""
+"""The backend names and machine/tree lifecycle ownership."""
 
 from __future__ import annotations
 
@@ -9,18 +9,16 @@ from repro.cgm import (
     Machine,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_backends,
     make_backend,
 )
-from repro.cgm.backend import _BACKENDS, register_backend
 
 import tests.helpers  # noqa: F401  (registers the test.* phases)
 
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert {"serial", "thread", "process"} <= set(available_backends())
+        assert available_backends() == ["process", "serial"]
 
     def test_factory_returns_fresh_instances(self):
         assert make_backend("serial") is not make_backend("serial")
@@ -34,27 +32,13 @@ class TestRegistry:
         with pytest.raises(ValueError) as ei:
             make_backend("mpi")
         msg = str(ei.value)
-        # The registry is the single source of truth: every registered
-        # name must appear in the error, so the message cannot drift.
+        # One mapping is the single source of truth: every backend name
+        # must appear in the error, so the message cannot drift.
         for name in available_backends():
             assert repr(name) in msg
 
-    def test_custom_backend_registration(self):
-        class EchoBackend(SerialBackend):
-            name = "echo"
-
-        register_backend("echo", EchoBackend)
-        try:
-            assert "echo" in available_backends()
-            assert make_backend("echo").name == "echo"
-            with Machine(2, backend="echo") as mach:
-                out = mach.run_phase("r", "test.echo")
-            assert out == [(0, 2), (1, 2)]
-        finally:
-            _BACKENDS.pop("echo")
-
     def test_cli_choices_match_registry(self):
-        """The CLI's --backend choices derive from the registry."""
+        """The CLI's --backend choices are the backend names."""
         from repro.cli import build_parser
 
         parser = build_parser()
@@ -70,41 +54,40 @@ class TestRegistry:
 
 class TestOwnership:
     def test_machine_closes_owned_backend(self):
-        mach = Machine(2, backend="thread")
+        mach = Machine(2, backend="process")
         mach.run_phase("warm", "test.echo")
-        pool = mach.backend._pool
-        assert pool is not None
+        assert mach.backend._workers
         mach.close()
-        assert mach.backend._pool is None
+        assert not mach.backend._workers
 
     def test_machine_leaves_passed_backend_open(self):
-        backend = ThreadBackend()
+        backend = ProcessBackend()
         with Machine(2, backend=backend) as mach:
             mach.run_phase("warm", "test.echo")
-        assert backend._pool is not None  # caller's responsibility
+        assert backend._workers  # caller's responsibility
         backend.close()
-        assert backend._pool is None
+        assert not backend._workers
 
     def test_machine_context_manager(self):
-        with Machine(2, backend="thread") as mach:
+        with Machine(2, backend="process") as mach:
             mach.run_phase("warm", "test.echo")
-        assert mach.backend._pool is None
+        assert not mach.backend._workers
 
     def test_tree_closes_owned_machine(self):
         from repro.dist import DistributedRangeTree
         from repro.workloads import uniform_points
 
         with DistributedRangeTree.build(
-            uniform_points(32, 2, seed=0), p=4, backend="thread"
+            uniform_points(32, 2, seed=0), p=4, backend="process"
         ) as tree:
-            assert tree.machine.backend._pool is not None
-        assert tree.machine.backend._pool is None
+            assert tree.machine.backend._workers
+        assert not tree.machine.backend._workers
 
     def test_tree_leaves_shared_machine_open(self):
         from repro.dist import DistributedRangeTree
         from repro.workloads import uniform_points
 
-        with Machine(4, backend="thread") as mach:
+        with Machine(4, backend="process") as mach:
             with DistributedRangeTree.build(
                 uniform_points(32, 2, seed=0), machine=mach
             ):
@@ -114,7 +97,7 @@ class TestOwnership:
 
     def test_close_idempotent(self):
         mach = Machine(2, backend="process")
-        mach.run_phase("warm", "cgm.sort.merge", [[], []])
+        mach.run_phase("warm", "test.echo")
         mach.close()
         mach.close()
 
@@ -162,4 +145,4 @@ class TestOwnership:
 class TestAbstractBackend:
     def test_run_phase_abstract(self):
         with pytest.raises(NotImplementedError):
-            Backend().run_phase(1, "cgm.sort.merge", [None])
+            Backend().run_phase(1, "test.echo", [None])

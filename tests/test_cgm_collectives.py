@@ -1,27 +1,13 @@
-"""Tests for the six standard CGM communication primitives."""
+"""Tests for the CGM communication primitives Construct and Search use."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.cgm import (
-    Machine,
-    allgather,
-    allreduce,
-    alltoall_broadcast,
-    broadcast,
-    gather,
-    global_positions,
-    partial_sum,
-    route,
-    route_balanced,
-    scatter,
-    segmented_broadcast,
-    segmented_gather,
-    segmented_partial_sum,
-)
+from repro.cgm import Machine, RecordBatch, allgather, alltoall_broadcast
+from repro.cgm.collectives import route_batches
+from repro.cgm.sort import route_balanced_cols
 from repro.errors import ProtocolError
 
 
@@ -30,59 +16,51 @@ def mach() -> Machine:
     return Machine(4)
 
 
+def _batches(data: list[list[int]]) -> list[RecordBatch]:
+    return [RecordBatch("t.x", {"x": np.asarray(b, dtype=np.int64)}) for b in data]
+
+
+def _values(batches: list[RecordBatch]) -> list[list[int]]:
+    return [b.col("x").tolist() for b in batches]
+
+
 class TestBroadcastGatherScatter:
-    def test_broadcast(self, mach):
-        assert broadcast(mach, 1, "v") == ["v"] * 4
-
-    def test_gather_rank_order(self, mach):
-        got = gather(mach, ["a", "b", "c", "d"], root=2)
-        assert got == ["a", "b", "c", "d"]
-
-    def test_gather_arity_check(self, mach):
-        with pytest.raises(ProtocolError):
-            gather(mach, ["a"], root=0)
-
-    def test_scatter(self, mach):
-        got = scatter(mach, 0, [10, 20, 30, 40])
-        assert got == [10, 20, 30, 40]
-
-    def test_scatter_arity_check(self, mach):
-        with pytest.raises(ProtocolError):
-            scatter(mach, 0, [1, 2])
-
     def test_allgather_identical_everywhere(self, mach):
         got = allgather(mach, [0, 1, 2, 3])
         assert got == [[0, 1, 2, 3]] * 4
+        with pytest.raises(ProtocolError):
+            allgather(mach, [0])
 
     def test_alltoall_broadcast_concatenates_by_rank(self, mach):
         got = alltoall_broadcast(mach, [["a"], [], ["c1", "c2"], ["d"]])
         assert got == [["a", "c1", "c2", "d"]] * 4
 
-    def test_allreduce(self, mach):
-        assert allreduce(mach, [1, 2, 3, 4], op=lambda a, b: a + b) == 10
-        assert allreduce(mach, [3, 1, 4, 1], op=max) == 4
-
     def test_each_primitive_is_one_round(self, mach):
-        broadcast(mach, 0, "x")
+        alltoall_broadcast(mach, [["x"], [], [], []])
         assert mach.metrics.rounds == 1
         allgather(mach, [1, 2, 3, 4])
         assert mach.metrics.rounds == 2
+        batches = _batches([[1], [2], [3], [4]])
+        route_batches(mach, batches, [b.col("x") % 4 for b in batches])
+        assert mach.metrics.rounds == 3
 
 
 class TestRoute:
     def test_route_by_function(self, mach):
-        data = [[1, 5], [2, 6], [3, 7], [4, 8]]
-        inboxes = route(mach, data, dest_fn=lambda _r, x: x % 4)
-        assert inboxes[1] == [1, 5]
-        assert inboxes[0] == [4, 8]
+        batches = _batches([[1, 5], [2, 6], [3, 7], [4, 8]])
+        inboxes = route_batches(mach, batches, [b.col("x") % 4 for b in batches])
+        got = _values(inboxes)
+        assert got[1] == [1, 5]
+        assert got[0] == [4, 8]
 
     def test_route_out_of_range_rejected(self, mach):
+        batches = _batches([[1], [], [], []])
         with pytest.raises(ProtocolError):
-            route(mach, [[1], [], [], []], dest_fn=lambda _r, x: 99)
+            route_batches(mach, batches, [np.array([99])] + [np.array([], dtype=np.int64)] * 3)
 
     def test_route_balanced_even_split(self, mach):
-        data = [[*range(10)], [], [], []]
-        out = route_balanced(mach, data)
+        batches = _batches([[*range(10)], [], [], []])
+        out = _values(route_balanced_cols(mach, batches, "rebalance", batches[0]))
         sizes = [len(b) for b in out]
         assert sum(sizes) == 10
         assert max(sizes) <= 3  # ceil(10/4)
@@ -90,108 +68,6 @@ class TestRoute:
         assert flat == list(range(10))  # order preserved
 
     def test_route_balanced_empty(self, mach):
-        assert route_balanced(mach, [[], [], [], []]) == [[], [], [], []]
-
-    def test_global_positions(self, mach):
-        pos, total = global_positions(mach, [[0, 0], [0], [], [0, 0, 0]])
-        assert total == 6
-        assert pos == [[0, 1], [2], [], [3, 4, 5]]
-
-
-class TestPartialSum:
-    def test_inclusive_prefix(self, mach):
-        ps = partial_sum(mach, [[1, 2], [3], [], [4]], op=lambda a, b: a + b, zero=0)
-        assert ps == [[1, 3], [6], [], [10]]
-
-    def test_non_numeric_monoid(self, mach):
-        ps = partial_sum(
-            mach, [["a"], ["b", "c"], [], ["d"]], op=lambda a, b: a + b, zero=""
-        )
-        assert ps == [["a"], ["ab", "abc"], [], ["abcd"]]
-
-    @given(st.lists(st.integers(min_value=-50, max_value=50), max_size=24))
-    @settings(max_examples=40, deadline=None)
-    def test_property_matches_sequential_prefix(self, xs: list[int]):
-        mach = Machine(4)
-        chunk = -(-max(1, len(xs)) // 4)
-        dist = [xs[i * chunk:(i + 1) * chunk] for i in range(4)]
-        got = partial_sum(mach, dist, op=lambda a, b: a + b, zero=0)
-        flat = [v for b in got for v in b]
-        expect = []
-        acc = 0
-        for x in xs:
-            acc += x
-            expect.append(acc)
-        assert flat == expect
-
-
-class TestSegmentedPartialSum:
-    def test_segments_within_one_proc(self, mach):
-        data = [[("a", 1), ("a", 2), ("b", 5)], [], [], []]
-        got = segmented_partial_sum(mach, data, op=lambda a, b: a + b, zero=0)
-        assert got[0] == [1, 3, 5]
-
-    def test_segment_spanning_procs(self, mach):
-        data = [[("a", 1)], [("a", 2)], [("a", 3), ("b", 1)], [("b", 2)]]
-        got = segmented_partial_sum(mach, data, op=lambda a, b: a + b, zero=0)
-        assert got == [[1], [3], [6, 1], [3]]
-
-    def test_segment_spanning_whole_middle_proc(self, mach):
-        data = [[("a", 1)], [("a", 10), ("a", 10)], [("a", 1)], []]
-        got = segmented_partial_sum(mach, data, op=lambda a, b: a + b, zero=0)
-        assert got == [[1], [11, 21], [22], []]
-
-    def test_empty_middle_proc(self, mach):
-        data = [[("a", 1)], [], [("a", 2)], []]
-        got = segmented_partial_sum(mach, data, op=lambda a, b: a + b, zero=0)
-        assert got == [[1], [], [3], []]
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(min_value=0, max_value=3), st.integers(-9, 9)),
-            max_size=30,
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_property_matches_sequential(self, pairs):
-        # make segment ids globally contiguous by sorting
-        pairs = sorted(pairs, key=lambda t: t[0])
-        mach = Machine(4)
-        chunk = -(-max(1, len(pairs)) // 4)
-        dist = [pairs[i * chunk:(i + 1) * chunk] for i in range(4)]
-        got = segmented_partial_sum(mach, dist, op=lambda a, b: a + b, zero=0)
-        flat = [v for b in got for v in b]
-        expect = []
-        acc = 0
-        prev = None
-        for seg, v in pairs:
-            acc = v if seg != prev else acc + v
-            prev = seg
-            expect.append(acc)
-        assert flat == expect
-
-
-class TestSegmentedBroadcast:
-    def test_fill_forward(self, mach):
-        data = [
-            [(True, "x"), (False, None)],
-            [(False, None)],
-            [(True, "y")],
-            [(False, None), (False, None)],
-        ]
-        got = segmented_broadcast(mach, data)
-        assert got == [["x", "x"], ["x"], ["y"], ["y", "y"]]
-
-    def test_items_before_first_head_get_none(self, mach):
-        data = [[(False, None)], [(True, "h")], [], [(False, None)]]
-        got = segmented_broadcast(mach, data)
-        assert got == [[None], ["h"], [], ["h"]]
-
-
-class TestSegmentedGather:
-    def test_collects_at_owner(self, mach):
-        data = [[("s1", 1)], [("s2", 2)], [("s1", 3)], [("s2", 4)]]
-        got = segmented_gather(mach, data, head_owner=lambda seg: 0 if seg == "s1" else 3)
-        assert got[0] == {"s1": [1, 3]}
-        assert got[3] == {"s2": [2, 4]}
-        assert got[1] == {} and got[2] == {}
+        batches = _batches([[], [], [], []])
+        out = route_balanced_cols(mach, batches, "rebalance", batches[0])
+        assert _values(out) == [[], [], [], []]

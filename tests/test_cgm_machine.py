@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cgm import CostModel, Machine, SerialBackend, ThreadBackend, make_backend
+from repro.cgm import CostModel, Machine, SerialBackend, make_backend
 from repro.errors import CapacityExceeded, MachineError, ProtocolError
 
 import tests.helpers  # noqa: F401  (registers the test.* phases)
@@ -20,14 +20,14 @@ class TestConstruction:
 
     def test_backend_factory(self):
         assert make_backend("serial").name == "serial"
-        assert make_backend("thread").name == "thread"
+        assert make_backend("process").name == "process"
         b = SerialBackend()
         assert make_backend(b) is b
         with pytest.raises(ValueError):
             make_backend("mpi")
 
     def test_context_manager(self):
-        with Machine(2, backend="thread") as mach:
+        with Machine(2, backend="process") as mach:
             assert mach.p == 2
 
 
@@ -173,7 +173,7 @@ class TestMetrics:
 
 
 class TestBackendEquivalence:
-    def test_thread_equals_serial(self):
+    def test_process_equals_serial(self):
         def run(backend):
             mach = Machine(4, backend=backend)
             r1 = mach.run_phase("a", "test.echo")
@@ -184,4 +184,4 @@ class TestBackendEquivalence:
             mach.close()
             return r1, r2, [s.ops for s in mach.metrics.steps]
 
-        assert run("serial") == run("thread")
+        assert run("serial") == run("process")

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cgm import Machine, partial_sum, route, route_balanced, sample_sort
+from repro.cgm import Machine, RecordBatch, sample_sort_cols
+from repro.cgm.collectives import route_batches
+from repro.cgm.sort import route_balanced_cols
 
 P = 4
 
@@ -81,48 +84,42 @@ class TestExchangeInvariants:
         assert sum(step.sent) == sum(step.received) == len(msgs)
 
 
+def _distribute(cols: dict[str, list]) -> list[RecordBatch]:
+    """Chunk equal-length columns over ``P`` ranks, ``ceil(N/P)`` rows each."""
+    n = len(next(iter(cols.values())))
+    chunk = -(-max(1, n) // P)
+    arrays = {k: np.asarray(v, dtype=np.int64) for k, v in cols.items()}
+    return [
+        RecordBatch("t.prop", {k: a[i * chunk:(i + 1) * chunk] for k, a in arrays.items()})
+        for i in range(P)
+    ]
+
+
 class TestHigherPrimitiveInvariants:
     @given(st.lists(st.integers(-100, 100), max_size=40))
     @settings(max_examples=40, deadline=None)
     def test_route_then_collect_is_permutation(self, xs):
         mach = Machine(P)
-        chunk = -(-max(1, len(xs)) // P)
-        dist = [xs[i * chunk:(i + 1) * chunk] for i in range(P)]
-        inboxes = route(mach, dist, dest_fn=lambda _r, x: abs(x) % P)
-        assert Counter(x for b in inboxes for x in b) == Counter(xs)
+        dist = _distribute({"x": xs})
+        dests = [np.abs(b.col("x")) % P for b in dist]
+        inboxes = route_batches(mach, dist, dests, template=dist[0])
+        assert Counter(x for b in inboxes for x in b.col("x").tolist()) == Counter(xs)
 
     @given(st.lists(st.integers(-100, 100), max_size=40))
     @settings(max_examples=40, deadline=None)
     def test_route_balanced_is_order_preserving_permutation(self, xs):
         mach = Machine(P)
-        chunk = -(-max(1, len(xs)) // P)
-        dist = [xs[i * chunk:(i + 1) * chunk] for i in range(P)]
-        out = route_balanced(mach, dist)
-        assert [x for b in out for x in b] == xs
-
-    @given(st.lists(st.text(max_size=3), max_size=24))
-    @settings(max_examples=40, deadline=None)
-    def test_partial_sum_monoid_generic(self, xs):
-        """partial_sum works for any monoid — here, string concatenation."""
-        mach = Machine(P)
-        chunk = -(-max(1, len(xs)) // P)
-        dist = [xs[i * chunk:(i + 1) * chunk] for i in range(P)]
-        got = partial_sum(mach, dist, op=lambda a, b: a + b, zero="")
-        flat = [v for b in got for v in b]
-        acc = ""
-        expect = []
-        for x in xs:
-            acc += x
-            expect.append(acc)
-        assert flat == expect
+        dist = _distribute({"x": xs})
+        out = route_balanced_cols(mach, dist, "rebalance", dist[0])
+        assert [x for b in out for x in b.col("x").tolist()] == xs
+        assert max(len(b) for b in out) <= -(-len(xs) // P)
 
     @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 5)), max_size=40))
     @settings(max_examples=40, deadline=None)
     def test_sort_is_permutation_and_ordered(self, pairs):
         mach = Machine(P)
-        chunk = -(-max(1, len(pairs)) // P)
-        dist = [pairs[i * chunk:(i + 1) * chunk] for i in range(P)]
-        out = sample_sort(mach, dist, key=lambda t: t[0])
-        flat = [x for b in out for x in b]
+        dist = _distribute({"k": [k for k, _ in pairs], "v": [v for _, v in pairs]})
+        out = sample_sort_cols(mach, dist, ("k",))
+        flat = [(row.k, row.v) for b in out for row in b]
         assert Counter(flat) == Counter(pairs)
-        assert [t[0] for t in flat] == sorted(t[0] for t in pairs)
+        assert [k for k, _ in flat] == sorted(k for k, _ in pairs)

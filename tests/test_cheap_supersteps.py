@@ -193,7 +193,7 @@ PARENT_REPLICATION = {
 }
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 @pytest.mark.parametrize("p, strategy", sorted(PARENT_REPLICATION))
 def test_replication_rounds_charge_the_parents_numbers(backend, p, strategy):
     pts = make_points("uniform", 256, 2, seed=42)

@@ -116,9 +116,19 @@ class TestQueryCommand:
         rc = main(["query", "--points", "clustered", "--n", "64", "--m", "8", "--p", "2"])
         assert rc == 0
 
-    def test_thread_backend(self, capsys):
-        rc = main(["query", "--n", "64", "--m", "8", "--p", "2", "--backend", "thread"])
+    def test_process_backend(self, capsys):
+        rc = main(["query", "--n", "64", "--m", "8", "--p", "2", "--backend", "process"])
         assert rc == 0
+
+    def test_thread_backend(self, capsys):
+        """There is no thread backend: ``--backend`` offers exactly the
+        backends that exist."""
+        with pytest.raises(SystemExit) as ei:
+            main(["query", "--n", "64", "--backend", "thread"])
+        assert ei.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        assert all(name in err for name in ("thread", "process", "serial"))
 
     def test_mixed_mode_with_verify(self, capsys):
         rc = main(
@@ -198,10 +208,10 @@ class TestQueryCommand:
         assert "oracle verification: OK" in out
         assert "DISAGREES" not in out
 
-    def test_stream_d3_thread_backend(self, capsys):
+    def test_stream_d3_process_backend(self, capsys):
         rc = main(
             ["stream", "--n-ops", "50", "--d", "3", "--p", "2",
-             "--backend", "thread", "--flush-threshold", "8"]
+             "--backend", "process", "--flush-threshold", "8"]
         )
         assert rc == 0
         assert "oracle verification: OK" in capsys.readouterr().out

@@ -8,9 +8,9 @@ Three contracts hold it together:
    ship, at d = 1..3, with padding sentinels, negative pids, and
    per-query semigroup values in the columns — and routing a batch
    preserves its rows per destination.
-2. **Sort/balance equivalence** — the batch sample sort and weighted
-   balance produce exactly the outputs of the record-list reference
-   primitives (same total order, same rounds, same h-relations).
+2. **Sort oracle** — the batch sample sort produces exactly Python's
+   ``sorted`` over ``(key, source rank, source index)``, balanced
+   ``ceil(N/p)`` rows per rank, in four labelled rounds.
 3. **End-to-end parity** — a full build + mixed-mode batch answers
    exactly what the sequential range tree and brute force answer.
 """
@@ -18,7 +18,6 @@ Three contracts hold it together:
 from __future__ import annotations
 
 import json
-import operator
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.cgm import Machine
 from repro.cgm.columns import RecordBatch, encode_keys, obj_col
-from repro.cgm.sort import sample_sort, sample_sort_cols
+from repro.cgm.sort import sample_sort_cols
 from repro.dist import DistributedRangeTree
 from repro.dist.records import KIND_EXPAND, KIND_SUBQUERY, flatten_path
 from repro.query import QueryBatch, aggregate, count, report
@@ -255,28 +254,32 @@ class TestColumnarSortEquivalence:
         values=st.lists(st.integers(0, 200), max_size=60),
         p=st.sampled_from([1, 2, 4]),
     )
-    def test_matches_object_sample_sort(self, values, p):
+    def test_matches_sorted_oracle(self, values, p):
         records = [(KIND_SUBQUERY, v, (i,), (i,), 7, 0) for i, v in enumerate(values)]
         chunk = -(-max(1, len(records)) // p)
         locals_ = [records[r * chunk : (r + 1) * chunk] for r in range(p)]
+        oracle = [
+            rec
+            for _key, _r, _i, rec in sorted(
+                (rec[1], r, i, rec)
+                for r, box in enumerate(locals_)
+                for i, rec in enumerate(box)
+            )
+        ]
 
-        m1 = Machine(p)
-        obj = sample_sort(m1, locals_, key=operator.itemgetter(1))
-
-        m2 = Machine(p)
+        mach = Machine(p)
         batches = [
             pack("dist.search.routing", ROUTING, box, {"los": 1, "his": 1})
             for box in locals_
         ]
-        cols = sample_sort_cols(m2, batches, keyspec=("qid",))
+        cols = sample_sort_cols(mach, batches, keyspec=("qid",))
 
-        assert [list(b) for b in cols] == obj
-        t1 = [(s.kind, s.label, s.sent, s.received) for s in m1.metrics.steps]
-        t2 = [(s.kind, s.label, s.sent, s.received) for s in m2.metrics.steps]
-        assert [t[1] for t in t1] == [t[1] for t in t2]  # same round labels
-        assert [t[2:] for t in t1 if t[0] == "comm"] == [
-            t[2:] for t in t2 if t[0] == "comm"
-        ]  # same h-relations
+        assert [list(b) for b in cols] == [
+            oracle[r * chunk : (r + 1) * chunk] for r in range(p)
+        ]
+        assert [s.label for s in mach.metrics.comm_steps()] == [
+            "sort:samples", "sort:route", "sort:balance-count", "sort:balance"
+        ]
 
 
 class TestPlaneParity:

@@ -31,7 +31,7 @@ from repro.workloads import make_points, uniform_points
 
 from tests.helpers import random_boxes, reference_tree
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 def _rank_boxes(rng, nq: int, d: int, n: int) -> list:

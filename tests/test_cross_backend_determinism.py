@@ -1,4 +1,4 @@
-"""Cross-backend determinism: serial / thread / process are bit-identical.
+"""Cross-backend determinism: serial and process are bit-identical.
 
 The SPMD contract (DESIGN decision 6, extended by the process backend):
 for the same build and batch, every backend must produce the *same*
@@ -30,7 +30,7 @@ from tests.helpers import (
     unkernelized,
 )
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 def _mixed_batch(boxes) -> QueryBatch:

@@ -24,9 +24,9 @@ def _run(backend: str, replication: str = "doubling"):
 
 
 class TestBackendEquivalence:
-    def test_serial_and_thread_identical(self):
+    def test_serial_and_process_identical(self):
         a = _run("serial")
-        b = _run("thread")
+        b = _run("process")
         assert a[0] == b[0], "counts differ between backends"
         assert a[1] == b[1], "reports differ between backends"
         assert a[3] == b[3], "forest layout differs between backends"
@@ -34,7 +34,7 @@ class TestBackendEquivalence:
     def test_metric_traces_identical(self):
         """Same superstep labels, ops, and h-relations on both backends."""
         a = _run("serial")
-        b = _run("thread")
+        b = _run("process")
         assert a[2] == b[2]
 
 

@@ -45,7 +45,7 @@ from tests.helpers import (
     unkernelized,
 )
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 #: the stream aggregate held as typed kernel columns, and behind fresh
 #: callables so it rides object columns + ``combine``
 VALUE_GROUPS = {"kernel": STREAM_GROUP, "object": unkernelized(STREAM_GROUP)}

@@ -122,15 +122,16 @@ class TestProcessExecution:
 
 class TestProcessPipeline:
     def test_sample_sort_on_process_backend(self, pmach):
-        import operator
+        import numpy as np
 
-        from repro.cgm.sort import sample_sort, sorted_and_balanced
+        from repro.cgm.columns import RecordBatch
+        from repro.cgm.sort import sample_sort_cols, sorted_and_balanced
 
         data = [[9, 1, 5], [8, 2], [7, 3, 0], [6]]
-        out = sample_sort(pmach, [[(x,) for x in box] for box in data], key=operator.itemgetter(0))
-        flat = [t[0] for box in out for t in box]
-        assert flat == sorted(x for box in data for x in box)
-        assert sorted_and_balanced(pmach, out, key=operator.itemgetter(0))
+        batches = [RecordBatch("t.x", {"x": np.asarray(box, dtype=np.int64)}) for box in data]
+        out = [b.col("x").tolist() for b in sample_sort_cols(pmach, batches, ("x",))]
+        assert [x for box in out for x in box] == sorted(x for box in data for x in box)
+        assert sorted_and_balanced(pmach, out, key=lambda x: x)
 
     def test_tree_lifecycle_on_process_backend(self):
         from repro.dist import DistributedRangeTree, validate_tree
