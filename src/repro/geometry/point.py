@@ -10,6 +10,7 @@ the input to rank-space normalisation (:mod:`repro.geometry.rankspace`).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from ..errors import DimensionMismatch, EmptyPointSet, GeometryError
 
-__all__ = ["Point", "PointSet", "checked_coords"]
+__all__ = ["Point", "PointSet", "checked_coords", "checked_pid"]
 
 
 def checked_coords(coords: Sequence[float], dim: int) -> tuple[float, ...]:
@@ -30,6 +31,19 @@ def checked_coords(coords: Sequence[float], dim: int) -> tuple[float, ...]:
     out = tuple(float(c) for c in coords)
     if not all(math.isfinite(c) for c in out):
         raise GeometryError("coordinates must be finite")
+    return out
+
+
+def checked_pid(pid) -> int:
+    """One point id as a non-negative ``int``, or :class:`GeometryError` —
+    the id check :class:`PointSet` runs on a whole set (negative ids name
+    the padding sentinels), run before any state changes."""
+    try:
+        out = operator.index(pid)
+    except TypeError:
+        raise GeometryError(f"point ids must be integers, got {pid!r}") from None
+    if out < 0:
+        raise GeometryError(f"point ids must be >= 0, got {out}")
     return out
 
 

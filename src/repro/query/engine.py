@@ -234,10 +234,7 @@ class QueryEngine:
 
         ``batch`` may be a :class:`QueryBatch`, a sequence of
         :class:`Query` descriptors, or a single :class:`Query`.
-        Equivalent to ``execute(plan(batch))`` — callers that want to
-        overlap planning with a previous batch's execution (the serve
-        layer's collector/executor pipeline) call the two halves
-        separately.
+        Equivalent to ``execute(plan(batch))``.
         """
         return self.execute(self.plan(QueryBatch.coerce(batch, replication)))
 
@@ -248,8 +245,8 @@ class QueryEngine:
         over; if another batch's lazy refit has since swapped the tree's
         annotation (``annotation_token`` no longer matches), the batch
         is transparently re-planned first — cheap, driver-side, no
-        communication — so pipelined planning can never fold against a
-        stale annotation layout.  Every tree whose annotation is not the
+        communication — so a plan made before another pass can never
+        fold against a stale annotation layout.  Every tree whose annotation is not the
         plan's is refit to it before the pass; the trees are its parts.
         """
         tree = self.tree

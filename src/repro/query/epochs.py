@@ -4,11 +4,12 @@ Range search is *decomposable* (Bentley, the paper's reference [4]): the
 answer over a union of disjoint structures is a fold of the per-structure
 answers.  The dynamized distributed tree (:mod:`repro.dist.dynamic`)
 keeps the point set as power-of-two bucket forests — static "epochs" —
-plus a rank-resident update buffer, so every user query becomes an
+plus a small driver-side update buffer, so every user query becomes an
 *epoch sub-query* that (a) the buckets answer together, as the parts of
 one Search pass whose demux folds every bucket's pieces under the query
-id — the cross-epoch fold *is* the pass's fold — and (b) a buffer scan
-answers.  What is left, the correction, is implemented here.
+id — the cross-epoch fold *is* the pass's fold — and (b) a match
+against the buffer answers.  What is left, the correction, is
+implemented here.
 
 It is not uniform across output modes, because only the *raw* answers
 decompose — post-processing does not:
@@ -110,7 +111,8 @@ class EpochCombiner:
         (``None``: no bucket was searched — nothing matched there);
         ``buffered_ids[qid]`` are matching ids still in the update
         buffer (always live); ``dead_ids[qid]`` are matching tombstoned
-        ids (present in some bucket but deleted).
+        ids (present in some bucket but deleted).  Both lists ascend, and
+        aggregates fold them in that order.
         """
         return [
             self._finalize_one(

@@ -24,7 +24,7 @@ from typing import Any, Iterable, Sequence
 
 from ..errors import GeometryError, ReproError
 from ..geometry.box import Box
-from ..geometry.point import PointSet, checked_coords
+from ..geometry.point import PointSet, checked_coords, checked_pid
 from ..semigroup import COUNT, Semigroup
 from ..semigroup.group import AbelianGroup
 from .range_tree import SequentialRangeTree
@@ -43,10 +43,9 @@ class DynamicRangeTree:
         #: bucket k holds a static tree over exactly 2^k live-or-dead points
         self._buckets: dict[int, tuple[SequentialRangeTree, list[tuple[int, tuple[float, ...]]]]] = {}
         self._tombstones: set[int] = set()
-        self._ids: set[int] = set()
+        #: every live point, by id
         self._coords_by_id: dict[int, tuple[float, ...]] = {}
         self._next_auto_id = 0
-        self._live = 0
         self._rebuild_points = 0  # amortisation accounting (for tests/benches)
 
     # ------------------------------------------------------------------
@@ -55,26 +54,17 @@ class DynamicRangeTree:
     def insert(self, coords: Sequence[float], pid: int | None = None) -> int:
         """Insert one point; returns its id (auto-assigned if omitted)."""
         coords_t = checked_coords(coords, self.dim)
-        if pid is None:
-            pid = self._next_auto_id
-        if pid in self._ids:
+        pid = self._next_auto_id if pid is None else checked_pid(pid)
+        if pid in self._coords_by_id:
             raise ReproError(f"point id {pid} already present")
         if pid in self._tombstones:
             # a dead copy of this id still sits in a bucket; a plain
             # re-insert would be hidden by its own tombstone — purge first
             self._compact()
-        self._ids.add(pid)
+        self._buckets, rebuilt = self._merged(self._buckets, pid, coords_t)
+        self._rebuild_points += rebuilt
         self._coords_by_id[pid] = coords_t
         self._next_auto_id = max(self._next_auto_id, pid + 1)
-        carry: list[tuple[int, tuple[float, ...]]] = [(pid, coords_t)]
-        k = 0
-        while k in self._buckets:
-            _tree, recs = self._buckets.pop(k)
-            carry.extend(recs)
-            k += 1
-        self._buckets[k] = (self._build(carry), carry)
-        self._rebuild_points += len(carry)
-        self._live += 1
         return pid
 
     def insert_many(self, coords_list: Iterable[Sequence[float]]) -> list[int]:
@@ -82,12 +72,10 @@ class DynamicRangeTree:
 
     def delete(self, pid: int) -> None:
         """Tombstone-delete a point by id."""
-        if pid not in self._ids:
+        if pid not in self._coords_by_id:
             raise ReproError(f"point id {pid} not present")
-        self._ids.remove(pid)
-        self._coords_by_id.pop(pid, None)
+        del self._coords_by_id[pid]
         self._tombstones.add(pid)
-        self._live -= 1
         # rebuild from scratch once half the structure is dead (keeps
         # queries O(log^d n) in the number of *live* points, amortised)
         if self._tombstones and len(self._tombstones) * 2 >= self._total_records():
@@ -95,18 +83,32 @@ class DynamicRangeTree:
 
     def _compact(self) -> None:
         live = [(q, c) for q, c in self._iter_records() if q not in self._tombstones]
-        self._buckets.clear()
-        self._tombstones.clear()
+        buckets: dict = {}
+        total = 0
         for q, c in live:
             # re-insert without the duplicate check (ids are known distinct)
-            carry = [(q, c)]
-            k = 0
-            while k in self._buckets:
-                _t, recs = self._buckets.pop(k)
-                carry.extend(recs)
-                k += 1
-            self._buckets[k] = (self._build(carry), carry)
-            self._rebuild_points += len(carry)
+            buckets, rebuilt = self._merged(buckets, q, c)
+            total += rebuilt
+        self._buckets = buckets
+        self._tombstones.clear()
+        self._rebuild_points += total
+
+    def _merged(
+        self, buckets: dict, pid: int, coords: tuple[float, ...]
+    ) -> tuple[dict, int]:
+        """``buckets`` with one point carried in — the full buckets of
+        levels ``0, 1, ..`` merge with it into one rebuilt bucket — and
+        the number of points rebuilt.  A new dict, built before anything
+        is dropped: a build that raises leaves ``buckets`` as it was."""
+        carry: list[tuple[int, tuple[float, ...]]] = [(pid, coords)]
+        k = 0
+        while k in buckets:
+            carry.extend(buckets[k][1])
+            k += 1
+        tree = self._build(carry)
+        merged = {j: b for j, b in buckets.items() if j > k}
+        merged[k] = (tree, carry)
+        return merged, len(carry)
 
     # ------------------------------------------------------------------
     # queries (decomposable: fold over buckets)
@@ -220,7 +222,7 @@ class DynamicRangeTree:
     # introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return self._live
+        return len(self._coords_by_id)
 
     @property
     def bucket_sizes(self) -> list[int]:

@@ -11,8 +11,8 @@ query layer (:mod:`repro.query`) already makes a heterogeneous
   ``await``-able in-process API (:meth:`QueryService.submit`) or over
   TCP; a **collector** task coalesces them under the adaptive flush
   policy ("flush at ``max_wait_ms`` or ``max_batch`` queries, whichever
-  first"), runs admission + engine planning for batch K+1 while batch K
-  executes (a two-stage collector → executor pipeline), and the
+  first"), admits batch K+1 while batch K runs through ``tree.run``
+  (a two-stage collector → executor pipeline), and the
   **executor** demultiplexes the :class:`~repro.query.ResultSet` back
   to each client future, tagging every response with queue/exec
   latency.

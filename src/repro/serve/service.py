@@ -14,17 +14,16 @@ service answers them through shared engine passes:
   :class:`FlushPolicy`: a window flushes when it holds ``max_batch``
   queries or when its *first* query has waited ``max_wait_ms``,
   whichever comes first.  At flush time the collector runs stage-1
-  admission — drop already-cancelled futures, assemble the
-  :class:`~repro.query.QueryBatch`, compute the engine
-  :class:`~repro.query.engine.QueryPlan` when the tree has an engine —
-  and hands the planned batch to the executor queue.
-* The **executor** task pops planned batches and runs them on a
-  single worker thread (``run_in_executor``), so the event loop — and
-  with it the collector assembling batch K+1 — stays live while batch
-  K's search pass folds.  The executor queue holds at most one planned
-  batch: exactly two batches are ever in flight (one planning/queued,
-  one executing), which is the two-stage pipeline and its backpressure
-  in one mechanism.
+  admission — drop already-cancelled futures and expired queries,
+  assemble the :class:`~repro.query.QueryBatch` — and hands the batch
+  to the executor queue.
+* The **executor** task pops admitted batches and runs each through
+  ``tree.run`` on a single worker thread (``run_in_executor``), so the
+  event loop — and with it the collector assembling batch K+1 — stays
+  live while batch K's search pass folds.  The executor queue holds at
+  most one admitted batch: exactly two batches are ever in flight (one
+  queued, one executing), which is the two-stage pipeline and its
+  backpressure in one mechanism.
 * Demultiplexing: each answer lands in its client's future as a
   :class:`ServeResponse` tagging queue latency (submit → execution
   start) and exec latency (the shared pass), plus the batch size and
@@ -44,16 +43,16 @@ Graceful degradation (the overload/fault story):
   The cap is always on — the default is a high backstop; tune it down
   to the service's real capacity for deliberate load shedding.
 * **Deadlines** — a query may carry ``deadline_ms``; if it expires
-  before its batch is planned it is answered with
-  :class:`~repro.errors.DeadlineExceeded` and never planned or
-  executed, and if it expires while its planned batch waits for the
-  worker thread the (late) answer is discarded in favor of the same
-  typed error.
-* **Poisoned-batch isolation** — an engine exception fails only the
-  batch that raised: the executor *bisects* the batch to isolate the
-  offending query, re-running the innocent halves (deterministic
-  engine ⇒ identical answers) and tagging the culprit with
-  :class:`~repro.errors.QueryFailed` (its service-assigned query id).
+  before its batch is admitted it is answered with
+  :class:`~repro.errors.DeadlineExceeded` and never executed, and if
+  it expires while its batch waits for the worker thread the (late)
+  answer is discarded in favor of the same typed error.
+* **Poisoned-batch isolation** — an exception in a pass, planning
+  included, fails only the batch that raised: the executor *bisects*
+  the batch to isolate the offending query, re-running the innocent
+  halves (deterministic engine ⇒ identical answers) and tagging the
+  culprit with :class:`~repro.errors.QueryFailed` (its service-assigned
+  query id).
   The daemon loop survives.
 """
 
@@ -64,7 +63,7 @@ import itertools
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, List
+from typing import Any, Deque, List
 
 from ..cgm.metrics import LatencyStats
 from ..errors import DeadlineExceeded, Overloaded, QueryFailed, ServeError
@@ -137,8 +136,7 @@ class ServeMetrics:
     turned out empty after cancellations, while ``batches`` counts only
     executed ones.  ``batch_log`` keeps one entry per executed batch,
     the last :data:`BATCH_LOG_LEN` of them (cause, size, flush/exec
-    timestamps on the loop clock) — the pipeline-overlap observable the
-    tests assert on.
+    timestamps on the loop clock).
     """
 
     def __init__(self) -> None:
@@ -225,15 +223,14 @@ class _Request:
         self.deadline_ms = deadline_ms
 
 
-class _PlannedBatch:
-    """Stage-1 output: an admitted batch, planned and ready to execute."""
+class _AdmittedBatch:
+    """Stage-1 output: an admitted batch, ready to execute."""
 
-    __slots__ = ("requests", "batch", "plan", "seq", "log")
+    __slots__ = ("requests", "batch", "seq", "log")
 
-    def __init__(self, requests, batch, plan, seq, log) -> None:
+    def __init__(self, requests, batch, seq, log) -> None:
         self.requests = requests
         self.batch = batch
-        self.plan = plan
         self.seq = seq
         self.log = log
 
@@ -291,7 +288,7 @@ class QueryService:
             raise ServeError("QueryService already started")
         self._loop = asyncio.get_running_loop()
         self._requests = asyncio.Queue()
-        # maxsize=1: at most one planned batch waits behind the one
+        # maxsize=1: at most one admitted batch waits behind the one
         # executing — the pipeline depth, and the collector backpressure.
         self._exec_queue = asyncio.Queue(maxsize=1)
         self._pool = ThreadPoolExecutor(
@@ -401,7 +398,7 @@ class QueryService:
         return await self.submit(query, deadline_ms=deadline_ms)
 
     # ------------------------------------------------------------------
-    # stage 1: the collector (coalescing + admission + planning)
+    # stage 1: the collector (coalescing + admission)
     # ------------------------------------------------------------------
     async def _collect(self) -> None:
         loop = self._loop
@@ -457,11 +454,11 @@ class QueryService:
         return True
 
     async def _flush(self, requests: List[_Request], cause: str) -> None:
-        """Admit one window: drop dead futures, plan, enqueue for exec."""
+        """Admit one window: drop dead futures, enqueue for exec."""
         self.metrics.flushes[cause] += 1
         live = [r for r in requests if not r.future.done()]
         self.metrics.cancelled += len(requests) - len(live)
-        # Deadline check happens before planning: an expired query is
+        # Deadline check happens at admission: an expired query is
         # answered with the typed error and never enters the batch.
         now = self._loop.time()
         live = [r for r in live if not self._expire(r, now)]
@@ -477,43 +474,28 @@ class QueryService:
             "t_exec_start": None,
             "t_exec_end": None,
         }
-        engine = getattr(self.tree, "engine", None)
-        try:
-            plan = engine.plan(batch) if engine is not None else None
-        except Exception as exc:
-            # per-query validation ran at submit, so this is a batch-level
-            # planning failure: fail these clients, keep the daemon alive
-            self.metrics.errors += len(live)
-            for req in live:
-                if not req.future.done():
-                    req.future.set_exception(
-                        ServeError(f"batch planning failed: {exc}")
-                    )
-            return
         self.metrics.record_batch(log)
-        await self._exec_queue.put(_PlannedBatch(live, batch, plan, seq, log))
+        await self._exec_queue.put(_AdmittedBatch(live, batch, seq, log))
 
     # ------------------------------------------------------------------
     # stage 2: the executor (one engine pass at a time) + demux
     # ------------------------------------------------------------------
-    def _one_pass(self, run: Callable, arg):
-        """One pass on the worker thread, its steps then dropped from the
-        machine's trace: the ``ResultSet`` carries its own copy, nothing
-        here reads the machine's, and a daemon's must not grow with
-        uptime."""
+    def _one_pass(self, batch: QueryBatch):
+        """``tree.run(batch)`` on the worker thread, its steps then dropped
+        from the machine's trace: the ``ResultSet`` carries its own copy,
+        nothing here reads the machine's, and a daemon's must not grow
+        with uptime."""
         try:
-            return run(arg)
+            return self.tree.run(batch)
         finally:
             self.tree.machine.metrics.reset()
 
-    def _run_batch(self, item: _PlannedBatch):
+    def _run_batch(self, item: _AdmittedBatch):
         """The worker-thread body: one shared engine pass for the batch."""
         from ..faults import maybe_inject
 
         maybe_inject("serve.execute")
-        if item.plan is not None:
-            return self._one_pass(self.tree.engine.execute, item.plan)
-        return self._one_pass(self.tree.run, item.batch)
+        return self._one_pass(item.batch)
 
     def _bisect_batch(self, requests: List[_Request]):
         """Worker-thread body: isolate poisoned queries in a failed batch.
@@ -525,9 +507,7 @@ class QueryService:
         Returns ``[(request, ("ok", value) | ("err", exc)), ...]``.
         """
         try:
-            rs = self._one_pass(
-                self.tree.run, QueryBatch([r.query for r in requests])
-            )
+            rs = self._one_pass(QueryBatch([r.query for r in requests]))
         except Exception as exc:
             if len(requests) == 1:
                 return [(requests[0], ("err", exc))]
@@ -573,7 +553,7 @@ class QueryService:
                     ServeResponse(value, queue_ms, exec_ms, size, item.seq)
                 )
 
-    async def _demux_failed_batch(self, item: _PlannedBatch, t_start) -> None:
+    async def _demux_failed_batch(self, item: _AdmittedBatch, t_start) -> None:
         """Answer a batch whose shared pass raised, via bisection."""
         loop = self._loop
         self.metrics.bisect_passes += 1

@@ -30,7 +30,7 @@ from repro.query import (
     sample_report,
     top_k,
 )
-from repro.semigroup import max_of_dim, min_of_dim, sum_of_dim
+from repro.semigroup import Semigroup, max_of_dim, min_of_dim, sum_of_dim
 from repro.semigroup.group import sum_group
 from repro.seq import DynamicRangeTree
 from repro.workloads import stream_counts, update_query_stream
@@ -123,6 +123,99 @@ class TestUpdates:
             assert ids == [6, 7, 8, 9]  # the rejected insert took no id
             assert dt.buffered_count < 4
             assert dt.run([count(unit_box(2))]).values() == [10]
+
+    @pytest.mark.parametrize("bad", [7.5, -1])
+    def test_bad_ids_rejected_before_any_state_changes(self, bad):
+        """A float id used to be accepted and become id 7 at the absorb:
+        two live points then shared id 7 and a count read 17 of 16."""
+        with DynamicDistributedRangeTree(1, p=4, flush_threshold=2) as dt:
+            for i in range(16):
+                dt.insert((dyadic(i),), pid=i)
+            dt.insert((0.5,), pid=20)  # one buffered point
+            before = (len(dt), dt.buffered_count, dt.bucket_sizes)
+            with pytest.raises(GeometryError, match="point ids"):
+                dt.insert((0.75,), pid=bad)
+            assert (len(dt), dt.buffered_count, dt.bucket_sizes) == before
+            dt.flush()
+            assert dt.run(count(unit_box(1))).value(0) == 17
+
+    def test_numpy_int_id_accepted(self):
+        with DynamicDistributedRangeTree(1, p=4, flush_threshold=2) as dt:
+            pid = dt.insert((0.5,), pid=np.int64(7))
+            assert pid == 7 and type(pid) is int
+            dt.insert((0.25,), pid=3)  # flushes both
+            assert dt.run(report(unit_box(1))).value(0) == [3, 7]
+            dt.delete(np.int64(7))
+            assert dt.run(count(unit_box(1))).value(0) == 1
+
+    def test_an_absorb_that_raises_loses_nothing(self):
+        """The merged bucket is built before the buckets it replaces are
+        dropped and the buffer is cleared — a failed flush used to leave
+        32 live points, no bucket and a count of 0."""
+        marked = 99
+        poisoned = [marked]
+
+        def lift(pid, coords):
+            if pid in poisoned:
+                raise ValueError("unliftable point")
+            return coords[0]
+
+        sg = Semigroup("marked_sum", lift, lambda a, b: a + b, 0.0)
+        with DynamicDistributedRangeTree.build(
+            [(dyadic(i),) for i in range(16)], p=4, semigroup=sg, flush_threshold=16
+        ) as dt:
+            for i in range(15):
+                dt.insert((dyadic(i) + 1 / 32,), pid=16 + i)
+            batch = [count(unit_box(1)), report(unit_box(1)), aggregate(unit_box(1))]
+            before = dt.run(batch).values()
+            with pytest.raises(ValueError, match="unliftable"):
+                dt.insert((1.0,), pid=marked)  # the 16th buffered insert flushes
+            assert dt.bucket_sizes == [16] and dt.buffered_count == 16 and len(dt) == 32
+            after = dt.run(batch[:2]).values()
+            assert after == [before[0] + 1, before[1] + [marked]]
+            assert dt.run(aggregate(Box([(0.0, 0.99)]))).value(0) == before[2]
+            with pytest.raises(ValueError, match="unliftable"):
+                dt.flush()  # the same absorb, the same failure, still no loss
+            assert dt.bucket_sizes == [16] and dt.buffered_count == 16
+            dt.delete(marked)
+            dt.flush()
+            assert dt.bucket_sizes == [31] and dt.buffered_count == 0
+            assert dt.run(batch).values() == before
+            # a compaction that raises keeps every bucket too: the 16th
+            # delete compacts, and the rebuild meets the now-unliftable id 30
+            poisoned.append(30)
+            for pid in range(15):
+                dt.delete(pid)
+            with pytest.raises(ValueError, match="unliftable"):
+                dt.delete(15)
+            assert dt.bucket_sizes == [31] and len(dt) == 15
+            assert dt.run(batch[:2]).values() == [15, list(range(16, 31))]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_an_update_is_not_a_superstep(self, backend, monkeypatch):
+        """Below the flush threshold an insert, and the delete of a
+        buffered point, touch no rank; ``run`` records the pass only."""
+        dispatches = []
+        real = Machine.run_phase
+
+        def counted(mach, *args, **kwargs):
+            dispatches.append(args)
+            return real(mach, *args, **kwargs)
+
+        with DynamicDistributedRangeTree.build(
+            [(dyadic(i), 0.5) for i in range(8)], p=4, backend=backend, flush_threshold=8
+        ) as dt:
+            monkeypatch.setattr(Machine, "run_phase", counted)
+            steps = len(dt.metrics.steps)
+            ids = [dt.insert((dyadic(i), 0.25)) for i in range(7)]
+            dt.delete(ids[3])
+            dt.insert((0.75, 0.75))
+            assert dt.buffered_count == 7
+            assert len(dt.metrics.steps) == steps and dispatches == []
+            rs = dt.run([count(unit_box(2)), report(unit_box(2))])
+            assert rs.values()[0] == 15
+            assert "dynamic" not in rs.metrics.phase_sequence()
+            assert len(dt.metrics.steps) == steps + len(rs.metrics.steps)
 
     def test_delete_unknown_and_double_delete_rejected(self):
         with DynamicDistributedRangeTree(1, p=4) as dt:
@@ -308,18 +401,14 @@ class TestSideScansAreClosed:
     def _per_point(dt, batch):
         buffered, dead = {}, {}
         for qid, q in enumerate(batch):
-            hits = sorted(
-                pid for pid, (c, _rank) in dt._buffer.items() if q.box.contains_point(c)
-            )
-            if hits:
-                buffered[qid] = hits
-            hits = [
-                int(pid)
-                for pid, c in zip(dt._dead_ids, dt._dead_xy)
-                if q.box.contains_point(c)
-            ]
-            if hits:
-                dead[qid] = hits
+            for side, out in ((dt._buffer, buffered), (dt._dead, dead)):
+                hits = sorted(
+                    pid
+                    for pid, c in zip(side.ids.tolist(), side.xy.tolist())
+                    if q.box.contains_point(c)
+                )
+                if hits:
+                    out[qid] = hits
         return buffered, dead
 
     @staticmethod
@@ -340,7 +429,11 @@ class TestSideScansAreClosed:
             [make(b) for b in boxes for make in (count, report, aggregate)]
         )
         assert dt._side_matches(batch) == self._per_point(dt, batch)
-        assert sorted(dt._tombstones) == dt._dead_ids.tolist()
+        # one row per id; the dead are not live, the buffered are
+        dead, buffered = dt._dead.ids.tolist(), dt._buffer.ids.tolist()
+        assert len(set(dead)) == len(dead) == len(dt._dead.xy)
+        assert len(set(buffered)) == len(buffered) == len(dt._buffer.xy)
+        assert not set(dead) & set(dt._coords_by_id) and set(buffered) <= set(live)
         want = []
         for b in boxes:
             inside = sorted(pid for pid, c in live.items() if b.contains_point(c))
@@ -362,7 +455,7 @@ class TestSideScansAreClosed:
             for k in range(5):
                 live[100 + k] = (dyadic(2 * k + 1), dyadic(k))
                 dt.insert(live[100 + k], pid=100 + k)
-            assert dt._dead_ids.tolist() == [2, 5, 11] and dt.buffered_count == 5
+            assert dt._dead.ids.tolist() == [11, 2, 5] and dt.buffered_count == 5
             boxes = [unit_box(2)]
             for pid in (2, 5, 11, 100, 103):
                 boxes += self._faces_through(grid.get(pid) or live[pid])
@@ -371,10 +464,10 @@ class TestSideScansAreClosed:
             # delete -> reinsert of one id: the compaction in between drops
             # every dead row, and the id comes back as a buffered point
             dt.delete(7)
-            assert dt._dead_ids.tolist() == [2, 5, 7, 11]
+            assert dt._dead.ids.tolist() == [11, 2, 5, 7]
             live[7] = (dyadic(15), dyadic(15))
             dt.insert(live[7], pid=7)
-            assert dt._dead_ids.tolist() == [] and dt._dead_xy.shape == (0, 2)
+            assert dt._dead.ids.tolist() == [] and dt._dead.xy.shape == (0, 2)
             dt.delete(3)
             del live[3]
             boxes = [unit_box(2)]
@@ -683,7 +776,7 @@ class TestOnePass:
             for c in coords[bulk + before :]:
                 dyn.insert(c)
             assert dyn.bucket_sizes == sizes
-            trees = {len(b.records): b.tree for b in dyn._buckets.values()}
+            trees = {len(b.tree.points): b.tree for b in dyn._buckets.values()}
             assert trees[fresh].semigroup.name != trees[sum(sizes) - fresh].semigroup.name
 
             refits = []

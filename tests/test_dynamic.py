@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GeometryError, ReproError
 from repro.geometry import Box, PointSet
-from repro.semigroup import max_of_dim, sum_group
+from repro.semigroup import Semigroup, max_of_dim, sum_group
 from repro.seq import DynamicRangeTree, bf_count, bf_report
 from repro.workloads import selectivity_queries
 
@@ -67,6 +68,56 @@ class TestInsert:
         assert (len(dt), dt.bucket_sizes, dt.report(box), dt.rebuild_points_total) == before
         assert dt.insert((0.75, 0.5)) == 3  # the rejected insert took no id
         assert dt.count(box) == 4
+
+    @pytest.mark.parametrize("bad", [7.5, -1])
+    def test_bad_ids_rejected_before_any_state_changes(self, bad):
+        dt = DynamicRangeTree(1)
+        for i in range(7):
+            dt.insert((i / 8,))
+        box = Box([(0.0, 1.0)])
+        before = (len(dt), dt.bucket_sizes, dt.report(box), dt.rebuild_points_total)
+        with pytest.raises(GeometryError, match="point ids"):
+            dt.insert((0.5,), pid=bad)
+        assert (len(dt), dt.bucket_sizes, dt.report(box), dt.rebuild_points_total) == before
+        assert dt.count(box) == 7
+
+    def test_numpy_int_id_accepted(self):
+        dt = DynamicRangeTree(1)
+        pid = dt.insert((0.5,), pid=np.int64(7))
+        assert pid == 7 and type(pid) is int
+        assert dt.report(Box([(0.0, 1.0)])) == [7]
+        dt.delete(np.int64(7))
+        assert len(dt) == 0
+
+    def test_a_merge_that_raises_loses_nothing(self):
+        """The merged bucket is built before the buckets it replaces are
+        dropped — a failed insert used to leave 7 live points, no bucket
+        and a count of 0."""
+        poisoned = []
+
+        def lift(pid, coords):
+            if pid in poisoned:
+                raise ValueError("unliftable point")
+            return coords[0]
+
+        dt = DynamicRangeTree(1, semigroup=Semigroup("marked_sum", lift, lambda a, b: a + b, 0.0))
+        for i in range(7):  # buckets 1, 2 and 4: the next insert merges all three
+            dt.insert((i / 8,))
+        box = Box([(0.0, 1.0)])
+        before = (len(dt), dt.bucket_sizes, dt.report(box), dt.count(box), dt.aggregate(box))
+        poisoned.append(99)
+        with pytest.raises(ValueError, match="unliftable"):
+            dt.insert((0.5,), pid=99)
+        assert (len(dt), dt.bucket_sizes, dt.report(box), dt.count(box), dt.aggregate(box)) == before
+        # a compaction that raises keeps every bucket too: the 4th delete
+        # compacts, and the rebuild meets the now-unliftable id 6
+        poisoned.append(6)
+        for pid in range(3):
+            dt.delete(pid)
+        with pytest.raises(ValueError, match="unliftable"):
+            dt.delete(3)
+        assert dt.bucket_sizes == [1, 2, 4] and len(dt) == 3
+        assert dt.report(box) == [4, 5, 6] and dt.count(box) == 3
 
     def test_amortised_rebuild_cost(self):
         """Total rebuilt points over n inserts is O(n log n)."""

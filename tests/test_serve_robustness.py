@@ -2,7 +2,7 @@
 
 The daemon's failure contract: overload answers ``Overloaded`` at
 submission (bounded backlog), expired queries answer
-``DeadlineExceeded`` and are never planned past their deadline, and a
+``DeadlineExceeded`` and are never executed past their deadline, and a
 poisoned batch fails only the offending query (``QueryFailed``) — the
 loop, and every innocent batch-mate, survives.  All of it crosses the
 wire as typed error objects the client rebuilds.
@@ -172,6 +172,40 @@ class TestPoisonedBatch:
         assert metrics.query_failures == 1
         assert metrics.bisect_passes == 1
         assert metrics.errors == 1
+
+    def test_a_batch_whose_planning_raises_is_bisected(self, tree, monkeypatch):
+        # planning runs inside the pass: a batch whose plan raises is a
+        # failing pass like any other, and only the culprit fails
+        from repro.query.engine import QueryEngine
+
+        marked = [(0.2, 0.3), (0.2, 0.3)]
+        real_plan = QueryEngine.plan
+
+        def plan(engine, batch):
+            if any(q.box == count(marked).box for q in batch):
+                raise RuntimeError("unplannable")
+            return real_plan(engine, batch)
+
+        monkeypatch.setattr(QueryEngine, "plan", plan)
+        direct = tree.run(QueryBatch([count(BOX)])).values()[0]
+
+        async def go():
+            async with QueryService(
+                tree, FlushPolicy(max_wait_ms=20.0, max_batch=64)
+            ) as svc:
+                good = [svc.submit(count(BOX)) for _ in range(3)]
+                bad = svc.submit(count(marked))
+                more = [svc.submit(count(BOX)) for _ in range(3)]
+                survivors = await asyncio.gather(*(good + more))
+                with pytest.raises(QueryFailed, match="unplannable") as exc:
+                    await bad
+                return survivors, exc.value, svc.metrics
+
+        survivors, failure, metrics = run(go())
+        assert [r.value for r in survivors] == [direct] * 6
+        assert failure.query_id == 3
+        assert metrics.bisect_passes == 1
+        assert metrics.errors == metrics.query_failures == 1
 
     def test_failed_refit_rolls_the_annotation_back(self, tree):
         # a poisoned per-query semigroup raises mid-refit; the engine
