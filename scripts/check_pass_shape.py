@@ -38,7 +38,8 @@ Builds n=512, p=8 and runs an empty, a one-query and a 64-query
 * the 64-query count/report/aggregate batch builds exactly 2 ``Fold``s,
   resolves typed-vs-``combine`` in one ``_fold_kernels`` call, sorts
   nothing (0 ``sample_sort_cols`` calls: partial values go home, pairs
-  are balanced) and calls ``fold_segments`` at most twice per rank and
+  are balanced; no more ``sorted`` calls than a 1-query pass: ids arrive
+  ascending) and calls ``fold_segments`` at most twice per rank and
   fold group (once over a rank's own pieces, once at home)
   (``fold_said_once_failures``);
 * typed or object is the semigroup's ``kernel`` field and nothing else:
@@ -415,22 +416,32 @@ def fold_said_once_failures(tree, boxes) -> list:
     """A mode names its semigroup, the plan groups the batch by it: folds
     are per distinct semigroup, the kernel choice is per group and made
     once, each group folds once per rank and once at home and nothing is
-    sorted."""
+    sorted — not the pairs, and not a reporting query's ids, which come
+    out of the driver's one key sort ascending (the 64-query pass calls
+    ``sorted`` no more often than a 1-query one)."""
     from repro.query import aggregate, count, engine, report
     from repro.semigroup import sum_of_dim
 
     failures = []
     makers = (count, report, lambda b: aggregate(b, sum_of_dim(0)))
     batch = [makers[i % 3](b) for i, b in enumerate(boxes)]
-    folds, calls = [], {}
-    real_fold = engine.Fold
+    folds, calls, sorts = [], {}, []
+    real_fold, real_sorted = engine.Fold, builtins.sorted
 
     def counted_fold(*args):
         folds.append(real_fold(*args))
         return folds[-1]
 
-    engine.Fold = counted_fold
+    def counted_sorted(*args, **kwargs):
+        sorts[-1] += 1
+        return real_sorted(*args, **kwargs)
+
+    builtins.sorted = counted_sorted
     try:
+        sorts.append(0)
+        tree.run(batch[:1])
+        sorts.append(0)
+        engine.Fold = counted_fold
         with counting(
             calls,
             (engine.QueryEngine, "_fold_kernels"),
@@ -438,7 +449,12 @@ def fold_said_once_failures(tree, boxes) -> list:
         ):
             tree.run(batch)
     finally:
-        engine.Fold = real_fold
+        engine.Fold, builtins.sorted = real_fold, real_sorted
+    if sorts[1] > sorts[0]:
+        failures.append(
+            f"the 64-query pass called sorted {sorts[1]} times, the 1-query pass {sorts[0]}: "
+            "a reporting query's ids arrive ascending, nothing sorts them per answer"
+        )
     got = [(f.semigroup.name, f.slot is None) for f in folds]
     if got != [("count", True), ("sum[x0]", False)]:
         failures.append(f"a 64-query c/r/a batch built Folds {got}, want leaf counts + sum[x0]")

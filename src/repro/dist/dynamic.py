@@ -56,7 +56,7 @@ from ..geometry.point import PointSet, checked_coords, checked_pid
 from ..query.descriptors import QueryBatch
 from ..query.engine import QueryEngine
 from ..query.epochs import EpochCombiner
-from ..query.result import QueryResult, ResultSet
+from ..query.result import ResultSet
 from ..semigroup import COUNT, Semigroup
 
 import numpy as np
@@ -367,13 +367,8 @@ class DynamicDistributedRangeTree:
         values = QueryEngine(*trees).run(sub).values() if trees else None
         buffered_ids, dead_ids = self._side_matches(sub)
         answers = combiner.finalize_all(values, buffered_ids, dead_ids)
-        results = [
-            QueryResult(qid=qid, mode=q.mode, query=q, value=v)
-            for qid, (q, v) in enumerate(zip(batch, answers))
-        ]
-        return ResultSet(
-            results, mach.metrics.since(snap), replication=batch.replication
-        )
+        metrics = mach.metrics.since(snap)
+        return ResultSet(batch.queries, answers, metrics, replication=batch.replication)
 
     def _side_matches(
         self, batch: QueryBatch

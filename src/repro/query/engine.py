@@ -21,7 +21,7 @@ engine turns a :class:`~repro.query.descriptors.QueryBatch` into:
    query's home rank, where the same fold completes the answer
    (Theorem 4); the ``(qid, pid)`` pairs of reporting queries are
    balanced to ``ceil(k/p)`` per rank by a count + prefix-sum round pair
-   (Theorem 5).  Nothing is sorted;
+   (Theorem 5).  No rank sorts; each query's ids come out ascending;
 5. a :class:`~repro.query.result.ResultSet` carrying the answers in
    batch order plus the pass's superstep trace.
 
@@ -59,7 +59,7 @@ from ..semigroup.kernels import (
 )
 from .descriptors import QueryBatch
 from .modes import OutputMode, get_mode
-from .result import QueryResult, ResultSet
+from .result import ResultSet
 
 __all__ = ["QueryEngine", "QueryPlan", "Fold", "plan_batch"]
 
@@ -163,26 +163,34 @@ class QueryEngine:
     # planning
     # ------------------------------------------------------------------
     def plan(self, batch: QueryBatch) -> QueryPlan:
-        """Resolve modes, fold groups and annotation needs for ``batch``."""
+        """Resolve modes (once per name), fold groups and annotation needs."""
         tree = self.tree
         base = tree.base_semigroup
         current = _annotation_components(tree.semigroup)
         current_names = [c.name for c in current]
 
+        dim = tree.dim
+        try:  # stack the boxes now: the serve pipeline plans off the executor
+            fits = not len(batch) or batch.bounds[0].shape[1] == dim
+        except DimensionMismatch:
+            fits = False
+        if not fits:
+            qid = next(i for i, q in enumerate(batch) if q.box.dim != dim)
+            raise DimensionMismatch(dim, batch[qid].box.dim, f"query {qid} box")
+
+        kinds = {name: get_mode(name) for name in dict.fromkeys(q.mode for q in batch)}
         modes: List[OutputMode] = []
-        group = np.full(len(batch), -1, dtype=np.int64)
+        gids: List[int] = []
         #: the batch's distinct folds in first-use order, keyed by semigroup
         #: name (``None``: leaf counts, which need no annotation)
         semigroups: List[Semigroup | None] = []
         gid_of: Dict[Any, int] = {}
-        dim = tree.dim
-        for qid, query in enumerate(batch):
-            if query.box.dim != dim:
-                raise DimensionMismatch(dim, query.box.dim, f"query {qid} box")
-            mode = get_mode(query.mode)
+        for query in batch:
+            mode = kinds[query.mode]
             mode.validate(query, dim)
             modes.append(mode)
             if mode.reports:
+                gids.append(-1)
                 continue
             sg = mode.required_semigroup(query, base)
             key = None if sg is None else sg.name
@@ -190,7 +198,8 @@ class QueryEngine:
             if g is None:
                 g = gid_of[key] = len(semigroups)
                 semigroups.append(sg)
-            group[qid] = g
+            gids.append(g)
+        group = np.array(gids, dtype=np.int64)
 
         missing = [
             sg for sg in semigroups
@@ -221,7 +230,6 @@ class QueryEngine:
             Fold(COUNT, None) if sg is None else Fold(sg, final_names.index(sg.name))
             for sg in semigroups
         ]
-        batch.bounds  # stack the boxes now: the serve pipeline plans off the executor
         return QueryPlan(
             batch, modes, group, folds, final, refit, annotation_token=tree.semigroup
         )
@@ -272,12 +280,8 @@ class QueryEngine:
         )
 
         answers = self._demux(plan, out)
-        results = [
-            QueryResult(qid=qid, mode=mode.name, query=query, value=v)
-            for qid, (mode, query, v) in enumerate(zip(plan.modes, batch, answers))
-        ]
         metrics = tree.machine.metrics.since(snap)
-        return ResultSet(results, metrics, replication=batch.replication)
+        return ResultSet(batch.queries, answers, metrics, replication=batch.replication)
 
     # ------------------------------------------------------------------
     # the shared demultiplexing fold
@@ -335,8 +339,8 @@ class QueryEngine:
           (:func:`~repro.cgm.sort.route_balanced_cols`, rounds
           ``query:demux:pairs-count`` and ``query:demux:pairs``): no rank
           ends with more than ``ceil(k/p)`` of the ``k`` pairs, and
-          nothing sorts them — the driver groups ids per query with one
-          int64 key sort when it assembles the answers.
+          nothing sorts them — the driver's one int64 key sort groups
+          each query's ids, ascending, when it assembles the answers.
         """
         mach = self.tree.machine
         p, group, folds = mach.p, plan.group, plan.folds
@@ -390,14 +394,22 @@ class QueryEngine:
         qid = np.concatenate([b.col("qid") for b in balanced])
         n = len(qid)
         if n:
-            # group ids per query with one int64 key sort: ``qid`` packed
-            # above the row position (ids are user-supplied int64, a row
-            # position always fits); ``finalize`` orders each answer
+            # one int64 key sort groups ids per query, each ascending:
+            # ``qid`` packed above the id's offset from the smallest id,
+            # or above its rank when the ids span too wide to fit
             pid = np.concatenate([b.col("pid") for b in balanced])
-            bits = n.bit_length()
-            key = (qid << bits) | np.arange(n)
+            low = int(pid.min())
+            bits = (int(pid.max()) - low).bit_length()
+            fits = bits + int(qid.max()).bit_length() <= 63
+            if fits:
+                offset = pid - low
+            else:
+                uniq, offset = np.unique(pid, return_inverse=True)
+                bits = (len(uniq) - 1).bit_length()
+            key = (qid << bits) | offset
             key.sort()
-            ids = pid[key & ((1 << bits) - 1)].tolist()
+            offset = key & ((1 << bits) - 1)
+            ids = (offset + low if fits else uniq[offset]).tolist()
             qid = key >> bits
             cuts = [0, *(np.nonzero(qid[1:] != qid[:-1])[0] + 1).tolist(), n]
             for q, lo, hi in zip(qid[cuts[:-1]].tolist(), cuts, cuts[1:]):

@@ -111,8 +111,8 @@ class EpochCombiner:
         (``None``: no bucket was searched — nothing matched there);
         ``buffered_ids[qid]`` are matching ids still in the update
         buffer (always live); ``dead_ids[qid]`` are matching tombstoned
-        ids (present in some bucket but deleted).  Both lists ascend, and
-        aggregates fold them in that order.
+        ids (present in some bucket but deleted).  Every id list ascends
+        — the buckets' too — and aggregates fold them in that order.
         """
         return [
             self._finalize_one(

@@ -15,10 +15,10 @@ counts) or the list of matching points (Theorem 5).  An
 * **report family** (report, sample): ``reports = True`` marks the query
   in the pass's report mask; Algorithm Search emits its ``(qid, pid)``
   pairs, which one count + balance round pair spreads ``ceil(k/p)`` per
-  processor (Theorem 5) — they are never sorted.
+  processor (Theorem 5) — no rank sorts them.
 
 Either way :meth:`OutputMode.finalize` maps the folded value (or the id
-list) to the user-visible answer.  New modes register with
+list, ascending) to the user-visible answer.  New modes register with
 :func:`register_mode` and plug in without touching ``search.py`` or the
 engine.
 """
@@ -69,7 +69,7 @@ class OutputMode:
     def finalize(self, value: Any, query: Query) -> Any:
         """The user-visible answer from the folded value — the semigroup's
         identity when nothing matched — or, for a reporting mode, from
-        the matching ids (in no particular order)."""
+        the list of matching ids, which arrives ascending."""
         return value
 
 
@@ -100,8 +100,8 @@ class ReportMode(OutputMode):
             raise ReproError(f"report limit must be >= 0, got {limit}")
 
     def finalize(self, value, query):
-        ids, limit = sorted(value), query.option("limit")
-        return ids if limit is None else ids[:limit]
+        limit = query.option("limit")
+        return value if limit is None else value[:limit]
 
 
 class TopKMode(AggregateMode):
@@ -140,12 +140,11 @@ class SampleReportMode(ReportMode):
             raise ReproError(f"sample needs option k >= 1, got {k!r}")
 
     def finalize(self, value, query):
-        ids = sorted(value)
         k = query.option("k")
-        if len(ids) <= k:
-            return ids
+        if len(value) <= k:
+            return value
         rng = random.Random(query.option("seed", 0))
-        return sorted(rng.sample(ids, k))
+        return sorted(rng.sample(value, k))
 
 
 _REGISTRY: Dict[str, OutputMode] = {}

@@ -1,8 +1,8 @@
 """Structured results: per-query answers plus the metrics that produced them.
 
 A :class:`ResultSet` is what :meth:`QueryEngine.run` (and the facade's
-``tree.run``) returns: one :class:`QueryResult` per query, in batch
-order, together with the superstep trace of the pass that answered them.
+``tree.run``) returns: a :class:`QueryResult` per query, in batch order,
+built when read, with the superstep trace of the pass that answered them.
 The shape is the stable public contract — downstream callers (CLI
 ``--json``, benchmarks, services) consume this rather than raw
 selection records, so the engine internals can keep evolving.
@@ -11,7 +11,7 @@ selection records, so the engine internals can keep evolving.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Sequence
+from typing import Any, List, Sequence
 
 from ..cgm.metrics import Metrics
 from .descriptors import Query
@@ -45,46 +45,49 @@ def _json_safe(value: Any) -> Any:
 class ResultSet(Sequence):
     """Answers to one batch, in query order, with pass-level metrics.
 
-    ``values()`` gives the bare answers; indexing gives
-    :class:`QueryResult` records; :attr:`metrics` is the superstep trace
+    ``values()`` gives the bare answers; indexing or iterating builds
+    :class:`QueryResult` records on access; :attr:`metrics` is the trace
     of *this pass only* (search + demultiplex + any lazy refit), so
     ``rs.rounds`` is the Theorem 3-5 observable for the batch.
     """
 
     def __init__(
         self,
-        results: Sequence[QueryResult],
+        queries: Sequence[Query],
+        answers: Sequence[Any],
         metrics: Metrics,
         replication: str = "doubling",
     ) -> None:
-        self._results = tuple(results)
+        self._queries = tuple(queries)
+        self._answers = tuple(answers)
         self.metrics = metrics
         self.replication = replication
 
     # -- sequence protocol over per-query results --------------------------
     def __len__(self) -> int:
-        return len(self._results)
-
-    def __iter__(self) -> Iterator[QueryResult]:
-        return iter(self._results)
+        return len(self._answers)
 
     def __getitem__(self, i):
-        return self._results[i]
+        if isinstance(i, slice):
+            return tuple(self[qid] for qid in range(len(self))[i])
+        qid = range(len(self))[i]
+        query = self._queries[qid]
+        return QueryResult(qid, query.mode, query, self._answers[qid])
 
     # -- answers -----------------------------------------------------------
     def values(self) -> List[Any]:
         """The bare answers, one per query, in batch order."""
-        return [r.value for r in self._results]
+        return list(self._answers)
 
     def value(self, i: int) -> Any:
-        return self._results[i].value
+        return self._answers[i]
 
     def by_mode(self, mode: str) -> List[QueryResult]:
         """The results of one output mode, still in batch order."""
-        return [r for r in self._results if r.mode == mode]
+        return [self[i] for i, q in enumerate(self._queries) if q.mode == mode]
 
     def modes(self) -> set:
-        return {r.mode for r in self._results}
+        return {q.mode for q in self._queries}
 
     # -- metrics observables -----------------------------------------------
     @property
@@ -119,7 +122,7 @@ class ResultSet(Sequence):
                     ],
                     "value": _json_safe(r.value),
                 }
-                for r in self._results
+                for r in self
             ],
             "replication": self.replication,
             "metrics": deterministic(self.metrics.summary()),

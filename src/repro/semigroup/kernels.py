@@ -21,9 +21,9 @@ reduction order is chosen per column kind (``col_ops``):
   exact, so ``np.add.reduceat`` (pairwise) is safe.
 * ``"fadd"`` — float addition (sum slots): numpy's pairwise summation
   does **not** match a sequential left fold of Python floats, so
-  segmented folds run a masked position-by-position left fold instead —
-  ``O(max segment length)`` vectorized steps, each combining one element
-  into every open segment's accumulator in left-to-right order.  The
+  segmented folds run a position-by-position left fold instead —
+  ``O(max segment length)`` slice adds over the segments longest first,
+  each combining one element into every open segment's accumulator.  The
   contract is per call: the query demux folds a query's pieces rank by
   rank and then the partial sums at the query's home rank, so a float
   sum is associated per-rank-then-home — the same on every backend,
@@ -366,7 +366,7 @@ def fold_segments(
 
     The segmented reduction at the heart of the engine: ``reduceat``
     over interleaved ``(start, end)`` boundaries for the associativity-
-    exact columns, a masked sequential left fold for float-add columns
+    exact columns, a sequential left fold for float-add columns
     (see the module docstring's bit-identity rules: each segment is
     bit-identical to a left fold of its rows; folding a query in two
     calls — per rank, then at home — reassociates).  Only the first
@@ -410,13 +410,15 @@ def fold_segments(
         out[np.ix_(ne_idx, cols)] = red
 
     if fadd_cols:
+        # longest first: the m_i segments open at step i are a prefix
         sub = mat[:, fadd_cols]
-        lengths = e - s
-        acc = sub[s].copy()
-        for i in range(1, int(lengths.max())):
-            m_open = i < lengths
-            acc[m_open] += sub[s[m_open] + i]
-        out[np.ix_(ne_idx, fadd_cols)] = acc
+        order = np.argsort(s - e, kind="stable")
+        so, lengths = s[order], (e - s)[order]
+        acc = sub[so].copy()
+        steps = np.arange(1, int(lengths[0]))
+        for i, m_i in zip(steps.tolist(), np.searchsorted(-lengths, -steps).tolist()):
+            acc[:m_i] += sub[so[:m_i] + i]
+        out[np.ix_(ne_idx[order], fadd_cols)] = acc
     return out
 
 

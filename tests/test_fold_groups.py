@@ -19,15 +19,29 @@ from __future__ import annotations
 
 import random
 import sys
+from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cgm import Machine
-from repro.dist import DistributedRangeTree
+from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree
 from repro.geometry import Box, PointSet
-from repro.query import QueryBatch, aggregate, count, plan_batch, report, sample_report
+from repro.query import (
+    OutputMode,
+    Query,
+    QueryBatch,
+    aggregate,
+    count,
+    plan_batch,
+    register_mode,
+    registered_modes,
+    report,
+    sample_report,
+)
+from repro.query.modes import _REGISTRY, ReportMode
 from repro.semigroup import (
     COUNT,
     id_set,
@@ -224,7 +238,8 @@ def test_float_sum_has_the_same_bits_on_every_backend(p):
 
 def test_report_groups_user_ids_of_any_size():
     """Ids are user-supplied int64 and span the whole range: the driver's
-    packed sort key carries ``qid`` and a row position, never an id."""
+    packed sort key carries ``qid`` and an id's offset from the smallest,
+    or its rank among the pass's ids when the offsets do not fit."""
     ids = [0] + [2**62 + i for i in range(63)]
     pts = PointSet(make_points("uniform", 64, 2, seed=3).coords, ids=ids)
     boxes = [Box(((0.0, 1.0), (0.0, 1.0))), Box(((0.1, 0.6), (0.2, 0.9))), Box(((2.0, 3.0),) * 2)]
@@ -232,3 +247,92 @@ def test_report_groups_user_ids_of_any_size():
         rs = tree.run([report(b) for b in boxes] + [count(boxes[1])])
     assert rs.values() == [bf_report(pts, b) for b in boxes] + [bf_count(pts, boxes[1])]
     assert rs.value(0) == sorted(ids)
+
+
+class _AsReceived(OutputMode):
+    """A reporting mode whose answer is the id list the engine hands it."""
+
+    reports = True
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.received: list = []
+
+    def finalize(self, value, query):
+        self.received.append(value)
+        return value
+
+
+@contextmanager
+def _registered(mode):
+    """``mode`` in the registry for the block; whatever held its name after."""
+    prior = registered_modes().get(mode.name)
+    register_mode(mode, replace=True)
+    try:
+        yield mode
+    finally:
+        if prior is None:
+            _REGISTRY.pop(mode.name)
+        else:
+            register_mode(prior, replace=True)
+
+
+def _strictly_ascending(ids) -> bool:
+    return all(a < b for a, b in zip(ids, ids[1:]))
+
+
+@pytest.mark.parametrize("span", ["narrow", "wide"])
+def test_a_reporting_mode_receives_its_ids_ascending(span):
+    """``finalize`` gets each query's ids ascending straight out of the
+    driver's one key sort — packed over the id's offset when the ids are
+    narrow, over its rank when they span about 2**62 — never sorted
+    per query.  Ids are a shuffle, so arrival order is not id order."""
+    rng = np.random.default_rng(11)
+    n = 200
+    low = 0 if span == "narrow" else 2**62
+    ids = np.concatenate([[5], low + 7 * rng.permutation(n - 1) + 9])
+    pts = PointSet(make_points("uniform", n, 2, seed=12).coords, ids=ids)
+    boxes = [
+        Box(((0.0, 1.0), (0.0, 1.0))),
+        Box(((0.1, 0.7), (0.2, 0.9))),
+        Box(((2.0, 3.0),) * 2),
+        Box(((0.3, 1.0), (0.0, 0.6))),
+    ]
+    with _registered(_AsReceived("as-received")) as mode:
+        with DistributedRangeTree.build(pts, p=4) as tree:
+            rs = tree.run(
+                [Query(box=b, mode="as-received") for b in boxes] + [count(boxes[1])]
+            )
+    assert mode.received == rs.values()[:-1] == [bf_report(pts, b) for b in boxes]
+    assert all(_strictly_ascending(ids) for ids in mode.received)
+    assert len(mode.received[0]) == n
+
+
+def test_a_dynamic_pass_hands_report_its_ids_ascending():
+    """Over buckets, the buffer and the tombstones the pass's report mode
+    and the combiner's final ``finalize`` both receive ascending ids."""
+    rng = np.random.default_rng(13)
+    coords = make_points("uniform", 400, 2, seed=14).coords
+    ids = 3 * rng.permutation(400) + 1
+    boxes = [Box(((0.0, 1.0), (0.0, 1.0))), Box(((0.2, 0.8), (0.1, 0.7)))]
+
+    class Recording(_AsReceived, ReportMode):
+        pass
+
+    with _registered(Recording("report")) as mode:
+        with DynamicDistributedRangeTree.build(
+            PointSet(coords[:300], ids=ids[:300]), p=4, flush_threshold=64
+        ) as dyn:
+            for pid, c in zip(ids[300:].tolist(), coords[300:]):
+                dyn.insert(c, pid=pid)
+            for pid in ids[:30].tolist():
+                dyn.delete(pid)
+            space = dyn.space_report()
+            assert len(space["bucket_records"]) >= 2
+            assert space["buffered"] and space["tombstones"] == 30
+            rs = dyn.run([report(b) for b in boxes])
+            live = dyn.live_points()
+    assert rs.values() == [bf_report(live, b) for b in boxes]
+    # one call per query from the pass, one from the combiner
+    assert len(mode.received) == 2 * len(boxes)
+    assert all(_strictly_ascending(ids) for ids in mode.received)

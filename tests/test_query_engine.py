@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cgm.loadbalance import replication_schedule
-from repro.dist import DistributedRangeTree
+from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree
 from repro.errors import DimensionMismatch, ReproError
 from repro.geometry import Box, PointSet
 from repro.query import (
@@ -28,6 +28,7 @@ from repro.query import (
     sample_report,
     top_k,
 )
+from repro.query.result import QueryResult, _json_safe
 from repro.semigroup import min_of_dim, sum_of_dim
 from repro.seq import bf_aggregate, bf_count, bf_report
 from repro.workloads import selectivity_queries, uniform_points
@@ -327,6 +328,47 @@ class TestResultSet:
         assert rs.modes() == {"count", "report", "aggregate"}
         assert [r.qid for r in rs.by_mode("report")] == [1, 4]
         assert rs.value(0) == rs[0].value == rs.values()[0]
+
+    @pytest.mark.parametrize(
+        "structure", [DistributedRangeTree, DynamicDistributedRangeTree], ids=["static", "dynamic"]
+    )
+    def test_records_are_built_only_on_access(self, structure, monkeypatch):
+        """``values()`` builds no ``QueryResult``; indexing, slicing,
+        iteration, ``by_mode``, ``modes()`` and ``to_dict()`` build what
+        an eager list of records would hold."""
+        pts = uniform_points(64, 2, seed=105)
+        batch = mixed_batch(selectivity_queries(7, 2, seed=106, selectivity=0.3))
+        with structure.build(pts, p=4) as tree:
+            made = []
+            real_init = QueryResult.__init__
+            with monkeypatch.context() as patched:
+                patched.setattr(
+                    QueryResult, "__init__", lambda *a, **k: made.append(1) or real_init(*a, **k)
+                )
+                values = tree.run(batch).values()
+            assert made == []
+            rs = tree.run(batch)
+        eager = [QueryResult(i, q.mode, q, v) for i, (q, v) in enumerate(zip(batch, values))]
+        assert values == [oracle(pts, q) for q in batch]
+        assert (rs[2], rs[-1], rs[1:3]) == (eager[2], eager[-1], tuple(eager[1:3]))
+        assert list(rs) == eager and len(rs) == len(eager)
+        with pytest.raises(IndexError):
+            rs[len(eager)]
+        for mode in ("count", "report", "aggregate", "topk"):
+            assert rs.by_mode(mode) == [r for r in eager if r.mode == mode]
+        assert rs.modes() == {"count", "report", "aggregate"}
+        assert rs.to_dict()["queries"] == [
+            {
+                "qid": r.qid,
+                "mode": r.mode,
+                "box": [[float(lo), float(hi)] for lo, hi in zip(r.query.box.lo, r.query.box.hi)],
+                "value": _json_safe(r.value),
+            }
+            for r in eager
+        ]
+        fresh = rs.values()
+        fresh.append("not an answer")
+        assert rs.values() == values and rs.values() is not rs.values()
 
     def test_to_dict_is_json_serialisable(self):
         pts = uniform_points(32, 2, seed=102)

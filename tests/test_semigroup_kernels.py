@@ -20,6 +20,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cgm import columns
 from repro.cgm.columns import estimate_object_bytes
@@ -181,6 +183,55 @@ def test_fold_segments_float_sum_is_sequential_left_fold():
         kernel, mat, np.asarray([0], dtype=np.int64), np.asarray([257], dtype=np.int64)
     )
     _assert_same_value(kernel.decode_row(folded[0]), sg.fold(values))
+
+
+#: float-add, min and int-add columns in one kernel
+_MIXED = product_semigroup([sum_of_dim(0), min_of_dim(1), COUNT]).kernel
+
+
+@st.composite
+def _segmented_rows(draw):
+    """Rows of pathological float magnitudes and segments over them in any
+    order, with gaps, of unequal lengths (empty and length-1 included);
+    only the last non-empty segment may end at the last row, as in the
+    engine's runs (``reduceat`` reads one past each end)."""
+    n = draw(st.integers(1, 60))
+    sums = draw(
+        st.lists(
+            st.builds(lambda x, k: x * 10.0**k, st.floats(-1, 1), st.integers(-8, 8)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    mins = draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n))
+    counts = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    segs = []
+    for _ in range(draw(st.integers(1, 8))):
+        s = draw(st.integers(0, n))
+        segs.append((s, draw(st.integers(s, n))))
+    tail = [se for se in segs if se[0] < se[1] == n][:1]
+    segs = [se for se in segs if not se[0] < se[1] == n] + tail
+    return np.array([sums, mins, counts], dtype=np.float64).T.copy(), segs
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_segmented_rows())
+def test_fold_segments_folds_each_segment_left_in_row_order(case):
+    """Whatever order the segments come in, each one's float sum is its own
+    left fold in row order — not a right fold, not a pairwise sum — and
+    its min and count columns are exact: the fold is bit-identical."""
+    mat, segs = case
+    starts = np.array([s for s, _e in segs], dtype=np.int64)
+    ends = np.array([e for _s, e in segs], dtype=np.int64)
+    want = np.empty((len(segs), 3))
+    for i, (s, e) in enumerate(segs):
+        row = list(_MIXED.identity_row)
+        if e > s:
+            row = mat[s].tolist()
+            for x, y, c in mat[s + 1 : e].tolist():
+                row = [row[0] + x, min(row[1], y), row[2] + c]
+        want[i] = row
+    assert fold_segments(_MIXED, mat, starts, ends).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
