@@ -12,9 +12,8 @@ Builds n=512, p=8 and runs an empty, a one-query and a 64-query
 
 * all three passes record the same ``5 + log2 p`` comm rounds under the
   same labels (rounds are the data-independent observable — Theorem 3 —
-  ``m = 0`` included), the one-query pass makes 2 ``run_phase``
-  dispatches (an empty replication round dispatches nothing, the demux
-  none) and no pass constructs a ``random.Random`` (``main``);
+  ``m = 0`` included) and the one-query pass makes 2 ``run_phase``
+  dispatches (none for an empty replication round or the demux; ``main``);
 * a batch pass calls no one-box ``to_rank_box`` and a ``dyn.run`` over
   >= 100 tombstones no ``Box.contains_point`` (``object_loop_calls``);
 * on both backends a build, a lazy refit and a replicating pass construct
@@ -26,7 +25,8 @@ Builds n=512, p=8 and runs an empty, a one-query and a 64-query
   (``hat_shape_failures``);
 * the forest walk makes one ``searchsorted`` and one closed-form cover per
   divided dimension whether an element holds 64 points or 2048
-  (``walk_shape_failures``);
+  (``walk_shape_failures``), and on a hot-spot pass no rank walks one
+  (part, held group, dimension) stack twice (``stack_walk_failures``);
 * on a 64-query mixed pass no phase calls ``np.isin`` or builds a
   ``frozenset`` (the report mask is indexed, never rebuilt from a qid
   set), negative pids are dropped in one function, every column of a
@@ -49,14 +49,9 @@ Builds n=512, p=8 and runs an empty, a one-query and a 64-query
   backends, and ``n_real`` times per lift (build, refit) once the field
   is ``None`` (``kernel_field_failures``).
 
-That a dynamic batch is one Search pass — its rounds do not grow with
-the number of buckets — is pinned by ``tests/test_dist_dynamic.py``'s
-``TestOnePass``.
-
-A later change that re-prices idle ranks, puts a per-object Python loop
-back on the batch path, holds a forest element or the hat in a second
-form or walks an element level by level fails here before it shows up as
-a slower ``single_query`` or ``batch_d3`` row.
+Tier-1 tests pin the rest: a dynamic batch is one Search pass
+(``tests/test_dist_dynamic.py``'s ``TestOnePass``) and a pass constructs
+no ``random.Random`` (``tests/test_cheap_supersteps.py``).
 """
 
 from __future__ import annotations
@@ -67,7 +62,6 @@ import dataclasses
 import gc
 import inspect
 import os
-import random
 import sys
 import tempfile
 from contextlib import contextmanager
@@ -291,6 +285,45 @@ def walk_shape_failures() -> list:
     return failures
 
 
+def stack_walk_failures() -> list:
+    """On a hot-spot pass over p=8, d=2 — copies replicated, several trees
+    of one stack hit at a rank — step 5 walks each stack it holds once."""
+    from collections import Counter
+    from unittest import mock
+
+    import numpy as np
+
+    from repro.cgm import phases
+    from repro.dist import DistributedRangeTree
+    from repro.query import count
+    from repro.seq.compiled import CompiledForest
+    from repro.workloads import make_points
+
+    calls = []  # per step-5 call: (stack, trees it served) per walk
+    real_walk, real_step5 = CompiledForest.walk, phases.get_phase("dist.search.forest_cols")
+
+    def walk(self, los, his, trees=None):
+        calls[-1].append((id(self), len(np.unique(trees))))
+        return real_walk(self, los, his, trees)
+
+    step5 = {"dist.search.forest_cols": lambda *args: calls.append([]) or real_step5(*args)}
+    boxes = [Box(((0.0, 0.3), (0.1, 0.9)))] * 48
+    boxes += [Box(((0.0, 0.55 + 0.03 * i), (0.05 * i, 0.9))) for i in range(14)]
+    with DistributedRangeTree.build(make_points("uniform", 512, 2, seed=1), p=8) as tree:
+        with mock.patch.object(CompiledForest, "walk", walk), mock.patch.dict(phases._PHASES, step5):
+            rs = tree.run([count(b) for b in boxes])
+    failures = [
+        f"step 5 walked one stack {n} times at one rank: a walk per element?"
+        for rank in calls
+        for n in Counter(stack for stack, _trees in rank).values()
+        if n > 1
+    ]
+    moved = sum(s.volume for s in rs.metrics.comm_steps() if s.label.startswith("search:replicate"))
+    if not moved or not (failures or any(t > 1 for rank in calls for _s, t in rank)):
+        failures.append("(the hot-spot pass replicated nothing or hit no stack in two trees)")
+    return failures
+
+
 #: The one function that may compare a pid with 0 between the hat walk
 #: and the demux.
 SENTINEL_FILTER = ["repro.dist.search._forest_output"]
@@ -359,7 +392,7 @@ def report_mask_failures(tree, batch) -> list:
 
     # step 5 at the busiest owner, on 64 and on 640 subqueries over the
     # same elements: what it does in Python is per element, not per row
-    ns, mach = tree._ensure_resident(), tree.machine
+    ns, mach = tree.construct_result.ns, tree.machine
     _sels, routing, _exps, _visits = tree.hat.walk_batch(
         0, *tree.ranked.to_rank_bounds(*Box.stack([q.box for q in batch])), mask
     )
@@ -522,28 +555,13 @@ def main() -> int:
     from repro.workloads import make_points
 
     pts = make_points("uniform", 512, 2, seed=1)
-    boxes = [
-        Box(((0.01 * i, 0.35 + 0.01 * i), (0.005 * i, 0.5 + 0.005 * i)))
-        for i in range(64)
-    ]
+    boxes = [Box(((0.01 * i, 0.35 + 0.01 * i), (0.005 * i, 0.5 + 0.005 * i))) for i in range(64)]
     batch = [(count, report, aggregate)[i % 3](b) for i, b in enumerate(boxes)]
 
-    constructed = []
-    real_random = random.Random
-
-    class CountingRandom(real_random):
-        def __init__(self, *args, **kwargs):
-            constructed.append(args)
-            super().__init__(*args, **kwargs)
-
     with DistributedRangeTree.build(pts, p=8) as tree:
-        random.Random = CountingRandom
-        try:
-            none = tree.run([]).metrics
-            one = tree.run(batch[:1]).metrics
-            full = tree.run(batch).metrics
-        finally:
-            random.Random = real_random
+        none = tree.run([]).metrics
+        one = tree.run(batch[:1]).metrics
+        full = tree.run(batch).metrics
         failures = report_mask_failures(tree, batch)
         failures += fold_said_once_failures(tree, boxes)
 
@@ -561,13 +579,8 @@ def main() -> int:
             f"one-query pass made {len(dispatches)} run_phase dispatches "
             f"(max {MAX_ONE_QUERY_DISPATCHES}): {dispatches}"
         )
-    if constructed:
-        failures.append(
-            f"{len(constructed)} random.Random constructed during the passes"
-        )
-    failures.extend(walk_shape_failures())
-    failures.extend(hat_shape_failures())
-    failures.extend(kernel_field_failures())
+    for gate in (walk_shape_failures, stack_walk_failures, hat_shape_failures, kernel_field_failures):
+        failures += gate()
     object_calls = {**object_loop_calls(), **second_representation_calls()}
     for name, n in object_calls.items():
         if n:
@@ -576,7 +589,6 @@ def main() -> int:
         f"empty pass: {len(none_rounds)} rounds; "
         f"one-query pass: {len(one_rounds)} rounds, {len(dispatches)} dispatches; "
         f"64-query pass: {len(full_rounds)} rounds; "
-        f"random.Random constructed: {len(constructed)}; "
         f"per-object and second-representation calls: {object_calls}"
     )
     for failure in failures:

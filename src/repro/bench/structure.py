@@ -70,8 +70,7 @@ def run_f3(n: int = 64, p: int = 8) -> Table:
     t.add_row("points per forest element", f"n/p = {n // p}", int(prim_leaves[0]))
     desc_sizes = sorted(hat.nleaves[primary & ~hat.leaf].tolist(), reverse=True)
     t.add_row("descendant trees of hat nodes (points)", "n, n/2, n/2, n/4 ...", desc_sizes)
-    counts = [len(store) for store in tree.forest_store]
-    t.add_row("forest elements per processor", "equal", counts)
+    t.add_row("forest elements per processor", "equal", tree.space_report()["forest_elements_per_proc"])
     return t
 
 

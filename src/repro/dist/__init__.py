@@ -4,9 +4,10 @@ Rau-Chaplin & Ubeda, IPPS 1997).
 This package is the paper's contribution: a CGM(s, p) range tree split
 into a replicated **hat** (the top ``O(p log^{d-1} p)`` nodes of every
 segment tree — §4, Definition 3, :mod:`repro.dist.hat`) and a
-distributed **forest** of ``n/p``-point range trees (Theorem 1,
-:mod:`repro.dist.forest`), built in O(1) communication rounds per
-dimension (Theorem 2, :mod:`repro.dist.construct`) and queried in
+distributed **forest** of ``n/p``-point range trees, held per processor
+as one array stack per dimension (Theorem 1, :mod:`repro.dist.forest`),
+built in O(1) communication rounds per dimension (Theorem 2,
+:mod:`repro.dist.construct`) and queried in
 batches of ``m = O(n)`` with O(1) rounds per batch (Theorems 3-5,
 :mod:`repro.dist.search` and :mod:`repro.dist.modes`).
 
@@ -45,7 +46,6 @@ from .construct import (
     forest_key,
     hat_key,
 )
-from .forest import ForestElement, build_forest_element
 from .hat import Hat
 from .labeling import is_valid_path
 from .records import ForestRootInfo
@@ -57,8 +57,6 @@ __all__ = [
     "DynamicDistributedRangeTree",
     "ConstructResult",
     "construct_distributed_tree",
-    "ForestElement",
-    "build_forest_element",
     "Hat",
     "SearchOutput",
     "run_search",
@@ -85,18 +83,26 @@ def lift_values(semigroup: Semigroup, ranked: RankedPointSet, points: PointSet):
 
 @register_phase("dist.refit.relabel")
 def _phase_refit_relabel(ctx: ProcContext, payload) -> list:
-    """Re-annotate this rank's resident forest elements; return root infos.
+    """Re-annotate this rank's resident stacks; return their root infos.
 
     ``values`` is :func:`lift_values`' column (typed or object) reordered
     to run along ``ids``, the ranked ids in sorted order, so one
-    ``searchsorted`` finds an element's fresh values.
+    ``searchsorted`` finds a stack's fresh values.  The resident hat's
+    leaves name the trees: tree ``t`` of the dimension-``j`` stack is the
+    leaf of this rank with that ``dim`` and ``tree``.
     """
     values, ids, semigroup, ns = payload
+    hat = ctx.state[hat_key(ns)]
+    mine = np.flatnonzero(hat.leaf & (hat.location == ctx.rank)).tolist()
+    leaf_of = {(int(hat.dim[i]), int(hat.tree[i])): i for i in mine}
     infos = []
-    for el in (ctx.state.get(forest_key(ns)) or {}).values():
-        el.reannotate(values[np.searchsorted(ids, el.pids)], semigroup)
-        infos.append(el.root_info())
-        ctx.charge(el.size_records)
+    for j, stack in (ctx.state.get(forest_key(ns)) or {}).items():
+        stack.annotate(values[np.searchsorted(ids, stack.pids)], semigroup)
+        for t, agg in enumerate(stack.root_aggs()):
+            i = leaf_of[j, t]
+            seg = (int(hat.lo[i]), int(hat.hi[i]))
+            infos.append(ForestRootInfo(hat.path(i), j, seg, stack.width, ctx.rank, t, agg))
+        ctx.charge(stack.size_records)
     return infos
 
 
@@ -244,7 +250,8 @@ class DistributedRangeTree:
             "hat_leaf_level": self.hat.leaf_level,
             "forest_group_sizes": self.construct_result.forest_group_sizes(),
             "forest_elements_per_proc": [
-                len(store) for store in self.forest_store
+                sum(stack.shape[0] for stack in store.values())
+                for store in self.forest_store
             ],
         }
 
@@ -281,7 +288,7 @@ class DistributedRangeTree:
         whose points the pass emits as ``(qid, pid)`` pairs."""
         return run_search(
             self.machine,
-            [(self._ensure_resident(), self.ranked.to_rank_bounds(*Box.stack(boxes)))],
+            [(self.construct_result.ns, self.ranked.to_rank_bounds(*Box.stack(boxes)))],
             report=report,
             replication=replication,
         )
@@ -289,24 +296,6 @@ class DistributedRangeTree:
     # ------------------------------------------------------------------
     # lifecycle: the tree owns the machine it built for itself
     # ------------------------------------------------------------------
-    def _ensure_resident(self) -> str:
-        """The tree's state namespace, seeding residency if it has none.
-
-        Trees assembled from hand-built stores (``ConstructResult`` with
-        an empty ``ns``) get their forest/hat installed into the rank
-        stores on first need — by reference on in-process backends — so
-        refits and searches hit real resident state instead of silently
-        finding nothing.
-        """
-        ns = self.construct_result.ns
-        if not ns:
-            mach = self.machine
-            ns = mach.new_ns("tree")
-            mach.seed_state(forest_key(ns), list(self.forest_store))
-            mach.seed_state(hat_key(ns), [self.hat] * mach.p)
-            self.construct_result.ns = ns
-        return ns
-
     def close(self) -> None:
         """Evict the tree's rank-resident state; release an owned machine.
 
@@ -317,7 +306,7 @@ class DistributedRangeTree:
         yourself or use it as a context manager.
         """
         ns = self.construct_result.ns
-        if ns and not self._closed:
+        if not self._closed:
             for key in (forest_key(ns), hat_key(ns), f"{ns}:holders",
                         f"{ns}:stored_records"):
                 try:
@@ -344,7 +333,7 @@ class DistributedRangeTree:
     def reannotate(self, semigroup: Semigroup) -> None:
         """Swap the aggregate function ``f`` without rebuilding topology.
 
-        Refits every forest element's aggregates locally, then refreshes
+        Refits every forest stack's aggregates locally, then refreshes
         the hat with a single broadcast round (``reannotate:roots``) —
         no sorting, no routing, O(s/p) local work.  This is the declared
         (:attr:`base_semigroup`) swap; the query engine performs the
@@ -363,7 +352,7 @@ class DistributedRangeTree:
         by_id = np.argsort(self.ranked.ids)
 
         mach = self.machine
-        ns = self._ensure_resident()
+        ns = self.construct_result.ns
         roots_local = mach.run_phase(
             f"{label}:relabel",
             "dist.refit.relabel",

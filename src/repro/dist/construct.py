@@ -17,11 +17,13 @@ phase ``j`` (one per dimension, ``j = 0 .. d-1``)
        runs of ``n/p`` records are exactly the hat-leaf groups of
        Definition 3, and pure arithmetic (:mod:`repro.dist.labeling`)
        yields each group's forest id and its owner ``group_rank mod p``.
-    3. **Route** each group to its owner (1 round) and build the forest
-       element locally — a ``(d-j)``-dimensional sequential range tree on
-       ``n/p`` points.  Each record also fans out one new record per
-       internal hat ancestor of its group's leaf: the input of phase
-       ``j+1`` (the descendant trees those ancestors anchor).
+    3. **Route** each group to its owner (1 round).  An owner stacks all
+       its phase-``j`` groups in one array build — each a
+       ``(d-j)``-dimensional range tree on ``n/p`` points, its index in
+       the stack the element's name at the owner.  Each record also
+       fans out one new record per internal hat ancestor of its group's
+       leaf: the input of phase ``j+1`` (the descendant trees those
+       ancestors anchor).
 
 finale
     5. **Broadcast** every element's :class:`ForestRootInfo` (1 round);
@@ -33,14 +35,15 @@ which is exactly what the Corollary 1 tests measure.
 
 SPMD residency: the per-rank steps run as registered phases
 (``dist.construct.*``), and what they build *stays with the executor* —
-forest elements under the ``{ns}:forest`` state key, the hat replica
-under ``{ns}:hat``.  Only records (S-record batches, root infos) and
-numpy rank blocks ever cross the driver/worker boundary.
+the forest group, one stack per dimension, under the ``{ns}:forest``
+state key, the hat replica under ``{ns}:hat``.  Only records (S-record
+batches, root infos) and numpy rank blocks ever cross the driver/worker
+boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Sequence
 
 import numpy as np
@@ -55,7 +58,7 @@ from ..errors import MachineError
 from ..geometry.rankspace import RankedPointSet
 from ..semigroup import Semigroup
 from ..semigroup.kernels import KernelColumn
-from .forest import build_forest_element
+from .forest import build_stack
 from .hat import Hat
 from .labeling import (
     hat_ancestor_paths,
@@ -70,7 +73,7 @@ __all__ = ["ConstructResult", "construct_distributed_tree"]
 
 
 def forest_key(ns: str) -> str:
-    """State key of a tree's rank-resident forest-element store."""
+    """State key of a tree's rank-resident forest group (``{j: stack}``)."""
     return f"{ns}:forest"
 
 
@@ -83,8 +86,10 @@ def hat_key(ns: str) -> str:
 class ConstructResult:
     """Everything Algorithm Construct leaves behind.
 
-    ``forest_store[r]`` maps forest ids to the elements processor ``r``
-    owns (its group ``F_r`` of Theorem 1) — on in-process backends these
+    ``forest_store[r]`` is processor ``r``'s group ``F_r`` of Theorem 1:
+    ``{j: stack}``, its phase-``j`` elements as one
+    :class:`~repro.seq.compiled.CompiledForest` (the hat leaf naming an
+    element holds its tree index) — on in-process backends these
     are the *live* rank-resident stores, on the process backend a lazy
     fetched copy; ``roots`` is the broadcast root set every processor
     saw; ``phase_record_counts[j]`` the number of records phase ``j``
@@ -96,13 +101,13 @@ class ConstructResult:
     forest_store: Sequence[dict]
     roots: List[ForestRootInfo]
     phase_record_counts: List[int]
-    p: int = field(default=1)
-    ns: str = field(default="")
+    p: int
+    ns: str
 
     def forest_group_sizes(self) -> List[int]:
         """Points held per processor's forest group (Theorem 1(ii) balance)."""
         return [
-            sum(el.nleaves for el in store.values()) for store in self.forest_store
+            sum(len(stack.pids) for stack in store.values()) for store in self.forest_store
         ]
 
 
@@ -171,34 +176,34 @@ def _phase_scatter_cols(ctx: ProcContext, payload) -> RecordBatch:
 
 @register_phase("dist.construct.build_elements_cols")
 def _phase_build_elements_cols(ctx: ProcContext, payload) -> dict:
-    """Construct step 3-4: build owned forest elements, fan out phase j+1.
+    """Construct step 3-4: stack the owned forest elements, fan out phase j+1.
 
-    Elements land in the rank-resident ``{ns}:forest`` store; only the
-    broadcastable root infos, the next phase's records, and the held
-    record count (for the driver's capacity check) are returned.
+    The rank's phase-``j`` elements land in the rank-resident
+    ``{ns}:forest`` store as one stack (:func:`~repro.dist.forest.build_stack`)
+    under key ``j``; only the broadcastable root infos, the next phase's
+    records, and the held record count (for the driver's capacity check)
+    are returned.
 
     The inbox batch arrives in ascending global (rank) order — the sort
     plus the deterministic source-ordered merge guarantee it — so each
-    forest group is one contiguous row range.  Element construction and
-    the phase ``j+1`` fan-out are pure array ops: ``np.repeat`` the
-    point columns per hat ancestor, ``np.tile`` the ancestor paths.
+    forest group is one contiguous run of ``n/p`` rows, and its index
+    among the rank's groups is its tree index in the stack.  The phase
+    ``j+1`` fan-out is pure array ops: ``np.repeat`` the point columns
+    per hat ancestor, ``np.tile`` the ancestor paths.
     """
     batch: RecordBatch = payload["inbox"]
     j = payload["j"]
-    group_base = payload["group_base"]
     logn = payload["logn"]
     leaf_level = payload["leaf_level"]
     d = payload["d"]
-    semigroup = payload["semigroup"]
     ns = payload["ns"]
 
     r = ctx.rank
-    store = ctx.state.setdefault(forest_key(ns), {})
     stored_key = f"{ns}:stored_records"
     roots: List[ForestRootInfo] = []
 
     n = len(batch)
-    gcol = np.asarray(batch.col("__g"))
+    k = 1 << leaf_level  # rows per group
     leaf_mcol = np.asarray(batch.col("__leaf_m"))
     tid_mat = batch.col("tree_id")
     ranks = batch.col("ranks")
@@ -212,44 +217,29 @@ def _phase_build_elements_cols(ctx: ProcContext, payload) -> dict:
     next_val: List[Any] = []
 
     if n:
-        change = np.nonzero(gcol[1:] != gcol[:-1])[0] + 1
-        starts = np.concatenate(([0], change))
-        ends = np.concatenate((change, [n]))
-    else:
-        starts = ends = np.empty(0, dtype=np.int64)
+        stack = build_stack(ranks, pids, values, payload["semigroup"], j, k)
+        ctx.state.setdefault(forest_key(ns), {})[j] = stack
+        ctx.state[stored_key] = ctx.state.get(stored_key, 0) + stack.size_records
+        ctx.charge(stack.size_records)
+        aggs = stack.root_aggs()
 
-    for s, e in zip(starts, ends):
-        s, e = int(s), int(e)
-        g = int(gcol[s])
-        leaf_m = int(leaf_mcol[s])
+    for t, s in enumerate(range(0, n, k)):
+        e = s + k
         tree_id = unflatten_path(tid_mat[s])
-        root_idx = root_index_of_tree(tree_id)
         root_lvl = root_level_of_tree(tree_id, primary_height=logn)
-        idx = leaf_index(root_idx, root_lvl, leaf_level, leaf_m)
-        fid = make_path(idx, leaf_level, tree_id)
-        el = build_forest_element(
-            forest_id=fid,
-            dim=j,
-            location=r,
-            group_rank=group_base + g,
-            ranks_rows=ranks[s:e],
-            pids=pids[s:e],
-            values=values[s:e],
-            semigroup=semigroup,
+        idx = leaf_index(root_index_of_tree(tree_id), root_lvl, leaf_level, int(leaf_mcol[s]))
+        seg = (int(ranks[s, j]), int(ranks[e - 1, j]))
+        roots.append(
+            ForestRootInfo(make_path(idx, leaf_level, tree_id), j, seg, k, r, t, aggs[t])
         )
-        store[fid] = el
-        roots.append(el.root_info())
-        ctx.state[stored_key] = ctx.state.get(stored_key, 0) + el.size_records
-        ctx.charge(el.size_records)
         if j < d - 1:
             ancs = list(hat_ancestor_paths(idx, leaf_level, root_lvl, tree_id))
             if ancs:
                 anc_mat = np.asarray(
                     [flatten_path(a) for a in ancs], dtype=np.int64
                 )
-                cnt = e - s
                 # per member, one record per ancestor (member-major order)
-                next_tid.append(np.tile(anc_mat, (cnt, 1)))
+                next_tid.append(np.tile(anc_mat, (k, 1)))
                 next_ranks.append(np.repeat(ranks[s:e], len(ancs), axis=0))
                 next_pid.append(np.repeat(pids[s:e], len(ancs)))
                 next_val.append(
@@ -257,7 +247,7 @@ def _phase_build_elements_cols(ctx: ProcContext, payload) -> dict:
                     if kernel_values
                     else np.repeat(values[s:e], len(ancs))
                 )
-            ctx.charge(e - s)
+            ctx.charge(k)
 
     if next_tid:
         next_batch = RecordBatch(
@@ -464,12 +454,7 @@ def construct_distributed_tree(
             )
             # the cached sort key is spent: drop it before routing so
             # the route-groups round ships only record columns
-            tagged_cols.append(
-                current[r]
-                .drop("__key")
-                .with_col("__g", g)
-                .with_col("__leaf_m", leaf_m)
-            )
+            tagged_cols.append(current[r].drop("__key").with_col("__leaf_m", leaf_m))
             dests.append((group_base + g) % p)
             base += all_counts[r]
         inboxes = route_batches(
@@ -480,7 +465,7 @@ def construct_distributed_tree(
             template=tagged_cols[0].islice(0, 0),
         )
 
-        # -- step 4: build elements + fan out next-phase records locally ----
+        # -- step 4: stack the elements + fan out next-phase records locally -
         built = mach.run_phase(
             f"{label}:build-elements",
             "dist.construct.build_elements_cols",
@@ -488,7 +473,6 @@ def construct_distributed_tree(
                 {
                     "inbox": inboxes[r],
                     "j": j,
-                    "group_base": group_base,
                     "logn": logn,
                     "leaf_level": leaf_level,
                     "d": d,

@@ -1,189 +1,62 @@
-"""Forest elements: the per-processor remainder of the tree (§4, Definition 3).
+"""The forest: each processor's group ``F_i`` as one array stack per
+dimension (§4, Definition 3, Theorem 1).
 
 Cutting every segment tree of the d-dimensional range tree at level
 ``log2(n/p)`` leaves the replicated *hat* on top and a forest of subtrees
 below.  Each subtree, together with all of its descendant trees in the
 remaining dimensions, is one **forest element**: a ``(d - j)``-dimensional
 range tree over exactly ``n/p`` points embedded in the *global* rank
-space (Theorem 1 packs them into groups ``F_i`` of ``O(s/p)`` records,
-one group per processor).
+space.  Theorem 1 packs them into groups ``F_i`` of ``O(s/p)`` records,
+one group per processor, and Search step 3 replicates whole groups.
 
-A :class:`ForestElement` holds that tree in exactly one form: the flat
-arrays of :class:`~repro.seq.compiled.CompiledForest`, emitted directly
-from the routed rank rows by Construct step 3 (every id in them is
-Definition 2 arithmetic), walked by Search step 5, re-annotated in place
-by a refit and shipped as they are when a group is replicated.  The
-object :class:`~repro.seq.range_tree.RangeTree` stays in ``repro.seq``
-as the oracle the arrays are tested against — the distributed selection
-is the sequential selection, partitioned at the cut level.
+So the group is what a processor holds: per part, ``{j: stack}``, where
+the stack is one :class:`~repro.seq.compiled.CompiledForest` whose trees
+are the processor's phase-``j`` elements laid end to end, with the
+rows' point ids in ``pids``.  An element is a tree index in its stack;
+the hat leaf naming it keeps that index next to its owner
+(``hat.tree`` beside ``hat.location``).  Construct emits each stack in
+one call (:func:`build_stack`), a refit re-annotates it in place,
+replication ships it as it is, and Search step 5 walks it once per
+inbox (:func:`repro.dist.forest_compiled.stack_selections`).  The object
+:class:`~repro.seq.range_tree.RangeTree` stays in ``repro.seq`` as the
+oracle each tree of a stack is tested against.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence, Tuple
+from typing import Any, Sequence
 
 import numpy as np
 
 from ..errors import GeometryError
 from ..semigroup import Semigroup
-from ..semigroup.kernels import KernelColumn
 from ..seq.compiled import CompiledForest
-from .labeling import Path
-from .records import ForestRootInfo
 
-__all__ = ["ForestElement", "build_forest_element"]
+__all__ = ["build_stack"]
 
-
-class ForestElement:
-    """One element of the forest: a range tree on ``n/p`` points.
-
-    Parameters mirror the record flow of Algorithm Construct: the element
-    is built at its owner from the routed group of ``dist.srecord``
-    rows, whose rank rows are
-    contiguous in dimension ``dim`` (they tile one hat-leaf segment) and
-    arbitrary in the later dimensions the element spans.
-    """
-
-    __slots__ = (
-        "forest_id",
-        "dim",
-        "location",
-        "group_rank",
-        "ranks",
-        "pids",
-        "values",
-        "semigroup",
-        "soa",
-    )
-
-    def __init__(
-        self,
-        forest_id: Path,
-        dim: int,
-        location: int,
-        group_rank: int,
-        ranks: np.ndarray,
-        pids: Sequence[int],
-        values: Sequence[Any],
-        semigroup: Semigroup,
-    ) -> None:
-        self.forest_id = forest_id
-        self.dim = dim
-        self.location = location
-        self.group_rank = group_rank
-        self.ranks = np.asarray(ranks, dtype=np.int64)
-        key = self.ranks[:, dim]
-        if (key[1:] <= key[:-1]).any():
-            raise GeometryError(
-                f"forest element {forest_id}: rows must ascend in dimension {dim}"
-            )
-        #: Point ids row for row — in ascending rank of dimension ``dim``,
-        #: the order Construct's sort delivers a group in (checked above).
-        self.pids = np.asarray(pids, dtype=np.int64)
-        # Kernelized value columns stay typed end to end; anything else
-        # is materialized as the per-record list ``combine`` folds.
-        self.values = (
-            values if isinstance(values, KernelColumn) else list(values)
-        )
-        self.semigroup = semigroup
-        #: The element's range tree — the only form it is held in.
-        self.soa = CompiledForest.from_ranks(
-            self.ranks, self.values, semigroup, start_dim=dim
-        )
-
-    # ------------------------------------------------------------------
-    # structure
-    # ------------------------------------------------------------------
-    @property
-    def nleaves(self) -> int:
-        """Points in the element (always ``n/p`` inside a built tree)."""
-        return len(self.pids)
-
-    @property
-    def seg(self) -> Tuple[int, int]:
-        """Closed rank interval covered in the element's own dimension."""
-        return int(self.ranks[0, self.dim]), int(self.ranks[-1, self.dim])
-
-    @property
-    def size_records(self) -> int:
-        """Total leaf records across the element's segment trees, primary
-        trees included: its contribution to the ``O(s/p)`` memory of
-        Theorem 1(ii) and the weight Search charges for replicating it —
-        fixed by topology, Definition 2 arithmetic."""
-        return self.soa.size_records
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the arrays the element is — what replicating it
-        moves (untyped values count one pointer each)."""
-        values = getattr(self.values, "nbytes", 8 * len(self.values))
-        return self.ranks.nbytes + self.pids.nbytes + values + self.soa.nbytes
-
-    def root_info(self) -> ForestRootInfo:
-        """The summary Construct step 5 broadcasts for the hat build."""
-        return ForestRootInfo(
-            path=self.forest_id,
-            dim=self.dim,
-            seg=self.seg,
-            nleaves=self.nleaves,
-            location=self.location,
-            group_rank=self.group_rank,
-            agg=self.soa.root_agg(),
-        )
-
-    # ------------------------------------------------------------------
-    # re-annotation (Algorithm AssociativeFunction step 1)
-    # ------------------------------------------------------------------
-    def reannotate(self, values: Sequence[Any], semigroup: Semigroup) -> None:
-        """Swap the aggregate function without rebuilding topology.
-
-        ``values`` aligns with the element's rows (the order of
-        ``pids``).  O(size) local work, no rounds: the same aggregate
-        fill the build ran, over the same held arrays.
-        """
-        self.values = (
-            values if isinstance(values, KernelColumn) else list(values)
-        )
-        self.semigroup = semigroup
-        self.soa.annotate(self.values, semigroup)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ForestElement(id={self.forest_id}, dim={self.dim}, "
-            f"nleaves={self.nleaves}, location={self.location})"
-        )
+_I64 = np.int64
 
 
-def build_forest_element(
-    forest_id: Path,
-    dim: int,
-    location: int,
-    group_rank: int,
-    ranks_rows: Sequence[Tuple[int, ...]],
-    pids: Sequence[int],
+def build_stack(
+    ranks: np.ndarray,
+    pids: np.ndarray,
     values: Sequence[Any],
     semigroup: Semigroup,
-) -> ForestElement:
-    """Build one forest element from a routed record group (Construct step 3).
+    dim: int,
+    width: int,
+) -> CompiledForest:
+    """Construct step 3 at one owner: its phase-``dim`` elements as one stack.
 
-    ``ranks_rows`` are the group's global rank vectors — contiguous in
-    dimension ``dim`` (they tile the hat leaf named by ``forest_id``) —
-    with ``pids`` and lifted ``values`` aligned row for row.  The group
-    size must be a power of two (``n/p`` by construction).  A 2-D int
-    array passes through without per-row conversion (the columnar data
-    plane hands the routed batch's rank matrix straight in).
+    ``ranks`` holds the routed groups' global rank rows, ``width`` (the
+    ``n/p`` of the build) rows per group, groups in arrival order — each
+    tiles one hat-leaf segment, so its rows must ascend in dimension
+    ``dim`` (the order Construct's sort delivers them in).  ``pids`` and
+    the lifted ``values`` align row for row.
     """
-    if isinstance(ranks_rows, np.ndarray):
-        ranks = np.ascontiguousarray(ranks_rows, dtype=np.int64)
-    else:
-        ranks = np.asarray([tuple(r) for r in ranks_rows], dtype=np.int64)
-    return ForestElement(
-        forest_id=forest_id,
-        dim=dim,
-        location=location,
-        group_rank=group_rank,
-        ranks=ranks,
-        pids=pids,
-        values=values,
-        semigroup=semigroup,
-    )
+    ranks = np.asarray(ranks, dtype=_I64).reshape(-1, width, ranks.shape[1])
+    key = ranks[:, :, dim]
+    if (key[:, 1:] <= key[:, :-1]).any():
+        raise GeometryError(f"a forest element's rows must ascend in dimension {dim}")
+    stack = CompiledForest.from_ranks(ranks, values, semigroup, start_dim=dim)
+    stack.pids = np.asarray(pids, dtype=_I64)
+    return stack

@@ -88,7 +88,8 @@ class Hat:
     rank subsets), ``nleaves``, ``leaf``/``last_dim`` flags, the
     ``left``/``right`` children and the ``desc`` pointer of Definition 1
     (row numbers, −1 when absent), the owner ``location`` of the forest
-    element rooted at a hat leaf (−1 on internal nodes) and the
+    element rooted at a hat leaf and its index ``tree`` in the owner's
+    stack for the leaf's dimension (both −1 on internal nodes), and the
     Definition 2 name as a row of ``paths`` (``−1``-padded to ``2d``
     ints; a dimension-``k`` node's label is its first ``2(k+1)``).  A
     row number is the node's name in every Search stream — the hat is
@@ -148,6 +149,7 @@ class Hat:
         right: List[int] = []
         desc: List[int] = []
         location: List[int] = []
+        tree: List[int] = []
         tile_off: List[int] = []
         tile_len: List[int] = []
         tile_leaf_ids: List[int] = []
@@ -161,7 +163,7 @@ class Hat:
             paths.append(path)
             dim.append(k)
             tile_off.append(len(tile_leaf_ids) if k == d - 1 else 0)
-            for col in (lo, hi, nleaves, left, right, desc, location, tile_len):
+            for col in (lo, hi, nleaves, left, right, desc, location, tree, tile_len):
                 col.append(-1)
             aggs.append(None)
             if lvl == leaf_level:
@@ -171,7 +173,8 @@ class Hat:
                         f"forest roots incomplete: no root for hat leaf {path}"
                     )
                 lo[i], hi[i] = info.seg
-                nleaves[i], location[i], aggs[i] = info.nleaves, info.location, info.agg
+                nleaves[i], location[i], tree[i] = info.nleaves, info.location, info.tree
+                aggs[i] = info.agg
                 if k == d - 1:
                     tile_leaf_ids.append(i)
             else:
@@ -194,7 +197,7 @@ class Hat:
         agg_kernel, agg_mat, agg_obj = _fold(semigroup, aggs, left, right)
         ints = dict(
             dim=dim, lo=lo, hi=hi, nleaves=nleaves, left=left, right=right, desc=desc,
-            location=location, tile_off=tile_off, tile_len=tile_len,
+            location=location, tree=tree, tile_off=tile_off, tile_len=tile_len,
             tile_leaf_ids=tile_leaf_ids,
         )
         cols = {name: np.asarray(col, dtype=np.int64) for name, col in ints.items()}

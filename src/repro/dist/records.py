@@ -66,8 +66,10 @@ class ForestRootInfo:
     ``path`` is the element's name — the path of the hat leaf it hangs
     below (Definition 3) — and ``seg`` the closed rank interval its
     primary segment tree covers in dimension ``dim``.  ``location`` is
-    the owning processor (``group_rank mod p``) and ``agg`` the semigroup
-    value of all its points, which seeds the hat's ``f(v)`` annotations.
+    the owning processor (its group rank mod ``p``), ``tree`` the
+    element's index in the owner's dimension-``dim`` stack, and ``agg``
+    the semigroup value of all its points, which seeds the hat's
+    ``f(v)`` annotations.
     """
 
     path: Path
@@ -75,7 +77,7 @@ class ForestRootInfo:
     seg: Tuple[int, int]
     nleaves: int
     location: int
-    group_rank: int
+    tree: int
     agg: Any
 
     @property

@@ -19,8 +19,9 @@ number of h-relations:
    the round count is a function of ``(p, strategy)`` alone, never of
    the data (the Corollary tests measure exactly this).  The *schedule*
    is computed in the driver (it is data-independent —
-   :func:`repro.cgm.loadbalance.replication_schedule`); the element
-   stores move between ranks through pack/unpack phases — dispatched
+   :func:`repro.cgm.loadbalance.replication_schedule`); a copy of a
+   group is its ``{dimension: stack}`` stores, which move between ranks
+   through pack/unpack phases — dispatched
    only for a round that moves a store; an empty round is recorded and
    nothing more — and land in the receiving rank's replica cache.  Like
    every exchange, the transfer is routed via the driver's
@@ -31,7 +32,8 @@ number of h-relations:
    into ``c_j`` chunks of at most ``ceil(|Q'|/p)`` and routed to the
    copy holders, so no processor serves more than ``O(|Q'|/p)``.
 5. **Forest walk** (local): each holder resumes the canonical walk
-   inside its (copies of) forest elements, emitting a
+   inside its (copies of) forest groups — one walk per stack, each
+   subquery starting at its element's tree — emitting a
    ``dist.forest_selection`` batch and, for the queries the pass's
    ``report`` mask marks, the ``(qid, pid)`` pairs of a
    ``dist.report_pair`` batch.
@@ -56,21 +58,21 @@ at a hat leaf — by its row in the parts' hats laid end to end
 (``node`` / ``element`` columns; see :mod:`repro.dist.records`): part
 ``b``'s row ``i`` is ``base[b] + i``, ``base`` the running sum of the
 hat sizes.  The hats are replicated, so the row is the same name on
-every processor and no step re-derives a Definition 2 label except to
-look an element up in a store, once per element.
+every processor, and the hat's columns turn it into the element's
+owner, dimension and tree index: no step re-derives a Definition 2
+label.
 
 SPMD residency: steps 1, 3 and 5 are registered phases
 (``dist.search.*``) reading the rank-resident ``{ns}:forest`` /
 ``{ns}:hat`` state that Algorithm Construct left behind under each
 part's namespace ``ns``; only query boxes, selection/routing batches and
-replicated element stores cross the boundary.
+replicated stacks cross the boundary.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -84,11 +86,10 @@ from ..cgm.loadbalance import (
 from ..cgm.machine import Machine
 from ..cgm.phases import ProcContext, register_phase
 from ..errors import ProtocolError, ReproError
-from ..geometry.box import RankBoxes, rank_bounds
 from .construct import forest_key, hat_key
-from .forest_compiled import batched_forest_selections
+from .forest_compiled import stack_selections
 from .hat import Hat
-from .records import KIND_EXPAND, KIND_SUBQUERY
+from .records import KIND_SUBQUERY
 
 __all__ = ["SearchOutput", "run_search"]
 
@@ -201,85 +202,62 @@ _NO_FOREST_ROWS = _forest_output(
 
 @register_phase("dist.search.forest_cols")
 def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
-    """Step 5: batched walks over resident forest elements.
+    """Step 5: one walk per stack over the resident forest groups.
 
     The inbox is one routing batch (subqueries and expansion requests
-    mixed, source-ordered).  Subqueries group by target element — one
-    stable argsort of the ``element`` column; the element's part,
-    label, owner, store and :class:`~repro.dist.forest.ForestElement`
-    are resolved once per group through the parts' resident hats
-    (``nss`` names the parts in the pass's order) — and each
-    group runs one :meth:`~repro.seq.compiled.CompiledForest.walk` —
-    one ``searchsorted`` and one closed-form cover per dimension of the
-    element's key blocks — then :func:`~repro.dist.forest_compiled.batched_forest_selections`
-    packs every group's selections straight into the
-    ``dist.forest_selection`` columns, restored to inbox-row order.
-    ``report`` (the pass's bool mask over query ids) limits pid
-    materialization to the queries whose output mode consumes point
-    ids, saving the per-leaf gather for every count/aggregate subquery:
-    the ``dist.report_pair`` batch holds the points under each reporting
-    selection, in selection order, then those of the expansion requests.
-    Charged visit totals match a per-subquery object-tree ``canonical``
-    loop exactly (``max(1, visits)`` per subquery, ``nleaves`` per
-    expand).
+    mixed, source-ordered).  Each row's element — a hat row of the
+    parts' hats laid end to end (``nss`` names the parts in the pass's
+    order) — gives its part, owner, dimension and tree index by column
+    lookups; one stable argsort groups the rows by ``(part, owner,
+    dimension)`` — the stack that serves them, the rank's own group's or
+    a replicated copy — and by kind.
+    :func:`~repro.dist.forest_compiled.stack_selections` then walks each
+    stack once and packs every group's selections straight into the
+    ``dist.forest_selection`` columns, restored to inbox-row order.  ``report`` (the pass's bool mask over query ids)
+    limits pid materialization to the queries whose output mode
+    consumes point ids: the ``dist.report_pair`` batch holds the points
+    under each reporting selection, in selection order, then those of
+    the expansion requests.  Charged visit totals match a per-subquery
+    object-tree ``canonical`` loop exactly (``max(1, visits)`` per
+    subquery, ``nleaves`` per expand).
     """
     inbox, nss, report = payload
     if not len(inbox):
         return _NO_FOREST_ROWS
-    r = ctx.rank
+    r, p = ctx.rank, ctx.p
     hats = [ctx.state[hat_key(ns)] for ns in nss]
+    # per part: owner -> {dimension: stack}, the rank's own group included
+    held = [
+        {**(ctx.state.get(_holders_key(ns)) or {}), r: ctx.state.get(forest_key(ns)) or {}}
+        for ns in nss
+    ]
     bases = _hat_bases(hats)
-    forests = [ctx.state.get(forest_key(ns)) or {} for ns in nss]
-    holders = [ctx.state.get(_holders_key(ns)) or {} for ns in nss]
-
-    def locate(eid: int) -> Tuple[int, Hat, int]:
-        """``(part, its hat, row in it)`` of concatenated hat row ``eid``."""
-        b = bisect_right(bases, eid) - 1
-        return b, hats[b], eid - bases[b]
-
-    kind = inbox.col("kind")
-    qid_col = inbox.col("qid")
-    eid_col = inbox.col("element")
-
-    # Owners always keep their own store; expand in place (row order).
-    exp_qids: List[np.ndarray] = []
-    exp_pids: List[np.ndarray] = []
-    for i in np.flatnonzero(kind == KIND_EXPAND).tolist():
-        b, hat, row = locate(int(eid_col[i]))
-        el = forests[b][hat.path(row)]
-        # rows ascend in the element's own dimension: the order
-        # the hat-side expansion has always emitted
-        exp_qids.append(np.full(len(el.pids), qid_col[i]))
-        exp_pids.append(el.pids)
-        ctx.charge(el.nleaves)
-
-    # Subquery rows by target element, inbox order within an element.
-    rows = np.flatnonzero(kind == KIND_SUBQUERY)
-    rows = rows[np.argsort(eid_col[rows], kind="stable")]
-    eids, starts = np.unique(eid_col[rows], return_index=True)
-    groups: List[Tuple[Any, np.ndarray]] = []
-    for eid, group in zip(eids.tolist(), np.split(rows, starts[1:])):
-        b, hat, row = locate(eid)
-        owner = int(hat.location[row])
-        store = forests[b] if owner == r else holders[b].get(owner)
-        fid = hat.path(row)
-        if store is None or fid not in store:
+    eid, owner, kind = inbox.col("element"), inbox.col("location"), inbox.col("kind")
+    part = np.repeat(np.arange(len(hats)), np.diff(bases))[eid]
+    dim, tree = (
+        np.concatenate([getattr(hat, name) for hat in hats])[eid] for name in ("dim", "tree")
+    )
+    # (part, owner, dimension) names the stack; kind splits its rows
+    key = ((part * p + owner) * hats[0].d + dim) * 2 + kind
+    rows = np.argsort(key, kind="stable")
+    groups = []
+    for group in np.split(rows, np.unique(key[rows], return_index=True)[1][1:]):
+        i = int(group[0])
+        b, o = int(part[i]), int(owner[i])
+        stack = held[b].get(o, {}).get(int(dim[i]))
+        if stack is None:
             raise ProtocolError(
-                f"rank {r} received subquery for {fid} "
-                f"without holding a copy of group {owner}"
+                f"rank {r} received subquery for {hats[b].path(int(eid[i]) - bases[b])} "
+                f"without holding a copy of group {o}"
             )
-        groups.append((store[fid], group))
+        groups.append((stack, int(kind[i]), group))
 
-    sel_rows, nleaves, agg_col, pair_rows, pair_pids = batched_forest_selections(
-        groups, inbox.col("los"), inbox.col("his"), report[qid_col], ctx.charge
+    qid_col = inbox.col("qid")
+    sel_rows, nleaves, agg_col, pair_rows, pair_pids = stack_selections(
+        groups, tree, inbox.col("los"), inbox.col("his"), report[qid_col], ctx.charge
     )
     return _forest_output(
-        qid_col[sel_rows],
-        eid_col[sel_rows],
-        nleaves,
-        agg_col,
-        np.concatenate([qid_col[pair_rows], *exp_qids]),
-        np.concatenate([pair_pids, *exp_pids]),
+        qid_col[sel_rows], eid[sel_rows], nleaves, agg_col, qid_col[pair_rows], pair_pids
     )
 
 
@@ -321,23 +299,21 @@ def _phase_replicate_unpack(ctx: ProcContext, payload) -> None:
 
 def run_search(
     mach: Machine,
-    parts: Sequence[Tuple[str, RankBoxes]],
+    parts: Sequence[Tuple[str, Tuple[np.ndarray, np.ndarray]]],
     report: "np.ndarray | bool | None" = None,
     replication: str = "doubling",
 ) -> SearchOutput:
     """Execute Algorithm Search for a batch of rank-space queries.
 
-    ``parts`` holds one ``(ns, rank_boxes)`` per structure the pass
+    ``parts`` holds one ``(ns, (los, his))`` per structure the pass
     searches (a static tree is one part).  ``ns`` names the machine
     state namespace where Construct left the structure resident
-    (:attr:`ConstructResult.ns`; a tree's ``_ensure_resident()``);
-    ``rank_boxes`` is the batch in that structure's rank space — the
-    int64 ``(m, d)`` pair ``(los, his)`` of
+    (:attr:`ConstructResult.ns`); ``(los, his)`` is the batch in that
+    structure's rank space — the int64 ``(m, d)`` pair of
     :meth:`~repro.geometry.rankspace.RankSpace.to_rank_bounds`, the
-    form the batch keeps down to the hat walk, sliced per rank as views
-    — or a :class:`RankBox` sequence, stacked once on entry.  Every part
-    holds the same ``m`` queries; the parts' structures must share their
-    annotation, so their ``agg`` columns concatenate.
+    form the batch keeps down to the hat walk, sliced per rank as views.
+    Every part holds the same ``m`` queries; the parts' structures must
+    share their annotation, so their ``agg`` columns concatenate.
 
     ``report`` is a bool ``(m,)`` mask (or one bool for the whole batch;
     ``None``: no query reports) — a query folds its selections or it
@@ -355,8 +331,8 @@ def run_search(
     p = mach.p
     if not parts:
         raise ReproError("a Search pass needs at least one part")
-    nss = tuple(ns for ns, _boxes in parts)
-    bounds = [rank_bounds(boxes) for _ns, boxes in parts]
+    nss = tuple(ns for ns, _bounds in parts)
+    bounds = [b for _ns, b in parts]
     m = len(bounds[0][0])
     if any(len(los) != m for los, _his in bounds):
         raise ReproError(
@@ -507,10 +483,10 @@ def _replicate_stores(
             round_label,
             rows,
             weight=lambda rec: max(
-                1, sum(el.size_records for store in rec[1] for el in store.values())
+                1, sum(st.size_records for store in rec[1] for st in store.values())
             ),
-            # bytes: the arrays the elements are, as the pickle ships them
-            nbytes=lambda rec: sum(el.nbytes for store in rec[1] for el in store.values()),
+            # bytes: the arrays the stacks are, as the pickle ships them
+            nbytes=lambda rec: sum(st.nbytes for store in rec[1] for st in store.values()),
         )
         if transfers:
             mach.run_phase(

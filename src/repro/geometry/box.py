@@ -13,13 +13,13 @@ search this is a product of closed intervals.  Two box types exist:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..errors import DimensionMismatch, GeometryError
 
-__all__ = ["Box", "RankBox", "RankBoxes", "Interval", "rank_bounds"]
+__all__ = ["Box", "RankBox", "Interval", "rank_bounds"]
 
 
 def _stack(rows: Sequence, dtype, what: str) -> np.ndarray:
@@ -186,21 +186,12 @@ class RankBox:
         return min(hi - lo + 1 for lo, hi in zip(self.los, self.his))
 
 
-#: A batch of rank-space queries: :class:`RankBox` objects, or the int64
-#: ``(m, d)`` matrix pair ``(los, his)`` they stack to.
-RankBoxes = Union[Sequence[RankBox], Tuple[np.ndarray, np.ndarray]]
-
-
-def rank_bounds(boxes: RankBoxes) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-space queries as the int64 ``(m, d)`` pair ``(los, his)``.
-
-    This is what :meth:`RankSpace.to_rank_bounds
-    <repro.geometry.rankspace.RankSpace.to_rank_bounds>` produces and what
-    every batched walk consumes; such a pair passes through untouched, a
-    :class:`RankBox` sequence is stacked once.
-    """
-    if isinstance(boxes, tuple) and len(boxes) == 2 and isinstance(boxes[0], np.ndarray):
-        return boxes
+def rank_bounds(boxes: Sequence[RankBox]) -> tuple[np.ndarray, np.ndarray]:
+    """:class:`RankBox` objects stacked into the int64 ``(m, d)`` pair
+    ``(los, his)`` — the form :meth:`RankSpace.to_rank_bounds
+    <repro.geometry.rankspace.RankSpace.to_rank_bounds>` produces and
+    every batched walk takes (tests and reference code build boxes one
+    at a time)."""
     return (
         _stack([b.los for b in boxes], np.int64, "rank box"),
         _stack([b.his for b in boxes], np.int64, "rank box"),

@@ -272,7 +272,7 @@ class QueryEngine:
         out = run_search(
             tree.machine,
             [
-                (part._ensure_resident(), part.ranked.to_rank_bounds(*batch.bounds))
+                (part.construct_result.ns, part.ranked.to_rank_bounds(*batch.bounds))
                 for part in self.trees
             ],
             report=plan.report,

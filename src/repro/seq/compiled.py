@@ -13,6 +13,13 @@ node.  No node carries bounds or links: a batch of boxes (the sequential
 ``*_many`` queries and Search step 5 alike) finds its canonical nodes
 with one ``searchsorted`` pair and a closed-form cover per dimension.
 
+Trees of one width can be **stacked**: tree ``t`` of a stack holds rows
+``t·w .. (t+1)·w − 1`` and starts, in every key block and in node ids,
+where tree ``t − 1`` ends.  A stack is walked as one: each box names its
+tree, and the tree's offsets are its walk's starting point.  This is how
+:mod:`repro.dist` holds a processor's forest group, one stack per
+dimension.
+
 Three invariants make the arithmetic exact:
 
 * **Emission order.**  Node ids are the object walk's own DFS emission
@@ -155,19 +162,32 @@ def _preorder_heap(w: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _tree_step(m: int, r: int) -> np.ndarray:
+    """How far tree ``t + 1`` of a stack of ``r``-dimensional trees on
+    ``m`` leaves starts past tree ``t``: ``R(m, b + 1)`` slots in each
+    key block ``b``, then ``T(m, r)`` node ids — the columns of
+    :func:`_path_sums`."""
+    step = np.array([_sizes(m, b + 1)[1] for b in range(r)] + [_sizes(m, r)[0]], dtype=_I64)
+    step.setflags(write=False)  # memoized: every stack of this shape shares it
+    return step
+
+
 @lru_cache(maxsize=32)
-def _layout(m: int, r: int) -> Tuple[Dict[int, Tuple[np.ndarray, np.ndarray]], ...]:
-    """Every segment tree of an ``r``-dimensional range tree on ``m``
-    leaves, by arithmetic: per divided dimension ``k``, per tree width
-    ``w``, the trees' ``(starts, parent)`` — ``starts`` one row per
-    tree, columns as in :func:`_path_sums` (its start in each key block
-    ``k .. r−1``, then its first node id); ``parent`` the block-``k−1``
-    position of the parent node's key slice, whose rows are the tree's.
+def _layout(m: int, r: int, count: int) -> Tuple[Dict[int, Tuple[np.ndarray, np.ndarray]], ...]:
+    """Every segment tree of a stack of ``count`` ``r``-dimensional range
+    trees on ``m`` leaves, by arithmetic: per divided dimension ``k``,
+    per tree width ``w``, the trees' ``(starts, parent)`` — ``starts``
+    one row per tree, columns as in :func:`_path_sums` (its start in
+    each key block ``k .. r−1``, then its first node id); ``parent`` the
+    block-``k−1`` position of the parent node's key slice, whose rows
+    are the tree's (for a primary tree, its first row).
 
     The one enumeration behind the build, the aggregate fill and the
     validator; read-only.
     """
-    levels = [{m: (np.zeros((1, r + 1), dtype=_I64), np.zeros(1, dtype=_I64))}]
+    t = np.arange(count, dtype=_I64)
+    levels = [{m: (t[:, None] * _tree_step(m, r), t * m)}]
     for k in range(r - 1):
         kids: Dict[int, List[np.ndarray]] = {}
         before, sibs = _path_sums(ilog2(m), r - k)
@@ -200,12 +220,13 @@ class Selections(NamedTuple):
 
 
 class CompiledForest:
-    """A range tree as sorted arrays, walked for many boxes at once.
+    """A stack of range trees as sorted arrays, walked for many boxes at once.
 
     ``keys[k]`` is the key block of divided dimension ``k`` (the last
     ``len(keys)`` dimensions are the divided ones): one int64 per stored row,
-    ``tree_start · span + rank`` with the trees in emission order and
-    each tree's ranks ascending — so the whole block ascends and one
+    ``tree_start · span + rank`` with the segment trees in emission
+    order, the stack's range trees one after another, and each segment
+    tree's ranks ascending — so the whole block ascends and one
     ``searchsorted`` locates a bound inside any tree.  ``span`` exceeds
     every rank by two, leaving room to clip a bound to "before all" /
     "after all" without leaving the tree's key range.  ``row_block``
@@ -215,32 +236,39 @@ class CompiledForest:
     two columns indexed by emission-order node id, decided by the value
     column handed in: ``agg_mat`` (pre-encoded rows under ``agg_kernel``,
     §6c) for a typed :class:`~repro.semigroup.kernels.KernelColumn`,
-    ``agg_obj`` (the semigroup's own Python values) otherwise.
+    ``agg_obj`` (the semigroup's own Python values) otherwise.  Every
+    range tree of the stack has ``width`` leaves.  ``pids`` is the point
+    id of each row when the holder files them (:mod:`repro.dist` does;
+    the sequential tree maps rows to ids itself).
     """
 
-    __slots__ = ("span", "keys", "row_block", "agg_kernel", "agg_mat", "agg_obj")
+    __slots__ = ("span", "width", "keys", "row_block", "pids", "agg_kernel", "agg_mat", "agg_obj")
 
     def __init__(self, **arrays: Any) -> None:
         for name in self.__slots__:
             setattr(self, name, arrays.get(name))
 
     @property
-    def shape(self) -> Tuple[int, int]:
-        """``(leaves, divided dimensions)`` — all the topology there is."""
-        return len(self.keys[0]), len(self.keys)
+    def shape(self) -> Tuple[int, int, int]:
+        """``(trees, leaves per tree, divided dimensions)`` — all the
+        topology there is."""
+        return len(self.keys[0]) // self.width, self.width, len(self.keys)
 
-    def trees(self) -> Tuple[Dict[int, Tuple[np.ndarray, np.ndarray]], ...]:
+    def layout(self) -> Tuple[Dict[int, Tuple[np.ndarray, np.ndarray]], ...]:
         """Every segment tree by arithmetic — see :func:`_layout`."""
-        return _layout(*self.shape)
+        count, m, r = self.shape
+        return _layout(m, r, count)
 
     @property
     def size_nodes(self) -> int:
-        return _sizes(*self.shape)[0]
+        count, m, r = self.shape
+        return count * _sizes(m, r)[0]
 
     @property
     def size_records(self) -> int:
         """Leaf records across all segment trees, primary ones included."""
-        return _sizes(*self.shape)[2]
+        count, m, r = self.shape
+        return count * _sizes(m, r)[2]
 
     @property
     def aggs(self) -> np.ndarray:
@@ -249,8 +277,9 @@ class CompiledForest:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the held arrays (what a pickle of the forest ships)."""
-        return sum(a.nbytes for a in (*self.keys, self.row_block, self.aggs))
+        """Bytes of the held arrays (what a pickle of the stack ships)."""
+        held = (*self.keys, self.row_block, self.aggs, self.pids)
+        return sum(a.nbytes for a in held if a is not None)
 
     # ------------------------------------------------------------------
     # construction
@@ -263,23 +292,26 @@ class CompiledForest:
         semigroup: Semigroup,
         start_dim: int = 0,
     ) -> "CompiledForest":
-        """The range tree over all rows of ``ranks`` (non-negative,
-        distinct per dimension), dividing dimensions ``start_dim .. d−1``,
-        emitted directly as arrays.
+        """The range trees over ``ranks`` (non-negative, distinct per
+        dimension within a tree), dividing dimensions ``start_dim .. d−1``,
+        emitted directly as arrays: one tree for a ``(w, d)`` matrix, a
+        stack of ``trees`` for a ``(trees, w, d)`` array.  ``values``
+        aligns with the rows, tree after tree.
 
         One dimension at a time, one width class at a time: the trees of
         a class take their rows from their parents' sorted key slices and
         are one ``argsort(axis=1)`` plus two scatters.
         """
         ranks = np.asarray(ranks, dtype=_I64)
-        m, d = ranks.shape
+        count, m, d = ranks.reshape(-1, *ranks.shape[-2:]).shape
+        ranks = ranks.reshape(count * m, d)
         require_power_of_two("range tree point count", m)
         span = int(ranks.max()) + 2
         keys: List[np.ndarray] = []
-        rows_above = np.arange(m, dtype=_I64)
-        for k, classes in enumerate(_layout(m, d - start_dim)):
+        rows_above = np.arange(count * m, dtype=_I64)
+        for k, classes in enumerate(_layout(m, d - start_dim, count)):
             col = ranks[:, start_dim + k]
-            block = np.empty(_sizes(m, k + 1)[1], dtype=_I64)
+            block = np.empty(count * _sizes(m, k + 1)[1], dtype=_I64)
             rows_here = np.empty_like(block)
             for w, (starts, parent) in classes.items():
                 at = np.arange(w, dtype=_I64)
@@ -292,7 +324,7 @@ class CompiledForest:
                 rows_here[start + at] = np.take_along_axis(rows, order, axis=1)
             keys.append(block)
             rows_above = rows_here
-        forest = cls(span=span, keys=tuple(keys), row_block=rows_above)
+        forest = cls(span=span, width=m, keys=tuple(keys), row_block=rows_above)
         forest.annotate(values, semigroup)
         return forest
 
@@ -307,7 +339,7 @@ class CompiledForest:
         preorder position — so a build and a refit annotate through the
         same child pairs.
         """
-        for w, (starts, _parent) in self.trees()[-1].items():
+        for w, (starts, _parent) in self.layout()[-1].items():
             rows = self.row_block[starts[:, :1] + np.arange(w, dtype=_I64)]
             yield rows, starts[:, 1:] + np.arange(2 * w - 1, dtype=_I64), _preorder_heap(w)
 
@@ -352,20 +384,25 @@ class CompiledForest:
     # ------------------------------------------------------------------
     # the batched walk
     # ------------------------------------------------------------------
-    def walk(self, los: np.ndarray, his: np.ndarray) -> Selections:
+    def walk(
+        self, los: np.ndarray, his: np.ndarray, trees: "np.ndarray | None" = None
+    ) -> Selections:
         """Canonical selections for a whole batch of rank boxes at once.
 
-        ``los``/``his`` are ``(nq, d)`` int64 closed bounds.  Visit
-        counts follow
+        ``los``/``his`` are ``(nq, d)`` int64 closed bounds and ``trees``
+        the stack index of the tree each box searches (tree 0 when
+        omitted).  Visit counts follow
         :meth:`~repro.seq.segment_tree.SegTree.decompose_counted` (only
         per-tree roots can die; empty boxes visit nothing).
 
         One step per divided dimension over the live ``(box, tree)``
         pairs: a ``searchsorted`` pair, the closed-form cover, and each
-        cover node's descendant tree as the next step's pair.
+        cover node's descendant tree as the next step's pair.  A pair
+        starts at its range tree's offsets; the rest is the same
+        arithmetic for every tree of the stack.
         """
         nq = len(los)
-        m, r = self.shape
+        _count, m, r = self.shape
         top = ilog2(m)
         span = self.span
         visits = np.zeros(nq, dtype=_I64)
@@ -377,7 +414,12 @@ class CompiledForest:
         bounds = np.stack([los.T[-r:], his.T[-r:]], axis=2)
         bounds = np.clip(bounds, (0, -1), (span - 1, span - 2)) + (0, 1)
         e = np.full(len(pq), top, dtype=_I64)  # log2 width of each pair's tree
-        starts = np.zeros((len(pq), r + 1), dtype=_I64)  # columns as in _path_sums
+        # each pair's starts, columns as in _path_sums
+        starts = (
+            np.zeros((len(pq), r + 1), dtype=_I64)
+            if trees is None
+            else trees[pq, None] * _tree_step(m, r)
+        )
         for k in range(r):
             start = starts[:, :1]
             ends = np.searchsorted(self.keys[k], start * span + bounds[k].take(pq, axis=0)) - start
@@ -435,9 +477,10 @@ class CompiledForest:
             return self.agg_obj[sel_n].tolist()
         return self.agg_kernel.decode_list(self.agg_mat[sel_n])
 
-    def root_agg(self) -> Any:
-        """Aggregate over all points of the tree: the root of the
-        last-dimension tree reached through the root's descendant trees
-        (each starts one id after its anchor, one hop per earlier
-        dimension)."""
-        return self.decode_aggs([len(self.keys) - 1])[0]
+    def root_aggs(self) -> List[Any]:
+        """Each tree's aggregate over all its points, tree by tree: the
+        root of the last-dimension tree reached through the root's
+        descendant trees (each starts one id after its anchor, one hop
+        per earlier dimension)."""
+        count, m, r = self.shape
+        return self.decode_aggs(np.arange(count, dtype=_I64) * _sizes(m, r)[0] + r - 1)

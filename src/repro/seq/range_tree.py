@@ -31,7 +31,7 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from ..errors import DimensionMismatch, GeometryError
-from ..geometry.box import Box, RankBox, RankBoxes, rank_bounds
+from ..geometry.box import Box, RankBox
 from ..geometry.point import PointSet
 from ..geometry.rankspace import RankedPointSet, pad_to_power_of_two
 from ..semigroup import COUNT, Semigroup
@@ -264,11 +264,11 @@ class RangeTree:
     # batched queries (the compiled walk; bit-identical to the loops)
     # ------------------------------------------------------------------
     def _walk_batch(
-        self, boxes: RankBoxes, st: WalkStats
+        self, bounds: tuple[np.ndarray, np.ndarray], st: WalkStats
     ) -> tuple[int, CompiledForest, Selections]:
-        """One compiled walk over ``boxes`` — a :class:`RankBox` sequence
-        or the ``(los, his)`` pair of ``RankSpace.to_rank_bounds``."""
-        los, his = rank_bounds(boxes)
+        """One compiled walk over the int64 ``(los, his)`` pair of
+        ``RankSpace.to_rank_bounds``."""
+        los, his = bounds
         if len(los) and los.shape[1] != self.d:
             raise DimensionMismatch(self.d, los.shape[1], "rank box")
         comp = self.compiled()
@@ -278,22 +278,22 @@ class RangeTree:
         return len(los), comp, sel
 
     def count_many(
-        self, boxes: RankBoxes, stats: WalkStats | None = None
+        self, bounds: tuple[np.ndarray, np.ndarray], stats: WalkStats | None = None
     ) -> list[int]:
         """:meth:`count` over a batch of boxes in one compiled walk."""
         st = stats if stats is not None else self.stats
-        nq, _comp, sel = self._walk_batch(boxes, st)
+        nq, _comp, sel = self._walk_batch(bounds, st)
         out = np.zeros(nq, dtype=np.int64)
         np.add.at(out, sel.q, sel.length)
         return [int(c) for c in out]
 
     def aggregate_many(
-        self, boxes: RankBoxes, stats: WalkStats | None = None
+        self, bounds: tuple[np.ndarray, np.ndarray], stats: WalkStats | None = None
     ) -> list[Any]:
         """:meth:`aggregate` over a batch: one walk, per-query folds in
         the object walk's exact emission order."""
         st = stats if stats is not None else self.stats
-        nq, comp, sel = self._walk_batch(boxes, st)
+        nq, comp, sel = self._walk_batch(bounds, st)
         vals = comp.decode_aggs(sel.node)
         cuts = np.searchsorted(sel.q, np.arange(nq + 1))
         fold = self.semigroup.fold
@@ -302,12 +302,12 @@ class RangeTree:
         ]
 
     def report_many(
-        self, boxes: RankBoxes, stats: WalkStats | None = None
+        self, bounds: tuple[np.ndarray, np.ndarray], stats: WalkStats | None = None
     ) -> list[np.ndarray]:
         """:meth:`report` over a batch: selection rows gathered with one
         flat fancy index over the compiled pid tiling."""
         st = stats if stats is not None else self.stats
-        nq, comp, sel = self._walk_batch(boxes, st)
+        nq, comp, sel = self._walk_batch(bounds, st)
         flat = comp.rows_flat(sel.off, sel.length)
         st.points_reported += int(flat.shape[0])
         offsets = np.zeros(len(sel.length) + 1, dtype=np.int64)

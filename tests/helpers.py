@@ -74,14 +74,38 @@ def unkernelized(sg: Semigroup) -> Semigroup:
     return dataclasses.replace(sg, kernel=None)
 
 
-def reference_tree(el) -> RangeTree:
-    """The object-tree oracle of a forest element: the sequential
-    :class:`RangeTree` over the same rank rows, dimensions and (decoded)
-    values — what the element's arrays must agree with, walk for walk."""
-    values = el.values
-    if isinstance(values, KernelColumn):
-        values = values.to_list()
-    return RangeTree(el.ranks, values, el.semigroup, start_dim=el.dim)
+def forest_elements(tree) -> list:
+    """Every forest element of a built tree, read off its hat leaves:
+    ``(leaf, stack, t)`` — the leaf's hat row, its owner's stack for the
+    leaf's dimension, and the element's tree index in that stack."""
+    hat = tree.hat
+    return [
+        (leaf, tree.forest_store[hat.location[leaf]][hat.dim[leaf]], int(hat.tree[leaf]))
+        for leaf in np.flatnonzero(hat.leaf).tolist()
+    ]
+
+
+def element_pids(stack, t: int) -> np.ndarray:
+    """The point ids of tree ``t`` of ``stack``, in its row order."""
+    return stack.pids[t * stack.width : (t + 1) * stack.width]
+
+
+def reference_tree(tree, leaf: int) -> RangeTree:
+    """The object-tree oracle of the forest element at hat leaf ``leaf``:
+    the sequential :class:`RangeTree` over its points in its stack's row
+    order (local row ``i`` is stack row ``t·width + i``) — rank rows
+    looked up by id in the tree's own point set, values lifted afresh
+    under the tree's annotation, nothing read off the stack but ids."""
+    from repro.dist import lift_values
+
+    hat = tree.hat
+    stack = tree.forest_store[hat.location[leaf]][hat.dim[leaf]]
+    pids = element_pids(stack, int(hat.tree[leaf]))
+    order = np.argsort(tree.ranked.ids)
+    rows = order[np.searchsorted(tree.ranked.ids, pids, sorter=order)]
+    values = lift_values(tree.semigroup, tree.ranked, tree.points)[rows]
+    values = values.to_list() if isinstance(values, KernelColumn) else list(values)
+    return RangeTree(tree.ranked.ranks[rows], values, tree.semigroup, start_dim=int(hat.dim[leaf]))
 
 
 # ---------------------------------------------------------------------------

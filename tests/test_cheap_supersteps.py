@@ -38,7 +38,7 @@ from repro.semigroup.kernels import KernelColumn
 from repro.seq import bf_count, bf_report
 from repro.workloads import make_points
 
-from tests.helpers import reference_tree, unkernelized
+from tests.helpers import forest_elements, reference_tree, unkernelized
 
 BOX = Box(((0.2, 0.7), (0.1, 0.6)))
 HOT = Box(((0.0, 0.25), (0.0, 1.0)))
@@ -172,23 +172,26 @@ def test_hot_spot_still_dispatches_pack_and_unpack(strategy):
 #: ``search:replicate:*`` rounds answering ``[count(HOT)] * 40`` over
 #: make_points("uniform", 256, 2, seed=42).  The record counts were measured
 #: at 37ac758, where each came from walking every nested tree of every
-#: shipped element; the bytes are the shipped elements' arrays (rank rows,
-#: pids, values, key blocks, row_block, aggregates), summed ``nbytes``.
+#: shipped element; the bytes are the shipped stacks' arrays (key blocks,
+#: row_block, pids, aggregates), summed ``nbytes`` — re-pinned down when a
+#: group became one stack per dimension, by exactly the rank rows and
+#: values the elements had also held: 24 bytes a row at d=2 (4608 a copy
+#: of a 192-row group at p=4, 3072 of a 128-row one at p=8).
 PARENT_REPLICATION = {
     (4, "doubling"): [
-        ("search:replicate:double-0", (640, 640, 0, 0), (0, 640, 640, 0), 50144),
+        ("search:replicate:double-0", (640, 640, 0, 0), (0, 640, 640, 0), 40928),
         ("search:replicate:double-1", (0, 0, 0, 0), (0, 0, 0, 0), 0),
     ],
     (4, "direct"): [
-        ("search:replicate:direct", (640, 640, 0, 0), (0, 640, 640, 0), 50144),
+        ("search:replicate:direct", (640, 640, 0, 0), (0, 640, 640, 0), 40928),
     ],
     (8, "doubling"): [
-        ("search:replicate:double-0", (0, 0, 320, 0, 0, 0, 0, 0), (320, 0, 0, 0, 0, 0, 0, 0), 13544),
-        ("search:replicate:double-1", (320, 0, 320, 0, 0, 0, 0, 0), (0, 320, 0, 320, 0, 0, 0, 0), 27088),
-        ("search:replicate:double-2", (320, 320, 320, 320, 0, 0, 0, 0), (0, 0, 0, 0, 320, 320, 320, 320), 54176),
+        ("search:replicate:double-0", (0, 0, 320, 0, 0, 0, 0, 0), (320, 0, 0, 0, 0, 0, 0, 0), 10472),
+        ("search:replicate:double-1", (320, 0, 320, 0, 0, 0, 0, 0), (0, 320, 0, 320, 0, 0, 0, 0), 20944),
+        ("search:replicate:double-2", (320, 320, 320, 320, 0, 0, 0, 0), (0, 0, 0, 0, 320, 320, 320, 320), 41888),
     ],
     (8, "direct"): [
-        ("search:replicate:direct", (0, 0, 2240, 0, 0, 0, 0, 0), (320, 320, 0, 320, 320, 320, 320, 320), 94808),
+        ("search:replicate:direct", (0, 0, 2240, 0, 0, 0, 0, 0), (320, 320, 0, 320, 320, 320, 320, 320), 73304),
     ],
 }
 
@@ -259,22 +262,25 @@ def test_a_masked_pass_charges_the_parents_numbers(backend):
 def test_the_stored_record_count_is_the_tree_walk_and_survives_a_pickle():
     pts = make_points("uniform", 64, 3, seed=3)
     with DistributedRangeTree.build(pts, p=4) as tree:
+        leaves: dict = {}
+        for leaf, stack, _t in forest_elements(tree):
+            leaves[id(stack)] = leaves.get(id(stack), 0) + reference_tree(tree, leaf).space_leaves()
         for store in tree.forest_store:
-            for el in store.values():
-                assert el.size_records == reference_tree(el).space_leaves()
-                assert pickle.loads(pickle.dumps(el)).size_records == el.size_records
+            for stack in store.values():
+                assert stack.size_records == leaves[id(stack)]
+                assert pickle.loads(pickle.dumps(stack)).size_records == stack.size_records
 
 
 def test_the_bytes_charged_for_an_element_are_what_its_pickle_ships():
+    """A copy ships its stacks: the bytes charged for one are its arrays."""
     pts = make_points("uniform", 64, 3, seed=3)
     with DistributedRangeTree.build(pts, p=4) as tree:
         for store in tree.forest_store:
-            for el in store.values():
-                soa = el.soa
-                arrays = (el.ranks, el.pids, el.values.data, *soa.keys, soa.row_block, soa.agg_mat)
-                assert el.nbytes == sum(a.nbytes for a in arrays)
+            for stack in store.values():
+                arrays = (*stack.keys, stack.row_block, stack.pids, stack.agg_mat)
+                assert stack.nbytes == sum(a.nbytes for a in arrays)
                 # the pickle adds only its envelope (class paths, shapes, ids)
-                assert 0 < len(pickle.dumps(el)) - el.nbytes < 2048
+                assert 0 < len(pickle.dumps(stack)) - stack.nbytes < 2048
 
 
 def test_weighted_exchange_evaluates_each_callback_once_per_record():
@@ -324,7 +330,7 @@ def test_zero_row_walk_and_forest_match_the_general_path(kernelised):
         assert idle[3].dtype == general[3].dtype and len(idle[3]) == 0
 
         # step 5: an empty inbox vs an inbox whose one subquery selects nothing
-        ns = tree._ensure_resident()
+        ns = tree.construct_result.ns
         mach = tree.machine
         _sels, routing, _expansions, _visits = hat.walk_batch(
             0, *tree.ranked.to_rank_bounds(*Box.stack([BOX])), np.zeros(1, dtype=bool)

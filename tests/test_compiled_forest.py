@@ -1,18 +1,19 @@
-"""Forest arrays ≡ the object range tree, bit for bit.
+"""Forest arrays ≡ the object range tree, bit for bit, tree by tree.
 
-:meth:`repro.seq.compiled.CompiledForest.from_ranks` emits a forest
-element's range tree directly as arrays; the object
-:class:`~repro.seq.range_tree.RangeTree` over the same rank rows
-(:func:`tests.helpers.reference_tree`) is the oracle.  The walk over the
-arrays must reproduce ``RangeTree.canonical`` exactly — same selections
-(identical leaf rows) in the same emission order, same per-box visit
-counts, bit-identical aggregates — because Search step 5 and the
-sequential oracle's batched queries both ride the arrays.  These tests
-pin that identity directly (a hypothesis property over d, start
-dimension, width and value representation), Algorithm Search's forest
-output against per-subquery ``canonical`` calls, the engine's answers
-against the sequential oracle, the tiling arithmetic, and what a refit
-and a pickle may and may not touch.
+:meth:`repro.seq.compiled.CompiledForest.from_ranks` emits a stack of
+forest elements' range trees directly as arrays; the object
+:class:`~repro.seq.range_tree.RangeTree` over one element's points
+(:func:`tests.helpers.reference_tree`) is the oracle for its tree.  The
+walk over the arrays must reproduce ``RangeTree.canonical`` exactly —
+same selections (identical leaf rows) in the same emission order, same
+per-box visit counts, bit-identical aggregates, whichever tree of the
+stack a box searches — because Search step 5 and the sequential
+oracle's batched queries both ride the arrays.  These tests pin that
+identity directly (a hypothesis property over d, start dimension, width,
+stack depth and value representation), Algorithm Search's forest output
+against per-subquery ``canonical`` calls, the engine's answers against
+the sequential oracle, the tiling arithmetic, and what a refit and a
+pickle may and may not touch.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 from repro.cgm.columns import RecordBatch
 from repro.cgm.phases import ProcContext, get_phase
 from repro.dist import DistributedRangeTree
-from repro.dist.forest import build_forest_element
+from repro.dist.forest import build_stack
 from repro.dist.records import KIND_EXPAND, KIND_SUBQUERY
 from repro.geometry import Box
 from repro.geometry.box import RankBox, rank_bounds
@@ -42,11 +43,17 @@ from repro.semigroup import (
 )
 from repro.seq import bf_aggregate
 from repro.seq.compiled import CompiledForest
-from repro.seq.range_tree import SequentialRangeTree
+from repro.seq.range_tree import RangeTree, SequentialRangeTree
 from repro.seq.segment_tree import SegTree, WalkStats
 from repro.workloads import make_points, uniform_points
 
-from tests.helpers import random_boxes, reference_tree, unkernelized
+from tests.helpers import (
+    element_pids,
+    forest_elements,
+    random_boxes,
+    reference_tree,
+    unkernelized,
+)
 from tests.test_compiled_hat import (
     BACKENDS,
     _mixed_batch,
@@ -55,17 +62,12 @@ from tests.test_compiled_hat import (
     search_pairs,
 )
 
-TOPOLOGY = ("keys", "row_block")
+TOPOLOGY = ("keys", "row_block", "pids")
 
 
-def _forest_elements(tree):
-    return [el for store in tree.forest_store for el in store.values()]
-
-
-def _object_walk(el, boxes):
-    """Per-box object walk over the element's oracle tree: each selection
+def _object_walk(ref, boxes):
+    """Per-box object walk over an element's oracle tree: each selection
     as ``(leaf rows, aggregate)``, plus per-box visit counts."""
-    ref = reference_tree(el)
     sels, visits = [], []
     for box in boxes:
         st_ = WalkStats()
@@ -79,14 +81,21 @@ def _object_walk(el, boxes):
     return sels, visits
 
 
-def _array_walk(el, boxes, soa=None):
-    soa = el.soa if soa is None else soa
-    sel = soa.walk(*rank_bounds(boxes))
-    aggs = soa.decode_aggs(sel.node)
+def _array_walk(stack, trees, boxes):
+    """The same from one stack walk, box ``i`` searching tree
+    ``trees[i]``: leaf rows are its tree's own (stack row − t·width)."""
+    trees = np.asarray(trees, dtype=np.int64)
+    sel = stack.walk(*rank_bounds(boxes), trees)
+    aggs = stack.decode_aggs(sel.node)
     sels = [[] for _ in boxes]
     for q, off, ln, agg in zip(sel.q, sel.off, sel.length, aggs):
-        sels[int(q)].append((soa.row_block[off : off + ln].tolist(), repr(agg)))
+        rows = stack.row_block[off : off + ln] - trees[q] * stack.width
+        sels[int(q)].append((rows.tolist(), repr(agg)))
     return sels, [int(v) for v in sel.visits]
+
+
+def _element_walks(stack, t, boxes):
+    return _array_walk(stack, np.full(len(boxes), t), boxes)
 
 
 def _emission_rows(t, h=1):
@@ -104,40 +113,45 @@ def _emission_rows(t, h=1):
         yield from _emission_rows(t, 2 * h + 1)
 
 
-def _random_element(rng, d, dim, width, semigroup, typed):
-    """A forest element on ``width`` random rank rows: contiguous and
-    ascending in ``dim`` (one hat-leaf segment), arbitrary elsewhere."""
+def _random_stack(rng, d, dim, width, count, semigroup, typed):
+    """``count`` forest elements on ``width`` random rank rows each,
+    stacked: contiguous and ascending in ``dim`` per tree (one hat-leaf
+    segment each), arbitrary elsewhere.  Returns the stack, the per-tree
+    object oracles and the rank span the boxes should cover."""
     span = 4 * width
     ranks = np.stack(
-        [rng.permutation(span)[:width] for _ in range(d)], axis=1
+        [
+            np.concatenate([rng.permutation(span)[:width] for _ in range(count)])
+            for _ in range(d)
+        ],
+        axis=1,
     ).astype(np.int64)
-    ranks[:, dim] = width + np.arange(width)
-    coords = rng.random((width, d))
-    values = [semigroup.lift(i, tuple(coords[i])) for i in range(width)]
+    ranks[:, dim] = width + np.arange(count * width)
+    coords = rng.random((count * width, d))
+    values = [semigroup.lift(i, tuple(coords[i])) for i in range(count * width)]
     sg = semigroup if typed else unkernelized(semigroup)
     assert (sg.kernel is not None) == typed
-    if typed:
-        values = KernelColumn.from_values(sg.kernel, values)
-    el = build_forest_element(
-        forest_id=((1, 0),),
-        dim=dim,
-        location=0,
-        group_rank=0,
-        ranks_rows=ranks,
-        pids=np.arange(width) + 7,
-        values=values,
-        semigroup=sg,
-    )
-    return el, span
+    column = KernelColumn.from_values(sg.kernel, values) if typed else values
+    stack = build_stack(ranks, np.arange(count * width) + 7, column, sg, dim, width)
+    return stack, _oracles(ranks, values, sg, dim, width), span
+
+
+def _oracles(ranks, values, sg, dim, width):
+    return [
+        RangeTree(ranks[s : s + width], values[s : s + width], sg, start_dim=dim)
+        for s in range(0, len(ranks), width)
+    ]
 
 
 class TestDirectBuildAgainstTheObjectOracle:
-    """Every shape (d, start dimension, width), both value representations."""
+    """Every shape (d, start dimension, width, stack depth), both value
+    representations; every box names its own tree of the stack."""
 
     @given(
         d=st.integers(1, 4),
         data=st.data(),
         log_width=st.integers(0, 6),
+        count=st.integers(1, 3),
         typed=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -146,41 +160,46 @@ class TestDirectBuildAgainstTheObjectOracle:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_walk_refit_and_pickle(self, d, data, log_width, typed, seed):
+    def test_walk_refit_and_pickle(self, d, data, log_width, count, typed, seed):
         dim = data.draw(st.integers(0, d - 1))
         rng = np.random.default_rng(seed)
         sg = product_semigroup(
             [COUNT, sum_of_dim(0), max_of_dim(d - 1), bounding_box_semigroup(d)]
         )
-        el, span = _random_element(rng, d, dim, 1 << log_width, sg, typed)
+        width = 1 << log_width
+        stack, refs, span = _random_stack(rng, d, dim, width, count, sg, typed)
         boxes = _rank_boxes(rng, 12, d, span)
+        trees = rng.integers(0, count, size=len(boxes))
 
-        # same selections (identical leaf rows), emission order, per-box
-        # visit counts and aggregates as the object walk
-        want = _object_walk(el, boxes)
-        assert _array_walk(el, boxes) == want
+        def want(refs):
+            # each box's selections (identical leaf rows), emission order,
+            # visit count and aggregates, from its own tree's object walk
+            per_box = [_object_walk(refs[t], [box]) for box, t in zip(boxes, trees)]
+            return [s[0] for s, _v in per_box], [v[0] for _s, v in per_box]
+
+        assert _array_walk(stack, trees, boxes) == want(refs)
 
         # default pickling: the clone answers identically, nothing rebuilt
-        clone = pickle.loads(pickle.dumps(el.soa))
-        assert _array_walk(el, boxes, soa=clone) == want
+        clone = pickle.loads(pickle.dumps(stack))
+        assert _array_walk(clone, trees, boxes) == want(refs)
 
         # refits, kernel -> object -> kernel: topology arrays stay the
         # *same objects*, only the aggregate slots change
-        soa = el.soa
-        held = {name: getattr(soa, name) for name in TOPOLOGY}
+        held = {name: getattr(stack, name) for name in TOPOLOGY}
+        ranks = np.concatenate([r.ranks for r in refs])
         for refit_sg in (COUNT, unkernelized(sum_of_dim(0)), sum_of_dim(dim)):
-            coords = rng.random((el.nleaves, d))
-            fresh = [refit_sg.lift(i, tuple(coords[i])) for i in range(el.nleaves)]
+            coords = rng.random((count * width, d))
+            fresh = [refit_sg.lift(i, tuple(coords[i])) for i in range(count * width)]
             kernel = refit_sg.kernel
-            if kernel is not None:
-                fresh = KernelColumn.from_values(kernel, fresh)
-            el.reannotate(fresh, refit_sg)
-            assert el.soa is soa
-            assert all(getattr(soa, name) is arr for name, arr in held.items())
-            assert (soa.agg_kernel is None) == (kernel is None)
-            assert (soa.agg_mat is None) == (kernel is None)
-            assert (soa.agg_obj is None) == (kernel is not None)
-            assert _array_walk(el, boxes) == _object_walk(el, boxes)
+            stack.annotate(
+                fresh if kernel is None else KernelColumn.from_values(kernel, fresh), refit_sg
+            )
+            assert all(getattr(stack, name) is arr for name, arr in held.items())
+            assert (stack.agg_kernel is None) == (kernel is None)
+            assert (stack.agg_mat is None) == (kernel is None)
+            assert (stack.agg_obj is None) == (kernel is not None)
+            refs = _oracles(ranks, fresh, refit_sg, dim, width)
+            assert _array_walk(stack, trees, boxes) == want(refs)
 
 
 class TestClosedFormCover:
@@ -223,10 +242,10 @@ class TestWalkBitIdentity:
         pts = uniform_points(48, d, seed=30 + d)
         with DistributedRangeTree.build(pts, p=4) as tree:
             rng = np.random.default_rng(40 + d)
-            for el in _forest_elements(tree):
+            for leaf, stack, t in forest_elements(tree):
                 boxes = _rank_boxes(rng, 25, d, tree.hat.n)
-                exp_sels, exp_vis = _object_walk(el, boxes)
-                got_sels, got_vis = _array_walk(el, boxes)
+                exp_sels, exp_vis = _object_walk(reference_tree(tree, leaf), boxes)
+                got_sels, got_vis = _element_walks(stack, t, boxes)
                 # same selections, same per-query emission order
                 assert got_sels == exp_sels
                 # same visit accounting (empty boxes visit nothing)
@@ -237,18 +256,22 @@ class TestWalkBitIdentity:
         pts = uniform_points(8, 2, seed=51)
         with DistributedRangeTree.build(pts, p=8) as tree:
             rng = np.random.default_rng(52)
-            els = _forest_elements(tree)
-            assert els and all(el.nleaves == 1 for el in els)
-            for el in els:
+            els = forest_elements(tree)
+            assert els and all(stack.width == 1 for _leaf, stack, _t in els)
+            for leaf, stack, t in els:
                 boxes = _rank_boxes(rng, 12, 2, tree.hat.n)
-                assert _object_walk(el, boxes) == _array_walk(el, boxes)
+                assert _object_walk(reference_tree(tree, leaf), boxes) == _element_walks(
+                    stack, t, boxes
+                )
 
     def test_empty_batch(self):
         pts = uniform_points(16, 2, seed=53)
         with DistributedRangeTree.build(pts, p=4) as tree:
-            el = _forest_elements(tree)[0]
+            _leaf, stack, _t = forest_elements(tree)[0]
             empty = np.empty((0, 2), dtype=np.int64)
-            assert all(len(part) == 0 for part in el.soa.walk(empty, empty))
+            assert all(len(part) == 0 for part in stack.walk(empty, empty))
+            nowhere = np.empty(0, dtype=np.int64)
+            assert all(len(part) == 0 for part in stack.walk(empty, empty, nowhere))
 
 
 class TestSeqBatchedAPIs:
@@ -279,8 +302,8 @@ class TestSeqBatchedAPIs:
         for rb in rbs:
             t.core.count(rb, st_obj)
             t.core.report(rb, st_obj)
-        t.core.count_many(rbs, st_cmp)
-        t.core.report_many(rbs, st_cmp)
+        t.core.count_many(rank_bounds(rbs), st_cmp)
+        t.core.report_many(rank_bounds(rbs), st_cmp)
         assert (
             st_obj.nodes_visited,
             st_obj.nodes_selected,
@@ -331,7 +354,7 @@ class TestSearchOutputParity:
         report = np.arange(len(boxes) + 2) % 2 == 1
         report[-2:] = True
         with DistributedRangeTree.build(pts, p=4) as tree:
-            ns, mach = tree._ensure_resident(), tree.machine
+            ns, mach = tree.construct_result.ns, tree.machine
             los, his = tree.ranked.to_rank_bounds(*Box.stack(boxes))
             # two rank-space rows no real box maps to: all of rank space
             # (the hat's root, 4 expansions, sentinels included) and its
@@ -342,21 +365,22 @@ class TestSearchOutputParity:
             assert len(expansions) >= 4
             inbox = RecordBatch.concat([routing, expansions])
             owners = np.asarray(inbox.col("location"))
+            stacks = {leaf: (stack, t) for leaf, stack, t in forest_elements(tree)}
             dropped = 0
             for owner in range(tree.p):
                 mine = inbox.take(np.nonzero(owners == owner)[0])
                 raw = []
                 for rec in mine:
                     if rec.kind == KIND_SUBQUERY and report[rec.qid]:
-                        el = tree.forest_store[owner][tree.hat.path(rec.element)]
-                        for sel in reference_tree(el).canonical(
+                        pids = element_pids(*stacks[rec.element])
+                        for sel in reference_tree(tree, rec.element).canonical(
                             RankBox(rec.los, rec.his), stats=WalkStats()
                         ):
-                            raw += [(rec.qid, pid) for pid in el.pids[sel.rows()].tolist()]
+                            raw += [(rec.qid, pid) for pid in pids[sel.rows()].tolist()]
                 for rec in mine:
                     if rec.kind == KIND_EXPAND:
-                        el = tree.forest_store[owner][tree.hat.path(rec.element)]
-                        raw += [(rec.qid, pid) for pid in el.pids.tolist()]
+                        pids = element_pids(*stacks[rec.element])
+                        raw += [(rec.qid, pid) for pid in pids.tolist()]
                 ctx = ProcContext(
                     rank=owner, p=tree.p, state=mach.backend.states(tree.p)[owner]
                 )
@@ -392,18 +416,20 @@ class TestOneRepresentation:
     def test_pickle_ships_the_arrays(self):
         pts = uniform_points(32, 2, seed=18)
         with DistributedRangeTree.build(pts, p=4) as tree:
-            el = _forest_elements(tree)[0]
-            clone = pickle.loads(pickle.dumps(el))
+            leaf, stack, t = forest_elements(tree)[0]
+            clone = pickle.loads(pickle.dumps(stack))
             for mine, theirs in zip(
-                (*clone.soa.keys, clone.soa.row_block, clone.soa.agg_mat),
-                (*el.soa.keys, el.soa.row_block, el.soa.agg_mat),
+                (*clone.keys, clone.row_block, clone.pids, clone.agg_mat),
+                (*stack.keys, stack.row_block, stack.pids, stack.agg_mat),
             ):
                 np.testing.assert_array_equal(mine, theirs)
-            assert clone.soa.span == el.soa.span
-            assert clone.size_records == el.size_records
+            assert (clone.span, clone.width) == (stack.span, stack.width)
+            assert clone.size_records == stack.size_records
             rng = np.random.default_rng(19)
             boxes = _rank_boxes(rng, 10, 2, tree.hat.n)
-            assert _array_walk(clone, boxes) == _object_walk(el, boxes)
+            assert _element_walks(clone, t, boxes) == _object_walk(
+                reference_tree(tree, leaf), boxes
+            )
 
 
 class TestCompileCache:
@@ -413,15 +439,18 @@ class TestCompileCache:
         """The PR 8 cache-discipline bug class, on the forest side: a
         per-query-semigroup refit must never leave stale aggregates
         behind — there is no cache left to go stale, only the aggregate
-        columns the refit rebinds."""
+        columns the refit rebinds on the stacks it keeps."""
         pts = uniform_points(32, 2, seed=16)
         with DistributedRangeTree.build(pts, p=4) as tree:
-            els = _forest_elements(tree)
-            soas = [el.soa for el in els]
+            held = [dict(store) for store in tree.forest_store]
             boxes = random_boxes(np.random.default_rng(17), 6, 2)
             batch = QueryBatch([aggregate(b, sum_of_dim(1)) for b in boxes])
             rs = tree.run(batch)  # refits in place
-            assert all(el.soa is soa for el, soa in zip(els, soas))
+            assert all(
+                store[j] is stack
+                for store, kept in zip(tree.forest_store, held)
+                for j, stack in kept.items()
+            )
             # stale aggregates would still be counts, not sums
             assert rs.values() == pytest.approx(
                 [bf_aggregate(pts, b, sum_of_dim(1)) for b in boxes]
@@ -433,41 +462,44 @@ class TestTilingEquivalence:
         """Every last-dimension node's ``row_block`` slice — its tree's
         start plus its heap position's leaf span — is the object tree's
         ``rows_under``, compared node for node, in the emission order the
-        ids encode."""
+        ids encode, for every tree of every stack."""
         pts = uniform_points(48, 2, seed=21)
         with DistributedRangeTree.build(pts, p=4) as tree:
-            for el in _forest_elements(tree):
-                soa = el.soa
-                ref = reference_tree(el)
+            for leaf, stack, t in forest_elements(tree):
+                ref = reference_tree(tree, leaf)
                 # rows per node id; None off the last dimension
                 want = list(_emission_rows(ref.root_tree))
-                assert len(want) == soa.size_nodes
-                got = [None] * soa.size_nodes
-                for rows, gids, heap in soa._last_dim_classes():
+                nodes = stack.size_nodes // stack.shape[0]
+                assert len(want) == nodes
+                got = [None] * nodes
+                for rows, gids, heap in stack._last_dim_classes():
                     w = rows.shape[1]
                     for tree_rows, tree_ids in zip(rows, gids):
+                        if tree_ids[0] // nodes != t:
+                            continue  # another element's
                         for j, h in zip(tree_ids, heap):
                             width = w >> (int(h).bit_length() - 1)
                             start = (int(h) * width) % w
-                            got[j] = tree_rows[start : start + width].tolist()
+                            local = tree_rows[start : start + width] - t * stack.width
+                            got[j - t * nodes] = local.tolist()
                 assert got == [
                     None if rows is None else rows.tolist() for rows in want
                 ]
 
     def test_pid_block_matches_selection_pids(self):
-        # padded build: sentinel (negative) pids live in the elements
+        # padded build: sentinel (negative) pids live in the stacks
         pts = uniform_points(48, 2, seed=22)
         with DistributedRangeTree.build(pts, p=4) as tree:
-            els = _forest_elements(tree)
+            els = forest_elements(tree)
             # 48 points pad to 64: sentinels live in the high-rank elements
-            assert any((el.pids < 0).any() for el in els)
+            assert any((element_pids(stack, t) < 0).any() for _l, stack, t in els)
             boxes = _rank_boxes(np.random.default_rng(23), 8, 2, tree.hat.n)
-            for el in els:
-                ref = reference_tree(el)
-                sel = el.soa.walk(*rank_bounds(boxes))
-                got = el.pids[el.soa.rows_flat(sel.off, sel.length)]
+            for leaf, stack, t in els:
+                ref = reference_tree(tree, leaf)
+                sel = stack.walk(*rank_bounds(boxes), np.full(len(boxes), t))
+                got = stack.pids[stack.rows_flat(sel.off, sel.length)]
                 want = [
-                    el.pids[sel.rows()]
+                    element_pids(stack, t)[sel.rows()]
                     for box in boxes
                     for sel in ref.canonical(box, stats=WalkStats())
                 ]
@@ -480,9 +512,10 @@ class TestTilingEquivalence:
         as held, which is ascending primary-dimension rank."""
         pts = uniform_points(32, 2, seed=24)
         with DistributedRangeTree.build(pts, p=4) as tree:
-            for el in _forest_elements(tree):
+            for leaf, stack, t in forest_elements(tree):
+                pids = element_pids(stack, t)
                 np.testing.assert_array_equal(
-                    el.pids, el.pids[reference_tree(el).root_tree.order]
+                    pids, pids[reference_tree(tree, leaf).root_tree.order]
                 )
 
     def test_kernel_agg_matrix_matches_decoded(self):
@@ -490,16 +523,19 @@ class TestTilingEquivalence:
         with DistributedRangeTree.build(
             pts, p=4, semigroup=sum_of_dim(0)
         ) as tree:
-            el = _forest_elements(tree)[0]
-            soa = el.soa
-            assert soa.agg_kernel is not None and soa.agg_obj is None
+            stack = tree.forest_store[0][1]
+            assert stack.shape[0] > 1, "want a stack of several trees"
+            assert stack.agg_kernel is not None and stack.agg_obj is None
             last = np.concatenate(
-                [gids.ravel() for _rows, gids, _heap in soa._last_dim_classes()]
+                [gids.ravel() for _rows, gids, _heap in stack._last_dim_classes()]
             )
-            decoded = soa.decode_aggs(last)
+            decoded = stack.decode_aggs(last)
             for j, val in zip(last, decoded):
-                row = soa.agg_mat[int(j)]
-                dec = soa.agg_kernel.decode(row[None, :], 0)
+                row = stack.agg_mat[int(j)]
+                dec = stack.agg_kernel.decode(row[None, :], 0)
                 assert repr(dec) == repr(val)
             # the object oracle folds Python floats over the same child pairs
-            assert repr(soa.root_agg()) == repr(reference_tree(el).root_agg())
+            roots = stack.root_aggs()
+            for leaf, other, t in forest_elements(tree):
+                if other is stack:
+                    assert repr(roots[t]) == repr(reference_tree(tree, leaf).root_agg())

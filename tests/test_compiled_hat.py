@@ -29,7 +29,7 @@ from repro.semigroup.kernels import KernelColumn
 from repro.seq.segment_tree import WalkStats
 from repro.workloads import make_points, uniform_points
 
-from tests.helpers import random_boxes, reference_tree
+from tests.helpers import element_pids, forest_elements, random_boxes, reference_tree
 
 BACKENDS = ("serial", "process")
 
@@ -157,22 +157,21 @@ def reference_search(tree, boxes, report):
         walk_ops.append(sum(ops))
     forest_sels, pairs, forest_ops = [], [], 0
     oracles: dict = {}
-    for _kind, qid, los, his, element, location in subqs:
-        el = tree.forest_store[location][tree.hat.path(element)]
+    pids = {leaf: element_pids(stack, t) for leaf, stack, t in forest_elements(tree)}
+    for _kind, qid, los, his, element, _location in subqs:
         if element not in oracles:
-            oracles[element] = reference_tree(el)
+            oracles[element] = reference_tree(tree, element)
         stats = WalkStats()
         for sel in oracles[element].canonical(RankBox(los, his), stats=stats):
             forest_sels.append((qid, element, sel.leaf_count, sel.agg()))
             if report[qid]:
-                pairs += [(qid, pid) for pid in el.pids[sel.rows()].tolist()]
+                pairs += [(qid, pid) for pid in pids[element][sel.rows()].tolist()]
         forest_ops += max(1, stats.nodes_visited)
     # only a reporting query's selections are expanded
     assert {e[1] for e in exps} <= set(np.flatnonzero(report).tolist())
-    for _kind, qid, _los, _his, element, location in exps:
-        el = tree.forest_store[location][tree.hat.path(element)]
-        pairs += [(qid, pid) for pid in el.pids.tolist()]
-        forest_ops += el.nleaves
+    for _kind, qid, _los, _his, element, _location in exps:
+        pairs += [(qid, pid) for pid in pids[element].tolist()]
+        forest_ops += len(pids[element])
     demands = [sum(1 for sq in subqs if sq[5] == j) for j in range(p)]
     return (
         hat_sels,

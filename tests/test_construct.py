@@ -14,6 +14,8 @@ from repro.semigroup import COUNT
 from repro.dist.construct import construct_distributed_tree
 from repro.workloads import uniform_points
 
+from tests.helpers import forest_elements
+
 
 def build(n=64, d=2, p=8, seed=0, **kw):
     return DistributedRangeTree.build(uniform_points(n, d, seed=seed), p=p, **kw)
@@ -98,28 +100,35 @@ class TestPhaseRecordCounts:
 class TestStructuralAgreement:
     def test_roots_identical_across_procs(self):
         """Step 5: the broadcast gives every proc the same root set, and
-        the derived hat locations agree with where elements actually live."""
+        the derived hat locations and tree indices agree with where
+        elements actually live."""
         tree = build(n=64, d=2, p=8)
         hat = tree.hat
-        for leaf in np.nonzero(hat.leaf)[0]:
-            store = tree.forest_store[hat.location[leaf]]
-            assert hat.path(leaf) in store
-            el = store[hat.path(leaf)]
-            assert el.nleaves == hat.nleaves[leaf]
-            assert (el.seg[0], el.seg[1]) == (hat.lo[leaf], hat.hi[leaf])
+        for leaf, stack, t in forest_elements(tree):
+            assert 0 <= t < stack.shape[0]
+            assert stack.width == hat.nleaves[leaf]
+            key = stack.keys[0].reshape(-1, stack.width)[t] % stack.span
+            assert (key[0], key[-1]) == (hat.lo[leaf], hat.hi[leaf])
 
     def test_forest_elements_power_of_two_points(self):
         tree = build(n=64, d=3, p=4)
         for store in tree.forest_store:
-            for el in store.values():
-                assert el.nleaves == 16
+            for stack in store.values():
+                assert stack.width == 16
 
     def test_group_routing_rule(self):
-        """Construct step 3: group k lands on processor k mod p."""
+        """Construct step 3: group k lands on processor k mod p, and each
+        processor stacks its groups of a phase in group order."""
         tree = build(n=64, d=2, p=8)
-        for rank, store in enumerate(tree.forest_store):
-            for el in store.values():
-                assert el.group_rank % tree.p == rank
+        base = 0
+        for j in range(tree.dim):
+            infos = sorted(
+                (info for info in tree.construct_result.roots if info.dim == j),
+                key=lambda info: (info.path[1:], info.seg[0]),  # the phase's sort order
+            )
+            for g, info in enumerate(infos):
+                assert (info.location, info.tree) == ((base + g) % tree.p, g // tree.p)
+            base += len(infos)
 
     def test_capacity_accounting(self):
         tree = build(n=64, d=2, p=4)
@@ -137,7 +146,7 @@ class TestStructuralAgreement:
         values = [1] * ranked.n
         res = construct_distributed_tree(mach, ranked, values, COUNT)
         assert res.hat.size_nodes() > 0
-        assert sum(len(s) for s in res.forest_store) == len(res.roots)
+        assert sum(st.shape[0] for s in res.forest_store for st in s.values()) == len(res.roots)
 
     def test_p_exceeding_padded_n_rejected_low_level(self):
         pts = uniform_points(4, 1, seed=0)

@@ -22,35 +22,34 @@ def build(n=64, d=2, p=8, seed=0):
 
 class TestRecordFlow:
     def test_forest_ids_name_their_phase(self):
-        """A phase-j element's forest id has path length j+1 (Definition 2)."""
+        """A phase-j element's forest id has path length j+1 (Definition 2),
+        and its owner holds it in the phase-j stack."""
         tree = build(d=3, p=4, n=64)
-        for store in tree.forest_store:
-            for fid, el in store.items():
-                assert len(fid) == el.dim + 1
+        for info in tree.construct_result.roots:
+            assert len(info.path) == info.dim + 1
+            assert info.tree < tree.forest_store[info.location][info.dim].shape[0]
 
     def test_phase_j_trees_hang_from_phase_j_minus_1_hat_nodes(self):
         tree = build(d=2, p=8)
         hat = tree.hat
         row_of = {hat.path(i): i for i in range(hat.size_nodes())}
-        for store in tree.forest_store:
-            for fid, el in store.items():
-                if el.dim == 0:
-                    assert fid[1:] == ()
-                else:
-                    anchor = row_of.get(fid[1:])
-                    assert anchor is not None, f"no hat anchor for {fid}"
-                    assert hat.dim[anchor] == el.dim - 1
-                    assert not hat.leaf[anchor]
+        for info in tree.construct_result.roots:
+            fid = info.path
+            if info.dim == 0:
+                assert fid[1:] == ()
+            else:
+                anchor = row_of.get(fid[1:])
+                assert anchor is not None, f"no hat anchor for {fid}"
+                assert hat.dim[anchor] == info.dim - 1
+                assert not hat.leaf[anchor]
 
     def test_deep_phase_element_counts(self):
         """Phase-1 elements: one per hat internal node per n/p leaf group =
-        n·log p / (n/p) = p·log p elements."""
+        n·log p / (n/p) = p·log p elements, the trees of the ranks'
+        dimension-1 stacks."""
         n, p = 64, 8
         tree = build(n=n, d=2, p=p)
-        phase1 = [
-            el for store in tree.forest_store for el in store.values() if el.dim == 1
-        ]
-        assert len(phase1) == p * ilog2(p)
+        assert sum(store[1].shape[0] for store in tree.forest_store) == p * ilog2(p)
 
     def test_hat_leaf_levels_uniform(self):
         n, p = 64, 4
@@ -65,13 +64,12 @@ class TestRecordFlow:
 
         tree = build(d=2, p=8)
         by_tree = defaultdict(list)
-        for store in tree.forest_store:
-            for fid, el in store.items():
-                by_tree[fid[1:]].append(el)
-        for tid, els in by_tree.items():
-            els.sort(key=lambda e: e.seg[0])
-            for a, b in zip(els, els[1:]):
-                assert a.seg[1] < b.seg[0], f"overlap inside tree {tid}"
+        for info in tree.construct_result.roots:
+            by_tree[info.path[1:]].append(info.seg)
+        for tid, segs in by_tree.items():
+            segs.sort()
+            for a, b in zip(segs, segs[1:]):
+                assert a[1] < b[0], f"overlap inside tree {tid}"
 
 
 class TestHatBuildErrors:
@@ -93,7 +91,7 @@ class TestHatBuildErrors:
             seg=bad.seg,
             nleaves=bad.nleaves,
             location=bad.location,
-            group_rank=bad.group_rank,
+            tree=bad.tree,
             agg=bad.agg,
         )
         with pytest.raises(ProtocolError):

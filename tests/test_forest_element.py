@@ -1,4 +1,5 @@
-"""Unit tests for forest elements and distributed record types."""
+"""Unit tests for forest elements — trees of a stack — and distributed
+record types."""
 
 from __future__ import annotations
 
@@ -6,106 +7,118 @@ import numpy as np
 import pytest
 
 from repro.dist import DistributedRangeTree
-from repro.dist.forest import build_forest_element
+from repro.dist.forest import build_stack
 from repro.dist.records import KIND_SUBQUERY, ForestRootInfo
 from repro.errors import GeometryError
 from repro.geometry import RankBox
 from repro.geometry.box import rank_bounds
 from repro.semigroup import COUNT, sum_of_dim
+from repro.seq.range_tree import RangeTree
 from repro.seq.segment_tree import WalkStats
 from repro.workloads import uniform_points
 
-from tests.helpers import reference_tree
+from tests.helpers import element_pids, forest_elements, reference_tree
+
+TREES, WIDTH = 3, 8
 
 
-def make_element(m=8, d=2, dim=0, seed=0, semigroup=COUNT):
+def make_stack(d=2, dim=0, seed=0, semigroup=COUNT):
+    """Three elements of width 8 stacked as Construct stacks a rank's
+    phase-``dim`` groups: tree ``t`` holds ranks ``16 + 8t ..`` in
+    ``dim`` (contiguous, ascending), arbitrary ones elsewhere."""
     rng = np.random.default_rng(seed)
-    # m points with global ranks: contiguous in `dim`, arbitrary elsewhere
-    ranks = np.zeros((m, d), dtype=np.int64)
-    ranks[:, dim] = np.arange(16, 16 + m)
+    ranks = np.zeros((TREES * WIDTH, d), dtype=np.int64)
+    ranks[:, dim] = np.arange(16, 16 + TREES * WIDTH)
     for j in range(d):
         if j != dim:
-            ranks[:, j] = rng.permutation(64)[:m]
-    values = [semigroup.lift(i, (0.0,) * d) for i in range(m)]
-    return build_forest_element(
-        forest_id=((5, 3),),
-        dim=dim,
-        location=2,
-        group_rank=10,
-        ranks_rows=[tuple(r) for r in ranks],
-        pids=list(range(100, 100 + m)),
-        values=values,
-        semigroup=semigroup,
-    ), ranks
+            ranks[:, j] = np.concatenate([rng.permutation(64)[:WIDTH] for _ in range(TREES)])
+    values = [semigroup.lift(i, (0.0,) * d) for i in range(TREES * WIDTH)]
+    stack = build_stack(
+        ranks, np.arange(100, 100 + TREES * WIDTH), values, semigroup, dim, WIDTH
+    )
+    return stack, ranks.reshape(TREES, WIDTH, d)
+
+
+def oracle(ranks, t, semigroup=COUNT, values=None):
+    """Tree ``t``'s object range tree over its own rows."""
+    if values is None:
+        values = [semigroup.lift(i, (0.0,)) for i in range(WIDTH)]
+    return RangeTree(ranks[t], values, semigroup)
 
 
 class TestForestElement:
     def test_basic_fields(self):
-        el, _ = make_element()
-        assert el.nleaves == 8
-        assert el.location == 2
-        assert el.seg == (16, 23)
-        assert el.size_records >= 8
+        stack, ranks = make_stack()
+        assert stack.shape == (TREES, WIDTH, 2)
+        assert stack.width == WIDTH and len(stack.pids) == TREES * WIDTH
+        assert stack.size_records == TREES * oracle(ranks, 0).space_leaves()
+        # every tree's primary key slice is its seg, ascending
+        primary = stack.keys[0].reshape(TREES, WIDTH) % stack.span
+        assert [(int(k[0]), int(k[-1])) for k in primary] == [(16, 23), (24, 31), (32, 39)]
 
     def test_root_info_roundtrip(self):
-        el, _ = make_element()
-        info = el.root_info()
-        assert isinstance(info, ForestRootInfo)
-        assert info.path == ((5, 3),)
-        assert info.tree_id == ()
-        assert info.nleaves == 8
-        assert info.location == 2
-        assert info.agg == 8  # count over all points
+        """What Construct broadcasts names each tree of its owner's stack."""
+        pts = uniform_points(64, 2, seed=80)
+        with DistributedRangeTree.build(pts, p=4) as tree:
+            for info in tree.construct_result.roots:
+                stack = tree.forest_store[info.location][info.dim]
+                assert isinstance(info, ForestRootInfo)
+                assert info.nleaves == stack.width
+                assert info.agg == stack.root_aggs()[info.tree] == stack.width
+                key = stack.keys[0].reshape(-1, stack.width)[info.tree] % stack.span
+                assert info.seg == (key[0], key[-1])
 
     def test_canonical_walk(self):
-        el, ranks = make_element()
-        box = RankBox((16, 0), (19, 63))
-        expected = sum(1 for r in ranks if 16 <= r[0] <= 19)
-        assert sum(s.leaf_count for s in reference_tree(el).canonical(box)) == expected
-        assert int(el.soa.walk(*rank_bounds([box])).length.sum()) == expected
+        stack, ranks = make_stack()
+        for t in range(TREES):
+            box = RankBox((16 + 8 * t, 0), (19 + 8 * t, 63))
+            expected = sum(1 for r in ranks[t] if box.los[0] <= r[0] <= box.his[0])
+            assert sum(s.leaf_count for s in oracle(ranks, t).canonical(box)) == expected
+            sel = stack.walk(*rank_bounds([box]), np.array([t]))
+            assert int(sel.length.sum()) == expected
 
     def test_selection_pids(self):
-        el, ranks = make_element()
-        sel = el.soa.walk(*rank_bounds([RankBox((16, 0), (23, 63))]))
-        rows = el.soa.rows_flat(sel.off, sel.length)
-        assert sorted(el.pids[rows].tolist()) == list(range(100, 108))
+        stack, _ranks = make_stack()
+        box = RankBox((16, 0), (39, 63))
+        sel = stack.walk(*rank_bounds([box] * TREES), np.arange(TREES))
+        rows = stack.rows_flat(sel.off, sel.length)
+        for t in range(TREES):
+            mine = stack.pids[rows[np.repeat(sel.q, sel.length) == t]]
+            assert sorted(mine.tolist()) == list(range(100 + 8 * t, 108 + 8 * t))
 
     def test_all_pids(self):
-        # rows (and so pids) are held in ascending primary-dimension rank
-        el, _ = make_element()
-        assert el.pids.tolist() == list(range(100, 108))
+        # rows (and so pids) are held tree after tree, in ascending
+        # primary-dimension rank
+        stack, _ = make_stack()
+        assert stack.pids.tolist() == list(range(100, 100 + TREES * WIDTH))
+        assert element_pids(stack, 1).tolist() == list(range(108, 116))
 
     def test_rows_must_ascend_in_the_primary_dimension(self):
-        el, ranks = make_element()
-        with pytest.raises(GeometryError):
-            build_forest_element(
-                forest_id=el.forest_id,
-                dim=0,
-                location=2,
-                group_rank=10,
-                ranks_rows=ranks[::-1],
-                pids=list(range(8)),
-                values=[1] * 8,
-                semigroup=COUNT,
-            )
+        """One vectorised check per stack: any tree out of order fails it."""
+        _stack, ranks = make_stack()
+        flat = ranks.reshape(-1, 2).copy()
+        flat[WIDTH : 2 * WIDTH] = flat[WIDTH : 2 * WIDTH][::-1]  # tree 1 descends
+        with pytest.raises(GeometryError, match="ascend in dimension 0"):
+            build_stack(flat, np.arange(len(flat)), [1] * len(flat), COUNT, 0, WIDTH)
 
     def test_stats_override_isolated(self):
         # visits are returned per box by the walk itself: nothing shared
-        el, _ = make_element()
-        box = RankBox((16, 0), (20, 63))
-        st = WalkStats()
-        reference_tree(el).canonical(box, stats=st)
-        visits = el.soa.walk(*rank_bounds([box, box])).visits
-        assert st.nodes_visited > 0
-        assert visits.tolist() == [st.nodes_visited] * 2
+        stack, ranks = make_stack()
+        box = RankBox((16, 0), (36, 63))
+        for t in range(TREES):
+            st = WalkStats()
+            oracle(ranks, t).canonical(box, stats=st)
+            visits = stack.walk(*rank_bounds([box, box]), np.array([t, t])).visits
+            assert st.nodes_visited > 0
+            assert visits.tolist() == [st.nodes_visited] * 2
 
     def test_reannotate(self):
         sg = sum_of_dim(0)
-        el, _ = make_element()
-        new_values = [float(i) for i in range(8)]
-        el.reannotate(new_values, sg)
-        assert el.soa.root_agg() == sum(range(8))
-        assert el.root_info().agg == sum(range(8))
+        stack, _ = make_stack()
+        stack.annotate([float(i) for i in range(TREES * WIDTH)], sg)
+        assert stack.root_aggs() == [
+            sum(range(t * WIDTH, (t + 1) * WIDTH)) for t in range(TREES)
+        ]
 
 
 class TestRecords:
@@ -116,7 +129,7 @@ class TestRecords:
             seg=(0, 7),
             nleaves=8,
             location=1,
-            group_rank=5,
+            tree=5,
             agg=8,
         )
         assert info.tree_id == ((3, 4),)
@@ -138,14 +151,17 @@ class TestElementsInsideBuiltTree:
     def test_every_element_answers_its_own_domain(self):
         pts = uniform_points(64, 2, seed=80)
         tree = DistributedRangeTree.build(pts, p=8)
-        for store in tree.forest_store:
-            for el in store.values():
-                # query the element's whole segment: must select everything
-                lo, hi = el.seg
-                d = tree.dim
-                los = [0] * d
-                his = [tree.n - 1] * d
-                los[el.dim] = lo
-                his[el.dim] = hi
-                sel = el.soa.walk(*rank_bounds([RankBox(tuple(los), tuple(his))]))
-                assert int(sel.length.sum()) == el.nleaves
+        hat = tree.hat
+        for leaf, stack, t in forest_elements(tree):
+            # query the element's whole segment: must select everything,
+            # and exactly the points its oracle holds
+            d, dim = tree.dim, int(hat.dim[leaf])
+            los, his = [0] * d, [tree.n - 1] * d
+            los[dim], his[dim] = int(hat.lo[leaf]), int(hat.hi[leaf])
+            sel = stack.walk(*rank_bounds([RankBox(tuple(los), tuple(his))]), np.array([t]))
+            assert int(sel.length.sum()) == stack.width == hat.nleaves[leaf]
+            got = stack.pids[stack.rows_flat(sel.off, sel.length)]
+            want = element_pids(stack, t)[reference_tree(tree, leaf).report(
+                RankBox(tuple(los), tuple(his))
+            )]
+            assert sorted(got.tolist()) == sorted(want.tolist())

@@ -335,10 +335,10 @@ class TestBatchTranslation:
         with pytest.raises(DimensionMismatch):
             space.to_rank_bounds(np.zeros((3, 1)), np.ones((3, 1)))
 
-    def test_rank_bounds_coerces_boxes_once_and_passes_pairs_through(self):
+    def test_rank_bounds_stacks_rank_boxes(self):
         pair = rank_bounds([RankBox((1, 2), (3, 4)), RankBox((5, 6), (7, 8))])
         assert pair[0].tolist() == [[1, 2], [5, 6]] and pair[1].tolist() == [[3, 4], [7, 8]]
-        assert rank_bounds(pair) is pair
+        assert pair[0].dtype == pair[1].dtype == np.int64
         assert rank_bounds([])[0].shape == (0, 0)
         with pytest.raises(DimensionMismatch):
             rank_bounds([RankBox((1,), (2,)), RankBox((1, 2), (3, 4))])

@@ -31,28 +31,24 @@ class TestTheorem1:
     def test_forest_groups_disjoint_and_balanced(self, n, d, p):
         """Theorem 1(ii): the F_i are disjoint with equal (O(s/p)) sizes."""
         tree = build(n=n, d=d, p=p)
-        all_ids = [fid for store in tree.forest_store for fid in store]
-        assert len(all_ids) == len(set(all_ids)), "forest groups overlap"
+        hat = tree.hat
+        held = [(int(hat.location[i]), int(hat.dim[i]), int(hat.tree[i])) for i in np.flatnonzero(hat.leaf)]
+        assert len(held) == len(set(held)), "forest groups overlap"
         sizes = tree.construct_result.forest_group_sizes()
         assert max(sizes) <= 2 * min(sizes), f"imbalanced groups: {sizes}"
 
     def test_forest_element_count_per_phase(self):
         """Dimension-one forest has exactly p elements on n points (Figure 3)."""
         tree = build(n=64, d=2, p=8)
-        phase0 = [
-            el
-            for store in tree.forest_store
-            for el in store.values()
-            if el.dim == 0
-        ]
-        assert len(phase0) == 8
-        assert all(el.nleaves == 8 for el in phase0)
+        phase0 = [store[0] for store in tree.forest_store]
+        assert sum(stack.shape[0] for stack in phase0) == 8
+        assert all(stack.width == 8 for stack in phase0)
 
     def test_every_element_has_n_over_p_points(self):
         tree = build(n=64, d=2, p=8)
         for store in tree.forest_store:
-            for el in store.values():
-                assert el.nleaves == 8
+            for stack in store.values():
+                assert stack.width == 8 and len(stack.pids) == 8 * stack.shape[0]
 
     def test_total_forest_plus_hat_covers_structure(self):
         """Total leaves of forest elements ~= s (the structure's size)."""
@@ -64,11 +60,20 @@ class TestTheorem1:
         assert total >= n * logn // 2
 
     def test_locations_match_owner_rank(self):
+        """Every hat leaf names a tree its owner holds, every held tree
+        is named once."""
         tree = build(n=64, d=2, p=8)
-        for rank, store in enumerate(tree.forest_store):
-            for el in store.values():
-                assert el.location == rank
-                assert el.group_rank % 8 == rank
+        hat = tree.hat
+        named = sorted(
+            (int(hat.location[i]), int(hat.dim[i]), int(hat.tree[i])) for i in np.flatnonzero(hat.leaf)
+        )
+        held = [
+            (rank, j, t)
+            for rank, store in enumerate(tree.forest_store)
+            for j, stack in sorted(store.items())
+            for t in range(stack.shape[0])
+        ]
+        assert named == held
 
 
 class TestFigure3Structure:

@@ -19,7 +19,7 @@ from repro.geometry import Box
 from repro.seq import SequentialRangeTree
 from repro.workloads import grid_points, uniform_points
 
-from tests.helpers import random_boxes
+from tests.helpers import element_pids, forest_elements, random_boxes
 
 
 @pytest.fixture(scope="module")
@@ -74,15 +74,10 @@ class TestSelectionParity:
                 piece.nleaves for piece in hat_pieces + forest_pieces
             )
             hat = dist.hat
+            held = {leaf: element_pids(stack, t) for leaf, stack, t in forest_elements(dist)}
             for h in hat_pieces:
                 tiling = hat.tile_leaf_ids[hat.tile_off[h.node] :][: hat.tile_len[h.node]]
-                under = {
-                    pid
-                    for leaf in tiling.tolist()
-                    for pid in dist.forest_store[hat.location[leaf]][
-                        hat.path(leaf)
-                    ].pids.tolist()
-                }
+                under = {pid for leaf in tiling.tolist() for pid in held[leaf].tolist()}
                 assert len(under) == h.nleaves and under <= set(pids)
 
     def test_coverage_equals_bruteforce(self, setup):

@@ -155,34 +155,6 @@ class TestProcessPipeline:
             got = tree.run([report(b) for b in boxes]).values()
             assert got == [bf_report(pts, b) for b in boxes]
 
-    def test_refit_reaches_hand_built_trees(self):
-        """A tree assembled from bare stores (no ns) must still refit."""
-        from repro.dist import DistributedRangeTree
-        from repro.dist.construct import ConstructResult
-        from repro.geometry import Box
-        from repro.query import aggregate
-        from repro.semigroup import sum_of_dim
-        from repro.seq import bf_aggregate
-        from repro.workloads import uniform_points
-
-        pts = uniform_points(32, 2, seed=9)
-        src = DistributedRangeTree.build(pts, p=4)
-        bare = ConstructResult(
-            hat=src.hat,
-            forest_store=list(src.forest_store),
-            roots=src.construct_result.roots,
-            phase_record_counts=[],
-            p=4,
-        )
-        tree = DistributedRangeTree(
-            src.points, src.ranked, src.machine, src.semigroup, bare
-        )
-        sg = sum_of_dim(0)
-        tree.reannotate(sg)
-        box = Box.full(2, 0.0, 1.0)
-        got = tree.run(aggregate(box)).value(0)
-        assert got == pytest.approx(bf_aggregate(pts, box, sg))
-
     def test_hotspot_replication_moves_copies_between_workers(self):
         """All queries hit one group: copies must ship worker-to-worker."""
         from repro.geometry.box import Box

@@ -98,7 +98,8 @@ class TestStructuralInvariants:
     def test_forest_groups_partition_structure(self, pts):
         """Forest ids are globally unique and group sizes near-equal."""
         tree = DistributedRangeTree.build(pts, p=4)
-        ids = [fid for store in tree.forest_store for fid in store]
+        hat = tree.hat
+        ids = [(hat.location[i], hat.dim[i], hat.tree[i]) for i in np.flatnonzero(hat.leaf)]
         assert len(ids) == len(set(ids))
         sizes = tree.construct_result.forest_group_sizes()
         assert max(sizes) <= 2 * max(1, min(sizes))
@@ -107,6 +108,66 @@ class TestStructuralInvariants:
     @settings(**COMMON)
     def test_hat_leaves_match_forest_elements(self, pts):
         tree = DistributedRangeTree.build(pts, p=4)
-        hat_ids = {tree.hat.path(i) for i in np.nonzero(tree.hat.leaf)[0]}
-        forest_ids = {fid for store in tree.forest_store for fid in store}
+        hat = tree.hat
+        hat_ids = {
+            (int(hat.location[i]), int(hat.dim[i]), int(hat.tree[i]))
+            for i in np.nonzero(hat.leaf)[0]
+        }
+        forest_ids = {
+            (rank, j, t)
+            for rank, store in enumerate(tree.forest_store)
+            for j, stack in store.items()
+            for t in range(stack.shape[0])
+        }
         assert hat_ids == forest_ids
+
+
+class TestSubqueryBalance:
+    """Theorem 3: after replication no processor serves more than
+    ``c·ceil(|Q'|/p)`` subqueries, with ``c = 3``.
+
+    Where the 3 comes from: with ``q = ceil(|Q'|/p)``, step 2 gives owner
+    ``j`` ``c_j = max(1, ceil(d_j / q))`` copies, so ``Σ c_j < Σ d_j/q + p
+    ≤ 2p`` and step 4 hands each copy at most ``ceil(d_j / c_j) ≤ q``
+    subqueries.  :func:`~repro.cgm.loadbalance.assign_copies_round_robin`
+    keeps copy 0 at the owner and deals the other ``Σ (c_j − 1) ≤ p − 1``
+    copies to consecutive cursor positions, skipping an owner's own slot
+    at most once per copy — fewer than ``2p`` positions, so a rank is
+    dealt at most two copies besides its own group's: three copies of at
+    most ``q`` subqueries each.
+    """
+
+    @given(
+        p=st.sampled_from([2, 4, 8]),
+        parts=st.sampled_from([1, 3]),
+        hot=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(**COMMON)
+    def test_no_rank_serves_more_than_three_fair_shares(self, p, parts, hot, seed):
+        from repro.cgm import Machine
+        from repro.dist import run_search
+        from repro.workloads import uniform_points
+
+        from tests.helpers import random_boxes
+
+        m = 48
+        with Machine(p) as mach:
+            trees = [
+                DistributedRangeTree.build(uniform_points(64, 2, seed=seed + b), machine=mach)
+                for b in range(parts)
+            ]
+            if hot:
+                # ranks 0..2 in dimension 0: every query continues in the
+                # first primary element of every part, so all of Q' is
+                # owned by rank 0 before replication
+                bounds = [(np.tile([0, 0], (m, 1)), np.tile([2, 63], (m, 1)))] * parts
+            else:
+                lo, hi = Box.stack(random_boxes(np.random.default_rng(seed), m, 2))
+                bounds = [t.ranked.to_rank_bounds(lo, hi) for t in trees]
+            out = run_search(mach, [(t.construct_result.ns, b) for t, b in zip(trees, bounds)])
+        share = -(-out.total_subqueries // p)
+        assert max(out.subqueries_per_proc) <= 3 * share, (out.demands, out.subqueries_per_proc)
+        if hot and p > 2:
+            # the bound is replication's doing: the owners' demand breaks it
+            assert max(out.demands) > 3 * share

@@ -144,7 +144,7 @@ def test_a_mask_of_the_wrong_length_is_refused_before_any_phase(bad):
         assert not tree.metrics.since(snap).steps
         # one flag and no flag still broadcast
         assert sum(len(b) for b in tree.search(boxes, report=True).report_pairs) == 96
-        ns = tree._ensure_resident()
+        ns = tree.construct_result.ns
         bounds = tree.ranked.to_rank_bounds(*Box.stack(boxes))
         out = run_search(tree.machine, [(ns, bounds)], report=None)
         assert not sum(len(b) for b in out.report_pairs)

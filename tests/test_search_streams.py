@@ -88,7 +88,10 @@ def test_every_shipped_column_is_an_array_and_every_name_a_hat_row(
             assert {b.schema for b in shipped} == {"dist.srecord"}
             out = tree.search(boxes, report=mask)
             tree.run(QueryBatch([cycle[i % 3](b) for i, b in enumerate(boxes)]))
-            hat, stores = tree.hat, [set(store) for store in tree.forest_store]
+            hat = tree.hat
+            trees = {
+                (r, j): st.shape[0] for r, store in enumerate(tree.forest_store) for j, st in store.items()
+            }
     assert {b.schema for b in shipped} == {
         "dist.srecord", "dist.search.routing", "query.piece", "dist.report_pair"
     }
@@ -99,13 +102,13 @@ def test_every_shipped_column_is_an_array_and_every_name_a_hat_row(
         for col in batch.cols.values():
             assert type(col) is np.ndarray or isinstance(col, KernelColumn)
 
-    # (b) a name is a hat row: elements are hat leaves whose label keys
-    # their owner's store, selected nodes are dimension-d nodes, and the
+    # (b) a name is a hat row: elements are hat leaves naming a tree of
+    # their owner's stack, selected nodes are dimension-d nodes, and the
     # expansion requests are exactly the marked selections' tilings
     for batch in batches:
         if "element" in batch.cols:
             for e in np.unique(batch.col("element")).tolist():
-                assert hat.leaf[e] and hat.path(e) in stores[hat.location[e]]
+                assert hat.leaf[e] and hat.tree[e] < trees[hat.location[e], hat.dim[e]]
         if "location" in batch.cols:
             assert (batch.col("location") == hat.location[batch.col("element")]).all()
     sels = [h for per in out.hat_selections for h in per]
@@ -130,7 +133,7 @@ def test_every_shipped_column_is_an_array_and_every_name_a_hat_row(
 def test_step5_refuses_a_subquery_for_a_group_it_holds_no_copy_of(backend):
     pts = make_points("uniform", 64, 2, seed=3)
     with DistributedRangeTree.build(pts, p=4, backend=backend) as tree:
-        ns, hat = tree._ensure_resident(), tree.hat
+        ns, hat = tree.construct_result.ns, tree.hat
         # two subqueries for elements of owner 1, delivered to rank 0
         elements = np.flatnonzero(hat.leaf & (hat.location == 1))[:2]
         inbox = RecordBatch(
@@ -167,7 +170,7 @@ def test_step5_refuses_a_subquery_for_a_group_it_holds_no_copy_of(backend):
 def test_step3_refuses_to_forward_a_group_it_does_not_hold(backend):
     pts = make_points("uniform", 64, 2, seed=3)
     with DistributedRangeTree.build(pts, p=4, backend=backend) as tree:
-        ns = tree._ensure_resident()
+        ns = tree.construct_result.ns
         want = "rank 0 was scheduled to forward group 1 without holding a copy"
         with pytest.raises(ProtocolError, match=re.escape(want)):
             tree.machine.run_phase(

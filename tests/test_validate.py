@@ -61,12 +61,12 @@ class TestValidatorCatchesCorruption:
         assert any("aggregate" in f for f in rep.failures)
 
     def test_detects_bad_location(self):
+        """A hat leaf that names the wrong owner (still a valid rank)."""
         tree = self._tree()
-        store = tree.forest_store[0]
-        el = next(iter(store.values()))
-        el.location = 3  # lie about ownership
-        rep = validate_tree(tree)
-        assert not rep.ok
+        hat = tree.hat
+        leaf = int(np.flatnonzero(hat.leaf)[0])
+        hat.location[leaf] = (hat.location[leaf] + 1) % tree.p  # lie about ownership
+        self._assert_caught(tree, "group-to-processor")
 
     def test_detects_bad_index_arithmetic(self):
         tree = self._tree()
@@ -78,18 +78,15 @@ class TestValidatorCatchesCorruption:
 
     def test_detects_missing_forest_element(self):
         tree = self._tree()
-        store = tree.forest_store[1]
-        store.pop(next(iter(store)))
-        rep = validate_tree(tree)
-        assert not rep.ok
+        tree.forest_store[1].pop(1)  # the dimension-1 stack: all its trees
+        self._assert_caught(tree, "missing forest element")
 
-    # -- one slot of a forest element's arrays at a time -------------------
-    def _element(self, tree, dim=0):
-        """An element of dimension ``dim`` (``dim=0`` holds two key
-        blocks: its primary tree, then every last-dimension tree)."""
-        return next(
-            el for store in tree.forest_store for el in store.values() if el.dim == dim
-        )
+    # -- one slot of a forest stack's arrays at a time ---------------------
+    def _stack(self, tree, dim=0):
+        """Rank 0's stack for dimension ``dim`` (``dim=0`` holds two key
+        blocks: its primary trees, then every last-dimension tree;
+        ``dim=1`` holds two trees)."""
+        return tree.forest_store[0][dim]
 
     def _assert_caught(self, tree, needle):
         rep = validate_tree(tree)
@@ -98,40 +95,41 @@ class TestValidatorCatchesCorruption:
 
     def test_detects_wrong_node_count(self):
         tree = self._tree()
-        el = self._element(tree)
-        el.soa.agg_mat = el.soa.agg_mat[:-1]
+        stack = self._stack(tree)
+        stack.agg_mat = stack.agg_mat[:-1]
         self._assert_caught(tree, "node count is not T(")
 
     def test_detects_wrong_record_counts(self):
         tree = self._tree()
-        el = self._element(tree)
-        el.soa.row_block = el.soa.row_block[:-1]
+        stack = self._stack(tree)
+        stack.row_block = stack.row_block[:-1]
         self._assert_caught(tree, "row_block rows")
         tree = self._tree()
-        el = self._element(tree)
-        el.soa.keys = (el.soa.keys[0], el.soa.keys[1][:-1])
+        stack = self._stack(tree)
+        stack.keys = (stack.keys[0], stack.keys[1][:-1])
         self._assert_caught(tree, "row_block rows")
 
     def test_detects_inverted_interval(self):
         """A tree whose key slice runs ``hi .. lo``: the primary tree's
         first and last keys swapped."""
         tree = self._tree()
-        primary = self._element(tree).soa.keys[0]
-        primary[0], primary[-1] = primary[-1], primary[0]
+        stack = self._stack(tree)
+        primary, m = stack.keys[0], stack.width
+        primary[0], primary[m - 1] = primary[m - 1], primary[0]
         self._assert_caught(tree, "key block slot")
 
     def test_detects_child_interval_escaping_its_parent(self):
         """A descendant tree claiming a rank none of its rows has."""
         tree = self._tree()
-        el = self._element(tree)
-        el.soa.keys[1][el.nleaves + 1] += 1  # inside the root's left child's tree
+        stack = self._stack(tree)
+        stack.keys[1][stack.width + 1] += 1  # inside the root's left child's tree
         self._assert_caught(tree, "key block slot")
 
     def test_detects_broken_last_dimension_link(self):
         """A last-dimension key slot is linked to its row by position:
         two rows of one tree swapped keep every row *set* intact."""
         tree = self._tree()
-        rows = self._element(tree).soa.row_block
+        rows = self._stack(tree).row_block
         rows[0], rows[1] = rows[1], rows[0]
         self._assert_caught(tree, "key block slot")
 
@@ -139,34 +137,33 @@ class TestValidatorCatchesCorruption:
         """A key is linked to its tree by the start it is prefixed with:
         one slot re-prefixed to the neighbouring tree."""
         tree = self._tree()
-        el = self._element(tree)
-        el.soa.keys[1][el.nleaves] -= el.soa.span
+        stack = self._stack(tree)
+        stack.keys[1][stack.width] -= stack.span
         self._assert_caught(tree, "key block slot")
 
     def test_detects_row_block_slice_that_is_not_a_permutation(self):
         tree = self._tree()
-        el = self._element(tree)
-        el.soa.row_block[-1] = el.soa.row_block[-2]  # one row twice, one lost
+        stack = self._stack(tree)
+        stack.row_block[-1] = stack.row_block[-2]  # one row twice, one lost
         self._assert_caught(tree, "not a permutation")
 
     def test_detects_stale_element_root_aggregate(self):
         tree = self._tree()
-        el = self._element(tree)
-        el.soa.agg_mat[len(el.soa.keys) - 1] += 1  # the last dimension's root
+        stack = self._stack(tree)
+        stack.agg_mat[len(stack.keys) - 1] += 1  # tree 0's last dimension's root
         self._assert_caught(tree, "hat-leaf aggregate stale")
 
     @pytest.mark.parametrize("dim", [0, 1])
     def test_detects_every_single_slot_corruption(self, dim):
-        """Each slot of each held array, one at a time (aggregates: the
-        slots of last-dimension nodes — the others are never read)."""
+        """Each slot of each held array, one at a time, across every tree
+        of the stack (aggregates: the slots of last-dimension nodes — the
+        others are never read)."""
         tree = self._tree()
-        el = self._element(tree, dim=dim)
-        soa = el.soa
+        stack = self._stack(tree, dim=dim)
         assert validate_tree(tree).ok
-        last = np.concatenate([g.ravel() for _r, g, _h in soa._last_dim_classes()])
-        for arr, slots in [(b, range(len(b))) for b in (*soa.keys, soa.row_block)] + [
-            (soa.agg_mat, last.tolist())
-        ]:
+        last = np.concatenate([g.ravel() for _r, g, _h in stack._last_dim_classes()])
+        held = (*stack.keys, stack.row_block, stack.pids)
+        for arr, slots in [(b, range(len(b))) for b in held] + [(stack.agg_mat, last.tolist())]:
             for j in slots:
                 keep = arr[j].copy()
                 arr[j] += 1

@@ -1,11 +1,12 @@
 """Extended corruption matrix for the structural validator.
 
 The seed suite (test_validate.py) corrupts an aggregate, a location, an
-index, and drops an element.  Here every other field the validator
-guards is corrupted one at a time: hat-leaf counts, segment unions,
-descendant pointers, group ranks, stale hat-leaf aggregates, mislabeled
-forest roots, and cross-rank duplicates — each must be caught, and the
-failure summary must say so.
+index, a forest stack's slots, and drops a stack.  Here every other
+field the validator guards is corrupted one at a time: hat-leaf counts,
+segment unions, descendant pointers, tree indices (group ranks), stale
+hat-leaf aggregates, swapped elements, and stacks filed at the wrong
+rank or dimension — each must be caught, and the failure summary must
+say so.
 """
 
 from __future__ import annotations
@@ -94,6 +95,7 @@ class TestCorruptHat:
             ("right", "link broken"),
             ("desc", "link broken"),
             ("location", "names an owner"),
+            ("tree", "names an owner"),
             ("tile_off", "tile slice"),
             ("tile_len", "tile slice"),
             ("agg_mat", "aggregate f(v) mismatch"),
@@ -113,6 +115,7 @@ class TestCorruptHat:
             ("hi", "disagrees with its hat leaf"),
             ("nleaves", "disagrees with its hat leaf"),
             ("location", "has owner 4 outside 0..3"),
+            ("tree", "group-to-processor"),
             ("agg_mat", "hat-leaf aggregate stale"),
         ],
     )
@@ -150,40 +153,36 @@ class TestCorruptHat:
 
 
 class TestMislabeledForest:
+    """What names a tree of a stack: a hat leaf's owner, dimension and
+    tree index — each wrong one must be caught."""
+
+    def _dim1_leaves(self, tree, owner):
+        hat = tree.hat
+        return np.flatnonzero(hat.leaf & (hat.dim == 1) & (hat.location == owner))
+
     def test_detects_swapped_forest_roots(self, tree):
         """Two elements filed under each other's names (same sizes, wrong segs)."""
-        store = tree.forest_store[0]
-        fids = [fid for fid, el in store.items() if el.dim == 1]
-        assert len(fids) >= 2
-        a, b = fids[0], fids[1]
-        store[a], store[b] = store[b], store[a]
-        rep = validate_tree(tree)
-        assert not rep.ok
-        assert any("labeled" in f or "disagrees" in f for f in rep.failures)
+        a, b = self._dim1_leaves(tree, 0)[:2]
+        hat = tree.hat
+        hat.tree[[a, b]] = hat.tree[[b, a]]
+        _assert_caught(tree, "disagrees")
 
     def test_detects_bad_group_rank(self, tree):
-        el = next(iter(tree.forest_store[2].values()))
-        el.group_rank += 1  # now violates group_rank mod p == location
-        rep = validate_tree(tree)
-        assert not rep.ok
-        assert any("group-to-processor" in f for f in rep.failures)
+        leaf = self._dim1_leaves(tree, 2)[0]
+        tree.hat.tree[leaf] += 1  # now not the tree its group rank gives
+        _assert_caught(tree, "group-to-processor")
 
     def test_detects_cross_rank_duplicate(self, tree):
-        fid, el = next(iter(tree.forest_store[0].items()))
-        tree.forest_store[1][fid] = el
-        rep = validate_tree(tree)
-        assert not rep.ok
-        assert any("multiple ranks" in f for f in rep.failures)
+        """Rank 0's stack filed at rank 1 too: rank 1's hat leaves name
+        trees that hold rank 0's points."""
+        tree.forest_store[1][1] = tree.forest_store[0][1]
+        _assert_caught(tree, "disagrees")
 
     def test_detects_foreign_element(self, tree):
-        """An element filed under a name that is not a hat leaf at all."""
+        """A stack filed under a dimension no hat leaf names."""
         store = tree.forest_store[3]
-        fid, el = next(iter(store.items()))
-        store.pop(fid)
-        store[((9999, 0),)] = el
-        rep = validate_tree(tree)
-        assert not rep.ok
-        assert any("not a hat leaf" in f for f in rep.failures)
+        store[7] = store.pop(1)
+        _assert_caught(tree, "named by no hat leaf")
 
 
 class TestReportShape:
