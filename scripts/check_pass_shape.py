@@ -20,9 +20,10 @@ Builds n=512, p=8 and runs an empty, a one-query and a 64-query
   no ``DimTree``/``SegTree``/``RangeTree``, no pass calls
   ``CompiledForest.from_ranks``, ``Hat.build`` runs once per rank per
   Construct and never on a pass, a refit or outside a dynamic absorb's
-  Construct (``second_representation_calls``), and a refit rebinds the
-  hat's aggregate column (and ``idle``) and nothing else
-  (``hat_shape_failures``);
+  Construct (``second_representation_calls``);
+* two trees of different n on one machine share one hat shape, a refit
+  rebinds only the hat's annotation, and a dynamic pass over four parts
+  walks the hats at most once per rank (``one_hat_shape_failures``);
 * the forest walk makes one ``searchsorted`` and one closed-form cover per
   divided dimension whether an element holds 64 points or 2048
   (``walk_shape_failures``), and on a hot-spot pass no rank walks one
@@ -42,12 +43,11 @@ Builds n=512, p=8 and runs an empty, a one-query and a 64-query
   ascending) and calls ``fold_segments`` at most twice per rank and
   fold group (once over a rank's own pieces, once at home)
   (``fold_said_once_failures``);
-* typed or object is the semigroup's ``kernel`` field and nothing else:
-  a tree built under ``sum_of_dim(0)`` with its ``lift`` swapped for a
-  counting one, then lazily refit to a product with ``max_of_dim(1)``,
-  calls that per-point ``lift`` 0 times on the serial and process
-  backends, and ``n_real`` times per lift (build, refit) once the field
-  is ``None`` (``kernel_field_failures``).
+* typed or object is the semigroup's ``kernel`` field alone: a build
+  under ``sum_of_dim(0)`` with a counting ``lift``, lazily refit to a
+  product with ``max_of_dim(1)``, calls that ``lift`` 0 times on both
+  backends, and ``n_real`` times per lift once the field is ``None``
+  (``kernel_field_failures``).
 
 Tier-1 tests pin the rest: a dynamic batch is one Search pass
 (``tests/test_dist_dynamic.py``'s ``TestOnePass``) and a pass constructs
@@ -183,40 +183,41 @@ def second_representation_calls() -> dict:
     return calls
 
 
-#: What a refit may rebind on a ``Hat``; every other attribute is topology.
+#: What a refit may rebind on a ``Hat``; the rest is its shape and its tree's rows.
 HAT_ANNOTATION = {"semigroup", "agg_kernel", "agg_mat", "agg_obj", "idle"}
 
 
-def hat_shape_failures() -> list:
-    """The hat is its columns: a refit rebinds the annotation without
-    constructing anything per node."""
-    import numpy as np
-
-    from repro.dist import DistributedRangeTree
-    from repro.dist.hat import Hat
+def one_hat_shape_failures() -> list:
+    """The hat is its ``(p, d)`` shape plus one tree's rows, and step 1
+    walks every part at once, not once per (rank, part)."""
+    from repro.cgm import Machine
+    from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree, Hat, search
+    from repro.query import count
     from repro.semigroup import top_k_ids
     from repro.workloads import make_points
 
-    failures = []
-    calls: dict = {}
-    with DistributedRangeTree.build(make_points("uniform", 512, 2, seed=1), p=8) as tree:
-        hat = tree.hat
-        before = dict(vars(hat))
+    failures, calls = [], {}
+    with Machine(8) as mach:
+        small, large = (DistributedRangeTree.build(make_points("uniform", n, 2, seed=1),
+                                                   machine=mach) for n in (64, 512))
+        if small.hat.shape is not large.hat.shape:
+            failures.append("two trees of one (p, d) hold two hat shapes")
+        hat, before = large.hat, dict(vars(large.hat))
         with counting(calls, (Hat, "__init__")):
-            tree.reannotate(top_k_ids(2))  # an object column: the per-value case
-        if calls["Hat.__init__"]:
-            failures.append(f"a refit constructed {calls['Hat.__init__']} Hat(s)")
-        after = vars(tree.hat)
-        moved = sorted(k for k in after if k not in HAT_ANNOTATION and after[k] is not before.get(k))
-        if tree.hat is not hat or moved or set(after) != set(before):
-            failures.append(f"a refit rebuilt hat topology: {moved or 'a new Hat'}")
-        per_node = sorted(
-            k
-            for k, v in after.items()
-            if k not in HAT_ANNOTATION and not isinstance(v, (np.ndarray, int))
-        )
-        if per_node:
-            failures.append(f"Hat holds non-array state: {per_node}")
+            large.reannotate(top_k_ids(2))  # an object column: the per-value case
+        after = vars(hat)
+        moved = [k for k in after if k not in HAT_ANNOTATION and after[k] is not before.get(k)]
+        if calls["Hat.__init__"] or large.hat is not hat or moved or set(after) != set(before):
+            failures.append(f"a refit rebuilt the hat: {calls['Hat.__init__']} Hat(s), {moved}")
+    coords = make_points("uniform", 512, 2, seed=2).coords
+    with DynamicDistributedRangeTree.build(coords[:256], p=4, flush_threshold=16) as dyn:
+        for c in coords[256:368]:  # 112 = 64 + 32 + 16 more points: four buckets
+            dyn.insert(c)
+        with counting(calls, (search, "walk_hats")):
+            dyn.run([count(Box(((0.0, 1.0), (0.0, 1.0))))] * 16)
+        walks, parts = calls["repro.dist.search.walk_hats"], len(dyn.bucket_sizes)
+    if parts < 3 or walks > 4:
+        failures.append(f"a pass over {parts} parts made {walks} hat walks on p=4 ranks (max 4)")
     return failures
 
 
@@ -393,9 +394,8 @@ def report_mask_failures(tree, batch) -> list:
     # step 5 at the busiest owner, on 64 and on 640 subqueries over the
     # same elements: what it does in Python is per element, not per row
     ns, mach = tree.construct_result.ns, tree.machine
-    _sels, routing, _exps, _visits = tree.hat.walk_batch(
-        0, *tree.ranked.to_rank_bounds(*Box.stack([q.box for q in batch])), mask
-    )
+    bounds = tree.ranked.to_rank_bounds(*Box.stack([q.box for q in batch]))
+    _sels, routing, _exps, _visits = hat.walk_hats([tree.hat], 0, [bounds], mask)
     owners = routing.col("location")
     owner = int(np.bincount(owners).argmax())
     mine = np.flatnonzero(owners == owner)
@@ -579,7 +579,7 @@ def main() -> int:
             f"one-query pass made {len(dispatches)} run_phase dispatches "
             f"(max {MAX_ONE_QUERY_DISPATCHES}): {dispatches}"
         )
-    for gate in (walk_shape_failures, stack_walk_failures, hat_shape_failures, kernel_field_failures):
+    for gate in (walk_shape_failures, stack_walk_failures, one_hat_shape_failures, kernel_field_failures):
         failures += gate()
     object_calls = {**object_loop_calls(), **second_representation_calls()}
     for name, n in object_calls.items():

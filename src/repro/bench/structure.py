@@ -46,10 +46,10 @@ def run_f2() -> Table:
     t.add_note("a descendant tree's root inherits its ancestor's index (Definition 2(ii))")
     # verify against a real build: every hat descendant root shares its anchor's index
     tree = DistributedRangeTree.build(uniform_points(64, 2, seed=0), p=8)
-    hat = tree.hat
+    hat, shape = tree.hat, tree.hat.shape
     mismatches = sum(
-        hat.path(int(hat.desc[i]))[0] != hat.path(i)[0]
-        for i in np.nonzero(hat.desc >= 0)[0].tolist()
+        hat.path(int(shape.desc[i]))[0] != hat.path(i)[0]
+        for i in np.nonzero(shape.desc >= 0)[0].tolist()
     )
     t.add_note(f"checked on a built hat (n=64, d=2, p=8): {mismatches} index inheritance violations")
     return t
@@ -58,17 +58,17 @@ def run_f2() -> Table:
 def run_f3(n: int = 64, p: int = 8) -> Table:
     """Figure 3: the hat and forest of T in dimension one for p processors."""
     tree = DistributedRangeTree.build(uniform_points(n, 2, seed=0), p=p)
-    hat = tree.hat
+    hat, shape = tree.hat, tree.hat.shape
     t = Table(
         f"F3 — Figure 3: hat/forest decomposition (n={n}, d=2, p={p})",
         ["quantity", "paper says", "measured"],
     )
-    primary = hat.dim == 0
-    prim_leaves = hat.nleaves[primary & hat.leaf]
+    primary = shape.dim == 0
+    prim_leaves = hat.nleaves[primary & shape.leaf]
     t.add_row("hat levels (dim 1)", f"log p = {ilog2(p)}", ilog2(n) - hat.leaf_level)
     t.add_row("primary-hat leaves", f"p = {p}", len(prim_leaves))
     t.add_row("points per forest element", f"n/p = {n // p}", int(prim_leaves[0]))
-    desc_sizes = sorted(hat.nleaves[primary & ~hat.leaf].tolist(), reverse=True)
+    desc_sizes = sorted(hat.nleaves[primary & ~shape.leaf].tolist(), reverse=True)
     t.add_row("descendant trees of hat nodes (points)", "n, n/2, n/2, n/4 ...", desc_sizes)
     t.add_row("forest elements per processor", "equal", tree.space_report()["forest_elements_per_proc"])
     return t

@@ -93,8 +93,9 @@ def _phase_refit_relabel(ctx: ProcContext, payload) -> list:
     """
     values, ids, semigroup, ns = payload
     hat = ctx.state[hat_key(ns)]
-    mine = np.flatnonzero(hat.leaf & (hat.location == ctx.rank)).tolist()
-    leaf_of = {(int(hat.dim[i]), int(hat.tree[i])): i for i in mine}
+    shape = hat.shape
+    mine = np.flatnonzero(shape.leaf & (shape.location == ctx.rank)).tolist()
+    leaf_of = {(int(shape.dim[i]), int(shape.tree[i])): i for i in mine}
     infos = []
     for j, stack in (ctx.state.get(forest_key(ns)) or {}).items():
         stack.annotate(values[np.searchsorted(ids, stack.pids)], semigroup)
@@ -267,7 +268,7 @@ class DistributedRangeTree:
             self._engine = QueryEngine(self)
         return self._engine
 
-    def run(self, batch, replication: str | None = None):
+    def run(self, batch):
         """Answer a (mixed-mode) batch in one Algorithm Search pass.
 
         ``batch`` is a :class:`~repro.query.QueryBatch`, a sequence of
@@ -275,7 +276,7 @@ class DistributedRangeTree:
         returns a :class:`~repro.query.ResultSet` with answers in batch
         order plus the pass's superstep metrics.
         """
-        return self.engine.run(batch, replication=replication)
+        return self.engine.run(batch)
 
     def search(
         self,

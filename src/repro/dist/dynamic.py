@@ -334,7 +334,7 @@ class DynamicDistributedRangeTree:
     # ------------------------------------------------------------------
     # queries (decomposable: one Search pass over the buckets + side sets)
     # ------------------------------------------------------------------
-    def run(self, batch, replication: str | None = None) -> ResultSet:
+    def run(self, batch) -> ResultSet:
         """Answer a (mixed-mode) batch across every epoch.
 
         Accepts the same shapes as the static facade's ``run``; the
@@ -343,7 +343,7 @@ class DynamicDistributedRangeTree:
         observable per batch.
         """
         self._check_open()
-        batch = QueryBatch.coerce(batch, replication)
+        batch = QueryBatch.coerce(batch)
         for qid, q in enumerate(batch):
             if q.box.dim != self.dim:
                 raise DimensionMismatch(self.dim, q.box.dim, f"query {qid} box")
@@ -352,7 +352,7 @@ class DynamicDistributedRangeTree:
         combiner = EpochCombiner(
             batch, self.semigroup, self.dim, self._coords_of
         )
-        sub = combiner.epoch_batch(batch.replication)
+        sub = combiner.epoch_batch()
         # bucket bbox pruning: a bucket whose bounding box (over live AND
         # tombstoned points) misses every query box holds no answer —
         # leave it out of the pass.  The largest bucket leads: the plan is
@@ -368,7 +368,7 @@ class DynamicDistributedRangeTree:
         buffered_ids, dead_ids = self._side_matches(sub)
         answers = combiner.finalize_all(values, buffered_ids, dead_ids)
         metrics = mach.metrics.since(snap)
-        return ResultSet(batch.queries, answers, metrics, replication=batch.replication)
+        return ResultSet(batch.queries, answers, metrics)
 
     def _side_matches(
         self, batch: QueryBatch

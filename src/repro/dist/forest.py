@@ -14,7 +14,7 @@ the stack is one :class:`~repro.seq.compiled.CompiledForest` whose trees
 are the processor's phase-``j`` elements laid end to end, with the
 rows' point ids in ``pids``.  An element is a tree index in its stack;
 the hat leaf naming it keeps that index next to its owner
-(``hat.tree`` beside ``hat.location``).  Construct emits each stack in
+(``hat.shape.tree`` beside ``hat.shape.location``).  Construct emits each stack in
 one call (:func:`build_stack`), a refit re-annotates it in place,
 replication ships it as it is, and Search step 5 walks it once per
 inbox (:func:`repro.dist.forest_compiled.stack_selections`).  The object

@@ -1,35 +1,34 @@
 """The hat: the replicated top of the distributed range tree (§4, Figure 3).
 
 Cutting every segment tree of the d-dimensional range tree at level
-``log2(n/p)`` yields the **hat** — the union of the top ``log p`` levels
-of the primary tree, of the descendant trees of its internal nodes, of
-*their* internal nodes' descendants, and so on (Definition 3).  Theorem 1
-bounds its size by ``O(p log^{d-1} p)`` nodes, small enough to replicate
-on every processor; its leaves (the *hat leaves*) name exactly the forest
-elements, whose roots they are.
+``log2(n/p)`` yields the **hat** — the top ``log p`` levels of the primary
+tree, of the descendant trees of its internal nodes, and so on
+(Definition 3): ``O(p log^{d-1} p)`` nodes (Theorem 1), replicated on
+every processor, whose leaves (the *hat leaves*) root the forest
+elements.
 
-A :class:`Hat` is held in exactly one form: flat per-node columns, one
-row per node.  :meth:`Hat.build` emits them deterministically from the
-:class:`~repro.dist.records.ForestRootInfo` summaries broadcast in
-Construct step 5: hat-leaf segments, leaf counts, aggregates and owner
-locations come from the roots; internal nodes are derived bottom-up
-(segment = union of children, ``f(v) = f(left) ⊕ f(right)``).  Because
-the node labeling (§3, Definition 2) is pure arithmetic, every processor
-emits bit-identical columns with no further communication, and a refit
-(:meth:`Hat.refresh_aggregates`) rebinds the aggregate column alone.
+The hat's topology — rows, links, labels, tilings, the owner of each hat
+leaf's element — is arithmetic in ``(p, d)`` alone: one
+:class:`HatShape` (:func:`hat_shape`) serves every tree and every part of
+a pass.  A :class:`Hat` is that shape plus one tree's segments, leaf
+counts and ``f(v)``, placed by :meth:`Hat.build` from the
+:class:`~repro.dist.records.ForestRootInfo` summaries of Construct step
+5, so every processor emits bit-identical rows with no further
+communication; a refit (:meth:`Hat.refresh_aggregates`) rebinds the
+aggregate column alone.
 
-:meth:`Hat.walk_batch` is step 1 of Algorithm Search for a whole query
-slice: the four-case segment tree walk (§4) as a frontier expansion over
-the columns, emitting dimension-``d`` selections for nodes resolved
-within the hat and subquery continuations for walks that reach a hat
-leaf and must proceed inside a forest element.  :meth:`Hat.walk` is the
-same walk one query and one node at a time — the reference the batched
-walk is pinned against.
+:func:`walk_hats` is step 1 of Algorithm Search: the four-case segment
+tree walk (§4) for a rank's query slice over every part of a pass as one
+frontier expansion, emitting dimension-``d`` selections and subquery
+continuations into the forest.  :meth:`Hat.walk` is the same walk one
+query and one node at a time — the reference the batched walk is pinned
+against.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Sequence, Tuple
+from functools import lru_cache
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -48,18 +47,137 @@ from .records import (
     unflatten_path,
 )
 
-__all__ = ["Hat"]
+__all__ = ["Hat", "HatShape", "hat_shape", "walk_hats"]
 
 
-def _fold(
-    semigroup: Semigroup, aggs: List[Any], left: Sequence[int], right: Sequence[int]
-) -> tuple:
+class HatShape:
+    """The rows of every hat on ``p`` processors in ``d`` dimensions.
+
+    One row per node, in the order the walk emits: ``order(v) = [v] +
+    order(v's descendant tree) + order(left subtree) + order(right
+    subtree)``, so one ``lexsort((node, query))`` orders a batch's output.
+    Per row: ``dim``, the ``leaf``/``last_dim`` flags, the ``left``/
+    ``right`` children and ``desc`` pointer of Definition 1 (−1 when
+    absent), the Definition 2 label as a ``−1``-padded row of ``paths``
+    (levels counted from the cut), the ``width`` in hat leaves of its own
+    tree and the ``first``/``last`` of them.  A dimension-``d`` node's hat
+    leaves, left to right, are ``tile_leaf_ids[tile_off : tile_off +
+    tile_len]``.  A hat leaf's ``location``/``tree`` (−1 elsewhere) are
+    its element's owner and index in the owner's stack, by Construct step
+    3's rule: phase ``j``'s leaves, in label order, are groups ``base_j +
+    g``, and group ``G`` goes to processor ``G mod p`` as tree ``g // p``.
+    ``leaf_row`` maps a hat leaf's label to its row.
+
+    One object per ``(p, d)``; the arrays are read-only, and a shape
+    pickles as its key, so a worker process re-attaches to its own memo.
+    """
+
+    def __init__(self, **columns: Any) -> None:
+        self.__dict__.update(columns)
+        self._tiles: Dict[int, HatShape] = {}
+        for col in columns.values():
+            if isinstance(col, np.ndarray):
+                col.flags.writeable = False
+
+    def __reduce__(self):
+        return hat_shape, (self.p, self.d)
+
+    @property
+    def size(self) -> int:
+        """Rows per hat, ``H(p, d)``."""
+        return len(self.dim)
+
+    def label(self, i: int) -> Path:
+        """The Definition 2 label of row ``i``, levels counted from the cut."""
+        return unflatten_path(self.paths[i, : 2 * (int(self.dim[i]) + 1)])
+
+    def tiled(self, parts: int) -> "HatShape":
+        """The shape laid end to end ``parts`` times — part ``b``'s row
+        ``i`` at row ``b·H + i``, links and tilings shifted along —
+        memoized per ``parts``: a working view for :func:`walk_hats`."""
+        if parts == 1:
+            return self
+        if parts not in self._tiles:
+            H = self.size
+            step = dict(left=H, right=H, desc=H, first=H, last=H, tile_leaf_ids=H,
+                        tile_off=len(self.tile_leaf_ids))
+            laid = {
+                name: np.concatenate(
+                    [np.where(col >= 0, col + b * step[name], col) if name in step else col
+                     for b in range(parts)]
+                )
+                for name, col in vars(self).items()
+                if isinstance(col, np.ndarray)
+            }
+            self._tiles[parts] = HatShape(**{**vars(self), **laid})
+        return self._tiles[parts]
+
+
+@lru_cache(maxsize=None)
+def hat_shape(p: int, d: int) -> HatShape:
+    """The :class:`HatShape` of every hat on ``p`` processors in ``d``
+    dimensions, from Definitions 2-3 alone."""
+    require_power_of_two("processor count p", p)
+    if d < 1:
+        raise MachineError(f"dimension must be positive, got {d}")
+    names = ("dim", "left", "right", "desc", "width", "first", "last", "tile_off", "tile_len")
+    cols: Dict[str, List[int]] = {name: [] for name in names}
+    dim, left, right, desc, width, first, last, tile_off, tile_len = cols.values()
+    labels: List[Path] = []
+    tile_leaf_ids: List[int] = []
+
+    def emit(idx: int, lvl: int, k: int, tree_id: Path) -> int:
+        """Append node ``(idx, lvl)`` of tree ``tree_id`` and all below it."""
+        i = len(labels)
+        labels.append(make_path(idx, lvl, tree_id))
+        for col in cols.values():
+            col.append(-1)
+        dim[i], width[i] = k, 1 << lvl
+        tile_off[i] = len(tile_leaf_ids) if k == d - 1 else 0
+        if lvl == 0:
+            first[i] = last[i] = i
+            if k == d - 1:
+                tile_leaf_ids.append(i)
+        else:
+            if k < d - 1:
+                # a descendant root inherits its anchor's label (Definition 2(ii))
+                desc[i] = emit(idx, lvl, k + 1, labels[i])
+            left[i] = emit(2 * idx, lvl - 1, k, tree_id)
+            right[i] = emit(2 * idx + 1, lvl - 1, k, tree_id)
+            first[i], last[i] = first[left[i]], last[right[i]]
+        tile_len[i] = len(tile_leaf_ids) - tile_off[i] if k == d - 1 else 0
+        return i
+
+    emit(1, ilog2(p), 0, ())
+    arrays = {name: np.asarray(col, dtype=np.int64) for name, col in cols.items()}
+    leaf = arrays["left"] < 0
+    # Construct step 3: hat leaves in (phase, label) order are groups G =
+    # 0, 1, ...; G goes to processor G mod p as tree g // p, g its place
+    # in its phase
+    location, tree = np.full((2, len(labels)), -1, dtype=np.int64)
+    groups = sorted(
+        np.flatnonzero(leaf).tolist(), key=lambda i: (len(labels[i]), labels[i][1:], labels[i][0])
+    )
+    G, phase = np.arange(len(groups)), arrays["dim"][groups]
+    location[groups], tree[groups] = G % p, (G - np.searchsorted(phase, phase)) // p
+    paths = np.full((len(labels), 2 * d), -1, dtype=np.int64)
+    for i, label in enumerate(labels):
+        paths[i, : 2 * len(label)] = flatten_path(label)
+    return HatShape(
+        p=p, d=d, leaf=leaf, last_dim=arrays["dim"] == d - 1, paths=paths,
+        tile_leaf_ids=np.asarray(tile_leaf_ids, dtype=np.int64), location=location,
+        tree=tree, leaf_row={labels[i]: i for i in np.flatnonzero(leaf).tolist()}, **arrays,
+    )
+
+
+def _fold(semigroup: Semigroup, aggs: List[Any], shape: HatShape) -> tuple:
     """``(agg_kernel, agg_mat, agg_obj)`` for leaf-seeded ``aggs``.
 
     Children follow their parent in row order, so one backward sweep
     folds every child pair before its parent reads it.  The column is
     typed when the semigroup names a kernel.
     """
+    left, right = shape.left.tolist(), shape.right.tolist()
     for i in range(len(aggs) - 1, -1, -1):
         if left[i] >= 0:
             aggs[i] = semigroup.combine(aggs[left[i]], aggs[right[i]])
@@ -74,41 +192,57 @@ def _agg_column(kernel: Any, mat: Any, obj: Any, rows: Any) -> Any:
     return obj[rows] if mat is None else KernelColumn(kernel, mat[rows])
 
 
+def _cut(label: Path, leaf_level: int) -> Path:
+    """``label`` with its levels moved down by ``leaf_level`` (or up)."""
+    return tuple((idx, lvl - leaf_level) for idx, lvl in label)
+
+
+def _seat(shape: HatShape, roots: Sequence[ForestRootInfo], leaf_level: int, k: int) -> tuple:
+    """Each root's segment and aggregate at its hat leaf's row; a
+    :class:`~repro.errors.ProtocolError` for a root no hat leaf is labeled
+    with, a second root for one, a root whose dimension, owner, stack index
+    or leaf count is not the shape's, and a hat leaf no root names."""
+    seg = np.zeros((shape.size, 2), dtype=np.int64)
+    aggs: List[Any] = [None] * shape.size
+    seated = np.zeros(shape.size, dtype=bool)
+    for info in roots:
+        i = shape.leaf_row.get(_cut(info.path, leaf_level))
+        if i is None or seated[i]:
+            what = "unexpected" if i is None else "duplicate"
+            raise ProtocolError(f"forest roots do not match the hat: {what} {info.path}")
+        want = (int(shape.dim[i]), int(shape.location[i]), int(shape.tree[i]), k)
+        got = (info.dim, info.location, info.tree, info.nleaves)
+        if got != want:
+            raise ProtocolError(
+                f"forest root {info.path} is mislabeled: (dim, location, tree, "
+                f"nleaves) is {got}, its label gives {want}"
+            )
+        seated[i], seg[i], aggs[i] = True, info.seg, info.agg
+    missing = np.flatnonzero(shape.leaf & ~seated)
+    if len(missing):
+        path = _cut(shape.label(int(missing[0])), -leaf_level)
+        raise ProtocolError(f"forest roots incomplete: no root for hat leaf {path}")
+    return seg, aggs
+
+
 class Hat:
-    """The replicated hat of the distributed tree (Definition 3, Figure 3).
+    """One tree's hat (Definition 3, Figure 3): the shared ``shape`` plus
+    this tree's own rows.
 
-    One row per node, in the order the walk emits: ``order(v) = [v] +
-    order(v's descendant tree) + order(left subtree) + order(right
-    subtree)`` — so per-query emission order is monotone in row number
-    and one ``lexsort((node, query))`` orders a batch's output.
-
-    Per node: ``dim``, the closed rank interval ``lo``/``hi`` covered in
-    that dimension (the tightest cover of its points' ranks — exact for
-    the four-case walk even though descendant trees hold non-contiguous
-    rank subsets), ``nleaves``, ``leaf``/``last_dim`` flags, the
-    ``left``/``right`` children and the ``desc`` pointer of Definition 1
-    (row numbers, −1 when absent), the owner ``location`` of the forest
-    element rooted at a hat leaf and its index ``tree`` in the owner's
-    stack for the leaf's dimension (both −1 on internal nodes), and the
-    Definition 2 name as a row of ``paths`` (``−1``-padded to ``2d``
-    ints; a dimension-``k`` node's label is its first ``2(k+1)``).  A
-    row number is the node's name in every Search stream — the hat is
-    bit-identical on every processor — and a hat-leaf row names the
-    forest element rooted there.  Every dimension-``d``
-    node's hat leaves, left to right, are the rows
-    ``tile_leaf_ids[tile_off : tile_off + tile_len]``.  The ``f(v)``
-    annotations are held once: ``agg_mat`` (rows encoded under
-    ``agg_kernel``) when the semigroup has a kernel, ``agg_obj`` (its
-    own Python values) otherwise.  ``idle`` is the walk's output for an
-    empty query slice, typed like any other.
+    ``n``, the cut ``leaf_level = log2(n/p)``, and per row the closed rank
+    interval ``lo``/``hi`` covered in the row's dimension (the tightest
+    cover of its points' ranks — exact for the four-case walk; an internal
+    row's is its first and last hat leaves'), ``nleaves`` (``width ·
+    n/p``) and ``f(v)``, held once: ``agg_mat`` (rows encoded under
+    ``agg_kernel``) when the semigroup has a kernel, ``agg_obj``
+    otherwise.  A row number is the node's name in every Search stream,
+    and a hat-leaf row names the forest element rooted there.  ``idle`` is
+    the walk's output for an empty query slice, typed like any other.
     """
 
     def __init__(self, **columns: Any) -> None:
         self.__dict__.update(columns)
 
-    # ------------------------------------------------------------------
-    # construction from broadcast forest roots (Construct step 5)
-    # ------------------------------------------------------------------
     @classmethod
     def build(
         cls,
@@ -127,118 +261,31 @@ class Hat:
         """
         if not roots:
             raise MachineError("cannot build a hat from zero forest roots")
-        require_power_of_two("processor count p", p)
         require_power_of_two("point count n", n)
         if p > n:
             raise MachineError(f"p={p} exceeds the padded point count n={n}")
-        if d < 1:
-            raise MachineError(f"dimension must be positive, got {d}")
-
-        by_path: dict[Path, ForestRootInfo] = {}
-        for info in roots:
-            if info.path in by_path:
-                raise ProtocolError(f"duplicate forest roots for {info.path}")
-            by_path[info.path] = info
-
+        shape = hat_shape(p, d)
         leaf_level = ilog2(n) - ilog2(p)
-        dim: List[int] = []
-        lo: List[int] = []
-        hi: List[int] = []
-        nleaves: List[int] = []
-        left: List[int] = []
-        right: List[int] = []
-        desc: List[int] = []
-        location: List[int] = []
-        tree: List[int] = []
-        tile_off: List[int] = []
-        tile_len: List[int] = []
-        tile_leaf_ids: List[int] = []
-        paths: List[Path] = []
-        aggs: List[Any] = []
-
-        def emit(idx: int, lvl: int, k: int, tree_id: Path) -> int:
-            """Append node ``(idx, lvl)`` of tree ``tree_id`` and all below it."""
-            i = len(paths)
-            path = make_path(idx, lvl, tree_id)
-            paths.append(path)
-            dim.append(k)
-            tile_off.append(len(tile_leaf_ids) if k == d - 1 else 0)
-            for col in (lo, hi, nleaves, left, right, desc, location, tree, tile_len):
-                col.append(-1)
-            aggs.append(None)
-            if lvl == leaf_level:
-                info = by_path.pop(path, None)
-                if info is None:
-                    raise ProtocolError(
-                        f"forest roots incomplete: no root for hat leaf {path}"
-                    )
-                lo[i], hi[i] = info.seg
-                nleaves[i], location[i], tree[i] = info.nleaves, info.location, info.tree
-                aggs[i] = info.agg
-                if k == d - 1:
-                    tile_leaf_ids.append(i)
-            else:
-                if k < d - 1:
-                    # a descendant root inherits its anchor's label (Definition 2(ii))
-                    desc[i] = emit(idx, lvl, k + 1, path)
-                left[i] = emit(2 * idx, lvl - 1, k, tree_id)
-                right[i] = emit(2 * idx + 1, lvl - 1, k, tree_id)
-                lo[i], hi[i] = lo[left[i]], hi[right[i]]
-                nleaves[i] = nleaves[left[i]] + nleaves[right[i]]
-            tile_len[i] = len(tile_leaf_ids) - tile_off[i] if k == d - 1 else 0
-            return i
-
-        emit(1, ilog2(n), 0, ())
-        if by_path:
-            raise ProtocolError(
-                "forest roots do not match the hat structure; unexpected: "
-                f"{sorted(by_path)[:3]}"
-            )
-        agg_kernel, agg_mat, agg_obj = _fold(semigroup, aggs, left, right)
-        ints = dict(
-            dim=dim, lo=lo, hi=hi, nleaves=nleaves, left=left, right=right, desc=desc,
-            location=location, tree=tree, tile_off=tile_off, tile_len=tile_len,
-            tile_leaf_ids=tile_leaf_ids,
-        )
-        cols = {name: np.asarray(col, dtype=np.int64) for name, col in ints.items()}
-        path_mat = np.full((len(paths), 2 * d), -1, dtype=np.int64)
-        for i, path in enumerate(paths):
-            path_mat[i, : 2 * len(path)] = flatten_path(path)
+        seg, aggs = _seat(shape, roots, leaf_level, n // p)
+        agg_kernel, agg_mat, agg_obj = _fold(semigroup, aggs, shape)
         hat = cls(
-            d=d,
-            n=n,
-            p=p,
-            leaf_level=leaf_level,  # the cut level log2(n/p) of every hat leaf
-            semigroup=semigroup,
-            leaf=cols["left"] < 0,
-            last_dim=cols["dim"] == d - 1,
-            paths=path_mat,
-            agg_kernel=agg_kernel,
-            agg_mat=agg_mat,
-            agg_obj=agg_obj,
-            **cols,
+            shape=shape, n=n, leaf_level=leaf_level, semigroup=semigroup,
+            lo=seg[shape.first, 0], hi=seg[shape.last, 1], nleaves=shape.width * (n // p),
+            agg_kernel=agg_kernel, agg_mat=agg_mat, agg_obj=agg_obj,
         )
-        # What a rank holding no queries returns: the walk's own output
-        # for an empty slice, computed once (zero-row columns, nothing in
-        # them to mutate) so an idle rank does no numpy work per pass.
+        # What a rank holding no queries returns: the walk's own zero-row
+        # output, made once, so an idle rank does no numpy work per pass.
         none = np.zeros((0, d), dtype=np.int64)
-        hat.idle = hat._walk_rows(0, none, none, np.zeros(0, dtype=bool))
+        hat.idle = walk_hats([hat], 0, [(none, none)], np.zeros(0, dtype=bool))
         return hat
 
-    # ------------------------------------------------------------------
-    # introspection (Theorem 1 / Figure 3 measurements)
-    # ------------------------------------------------------------------
     def size_nodes(self) -> int:
         """Total node count ``|H|`` (Theorem 1: ``O(p log^{d-1} p)``)."""
-        return len(self.dim)
-
-    def segment_tree_count(self) -> int:
-        """Number of distinct segment trees spanning the hat."""
-        return 1 + int((self.desc >= 0).sum())
+        return self.shape.size
 
     def path(self, i: int) -> Path:
-        """The Definition 2 name of node ``i``."""
-        return unflatten_path(self.paths[i, : 2 * (int(self.dim[i]) + 1)])
+        """The Definition 2 name of node ``i`` in this tree."""
+        return _cut(self.shape.label(i), -self.leaf_level)
 
     def agg(self, i: int) -> Any:
         """The annotation ``f(v)`` of node ``i`` as a semigroup value."""
@@ -246,9 +293,6 @@ class Hat:
             return self.agg_obj[i]
         return self.agg_kernel.decode(self.agg_mat, i)
 
-    # ------------------------------------------------------------------
-    # Algorithm Search step 1: the hat walk
-    # ------------------------------------------------------------------
     def walk(
         self,
         qid: int,
@@ -259,174 +303,52 @@ class Hat:
         """Walk the hat for one rank-space query (§4's four cases).
 
         Returns ``(selections, subqueries, expansions)`` as the rows
-        :meth:`walk_batch` packs: a ``(qid, node, nleaves, agg)`` per
-        dimension-``d`` hat node whose segment is contained in the query
-        (with its precomputed ``f(v)``), a ``(KIND_SUBQUERY, qid, los,
-        his, element, location)`` continuation per hat leaf the walk
-        reached, and — with ``report`` — a ``(KIND_EXPAND, qid, zeros,
-        zeros, element, location)`` request per forest element tiling a
-        selection's leaves, so report mode can expand it into point ids.
-        ``charge`` (if given) receives the number of hat nodes visited —
-        the O(log^d p) term of Theorem 3's work bound.
+        :func:`walk_hats` packs: ``(qid, node, nleaves, agg)`` per
+        dimension-``d`` node inside the query, ``(KIND_SUBQUERY, qid, los,
+        his, element, location)`` per hat leaf reached, and — with
+        ``report`` — ``(KIND_EXPAND, qid, zeros, zeros, element,
+        location)`` per forest element tiling a selection.  ``charge`` (if
+        given) receives the nodes visited, Theorem 3's O(log^d p) term.
         """
         sels: List[tuple] = []
         subqs: List[tuple] = []
         exps: List[tuple] = []
         if box.is_empty():
             return sels, subqs, exps
-        zeros = (0,) * self.d
+        shape = self.shape
+        zeros = (0,) * shape.d
         visited = 0
         stack = [0]
         while stack:
             i = stack.pop()
             visited += 1
-            a, b = box.interval(int(self.dim[i]))
+            a, b = box.interval(int(shape.dim[i]))
             v_lo, v_hi = int(self.lo[i]), int(self.hi[i])
             if b < v_lo or v_hi < a:
                 continue  # die
             selected = a <= v_lo and v_hi <= b
-            if selected and self.last_dim[i]:
+            if selected and shape.last_dim[i]:
                 sels.append((qid, i, int(self.nleaves[i]), self.agg(i)))
                 if report:
-                    off = int(self.tile_off[i])
-                    for l in self.tile_leaf_ids[off : off + int(self.tile_len[i])].tolist():
+                    off = int(shape.tile_off[i])
+                    for l in shape.tile_leaf_ids[off : off + int(shape.tile_len[i])].tolist():
                         exps.append(
-                            (KIND_EXPAND, qid, zeros, zeros, l, int(self.location[l]))
+                            (KIND_EXPAND, qid, zeros, zeros, l, int(shape.location[l]))
                         )
-            elif self.leaf[i]:  # continue inside the forest element
+            elif shape.leaf[i]:  # continue inside the forest element
                 subqs.append(
-                    (KIND_SUBQUERY, qid, box.los, box.his, i, int(self.location[i]))
+                    (KIND_SUBQUERY, qid, box.los, box.his, i, int(shape.location[i]))
                 )
             elif selected:  # off the last dimension: descend
-                stack.append(int(self.desc[i]))
+                stack.append(int(shape.desc[i]))
             else:  # split
-                stack.append(int(self.right[i]))
-                stack.append(int(self.left[i]))
+                stack.append(int(shape.right[i]))
+                stack.append(int(shape.left[i]))
         if charge is not None:
             charge(visited)
         return sels, subqs, exps
 
-    def walk_batch(
-        self,
-        qlo: int,
-        los: np.ndarray,
-        his: np.ndarray,
-        report: np.ndarray,
-    ) -> Tuple[RecordBatch, RecordBatch, RecordBatch, np.ndarray]:
-        """Search step 1 for a whole query slice at once.
-
-        ``los``/``his`` are the slice's int64 ``(nq, d)`` rank bounds
-        (queries ``qlo .. qlo + nq - 1``), read in place, and ``report``
-        its bool ``(nq,)`` slice of the pass's report mask.  Returns
-        ``(selections, subqueries, expansions, visits)``: a
-        ``dist.hat_selection`` batch of the dimension-``d`` selections
-        (``agg`` a :class:`KernelColumn` when the hat is kernel-backed,
-        an object column otherwise), two ``dist.search.routing`` batches
-        — the surviving subqueries, and one expansion request per forest
-        element tiling a selection whose query ``report`` marks — and
-        the per-query visited-node counts for Theorem 3 ``charge``
-        accounting (empty boxes visit nothing, as in :meth:`walk`).
-        Each iteration classifies every live ``(query, node)`` pair into
-        die/select/split/descend with array comparisons — row for row
-        what :meth:`walk` emits per query.  An empty slice returns the
-        shared zero-row :attr:`idle` output.
-        """
-        if not len(los):
-            return self.idle
-        return self._walk_rows(qlo, los, his, report)
-
-    def _walk_rows(
-        self,
-        qlo: int,
-        los: np.ndarray,
-        his: np.ndarray,
-        report: np.ndarray,
-    ) -> Tuple[RecordBatch, RecordBatch, RecordBatch, np.ndarray]:
-        nq = len(los)
-        visits = np.zeros(nq, dtype=np.int64)
-
-        # frontier: parallel (query, node) arrays; roots of non-empty boxes
-        fq = np.nonzero((los <= his).all(axis=1))[0] if nq else np.empty(0, np.int64)
-        fn = np.zeros(len(fq), dtype=np.int64)
-        sel_q: List[np.ndarray] = []
-        sel_n: List[np.ndarray] = []
-        sub_q: List[np.ndarray] = []
-        sub_n: List[np.ndarray] = []
-        while len(fq):
-            visits += np.bincount(fq, minlength=nq)
-            dims = self.dim[fn]
-            a = los[fq, dims]
-            b = his[fq, dims]
-            nlo = self.lo[fn]
-            nhi = self.hi[fn]
-            leaf = self.leaf[fn]
-            alive = ~((b < nlo) | (nhi < a))  # ~die
-            selm = alive & (a <= nlo) & (nhi <= b)
-            hit = selm & self.last_dim[fn]  # dimension-d selection
-            sub = alive & leaf & ~hit  # hat leaf: continue in the forest
-            down = selm & ~hit & ~leaf  # selected off the last dim: descend
-            split = alive & ~selm & ~leaf
-            if hit.any():
-                sel_q.append(fq[hit])
-                sel_n.append(fn[hit])
-            if sub.any():
-                sub_q.append(fq[sub])
-                sub_n.append(fn[sub])
-            fq = np.concatenate([fq[down], fq[split], fq[split]])
-            fn = np.concatenate(
-                [self.desc[fn[down]], self.left[fn[split]], self.right[fn[split]]]
-            )
-
-        sq = np.concatenate(sel_q) if sel_q else np.empty(0, np.int64)
-        sn = np.concatenate(sel_n) if sel_n else np.empty(0, np.int64)
-        order = np.lexsort((sn, sq))
-        sq, sn = sq[order], sn[order]
-        uq = np.concatenate(sub_q) if sub_q else np.empty(0, np.int64)
-        un = np.concatenate(sub_n) if sub_n else np.empty(0, np.int64)
-        order = np.lexsort((un, uq))
-        uq, un = uq[order], un[order]
-
-        # expansions: each reporting selection's slice of its tree block
-        lens = np.where(report[sq], self.tile_len[sn], 0)
-        elements = self.tile_leaf_ids[slice_positions(self.tile_off[sn], lens)]
-        selections = RecordBatch(
-            "dist.hat_selection",
-            {
-                "qid": qlo + sq,
-                "node": sn,
-                "nleaves": self.nleaves[sn],
-                "agg": _agg_column(self.agg_kernel, self.agg_mat, self.agg_obj, sn),
-            },
-            len(sq),
-        )
-        subqueries = self._routing(KIND_SUBQUERY, qlo + uq, los[uq], his[uq], un)
-        none = np.zeros((len(elements), self.d), dtype=np.int64)
-        expansions = self._routing(
-            KIND_EXPAND, np.repeat(qlo + sq, lens), none, none, elements
-        )
-        return selections, subqueries, expansions, visits
-
-    def _routing(self, kind: int, qid, los, his, element) -> RecordBatch:
-        """A ``dist.search.routing`` batch aimed at ``element``'s owners."""
-        return RecordBatch(
-            "dist.search.routing",
-            {
-                "kind": np.full(len(qid), kind, dtype=np.int64),
-                "qid": qid,
-                "los": los,
-                "his": his,
-                "element": element,
-                "location": self.location[element],
-            },
-            len(qid),
-        )
-
-    # ------------------------------------------------------------------
-    # re-annotation support (Algorithm AssociativeFunction step 1)
-    # ------------------------------------------------------------------
-    def refresh_aggregates(
-        self, roots: Sequence[ForestRootInfo], semigroup: Semigroup
-    ) -> None:
+    def refresh_aggregates(self, roots: Sequence[ForestRootInfo], semigroup: Semigroup) -> None:
         """Reseed hat-leaf aggregates from fresh forest roots and fold up.
 
         Local work only — the one communication round of re-annotation is
@@ -434,18 +356,9 @@ class Hat:
         aside and bound, with the ``idle`` output typed for it, in one
         assignment: a walk reads the old annotation or the new one.
         """
-        by_path = {info.path: info for info in roots}
-        aggs: List[Any] = [None] * self.size_nodes()
-        for i in np.nonzero(self.leaf)[0].tolist():
-            info = by_path.get(self.path(i))
-            if info is None:
-                raise ProtocolError(
-                    f"re-annotation is missing forest root {self.path(i)}"
-                )
-            aggs[i] = info.agg
-        kernel, mat, obj = _fold(
-            semigroup, aggs, self.left.tolist(), self.right.tolist()
-        )
+        shape = self.shape
+        _seg, aggs = _seat(shape, roots, self.leaf_level, self.n // shape.p)
+        kernel, mat, obj = _fold(semigroup, aggs, shape)
         no_rows = _agg_column(kernel, mat, obj, slice(0, 0))
         idle = (self.idle[0].with_col("agg", no_rows), *self.idle[1:])
         self.semigroup, self.agg_kernel, self.agg_mat, self.agg_obj, self.idle = (
@@ -454,6 +367,118 @@ class Hat:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Hat(n={self.n}, p={self.p}, d={self.d}, "
+            f"Hat(n={self.n}, p={self.shape.p}, d={self.shape.d}, "
             f"nodes={self.size_nodes()}, leaf_level={self.leaf_level})"
         )
+
+
+def walk_hats(
+    hats: Sequence[Hat], qlo: int, bounds: Sequence[Tuple[np.ndarray, np.ndarray]], report
+) -> Tuple[RecordBatch, RecordBatch, RecordBatch, np.ndarray]:
+    """Search step 1 for a whole query slice over every part at once.
+
+    ``hats`` are the parts' hats (one shape, one annotation), ``bounds``
+    the slice's int64 ``(nq, d)`` rank bounds in each part's rank space
+    (queries ``qlo .. qlo + nq - 1``) and ``report`` its bool ``(nq,)``
+    slice of the pass's mask.  The frontier runs over ``(part·nq + query,
+    part·H + row)`` pairs on the parts' bounds and tree columns laid end
+    to end and the shape tiled per part (one part reads its hat's own
+    arrays); each iteration classifies every live pair into die/select/
+    split/descend — row for row what :meth:`Hat.walk` emits per query.
+
+    Returns ``(selections, subqueries, expansions, visits)``: the
+    ``dist.hat_selection`` batch (``agg`` typed as the hats hold it), two
+    ``dist.search.routing`` batches — the surviving subqueries, and one
+    expansion request per forest element tiling a selection whose query
+    ``report`` marks — and the visited-node counts per ``part·nq + query``
+    (Theorem 3's charge; empty boxes visit nothing).  Rows come by part,
+    then query, then row, and name nodes and elements ``part·H + row``.
+    """
+    hat, parts, nq = hats[0], len(hats), len(report)
+    shape = hat.shape.tiled(parts)
+
+    def laid(cols: list) -> Any:  # one part's own array (no copy), or all end to end
+        return cols[0] if parts == 1 or cols[0] is None else np.concatenate(cols)
+
+    los, his = map(laid, zip(*bounds))
+    lo, hi, nleaves, agg_mat, agg_obj = (
+        laid([getattr(h, c) for h in hats]) for c in ("lo", "hi", "nleaves", "agg_mat", "agg_obj")
+    )
+    visits = np.zeros(parts * nq, dtype=np.int64)
+
+    # frontier: parallel (part·nq + query, part·H + row) arrays, starting
+    # at each part's root for every non-empty box
+    fq = np.flatnonzero((los <= his).all(axis=1))
+    fn = fq // nq * hat.shape.size
+    sel_q: List[np.ndarray] = []
+    sel_n: List[np.ndarray] = []
+    sub_q: List[np.ndarray] = []
+    sub_n: List[np.ndarray] = []
+    while len(fq):
+        visits += np.bincount(fq, minlength=len(visits))
+        dims = shape.dim[fn]
+        a = los[fq, dims]
+        b = his[fq, dims]
+        nlo = lo[fn]
+        nhi = hi[fn]
+        leaf = shape.leaf[fn]
+        alive = ~((b < nlo) | (nhi < a))  # ~die
+        selm = alive & (a <= nlo) & (nhi <= b)
+        hit = selm & shape.last_dim[fn]  # dimension-d selection
+        sub = alive & leaf & ~hit  # hat leaf: continue in the forest
+        down = selm & ~hit & ~leaf  # selected off the last dim: descend
+        split = alive & ~selm & ~leaf
+        if hit.any():
+            sel_q.append(fq[hit])
+            sel_n.append(fn[hit])
+        if sub.any():
+            sub_q.append(fq[sub])
+            sub_n.append(fn[sub])
+        fq = np.concatenate([fq[down], fq[split], fq[split]])
+        fn = np.concatenate(
+            [shape.desc[fn[down]], shape.left[fn[split]], shape.right[fn[split]]]
+        )
+
+    sq = np.concatenate(sel_q) if sel_q else np.empty(0, np.int64)
+    sn = np.concatenate(sel_n) if sel_n else np.empty(0, np.int64)
+    order = np.lexsort((sn, sq))
+    sq, sn = sq[order], sn[order]
+    uq = np.concatenate(sub_q) if sub_q else np.empty(0, np.int64)
+    un = np.concatenate(sub_n) if sub_n else np.empty(0, np.int64)
+    order = np.lexsort((un, uq))
+    uq, un = uq[order], un[order]
+    sel_qid = qlo + sq % nq
+
+    # expansions: each reporting selection's slice of its tree block
+    lens = np.where(report[sq % nq], shape.tile_len[sn], 0)
+    elements = shape.tile_leaf_ids[slice_positions(shape.tile_off[sn], lens)]
+    selections = RecordBatch(
+        "dist.hat_selection",
+        {
+            "qid": sel_qid,
+            "node": sn,
+            "nleaves": nleaves[sn],
+            "agg": _agg_column(hat.agg_kernel, agg_mat, agg_obj, sn),
+        },
+        len(sq),
+    )
+    subqueries = _routing(shape, KIND_SUBQUERY, qlo + uq % nq, los[uq], his[uq], un)
+    none = np.zeros((len(elements), shape.d), dtype=np.int64)
+    expansions = _routing(shape, KIND_EXPAND, np.repeat(sel_qid, lens), none, none, elements)
+    return selections, subqueries, expansions, visits
+
+
+def _routing(shape: HatShape, kind: int, qid, los, his, element) -> RecordBatch:
+    """A ``dist.search.routing`` batch aimed at ``element``'s owners."""
+    return RecordBatch(
+        "dist.search.routing",
+        {
+            "kind": np.full(len(qid), kind, dtype=np.int64),
+            "qid": qid,
+            "los": los,
+            "his": his,
+            "element": element,
+            "location": shape.location[element],
+        },
+        len(qid),
+    )

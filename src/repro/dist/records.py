@@ -27,11 +27,11 @@ the schemas, by stage:
 
 Two formats name a node, each used where Lemma 1 needs it.  Construct
 runs before the hat exists, so it routes by *label*: the Definition 2
-path, flattened to ints.  Search runs on the replicated hat, whose
-columns every processor emits bit-identically, so a hat row number *is*
-a global name: ``node`` is a hat row, ``element`` the hat-leaf row whose
-forest element it roots (``hat.path(row)`` is its label,
-``hat.location[row]`` its owner).  ``agg`` and ``value`` columns are a
+path, flattened to ints.  Search runs on the replicated hat, so a hat
+row *is* a global name: ``node`` is a hat row, ``element`` the hat-leaf
+row whose forest element it roots (``hat.path(row)`` is its label,
+``hat.shape.location[row]`` its owner; part ``b`` of a pass names its
+row ``i`` as ``b·H + i``, every hat on ``(p, d)`` having ``H`` rows).  ``agg`` and ``value`` columns are a
 :class:`~repro.semigroup.kernels.KernelColumn` when a kernel encodes
 the values, an object array otherwise.
 

@@ -3,31 +3,24 @@
 A batch of ``m = O(n)`` rank-space queries is answered in a constant
 number of h-relations:
 
-1. **Hat walk** (local): each processor walks its resident hat replica
-   for its block of queries (:meth:`repro.dist.hat.Hat.walk_batch`;
-   :meth:`repro.dist.hat.Hat.walk` is the per-query reference), producing
-   dimension-``d`` hat selections and the surviving subquery set ``Q'``
-   aimed at forest elements.
+1. **Hat walk** (local): each processor walks its resident hat replicas
+   for its block of queries, every part in one call
+   (:func:`repro.dist.hat.walk_hats`; :meth:`repro.dist.hat.Hat.walk` is
+   the per-query reference), producing dimension-``d`` hat selections
+   and the surviving subquery set ``Q'`` aimed at forest elements.
 2. **Demand count** (1 round): one all-gather sums, per owner ``j``, the
    number of subqueries wanting its forest group; the copy counts
    ``c_j = ceil(|Q'_{F_j}| / ceil(|Q'|/p))`` follow locally
    (:func:`repro.cgm.loadbalance.compute_copy_counts`).
 3. **Replication**: oversubscribed groups are copied to other
    processors.  ``direct`` ships every copy from the owner in one round
-   (h spikes to ``c_j·|F_j|``); ``doubling`` recruits one new holder per
-   existing holder per round — ``log2 p`` rounds, always run in full so
-   the round count is a function of ``(p, strategy)`` alone, never of
-   the data (the Corollary tests measure exactly this).  The *schedule*
-   is computed in the driver (it is data-independent —
-   :func:`repro.cgm.loadbalance.replication_schedule`); a copy of a
-   group is its ``{dimension: stack}`` stores, which move between ranks
-   through pack/unpack phases — dispatched
-   only for a round that moves a store; an empty round is recorded and
-   nothing more — and land in the receiving rank's replica cache.  Like
-   every exchange, the transfer is routed via the driver's
-   deterministic merge — on the process backend that means one pickle
-   up and one down per round, the heaviest payload in the pipeline
-   (in-process backends pass references).
+   (h spikes to ``c_j·|F_j|``); ``doubling`` — the engine's — recruits
+   one new holder per existing holder per round, ``log2 p`` rounds always
+   run in full, so the round count is a function of ``(p, strategy)``
+   alone.  A copy of a group is its ``{dimension: stack}`` stores, routed
+   like every exchange via the driver's deterministic merge (on the
+   process backend one pickle up and one down per round, the heaviest
+   payload in the pipeline) into the receiving rank's replica cache.
 4. **Subquery routing** (1 round): owner ``j``'s subqueries are split
    into ``c_j`` chunks of at most ``ceil(|Q'|/p)`` and routed to the
    copy holders, so no processor serves more than ``O(|Q'|/p)``.
@@ -46,21 +39,18 @@ A pass runs over one or more **parts** — structures Construct built on
 the same machine, each with its own hat, forest and rank space (a static
 tree is one part; the buckets of :mod:`repro.dist.dynamic` are several).
 The batch is the same for every part, query ``q`` of each part is query
-``q`` of the pass, and the five steps run once for all of them: a rank
-walks its query slice against every part's hat, demand is counted per
-owner over all parts, a replica of owner ``j``'s group carries its
-stores of every part, one round routes every subquery and one step 5
-serves them.  Answers over disjoint parts combine by ``⊕`` under the
+``q`` of the pass, and the five steps run once for all of them: one hat
+walk per rank, demand counted per owner over all parts, a replica of
+owner ``j``'s group carrying its stores of every part, one routing round
+and one step 5.  Answers over disjoint parts combine by ``⊕`` under the
 query id, so the demux needs no notion of a part.
 
 Every stream of a pass names a hat node — and the forest element rooted
-at a hat leaf — by its row in the parts' hats laid end to end
-(``node`` / ``element`` columns; see :mod:`repro.dist.records`): part
-``b``'s row ``i`` is ``base[b] + i``, ``base`` the running sum of the
-hat sizes.  The hats are replicated, so the row is the same name on
-every processor, and the hat's columns turn it into the element's
-owner, dimension and tree index: no step re-derives a Definition 2
-label.
+at a hat leaf — by one int64 (``node`` / ``element`` columns; see
+:mod:`repro.dist.records`): every part's hat has the one shape of ``(p,
+d)``, ``H`` rows, so part ``b``'s row ``i`` is ``b·H + i``, the same name
+on every processor, and the shape's columns turn it into the element's
+owner, dimension and tree index: no step re-derives a Definition 2 label.
 
 SPMD residency: steps 1, 3 and 5 are registered phases
 (``dist.search.*``) reading the rank-resident ``{ns}:forest`` /
@@ -79,6 +69,7 @@ import numpy as np
 from ..cgm.collectives import allgather, route_batches
 from ..cgm.columns import RecordBatch
 from ..cgm.loadbalance import (
+    REPLICATION_STRATEGIES,
     assign_copies_round_robin,
     compute_copy_counts,
     replication_schedule,
@@ -88,7 +79,7 @@ from ..cgm.phases import ProcContext, register_phase
 from ..errors import ProtocolError, ReproError
 from .construct import forest_key, hat_key
 from .forest_compiled import stack_selections
-from .hat import Hat
+from .hat import walk_hats
 from .records import KIND_SUBQUERY
 
 __all__ = ["SearchOutput", "run_search"]
@@ -98,29 +89,19 @@ def _holders_key(ns: str) -> str:
     return f"{ns}:holders"
 
 
-def _hat_bases(hats: Sequence[Hat]) -> List[int]:
-    """Where each part's rows start in the hats laid end to end, plus
-    the total — the same list on every rank (the hats are replicated)."""
-    bases = [0]
-    for hat in hats:
-        bases.append(bases[-1] + hat.size_nodes())
-    return bases
-
-
 @dataclass
 class SearchOutput:
     """Everything Algorithm Search leaves distributed over the machine.
 
     ``hat_selections[r]``/``forest_selections[r]`` are the selections
-    produced at rank ``r``, always as a
-    :class:`~repro.cgm.columns.RecordBatch` (``dist.hat_selection`` /
-    ``dist.forest_selection``) naming nodes and elements by their row in
-    the parts' hats laid end to end — for one part, row for row what the
-    reference walks (:meth:`Hat.walk`,
-    :meth:`RangeTree.canonical <repro.seq.range_tree.RangeTree.canonical>`)
-    emit.  The load-balancing observables of steps 2-4 (``demands`` per
-    owner, ``copy_counts``, per-processor subquery counts) are what the
-    M1/S1 experiments and the Theorem 3 tests measure.
+    produced at rank ``r`` as ``dist.hat_selection`` /
+    ``dist.forest_selection`` batches naming nodes and elements ``part·H
+    + row`` — for one part, row for row what the reference walks
+    (:meth:`Hat.walk`, :meth:`RangeTree.canonical
+    <repro.seq.range_tree.RangeTree.canonical>`) emit.  The
+    load-balancing observables of steps 2-4 (``demands`` per owner,
+    ``copy_counts``, per-processor subquery counts) are what the M1/S1
+    experiments and the Theorem 3 tests measure.
     """
 
     hat_selections: List[RecordBatch]
@@ -138,42 +119,27 @@ class SearchOutput:
 
 @register_phase("dist.search.walk_cols")
 def _phase_walk_cols(ctx: ProcContext, payload) -> tuple:
-    """Step 1: the hat walk over this rank's whole query slice.
+    """Step 1: one hat walk over this rank's query slice and every part.
 
-    One :meth:`~repro.dist.hat.Hat.walk_batch` call classifies
-    every live ``(query, node)`` frontier pair with array comparisons
-    and returns its outputs column-packed — the ``dist.hat_selection``
-    batch (row for row what :meth:`Hat.walk` emits, in the same order)
-    and the two routing batches the step-4 exchange ships, subqueries
-    and expansion requests — plus this rank's share of step 2's demand
-    count (subqueries per owner — nothing is exchanged between the walk
-    and the count, so they are one phase).  The per-query visit counts
-    charge the same Theorem 3 total as per-query :meth:`Hat.walk` calls.
-
-    ``parts`` holds one ``(ns, los, his)`` per part — its namespace and
-    this slice's rank bounds in its rank space; each part's hat is
-    walked in turn and its rows shifted past the hats before it, so the
-    three batches name nodes and elements by concatenated hat row.
-
-    Also resets the pass-local replica caches — stale copies from a
-    previous batch must never serve this one.
+    ``nss`` names the parts and ``bounds`` holds the slice's rank bounds
+    in each part's rank space; one :func:`~repro.dist.hat.walk_hats` call
+    returns the ``dist.hat_selection`` batch and the two routing batches
+    the step-4 exchange ships, naming nodes and elements ``part·H +
+    row``, and charges the same Theorem 3 total as per-query
+    :meth:`Hat.walk` calls.  This rank's share of step 2's demand count
+    (subqueries per owner) rides along: nothing is exchanged between the
+    walk and the count.  Also resets the pass-local replica caches —
+    stale copies from a previous batch must never serve this one.
     """
-    qlo, parts, report = payload
-    hats = [ctx.state[hat_key(ns)] for ns, _los, _his in parts]
-    walks = []
-    visited = 0
-    for (ns, los, his), hat, base in zip(parts, hats, _hat_bases(hats)):
+    qlo, nss, bounds, report = payload
+    for ns in nss:
         ctx.state[_holders_key(ns)] = {}
-        sels, subqueries, expansions, visits = hat.walk_batch(qlo, los, his, report)
-        visited += int(visits.sum())
-        if base:
-            sels = sels.with_col("node", sels.col("node") + base)
-            subqueries = subqueries.with_col("element", subqueries.col("element") + base)
-            expansions = expansions.with_col("element", expansions.col("element") + base)
-        walks.append((sels, subqueries, expansions))
-    if len(report):
-        ctx.charge(visited)
-    sels, subqueries, expansions = map(RecordBatch.concat, zip(*walks))
+    hats = [ctx.state[hat_key(ns)] for ns in nss]
+    if not len(report):  # an idle rank: the walk's zero-row output, made once
+        sels, subqueries, expansions, _visits = hats[0].idle
+    else:
+        sels, subqueries, expansions, visits = walk_hats(hats, qlo, bounds, report)
+        ctx.charge(int(visits.sum()))
     demand = np.bincount(subqueries.col("location"), minlength=ctx.p)
     return sels, subqueries, expansions, demand
 
@@ -205,15 +171,15 @@ def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
     """Step 5: one walk per stack over the resident forest groups.
 
     The inbox is one routing batch (subqueries and expansion requests
-    mixed, source-ordered).  Each row's element — a hat row of the
-    parts' hats laid end to end (``nss`` names the parts in the pass's
-    order) — gives its part, owner, dimension and tree index by column
-    lookups; one stable argsort groups the rows by ``(part, owner,
-    dimension)`` — the stack that serves them, the rank's own group's or
-    a replicated copy — and by kind.
-    :func:`~repro.dist.forest_compiled.stack_selections` then walks each
-    stack once and packs every group's selections straight into the
-    ``dist.forest_selection`` columns, restored to inbox-row order.  ``report`` (the pass's bool mask over query ids)
+    mixed, source-ordered).  Each row's element ``part·H + leaf`` (``nss``
+    names the parts in the pass's order) gives its part by one
+    ``divmod`` and its dimension and tree index off the shared shape;
+    one stable argsort groups the rows by ``(part, owner, dimension)`` —
+    the stack that serves them, the rank's own group's or a replicated
+    copy — and by kind.  :func:`~repro.dist.forest_compiled.stack_selections`
+    then walks each stack once and packs every group's selections into
+    the ``dist.forest_selection`` columns, restored to inbox-row order.
+    ``report`` (the pass's bool mask over query ids)
     limits pid materialization to the queries whose output mode
     consumes point ids: the ``dist.report_pair`` batch holds the points
     under each reporting selection, in selection order, then those of
@@ -225,20 +191,17 @@ def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
     if not len(inbox):
         return _NO_FOREST_ROWS
     r, p = ctx.rank, ctx.p
-    hats = [ctx.state[hat_key(ns)] for ns in nss]
+    shape = ctx.state[hat_key(nss[0])].shape
     # per part: owner -> {dimension: stack}, the rank's own group included
     held = [
         {**(ctx.state.get(_holders_key(ns)) or {}), r: ctx.state.get(forest_key(ns)) or {}}
         for ns in nss
     ]
-    bases = _hat_bases(hats)
     eid, owner, kind = inbox.col("element"), inbox.col("location"), inbox.col("kind")
-    part = np.repeat(np.arange(len(hats)), np.diff(bases))[eid]
-    dim, tree = (
-        np.concatenate([getattr(hat, name) for hat in hats])[eid] for name in ("dim", "tree")
-    )
+    part, leaf = np.divmod(eid, shape.size)
+    dim, tree = shape.dim[leaf], shape.tree[leaf]
     # (part, owner, dimension) names the stack; kind splits its rows
-    key = ((part * p + owner) * hats[0].d + dim) * 2 + kind
+    key = ((part * p + owner) * shape.d + dim) * 2 + kind
     rows = np.argsort(key, kind="stable")
     groups = []
     for group in np.split(rows, np.unique(key[rows], return_index=True)[1][1:]):
@@ -247,7 +210,8 @@ def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
         stack = held[b].get(o, {}).get(int(dim[i]))
         if stack is None:
             raise ProtocolError(
-                f"rank {r} received subquery for {hats[b].path(int(eid[i]) - bases[b])} "
+                f"rank {r} received subquery for "
+                f"{ctx.state[hat_key(nss[b])].path(int(leaf[i]))} "
                 f"without holding a copy of group {o}"
             )
         groups.append((stack, int(kind[i]), group))
@@ -313,24 +277,28 @@ def run_search(
     :meth:`~repro.geometry.rankspace.RankSpace.to_rank_bounds`, the
     form the batch keeps down to the hat walk, sliced per rank as views.
     Every part holds the same ``m`` queries; the parts' structures must
-    share their annotation, so their ``agg`` columns concatenate.
+    share their dimension (so their hats share one shape) and their
+    annotation (so their ``agg`` columns concatenate).
 
     ``report`` is a bool ``(m,)`` mask (or one bool for the whole batch;
     ``None``: no query reports) — a query folds its selections or it
-    reports its points; any other shape raises
-    :class:`~repro.errors.ReproError` before a phase runs.  A marked
-    query's hat selections are expanded into ``(qid, pid)`` pairs
+    reports its points.  A marked query's hat selections are expanded
     *inside* the pass: the walk emits one expansion request per forest
     element tiling them, the requests ride the step-4 routing round to the
-    elements' owners and the owners expand them during the step-5 walk,
-    which also emits the points under the query's forest selections, so
-    report output costs no communication round beyond the pass itself
-    (``SearchOutput.report_pairs`` holds the pairs per rank).  Unmarked
-    queries skip the requests and the leaf gather.
+    elements' owners and the step-5 walk expands them, so report output
+    costs no round beyond the pass (``SearchOutput.report_pairs``).
+    ``replication`` is step 3's strategy, ``"doubling"`` or ``"direct"``.
+    A mask of another shape or another strategy raises
+    :class:`~repro.errors.ReproError` before a phase runs.
     """
     p = mach.p
     if not parts:
         raise ReproError("a Search pass needs at least one part")
+    if replication not in REPLICATION_STRATEGIES:
+        raise ReproError(
+            f"unknown replication strategy {replication!r}; "
+            f"expected one of {REPLICATION_STRATEGIES}"
+        )
     nss = tuple(ns for ns, _bounds in parts)
     bounds = [b for _ns, b in parts]
     m = len(bounds[0][0])
@@ -355,10 +323,9 @@ def run_search(
         [
             (
                 r * chunk,
-                tuple(
-                    (ns, los[r * chunk : (r + 1) * chunk], his[r * chunk : (r + 1) * chunk])
-                    for ns, (los, his) in zip(nss, bounds)
-                ),
+                nss,
+                [(los[r * chunk : (r + 1) * chunk], his[r * chunk : (r + 1) * chunk])
+                 for los, his in bounds],
                 report[r * chunk : (r + 1) * chunk],
             )
             for r in range(p)
@@ -446,23 +413,18 @@ def _replicate_stores(
 ) -> None:
     """Step 3's group replication with a data-independent round count.
 
-    The transfer plan comes from
-    :func:`repro.cgm.loadbalance.replication_schedule` (``doubling`` is
-    always exactly ``log2 p`` rounds, so Theorem 3's "rounds
-    independent of n" claim holds by construction, not by luck); the
-    stores move between ranks via the pack/unpack phases — routed, like
-    every exchange, through the driver's deterministic merge — and stay
-    in each holder's rank-resident replica caches — a copy of a group
-    carries its stores of every part in ``nss``.  Rounds, not
-    dispatches, are the data-independent observable: a round whose
-    schedule is empty is still recorded, with nothing sent.
+    The driver plans the transfers
+    (:func:`repro.cgm.loadbalance.replication_schedule`: ``doubling`` is
+    always exactly ``log2 p`` rounds, so Theorem 3's "rounds independent
+    of n" holds by construction); a copy of a group — its stores of every
+    part in ``nss`` — moves through the pack/unpack phases into the
+    holder's replica caches.
     """
     p = mach.p
     schedule = replication_schedule(p, targets, strategy)
     for rnd, transfers in enumerate(schedule):
-        # Every scheduled round is *recorded* (the round count is the
-        # data-independent observable); pack/unpack are dispatched only
-        # when the round moves a store — an empty one costs no rank a call.
+        # Every scheduled round is *recorded* (rounds, not dispatches, are
+        # the observable); pack/unpack run only for a round that moves a store.
         if transfers:
             instructions: List[List[tuple]] = [[] for _ in range(p)]
             for sender, owner, dest in transfers:

@@ -18,7 +18,6 @@ from typing import Any, Callable, List, Tuple
 import numpy as np
 
 from .._util import ilog2
-from .labeling import is_valid_path
 
 __all__ = ["ValidationReport", "validate_tree"]
 
@@ -136,33 +135,18 @@ def _check_stack(stack, count, ranks, values, semigroup, dim, name, check) -> bo
 def _check_forest(tree, check: Callable[[bool, str], None]) -> None:
     """Every stack against the hat leaves that name its trees.
 
-    Construct step 3's rule is re-derived from the labels: phase ``j``'s
-    groups, in its sort order (tree id, then rank), have group ranks
-    ``base_j, base_j + 1, ...``; group rank ``G`` goes to rank ``G mod
-    p``, which stacks its phase-``j`` groups in arrival order — so the
-    phase's ``g``-th group is tree ``g // p`` there.  A stack's rank rows
-    and values are read from the tree's own point set and a fresh lift,
-    by id, not from anything the stack holds.
+    The shape's ``location``/``tree`` columns (checked by
+    :func:`_check_shape`) name the stack and tree of each hat leaf's
+    element.  A stack's rank rows and values are read from the tree's own
+    point set and a fresh lift, by id, not from anything the stack holds.
     """
     from . import lift_values  # the package imports this module
 
-    hat, p, d = tree.hat, tree.p, tree.dim
+    hat, shape = tree.hat, tree.hat.shape
     values = lift_values(tree.semigroup, tree.ranked, tree.points)
-    leaves = np.flatnonzero(hat.leaf).tolist()
     named: dict = {}  # (rank, dimension) -> the hat leaves naming that stack's trees
-    base = 0
-    for j in range(d):
-        phase = sorted(
-            (i for i in leaves if hat.dim[i] == j),
-            key=lambda i: (hat.path(i)[1:], int(hat.lo[i])),
-        )
-        for g, i in enumerate(phase):
-            check(
-                (hat.location[i], hat.tree[i]) == ((base + g) % p, g // p),
-                f"hat leaf {hat.path(i)} violates the group-to-processor rule",
-            )
-            named.setdefault((int(hat.location[i]), j), []).append(i)
-        base += len(phase)
+    for i in np.flatnonzero(shape.leaf).tolist():
+        named.setdefault((int(shape.location[i]), int(shape.dim[i])), []).append(i)
 
     for rank, store in enumerate(tree.forest_store):
         for j, stack in store.items():
@@ -182,7 +166,7 @@ def _check_forest(tree, check: Callable[[bool, str], None]) -> None:
                 continue
             roots = stack.root_aggs()
             for i in mine:
-                t, path = int(hat.tree[i]), hat.path(i)
+                t, path = int(shape.tree[i]), hat.path(i)
                 if not 0 <= t < count:
                     continue  # the group-to-processor rule has failed it
                 key = ranks[t * m : (t + 1) * m, j]
@@ -208,102 +192,114 @@ def _hat_size(w: int, r: int) -> int:
     return 1 + _hat_size(w, r - 1) + 2 * _hat_size(w // 2, r)
 
 
-def _check_hat(tree, check: Callable[[bool, str], None]) -> bool:
-    """The hat's columns against Definitions 1-3, read from other sources.
+def _check_shape(shape, check: Callable[[bool, str], None]) -> bool:
+    """The hat's shape against Definitions 1-3 and Construct's layout.
 
     Row numbers follow from ``H(w, r)`` alone (a node's descendant tree
-    is emitted right after it, then its left and right subtrees), names
-    from Definition 2's arithmetic; internal rows must be the union /
-    sum / ``combine`` of their children (hat-leaf values are checked
-    against the forest by :func:`_check_forest`).  Returns whether the
-    hat has the node count the rest indexes by.
+    is emitted right after it, then its left and right subtrees), labels
+    from Definition 2's arithmetic, widths, first/last hat leaves and
+    tilings from the recursion, and each hat leaf's owner and stack index
+    from Construct step 3's rule: phase ``j``'s leaves in label order are
+    groups ``base_j + g``, and group ``G`` goes to rank ``G mod p``, which
+    stacks it as tree ``g // p``.  Returns whether the shape has the row
+    count and the links the rest indexes by.
     """
-    hat = tree.hat
-    p, d = tree.p, tree.dim
-    combine = tree.semigroup.combine
+    p, d = shape.p, shape.d
     size = _hat_size(p, d)
-    per_node = ("dim", "lo", "hi", "nleaves", "leaf", "last_dim", "left", "right",
-                "desc", "location", "tree", "tile_off", "tile_len", "paths")
-    aggs = hat.agg_obj if hat.agg_mat is None else hat.agg_mat
-    sized = aggs is not None and all(
-        len(col) == size for col in [aggs, *(getattr(hat, c) for c in per_node)]
-    )
+    rows = ("dim", "leaf", "last_dim", "left", "right", "desc", "paths", "width",
+            "first", "last", "location", "tree", "tile_off", "tile_len")
+    sized = all(len(getattr(shape, c)) == size for c in rows)
     check(sized, f"hat: node count is not H({p}, {d}) = {size}")
     if not sized:
         return False  # the row arithmetic below indexes by this size
-    check(
-        hat.path(0) == ((1, ilog2(tree.n)),)
-        and hat.leaf_level == ilog2(tree.n) - ilog2(p),
-        "hat root is not node (1, log n) cut at level log(n/p)",
-    )
-    want: List[Any] = [None] * size  # f(v), folded up from the hat leaves
+    links: List[bool] = []
 
-    def visit(i: int, w: int, r: int) -> List[int]:
-        """Check row ``i`` — ``w`` hat leaves below it in its own tree,
-        ``r`` dimensions left — and everything emitted under it; returns
-        the rows of those leaves, left to right."""
-        path = hat.path(i)
-        check(is_valid_path(path), f"invalid path {path}")
+    def visit(i: int, w: int, r: int, label) -> List[int]:
+        """Check row ``i`` — labeled ``label``, ``w`` hat leaves below it
+        in its own tree, ``r`` dimensions left — and everything emitted
+        under it; returns the rows of those leaves, left to right."""
+        got = shape.label(i)
+        check(got == label, f"row {i} is {got}, not {label}: sibling index arithmetic broken")
         check(
-            hat.dim[i] == d - r
-            and hat.leaf[i] == (w == 1)
-            and hat.last_dim[i] == (r == 1),
-            f"dimension / leaf flags wrong at {path}",
+            shape.dim[i] == d - r
+            and shape.leaf[i] == (w == 1)
+            and shape.last_dim[i] == (r == 1),
+            f"dimension / leaf flags wrong at {label}",
         )
         desc = i + 1 if w > 1 and r > 1 else -1
         left = i + 1 + (_hat_size(w, r - 1) if r > 1 else 0) if w > 1 else -1
         right = left + _hat_size(w // 2, r) if w > 1 else -1
-        check(
-            (hat.desc[i], hat.left[i], hat.right[i]) == (desc, left, right),
-            f"child or descendant link broken at {path}",
-        )
+        links.append((shape.desc[i], shape.left[i], shape.right[i]) == (desc, left, right))
+        check(links[-1], f"child or descendant link broken at {label}")
         if w == 1:
-            want[i] = hat.agg(i)
-            loc = int(hat.location[i])
-            check(0 <= loc < p, f"hat leaf {path} has owner {loc} outside 0..{p - 1}")
+            loc = int(shape.location[i])
+            check(0 <= loc < p, f"hat leaf {label} has owner {loc} outside 0..{p - 1}")
             leaves = [i]
         else:
-            if r > 1:
-                visit(desc, w, r - 1)
-                check(
-                    hat.path(desc) == (path[0],) + path
-                    and hat.nleaves[desc] == hat.nleaves[i],
-                    f"descendant tree inconsistent at {path}",
-                )
-            leaves = visit(left, w // 2, r) + visit(right, w // 2, r)
-            (idx, lvl), tree_id = path[0], path[1:]
+            if r > 1:  # a descendant root inherits its anchor's label
+                visit(desc, w, r - 1, (label[0],) + label)
+            (idx, lvl), tree_id = label[0], label[1:]
+            leaves = visit(left, w // 2, r, ((2 * idx, lvl - 1),) + tree_id)
+            leaves += visit(right, w // 2, r, ((2 * idx + 1, lvl - 1),) + tree_id)
             check(
-                hat.path(left) == ((2 * idx, lvl - 1),) + tree_id
-                and hat.path(right) == ((2 * idx + 1, lvl - 1),) + tree_id,
-                f"sibling index arithmetic broken at {path}",
+                shape.location[i] == -1 and shape.tree[i] == -1,
+                f"internal node {label} names an owner",
             )
-            check(
-                hat.lo[i] == hat.lo[left]
-                and hat.hi[i] == hat.hi[right]
-                and hat.hi[left] < hat.lo[right],
-                f"segment not the disjoint union of children at {path}",
-            )
-            check(
-                hat.nleaves[i] == hat.nleaves[left] + hat.nleaves[right],
-                f"leaf count mismatch at {path}",
-            )
-            check(
-                hat.location[i] == -1 and hat.tree[i] == -1,
-                f"internal node {path} names an owner",
-            )
-            # every dimension's f(v), though Search reads the last one's only
-            want[i] = combine(want[left], want[right])
-            check(want[i] == hat.agg(i), f"aggregate f(v) mismatch at {path}")
-        off, length = int(hat.tile_off[i]), int(hat.tile_len[i])
+        check(
+            (shape.width[i], shape.first[i], shape.last[i]) == (w, leaves[0], leaves[-1]),
+            f"width or first/last hat leaf wrong at {label}",
+        )
+        off, length = int(shape.tile_off[i]), int(shape.tile_len[i])
         tile = leaves if r == 1 else []  # tilings are held where Search selects
         check(
-            length == len(tile)
-            and hat.tile_leaf_ids[off : off + length].tolist() == tile,
-            f"tile slice of {path} is not the hat leaves under it, left to right",
+            length == len(tile) and shape.tile_leaf_ids[off : off + length].tolist() == tile,
+            f"tile slice of {label} is not the hat leaves under it, left to right",
         )
         return leaves
 
-    visit(0, p, d)
+    visit(0, p, d, ((1, ilog2(p)),))
+    base = 0
+    for j in range(d):
+        labels = {i: shape.label(i) for i in np.flatnonzero(shape.leaf & (shape.dim == j)).tolist()}
+        for g, i in enumerate(sorted(labels, key=lambda i: (labels[i][1:], labels[i][0]))):
+            check(
+                (shape.location[i], shape.tree[i]) == ((base + g) % p, g // p),
+                f"hat leaf {labels[i]} violates the group-to-processor rule",
+            )
+        base += len(labels)
+    return all(links)
+
+
+def _check_hat(tree, check: Callable[[bool, str], None]) -> bool:
+    """One tree's own hat rows: its cut, and per row its leaf count
+    (``width · n/p``), segment and ``f(v)`` — an internal row's the
+    union / ``combine`` of its children's; hat-leaf values are checked
+    against the forest by :func:`_check_forest`.  Returns whether the
+    rows have the shape's count."""
+    hat, shape, n, p = tree.hat, tree.hat.shape, tree.n, tree.p
+    aggs = hat.agg_obj if hat.agg_mat is None else hat.agg_mat
+    own = (aggs, hat.lo, hat.hi, hat.nleaves)
+    sized = aggs is not None and {len(col) for col in own} == {shape.size}
+    check(sized, f"hat: a tree column is not the shape's {shape.size} rows")
+    if not sized:
+        return False
+    check(hat.n == n and hat.leaf_level == ilog2(n) - ilog2(p), "hat not cut at log(n/p)")
+    want: List[Any] = [None] * shape.size  # f(v), folded up from the hat leaves
+    for i in range(shape.size - 1, -1, -1):  # children follow their parent
+        path, left, right = hat.path(i), int(shape.left[i]), int(shape.right[i])
+        check(hat.nleaves[i] == shape.width[i] * (n // p), f"leaf count mismatch at {path}")
+        if left < 0:
+            want[i] = hat.agg(i)
+            continue
+        check(
+            hat.lo[i] == hat.lo[left]
+            and hat.hi[i] == hat.hi[right]
+            and hat.hi[left] < hat.lo[right],
+            f"segment not the disjoint union of children at {path}",
+        )
+        # every dimension's f(v), though Search reads the last one's only
+        want[i] = tree.semigroup.combine(want[left], want[right])
+        check(want[i] == hat.agg(i), f"aggregate f(v) mismatch at {path}")
     check(
         (hat.agg_obj is None and hat.agg_kernel is not None)
         if hat.agg_mat is not None
@@ -333,9 +329,9 @@ def validate_tree(tree) -> ValidationReport:
         if not cond:
             failures.append(message)
 
-    # -- Definitions 1-3, Theorem 1, AssociativeFunction: the hat, then
-    # the stacks whose trees its leaves name ------------------------------
-    if _check_hat(tree, check):
+    # -- Definitions 1-3, Theorem 1, AssociativeFunction: the hat's shape
+    # once, the tree's own hat rows, then the stacks its leaves name ------
+    if _check_shape(tree.hat.shape, check) and _check_hat(tree, check):
         _check_forest(tree, check)
 
     return ValidationReport(ok=not failures, failures=failures, checks_run=checks)

@@ -4,8 +4,7 @@ The paper's Theorems 3-5 present counting, reporting, and
 associative-function search as three *output modes* of one Algorithm
 Search.  A :class:`Query` names a box plus the output mode (and
 per-query options such as a report limit or a per-query semigroup); a
-:class:`QueryBatch` bundles queries of arbitrary mixed modes with
-batch-level execution options.  The engine
+:class:`QueryBatch` bundles queries of arbitrary mixed modes.  The engine
 (:mod:`repro.query.engine`) plans a batch so that all modes share a
 single search pass.
 
@@ -22,8 +21,6 @@ from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..cgm.loadbalance import REPLICATION_STRATEGIES
-from ..errors import ReproError
 from ..geometry.box import Box
 from ..semigroup import Semigroup
 
@@ -111,16 +108,10 @@ def sample_report(box: Any, k: int, seed: int = 0) -> Query:
 
 @dataclass(frozen=True)
 class QueryBatch:
-    """An ordered batch of (possibly mixed-mode) queries.
-
-    ``replication`` picks the Search step-3 strategy (``"doubling"`` or
-    ``"direct"``) for the whole batch — checked here, before any pass
-    starts; answers come back in query order through a
-    :class:`~repro.query.result.ResultSet`.
-    """
+    """An ordered batch of (possibly mixed-mode) queries; answers come
+    back in query order through a :class:`~repro.query.result.ResultSet`."""
 
     queries: Sequence[Query]
-    replication: str = "doubling"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "queries", tuple(self.queries))
@@ -130,24 +121,14 @@ class QueryBatch:
                     f"QueryBatch takes Query descriptors, got {type(q).__name__}; "
                     "wrap boxes with repro.query.count/report/aggregate"
                 )
-        if self.replication not in REPLICATION_STRATEGIES:
-            raise ReproError(
-                f"unknown replication strategy {self.replication!r}; "
-                f"expected one of {REPLICATION_STRATEGIES}"
-            )
 
     @classmethod
-    def coerce(cls, batch: Any, replication: str | None = None) -> "QueryBatch":
-        """What every ``run(batch, replication=None)`` accepts — a batch,
-        a sequence of :class:`Query` descriptors or a single one — as a
-        batch; a ``replication`` overrides the batch's own."""
+    def coerce(cls, batch: Any) -> "QueryBatch":
+        """What every ``run(batch)`` accepts — a batch, a sequence of
+        :class:`Query` descriptors or a single one — as a batch."""
         if isinstance(batch, Query):
-            batch = cls([batch])
-        elif not isinstance(batch, cls):
-            batch = cls(list(batch))
-        if replication is not None:
-            batch = cls(batch.queries, replication=replication)
-        return batch
+            return cls([batch])
+        return batch if isinstance(batch, cls) else cls(list(batch))
 
     def __len__(self) -> int:
         return len(self.queries)

@@ -237,14 +237,14 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def run(self, batch, replication: str | None = None) -> ResultSet:
+    def run(self, batch) -> ResultSet:
         """Answer ``batch`` in a single Algorithm Search pass.
 
         ``batch`` may be a :class:`QueryBatch`, a sequence of
         :class:`Query` descriptors, or a single :class:`Query`.
         Equivalent to ``execute(plan(batch))``.
         """
-        return self.execute(self.plan(QueryBatch.coerce(batch, replication)))
+        return self.execute(self.plan(QueryBatch.coerce(batch)))
 
     def execute(self, plan: QueryPlan) -> ResultSet:
         """Run a previously computed :class:`QueryPlan`.
@@ -276,12 +276,11 @@ class QueryEngine:
                 for part in self.trees
             ],
             report=plan.report,
-            replication=batch.replication,
         )
 
         answers = self._demux(plan, out)
         metrics = tree.machine.metrics.since(snap)
-        return ResultSet(batch.queries, answers, metrics, replication=batch.replication)
+        return ResultSet(batch.queries, answers, metrics)
 
     # ------------------------------------------------------------------
     # the shared demultiplexing fold

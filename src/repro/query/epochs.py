@@ -88,10 +88,8 @@ class EpochCombiner:
             return Query(box=q.box, mode="report")
         return q
 
-    def epoch_batch(self, replication: str = "doubling") -> QueryBatch:
-        return QueryBatch(
-            [self.epoch_query(q) for q in self.batch], replication=replication
-        )
+    def epoch_batch(self) -> QueryBatch:
+        return QueryBatch([self.epoch_query(q) for q in self.batch])
 
     def semigroup_for(self, q: Query) -> Semigroup:
         return q.semigroup if q.semigroup is not None else self.base

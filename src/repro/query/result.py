@@ -56,12 +56,10 @@ class ResultSet(Sequence):
         queries: Sequence[Query],
         answers: Sequence[Any],
         metrics: Metrics,
-        replication: str = "doubling",
     ) -> None:
         self._queries = tuple(queries)
         self._answers = tuple(answers)
         self.metrics = metrics
-        self.replication = replication
 
     # -- sequence protocol over per-query results --------------------------
     def __len__(self) -> int:
@@ -124,7 +122,6 @@ class ResultSet(Sequence):
                 }
                 for r in self
             ],
-            "replication": self.replication,
             "metrics": deterministic(self.metrics.summary()),
             "phases": {
                 ph: deterministic(s)

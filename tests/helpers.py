@@ -40,6 +40,17 @@ def _phase_charge(ctx, payload):
     ctx.charge(payload)
 
 
+@register_phase("test.hat_shape")
+def _phase_hat_shape(ctx, ns):
+    """Whether this rank's hat of tree ``ns`` holds this process's memo of
+    its shape, and that shape's labels as bytes."""
+    from repro.dist.construct import hat_key
+    from repro.dist.hat import hat_shape
+
+    shape = ctx.state[hat_key(ns)].shape
+    return shape is hat_shape(shape.p, shape.d), shape.paths.tobytes()
+
+
 def random_boxes(rng: np.random.Generator, m: int, d: int, max_side: float = 0.5) -> list[Box]:
     """Random closed boxes in the unit cube with random side lengths."""
     out = []
@@ -78,10 +89,10 @@ def forest_elements(tree) -> list:
     """Every forest element of a built tree, read off its hat leaves:
     ``(leaf, stack, t)`` — the leaf's hat row, its owner's stack for the
     leaf's dimension, and the element's tree index in that stack."""
-    hat = tree.hat
+    shape = tree.hat.shape
     return [
-        (leaf, tree.forest_store[hat.location[leaf]][hat.dim[leaf]], int(hat.tree[leaf]))
-        for leaf in np.flatnonzero(hat.leaf).tolist()
+        (leaf, tree.forest_store[shape.location[leaf]][shape.dim[leaf]], int(shape.tree[leaf]))
+        for leaf in np.flatnonzero(shape.leaf).tolist()
     ]
 
 
@@ -98,14 +109,44 @@ def reference_tree(tree, leaf: int) -> RangeTree:
     under the tree's annotation, nothing read off the stack but ids."""
     from repro.dist import lift_values
 
-    hat = tree.hat
-    stack = tree.forest_store[hat.location[leaf]][hat.dim[leaf]]
-    pids = element_pids(stack, int(hat.tree[leaf]))
+    shape = tree.hat.shape
+    stack = tree.forest_store[shape.location[leaf]][shape.dim[leaf]]
+    pids = element_pids(stack, int(shape.tree[leaf]))
     order = np.argsort(tree.ranked.ids)
     rows = order[np.searchsorted(tree.ranked.ids, pids, sorter=order)]
     values = lift_values(tree.semigroup, tree.ranked, tree.points)[rows]
     values = values.to_list() if isinstance(values, KernelColumn) else list(values)
-    return RangeTree(tree.ranked.ranks[rows], values, tree.semigroup, start_dim=int(hat.dim[leaf]))
+    start_dim = int(shape.dim[leaf])
+    return RangeTree(tree.ranked.ranks[rows], values, tree.semigroup, start_dim=start_dim)
+
+
+def corrupt_shape(hat, column: str, edit) -> None:
+    """Bind ``hat`` a copy of its shape whose ``column`` is ``edit`` of a
+    writable copy of it: the shared shape is read-only, and corrupting it
+    in place would poison every later tree on ``(p, d)``."""
+    shape = hat.shape
+    hat.shape = type(shape)(**{**vars(shape), column: edit(getattr(shape, column).copy())})
+
+
+def search_summary(tree, boxes, replication: str = "doubling", report=False) -> tuple:
+    """One ``tree.search`` pass: ``(metrics, counts, selections)`` — its
+    steps, the per-query counts summed over its hat and forest selections,
+    and every selection and report pair as a sorted list (a multiset:
+    which copy of a group serves a subquery is the strategy's choice, not
+    the answer)."""
+    snap = tree.metrics.mark()
+    out = tree.search(boxes, report=report, replication=replication)
+    m = tree.metrics.since(snap)
+    counts = np.zeros(len(boxes), dtype=np.int64)
+    for b in (*out.hat_selections, *out.forest_selections):
+        np.add.at(counts, b.col("qid"), b.col("nleaves"))
+    rows = [
+        (b.schema, *map(repr, row))
+        for batches in (out.hat_selections, out.forest_selections, out.report_pairs)
+        for b in batches
+        for row in b
+    ]
+    return m, counts.tolist(), sorted(rows)
 
 
 # ---------------------------------------------------------------------------

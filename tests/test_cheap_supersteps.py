@@ -29,6 +29,7 @@ from repro.cgm.metrics import Metrics
 from repro.cgm.phases import ProcContext, get_phase
 from repro.cgm.sort import sample_sort_cols
 from repro.dist import DistributedRangeTree
+from repro.dist.hat import walk_hats
 from repro.errors import InjectedFault
 from repro.faults import FaultPlan, FaultRule, injected
 from repro.geometry.box import Box, RankBox, rank_bounds
@@ -38,7 +39,7 @@ from repro.semigroup.kernels import KernelColumn
 from repro.seq import bf_count, bf_report
 from repro.workloads import make_points
 
-from tests.helpers import forest_elements, reference_tree, unkernelized
+from tests.helpers import forest_elements, reference_tree, search_summary, unkernelized
 
 BOX = Box(((0.2, 0.7), (0.1, 0.6)))
 HOT = Box(((0.0, 0.25), (0.0, 1.0)))
@@ -62,30 +63,21 @@ def expected_labels(p: int, strategy: str) -> list:
     return ["search:demands"] + replicate + TAIL
 
 
-#: (mode, strategy, p) -> (rounds, total charged ops, records routed, max h,
+#: (mode, p) -> (rounds, total charged ops, records routed, max h,
 #: sha1[:12] of repr([(label, sent, received) per comm round])) of the pass
 #: answering ``BOX`` alone over make_points("uniform", 256, 2, seed=5) —
 #: re-measured at the PR that replaced the demux sort (the Search rounds'
 #: rows are b659289's, from before idle ranks and empty rounds got cheap).
 PARENT_PASS = {
-    ("count", "doubling", 2): (6, 72, 12, 2, "9e78840632b5"),
-    ("count", "direct", 2): (6, 72, 12, 2, "ab099c65c687"),
-    ("report", "doubling", 2): (6, 72, 82, 41, "d72bd55fdd2b"),
-    ("report", "direct", 2): (6, 72, 82, 41, "577b6c45daa1"),
-    ("aggregate", "doubling", 2): (6, 72, 12, 2, "9e78840632b5"),
-    ("aggregate", "direct", 2): (6, 72, 12, 2, "ab099c65c687"),
-    ("count", "doubling", 4): (7, 74, 38, 4, "a09f6a49aca3"),
-    ("count", "direct", 4): (6, 74, 38, 4, "3b8dbd9264ad"),
-    ("report", "doubling", 4): (7, 74, 107, 33, "fc8f4160ab81"),
-    ("report", "direct", 4): (6, 74, 107, 33, "5c1c1113a6b5"),
-    ("aggregate", "doubling", 4): (7, 74, 38, 4, "a09f6a49aca3"),
-    ("aggregate", "direct", 4): (6, 74, 38, 4, "3b8dbd9264ad"),
-    ("count", "doubling", 8): (8, 77, 138, 8, "6402bd0d8f86"),
-    ("count", "direct", 8): (6, 77, 138, 8, "82d4ea6563c2"),
-    ("report", "doubling", 8): (8, 77, 205, 25, "220d5d57fb91"),
-    ("report", "direct", 8): (6, 77, 205, 25, "a001b6023e40"),
-    ("aggregate", "doubling", 8): (8, 77, 138, 8, "6402bd0d8f86"),
-    ("aggregate", "direct", 8): (6, 77, 138, 8, "82d4ea6563c2"),
+    ("count", 2): (6, 72, 12, 2, "9e78840632b5"),
+    ("report", 2): (6, 72, 82, 41, "d72bd55fdd2b"),
+    ("aggregate", 2): (6, 72, 12, 2, "9e78840632b5"),
+    ("count", 4): (7, 74, 38, 4, "a09f6a49aca3"),
+    ("report", 4): (7, 74, 107, 33, "fc8f4160ab81"),
+    ("aggregate", 4): (7, 74, 38, 4, "a09f6a49aca3"),
+    ("count", 8): (8, 77, 138, 8, "6402bd0d8f86"),
+    ("report", 8): (8, 77, 205, 25, "220d5d57fb91"),
+    ("aggregate", 8): (8, 77, 138, 8, "6402bd0d8f86"),
 }
 
 
@@ -105,16 +97,24 @@ def test_one_query_pass_shape_is_the_parents(p):
     pts = make_points("uniform", 256, 2, seed=5)
     with DistributedRangeTree.build(pts, p=p) as tree:
         for mode, make in MODES.items():
-            for strategy in ("doubling", "direct"):
-                m = tree.run([make(BOX)], replication=strategy).metrics
-                comm = _comm(m)
-                assert [c[0] for c in comm] == expected_labels(p, strategy)
-                digest = hashlib.sha1(repr(comm).encode()).hexdigest()[:12]
-                got = (m.rounds, m.total_work, m.total_volume, m.max_h, digest)
-                assert got == PARENT_PASS[(mode, strategy, p)], (mode, strategy)
-                # nothing to replicate: no pack/unpack dispatch; the demux
-                # sorts nothing, so the two Search phases are all of them
-                assert _dispatches(m) == ["search:walk", "search:forest"]
+            m = tree.run([make(BOX)]).metrics
+            comm = _comm(m)
+            assert [c[0] for c in comm] == expected_labels(p, "doubling")
+            digest = hashlib.sha1(repr(comm).encode()).hexdigest()[:12]
+            got = (m.rounds, m.total_work, m.total_volume, m.max_h, digest)
+            assert got == PARENT_PASS[(mode, p)], mode
+            # nothing to replicate: no pack/unpack dispatch; the demux
+            # sorts nothing, so the two Search phases are all of them
+            assert _dispatches(m) == ["search:walk", "search:forest"]
+            # Search alone (the only entry that takes a strategy; the
+            # engine's pass runs ``doubling``): the pass's own rounds, and
+            # under ``direct`` one empty replicate round for log2 p
+            searched = comm[: len(comm) - 3]
+            direct = [searched[0], ("search:replicate:direct", (0,) * p, (0,) * p), searched[-1]]
+            for strategy, want in (("doubling", searched), ("direct", direct)):
+                s = search_summary(tree, [BOX], strategy, report=mode == "report")[0]
+                assert (_comm(s), s.total_work) == (want, m.total_work), (mode, strategy)
+                assert _dispatches(s) == ["search:walk", "search:forest"]
 
 
 def test_one_query_and_full_batch_share_the_round_sequence():
@@ -132,10 +132,12 @@ def test_an_empty_batch_records_every_round_with_nothing_sent(strategy):
     # recorded like any other round — no round count reads the data
     pts = make_points("uniform", 256, 2, seed=5)
     with DistributedRangeTree.build(pts, p=8) as tree:
-        rs = tree.run([], replication=strategy)
+        rs = tree.run([])
+        searched = search_summary(tree, [], strategy)[0]
         nothing_matches = tree.run([count(Box(((2.0, 3.0), (2.0, 3.0))))])
     assert rs.values() == [] and nothing_matches.values() == [0]
-    assert [c[0] for c in _comm(rs.metrics)] == expected_labels(8, strategy)
+    assert [c[0] for c in _comm(rs.metrics)] == expected_labels(8, "doubling")
+    assert [c[0] for c in _comm(searched)] == expected_labels(8, strategy)[:-3]
     demux = [c for c in _comm(rs.metrics) if c[0] in ("query:demux:fold", "query:demux:pairs")]
     assert demux == [
         ("query:demux:fold", (0,) * 8, (0,) * 8),
@@ -153,9 +155,8 @@ def test_hot_spot_still_dispatches_pack_and_unpack(strategy):
     with DistributedRangeTree.build(pts, p=4) as tree:
         out = tree.search([HOT] * 20, replication=strategy)
         assert max(out.copy_counts) > 1
-        rs = tree.run([count(HOT)] * 20, replication=strategy)
-    assert rs.values() == [bf_count(pts, HOT)] * 20
-    m = rs.metrics
+        m, counts, _sels = search_summary(tree, [HOT] * 20, strategy)
+    assert counts == [bf_count(pts, HOT)] * 20
     shipped = [
         s for s in m.comm_steps() if s.label.startswith("search:replicate")
     ]
@@ -165,7 +166,7 @@ def test_hot_spot_still_dispatches_pack_and_unpack(strategy):
     assert sum("replicate:pack" in l for l in _dispatches(m)) == len(moving)
     assert sum("replicate:unpack" in l for l in _dispatches(m)) == len(moving)
     # ... while every scheduled round is recorded either way
-    assert [c[0] for c in _comm(m)] == expected_labels(4, strategy)
+    assert [c[0] for c in _comm(m)] == expected_labels(4, strategy)[:-3]
 
 
 #: (p, strategy) -> [(label, sent, received, volume_bytes)] of the
@@ -202,11 +203,11 @@ def test_replication_rounds_charge_the_parents_numbers(backend, p, strategy):
     pts = make_points("uniform", 256, 2, seed=42)
 
     def replication_rounds(tree):
-        rs = tree.run([count(HOT)] * 40, replication=strategy)
-        assert rs.values() == [bf_count(pts, HOT)] * 40
+        m, counts, _sels = search_summary(tree, [HOT] * 40, strategy)
+        assert counts == [bf_count(pts, HOT)] * 40
         return [
             (s.label, s.sent, s.received, s.volume_bytes)
-            for s in rs.metrics.comm_steps()
+            for s in m.comm_steps()
             if s.label.startswith("search:replicate")
         ]
 
@@ -322,8 +323,8 @@ def test_zero_row_walk_and_forest_match_the_general_path(kernelised):
     nothing = RankBox((5, 5), (4, 9))  # empty in dimension 0: selects nothing
     with DistributedRangeTree.build(pts, p=4, semigroup=sg) as tree:
         hat = tree.hat
-        idle = hat.walk_batch(3, *rank_bounds([]), np.ones(0, dtype=bool))
-        general = hat.walk_batch(3, *rank_bounds([nothing]), np.ones(1, dtype=bool))
+        idle = hat.idle  # what step 1 returns at a rank with no queries
+        general = walk_hats([hat], 3, [rank_bounds([nothing])], np.ones(1, dtype=bool))
         assert isinstance(idle[0].col("agg"), KernelColumn) == kernelised
         for idle_batch, general_batch in zip(idle[:3], general[:3]):
             assert _schema(idle_batch) == _schema(general_batch)
@@ -332,8 +333,8 @@ def test_zero_row_walk_and_forest_match_the_general_path(kernelised):
         # step 5: an empty inbox vs an inbox whose one subquery selects nothing
         ns = tree.construct_result.ns
         mach = tree.machine
-        _sels, routing, _expansions, _visits = hat.walk_batch(
-            0, *tree.ranked.to_rank_bounds(*Box.stack([BOX])), np.zeros(1, dtype=bool)
+        _sels, routing, _expansions, _visits = walk_hats(
+            [hat], 0, [tree.ranked.to_rank_bounds(*Box.stack([BOX]))], np.zeros(1, dtype=bool)
         )
         assert len(routing)
         one = routing.take(np.array([0]))

@@ -29,6 +29,7 @@ from repro.cgm.columns import RecordBatch
 from repro.cgm.phases import ProcContext, get_phase
 from repro.dist import DistributedRangeTree
 from repro.dist.forest import build_stack
+from repro.dist.hat import walk_hats
 from repro.dist.records import KIND_EXPAND, KIND_SUBQUERY
 from repro.geometry import Box
 from repro.geometry.box import RankBox, rank_bounds
@@ -361,7 +362,7 @@ class TestSearchOutputParity:
             # upper three quarters (selections inside the padded element)
             los = np.vstack([los, [[0, 0], [16, 16]]])
             his = np.vstack([his, [[63, 63], [63, 63]]])
-            _sels, routing, expansions, _visits = tree.hat.walk_batch(0, los, his, report)
+            _sels, routing, expansions, _visits = walk_hats([tree.hat], 0, [(los, his)], report)
             assert len(expansions) >= 4
             inbox = RecordBatch.concat([routing, expansions])
             owners = np.asarray(inbox.col("location"))

@@ -1,7 +1,7 @@
 """Batched hat walk ≡ reference hat walk, bit for bit.
 
-The batched walk (:meth:`repro.dist.hat.Hat.walk_batch`) must
-reproduce :meth:`repro.dist.hat.Hat.walk` exactly — same selections in
+The batched walk (:func:`repro.dist.hat.walk_hats`) must reproduce
+:meth:`repro.dist.hat.Hat.walk` exactly — same selections in
 the same order, same subqueries, same per-query visit counts — because
 everything downstream (answers, rounds, charged ops) rests on step 1
 emitting that stream.  These tests pin the walk-level identity
@@ -20,6 +20,7 @@ import pytest
 
 from repro.cgm.columns import RecordBatch
 from repro.dist import DistributedRangeTree
+from repro.dist.hat import walk_hats
 from repro.geometry.box import RankBox, rank_bounds
 from repro.geometry import Box
 from repro.query import QueryBatch, aggregate, count, report, top_k
@@ -87,9 +88,7 @@ class TestWalkBatchBitIdentity:
                 exp_subqs.extend(q)
                 exp_exps.extend(e)
                 charges.append(sum(got))
-            sel_b, subq_b, exp_b, visits = hat.walk_batch(
-                qlo, *rank_bounds(boxes), mask
-            )
+            sel_b, subq_b, exp_b, visits = walk_hats([hat], qlo, [rank_bounds(boxes)], mask)
             # rows: same selections, subqueries and expansions, same order
             assert list(sel_b) == exp_sels
             assert list(subq_b) == exp_subqs
@@ -101,7 +100,7 @@ class TestWalkBatchBitIdentity:
             # hat leaves under it, left to right
             assert bool(exp_exps) == bool(mask[[s[0] - qlo for s in exp_sels]].any())
             tilings = [
-                hat.tile_leaf_ids[hat.tile_off[n] :][: hat.tile_len[n]].tolist()
+                hat.shape.tile_leaf_ids[hat.shape.tile_off[n] :][: hat.shape.tile_len[n]].tolist()
                 for q, n, _nl, _agg in exp_sels
                 if mask[q - qlo]
             ]
@@ -116,8 +115,8 @@ class TestWalkBatchBitIdentity:
     def test_empty_slice(self):
         pts = uniform_points(32, 2, seed=9)
         with DistributedRangeTree.build(pts, p=4) as tree:
-            sel_b, subq_b, exp_b, visits = tree.hat.walk_batch(
-                0, *rank_bounds([]), np.zeros(0, dtype=bool)
+            sel_b, subq_b, exp_b, visits = walk_hats(
+                [tree.hat], 0, [rank_bounds([])], np.zeros(0, dtype=bool)
             )
             assert len(sel_b) == 0 and len(subq_b) == 0 and len(exp_b) == 0
             assert len(visits) == 0
@@ -265,7 +264,8 @@ def _wide_boxes(rng, m: int, d: int) -> list:
 
 def _assert_walks_identically(a, b, los, his) -> None:
     report = np.ones(len(los), dtype=bool)
-    for got, want in zip(a.walk_batch(0, los, his, report), b.walk_batch(0, los, his, report)):
+    walks = (walk_hats([hat], 0, [(los, his)], report) for hat in (a, b))
+    for got, want in zip(*walks):
         if isinstance(want, RecordBatch):
             assert list(got) == list(want)
         else:
@@ -282,8 +282,6 @@ def test_hat_selections_answer_every_fold_family_across_refits(d, backend):
     pts = make_points("uniform", 96, d, seed=40 + d)
     boxes = _wide_boxes(np.random.default_rng(50 + d), 10, d)
     sg0, sg1, sg2 = sum_of_dim(0), max_of_dim(d - 1), sum_of_dim(d - 1)
-    none = np.zeros((0, d), dtype=np.int64)
-    nobody = np.zeros(0, dtype=bool)
 
     def answers_hold(tree, cycle) -> None:
         batch = QueryBatch([cycle[i % len(cycle)](b) for i, b in enumerate(boxes * 2)])
@@ -312,7 +310,7 @@ def test_hat_selections_answer_every_fold_family_across_refits(d, backend):
         )
         assert hat.agg_obj is None and hat.agg_kernel.name == tree.value_kernel.name
         tree.reannotate(sg2)
-        idle_agg = hat.walk_batch(0, none, none, nobody)[0].col("agg")
+        idle_agg = hat.idle[0].col("agg")
         assert isinstance(idle_agg, KernelColumn)
         assert idle_agg.kernel == hat.agg_kernel == tree.value_kernel
         assert idle_agg.kernel.name != "product"
@@ -321,7 +319,7 @@ def test_hat_selections_answer_every_fold_family_across_refits(d, backend):
             tree, [count, report, aggregate, lambda b: top_k(b, 3, dim=0)]
         )
         assert tree.hat is hat and hat.agg_mat is None and hat.agg_kernel is None
-        assert hat.walk_batch(0, none, none, nobody)[0].col("agg").dtype == object
+        assert hat.idle[0].col("agg").dtype == object
 
         bounds = tree.ranked.to_rank_bounds(*Box.stack(boxes))
         _assert_walks_identically(pickle.loads(pickle.dumps(hat)), hat, *bounds)

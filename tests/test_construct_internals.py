@@ -3,6 +3,8 @@ builder's protocol error handling."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -40,8 +42,8 @@ class TestRecordFlow:
             else:
                 anchor = row_of.get(fid[1:])
                 assert anchor is not None, f"no hat anchor for {fid}"
-                assert hat.dim[anchor] == info.dim - 1
-                assert not hat.leaf[anchor]
+                assert hat.shape.dim[anchor] == info.dim - 1
+                assert not hat.shape.leaf[anchor]
 
     def test_deep_phase_element_counts(self):
         """Phase-1 elements: one per hat internal node per n/p leaf group =
@@ -56,7 +58,7 @@ class TestRecordFlow:
         tree = build(n=n, d=3, p=p)
         ll = ilog2(n) - ilog2(p)
         hat = tree.hat
-        assert {hat.path(i)[0][1] for i in np.nonzero(hat.leaf)[0]} == {ll}
+        assert {hat.path(i)[0][1] for i in np.nonzero(hat.shape.leaf)[0]} == {ll}
 
     def test_seg_partition_within_each_tree(self):
         """Forest elements of one segment tree tile its rank range."""
@@ -96,6 +98,23 @@ class TestHatBuildErrors:
         )
         with pytest.raises(ProtocolError):
             Hat.build([corrupted] + roots[1:], d=2, n=32, p=4, semigroup=COUNT)
+
+    @pytest.mark.parametrize("field", ["location", "tree", "nleaves", "dim"])
+    def test_mislabeled_root_detected(self, field):
+        """A root at the right label that names the wrong owner, stack
+        index, leaf count or dimension: the owner it names may hold
+        another tree at that index, so the hat must not build."""
+        roots = self._roots()
+        bad = roots[-1]
+        wrong = {
+            "location": (bad.location + 1) % 4,
+            "tree": bad.tree + 1,
+            "nleaves": bad.nleaves + 1,
+            "dim": (bad.dim + 1) % 2,
+        }[field]
+        corrupted = dataclasses.replace(bad, **{field: wrong})
+        with pytest.raises(ProtocolError, match="mislabeled"):
+            Hat.build(roots[:-1] + [corrupted], d=2, n=32, p=4, semigroup=COUNT)
 
     def test_empty_roots_rejected(self):
         from repro.errors import MachineError

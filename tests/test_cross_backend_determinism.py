@@ -27,6 +27,7 @@ from tests.helpers import (
     STREAM_GROUP,
     checkpoint_batch,
     random_boxes,
+    search_summary,
     unkernelized,
 )
 
@@ -80,16 +81,18 @@ class TestCrossBackendDeterminism:
 
         pts = make_points("uniform", 64, 2, seed=42)
         hot = Box(((0.0, 0.25), (0.0, 1.0)))
-        batch = QueryBatch([count(hot)] * 20)
-        answers = {}
+        answers, traces = {}, {}
         for backend in BACKENDS:
             for strategy in ("doubling", "direct"):
-                with DistributedRangeTree.build(
-                    pts, p=4, backend=backend
-                ) as tree:
-                    rs = tree.run(batch, replication=strategy)
-                    answers[(backend, strategy)] = rs.values()
-        assert len({tuple(v) for v in answers.values()}) == 1
+                with DistributedRangeTree.build(pts, p=4, backend=backend) as tree:
+                    m, counts, rows = search_summary(tree, [hot] * 20, strategy)
+                answers[backend, strategy] = (tuple(counts), tuple(rows))
+                traces[backend, strategy] = [
+                    (s.kind, s.label, s.ops, s.sent, s.received) for s in m.steps
+                ]
+        assert len(set(answers.values())) == 1
+        for strategy in ("doubling", "direct"):
+            assert traces["serial", strategy] == traces["process", strategy]
 
     def test_run_to_run_determinism_on_process_backend(self):
         a = _fingerprint("process", 2, "uniform")

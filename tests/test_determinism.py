@@ -8,13 +8,15 @@ from repro.dist import DistributedRangeTree
 from repro.query import count, report
 from repro.workloads import selectivity_queries, uniform_points
 
+from tests.helpers import search_summary
 
-def _run(backend: str, replication: str = "doubling"):
+
+def _run(backend: str):
     pts = uniform_points(64, 2, seed=100)
     tree = DistributedRangeTree.build(pts, p=4, backend=backend)
     qs = selectivity_queries(32, 2, seed=101, selectivity=0.1)
-    counts = tree.run([count(q) for q in qs], replication=replication).values()
-    reports = tree.run([report(q) for q in qs], replication=replication).values()
+    counts = tree.run([count(q) for q in qs]).values()
+    reports = tree.run([report(q) for q in qs]).values()
     trace = [
         (s.kind, s.label, s.ops, s.sent, s.received) for s in tree.metrics.steps
     ]
@@ -45,9 +47,12 @@ class TestRunToRunDeterminism:
         assert a == b
 
     def test_replication_strategy_changes_trace_not_answers(self):
-        a = _run("serial", replication="doubling")
-        b = _run("serial", replication="direct")
-        assert a[0] == b[0] and a[1] == b[1]
+        pts = uniform_points(64, 2, seed=100)
+        qs = selectivity_queries(32, 2, seed=101, selectivity=0.1)
+        with DistributedRangeTree.build(pts, p=4) as tree:
+            a, b = (search_summary(tree, qs, s, report=True) for s in ("doubling", "direct"))
+        assert a[1:] == b[1:]
+        assert (a[0].rounds, b[0].rounds) == (4, 3)
 
     def test_query_order_independence(self):
         """Permuting the batch permutes the answers consistently."""

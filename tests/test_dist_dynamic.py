@@ -738,6 +738,32 @@ class TestOnePass:
             assert rs.values() == empty_structure_values(far, dyn.semigroup)
             assert rs.metrics.rounds == 0
 
+    def test_one_hat_walk_per_rank_whatever_the_bucket_count(self, monkeypatch):
+        """Step 1 walks every bucket's hat in one call per rank: at most
+        p calls per pass over 1-6 parts, each over all of them."""
+        from repro.dist import search
+
+        p, walks, real = 4, [], search.walk_hats
+        monkeypatch.setattr(
+            search, "walk_hats", lambda hats, *args: walks.append(len(hats)) or real(hats, *args)
+        )
+        coords = _grid_coords(128 + 63, seed=44)
+        batch = checkpoint_batch(self.BOXES * 2)  # unit_box meets every bucket
+        parts = []
+        with DynamicDistributedRangeTree.build(
+            coords[:128], p=p, semigroup=STREAM_GROUP, flush_threshold=2
+        ) as dyn:
+            for n, c in enumerate(coords[128:], 1):
+                dyn.insert(c)
+                if (n + 1) & n:
+                    continue
+                walks.clear()
+                got = dyn.run(batch).values()
+                assert len(walks) <= p and set(walks) == {len(dyn.bucket_sizes)}
+                assert got == self._rebuilt(dyn, batch)[0]
+                parts.append(len(dyn.bucket_sizes))
+        assert parts == [1, 2, 3, 4, 5, 6]
+
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_a_buffer_only_structure_runs_no_pass(self, backend):
         batch = checkpoint_batch(self.BOXES)

@@ -68,8 +68,8 @@ class TestReannotate:
         tree.reannotate(sg)
         hat = tree.hat
         root = 0
-        while hat.desc[root] >= 0:
-            root = hat.desc[root]
+        while hat.shape.desc[root] >= 0:
+            root = hat.shape.desc[root]
         total = bf_aggregate(pts, Box.full(2, -10.0, 10.0), sg)
         assert hat.agg(root) == pytest.approx(total)
 

@@ -143,8 +143,8 @@ class TestRecords:
             for kind, qid, los, his, element, location in subqs:
                 assert (kind, qid) == (KIND_SUBQUERY, 3)
                 assert RankBox(los, his).interval(1) == (1, 6)
-                assert tree.hat.leaf[element]
-                assert location == tree.hat.location[element]
+                assert tree.hat.shape.leaf[element]
+                assert location == tree.hat.shape.location[element]
 
 
 class TestElementsInsideBuiltTree:
@@ -155,7 +155,7 @@ class TestElementsInsideBuiltTree:
         for leaf, stack, t in forest_elements(tree):
             # query the element's whole segment: must select everything,
             # and exactly the points its oracle holds
-            d, dim = tree.dim, int(hat.dim[leaf])
+            d, dim = tree.dim, int(hat.shape.dim[leaf])
             los, his = [0] * d, [tree.n - 1] * d
             los[dim], his[dim] = int(hat.lo[leaf]), int(hat.hi[leaf])
             sel = stack.walk(*rank_bounds([RankBox(tuple(los), tuple(his))]), np.array([t]))

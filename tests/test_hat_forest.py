@@ -31,8 +31,11 @@ class TestTheorem1:
     def test_forest_groups_disjoint_and_balanced(self, n, d, p):
         """Theorem 1(ii): the F_i are disjoint with equal (O(s/p)) sizes."""
         tree = build(n=n, d=d, p=p)
-        hat = tree.hat
-        held = [(int(hat.location[i]), int(hat.dim[i]), int(hat.tree[i])) for i in np.flatnonzero(hat.leaf)]
+        shape = tree.hat.shape
+        held = [
+            (int(shape.location[i]), int(shape.dim[i]), int(shape.tree[i]))
+            for i in np.flatnonzero(shape.leaf)
+        ]
         assert len(held) == len(set(held)), "forest groups overlap"
         sizes = tree.construct_result.forest_group_sizes()
         assert max(sizes) <= 2 * min(sizes), f"imbalanced groups: {sizes}"
@@ -63,9 +66,10 @@ class TestTheorem1:
         """Every hat leaf names a tree its owner holds, every held tree
         is named once."""
         tree = build(n=64, d=2, p=8)
-        hat = tree.hat
+        shape = tree.hat.shape
         named = sorted(
-            (int(hat.location[i]), int(hat.dim[i]), int(hat.tree[i])) for i in np.flatnonzero(hat.leaf)
+            (int(shape.location[i]), int(shape.dim[i]), int(shape.tree[i]))
+            for i in np.flatnonzero(shape.leaf)
         )
         held = [
             (rank, j, t)
@@ -87,13 +91,13 @@ class TestFigure3Structure:
         for i in range(hat.size_nodes()):
             level = hat.path(i)[0][1]
             assert level >= leaf_level
-            if hat.leaf[i]:
+            if hat.shape.leaf[i]:
                 assert level == leaf_level
 
     def test_primary_hat_has_p_leaves(self):
         tree = build(n=64, d=2, p=8)
         hat = tree.hat
-        assert int((hat.leaf & (hat.dim == 0)).sum()) == 8
+        assert int((hat.shape.leaf & (hat.shape.dim == 0)).sum()) == 8
 
     def test_descendant_trees_on_halving_point_counts(self):
         """Figure 3: hat nodes carry descendant range trees on n, n/2, n/4...
@@ -101,30 +105,30 @@ class TestFigure3Structure:
         n, p = 64, 8
         tree = build(n=n, d=2, p=p)
         hat = tree.hat
-        sizes = sorted(hat.nleaves[(hat.dim == 0) & ~hat.leaf].tolist(), reverse=True)
+        sizes = sorted(hat.nleaves[(hat.shape.dim == 0) & ~hat.shape.leaf].tolist(), reverse=True)
         assert sizes == [64, 32, 32, 16, 16, 16, 16]
 
     def test_internal_nodes_have_descendants(self):
         tree = build(n=64, d=2, p=8)
         hat = tree.hat
-        for i in np.nonzero((hat.dim == 0) & ~hat.leaf)[0]:
-            desc = hat.desc[i]
+        for i in np.nonzero((hat.shape.dim == 0) & ~hat.shape.leaf)[0]:
+            desc = hat.shape.desc[i]
             assert desc >= 0
-            assert hat.dim[desc] == 1
+            assert hat.shape.dim[desc] == 1
             assert hat.nleaves[desc] == hat.nleaves[i]
 
     def test_hat_leaf_of_last_dim_has_no_descendant(self):
         tree = build(n=64, d=2, p=8)
         hat = tree.hat
-        assert (hat.desc[hat.dim == 1] == -1).all()
+        assert (hat.shape.desc[hat.shape.dim == 1] == -1).all()
 
 
 class TestHatIntegrity:
     def test_segments_union_of_children(self):
         tree = build(n=64, d=2, p=8)
         hat = tree.hat
-        for i in np.nonzero(~hat.leaf)[0]:
-            left, right = hat.left[i], hat.right[i]
+        for i in np.nonzero(~hat.shape.leaf)[0]:
+            left, right = hat.shape.left[i], hat.shape.right[i]
             assert hat.lo[i] == hat.lo[left]
             assert hat.hi[i] == hat.hi[right]
             assert hat.hi[left] < hat.lo[right]
@@ -132,10 +136,10 @@ class TestHatIntegrity:
     def test_sibling_indices(self):
         tree = build(n=64, d=2, p=8)
         hat = tree.hat
-        for i in np.nonzero(~hat.leaf)[0]:
+        for i in np.nonzero(~hat.shape.leaf)[0]:
             index = hat.path(i)[0][0]
-            assert hat.path(hat.left[i])[0][0] == 2 * index
-            assert hat.path(hat.right[i])[0][0] == 2 * index + 1
+            assert hat.path(hat.shape.left[i])[0][0] == 2 * index
+            assert hat.path(hat.shape.right[i])[0][0] == 2 * index + 1
 
     def test_paths_unique_and_valid(self):
         from repro.dist import is_valid_path
@@ -149,21 +153,22 @@ class TestHatIntegrity:
         """f(v) of a dimension-d hat node = sum of its children's values."""
         tree = build(n=64, d=2, p=8)
         hat = tree.hat
-        for i in np.nonzero((hat.dim == 1) & ~hat.leaf)[0]:
-            assert hat.agg(i) == hat.agg(hat.left[i]) + hat.agg(hat.right[i])
+        for i in np.nonzero((hat.shape.dim == 1) & ~hat.shape.leaf)[0]:
+            assert hat.agg(i) == hat.agg(hat.shape.left[i]) + hat.agg(hat.shape.right[i])
 
     def test_root_aggregate_counts_all_points(self):
         n = 64
         tree = build(n=n, d=2, p=8)
         hat = tree.hat
-        assert hat.desc[0] >= 0
-        assert hat.agg(hat.desc[0]) == n  # count over every (padded) point
+        assert hat.shape.desc[0] >= 0
+        assert hat.agg(hat.shape.desc[0]) == n  # count over every (padded) point
 
     def test_forest_leaves_under_root_is_p(self):
         tree = build(n=64, d=2, p=8)
         hat = tree.hat
-        top = int(hat.desc[0])  # tilings are held for the last dimension's trees
-        leaves = hat.tile_leaf_ids[hat.tile_off[top] : hat.tile_off[top] + hat.tile_len[top]]
+        shape = hat.shape
+        top = int(shape.desc[0])  # tilings are held for the last dimension's trees
+        leaves = shape.tile_leaf_ids[shape.tile_off[top] : shape.tile_off[top] + shape.tile_len[top]]
         assert len(leaves) == 8
         # left-to-right segment order
         los = hat.lo[leaves].tolist()
@@ -172,20 +177,20 @@ class TestHatIntegrity:
     def test_hat_leaf_location_known(self):
         tree = build(n=64, d=2, p=8)
         hat = tree.hat
-        locations = hat.location[hat.leaf]
+        locations = hat.shape.location[hat.shape.leaf]
         assert ((0 <= locations) & (locations < 8)).all()
 
     def test_p1_hat_is_single_leaf(self):
         tree = build(n=32, d=2, p=1)
         assert tree.hat.size_nodes() == 1
-        assert tree.hat.leaf[0]
+        assert tree.hat.shape.leaf[0]
 
     def test_p_equals_n(self):
         tree = build(n=16, d=2, p=16)
         leaf_level = 0
         hat = tree.hat
         assert all(hat.path(i)[0][1] >= leaf_level for i in range(hat.size_nodes()))
-        assert int((hat.leaf & (hat.dim == 0)).sum()) == 16
+        assert int((hat.shape.leaf & (hat.shape.dim == 0)).sum()) == 16
 
 
 class TestHatWalkVsSequential:
@@ -216,7 +221,7 @@ class TestHatWalkVsSequential:
         sels, subqs, exps = tree.hat.walk(0, RankBox((0, 0), (63, 63)))
         # the whole domain: one selection (root of root's descendant), no subqueries
         assert subqs == [] and exps == []
-        assert sels == [(0, int(tree.hat.desc[0]), 64, 64)]
+        assert sels == [(0, int(tree.hat.shape.desc[0]), 64, 64)]
 
     def test_charge_callback_invoked(self):
         tree = build(n=64, d=2, p=8)

@@ -73,10 +73,10 @@ class TestSelectionParity:
             assert len(pids) == sum(
                 piece.nleaves for piece in hat_pieces + forest_pieces
             )
-            hat = dist.hat
+            shape = dist.hat.shape
             held = {leaf: element_pids(stack, t) for leaf, stack, t in forest_elements(dist)}
             for h in hat_pieces:
-                tiling = hat.tile_leaf_ids[hat.tile_off[h.node] :][: hat.tile_len[h.node]]
+                tiling = shape.tile_leaf_ids[shape.tile_off[h.node] :][: shape.tile_len[h.node]]
                 under = {pid for leaf in tiling.tolist() for pid in held[leaf].tolist()}
                 assert len(under) == h.nleaves and under <= set(pids)
 
@@ -98,7 +98,7 @@ class TestSelectionParity:
     def test_subquery_fanout_bounded(self, setup):
         """<= 2 forest entries per traversed hat segment tree."""
         pts, dist, seq, boxes = setup
-        trees_in_hat = dist.hat.segment_tree_count()
+        trees_in_hat = 1 + int((dist.hat.shape.desc >= 0).sum())  # a root, and one per desc
         for box in boxes:
             out = dist.search([box])
             assert out.total_subqueries <= 2 * trees_in_hat

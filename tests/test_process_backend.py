@@ -8,6 +8,8 @@ from repro.cgm import Machine, register_phase
 from repro.cgm.phases import get_phase, registered_phases
 from repro.errors import ProtocolError
 
+from tests.helpers import search_summary
+
 
 @register_phase("test.double")
 def _phase_double(ctx, payload):
@@ -166,10 +168,14 @@ class TestProcessPipeline:
         hot = Box(((0.0, 0.2), (0.0, 1.0)))
         batch = [count(hot)] * 24
         with DistributedRangeTreeProcess(pts) as tree:
-            rs = tree.run(batch, replication="doubling")
+            rs = tree.run(batch)
             assert rs.values() == [bf_count(pts, hot)] * 24
-            rs2 = tree.run(batch, replication="direct")
-            assert rs2.values() == rs.values()
+            for strategy in ("doubling", "direct"):
+                m, counts, _rows = search_summary(tree, [hot] * 24, strategy)
+                assert counts == rs.values()
+                assert any(
+                    s.volume for s in m.comm_steps() if s.label.startswith("search:replicate")
+                )
 
 
 def DistributedRangeTreeProcess(pts):

@@ -98,8 +98,8 @@ class TestStructuralInvariants:
     def test_forest_groups_partition_structure(self, pts):
         """Forest ids are globally unique and group sizes near-equal."""
         tree = DistributedRangeTree.build(pts, p=4)
-        hat = tree.hat
-        ids = [(hat.location[i], hat.dim[i], hat.tree[i]) for i in np.flatnonzero(hat.leaf)]
+        shape = tree.hat.shape
+        ids = [(shape.location[i], shape.dim[i], shape.tree[i]) for i in np.flatnonzero(shape.leaf)]
         assert len(ids) == len(set(ids))
         sizes = tree.construct_result.forest_group_sizes()
         assert max(sizes) <= 2 * max(1, min(sizes))
@@ -108,10 +108,10 @@ class TestStructuralInvariants:
     @settings(**COMMON)
     def test_hat_leaves_match_forest_elements(self, pts):
         tree = DistributedRangeTree.build(pts, p=4)
-        hat = tree.hat
+        shape = tree.hat.shape
         hat_ids = {
-            (int(hat.location[i]), int(hat.dim[i]), int(hat.tree[i]))
-            for i in np.nonzero(hat.leaf)[0]
+            (int(shape.location[i]), int(shape.dim[i]), int(shape.tree[i]))
+            for i in np.nonzero(shape.leaf)[0]
         }
         forest_ids = {
             (rank, j, t)

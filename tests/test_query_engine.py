@@ -33,6 +33,8 @@ from repro.semigroup import min_of_dim, sum_of_dim
 from repro.seq import bf_aggregate, bf_count, bf_report
 from repro.workloads import selectivity_queries, uniform_points
 
+from tests.helpers import search_summary
+
 
 def build(pts, p=4, **kw):
     return DistributedRangeTree.build(pts, p=p, **kw)
@@ -107,12 +109,20 @@ class TestMixedBatchCorrectness:
         assert rs.values() == [0, [], 0]
 
     def test_replication_strategies_agree(self):
+        """Search's two step-3 strategies select and report the same rows
+        in different rounds; the engine's pass is ``doubling``'s."""
         pts = uniform_points(48, 2, seed=63)
         tree = build(pts, p=8)
         boxes = selectivity_queries(12, 2, seed=64, selectivity=0.2)
-        a = tree.run(mixed_batch(boxes), replication="direct").values()
-        b = tree.run(mixed_batch(boxes), replication="doubling").values()
-        assert a == b
+        marked = [i % 3 == 1 for i in range(len(boxes))]
+        direct, doubling = (
+            search_summary(tree, boxes, s, report=marked) for s in ("direct", "doubling")
+        )
+        assert direct[1:] == doubling[1:]
+        assert direct[1] == [bf_count(pts, b) for b in boxes]
+        assert (direct[0].rounds, doubling[0].rounds) == (3, 2 + 3)
+        values = tree.run(mixed_batch(boxes)).values()
+        assert values[0::3] == direct[1][0::3]
 
     coord = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, width=32)
 
@@ -404,22 +414,24 @@ class TestBatchDescriptors:
         assert batch[1].mode == "report"
 
     def test_unknown_replication_is_rejected_before_any_superstep(self):
-        """Both entry points fail when the batch is built — naming the
-        two strategies — not in Search step 3, after the walk phase and
-        the demand round have already been recorded on the machine."""
+        """``tree.search``, the one entry that takes a strategy, fails
+        naming the two — not in Search step 3, after the walk phase and
+        the demand round have already been recorded on the machine; the
+        query surface takes no strategy at all."""
         b = Box.full(2, 0.0, 1.0)
-        with pytest.raises(ReproError, match=r"'bogus'.*doubling.*direct"):
-            QueryBatch([count(b)], replication="bogus")
         pts = uniform_points(32, 2, seed=121)
         tree = build(pts, p=4)
-        good = tree.run([count(b)], replication="direct")
+        good = tree.search([b], replication="direct")
         before = [(s.kind, s.label) for s in tree.metrics.steps]
         with pytest.raises(ReproError, match=r"'bogus'.*doubling.*direct"):
-            tree.run([count(b)], replication="bogus")
-        with pytest.raises(ReproError, match="bogus"):
-            tree.run(QueryBatch([count(b)]), replication="bogus")
+            tree.search([b], replication="bogus")
         assert [(s.kind, s.label) for s in tree.metrics.steps] == before
-        assert tree.run([count(b)], replication="direct").values() == good.values()
+        with pytest.raises(TypeError):
+            tree.run([count(b)], replication="direct")
+        with pytest.raises(TypeError):
+            QueryBatch([count(b)], replication="direct")
+        assert "replication" not in tree.run([count(b)]).to_dict()
+        assert tree.search([b], replication="direct").demands == good.demands
         # direct callers of the schedule keep its own check
         with pytest.raises(ValueError, match="bogus"):
             replication_schedule(4, [[0], [1], [2], [3]], "bogus")

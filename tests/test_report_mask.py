@@ -110,7 +110,7 @@ def test_the_mask_adds_the_masked_queries_points_and_nothing_else(trees, case):
     assert sum(bare_rounds[-1][1]) == bare.total_subqueries == out.total_subqueries
     tiled = [h for per in out.hat_selections for h in per if mask[h.qid]]
     assert sum(rounds[-1][1]) - out.total_subqueries == sum(
-        int(tree.hat.tile_len[h.node]) for h in tiled
+        int(tree.hat.shape.tile_len[h.node]) for h in tiled
     )
 
     # (b) the pairs are brute force for the masked queries, nothing for the rest

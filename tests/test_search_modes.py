@@ -20,7 +20,7 @@ from repro.workloads import (
     uniform_points,
 )
 
-from tests.helpers import grid_of_boxes, random_boxes
+from tests.helpers import grid_of_boxes, random_boxes, search_summary
 
 
 def build(pts, p=8, **kw):
@@ -104,9 +104,8 @@ class TestCorrectnessMatrix:
         pts = uniform_points(48, 2, seed=16)
         tree = build(pts, p=8)
         qs = hotspot_queries(32, 2, seed=17)
-        assert tree.run([count(q) for q in qs], replication=replication).values() == [
-            bf_count(pts, q) for q in qs
-        ]
+        _metrics, counts, _rows = search_summary(tree, qs, replication)
+        assert counts == [bf_count(pts, q) for q in qs]
 
 
 class TestAssociativeMode:

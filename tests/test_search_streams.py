@@ -42,8 +42,8 @@ def _cells(col) -> list:
     return [x if col.dtype == object else x.item() for x in col]
 
 
-def _tile(hat, node: int) -> list:
-    return hat.tile_leaf_ids[hat.tile_off[node] :][: hat.tile_len[node]].tolist()
+def _tile(shape, node: int) -> list:
+    return shape.tile_leaf_ids[shape.tile_off[node] :][: shape.tile_len[node]].tolist()
 
 
 @settings(max_examples=30, deadline=None)
@@ -88,7 +88,7 @@ def test_every_shipped_column_is_an_array_and_every_name_a_hat_row(
             assert {b.schema for b in shipped} == {"dist.srecord"}
             out = tree.search(boxes, report=mask)
             tree.run(QueryBatch([cycle[i % 3](b) for i, b in enumerate(boxes)]))
-            hat = tree.hat
+            shape = tree.hat.shape
             trees = {
                 (r, j): st.shape[0] for r, store in enumerate(tree.forest_store) for j, st in store.items()
             }
@@ -108,15 +108,15 @@ def test_every_shipped_column_is_an_array_and_every_name_a_hat_row(
     for batch in batches:
         if "element" in batch.cols:
             for e in np.unique(batch.col("element")).tolist():
-                assert hat.leaf[e] and hat.tree[e] < trees[hat.location[e], hat.dim[e]]
+                assert shape.leaf[e] and shape.tree[e] < trees[shape.location[e], shape.dim[e]]
         if "location" in batch.cols:
-            assert (batch.col("location") == hat.location[batch.col("element")]).all()
+            assert (batch.col("location") == shape.location[batch.col("element")]).all()
     sels = [h for per in out.hat_selections for h in per]
-    assert sels and all(hat.last_dim[h.node] for h in sels)
+    assert sels and all(shape.last_dim[h.node] for h in sels)
     routed = [row for inbox in search_inboxes for row in inbox]
     assert {row.kind for row in routed} == {KIND_SUBQUERY, KIND_EXPAND}
     assert sorted((r.qid, r.element) for r in routed if r.kind == KIND_EXPAND) == sorted(
-        (h.qid, leaf) for h in sels if mask[h.qid] for leaf in _tile(hat, h.node)
+        (h.qid, leaf) for h in sels if mask[h.qid] for leaf in _tile(shape, h.node)
     )
 
     # (c) the row view is the columns, zipped
@@ -135,7 +135,8 @@ def test_step5_refuses_a_subquery_for_a_group_it_holds_no_copy_of(backend):
     with DistributedRangeTree.build(pts, p=4, backend=backend) as tree:
         ns, hat = tree.construct_result.ns, tree.hat
         # two subqueries for elements of owner 1, delivered to rank 0
-        elements = np.flatnonzero(hat.leaf & (hat.location == 1))[:2]
+        shape = hat.shape
+        elements = np.flatnonzero(shape.leaf & (shape.location == 1))[:2]
         inbox = RecordBatch(
             "dist.search.routing",
             {
@@ -144,7 +145,7 @@ def test_step5_refuses_a_subquery_for_a_group_it_holds_no_copy_of(backend):
                 "los": np.zeros((2, 2), dtype=np.int64),
                 "his": np.full((2, 2), 63),
                 "element": elements,
-                "location": hat.location[elements],
+                "location": shape.location[elements],
             },
         )
         nothing = RecordBatch.empty_like(inbox)

@@ -10,6 +10,8 @@ from repro.query import report
 from repro.semigroup import sum_of_dim
 from repro.workloads import clustered_points, grid_points, uniform_points
 
+from tests.helpers import corrupt_shape
+
 
 class TestValidatorPasses:
     @pytest.mark.parametrize(
@@ -54,7 +56,7 @@ class TestValidatorCatchesCorruption:
     def test_detects_bad_aggregate(self):
         tree = self._tree()
         hat = tree.hat
-        i = np.nonzero((hat.dim == 1) & ~hat.leaf)[0][0]
+        i = np.nonzero((hat.shape.dim == 1) & ~hat.shape.leaf)[0][0]
         hat.agg_mat[i] += 1  # corrupt one f(v)
         rep = validate_tree(tree)
         assert not rep.ok
@@ -63,15 +65,24 @@ class TestValidatorCatchesCorruption:
     def test_detects_bad_location(self):
         """A hat leaf that names the wrong owner (still a valid rank)."""
         tree = self._tree()
-        hat = tree.hat
-        leaf = int(np.flatnonzero(hat.leaf)[0])
-        hat.location[leaf] = (hat.location[leaf] + 1) % tree.p  # lie about ownership
+        leaf = int(np.flatnonzero(tree.hat.shape.leaf)[0])
+
+        def lie(location):  # about ownership
+            location[leaf] = (location[leaf] + 1) % tree.p
+            return location
+
+        corrupt_shape(tree.hat, "location", lie)
         self._assert_caught(tree, "group-to-processor")
 
     def test_detects_bad_index_arithmetic(self):
         tree = self._tree()
-        hat = tree.hat
-        hat.paths[hat.left[0], 0] += 1  # the root's left child's index
+        left = tree.hat.shape.left[0]
+
+        def bump(paths):  # the root's left child's index
+            paths[left, 0] += 1
+            return paths
+
+        corrupt_shape(tree.hat, "paths", bump)
         rep = validate_tree(tree)
         assert not rep.ok
         assert any("sibling" in f or "path" in f for f in rep.failures)

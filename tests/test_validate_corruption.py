@@ -6,7 +6,9 @@ field the validator guards is corrupted one at a time: hat-leaf counts,
 segment unions, descendant pointers, tree indices (group ranks), stale
 hat-leaf aggregates, swapped elements, and stacks filed at the wrong
 rank or dimension — each must be caught, and the failure summary must
-say so.
+say so.  A topology column belongs to the hat's shape, which every tree
+on ``(p, d)`` shares read-only: a test binds a corrupted copy of it to
+the one hat it corrupts.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import pytest
 from repro.dist import DistributedRangeTree, validate_tree
 from repro.workloads import uniform_points
 
+from tests.helpers import corrupt_shape
+
 
 @pytest.fixture
 def tree():
@@ -24,12 +28,26 @@ def tree():
 
 
 def _first_internal(tree, dim) -> int:
-    hat = tree.hat
-    return int(np.nonzero((hat.dim == dim) & ~hat.leaf)[0][0])
+    shape = tree.hat.shape
+    return int(np.nonzero((shape.dim == dim) & ~shape.leaf)[0][0])
 
 
 def _first_leaf(tree) -> int:
-    return int(np.nonzero(tree.hat.leaf)[0][0])
+    return int(np.nonzero(tree.hat.shape.leaf)[0][0])
+
+
+def _bump(tree, column: str, i) -> None:
+    """Row ``i`` of one hat column plus one (a flag flipped): in place for
+    the tree's own columns, on a bound copy for the shape's."""
+
+    def edit(col):
+        col[i] = ~col[i] if col.dtype == bool else col[i] + 1
+        return col
+
+    if hasattr(tree.hat.shape, column):
+        corrupt_shape(tree.hat, column, edit)
+    else:
+        edit(getattr(tree.hat, column))
 
 
 def _assert_caught(tree, needle):
@@ -48,15 +66,20 @@ class TestCorruptHat:
     def test_detects_broken_segment_union(self, tree):
         hat = tree.hat
         i = _first_internal(tree, 0)
-        hat.lo[i] = hat.lo[hat.left[i]] + 1  # no longer the union of its children
+        hat.lo[i] = hat.lo[hat.shape.left[i]] + 1  # no longer the union of its children
         rep = validate_tree(tree)
         assert not rep.ok
         assert any("union of children" in f for f in rep.failures)
 
     def test_detects_swapped_descendant(self, tree):
         hat = tree.hat
-        a, b = np.nonzero((hat.dim == 0) & ~hat.leaf & (hat.nleaves == 32))[0][:2]
-        hat.desc[[a, b]] = hat.desc[[b, a]]
+        a, b = np.nonzero((hat.shape.dim == 0) & ~hat.shape.leaf & (hat.nleaves == 32))[0][:2]
+
+        def swap(desc):
+            desc[[a, b]] = desc[[b, a]]
+            return desc
+
+        corrupt_shape(hat, "desc", swap)
         rep = validate_tree(tree)
         assert not rep.ok
         assert any("descendant" in f for f in rep.failures)
@@ -102,10 +125,8 @@ class TestCorruptHat:
         ],
     )
     def test_detects_one_corrupt_internal_entry(self, tree, column, needle):
-        hat = tree.hat
-        i = int(np.nonzero(hat.last_dim & ~hat.leaf)[0][-1])
-        col = getattr(hat, column)
-        col[i] = ~col[i] if col.dtype == bool else col[i] + 1
+        shape = tree.hat.shape
+        _bump(tree, column, int(np.nonzero(shape.last_dim & ~shape.leaf)[0][-1]))
         _assert_caught(tree, needle)
 
     @pytest.mark.parametrize(
@@ -120,20 +141,19 @@ class TestCorruptHat:
         ],
     )
     def test_detects_one_corrupt_leaf_entry(self, tree, column, needle):
-        i = int(np.nonzero(tree.hat.leaf)[0][-1])
-        getattr(tree.hat, column)[i] += 1
+        _bump(tree, column, int(np.nonzero(tree.hat.shape.leaf)[0][-1]))
         _assert_caught(tree, needle)
 
     def test_detects_corrupt_tile_leaf_id(self, tree):
-        tree.hat.tile_leaf_ids[-1] -= 1
+        _bump(tree, "tile_leaf_ids", -1)
         _assert_caught(tree, "tile slice")
 
     def test_detects_corrupt_path_entry(self, tree):
-        tree.hat.paths[-1, 1] += 1  # the last node's level
+        _bump(tree, "paths", (-1, 1))  # the last node's level
         _assert_caught(tree, "sibling index arithmetic")
 
     def test_detects_wrong_node_count(self, tree):
-        tree.hat.dim = tree.hat.dim[:-1]
+        corrupt_shape(tree.hat, "dim", lambda dim: dim[:-1])
         _assert_caught(tree, "H(4, 2) = 20")
 
     def test_detects_second_aggregate_column(self, tree):
@@ -157,19 +177,22 @@ class TestMislabeledForest:
     tree index — each wrong one must be caught."""
 
     def _dim1_leaves(self, tree, owner):
-        hat = tree.hat
-        return np.flatnonzero(hat.leaf & (hat.dim == 1) & (hat.location == owner))
+        shape = tree.hat.shape
+        return np.flatnonzero(shape.leaf & (shape.dim == 1) & (shape.location == owner))
 
     def test_detects_swapped_forest_roots(self, tree):
         """Two elements filed under each other's names (same sizes, wrong segs)."""
         a, b = self._dim1_leaves(tree, 0)[:2]
-        hat = tree.hat
-        hat.tree[[a, b]] = hat.tree[[b, a]]
+
+        def swap(trees):
+            trees[[a, b]] = trees[[b, a]]
+            return trees
+
+        corrupt_shape(tree.hat, "tree", swap)
         _assert_caught(tree, "disagrees")
 
     def test_detects_bad_group_rank(self, tree):
-        leaf = self._dim1_leaves(tree, 2)[0]
-        tree.hat.tree[leaf] += 1  # now not the tree its group rank gives
+        _bump(tree, "tree", self._dim1_leaves(tree, 2)[0])  # not the tree its group rank gives
         _assert_caught(tree, "group-to-processor")
 
     def test_detects_cross_rank_duplicate(self, tree):
