@@ -218,7 +218,7 @@ def estimate_nbytes(obj: Any, _depth: int = 0) -> int:
     Exact for numpy arrays; shallow-recursive (two levels) for tuples,
     lists, and slotted/dataclass records; ``sys.getsizeof`` otherwise.
     Used to attribute routed bytes to record-list rounds (summaries,
-    root infos, replicated stores) — batch rounds report exact column
+    broadcast roots, replicated stores) — batch rounds report exact column
     nbytes instead.
     """
     t = type(obj)

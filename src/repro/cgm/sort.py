@@ -184,7 +184,6 @@ def sample_sort_cols(
     batches: Sequence[RecordBatch],
     keyspec: Sequence[Any],
     label: str = "sort",
-    keep_key: bool = False,
 ) -> list[RecordBatch]:
     """Globally sort distributed record batches by the named key columns.
 
@@ -193,15 +192,6 @@ def sample_sort_cols(
     ``ceil(N/p)`` rows per rank, in ``(key, source rank, source index)``
     order.  A key spec entry is a column name (a matrix column
     contributes all its columns) or ``(name, j)`` for one matrix column.
-
-    With ``keep_key=True`` the output batches retain the encoded
-    ``__key`` column (already riding every sort round, so no extra
-    traffic): since :func:`~repro.cgm.columns.encode_keys` biases each
-    column independently, a caller needing the encoding of a keyspec
-    *prefix* — Construct's tree-rank step wants the tree-id columns it
-    just sorted by — can take the key's leading bytes instead of paying
-    a second encode over unchanged columns.  Callers must drop the
-    column before routing the batch onward.
     """
     p = mach.p
     token = mach.new_ns("sortbuf")
@@ -232,8 +222,6 @@ def sample_sort_cols(
     merged = mach.run_phase(f"{label}:merge", "cgm.sort.merge_cols", inboxes)
 
     balanced = route_balanced_cols(mach, merged, f"{label}:balance", template)
-    if keep_key:
-        return list(balanced)
     return [b.drop("__key") for b in balanced]
 
 

@@ -48,7 +48,6 @@ from .construct import (
 )
 from .hat import Hat
 from .labeling import is_valid_path
-from .records import ForestRootInfo
 from .search import SearchOutput, run_search
 from .validate import ValidationReport, validate_tree
 
@@ -60,7 +59,6 @@ __all__ = [
     "Hat",
     "SearchOutput",
     "run_search",
-    "ForestRootInfo",
     "ValidationReport",
     "validate_tree",
     "is_valid_path",
@@ -83,28 +81,23 @@ def lift_values(semigroup: Semigroup, ranked: RankedPointSet, points: PointSet):
 
 @register_phase("dist.refit.relabel")
 def _phase_refit_relabel(ctx: ProcContext, payload) -> list:
-    """Re-annotate this rank's resident stacks; return their root infos.
+    """Re-annotate this rank's resident stacks; return their roots.
 
     ``values`` is :func:`lift_values`' column (typed or object) reordered
     to run along ``ids``, the ranked ids in sorted order, so one
-    ``searchsorted`` finds a stack's fresh values.  The resident hat's
-    leaves name the trees: tree ``t`` of the dimension-``j`` stack is the
-    leaf of this rank with that ``dim`` and ``tree``.
+    ``searchsorted`` finds a stack's fresh values.  The hat shape names
+    the trees: tree ``t`` of the dimension-``j`` stack roots below hat
+    leaf ``stack_rows(rank, j, trees)[t]``.
     """
     values, ids, semigroup, ns = payload
     hat = ctx.state[hat_key(ns)]
-    shape = hat.shape
-    mine = np.flatnonzero(shape.leaf & (shape.location == ctx.rank)).tolist()
-    leaf_of = {(int(shape.dim[i]), int(shape.tree[i])): i for i in mine}
-    infos = []
+    roots = []
     for j, stack in (ctx.state.get(forest_key(ns)) or {}).items():
         stack.annotate(values[np.searchsorted(ids, stack.pids)], semigroup)
-        for t, agg in enumerate(stack.root_aggs()):
-            i = leaf_of[j, t]
-            seg = (int(hat.lo[i]), int(hat.hi[i]))
-            infos.append(ForestRootInfo(hat.path(i), j, seg, stack.width, ctx.rank, t, agg))
+        rows = hat.shape.stack_rows(ctx.rank, j, stack.shape[0]).tolist()
+        roots += [(i, int(hat.lo[i]), int(hat.hi[i]), agg) for i, agg in zip(rows, stack.root_aggs())]
         ctx.charge(stack.size_records)
-    return infos
+    return roots
 
 
 @register_phase("dist.refit.refresh_hat")

@@ -7,37 +7,40 @@ The implementation follows the paper's record flow:
 
 phase ``j`` (one per dimension, ``j = 0 .. d-1``)
     1. **Sort** the phase's ``dist.srecord`` batches (the S-records of
-       §5; see :mod:`repro.dist.records`) by ``(tree_id, rank_j)`` — the
-       black-box CGM sample sort (4 rounds).
+       §5; see :mod:`repro.dist.records`) by ``(tree, rank_j)`` — the
+       black-box CGM sample sort (4 rounds).  ``tree`` is the key the
+       hat shape gives the record's segment tree: its rank among the
+       phase's tree labels, so the sort orders records by Definition 2
+       label without shipping one.
        Per the §6 caveat, phase ``j`` sorts ``n·log^{j-1} p`` records,
        not ``n``; :attr:`ConstructResult.phase_record_counts` measures it.
-    2. **Name** every record's position: a segmented scan gives its rank
-       inside its segment tree, a prefix count its global position
-       (2 rounds).  Tree sizes are multiples of ``n/p``, so consecutive
-       runs of ``n/p`` records are exactly the hat-leaf groups of
-       Definition 3, and pure arithmetic (:mod:`repro.dist.labeling`)
-       yields each group's forest id and its owner ``group_rank mod p``.
+    2. **Name** every record's group: a prefix count gives its global
+       position (1 round).  Tree sizes are multiples of ``n/p``, so
+       consecutive runs of ``n/p`` records are exactly the hat-leaf
+       groups of Definition 3, and group ``g`` is the element below hat
+       leaf ``groups[j][g]`` of the ``(p, d)``
+       :class:`~repro.dist.hat.HatShape`, which also names its owner.
     3. **Route** each group to its owner (1 round).  An owner stacks all
        its phase-``j`` groups in one array build — each a
        ``(d-j)``-dimensional range tree on ``n/p`` points, its index in
        the stack the element's name at the owner.  Each record also
        fans out one new record per internal hat ancestor of its group's
-       leaf: the input of phase ``j+1`` (the descendant trees those
-       ancestors anchor).
+       leaf, keyed by the descendant tree that ancestor anchors: the
+       input of phase ``j+1``.
 
 finale
-    5. **Broadcast** every element's :class:`ForestRootInfo` (1 round);
-       every processor then emits the identical hat columns locally
-       (:meth:`repro.dist.hat.Hat.build`) with zero further rounds.
+    5. **Broadcast** every element's ``(row, lo, hi, agg)`` root (1
+       round); every processor then seats the identical hat columns by
+       row (:meth:`repro.dist.hat.Hat.build`) with zero further rounds.
 
-The round count is ``7d + 1`` — fixed by ``d`` alone, never by ``n``,
+The round count is ``6d + 1`` — fixed by ``d`` alone, never by ``n``,
 which is exactly what the Corollary 1 tests measure.
 
 SPMD residency: the per-rank steps run as registered phases
 (``dist.construct.*``), and what they build *stays with the executor* —
 the forest group, one stack per dimension, under the ``{ns}:forest``
 state key, the hat replica under ``{ns}:hat``.  Only records (S-record
-batches, root infos) and numpy rank blocks ever cross the driver/worker
+batches, roots) and numpy rank blocks ever cross the driver/worker
 boundary.
 """
 
@@ -48,9 +51,9 @@ from typing import Any, List, Sequence
 
 import numpy as np
 
-from .._util import ilog2, require_power_of_two
+from .._util import require_power_of_two, slice_positions
 from ..cgm.collectives import allgather, alltoall_broadcast, route_batches
-from ..cgm.columns import RecordBatch, encode_keys, obj_col
+from ..cgm.columns import RecordBatch, obj_col
 from ..cgm.machine import Machine
 from ..cgm.phases import ProcContext, register_phase
 from ..cgm.sort import sample_sort_cols
@@ -59,15 +62,7 @@ from ..geometry.rankspace import RankedPointSet
 from ..semigroup import Semigroup
 from ..semigroup.kernels import KernelColumn
 from .forest import build_stack
-from .hat import Hat
-from .labeling import (
-    hat_ancestor_paths,
-    leaf_index,
-    make_path,
-    root_index_of_tree,
-    root_level_of_tree,
-)
-from .records import ForestRootInfo, flatten_path, unflatten_path
+from .hat import Hat, hat_shape
 
 __all__ = ["ConstructResult", "construct_distributed_tree"]
 
@@ -91,17 +86,14 @@ class ConstructResult:
     :class:`~repro.seq.compiled.CompiledForest` (the hat leaf naming an
     element holds its tree index) — on in-process backends these
     are the *live* rank-resident stores, on the process backend a lazy
-    fetched copy; ``roots`` is the broadcast root set every processor
-    saw; ``phase_record_counts[j]`` the number of records phase ``j``
-    sorted (the §6 caveat's measurement).  ``ns`` names the machine
+    fetched copy; ``phase_record_counts[j]`` the number of records phase
+    ``j`` sorted (the §6 caveat's measurement).  ``ns`` names the machine
     state namespace the structure is resident under.
     """
 
     hat: Hat
     forest_store: Sequence[dict]
-    roots: List[ForestRootInfo]
     phase_record_counts: List[int]
-    p: int
     ns: str
 
     def forest_group_sizes(self) -> List[int]:
@@ -127,30 +119,10 @@ def _phase_build_hat(ctx: ProcContext, payload) -> "Hat | None":
     return hat if ctx.rank == 0 else None
 
 
-# ---------------------------------------------------------------------------
-# S-record traffic as column packs
-# ---------------------------------------------------------------------------
-def _empty_srecord_batch(d: int, tid_width: int, value_col=None) -> RecordBatch:
-    """Zero-row ``dist.srecord`` batch; ``value_col`` shapes the value column
-    (an empty :class:`KernelColumn` for kernelized values, so cross-rank
-    concatenation keeps one schema)."""
-    if value_col is None:
-        value_col = np.empty(0, dtype=object)
-    return RecordBatch(
-        "dist.srecord",
-        {
-            "tree_id": np.empty((0, tid_width), dtype=np.int64),
-            "ranks": np.empty((0, d), dtype=np.int64),
-            "pid": np.empty(0, dtype=np.int64),
-            "value": value_col,
-        },
-        0,
-    )
-
-
 @register_phase("dist.construct.scatter_cols")
 def _phase_scatter_cols(ctx: ProcContext, payload) -> RecordBatch:
-    """Initial distribution: this rank's block of points as one batch.
+    """Initial distribution: this rank's block of points as one batch,
+    every record in ``T1`` (tree key 0).
 
     ``values`` arrives either as a plain list (a semigroup without a
     kernel) or as a pre-encoded :class:`KernelColumn` slice (the driver
@@ -165,7 +137,7 @@ def _phase_scatter_cols(ctx: ProcContext, payload) -> RecordBatch:
     return RecordBatch(
         "dist.srecord",
         {
-            "tree_id": np.empty((n, 0), dtype=np.int64),
+            "tree": np.zeros(n, dtype=np.int64),
             "ranks": np.ascontiguousarray(rank_rows, dtype=np.int64),
             "pid": np.asarray(ids, dtype=np.int64),
             "value": value_col,
@@ -180,184 +152,53 @@ def _phase_build_elements_cols(ctx: ProcContext, payload) -> dict:
 
     The rank's phase-``j`` elements land in the rank-resident
     ``{ns}:forest`` store as one stack (:func:`~repro.dist.forest.build_stack`)
-    under key ``j``; only the broadcastable root infos, the next phase's
+    under key ``j``; only the broadcastable roots, the next phase's
     records, and the held record count (for the driver's capacity check)
     are returned.
 
     The inbox batch arrives in ascending global (rank) order — the sort
     plus the deterministic source-ordered merge guarantee it — so each
-    forest group is one contiguous run of ``n/p`` rows, and its index
-    among the rank's groups is its tree index in the stack.  The phase
-    ``j+1`` fan-out is pure array ops: ``np.repeat`` the point columns
-    per hat ancestor, ``np.tile`` the ancestor paths.
+    forest group is one contiguous run of ``k = n/p`` rows, and the hat
+    shape names the leaf of each (:meth:`~repro.dist.hat.HatShape.stack_rows`).
+    The phase ``j+1`` fan-out is pure array ops: each row repeated once
+    per proper ancestor of its leaf, keyed by the shape's ``fan_keys``.
     """
     batch: RecordBatch = payload["inbox"]
-    j = payload["j"]
-    logn = payload["logn"]
-    leaf_level = payload["leaf_level"]
-    d = payload["d"]
-    ns = payload["ns"]
-
-    r = ctx.rank
+    j, k, ns = payload["j"], payload["k"], payload["ns"]
+    shape = hat_shape(ctx.p, payload["d"])
     stored_key = f"{ns}:stored_records"
-    roots: List[ForestRootInfo] = []
 
     n = len(batch)
-    k = 1 << leaf_level  # rows per group
-    leaf_mcol = np.asarray(batch.col("__leaf_m"))
-    tid_mat = batch.col("tree_id")
-    ranks = batch.col("ranks")
-    pids = batch.col("pid")
-    values = batch.col("value")
-    kernel_values = isinstance(values, KernelColumn)
-
-    next_tid: List[np.ndarray] = []
-    next_ranks: List[np.ndarray] = []
-    next_pid: List[np.ndarray] = []
-    next_val: List[Any] = []
-
+    rows = shape.stack_rows(ctx.rank, j, n // k)
+    ranks, pids, values = batch.col("ranks"), batch.col("pid"), batch.col("value")
+    roots: list = []
     if n:
         stack = build_stack(ranks, pids, values, payload["semigroup"], j, k)
         ctx.state.setdefault(forest_key(ns), {})[j] = stack
         ctx.state[stored_key] = ctx.state.get(stored_key, 0) + stack.size_records
         ctx.charge(stack.size_records)
-        aggs = stack.root_aggs()
+        roots = list(
+            zip(rows.tolist(), ranks[::k, j].tolist(), ranks[k - 1 :: k, j].tolist(),
+                stack.root_aggs())
+        )
+    if j < payload["d"] - 1:
+        ctx.charge(n)
 
-    for t, s in enumerate(range(0, n, k)):
-        e = s + k
-        tree_id = unflatten_path(tid_mat[s])
-        root_lvl = root_level_of_tree(tree_id, primary_height=logn)
-        idx = leaf_index(root_index_of_tree(tree_id), root_lvl, leaf_level, int(leaf_mcol[s]))
-        seg = (int(ranks[s, j]), int(ranks[e - 1, j]))
-        roots.append(
-            ForestRootInfo(make_path(idx, leaf_level, tree_id), j, seg, k, r, t, aggs[t])
-        )
-        if j < d - 1:
-            ancs = list(hat_ancestor_paths(idx, leaf_level, root_lvl, tree_id))
-            if ancs:
-                anc_mat = np.asarray(
-                    [flatten_path(a) for a in ancs], dtype=np.int64
-                )
-                # per member, one record per ancestor (member-major order)
-                next_tid.append(np.tile(anc_mat, (k, 1)))
-                next_ranks.append(np.repeat(ranks[s:e], len(ancs), axis=0))
-                next_pid.append(np.repeat(pids[s:e], len(ancs)))
-                next_val.append(
-                    values[s:e].repeat(len(ancs))
-                    if kernel_values
-                    else np.repeat(values[s:e], len(ancs))
-                )
-            ctx.charge(k)
-
-    if next_tid:
-        next_batch = RecordBatch(
-            "dist.srecord",
-            {
-                "tree_id": np.vstack(next_tid),
-                "ranks": np.vstack(next_ranks),
-                "pid": np.concatenate(next_pid),
-                "value": KernelColumn.concat(next_val)
-                if kernel_values
-                else np.concatenate(next_val),
-            },
-        )
-    else:
-        next_batch = _empty_srecord_batch(
-            d,
-            2 * (j + 1),
-            value_col=values.islice(0, 0) if kernel_values else None,
-        )
+    # per member, one record per ancestor of its leaf (member-major order)
+    fan = np.repeat(shape.fan_len[rows], k)
+    next_batch = RecordBatch(
+        "dist.srecord",
+        {
+            "tree": shape.fan_keys[slice_positions(np.repeat(shape.fan_off[rows], k), fan)],
+            "ranks": np.repeat(ranks, fan, axis=0),
+            "pid": np.repeat(pids, fan),
+            "value": values.repeat(fan)
+            if isinstance(values, KernelColumn)
+            else np.repeat(values, fan),
+        },
+    )
     held = ctx.state.get(stored_key, 0) + len(next_batch)
     return {"roots": roots, "next_records": next_batch, "held": held}
-
-
-def _tree_id_encoding(b: RecordBatch) -> np.ndarray:
-    """Big-endian encoding of a batch's tree-id columns, cache-aware.
-
-    The phase sort already encoded ``(tree_id cols, rank_j, src, idx)``
-    into the retained ``__key`` column, and :func:`encode_keys` biases
-    each column independently — so the tree-id encoding is exactly the
-    key's leading bytes.  When the cached key rides the batch
-    (``sample_sort_cols(..., keep_key=True)``), the prefix view replaces
-    a full re-encode of the unchanged key columns; the fallback encodes
-    from scratch (bit-identical by construction, property-tested).
-    """
-    n = len(b)
-    mat = b.col("tree_id")
-    w = mat.shape[1]
-    key = b.cols.get("__key")
-    if key is not None and n and key.dtype.itemsize >= 8 * w:
-        if w == 0:
-            return np.zeros(n, dtype="S1")
-        prefix = np.ascontiguousarray(
-            key.view("u1").reshape(n, key.dtype.itemsize)[:, : 8 * w]
-        )
-        return prefix.view(f"S{8 * w}").reshape(n)
-    return encode_keys([mat[:, c] for c in range(w)], n)
-
-
-def _in_tree_positions_cols(
-    mach: Machine, batches: Sequence[RecordBatch], label: str
-) -> List[np.ndarray]:
-    """Step 2a: 1-based rank of every record inside its tree.
-
-    A ``(tree_id, 1)`` segmented prefix sum over batches: one
-    all-gather of per-rank run summaries (same round, same label), then
-    pure array arithmetic for the within-run positions and the carry
-    into each rank's first run.
-    """
-    p = mach.p
-    encs: List[np.ndarray] = []
-    summaries: List[tuple] = []
-    for r in range(p):
-        b = batches[r]
-        n = len(b)
-        enc = _tree_id_encoding(b)
-        encs.append(enc)
-        if n:
-            diff = np.nonzero(enc[:-1] != enc[1:])[0]
-            last_run = n if len(diff) == 0 else n - int(diff[-1]) - 1
-            summaries.append(
-                (True, bytes(enc[0]), bytes(enc[-1]), last_run, len(diff) == 0)
-            )
-        else:
-            summaries.append((False, None, None, 0, True))
-    info = allgather(mach, summaries, label=label)[0]
-
-    out: List[np.ndarray] = []
-    for r in range(p):
-        enc = encs[r]
-        n = len(enc)
-        if n == 0:
-            out.append(np.empty(0, dtype=np.int64))
-            continue
-        idxs = np.arange(n, dtype=np.int64)
-        boundary = np.empty(n, dtype=bool)
-        boundary[0] = True
-        boundary[1:] = enc[1:] != enc[:-1]
-        run_start = np.maximum.accumulate(np.where(boundary, idxs, 0))
-        pos = idxs - run_start + 1
-        # carry into the first run from left neighbours ending in the same tree
-        first = bytes(enc[0])
-        carry = 0
-        q = r - 1
-        while q >= 0:
-            nonempty, _f, l_enc, l_run, single = info[q]
-            if not nonempty:
-                q -= 1
-                continue
-            if l_enc != first:
-                break
-            carry += l_run
-            if not single:
-                break
-            q -= 1
-        if carry:
-            later = np.nonzero(boundary[1:])[0]
-            first_run_len = int(later[0]) + 1 if len(later) else n
-            pos[:first_run_len] += carry
-        out.append(pos)
-    return out
 
 
 def construct_distributed_tree(
@@ -387,8 +228,7 @@ def construct_distributed_tree(
         raise MachineError(f"need one lifted value per row ({n}), got {len(values)}")
 
     d = ranked.dim
-    logn = ilog2(n)
-    leaf_level = logn - ilog2(p)  # the Definition 3 cut
+    shape = hat_shape(p, d)
     k = n // p  # records per forest group
     ns = mach.new_ns("tree")
 
@@ -412,57 +252,37 @@ def construct_distributed_tree(
         ],
     )
 
-    roots_local: List[List[ForestRootInfo]] = [[] for _ in range(p)]
+    roots_local: List[list] = [[] for _ in range(p)]
     phase_counts: List[int] = []
-    group_base = 0
 
     for j in range(d):
         label = f"construct:phase{j}"
         phase_counts.append(sum(len(box) for box in current))
 
         # -- step 1: the black-box CGM sort --------------------------------
-        # keep_key retains the encoded sort key so step 2 reuses its
-        # tree-id prefix instead of re-encoding unchanged key columns.
         current = sample_sort_cols(
-            mach,
-            current,
-            keyspec=("tree_id", ("ranks", j)),
-            label=f"{label}:sort",
-            keep_key=True,
+            mach, current, keyspec=("tree", ("ranks", j)), label=f"{label}:sort"
         )
 
-        # -- step 2: name positions (within tree + global) -----------------
-        in_tree = _in_tree_positions_cols(
-            mach, current, label=f"{label}:tree-rank"
-        )
+        # -- step 2: name positions; group g is hat leaf groups[j][g] ------
         all_counts = allgather(
             mach, [len(b) for b in current], label=f"{label}:positions"
         )[0]
-        ngroups = sum(all_counts) // k
+        groups = shape.groups[j]
 
-        # -- step 3: route groups to their owners (group g -> g mod p) -----
-        tagged_cols: List[Any] = []
+        # -- step 3: route each group to its hat leaf's owner --------------
         dests: List[np.ndarray] = []
         base = 0
         for r in range(p):
-            n_r = len(current[r])
-            g = (base + np.arange(n_r, dtype=np.int64)) // k
-            leaf_m = (
-                (in_tree[r] - 1) // k
-                if n_r
-                else np.empty(0, dtype=np.int64)
-            )
-            # the cached sort key is spent: drop it before routing so
-            # the route-groups round ships only record columns
-            tagged_cols.append(current[r].drop("__key").with_col("__leaf_m", leaf_m))
-            dests.append((group_base + g) % p)
+            g = (base + np.arange(len(current[r]), dtype=np.int64)) // k
+            dests.append(shape.location[groups[g]])
             base += all_counts[r]
         inboxes = route_batches(
             mach,
-            tagged_cols,
+            current,
             dests,
             label=f"{label}:route-groups",
-            template=tagged_cols[0].islice(0, 0),
+            template=current[0].islice(0, 0),
         )
 
         # -- step 4: stack the elements + fan out next-phase records locally -
@@ -470,22 +290,13 @@ def construct_distributed_tree(
             f"{label}:build-elements",
             "dist.construct.build_elements_cols",
             [
-                {
-                    "inbox": inboxes[r],
-                    "j": j,
-                    "logn": logn,
-                    "leaf_level": leaf_level,
-                    "d": d,
-                    "semigroup": semigroup,
-                    "ns": ns,
-                }
+                {"inbox": inboxes[r], "j": j, "k": k, "d": d, "semigroup": semigroup, "ns": ns}
                 for r in range(p)
             ],
         )
         for r in range(p):
             roots_local[r].extend(built[r]["roots"])
             mach.check_capacity(r, built[r]["held"])
-        group_base += ngroups
         current = [built[r]["next_records"] for r in range(p)]
 
     # -- step 5: broadcast forest roots; rebuild the identical hat locally --
@@ -506,8 +317,6 @@ def construct_distributed_tree(
     return ConstructResult(
         hat=hat,
         forest_store=mach.state_view(forest_key(ns), default=dict),
-        roots=list(gathered[0]),
         phase_record_counts=phase_counts,
-        p=p,
         ns=ns,
     )

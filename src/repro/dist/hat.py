@@ -10,12 +10,14 @@ elements.
 The hat's topology — rows, links, labels, tilings, the owner of each hat
 leaf's element — is arithmetic in ``(p, d)`` alone: one
 :class:`HatShape` (:func:`hat_shape`) serves every tree and every part of
-a pass.  A :class:`Hat` is that shape plus one tree's segments, leaf
-counts and ``f(v)``, placed by :meth:`Hat.build` from the
-:class:`~repro.dist.records.ForestRootInfo` summaries of Construct step
-5, so every processor emits bit-identical rows with no further
-communication; a refit (:meth:`Hat.refresh_aggregates`) rebinds the
-aggregate column alone.
+a pass.  The shape precedes Construct, which names
+every group, element and segment tree by it, so a row is a node's one
+name from Construct to Search.  A :class:`Hat` is that shape plus one
+tree's segments, leaf counts and ``f(v)``, seated by :meth:`Hat.build`
+from the ``(row, lo, hi, agg)`` roots of Construct step 5, so every
+processor emits bit-identical rows with no further communication; a
+refit (:meth:`Hat.refresh_aggregates`) rebinds the aggregate column
+alone.
 
 :func:`walk_hats` is step 1 of Algorithm Search: the four-case segment
 tree walk (§4) for a rank's query slice over every part of a pass as one
@@ -39,13 +41,7 @@ from ..geometry.box import RankBox
 from ..semigroup import Semigroup
 from ..semigroup.kernels import KernelColumn
 from .labeling import Path, make_path
-from .records import (
-    KIND_EXPAND,
-    KIND_SUBQUERY,
-    ForestRootInfo,
-    flatten_path,
-    unflatten_path,
-)
+from .records import KIND_EXPAND, KIND_SUBQUERY, flatten_path, unflatten_path
 
 __all__ = ["Hat", "HatShape", "hat_shape", "walk_hats"]
 
@@ -62,11 +58,18 @@ class HatShape:
     (levels counted from the cut), the ``width`` in hat leaves of its own
     tree and the ``first``/``last`` of them.  A dimension-``d`` node's hat
     leaves, left to right, are ``tile_leaf_ids[tile_off : tile_off +
-    tile_len]``.  A hat leaf's ``location``/``tree`` (−1 elsewhere) are
-    its element's owner and index in the owner's stack, by Construct step
-    3's rule: phase ``j``'s leaves, in label order, are groups ``base_j +
-    g``, and group ``G`` goes to processor ``G mod p`` as tree ``g // p``.
-    ``leaf_row`` maps a hat leaf's label to its row.
+    tile_len]``.
+
+    What Construct names by the shape: ``groups[j]`` lists phase ``j``'s
+    hat leaves in label order, so group ``g`` of the phase (records ``g ·
+    n/p`` onward of its sort) is the element below leaf ``groups[j][g]``.
+    A segment tree's *key* is its rank among its phase's tree labels.  A
+    hat leaf's ``location``/``tree`` (−1 elsewhere) are its element's
+    owner and index in the owner's stack: phase ``j``'s groups are
+    ``base_j + g`` overall, and group ``G`` goes to processor ``G mod p``
+    as tree ``g // p``.  A phase-``j < d−1`` hat leaf's points also go to
+    the descendant trees anchored at its proper ancestors, nearest first:
+    their keys are ``fan_keys[fan_off : fan_off + fan_len]``.
 
     One object per ``(p, d)``; the arrays are read-only, and a shape
     pickles as its key, so a worker process re-attaches to its own memo.
@@ -76,8 +79,9 @@ class HatShape:
         self.__dict__.update(columns)
         self._tiles: Dict[int, HatShape] = {}
         for col in columns.values():
-            if isinstance(col, np.ndarray):
-                col.flags.writeable = False
+            for arr in col if isinstance(col, tuple) else (col,):
+                if isinstance(arr, np.ndarray):
+                    arr.flags.writeable = False
 
     def __reduce__(self):
         return hat_shape, (self.p, self.d)
@@ -91,6 +95,17 @@ class HatShape:
         """The Definition 2 label of row ``i``, levels counted from the cut."""
         return unflatten_path(self.paths[i, : 2 * (int(self.dim[i]) + 1)])
 
+    def stack_rows(self, rank: int, j: int, trees: int) -> np.ndarray:
+        """The hat leaves naming rank ``rank``'s ``trees`` phase-``j``
+        elements, in stack order; a :class:`~repro.errors.ProtocolError`
+        when the shape names another count."""
+        rows = self.groups[j][self.location[self.groups[j]] == rank]
+        if len(rows) != trees:
+            raise ProtocolError(
+                f"rank {rank} stacks {trees} phase-{j} trees, the hat shape names {len(rows)}"
+            )
+        return rows
+
     def tiled(self, parts: int) -> "HatShape":
         """The shape laid end to end ``parts`` times — part ``b``'s row
         ``i`` at row ``b·H + i``, links and tilings shifted along —
@@ -100,7 +115,7 @@ class HatShape:
         if parts not in self._tiles:
             H = self.size
             step = dict(left=H, right=H, desc=H, first=H, last=H, tile_leaf_ids=H,
-                        tile_off=len(self.tile_leaf_ids))
+                        tile_off=len(self.tile_leaf_ids), fan_off=len(self.fan_keys))
             laid = {
                 name: np.concatenate(
                     [np.where(col >= 0, col + b * step[name], col) if name in step else col
@@ -125,9 +140,11 @@ def hat_shape(p: int, d: int) -> HatShape:
     dim, left, right, desc, width, first, last, tile_off, tile_len = cols.values()
     labels: List[Path] = []
     tile_leaf_ids: List[int] = []
+    ups: Dict[int, Tuple[int, ...]] = {}  # a fanning hat leaf's proper ancestors
 
-    def emit(idx: int, lvl: int, k: int, tree_id: Path) -> int:
-        """Append node ``(idx, lvl)`` of tree ``tree_id`` and all below it."""
+    def emit(idx: int, lvl: int, k: int, tree_id: Path, up: Tuple[int, ...] = ()) -> int:
+        """Append node ``(idx, lvl)`` of tree ``tree_id`` — ``up`` its
+        proper ancestors there, nearest first — and all below it."""
         i = len(labels)
         labels.append(make_path(idx, lvl, tree_id))
         for col in cols.values():
@@ -138,12 +155,14 @@ def hat_shape(p: int, d: int) -> HatShape:
             first[i] = last[i] = i
             if k == d - 1:
                 tile_leaf_ids.append(i)
+            else:
+                ups[i] = up
         else:
             if k < d - 1:
                 # a descendant root inherits its anchor's label (Definition 2(ii))
                 desc[i] = emit(idx, lvl, k + 1, labels[i])
-            left[i] = emit(2 * idx, lvl - 1, k, tree_id)
-            right[i] = emit(2 * idx + 1, lvl - 1, k, tree_id)
+            left[i] = emit(2 * idx, lvl - 1, k, tree_id, (i, *up))
+            right[i] = emit(2 * idx + 1, lvl - 1, k, tree_id, (i, *up))
             first[i], last[i] = first[left[i]], last[right[i]]
         tile_len[i] = len(tile_leaf_ids) - tile_off[i] if k == d - 1 else 0
         return i
@@ -155,18 +174,33 @@ def hat_shape(p: int, d: int) -> HatShape:
     # 0, 1, ...; G goes to processor G mod p as tree g // p, g its place
     # in its phase
     location, tree = np.full((2, len(labels)), -1, dtype=np.int64)
-    groups = sorted(
+    order = sorted(
         np.flatnonzero(leaf).tolist(), key=lambda i: (len(labels[i]), labels[i][1:], labels[i][0])
     )
-    G, phase = np.arange(len(groups)), arrays["dim"][groups]
-    location[groups], tree[groups] = G % p, (G - np.searchsorted(phase, phase)) // p
+    G, phase = np.arange(len(order)), arrays["dim"][order]
+    location[order], tree[order] = G % p, (G - np.searchsorted(phase, phase)) // p
+    # every segment tree holds a hat leaf, so the groups meet each phase's
+    # trees in label order: a tree's key is its rank among them
+    key_of: Dict[Path, int] = {}
+    trees_in = [0] * d
+    for i in order:
+        if labels[i][1:] not in key_of:
+            key_of[labels[i][1:]] = trees_in[len(labels[i]) - 1]
+            trees_in[len(labels[i]) - 1] += 1
+    fan_off, fan_len = np.zeros((2, len(labels)), dtype=np.int64)
+    fan_keys: List[int] = []
+    for i, up in ups.items():
+        fan_off[i], fan_len[i] = len(fan_keys), len(up)
+        fan_keys += [key_of[labels[a]] for a in up]  # the tree anchored at a
     paths = np.full((len(labels), 2 * d), -1, dtype=np.int64)
     for i, label in enumerate(labels):
         paths[i, : 2 * len(label)] = flatten_path(label)
     return HatShape(
         p=p, d=d, leaf=leaf, last_dim=arrays["dim"] == d - 1, paths=paths,
-        tile_leaf_ids=np.asarray(tile_leaf_ids, dtype=np.int64), location=location,
-        tree=tree, leaf_row={labels[i]: i for i in np.flatnonzero(leaf).tolist()}, **arrays,
+        tile_leaf_ids=np.asarray(tile_leaf_ids, dtype=np.int64), location=location, tree=tree,
+        groups=tuple(np.asarray(order, dtype=np.int64)[phase == j] for j in range(d)),
+        fan_off=fan_off, fan_len=fan_len, fan_keys=np.asarray(fan_keys, dtype=np.int64),
+        **arrays,
     )
 
 
@@ -192,36 +226,27 @@ def _agg_column(kernel: Any, mat: Any, obj: Any, rows: Any) -> Any:
     return obj[rows] if mat is None else KernelColumn(kernel, mat[rows])
 
 
-def _cut(label: Path, leaf_level: int) -> Path:
-    """``label`` with its levels moved down by ``leaf_level`` (or up)."""
-    return tuple((idx, lvl - leaf_level) for idx, lvl in label)
+#: What Construct step 5 and a refit broadcast per forest element: its hat
+#: leaf's row, the closed rank segment it covers, its root aggregate.
+Root = Tuple[int, int, int, Any]
 
 
-def _seat(shape: HatShape, roots: Sequence[ForestRootInfo], leaf_level: int, k: int) -> tuple:
-    """Each root's segment and aggregate at its hat leaf's row; a
-    :class:`~repro.errors.ProtocolError` for a root no hat leaf is labeled
-    with, a second root for one, a root whose dimension, owner, stack index
-    or leaf count is not the shape's, and a hat leaf no root names."""
+def _seat(shape: HatShape, roots: Sequence[Root]) -> tuple:
+    """Each root's segment and aggregate at its row; a
+    :class:`~repro.errors.ProtocolError` for a row that is no hat leaf, a
+    second root for one, and a hat leaf no root names."""
     seg = np.zeros((shape.size, 2), dtype=np.int64)
     aggs: List[Any] = [None] * shape.size
     seated = np.zeros(shape.size, dtype=bool)
-    for info in roots:
-        i = shape.leaf_row.get(_cut(info.path, leaf_level))
-        if i is None or seated[i]:
-            what = "unexpected" if i is None else "duplicate"
-            raise ProtocolError(f"forest roots do not match the hat: {what} {info.path}")
-        want = (int(shape.dim[i]), int(shape.location[i]), int(shape.tree[i]), k)
-        got = (info.dim, info.location, info.tree, info.nleaves)
-        if got != want:
-            raise ProtocolError(
-                f"forest root {info.path} is mislabeled: (dim, location, tree, "
-                f"nleaves) is {got}, its label gives {want}"
-            )
-        seated[i], seg[i], aggs[i] = True, info.seg, info.agg
+    for i, lo, hi, agg in roots:
+        known = 0 <= i < shape.size and shape.leaf[i]
+        if not known or seated[i]:
+            what = "duplicate" if known else "unknown"
+            raise ProtocolError(f"forest roots do not match the hat: {what} row {i}")
+        seated[i], seg[i], aggs[i] = True, (lo, hi), agg
     missing = np.flatnonzero(shape.leaf & ~seated)
     if len(missing):
-        path = _cut(shape.label(int(missing[0])), -leaf_level)
-        raise ProtocolError(f"forest roots incomplete: no root for hat leaf {path}")
+        raise ProtocolError(f"forest roots incomplete: no root for hat leaf row {missing[0]}")
     return seg, aggs
 
 
@@ -246,18 +271,18 @@ class Hat:
     @classmethod
     def build(
         cls,
-        roots: Sequence[ForestRootInfo],
+        roots: Sequence[Root],
         d: int,
         n: int,
         p: int,
         semigroup: Semigroup,
     ) -> "Hat":
-        """Deterministically emit the hat from the forest root summaries.
+        """Deterministically emit the hat from the forest roots.
 
-        Raises :class:`~repro.errors.ProtocolError` when the provided
-        roots do not tile the structure the labeling arithmetic predicts
-        for ``(n, p, d)`` — a missing, duplicated, or mislabeled root
-        means the construction protocol was violated on some processor.
+        Raises :class:`~repro.errors.ProtocolError` when the roots' rows
+        do not seat every hat leaf of the ``(p, d)`` shape exactly once —
+        a missing, duplicated or unknown row means the construction
+        protocol was violated on some processor.
         """
         if not roots:
             raise MachineError("cannot build a hat from zero forest roots")
@@ -266,7 +291,7 @@ class Hat:
             raise MachineError(f"p={p} exceeds the padded point count n={n}")
         shape = hat_shape(p, d)
         leaf_level = ilog2(n) - ilog2(p)
-        seg, aggs = _seat(shape, roots, leaf_level, n // p)
+        seg, aggs = _seat(shape, roots)
         agg_kernel, agg_mat, agg_obj = _fold(semigroup, aggs, shape)
         hat = cls(
             shape=shape, n=n, leaf_level=leaf_level, semigroup=semigroup,
@@ -285,7 +310,7 @@ class Hat:
 
     def path(self, i: int) -> Path:
         """The Definition 2 name of node ``i`` in this tree."""
-        return _cut(self.shape.label(i), -self.leaf_level)
+        return tuple((idx, lvl + self.leaf_level) for idx, lvl in self.shape.label(i))
 
     def agg(self, i: int) -> Any:
         """The annotation ``f(v)`` of node ``i`` as a semigroup value."""
@@ -348,7 +373,7 @@ class Hat:
             charge(visited)
         return sels, subqs, exps
 
-    def refresh_aggregates(self, roots: Sequence[ForestRootInfo], semigroup: Semigroup) -> None:
+    def refresh_aggregates(self, roots: Sequence[Root], semigroup: Semigroup) -> None:
         """Reseed hat-leaf aggregates from fresh forest roots and fold up.
 
         Local work only — the one communication round of re-annotation is
@@ -357,7 +382,7 @@ class Hat:
         assignment: a walk reads the old annotation or the new one.
         """
         shape = self.shape
-        _seg, aggs = _seat(shape, roots, self.leaf_level, self.n // shape.p)
+        _seg, aggs = _seat(shape, roots)
         kernel, mat, obj = _fold(semigroup, aggs, shape)
         no_rows = _agg_column(kernel, mat, obj, slice(0, 0))
         idle = (self.idle[0].with_col("agg", no_rows), *self.idle[1:])

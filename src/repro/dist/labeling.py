@@ -16,29 +16,23 @@ The *tree id* of a node is its path with the leading pair removed — the
 path of the node its segment tree hangs from — so the primary tree ``T1``
 has tree id ``()`` and a phase-``j`` tree has a tree id of length ``j``.
 
-Everything in this module is pure integer arithmetic: it runs identically
-on every virtual processor with no communication, which is what lets
-Algorithm Construct route records and Algorithm Search address forest
-elements by name alone.
+Everything in this module is pure integer arithmetic.  The hat's labels
+are a function of ``(p, d)`` alone, so :func:`repro.dist.hat.hat_shape`
+evaluates them once, before Construct runs, and numbers the nodes by
+row: Construct routes records and Search addresses forest elements by
+that row, and a label is read back from it (``HatShape.label``) only to
+check or to show it.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Tuple
 
 __all__ = [
     "left_child_index",
     "right_child_index",
-    "parent_index",
     "ancestor_index",
-    "leaf_index",
     "make_path",
-    "tree_id_of",
-    "phase_of_path",
-    "phase_of_tree",
-    "root_index_of_tree",
-    "root_level_of_tree",
-    "hat_ancestor_paths",
     "is_valid_path",
 ]
 
@@ -63,35 +57,9 @@ def right_child_index(x: int) -> int:
     return 2 * x + 1
 
 
-def parent_index(x: int) -> int:
-    """Heap index of the parent of index ``x``."""
-    return x >> 1
-
-
 def ancestor_index(x: int, k: int) -> int:
     """Heap index of the ``k``-th ancestor of index ``x`` (``k = 0`` is ``x``)."""
     return x >> k
-
-
-def leaf_index(root_index: int, root_level: int, leaf_level: int, position: int) -> int:
-    """Heap index of the ``position``-th node at ``leaf_level`` under a root.
-
-    The root sits at ``(root_index, root_level)``; descending
-    ``root_level - leaf_level`` steps reaches ``2^(root_level - leaf_level)``
-    nodes, enumerated left to right by ``position``.  Because a descendant
-    tree's root inherits its anchor's index (Definition 2(ii)), this also
-    enumerates the leaves of descendant trees whose root index is not 1.
-    """
-    if leaf_level > root_level:
-        raise ValueError(
-            f"leaf level {leaf_level} exceeds root level {root_level}"
-        )
-    width = 1 << (root_level - leaf_level)
-    if not 0 <= position < width:
-        raise ValueError(
-            f"leaf position {position} out of range 0..{width - 1}"
-        )
-    return (root_index << (root_level - leaf_level)) + position
 
 
 # ---------------------------------------------------------------------------
@@ -100,50 +68,6 @@ def leaf_index(root_index: int, root_level: int, leaf_level: int, position: int)
 def make_path(index: int, level: int, tree_id: TreeId) -> Path:
     """The global path of node ``(index, level)`` inside tree ``tree_id``."""
     return ((int(index), int(level)),) + tuple(tree_id)
-
-
-def tree_id_of(path: Path) -> TreeId:
-    """The id of the segment tree a path's node lives in."""
-    return tuple(path[1:])
-
-
-def phase_of_path(path: Path) -> int:
-    """Construction phase (= dimension) of a node: path length minus one."""
-    if not path:
-        raise ValueError("the empty path names no node")
-    return len(path) - 1
-
-
-def phase_of_tree(tree_id: TreeId) -> int:
-    """Construction phase of a segment tree: the length of its id."""
-    return len(tree_id)
-
-
-def root_index_of_tree(tree_id: TreeId) -> int:
-    """Heap index of a tree's root: 1 for T1, else inherited (Figure 2)."""
-    return 1 if not tree_id else tree_id[0][0]
-
-
-def root_level_of_tree(tree_id: TreeId, primary_height: int) -> int:
-    """Level of a tree's root: the primary height for T1, else the anchor's."""
-    return primary_height if not tree_id else tree_id[0][1]
-
-
-def hat_ancestor_paths(
-    leaf_index_: int, leaf_level: int, root_level: int, tree_id: TreeId
-) -> Iterator[Path]:
-    """Paths of the proper ancestors of a node, nearest first.
-
-    Yields ``root_level - leaf_level`` paths, one per level above the node
-    up to and including its tree's root.  Algorithm Construct uses this to
-    fan a point record out to every internal hat node whose descendant
-    tree must contain the point (§5, step 4 of Construct).
-    """
-    idx, lvl = leaf_index_, leaf_level
-    while lvl < root_level:
-        idx = parent_index(idx)
-        lvl += 1
-        yield make_path(idx, lvl, tree_id)
 
 
 def is_valid_path(path: Path) -> bool:

@@ -4,12 +4,12 @@ Every record stream moves as a :class:`~repro.cgm.columns.RecordBatch`;
 the schemas, by stage:
 
 ==========================  ================================================
-``dist.srecord``            Construct's §5 record: ``tree_id`` (the
-                            Definition 2 id of the segment tree the point
-                            is being inserted into, an ``(n, 2j)`` matrix
-                            in phase ``j``), ``ranks`` ``(n, d)``, ``pid``
-                            (negative for power-of-two padding sentinels),
-                            ``value`` (the lifted semigroup value)
+``dist.srecord``            Construct's §5 record: ``tree`` (the key of the
+                            segment tree the point is being inserted into,
+                            its rank among the phase's tree labels),
+                            ``ranks`` ``(n, d)``, ``pid`` (negative for
+                            power-of-two padding sentinels), ``value``
+                            (the lifted semigroup value)
 ``dist.hat_selection``      Search step 1: ``qid``, ``node`` (the hat row
                             of a selected dimension-``d`` node),
                             ``nleaves``, ``agg`` (its ``f(v)``)
@@ -25,65 +25,32 @@ the schemas, by stage:
 ``dist.report_pair``        Search step 5: ``qid``, ``pid``
 ==========================  ================================================
 
-Two formats name a node, each used where Lemma 1 needs it.  Construct
-runs before the hat exists, so it routes by *label*: the Definition 2
-path, flattened to ints.  Search runs on the replicated hat, so a hat
-row *is* a global name: ``node`` is a hat row, ``element`` the hat-leaf
-row whose forest element it roots (``hat.path(row)`` is its label,
+A node has one name from Construct to Search: its row in the ``(p, d)``
+:class:`~repro.dist.hat.HatShape`, which precedes both.  Construct's
+``tree`` key and group numbers are read off the shape; in Search,
+``node`` is a hat row and ``element`` the hat-leaf row whose forest
+element it roots (``hat.path(row)`` is its Definition 2 label,
 ``hat.shape.location[row]`` its owner; part ``b`` of a pass names its
-row ``i`` as ``b·H + i``, every hat on ``(p, d)`` having ``H`` rows).  ``agg`` and ``value`` columns are a
+row ``i`` as ``b·H + i``, every hat on ``(p, d)`` having ``H`` rows).
+``agg`` and ``value`` columns are a
 :class:`~repro.semigroup.kernels.KernelColumn` when a kernel encodes
 the values, an object array otherwise.
 
-:class:`ForestRootInfo` lists ride Construct's step-5 broadcast as plain
-records.
+Construct's step-5 broadcast carries ``(row, lo, hi, agg)`` tuples, one
+per forest element, as plain records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, List, Sequence, Tuple
+from typing import List, Sequence
 
-from .labeling import Path, TreeId, tree_id_of
+from .labeling import Path
 
-__all__ = [
-    "ForestRootInfo",
-    "KIND_SUBQUERY",
-    "KIND_EXPAND",
-    "flatten_path",
-    "unflatten_path",
-]
+__all__ = ["KIND_SUBQUERY", "KIND_EXPAND", "flatten_path", "unflatten_path"]
 
 #: ``kind`` of a ``dist.search.routing`` row.
 KIND_SUBQUERY = 0
 KIND_EXPAND = 1
-
-
-@dataclass(frozen=True, slots=True)
-class ForestRootInfo:
-    """What Construct step 5 broadcasts about one forest element.
-
-    ``path`` is the element's name — the path of the hat leaf it hangs
-    below (Definition 3) — and ``seg`` the closed rank interval its
-    primary segment tree covers in dimension ``dim``.  ``location`` is
-    the owning processor (its group rank mod ``p``), ``tree`` the
-    element's index in the owner's dimension-``dim`` stack, and ``agg``
-    the semigroup value of all its points, which seeds the hat's
-    ``f(v)`` annotations.
-    """
-
-    path: Path
-    dim: int
-    seg: Tuple[int, int]
-    nleaves: int
-    location: int
-    tree: int
-    agg: Any
-
-    @property
-    def tree_id(self) -> TreeId:
-        """Id of the segment tree whose hat this root's leaf belongs to."""
-        return tree_id_of(self.path)
 
 
 def flatten_path(path: Path) -> List[int]:

@@ -198,26 +198,30 @@ def _check_shape(shape, check: Callable[[bool, str], None]) -> bool:
     Row numbers follow from ``H(w, r)`` alone (a node's descendant tree
     is emitted right after it, then its left and right subtrees), labels
     from Definition 2's arithmetic, widths, first/last hat leaves and
-    tilings from the recursion, and each hat leaf's owner and stack index
-    from Construct step 3's rule: phase ``j``'s leaves in label order are
-    groups ``base_j + g``, and group ``G`` goes to rank ``G mod p``, which
-    stacks it as tree ``g // p``.  Returns whether the shape has the row
-    count and the links the rest indexes by.
+    tilings from the recursion, and what Construct reads: each phase's
+    groups are its hat leaves in label order; group ``base_j + g`` goes
+    to rank ``G mod p``, which stacks it as tree ``g // p``; and a hat
+    leaf fans out to the keys (ranks among their phase's tree labels) of
+    the descendant trees its proper ancestors anchor, nearest first.
+    Returns whether the shape has the row count and the links the rest
+    indexes by.
     """
     p, d = shape.p, shape.d
     size = _hat_size(p, d)
     rows = ("dim", "leaf", "last_dim", "left", "right", "desc", "paths", "width",
-            "first", "last", "location", "tree", "tile_off", "tile_len")
+            "first", "last", "location", "tree", "tile_off", "tile_len", "fan_off", "fan_len")
     sized = all(len(getattr(shape, c)) == size for c in rows)
     check(sized, f"hat: node count is not H({p}, {d}) = {size}")
     if not sized:
         return False  # the row arithmetic below indexes by this size
     links: List[bool] = []
+    ups: dict = {}  # a hat leaf off the last dimension -> its proper ancestors
 
-    def visit(i: int, w: int, r: int, label) -> List[int]:
+    def visit(i: int, w: int, r: int, label, up=()) -> List[int]:
         """Check row ``i`` — labeled ``label``, ``w`` hat leaves below it
-        in its own tree, ``r`` dimensions left — and everything emitted
-        under it; returns the rows of those leaves, left to right."""
+        in its own tree, ``up`` its proper ancestors there, ``r``
+        dimensions left — and everything emitted under it; returns the
+        rows of those leaves, left to right."""
         got = shape.label(i)
         check(got == label, f"row {i} is {got}, not {label}: sibling index arithmetic broken")
         check(
@@ -235,12 +239,14 @@ def _check_shape(shape, check: Callable[[bool, str], None]) -> bool:
             loc = int(shape.location[i])
             check(0 <= loc < p, f"hat leaf {label} has owner {loc} outside 0..{p - 1}")
             leaves = [i]
+            if r > 1:
+                ups[i] = up
         else:
             if r > 1:  # a descendant root inherits its anchor's label
                 visit(desc, w, r - 1, (label[0],) + label)
             (idx, lvl), tree_id = label[0], label[1:]
-            leaves = visit(left, w // 2, r, ((2 * idx, lvl - 1),) + tree_id)
-            leaves += visit(right, w // 2, r, ((2 * idx + 1, lvl - 1),) + tree_id)
+            leaves = visit(left, w // 2, r, ((2 * idx, lvl - 1),) + tree_id, (i, *up))
+            leaves += visit(right, w // 2, r, ((2 * idx + 1, lvl - 1),) + tree_id, (i, *up))
             check(
                 shape.location[i] == -1 and shape.tree[i] == -1,
                 f"internal node {label} names an owner",
@@ -258,15 +264,29 @@ def _check_shape(shape, check: Callable[[bool, str], None]) -> bool:
         return leaves
 
     visit(0, p, d, ((1, ilog2(p)),))
-    base = 0
+    base, key = 0, {}
     for j in range(d):
         labels = {i: shape.label(i) for i in np.flatnonzero(shape.leaf & (shape.dim == j)).tolist()}
-        for g, i in enumerate(sorted(labels, key=lambda i: (labels[i][1:], labels[i][0]))):
+        order = sorted(labels, key=lambda i: (labels[i][1:], labels[i][0]))
+        check(
+            len(shape.groups) == d and shape.groups[j].tolist() == order,
+            f"phase {j}'s groups are not its hat leaves in label order",
+        )
+        for g, i in enumerate(order):
             check(
                 (shape.location[i], shape.tree[i]) == ((base + g) % p, g // p),
                 f"hat leaf {labels[i]} violates the group-to-processor rule",
             )
         base += len(labels)
+        tree_ids = {shape.label(i)[1:] for i in np.flatnonzero(shape.dim == j).tolist()}
+        key.update((tid, rank) for rank, tid in enumerate(sorted(tree_ids)))
+    for i in range(size):
+        off, length = int(shape.fan_off[i]), int(shape.fan_len[i])
+        want = [key[shape.label(a)] for a in ups.get(i, ())]
+        check(
+            shape.fan_keys[off : off + length].tolist() == want,
+            f"row {i} does not fan out to the trees its proper ancestors anchor",
+        )
     return all(links)
 
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import asyncio
 import random
-import time
 from typing import Any, Callable, List
 
 from .._util import percentiles
@@ -160,31 +159,36 @@ async def _run_inproc(service: QueryService, queries, arrival, clients,
         return await _drive(submit, queries, arrival, clients, rate_qps, seed)
 
 
+async def _drive_tcp(host: str, port: int, queries, arrival, clients,
+                     rate_qps, seed, deadline_ms=None, retries=0):
+    """:func:`_drive` through a pool of ``clients`` TCP connections to
+    ``host:port``, taking the queries in turn."""
+    conns = [
+        await ServeClient.connect(host, port, retries=retries, retry_seed=seed + c)
+        for c in range(clients)
+    ]
+    try:
+        turn = iter(range(len(queries)))
+
+        async def submit(q: Query):
+            return await conns[next(turn) % clients].value(q, deadline_ms=deadline_ms)
+
+        return await _drive(submit, queries, arrival, clients, rate_qps, seed)
+    finally:
+        for conn in conns:
+            await conn.aclose()
+
+
 async def _run_tcp(service: QueryService, queries, arrival, clients,
                    rate_qps, seed, deadline_ms=None, retries=0):
     async with service:
         server = await start_tcp_server(service, "127.0.0.1", 0)
-        port = server.sockets[0].getsockname()[1]
-        conns = [
-            await ServeClient.connect(
-                "127.0.0.1", port, retries=retries, retry_seed=seed + c
-            )
-            for c in range(clients)
-        ]
         try:
-            turn = iter(range(len(queries)))
-
-            async def submit(q: Query):
-                return await conns[next(turn) % clients].value(
-                    q, deadline_ms=deadline_ms
-                )
-
-            return await _drive(
-                submit, queries, arrival, clients, rate_qps, seed
+            return await _drive_tcp(
+                "127.0.0.1", server.sockets[0].getsockname()[1], queries, arrival,
+                clients, rate_qps, seed, deadline_ms, retries,
             )
         finally:
-            for conn in conns:
-                await conn.aclose()
             server.close()
             await server.wait_closed()
 
@@ -206,35 +210,18 @@ def run_loadgen_remote(
 
     Unlike :func:`run_loadgen` there is no tree in hand, so no direct
     cross-check and no service-side batch metrics — just the
-    client-observed qps and latency percentiles (successes only) and
-    the per-type error counts.
+    client-observed figures.  The row's keys: ``transport``,
+    ``arrival``, ``clients``, ``m``, ``qps``, ``p50_ms``, ``p95_ms``,
+    ``p99_ms`` (successes only), ``errors``, ``error_rate``,
+    ``error_types`` (per-type counts) and ``answers_match_direct``
+    (``None``), plus ``rate_qps``, ``deadline_ms`` and ``retries`` when
+    set.
     """
     queries = make_serve_queries(m, d, seed=seed)
     clients = max(1, int(clients))
-
-    async def go():
-        conns = [
-            await ServeClient.connect(
-                host, port, retries=retries, retry_seed=seed + c
-            )
-            for c in range(clients)
-        ]
-        try:
-            turn = iter(range(len(queries)))
-
-            async def submit(q: Query):
-                return await conns[next(turn) % clients].value(
-                    q, deadline_ms=deadline_ms
-                )
-
-            return await _drive(
-                submit, queries, arrival, clients, rate_qps, seed
-            )
-        finally:
-            for conn in conns:
-                await conn.aclose()
-
-    _values, latencies, errors, wall_s = asyncio.run(go())
+    _values, latencies, errors, wall_s = asyncio.run(
+        _drive_tcp(host, port, queries, arrival, clients, rate_qps, seed, deadline_ms, retries)
+    )
     n_errors, error_types = _error_stats(errors)
     ok_latencies = [
         lat for lat, err in zip(latencies, errors) if err is None
@@ -298,6 +285,8 @@ def run_loadgen(
         queries = make_serve_queries(m, tree.dim, seed=seed)
     queries = list(queries)
     clients = max(1, int(clients))
+    if transport not in ("inproc", "tcp"):
+        raise ServeError(f"unknown transport {transport!r} (inproc | tcp)")
 
     expected = None
     if verify:
@@ -309,16 +298,12 @@ def run_loadgen(
         max_inflight=max_inflight,
     )
     runner = _run_tcp if transport == "tcp" else _run_inproc
-    if transport not in ("inproc", "tcp"):
-        raise ServeError(f"unknown transport {transport!r} (inproc | tcp)")
-    wall0 = time.perf_counter()
     values, latencies, errors, wall_s = asyncio.run(
         runner(
             service, queries, arrival, clients, rate_qps, seed,
             deadline_ms, retries,
         )
     )
-    _ = wall0  # loop-clock wall_s is the figure; perf_counter kept honest
 
     n_errors, error_types = _error_stats(errors)
     answers_match = None

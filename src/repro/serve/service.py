@@ -534,23 +534,26 @@ class QueryService:
                 # re-answer the innocent ones; the daemon loop survives.
                 await self._demux_failed_batch(item, t_start)
                 continue
-            t_end = loop.time()
-            item.log["t_exec_end"] = t_end
-            exec_ms = (t_end - t_start) * 1000.0
-            size = len(item.requests)
-            values = rs.values()
-            for req, value in zip(item.requests, values):
-                # Deadline passed while the batch waited for the worker
-                # thread: discard the late answer for the typed error.
-                if not req.future.done() and self._expire(req, t_start):
-                    continue
+            self._answer(item, zip(item.requests, rs.values()), t_start, loop.time())
+
+    def _answer(self, item: _AdmittedBatch, answers, t_start: float, t_end: float) -> None:
+        """Deliver an executed batch's ``(request, value)`` answers.
+
+        A query counts as served — and gives latency samples — only when
+        its answer is set: one cancelled mid-batch is counted cancelled,
+        and one whose deadline passed while the batch waited for the
+        worker thread gets the typed error instead of the late answer.
+        """
+        item.log["t_exec_end"] = t_end
+        exec_ms = (t_end - t_start) * 1000.0
+        for req, value in answers:
+            if req.future.done():  # cancelled mid-batch: discard
+                self.metrics.cancelled += 1
+            elif not self._expire(req, t_start):
                 queue_ms = (t_start - req.t_submit) * 1000.0
                 self.metrics.record_query(queue_ms, exec_ms)
-                if req.future.done():  # cancelled mid-batch: discard
-                    self.metrics.cancelled += 1
-                    continue
                 req.future.set_result(
-                    ServeResponse(value, queue_ms, exec_ms, size, item.seq)
+                    ServeResponse(value, queue_ms, exec_ms, len(item.requests), item.seq)
                 )
 
     async def _demux_failed_batch(self, item: _AdmittedBatch, t_start) -> None:
@@ -571,27 +574,16 @@ class QueryService:
                 if not req.future.done():
                     req.future.set_exception(failure)
             return
-        t_end = loop.time()
-        item.log["t_exec_end"] = t_end
-        exec_ms = (t_end - t_start) * 1000.0
-        size = len(item.requests)
+        answers = []
         for req, (kind, payload) in outcomes:
-            if kind == "err":
-                self.metrics.errors += 1
-                self.metrics.query_failures += 1
-                if not req.future.done():
-                    req.future.set_exception(QueryFailed(req.qid, str(payload)))
+            if kind == "ok":
+                answers.append((req, payload))
                 continue
-            if not req.future.done() and self._expire(req, t_start):
-                continue
-            queue_ms = (t_start - req.t_submit) * 1000.0
-            self.metrics.record_query(queue_ms, exec_ms)
-            if req.future.done():
-                self.metrics.cancelled += 1
-                continue
-            req.future.set_result(
-                ServeResponse(payload, queue_ms, exec_ms, size, item.seq)
-            )
+            self.metrics.errors += 1
+            self.metrics.query_failures += 1
+            if not req.future.done():
+                req.future.set_exception(QueryFailed(req.qid, str(payload)))
+        self._answer(item, answers, t_start, loop.time())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (

@@ -28,7 +28,7 @@ from repro.cgm import Machine
 from repro.cgm.columns import RecordBatch, encode_keys, obj_col
 from repro.cgm.sort import sample_sort_cols
 from repro.dist import DistributedRangeTree
-from repro.dist.records import KIND_EXPAND, KIND_SUBQUERY, flatten_path
+from repro.dist.records import KIND_EXPAND, KIND_SUBQUERY
 from repro.query import QueryBatch, aggregate, count, report
 from repro.semigroup import sum_of_dim
 from repro.seq import SequentialRangeTree, bf_aggregate, bf_count, bf_report
@@ -38,9 +38,9 @@ from tests.helpers import random_boxes
 
 # ---------------------------------------------------------------------------
 # record strategies: rows as plain tuples in column order, with realistic
-# Definition 2 tree ids, sentinels and values
+# tree keys, sentinels and values
 # ---------------------------------------------------------------------------
-SRECORD = ("tree_id", "ranks", "pid", "value")
+SRECORD = ("tree", "ranks", "pid", "value")
 ROUTING = ("kind", "qid", "los", "his", "element", "location")
 SELECTION = ("qid", "element", "nleaves", "agg")
 PAIR = ("qid", "pid")
@@ -78,12 +78,11 @@ def value_strategy():
     )
 
 
-def srecord_strategy(d, tid_len):
-    # pids include the negative power-of-two padding sentinels
-    pair = st.tuples(st.integers(1, 1 << 12), st.integers(0, 12))
-    tree_id = st.lists(pair, min_size=tid_len, max_size=tid_len)
+def srecord_strategy(d, phase):
+    # a phase-j tree key ranks the phase's trees (one in phase 0); pids
+    # include the negative power-of-two padding sentinels
     return st.tuples(
-        tree_id.map(lambda path: tuple(flatten_path(path))),
+        st.integers(0, (1 << (6 * phase)) - 1),
         ranks_strategy(d),
         st.integers(-(1 << 16), 1 << 16),
         value_strategy(),
@@ -126,16 +125,14 @@ class TestCodecRoundTrips:
     """``columns → rows`` is an identity on every shipped stream."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("tid_len", [0, 1, 2])
+    @pytest.mark.parametrize("phase", [0, 1, 2])
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
-    def test_srecord_identity(self, d, tid_len, data):
+    def test_srecord_identity(self, d, phase, data):
         records = data.draw(
-            st.lists(srecord_strategy(d, tid_len), min_size=0, max_size=12)
+            st.lists(srecord_strategy(d, phase), min_size=0, max_size=12)
         )
-        batch = pack(
-            "dist.srecord", SRECORD, records, {"tree_id": 2 * tid_len, "ranks": d}
-        )
+        batch = pack("dist.srecord", SRECORD, records, {"ranks": d})
         assert list(batch) == records
         assert [r.pid for r in batch] == [r[2] for r in records]
 

@@ -120,15 +120,18 @@ class TestStructuralAgreement:
         """Construct step 3: group k lands on processor k mod p, and each
         processor stacks its groups of a phase in group order."""
         tree = build(n=64, d=2, p=8)
-        base = 0
+        hat, base = tree.hat, 0
         for j in range(tree.dim):
-            infos = sorted(
-                (info for info in tree.construct_result.roots if info.dim == j),
-                key=lambda info: (info.path[1:], info.seg[0]),  # the phase's sort order
+            leaves = sorted(
+                np.flatnonzero(hat.shape.leaf & (hat.shape.dim == j)).tolist(),
+                key=lambda i: (hat.path(i)[1:], hat.lo[i]),  # the phase's sort order
             )
-            for g, info in enumerate(infos):
-                assert (info.location, info.tree) == ((base + g) % tree.p, g // tree.p)
-            base += len(infos)
+            assert hat.shape.groups[j].tolist() == leaves
+            for g, leaf in enumerate(leaves):
+                assert (hat.shape.location[leaf], hat.shape.tree[leaf]) == (
+                    (base + g) % tree.p, g // tree.p
+                )
+            base += len(leaves)
 
     def test_capacity_accounting(self):
         tree = build(n=64, d=2, p=4)
@@ -146,7 +149,9 @@ class TestStructuralAgreement:
         values = [1] * ranked.n
         res = construct_distributed_tree(mach, ranked, values, COUNT)
         assert res.hat.size_nodes() > 0
-        assert sum(st.shape[0] for s in res.forest_store for st in s.values()) == len(res.roots)
+        assert sum(st.shape[0] for s in res.forest_store for st in s.values()) == int(
+            res.hat.shape.leaf.sum()
+        )
 
     def test_p_exceeding_padded_n_rejected_low_level(self):
         pts = uniform_points(4, 1, seed=0)

@@ -3,46 +3,58 @@ builder's protocol error handling."""
 
 from __future__ import annotations
 
-import dataclasses
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from repro._util import ilog2
+from repro.cgm.columns import RecordBatch, obj_col
+from repro.cgm.phases import ProcContext, get_phase
 from repro.dist import DistributedRangeTree
-from repro.dist.hat import Hat
-from repro.dist.records import ForestRootInfo
+from repro.dist.hat import Hat, hat_shape
 from repro.errors import ProtocolError
 from repro.query import count
 from repro.semigroup import COUNT
 from repro.workloads import uniform_points
+
+from tests.helpers import forest_elements
 
 
 def build(n=64, d=2, p=8, seed=0):
     return DistributedRangeTree.build(uniform_points(n, d, seed=seed), p=p)
 
 
+def roots_of(tree):
+    """The ``(row, lo, hi, agg)`` roots Construct step 5 broadcast."""
+    hat = tree.hat
+    return [(leaf, int(hat.lo[leaf]), int(hat.hi[leaf]), stack.root_aggs()[t])
+            for leaf, stack, t in forest_elements(tree)]
+
+
 class TestRecordFlow:
     def test_forest_ids_name_their_phase(self):
-        """A phase-j element's forest id has path length j+1 (Definition 2),
-        and its owner holds it in the phase-j stack."""
+        """A phase-j element's hat leaf has a label of length j+1
+        (Definition 2), and its owner holds it in the phase-j stack."""
         tree = build(d=3, p=4, n=64)
-        for info in tree.construct_result.roots:
-            assert len(info.path) == info.dim + 1
-            assert info.tree < tree.forest_store[info.location][info.dim].shape[0]
+        for leaf, stack, t in forest_elements(tree):
+            j = int(tree.hat.shape.dim[leaf])
+            assert len(tree.hat.path(leaf)) == j + 1
+            assert stack is tree.forest_store[tree.hat.shape.location[leaf]][j]
+            assert t < stack.shape[0]
 
     def test_phase_j_trees_hang_from_phase_j_minus_1_hat_nodes(self):
         tree = build(d=2, p=8)
         hat = tree.hat
         row_of = {hat.path(i): i for i in range(hat.size_nodes())}
-        for info in tree.construct_result.roots:
-            fid = info.path
-            if info.dim == 0:
+        for leaf in np.flatnonzero(hat.shape.leaf).tolist():
+            fid, j = hat.path(leaf), int(hat.shape.dim[leaf])
+            if j == 0:
                 assert fid[1:] == ()
             else:
                 anchor = row_of.get(fid[1:])
                 assert anchor is not None, f"no hat anchor for {fid}"
-                assert hat.shape.dim[anchor] == info.dim - 1
+                assert hat.shape.dim[anchor] == j - 1
                 assert not hat.shape.leaf[anchor]
 
     def test_deep_phase_element_counts(self):
@@ -62,12 +74,11 @@ class TestRecordFlow:
 
     def test_seg_partition_within_each_tree(self):
         """Forest elements of one segment tree tile its rank range."""
-        from collections import defaultdict
-
         tree = build(d=2, p=8)
+        hat = tree.hat
         by_tree = defaultdict(list)
-        for info in tree.construct_result.roots:
-            by_tree[info.path[1:]].append(info.seg)
+        for leaf in np.flatnonzero(hat.shape.leaf).tolist():
+            by_tree[hat.path(leaf)[1:]].append((int(hat.lo[leaf]), int(hat.hi[leaf])))
         for tid, segs in by_tree.items():
             segs.sort()
             for a, b in zip(segs, segs[1:]):
@@ -75,46 +86,56 @@ class TestRecordFlow:
 
 
 class TestHatBuildErrors:
+    """Hat.build seats each broadcast root by its hat-leaf row; a row the
+    shape cannot seat is a protocol violation on some processor."""
+
     def _roots(self):
+        return roots_of(build(n=32, d=2, p=4))
+
+    def test_roots_seat_the_built_hat(self):
         tree = build(n=32, d=2, p=4)
-        return list(tree.construct_result.roots)
+        hat = Hat.build(roots_of(tree)[::-1], d=2, n=32, p=4, semigroup=COUNT)
+        for col in ("lo", "hi", "nleaves", "agg_mat"):
+            np.testing.assert_array_equal(getattr(hat, col), getattr(tree.hat, col))
 
     def test_missing_root_detected(self):
         roots = self._roots()
-        with pytest.raises(ProtocolError, match="forest roots"):
+        with pytest.raises(ProtocolError, match="no root for hat leaf row"):
             Hat.build(roots[:-1], d=2, n=32, p=4, semigroup=COUNT)
 
-    def test_wrong_path_detected(self):
+    def test_duplicate_row_detected(self):
         roots = self._roots()
-        bad = roots[0]
-        corrupted = ForestRootInfo(
-            path=((999, bad.path[0][1]),) + bad.path[1:],
-            dim=bad.dim,
-            seg=bad.seg,
-            nleaves=bad.nleaves,
-            location=bad.location,
-            tree=bad.tree,
-            agg=bad.agg,
-        )
-        with pytest.raises(ProtocolError):
-            Hat.build([corrupted] + roots[1:], d=2, n=32, p=4, semigroup=COUNT)
+        with pytest.raises(ProtocolError, match="duplicate row"):
+            Hat.build(roots + roots[:1], d=2, n=32, p=4, semigroup=COUNT)
 
-    @pytest.mark.parametrize("field", ["location", "tree", "nleaves", "dim"])
-    def test_mislabeled_root_detected(self, field):
-        """A root at the right label that names the wrong owner, stack
-        index, leaf count or dimension: the owner it names may hold
-        another tree at that index, so the hat must not build."""
+    @pytest.mark.parametrize("row", ["internal", "past the end", "negative"])
+    def test_unknown_row_detected(self, row):
         roots = self._roots()
-        bad = roots[-1]
-        wrong = {
-            "location": (bad.location + 1) % 4,
-            "tree": bad.tree + 1,
-            "nleaves": bad.nleaves + 1,
-            "dim": (bad.dim + 1) % 2,
-        }[field]
-        corrupted = dataclasses.replace(bad, **{field: wrong})
-        with pytest.raises(ProtocolError, match="mislabeled"):
-            Hat.build(roots[:-1] + [corrupted], d=2, n=32, p=4, semigroup=COUNT)
+        shape = hat_shape(4, 2)
+        bad = {"internal": 0, "past the end": shape.size, "negative": -1}[row]
+        assert bad < 0 or bad >= shape.size or not shape.leaf[bad]
+        with pytest.raises(ProtocolError, match="unknown row"):
+            Hat.build([(bad, *roots[0][1:])] + roots[1:], d=2, n=32, p=4, semigroup=COUNT)
+
+    def test_tree_count_mismatch_detected(self):
+        """An owner whose inbox holds another number of groups than the
+        shape names for it must not stack them under the shape's rows."""
+        shape = hat_shape(4, 2)
+        assert len(shape.stack_rows(0, 1, 2)) == 2  # log p phase-1 trees each
+        k, d = 8, 2
+        inbox = RecordBatch(
+            "dist.srecord",
+            {
+                "tree": np.zeros(k, dtype=np.int64),
+                "ranks": np.repeat(np.arange(k, dtype=np.int64)[:, None], d, axis=1),
+                "pid": np.arange(k, dtype=np.int64),
+                "value": obj_col([1] * k),
+            },
+            k,
+        )
+        payload = {"inbox": inbox, "j": 1, "k": k, "d": d, "semigroup": COUNT, "ns": "t"}
+        with pytest.raises(ProtocolError, match="stacks 1 phase-1 trees, the hat shape names 2"):
+            get_phase("dist.construct.build_elements_cols")(ProcContext(rank=0, p=4), payload)
 
     def test_empty_roots_rejected(self):
         from repro.errors import MachineError

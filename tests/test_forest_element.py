@@ -8,7 +8,7 @@ import pytest
 
 from repro.dist import DistributedRangeTree
 from repro.dist.forest import build_stack
-from repro.dist.records import KIND_SUBQUERY, ForestRootInfo
+from repro.dist.records import KIND_SUBQUERY
 from repro.errors import GeometryError
 from repro.geometry import RankBox
 from repro.geometry.box import rank_bounds
@@ -57,16 +57,17 @@ class TestForestElement:
         assert [(int(k[0]), int(k[-1])) for k in primary] == [(16, 23), (24, 31), (32, 39)]
 
     def test_root_info_roundtrip(self):
-        """What Construct broadcasts names each tree of its owner's stack."""
+        """What Construct broadcasts about each tree of its owner's stack
+        — its hat leaf's row, segment and root aggregate — is what the hat
+        seats at that row."""
         pts = uniform_points(64, 2, seed=80)
         with DistributedRangeTree.build(pts, p=4) as tree:
-            for info in tree.construct_result.roots:
-                stack = tree.forest_store[info.location][info.dim]
-                assert isinstance(info, ForestRootInfo)
-                assert info.nleaves == stack.width
-                assert info.agg == stack.root_aggs()[info.tree] == stack.width
-                key = stack.keys[0].reshape(-1, stack.width)[info.tree] % stack.span
-                assert info.seg == (key[0], key[-1])
+            hat = tree.hat
+            for leaf, stack, t in forest_elements(tree):
+                assert hat.nleaves[leaf] == stack.width
+                assert hat.agg(leaf) == stack.root_aggs()[t] == stack.width
+                key = stack.keys[0].reshape(-1, stack.width)[t] % stack.span
+                assert (hat.lo[leaf], hat.hi[leaf]) == (key[0], key[-1])
 
     def test_canonical_walk(self):
         stack, ranks = make_stack()
@@ -122,18 +123,6 @@ class TestForestElement:
 
 
 class TestRecords:
-    def test_forest_root_info_tree_id(self):
-        info = ForestRootInfo(
-            path=((12, 2), (3, 4)),
-            dim=1,
-            seg=(0, 7),
-            nleaves=8,
-            location=1,
-            tree=5,
-            agg=8,
-        )
-        assert info.tree_id == ((3, 4),)
-
     def test_subquery_carries_box(self):
         pts = uniform_points(32, 2, seed=81)
         with DistributedRangeTree.build(pts, p=4) as tree:

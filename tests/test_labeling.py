@@ -2,25 +2,30 @@
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.dist.hat import hat_shape
 from repro.dist.labeling import (
     ancestor_index,
-    hat_ancestor_paths,
     is_valid_path,
-    leaf_index,
     left_child_index,
     make_path,
-    parent_index,
-    phase_of_path,
-    phase_of_tree,
     right_child_index,
-    root_index_of_tree,
-    root_level_of_tree,
-    tree_id_of,
 )
+
+
+def tree_keys(shape, j):
+    """Phase ``j``'s segment tree ids (anchor labels, levels from the cut)
+    in key order: their own sorted order, derived here independently."""
+    return sorted({shape.label(i)[1:] for i in range(shape.size) if shape.dim[i] == j})
+
+
+def fan_out(shape, i):
+    """The tree ids hat leaf ``i``'s points fan out to, nearest first."""
+    keys = shape.fan_keys[shape.fan_off[i] : shape.fan_off[i] + shape.fan_len[i]]
+    anchors = tree_keys(shape, int(shape.dim[i]) + 1)
+    return [anchors[key] for key in keys.tolist()]
 
 
 class TestFigure2Arithmetic:
@@ -42,74 +47,72 @@ class TestFigure2Arithmetic:
 
     def test_descendant_root_inherits_index(self):
         """Figure 2: Index(V) = Index(U) = x when V = root of descendant(U)."""
-        u_path = make_path(7, 4, ())
-        assert root_index_of_tree(tree_id_of(make_path(7, 4, u_path))) == 7
+        shape = hat_shape(8, 3)
+        anchors = [i for i in range(shape.size) if shape.desc[i] >= 0]
+        assert anchors
+        for u in anchors:
+            v = int(shape.desc[u])
+            assert shape.label(v) == (shape.label(u)[0],) + shape.label(u)
 
     def test_parent_inverts_children(self):
         for x in range(1, 100):
-            assert parent_index(left_child_index(x)) == x
-            assert parent_index(right_child_index(x)) == x
+            assert ancestor_index(left_child_index(x), 1) == x
+            assert ancestor_index(right_child_index(x), 1) == x
 
     @given(st.integers(min_value=1, max_value=10**9), st.integers(min_value=0, max_value=20))
     def test_ancestor_index_composition(self, x: int, k: int):
         y = x
         for _ in range(k):
-            y = parent_index(y)
+            y = ancestor_index(y, 1)
         assert ancestor_index(x, k) == y
 
 
 class TestLeafIndex:
+    """A phase's groups are its hat leaves in label order: tree by tree,
+    each tree's leaf level left to right."""
+
     def test_positions_enumerate_level(self):
-        # root index 1, root level 3, leaf level 1 -> 4 nodes: 4,5,6,7
-        got = [leaf_index(1, 3, 1, m) for m in range(4)]
-        assert got == [4, 5, 6, 7]
+        # T1 on p = 4: root (1, 2), hat leaves at the cut: 4, 5, 6, 7
+        shape = hat_shape(4, 1)
+        assert [shape.label(i) for i in shape.groups[0]] == [((x, 0),) for x in (4, 5, 6, 7)]
 
     def test_inherited_root_index(self):
-        # a descendant tree rooted at index 6, height 2, leaves at level 0
-        got = [leaf_index(6, 2, 0, m) for m in range(4)]
+        # p = 16: the phase-1 tree hanging from T1 node (6, 2) is rooted at
+        # index 6, height 2, so its leaves are 24..27
+        shape = hat_shape(16, 2)
+        got = [shape.label(i)[0][0] for i in shape.groups[1] if shape.label(i)[1:] == ((6, 2),)]
         assert got == [24, 25, 26, 27]
-
-    def test_bad_position_rejected(self):
-        with pytest.raises(ValueError):
-            leaf_index(1, 2, 0, 4)
-
-    def test_bad_levels_rejected(self):
-        with pytest.raises(ValueError):
-            leaf_index(1, 1, 2, 0)
 
     def test_leaf_index_consistent_with_child_arithmetic(self):
         """Descending left/right from the root must enumerate the level."""
-        root, root_level, leaf_level = 1, 4, 2
-        for m in range(1 << (root_level - leaf_level)):
-            idx = root
-            for bit in format(m, f"0{root_level - leaf_level}b"):
-                idx = right_child_index(idx) if bit == "1" else left_child_index(idx)
-            assert idx == leaf_index(root, root_level, leaf_level, m)
+        shape = hat_shape(16, 1)
+        for m, leaf in enumerate(shape.groups[0].tolist()):
+            row = 0
+            for bit in format(m, "04b"):
+                row = int(shape.right[row] if bit == "1" else shape.left[row])
+            assert row == leaf
 
 
 class TestPaths:
     def test_t1_paths_are_singletons(self):
         p = make_path(5, 2, ())
         assert p == ((5, 2),)
-        assert tree_id_of(p) == ()
-        assert phase_of_path(p) == 0
+        assert p[1:] == ()
 
     def test_nested_path(self):
         u = make_path(3, 4, ())
         v = make_path(12, 2, u)
         assert v == ((12, 2), (3, 4))
-        assert tree_id_of(v) == u
-        assert phase_of_path(v) == 1
-        assert phase_of_tree(tree_id_of(v)) == 1
-
-    def test_phase_of_empty_path_rejected(self):
-        with pytest.raises(ValueError):
-            phase_of_path(())
+        assert v[1:] == u
 
     def test_root_level_of_tree(self):
-        assert root_level_of_tree((), primary_height=10) == 10
-        u = make_path(3, 4, ())
-        assert root_level_of_tree(u, primary_height=10) == 4
+        """A tree's root level: log p (the cut's height) for T1, else its
+        anchor's level."""
+        shape = hat_shape(16, 3)
+        assert shape.label(0) == ((1, 4),)
+        for u in range(shape.size):
+            if shape.desc[u] >= 0:
+                assert shape.label(int(shape.desc[u]))[0][1] == shape.label(u)[0][1]
 
     def test_lemma1_distinct_trees_have_distinct_ids(self):
         """Lemma 1: path(ancestor) uniquely identifies the segment tree."""
@@ -121,22 +124,41 @@ class TestPaths:
 
 
 class TestHatAncestorPaths:
+    """Construct fans a hat leaf's points out to the descendant trees its
+    proper ancestors anchor, nearest first, named by the trees' keys."""
+
     def test_walk_to_root(self):
-        # leaf index 12, leaf level 1, root level 3, in T1
-        paths = list(hat_ancestor_paths(12, 1, 3, ()))
-        assert paths == [((6, 2), ()) if False else ((6, 2),), ((3, 3),)]
+        # hat leaf (12, 0) of T1 on p = 8: ancestors (6, 1), (3, 2), (1, 3)
+        shape = hat_shape(8, 2)
+        leaf = next(i for i in shape.groups[0].tolist() if shape.label(i) == ((12, 0),))
+        assert fan_out(shape, leaf) == [((6, 1),), ((3, 2),), ((1, 3),)]
+        # a key is the tree id's rank in the phase: (1,3) (2,2) (3,2) (4,1) ...
+        assert shape.fan_keys[shape.fan_off[leaf] : shape.fan_off[leaf] + 3].tolist() == [5, 2, 0]
 
     def test_leaf_at_root_level_yields_nothing(self):
-        assert list(hat_ancestor_paths(1, 3, 3, ())) == []
+        # p = 1: the one hat leaf is its tree's root
+        shape = hat_shape(1, 3)
+        assert shape.fan_len.tolist() == [0]
+        assert len(shape.fan_keys) == 0
 
     def test_count_is_height_difference(self):
-        assert len(list(hat_ancestor_paths(40, 2, 5, ()))) == 3
+        """One record per level between the cut and the tree's root — log p
+        for T1, the anchor's level otherwise — and none off the last
+        dimension."""
+        shape = hat_shape(32, 3)
+        for j, groups in enumerate(shape.groups):
+            for leaf in groups.tolist():
+                tid = shape.label(leaf)[1:]
+                root_level = tid[0][1] if tid else 5
+                assert shape.fan_len[leaf] == (root_level if j < 2 else 0)
 
     def test_nested_tree_ids_carried(self):
-        tid = make_path(9, 5, ())
-        paths = list(hat_ancestor_paths(leaf_index(9, 5, 3, 2), 3, 5, tid))
-        assert all(p[1:] == tid for p in paths)
-        assert [p[0][1] for p in paths] == [4, 5]
+        shape = hat_shape(16, 3)
+        for leaf in shape.groups[1].tolist():
+            tid = shape.label(leaf)[1:]
+            fanned = fan_out(shape, leaf)
+            assert all(anchor[1:] == tid for anchor in fanned)
+            assert [anchor[0][1] for anchor in fanned] == list(range(1, tid[0][1] + 1))
 
 
 class TestPathValidation:

@@ -573,64 +573,3 @@ def test_object_plane_comm_bytes_reproducible():
             rs = tree.run(batch)
             totals.append((build_bytes, rs.metrics.total_comm_bytes))
     assert totals[0] == totals[1]
-
-
-# ---------------------------------------------------------------------------
-# satellite: cached sort-key prefix == recomputed tree-id encoding
-# ---------------------------------------------------------------------------
-def test_tree_id_encoding_prefix_matches_recompute():
-    from repro.cgm.columns import RecordBatch, encode_keys
-    from repro.dist.construct import _tree_id_encoding
-
-    rng = np.random.default_rng(0)
-    n, w = 200, 4
-    tid = rng.integers(-50, 50, size=(n, w))
-    ranks = rng.integers(0, 1000, size=(n, 2))
-    batch = RecordBatch(
-        "dist.srecord",
-        {
-            "tree_id": tid,
-            "ranks": ranks,
-            "pid": np.arange(n),
-            "value": np.empty(n, dtype=object),
-        },
-        n,
-    )
-    recomputed = _tree_id_encoding(batch)
-    # simulate the retained sort key: (tree cols, rank col, src, idx)
-    key_cols = [tid[:, j] for j in range(w)]
-    key_cols.append(ranks[:, 0])
-    key_cols.append(np.zeros(n, dtype=np.int64))
-    key_cols.append(np.arange(n, dtype=np.int64))
-    keyed = batch.with_col("__key", encode_keys(key_cols, n))
-    cached = _tree_id_encoding(keyed)
-    assert np.array_equal(cached, recomputed)
-
-
-def test_sample_sort_cols_keep_key_retains_and_default_drops():
-    from repro.cgm.columns import RecordBatch
-    from repro.cgm.machine import Machine
-    from repro.cgm.sort import sample_sort_cols
-
-    with Machine(2) as mach:
-        def mk(vals, rank0):
-            n = len(vals)
-            return RecordBatch(
-                "query.piece",
-                {
-                    "qid": np.asarray(vals, dtype=np.int64),
-                    "pid": np.full(n, -1, dtype=np.int64),
-                    "val": np.empty(n, dtype=object),
-                },
-                n,
-            )
-
-        batches = [mk([3, 1, 2], 0), mk([0, 5, 4], 1)]
-        kept = sample_sort_cols(
-            mach, batches, keyspec=("qid",), label="s1", keep_key=True
-        )
-        assert all("__key" in b.cols for b in kept)
-        dropped = sample_sort_cols(mach, batches, keyspec=("qid",), label="s2")
-        assert all("__key" not in b.cols for b in dropped)
-        flat = [int(x) for b in kept for x in b.col("qid")]
-        assert flat == sorted(flat)

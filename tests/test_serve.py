@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import pytest
 
+from repro.cli import main
 from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree
 from repro.errors import ServeError
 from repro.query import QueryBatch, aggregate, count, report, top_k
@@ -19,6 +21,7 @@ from repro.serve import (
     query_from_request,
     request_to_obj,
     run_loadgen,
+    run_loadgen_remote,
     start_tcp_server,
 )
 from repro.serve.protocol import decode_line, encode_error, encode_response
@@ -191,6 +194,10 @@ def test_client_cancel_mid_batch_does_not_poison_batch(tree, monkeypatch):
     assert resp.value == expected
     assert resp.batch_size == 2  # the cancelled rider was still computed
     assert metrics.cancelled == 1
+    # only the delivered answer counts as served
+    assert metrics.queries == 1
+    for stats in (metrics.queue_latency, metrics.exec_latency, metrics.total_latency):
+        assert stats.count == 1, stats.name
 
 
 def test_graceful_shutdown_drains_in_flight(tree):
@@ -431,3 +438,50 @@ def test_loadgen_rejects_bad_knobs(tree):
         run_loadgen(tree, m=4, arrival="warp")
     with pytest.raises(ServeError):
         run_loadgen(tree, m=4, transport="carrier-pigeon")
+
+
+@pytest.fixture
+def daemon(tree):
+    """A serve daemon on its own event loop in a background thread, as
+    ``repro serve`` runs one; yields its TCP port."""
+    loop = asyncio.new_event_loop()
+    ready = threading.Event()
+    state = {}
+
+    async def serve():
+        state["stop"] = asyncio.Event()
+        async with QueryService(tree, FlushPolicy(max_wait_ms=1.0)) as svc:
+            server = await start_tcp_server(svc, "127.0.0.1", 0)
+            state["port"] = server.sockets[0].getsockname()[1]
+            ready.set()
+            await state["stop"].wait()
+            server.close()
+            await server.wait_closed()
+
+    thread = threading.Thread(target=loop.run_until_complete, args=(serve(),))
+    thread.start()
+    assert ready.wait(30), "daemon did not start"
+    yield state["port"]
+    loop.call_soon_threadsafe(state["stop"].set)
+    thread.join(30)
+    assert not thread.is_alive(), "daemon did not stop"
+    loop.close()
+
+
+#: What run_loadgen_remote's docstring promises (no optional knob set).
+REMOTE_ROW = {
+    "transport", "arrival", "clients", "m", "qps", "p50_ms", "p95_ms", "p99_ms",
+    "errors", "error_rate", "error_types", "answers_match_direct",
+}
+
+
+def test_loadgen_remote_drives_a_running_daemon(daemon, capsys):
+    row = run_loadgen_remote("127.0.0.1", daemon, m=24, d=D, seed=4, clients=3)
+    assert set(row) == REMOTE_ROW
+    assert (row["errors"], row["m"], row["transport"]) == (0, 24, "tcp")
+    assert row["qps"] > 0 and row["p50_ms"] <= row["p99_ms"]
+    # `loadgen --connect` is the same path from the command line
+    argv = ["loadgen", "--connect", f"127.0.0.1:{daemon}", "--m", "12", "--d", str(D), "--json"]
+    assert main(argv) == 0
+    cli_row = json.loads(capsys.readouterr().out)
+    assert set(cli_row) == REMOTE_ROW and cli_row["errors"] == 0
