@@ -21,13 +21,12 @@ Builds n=512, p=8 and runs an empty, a one-query and a 64-query
   ``CompiledForest.from_ranks``, ``Hat.build`` runs once per rank per
   Construct and never on a pass, a refit or outside a dynamic absorb's
   Construct (``second_representation_calls``);
-* two trees of different n on one machine share one hat shape, a refit
-  rebinds only the hat's annotation, and a dynamic pass over four parts
-  walks the hats at most once per rank (``one_hat_shape_failures``);
+* two trees of different n on one machine share one hat shape and a
+  refit rebinds only the hat's annotation (``one_hat_shape_failures``);
 * the forest walk makes one ``searchsorted`` and one closed-form cover per
   divided dimension whether an element holds 64 points or 2048
-  (``walk_shape_failures``), and on a hot-spot pass no rank walks one
-  (part, held group, dimension) stack twice (``stack_walk_failures``);
+  (``walk_shape_failures``); per rank, a pass over 1-6 parts or copies
+  makes one hat walk and one forest walk per dimension (``forest_walk_failures``);
 * on a 64-query mixed pass no phase calls ``np.isin`` or builds a
   ``frozenset`` (the report mask is indexed, never rebuilt from a qid
   set), negative pids are dropped in one function, every column of a
@@ -115,6 +114,11 @@ def counting_across_forks(cls, name):
             setattr(cls, name, real)
 
 
+def replicated(rs) -> int:
+    """Bytes the replication rounds of the pass behind ``rs`` moved."""
+    return sum(s.volume for s in rs.metrics.comm_steps() if s.label.startswith("search:replicate"))
+
+
 def bound_in_repro(*names) -> list:
     """Every ``(module, name)`` a loaded ``repro`` module binds one of
     ``names`` under — the targets that count every call of a function."""
@@ -158,9 +162,7 @@ def second_representation_calls() -> dict:
                 calls[f"CompiledForest.from_ranks on a pass ({backend})"] = builds() - built
                 calls[f"Hat.build on a pass or a refit ({backend})"] = hats() - tree.p
         for rs in (first, again):
-            if not any(
-                s.volume for s in rs.metrics.comm_steps() if s.label.startswith("search:replicate")
-            ):
+            if not replicated(rs):
                 calls[f"(a hot-spot pass replicated nothing on {backend})"] = 1
         if not built:
             calls[f"(the {backend} build was not counted)"] = 1
@@ -188,11 +190,10 @@ HAT_ANNOTATION = {"semigroup", "agg_kernel", "agg_mat", "agg_obj", "idle"}
 
 
 def one_hat_shape_failures() -> list:
-    """The hat is its ``(p, d)`` shape plus one tree's rows, and step 1
-    walks every part at once, not once per (rank, part)."""
+    """The hat is its ``(p, d)`` shape plus one tree's rows: trees share
+    it and a refit rebinds only the hat's annotation."""
     from repro.cgm import Machine
-    from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree, Hat, search
-    from repro.query import count
+    from repro.dist import DistributedRangeTree, Hat
     from repro.semigroup import top_k_ids
     from repro.workloads import make_points
 
@@ -209,15 +210,6 @@ def one_hat_shape_failures() -> list:
         moved = [k for k in after if k not in HAT_ANNOTATION and after[k] is not before.get(k)]
         if calls["Hat.__init__"] or large.hat is not hat or moved or set(after) != set(before):
             failures.append(f"a refit rebuilt the hat: {calls['Hat.__init__']} Hat(s), {moved}")
-    coords = make_points("uniform", 512, 2, seed=2).coords
-    with DynamicDistributedRangeTree.build(coords[:256], p=4, flush_threshold=16) as dyn:
-        for c in coords[256:368]:  # 112 = 64 + 32 + 16 more points: four buckets
-            dyn.insert(c)
-        with counting(calls, (search, "walk_hats")):
-            dyn.run([count(Box(((0.0, 1.0), (0.0, 1.0))))] * 16)
-        walks, parts = calls["repro.dist.search.walk_hats"], len(dyn.bucket_sizes)
-    if parts < 3 or walks > 4:
-        failures.append(f"a pass over {parts} parts made {walks} hat walks on p=4 ranks (max 4)")
     return failures
 
 
@@ -238,12 +230,8 @@ def object_loop_calls() -> dict:
             (RankSpace, "to_rank_box"),
             (RankedPointSet, "to_rank_box"),
         ):
-            rs = tree.run(hot)
-        moved = sum(
-            s.volume for s in rs.metrics.comm_steps() if s.label.startswith("search:replicate")
-        )
-        if not moved:
-            calls["(the hot-spot pass replicated nothing)"] = 1
+            if not replicated(tree.run(hot)):
+                calls["(the hot-spot pass replicated nothing)"] = 1
 
     coords = make_points("uniform", 512, 2, seed=2).coords
     with DynamicDistributedRangeTree.build(coords, p=4, flush_threshold=64) as dyn:
@@ -275,7 +263,7 @@ def walk_shape_failures() -> list:
             forest = CompiledForest.from_ranks(ranks, [1] * m, COUNT)
             los = rng.integers(0, m // 2, size=(32, d))
             with counting({}, (np, "searchsorted"), (compiled, "_cover_bits")) as calls:
-                forest.walk(los, los + m // 3)
+                CompiledForest.walk([forest], los, los + m // 3)
             steps[m] = calls
         want = {"numpy.searchsorted": d, "repro.seq.compiled._cover_bits": d}
         if steps[64] != steps[2048] or steps[64] != want:
@@ -286,42 +274,53 @@ def walk_shape_failures() -> list:
     return failures
 
 
-def stack_walk_failures() -> list:
-    """On a hot-spot pass over p=8, d=2 — copies replicated, several trees
-    of one stack hit at a rank — step 5 walks each stack it holds once."""
-    from collections import Counter
+def forest_walk_failures() -> list:
+    """Per rank and pass, one hat walk and one forest walk per dimension
+    however many stacks it holds: a p=8 hot-spot pass (copies replicated)
+    and dynamic passes over 1-6 parts (p=4, built as ``TestOnePass`` does)."""
     from unittest import mock
 
     import numpy as np
 
     from repro.cgm import phases
-    from repro.dist import DistributedRangeTree
+    from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree, search
+    from repro.dist.hat import hat_shape
     from repro.query import count
     from repro.seq.compiled import CompiledForest
     from repro.workloads import make_points
 
-    calls = []  # per step-5 call: (stack, trees it served) per walk
-    real_walk, real_step5 = CompiledForest.walk, phases.get_phase("dist.search.forest_cols")
+    ranks, calls, real_step5 = [], {}, phases.get_phase("dist.search.forest_cols")
 
-    def walk(self, los, his, trees=None):
-        calls[-1].append((id(self), len(np.unique(trees))))
-        return real_walk(self, los, his, trees)
+    def step5(ctx, payload):
+        inbox, shape, before = payload[0], hat_shape(ctx.p, 2), calls["CompiledForest.walk"]
+        eid, loc = (inbox.col(name)[inbox.col("kind") == 0] for name in ("element", "location"))
+        part, leaf = np.divmod(eid, shape.size)
+        dims, out = shape.dim[leaf].tolist(), real_step5(ctx, payload)
+        stacks = set(zip(part.tolist(), loc.tolist(), dims))
+        ranks.append((calls["CompiledForest.walk"] - before, len(set(dims)), len(stacks)))
+        return out
 
-    step5 = {"dist.search.forest_cols": lambda *args: calls.append([]) or real_step5(*args)}
     boxes = [Box(((0.0, 0.3), (0.1, 0.9)))] * 48
     boxes += [Box(((0.0, 0.55 + 0.03 * i), (0.05 * i, 0.9))) for i in range(14)]
-    with DistributedRangeTree.build(make_points("uniform", 512, 2, seed=1), p=8) as tree:
-        with mock.patch.object(CompiledForest, "walk", walk), mock.patch.dict(phases._PHASES, step5):
-            rs = tree.run([count(b) for b in boxes])
-    failures = [
-        f"step 5 walked one stack {n} times at one rank: a walk per element?"
-        for rank in calls
-        for n in Counter(stack for stack, _trees in rank).values()
-        if n > 1
-    ]
-    moved = sum(s.volume for s in rs.metrics.comm_steps() if s.label.startswith("search:replicate"))
-    if not moved or not (failures or any(t > 1 for rank in calls for _s, t in rank)):
-        failures.append("(the hot-spot pass replicated nothing or hit no stack in two trees)")
+    cuts = [Box(((0.0, 0.5), (0.25, 1.0))), Box(((0.5, 1.0), (0.0, 0.75))), Box(((0.25, 0.75),) * 2)]
+    coords, parts = (np.random.default_rng(44).integers(0, 17, size=(191, 2)) / 16).tolist(), []
+    with counting(calls, (CompiledForest, "walk"), (search, "walk_hats")), mock.patch.dict(
+        phases._PHASES, {"dist.search.forest_cols": step5}
+    ), DistributedRangeTree.build(make_points("uniform", 512, 2, seed=1), p=8) as tree:
+        rs, hats = tree.run([count(b) for b in boxes]), calls["repro.dist.search.walk_hats"]
+        with DynamicDistributedRangeTree.build(coords[:128], p=4, flush_threshold=2) as dyn:
+            for n, c in enumerate(coords[128:], 1):
+                dyn.insert(c)
+                if not (n + 1) & n:  # 1, 2, .., 6 buckets
+                    dyn.run([count(b) for b in cuts * 4])
+                    parts.append(len(dyn.bucket_sizes))
+    failures = [f"step 5 made {w} forest walks at a rank whose subqueries reach {dims} dimension(s)"
+                f" in {n} stacks: a walk per stack?" for w, dims, n in ranks if w > dims]
+    if calls["repro.dist.search.walk_hats"] - hats > 4 * len(parts):
+        hats = calls["repro.dist.search.walk_hats"] - hats
+        failures.append(f"passes over {parts} parts made {hats} hat walks on p=4 (max 4 each)")
+    if not replicated(rs) or parts != [1, 2, 3, 4, 5, 6] or not any(n > dims for _w, dims, n in ranks):
+        failures.append(f"(no replication, {parts} parts, or no rank held two stacks of a dimension)")
     return failures
 
 
@@ -579,7 +578,7 @@ def main() -> int:
             f"one-query pass made {len(dispatches)} run_phase dispatches "
             f"(max {MAX_ONE_QUERY_DISPATCHES}): {dispatches}"
         )
-    for gate in (walk_shape_failures, stack_walk_failures, one_hat_shape_failures, kernel_field_failures):
+    for gate in (walk_shape_failures, forest_walk_failures, one_hat_shape_failures, kernel_field_failures):
         failures += gate()
     object_calls = {**object_loop_calls(), **second_representation_calls()}
     for name, n in object_calls.items():

@@ -93,7 +93,8 @@ class Backend:
         raise NotImplementedError
 
     def seed_state(self, p: int, key: str, values: Sequence[Any]) -> None:
-        """Install one state key on every rank (refs when in-process)."""
+        """Install one state key on every rank (refs when in-process); a
+        ``None`` value deletes the key, so evicted state leaves no trace."""
         raise NotImplementedError
 
     def close(self) -> None:  # pragma: no cover - trivial
@@ -128,7 +129,10 @@ class SerialBackend(Backend):
 
     def seed_state(self, p: int, key: str, values: Sequence[Any]) -> None:
         for st, value in zip(self.states(p), values):
-            st[key] = value
+            if value is None:
+                st.pop(key, None)
+            else:
+                st[key] = value
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +208,10 @@ def _worker_main(rank: int, conn) -> None:
             elif cmd == "fetch":
                 conn.send(("ok", state.get(msg[1])))
             elif cmd == "seed":
-                state[msg[1]] = msg[2]
+                if msg[2] is None:
+                    state.pop(msg[1], None)
+                else:
+                    state[msg[1]] = msg[2]
                 conn.send(("ok", None))
             elif cmd == "faults":
                 if msg[1] is None:

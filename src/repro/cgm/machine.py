@@ -168,7 +168,8 @@ class Machine:
         return self.backend.fetch_state(self.p, key)
 
     def seed_state(self, key: str, values: Sequence[Any]) -> None:
-        """Install per-rank values under ``key`` (refs in-process)."""
+        """Install per-rank values under ``key`` (refs in-process); a
+        ``None`` value deletes the key on that rank."""
         if len(values) != self.p:
             raise ProtocolError(
                 f"seed_state needs one value per rank ({self.p}), got {len(values)}"

@@ -3,10 +3,10 @@
 A rank's inbox reaches a few stacks — its own group's, one per
 dimension and part, and the replicated copies it holds.  This module
 supplies the dist-side consumer of
-:class:`~repro.seq.compiled.CompiledForest`: one walk per stack for the
-subqueries aimed at it, one gather from its ``pids`` for the expansion
-requests, packed straight into the ``dist.forest_selection`` and
-``dist.report_pair`` columns.
+:class:`~repro.seq.compiled.CompiledForest`: one walk per dimension over
+every stack of that dimension the subqueries aim at, one gather from a
+stack's ``pids`` for the expansion requests aimed at it, packed straight
+into the ``dist.forest_selection`` and ``dist.report_pair`` columns.
 
 The contract is bit-identity with a per-subquery
 :meth:`~repro.seq.range_tree.RangeTree.canonical` loop over each
@@ -16,14 +16,14 @@ emission order within a row), same charged visit totals.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Sequence, Tuple
+from itertools import accumulate
+from typing import Any, Callable, Sequence, Tuple
 
 import numpy as np
 
 from .._util import slice_positions
 from ..semigroup.kernels import KernelColumn
 from ..seq.compiled import CompiledForest
-from .records import KIND_SUBQUERY
 
 __all__ = ["stack_selections"]
 
@@ -31,23 +31,26 @@ _I64 = np.int64
 
 
 def stack_selections(
-    groups: Sequence[Tuple[CompiledForest, int, np.ndarray]],
+    walks: Sequence[Sequence[Tuple[CompiledForest, np.ndarray]]],
+    expansions: Sequence[Tuple[CompiledForest, np.ndarray]],
     tree: np.ndarray,
     los: np.ndarray,
     his: np.ndarray,
     report: np.ndarray,
     charge: Callable[[int], None],
 ) -> Tuple[np.ndarray, np.ndarray, Any, np.ndarray, np.ndarray]:
-    """Search step 5 over one rank's inbox: one walk per stack.
+    """Search step 5 over one rank's inbox: one walk per dimension.
 
-    ``groups`` holds a ``(stack, kind, rows)`` triple per stack and row
-    kind the inbox holds — the inbox rows (ascending) of that kind aimed
-    at that stack; ``tree`` (each row's tree index in its stack), the
-    bound matrices ``los``/``his`` and ``report`` (does the row's query
-    consume point ids) are per inbox row.  A stack's subqueries are one
-    :meth:`~repro.seq.compiled.CompiledForest.walk`, charged ``max(1,
-    visits)`` each; its expansion requests are one gather from the
-    stack's ``pids``, charged a tree's width each.
+    ``walks`` holds, per dimension the inbox's subqueries reach, a
+    ``(stack, rows)`` pair per stack of it they aim at (the rows
+    ascending) — the rank's own group's of every part and every replica —
+    and ``expansions`` one per stack expansion requests aim at; ``tree``
+    (each row's tree index in its stack), the bound matrices
+    ``los``/``his`` and ``report`` (does the row's query consume point
+    ids) are per inbox row.  A dimension's subqueries are one
+    :meth:`~repro.seq.compiled.CompiledForest.walk` over its stacks,
+    charged ``max(1, visits)`` each; a stack's expansion requests are one
+    gather from its ``pids``, charged a tree's width each.
 
     Returns ``(sel_rows, nleaves, agg_col, pair_rows, pair_pids)``.  The
     first three run over all selections in inbox-row order (emission
@@ -59,43 +62,51 @@ def stack_selections(
     selection order, then each expanded element's in request order.
     """
     n = len(tree)
-    walked: List[Tuple[CompiledForest, Any]] = []
-    # the reported points as pieces: (source row key, lengths, ids)
-    sel_pieces: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    exp_pieces: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for stack, kind, rows in groups:
-        if kind == KIND_SUBQUERY:
-            sel = stack.walk(los[rows], his[rows], tree[rows])
-            charge(int(np.maximum(sel.visits, 1).sum()))
-            walked.append((stack, sel))
-            src = rows[sel.q]
-            lens = np.where(report[src], sel.length, 0)
-            sel_pieces.append((src, lens, stack.pids[stack.rows_flat(sel.off, lens)]))
-        else:
-            # rows ascend in the element's own dimension: the order the
-            # hat-side expansion has always emitted
-            lens = np.full(len(rows), stack.width, dtype=_I64)
-            charge(int(lens.sum()))
-            # keyed past every selection: expansions come last
-            exp_pieces.append((rows + n, lens, stack.pids[slice_positions(tree[rows] * stack.width, lens)]))
+    # the reported points as pieces (source row key, lengths, ids), and
+    # the selections' leaf counts and aggregates
+    keys, lens, flat, nleaves, aggs = [], [], [], [], []
+    for groups in walks:
+        stacks = [stack for stack, _rows in groups]
+        rows = np.concatenate([group for _stack, group in groups])
+        sizes = [len(group) for _stack, group in groups]
+        which = np.repeat(np.arange(len(groups)), sizes)
+        sel = CompiledForest.walk(stacks, los[rows], his[rows], tree[rows], which)
+        charge(int(np.maximum(sel.visits, 1).sum()))
+        src = rows[sel.q]
+        length = np.where(report[src], sel.length, 0)
+        # selections come grouped by stack, a stack's ending where its
+        # boxes do: gather each stack's slice from its own arrays
+        cut = sel.q.searchsorted(list(accumulate(sizes))).tolist()
+        for stack, a, b in zip(stacks, [0] + cut, cut):
+            aggs.append(stack.aggs.take(sel.node[a:b], axis=0))
+            flat.append(stack.pids[stack.rows_flat(sel.off[a:b], length[a:b])])
+        keys.append(src)
+        lens.append(length)
+        nleaves.append(sel.length)
+    for stack, rows in expansions:
+        # rows ascend in the element's own dimension: the order the
+        # hat-side expansion has always emitted
+        length = np.full(len(rows), stack.width, dtype=_I64)
+        charge(int(length.sum()))
+        # keyed past every selection: expansions come last
+        keys.append(rows + n)
+        lens.append(length)
+        flat.append(stack.pids[slice_positions(tree[rows] * stack.width, length)])
 
-    keys, lens, flat = (np.concatenate(col) for col in zip(*sel_pieces, *exp_pieces))
-    # groups carve the inbox into disjoint row sets and each group's
-    # selections are already (row, emission)-ordered, so one stable sort
-    # by source row restores inbox-row order; the selections, keyed below
-    # n, come first and in the order the walks emitted them
+    keys, lens, flat = (np.concatenate(col) for col in (keys, lens, flat))
+    # every row is in one group and a walk emits a row's selections
+    # together, in emission order, so one stable sort by source row
+    # restores inbox-row order; the selections, keyed below n, come first
+    # and in the order the walks emitted them
     perm = np.argsort(keys, kind="stable")
-    sel = perm[: sum(len(s.node) for _st, s in walked)]
+    sel = perm[: sum(len(x) for x in nleaves)]
     if len(sel):
-        nleaves = np.concatenate([s.length for _st, s in walked])[sel]
-        first = walked[0][0]
-        if first.agg_mat is not None:
-            aggs = [st.agg_mat.take(s.node, axis=0) for st, s in walked]
-            agg_col: Any = KernelColumn(first.agg_kernel, np.concatenate(aggs)[sel])
-        else:
-            agg_col = np.concatenate([st.agg_obj[s.node] for st, s in walked])[sel]
+        agg = np.concatenate(aggs)[sel]
+        first = walks[0][0][0]
+        agg_col: Any = agg if first.agg_mat is None else KernelColumn(first.agg_kernel, agg)
+        leaves = np.concatenate(nleaves)[sel]
     else:
-        nleaves, agg_col = np.empty(0, dtype=_I64), np.empty(0, dtype=object)
+        leaves, agg_col = np.empty(0, dtype=_I64), np.empty(0, dtype=object)
     starts, lens = (np.cumsum(lens) - lens)[perm], lens[perm]
     pair_rows = np.repeat(keys[perm] % n, lens)
-    return keys[sel], nleaves, agg_col, pair_rows, flat[slice_positions(starts, lens)]
+    return keys[sel], leaves, agg_col, pair_rows, flat[slice_positions(starts, lens)]

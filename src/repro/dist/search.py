@@ -25,8 +25,9 @@ number of h-relations:
    into ``c_j`` chunks of at most ``ceil(|Q'|/p)`` and routed to the
    copy holders, so no processor serves more than ``O(|Q'|/p)``.
 5. **Forest walk** (local): each holder resumes the canonical walk
-   inside its (copies of) forest groups — one walk per stack, each
-   subquery starting at its element's tree — emitting a
+   inside its (copies of) forest groups — one walk per dimension over
+   every stack it holds for that dimension, each subquery starting at
+   its element's tree — emitting a
    ``dist.forest_selection`` batch and, for the queries the pass's
    ``report`` mask marks, the ``(qid, pid)`` pairs of a
    ``dist.report_pair`` batch.
@@ -168,17 +169,18 @@ _NO_FOREST_ROWS = _forest_output(
 
 @register_phase("dist.search.forest_cols")
 def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
-    """Step 5: one walk per stack over the resident forest groups.
+    """Step 5: one walk per dimension over the resident forest groups.
 
     The inbox is one routing batch (subqueries and expansion requests
     mixed, source-ordered).  Each row's element ``part·H + leaf`` (``nss``
     names the parts in the pass's order) gives its part by one
     ``divmod`` and its dimension and tree index off the shared shape;
-    one stable argsort groups the rows by ``(part, owner, dimension)`` —
-    the stack that serves them, the rank's own group's or a replicated
-    copy — and by kind.  :func:`~repro.dist.forest_compiled.stack_selections`
-    then walks each stack once and packs every group's selections into
-    the ``dist.forest_selection`` columns, restored to inbox-row order.
+    one stable argsort groups the rows by ``(kind, dimension, part,
+    owner)``, the last two naming the stack that serves them (the rank's
+    own group's or a copy).  :func:`~repro.dist.forest_compiled.stack_selections`
+    then walks each dimension's stacks in one call — at most ``d`` walks
+    per rank, however many parts and copies — and packs the selections
+    into the ``dist.forest_selection`` columns, in inbox-row order.
     ``report`` (the pass's bool mask over query ids)
     limits pid materialization to the queries whose output mode
     consumes point ids: the ``dist.report_pair`` batch holds the points
@@ -200,25 +202,29 @@ def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
     eid, owner, kind = inbox.col("element"), inbox.col("location"), inbox.col("kind")
     part, leaf = np.divmod(eid, shape.size)
     dim, tree = shape.dim[leaf], shape.tree[leaf]
-    # (part, owner, dimension) names the stack; kind splits its rows
-    key = ((part * p + owner) * shape.d + dim) * 2 + kind
+    # (kind, dimension) picks the walk or the gather, (part, owner) the stack
+    key = ((kind * shape.d + dim) * len(nss) + part) * p + owner
     rows = np.argsort(key, kind="stable")
-    groups = []
+    walks, expansions = {}, []
     for group in np.split(rows, np.unique(key[rows], return_index=True)[1][1:]):
         i = int(group[0])
-        b, o = int(part[i]), int(owner[i])
-        stack = held[b].get(o, {}).get(int(dim[i]))
+        b, o, j = int(part[i]), int(owner[i]), int(dim[i])
+        stack = held[b].get(o, {}).get(j)
         if stack is None:
             raise ProtocolError(
                 f"rank {r} received subquery for "
                 f"{ctx.state[hat_key(nss[b])].path(int(leaf[i]))} "
                 f"without holding a copy of group {o}"
             )
-        groups.append((stack, int(kind[i]), group))
+        if kind[i] == KIND_SUBQUERY:
+            walks.setdefault(j, []).append((stack, group))
+        else:
+            expansions.append((stack, group))
 
     qid_col = inbox.col("qid")
     sel_rows, nleaves, agg_col, pair_rows, pair_pids = stack_selections(
-        groups, tree, inbox.col("los"), inbox.col("his"), report[qid_col], ctx.charge
+        list(walks.values()), expansions, tree, inbox.col("los"), inbox.col("his"),
+        report[qid_col], ctx.charge,
     )
     return _forest_output(
         qid_col[sel_rows], eid[sel_rows], nleaves, agg_col, qid_col[pair_rows], pair_pids

@@ -15,10 +15,11 @@ with one ``searchsorted`` pair and a closed-form cover per dimension.
 
 Trees of one width can be **stacked**: tree ``t`` of a stack holds rows
 ``t·w .. (t+1)·w − 1`` and starts, in every key block and in node ids,
-where tree ``t − 1`` ends.  A stack is walked as one: each box names its
-tree, and the tree's offsets are its walk's starting point.  This is how
-:mod:`repro.dist` holds a processor's forest group, one stack per
-dimension.
+where tree ``t − 1`` ends.  One walk serves stacks of any widths that
+divide the same dimensions: each box names its stack and tree, whose
+offsets are its walk's starting point.  So :mod:`repro.dist` holds a
+processor's forest group as one stack per dimension and walks a
+dimension's stacks, its own and its copies, in one call.
 
 Three invariants make the arithmetic exact:
 
@@ -384,45 +385,59 @@ class CompiledForest:
     # ------------------------------------------------------------------
     # the batched walk
     # ------------------------------------------------------------------
+    @staticmethod
     def walk(
-        self, los: np.ndarray, his: np.ndarray, trees: "np.ndarray | None" = None
+        stacks: Sequence["CompiledForest"],
+        los: np.ndarray,
+        his: np.ndarray,
+        trees: "np.ndarray | None" = None,
+        which: "np.ndarray | None" = None,
     ) -> Selections:
-        """Canonical selections for a whole batch of rank boxes at once.
+        """Canonical selections for a whole batch of rank boxes at once,
+        over stacks dividing the same dimensions.
 
-        ``los``/``his`` are ``(nq, d)`` int64 closed bounds and ``trees``
-        the stack index of the tree each box searches (tree 0 when
-        omitted).  Visit counts follow
+        ``los``/``his`` are ``(nq, d)`` int64 closed bounds, ``which``
+        the index into ``stacks`` of each box's stack (ascending: boxes
+        come grouped by stack) and ``trees`` its tree there (both 0 when
+        omitted); a selection's ``node`` and ``off`` are its stack's.
+        Visit counts follow
         :meth:`~repro.seq.segment_tree.SegTree.decompose_counted` (only
         per-tree roots can die; empty boxes visit nothing).
 
         One step per divided dimension over the live ``(box, tree)``
-        pairs: a ``searchsorted`` pair, the closed-form cover, and each
+        pairs, grouped by stack: a ``searchsorted`` pair per stack over
+        its slice, then, over all pairs, the closed-form cover and each
         cover node's descendant tree as the next step's pair.  A pair
-        starts at its range tree's offsets; the rest is the same
-        arithmetic for every tree of the stack.
+        starts at its range tree's offsets and carries its stack's span
+        and width; the rest is the same arithmetic for every tree
+        (:func:`_path_sums` at the widest: a narrower tree's is a prefix).
         """
         nq = len(los)
-        _count, m, r = self.shape
-        top = ilog2(m)
-        span = self.span
+        r = len(stacks[0].keys)
         visits = np.zeros(nq, dtype=_I64)
         pq = np.flatnonzero((los <= his).all(axis=1))
         if not len(pq):
             return Selections(pq, pq, pq, pq, visits)
+        which = np.zeros(nq, dtype=_I64) if which is None else which
+        span = np.array([st.span for st in stacks], dtype=_I64)
+        top = np.array([ilog2(st.width) for st in stacks], dtype=_I64)
+        widest = int(top.max())
         # (lo, hi) per divided dimension, clipped once to "before all" ..
         # "after all" of any tree's key range; hi + 1 makes both left searches
         bounds = np.stack([los.T[-r:], his.T[-r:]], axis=2)
-        bounds = np.clip(bounds, (0, -1), (span - 1, span - 2)) + (0, 1)
-        e = np.full(len(pq), top, dtype=_I64)  # log2 width of each pair's tree
+        bounds = np.clip(bounds, (0, -1), span[which, None] - (1, 2)) + (0, 1)
+        on = which[pq]  # each pair's stack
+        e = top[on]  # log2 width of each pair's tree
         # each pair's starts, columns as in _path_sums
-        starts = (
-            np.zeros((len(pq), r + 1), dtype=_I64)
-            if trees is None
-            else trees[pq, None] * _tree_step(m, r)
-        )
+        step = np.array([_tree_step(st.width, r) for st in stacks])
+        starts = step[on] * (0 if trees is None else trees[pq, None])
         for k in range(r):
             start = starts[:, :1]
-            ends = np.searchsorted(self.keys[k], start * span + bounds[k].take(pq, axis=0)) - start
+            probe = start * span[on, None] + bounds[k].take(pq, axis=0)
+            cut = np.bincount(on, minlength=len(stacks)).cumsum().tolist()
+            ends = np.concatenate(
+                [np.searchsorted(st.keys[k], probe[a:b]) for st, a, b in zip(stacks, [0] + cut, cut)]
+            ) - start
             i, j = ends[:, 0], ends[:, 1]
             z = np.maximum(_bit_length(i ^ j) - 1, 0)
             c = (j >> z) << z
@@ -444,7 +459,7 @@ class CompiledForest:
             )
             visits += np.bincount(pq, weights=seen, minlength=nq).astype(_I64)
 
-            before, sibs = _path_sums(top, r - k)
+            before, sibs = _path_sums(widest, r - k)
             at = (
                 starts.take(pair, axis=0)
                 + before.take(e[pair], axis=0)
@@ -452,7 +467,7 @@ class CompiledForest:
                 + sibs.take(s, axis=0)
             )
             # the next dimension's pairs: each cover node's descendant tree
-            pq, e, starts = pq[pair], t, at[:, 1:]
+            pq, on, e, starts = pq[pair], on[pair], t, at[:, 1:]
         # a descendant tree starts one id after its anchor: r − 1 skipped
         return Selections(pq, at[:, -1] + (r - 1), at[:, 0], width, visits)
 

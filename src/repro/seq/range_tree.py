@@ -272,7 +272,7 @@ class RangeTree:
         if len(los) and los.shape[1] != self.d:
             raise DimensionMismatch(self.d, los.shape[1], "rank box")
         comp = self.compiled()
-        sel = comp.walk(los, his)
+        sel = CompiledForest.walk([comp], los, his)
         st.nodes_visited += int(sel.visits.sum())
         st.nodes_selected += int(sel.node.shape[0])
         return len(los), comp, sel

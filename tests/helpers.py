@@ -51,6 +51,12 @@ def _phase_hat_shape(ctx, ns):
     return shape is hat_shape(shape.p, shape.d), shape.paths.tobytes()
 
 
+@register_phase("test.state_keys")
+def _phase_state_keys(ctx, payload):
+    """The keys this rank's state holds, sorted."""
+    return sorted(ctx.state)
+
+
 def random_boxes(rng: np.random.Generator, m: int, d: int, max_side: float = 0.5) -> list[Box]:
     """Random closed boxes in the unit cube with random side lengths."""
     out = []

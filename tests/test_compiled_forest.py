@@ -43,7 +43,7 @@ from repro.semigroup import (
     sum_of_dim,
 )
 from repro.seq import bf_aggregate
-from repro.seq.compiled import CompiledForest
+from repro.seq.compiled import CompiledForest, _path_sums
 from repro.seq.range_tree import RangeTree, SequentialRangeTree
 from repro.seq.segment_tree import SegTree, WalkStats
 from repro.workloads import make_points, uniform_points
@@ -86,7 +86,7 @@ def _array_walk(stack, trees, boxes):
     """The same from one stack walk, box ``i`` searching tree
     ``trees[i]``: leaf rows are its tree's own (stack row − t·width)."""
     trees = np.asarray(trees, dtype=np.int64)
-    sel = stack.walk(*rank_bounds(boxes), trees)
+    sel = CompiledForest.walk([stack], *rank_bounds(boxes), trees)
     aggs = stack.decode_aggs(sel.node)
     sels = [[] for _ in boxes]
     for q, off, ln, agg in zip(sel.q, sel.off, sel.length, aggs):
@@ -203,6 +203,61 @@ class TestDirectBuildAgainstTheObjectOracle:
             assert _array_walk(stack, trees, boxes) == want(refs)
 
 
+class TestOneWalkOverManyStacks:
+    """One walk over several stacks dividing the same dimensions — each
+    its own width, tree count and key span — is the per-stack walks laid
+    end to end, bit for bit: what lets Search step 5 walk every stack a
+    rank holds for a dimension in one call."""
+
+    @given(
+        r=st.integers(1, 3),
+        shapes=st.lists(
+            st.tuples(st.integers(0, 6), st.integers(1, 3), st.integers(0, 40)),
+            min_size=1,
+            max_size=5,
+        ),
+        nboxes=st.integers(0, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_equals_the_per_stack_walks(self, r, shapes, nboxes, seed):
+        rng = np.random.default_rng(seed)
+        stacks = []
+        for log_width, count, gaps in shapes:
+            w = 1 << log_width
+            ranks = [
+                np.stack([rng.permutation(w + gaps)[:w] for _ in range(r)], axis=1)
+                for _ in range(count)
+            ]
+            stacks.append(CompiledForest.from_ranks(np.stack(ranks), [1] * count * w, COUNT))
+        # boxes grouped by stack, each in one of its stack's trees; some
+        # are inverted, empty (between ranks) or out of every key range
+        which = np.sort(rng.integers(0, len(stacks), size=nboxes))
+        trees = np.array([rng.integers(0, stacks[s].shape[0]) for s in which], dtype=np.int64)
+        top = max(stack.span for stack in stacks) + 3
+        los = rng.integers(-3, top, size=(nboxes, r))
+        his = los + rng.integers(-2, top, size=(nboxes, r))
+
+        got = CompiledForest.walk(stacks, los, his, trees, which)
+        parts = []
+        for s, stack in enumerate(stacks):
+            mine = np.flatnonzero(which == s)
+            one = CompiledForest.walk([stack], los[mine], his[mine], trees[mine])
+            parts.append(one._replace(q=one.q + (mine[0] if len(mine) else 0)))
+        for name, col, want in zip(got._fields, got, map(np.concatenate, zip(*parts))):
+            assert col.dtype == want.dtype, name
+            np.testing.assert_array_equal(col, want, err_msg=name)
+
+    def test_path_sums_of_a_narrower_tree_are_a_prefix(self):
+        """Why one walk may take :func:`_path_sums` at its widest tree."""
+        for q in (1, 2, 3):
+            for e in range(11):
+                wide = _path_sums(e, q)
+                for narrow in range(e + 1):
+                    for big, small in zip(wide, _path_sums(narrow, q)):
+                        np.testing.assert_array_equal(big[: len(small)], small)
+
+
 class TestClosedFormCover:
     """One dimension, isolated: position arithmetic ≡ the 4-case descent."""
 
@@ -218,8 +273,8 @@ class TestClosedFormCover:
         bounds = data.draw(st.lists(st.tuples(bound, bound), min_size=1, max_size=8))
         seg = SegTree(keys)
         forest = CompiledForest.from_ranks(keys[:, None], [1] * w, unkernelized(COUNT))
-        sel = forest.walk(
-            np.array([[a] for a, _b in bounds]), np.array([[b] for _a, b in bounds])
+        sel = CompiledForest.walk(
+            [forest], np.array([[a] for a, _b in bounds]), np.array([[b] for _a, b in bounds])
         )
         assert (np.diff(sel.q) >= 0).all()
         for q, (a, b) in enumerate(bounds):
@@ -270,9 +325,10 @@ class TestWalkBitIdentity:
         with DistributedRangeTree.build(pts, p=4) as tree:
             _leaf, stack, _t = forest_elements(tree)[0]
             empty = np.empty((0, 2), dtype=np.int64)
-            assert all(len(part) == 0 for part in stack.walk(empty, empty))
+            assert all(len(part) == 0 for part in CompiledForest.walk([stack], empty, empty))
             nowhere = np.empty(0, dtype=np.int64)
-            assert all(len(part) == 0 for part in stack.walk(empty, empty, nowhere))
+            sel = CompiledForest.walk([stack], empty, empty, nowhere, nowhere)
+            assert all(len(part) == 0 for part in sel)
 
 
 class TestSeqBatchedAPIs:
@@ -497,7 +553,7 @@ class TestTilingEquivalence:
             boxes = _rank_boxes(np.random.default_rng(23), 8, 2, tree.hat.n)
             for leaf, stack, t in els:
                 ref = reference_tree(tree, leaf)
-                sel = stack.walk(*rank_bounds(boxes), np.full(len(boxes), t))
+                sel = CompiledForest.walk([stack], *rank_bounds(boxes), np.full(len(boxes), t))
                 got = stack.pids[stack.rows_flat(sel.off, sel.length)]
                 want = [
                     element_pids(stack, t)[sel.rows()]

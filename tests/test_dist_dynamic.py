@@ -382,6 +382,19 @@ class TestUpdates:
             assert b.run(count(unit_box(1))).value(0) == 4
             b.close()
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_evicted_buckets_leave_no_rank_state(self, backend):
+        """Every absorb closes the buckets it merges: their rank-resident
+        keys go, so state tracks the live buckets, not the uptime."""
+        coords = np.random.default_rng(5).random((2000, 2))
+        with DynamicDistributedRangeTree(2, p=4, backend=backend, flush_threshold=8) as dyn:
+            for c in coords:
+                dyn.insert(c)
+            dyn.run(count(Box([(0.1, 0.6), (0.2, 0.9)])))
+            keys = dyn.machine.run_phase("probe", "test.state_keys", [None] * 4)
+            live = len(dyn.bucket_sizes)
+        assert live and all(len(held) <= 4 * live + 2 for held in keys), (live, keys[0])
+
     def test_live_points_sorted_by_id(self):
         with DynamicDistributedRangeTree(1, p=4, flush_threshold=2) as dt:
             dt.insert((0.5,), pid=9)
@@ -763,6 +776,46 @@ class TestOnePass:
                 assert got == self._rebuilt(dyn, batch)[0]
                 parts.append(len(dyn.bucket_sizes))
         assert parts == [1, 2, 3, 4, 5, 6]
+
+    def test_one_forest_walk_per_rank_and_dimension_whatever_the_bucket_count(
+        self, monkeypatch
+    ):
+        """Step 5 walks, per rank and dimension, every stack it holds for
+        that dimension in one call: at most d walks per rank per pass over
+        1-6 parts, and a walk spans the parts."""
+        from repro.cgm import phases
+        from repro.seq.compiled import CompiledForest
+
+        p, d, ranks = 4, 2, []  # per step-5 call: the stack count of each walk
+        real_walk, real_step5 = CompiledForest.walk, phases.get_phase("dist.search.forest_cols")
+
+        def walk(stacks, *args):
+            ranks[-1].append(len(stacks))
+            return real_walk(stacks, *args)
+
+        monkeypatch.setattr(CompiledForest, "walk", staticmethod(walk))
+        monkeypatch.setitem(
+            phases._PHASES,
+            "dist.search.forest_cols",
+            lambda ctx, payload: ranks.append([]) or real_step5(ctx, payload),
+        )
+        coords = _grid_coords(128 + 63, seed=44)
+        batch = checkpoint_batch(self.BOXES * 2)
+        widest = {}
+        with DynamicDistributedRangeTree.build(
+            coords[:128], p=p, semigroup=STREAM_GROUP, flush_threshold=2
+        ) as dyn:
+            for n, c in enumerate(coords[128:], 1):
+                dyn.insert(c)
+                if (n + 1) & n:
+                    continue
+                ranks.clear()
+                got = dyn.run(batch).values()
+                assert len(ranks) == p and all(len(walks) <= d for walks in ranks)
+                assert got == self._rebuilt(dyn, batch)[0]
+                widest[len(dyn.bucket_sizes)] = max(max(walks, default=0) for walks in ranks)
+        assert sorted(widest) == [1, 2, 3, 4, 5, 6]
+        assert all(widest[parts] > 1 for parts in range(2, 7)), widest
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_a_buffer_only_structure_runs_no_pass(self, backend):

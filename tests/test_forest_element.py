@@ -13,6 +13,7 @@ from repro.errors import GeometryError
 from repro.geometry import RankBox
 from repro.geometry.box import rank_bounds
 from repro.semigroup import COUNT, sum_of_dim
+from repro.seq.compiled import CompiledForest
 from repro.seq.range_tree import RangeTree
 from repro.seq.segment_tree import WalkStats
 from repro.workloads import uniform_points
@@ -75,13 +76,13 @@ class TestForestElement:
             box = RankBox((16 + 8 * t, 0), (19 + 8 * t, 63))
             expected = sum(1 for r in ranks[t] if box.los[0] <= r[0] <= box.his[0])
             assert sum(s.leaf_count for s in oracle(ranks, t).canonical(box)) == expected
-            sel = stack.walk(*rank_bounds([box]), np.array([t]))
+            sel = CompiledForest.walk([stack], *rank_bounds([box]), np.array([t]))
             assert int(sel.length.sum()) == expected
 
     def test_selection_pids(self):
         stack, _ranks = make_stack()
         box = RankBox((16, 0), (39, 63))
-        sel = stack.walk(*rank_bounds([box] * TREES), np.arange(TREES))
+        sel = CompiledForest.walk([stack], *rank_bounds([box] * TREES), np.arange(TREES))
         rows = stack.rows_flat(sel.off, sel.length)
         for t in range(TREES):
             mine = stack.pids[rows[np.repeat(sel.q, sel.length) == t]]
@@ -109,7 +110,8 @@ class TestForestElement:
         for t in range(TREES):
             st = WalkStats()
             oracle(ranks, t).canonical(box, stats=st)
-            visits = stack.walk(*rank_bounds([box, box]), np.array([t, t])).visits
+            sel = CompiledForest.walk([stack], *rank_bounds([box, box]), np.array([t, t]))
+            visits = sel.visits
             assert st.nodes_visited > 0
             assert visits.tolist() == [st.nodes_visited] * 2
 
@@ -147,7 +149,8 @@ class TestElementsInsideBuiltTree:
             d, dim = tree.dim, int(hat.shape.dim[leaf])
             los, his = [0] * d, [tree.n - 1] * d
             los[dim], his[dim] = int(hat.lo[leaf]), int(hat.hi[leaf])
-            sel = stack.walk(*rank_bounds([RankBox(tuple(los), tuple(his))]), np.array([t]))
+            box = RankBox(tuple(los), tuple(his))
+            sel = CompiledForest.walk([stack], *rank_bounds([box]), np.array([t]))
             assert int(sel.length.sum()) == stack.width == hat.nleaves[leaf]
             got = stack.pids[stack.rows_flat(sel.off, sel.length)]
             want = element_pids(stack, t)[reference_tree(tree, leaf).report(
