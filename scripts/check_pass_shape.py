@@ -21,8 +21,7 @@ Builds n=512, p=8 and runs an empty, a one-query and a 64-query
   ``CompiledForest.from_ranks``, ``Hat.build`` runs once per rank per
   Construct and never on a pass, a refit or outside a dynamic absorb's
   Construct (``second_representation_calls``);
-* two trees of different n on one machine share one hat shape and a
-  refit rebinds only the hat's annotation (``one_hat_shape_failures``);
+* a refit rebinds only the hat's annotation (``one_hat_shape_failures``);
 * the forest walk makes one ``searchsorted`` and one closed-form cover per
   divided dimension whether an element holds 64 points or 2048
   (``walk_shape_failures``); per rank, a pass over 1-6 parts or copies
@@ -35,18 +34,20 @@ Builds n=512, p=8 and runs an empty, a one-query and a 64-query
   the same number of Python-level calls on 640 subqueries as on 64 over
   the same elements — a name is resolved per element, not per row
   (``report_mask_failures``);
-* the 64-query count/report/aggregate batch builds exactly 2 ``Fold``s,
-  resolves typed-vs-``combine`` in one ``_fold_kernels`` call, sorts
+* a 64-query count/report/sum/moments batch builds exactly 3 ``Fold``s,
+  picks each group's kernel in one ``_fold_kernels`` call, sorts
   nothing (0 ``sample_sort_cols`` calls: partial values go home, pairs
   are balanced; no more ``sorted`` calls than a 1-query pass: ids arrive
-  ascending) and calls ``fold_segments`` at most twice per rank and
-  fold group (once over a rank's own pieces, once at home)
+  ascending), lifts its lazy refit in one ``lift_kernel_column`` call
+  and folds every group — the object ones included — in one to two
+  ``fold_segments`` calls per rank (its own pieces, then at home)
   (``fold_said_once_failures``);
-* typed or object is the semigroup's ``kernel`` field alone: a build
-  under ``sum_of_dim(0)`` with a counting ``lift``, lazily refit to a
-  product with ``max_of_dim(1)``, calls that ``lift`` 0 times on both
-  backends, and ``n_real`` times per lift once the field is ``None``
-  (``kernel_field_failures``).
+* every semigroup value rides the semigroup's ``kernel``: a build under
+  ``sum_of_dim(0)`` with a counting ``lift``, lazily refit to a product
+  with ``max_of_dim(1)``, lifts through one ``lift_kernel_column`` call
+  per lift and folds through ``fold_segments`` on both backends, calling
+  that ``lift`` 0 times under its typed kernel and ``n_real`` times per
+  lift under an ``ObjectKernel`` (``kernel_field_failures``).
 
 Tier-1 tests pin the rest: a dynamic batch is one Search pass
 (``tests/test_dist_dynamic.py``'s ``TestOnePass``) and a pass constructs
@@ -65,14 +66,17 @@ import sys
 import tempfile
 from contextlib import contextmanager
 
+import numpy as np
+
 from repro.geometry.box import Box
 
 MAX_ONE_QUERY_DISPATCHES = 2
 
 
 @contextmanager
-def counting(calls: dict, *targets):
-    """Count calls to each ``(class, method name)`` into ``calls[name]``."""
+def counting(calls: dict, *targets, by=None):
+    """Count calls to each ``(class, method name)`` into ``calls[name]``
+    (and into ``calls[name, by(first argument)]`` when ``by`` is given)."""
     saved = []
     try:
         for cls, name in targets:
@@ -82,6 +86,8 @@ def counting(calls: dict, *targets):
 
             def wrapper(*args, _real=real, _key=key, **kwargs):
                 calls[_key] += 1
+                if by is not None:
+                    calls[_key, by(args[0])] = calls.get((_key, by(args[0])), 0) + 1
                 return _real(*args, **kwargs)
 
             saved.append((cls, name, real))
@@ -112,6 +118,11 @@ def counting_across_forks(cls, name):
             yield lambda: os.path.getsize(path)
         finally:
             setattr(cls, name, real)
+
+
+def total(calls: dict, name: str) -> int:
+    """Calls ``counting`` saw of every binding of function ``name``."""
+    return sum(n for key, n in calls.items() if isinstance(key, str) and key.endswith(f".{name}"))
 
 
 def replicated(rs) -> int:
@@ -186,31 +197,27 @@ def second_representation_calls() -> dict:
 
 
 #: What a refit may rebind on a ``Hat``; the rest is its shape and its tree's rows.
-HAT_ANNOTATION = {"semigroup", "agg_kernel", "agg_mat", "agg_obj", "idle"}
+HAT_ANNOTATION = {"semigroup", "aggs", "idle"}
 
 
 def one_hat_shape_failures() -> list:
-    """The hat is its ``(p, d)`` shape plus one tree's rows: trees share
-    it and a refit rebinds only the hat's annotation."""
-    from repro.cgm import Machine
+    """The hat is its ``(p, d)`` shape plus one tree's rows: a refit
+    rebinds only the hat's annotation.  (That trees share the shape is
+    ``tests/test_hat_shape.py::test_every_rank_holds_its_process_memo``.)"""
     from repro.dist import DistributedRangeTree, Hat
     from repro.semigroup import top_k_ids
     from repro.workloads import make_points
 
-    failures, calls = [], {}
-    with Machine(8) as mach:
-        small, large = (DistributedRangeTree.build(make_points("uniform", n, 2, seed=1),
-                                                   machine=mach) for n in (64, 512))
-        if small.hat.shape is not large.hat.shape:
-            failures.append("two trees of one (p, d) hold two hat shapes")
-        hat, before = large.hat, dict(vars(large.hat))
+    calls = {}
+    with DistributedRangeTree.build(make_points("uniform", 512, 2, seed=1), p=8) as tree:
+        hat, before = tree.hat, dict(vars(tree.hat))
         with counting(calls, (Hat, "__init__")):
-            large.reannotate(top_k_ids(2))  # an object column: the per-value case
+            tree.reannotate(top_k_ids(2))  # an object column: the per-value case
         after = vars(hat)
         moved = [k for k in after if k not in HAT_ANNOTATION and after[k] is not before.get(k)]
-        if calls["Hat.__init__"] or large.hat is not hat or moved or set(after) != set(before):
-            failures.append(f"a refit rebuilt the hat: {calls['Hat.__init__']} Hat(s), {moved}")
-    return failures
+        if calls["Hat.__init__"] or tree.hat is not hat or moved or set(after) != set(before):
+            return [f"a refit rebuilt the hat: {calls['Hat.__init__']} Hat(s), {moved}"]
+    return []
 
 
 def object_loop_calls() -> dict:
@@ -225,11 +232,7 @@ def object_loop_calls() -> dict:
     hot = [count(Box(((0.0, 0.2), (0.0, 1.0))))] * 64
     with DistributedRangeTree.build(pts, p=8) as tree:
         tree.run(hot)
-        with counting(
-            calls,
-            (RankSpace, "to_rank_box"),
-            (RankedPointSet, "to_rank_box"),
-        ):
+        with counting(calls, (RankSpace, "to_rank_box"), (RankedPointSet, "to_rank_box")):
             if not replicated(tree.run(hot)):
                 calls["(the hot-spot pass replicated nothing)"] = 1
 
@@ -248,8 +251,6 @@ def object_loop_calls() -> dict:
 
 def walk_shape_failures() -> list:
     """The walk's step counts must not grow with an element's size."""
-    import numpy as np
-
     from repro.semigroup import COUNT
     from repro.seq import compiled
     from repro.seq.compiled import CompiledForest
@@ -279,8 +280,6 @@ def forest_walk_failures() -> list:
     however many stacks it holds: a p=8 hot-spot pass (copies replicated)
     and dynamic passes over 1-6 parts (p=4, built as ``TestOnePass`` does)."""
     from unittest import mock
-
-    import numpy as np
 
     from repro.cgm import phases
     from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree, search
@@ -334,8 +333,6 @@ def report_mask_failures(tree, batch) -> list:
     spellings of "this query reports" (qid sets, per-phase re-masking, a
     second sentinel filter) and of "this element" (a column that is not
     an array, a per-row decode in step 5) must stay gone."""
-    import numpy as np
-
     from repro.cgm.machine import Machine
     from repro.cgm.phases import ProcContext, get_phase
     from repro.dist import forest_compiled, hat, search
@@ -447,16 +444,17 @@ def report_mask_failures(tree, batch) -> list:
 def fold_said_once_failures(tree, boxes) -> list:
     """A mode names its semigroup, the plan groups the batch by it: folds
     are per distinct semigroup, the kernel choice is per group and made
-    once, each group folds once per rank and once at home and nothing is
-    sorted — not the pairs, and not a reporting query's ids, which come
-    out of the driver's one key sort ascending (the 64-query pass calls
-    ``sorted`` no more often than a 1-query one)."""
+    once, each group — typed or object — folds once per rank and once at
+    home, the lazy refit lifts one column, and nothing is sorted — not
+    the pairs, and not a reporting query's ids, which come out of the
+    driver's one key sort ascending (the 64-query pass calls ``sorted``
+    no more often than a 1-query one)."""
     from repro.query import aggregate, count, engine, report
-    from repro.semigroup import sum_of_dim
+    from repro.semigroup import moments_of_dim, sum_of_dim
 
     failures = []
-    makers = (count, report, lambda b: aggregate(b, sum_of_dim(0)))
-    batch = [makers[i % 3](b) for i, b in enumerate(boxes)]
+    makers = (count, report, lambda b: aggregate(b, sum_of_dim(0)), lambda b: aggregate(b, moments_of_dim(1)))
+    batch = [makers[i % 4](b) for i, b in enumerate(boxes)]
     folds, calls, sorts = [], {}, []
     real_fold, real_sorted = engine.Fold, builtins.sorted
 
@@ -474,11 +472,9 @@ def fold_said_once_failures(tree, boxes) -> list:
         tree.run(batch[:1])
         sorts.append(0)
         engine.Fold = counted_fold
-        with counting(
-            calls,
-            (engine.QueryEngine, "_fold_kernels"),
-            *bound_in_repro("sample_sort_cols", "fold_segments"),
-        ):
+        targets = bound_in_repro("sample_sort_cols", "fold_segments", "lift_kernel_column")
+        by_kernel = lambda first: getattr(first, "name", None)  # noqa: E731
+        with counting(calls, (engine.QueryEngine, "_fold_kernels"), *targets, by=by_kernel):
             tree.run(batch)
     finally:
         engine.Fold, builtins.sorted = real_fold, real_sorted
@@ -488,20 +484,20 @@ def fold_said_once_failures(tree, boxes) -> list:
             "a reporting query's ids arrive ascending, nothing sorts them per answer"
         )
     got = [(f.semigroup.name, f.slot is None) for f in folds]
-    if got != [("count", True), ("sum[x0]", False)]:
-        failures.append(f"a 64-query c/r/a batch built Folds {got}, want leaf counts + sum[x0]")
+    if got != [("count", True), ("sum[x0]", False), ("moments[x1]", False)]:
+        failures.append(f"a 64-query c/r/a batch built Folds {got}, want counts, sum[x0], moments[x1]")
     if calls["QueryEngine._fold_kernels"] != 1:
         failures.append(f"kernel choice made {calls} times, want once per pass")
-    sorts, segs = (
-        sum(n for key, n in calls.items() if key.endswith(name))
-        for name in (".sample_sort_cols", ".fold_segments")
-    )
-    if sorts:
-        failures.append(f"the pass called sample_sort_cols {sorts} time(s): the demux must not sort")
-    if not 0 < segs <= 2 * tree.p * len(folds):
+    if total(calls, "sample_sort_cols"):
+        failures.append(f"the pass called sample_sort_cols {total(calls, 'sample_sort_cols')}"
+                        " time(s): the demux must not sort")
+    if total(calls, "lift_kernel_column") != 1:
+        failures.append(f"the refit lifted {total(calls, 'lift_kernel_column')} columns, want 1")
+    segs = {key[1]: n for key, n in calls.items() if key[0].endswith(".fold_segments")}
+    if len(segs) != len(folds) or not all(0 < n <= 2 * tree.p for n in segs.values()):
         failures.append(
-            f"fold_segments called {segs} times on a pass, want at most 2 * p * groups "
-            f"= {2 * tree.p * len(folds)}: a fold per run, not per group?"
+            f"fold_segments calls per group kernel {segs}, want 1 to 2 * p = {2 * tree.p} "
+            f"for each of {len(folds)} groups: a fold per run, or a group folded elsewhere?"
         )
     return failures
 
@@ -518,13 +514,15 @@ def counting_lift(pid, coords) -> float:
 
 
 def kernel_field_failures() -> list:
-    """The kernel travels in the semigroup's field: with it a build and a
-    refit lift by columns, never per point — whatever ``lift`` is —
-    and without it every lift is ``n_real`` per-point calls."""
+    """The kernel travels in the semigroup's field: a build and a refit
+    lift one column through ``lift_kernel_column`` and fold through
+    ``fold_segments`` — by columns, never per point, under a typed kernel
+    whatever ``lift`` is, and by ``n_real`` per-point calls under an
+    ``ObjectKernel``."""
     global _LIFT_LOG
     from repro.dist import DistributedRangeTree
     from repro.query import aggregate
-    from repro.semigroup import max_of_dim, sum_of_dim
+    from repro.semigroup import ObjectKernel, max_of_dim, sum_of_dim
     from repro.workloads import make_points
 
     failures = []
@@ -536,14 +534,17 @@ def kernel_field_failures() -> list:
             for kernel, want in ((sum_of_dim(0).kernel, 0), (None, 2 * pts.n)):
                 open(_LIFT_LOG, "wb").close()
                 sg = dataclasses.replace(sum_of_dim(0), lift=counting_lift, kernel=kernel)
-                with DistributedRangeTree.build(pts, p=4, backend=backend, semigroup=sg) as tree:
-                    got = tree.run([aggregate(box, max_of_dim(1))]).values()  # lazy refit
-                    typed = tree.value_kernel is not None
-                lifts = os.path.getsize(_LIFT_LOG)
-                if lifts != want or typed != (kernel is not None) or got != [pts.coords[:, 1].max()]:
+                with counting({}, *bound_in_repro("lift_kernel_column", "fold_segments")) as calls:
+                    with DistributedRangeTree.build(pts, p=4, backend=backend, semigroup=sg) as tree:
+                        got = tree.run([aggregate(box, max_of_dim(1))]).values()  # lazy refit
+                        typed = not isinstance(tree.semigroup.kernel, ObjectKernel)
+                lifts, columns = os.path.getsize(_LIFT_LOG), total(calls, "lift_kernel_column")
+                folds, right = total(calls, "fold_segments"), got == [pts.coords[:, 1].max()]
+                if (lifts, columns, typed, right) != (want, 2, kernel is not None, True) or not folds:
                     failures.append(
                         f"build + refit to a product under kernel={kernel!r} on {backend}: "
-                        f"{lifts} per-point lift calls (want {want}), typed={typed}, answer {got}"
+                        f"{lifts} per-point lift calls (want {want}), {columns} lifted columns "
+                        f"(want 2), {folds} fold_segments calls, typed={typed}, answer {got}"
                     )
     return failures
 

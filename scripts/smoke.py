@@ -71,6 +71,34 @@ def main() -> int:
     except Exception as exc:  # noqa: BLE001 - the smoke gate reports, not raises
         failures.append(f"repro.query exercise: {type(exc).__name__}: {exc}")
 
+    # Send object semigroup values across the process boundary: a tiny
+    # ``backend="process"`` build under ``id_set()`` (an ObjectKernel
+    # annotation), queried with counts, reports and a top-2 aggregate, must
+    # match brute force — so a kernel or column that fails to pickle fails
+    # here, before tier-1 runs.
+    try:
+        from repro import DistributedRangeTree
+        from repro.geometry import PointSet
+        from repro.query import QueryBatch, aggregate, as_box, count, report
+        from repro.semigroup import id_set, top_k_ids
+        from repro.seq import bf_aggregate, bf_count, bf_report
+
+        coords = [(0.1, 0.8), (0.4, 0.3), (0.6, 0.6), (0.9, 0.2), (0.3, 0.5)]
+        pts = PointSet(coords)
+        boxes = [((0.0, 0.7), (0.0, 1.0)), ((0.2, 1.0), (0.1, 0.7))]
+        queries = [q for b in boxes for q in (count(b), report(b), aggregate(b, top_k_ids(2)))]
+        with DistributedRangeTree.build(coords, p=2, backend="process", semigroup=id_set()) as tree:
+            got = tree.run(QueryBatch(queries)).values()
+        expected = []
+        for b in map(as_box, boxes):
+            expected += [bf_count(pts, b), bf_report(pts, b), bf_aggregate(pts, b, top_k_ids(2))]
+        if got != expected:
+            failures.append(f"process backend under id_set diverged: {got} != {expected}")
+        else:
+            print("object semigroup over the process backend: OK")
+    except Exception as exc:  # noqa: BLE001 - the smoke gate reports, not raises
+        failures.append(f"process backend under id_set: {type(exc).__name__}: {exc}")
+
     # Exercise the serve layer: two concurrent in-process clients against
     # a tiny tree must coalesce into batches and answer exactly as a
     # direct run would.

@@ -4,10 +4,9 @@ The paper's cost model (§1, Theorems 2-5) charges every CGM round by the
 *volume* of records moved.  A :class:`RecordBatch` keeps one record
 *stream* as named columns of exactly two kinds — an ``np.ndarray``
 (int64 ids, ranks, owners and hat rows; ``(n, k)`` matrices for rank
-vectors and Definition 2 labels, whose width is fixed per stream; an
-object array only for semigroup values no kernel encodes) or a typed
-:class:`~repro.semigroup.kernels.KernelColumn` with exact byte
-accounting (see :mod:`repro.semigroup.kernels`) — so sorting is a
+vectors and Definition 2 labels, whose width is fixed per stream) or a
+semigroup value :class:`~repro.semigroup.kernels.KernelColumn`, whose
+kernel sizes it (see :mod:`repro.semigroup.kernels`) — so sorting is a
 ``numpy`` argsort over encoded key columns, routing is array slicing,
 and backend transport pickles whole arrays.  A batch's ``schema`` names
 its stream (the schemas Construct and Search ship are listed in
@@ -36,7 +35,6 @@ from ..semigroup.kernels import KernelColumn
 
 __all__ = [
     "RecordBatch",
-    "obj_col",
     "encode_keys",
     "estimate_nbytes",
     "estimate_object_bytes",
@@ -49,18 +47,6 @@ _I64 = np.int64
 # ---------------------------------------------------------------------------
 # column kinds
 # ---------------------------------------------------------------------------
-def obj_col(values: Sequence[Any]) -> np.ndarray:
-    """An object column: numpy object array (fancy-indexable).
-
-    The one column kind reserved for semigroup values without a kernel —
-    everything else in a batch is typed storage.
-    """
-    col = np.empty(len(values), dtype=object)
-    for i, v in enumerate(values):
-        col[i] = v
-    return col
-
-
 def _col_take(col: Any, idx: np.ndarray) -> Any:
     return col.take(idx) if isinstance(col, KernelColumn) else col[idx]
 
@@ -73,8 +59,7 @@ def _col_concat(cols: List[Any]) -> Any:
 
 def _col_nbytes(col: Any) -> int:
     if isinstance(col, KernelColumn):
-        # Typed storage: exact bytes, no sampling (the kernel engine's
-        # byte-accounting guarantee for value columns).
+        # semigroup values: the kernel sizes its own storage
         return col.nbytes
     if col.dtype == object:
         # Estimate object payloads by seeded sampling (exact when empty).

@@ -9,7 +9,7 @@ as one array stack per dimension (Theorem 1, :mod:`repro.dist.forest`),
 built in O(1) communication rounds per dimension (Theorem 2,
 :mod:`repro.dist.construct`) and queried in
 batches of ``m = O(n)`` with O(1) rounds per batch (Theorems 3-5,
-:mod:`repro.dist.search` and :mod:`repro.dist.modes`).
+:mod:`repro.dist.search` and :mod:`repro.query.engine`'s demux).
 
 :class:`DistributedRangeTree` is the user-facing facade tying the layers
 together; queries go through the unified :mod:`repro.query` layer::
@@ -31,7 +31,6 @@ import numpy as np
 
 from .._util import require_power_of_two
 from ..cgm.collectives import alltoall_broadcast
-from ..cgm.columns import obj_col
 from ..cgm.cost import CostModel
 from ..cgm.machine import Machine
 from ..cgm.phases import ProcContext, register_phase
@@ -66,24 +65,19 @@ __all__ = [
 
 
 def lift_values(semigroup: Semigroup, ranked: RankedPointSet, points: PointSet):
-    """``f`` over every row of ``ranked``, identity on the sentinel rows.
-
-    A typed column when the semigroup names a kernel — the whole
-    coordinate matrix lifts in a few array ops — else an object column
-    of per-point ``lift`` values.  How values reach a build is how they
-    reach a refit.
+    """``f`` over every row of ``ranked``, identity on the sentinel rows:
+    one column under the semigroup's kernel (a typed kernel lifts the
+    whole coordinate matrix in a few array ops).  How values reach a
+    build is how they reach a refit.
     """
-    if semigroup.kernel is not None:
-        return lift_kernel_column(semigroup.kernel, points.coords, ranked.n)
-    lifted = [semigroup.lift(int(pid), row) for pid, row in zip(points.ids, points.coords)]
-    return obj_col(lifted + [semigroup.identity] * (ranked.n - ranked.n_real))
+    return lift_kernel_column(semigroup.kernel, points.coords, ranked.n, points.ids)
 
 
 @register_phase("dist.refit.relabel")
 def _phase_refit_relabel(ctx: ProcContext, payload) -> list:
     """Re-annotate this rank's resident stacks; return their roots.
 
-    ``values`` is :func:`lift_values`' column (typed or object) reordered
+    ``values`` is :func:`lift_values`' column reordered
     to run along ``ids``, the ranked ids in sorted order, so one
     ``searchsorted`` finds a stack's fresh values.  The hat shape names
     the trees: tree ``t`` of the dimension-``j`` stack roots below hat
@@ -219,12 +213,6 @@ class DistributedRangeTree:
     @property
     def p(self) -> int:
         return self.machine.p
-
-    @property
-    def value_kernel(self):
-        """Kernel backing the *current* annotation's value columns
-        (``None`` = object storage)."""
-        return self.semigroup.kernel
 
     @property
     def metrics(self):

@@ -53,7 +53,7 @@ import numpy as np
 
 from .._util import require_power_of_two, slice_positions
 from ..cgm.collectives import allgather, alltoall_broadcast, route_batches
-from ..cgm.columns import RecordBatch, obj_col
+from ..cgm.columns import RecordBatch
 from ..cgm.machine import Machine
 from ..cgm.phases import ProcContext, register_phase
 from ..cgm.sort import sample_sort_cols
@@ -124,23 +124,18 @@ def _phase_scatter_cols(ctx: ProcContext, payload) -> RecordBatch:
     """Initial distribution: this rank's block of points as one batch,
     every record in ``T1`` (tree key 0).
 
-    ``values`` arrives either as a plain list (a semigroup without a
-    kernel) or as a pre-encoded :class:`KernelColumn` slice (the driver
-    encodes once, so typed value traffic starts at the very first round).
+    ``values`` arrives as a slice of the driver's one value column.
     """
     rank_rows, ids, values = payload
     n = len(ids)
     ctx.charge(n)
-    value_col = (
-        values if isinstance(values, KernelColumn) else obj_col(list(values))
-    )
     return RecordBatch(
         "dist.srecord",
         {
             "tree": np.zeros(n, dtype=np.int64),
             "ranks": np.ascontiguousarray(rank_rows, dtype=np.int64),
             "pid": np.asarray(ids, dtype=np.int64),
-            "value": value_col,
+            "value": values,
         },
         n,
     )
@@ -192,9 +187,7 @@ def _phase_build_elements_cols(ctx: ProcContext, payload) -> dict:
             "tree": shape.fan_keys[slice_positions(np.repeat(shape.fan_off[rows], k), fan)],
             "ranks": np.repeat(ranks, fan, axis=0),
             "pid": np.repeat(pids, fan),
-            "value": values.repeat(fan)
-            if isinstance(values, KernelColumn)
-            else np.repeat(values, fan),
+            "value": values.repeat(fan),
         },
     )
     held = ctx.state.get(stored_key, 0) + len(next_batch)
@@ -233,12 +226,10 @@ def construct_distributed_tree(
     ns = mach.new_ns("tree")
 
     # Initial distribution: block of n/p point records per processor (the
-    # CGM input convention; a local-computation step, no round).  A
-    # kernelized semigroup's values ship as per-rank slices of one typed
-    # column (a plain list from a low-level caller is encoded here);
-    # workers follow the representation that arrives.
-    if semigroup.kernel is not None and not isinstance(values, KernelColumn):
-        values = KernelColumn.from_values(semigroup.kernel, values)
+    # CGM input convention; a local-computation step, no round).  The
+    # values ship as per-rank slices of one column under the semigroup's
+    # kernel (a plain list from a low-level caller is encoded here).
+    values = KernelColumn.from_values(semigroup.kernel, values)
     current = mach.run_phase(
         "construct:scatter-points",
         "dist.construct.scatter_cols",

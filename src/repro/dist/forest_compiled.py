@@ -55,8 +55,8 @@ def stack_selections(
     Returns ``(sel_rows, nleaves, agg_col, pair_rows, pair_pids)``.  The
     first three run over all selections in inbox-row order (emission
     order within a row): each selection's source inbox row, its leaf
-    count and the ``agg`` column (typed when the stacks are annotated
-    under a kernel — a pass's parts share their annotation).  The last
+    count and the ``agg`` column (under the stacks' kernel — a pass's
+    parts share their annotation).  The last
     two are the reported points with their source rows (padding
     sentinels included): those under each reporting row's selections in
     selection order, then each expanded element's in request order.
@@ -78,7 +78,7 @@ def stack_selections(
         # boxes do: gather each stack's slice from its own arrays
         cut = sel.q.searchsorted(list(accumulate(sizes))).tolist()
         for stack, a, b in zip(stacks, [0] + cut, cut):
-            aggs.append(stack.aggs.take(sel.node[a:b], axis=0))
+            aggs.append(stack.aggs.take(sel.node[a:b]))
             flat.append(stack.pids[stack.rows_flat(sel.off[a:b], length[a:b])])
         keys.append(src)
         lens.append(length)
@@ -100,13 +100,10 @@ def stack_selections(
     # and in the order the walks emitted them
     perm = np.argsort(keys, kind="stable")
     sel = perm[: sum(len(x) for x in nleaves)]
-    if len(sel):
-        agg = np.concatenate(aggs)[sel]
-        first = walks[0][0][0]
-        agg_col: Any = agg if first.agg_mat is None else KernelColumn(first.agg_kernel, agg)
-        leaves = np.concatenate(nleaves)[sel]
+    if walks:
+        agg_col, leaves = KernelColumn.concat(aggs).take(sel), np.concatenate(nleaves)[sel]
     else:
-        leaves, agg_col = np.empty(0, dtype=_I64), np.empty(0, dtype=object)
+        agg_col, leaves = expansions[0][0].aggs[:0], np.empty(0, dtype=_I64)
     starts, lens = (np.cumsum(lens) - lens)[perm], lens[perm]
     pair_rows = np.repeat(keys[perm] % n, lens)
     return keys[sel], leaves, agg_col, pair_rows, flat[slice_positions(starts, lens)]

@@ -35,7 +35,7 @@ from typing import Any, Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .._util import ilog2, require_power_of_two, slice_positions
-from ..cgm.columns import RecordBatch, obj_col
+from ..cgm.columns import RecordBatch
 from ..errors import MachineError, ProtocolError
 from ..geometry.box import RankBox
 from ..semigroup import Semigroup
@@ -204,26 +204,18 @@ def hat_shape(p: int, d: int) -> HatShape:
     )
 
 
-def _fold(semigroup: Semigroup, aggs: List[Any], shape: HatShape) -> tuple:
-    """``(agg_kernel, agg_mat, agg_obj)`` for leaf-seeded ``aggs``.
+def _fold(semigroup: Semigroup, aggs: List[Any], shape: HatShape) -> KernelColumn:
+    """The aggregate column for leaf-seeded ``aggs``, under the
+    semigroup's kernel.
 
     Children follow their parent in row order, so one backward sweep
-    folds every child pair before its parent reads it.  The column is
-    typed when the semigroup names a kernel.
+    folds every child pair before its parent reads it.
     """
     left, right = shape.left.tolist(), shape.right.tolist()
     for i in range(len(aggs) - 1, -1, -1):
         if left[i] >= 0:
             aggs[i] = semigroup.combine(aggs[left[i]], aggs[right[i]])
-    kernel = semigroup.kernel
-    if kernel is not None:
-        return kernel, kernel.encode(aggs), None
-    return None, None, obj_col(aggs)
-
-
-def _agg_column(kernel: Any, mat: Any, obj: Any, rows: Any) -> Any:
-    """Rows of an aggregate column as a selection batch's ``agg`` column."""
-    return obj[rows] if mat is None else KernelColumn(kernel, mat[rows])
+    return KernelColumn.from_values(semigroup.kernel, aggs)
 
 
 #: What Construct step 5 and a refit broadcast per forest element: its hat
@@ -258,11 +250,12 @@ class Hat:
     interval ``lo``/``hi`` covered in the row's dimension (the tightest
     cover of its points' ranks — exact for the four-case walk; an internal
     row's is its first and last hat leaves'), ``nleaves`` (``width ·
-    n/p``) and ``f(v)``, held once: ``agg_mat`` (rows encoded under
-    ``agg_kernel``) when the semigroup has a kernel, ``agg_obj``
-    otherwise.  A row number is the node's name in every Search stream,
+    n/p``) and ``f(v)``, held once in ``aggs``, a
+    :class:`~repro.semigroup.kernels.KernelColumn` under the semigroup's
+    kernel.  A row number is the node's name in every Search stream,
     and a hat-leaf row names the forest element rooted there.  ``idle`` is
-    the walk's output for an empty query slice, typed like any other.
+    the walk's output for an empty query slice, its ``agg`` column like
+    any other.
     """
 
     def __init__(self, **columns: Any) -> None:
@@ -292,11 +285,10 @@ class Hat:
         shape = hat_shape(p, d)
         leaf_level = ilog2(n) - ilog2(p)
         seg, aggs = _seat(shape, roots)
-        agg_kernel, agg_mat, agg_obj = _fold(semigroup, aggs, shape)
         hat = cls(
             shape=shape, n=n, leaf_level=leaf_level, semigroup=semigroup,
             lo=seg[shape.first, 0], hi=seg[shape.last, 1], nleaves=shape.width * (n // p),
-            agg_kernel=agg_kernel, agg_mat=agg_mat, agg_obj=agg_obj,
+            aggs=_fold(semigroup, aggs, shape),
         )
         # What a rank holding no queries returns: the walk's own zero-row
         # output, made once, so an idle rank does no numpy work per pass.
@@ -314,9 +306,7 @@ class Hat:
 
     def agg(self, i: int) -> Any:
         """The annotation ``f(v)`` of node ``i`` as a semigroup value."""
-        if self.agg_mat is None:
-            return self.agg_obj[i]
-        return self.agg_kernel.decode(self.agg_mat, i)
+        return self.aggs[i]
 
     def walk(
         self,
@@ -383,12 +373,9 @@ class Hat:
         """
         shape = self.shape
         _seg, aggs = _seat(shape, roots)
-        kernel, mat, obj = _fold(semigroup, aggs, shape)
-        no_rows = _agg_column(kernel, mat, obj, slice(0, 0))
-        idle = (self.idle[0].with_col("agg", no_rows), *self.idle[1:])
-        self.semigroup, self.agg_kernel, self.agg_mat, self.agg_obj, self.idle = (
-            semigroup, kernel, mat, obj, idle,
-        )
+        aggs = _fold(semigroup, aggs, shape)
+        idle = (self.idle[0].with_col("agg", aggs[:0]), *self.idle[1:])
+        self.semigroup, self.aggs, self.idle = semigroup, aggs, idle
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -412,7 +399,7 @@ def walk_hats(
     split/descend — row for row what :meth:`Hat.walk` emits per query.
 
     Returns ``(selections, subqueries, expansions, visits)``: the
-    ``dist.hat_selection`` batch (``agg`` typed as the hats hold it), two
+    ``dist.hat_selection`` batch (``agg`` under the hats' kernel), two
     ``dist.search.routing`` batches — the surviving subqueries, and one
     expansion request per forest element tiling a selection whose query
     ``report`` marks — and the visited-node counts per ``part·nq + query``
@@ -423,12 +410,11 @@ def walk_hats(
     shape = hat.shape.tiled(parts)
 
     def laid(cols: list) -> Any:  # one part's own array (no copy), or all end to end
-        return cols[0] if parts == 1 or cols[0] is None else np.concatenate(cols)
+        return cols[0] if parts == 1 else np.concatenate(cols)
 
     los, his = map(laid, zip(*bounds))
-    lo, hi, nleaves, agg_mat, agg_obj = (
-        laid([getattr(h, c) for h in hats]) for c in ("lo", "hi", "nleaves", "agg_mat", "agg_obj")
-    )
+    lo, hi, nleaves = (laid([getattr(h, c) for h in hats]) for c in ("lo", "hi", "nleaves"))
+    aggs = hat.aggs if parts == 1 else KernelColumn.concat([h.aggs for h in hats])
     visits = np.zeros(parts * nq, dtype=np.int64)
 
     # frontier: parallel (part·nq + query, part·H + row) arrays, starting
@@ -483,7 +469,7 @@ def walk_hats(
             "qid": sel_qid,
             "node": sn,
             "nleaves": nleaves[sn],
-            "agg": _agg_column(hat.agg_kernel, agg_mat, agg_obj, sn),
+            "agg": aggs.take(sn),
         },
         len(sq),
     )

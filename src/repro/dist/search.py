@@ -34,7 +34,8 @@ number of h-relations:
 
 A query folds or it reports (Theorems 4-5): one bool mask over the batch
 says which, from the hat walk's expansion requests to step 5's pairs,
-and :mod:`repro.dist.modes` then folds the selections per query.
+and the query engine's demux (:mod:`repro.query.engine`) then folds the
+selections per query.
 
 A pass runs over one or more **parts** — structures Construct built on
 the same machine, each with its own hat, forest and rank space (a static
@@ -145,26 +146,23 @@ def _phase_walk_cols(ctx: ProcContext, payload) -> tuple:
     return sels, subqueries, expansions, demand
 
 
-def _forest_output(qid, element, nleaves, agg, pair_qid, pair_pid) -> tuple:
-    """Step 5's result: the selection batch and the report pairs — real
-    points only; power-of-two padding sentinels are dropped here."""
-    real = pair_pid >= 0
-    return (
-        RecordBatch(
-            "dist.forest_selection",
-            {"qid": qid, "element": element, "nleaves": nleaves, "agg": agg},
-            len(qid),
-        ),
-        RecordBatch("dist.report_pair", {"qid": pair_qid[real], "pid": pair_pid[real]}),
-    )
-
-
 _NO_ROWS = np.empty(0, dtype=np.int64)
-#: What a rank with an empty inbox returns from step 5 (an object ``agg``
-#: column, as for any inbox whose walks select nothing).
-_NO_FOREST_ROWS = _forest_output(
-    _NO_ROWS, _NO_ROWS, _NO_ROWS, np.empty(0, dtype=object), _NO_ROWS, _NO_ROWS
-)
+_NO_PAIRS = RecordBatch("dist.report_pair", {"qid": _NO_ROWS, "pid": _NO_ROWS})
+
+
+def _forest_output(qid, element, nleaves, agg, pair_qid=None, pair_pid=None) -> tuple:
+    """Step 5's result: the selection batch and the report pairs — real
+    points only; power-of-two padding sentinels are dropped here (no
+    pairs: an idle rank's)."""
+    sels = RecordBatch(
+        "dist.forest_selection",
+        {"qid": qid, "element": element, "nleaves": nleaves, "agg": agg},
+        len(qid),
+    )
+    if pair_pid is None:
+        return sels, _NO_PAIRS
+    real = pair_pid >= 0
+    return sels, RecordBatch("dist.report_pair", {"qid": pair_qid[real], "pid": pair_pid[real]})
 
 
 @register_phase("dist.search.forest_cols")
@@ -190,10 +188,11 @@ def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
     subquery, ``nleaves`` per expand).
     """
     inbox, nss, report = payload
-    if not len(inbox):
-        return _NO_FOREST_ROWS
+    hat = ctx.state[hat_key(nss[0])]
+    if not len(inbox):  # an idle rank: the hat's own zero-row aggregates
+        return _forest_output(_NO_ROWS, _NO_ROWS, _NO_ROWS, hat.idle[0].cols["agg"])
     r, p = ctx.rank, ctx.p
-    shape = ctx.state[hat_key(nss[0])].shape
+    shape = hat.shape
     # per part: owner -> {dimension: stack}, the rank's own group included
     held = [
         {**(ctx.state.get(_holders_key(ns)) or {}), r: ctx.state.get(forest_key(ns)) or {}}

@@ -125,8 +125,8 @@ def _check_stack(stack, count, ranks, values, semigroup, dim, name, check) -> bo
     fresh = type(stack)(span=stack.span, width=m, keys=stack.keys, row_block=stack.row_block)
     fresh.annotate(values, semigroup)
     check(
-        (fresh.agg_mat is None) == (stack.agg_mat is None)
-        and bool(np.all(fresh.aggs == stack.aggs)),
+        fresh.aggs.kernel == stack.aggs.kernel
+        and np.array_equal(fresh.aggs.data, stack.aggs.data),
         f"{name}: an aggregate is not the fold of the values under its node",
     )
     return True
@@ -297,9 +297,8 @@ def _check_hat(tree, check: Callable[[bool, str], None]) -> bool:
     against the forest by :func:`_check_forest`.  Returns whether the
     rows have the shape's count."""
     hat, shape, n, p = tree.hat, tree.hat.shape, tree.n, tree.p
-    aggs = hat.agg_obj if hat.agg_mat is None else hat.agg_mat
-    own = (aggs, hat.lo, hat.hi, hat.nleaves)
-    sized = aggs is not None and {len(col) for col in own} == {shape.size}
+    own = (hat.aggs, hat.lo, hat.hi, hat.nleaves)
+    sized = {len(col) for col in own} == {shape.size}
     check(sized, f"hat: a tree column is not the shape's {shape.size} rows")
     if not sized:
         return False
@@ -320,17 +319,12 @@ def _check_hat(tree, check: Callable[[bool, str], None]) -> bool:
         # every dimension's f(v), though Search reads the last one's only
         want[i] = tree.semigroup.combine(want[left], want[right])
         check(want[i] == hat.agg(i), f"aggregate f(v) mismatch at {path}")
+    kernel = tree.semigroup.kernel
+    check(hat.aggs.kernel == kernel, "hat aggregates are not under the semigroup's kernel")
     check(
-        (hat.agg_obj is None and hat.agg_kernel is not None)
-        if hat.agg_mat is not None
-        else hat.agg_kernel is None,
-        "hat holds its aggregates in more than one column",
+        np.array_equal(hat.aggs.data, kernel.encode(want)),
+        "hat aggregates are not its kernel's encoding of the f(v) values",
     )
-    if hat.agg_mat is not None:
-        check(
-            np.array_equal(hat.agg_mat, hat.agg_kernel.encode(want)),
-            "hat agg_mat is not its kernel's encoding of the f(v) values",
-        )
     return True
 
 

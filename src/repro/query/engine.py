@@ -40,23 +40,17 @@ the trees' disjoint point sets costs the rounds of one tree.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, NamedTuple, Tuple
+from typing import Any, Dict, List, NamedTuple
 
 import numpy as np
 
 from ..cgm.columns import RecordBatch
 from ..cgm.collectives import route_batches
 from ..cgm.sort import route_balanced_cols
-from ..dist.modes import accumulate_runs
 from ..dist.search import run_search
 from ..errors import DimensionMismatch, ProtocolError
 from ..semigroup import COUNT, ProductSemigroup, Semigroup, product_semigroup
-from ..semigroup.kernels import (
-    KernelColumn,
-    ProductKernel,
-    SemigroupKernel,
-    fold_segments,
-)
+from ..semigroup.kernels import SemigroupKernel, fold_segments
 from .descriptors import QueryBatch
 from .modes import OutputMode, get_mode
 from .result import ResultSet
@@ -285,35 +279,20 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # the shared demultiplexing fold
     # ------------------------------------------------------------------
-    def _fold_kernels(
-        self, plan: QueryPlan
-    ) -> List["Tuple[SemigroupKernel, int] | None"]:
-        """Per fold group: the typed kernel its pieces ride and the column
-        offset of its slot in the annotation storage, or ``None``.
+    def _fold_kernels(self, plan: QueryPlan) -> List[SemigroupKernel]:
+        """Per fold group: the kernel its pieces ride and fold under.
 
-        Leaf counts always qualify (their piece values are the typed
-        ``nleaves`` column); an annotation fold qualifies when its
-        semigroup has a kernel *and* the annotation the pass runs under
-        is kernel-backed with a matching component slot.  Everything else —
-        top-k merges, user semigroups, trees whose annotation has no
-        kernel — folds through ``combine``, row by row, in the same
-        batch.
+        Leaf counts fold under :data:`~repro.semigroup.COUNT`'s kernel
+        (their piece values are the ``nleaves`` column); an annotation
+        fold under its slot of the annotation's kernel — a typed
+        product's component, or an object column's slot, folded through
+        the component's ``combine``.
         """
-        vk = plan.annotation.kernel
-        kernels: List["Tuple[SemigroupKernel, int] | None"] = []
-        for fold in plan.folds:
-            sk, slot = fold.semigroup.kernel, fold.slot
-            if slot is None:
-                off = 0
-            elif sk is None or vk is None:
-                off = None
-            elif isinstance(vk, ProductKernel):
-                fits = slot < len(vk.components) and vk.component(slot) == sk
-                off = vk.offset(slot) if fits else None
-            else:
-                off = 0 if slot == 0 and vk == sk else None
-            kernels.append(None if off is None else (sk, off))
-        return kernels
+        kernel = plan.annotation.kernel
+        return [
+            COUNT.kernel if fold.slot is None else kernel.component(fold.slot)
+            for fold in plan.folds
+        ]
 
     def _demux(self, plan: QueryPlan, out) -> List[Any]:
         """Partial ``⊕`` values go home combined; pairs are only balanced.
@@ -375,15 +354,9 @@ class QueryEngine:
         )
         qid = totals.col("qid")
         gid = group[qid]
-        for g, typed in enumerate(kernels):
+        for g, kern in enumerate(kernels):
             pos = np.nonzero(gid == g)[0]
-            if typed is None:
-                decoded = totals.col("val")[pos].tolist()
-            else:
-                kern = typed[0]
-                decoded = map(
-                    kern.decode_row, totals.col("kval")[pos, : kern.width].tolist()
-                )
+            decoded = kern.decode_list(_piece_values(totals.cols, kern)[pos])
             for q, v in zip(qid[pos].tolist(), decoded):
                 values[q] = v
 
@@ -421,49 +394,42 @@ class QueryEngine:
     def _pieces(self, plan: QueryPlan, kernels: list, batch: RecordBatch) -> RecordBatch:
         """The fold rows of one selection batch — hat and forest batches
         alike — as ``query.piece`` rows: ``qid``, an object ``val`` column
-        when some group folds through ``combine``, a float64 ``kval``
+        when some group's kernel is an object one, a float64 ``kval``
         matrix when some group is typed (as wide as the widest kernel).
 
-        No piece of a typed group touches a Python loop: a kernel group's
-        values fill ``kval`` straight from the typed ``nleaves``/``agg``
-        columns, one gather per fold group; per-row extraction is left to
-        the groups that fold through ``combine``.
+        One gather per fold group, from the typed ``nleaves`` column or
+        the ``agg`` column's slot (:meth:`~repro.semigroup.kernels.KernelColumn.component_rows`),
+        still encoded: no piece of a typed group touches a Python loop.
         """
         group, folds = plan.group, plan.folds
-        product = len(plan.annotations) > 1
-        W = max((k[0].width for k in kernels if k is not None), default=0)
+        W = max((k.width for k in kernels if k.dtype is not object), default=0)
         qid = np.asarray(batch.col("qid"))
         gid = group[qid]
         idx = np.nonzero(gid >= 0)[0]
         q_col, gid = qid[idx], gid[idx]
         n = len(idx)
         cols: Dict[str, np.ndarray] = {"qid": q_col}
-        if None in kernels:
-            cols["val"] = val = np.empty(n, dtype=object)
+        if any(k.dtype is object for k in kernels):
+            cols["val"] = np.empty(n, dtype=object)
         if W:
-            cols["kval"] = kval = np.zeros((n, W), dtype=np.float64)
+            cols["kval"] = np.zeros((n, W), dtype=np.float64)
         if n:
             agg_col = batch.cols["agg"]
-            for g, (fold, typed) in enumerate(zip(folds, kernels)):
+            if agg_col.kernel != plan.annotation.kernel:
+                raise ProtocolError(
+                    f"selection aggregates under {agg_col.kernel.name}, "
+                    f"the pass under {plan.annotation.kernel.name}"
+                )
+            for g, (fold, kern) in enumerate(zip(folds, kernels)):
                 pos = np.nonzero(gid == g)[0]
                 if not len(pos):
                     continue
                 rows = idx[pos]
-                if fold.slot is None:
-                    kval[pos, 0] = np.asarray(batch.col("nleaves"))[rows]
-                elif typed is None:
-                    for at, i in zip(pos.tolist(), rows.tolist()):
-                        v = agg_col[i]
-                        val[at] = v[fold.slot] if product else v
-                elif isinstance(agg_col, KernelColumn):
-                    kern, off = typed
-                    kval[pos, : kern.width] = agg_col.component_rows(
-                        rows, off, kern.width
-                    )
-                else:
-                    raise ProtocolError(
-                        "kernel fold planned over an object-typed selection column"
-                    )
+                _piece_values(cols, kern)[pos] = (
+                    np.asarray(batch.col("nleaves"))[rows, None]
+                    if fold.slot is None
+                    else agg_col.component_rows(rows, fold.slot)
+                )
         return RecordBatch("query.piece", cols, n)
 
     def _fold_pieces(
@@ -475,10 +441,8 @@ class QueryEngine:
 
         A query's group is a function of its ``qid``, so one stable
         argsort cuts the rows into runs of one query and each group's
-        runs fold in a handful of array calls
-        (:func:`~repro.semigroup.kernels.fold_segments`), or through
-        ``combine`` (:func:`~repro.dist.modes.accumulate_runs`) when the
-        group has no typed kernel.
+        runs fold in one :func:`~repro.semigroup.kernels.fold_segments`
+        call under the group's kernel.
         """
         n = len(pieces)
         if not n:
@@ -495,23 +459,23 @@ class QueryEngine:
             cols["val"] = np.empty(len(run_q), dtype=object)
         if kval is not None:
             cols["kval"] = np.zeros((len(run_q), kval.shape[1]), dtype=np.float64)
-        for g, typed in enumerate(kernels):
+        for g, kern in enumerate(kernels):
             pos = np.nonzero(run_g == g)[0]
-            if not len(pos):
-                continue
-            if typed is None:
-                rows = np.nonzero(plan.group[q] == g)[0]
-                runs = accumulate_runs(
-                    zip(q[rows].tolist(), val[rows]), plan.folds[g].semigroup.combine
-                )
-                for at, (_qid, total) in zip(pos.tolist(), runs):
-                    cols["val"][at] = total
-            else:
-                kern = typed[0]
-                cols["kval"][pos, : kern.width] = fold_segments(
-                    kern, kval, starts[pos], ends[pos]
+            if len(pos):
+                _piece_values(cols, kern)[pos] = fold_segments(
+                    kern, _piece_values(pieces.cols, kern), starts[pos], ends[pos]
                 )
         return RecordBatch("query.piece", cols, len(run_q))
+
+
+def _piece_values(cols: Dict[str, np.ndarray], kernel: SemigroupKernel) -> np.ndarray:
+    """The piece matrix a group under ``kernel`` rides, as a writable view:
+    the shared float64 ``kval`` matrix for a typed kernel, the object
+    ``val`` column for an object one — the demux's one read of a storage
+    kind (its layout sets the bytes of ``query:demux:fold``)."""
+    if kernel.dtype is object:
+        return cols["val"][:, None]
+    return cols["kval"][:, : kernel.width]
 
 
 def _refit(tree, semigroup: Semigroup) -> None:

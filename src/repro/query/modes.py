@@ -9,9 +9,9 @@ counts) or the list of matching points (Theorem 5).  An
   (:meth:`OutputMode.required_semigroup`; ``None`` folds the selections'
   leaf counts under :data:`~repro.semigroup.COUNT`).  The engine's plan
   groups the batch by semigroup; every rank folds its own pieces of a
-  query (:func:`~repro.semigroup.kernels.fold_segments` /
-  :func:`repro.dist.modes.accumulate_runs`), the partial values meet at
-  the query's home rank in one round and fold once more.
+  query (:func:`~repro.semigroup.kernels.fold_segments`, under the
+  group's kernel, typed or object), the partial values meet at the
+  query's home rank in one round and fold once more.
 * **report family** (report, sample): ``reports = True`` marks the query
   in the pass's report mask; Algorithm Search emits its ``(qid, pid)``
   pairs, which one count + balance round pair spreads ``ceil(k/p)`` per

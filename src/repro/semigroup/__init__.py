@@ -16,7 +16,7 @@ from .builtin import (
     moments_of_dim,
     sum_of_dim,
 )
-from .kernels import KernelColumn, SemigroupKernel
+from .kernels import KernelColumn, ObjectKernel, SemigroupKernel
 
 __all__ = [
     "Semigroup",
@@ -37,5 +37,6 @@ __all__ = [
     "top_k_ids",
     "histogram_of_dim",
     "SemigroupKernel",
+    "ObjectKernel",
     "KernelColumn",
 ]

@@ -17,10 +17,9 @@ sidesteps this by assuming non-empty selections).  Every classical example
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Generic, Iterable, Sequence, TypeVar
+from typing import Callable, Generic, Iterable, Sequence, TypeVar
 
-if TYPE_CHECKING:
-    from .kernels import SemigroupKernel
+from .kernels import ObjectKernel, SemigroupKernel
 
 V = TypeVar("V")
 
@@ -43,10 +42,14 @@ class Semigroup(Generic[V]):
     identity:
         Neutral element: ``combine(identity, v) == v`` for all ``v``.
     kernel:
-        The typed columnar twin of ``lift``/``combine``/``identity``
-        (:mod:`repro.semigroup.kernels`), or ``None``: values ride object
-        columns and fold through ``combine``.  The builtin constructors
-        set it; a third-party semigroup passes its own.
+        How the values are stored and folded
+        (:mod:`repro.semigroup.kernels`): the typed columnar twin of
+        ``lift``/``combine``/``identity`` that a builtin constructor (or a
+        third-party semigroup) names, else — passing ``None`` — an
+        :class:`~repro.semigroup.kernels.ObjectKernel` over this
+        semigroup's own functions, resolved here and never ``None``
+        afterwards.  An object kernel always describes the semigroup
+        holding it: ``dataclasses.replace`` re-resolves it.
     """
 
     name: str
@@ -54,6 +57,10 @@ class Semigroup(Generic[V]):
     combine: Callable[[V, V], V]
     identity: V
     kernel: "SemigroupKernel | None" = None
+
+    def __post_init__(self) -> None:
+        if self.kernel is None or isinstance(self.kernel, ObjectKernel):
+            object.__setattr__(self, "kernel", ObjectKernel(self))
 
     def fold(self, values: Iterable[V]) -> V:
         """Combine many values (left fold starting at the identity)."""

@@ -14,8 +14,9 @@ semigroups built from lambdas still work on the in-process backends.
 A constructor whose values have a typed columnar form says so here, once:
 it passes the :mod:`~repro.semigroup.kernels` kernel as the semigroup's
 ``kernel`` field (a product has one when every component does).  The
-others — sets, moments, top-k, histograms — leave it ``None`` and fold
-through ``combine``.
+others — sets, moments, top-k, histograms — pass none and get an
+:class:`~repro.semigroup.kernels.ObjectKernel` over their own
+``lift``/``combine``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import partial
 from typing import Sequence
 
 from .base import Semigroup
-from .kernels import BBoxKernel, ProductKernel, ScalarKernel
+from .kernels import BBoxKernel, ObjectKernel, ProductKernel, ScalarKernel
 
 __all__ = [
     "COUNT",
@@ -256,14 +257,14 @@ def product_semigroup(components: Sequence[Semigroup]) -> ProductSemigroup:
             raise ValueError(f"duplicate component semigroup name {c.name!r}")
         seen.add(c.name)
     kernels = [c.kernel for c in comps]
-
+    typed = not any(isinstance(k, ObjectKernel) for k in kernels)
     return ProductSemigroup(
         name="(" + " x ".join(c.name for c in comps) + ")",
         lift=partial(_product_lift, comps=comps),
         combine=partial(_product_combine, comps=comps),
         identity=tuple(c.identity for c in comps),
         components=comps,
-        kernel=None if None in kernels else ProductKernel(kernels),
+        kernel=ProductKernel(kernels) if typed else None,
     )
 
 

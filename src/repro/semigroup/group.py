@@ -37,6 +37,7 @@ class AbelianGroup(Semigroup[V], Generic[V]):
     inverse: Callable[[V], V] = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.inverse is None:
             raise TypeError("AbelianGroup requires an inverse operation")
 

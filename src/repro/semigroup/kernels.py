@@ -38,20 +38,22 @@ the per-node ``combine`` loop does, so the vectorized level-by-level fold
 is bit-identical by construction for every column kind.  Their one
 consumer is :meth:`repro.seq.compiled.CompiledForest.annotate`, which
 stacks each size class of a forest element's last-dimension trees into
-one :func:`batched_heap_fold` and keeps the folded rows as the element's
-``agg_mat`` — the typed aggregates live there, not in a per-tree store.
+one :func:`batched_heap_fold` and keeps the folded rows as the stack's
+``aggs`` column — the aggregates live there, not in a per-tree store.
 
 Resolution
 ----------
-There is none: a :class:`~repro.semigroup.base.Semigroup` *names* its
-kernel in its ``kernel`` field, set by the builtin constructors
-(:mod:`repro.semigroup.builtin` imports this module, not the reverse)
-and picklable with the semigroup.  ``kernel is None`` — unions, top-k
-merges, user lambdas, any hand-built semigroup that does not pass one —
-means the values ride object columns and fold through ``combine``, in
-the same batch as the kernelized ones.  A kernel is total: it encodes,
-decodes, folds *and lifts* (:meth:`SemigroupKernel.lift`), so "typed or
-object" is decided by that one field and nowhere else.
+Every semigroup has exactly one kernel, in its ``kernel`` field.  The
+builtin constructors name a typed one (:mod:`repro.semigroup.builtin`
+imports this module, not the reverse; a product is typed when every
+component is); any other semigroup — unions, top-k merges, moments,
+user lambdas, a hand-built one that passes none — gets an
+:class:`ObjectKernel` from :class:`~repro.semigroup.base.Semigroup`
+itself: a width-1 ``object`` column of the semigroup's own values,
+lifted by its ``lift`` and folded through its ``combine``.  A kernel is
+total: it encodes, decodes, lifts, folds and sizes its columns, so every
+value column is a :class:`KernelColumn` and "typed or object" is decided
+in this package and nowhere else.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ __all__ = [
     "ScalarKernel",
     "BBoxKernel",
     "ProductKernel",
+    "ObjectKernel",
     "KernelColumn",
     "heap_fold",
     "batched_heap_fold",
@@ -99,9 +102,14 @@ class SemigroupKernel:
 
     ``lift`` is the semigroup's ``f`` over a whole ``(n, d)`` float64
     coordinate matrix: ``n`` encoded rows in a few array ops instead of
-    one Python ``lift`` call per point.  Exact because the builtin lifts
-    read ``float64`` coordinates unchanged; coordinates the kernel cannot
+    one Python ``lift`` call per point (``ids``, the points' ids, only an
+    :class:`ObjectKernel` reads).  Exact because the builtin lifts read
+    ``float64`` coordinates unchanged; coordinates the kernel cannot
     read raise :class:`~repro.errors.DimensionMismatch`.
+
+    The folds behind :func:`fold_segments` and :func:`batched_heap_fold`
+    are methods, so an :class:`ObjectKernel` brings its own; the ones
+    here serve every typed kernel through ``col_ops``.
     """
 
     name: str = ""
@@ -116,18 +124,98 @@ class SemigroupKernel:
     def decode_row(self, row: Sequence[Any]) -> Any:
         raise NotImplementedError
 
-    def lift(self, coords: np.ndarray) -> np.ndarray:
+    def lift(self, coords: np.ndarray, ids: Any = None) -> np.ndarray:
         raise NotImplementedError
 
     def decode(self, mat: np.ndarray, i: int) -> Any:
         return self.decode_row(mat[i])
 
     def decode_list(self, mat: np.ndarray) -> List[Any]:
-        return [self.decode_row(row) for row in mat]
+        return [self.decode_row(row) for row in mat.tolist()]
 
     def identity_mat(self, k: int) -> np.ndarray:
         out = np.empty((k, self.width), dtype=self.dtype)
         out[:] = np.asarray(self.identity_row, dtype=self.dtype)
+        return out
+
+    def nbytes(self, mat: np.ndarray) -> int:
+        """Bytes a column's matrix ships as: exact for typed storage."""
+        return int(mat.nbytes)
+
+    def component(self, slot: int) -> "SemigroupKernel":
+        """The kernel of annotation slot ``slot`` (a product's component;
+        the whole value for a non-product)."""
+        return self
+
+    def component_rows(self, mat: np.ndarray, idx: np.ndarray, slot: int) -> np.ndarray:
+        """Slot ``slot``'s encoded rows of ``mat`` at ``idx``, still encoded."""
+        return mat.take(idx, axis=0)
+
+    def fold(self, mat: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """:func:`fold_segments` for a typed kernel: ``reduceat`` over
+        interleaved ``(start, end)`` boundaries for the associativity-exact
+        columns, a sequential left fold for float-add columns."""
+        k = len(starts)
+        out = np.empty((k, self.width), dtype=mat.dtype)
+        out[:] = np.asarray(self.identity_row, dtype=mat.dtype)
+        ne = ends > starts
+        if not bool(ne.any()):
+            return out
+        s = starts[ne]
+        e = ends[ne]
+        ne_idx = np.nonzero(ne)[0]
+        n = len(mat)
+
+        # reduceat boundaries: [s0, e0, s1, e1, ...] with results at [::2];
+        # a trailing end == n is dropped (reduceat then folds a[s_last:]).
+        pairs = np.empty(2 * len(s), dtype=_I64)
+        pairs[0::2] = s
+        pairs[1::2] = e
+        if pairs[-1] == n:
+            pairs = pairs[:-1]
+
+        fadd_cols: List[int] = []
+        for op, cols in _col_groups(self.col_ops):
+            if op == OP_FADD:
+                fadd_cols.extend(cols)
+                continue
+            ufunc = np.minimum if op == OP_MIN else np.add
+            red = ufunc.reduceat(mat[:, cols], pairs, axis=0)[::2]
+            out[np.ix_(ne_idx, cols)] = red
+
+        if fadd_cols:
+            # longest first: the m_i segments open at step i are a prefix
+            sub = mat[:, fadd_cols]
+            order = np.argsort(s - e, kind="stable")
+            so, lengths = s[order], (e - s)[order]
+            acc = sub[so].copy()
+            steps = np.arange(1, int(lengths[0]))
+            for i, m_i in zip(steps.tolist(), np.searchsorted(-lengths, -steps).tolist()):
+                acc[:m_i] += sub[so[:m_i] + i]
+            out[np.ix_(ne_idx[order], fadd_cols)] = acc
+        return out
+
+    def fold_heaps(self, leaves: np.ndarray) -> np.ndarray:
+        """:func:`batched_heap_fold` for a typed kernel: one level loop,
+        one array op per column kind per level."""
+        k, m, w = leaves.shape
+        out = np.empty((k, 2 * m, w), dtype=self.dtype)
+        out[:, 0] = np.asarray(self.identity_row, dtype=self.dtype)
+        out[:, m:] = leaves
+        groups = _col_groups(self.col_ops)
+        pos = m
+        while pos > 1:
+            lo = pos >> 1
+            left = out[:, pos : 2 * pos : 2]
+            right = out[:, pos + 1 : 2 * pos : 2]
+            for op, cols in groups:
+                if op == OP_MIN:
+                    out[:, lo:pos, cols] = np.minimum(
+                        left[:, :, cols], right[:, :, cols]
+                    )
+                else:
+                    out[:, lo:pos, cols] = left[:, :, cols] + right[:, :, cols]
+            pos = lo
         return out
 
     # equality by name: kernels are parameterized only by what the name
@@ -175,7 +263,7 @@ class ScalarKernel(SemigroupKernel):
     def decode_row(self, row):
         return self._py(-row[0] if self._neg else row[0])
 
-    def lift(self, coords):
+    def lift(self, coords, ids=None):
         n, d = coords.shape
         if self.kind == "count":
             return np.ones((n, 1), dtype=_I64)
@@ -217,7 +305,7 @@ class BBoxKernel(SemigroupKernel):
             tuple(float(-x) for x in row[d:]),
         )
 
-    def lift(self, coords):
+    def lift(self, coords, ids=None):
         if coords.shape[1] != self.d:
             raise DimensionMismatch(self.d, coords.shape[1], f"{self.name} points")
         c = np.asarray(coords, dtype=_F64)
@@ -227,9 +315,9 @@ class BBoxKernel(SemigroupKernel):
 class ProductKernel(SemigroupKernel):
     """Componentwise product: component blocks concatenated column-wise.
 
-    ``offset(i)``/``component(i)`` expose the slot layout so the query
-    engine can fold one component's columns without touching the rest —
-    the annotation-layer slot extraction, vectorized.
+    ``component(i)``/``component_rows`` expose the slot layout so the
+    query engine can fold one component's columns without touching the
+    rest — the annotation-layer slot extraction, vectorized.
     """
 
     def __init__(self, components: Sequence[SemigroupKernel]) -> None:
@@ -252,11 +340,12 @@ class ProductKernel(SemigroupKernel):
             off += c.width
         self._offsets = tuple(offs)
 
-    def offset(self, i: int) -> int:
-        return self._offsets[i]
-
     def component(self, i: int) -> SemigroupKernel:
         return self.components[i]
+
+    def component_rows(self, mat, idx, slot):
+        off = self._offsets[slot]
+        return mat.take(idx, axis=0)[:, off : off + self.components[slot].width]
 
     def encode(self, values):
         out = np.empty((len(values), self.width), dtype=self.dtype)
@@ -271,28 +360,108 @@ class ProductKernel(SemigroupKernel):
             for c, off in zip(self.components, self._offsets)
         )
 
-    def lift(self, coords):
+    def lift(self, coords, ids=None):
         return np.hstack(
-            [c.lift(coords).astype(self.dtype, copy=False) for c in self.components]
+            [c.lift(coords, ids).astype(self.dtype, copy=False) for c in self.components]
         )
 
 
-def lift_kernel_column(
-    kernel: SemigroupKernel, coords: np.ndarray, n_total: int
-) -> "KernelColumn":
-    """Lift a whole coordinate matrix into a padded typed value column.
+class ObjectKernel(SemigroupKernel):
+    """A semigroup's own Python values: one per row of a width-1
+    ``object`` column, lifted by its ``lift`` and folded through its
+    ``combine``.
 
-    Rows past ``len(coords)`` (power-of-two padding sentinels) get the
-    encoded identity, matching ``semigroup.identity`` for sentinels.
+    The kernel of every semigroup whose constructor names no typed one
+    (top-k, id sets, moments, user semigroups), resolved by
+    :class:`~repro.semigroup.base.Semigroup` itself.  A segment fold
+    starts at the segment's first row and combines left to right; a heap
+    fold combines children pairwise, level by level.  A column's bytes
+    are a seeded sampled estimate of its objects plus its pointers.  Over
+    a :class:`~repro.semigroup.builtin.ProductSemigroup` a slot is the
+    tuple index, folded by an object kernel of that component.
     """
-    block = kernel.lift(np.asarray(coords, dtype=_F64))
+
+    dtype = object
+    width = 1
+
+    def __init__(self, semigroup: Any) -> None:
+        self.semigroup = semigroup
+        self.name = f"object[{semigroup.name}]"
+        self.identity_row = (semigroup.identity,)
+
+    def encode(self, values):
+        out = np.empty((len(values), 1), dtype=object)
+        for i, v in enumerate(values):
+            out[i, 0] = v
+        return out
+
+    def decode_row(self, row):
+        return row[0]
+
+    def identity_mat(self, k):
+        out = np.empty((k, 1), dtype=object)
+        out.fill(self.semigroup.identity)
+        return out
+
+    def lift(self, coords, ids=None):
+        lift = self.semigroup.lift
+        return self.encode([lift(int(pid), row) for pid, row in zip(ids, coords)])
+
+    def nbytes(self, mat):
+        from ..cgm.columns import estimate_object_bytes
+
+        return estimate_object_bytes(mat[:, 0]) + int(mat.nbytes)
+
+    def component(self, slot):
+        components = getattr(self.semigroup, "components", None)
+        return self if components is None else ObjectKernel(components[slot])
+
+    def component_rows(self, mat, idx, slot):
+        if getattr(self.semigroup, "components", None) is None:
+            return mat.take(idx, axis=0)
+        return self.encode([v[slot] for v in mat[idx, 0].tolist()])
+
+    def fold(self, mat, starts, ends):
+        combine = self.semigroup.combine
+        values = mat[:, 0].tolist()
+        out = self.identity_mat(len(starts))
+        for k, (s, e) in enumerate(zip(starts.tolist(), ends.tolist())):
+            if e > s:
+                acc = values[s]
+                for v in values[s + 1 : e]:
+                    acc = combine(acc, v)
+                out[k, 0] = acc
+        return out
+
+    def fold_heaps(self, leaves):
+        k, m, _w = leaves.shape
+        combine = np.frompyfunc(self.semigroup.combine, 2, 1)
+        out = np.empty((k, 2 * m, 1), dtype=object)
+        out[:, 0].fill(self.semigroup.identity)
+        out[:, m:] = leaves
+        pos = m
+        while pos > 1:
+            lo = pos >> 1
+            out[:, lo:pos] = combine(out[:, pos : 2 * pos : 2], out[:, pos + 1 : 2 * pos : 2])
+            pos = lo
+        return out
+
+
+def lift_kernel_column(
+    kernel: SemigroupKernel, coords: np.ndarray, n_total: int, ids: Any = None
+) -> "KernelColumn":
+    """Lift a whole coordinate matrix into a padded value column.
+
+    ``ids`` are the points' ids (an :class:`ObjectKernel` lifts point by
+    point through the semigroup's ``lift``, which receives them).  Rows
+    past ``len(coords)`` (power-of-two padding sentinels) get the encoded
+    identity, matching ``semigroup.identity`` for sentinels.
+    """
+    block = kernel.lift(np.asarray(coords, dtype=_F64), ids)
     n_real = len(block)
     if n_total == n_real:
         return KernelColumn(kernel, block.astype(kernel.dtype, copy=False))
-    mat = np.empty((n_total, kernel.width), dtype=kernel.dtype)
-    mat[:n_real] = block
-    mat[n_real:] = np.asarray(kernel.identity_row, dtype=kernel.dtype)
-    return KernelColumn(kernel, mat)
+    return KernelColumn(kernel, np.concatenate([block, kernel.identity_mat(n_total - n_real)]))
 
 
 # ---------------------------------------------------------------------------
@@ -303,17 +472,6 @@ def _col_groups(col_ops: Sequence[str]) -> List[Tuple[str, List[int]]]:
     for j, op in enumerate(col_ops):
         groups.setdefault(op, []).append(j)
     return list(groups.items())
-
-
-def combine_mats(kernel: SemigroupKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise ``⊕`` of two value matrices (the vectorized combine)."""
-    out = np.empty_like(a)
-    for op, cols in _col_groups(kernel.col_ops):
-        if op == OP_MIN:
-            out[:, cols] = np.minimum(a[:, cols], b[:, cols])
-        else:
-            out[:, cols] = a[:, cols] + b[:, cols]
-    return out
 
 
 def heap_fold(kernel: SemigroupKernel, leaves: np.ndarray) -> np.ndarray:
@@ -335,25 +493,7 @@ def batched_heap_fold(kernel: SemigroupKernel, leaves: np.ndarray) -> np.ndarray
     holds thousands of tiny last-dimension trees (per-tree numpy calls
     would cost more than the Python combines they replace).
     """
-    k, m, w = leaves.shape
-    out = np.empty((k, 2 * m, w), dtype=kernel.dtype)
-    out[:, 0] = np.asarray(kernel.identity_row, dtype=kernel.dtype)
-    out[:, m:] = leaves
-    groups = _col_groups(kernel.col_ops)
-    pos = m
-    while pos > 1:
-        lo = pos >> 1
-        left = out[:, pos : 2 * pos : 2]
-        right = out[:, pos + 1 : 2 * pos : 2]
-        for op, cols in groups:
-            if op == OP_MIN:
-                out[:, lo:pos, cols] = np.minimum(
-                    left[:, :, cols], right[:, :, cols]
-                )
-            else:
-                out[:, lo:pos, cols] = left[:, :, cols] + right[:, :, cols]
-        pos = lo
-    return out
+    return kernel.fold_heaps(leaves)
 
 
 def fold_segments(
@@ -364,75 +504,34 @@ def fold_segments(
 ) -> np.ndarray:
     """Fold ``mat[starts[i]:ends[i]]`` row ranges; identity for empties.
 
-    The segmented reduction at the heart of the engine: ``reduceat``
-    over interleaved ``(start, end)`` boundaries for the associativity-
-    exact columns, a sequential left fold for float-add columns
-    (see the module docstring's bit-identity rules: each segment is
-    bit-identical to a left fold of its rows; folding a query in two
-    calls — per rank, then at home — reassociates).  Only the first
+    The segmented reduction at the heart of the engine, for every kernel
+    (:meth:`SemigroupKernel.fold`, :meth:`ObjectKernel.fold`): each
+    segment is bit-identical to a left fold of its rows (see the module
+    docstring's bit-identity rules; folding a query in two calls — per
+    rank, then at home — reassociates).  Only the first
     ``kernel.width`` columns of ``mat`` participate, so a kernel can
     fold its slice of a wider shared piece matrix in place.
     """
     from ..faults import maybe_inject
 
     maybe_inject("kernel.fold")
-    k = len(starts)
-    w = kernel.width
-    out = np.empty((k, w), dtype=mat.dtype)
-    out[:] = np.asarray(kernel.identity_row, dtype=mat.dtype)
-    if k == 0:
-        return out
     starts = np.asarray(starts, dtype=_I64)
     ends = np.asarray(ends, dtype=_I64)
-    ne = ends > starts
-    if not bool(ne.any()):
-        return out
-    s = starts[ne]
-    e = ends[ne]
-    ne_idx = np.nonzero(ne)[0]
-    n = len(mat)
-
-    # reduceat boundaries: [s0, e0, s1, e1, ...] with results at [::2];
-    # a trailing end == n is dropped (reduceat then folds a[s_last:]).
-    pairs = np.empty(2 * len(s), dtype=_I64)
-    pairs[0::2] = s
-    pairs[1::2] = e
-    if pairs[-1] == n:
-        pairs = pairs[:-1]
-
-    fadd_cols: List[int] = []
-    for op, cols in _col_groups(kernel.col_ops):
-        if op == OP_FADD:
-            fadd_cols.extend(cols)
-            continue
-        ufunc = np.minimum if op == OP_MIN else np.add
-        red = ufunc.reduceat(mat[:, cols], pairs, axis=0)[::2]
-        out[np.ix_(ne_idx, cols)] = red
-
-    if fadd_cols:
-        # longest first: the m_i segments open at step i are a prefix
-        sub = mat[:, fadd_cols]
-        order = np.argsort(s - e, kind="stable")
-        so, lengths = s[order], (e - s)[order]
-        acc = sub[so].copy()
-        steps = np.arange(1, int(lengths[0]))
-        for i, m_i in zip(steps.tolist(), np.searchsorted(-lengths, -steps).tolist()):
-            acc[:m_i] += sub[so[:m_i] + i]
-        out[np.ix_(ne_idx[order], fadd_cols)] = acc
-    return out
+    return kernel.fold(mat, starts, ends)
 
 
 # ---------------------------------------------------------------------------
-# typed value columns (the batch/tree carrier)
+# value columns (the batch/tree carrier)
 # ---------------------------------------------------------------------------
 class KernelColumn:
-    """A typed value column: one ``(n, width)`` matrix plus its kernel.
+    """A semigroup value column: one ``(n, width)`` matrix plus its kernel.
 
-    The drop-in replacement for the object value column of a
-    :class:`~repro.cgm.columns.RecordBatch`: integer indexing decodes
-    one semigroup value (so lazy record unpacking keeps working),
-    slices/arrays produce new columns, and ``nbytes`` is *exact* —
-    kernel-backed value traffic needs no sampled byte estimates.
+    The one form of semigroup values in a
+    :class:`~repro.cgm.columns.RecordBatch`, a hat and a forest stack:
+    integer indexing decodes one semigroup value (so lazy record
+    unpacking keeps working), slices/arrays produce new columns, and
+    ``nbytes`` is the kernel's — exact for typed storage, a seeded
+    sampled estimate for an :class:`ObjectKernel`'s objects.
     """
 
     __slots__ = ("kernel", "data")
@@ -445,6 +544,9 @@ class KernelColumn:
     def from_values(
         cls, kernel: SemigroupKernel, values: Sequence[Any]
     ) -> "KernelColumn":
+        """``values`` encoded under ``kernel`` (a column passes through)."""
+        if isinstance(values, KernelColumn):
+            return values
         return cls(kernel, kernel.encode(list(values)))
 
     def __len__(self) -> int:
@@ -462,7 +564,7 @@ class KernelColumn:
             yield self.kernel.decode(self.data, i)
 
     def take(self, idx: np.ndarray) -> "KernelColumn":
-        return KernelColumn(self.kernel, self.data[np.asarray(idx, dtype=_I64)])
+        return KernelColumn(self.kernel, self.data.take(np.asarray(idx, dtype=_I64), axis=0))
 
     def islice(self, start: int, stop: int) -> "KernelColumn":
         return KernelColumn(self.kernel, self.data[start:stop])
@@ -470,18 +572,14 @@ class KernelColumn:
     def repeat(self, k: int) -> "KernelColumn":
         return KernelColumn(self.kernel, np.repeat(self.data, k, axis=0))
 
-    def component_rows(
-        self, idx: np.ndarray, offset: int = 0, width: "int | None" = None
-    ) -> np.ndarray:
-        """Raw encoded rows of one component slice, gathered by row index.
+    def component_rows(self, idx: np.ndarray, slot: int) -> np.ndarray:
+        """Annotation slot ``slot``'s rows at ``idx``, still encoded.
 
-        The demux gathers fold pieces from the typed storage without
-        decoding: ``offset``/``width`` select one component's columns of
-        a product-encoded matrix (the whole width by default).  Returns
-        a ``(len(idx), width)`` view-copy in this column's dtype.
+        The demux gathers fold pieces from the storage without decoding
+        them: a typed product's component columns, an object product's
+        tuple slot, or the whole value of a non-product annotation.
         """
-        w = self.kernel.width - offset if width is None else width
-        return self.data[np.asarray(idx, dtype=_I64), offset : offset + w]
+        return self.kernel.component_rows(self.data, np.asarray(idx, dtype=_I64), slot)
 
     @classmethod
     def concat(cls, cols: Sequence["KernelColumn"]) -> "KernelColumn":
@@ -492,7 +590,7 @@ class KernelColumn:
 
     @property
     def nbytes(self) -> int:
-        return int(self.data.nbytes)
+        return self.kernel.nbytes(self.data)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KernelColumn({self.kernel.name!r}, n={len(self.data)})"

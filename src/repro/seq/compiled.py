@@ -233,17 +233,15 @@ class CompiledForest:
     "after all" without leaving the tree's key range.  ``row_block``
     aligns with the last block: the row whose last-dimension rank each
     slot holds, so a last-dimension node's leaf rows are a contiguous
-    ``(offset, width)`` slice.  Node aggregates live in exactly one of
-    two columns indexed by emission-order node id, decided by the value
-    column handed in: ``agg_mat`` (pre-encoded rows under ``agg_kernel``,
-    §6c) for a typed :class:`~repro.semigroup.kernels.KernelColumn`,
-    ``agg_obj`` (the semigroup's own Python values) otherwise.  Every
+    ``(offset, width)`` slice.  Node aggregates live in one
+    :class:`~repro.semigroup.kernels.KernelColumn`, ``aggs``, indexed by
+    emission-order node id and held under the semigroup's kernel.  Every
     range tree of the stack has ``width`` leaves.  ``pids`` is the point
     id of each row when the holder files them (:mod:`repro.dist` does;
     the sequential tree maps rows to ids itself).
     """
 
-    __slots__ = ("span", "width", "keys", "row_block", "pids", "agg_kernel", "agg_mat", "agg_obj")
+    __slots__ = ("span", "width", "keys", "row_block", "pids", "aggs")
 
     def __init__(self, **arrays: Any) -> None:
         for name in self.__slots__:
@@ -272,14 +270,9 @@ class CompiledForest:
         return count * _sizes(m, r)[2]
 
     @property
-    def aggs(self) -> np.ndarray:
-        """The aggregate column in force: ``agg_mat`` or ``agg_obj``."""
-        return self.agg_obj if self.agg_mat is None else self.agg_mat
-
-    @property
     def nbytes(self) -> int:
         """Bytes of the held arrays (what a pickle of the stack ships)."""
-        held = (*self.keys, self.row_block, self.aggs, self.pids)
+        held = (*self.keys, self.row_block, self.aggs.data, self.pids)
         return sum(a.nbytes for a in held if a is not None)
 
     # ------------------------------------------------------------------
@@ -346,41 +339,22 @@ class CompiledForest:
 
     def annotate(self, values: Sequence[Any], semigroup: Semigroup) -> None:
         """(Re)compute every last-dimension node's aggregate ``f(v)`` over
-        the held topology and rebind the aggregate columns.
+        the held topology and rebind the aggregate column.
 
         Step 1 of Algorithm AssociativeFunction: O(s) work, no topology
         touched.  Each size class of last-dimension trees folds as one
-        stack — thousands of mostly tiny trees would drown per-tree numpy
-        calls — combining the same child pairs as a per-node bottom-up
-        ``combine`` loop, hence bit-identical values.
+        stack under the semigroup's kernel — thousands of mostly tiny
+        trees would drown per-tree calls — combining the same child pairs
+        as a per-node bottom-up ``combine`` loop, hence bit-identical
+        values.  ``values`` is a column or a plain sequence (encoded here).
         """
-        n = self.size_nodes
-        if isinstance(values, KernelColumn):
-            kernel = values.kernel
-            agg_mat = np.zeros((n, kernel.width), dtype=kernel.dtype)
-            for rows, gids, heap in self._last_dim_classes():
-                heaps = batched_heap_fold(kernel, values.data[rows])
-                agg_mat[gids.ravel()] = heaps[:, heap].reshape(-1, kernel.width)
-            self.agg_kernel, self.agg_mat, self.agg_obj = kernel, agg_mat, None
-            return
-        leaves = np.empty(len(values), dtype=object)
-        for i, v in enumerate(values):
-            leaves[i] = v
-        combine = np.frompyfunc(semigroup.combine, 2, 1)
-        agg_obj = np.empty(n, dtype=object)
+        values = KernelColumn.from_values(semigroup.kernel, values)
+        kernel = values.kernel
+        aggs = np.zeros((self.size_nodes, kernel.width), dtype=kernel.dtype)
         for rows, gids, heap in self._last_dim_classes():
-            k, w = rows.shape
-            heaps = np.empty((k, 2 * w), dtype=object)
-            heaps[:, w:] = leaves[rows]
-            pos = w
-            while pos > 1:
-                half = pos >> 1
-                heaps[:, half:pos] = combine(
-                    heaps[:, pos : 2 * pos : 2], heaps[:, pos + 1 : 2 * pos : 2]
-                )
-                pos = half
-            agg_obj[gids.ravel()] = heaps[:, heap].ravel()
-        self.agg_kernel, self.agg_mat, self.agg_obj = None, None, agg_obj
+            heaps = batched_heap_fold(kernel, values.data[rows])
+            aggs[gids.ravel()] = heaps[:, heap].reshape(-1, kernel.width)
+        self.aggs = KernelColumn(kernel, aggs)
 
     # ------------------------------------------------------------------
     # the batched walk
@@ -487,10 +461,8 @@ class CompiledForest:
     def decode_aggs(self, sel_n: np.ndarray) -> List[Any]:
         """The semigroup values of selected nodes, in order — exactly
         what :meth:`~repro.seq.range_tree.CanonicalSelection.agg` reads
-        off the object tree, typed or object aggregates alike."""
-        if self.agg_kernel is None:
-            return self.agg_obj[sel_n].tolist()
-        return self.agg_kernel.decode_list(self.agg_mat[sel_n])
+        off the object tree."""
+        return self.aggs.take(sel_n).to_list()
 
     def root_aggs(self) -> List[Any]:
         """Each tree's aggregate over all its points, tree by tree: the

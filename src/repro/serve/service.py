@@ -60,6 +60,8 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import math
+import numbers
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -84,6 +86,15 @@ BATCH_LOG_LEN = 128
 _CLOSE = object()
 
 
+def _check_ms(name: str, value: float, low: "float | None" = None) -> None:
+    """A timing must be a finite number of milliseconds, above 0 (or at
+    least ``low``): NaN passes every comparison, so it is named here."""
+    ok = isinstance(value, numbers.Real) and math.isfinite(value)
+    if not (ok and (value > 0 if low is None else value >= low)):
+        bound = "> 0" if low is None else f">= {low:g}"
+        raise ServeError(f"{name} must be a finite number {bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FlushPolicy:
     """The adaptive micro-batching knobs.
@@ -100,10 +111,7 @@ class FlushPolicy:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ServeError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_ms < 0:
-            raise ServeError(
-                f"max_wait_ms must be >= 0, got {self.max_wait_ms}"
-            )
+        _check_ms("max_wait_ms", self.max_wait_ms, 0.0)
 
 
 @dataclass(frozen=True)
@@ -259,12 +267,10 @@ class QueryService:
         self.policy = policy or FlushPolicy()
         if max_inflight is None:
             max_inflight = DEFAULT_MAX_INFLIGHT
-        if max_inflight < 1:
-            raise ServeError(f"max_inflight must be >= 1, got {max_inflight}")
-        if default_deadline_ms is not None and default_deadline_ms <= 0:
-            raise ServeError(
-                f"default_deadline_ms must be > 0, got {default_deadline_ms}"
-            )
+        if not isinstance(max_inflight, numbers.Integral) or max_inflight < 1:
+            raise ServeError(f"max_inflight must be an integer >= 1, got {max_inflight!r}")
+        if default_deadline_ms is not None:
+            _check_ms("default_deadline_ms", default_deadline_ms)
         self.max_inflight = max_inflight
         self.default_deadline_ms = default_deadline_ms
         self.metrics = ServeMetrics()
@@ -364,8 +370,8 @@ class QueryService:
         get_mode(query.mode).validate(query, dim)
         if deadline_ms is None:
             deadline_ms = self.default_deadline_ms
-        if deadline_ms is not None and deadline_ms <= 0:
-            raise ServeError(f"deadline_ms must be > 0, got {deadline_ms}")
+        else:
+            _check_ms("deadline_ms", deadline_ms)
         now = self._loop.time()
         future = self._loop.create_future()
         self._inflight += 1

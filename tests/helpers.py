@@ -81,11 +81,12 @@ def grid_of_boxes(d: int, per_dim: int = 3) -> list[Box]:
 
 
 def unkernelized(sg: Semigroup) -> Semigroup:
-    """``sg`` without its kernel: same name, same functions, same values —
-    so a builtin's answers can be compared between typed kernel columns
-    and object columns + ``combine`` without any switch.  Products drop
-    it component by component (the engine reads a fold's kernel off the
-    queried component); a group keeps its inverse."""
+    """``sg`` without its typed kernel: same name, same functions, same
+    values, resolved to an :class:`~repro.semigroup.kernels.ObjectKernel`
+    — so a builtin's answers can be compared between typed kernel
+    columns and object columns + ``combine`` without any switch.
+    Products drop it component by component; a group keeps its
+    inverse."""
     if isinstance(sg, ProductSemigroup):
         return product_semigroup([unkernelized(c) for c in sg.components])
     return dataclasses.replace(sg, kernel=None)

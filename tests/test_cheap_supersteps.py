@@ -35,7 +35,7 @@ from repro.faults import FaultPlan, FaultRule, injected
 from repro.geometry.box import Box, RankBox, rank_bounds
 from repro.query import aggregate, count, report
 from repro.semigroup import sum_of_dim
-from repro.semigroup.kernels import KernelColumn
+from repro.semigroup.kernels import KernelColumn, ObjectKernel
 from repro.seq import bf_count, bf_report
 from repro.workloads import make_points
 
@@ -278,7 +278,7 @@ def test_the_bytes_charged_for_an_element_are_what_its_pickle_ships():
     with DistributedRangeTree.build(pts, p=4) as tree:
         for store in tree.forest_store:
             for stack in store.values():
-                arrays = (*stack.keys, stack.row_block, stack.pids, stack.agg_mat)
+                arrays = (*stack.keys, stack.row_block, stack.pids, stack.aggs.data)
                 assert stack.nbytes == sum(a.nbytes for a in arrays)
                 # the pickle adds only its envelope (class paths, shapes, ids)
                 assert 0 < len(pickle.dumps(stack)) - stack.nbytes < 2048
@@ -325,7 +325,8 @@ def test_zero_row_walk_and_forest_match_the_general_path(kernelised):
         hat = tree.hat
         idle = hat.idle  # what step 1 returns at a rank with no queries
         general = walk_hats([hat], 3, [rank_bounds([nothing])], np.ones(1, dtype=bool))
-        assert isinstance(idle[0].col("agg"), KernelColumn) == kernelised
+        assert idle[0].col("agg").kernel == sg.kernel
+        assert isinstance(sg.kernel, ObjectKernel) != kernelised
         for idle_batch, general_batch in zip(idle[:3], general[:3]):
             assert _schema(idle_batch) == _schema(general_batch)
         assert idle[3].dtype == general[3].dtype and len(idle[3]) == 0

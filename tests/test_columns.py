@@ -25,12 +25,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cgm import Machine
-from repro.cgm.columns import RecordBatch, encode_keys, obj_col
+from repro.cgm.columns import RecordBatch, encode_keys
 from repro.cgm.sort import sample_sort_cols
 from repro.dist import DistributedRangeTree
 from repro.dist.records import KIND_EXPAND, KIND_SUBQUERY
 from repro.query import QueryBatch, aggregate, count, report
-from repro.semigroup import sum_of_dim
+from repro.semigroup import KernelColumn, Semigroup, sum_of_dim
 from repro.seq import SequentialRangeTree, bf_aggregate, bf_count, bf_report
 from repro.workloads import make_points
 
@@ -46,9 +46,13 @@ SELECTION = ("qid", "element", "nleaves", "agg")
 PAIR = ("qid", "pid")
 
 
+#: the kernel of arbitrary semigroup values: an object column
+CELLS = Semigroup("cells", lambda pid, coords: None, lambda a, b: a, None).kernel
+
+
 def pack(schema: str, names, rows, widths=None) -> RecordBatch:
     """Rows → columns: ``widths`` names the matrix columns, ``value`` /
-    ``agg`` are object columns, everything else int64."""
+    ``agg`` are object value columns, everything else int64."""
     widths = widths or {}
     cols = {}
     for j, name in enumerate(names):
@@ -56,7 +60,7 @@ def pack(schema: str, names, rows, widths=None) -> RecordBatch:
         if name in widths:
             cols[name] = np.asarray(cells, dtype=np.int64).reshape(len(rows), widths[name])
         elif name in ("value", "agg"):
-            cols[name] = obj_col(cells)
+            cols[name] = KernelColumn.from_values(CELLS, cells)
         else:
             cols[name] = np.asarray(cells, dtype=np.int64)
     return RecordBatch(schema, cols, len(rows))

@@ -37,6 +37,7 @@ from repro.query import QueryBatch, aggregate
 from repro.semigroup import (
     COUNT,
     KernelColumn,
+    ObjectKernel,
     bounding_box_semigroup,
     max_of_dim,
     product_semigroup,
@@ -131,7 +132,7 @@ def _random_stack(rng, d, dim, width, count, semigroup, typed):
     coords = rng.random((count * width, d))
     values = [semigroup.lift(i, tuple(coords[i])) for i in range(count * width)]
     sg = semigroup if typed else unkernelized(semigroup)
-    assert (sg.kernel is not None) == typed
+    assert isinstance(sg.kernel, ObjectKernel) != typed
     column = KernelColumn.from_values(sg.kernel, values) if typed else values
     stack = build_stack(ranks, np.arange(count * width) + 7, column, sg, dim, width)
     return stack, _oracles(ranks, values, sg, dim, width), span
@@ -192,13 +193,10 @@ class TestDirectBuildAgainstTheObjectOracle:
             coords = rng.random((count * width, d))
             fresh = [refit_sg.lift(i, tuple(coords[i])) for i in range(count * width)]
             kernel = refit_sg.kernel
-            stack.annotate(
-                fresh if kernel is None else KernelColumn.from_values(kernel, fresh), refit_sg
-            )
+            stack.annotate(KernelColumn.from_values(kernel, fresh), refit_sg)
             assert all(getattr(stack, name) is arr for name, arr in held.items())
-            assert (stack.agg_kernel is None) == (kernel is None)
-            assert (stack.agg_mat is None) == (kernel is None)
-            assert (stack.agg_obj is None) == (kernel is not None)
+            assert stack.aggs.kernel == kernel
+            assert (stack.aggs.data.dtype == object) == isinstance(kernel, ObjectKernel)
             refs = _oracles(ranks, fresh, refit_sg, dim, width)
             assert _array_walk(stack, trees, boxes) == want(refs)
 
@@ -476,8 +474,8 @@ class TestOneRepresentation:
             leaf, stack, t = forest_elements(tree)[0]
             clone = pickle.loads(pickle.dumps(stack))
             for mine, theirs in zip(
-                (*clone.keys, clone.row_block, clone.pids, clone.agg_mat),
-                (*stack.keys, stack.row_block, stack.pids, stack.agg_mat),
+                (*clone.keys, clone.row_block, clone.pids, clone.aggs.data),
+                (*stack.keys, stack.row_block, stack.pids, stack.aggs.data),
             ):
                 np.testing.assert_array_equal(mine, theirs)
             assert (clone.span, clone.width) == (stack.span, stack.width)
@@ -582,14 +580,15 @@ class TestTilingEquivalence:
         ) as tree:
             stack = tree.forest_store[0][1]
             assert stack.shape[0] > 1, "want a stack of several trees"
-            assert stack.agg_kernel is not None and stack.agg_obj is None
+            assert stack.aggs.kernel == tree.semigroup.kernel
+            assert not isinstance(stack.aggs.kernel, ObjectKernel)
             last = np.concatenate(
                 [gids.ravel() for _rows, gids, _heap in stack._last_dim_classes()]
             )
             decoded = stack.decode_aggs(last)
             for j, val in zip(last, decoded):
-                row = stack.agg_mat[int(j)]
-                dec = stack.agg_kernel.decode(row[None, :], 0)
+                row = stack.aggs.data[int(j)]
+                dec = stack.aggs.kernel.decode(row[None, :], 0)
                 assert repr(dec) == repr(val)
             # the object oracle folds Python floats over the same child pairs
             roots = stack.root_aggs()

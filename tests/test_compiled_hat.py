@@ -26,7 +26,7 @@ from repro.geometry import Box
 from repro.query import QueryBatch, aggregate, count, report, top_k
 from repro.semigroup import max_of_dim, sum_of_dim
 from repro.seq import SequentialRangeTree, bf_aggregate, bf_count, bf_report
-from repro.semigroup.kernels import KernelColumn
+from repro.semigroup.kernels import KernelColumn, ObjectKernel
 from repro.seq.segment_tree import WalkStats
 from repro.workloads import make_points, uniform_points
 
@@ -308,18 +308,19 @@ def test_hat_selections_answer_every_fold_family_across_refits(d, backend):
             tree,
             [count, report, lambda b: aggregate(b, sg0), lambda b: aggregate(b, sg1)],
         )
-        assert hat.agg_obj is None and hat.agg_kernel.name == tree.value_kernel.name
+        assert hat.aggs.kernel == tree.semigroup.kernel
+        assert not isinstance(hat.aggs.kernel, ObjectKernel)
         tree.reannotate(sg2)
         idle_agg = hat.idle[0].col("agg")
         assert isinstance(idle_agg, KernelColumn)
-        assert idle_agg.kernel == hat.agg_kernel == tree.value_kernel
+        assert idle_agg.kernel == hat.aggs.kernel == tree.semigroup.kernel
         assert idle_agg.kernel.name != "product"
-        # a lazy refit to sg2 x top-3, which no kernel holds: object folds
+        # a lazy refit to sg2 x top-3, which no typed kernel holds: object folds
         answers_hold(
             tree, [count, report, aggregate, lambda b: top_k(b, 3, dim=0)]
         )
-        assert tree.hat is hat and hat.agg_mat is None and hat.agg_kernel is None
-        assert hat.idle[0].col("agg").dtype == object
+        assert tree.hat is hat and isinstance(hat.aggs.kernel, ObjectKernel)
+        assert hat.idle[0].col("agg").kernel == hat.aggs.kernel
 
         bounds = tree.ranked.to_rank_bounds(*Box.stack(boxes))
         _assert_walks_identically(pickle.loads(pickle.dumps(hat)), hat, *bounds)

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from repro._util import ilog2
-from repro.cgm.columns import RecordBatch, obj_col
+from repro.cgm.columns import RecordBatch
 from repro.cgm.phases import ProcContext, get_phase
 from repro.dist import DistributedRangeTree
 from repro.dist.hat import Hat, hat_shape
 from repro.errors import ProtocolError
 from repro.query import count
-from repro.semigroup import COUNT
+from repro.semigroup import COUNT, KernelColumn
 from repro.workloads import uniform_points
 
 from tests.helpers import forest_elements
@@ -95,8 +95,9 @@ class TestHatBuildErrors:
     def test_roots_seat_the_built_hat(self):
         tree = build(n=32, d=2, p=4)
         hat = Hat.build(roots_of(tree)[::-1], d=2, n=32, p=4, semigroup=COUNT)
-        for col in ("lo", "hi", "nleaves", "agg_mat"):
+        for col in ("lo", "hi", "nleaves"):
             np.testing.assert_array_equal(getattr(hat, col), getattr(tree.hat, col))
+        np.testing.assert_array_equal(hat.aggs.data, tree.hat.aggs.data)
 
     def test_missing_root_detected(self):
         roots = self._roots()
@@ -129,7 +130,7 @@ class TestHatBuildErrors:
                 "tree": np.zeros(k, dtype=np.int64),
                 "ranks": np.repeat(np.arange(k, dtype=np.int64)[:, None], d, axis=1),
                 "pid": np.arange(k, dtype=np.int64),
-                "value": obj_col([1] * k),
+                "value": KernelColumn.from_values(COUNT.kernel, [1] * k),
             },
             k,
         )

@@ -44,6 +44,7 @@ from repro.query import (
 from repro.query.modes import _REGISTRY, ReportMode
 from repro.semigroup import (
     COUNT,
+    ObjectKernel,
     id_set,
     max_of_dim,
     min_of_dim,
@@ -165,12 +166,15 @@ def test_mixed_batch_folds_by_group(trees, case):
     rs = tree.run(batch)
     assert rs.values() == [_expected(pts, q, sg) for q, sg in made]
 
-    # leaf counts always fold typed; an annotation group only off typed storage
+    # leaf counts always fold typed; an annotation group under its slot of
+    # the annotation's kernel: typed off typed storage, object otherwise
     kernels = tree.engine._fold_kernels(plan_batch(tree, batch))
-    typed_storage = tree.value_kernel is not None
-    for fold, typed in zip(plan.folds, kernels):
-        want = fold.slot is None or (typed_storage and fold.semigroup.kernel is not None)
-        assert (typed is not None) == want
+    object_storage = isinstance(tree.semigroup.kernel, ObjectKernel)
+    for fold, kernel in zip(plan.folds, kernels):
+        typed = fold.slot is None or not object_storage
+        assert isinstance(kernel, ObjectKernel) != typed
+        if fold.slot is not None and typed:
+            assert kernel == fold.semigroup.kernel
 
     # (d) the annotation is in place now, and (c) the mix adds no round
     assert plan_batch(tree, batch).needs_refit is False

@@ -1,4 +1,4 @@
-"""White-box tests for the output-mode machinery (repro.dist.modes)."""
+"""White-box tests for the output-mode machinery (the engine's demux fold)."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from repro.geometry import Box
 from repro.query import QueryBatch, aggregate, count, report
 from repro.query.engine import QueryEngine
 from repro.semigroup import Semigroup
+from repro.semigroup.kernels import ObjectKernel
 from repro.seq import bf_count, bf_report
 from repro.workloads import selectivity_queries, uniform_points
 
@@ -26,7 +27,7 @@ def fold():
         engine = QueryEngine(tree)
         plan = engine.plan(QueryBatch([aggregate(Box.full(1, 0.0, 1.0))] * 12))
         kernels = engine._fold_kernels(plan)
-        assert kernels == [None]
+        assert kernels == [PLAIN.kernel] and isinstance(PLAIN.kernel, ObjectKernel)
 
         def pieces(rows):
             cols = {

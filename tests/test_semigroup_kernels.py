@@ -8,8 +8,13 @@ the kernels in isolation (encode/decode round trips, segmented folds vs
 ``Semigroup.fold``, heap folds vs the bottom-up loop) and end to end:
 a builtin (typed kernel columns) against the same semigroup without its
 kernel — :func:`tests.helpers.unkernelized`, and a hand-built
-``Semigroup`` over the builtin's own functions — (object columns +
-``combine``) on mixed batches in d = 1..3.
+``Semigroup`` over the builtin's own functions — (an
+:class:`~repro.semigroup.kernels.ObjectKernel`: object columns +
+``combine``) on mixed batches in d = 1..3.  The kernel properties take
+an ``ObjectKernel`` as one more input: over a typed builtin it decodes
+to the typed kernel's values bit for bit; over a semigroup without a
+typed form it folds segments left from their first row and heaps
+pairwise, like the per-node ``combine`` loop.
 """
 
 from __future__ import annotations
@@ -41,9 +46,11 @@ from repro.semigroup import (
     product_semigroup,
     sum_of_dim,
     top_k_ids,
+    vector_sum_group,
 )
 from repro.semigroup.kernels import (
     KernelColumn,
+    ObjectKernel,
     batched_heap_fold,
     fold_segments,
     heap_fold,
@@ -77,16 +84,47 @@ def _kernelizable(d: int):
     ]
 
 
+def _max_pair(pid, coords):
+    return (float(coords[0]), pid)
+
+
+#: a user semigroup over module-level functions: it pickles
+USER = Semigroup("user-max", _max_pair, max, (-math.inf, -1))
+
+
+def _object_semigroups(d: int):
+    """Semigroups without a typed form, a lambda one included."""
+    return [
+        id_set(),
+        top_k_ids(2),
+        moments_of_dim(0),
+        histogram_of_dim(0, [-50.0, 0.0, 50.0]),
+        vector_sum_group(d),
+        USER,
+        Semigroup("lambda-min", lambda p, c: (float(c[-1]), p), min, (math.inf, -1)),
+    ]
+
+
+def _object_kernels(d: int):
+    """``(semigroup, ObjectKernel)`` pairs: over every typed builtin (its
+    object twin) and over every semigroup without a typed form."""
+    return [(sg, ObjectKernel(sg)) for sg in _kernelizable(d)] + [
+        (sg, sg.kernel) for sg in _object_semigroups(d)
+    ]
+
+
 # ---------------------------------------------------------------------------
-# the kernel field: set by the builtin constructors, by nothing else
+# the kernel field: set by the builtin constructors, else an ObjectKernel
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_builtins_resolve_to_kernels(d):
     for sg in _kernelizable(d):
-        assert sg.kernel is not None, sg.name
+        assert not isinstance(sg.kernel, ObjectKernel), sg.name
 
 
 def test_unkernelizable_semigroups_resolve_to_none():
+    """No typed form: the semigroup resolves to an object kernel over its
+    own functions (the field is never ``None``)."""
     for sg in (
         id_set(),
         top_k_ids(3),
@@ -95,7 +133,7 @@ def test_unkernelizable_semigroups_resolve_to_none():
         product_semigroup([COUNT, top_k_ids(2)]),  # one bad component
         Semigroup("count", lambda p, c: 1, lambda a, b: max(a, b), 0),
     ):
-        assert sg.kernel is None, sg.name
+        assert isinstance(sg.kernel, ObjectKernel) and sg.kernel.semigroup is sg, sg.name
 
 
 def _handbuilt(sg: Semigroup) -> Semigroup:
@@ -110,7 +148,7 @@ def _handbuilt(sg: Semigroup) -> Semigroup:
 def test_handbuilt_semigroup_over_builtin_functions_has_no_kernel(d):
     for sg in _kernelizable(d):
         twin = _handbuilt(sg)
-        assert twin.kernel is None and twin != sg, sg.name
+        assert isinstance(twin.kernel, ObjectKernel) and twin != sg, sg.name
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -121,7 +159,8 @@ def test_kernelized_semigroup_pickles_with_an_equal_kernel(d):
         assert back.kernel.col_ops == sg.kernel.col_ops
         # the object twin crosses a process boundary too
         twin = pickle.loads(pickle.dumps(unkernelized(sg)))
-        assert twin.kernel is None and twin.name == sg.name
+        assert isinstance(twin.kernel, ObjectKernel) and twin.name == sg.name
+        assert twin.kernel.semigroup is twin
 
 
 # ---------------------------------------------------------------------------
@@ -140,18 +179,30 @@ def _assert_same_value(a, b):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_encode_decode_roundtrip_bit_identical(d):
     rng = random.Random(d)
-    for sg in _kernelizable(d):
-        kernel = sg.kernel
+    kernels = [(sg, sg.kernel) for sg in _kernelizable(d)] + _object_kernels(d)
+    for sg, kernel in kernels:
         values = _random_values(sg, 40, d, rng) + [sg.identity]
         mat = kernel.encode(values)
         assert mat.shape == (len(values), kernel.width)
         for i, v in enumerate(values):
             _assert_same_value(kernel.decode(mat, i), v)
+        assert kernel.decode_list(mat) == values
+        for got, v in zip(kernel.decode_list(mat), values):
+            _assert_same_value(got, v)
 
 
 # ---------------------------------------------------------------------------
 # segmented folds vs Semigroup.fold — every builtin, empty/single segments
 # ---------------------------------------------------------------------------
+def _segments(rng: random.Random, n: int):
+    """A random segmentation of ``n`` rows after an empty and a one-row
+    segment (only the last non-empty segment may end at row ``n``)."""
+    cuts = sorted(rng.randrange(0, n + 1) for _ in range(6))
+    bounds = [0] + cuts + [n]
+    segs = [(0, 0)] + [(0, 1)] * (n > 1) + list(zip(bounds[:-1], bounds[1:]))
+    return tuple(np.asarray(col, dtype=np.int64) for col in zip(*segs))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fold_segments_matches_object_fold(d, seed):
@@ -161,15 +212,28 @@ def test_fold_segments_matches_object_fold(d, seed):
         n = rng.randrange(1, 120)
         values = _random_values(sg, n, d, rng)
         mat = kernel.encode(values).astype(np.float64)
-        # random segmentation including empty and single-element segments
-        cuts = sorted(rng.randrange(0, n + 1) for _ in range(6))
-        bounds = [0] + cuts + [n]
-        starts = np.asarray(bounds[:-1], dtype=np.int64)
-        ends = np.asarray(bounds[1:], dtype=np.int64)
+        starts, ends = _segments(rng, n)
         folded = fold_segments(kernel, mat, starts, ends)
+        # the object twin folds the same segments to the same bits
+        twin = ObjectKernel(sg)
+        by_object = fold_segments(twin, twin.encode(values), starts, ends)
         for i, (s, e) in enumerate(zip(starts, ends)):
             expected = sg.fold(values[s:e])
             _assert_same_value(kernel.decode_row(folded[i]), expected)
+            _assert_same_value(twin.decode_row(by_object[i]), kernel.decode_row(folded[i]))
+    # no typed form: each segment is the left fold from its first row
+    for sg in _object_semigroups(d):
+        n = rng.randrange(1, 120)
+        values = _random_values(sg, n, d, rng)
+        starts, ends = _segments(rng, n)
+        folded = fold_segments(sg.kernel, sg.kernel.encode(values), starts, ends)
+        for i, (s, e) in enumerate(zip(starts, ends)):
+            expected = sg.identity
+            if e > s:
+                expected = values[s]
+                for v in values[s + 1 : e]:
+                    expected = sg.combine(expected, v)
+            _assert_same_value(sg.kernel.decode_row(folded[i]), expected)
 
 
 def test_fold_segments_float_sum_is_sequential_left_fold():
@@ -240,8 +304,8 @@ def test_fold_segments_folds_each_segment_left_in_row_order(case):
 @pytest.mark.parametrize("m", [1, 2, 8, 64])
 def test_heap_fold_matches_pairwise_combine(m):
     rng = random.Random(m)
-    for sg in _kernelizable(2):
-        kernel = sg.kernel
+    kernels = [(sg, sg.kernel) for sg in _kernelizable(2)] + _object_kernels(2)
+    for sg, kernel in kernels:
         values = _random_values(sg, m, 2, rng)
         heap = heap_fold(kernel, kernel.encode(values))
         # reference: the bottom-up ``combine`` loop of _build_aggs
@@ -310,6 +374,17 @@ def test_kernel_column_pickles():
     back = pickle.loads(pickle.dumps(col))
     assert list(back) == [1.5, 2.5]
     assert back.kernel == kernel
+    # object columns cross a pickle too (a lambda semigroup's cannot)
+    rng = random.Random(9)
+    for sg, kernel in _object_kernels(2):
+        if sg.name.startswith("lambda"):
+            continue
+        values = _random_values(sg, 5, 2, rng)
+        back = pickle.loads(pickle.dumps(KernelColumn.from_values(kernel, values)))
+        assert back.kernel == kernel and back.kernel.semigroup.name == sg.name
+        for got, v in zip(back.to_list(), values):
+            _assert_same_value(got, v)
+        assert fold_segments(back.kernel, back.data, [0], [5])[0, 0] == sg.fold(values)
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +458,9 @@ def test_planes_bit_identical_end_to_end(d):
         batch = _mixed_batch(d, variant, topk=True)
         with DistributedRangeTree.build(pts, p=4) as tree:
             rs0 = tree.run(plain)  # lazy refit to a 5-layer product
-            assert (tree.value_kernel is None) == (name != "builtin")
+            assert isinstance(tree.semigroup.kernel, ObjectKernel) == (name != "builtin")
             rs1 = tree.run(batch)  # refit again: top-k joins the product
-            assert tree.value_kernel is None
+            assert isinstance(tree.semigroup.kernel, ObjectKernel)
             rs2 = tree.run(batch)  # cached annotation
             dicts[name] = [
                 repr(_strip_nondeterministic(rs.to_dict()))
@@ -405,7 +480,7 @@ def test_planes_bit_identical_end_to_end(d):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_build_semigroup_kernelized_or_not_agree(d):
-    """The *declared* semigroup decides ``value_kernel`` at build: same
+    """The *declared* semigroup decides the storage kernel at build: same
     answers, rounds and h-relations from typed and object storage."""
     pts = uniform_points(45, d, seed=33)
     base = product_semigroup([COUNT, sum_of_dim(0), bounding_box_semigroup(d)])
@@ -416,7 +491,8 @@ def test_build_semigroup_kernelized_or_not_agree(d):
     dicts = {}
     for name, variant in _VARIANTS.items():
         with DistributedRangeTree.build(pts, p=4, semigroup=variant(base)) as tree:
-            assert (tree.value_kernel is None) == (name != "builtin")
+            assert isinstance(tree.semigroup.kernel, ObjectKernel) == (name != "builtin")
+            assert tree.hat.aggs.kernel == tree.semigroup.kernel
             rs = tree.run(batch)
             # construct + search + demux: every round's h-relation
             rounds = [
@@ -427,7 +503,7 @@ def test_build_semigroup_kernelized_or_not_agree(d):
 
 
 def test_refit_from_kernel_to_object_storage_and_back():
-    """``value_kernel`` follows every refit (it *is* the annotation
+    """The storage kernel follows every refit (it *is* the annotation
     semigroup's ``kernel`` field): typed -> object -> typed, with the
     answers bit-identical throughout."""
     pts = uniform_points(50, 2, seed=35)
@@ -436,13 +512,13 @@ def test_refit_from_kernel_to_object_storage_and_back():
     batch = [aggregate(b) for b in boxes]
     want = [bf_aggregate(pts, b, sg) for b in boxes]
     with DistributedRangeTree.build(pts, p=4, semigroup=sg) as tree:
-        assert tree.value_kernel == sg.kernel
+        assert tree.hat.aggs.kernel == sg.kernel
         first = tree.run(batch)
         tree.reannotate(unkernelized(sg))
-        assert tree.value_kernel is None
+        assert isinstance(tree.hat.aggs.kernel, ObjectKernel)
         second = tree.run(batch)
         tree.reannotate(sg)
-        assert tree.value_kernel == sg.kernel
+        assert tree.hat.aggs.kernel == sg.kernel
         third = tree.run(batch)
     for rs in (second, third):
         for got, same, exp in zip(rs.values(), first.values(), want):
@@ -480,7 +556,7 @@ def test_failed_refit_leaves_the_tree_as_it_was(bad, via):
             else:  # the engine's lazy refit, and its rollback
                 tree.run([aggregate(box, _UNREADABLE[bad]())])
         assert tree.semigroup is sg and tree.base_semigroup is sg
-        assert tree.value_kernel == sg.kernel == tree.hat.agg_kernel
+        assert tree.semigroup.kernel == sg.kernel == tree.hat.aggs.kernel
         after = tree.run([aggregate(box)]).values()
     _assert_same_value(after[0], before[0])
     assert after[0] == pytest.approx(bf_aggregate(pts, box, sg))
@@ -489,7 +565,7 @@ def test_failed_refit_leaves_the_tree_as_it_was(bad, via):
 def test_kernel_plane_is_the_default_and_annotates_typed():
     pts = uniform_points(64, 2, seed=41)
     with DistributedRangeTree.build(pts, p=4, semigroup=sum_of_dim(0)) as tree:
-        assert tree.value_kernel is not None
+        assert not isinstance(tree.hat.aggs.kernel, ObjectKernel)
         rs = tree.run([aggregate(b) for b in selectivity_queries(8, 2, seed=42)])
         assert len(rs.values()) == 8
 
@@ -531,9 +607,9 @@ def test_object_storage_with_kernel_demux_counts():
     pts = uniform_points(48, 2, seed=61)
     boxes = selectivity_queries(12, 2, seed=62, selectivity=0.2)
     with DistributedRangeTree.build(pts, p=4, semigroup=id_set()) as tree:
-        assert tree.value_kernel is None  # id_set is unkernelizable
+        assert isinstance(tree.semigroup.kernel, ObjectKernel)  # id_set has no typed form
         plan = tree.engine.plan(QueryBatch([count(b) for b in boxes]))
-        assert tree.engine._fold_kernels(plan) == [(COUNT.kernel, 0)]
+        assert tree.engine._fold_kernels(plan) == [COUNT.kernel]
         counts = tree.run([count(b) for b in boxes]).values()
     assert counts == [bf_count(pts, b) for b in boxes]
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 
 import pytest
 
@@ -88,6 +89,66 @@ class TestAdmission:
             QueryService(tree, max_inflight=0)
         with pytest.raises(ServeError, match="default_deadline_ms"):
             QueryService(tree, default_deadline_ms=0)
+
+
+# ---------------------------------------------------------------------------
+# non-finite settings: NaN passes every ``<``/``<=`` check, so each names it
+# ---------------------------------------------------------------------------
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_max_wait_ms_must_be_finite(self, value):
+        with pytest.raises(ServeError, match="max_wait_ms must be a finite number"):
+            FlushPolicy(max_wait_ms=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_default_deadline_ms_must_be_finite(self, tree, value):
+        with pytest.raises(ServeError, match="default_deadline_ms must be a finite number"):
+            QueryService(tree, default_deadline_ms=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5])
+    def test_max_inflight_must_be_an_integer(self, tree, value):
+        with pytest.raises(ServeError, match="max_inflight must be an integer"):
+            QueryService(tree, max_inflight=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_deadline_ms_must_be_finite_at_submit(self, tree, value):
+        async def go():
+            async with QueryService(tree) as svc:
+                with pytest.raises(ServeError, match="deadline_ms must be a finite number"):
+                    svc.submit(count(BOX), deadline_ms=value)
+                return svc.metrics.deadline_expired
+
+        assert run(go()) == 0
+
+    def test_nan_deadline_on_the_wire_answers_a_typed_error(self, tree):
+        """JSON's ``NaN`` literal reaches the service from the wire: it is
+        a bad request, not an expired deadline."""
+
+        async def go():
+            async with QueryService(tree) as svc:
+                server = await start_tcp_server(svc, "127.0.0.1", 0)
+                port = server.sockets[0].getsockname()[1]
+                try:
+                    async with await ServeClient.connect("127.0.0.1", port) as client:
+                        with pytest.raises(ServeError) as bad:
+                            await client.value(count(BOX), deadline_ms=math.nan)
+                        value = await client.value(count(BOX))  # the connection lives on
+                    return bad.value, value, svc.metrics.deadline_expired
+                finally:
+                    server.close()
+                    await server.wait_closed()
+
+        bad, value, expired = run(go())
+        assert type(bad) is ServeError and "deadline_ms" in str(bad)
+        assert expired == 0
+        assert value == tree.run(QueryBatch([count(BOX)])).values()[0]
+
+    def test_cli_exits_2_on_nan_max_wait_ms(self, capsys):
+        from repro.cli import main
+
+        argv = ["loadgen", "--n", "64", "--m", "4", "--clients", "1", "--max-wait-ms", "nan", "--json"]
+        assert main(argv) == 2
+        assert "max_wait_ms" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ class TestValidatorCatchesCorruption:
         tree = self._tree()
         hat = tree.hat
         i = np.nonzero((hat.shape.dim == 1) & ~hat.shape.leaf)[0][0]
-        hat.agg_mat[i] += 1  # corrupt one f(v)
+        hat.aggs.data[i] += 1  # corrupt one f(v)
         rep = validate_tree(tree)
         assert not rep.ok
         assert any("aggregate" in f for f in rep.failures)
@@ -107,7 +107,7 @@ class TestValidatorCatchesCorruption:
     def test_detects_wrong_node_count(self):
         tree = self._tree()
         stack = self._stack(tree)
-        stack.agg_mat = stack.agg_mat[:-1]
+        stack.aggs = stack.aggs[:-1]
         self._assert_caught(tree, "node count is not T(")
 
     def test_detects_wrong_record_counts(self):
@@ -161,7 +161,7 @@ class TestValidatorCatchesCorruption:
     def test_detects_stale_element_root_aggregate(self):
         tree = self._tree()
         stack = self._stack(tree)
-        stack.agg_mat[len(stack.keys) - 1] += 1  # tree 0's last dimension's root
+        stack.aggs.data[len(stack.keys) - 1] += 1  # tree 0's last dimension's root
         self._assert_caught(tree, "hat-leaf aggregate stale")
 
     @pytest.mark.parametrize("dim", [0, 1])
@@ -174,7 +174,7 @@ class TestValidatorCatchesCorruption:
         assert validate_tree(tree).ok
         last = np.concatenate([g.ravel() for _r, g, _h in stack._last_dim_classes()])
         held = (*stack.keys, stack.row_block, stack.pids)
-        for arr, slots in [(b, range(len(b))) for b in held] + [(stack.agg_mat, last.tolist())]:
+        for arr, slots in [(b, range(len(b))) for b in held] + [(stack.aggs.data, last.tolist())]:
             for j in slots:
                 keep = arr[j].copy()
                 arr[j] += 1

@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 from repro.dist import DistributedRangeTree, validate_tree
+from repro.semigroup import KernelColumn, ObjectKernel
 from repro.workloads import uniform_points
 
-from tests.helpers import corrupt_shape
+from tests.helpers import corrupt_shape, unkernelized
 
 
 @pytest.fixture
@@ -38,7 +39,8 @@ def _first_leaf(tree) -> int:
 
 def _bump(tree, column: str, i) -> None:
     """Row ``i`` of one hat column plus one (a flag flipped): in place for
-    the tree's own columns, on a bound copy for the shape's."""
+    the tree's own columns (``agg_mat``: the encoded aggregate matrix), on
+    a bound copy for the shape's."""
 
     def edit(col):
         col[i] = ~col[i] if col.dtype == bool else col[i] + 1
@@ -46,6 +48,8 @@ def _bump(tree, column: str, i) -> None:
 
     if hasattr(tree.hat.shape, column):
         corrupt_shape(tree.hat, column, edit)
+    elif column == "agg_mat":
+        edit(tree.hat.aggs.data)
     else:
         edit(getattr(tree.hat, column))
 
@@ -86,19 +90,19 @@ class TestCorruptHat:
 
     def test_detects_earlier_dimension_aggregate(self, tree):
         """f(v) must be validated on every dimension, not just the last."""
-        tree.hat.agg_mat[_first_internal(tree, 0)] += 1
+        tree.hat.aggs.data[_first_internal(tree, 0)] += 1
         rep = validate_tree(tree)
         assert not rep.ok
         assert any("aggregate" in f for f in rep.failures)
 
     def test_detects_stale_hat_leaf_aggregate(self, tree):
-        tree.hat.agg_mat[_first_leaf(tree)] += 1
+        tree.hat.aggs.data[_first_leaf(tree)] += 1
         rep = validate_tree(tree)
         assert not rep.ok
         assert any("stale" in f or "aggregate" in f for f in rep.failures)
 
     def test_summary_reports_failure(self, tree):
-        tree.hat.agg_mat[_first_leaf(tree)] += 1
+        tree.hat.aggs.data[_first_leaf(tree)] += 1
         rep = validate_tree(tree)
         text = rep.summary()
         assert text.startswith("validation: FAILED")
@@ -157,8 +161,12 @@ class TestCorruptHat:
         _assert_caught(tree, "H(4, 2) = 20")
 
     def test_detects_second_aggregate_column(self, tree):
-        tree.hat.agg_obj = np.empty(tree.hat.size_nodes(), dtype=object)
-        _assert_caught(tree, "more than one column")
+        """The hat's one aggregate column is held under the semigroup's
+        kernel: the same values under another kernel are caught."""
+        aggs = tree.hat.aggs
+        twin = unkernelized(tree.semigroup).kernel
+        tree.hat.aggs = KernelColumn.from_values(twin, aggs.to_list())
+        _assert_caught(tree, "under the semigroup's kernel")
 
     def test_detects_untyped_hat_aggregates(self):
         """The same checks read an object column (a semigroup no kernel holds)."""
@@ -167,8 +175,8 @@ class TestCorruptHat:
         tree = DistributedRangeTree.build(
             uniform_points(64, 2, seed=121), p=4, semigroup=top_k_ids(2)
         )
-        assert tree.hat.agg_mat is None and validate_tree(tree).ok
-        tree.hat.agg_obj[0] = ()
+        assert isinstance(tree.hat.aggs.kernel, ObjectKernel) and validate_tree(tree).ok
+        tree.hat.aggs.data[0, 0] = ()
         _assert_caught(tree, "aggregate f(v) mismatch")
 
 
