@@ -75,9 +75,12 @@ def main() -> int:
     # ``backend="process"`` build under ``id_set()`` (an ObjectKernel
     # annotation), queried with counts, reports and a top-2 aggregate, must
     # match brute force — so a kernel or column that fails to pickle fails
-    # here, before tier-1 runs.
+    # here, before tier-1 runs.  Then a reannotate to top-2, the validator
+    # (every rank's hat replica against rank 0's, read from the workers)
+    # and one more checked batch: a driver reading a stale hat fails here.
     try:
         from repro import DistributedRangeTree
+        from repro.dist import validate_tree
         from repro.geometry import PointSet
         from repro.query import QueryBatch, aggregate, as_box, count, report
         from repro.semigroup import id_set, top_k_ids
@@ -87,15 +90,22 @@ def main() -> int:
         pts = PointSet(coords)
         boxes = [((0.0, 0.7), (0.0, 1.0)), ((0.2, 1.0), (0.1, 0.7))]
         queries = [q for b in boxes for q in (count(b), report(b), aggregate(b, top_k_ids(2)))]
-        with DistributedRangeTree.build(coords, p=2, backend="process", semigroup=id_set()) as tree:
-            got = tree.run(QueryBatch(queries)).values()
         expected = []
         for b in map(as_box, boxes):
             expected += [bf_count(pts, b), bf_report(pts, b), bf_aggregate(pts, b, top_k_ids(2))]
+        with DistributedRangeTree.build(coords, p=2, backend="process", semigroup=id_set()) as tree:
+            got = tree.run(QueryBatch(queries)).values()
+            tree.reannotate(top_k_ids(2))
+            check = validate_tree(tree)
+            again = tree.run(QueryBatch(queries)).values()
         if got != expected:
             failures.append(f"process backend under id_set diverged: {got} != {expected}")
+        elif not check.ok:
+            failures.append(f"process backend after reannotate: {check.summary()}")
+        elif again != expected:
+            failures.append(f"process backend after reannotate diverged: {again} != {expected}")
         else:
-            print("object semigroup over the process backend: OK")
+            print("object semigroup over the process backend, then a reannotate: OK")
     except Exception as exc:  # noqa: BLE001 - the smoke gate reports, not raises
         failures.append(f"process backend under id_set: {type(exc).__name__}: {exc}")
 

@@ -73,15 +73,13 @@ def _invoke(fn, ctx: ProcContext, payload: Any, site: str) -> PhaseOutcome:
 class Backend:
     """Abstract executor of per-processor compute phases.
 
-    ``in_process`` marks backends whose rank-state store lives in the
-    driver process (serial): the driver may then alias state
-    directly (``fetch_state`` returns the live objects, ``seed_state``
-    stores references).  For out-of-process backends both operations move
-    pickled copies.
+    One rank-state contract holds on every backend: only compute phases
+    write a rank's state; the driver reads it (``fetch_state``: live
+    objects on serial, pickled copies from a worker) and removes it
+    (``evict_state``), nothing else.
     """
 
     name = "abstract"
-    in_process = True
 
     def run_phase(
         self, p: int, phase: str, payloads: Sequence[Any]
@@ -89,12 +87,11 @@ class Backend:
         raise NotImplementedError
 
     def fetch_state(self, p: int, key: str) -> List[Any]:
-        """Per-rank value of one state key (live refs when in-process)."""
+        """Per-rank value of one state key (``None`` where absent)."""
         raise NotImplementedError
 
-    def seed_state(self, p: int, key: str, values: Sequence[Any]) -> None:
-        """Install one state key on every rank (refs when in-process); a
-        ``None`` value deletes the key, so evicted state leaves no trace."""
+    def evict_state(self, p: int, key: str) -> None:
+        """Delete one state key on every rank, so it leaves no trace."""
         raise NotImplementedError
 
     def close(self) -> None:  # pragma: no cover - trivial
@@ -127,12 +124,9 @@ class SerialBackend(Backend):
     def fetch_state(self, p: int, key: str) -> List[Any]:
         return [st.get(key) for st in self.states(p)]
 
-    def seed_state(self, p: int, key: str, values: Sequence[Any]) -> None:
-        for st, value in zip(self.states(p), values):
-            if value is None:
-                st.pop(key, None)
-            else:
-                st[key] = value
+    def evict_state(self, p: int, key: str) -> None:
+        for st in self.states(p):
+            st.pop(key, None)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +136,7 @@ def _worker_main(rank: int, conn) -> None:
     """Worker loop: rank state lives here and only here.
 
     The driver sends ``("phase", name, payload, p)`` / ``("fetch", key)``
-    / ``("seed", key, value)`` / ``("faults", spec | None)`` /
+    / ``("evict", key)`` / ``("faults", spec | None)`` /
     ``("stop",)`` commands; every command gets exactly one reply, so the
     pipe can never desynchronize.  ``p`` rides each phase command because
     one worker set may serve machines of different sizes (mirroring the
@@ -207,11 +201,8 @@ def _worker_main(rank: int, conn) -> None:
                     )
             elif cmd == "fetch":
                 conn.send(("ok", state.get(msg[1])))
-            elif cmd == "seed":
-                if msg[2] is None:
-                    state.pop(msg[1], None)
-                else:
-                    state[msg[1]] = msg[2]
+            elif cmd == "evict":
+                state.pop(msg[1], None)
                 conn.send(("ok", None))
             elif cmd == "faults":
                 if msg[1] is None:
@@ -254,7 +245,7 @@ class ProcessBackend(Backend):
 
     Recovery (opt-in, ``recovery=True`` / env ``REPRO_WORKER_RECOVERY=1``):
     the backend journals every state-bearing command per rank (``phase``
-    dispatches and ``seed`` installs — payload references, no copies).
+    dispatches and ``evict`` removals — payload references, no copies).
     When a worker crashes, the supervisor respawns that rank, disarms
     fault injection in the replacement, replays its journal to
     reconstruct the rank-resident state, re-sends the in-flight command,
@@ -267,7 +258,6 @@ class ProcessBackend(Backend):
     """
 
     name = "process"
-    in_process = False
 
     #: Liveness-check cadence while waiting on a reply (seconds).
     POLL_INTERVAL_S = 0.05
@@ -458,7 +448,7 @@ class ProcessBackend(Backend):
             if reply[0] == "error":
                 if failure is None:
                     failure = (rank, reply[1], reply[2] if len(reply) > 2 else "")
-            elif messages[rank][0] in ("phase", "seed"):
+            elif messages[rank][0] in ("phase", "evict"):
                 # Journal only state-bearing commands that *succeeded*:
                 # replay reconstructs state, and failed phases are not
                 # re-raised into a recovering worker.
@@ -491,10 +481,8 @@ class ProcessBackend(Backend):
     def fetch_state(self, p: int, key: str) -> List[Any]:
         return self._roundtrip(p, [("fetch", key)] * p, f"fetch:{key}")
 
-    def seed_state(self, p: int, key: str, values: Sequence[Any]) -> None:
-        self._roundtrip(
-            p, [("seed", key, values[r]) for r in range(p)], f"seed:{key}"
-        )
+    def evict_state(self, p: int, key: str) -> None:
+        self._roundtrip(p, [("evict", key)] * p, f"evict:{key}")
 
     def close(self) -> None:
         """Stop all workers; safe after a crash, safe to call twice.

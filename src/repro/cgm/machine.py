@@ -36,21 +36,14 @@ from .phases import ProcContext
 __all__ = ["Machine", "ProcContext"]
 
 
-def _materialize(values: Sequence[Any], default) -> List[Any]:
-    """Replace absent (None) state entries with the default value/factory."""
-    return [
-        v if v is not None else (default() if callable(default) else default)
-        for v in values
-    ]
-
-
 class StateView(Sequence):
-    """Lazy per-rank view of one rank-resident state key.
+    """Lazy per-rank view of one rank-resident state key: the driver's
+    one way to read rank state, on every backend.
 
-    For in-process backends this is never needed (the driver aliases the
-    live store); for the process backend it defers the pickle-heavy
-    gather of worker state until someone actually introspects it — the
-    hot pipeline never does.
+    The fetch is deferred until someone actually introspects the state
+    (the hot pipeline never does) and cached until the next phase.  On
+    the serial backend it returns the ranks' live objects; on the
+    process backend, pickled copies of the workers' state.
     """
 
     def __init__(self, machine: "Machine", key: str, default=None) -> None:
@@ -61,14 +54,16 @@ class StateView(Sequence):
         self._cache_gen = -1
 
     def _load(self) -> List[Any]:
-        # Cache per state *generation*: any phase or seed may have
+        # Cache per state *generation*: any phase or eviction may have
         # rewritten worker state since the last fetch (a refit does), so
         # a stale snapshot must never be served after one.
         gen = self._machine._state_gen
         if self._cache is None or self._cache_gen != gen:
-            self._cache = _materialize(
-                self._machine.fetch_state(self._key), self._default
-            )
+            default = self._default  # a value or factory for absent entries
+            self._cache = [
+                v if v is not None else (default() if callable(default) else default)
+                for v in self._machine.fetch_state(self._key)
+            ]
             self._cache_gen = gen
         return self._cache
 
@@ -164,23 +159,17 @@ class Machine:
         return f"{prefix}{next(Machine._NS_COUNTER)}"
 
     def fetch_state(self, key: str) -> list:
-        """Gather one state key from every rank (live refs in-process)."""
+        """Gather one state key from every rank (live refs on serial)."""
         return self.backend.fetch_state(self.p, key)
 
-    def seed_state(self, key: str, values: Sequence[Any]) -> None:
-        """Install per-rank values under ``key`` (refs in-process); a
-        ``None`` value deletes the key on that rank."""
-        if len(values) != self.p:
-            raise ProtocolError(
-                f"seed_state needs one value per rank ({self.p}), got {len(values)}"
-            )
-        self.backend.seed_state(self.p, key, values)
+    def evict_state(self, key: str) -> None:
+        """Delete ``key`` on every rank: the one way the driver changes
+        rank state (only phases write it)."""
+        self.backend.evict_state(self.p, key)
         self._state_gen += 1
 
-    def state_view(self, key: str, default=None) -> Sequence:
-        """Driver-side view of ``key``: live store in-process, lazy fetch otherwise."""
-        if self.backend.in_process:
-            return _materialize(self.fetch_state(key), default)
+    def state_view(self, key: str, default=None) -> "StateView":
+        """Driver-side lazy view of ``key`` on every rank (see :class:`StateView`)."""
         return StateView(self, key, default=default)
 
     # ------------------------------------------------------------------

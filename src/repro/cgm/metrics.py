@@ -20,6 +20,7 @@ experiment harness reads off:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -93,6 +94,11 @@ class StepRecord:
         return max(self.seconds, default=0.0)
 
 
+#: How many of its latest samples a :class:`LatencyStats` keeps for its
+#: percentiles: a long-lived daemon's memory must not grow with uptime.
+LATENCY_WINDOW = 4096
+
+
 class LatencyStats:
     """Per-query latency accounting with percentile summaries.
 
@@ -103,34 +109,33 @@ class LatencyStats:
     how long the shared pass took.  This accumulator records one sample
     per query (milliseconds) and summarises with the shared
     :func:`repro._util.percentiles` estimator, so serve metrics and
-    loadgen rows report the same p50/p95/p99 definition.
+    loadgen rows report the same p50/p95/p99 definition.  ``count``,
+    ``mean_ms`` and ``max_ms`` cover every sample; the percentiles cover
+    the last :data:`LATENCY_WINDOW`, all ``values_ms`` keeps.
     """
 
-    __slots__ = ("name", "values_ms")
+    __slots__ = ("name", "values_ms", "count", "_total_ms", "max_ms")
 
     def __init__(self, name: str = "latency") -> None:
         self.name = name
-        self.values_ms: list[float] = []
+        self.values_ms: deque[float] = deque(maxlen=LATENCY_WINDOW)
+        self.count = 0
+        self._total_ms = 0.0
+        self.max_ms = 0.0
 
     def record(self, ms: float) -> None:
-        self.values_ms.append(float(ms))
-
-    @property
-    def count(self) -> int:
-        return len(self.values_ms)
+        ms = float(ms)
+        self.values_ms.append(ms)
+        self.count += 1
+        self._total_ms += ms
+        self.max_ms = max(self.max_ms, ms)
 
     @property
     def mean_ms(self) -> float:
-        if not self.values_ms:
-            return 0.0
-        return sum(self.values_ms) / len(self.values_ms)
-
-    @property
-    def max_ms(self) -> float:
-        return max(self.values_ms, default=0.0)
+        return self._total_ms / self.count if self.count else 0.0
 
     def percentiles(self, pcts=(50, 95, 99)) -> dict:
-        """``{"p50": ..., ...}`` over the recorded samples (``None`` if empty)."""
+        """``{"p50": ..., ...}`` over the window (``None`` if empty)."""
         return percentiles(self.values_ms, pcts)
 
     def summary(self) -> dict:

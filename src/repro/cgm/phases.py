@@ -12,9 +12,12 @@ pass them by reference).  Everything a rank keeps *between* phases — its
 forest elements, its hat replica, replica caches — lives in ``ctx.state``,
 a dict owned by the executor: a per-rank store inside the backend for
 serial, the worker process's own memory for the process backend.
-That is what makes a true process-parallel backend possible at all:
-closures cannot cross a process boundary, but a phase *name* plus a
-serializable payload can, and the heavy structures never move.
+Only phases write it; the driver reads it through
+:meth:`~repro.cgm.machine.Machine.state_view` and removes it with
+:meth:`~repro.cgm.machine.Machine.evict_state`.  That is what makes a
+true process-parallel backend possible at all: closures cannot cross a
+process boundary, but a phase *name* plus a serializable payload can,
+and the heavy structures never move.
 
 Phases register at import time under a dotted name (``"cgm.sort.local_cols"``,
 ``"dist.construct.build_elements_cols"``); worker processes resolve the name
@@ -59,7 +62,6 @@ class ProcContext:
     rank: int
     p: int
     ops: int = 0
-    notes: dict = field(default_factory=dict)
     state: dict = field(default_factory=dict)
 
     def charge(self, k: int = 1) -> None:

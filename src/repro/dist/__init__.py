@@ -44,6 +44,7 @@ from .construct import (
     construct_distributed_tree,
     forest_key,
     hat_key,
+    tree_keys,
 )
 from .hat import Hat
 from .labeling import is_valid_path
@@ -96,23 +97,16 @@ def _phase_refit_relabel(ctx: ProcContext, payload) -> list:
 
 @register_phase("dist.refit.refresh_hat")
 def _phase_refit_refresh(ctx: ProcContext, payload) -> None:
-    """Refresh the resident hat's aggregates from the broadcast roots.
+    """Refresh this rank's own hat replica from the broadcast roots.
 
-    On the serial backend every rank aliases one shared :class:`Hat`, so
-    it is refreshed once, by rank 0 (``solo=True``) — the other ranks
-    return at once.  Worker processes each hold their own replica and
-    all must refresh.
-    Charging stays on rank 0 alone either way, so the metric trace is
-    backend-independent.
+    Every rank refreshes its replica; the work is charged to rank 0
+    alone, as one refresh of the replicated hat.
     """
-    roots, semigroup, ns, solo = payload
-    if solo and ctx.rank != 0:
-        return
-    hat = ctx.state.get(hat_key(ns))
-    if hat is not None:
-        hat.refresh_aggregates(roots, semigroup)
-        if ctx.rank == 0:
-            ctx.charge(hat.size_nodes())
+    roots, semigroup, ns = payload
+    hat = ctx.state[hat_key(ns)]
+    hat.refresh_aggregates(roots, semigroup)
+    if ctx.rank == 0:
+        ctx.charge(hat.size_nodes())
 
 
 class DistributedRangeTree:
@@ -149,7 +143,6 @@ class DistributedRangeTree:
         self.semigroup = semigroup
         self.base_semigroup = semigroup
         self.construct_result = construct_result
-        self.hat = construct_result.hat
         self.forest_store = construct_result.forest_store
         self._engine = None
         self._owns_machine = owns_machine
@@ -213,6 +206,11 @@ class DistributedRangeTree:
     @property
     def p(self) -> int:
         return self.machine.p
+
+    @property
+    def hat(self) -> Hat:
+        """Rank 0's hat replica, read through the machine's state view."""
+        return self.construct_result.hat
 
     @property
     def metrics(self):
@@ -287,12 +285,10 @@ class DistributedRangeTree:
         passed in stays open (it may serve other trees); close it
         yourself or use it as a context manager.
         """
-        ns = self.construct_result.ns
         if not self._closed:
-            for key in (forest_key(ns), hat_key(ns), f"{ns}:holders",
-                        f"{ns}:stored_records"):
+            for key in tree_keys(self.construct_result.ns):
                 try:
-                    self.machine.seed_state(key, [None] * self.machine.p)
+                    self.machine.evict_state(key)
                 except Exception:  # backend already shut down
                     break
         self._closed = True
@@ -341,17 +337,11 @@ class DistributedRangeTree:
             [(values[by_id], self.ranked.ids[by_id], semigroup, ns)] * mach.p,
         )
         gathered = alltoall_broadcast(mach, roots_local, label=f"{label}:roots")
-
-        solo = mach.backend.in_process
         mach.run_phase(
             f"{label}:refresh-hat",
             "dist.refit.refresh_hat",
-            [(gathered[r], semigroup, ns, solo) for r in range(mach.p)],
+            [(gathered[r], semigroup, ns) for r in range(mach.p)],
         )
-        if not solo:
-            # The driver's introspection replica refreshes too (no charge:
-            # it is the p+1-th copy, outside the machine).
-            self.hat.refresh_aggregates(gathered[0], semigroup)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -39,9 +39,9 @@ which is exactly what the Corollary 1 tests measure.
 SPMD residency: the per-rank steps run as registered phases
 (``dist.construct.*``), and what they build *stays with the executor* —
 the forest group, one stack per dimension, under the ``{ns}:forest``
-state key, the hat replica under ``{ns}:hat``.  Only records (S-record
-batches, roots) and numpy rank blocks ever cross the driver/worker
-boundary.
+state key, each rank's own hat replica under ``{ns}:hat``.  Only records
+(S-record batches, roots) and numpy rank blocks ever cross the
+driver/worker boundary; the driver reads the rest through state views.
 """
 
 from __future__ import annotations
@@ -77,24 +77,40 @@ def hat_key(ns: str) -> str:
     return f"{ns}:hat"
 
 
+def holders_key(ns: str) -> str:
+    """State key of a tree's per-pass replica cache (``owner -> store``)."""
+    return f"{ns}:holders"
+
+
+def tree_keys(ns: str) -> tuple:
+    """Every state key a tree may hold on a rank: what closing it evicts."""
+    return forest_key(ns), hat_key(ns), holders_key(ns)
+
+
 @dataclass
 class ConstructResult:
     """Everything Algorithm Construct leaves behind.
 
-    ``forest_store[r]`` is processor ``r``'s group ``F_r`` of Theorem 1:
-    ``{j: stack}``, its phase-``j`` elements as one
+    ``hats[r]`` is processor ``r``'s own hat replica and
+    ``forest_store[r]`` its group ``F_r`` of Theorem 1: ``{j: stack}``,
+    its phase-``j`` elements as one
     :class:`~repro.seq.compiled.CompiledForest` (the hat leaf naming an
-    element holds its tree index) — on in-process backends these
-    are the *live* rank-resident stores, on the process backend a lazy
-    fetched copy; ``phase_record_counts[j]`` the number of records phase
-    ``j`` sorted (the §6 caveat's measurement).  ``ns`` names the machine
-    state namespace the structure is resident under.
+    element holds its tree index).  Both are state views — the live
+    rank stores on the serial backend, lazily fetched copies on the
+    process backend.  ``phase_record_counts[j]`` is the number of records
+    phase ``j`` sorted (the §6 caveat's measurement), and ``ns`` names
+    the machine state namespace the structure is resident under.
     """
 
-    hat: Hat
+    hats: Sequence[Hat]
     forest_store: Sequence[dict]
     phase_record_counts: List[int]
     ns: str
+
+    @property
+    def hat(self) -> Hat:
+        """Rank 0's hat replica (every rank holds an equal one)."""
+        return self.hats[0]
 
     def forest_group_sizes(self) -> List[int]:
         """Points held per processor's forest group (Theorem 1(ii) balance)."""
@@ -104,19 +120,16 @@ class ConstructResult:
 
 
 @register_phase("dist.construct.build_hat")
-def _phase_build_hat(ctx: ProcContext, payload) -> "Hat | None":
+def _phase_build_hat(ctx: ProcContext, payload) -> None:
     """Construct step 5 finale: every rank emits the identical hat.
 
     The hat — its columns, the only form it has — stays rank-resident
-    under ``{ns}:hat``; only rank 0 returns its copy (the driver's
-    introspection handle) to keep the result round cheap on the process
-    backend.
+    under ``{ns}:hat``, one replica per rank; none crosses back.
     """
     roots, d, n, p, semigroup, ns = payload
     hat = Hat.build(roots, d=d, n=n, p=p, semigroup=semigroup)
     ctx.charge(hat.size_nodes())
     ctx.state[hat_key(ns)] = hat
-    return hat if ctx.rank == 0 else None
 
 
 @register_phase("dist.construct.scatter_cols")
@@ -148,8 +161,8 @@ def _phase_build_elements_cols(ctx: ProcContext, payload) -> dict:
     The rank's phase-``j`` elements land in the rank-resident
     ``{ns}:forest`` store as one stack (:func:`~repro.dist.forest.build_stack`)
     under key ``j``; only the broadcastable roots, the next phase's
-    records, and the held record count (for the driver's capacity check)
-    are returned.
+    records, and the held record count — the rank's stacks plus the
+    next phase's records, for the driver's capacity check — are returned.
 
     The inbox batch arrives in ascending global (rank) order — the sort
     plus the deterministic source-ordered merge guarantee it — so each
@@ -161,16 +174,14 @@ def _phase_build_elements_cols(ctx: ProcContext, payload) -> dict:
     batch: RecordBatch = payload["inbox"]
     j, k, ns = payload["j"], payload["k"], payload["ns"]
     shape = hat_shape(ctx.p, payload["d"])
-    stored_key = f"{ns}:stored_records"
+    forest = ctx.state.setdefault(forest_key(ns), {})
 
     n = len(batch)
     rows = shape.stack_rows(ctx.rank, j, n // k)
     ranks, pids, values = batch.col("ranks"), batch.col("pid"), batch.col("value")
     roots: list = []
     if n:
-        stack = build_stack(ranks, pids, values, payload["semigroup"], j, k)
-        ctx.state.setdefault(forest_key(ns), {})[j] = stack
-        ctx.state[stored_key] = ctx.state.get(stored_key, 0) + stack.size_records
+        stack = forest[j] = build_stack(ranks, pids, values, payload["semigroup"], j, k)
         ctx.charge(stack.size_records)
         roots = list(
             zip(rows.tolist(), ranks[::k, j].tolist(), ranks[k - 1 :: k, j].tolist(),
@@ -190,7 +201,7 @@ def _phase_build_elements_cols(ctx: ProcContext, payload) -> dict:
             "value": values.repeat(fan),
         },
     )
-    held = ctx.state.get(stored_key, 0) + len(next_batch)
+    held = sum(stack.size_records for stack in forest.values()) + len(next_batch)
     return {"roots": roots, "next_records": next_batch, "held": held}
 
 
@@ -293,20 +304,14 @@ def construct_distributed_tree(
     # -- step 5: broadcast forest roots; rebuild the identical hat locally --
     gathered = alltoall_broadcast(mach, roots_local, label="construct:roots")
 
-    hats = mach.run_phase(
+    mach.run_phase(
         "construct:build-hat",
         "dist.construct.build_hat",
         [(gathered[r], d, n, p, semigroup, ns) for r in range(p)],
     )
-    hat = hats[0]
-    if mach.backend.in_process:
-        # One shared replica (rank 0's) preserves the pre-SPMD aliasing
-        # semantics: driver-side mutations of ``tree.hat`` are what every
-        # virtual processor walks, and memory stays O(|hat|), not O(p|hat|).
-        mach.seed_state(hat_key(ns), [hat] * p)
 
     return ConstructResult(
-        hat=hat,
+        hats=mach.state_view(hat_key(ns)),
         forest_store=mach.state_view(forest_key(ns), default=dict),
         phase_record_counts=phase_counts,
         ns=ns,

@@ -79,16 +79,12 @@ from ..cgm.loadbalance import (
 from ..cgm.machine import Machine
 from ..cgm.phases import ProcContext, register_phase
 from ..errors import ProtocolError, ReproError
-from .construct import forest_key, hat_key
+from .construct import forest_key, hat_key, holders_key
 from .forest_compiled import stack_selections
 from .hat import walk_hats
 from .records import KIND_SUBQUERY
 
 __all__ = ["SearchOutput", "run_search"]
-
-
-def _holders_key(ns: str) -> str:
-    return f"{ns}:holders"
 
 
 @dataclass
@@ -135,7 +131,7 @@ def _phase_walk_cols(ctx: ProcContext, payload) -> tuple:
     """
     qlo, nss, bounds, report = payload
     for ns in nss:
-        ctx.state[_holders_key(ns)] = {}
+        ctx.state[holders_key(ns)] = {}
     hats = [ctx.state[hat_key(ns)] for ns in nss]
     if not len(report):  # an idle rank: the walk's zero-row output, made once
         sels, subqueries, expansions, _visits = hats[0].idle
@@ -195,7 +191,7 @@ def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
     shape = hat.shape
     # per part: owner -> {dimension: stack}, the rank's own group included
     held = [
-        {**(ctx.state.get(_holders_key(ns)) or {}), r: ctx.state.get(forest_key(ns)) or {}}
+        {**(ctx.state.get(holders_key(ns)) or {}), r: ctx.state.get(forest_key(ns)) or {}}
         for ns in nss
     ]
     eid, owner, kind = inbox.col("element"), inbox.col("location"), inbox.col("kind")
@@ -239,7 +235,7 @@ def _phase_replicate_pack(ctx: ProcContext, payload) -> list:
     """
     instructions, nss = payload
     forests = [ctx.state.get(forest_key(ns)) or {} for ns in nss]
-    holders = [ctx.state.setdefault(_holders_key(ns), {}) for ns in nss]
+    holders = [ctx.state.setdefault(holders_key(ns), {}) for ns in nss]
     out: list[list] = [[] for _ in range(ctx.p)]
     for owner, dest in instructions:
         if owner == ctx.rank:
@@ -259,7 +255,7 @@ def _phase_replicate_pack(ctx: ProcContext, payload) -> list:
 def _phase_replicate_unpack(ctx: ProcContext, payload) -> None:
     """Step 3b: file the received copies in the rank's replica caches."""
     inbox, nss = payload
-    holders = [ctx.state.setdefault(_holders_key(ns), {}) for ns in nss]
+    holders = [ctx.state.setdefault(holders_key(ns), {}) for ns in nss]
     for owner, stores in inbox:
         for held, store in zip(holders, stores):
             held[owner] = store

@@ -1,13 +1,13 @@
 """Structural validator for a built distributed range tree.
 
 Checks the invariants the paper's definitions and theorems promise —
-Definition 2 labeling arithmetic, Definition 3 hat/forest consistency,
-Theorem 1 ownership layout, and the aggregate annotations ``f(v)`` of
-Algorithm AssociativeFunction — against a live tree.  Used by the CLI's
-``--validate`` flag and by tests to prove queries never mutate the
-structure; corruption of any single field (an aggregate, an owner
-location, a tree index, a heap index, one slot of a forest stack's
-arrays) must be caught.
+Definition 2 labeling arithmetic, Definition 3 hat/forest consistency
+and hat replication, Theorem 1 ownership layout, and the aggregate
+annotations ``f(v)`` of Algorithm AssociativeFunction — against a live
+tree.  Used by the CLI's ``--validate`` flag and by tests to prove
+queries never mutate the structure; corruption of any single field (an
+aggregate, an owner location, a tree index, a heap index, one slot of a
+forest stack's arrays, one rank's hat replica) must be caught.
 """
 
 from __future__ import annotations
@@ -328,6 +328,19 @@ def _check_hat(tree, check: Callable[[bool, str], None]) -> bool:
     return True
 
 
+def _check_replicas(tree, check: Callable[[bool, str], None]) -> None:
+    """Definition 3 replicates the hat: every rank's own replica has rank
+    0's segments, leaf counts and ``f(v)`` under the same kernel."""
+    first, *rest = tree.construct_result.hats
+    for r, hat in enumerate(rest, 1):
+        check(
+            all(np.array_equal(getattr(hat, c), getattr(first, c)) for c in ("lo", "hi", "nleaves"))
+            and hat.aggs.kernel == first.aggs.kernel
+            and np.array_equal(hat.aggs.data, first.aggs.data),
+            f"rank {r}'s hat replica differs from rank 0's",
+        )
+
+
 def validate_tree(tree) -> ValidationReport:
     """Verify every structural invariant of a :class:`DistributedRangeTree`.
 
@@ -347,5 +360,6 @@ def validate_tree(tree) -> ValidationReport:
     # once, the tree's own hat rows, then the stacks its leaves name ------
     if _check_shape(tree.hat.shape, check) and _check_hat(tree, check):
         _check_forest(tree, check)
+    _check_replicas(tree, check)
 
     return ValidationReport(ok=not failures, failures=failures, checks_run=checks)

@@ -79,7 +79,7 @@ class WorkerCrash(MachineError):
     Raised by the supervised :class:`~repro.cgm.backend.ProcessBackend`
     instead of hanging on a dead pipe: ``rank`` is the virtual processor
     whose worker failed, ``phase`` the command it was executing (a phase
-    name, or ``"seed"``/``"fetch"`` for state plumbing), ``exit_code``
+    name, or ``"evict"``/``"fetch"`` for state plumbing), ``exit_code``
     the process exit status when the worker actually died (``-9`` for
     SIGKILL; ``None`` when the worker is alive but missed the configured
     reply timeout).

@@ -95,6 +95,12 @@ def _check_ms(name: str, value: float, low: "float | None" = None) -> None:
         raise ServeError(f"{name} must be a finite number {bound}, got {value!r}")
 
 
+def _check_count(name: str, value: int) -> None:
+    """A size must be an integer >= 1: NaN, inf and 2.5 are not sizes."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ServeError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FlushPolicy:
     """The adaptive micro-batching knobs.
@@ -109,8 +115,7 @@ class FlushPolicy:
     max_batch: int = 1024
 
     def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ServeError(f"max_batch must be >= 1, got {self.max_batch}")
+        _check_count("max_batch", self.max_batch)
         _check_ms("max_wait_ms", self.max_wait_ms, 0.0)
 
 
@@ -267,8 +272,7 @@ class QueryService:
         self.policy = policy or FlushPolicy()
         if max_inflight is None:
             max_inflight = DEFAULT_MAX_INFLIGHT
-        if not isinstance(max_inflight, numbers.Integral) or max_inflight < 1:
-            raise ServeError(f"max_inflight must be an integer >= 1, got {max_inflight!r}")
+        _check_count("max_inflight", max_inflight)
         if default_deadline_ms is not None:
             _check_ms("default_deadline_ms", default_deadline_ms)
         self.max_inflight = max_inflight

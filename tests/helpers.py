@@ -51,6 +51,17 @@ def _phase_hat_shape(ctx, ns):
     return shape is hat_shape(shape.p, shape.d), shape.paths.tobytes()
 
 
+@register_phase("test.bump_hat")
+def _phase_bump_hat(ctx, payload):
+    """Add one to row 0's aggregate in rank ``target``'s own hat replica
+    of tree ``ns`` (one corrupt replica among equal ones)."""
+    from repro.dist.construct import hat_key
+
+    ns, target = payload
+    if ctx.rank == target:
+        ctx.state[hat_key(ns)].aggs.data[0] += 1
+
+
 @register_phase("test.state_keys")
 def _phase_state_keys(ctx, payload):
     """The keys this rank's state holds, sorted."""

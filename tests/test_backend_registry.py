@@ -120,6 +120,28 @@ class TestOwnership:
             ]
             assert not live, f"leaked rank-resident state: {live}"
 
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_tree_close_evicts_exactly_its_keys(self, backend):
+        """A searched tree holds exactly ``tree_keys(ns)`` on every rank,
+        and closing it leaves none of them."""
+        from repro.dist import DistributedRangeTree
+        from repro.dist.construct import tree_keys
+        from repro.query import count
+        from repro.workloads import uniform_points
+
+        with Machine(4, backend=backend) as mach:
+            tree = DistributedRangeTree.build(uniform_points(64, 2, seed=4), machine=mach)
+            tree.run([count(((0.1, 0.9), (0.0, 0.5)))])
+            ns = tree.construct_result.ns
+
+            def held():
+                keys = mach.run_phase("probe", "test.state_keys")
+                return [[k for k in mine if k.startswith(f"{ns}:")] for mine in keys]
+
+            assert held() == [sorted(tree_keys(ns))] * 4
+            tree.close()
+            assert held() == [[]] * 4
+
     def test_machines_sharing_a_backend_do_not_collide(self):
         """State namespaces are global: two machines, one backend, two trees."""
         from repro.dist import DistributedRangeTree

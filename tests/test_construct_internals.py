@@ -152,6 +152,29 @@ class TestHatBuildErrors:
             Hat.build(roots, d=2, n=32, p=3, semigroup=COUNT)
 
 
+class TestHatReplicas:
+    def test_every_rank_holds_its_own_replica_across_refits(self):
+        """Definition 3: each processor holds its own copy of the hat —
+        on the serial backend too, where nothing but the contract keeps
+        ranks from sharing one object — after a build, a reannotate and
+        a lazy refit alike, each equal to rank 0's."""
+        from repro.dist import validate_tree
+        from repro.dist.construct import hat_key
+        from repro.query import aggregate
+        from repro.semigroup import sum_of_dim, top_k_ids
+
+        with build(p=8) as tree:
+            for refit in (
+                lambda: None,
+                lambda: tree.reannotate(top_k_ids(2)),
+                lambda: tree.run([aggregate(((0.0, 0.5), (0.0, 1.0)), sum_of_dim(1))]),
+            ):
+                refit()
+                hats = tree.machine.fetch_state(hat_key(tree.construct_result.ns))
+                assert len({id(hat) for hat in hats}) == tree.p
+                assert tree.hat is hats[0] and validate_tree(tree).ok
+
+
 class TestConstructDeterminismAcrossP:
     def test_same_points_different_p_same_answers(self):
         from repro.seq import bf_count

@@ -75,16 +75,21 @@ class TestProcessExecution:
         assert pmach.run_phase("recall", "test.recall") == [100, 101, 102, 103]
 
     def test_seed_and_fetch_state(self, pmach):
-        pmach.seed_state("seeded", ["a", "b", "c", "d"])
-        assert pmach.fetch_state("seeded") == ["a", "b", "c", "d"]
+        """Phases write rank state; the driver fetches and evicts it."""
+        pmach.run_phase("stash", "test.stash", [10] * 4)
+        assert pmach.fetch_state("stash") == [10, 11, 12, 13]
         assert pmach.fetch_state("never-set") == [None] * 4
+        pmach.evict_state("stash")
+        assert pmach.fetch_state("stash") == [None] * 4
 
     def test_state_view_is_lazy(self, pmach):
-        view = pmach.state_view("lazy-key", default=dict)
-        pmach.seed_state("lazy-key", [{"r": r} for r in range(4)])
-        # the fetch happens at first access, after the seed
-        assert view[2] == {"r": 2}
+        view = pmach.state_view("stash", default=dict)
+        pmach.run_phase("stash", "test.stash", [20] * 4)
+        # the fetch happens at first access, after the phase
+        assert view[2] == 22
         assert len(view) == 4
+        pmach.evict_state("stash")
+        assert list(view) == [{}] * 4  # the default stands in for an evicted key
 
     def test_worker_exception_propagates_with_type(self, pmach):
         with pytest.raises(ProtocolError, match="exploded"):
@@ -114,11 +119,11 @@ class TestProcessExecution:
 
     def test_unpicklable_payload_does_not_desync_pipes(self, pmach):
         """A driver-side send failure mid-loop must drain the owed acks."""
-        pmach.seed_state("sync", [1, 2, 3, 4])
+        pmach.run_phase("stash", "test.stash", [1] * 4)
         with pytest.raises(Exception):  # pickling error, backend-raised
-            pmach.seed_state("bad", [5, 6, 7, lambda: None])
+            pmach.run_phase("bad", "test.double", [5, 6, 7, lambda: None])
         # replies must still line up command-for-command afterwards
-        assert pmach.fetch_state("sync") == [1, 2, 3, 4]
+        assert pmach.fetch_state("stash") == [1, 2, 3, 4]
         assert pmach.run_phase("d", "test.double", [1, 2, 3, 4]) == [2, 4, 6, 8]
 
 

@@ -9,6 +9,7 @@ import threading
 
 import pytest
 
+import repro.cgm.metrics
 from repro.cli import main
 from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree
 from repro.errors import ServeError
@@ -258,10 +259,13 @@ def test_batch_log_timestamps_are_ordered(tree):
         assert entry["t_exec_end"] >= entry["t_exec_start"]
 
 
-def test_daemon_memory_does_not_grow_with_uptime(tree):
+def test_daemon_memory_does_not_grow_with_uptime(tree, monkeypatch):
     """200 one-query batches: the machine keeps no pass's steps (each
-    ``ResultSet`` carries its own copy), the batch log is a ring, and
-    the summary's mean batch size no longer reads the log."""
+    ``ResultSet`` carries its own copy), the batch log is a ring, the
+    latency samples are a window (shrunk here below the run's length),
+    and the summary's mean batch size no longer reads the log."""
+    window = 64
+    monkeypatch.setattr(repro.cgm.metrics, "LATENCY_WINDOW", window)
     tree.reset_metrics()
     one_pass = len(tree.run(QueryBatch([count(BOX)])).metrics.steps)
     assert len(tree.metrics.steps) == one_pass
@@ -287,6 +291,9 @@ def test_daemon_memory_does_not_grow_with_uptime(tree):
         range(batches - BATCH_LOG_LEN, batches)
     )
     assert metrics.summary()["mean_batch_size"] == 1.0
+    # every query counted, the last ``window`` samples kept
+    for stats in (metrics.queue_latency, metrics.exec_latency, metrics.total_latency):
+        assert stats.count == batches and len(stats.values_ms) == window
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,13 @@ class TestNonFiniteSettings:
         with pytest.raises(ServeError, match="max_inflight must be an integer"):
             QueryService(tree, max_inflight=value)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5])
+    def test_max_batch_must_be_an_integer(self, value):
+        """``len(pending) >= nan`` never holds: such a window could flush
+        only on its timer."""
+        with pytest.raises(ServeError, match="max_batch must be an integer"):
+            FlushPolicy(max_batch=value)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_deadline_ms_must_be_finite_at_submit(self, tree, value):
         async def go():

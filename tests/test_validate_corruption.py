@@ -225,3 +225,16 @@ class TestReportShape:
     def test_failures_empty_on_ok(self, tree):
         rep = validate_tree(tree)
         assert rep.ok and rep.failures == [] and rep.checks_run > 0
+
+
+@pytest.mark.parametrize("backend", ["serial", "process"])
+def test_one_ranks_hat_replica_is_caught(backend):
+    """Each rank holds its own replica, so Definition 3's replication is
+    checked, not assumed: one aggregate off on rank 2 alone — made by a
+    phase, where the replica lives — fails exactly the replica check."""
+    pts = uniform_points(64, 2, seed=121)
+    with DistributedRangeTree.build(pts, p=4, backend=backend) as tree:
+        assert validate_tree(tree).ok
+        tree.machine.run_phase("corrupt", "test.bump_hat", [(tree.construct_result.ns, 2)] * 4)
+        report = validate_tree(tree)
+    assert report.failures == ["rank 2's hat replica differs from rank 0's"]

@@ -151,7 +151,8 @@ class TestRecovery:
         backend = ProcessBackend(recovery=True)
         try:
             with Machine(2, backend=backend) as mach:
-                mach.seed_state("base", [10, 20])
+                assert mach.run_phase("base", "wf.stash", [10, 20]) == [10, 20]
+                mach.evict_state("wf")
                 first = mach.run_phase("a", "wf.stash", [1, 2])
                 assert first == [1, 2]
                 # murder rank 1 from outside, between commands
@@ -159,11 +160,11 @@ class TestRecovery:
                 os.kill(proc.pid, signal.SIGKILL)
                 proc.join(timeout=5)
                 # next phase hits the broken pipe, recovers rank 1 from
-                # its journal (seed + stash), and keeps accumulating
+                # its journal (stash + evict + stash), and keeps accumulating
                 second = mach.run_phase("b", "wf.stash", [1, 2])
                 assert second == [2, 4]
                 assert backend.recoveries == 1
-                assert mach.fetch_state("base") == [10, 20]
+                assert mach.fetch_state("wf") == [2, 4]
         finally:
             backend.close()
 
