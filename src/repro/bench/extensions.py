@@ -33,7 +33,7 @@ def run_d1(d: int = 2) -> Table:
         idx = DominanceRangeIndex(pts, g)
         rt = SequentialRangeTree(pts)
         agree = idx.batch_count(qs) == [rt.count(q) for q in qs]
-        t.add_row(n, len(idx.weights), rt.core.space_leaves(), "yes" if agree else "NO")
+        t.add_row(n, len(idx.weights), rt.forest.size_records, "yes" if agree else "NO")
     t.add_note("the footnote's alternative: no O(n log^{d-1} n) structure, but offline-only")
     return t
 

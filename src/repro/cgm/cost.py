@@ -37,9 +37,5 @@ class CostModel:
     g: float = 1.0
     L: float = 100.0
 
-    def step_cost(self, w_max: float, h: int) -> float:
-        """Cost of one superstep with max local work ``w_max`` and h-relation ``h``."""
-        return float(w_max) + self.g * float(h) + self.L
-
     def describe(self) -> str:
         return f"BSP(g={self.g}, L={self.L})"

@@ -241,10 +241,6 @@ class Metrics:
         """Ideal parallel wall-clock: per step, the slowest processor."""
         return sum(s.max_seconds for s in self.compute_steps())
 
-    @property
-    def total_seconds(self) -> float:
-        return sum(sum(s.seconds) for s in self.compute_steps())
-
     def modeled_time(self, cost: CostModel) -> float:
         """BSP cost of the whole trace (ops + g·h + L per round)."""
         t = 0.0

@@ -17,9 +17,11 @@ the hat leaf naming it keeps that index next to its owner
 (``hat.shape.tree`` beside ``hat.shape.location``).  Construct emits each stack in
 one call (:func:`build_stack`), a refit re-annotates it in place,
 replication ships it as it is, and Search step 5 walks it once per
-inbox (:func:`repro.dist.forest_compiled.stack_selections`).  The object
-:class:`~repro.seq.range_tree.RangeTree` stays in ``repro.seq`` as the
-oracle each tree of a stack is tested against.
+inbox (:func:`repro.dist.forest_compiled.stack_selections`).  The sequential
+:class:`~repro.seq.range_tree.SequentialRangeTree` holds its one tree as
+the same arrays; the object :class:`~repro.seq.range_tree.RangeTree`
+stays in ``repro.seq`` only as the reference each tree of a stack is
+tested against.
 """
 
 from __future__ import annotations

@@ -110,8 +110,8 @@ class QueryPlan:
         self.refit_semigroup = refit_semigroup
         #: The tree annotation (by identity) this plan was computed
         #: against; ``execute`` replans if the tree has moved on since —
-        #: the guard that lets a pipeline (repro.serve) plan batch K+1
-        #: while batch K's pass, possibly refitting, is still running.
+        #: a caller of the public ``plan``/``execute`` pair may refit the
+        #: tree (another batch's pass, a ``reannotate``) in between.
         self.annotation_token = annotation_token
 
     @property
@@ -164,7 +164,7 @@ class QueryEngine:
         current_names = [c.name for c in current]
 
         dim = tree.dim
-        try:  # stack the boxes now: the serve pipeline plans off the executor
+        try:  # stack the boxes once, here: the pass reads the same pair
             fits = not len(batch) or batch.bounds[0].shape[1] == dim
         except DimensionMismatch:
             fits = False

@@ -238,13 +238,6 @@ class ProductSemigroup(Semigroup):
 
     components: tuple = ()
 
-    def index_of(self, name: str) -> int:
-        """Slot of the component named ``name`` (raises KeyError if absent)."""
-        for i, c in enumerate(self.components):
-            if c.name == name:
-                return i
-        raise KeyError(f"no component semigroup named {name!r}")
-
 
 def product_semigroup(components: Sequence[Semigroup]) -> ProductSemigroup:
     """Bundle ``components`` into one componentwise :class:`ProductSemigroup`."""

@@ -6,7 +6,7 @@ from .dynamic import DynamicRangeTree
 from .kdtree import KDTree
 from .layered import LayeredRangeTree, LayeredSequentialRangeTree
 from .range_tree import CanonicalSelection, DimTree, RangeTree, SequentialRangeTree
-from .segment_tree import SegTree, WalkOutcome, WalkStats
+from .segment_tree import SegTree, WalkStats
 
 __all__ = [
     "SegTree",
@@ -14,7 +14,6 @@ __all__ = [
     "FenwickTree",
     "offline_dominance",
     "DynamicRangeTree",
-    "WalkOutcome",
     "WalkStats",
     "RangeTree",
     "DimTree",

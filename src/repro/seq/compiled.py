@@ -9,9 +9,11 @@ divided dimension, one **key block** — every segment tree of that
 dimension as its rows' ranks in sorted order, trees laid end to end —
 plus ``row_block`` (the row behind each slot of the last block: the
 ``s = n log^{d−1} n`` of the paper, stored once) and one aggregate per
-node.  No node carries bounds or links: a batch of boxes (the sequential
-``*_many`` queries and Search step 5 alike) finds its canonical nodes
-with one ``searchsorted`` pair and a closed-form cover per dimension.
+node.  No node carries bounds or links: a batch of boxes (every query of
+:class:`~repro.seq.range_tree.SequentialRangeTree`, one box or many, and
+Search step 5 alike) finds its canonical nodes with one ``searchsorted``
+pair and a closed-form cover per dimension.  This is the only form a
+range tree is held in outside the reference.
 
 Trees of one width can be **stacked**: tree ``t`` of a stack holds rows
 ``t·w .. (t+1)·w − 1`` and starts, in every key block and in node ids,

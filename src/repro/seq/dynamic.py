@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Sequence
 
-from ..errors import GeometryError, ReproError
+from ..errors import DimensionMismatch, GeometryError, ReproError
 from ..geometry.box import Box
 from ..geometry.point import PointSet, checked_coords, checked_pid
 from ..semigroup import COUNT, Semigroup
@@ -113,8 +113,15 @@ class DynamicRangeTree:
     # ------------------------------------------------------------------
     # queries (decomposable: fold over buckets)
     # ------------------------------------------------------------------
+    def _check(self, boxes: Sequence[Box]) -> None:
+        # checked here, not by the buckets: an empty tree walks none
+        for box in boxes:
+            if box.dim != self.dim:
+                raise DimensionMismatch(self.dim, box.dim, "query box")
+
     def report(self, box: Box) -> list[int]:
         """Sorted live ids inside the closed box."""
+        self._check([box])
         out: list[int] = []
         for tree, _recs in self._buckets.values():
             out.extend(i for i in tree.report(box) if i not in self._tombstones)
@@ -122,6 +129,7 @@ class DynamicRangeTree:
 
     def count(self, box: Box) -> int:
         """Number of live points inside the box."""
+        self._check([box])
         if not self._tombstones:
             return sum(t.count(box) for t, _ in self._buckets.values())
         return len(self.report(box))
@@ -133,6 +141,7 @@ class DynamicRangeTree:
         contributions are subtracted); without tombstones any semigroup
         works.
         """
+        self._check([box])
         sg = self.semigroup
         total = sg.fold(t.aggregate(box) for t, _ in self._buckets.values())
         if not self._tombstones:
@@ -143,6 +152,7 @@ class DynamicRangeTree:
     # folded in the same bucket order as the scalar loops (bit-identical
     # answers — the differential stream tests lean on this oracle)
     def report_many(self, boxes: Sequence[Box]) -> list[list[int]]:
+        self._check(boxes)
         outs: list[list[int]] = [[] for _ in boxes]
         for tree, _recs in self._buckets.values():
             for i, ids in enumerate(tree.report_many(boxes)):
@@ -152,6 +162,7 @@ class DynamicRangeTree:
         return [sorted(ids) for ids in outs]
 
     def count_many(self, boxes: Sequence[Box]) -> list[int]:
+        self._check(boxes)
         if not self._tombstones:
             totals = [0] * len(boxes)
             for tree, _recs in self._buckets.values():
@@ -161,6 +172,7 @@ class DynamicRangeTree:
         return [len(ids) for ids in self.report_many(boxes)]
 
     def aggregate_many(self, boxes: Sequence[Box]) -> list[Any]:
+        self._check(boxes)
         sg = self.semigroup
         per_bucket = [
             tree.aggregate_many(boxes) for tree, _recs in self._buckets.values()

@@ -18,6 +18,7 @@ from typing import Any
 
 import numpy as np
 
+from ..errors import DimensionMismatch
 from ..geometry.box import Box
 from ..geometry.point import PointSet
 from ..semigroup import COUNT, Semigroup
@@ -125,8 +126,14 @@ class KDTree:
     def _visit(self) -> None:
         self.stats.nodes_visited += 1
 
+    def _check(self, box: Box) -> None:
+        # numpy would broadcast a 1-d box's bounds over every dimension
+        if box.dim != self.points.dim:
+            raise DimensionMismatch(self.points.dim, box.dim, "query box")
+
     def count(self, box: Box) -> int:
         """Number of points inside the closed box."""
+        self._check(box)
         return self._count(self.root, box)
 
     def _count(self, node: _Node, box: Box) -> int:
@@ -143,6 +150,7 @@ class KDTree:
 
     def aggregate(self, box: Box) -> Any:
         """Fold the semigroup over points inside the box."""
+        self._check(box)
         return self._aggregate(self.root, box)
 
     def _aggregate(self, node: _Node, box: Box) -> Any:
@@ -160,6 +168,7 @@ class KDTree:
 
     def report(self, box: Box) -> list[int]:
         """Sorted ids of points inside the closed box."""
+        self._check(box)
         out: list[np.ndarray] = []
         self._report(self.root, box, out)
         if not out:

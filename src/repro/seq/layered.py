@@ -13,7 +13,7 @@ query time instead of ``O(log^d n)``.
 
 Supported modes: count and report (a general, non-invertible semigroup
 cannot be folded from array *positions*, which is exactly the information
-cascading propagates; the plain :class:`~repro.seq.range_tree.RangeTree`
+cascading propagates; the plain :class:`~repro.seq.range_tree.SequentialRangeTree`
 covers that case).
 """
 
@@ -165,11 +165,9 @@ class LayeredRangeTree:
             lo, hi = tree.root_positions(ya, yb, self.stats)
             return tree.query(a, b, lo, hi, self.stats, collect)
         a, b = box.interval(tree.dim)
-        nodes = tree.seg.decompose(a, b, on_visit=lambda _n: self._visit())
+        nodes, visited = tree.seg.decompose_counted(a, b)
+        self.stats.nodes_visited += visited
         return sum(self._rec(tree.descendants[node], box, collect) for node in nodes)
-
-    def _visit(self) -> None:
-        self.stats.nodes_visited += 1
 
     def count(self, box: RankBox) -> int:
         return self._run(box, None)

@@ -7,21 +7,24 @@ to a (j-1)-dimensional range tree over the points ``W(v)`` covered by
 
 Two classes live here:
 
-* :class:`RangeTree` — the rank-space core, as explicit objects: one
-  :class:`DimTree` per segment tree, aggregates as the semigroup's own
-  Python values.  It operates on *global* rank vectors and any
-  ``start_dim``, so it is the oracle a forest element (a range tree on
-  ``n/p`` points embedded in the global rank domain, held by
-  :mod:`repro.dist` as :class:`~repro.seq.compiled.CompiledForest` arrays
-  only) is tested against.
-* :class:`SequentialRangeTree` — the user-facing facade over real
+* :class:`SequentialRangeTree` — the user-facing tree over real
   coordinates (rank normalisation, power-of-two padding, id filtering).
+  It holds the tree once, as one
+  :class:`~repro.seq.compiled.CompiledForest` built by
+  :meth:`~repro.seq.compiled.CompiledForest.from_ranks`, and answers a
+  batch of boxes, or one box, with one
+  :meth:`~repro.seq.compiled.CompiledForest.walk`.
+* :class:`RangeTree` — the rank-space tree as explicit objects: one
+  :class:`DimTree` per segment tree, aggregates as the semigroup's own
+  Python values, walked one query at a time.  It operates on *global*
+  rank vectors and any ``start_dim``, and it is the reference only:
+  ``tests/test_compiled_forest.py`` pins the arrays (of a sequential tree
+  and of a forest element of :mod:`repro.dist`) against it — same
+  selections, same order, same visit counts, same aggregates.
 
 Queries support the paper's three outcomes: the canonical dimension-d
 selection (:meth:`RangeTree.canonical`), the associative-function mode
-(:meth:`RangeTree.aggregate`) and the report mode (:meth:`RangeTree.report`).
-The batched ``*_many`` forms walk the same points as arrays, built by the
-one constructor :meth:`~repro.seq.compiled.CompiledForest.from_ranks`.
+(``aggregate``) and the report mode (``report``).
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from ..geometry.box import Box, RankBox
 from ..geometry.point import PointSet
 from ..geometry.rankspace import RankedPointSet, pad_to_power_of_two
 from ..semigroup import COUNT, Semigroup
+from ..semigroup.kernels import lift_kernel_column
 from .compiled import CompiledForest, Selections
 from .segment_tree import SegTree, WalkStats
 
@@ -133,7 +137,6 @@ class RangeTree:
         "d",
         "root_tree",
         "stats",
-        "_compiled",
     )
 
     def __init__(
@@ -155,19 +158,9 @@ class RangeTree:
             raise DimensionMismatch(self.d, start_dim, "start dimension")
         self.start_dim = start_dim
         self.stats = stats if stats is not None else WalkStats()
-        self._compiled: CompiledForest | None = None
         self.root_tree = self._build(
             np.arange(ranks.shape[0], dtype=np.int64), start_dim
         )
-
-    def compiled(self) -> CompiledForest:
-        """The same tree as arrays, built on the first ``*_many`` call
-        (the tree is immutable, so it is never rebuilt)."""
-        if self._compiled is None:
-            self._compiled = CompiledForest.from_ranks(
-                self.ranks, self.values, self.semigroup, self.start_dim
-            )
-        return self._compiled
 
     # ------------------------------------------------------------------
     # construction (the classical bottom-up sequential algorithm)
@@ -261,64 +254,6 @@ class RangeTree:
         return sum(s.leaf_count for s in self.canonical(box, stats))
 
     # ------------------------------------------------------------------
-    # batched queries (the compiled walk; bit-identical to the loops)
-    # ------------------------------------------------------------------
-    def _walk_batch(
-        self, bounds: tuple[np.ndarray, np.ndarray], st: WalkStats
-    ) -> tuple[int, CompiledForest, Selections]:
-        """One compiled walk over the int64 ``(los, his)`` pair of
-        ``RankSpace.to_rank_bounds``."""
-        los, his = bounds
-        if len(los) and los.shape[1] != self.d:
-            raise DimensionMismatch(self.d, los.shape[1], "rank box")
-        comp = self.compiled()
-        sel = CompiledForest.walk([comp], los, his)
-        st.nodes_visited += int(sel.visits.sum())
-        st.nodes_selected += int(sel.node.shape[0])
-        return len(los), comp, sel
-
-    def count_many(
-        self, bounds: tuple[np.ndarray, np.ndarray], stats: WalkStats | None = None
-    ) -> list[int]:
-        """:meth:`count` over a batch of boxes in one compiled walk."""
-        st = stats if stats is not None else self.stats
-        nq, _comp, sel = self._walk_batch(bounds, st)
-        out = np.zeros(nq, dtype=np.int64)
-        np.add.at(out, sel.q, sel.length)
-        return [int(c) for c in out]
-
-    def aggregate_many(
-        self, bounds: tuple[np.ndarray, np.ndarray], stats: WalkStats | None = None
-    ) -> list[Any]:
-        """:meth:`aggregate` over a batch: one walk, per-query folds in
-        the object walk's exact emission order."""
-        st = stats if stats is not None else self.stats
-        nq, comp, sel = self._walk_batch(bounds, st)
-        vals = comp.decode_aggs(sel.node)
-        cuts = np.searchsorted(sel.q, np.arange(nq + 1))
-        fold = self.semigroup.fold
-        return [
-            fold(vals[cuts[i] : cuts[i + 1]]) for i in range(nq)
-        ]
-
-    def report_many(
-        self, bounds: tuple[np.ndarray, np.ndarray], stats: WalkStats | None = None
-    ) -> list[np.ndarray]:
-        """:meth:`report` over a batch: selection rows gathered with one
-        flat fancy index over the compiled pid tiling."""
-        st = stats if stats is not None else self.stats
-        nq, comp, sel = self._walk_batch(bounds, st)
-        flat = comp.rows_flat(sel.off, sel.length)
-        st.points_reported += int(flat.shape[0])
-        offsets = np.zeros(len(sel.length) + 1, dtype=np.int64)
-        np.cumsum(sel.length, out=offsets[1:])
-        cuts = np.searchsorted(sel.q, np.arange(nq + 1))
-        return [
-            flat[offsets[cuts[i]] : offsets[cuts[i + 1]]]
-            for i in range(nq)
-        ]
-
-    # ------------------------------------------------------------------
     # introspection (sizes; used by Theorem 1 and the scaling benches)
     # ------------------------------------------------------------------
     @property
@@ -359,7 +294,10 @@ class SequentialRangeTree:
     """User-facing sequential range tree over real coordinates.
 
     Handles rank normalisation, power-of-two sentinel padding, lifting the
-    semigroup values, and translating real-coordinate :class:`Box` queries.
+    semigroup values and translating real-coordinate :class:`Box` queries.
+    The tree is ``forest``, one :class:`CompiledForest`; a scalar query
+    is a batch of one box, and every call charges ``stats`` with the
+    walk's visits, selections and reported rows.
 
     Examples
     --------
@@ -373,23 +311,11 @@ class SequentialRangeTree:
         self.points = points
         self.semigroup = semigroup
         self.ranked: RankedPointSet = pad_to_power_of_two(points)
-        values = self._lift_values(self.ranked, points, semigroup)
         self.stats = WalkStats()
-        self.core = RangeTree(
-            self.ranked.ranks, values, semigroup, stats=self.stats
+        values = lift_kernel_column(
+            semigroup.kernel, points.coords, self.ranked.n, points.ids
         )
-
-    @staticmethod
-    def _lift_values(
-        ranked: RankedPointSet, points: PointSet, semigroup: Semigroup
-    ) -> list[Any]:
-        values: list[Any] = []
-        for i in range(ranked.n):
-            if i < ranked.n_real:
-                values.append(semigroup.lift(points.point_id(i), points.coords[i]))
-            else:
-                values.append(semigroup.identity)
-        return values
+        self.forest = CompiledForest.from_ranks(self.ranked.ranks, values, semigroup)
 
     @property
     def n(self) -> int:
@@ -400,42 +326,49 @@ class SequentialRangeTree:
     def dim(self) -> int:
         return self.points.dim
 
-    def rank_box(self, box: Box) -> RankBox:
-        return self.ranked.to_rank_box(box)
+    def _walk(self, boxes: Sequence[Box]) -> tuple[int, Selections]:
+        """One compiled walk over the whole slice, charged to ``stats``."""
+        los, his = self.ranked.to_rank_bounds(*Box.stack(boxes))
+        sel = CompiledForest.walk([self.forest], los, his)
+        self.stats.nodes_visited += int(sel.visits.sum())
+        self.stats.nodes_selected += int(sel.node.shape[0])
+        return len(los), sel
 
     def count(self, box: Box) -> int:
-        return self.core.count(self.rank_box(box))
+        return self.count_many([box])[0]
 
     def aggregate(self, box: Box) -> Any:
-        return self.core.aggregate(self.rank_box(box))
+        return self.aggregate_many([box])[0]
 
     def report(self, box: Box) -> list[int]:
         """Sorted ids of the points inside ``box``."""
-        rows = self.core.report(self.rank_box(box))
-        ids = self.ranked.ids[rows]
-        return sorted(int(i) for i in ids if i >= 0)
-
-    # batched forms: one compiled walk for the whole slice (the oracle's
-    # hot path in the differential stream tests and the CLI checkpoints)
-    def rank_bounds(self, boxes: Sequence[Box]) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`rank_box` for a whole slice: the ``(los, his)`` matrix pair."""
-        return self.ranked.to_rank_bounds(*Box.stack(boxes))
+        return self.report_many([box])[0]
 
     def count_many(self, boxes: Sequence[Box]) -> list[int]:
-        return self.core.count_many(self.rank_bounds(boxes))
+        nq, sel = self._walk(boxes)
+        out = np.zeros(nq, dtype=np.int64)
+        np.add.at(out, sel.q, sel.length)
+        return [int(c) for c in out]
 
     def aggregate_many(self, boxes: Sequence[Box]) -> list[Any]:
-        return self.core.aggregate_many(self.rank_bounds(boxes))
+        """Per-query folds in the object walk's exact emission order."""
+        nq, sel = self._walk(boxes)
+        vals = self.forest.decode_aggs(sel.node)
+        cuts = np.searchsorted(sel.q, np.arange(nq + 1))
+        fold = self.semigroup.fold
+        return [fold(vals[cuts[i] : cuts[i + 1]]) for i in range(nq)]
 
     def report_many(self, boxes: Sequence[Box]) -> list[list[int]]:
-        outs = self.core.report_many(self.rank_bounds(boxes))
-        ids = self.ranked.ids
-        return [
-            sorted(int(i) for i in ids[rows] if i >= 0) for rows in outs
-        ]
-
-    def canonical(self, box: Box) -> list[CanonicalSelection]:
-        return self.core.canonical(self.rank_box(box))
+        """Selection rows gathered with one flat fancy index over the
+        forest's row tiling, mapped to ids (sentinels dropped)."""
+        nq, sel = self._walk(boxes)
+        flat = self.forest.rows_flat(sel.off, sel.length)
+        self.stats.points_reported += int(flat.shape[0])
+        offsets = np.zeros(len(sel.length) + 1, dtype=np.int64)
+        np.cumsum(sel.length, out=offsets[1:])
+        cuts = offsets[np.searchsorted(sel.q, np.arange(nq + 1))].tolist()
+        ids = self.ranked.ids[flat].tolist()
+        return [sorted(i for i in ids[a:b] if i >= 0) for a, b in zip(cuts, cuts[1:])]
 
     def space_nodes(self) -> int:
-        return self.core.space_nodes()
+        return self.forest.size_nodes

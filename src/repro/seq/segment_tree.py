@@ -15,33 +15,21 @@ whose points carry *global* ranks) the interval is the tightest cover and
 the canonical decomposition below remains correct because slices at one
 level cover disjoint, ordered rank sets.
 
-The query-vs-node comparison implements the paper's four cases (Section 4):
-contained -> select, overlap -> split to both children, disjoint -> die.
+The one walk, :meth:`SegTree.decompose_counted`, compares the query with
+each node by the paper's four cases (Section 4): contained -> select,
+overlap -> split to the overlapping children, disjoint -> die.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
 
 import numpy as np
 
 from .._util import ilog2
 from ..errors import GeometryError
 
-__all__ = ["SegTree", "WalkOutcome", "OUTCOME_SELECT", "OUTCOME_SPLIT", "OUTCOME_DIE"]
-
-OUTCOME_SELECT = "select"
-OUTCOME_SPLIT = "split"
-OUTCOME_DIE = "die"
-
-
-@dataclass(frozen=True, slots=True)
-class WalkOutcome:
-    """Result of comparing a query interval with one node (4-case walk)."""
-
-    kind: str  # one of OUTCOME_SELECT / OUTCOME_SPLIT / OUTCOME_DIE
-    children: tuple[int, ...] = ()
+__all__ = ["SegTree", "WalkStats"]
 
 
 class SegTree:
@@ -81,30 +69,12 @@ class SegTree:
         # numpy scalars.  (The array stays the storage of record.)
         self._rank_list: "list[int] | None" = None
 
-    def __getstate__(self):
-        # The walk cache never crosses a process boundary: replication
-        # ships forest elements by pickle, and shipping a Python int list
-        # alongside the rank array would double the payload.
-        return (self.ranks, self.m, self.height)
-
-    def __setstate__(self, state) -> None:
-        self.ranks, self.m, self.height = state
-        self._rank_list = None
-
     # ------------------------------------------------------------------
     # node arithmetic
     # ------------------------------------------------------------------
     @property
     def root(self) -> int:
         return 1
-
-    @property
-    def size(self) -> int:
-        """Number of nodes (2m - 1)."""
-        return 2 * self.m - 1
-
-    def is_leaf(self, node: int) -> bool:
-        return node >= self.m
 
     def depth(self, node: int) -> int:
         """Distance from the root (root = 0)."""
@@ -113,15 +83,6 @@ class SegTree:
     def level(self, node: int) -> int:
         """Paper Definition 2(i): distance to a leaf (leaf = 0)."""
         return self.height - self.depth(node)
-
-    def left(self, node: int) -> int:
-        return 2 * node
-
-    def right(self, node: int) -> int:
-        return 2 * node + 1
-
-    def parent(self, node: int) -> int:
-        return node >> 1
 
     def slice_of(self, node: int) -> tuple[int, int]:
         """Half-open array slice ``[s, e)`` of leaves under ``node``."""
@@ -143,76 +104,25 @@ class SegTree:
         depth = self.height - level
         return range(1 << depth, 1 << (depth + 1))
 
-    def iter_nodes(self) -> Iterator[int]:
-        return iter(range(1, 2 * self.m))
-
-    def leaf_for_position(self, pos: int) -> int:
-        """Heap id of the leaf over array position ``pos``."""
-        if not 0 <= pos < self.m:
-            raise GeometryError(f"leaf position {pos} out of range")
-        return self.m + pos
-
     # ------------------------------------------------------------------
-    # the 4-case walk (Section 4) and the canonical decomposition
+    # the 4-case walk (Section 4): the canonical decomposition
     # ------------------------------------------------------------------
-    def compare(self, node: int, a: int, b: int) -> WalkOutcome:
-        """Compare query interval ``[a, b]`` with ``node`` (paper 4 cases).
-
-        ``select``  - the node's segment is contained in the query
-        ``split``   - partial overlap: visit the overlapping children
-        ``die``     - disjoint
-        """
-        lo, hi = self.seg(node)
-        if b < lo or hi < a:
-            return WalkOutcome(OUTCOME_DIE)
-        if a <= lo and hi <= b:
-            return WalkOutcome(OUTCOME_SELECT)
-        children = []
-        for child in (self.left(node), self.right(node)):
-            clo, chi = self.seg(child)
-            if not (b < clo or chi < a):
-                children.append(child)
-        return WalkOutcome(OUTCOME_SPLIT, tuple(children))
-
-    def decompose(
-        self,
-        a: int,
-        b: int,
-        on_visit: Callable[[int], None] | None = None,
-    ) -> list[int]:
+    def decompose(self, a: int, b: int) -> list[int]:
         """Canonical decomposition of ``[a, b]``: maximal covered nodes.
 
         Returns the heap ids of the ``O(log m)`` maximal nodes whose
         segments are contained in ``[a, b]``, in left-to-right order.
-        ``on_visit`` (if given) is called once per node *visited* during the
-        walk — the quantity the paper's complexity analysis counts.
         """
-        if a > b:
-            return []
-        if on_visit is None:
-            return self.decompose_counted(a, b)[0]
-        out: list[int] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            on_visit(node)
-            outcome = self.compare(node, a, b)
-            if outcome.kind == OUTCOME_SELECT:
-                out.append(node)
-            elif outcome.kind == OUTCOME_SPLIT:
-                # push right first so output order is left-to-right
-                for child in reversed(outcome.children):
-                    stack.append(child)
-        return out
+        return self.decompose_counted(a, b)[0]
 
     def decompose_counted(self, a: int, b: int) -> tuple[list[int], int]:
-        """Canonical decomposition plus the visit count, walk inlined.
+        """:meth:`decompose` plus the number of nodes visited — the
+        quantity the paper's complexity analysis counts.
 
-        Same nodes, same visit set (only *overlapping* children are
-        pushed, as in :meth:`compare`), but the 4-case logic runs over a
-        cached Python rank list with the child segments read in place of
-        a second :meth:`seg` round-trip — this is the inner loop of every
-        forest/hat walk, where comparison overhead dominates.
+        A node whose segment lies inside ``[a, b]`` is selected, one
+        disjoint from it dies, and one that overlaps it pushes only its
+        overlapping children.  The walk is comparison-bound, so it reads
+        a cached Python rank list and each child's segment in place.
         """
         if a > b:
             return [], 0
@@ -246,19 +156,6 @@ class SegTree:
             if not (b < lo or left_hi < a):
                 stack.append(2 * node)
         return out, visited
-
-    def positions_under(self, node: int) -> range:
-        """Array positions of the leaves below ``node``."""
-        s, e = self.slice_of(node)
-        return range(s, e)
-
-    def count_in(self, a: int, b: int) -> int:
-        """Number of stored ranks inside ``[a, b]`` (binary search)."""
-        if a > b:
-            return 0
-        left = int(np.searchsorted(self.ranks, a, side="left"))
-        right = int(np.searchsorted(self.ranks, b, side="right"))
-        return right - left
 
     # ------------------------------------------------------------------
     # rendering (used by the Figure 1 reproduction)
@@ -300,5 +197,3 @@ class WalkStats:
         self.nodes_selected += other.nodes_selected
         self.points_reported += other.points_reported
 
-
-__all__.append("WalkStats")

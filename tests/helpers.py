@@ -138,6 +138,17 @@ def reference_tree(tree, leaf: int) -> RangeTree:
     return RangeTree(tree.ranked.ranks[rows], values, tree.semigroup, start_dim=start_dim)
 
 
+def seq_reference(t) -> RangeTree:
+    """The object-tree reference of a ``SequentialRangeTree`` ``t``: the
+    :class:`RangeTree` over its padded rank table, values lifted afresh
+    point by point through the semigroup's ``lift`` (identity on the
+    sentinel rows), nothing read off ``t.forest``."""
+    sg, pts = t.semigroup, t.points
+    values = [sg.lift(int(pid), row) for pid, row in zip(pts.ids, pts.coords)]
+    values += [sg.identity] * (t.n - pts.n)
+    return RangeTree(t.ranked.ranks, values, sg)
+
+
 def corrupt_shape(hat, column: str, edit) -> None:
     """Bind ``hat`` a copy of its shape whose ``column`` is ``edit`` of a
     writable copy of it: the shared shape is read-only, and corrupting it

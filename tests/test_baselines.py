@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import GeometryError
+from repro.errors import DimensionMismatch, GeometryError
 from repro.geometry import Box, PointSet
-from repro.semigroup import sum_of_dim
+from repro.semigroup import COUNT, sum_of_dim
 from repro.seq import (
     BruteForceIndex,
+    DynamicRangeTree,
     KDTree,
     LayeredSequentialRangeTree,
     SequentialRangeTree,
@@ -180,3 +181,43 @@ class TestCrossStructureAgreement:
             expected = bf_report(pts, box)
             for s in structures:
                 assert s.report(box) == expected, type(s).__name__
+
+
+def _dynamic(coords):
+    dt = DynamicRangeTree(2)
+    dt.insert_many(coords)
+    return dt
+
+
+#: every sequential structure, built over the same two 2-d points
+WRONG_DIM_STRUCTURES = {
+    "SequentialRangeTree": lambda c: SequentialRangeTree(PointSet(c)),
+    "LayeredSequentialRangeTree": lambda c: LayeredSequentialRangeTree(PointSet(c)),
+    "BruteForceIndex": lambda c: BruteForceIndex(PointSet(c), COUNT),
+    "KDTree": lambda c: KDTree(PointSet(c)),
+    "DynamicRangeTree-empty": lambda c: DynamicRangeTree(2),
+    "DynamicRangeTree": _dynamic,
+}
+
+
+class TestWrongDimensionBox:
+    """A box of another dimension is refused with ``DimensionMismatch``
+    before any walk — never answered by broadcasting or by walking no
+    bucket."""
+
+    @pytest.mark.parametrize("name", sorted(WRONG_DIM_STRUCTURES))
+    @pytest.mark.parametrize("box_dim", [1, 3])
+    def test_refused(self, name, box_dim):
+        index = WRONG_DIM_STRUCTURES[name]([(0.5, 0.5), (0.2, 0.9)])
+        box = Box([(0.0, 1.0)] * box_dim)
+        tried = 0
+        for method in ("count", "report", "aggregate"):
+            if hasattr(index, method):
+                with pytest.raises(DimensionMismatch):
+                    getattr(index, method)(box)
+                tried += 1
+            if hasattr(index, method + "_many"):
+                with pytest.raises(DimensionMismatch):
+                    getattr(index, method + "_many")([box])
+                tried += 1
+        assert tried >= 2

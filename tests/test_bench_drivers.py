@@ -6,11 +6,16 @@ from __future__ import annotations
 
 import functools
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
 from repro.bench import EXPERIMENTS, Table, run_f3, run_sq1
 from repro.cli import main
+
+#: ``python -m repro experiments`` as the tables stand; a change that moves
+#: an exact counter regenerates it and says so.
+GOLDEN = Path(__file__).parent / "data" / "experiments.txt"
 
 
 class TestTable:
@@ -259,10 +264,12 @@ class TestClaims:
 
     def test_tables_render_identically_run_to_run(self, capsys):
         """Exact counters only: a second full run — through the CLI —
-        prints byte for byte what the first run's tables render to."""
+        prints byte for byte what the first run's tables render to, and
+        both are the committed golden output."""
         first = Table.stack([table(key) for key in EXPERIMENTS])
         assert main(["experiments"]) == 0
         assert capsys.readouterr().out.rstrip("\n") == first
+        assert first == GOLDEN.read_text(encoding="utf-8").rstrip("\n")
 
 
 class TestFastDrivers:

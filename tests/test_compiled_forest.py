@@ -7,8 +7,8 @@ forest elements' range trees directly as arrays; the object
 walk over the arrays must reproduce ``RangeTree.canonical`` exactly —
 same selections (identical leaf rows) in the same emission order, same
 per-box visit counts, bit-identical aggregates, whichever tree of the
-stack a box searches — because Search step 5 and the sequential
-oracle's batched queries both ride the arrays.  These tests pin that
+stack a box searches — because Search step 5 and every query of the
+sequential tree ride the arrays.  These tests pin that
 identity directly (a hypothesis property over d, start dimension, width,
 stack depth and value representation), Algorithm Search's forest output
 against per-subquery ``canonical`` calls, the engine's answers against
@@ -54,6 +54,7 @@ from tests.helpers import (
     forest_elements,
     random_boxes,
     reference_tree,
+    seq_reference,
     unkernelized,
 )
 from tests.test_compiled_hat import (
@@ -349,24 +350,26 @@ class TestSeqBatchedAPIs:
         assert repr(got) == repr(expected)
 
     def test_batched_stats_match_scalar(self):
+        """The facade's walk charges what the reference object walk
+        charges, box for box: visits, selections and reported rows."""
         pts = make_points("uniform", 48, 2, seed=71)
         t = SequentialRangeTree(pts, COUNT)
+        ref = seq_reference(t)
         boxes = random_boxes(np.random.default_rng(72), 15, 2)
-        rbs = [t.rank_box(b) for b in boxes]
-        st_obj, st_cmp = WalkStats(), WalkStats()
-        for rb in rbs:
-            t.core.count(rb, st_obj)
-            t.core.report(rb, st_obj)
-        t.core.count_many(rank_bounds(rbs), st_cmp)
-        t.core.report_many(rank_bounds(rbs), st_cmp)
+        for b in boxes:
+            rb = t.ranked.to_rank_box(b)
+            ref.count(rb)
+            ref.report(rb)
+        t.count_many(boxes)
+        t.report_many(boxes)
         assert (
-            st_obj.nodes_visited,
-            st_obj.nodes_selected,
-            st_obj.points_reported,
+            ref.stats.nodes_visited,
+            ref.stats.nodes_selected,
+            ref.stats.points_reported,
         ) == (
-            st_cmp.nodes_visited,
-            st_cmp.nodes_selected,
-            st_cmp.points_reported,
+            t.stats.nodes_visited,
+            t.stats.nodes_selected,
+            t.stats.points_reported,
         )
 
 

@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Box, PointSet, RankBox
-from repro.semigroup import COUNT, id_set, max_of_dim, sum_of_dim
-from repro.seq import SequentialRangeTree, bf_aggregate, bf_count, bf_report
-from repro.seq.range_tree import RangeTree
+from repro.semigroup import COUNT, id_set, max_of_dim, sum_of_dim, top_k_ids
+from repro.seq import SequentialRangeTree, WalkStats, bf_aggregate, bf_count, bf_report
+from repro.seq.range_tree import DimTree, RangeTree
+from repro.seq.segment_tree import SegTree
 from repro.workloads import grid_points, uniform_points
 
-from tests.helpers import grid_of_boxes, random_boxes
+from tests.helpers import grid_of_boxes, random_boxes, seq_reference
 
 
 class TestCoreRankTree:
@@ -217,3 +218,65 @@ class TestSequentialFacade:
         box = Box([(x0, x1), (y0, y1)])
         assert tree.count(box) == bf_count(pts, box)
         assert tree.report(box) == bf_report(pts, box)
+
+
+SEMIGROUPS = {
+    "count": COUNT,
+    "sum[x0]": sum_of_dim(0),
+    "id_set": id_set(),
+    "top_k_ids(2)": top_k_ids(2),
+}
+
+
+def _charged(stats: WalkStats, call):
+    """``call()``'s answer and what it charged to ``stats``."""
+    before = (stats.nodes_visited, stats.nodes_selected, stats.points_reported)
+    answer = call()
+    after = (stats.nodes_visited, stats.nodes_selected, stats.points_reported)
+    return answer, tuple(a - b for a, b in zip(after, before))
+
+
+class TestOneRepresentation:
+    """The sequential tree is held once, as its ``forest``: building and
+    querying it constructs no object tree, and each call answers what
+    brute force does and charges what the reference object walk does."""
+
+    @pytest.mark.parametrize("sg_name", sorted(SEMIGROUPS))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_forest_only_and_reference_stats(self, d, sg_name, monkeypatch):
+        sg = SEMIGROUPS[sg_name]
+        built = dict.fromkeys(("DimTree", "SegTree", "RangeTree"), 0)
+        for cls in (DimTree, SegTree, RangeTree):
+            def counted(self, *args, _real=cls.__init__, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        pts = uniform_points(40 + 7 * d, d, seed=110 + d)
+        boxes = random_boxes(np.random.default_rng(120 + d), 12, d)
+        boxes += [Box.full(d, 0.0, 1.0), Box.full(d, 2.0, 3.0)]
+        t = SequentialRangeTree(pts, semigroup=sg)
+        scalar = [
+            [_charged(t.stats, lambda: fn(box)) for box in boxes]
+            for fn in (t.count, t.aggregate, t.report)
+        ]
+        many = [fn(boxes) for fn in (t.count_many, t.aggregate_many, t.report_many)]
+        assert built == dict.fromkeys(built, 0)
+        monkeypatch.undo()
+
+        assert [[a for a, _st in calls] for calls in scalar] == many
+        ref = seq_reference(t)
+        for i, box in enumerate(boxes):
+            (count, st_count), (agg, st_agg), (rep, st_rep) = (calls[i] for calls in scalar)
+            assert count == bf_count(pts, box)
+            assert rep == bf_report(pts, box)
+            expected = bf_aggregate(pts, box, sg)
+            if sg_name == "sum[x0]":
+                assert agg == pytest.approx(expected)
+            else:
+                assert agg == expected
+            rb = t.ranked.to_rank_box(box)
+            assert st_count == _charged(ref.stats, lambda: ref.count(rb))[1]
+            assert st_agg == _charged(ref.stats, lambda: ref.aggregate(rb))[1]
+            assert st_rep == _charged(ref.stats, lambda: ref.report(rb))[1]
+        assert t.space_nodes() == ref.space_nodes()

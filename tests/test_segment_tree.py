@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GeometryError, PowerOfTwoError
-from repro.seq.segment_tree import (
-    OUTCOME_DIE,
-    OUTCOME_SELECT,
-    OUTCOME_SPLIT,
-    SegTree,
-    WalkStats,
-)
+from repro.seq.segment_tree import SegTree, WalkStats
 
 
 def contiguous(m: int) -> SegTree:
@@ -35,22 +29,16 @@ class TestStructure:
     def test_sizes(self):
         t = contiguous(8)
         assert t.m == 8
-        assert t.size == 15
         assert t.height == 3
+        assert list(t.nodes_at_level(t.height)) == [t.root]
+        assert sum(len(t.nodes_at_level(lv)) for lv in range(t.height + 1)) == 2 * t.m - 1
 
     def test_levels_definition(self):
         """Definition 2(i): level = shortest path to a leaf; leaves are 0."""
         t = contiguous(8)
         assert t.level(t.root) == 3
-        for leaf in range(8, 16):
-            assert t.level(leaf) == 0
-            assert t.is_leaf(leaf)
-
-    def test_parent_child_arithmetic(self):
-        t = contiguous(8)
-        for node in range(1, 8):
-            assert t.parent(t.left(node)) == node
-            assert t.parent(t.right(node)) == node
+        for node in range(1, 16):
+            assert (t.level(node) == 0) == (node >= t.m)
 
     def test_segments_dyadic(self):
         t = contiguous(8)
@@ -62,8 +50,8 @@ class TestStructure:
     def test_internal_segment_is_union_of_children(self):
         t = contiguous(16)
         for node in range(1, 16):
-            llo, lhi = t.seg(t.left(node))
-            rlo, rhi = t.seg(t.right(node))
+            llo, lhi = t.seg(2 * node)
+            rlo, rhi = t.seg(2 * node + 1)
             assert t.seg(node) == (llo, rhi)
             assert lhi < rlo  # disjoint, ordered
 
@@ -73,13 +61,6 @@ class TestStructure:
         assert list(t.nodes_at_level(0)) == list(range(8, 16))
         with pytest.raises(GeometryError):
             t.nodes_at_level(4)
-
-    def test_leaf_for_position(self):
-        t = contiguous(4)
-        assert t.leaf_for_position(0) == 4
-        assert t.leaf_for_position(3) == 7
-        with pytest.raises(GeometryError):
-            t.leaf_for_position(4)
 
     def test_slice_of(self):
         t = contiguous(8)
@@ -107,28 +88,6 @@ class TestStructure:
         assert t.decompose(0, 4) == []
 
 
-class TestFourCaseWalk:
-    def test_select_case(self):
-        t = contiguous(8)
-        assert t.compare(2, 0, 5).kind == OUTCOME_SELECT
-
-    def test_die_case(self):
-        t = contiguous(8)
-        assert t.compare(2, 4, 7).kind == OUTCOME_DIE
-
-    def test_split_case_both_children(self):
-        t = contiguous(8)
-        out = t.compare(1, 2, 5)
-        assert out.kind == OUTCOME_SPLIT
-        assert out.children == (2, 3)
-
-    def test_split_case_one_child(self):
-        t = contiguous(8)
-        out = t.compare(1, 0, 1)  # only left child overlaps... root [0,7] not contained
-        assert out.kind == OUTCOME_SPLIT
-        assert out.children == (2,)
-
-
 class TestDecompose:
     def test_canonical_nodes_exact_cover(self):
         t = contiguous(8)
@@ -145,7 +104,7 @@ class TestDecompose:
         a, b = 3, 12
         for v in t.decompose(a, b):
             if v != t.root:
-                plo, phi = t.seg(t.parent(v))
+                plo, phi = t.seg(v >> 1)
                 assert not (a <= plo and phi <= b)
 
     def test_full_interval_is_root(self):
@@ -176,10 +135,10 @@ class TestDecompose:
 
     def test_visit_count_logarithmic(self):
         t = contiguous(256)
-        visits = []
-        t.decompose(7, 201, on_visit=lambda _v: visits.append(_v))
+        nodes, visits = t.decompose_counted(7, 201)
+        assert nodes == t.decompose(7, 201)
         # two boundary paths of length <= height, plus selected nodes
-        assert len(visits) <= 6 * t.height
+        assert len(nodes) < visits <= 6 * t.height
 
     @given(
         st.integers(min_value=1, max_value=6),
@@ -205,16 +164,9 @@ class TestDecompose:
         a, b = ranks[2], ranks[5]
         nodes = t.decompose(a, b)
         covered = sorted(
-            int(t.ranks[i]) for v in nodes for i in t.positions_under(v)
+            int(t.ranks[i]) for v in nodes for i in range(*t.slice_of(v))
         )
         assert covered == [r for r in ranks if a <= r <= b]
-
-    def test_count_in(self):
-        t = SegTree(np.array([2, 5, 7, 11]))
-        assert t.count_in(3, 10) == 2
-        assert t.count_in(2, 11) == 4
-        assert t.count_in(12, 20) == 0
-        assert t.count_in(8, 3) == 0
 
 
 class TestWalkStats:

@@ -362,6 +362,12 @@ class TestWireErrors:
         assert shed.max_inflight == 1
 
     def test_client_retries_absorb_sheds(self, tree):
+        callers, base_ms, cap_ms = 6, 2.0, 500.0
+        # One slot: a caller can lose it about once per other caller's
+        # in-flight window, plus the attempts its backoff needs to ramp
+        # from base to cap (by then the others are long answered).
+        retries = (callers - 1) + math.ceil(math.log2(cap_ms / base_ms)) + 2
+
         async def go():
             async with QueryService(
                 tree, FlushPolicy(max_wait_ms=2.0), max_inflight=1
@@ -370,10 +376,14 @@ class TestWireErrors:
                 port = server.sockets[0].getsockname()[1]
                 try:
                     client = await ServeClient.connect(
-                        "127.0.0.1", port, retries=6, retry_base_ms=2.0
+                        "127.0.0.1",
+                        port,
+                        retries=retries,
+                        retry_base_ms=base_ms,
+                        retry_cap_ms=cap_ms,
                     )
                     values = await asyncio.gather(
-                        *[client.value(count(BOX)) for _ in range(6)]
+                        *[client.value(count(BOX)) for _ in range(callers)]
                     )
                     retried = client.retried
                     await client.aclose()
