@@ -25,7 +25,8 @@ The subcommands::
     repro-range-search serve --n 4096 --p 4 --port 8787 --max-wait-ms 2
         Run the micro-batching query daemon (repro.serve): concurrent
         NDJSON/TCP clients coalesce into mixed-mode QueryBatches under
-        the adaptive flush policy; Ctrl-C drains in-flight batches.
+        the flush policy (a window closes at once on an idle executor);
+        Ctrl-C drains in-flight batches.
         ``--max-inflight`` bounds the backlog (sheds with Overloaded)
         and ``--deadline-ms`` sets a default per-query deadline.
 
@@ -156,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-wait-ms",
         type=float,
         default=2.0,
-        help="coalescing window: flush a partial batch after this long",
+        help="coalescing window while a pass runs: flush a partial batch "
+        "after this long (an idle executor flushes at once)",
     )
     srv.add_argument(
         "--max-batch",
@@ -491,7 +493,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             sock = server.sockets[0].getsockname()
             print(
                 f"serving {tree} on {sock[0]}:{sock[1]} "
-                f"(window {args.max_wait_ms}ms / {args.max_batch} queries); "
+                f"(window: idle, {args.max_wait_ms}ms behind a pass, or "
+                f"{args.max_batch} queries); "
                 "Ctrl-C stops",
                 file=sys.stderr,
             )

@@ -9,9 +9,10 @@ query layer (:mod:`repro.query`) already makes a heterogeneous
 * :class:`QueryService` — a long-running asyncio daemon wrapping one
   tree (static or dynamized).  Single queries arrive via the
   ``await``-able in-process API (:meth:`QueryService.submit`) or over
-  TCP; a **collector** task coalesces them under the adaptive flush
-  policy ("flush at ``max_wait_ms`` or ``max_batch`` queries, whichever
-  first"), admits batch K+1 while batch K runs through ``tree.run``
+  TCP; a **collector** task coalesces them under the flush policy
+  (close a window at ``max_batch`` queries, at once when the executor
+  is idle, or after ``max_wait_ms`` while a pass runs), admits batch
+  K+1 while batch K runs through ``tree.run``
   (a two-stage collector → executor pipeline), and the
   **executor** demultiplexes the :class:`~repro.query.ResultSet` back
   to each client future, tagging every response with queue/exec

@@ -10,10 +10,15 @@ service answers them through shared engine passes:
   request fails its own caller, never a batch) and enqueues it with a
   fresh future — the ``await``-able in-process client API the TCP
   front-end (:mod:`repro.serve.server`) is also built on.
-* The **collector** task coalesces submissions under the adaptive
-  :class:`FlushPolicy`: a window flushes when it holds ``max_batch``
-  queries or when its *first* query has waited ``max_wait_ms``,
-  whichever comes first.  At flush time the collector runs stage-1
+* The **collector** task coalesces submissions under the
+  :class:`FlushPolicy`.  A window closes on the first of three causes:
+  it holds ``max_batch`` queries (``size``); the executor is idle — no
+  pass runs and no admitted batch waits — so nothing can gain by
+  waiting (``idle``); or a pass is running and the window's *first*
+  query has waited ``max_wait_ms`` (``timer``).  Before the idle check
+  the collector takes every request already queued, so a burst that
+  arrived together is one batch.  A lone query on an idle service
+  therefore pays no batching wait.  At flush time the collector runs stage-1
   admission — drop already-cancelled futures and expired queries,
   assemble the :class:`~repro.query.QueryBatch` — and hands the batch
   to the executor queue.
@@ -103,12 +108,13 @@ def _check_count(name: str, value: int) -> None:
 
 @dataclass(frozen=True)
 class FlushPolicy:
-    """The adaptive micro-batching knobs.
+    """The micro-batching knobs.
 
-    ``max_wait_ms`` bounds any query's time in the batching window (the
-    latency a client pays for batching); ``max_batch`` bounds the batch
-    size (the throughput lever).  ``max_batch=1`` disables coalescing —
-    the batch-size-1 baseline.
+    ``max_batch`` bounds the batch size (the throughput lever);
+    ``max_batch=1`` disables coalescing — the batch-size-1 baseline.
+    ``max_wait_ms`` bounds a window's time while a pass is running (the
+    latency a client pays for batching behind a busy executor).  An
+    idle executor closes the window at once, whatever ``max_wait_ms``.
     """
 
     max_wait_ms: float = 2.0
@@ -124,7 +130,8 @@ class ServeResponse:
     """One answered query, as the client sees it.
 
     ``queue_ms`` is the time from submission to the start of the
-    batch's engine pass (window wait + executor-queue wait); ``exec_ms``
+    batch's engine pass: window wait + executor-queue wait, both zero
+    but for the loop's own turns when the executor was idle; ``exec_ms``
     is that shared pass's wall-clock; ``batch_size``/``batch_seq``
     identify the batch the query rode in.
     """
@@ -135,17 +142,13 @@ class ServeResponse:
     batch_size: int
     batch_seq: int
 
-    @property
-    def total_ms(self) -> float:
-        return self.queue_ms + self.exec_ms
-
 
 class ServeMetrics:
     """What the daemon observed: per-query latency, batch shape, causes.
 
     Latency percentiles ride :class:`~repro.cgm.metrics.LatencyStats`
     (the shared estimator); ``flushes`` counts every window close by
-    cause (``size`` / ``timer`` / ``drain``) including windows that
+    cause (``size`` / ``idle`` / ``timer`` / ``drain``) including windows that
     turned out empty after cancellations, while ``batches`` counts only
     executed ones.  ``batch_log`` keeps one entry per executed batch,
     the last :data:`BATCH_LOG_LEN` of them (cause, size, flush/exec
@@ -166,7 +169,7 @@ class ServeMetrics:
         self.query_failures = 0
         self.bisect_passes = 0
         self.peak_inflight = 0
-        self.flushes = {"size": 0, "timer": 0, "drain": 0}
+        self.flushes = {"size": 0, "idle": 0, "timer": 0, "drain": 0}
         self.batch_log: Deque[dict] = deque(maxlen=BATCH_LOG_LEN)
 
     def record_query(self, queue_ms: float, exec_ms: float) -> None:
@@ -284,6 +287,7 @@ class QueryService:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._requests: asyncio.Queue | None = None
         self._exec_queue: asyncio.Queue | None = None
+        self._idle: asyncio.Event | None = None
         self._pool: ThreadPoolExecutor | None = None
         self._collector_task: asyncio.Task | None = None
         self._executor_task: asyncio.Task | None = None
@@ -301,6 +305,10 @@ class QueryService:
         # maxsize=1: at most one admitted batch waits behind the one
         # executing — the pipeline depth, and the collector backpressure.
         self._exec_queue = asyncio.Queue(maxsize=1)
+        # Set while no pass runs and no admitted batch waits: the
+        # collector closes its window at once then.
+        self._idle = asyncio.Event()
+        self._idle.set()
         self._pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve"
         )
@@ -414,40 +422,63 @@ class QueryService:
         loop = self._loop
         wait_s = self.policy.max_wait_ms / 1000.0
         max_batch = self.policy.max_batch
+        idle = self._idle
         pending: List[_Request] = []
         deadline = 0.0
         get_task: asyncio.Task | None = None
+        idle_task: asyncio.Task | None = None
         while True:
             # One long-lived get() task per item: a timed-out wait keeps
             # the task (and any item it later receives) for the next
             # iteration, so no submission can fall through a timeout.
             if get_task is None:
                 get_task = asyncio.ensure_future(self._requests.get())
-            if pending:
+            if not pending:
+                await asyncio.wait({get_task})
+            elif not idle.is_set():
+                # A pass is running: the window stays open until the
+                # executor goes idle, a request arrives, or the timer.
+                if idle_task is None or idle_task.done():
+                    idle_task = asyncio.ensure_future(idle.wait())
                 remaining = deadline - loop.time()
-                if remaining <= 0:
-                    await self._flush(pending, "timer")
-                    pending = []
-                    continue
-                done, _ = await asyncio.wait({get_task}, timeout=remaining)
+                done = ()
+                if remaining > 0:
+                    done, _ = await asyncio.wait(
+                        {get_task, idle_task},
+                        timeout=remaining,
+                        return_when=asyncio.FIRST_COMPLETED,
+                    )
                 if not done:
                     await self._flush(pending, "timer")
                     pending = []
                     continue
-            else:
-                await asyncio.wait({get_task})
-            item = get_task.result()
-            get_task = None
-            if item is _CLOSE:
-                if pending:
-                    await self._flush(pending, "drain")
-                await self._exec_queue.put(_CLOSE)
-                return
-            if not pending:
-                deadline = loop.time() + wait_s
-            pending.append(item)
-            if len(pending) >= max_batch:
-                await self._flush(pending, "size")
+            # Take every request already here, the get() task's first:
+            # a burst that arrived together stays one window.
+            arrived = []
+            if get_task.done():
+                arrived.append(get_task.result())
+                get_task = None
+            while not self._requests.empty():
+                arrived.append(self._requests.get_nowait())
+            for item in arrived:
+                if item is _CLOSE:
+                    if pending:
+                        await self._flush(pending, "drain")
+                    for task in (get_task, idle_task):
+                        if task is not None:
+                            task.cancel()
+                    await self._exec_queue.put(_CLOSE)
+                    return
+                if not pending:
+                    deadline = loop.time() + wait_s
+                pending.append(item)
+                if len(pending) >= max_batch:
+                    await self._flush(pending, "size")
+                    pending = []
+            if pending and idle.is_set():
+                # Nothing runs and nothing is queued: no query can gain
+                # by waiting, so the window closes now.
+                await self._flush(pending, "idle")
                 pending = []
 
     def _expire(self, req: _Request, now: float) -> bool:
@@ -485,6 +516,7 @@ class QueryService:
             "t_exec_end": None,
         }
         self.metrics.record_batch(log)
+        self._idle.clear()
         await self._exec_queue.put(_AdmittedBatch(live, batch, seq, log))
 
     # ------------------------------------------------------------------
@@ -530,6 +562,8 @@ class QueryService:
     async def _execute_loop(self) -> None:
         loop = self._loop
         while True:
+            if self._exec_queue.empty():
+                self._idle.set()
             item = await self._exec_queue.get()
             if item is _CLOSE:
                 return

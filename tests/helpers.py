@@ -1,9 +1,11 @@
-"""Shared test helpers (query generators, two tiny compute phases, and the
-dynamic stream harness)."""
+"""Shared test helpers (query generators, two tiny compute phases, the
+dynamic stream harness, and a serve worker held inside its pass)."""
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
+import threading
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from repro.semigroup import (
 )
 from repro.semigroup.group import sum_group
 from repro.seq.range_tree import RangeTree
+from repro.serve import QueryService
 
 
 @register_phase("test.echo")
@@ -339,3 +342,52 @@ def drive_stream(ops, dyn, oracle, rebuild_every: int | None = None) -> int:
                 )
             checkpoints += 1
     return checkpoints
+
+
+class HeldWorker:
+    """Hold every serve pass on its worker thread until :meth:`release`.
+
+    An idle ``QueryService`` closes its window at once, so a test that
+    needs a window to stay open (a timer flush, a deadline that expires
+    in the window, a slot that stays taken) keeps the executor busy:
+    :meth:`occupy` submits one query, whose pass then blocks here.
+    Release in a ``finally``, or the service's close never returns.
+    """
+
+    def __init__(self, monkeypatch) -> None:
+        self.gate = threading.Event()
+        self.started: asyncio.Event | None = None
+        real = QueryService._run_batch
+        held = self
+
+        def run_batch(svc, item):
+            # worker thread: an asyncio.Event is the loop's to set
+            svc._loop.call_soon_threadsafe(held.started.set)
+            held.gate.wait(30)
+            return real(svc, item)
+
+        monkeypatch.setattr(QueryService, "_run_batch", run_batch)
+
+    def arm(self) -> asyncio.Event:
+        """The event the next held pass sets; make it on the test's loop."""
+        self.started = asyncio.Event()
+        return self.started
+
+    async def occupy(self, svc, query) -> asyncio.Future:
+        """Submit ``query`` and return once its pass holds the worker."""
+        started = self.arm()
+        future = svc.submit(query, deadline_ms=30_000.0)
+        await started.wait()
+        return future
+
+    def release(self) -> None:
+        self.gate.set()
+
+
+async def until(cond, timeout_s: float = 10.0) -> None:
+    """Yield to the loop until ``cond()`` holds (fail after ``timeout_s``)."""
+    loop = asyncio.get_running_loop()
+    stop = loop.time() + timeout_s
+    while not cond():
+        assert loop.time() < stop, "condition not reached"
+        await asyncio.sleep(0.001)

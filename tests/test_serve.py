@@ -28,6 +28,7 @@ from repro.serve import (
 from repro.serve.protocol import decode_line, encode_error, encode_response
 from repro.serve.service import BATCH_LOG_LEN
 from repro.workloads import make_points
+from tests.helpers import HeldWorker, until
 
 D = 2
 BOX = ((0.2, 0.8), (0.2, 0.8))
@@ -73,7 +74,6 @@ def test_response_tags_and_latency_accounting(tree):
     resp = run(go())
     assert resp.batch_size == 1
     assert resp.queue_ms >= 0 and resp.exec_ms > 0
-    assert resp.total_ms == resp.queue_ms + resp.exec_ms
 
 
 def test_per_query_semigroup_and_modes_survive_serving(tree):
@@ -114,18 +114,83 @@ def test_flush_policy_validation():
         FlushPolicy(max_wait_ms=-1.0)
 
 
-def test_timer_only_flush(tree):
-    # one lonely query, a huge max_batch: only the timer can flush it
+def test_timer_only_flush(tree, monkeypatch):
+    # one lonely query behind a running pass, a huge max_batch: only the
+    # timer can flush it
+    held = HeldWorker(monkeypatch)
+
     async def go():
         policy = FlushPolicy(max_wait_ms=5.0, max_batch=10_000)
         async with QueryService(tree, policy) as svc:
-            resp = await svc.query(count(BOX))
-            return resp, svc.metrics
+            try:
+                await held.occupy(svc, count(FAR_BOX))
+                future = svc.submit(count(BOX))
+                await until(lambda: svc.metrics.flushes["timer"] == 1)
+            finally:
+                held.release()
+            return await future, svc.metrics
 
     resp, metrics = run(go())
     assert resp.batch_size == 1
     assert metrics.flushes["timer"] == 1
     assert metrics.flushes["size"] == 0
+    assert metrics.flushes["idle"] == 1  # the pass that held the worker
+
+
+def test_lone_query_on_an_idle_service_does_not_wait(tree):
+    # nothing runs and nothing is queued: the window closes at once, so a
+    # lone query is answered long before a 60 s timer could fire
+    async def go():
+        policy = FlushPolicy(max_wait_ms=60_000.0, max_batch=10_000)
+        async with QueryService(tree, policy) as svc:
+            resp = await asyncio.wait_for(svc.query(count(BOX)), timeout=10)
+            return resp, svc.metrics
+
+    resp, metrics = run(go())
+    assert resp.value == tree.run(QueryBatch([count(BOX)])).values()[0]
+    assert resp.batch_size == 1
+    assert resp.queue_ms < 1_000.0
+    assert metrics.flushes == {"size": 0, "idle": 1, "timer": 0, "drain": 0}
+
+
+def test_arrivals_during_a_pass_ride_one_batch(tree, monkeypatch):
+    # queries arriving one loop tick apart while a pass runs gather in
+    # one window, which closes when the executor goes idle
+    held = HeldWorker(monkeypatch)
+    queries = make_serve_queries(5, D, seed=13)
+    expected = tree.run(QueryBatch(queries)).values()
+
+    async def go():
+        policy = FlushPolicy(max_wait_ms=60_000.0, max_batch=100)
+        async with QueryService(tree, policy) as svc:
+            try:
+                await held.occupy(svc, count(FAR_BOX))
+                futures = []
+                for q in queries:
+                    futures.append(svc.submit(q))
+                    await asyncio.sleep(0.001)
+            finally:
+                held.release()
+            return await asyncio.gather(*futures), svc.metrics
+
+    resps, metrics = run(go())
+    assert [r.value for r in resps] == expected
+    assert {(r.batch_seq, r.batch_size) for r in resps} == {(1, len(queries))}
+    assert metrics.flushes == {"size": 0, "idle": 2, "timer": 0, "drain": 0}
+
+
+def test_one_ticks_burst_is_one_batch(tree):
+    # submissions made in one loop tick are drained together before the
+    # idle check: the burst is one batch, not a lone first query + rest
+    async def go():
+        async with QueryService(tree, FlushPolicy(max_wait_ms=60_000.0)) as svc:
+            futures = [svc.submit(count(BOX)) for _ in range(8)]
+            return await asyncio.gather(*futures), svc.metrics
+
+    resps, metrics = run(go())
+    assert {(r.batch_seq, r.batch_size) for r in resps} == {(0, 8)}
+    assert metrics.batches == 1
+    assert metrics.flushes["idle"] == 1
 
 
 def test_size_only_flush_under_burst(tree):
@@ -144,20 +209,28 @@ def test_size_only_flush_under_burst(tree):
     assert all(r.batch_size == 4 for r in resps)
 
 
-def test_empty_window_executes_nothing(tree):
+def test_empty_window_executes_nothing(tree, monkeypatch):
     # every future in the window is cancelled before the timer fires:
     # the flush admits nobody and no batch runs
+    held = HeldWorker(monkeypatch)
+
     async def go():
         policy = FlushPolicy(max_wait_ms=30.0, max_batch=100)
         async with QueryService(tree, policy) as svc:
-            futures = [svc.submit(count(BOX)) for _ in range(3)]
-            for f in futures:
-                f.cancel()
-            await asyncio.sleep(0.08)  # let the timer flush the window
+            try:
+                await held.occupy(svc, count(FAR_BOX))
+                futures = [svc.submit(count(BOX)) for _ in range(3)]
+                for f in futures:
+                    f.cancel()
+                await until(lambda: svc.metrics.flushes["timer"] == 1)
+            finally:
+                held.release()
             return svc.metrics
 
     metrics = run(go())
-    assert metrics.batches == 0
+    # the one executed batch is the pass that held the worker
+    assert metrics.batches == 1
+    assert [b["cause"] for b in metrics.batch_log] == ["idle"]
     assert metrics.cancelled == 3
     assert metrics.flushes["timer"] == 1
 
@@ -166,28 +239,19 @@ def test_client_cancel_mid_batch_does_not_poison_batch(tree, monkeypatch):
     # cancel one future after its batch flushed (mid-execution): the
     # other rider still gets its exact answer
     expected = tree.run(QueryBatch([count(BOX)])).values()[0]
-    real_run_batch = QueryService._run_batch
-    started = None
-
-    def slow_run_batch(self, item):
-        # worker thread: an asyncio.Event is the loop's to set
-        self._loop.call_soon_threadsafe(started.set)
-        import time as _time
-
-        _time.sleep(0.05)
-        return real_run_batch(self, item)
-
-    monkeypatch.setattr(QueryService, "_run_batch", slow_run_batch)
+    held = HeldWorker(monkeypatch)
 
     async def go():
-        nonlocal started
-        started = asyncio.Event()
         policy = FlushPolicy(max_wait_ms=1.0, max_batch=2)
         async with QueryService(tree, policy) as svc:
-            keep = svc.submit(count(BOX))
-            drop = svc.submit(count(BOX))
-            await started.wait()
-            drop.cancel()
+            try:
+                started = held.arm()
+                keep = svc.submit(count(BOX))
+                drop = svc.submit(count(BOX))
+                await started.wait()
+                drop.cancel()
+            finally:
+                held.release()
             resp = await keep
             return resp, svc.metrics
 

@@ -35,6 +35,7 @@ from repro.serve import (
 )
 from repro.serve.loadgen import run_loadgen
 from repro.workloads import make_points
+from tests.helpers import HeldWorker
 
 D = 2
 BOX = [(0.1, 0.9), (0.1, 0.9)]
@@ -162,32 +163,48 @@ class TestNonFiniteSettings:
 # deadlines
 # ---------------------------------------------------------------------------
 class TestDeadlines:
-    def test_expired_query_answers_typed_error(self, tree):
+    # A busy worker keeps each window open until its 80 ms timer, far
+    # past the 1 ms deadlines below.
+    def test_expired_query_answers_typed_error(self, tree, monkeypatch):
+        held = HeldWorker(monkeypatch)
+
         async def go():
             async with QueryService(
                 tree, FlushPolicy(max_wait_ms=80.0)
             ) as svc:
-                future = svc.submit(count(BOX), deadline_ms=1.0)
-                with pytest.raises(DeadlineExceeded) as exc:
-                    await future
+                try:
+                    await held.occupy(svc, count(BOX))
+                    future = svc.submit(count(BOX), deadline_ms=1.0)
+                    with pytest.raises(DeadlineExceeded) as exc:
+                        await future
+                finally:
+                    held.release()
                 return exc.value, svc.metrics
 
         exc, metrics = run(go())
         assert exc.deadline_ms == 1.0
         assert exc.waited_ms >= 1.0
         assert metrics.deadline_expired == 1
-        # never planned: no batch was executed for it
-        assert metrics.batches == 0
+        # never planned: the one executed batch held the worker
+        assert metrics.batches == 1
+        assert [b["size"] for b in metrics.batch_log] == [1]
 
-    def test_default_deadline_applies_per_service(self, tree):
+    def test_default_deadline_applies_per_service(self, tree, monkeypatch):
+        held = HeldWorker(monkeypatch)
+
         async def go():
             async with QueryService(
                 tree,
                 FlushPolicy(max_wait_ms=80.0),
                 default_deadline_ms=1.0,
             ) as svc:
-                with pytest.raises(DeadlineExceeded):
-                    await svc.query(count(BOX))
+                try:
+                    # occupy() passes its own generous deadline
+                    await held.occupy(svc, count(BOX))
+                    with pytest.raises(DeadlineExceeded):
+                        await svc.query(count(BOX))
+                finally:
+                    held.release()
 
         run(go())
 
@@ -330,7 +347,9 @@ class TestWireErrors:
         exc = error_from_obj({"type": "Overloaded"})  # missing fields
         assert type(exc) is ServeError
 
-    def test_typed_errors_cross_tcp(self, tree):
+    def test_typed_errors_cross_tcp(self, tree, monkeypatch):
+        held = HeldWorker(monkeypatch)
+
         async def go():
             async with QueryService(
                 tree, FlushPolicy(max_wait_ms=80.0), max_inflight=1
@@ -342,12 +361,16 @@ class TestWireErrors:
                         "127.0.0.1", port
                     ) as client:
                         # occupy the single slot, then get shed
+                        started = held.arm()
                         hold = asyncio.ensure_future(
                             client.value(count(BOX))
                         )
-                        await asyncio.sleep(0.01)
-                        with pytest.raises(Overloaded) as shed:
-                            await client.value(count(BOX))
+                        try:
+                            await started.wait()
+                            with pytest.raises(Overloaded) as shed:
+                                await client.value(count(BOX))
+                        finally:
+                            held.release()
                         await hold  # free the slot before the deadline probe
                         with pytest.raises(DeadlineExceeded):
                             await client.value(
