@@ -42,7 +42,6 @@ def main() -> int:
             seed=7,
             clients=32,
             arrival="closed",
-            max_wait_ms=20.0,
             max_inflight=2,
             transport="inproc",
         )
@@ -52,7 +51,6 @@ def main() -> int:
             seed=7,
             clients=16,
             arrival="closed",
-            max_wait_ms=5.0,
             max_inflight=2,
             retries=8,
             transport="inproc",

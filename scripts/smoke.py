@@ -126,7 +126,7 @@ def main() -> int:
             expected = tree.run(QueryBatch(queries)).values()
 
             async def serve_two_clients():
-                policy = FlushPolicy(max_wait_ms=5.0, max_batch=2)
+                policy = FlushPolicy(max_batch=2)
                 async with QueryService(tree, policy) as service:
                     resps = await asyncio.gather(
                         *(service.query(q) for q in queries)

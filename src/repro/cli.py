@@ -22,11 +22,11 @@ The subcommands::
         DynamicRangeTree oracle; ``--json`` emits the stream shape, the
         epoch layout, and the final checkpoint's ResultSet.
 
-    repro-range-search serve --n 4096 --p 4 --port 8787 --max-wait-ms 2
+    repro-range-search serve --n 4096 --p 4 --port 8787
         Run the micro-batching query daemon (repro.serve): concurrent
-        NDJSON/TCP clients coalesce into mixed-mode QueryBatches under
-        the flush policy (a window closes at once on an idle executor);
-        Ctrl-C drains in-flight batches.
+        NDJSON/TCP clients coalesce into mixed-mode QueryBatches (the
+        backlog is the next batch whenever no pass runs, at most
+        ``--max-batch`` queries); Ctrl-C drains in-flight batches.
         ``--max-inflight`` bounds the backlog (sheds with Overloaded)
         and ``--deadline-ms`` sets a default per-query deadline.
 
@@ -154,17 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=8787, help="TCP port (0 = ephemeral)")
     srv.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="coalescing window while a pass runs: flush a partial batch "
-        "after this long (an idle executor flushes at once)",
-    )
-    srv.add_argument(
         "--max-batch",
         type=int,
         default=1024,
-        help="coalescing window: flush as soon as this many queries wait",
+        help="largest batch: a longer backlog rides the following passes",
     )
     srv.add_argument(
         "--max-inflight",
@@ -216,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="offered load in qps (poisson arrivals only)",
     )
-    lg.add_argument("--max-wait-ms", type=float, default=2.0)
     lg.add_argument("--max-batch", type=int, default=1024)
     lg.add_argument(
         "--max-inflight",
@@ -480,12 +472,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     points = make_points(args.points, args.n, args.d, seed=args.seed)
 
     async def run(tree) -> None:
-        policy = FlushPolicy(
-            max_wait_ms=args.max_wait_ms, max_batch=args.max_batch
-        )
         async with QueryService(
             tree,
-            policy,
+            FlushPolicy(max_batch=args.max_batch),
             max_inflight=args.max_inflight,
             default_deadline_ms=args.deadline_ms,
         ) as service:
@@ -493,7 +482,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             sock = server.sockets[0].getsockname()
             print(
                 f"serving {tree} on {sock[0]}:{sock[1]} "
-                f"(window: idle, {args.max_wait_ms}ms behind a pass, or "
+                f"(batch: the backlog whenever no pass runs, at most "
                 f"{args.max_batch} queries); "
                 "Ctrl-C stops",
                 file=sys.stderr,
@@ -555,7 +544,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                 clients=args.clients,
                 arrival=args.arrival,
                 rate_qps=args.rate,
-                max_wait_ms=args.max_wait_ms,
                 max_batch=args.max_batch,
                 max_inflight=args.max_inflight,
                 deadline_ms=args.deadline_ms,

@@ -9,14 +9,11 @@ query layer (:mod:`repro.query`) already makes a heterogeneous
 * :class:`QueryService` — a long-running asyncio daemon wrapping one
   tree (static or dynamized).  Single queries arrive via the
   ``await``-able in-process API (:meth:`QueryService.submit`) or over
-  TCP; a **collector** task coalesces them under the flush policy
-  (close a window at ``max_batch`` queries, at once when the executor
-  is idle, or after ``max_wait_ms`` while a pass runs), admits batch
-  K+1 while batch K runs through ``tree.run``
-  (a two-stage collector → executor pipeline), and the
-  **executor** demultiplexes the :class:`~repro.query.ResultSet` back
-  to each client future, tagging every response with queue/exec
-  latency.
+  TCP; one **serve loop** takes the whole backlog (at most
+  ``max_batch`` queries) as the next batch whenever no pass runs, runs
+  it through ``tree.run`` and demultiplexes the
+  :class:`~repro.query.ResultSet` back to each client future, tagging
+  every response with queue/exec latency.
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` — the
   newline-delimited-JSON TCP transport (:mod:`repro.serve.protocol`).
 * :mod:`repro.serve.loadgen` — open-loop Poisson and closed-loop client

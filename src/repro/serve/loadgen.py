@@ -6,8 +6,8 @@ ask (wall-clock timing is the measurement, not the input):
 * **closed-loop** — ``clients`` workers, each holding one query in
   flight: submit, await, submit the next.  Offered load adapts to
   service speed; this is the classic "population of users" shape and
-  the one the throughput comparison uses (the coalescing window turns
-  the c concurrent submissions into one batch).
+  the one the throughput comparison uses (the serve loop takes the c
+  concurrent submissions as one batch).
 * **open-loop Poisson** — arrivals at seeded exponential inter-arrival
   gaps targeting ``rate_qps``, submitted regardless of completions (no
   coordinated omission); latency under a fixed offered load.
@@ -259,7 +259,6 @@ def run_loadgen(
     clients: int = 4,
     arrival: str = "closed",
     rate_qps: float | None = None,
-    max_wait_ms: float = 2.0,
     max_batch: int = 1024,
     transport: str = "inproc",
     verify: bool = True,
@@ -294,7 +293,7 @@ def run_loadgen(
 
     service = QueryService(
         tree,
-        FlushPolicy(max_wait_ms=max_wait_ms, max_batch=max_batch),
+        FlushPolicy(max_batch=max_batch),
         max_inflight=max_inflight,
     )
     runner = _run_tcp if transport == "tcp" else _run_inproc
@@ -332,7 +331,6 @@ def run_loadgen(
         "arrival": arrival,
         "clients": clients,
         "m": len(queries),
-        "max_wait_ms": max_wait_ms,
         "max_batch": max_batch,
         "qps": round(len(queries) / wall_s, 1) if wall_s > 0 else None,
         "p50_ms": round(pct["p50"], 4),

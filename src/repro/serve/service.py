@@ -1,4 +1,4 @@
-"""The micro-batching daemon core: collector → executor pipeline.
+"""The micro-batching daemon core: one serve loop.
 
 One :class:`QueryService` wraps one tree (the static
 :class:`~repro.dist.DistributedRangeTree` or the dynamized
@@ -10,34 +10,25 @@ service answers them through shared engine passes:
   request fails its own caller, never a batch) and enqueues it with a
   fresh future — the ``await``-able in-process client API the TCP
   front-end (:mod:`repro.serve.server`) is also built on.
-* The **collector** task coalesces submissions under the
-  :class:`FlushPolicy`.  A window closes on the first of three causes:
-  it holds ``max_batch`` queries (``size``); the executor is idle — no
-  pass runs and no admitted batch waits — so nothing can gain by
-  waiting (``idle``); or a pass is running and the window's *first*
-  query has waited ``max_wait_ms`` (``timer``).  Before the idle check
-  the collector takes every request already queued, so a burst that
-  arrived together is one batch.  A lone query on an idle service
-  therefore pays no batching wait.  At flush time the collector runs stage-1
-  admission — drop already-cancelled futures and expired queries,
-  assemble the :class:`~repro.query.QueryBatch` — and hands the batch
-  to the executor queue.
-* The **executor** task pops admitted batches and runs each through
-  ``tree.run`` on a single worker thread (``run_in_executor``), so the
-  event loop — and with it the collector assembling batch K+1 — stays
-  live while batch K's search pass folds.  The executor queue holds at
-  most one admitted batch: exactly two batches are ever in flight (one
-  queued, one executing), which is the two-stage pipeline and its
-  backpressure in one mechanism.
+* The **serve loop** is one task.  Whenever no pass runs it takes the
+  whole backlog — every queued request, at most ``max_batch`` of them
+  — as the next batch: a request on an idle service is a batch at
+  once, and requests that arrive during a pass wait in the queue and
+  ride the next one together.  It drops cancelled and expired
+  requests, runs the rest as one ``tree.run`` pass on a single worker
+  thread (``run_in_executor``, so the event loop stays live for
+  submissions, deadlines and the wire) and answers them.  The batch
+  is closed by ``size`` (it reached ``max_batch``), ``idle`` (the
+  backlog was smaller) or ``drain`` (shutdown).
 * Demultiplexing: each answer lands in its client's future as a
   :class:`ServeResponse` tagging queue latency (submit → execution
   start) and exec latency (the shared pass), plus the batch size and
   sequence number the query rode in.  Cancelled futures (client
   disconnects) are skipped without poisoning the rest of the batch.
 
-``aclose()`` drains gracefully: the close sentinel travels the same
-queues behind every accepted submission, so all in-flight work is
-answered before shutdown completes.
+``aclose()`` drains gracefully: the close sentinel queues behind every
+accepted submission, so all in-flight work is answered before shutdown
+completes.
 
 Graceful degradation (the overload/fault story):
 
@@ -47,13 +38,13 @@ Graceful degradation (the overload/fault story):
   queued), so the backlog is bounded even under unbounded offered load.
   The cap is always on — the default is a high backstop; tune it down
   to the service's real capacity for deliberate load shedding.
-* **Deadlines** — a query may carry ``deadline_ms``; if it expires
-  before its batch is admitted it is answered with
-  :class:`~repro.errors.DeadlineExceeded` and never executed, and if
-  it expires while its batch waits for the worker thread the (late)
-  answer is discarded in favor of the same typed error.
+* **Deadlines** — a query may carry ``deadline_ms``: a loop timer
+  answers it with :class:`~repro.errors.DeadlineExceeded` at the
+  deadline, even behind a long pass (its late answer, if its pass was
+  already running, is discarded).  A query expired when its batch is
+  taken is never executed.
 * **Poisoned-batch isolation** — an exception in a pass, planning
-  included, fails only the batch that raised: the executor *bisects*
+  included, fails only the batch that raised: the serve loop *bisects*
   the batch to isolate the offending query, re-running the innocent
   halves (deterministic engine ⇒ identical answers) and tagging the
   culprit with :class:`~repro.errors.QueryFailed` (its service-assigned
@@ -87,7 +78,7 @@ DEFAULT_MAX_INFLIGHT = 8192
 #: daemon's memory must not grow with its uptime.
 BATCH_LOG_LEN = 128
 
-#: Sentinel that travels the request and executor queues on shutdown.
+#: Sentinel that closes the request queue on shutdown.
 _CLOSE = object()
 
 
@@ -108,13 +99,13 @@ def _check_count(name: str, value: int) -> None:
 
 @dataclass(frozen=True)
 class FlushPolicy:
-    """The micro-batching knobs.
+    """The micro-batching knob.
 
     ``max_batch`` bounds the batch size (the throughput lever);
     ``max_batch=1`` disables coalescing — the batch-size-1 baseline.
-    ``max_wait_ms`` bounds a window's time while a pass is running (the
-    latency a client pays for batching behind a busy executor).  An
-    idle executor closes the window at once, whatever ``max_wait_ms``.
+    No batch waits for a timer: the serve loop takes the backlog the
+    moment no pass runs.  ``max_wait_ms`` has no effect; it is kept,
+    and validated, only so existing callers that pass it still build.
     """
 
     max_wait_ms: float = 2.0
@@ -130,8 +121,8 @@ class ServeResponse:
     """One answered query, as the client sees it.
 
     ``queue_ms`` is the time from submission to the start of the
-    batch's engine pass: window wait + executor-queue wait, both zero
-    but for the loop's own turns when the executor was idle; ``exec_ms``
+    batch's engine pass: the wait behind the pass that was running, zero
+    but for the loop's own turns on an idle service; ``exec_ms``
     is that shared pass's wall-clock; ``batch_size``/``batch_seq``
     identify the batch the query rode in.
     """
@@ -147,12 +138,14 @@ class ServeMetrics:
     """What the daemon observed: per-query latency, batch shape, causes.
 
     Latency percentiles ride :class:`~repro.cgm.metrics.LatencyStats`
-    (the shared estimator); ``flushes`` counts every window close by
-    cause (``size`` / ``idle`` / ``timer`` / ``drain``) including windows that
-    turned out empty after cancellations, while ``batches`` counts only
-    executed ones.  ``batch_log`` keeps one entry per executed batch,
-    the last :data:`BATCH_LOG_LEN` of them (cause, size, flush/exec
-    timestamps on the loop clock).
+    (the shared estimator); ``flushes`` counts every batch taken by
+    cause (``size`` / ``idle`` / ``drain``) including batches that
+    turned out empty after cancellations and expiries, while
+    ``batches`` counts only executed ones.  ``batch_log`` keeps one
+    entry per executed batch, the last :data:`BATCH_LOG_LEN` of them
+    (cause, size, exec start/end timestamps on the loop clock).
+    ``cancelled`` counts futures their clients cancelled, and
+    ``deadline_expired`` queries a deadline answered.
     """
 
     def __init__(self) -> None:
@@ -169,7 +162,7 @@ class ServeMetrics:
         self.query_failures = 0
         self.bisect_passes = 0
         self.peak_inflight = 0
-        self.flushes = {"size": 0, "idle": 0, "timer": 0, "drain": 0}
+        self.flushes = {"size": 0, "idle": 0, "drain": 0}
         self.batch_log: Deque[dict] = deque(maxlen=BATCH_LOG_LEN)
 
     def record_query(self, queue_ms: float, exec_ms: float) -> None:
@@ -239,18 +232,6 @@ class _Request:
         self.deadline_ms = deadline_ms
 
 
-class _AdmittedBatch:
-    """Stage-1 output: an admitted batch, ready to execute."""
-
-    __slots__ = ("requests", "batch", "seq", "log")
-
-    def __init__(self, requests, batch, seq, log) -> None:
-        self.requests = requests
-        self.batch = batch
-        self.seq = seq
-        self.log = log
-
-
 class QueryService:
     """A long-running micro-batching daemon over one tree.
 
@@ -258,9 +239,10 @@ class QueryService:
     or call :meth:`start` / :meth:`aclose` explicitly.  The service does
     not own the tree: closing the service leaves the tree usable.
 
-    Thread model: all coalescing runs on the event loop; engine passes
-    run one at a time on a single worker thread, so the tree sees
-    strictly sequential batches (backends and metrics need no locking).
+    Thread model: batching, deadlines and answers run on the event
+    loop; engine passes run one at a time on a single worker thread, so
+    the tree sees strictly sequential batches (backends and metrics
+    need no locking).
     """
 
     def __init__(
@@ -286,11 +268,8 @@ class QueryService:
         self._qids = itertools.count()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._requests: asyncio.Queue | None = None
-        self._exec_queue: asyncio.Queue | None = None
-        self._idle: asyncio.Event | None = None
         self._pool: ThreadPoolExecutor | None = None
-        self._collector_task: asyncio.Task | None = None
-        self._executor_task: asyncio.Task | None = None
+        self._task: asyncio.Task | None = None
         self._closing = False
         self._closed = False
 
@@ -302,34 +281,24 @@ class QueryService:
             raise ServeError("QueryService already started")
         self._loop = asyncio.get_running_loop()
         self._requests = asyncio.Queue()
-        # maxsize=1: at most one admitted batch waits behind the one
-        # executing — the pipeline depth, and the collector backpressure.
-        self._exec_queue = asyncio.Queue(maxsize=1)
-        # Set while no pass runs and no admitted batch waits: the
-        # collector closes its window at once then.
-        self._idle = asyncio.Event()
-        self._idle.set()
         self._pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve"
         )
-        self._collector_task = asyncio.ensure_future(self._collect())
-        self._executor_task = asyncio.ensure_future(self._execute_loop())
+        self._task = asyncio.ensure_future(self._serve())
         return self
 
     async def aclose(self) -> None:
-        """Drain in-flight work, then stop the pipeline tasks.
+        """Drain in-flight work, then stop the serve loop.
 
         Every submission accepted before this call resolves before it
-        returns: the close sentinel queues *behind* pending requests,
-        the collector flushes the open window as a ``drain`` batch, and
-        the executor finishes everything ahead of the sentinel.
+        returns: the close sentinel queues *behind* pending requests, so
+        the loop answers them (the last batch as a ``drain``) first.
         """
         if self._loop is None or self._closed:
             return
         self._closing = True
-        await self._requests.put(_CLOSE)
-        await self._collector_task
-        await self._executor_task
+        self._requests.put_nowait(_CLOSE)
+        await self._task
         self._pool.shutdown(wait=True)
         self._closed = True
 
@@ -357,12 +326,12 @@ class QueryService:
         ``max_inflight`` submitted-and-unanswered queries the submission
         is *shed* with :class:`~repro.errors.Overloaded` (nothing is
         queued).  ``deadline_ms`` (default: the service's
-        ``default_deadline_ms``) bounds the query's total latency; an
-        expired query is answered with
+        ``default_deadline_ms``) bounds the query's total latency: at
+        the deadline a loop timer answers it with
         :class:`~repro.errors.DeadlineExceeded`.  Cancelling the
-        returned future withdraws the query: pre-flush it is dropped at
-        admission, post-flush its slot in the pass is computed but the
-        answer is discarded.
+        returned future withdraws the query: while queued it is dropped
+        from its batch, mid-pass its slot is computed but the answer is
+        discarded.
         """
         if not self.running:
             raise ServeError("QueryService is not running")
@@ -384,25 +353,31 @@ class QueryService:
             deadline_ms = self.default_deadline_ms
         else:
             _check_ms("deadline_ms", deadline_ms)
-        now = self._loop.time()
-        future = self._loop.create_future()
+        loop = self._loop
+        now = loop.time()
+        future = loop.create_future()
         self._inflight += 1
         self.metrics.note_inflight(self._inflight)
         future.add_done_callback(self._release_slot)
-        self._requests.put_nowait(
-            _Request(
-                query,
-                future,
-                now,
-                next(self._qids),
-                expiry=None if deadline_ms is None else now + deadline_ms / 1000.0,
-                deadline_ms=deadline_ms,
-            )
-        )
+        expiry = None if deadline_ms is None else now + deadline_ms / 1000.0
+        req = _Request(query, future, now, next(self._qids), expiry, deadline_ms)
+        if expiry is not None:
+            # The handle goes with the answer: pending timers are bounded
+            # by the queries in flight, not by deadline x rate.
+            timer = loop.call_at(expiry, self._expire, req)
+            future.add_done_callback(lambda _: timer.cancel())
+        self._requests.put_nowait(req)
         return future
 
     def _release_slot(self, _future: asyncio.Future) -> None:
         self._inflight -= 1
+
+    def _expire(self, req: _Request) -> None:
+        """Answer ``req`` with DeadlineExceeded (its deadline passed)."""
+        if not req.future.done():
+            self.metrics.deadline_expired += 1
+            waited_ms = (self._loop.time() - req.t_submit) * 1000.0
+            req.future.set_exception(DeadlineExceeded(req.deadline_ms, waited_ms))
 
     @property
     def inflight(self) -> int:
@@ -416,112 +391,65 @@ class QueryService:
         return await self.submit(query, deadline_ms=deadline_ms)
 
     # ------------------------------------------------------------------
-    # stage 1: the collector (coalescing + admission)
+    # the serve loop: backlog -> one engine pass -> demux
     # ------------------------------------------------------------------
-    async def _collect(self) -> None:
-        loop = self._loop
-        wait_s = self.policy.max_wait_ms / 1000.0
+    async def _serve(self) -> None:
+        requests = self._requests
         max_batch = self.policy.max_batch
-        idle = self._idle
-        pending: List[_Request] = []
-        deadline = 0.0
-        get_task: asyncio.Task | None = None
-        idle_task: asyncio.Task | None = None
         while True:
-            # One long-lived get() task per item: a timed-out wait keeps
-            # the task (and any item it later receives) for the next
-            # iteration, so no submission can fall through a timeout.
-            if get_task is None:
-                get_task = asyncio.ensure_future(self._requests.get())
-            if not pending:
-                await asyncio.wait({get_task})
-            elif not idle.is_set():
-                # A pass is running: the window stays open until the
-                # executor goes idle, a request arrives, or the timer.
-                if idle_task is None or idle_task.done():
-                    idle_task = asyncio.ensure_future(idle.wait())
-                remaining = deadline - loop.time()
-                done = ()
-                if remaining > 0:
-                    done, _ = await asyncio.wait(
-                        {get_task, idle_task},
-                        timeout=remaining,
-                        return_when=asyncio.FIRST_COMPLETED,
-                    )
-                if not done:
-                    await self._flush(pending, "timer")
-                    pending = []
-                    continue
-            # Take every request already here, the get() task's first:
-            # a burst that arrived together stays one window.
-            arrived = []
-            if get_task.done():
-                arrived.append(get_task.result())
-                get_task = None
-            while not self._requests.empty():
-                arrived.append(self._requests.get_nowait())
-            for item in arrived:
-                if item is _CLOSE:
-                    if pending:
-                        await self._flush(pending, "drain")
-                    for task in (get_task, idle_task):
-                        if task is not None:
-                            task.cancel()
-                    await self._exec_queue.put(_CLOSE)
-                    return
-                if not pending:
-                    deadline = loop.time() + wait_s
-                pending.append(item)
-                if len(pending) >= max_batch:
-                    await self._flush(pending, "size")
-                    pending = []
-            if pending and idle.is_set():
-                # Nothing runs and nothing is queued: no query can gain
-                # by waiting, so the window closes now.
-                await self._flush(pending, "idle")
-                pending = []
-
-    def _expire(self, req: _Request, now: float) -> bool:
-        """Answer ``req`` with DeadlineExceeded if its deadline passed."""
-        if req.expiry is None or now <= req.expiry:
-            return False
-        self.metrics.deadline_expired += 1
-        if not req.future.done():
-            req.future.set_exception(
-                DeadlineExceeded(
-                    req.deadline_ms, (now - req.t_submit) * 1000.0
+            # No pass runs: the whole backlog (up to max_batch) is the
+            # next batch; what arrives during its pass rides the next.
+            taken = [await requests.get()]
+            while len(taken) < max_batch and not requests.empty():
+                taken.append(requests.get_nowait())
+            closing = taken[-1] is _CLOSE  # nothing queues behind it
+            if closing:
+                taken.pop()
+            if taken:
+                cause = (
+                    "drain" if closing
+                    else "size" if len(taken) >= max_batch
+                    else "idle"
                 )
-            )
-        return True
+                await self._serve_batch(taken, cause)
+            if closing:
+                return
 
-    async def _flush(self, requests: List[_Request], cause: str) -> None:
-        """Admit one window: drop dead futures, enqueue for exec."""
-        self.metrics.flushes[cause] += 1
-        live = [r for r in requests if not r.future.done()]
-        self.metrics.cancelled += len(requests) - len(live)
-        # Deadline check happens at admission: an expired query is
-        # answered with the typed error and never enters the batch.
-        now = self._loop.time()
-        live = [r for r in live if not self._expire(r, now)]
+    async def _serve_batch(self, taken: List[_Request], cause: str) -> None:
+        """Admit ``taken`` (drop dead futures, expire late queries), run
+        the rest as one pass on the worker thread and answer them."""
+        loop = self._loop
+        metrics = self.metrics
+        metrics.flushes[cause] += 1
+        now = loop.time()
+        live = []
+        for req in taken:
+            if req.future.done():  # cancelled, or answered by its deadline
+                metrics.cancelled += req.future.cancelled()
+            elif req.expiry is not None and now >= req.expiry:
+                self._expire(req)  # due, its timer not yet run: never planned
+            else:
+                live.append(req)
         if not live:
-            return  # the whole window was withdrawn: execute nothing
+            return  # the whole batch was withdrawn: execute nothing
         batch = QueryBatch([r.query for r in live])
-        seq = next(self._seq)
         log = {
-            "seq": seq,
+            "seq": next(self._seq),
             "cause": cause,
             "size": len(live),
-            "t_flush": self._loop.time(),
-            "t_exec_start": None,
+            "t_exec_start": loop.time(),
             "t_exec_end": None,
         }
-        self.metrics.record_batch(log)
-        self._idle.clear()
-        await self._exec_queue.put(_AdmittedBatch(live, batch, seq, log))
+        metrics.record_batch(log)
+        try:
+            rs = await loop.run_in_executor(self._pool, self._run_batch, batch)
+        except Exception:
+            # Poisoned batch: bisect to tag the offending queries and
+            # re-answer the innocent ones; the daemon loop survives.
+            await self._demux_failed_batch(live, log)
+            return
+        self._answer(log, zip(live, rs.values()), loop.time())
 
-    # ------------------------------------------------------------------
-    # stage 2: the executor (one engine pass at a time) + demux
-    # ------------------------------------------------------------------
     def _one_pass(self, batch: QueryBatch):
         """``tree.run(batch)`` on the worker thread, its steps then dropped
         from the machine's trace: the ``ResultSet`` carries its own copy,
@@ -532,12 +460,12 @@ class QueryService:
         finally:
             self.tree.machine.metrics.reset()
 
-    def _run_batch(self, item: _AdmittedBatch):
+    def _run_batch(self, batch: QueryBatch):
         """The worker-thread body: one shared engine pass for the batch."""
         from ..faults import maybe_inject
 
         maybe_inject("serve.execute")
-        return self._one_pass(item.batch)
+        return self._one_pass(batch)
 
     def _bisect_batch(self, requests: List[_Request]):
         """Worker-thread body: isolate poisoned queries in a failed batch.
@@ -559,62 +487,41 @@ class QueryService:
             )
         return [(r, ("ok", v)) for r, v in zip(requests, rs.values())]
 
-    async def _execute_loop(self) -> None:
-        loop = self._loop
-        while True:
-            if self._exec_queue.empty():
-                self._idle.set()
-            item = await self._exec_queue.get()
-            if item is _CLOSE:
-                return
-            t_start = loop.time()
-            item.log["t_exec_start"] = t_start
-            try:
-                rs = await loop.run_in_executor(
-                    self._pool, self._run_batch, item
-                )
-            except Exception:
-                # Poisoned batch: bisect to tag the offending queries and
-                # re-answer the innocent ones; the daemon loop survives.
-                await self._demux_failed_batch(item, t_start)
-                continue
-            self._answer(item, zip(item.requests, rs.values()), t_start, loop.time())
-
-    def _answer(self, item: _AdmittedBatch, answers, t_start: float, t_end: float) -> None:
+    def _answer(self, log: dict, answers, t_end: float) -> None:
         """Deliver an executed batch's ``(request, value)`` answers.
 
         A query counts as served — and gives latency samples — only when
-        its answer is set: one cancelled mid-batch is counted cancelled,
-        and one whose deadline passed while the batch waited for the
-        worker thread gets the typed error instead of the late answer.
+        its answer is set: one cancelled mid-pass is counted cancelled,
+        and one its deadline already answered keeps that typed error.
         """
-        item.log["t_exec_end"] = t_end
+        log["t_exec_end"] = t_end
+        t_start = log["t_exec_start"]
         exec_ms = (t_end - t_start) * 1000.0
         for req, value in answers:
-            if req.future.done():  # cancelled mid-batch: discard
-                self.metrics.cancelled += 1
-            elif not self._expire(req, t_start):
-                queue_ms = (t_start - req.t_submit) * 1000.0
-                self.metrics.record_query(queue_ms, exec_ms)
-                req.future.set_result(
-                    ServeResponse(value, queue_ms, exec_ms, len(item.requests), item.seq)
-                )
+            if req.future.done():  # withdrawn mid-pass: discard
+                self.metrics.cancelled += req.future.cancelled()
+                continue
+            queue_ms = (t_start - req.t_submit) * 1000.0
+            self.metrics.record_query(queue_ms, exec_ms)
+            req.future.set_result(
+                ServeResponse(value, queue_ms, exec_ms, log["size"], log["seq"])
+            )
 
-    async def _demux_failed_batch(self, item: _AdmittedBatch, t_start) -> None:
+    async def _demux_failed_batch(self, requests: List[_Request], log: dict) -> None:
         """Answer a batch whose shared pass raised, via bisection."""
         loop = self._loop
         self.metrics.bisect_passes += 1
         try:
             outcomes = await loop.run_in_executor(
-                self._pool, self._bisect_batch, item.requests
+                self._pool, self._bisect_batch, requests
             )
         except Exception as exc:
             # The bisection itself failed (non-deterministic engine,
             # broken tree): fail the whole batch, keep the daemon alive.
-            self.metrics.errors += len(item.requests)
-            item.log["t_exec_end"] = loop.time()
+            self.metrics.errors += len(requests)
+            log["t_exec_end"] = loop.time()
             failure = ServeError(f"batch execution failed: {exc}")
-            for req in item.requests:
+            for req in requests:
                 if not req.future.done():
                     req.future.set_exception(failure)
             return
@@ -627,7 +534,7 @@ class QueryService:
             self.metrics.query_failures += 1
             if not req.future.done():
                 req.future.set_exception(QueryFailed(req.qid, str(payload)))
-        self._answer(item, answers, t_start, loop.time())
+        self._answer(log, answers, loop.time())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (

@@ -347,10 +347,11 @@ def drive_stream(ops, dyn, oracle, rebuild_every: int | None = None) -> int:
 class HeldWorker:
     """Hold every serve pass on its worker thread until :meth:`release`.
 
-    An idle ``QueryService`` closes its window at once, so a test that
-    needs a window to stay open (a timer flush, a deadline that expires
-    in the window, a slot that stays taken) keeps the executor busy:
-    :meth:`occupy` submits one query, whose pass then blocks here.
+    An idle ``QueryService`` takes its backlog as a batch at once, so a
+    test that needs requests to wait (a backlog that rides one batch, a
+    deadline that fires behind a pass, a slot that stays taken) keeps
+    the worker busy: :meth:`occupy` submits one query, whose pass then
+    blocks here.
     Release in a ``finally``, or the service's close never returns.
     """
 
@@ -360,11 +361,11 @@ class HeldWorker:
         real = QueryService._run_batch
         held = self
 
-        def run_batch(svc, item):
+        def run_batch(svc, batch):
             # worker thread: an asyncio.Event is the loop's to set
             svc._loop.call_soon_threadsafe(held.started.set)
             held.gate.wait(30)
-            return real(svc, item)
+            return real(svc, batch)
 
         monkeypatch.setattr(QueryService, "_run_batch", run_batch)
 

@@ -129,7 +129,7 @@ class TestServeChaos:
 
             async def go():
                 async with QueryService(
-                    tree, FlushPolicy(max_wait_ms=20.0, max_batch=64)
+                    tree, FlushPolicy(max_batch=64)
                 ) as svc:
                     futures = [svc.submit(q) for q in queries]
                     responses = await asyncio.gather(*futures)
@@ -150,7 +150,6 @@ class TestServeChaos:
                 m=64,
                 clients=32,
                 arrival="closed",
-                max_wait_ms=20.0,
                 max_inflight=2,
                 transport="inproc",
             )

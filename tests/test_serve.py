@@ -54,7 +54,7 @@ def test_mixed_batch_round_trip_matches_direct(tree):
     expected = tree.run(QueryBatch(queries)).values()
 
     async def go():
-        async with QueryService(tree, FlushPolicy(max_wait_ms=2.0)) as svc:
+        async with QueryService(tree) as svc:
             resps = await asyncio.gather(*(svc.query(q) for q in queries))
             return [r.value for r in resps], svc.metrics
 
@@ -111,37 +111,13 @@ def test_flush_policy_validation():
     with pytest.raises(ServeError):
         FlushPolicy(max_batch=0)
     with pytest.raises(ServeError):
-        FlushPolicy(max_wait_ms=-1.0)
-
-
-def test_timer_only_flush(tree, monkeypatch):
-    # one lonely query behind a running pass, a huge max_batch: only the
-    # timer can flush it
-    held = HeldWorker(monkeypatch)
-
-    async def go():
-        policy = FlushPolicy(max_wait_ms=5.0, max_batch=10_000)
-        async with QueryService(tree, policy) as svc:
-            try:
-                await held.occupy(svc, count(FAR_BOX))
-                future = svc.submit(count(BOX))
-                await until(lambda: svc.metrics.flushes["timer"] == 1)
-            finally:
-                held.release()
-            return await future, svc.metrics
-
-    resp, metrics = run(go())
-    assert resp.batch_size == 1
-    assert metrics.flushes["timer"] == 1
-    assert metrics.flushes["size"] == 0
-    assert metrics.flushes["idle"] == 1  # the pass that held the worker
+        FlushPolicy(max_wait_ms=-1.0)  # no effect, still validated
 
 
 def test_lone_query_on_an_idle_service_does_not_wait(tree):
-    # nothing runs and nothing is queued: the window closes at once, so a
-    # lone query is answered long before a 60 s timer could fire
+    # nothing runs: the lone query is the whole backlog, a batch at once
     async def go():
-        policy = FlushPolicy(max_wait_ms=60_000.0, max_batch=10_000)
+        policy = FlushPolicy(max_batch=10_000)
         async with QueryService(tree, policy) as svc:
             resp = await asyncio.wait_for(svc.query(count(BOX)), timeout=10)
             return resp, svc.metrics
@@ -150,18 +126,18 @@ def test_lone_query_on_an_idle_service_does_not_wait(tree):
     assert resp.value == tree.run(QueryBatch([count(BOX)])).values()[0]
     assert resp.batch_size == 1
     assert resp.queue_ms < 1_000.0
-    assert metrics.flushes == {"size": 0, "idle": 1, "timer": 0, "drain": 0}
+    assert metrics.flushes == {"size": 0, "idle": 1, "drain": 0}
 
 
 def test_arrivals_during_a_pass_ride_one_batch(tree, monkeypatch):
-    # queries arriving one loop tick apart while a pass runs gather in
-    # one window, which closes when the executor goes idle
+    # queries arriving one loop tick apart while a pass runs wait in the
+    # queue and ride the next pass together
     held = HeldWorker(monkeypatch)
     queries = make_serve_queries(5, D, seed=13)
     expected = tree.run(QueryBatch(queries)).values()
 
     async def go():
-        policy = FlushPolicy(max_wait_ms=60_000.0, max_batch=100)
+        policy = FlushPolicy(max_batch=100)
         async with QueryService(tree, policy) as svc:
             try:
                 await held.occupy(svc, count(FAR_BOX))
@@ -176,14 +152,40 @@ def test_arrivals_during_a_pass_ride_one_batch(tree, monkeypatch):
     resps, metrics = run(go())
     assert [r.value for r in resps] == expected
     assert {(r.batch_seq, r.batch_size) for r in resps} == {(1, len(queries))}
-    assert metrics.flushes == {"size": 0, "idle": 2, "timer": 0, "drain": 0}
+    assert metrics.flushes == {"size": 0, "idle": 2, "drain": 0}
+
+
+def test_no_timer_splits_a_backlog(tree, monkeypatch):
+    # under the default policy, queries arriving 20 ms apart behind a
+    # held pass are one backlog: after release they ride one batch
+    held = HeldWorker(monkeypatch)
+    queries = make_serve_queries(3, D, seed=17)
+    expected = tree.run(QueryBatch(queries)).values()
+
+    async def go():
+        async with QueryService(tree) as svc:
+            try:
+                await held.occupy(svc, count(FAR_BOX))
+                futures = []
+                for q in queries:
+                    futures.append(svc.submit(q))
+                    await asyncio.sleep(0.02)
+            finally:
+                held.release()
+            return await asyncio.gather(*futures), svc.metrics
+
+    resps, metrics = run(go())
+    assert [r.value for r in resps] == expected
+    assert {(r.batch_seq, r.batch_size) for r in resps} == {(1, len(queries))}
+    assert metrics.batches == 2
+    assert metrics.flushes == {"size": 0, "idle": 2, "drain": 0}
 
 
 def test_one_ticks_burst_is_one_batch(tree):
-    # submissions made in one loop tick are drained together before the
-    # idle check: the burst is one batch, not a lone first query + rest
+    # submissions made in one loop tick are all queued when the serve
+    # loop wakes: the burst is one batch, not a lone first query + rest
     async def go():
-        async with QueryService(tree, FlushPolicy(max_wait_ms=60_000.0)) as svc:
+        async with QueryService(tree) as svc:
             futures = [svc.submit(count(BOX)) for _ in range(8)]
             return await asyncio.gather(*futures), svc.metrics
 
@@ -194,9 +196,9 @@ def test_one_ticks_burst_is_one_batch(tree):
 
 
 def test_size_only_flush_under_burst(tree):
-    # a burst larger than max_batch with an enormous window: size flushes
+    # a burst larger than max_batch: the backlog rides batches of max_batch
     async def go():
-        policy = FlushPolicy(max_wait_ms=60_000.0, max_batch=4)
+        policy = FlushPolicy(max_batch=4)
         async with QueryService(tree, policy) as svc:
             resps = await asyncio.gather(
                 *(svc.query(count(BOX)) for _ in range(8))
@@ -204,27 +206,26 @@ def test_size_only_flush_under_burst(tree):
             return resps, svc.metrics
 
     resps, metrics = run(go())
-    assert metrics.flushes["size"] == 2
-    assert metrics.flushes["timer"] == 0
+    assert metrics.flushes == {"size": 2, "idle": 0, "drain": 0}
     assert all(r.batch_size == 4 for r in resps)
 
 
 def test_empty_window_executes_nothing(tree, monkeypatch):
-    # every future in the window is cancelled before the timer fires:
-    # the flush admits nobody and no batch runs
+    # every queued future is cancelled while a pass holds the worker:
+    # the next batch taken admits nobody and no pass runs for it
     held = HeldWorker(monkeypatch)
 
     async def go():
-        policy = FlushPolicy(max_wait_ms=30.0, max_batch=100)
+        policy = FlushPolicy(max_batch=100)
         async with QueryService(tree, policy) as svc:
             try:
                 await held.occupy(svc, count(FAR_BOX))
                 futures = [svc.submit(count(BOX)) for _ in range(3)]
                 for f in futures:
                     f.cancel()
-                await until(lambda: svc.metrics.flushes["timer"] == 1)
             finally:
                 held.release()
+            await until(lambda: svc.metrics.flushes["idle"] == 2)
             return svc.metrics
 
     metrics = run(go())
@@ -232,7 +233,7 @@ def test_empty_window_executes_nothing(tree, monkeypatch):
     assert metrics.batches == 1
     assert [b["cause"] for b in metrics.batch_log] == ["idle"]
     assert metrics.cancelled == 3
-    assert metrics.flushes["timer"] == 1
+    assert metrics.flushes == {"size": 0, "idle": 2, "drain": 0}
 
 
 def test_client_cancel_mid_batch_does_not_poison_batch(tree, monkeypatch):
@@ -242,7 +243,7 @@ def test_client_cancel_mid_batch_does_not_poison_batch(tree, monkeypatch):
     held = HeldWorker(monkeypatch)
 
     async def go():
-        policy = FlushPolicy(max_wait_ms=1.0, max_batch=2)
+        policy = FlushPolicy(max_batch=2)
         async with QueryService(tree, policy) as svc:
             try:
                 started = held.arm()
@@ -266,9 +267,9 @@ def test_client_cancel_mid_batch_does_not_poison_batch(tree, monkeypatch):
 
 
 def test_graceful_shutdown_drains_in_flight(tree):
-    # close while a window is still open: the drain flush answers it
+    # close with requests still queued: the drain batch answers them
     async def go():
-        policy = FlushPolicy(max_wait_ms=60_000.0, max_batch=100)
+        policy = FlushPolicy(max_batch=100)
         svc = await QueryService(tree, policy).start()
         futures = [svc.submit(count(BOX)) for _ in range(3)]
         await svc.aclose()
@@ -305,10 +306,10 @@ def test_submit_validates_before_batching(tree):
 
 
 def test_batch_log_timestamps_are_ordered(tree):
-    # every executed batch was flushed before it started and started
-    # before it ended, on the loop clock
+    # on the loop clock every executed batch started before it ended,
+    # and one serve loop starts a batch only after the last one ended
     async def go():
-        policy = FlushPolicy(max_wait_ms=1.0, max_batch=4)
+        policy = FlushPolicy(max_batch=4)
         async with QueryService(tree, policy) as svc:
             for _ in range(6):
                 await asyncio.gather(
@@ -319,8 +320,10 @@ def test_batch_log_timestamps_are_ordered(tree):
     log = run(go())
     assert len(log) >= 6
     for entry in log:
-        assert entry["t_exec_start"] >= entry["t_flush"]
+        assert set(entry) == {"seq", "cause", "size", "t_exec_start", "t_exec_end"}
         assert entry["t_exec_end"] >= entry["t_exec_start"]
+    for before, after in zip(log, list(log)[1:]):
+        assert after["t_exec_start"] >= before["t_exec_end"]
 
 
 def test_daemon_memory_does_not_grow_with_uptime(tree, monkeypatch):
@@ -411,7 +414,7 @@ def test_tcp_two_clients_and_disconnect_survival(tree):
     from repro.query.result import _json_safe
 
     async def go():
-        async with QueryService(tree, FlushPolicy(max_wait_ms=2.0)) as svc:
+        async with QueryService(tree) as svc:
             server = await start_tcp_server(svc, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             try:
@@ -478,7 +481,7 @@ def test_tcp_malformed_line_gets_error_line_not_disconnect(tree):
 # ---------------------------------------------------------------------------
 def test_loadgen_closed_loop_verifies(tree):
     row = run_loadgen(
-        tree, m=24, seed=2, clients=4, arrival="closed", max_wait_ms=1.0
+        tree, m=24, seed=2, clients=4, arrival="closed"
     )
     assert row["answers_match_direct"] is True
     assert row["qps"] > 0
@@ -495,7 +498,6 @@ def test_loadgen_poisson_and_tcp(tree):
         arrival="poisson",
         rate_qps=3000.0,
         transport="tcp",
-        max_wait_ms=1.0,
     )
     assert row["answers_match_direct"] is True
     assert row["transport"] == "tcp"
@@ -521,7 +523,7 @@ def daemon(tree):
 
     async def serve():
         state["stop"] = asyncio.Event()
-        async with QueryService(tree, FlushPolicy(max_wait_ms=1.0)) as svc:
+        async with QueryService(tree) as svc:
             server = await start_tcp_server(svc, "127.0.0.1", 0)
             state["port"] = server.sockets[0].getsockname()[1]
             ready.set()

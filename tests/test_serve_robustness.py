@@ -39,6 +39,8 @@ from tests.helpers import HeldWorker
 
 D = 2
 BOX = [(0.1, 0.9), (0.1, 0.9)]
+#: How long a test waits for an answer due *before* a held pass ends.
+SETTLE_S = 2.0
 
 
 @pytest.fixture(scope="module")
@@ -57,9 +59,7 @@ def run(coro):
 class TestAdmission:
     def test_shed_past_max_inflight(self, tree):
         async def go():
-            async with QueryService(
-                tree, FlushPolicy(max_wait_ms=50.0), max_inflight=2
-            ) as svc:
+            async with QueryService(tree, max_inflight=2) as svc:
                 held = [svc.submit(count(BOX)) for _ in range(2)]
                 with pytest.raises(Overloaded) as exc:
                     svc.submit(count(BOX))
@@ -113,8 +113,8 @@ class TestNonFiniteSettings:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5])
     def test_max_batch_must_be_an_integer(self, value):
-        """``len(pending) >= nan`` never holds: such a window could flush
-        only on its timer."""
+        """``len(taken) < nan`` never holds: such a cap would silently
+        serve one query per pass, whatever the backlog."""
         with pytest.raises(ServeError, match="max_batch must be an integer"):
             FlushPolicy(max_batch=value)
 
@@ -151,32 +151,25 @@ class TestNonFiniteSettings:
         assert expired == 0
         assert value == tree.run(QueryBatch([count(BOX)])).values()[0]
 
-    def test_cli_exits_2_on_nan_max_wait_ms(self, capsys):
-        from repro.cli import main
-
-        argv = ["loadgen", "--n", "64", "--m", "4", "--clients", "1", "--max-wait-ms", "nan", "--json"]
-        assert main(argv) == 2
-        assert "max_wait_ms" in capsys.readouterr().err
-
 
 # ---------------------------------------------------------------------------
 # deadlines
 # ---------------------------------------------------------------------------
 class TestDeadlines:
-    # A busy worker keeps each window open until its 80 ms timer, far
-    # past the 1 ms deadlines below.
+    # A held worker keeps each query below queued: its deadline must
+    # answer it while the pass is still held, so each awaits it with a
+    # short timeout before release (a deadline that waited for the pass
+    # fails fast, not at the worker's 30 s gate).
     def test_expired_query_answers_typed_error(self, tree, monkeypatch):
         held = HeldWorker(monkeypatch)
 
         async def go():
-            async with QueryService(
-                tree, FlushPolicy(max_wait_ms=80.0)
-            ) as svc:
+            async with QueryService(tree) as svc:
                 try:
                     await held.occupy(svc, count(BOX))
                     future = svc.submit(count(BOX), deadline_ms=1.0)
                     with pytest.raises(DeadlineExceeded) as exc:
-                        await future
+                        await asyncio.wait_for(future, SETTLE_S)
                 finally:
                     held.release()
                 return exc.value, svc.metrics
@@ -193,20 +186,42 @@ class TestDeadlines:
         held = HeldWorker(monkeypatch)
 
         async def go():
-            async with QueryService(
-                tree,
-                FlushPolicy(max_wait_ms=80.0),
-                default_deadline_ms=1.0,
-            ) as svc:
+            async with QueryService(tree, default_deadline_ms=1.0) as svc:
                 try:
                     # occupy() passes its own generous deadline
                     await held.occupy(svc, count(BOX))
                     with pytest.raises(DeadlineExceeded):
-                        await svc.query(count(BOX))
+                        await asyncio.wait_for(svc.query(count(BOX)), SETTLE_S)
                 finally:
                     held.release()
 
         run(go())
+
+    def test_deadline_fires_behind_a_held_pass(self, tree, monkeypatch):
+        # A and C wait behind the held pass; B's 5 ms deadline must not
+        # wait for that pass, and B never rides the next one
+        held = HeldWorker(monkeypatch)
+
+        async def go():
+            async with QueryService(tree) as svc:
+                try:
+                    await held.occupy(svc, count(BOX))
+                    a = svc.submit(count(BOX))
+                    await asyncio.sleep(0.02)
+                    c = svc.submit(count(BOX))
+                    await asyncio.sleep(0.02)
+                    b = svc.submit(count(BOX), deadline_ms=5.0)
+                    with pytest.raises(DeadlineExceeded) as exc:
+                        await asyncio.wait_for(b, SETTLE_S)
+                finally:
+                    held.release()
+                return exc.value, await asyncio.gather(a, c), svc.metrics
+
+        exc, (a, c), metrics = run(go())
+        assert exc.deadline_ms == 5.0 and exc.waited_ms >= 5.0
+        assert metrics.deadline_expired == 1
+        assert (a.batch_seq, a.batch_size) == (c.batch_seq, c.batch_size) == (1, 2)
+        assert [b["size"] for b in metrics.batch_log] == [1, 2]
 
     def test_generous_deadline_still_answers(self, tree):
         async def go():
@@ -239,9 +254,7 @@ class TestPoisonedBatch:
         direct = tree.run(QueryBatch([count(BOX)])).values()[0]
 
         async def go():
-            async with QueryService(
-                tree, FlushPolicy(max_wait_ms=20.0, max_batch=64)
-            ) as svc:
+            async with QueryService(tree, FlushPolicy(max_batch=64)) as svc:
                 good = [svc.submit(count(BOX)) for _ in range(3)]
                 bad = svc.submit(aggregate(BOX, semigroup=_poison()))
                 more = [svc.submit(count(BOX)) for _ in range(3)]
@@ -275,9 +288,7 @@ class TestPoisonedBatch:
         direct = tree.run(QueryBatch([count(BOX)])).values()[0]
 
         async def go():
-            async with QueryService(
-                tree, FlushPolicy(max_wait_ms=20.0, max_batch=64)
-            ) as svc:
+            async with QueryService(tree, FlushPolicy(max_batch=64)) as svc:
                 good = [svc.submit(count(BOX)) for _ in range(3)]
                 bad = svc.submit(count(marked))
                 more = [svc.submit(count(BOX)) for _ in range(3)]
@@ -303,9 +314,7 @@ class TestPoisonedBatch:
 
     def test_daemon_survives_repeated_poisoning(self, tree):
         async def go():
-            async with QueryService(
-                tree, FlushPolicy(max_wait_ms=5.0)
-            ) as svc:
+            async with QueryService(tree) as svc:
                 for _ in range(3):
                     with pytest.raises(QueryFailed):
                         await svc.query(aggregate(BOX, semigroup=_poison()))
@@ -351,9 +360,7 @@ class TestWireErrors:
         held = HeldWorker(monkeypatch)
 
         async def go():
-            async with QueryService(
-                tree, FlushPolicy(max_wait_ms=80.0), max_inflight=1
-            ) as svc:
+            async with QueryService(tree, max_inflight=1) as svc:
                 server = await start_tcp_server(svc, "127.0.0.1", 0)
                 port = server.sockets[0].getsockname()[1]
                 try:
@@ -392,9 +399,7 @@ class TestWireErrors:
         retries = (callers - 1) + math.ceil(math.log2(cap_ms / base_ms)) + 2
 
         async def go():
-            async with QueryService(
-                tree, FlushPolicy(max_wait_ms=2.0), max_inflight=1
-            ) as svc:
+            async with QueryService(tree, max_inflight=1) as svc:
                 server = await start_tcp_server(svc, "127.0.0.1", 0)
                 port = server.sockets[0].getsockname()[1]
                 try:
@@ -432,7 +437,6 @@ class TestLoadgenErrors:
             tree,
             m=48,
             clients=16,
-            max_wait_ms=20.0,
             max_inflight=2,
             transport="inproc",
         )
@@ -448,7 +452,6 @@ class TestLoadgenErrors:
             tree,
             m=48,
             clients=16,
-            max_wait_ms=5.0,
             max_inflight=2,
             retries=8,
             transport="inproc",
