@@ -316,19 +316,43 @@ class DistributedRangeTree:
         no sorting, no routing, O(s/p) local work.  This is the declared
         (:attr:`base_semigroup`) swap; the query engine performs the
         same refit lazily — under ``query:refit:*`` labels — when a
-        batch folds semigroups the annotation lacks.
+        batch folds semigroups the annotation lacks.  A swap that raises
+        leaves the tree as it was.
         """
         self._refit(semigroup)
         self.base_semigroup = semigroup
 
     def _refit(self, semigroup: Semigroup, label: str = "reannotate") -> None:
-        """Re-annotate forest + hat with ``semigroup`` (one broadcast round)."""
-        # lift first: a semigroup that cannot read these points raises
-        # here, before anything is rebound
-        values = lift_values(semigroup, self.ranked, self.points)
-        self.semigroup = semigroup
-        by_id = np.argsort(self.ranked.ids)
+        """Re-annotate forest + hat with ``semigroup`` (one broadcast round).
 
+        Each stack folds only the layers it does not hold
+        (:meth:`~repro.seq.compiled.CompiledForest.annotate`).  The tree
+        is bound to ``semigroup`` once every rank holds it; if a step
+        raises, the prior annotation is restored the same way — folding
+        only what a stack lost, nothing after a lazy refit that kept
+        every layer — and the error propagates: one bad semigroup must
+        not corrupt the tree for every batch after it.
+        """
+        # lift first: a semigroup that cannot read these points raises
+        # here, before any rank is touched
+        values = lift_values(semigroup, self.ranked, self.points)
+        prior = self.semigroup
+        try:
+            self._relabel(values, semigroup, label)
+        except Exception:
+            try:
+                values = lift_values(prior, self.ranked, self.points)
+                self._relabel(values, prior, f"{label}-rollback")
+            except Exception:
+                pass  # best effort: the original failure leads
+            raise
+        self.semigroup = semigroup
+
+    def _relabel(self, values, semigroup: Semigroup, label: str) -> None:
+        """Annotate every rank's stacks and hat replica with ``semigroup``
+        from its lifted ``values``: one relabel phase, one broadcast of
+        the roots, one hat refresh."""
+        by_id = np.argsort(self.ranked.ids)
         mach = self.machine
         ns = self.construct_result.ns
         roots_local = mach.run_phase(

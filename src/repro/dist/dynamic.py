@@ -385,10 +385,25 @@ class DynamicDistributedRangeTree:
     # re-annotation
     # ------------------------------------------------------------------
     def reannotate(self, semigroup: Semigroup) -> None:
-        """Swap the aggregate ``f`` on every bucket forest in place."""
+        """Swap the aggregate ``f`` on every bucket forest in place.
+
+        All or nothing: a bucket whose swap raises restores itself, and
+        the buckets already swapped are restored to their prior
+        annotations before the error propagates.
+        """
         self._check_open()
-        for level in sorted(self._buckets):
-            self._buckets[level].tree.reannotate(semigroup)
+        swapped = []
+        try:
+            for level in sorted(self._buckets):
+                tree = self._buckets[level].tree
+                prior = (tree.semigroup, tree.base_semigroup)
+                tree.reannotate(semigroup)
+                swapped.append((tree, prior))
+        except Exception:
+            for tree, (annotation, base) in swapped:
+                tree._refit(annotation, label="reannotate-rollback")
+                tree.base_semigroup = base
+            raise
         self.semigroup = semigroup
 
     # ------------------------------------------------------------------

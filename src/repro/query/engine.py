@@ -261,7 +261,7 @@ class QueryEngine:
         annotation = plan.annotation
         for part in self.trees:
             if part.semigroup.name != annotation.name:
-                _refit(part, annotation)
+                part._refit(annotation, label="query:refit")
 
         out = run_search(
             tree.machine,
@@ -476,25 +476,6 @@ def _piece_values(cols: Dict[str, np.ndarray], kernel: SemigroupKernel) -> np.nd
     if kernel.dtype is object:
         return cols["val"][:, None]
     return cols["kval"][:, : kernel.width]
-
-
-def _refit(tree, semigroup: Semigroup) -> None:
-    """Annotate ``tree`` with ``semigroup`` (local work + one broadcast
-    round); if that raises, restore the prior annotation and re-raise."""
-    prior = tree.semigroup
-    try:
-        tree._refit(semigroup, label="query:refit")
-    except Exception:
-        # A poisoned semigroup can raise mid-refold, leaving the
-        # aggregates half-swapped.  Restore the prior annotation (a full
-        # recompute from the points, so partial damage heals) before
-        # propagating: one bad query must not corrupt the tree for every
-        # batch after it.
-        try:
-            tree._refit(prior, label="query:refit-rollback")
-        except Exception:
-            pass  # best effort: the original failure leads
-        raise
 
 
 def plan_batch(tree, batch: QueryBatch) -> QueryPlan:

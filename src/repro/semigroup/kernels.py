@@ -38,8 +38,12 @@ the per-node ``combine`` loop does, so the vectorized level-by-level fold
 is bit-identical by construction for every column kind.  Their one
 consumer is :meth:`repro.seq.compiled.CompiledForest.annotate`, which
 stacks each size class of a forest element's last-dimension trees into
-one :func:`batched_heap_fold` and keeps the folded rows as the stack's
-``aggs`` column — the aggregates live there, not in a per-tree store.
+one :func:`batched_heap_fold` per annotation layer (``kernel.layers``: a
+product's components, each under its own kernel) and joins the layers
+(:meth:`KernelColumn.from_layers`) into the stack's ``aggs`` column —
+the aggregates live there, not in a per-tree store.  A layer the column
+already holds is taken back out (:meth:`KernelColumn.layer`), so a
+refit folds only the layers it adds.
 
 Resolution
 ----------
@@ -150,6 +154,26 @@ class SemigroupKernel:
     def component_rows(self, mat: np.ndarray, idx: np.ndarray, slot: int) -> np.ndarray:
         """Slot ``slot``'s encoded rows of ``mat`` at ``idx``, still encoded."""
         return mat.take(idx, axis=0)
+
+    @property
+    def layers(self) -> Tuple["SemigroupKernel", ...]:
+        """The annotation layers a column under this kernel holds, each
+        under its own kernel: a product's components, else the kernel
+        itself.  Unlike :meth:`component`, an object product's layer keeps
+        its component's own kernel — typed when the component is — so a
+        layer is folded, and known by name, under one kernel whatever
+        product stores it."""
+        return (self,)
+
+    def layer_data(self, mat: np.ndarray, slot: int) -> np.ndarray:
+        """Layer ``slot``'s column out of ``mat``, encoded under
+        ``layers[slot]`` (see :meth:`KernelColumn.layer`)."""
+        return mat
+
+    def join_layers(self, mats: Sequence[np.ndarray]) -> np.ndarray:
+        """This kernel's matrix from one matrix per layer, each encoded
+        under its layer's kernel (see :meth:`KernelColumn.from_layers`)."""
+        return mats[0]
 
     def fold(self, mat: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         """:func:`fold_segments` for a typed kernel: ``reduceat`` over
@@ -263,6 +287,11 @@ class ScalarKernel(SemigroupKernel):
     def decode_row(self, row):
         return self._py(-row[0] if self._neg else row[0])
 
+    def decode_list(self, mat):
+        # tolist() yields the Python int/float decode_row would, row by row
+        col = mat[:, 0].astype(self.dtype, copy=False)
+        return (-col if self._neg else col).tolist()
+
     def lift(self, coords, ids=None):
         n, d = coords.shape
         if self.kind == "count":
@@ -317,7 +346,9 @@ class ProductKernel(SemigroupKernel):
 
     ``component(i)``/``component_rows`` expose the slot layout so the
     query engine can fold one component's columns without touching the
-    rest — the annotation-layer slot extraction, vectorized.
+    rest — the annotation-layer slot extraction, vectorized; ``layers``
+    / ``layer_data`` / ``join_layers`` take a whole layer out of a column
+    and put layers back together, so an annotation folds layer by layer.
     """
 
     def __init__(self, components: Sequence[SemigroupKernel]) -> None:
@@ -346,6 +377,20 @@ class ProductKernel(SemigroupKernel):
     def component_rows(self, mat, idx, slot):
         off = self._offsets[slot]
         return mat.take(idx, axis=0)[:, off : off + self.components[slot].width]
+
+    @property
+    def layers(self):
+        return self.components
+
+    def layer_data(self, mat, slot):
+        off = self._offsets[slot]
+        return mat[:, off : off + self.components[slot].width]
+
+    def join_layers(self, mats):
+        out = np.empty((len(mats[0]), self.width), dtype=self.dtype)
+        for c, off, m in zip(self.components, self._offsets, mats):
+            out[:, off : off + c.width] = m
+        return out
 
     def encode(self, values):
         out = np.empty((len(values), self.width), dtype=self.dtype)
@@ -390,13 +435,15 @@ class ObjectKernel(SemigroupKernel):
         self.identity_row = (semigroup.identity,)
 
     def encode(self, values):
-        out = np.empty((len(values), 1), dtype=object)
-        for i, v in enumerate(values):
-            out[i, 0] = v
-        return out
+        # fromiter keeps each value whole, where an array assignment would
+        # unpack equal-length tuples into columns
+        return np.fromiter(values, dtype=object, count=len(values)).reshape(-1, 1)
 
     def decode_row(self, row):
         return row[0]
+
+    def decode_list(self, mat):
+        return mat[:, 0].tolist()
 
     def identity_mat(self, k):
         out = np.empty((k, 1), dtype=object)
@@ -412,14 +459,35 @@ class ObjectKernel(SemigroupKernel):
 
         return estimate_object_bytes(mat[:, 0]) + int(mat.nbytes)
 
+    @property
+    def _components(self) -> "tuple | None":
+        """The product's component semigroups; ``None`` for a non-product."""
+        return getattr(self.semigroup, "components", None)
+
     def component(self, slot):
-        components = getattr(self.semigroup, "components", None)
-        return self if components is None else ObjectKernel(components[slot])
+        return self if self._components is None else ObjectKernel(self._components[slot])
 
     def component_rows(self, mat, idx, slot):
-        if getattr(self.semigroup, "components", None) is None:
+        if self._components is None:
             return mat.take(idx, axis=0)
         return self.encode([v[slot] for v in mat[idx, 0].tolist()])
+
+    @property
+    def layers(self):
+        if self._components is None:
+            return (self,)
+        return tuple(c.kernel for c in self._components)
+
+    def layer_data(self, mat, slot):
+        if self._components is None:
+            return mat
+        return self.layers[slot].encode([v[slot] for v in mat[:, 0].tolist()])
+
+    def join_layers(self, mats):
+        if self._components is None:
+            return mats[0]
+        slots = [layer.decode_list(m) for layer, m in zip(self.layers, mats)]
+        return self.encode(list(zip(*slots)))
 
     def fold(self, mat, starts, ends):
         combine = self.semigroup.combine
@@ -580,6 +648,23 @@ class KernelColumn:
         tuple slot, or the whole value of a non-product annotation.
         """
         return self.kernel.component_rows(self.data, np.asarray(idx, dtype=_I64), slot)
+
+    def layer(self, slot: int) -> "KernelColumn":
+        """Annotation layer ``slot`` as a column of its own, under
+        ``kernel.layers[slot]``: a typed product's column block, an
+        object product's tuple slot, or the whole column of a
+        non-product."""
+        return KernelColumn(self.kernel.layers[slot], self.kernel.layer_data(self.data, slot))
+
+    @classmethod
+    def from_layers(
+        cls, kernel: SemigroupKernel, layers: Sequence["KernelColumn"]
+    ) -> "KernelColumn":
+        """The column under ``kernel`` whose layer ``i`` is ``layers[i]``
+        (under ``kernel.layers[i]``): the inverse of :meth:`layer` — one
+        matrix in the product's layout and dtype, tuples for an object
+        product."""
+        return cls(kernel, kernel.join_layers([c.data for c in layers]))
 
     @classmethod
     def concat(cls, cols: Sequence["KernelColumn"]) -> "KernelColumn":

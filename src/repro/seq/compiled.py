@@ -344,19 +344,42 @@ class CompiledForest:
         the held topology and rebind the aggregate column.
 
         Step 1 of Algorithm AssociativeFunction: O(s) work, no topology
-        touched.  Each size class of last-dimension trees folds as one
-        stack under the semigroup's kernel — thousands of mostly tiny
-        trees would drown per-tree calls — combining the same child pairs
-        as a per-node bottom-up ``combine`` loop, hence bit-identical
-        values.  ``values`` is a column or a plain sequence (encoded here).
+        touched.  The annotation is one layer per component of a
+        :class:`~repro.semigroup.ProductSemigroup` (the semigroup itself
+        otherwise).  A layer the held column already has — known by its
+        kernel's name, read off ``aggs`` itself — is taken from it; only
+        the others are folded (:meth:`_fold`), each under its own kernel
+        from its slot of ``values``, so a refit that adds one layer folds
+        one.  ``values`` is a column or a plain sequence (encoded here);
+        a held layer is trusted to be their fold (a stack's rows never
+        change).  The new column is bound only once every layer is in
+        hand: a fold that raises leaves ``aggs`` as it was.
         """
         values = KernelColumn.from_values(semigroup.kernel, values)
-        kernel = values.kernel
+        held = [] if self.aggs is None else [layer.name for layer in self.aggs.kernel.layers]
+        layers = [
+            self.aggs.layer(held.index(layer.name))
+            if layer.name in held
+            else self._fold(values.layer(slot))
+            for slot, layer in enumerate(values.kernel.layers)
+        ]
+        self.aggs = KernelColumn.from_layers(values.kernel, layers)
+
+    def _fold(self, leaves: KernelColumn) -> KernelColumn:
+        """One layer's aggregate column from its leaf values, under their
+        kernel; the nodes of earlier dimensions (never read) hold zeros.
+
+        Each size class of last-dimension trees folds as one stack —
+        thousands of mostly tiny trees would drown per-tree calls —
+        combining the same child pairs as a per-node bottom-up
+        ``combine`` loop, hence bit-identical values.
+        """
+        kernel = leaves.kernel
         aggs = np.zeros((self.size_nodes, kernel.width), dtype=kernel.dtype)
         for rows, gids, heap in self._last_dim_classes():
-            heaps = batched_heap_fold(kernel, values.data[rows])
+            heaps = batched_heap_fold(kernel, leaves.data[rows])
             aggs[gids.ravel()] = heaps[:, heap].reshape(-1, kernel.width)
-        self.aggs = KernelColumn(kernel, aggs)
+        return KernelColumn(kernel, aggs)
 
     # ------------------------------------------------------------------
     # the batched walk
