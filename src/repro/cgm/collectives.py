@@ -39,28 +39,36 @@ def route_batches(
     """Personalized all-to-all: row ``i`` of ``batches[r]`` goes to rank
     ``dests[r][i]``; one h-relation of whole column packs.
 
-    Rows keep their relative order per ``(source, destination)`` pair —
-    one ``take`` per destination over the ascending row indices — so each
-    inbox is ordered by source rank, then by row.  ``template`` shapes
-    empty inboxes (any batch of the stream's schema).
+    Each source is split with one stable argsort of its destinations and
+    one ``take``; its ``p`` outboxes are slices of that, so rows keep
+    their relative order per ``(source, destination)`` pair and each
+    inbox is ordered by source rank, then by row.  Every destination
+    column is checked before its source is split — integer-typed, one
+    entry per row, each in ``[0, p)`` — so a bad one raises
+    :class:`ProtocolError` before the round, empty sources included.
+    ``template`` shapes empty inboxes (any batch of the stream's schema).
     """
     p = mach.p
     outboxes: list[list] = [[None] * p for _ in range(p)]
     for r, batch in enumerate(batches):
-        n = len(batch)
-        if not n:
-            continue
-        dest = np.asarray(dests[r], dtype=np.int64)
-        if len(dest) != n:
+        dest = np.asarray(dests[r])
+        if not np.issubdtype(dest.dtype, np.integer):
+            raise ProtocolError(f"rank {r}: destinations of dtype {dest.dtype}, not integer")
+        if dest.shape != (len(batch),):
             raise ProtocolError(
-                f"rank {r}: {n} rows but {len(dest)} destinations"
+                f"rank {r}: {len(batch)} rows but {dest.size} destinations"
             )
-        if len(dest) and (int(dest.min()) < 0 or int(dest.max()) >= p):
+        if not len(dest):
+            continue
+        if int(dest.min()) < 0 or int(dest.max()) >= p:
             raise ProtocolError(
                 f"destination out of range for p={p} at rank {r}"
             )
-        for dst in np.unique(dest):
-            outboxes[r][int(dst)] = batch.take(np.nonzero(dest == dst)[0])
+        routed = batch.take(np.argsort(dest, kind="stable"))
+        ends = np.cumsum(np.bincount(dest.astype(np.int64, copy=False), minlength=p)).tolist()
+        for dst, (lo, hi) in enumerate(zip([0, *ends], ends)):
+            if hi > lo:
+                outboxes[r][dst] = routed.islice(lo, hi)
     return mach.exchange_batches(label, outboxes, template)
 
 

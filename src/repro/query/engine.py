@@ -19,9 +19,12 @@ engine turns a :class:`~repro.query.descriptors.QueryBatch` into:
    rank folds its own pieces of a query under the query's group (``⊕`` is
    commutative) and one routed round takes the partial values to the
    query's home rank, where the same fold completes the answer
-   (Theorem 4); the ``(qid, pid)`` pairs of reporting queries are
-   balanced to ``ceil(k/p)`` per rank by a count + prefix-sum round pair
-   (Theorem 5).  No rank sorts; each query's ids come out ascending;
+   (Theorem 4) — the driver runs the ``p`` rank folds as one segmented
+   fold keyed by ``(rank, qid)`` and the home fold once, in the rounds
+   and bytes of folding rank by rank; the ``(qid, pid)`` pairs of
+   reporting queries are balanced to ``ceil(k/p)`` per rank by a count
+   + prefix-sum round pair (Theorem 5).  No rank sorts; each query's ids
+   come out ascending;
 5. a :class:`~repro.query.result.ResultSet` carrying the answers in
    batch order plus the pass's superstep trace.
 
@@ -310,7 +313,14 @@ class QueryEngine:
           ``p`` rows per query and the answer is complete.  A rank sends
           at most one row per query and receives at most ``p`` per query
           it owns: ``sent <= m`` and ``received <= p * ceil(m/p)``, so
-          ``h < m + p``.
+          ``h < m + p``.  The driver runs the ``p`` rank folds as one:
+          every rank's hat-then-forest pieces, rank-major and tagged
+          with the rank, fold as runs of equal ``(rank, qid)`` in one
+          :meth:`_fold_pieces` call, cut back into per-rank batches by
+          the tag (dropped before the round, so the routed columns and
+          bytes are those of folding rank by rank); the home ranks own
+          disjoint qid ranges, so one more call over every inbox is
+          their folds laid end to end.
         * **pair side** (Theorem 5): the pass's ``(qid, pid)`` pairs
           travel as the two-column ``dist.report_pair`` batches they
           already are through the count + prefix-sum balance
@@ -327,19 +337,24 @@ class QueryEngine:
             [] if g < 0 else folds[g].semigroup.identity for g in group.tolist()
         ]
 
-        partial = [
-            self._fold_pieces(
-                plan,
-                kernels,
-                RecordBatch.concat(
-                    [
-                        self._pieces(plan, kernels, out.hat_selections[r]),
-                        self._pieces(plan, kernels, out.forest_selections[r]),
-                    ]
-                ),
-            )
-            for r in range(p)
-        ]
+        # every rank's own fold at once: hat then forest, rank-major
+        sels = [b for pair in zip(out.hat_selections, out.forest_selections) for b in pair]
+        live = [b for b in sels if len(b)]
+        for b in live:
+            if b.cols["agg"].kernel != plan.annotation.kernel:
+                raise ProtocolError(
+                    f"selection aggregates under {b.cols['agg'].kernel.name}, "
+                    f"the pass under {plan.annotation.kernel.name}"
+                )
+        # hat and forest rows name their node differently; the fold reads neither
+        selected = RecordBatch.concat([b.drop("node", "element") for b in live] or sels[:1])
+        rank = np.repeat(np.arange(p).repeat(2), [len(b) for b in sels])
+        folded = self._fold_pieces(
+            plan, kernels, self._pieces(plan, kernels, selected.with_col("__rank", rank))
+        )
+        cuts = np.searchsorted(folded.col("__rank"), np.arange(p + 1)).tolist()
+        folded = folded.drop("__rank")
+        partial = [folded.islice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
         chunk = max(1, -(-len(group) // p))
         homed = route_batches(
             mach,
@@ -348,10 +363,9 @@ class QueryEngine:
             label="query:demux:fold",
             template=partial[0],
         )
-        # home ranks own disjoint qid ranges: their totals concatenate
-        totals = RecordBatch.concat(
-            [self._fold_pieces(plan, kernels, b) for b in homed]
-        )
+        # home ranks own disjoint qid ranges: one fold of every inbox is
+        # the concatenation of the per-home folds
+        totals = self._fold_pieces(plan, kernels, RecordBatch.concat(homed))
         qid = totals.col("qid")
         gid = group[qid]
         for g, kern in enumerate(kernels):
@@ -400,6 +414,7 @@ class QueryEngine:
         One gather per fold group, from the typed ``nleaves`` column or
         the ``agg`` column's slot (:meth:`~repro.semigroup.kernels.KernelColumn.component_rows`),
         still encoded: no piece of a typed group touches a Python loop.
+        A ``__rank`` tag on the selections rides along to the pieces.
         """
         group, folds = plan.group, plan.folds
         W = max((k.width for k in kernels if k.dtype is not object), default=0)
@@ -409,17 +424,14 @@ class QueryEngine:
         q_col, gid = qid[idx], gid[idx]
         n = len(idx)
         cols: Dict[str, np.ndarray] = {"qid": q_col}
+        if "__rank" in batch.cols:
+            cols["__rank"] = batch.col("__rank")[idx]
         if any(k.dtype is object for k in kernels):
             cols["val"] = np.empty(n, dtype=object)
         if W:
             cols["kval"] = np.zeros((n, W), dtype=np.float64)
         if n:
             agg_col = batch.cols["agg"]
-            if agg_col.kernel != plan.annotation.kernel:
-                raise ProtocolError(
-                    f"selection aggregates under {agg_col.kernel.name}, "
-                    f"the pass under {plan.annotation.kernel.name}"
-                )
             for g, (fold, kern) in enumerate(zip(folds, kernels)):
                 pos = np.nonzero(gid == g)[0]
                 if not len(pos):
@@ -436,25 +448,35 @@ class QueryEngine:
         self, plan: QueryPlan, kernels: list, pieces: RecordBatch
     ) -> RecordBatch:
         """``⊕`` of the pieces of each query: one row per distinct ``qid``,
-        ascending — run by a rank over its own pieces before they are
-        sent, and by the home rank over what it received.
+        ascending — over every rank's own pieces before they are sent,
+        and over what the home ranks received.
 
-        A query's group is a function of its ``qid``, so one stable
-        argsort cuts the rows into runs of one query and each group's
-        runs fold in one :func:`~repro.semigroup.kernels.fold_segments`
-        call under the group's kernel.
+        Pieces tagged with a ``__rank`` column fold per ``(rank, qid)``
+        instead, ordered by rank then qid, each row keeping its tag: the
+        ``p`` ranks' own folds in one call.  A query's group is a
+        function of its ``qid``, so one stable argsort cuts the rows into
+        runs — each in the order its rows arrived, so each run's left
+        fold is the one a rank would make alone — and each group's runs
+        fold in one :func:`~repro.semigroup.kernels.fold_segments` call
+        under the group's kernel.
         """
         n = len(pieces)
         if not n:
             return pieces
-        pieces = pieces.take(np.argsort(pieces.col("qid"), kind="stable"))
-        q = pieces.col("qid")
-        starts = np.concatenate(([0], np.nonzero(q[1:] != q[:-1])[0] + 1))
+        key = q = pieces.col("qid")
+        rank = pieces.cols.get("__rank")
+        if rank is not None:
+            key = rank * len(plan.group) + q
+        order = np.argsort(key, kind="stable")
+        pieces, key = pieces.take(order), key[order]
+        starts = np.concatenate(([0], np.nonzero(key[1:] != key[:-1])[0] + 1))
         ends = np.append(starts[1:], n)
-        run_q = q[starts]
+        run_q = pieces.col("qid")[starts]
         run_g = plan.group[run_q]
         val, kval = pieces.cols.get("val"), pieces.cols.get("kval")
         cols: Dict[str, np.ndarray] = {"qid": run_q}
+        if rank is not None:
+            cols["__rank"] = pieces.col("__rank")[starts]
         if val is not None:
             cols["val"] = np.empty(len(run_q), dtype=object)
         if kval is not None:
