@@ -73,7 +73,7 @@ def run_x1(p: int = 8) -> Table:
             for i in range(p)
         ]
         mach = Machine(p)
-        out = sample_sort_cols(mach, dist, ("x",))
+        out = sample_sort_cols(mach, dist, "x")
         ok = sorted_and_balanced(mach, [b.col("x").tolist() for b in out], key=lambda x: x)
         t.add_row(
             N,

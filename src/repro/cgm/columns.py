@@ -7,20 +7,15 @@ The paper's cost model (§1, Theorems 2-5) charges every CGM round by the
 vectors and Definition 2 labels, whose width is fixed per stream) or a
 semigroup value :class:`~repro.semigroup.kernels.KernelColumn`, whose
 kernel sizes it (see :mod:`repro.semigroup.kernels`) — so sorting is a
-``numpy`` argsort over encoded key columns, routing is array slicing,
+``numpy`` argsort over one int64 key column, routing is array slicing,
 and backend transport pickles whole arrays.  A batch's ``schema`` names
 its stream (the schemas Construct and Search ship are listed in
 :mod:`repro.dist.records`); iterating a batch yields one named tuple per
 record, its fields named by the columns.
 
-``encode_keys`` is the sort workhorse: ``k`` int64 key columns become
-one big-endian byte string per row whose lexicographic (bytes) order
-equals the row-wise tuple order — a single ``np.argsort`` /
-``np.searchsorted`` then stands in for Python comparator tuples.
-
-Batches are how Construct, Search and the demux move records; only a
-few small rounds (sort samples, row counts, root summaries) still
-exchange plain Python lists.
+Batches are how Construct, Search, the sort (its samples included) and
+the demux move records; only a few small rounds (row counts, root
+summaries) still exchange plain Python lists.
 """
 
 from __future__ import annotations
@@ -35,7 +30,6 @@ from ..semigroup.kernels import KernelColumn
 
 __all__ = [
     "RecordBatch",
-    "encode_keys",
     "estimate_nbytes",
     "estimate_object_bytes",
     "estimate_box_nbytes",
@@ -89,7 +83,7 @@ class RecordBatch:
     transport pickles whole arrays.  Iterating yields one named tuple
     per record, its fields named by the columns.
 
-    Internal helper columns (sort keys, routing tags) use ``__``-prefixed
+    Internal helper columns (the demux's rank tags) use ``__``-prefixed
     names; :meth:`drop` removes them before a batch goes public.
     """
 
@@ -165,30 +159,6 @@ class RecordBatch:
             f"RecordBatch({self.schema!r}, n={self._len}, "
             f"cols={list(self.cols)})"
         )
-
-
-# ---------------------------------------------------------------------------
-# sort-key encoding
-# ---------------------------------------------------------------------------
-def encode_keys(columns: Sequence[np.ndarray], length: int) -> np.ndarray:
-    """Encode int64 key columns as fixed-width big-endian byte rows.
-
-    The bytes compare lexicographically exactly as the row-wise integer
-    tuples do (each value is biased by ``2**63`` so negative keys order
-    correctly), which lets one ``np.argsort`` / ``np.searchsorted`` over
-    the encoded column replace Python tuple comparisons — the columnar
-    sample sort's core trick.  With no key columns every row encodes
-    identically (a single zero byte), preserving input order under a
-    stable sort.
-    """
-    cols = [np.ascontiguousarray(c, dtype=_I64) for c in columns]
-    if not cols:
-        return np.zeros(length, dtype="S1")
-    mat = np.empty((length, len(cols)), dtype=np.uint64)
-    for j, c in enumerate(cols):
-        mat[:, j] = c.astype(np.uint64) + np.uint64(1 << 63)
-    be = np.ascontiguousarray(mat.astype(">u8"))
-    return be.view(f"S{8 * len(cols)}").reshape(length)
 
 
 # ---------------------------------------------------------------------------

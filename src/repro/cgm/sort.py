@@ -8,7 +8,7 @@ for ``n/p >= p``); Algorithm Construct (§5) sorts its record sets with
 
 1. local sort,
 2. each processor contributes ``p`` regular samples; all-to-all broadcast,
-3. everyone deterministically picks the same ``p-1`` splitters,
+3. the same ``p-1`` splitters for everyone, picked once from the pool,
 4. partition + personalized all-to-all,
 5. local merge,
 6. balanced redistribution so every processor ends with ``ceil(N/p)``
@@ -16,13 +16,17 @@ for ``n/p >= p``); Algorithm Construct (§5) sorts its record sets with
    of exactly ``n/p`` consecutive records).
 
 Rounds: exactly 4 ``exchange`` rounds regardless of input size — the
-constant the theorems require.  Duplicate keys are totally ordered by
-``(key, source rank, source index)``, making the sort stable with respect
-to the original global order and the whole pipeline deterministic.  The
-named key columns plus the source rank/index are encoded once into
-fixed-width byte keys (:func:`~repro.cgm.columns.encode_keys`), so every
-comparison-heavy step is one ``np.argsort`` / ``np.searchsorted`` and the
-routed payloads are whole column arrays.
+constant the theorems require.  Rows order by one int64 key column, and
+duplicate keys are totally ordered by ``(key, source rank, source
+index)``, making the sort stable with respect to the original global
+order and the whole pipeline deterministic — without encoding that
+triple.  The local sort is a stable argsort (ties keep source index
+order); a sample and a splitter are ``(key, rank, index)`` rows; the
+partition cuts a run with ``searchsorted`` on the key, plus one on the
+run's source indices for a splitter sampled from this rank; the merge is
+a stable argsort of an inbox that arrives ordered by source rank.  The
+routed payloads are whole column arrays, and the key travels as the
+column it already is.
 
 The per-rank steps (1, 4, 5) are registered SPMD phases, so they execute
 wherever the backend's ranks live.
@@ -38,8 +42,8 @@ from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .collectives import allgather, alltoall_broadcast
-from .columns import RecordBatch, encode_keys
+from .collectives import allgather
+from .columns import RecordBatch
 from .machine import Machine
 from .phases import ProcContext, register_phase
 
@@ -48,81 +52,61 @@ T = TypeVar("T")
 __all__ = ["sample_sort_cols", "route_balanced_cols", "sorted_and_balanced"]
 
 
-def _key_columns(batch: RecordBatch, keyspec: tuple) -> list:
-    """Resolve a key spec into 1-D int64 arrays, most significant first.
-
-    A spec entry is a column name — a 1-D column contributes itself, a
-    2-D column contributes *all* its columns in order (tuple comparison
-    of the rows) — or ``(name, j)`` for one column of a matrix.
-    """
-    cols: list = []
-    for sel in keyspec:
-        if isinstance(sel, tuple):
-            name, j = sel
-            cols.append(np.asarray(batch.col(name))[:, j])
-        else:
-            mat = np.asarray(batch.col(sel))
-            if mat.ndim == 2:
-                cols.extend(mat[:, j] for j in range(mat.shape[1]))
-            else:
-                cols.append(mat)
-    return cols
-
-
 @register_phase("cgm.sort.local_cols")
-def _phase_local_sort_cols(ctx: ProcContext, payload) -> list:
-    """Steps 1-2: encode keys, argsort, sample.
+def _phase_local_sort_cols(ctx: ProcContext, payload) -> RecordBatch:
+    """Steps 1-2: stable argsort by the key column, sample.
 
-    The total order ``(key columns, source rank, source index)`` is
-    encoded into one fixed-width byte key per row, so one stable
-    ``np.argsort`` sorts the run.  The sorted batch stays rank-resident
-    under the call's state token; only the samples return.
+    The sorted run stays rank-resident under the call's state token,
+    beside each row's source index (the argsort itself); only the
+    samples return: the ``(key, rank, index)`` of every ``n // p``-th
+    row of the run (at least every row).
     """
-    batch, keyspec, token = payload
+    batch, key, token = payload
     n = len(batch)
-    if not n:
-        # nothing to order or sample; the partition step slices nothing
-        # out of a zero-row run, so the run needs no key column either
-        ctx.charge(1)
-        ctx.state[token] = batch
-        return []
-    key_cols = _key_columns(batch, keyspec)
-    key_cols.append(np.full(n, ctx.rank, dtype=np.int64))
-    key_cols.append(np.arange(n, dtype=np.int64))
-    enc = encode_keys(key_cols, n)
-    order = np.argsort(enc, kind="stable")
+    order = np.argsort(batch.col(key), kind="stable")
     ctx.charge(max(1, n) * max(1, n.bit_length()))
-    sorted_batch = batch.take(order).with_col("__key", enc[order])
-    ctx.state[token] = sorted_batch
+    run = batch.take(order)
+    ctx.state[token] = (run, order)
     step = max(1, n // ctx.p)
-    return [bytes(k) for k in sorted_batch.col("__key")[::step]]
+    index = order[::step]
+    return RecordBatch(
+        "cgm.sort.sample",
+        {
+            "key": run.col(key)[::step],
+            "rank": np.full(len(index), ctx.rank, dtype=np.int64),
+            "index": index,
+        },
+    )
 
 
 @register_phase("cgm.sort.partition_cols")
 def _phase_partition_cols(ctx: ProcContext, payload) -> list:
-    """Step 4a: slice the stashed run at the splitters."""
-    splitters, token = payload
-    batch: RecordBatch = ctx.state.pop(token)
+    """Step 4a: slice the stashed run at the splitters.
+
+    A row goes before splitter ``(k, r, i)`` when its key is below ``k``;
+    on a key tie, when this rank is below ``r`` — or is ``r`` and the
+    row's source index is below ``i`` (the sampled row itself crosses
+    the cut).
+    """
+    splitters, key, token = payload
+    batch, source = ctx.state.pop(token)
     p = ctx.p
     n = len(batch)
     ctx.charge(n)
     out: list = [None] * p
     if n == 0:
         return out
-    enc = batch.col("__key")
-    if splitters:
-        # side="left": a row *equal* to a splitter lands after it (keys
-        # are unique, so the sampled row itself crosses the cut).
-        bounds = np.searchsorted(
-            enc, np.asarray(splitters, dtype=enc.dtype), side="left"
-        )
-    else:
-        bounds = np.empty(0, dtype=np.int64)
+    keys = batch.col(key)
+    lo = np.searchsorted(keys, splitters[:, 0], side="left")
+    hi = np.searchsorted(keys, splitters[:, 0], side="right")
+    bounds = np.where(splitters[:, 1] > ctx.rank, hi, lo)
+    for s in np.flatnonzero(splitters[:, 1] == ctx.rank).tolist():
+        bounds[s] += np.searchsorted(source[lo[s] : hi[s]], splitters[s, 2])
     start = 0
-    for dest, bound in enumerate(bounds):
+    for dest, bound in enumerate(bounds.tolist()):
         if bound > start:
-            out[dest] = batch.islice(start, int(bound))
-        start = int(bound)
+            out[dest] = batch.islice(start, bound)
+        start = bound
     if start < n:
         out[min(len(bounds), p - 1)] = batch.islice(start, n)
     return out
@@ -130,22 +114,18 @@ def _phase_partition_cols(ctx: ProcContext, payload) -> list:
 
 @register_phase("cgm.sort.merge_cols")
 def _phase_merge_cols(ctx: ProcContext, payload) -> RecordBatch:
-    """Step 5: re-sort the concatenation of the received runs."""
-    batch: RecordBatch = payload
+    """Step 5: re-sort the concatenation of the received runs.
+
+    The inbox arrives ordered by source rank, each run by ``(key,
+    index)``, so a stable argsort by key is the ``(key, rank, index)``
+    order.
+    """
+    batch, key = payload
     n = len(batch)
     ctx.charge(max(1, n) * max(1, n.bit_length()))
     if not n:
         return batch
-    order = np.argsort(batch.col("__key"), kind="stable")
-    return batch.take(order)
-
-
-def _empty_keyed(template: RecordBatch) -> RecordBatch:
-    """A zero-row schema batch carrying an empty ``__key`` column."""
-    empty = RecordBatch.empty_like(template)
-    if "__key" not in empty.cols:
-        empty = empty.with_col("__key", np.empty(0, dtype="S1"))
-    return empty
+    return batch.take(np.argsort(batch.col(key), kind="stable"))
 
 
 def route_balanced_cols(
@@ -182,47 +162,47 @@ def route_balanced_cols(
 def sample_sort_cols(
     mach: Machine,
     batches: Sequence[RecordBatch],
-    keyspec: Sequence[Any],
+    key: str,
     label: str = "sort",
 ) -> list[RecordBatch]:
-    """Globally sort distributed record batches by the named key columns.
+    """Globally sort distributed record batches by one int64 key column.
 
     Four communication rounds — ``{label}:samples``, ``{label}:route``,
     ``{label}:balance-count`` and ``{label}:balance`` — and a balanced
     ``ceil(N/p)`` rows per rank, in ``(key, source rank, source index)``
-    order.  A key spec entry is a column name (a matrix column
-    contributes all its columns) or ``(name, j)`` for one matrix column.
+    order.
     """
     p = mach.p
     token = mach.new_ns("sortbuf")
-    keyspec = tuple(keyspec)
 
     samples_per_rank = mach.run_phase(
         f"{label}:local-sort",
         "cgm.sort.local_cols",
-        [(batches[r], keyspec, token) for r in range(p)],
+        [(batches[r], key, token) for r in range(p)],
     )
 
-    all_samples = alltoall_broadcast(mach, samples_per_rank, label=f"{label}:samples")
-
-    pool = sorted(all_samples[0])
-    splitters: list[bytes] = []
-    if pool and p > 1:
-        step = max(1, len(pool) // p)
-        splitters = [pool[j] for j in range(step, len(pool), step)][: p - 1]
+    # all-to-all broadcast: every rank receives every sample
+    pool = mach.exchange_batches(
+        f"{label}:samples", [[s] * p for s in samples_per_rank], samples_per_rank[0]
+    )[0]
+    # every rank would pick the same p-1 splitters: pick them once
+    samples = np.stack([pool.col("key"), pool.col("rank"), pool.col("index")], axis=1)
+    order = np.lexsort(samples.T[::-1])
+    step = max(1, len(order) // p)
+    splitters = samples[order[step::step][: p - 1]]
 
     rows = mach.run_phase(
         f"{label}:partition",
         "cgm.sort.partition_cols",
-        [(splitters, token)] * p,
+        [(splitters, key, token)] * p,
     )
-    template = _empty_keyed(batches[0])
-    inboxes = mach.exchange_batches(f"{label}:route", rows, template)
+    inboxes = mach.exchange_batches(f"{label}:route", rows, batches[0])
 
-    merged = mach.run_phase(f"{label}:merge", "cgm.sort.merge_cols", inboxes)
+    merged = mach.run_phase(
+        f"{label}:merge", "cgm.sort.merge_cols", [(inbox, key) for inbox in inboxes]
+    )
 
-    balanced = route_balanced_cols(mach, merged, f"{label}:balance", template)
-    return [b.drop("__key") for b in balanced]
+    return route_balanced_cols(mach, merged, f"{label}:balance", batches[0])
 
 
 def sorted_and_balanced(

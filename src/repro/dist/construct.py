@@ -7,11 +7,12 @@ The implementation follows the paper's record flow:
 
 phase ``j`` (one per dimension, ``j = 0 .. d-1``)
     1. **Sort** the phase's ``dist.srecord`` batches (the S-records of
-       §5; see :mod:`repro.dist.records`) by ``(tree, rank_j)`` — the
-       black-box CGM sample sort (4 rounds).  ``tree`` is the key the
-       hat shape gives the record's segment tree: its rank among the
-       phase's tree labels, so the sort orders records by Definition 2
-       label without shipping one.
+       §5; see :mod:`repro.dist.records`) by their int64 ``key``,
+       ``tree·n + rank_j`` — the black-box CGM sample sort (4 rounds).
+       ``tree`` is the key the hat shape gives the record's segment
+       tree: its rank among the phase's tree labels, so the sort orders
+       records by ``(tree, rank_j)``, that is by Definition 2 label,
+       without shipping one.
        Per the §6 caveat, phase ``j`` sorts ``n·log^{j-1} p`` records,
        not ``n``; :attr:`ConstructResult.phase_record_counts` measures it.
     2. **Name** every record's group: a prefix count gives its global
@@ -135,18 +136,19 @@ def _phase_build_hat(ctx: ProcContext, payload) -> None:
 @register_phase("dist.construct.scatter_cols")
 def _phase_scatter_cols(ctx: ProcContext, payload) -> RecordBatch:
     """Initial distribution: this rank's block of points as one batch,
-    every record in ``T1`` (tree key 0).
+    every record in ``T1`` (tree 0, so its sort key is its rank).
 
     ``values`` arrives as a slice of the driver's one value column.
     """
     rank_rows, ids, values = payload
     n = len(ids)
     ctx.charge(n)
+    ranks = np.ascontiguousarray(rank_rows, dtype=np.int64)
     return RecordBatch(
         "dist.srecord",
         {
-            "tree": np.zeros(n, dtype=np.int64),
-            "ranks": np.ascontiguousarray(rank_rows, dtype=np.int64),
+            "key": ranks[:, 0].copy(),
+            "ranks": ranks,
             "pid": np.asarray(ids, dtype=np.int64),
             "value": values,
         },
@@ -169,7 +171,8 @@ def _phase_build_elements_cols(ctx: ProcContext, payload) -> dict:
     forest group is one contiguous run of ``k = n/p`` rows, and the hat
     shape names the leaf of each (:meth:`~repro.dist.hat.HatShape.stack_rows`).
     The phase ``j+1`` fan-out is pure array ops: each row repeated once
-    per proper ancestor of its leaf, keyed by the shape's ``fan_keys``.
+    per proper ancestor of its leaf, in the tree the shape's ``fan_keys``
+    name, its sort key ``tree·n + rank_{j+1}``.
     """
     batch: RecordBatch = payload["inbox"]
     j, k, ns = payload["j"], payload["k"], payload["ns"]
@@ -192,11 +195,14 @@ def _phase_build_elements_cols(ctx: ProcContext, payload) -> dict:
 
     # per member, one record per ancestor of its leaf (member-major order)
     fan = np.repeat(shape.fan_len[rows], k)
+    tree = shape.fan_keys[slice_positions(np.repeat(shape.fan_off[rows], k), fan)]
+    next_ranks = np.repeat(ranks, fan, axis=0)
     next_batch = RecordBatch(
         "dist.srecord",
         {
-            "tree": shape.fan_keys[slice_positions(np.repeat(shape.fan_off[rows], k), fan)],
-            "ranks": np.repeat(ranks, fan, axis=0),
+            # the last phase fans out nothing
+            "key": tree * (k * ctx.p) + next_ranks[:, j + 1] if j + 1 < payload["d"] else tree,
+            "ranks": next_ranks,
             "pid": np.repeat(pids, fan),
             "value": values.repeat(fan),
         },
@@ -262,9 +268,7 @@ def construct_distributed_tree(
         phase_counts.append(sum(len(box) for box in current))
 
         # -- step 1: the black-box CGM sort --------------------------------
-        current = sample_sort_cols(
-            mach, current, keyspec=("tree", ("ranks", j)), label=f"{label}:sort"
-        )
+        current = sample_sort_cols(mach, current, "key", label=f"{label}:sort")
 
         # -- step 2: name positions; group g is hat leaf groups[j][g] ------
         all_counts = allgather(

@@ -4,9 +4,10 @@ Every record stream moves as a :class:`~repro.cgm.columns.RecordBatch`;
 the schemas, by stage:
 
 ==========================  ================================================
-``dist.srecord``            Construct's §5 record: ``tree`` (the key of the
+``dist.srecord``            Construct's §5 record: ``key`` (its phase-``j``
+                            sort key ``tree·n + rank_j``, ``tree`` the
                             segment tree the point is being inserted into,
-                            its rank among the phase's tree labels),
+                            as its rank among the phase's tree labels),
                             ``ranks`` ``(n, d)``, ``pid`` (negative for
                             power-of-two padding sentinels), ``value``
                             (the lifted semigroup value)
@@ -27,7 +28,7 @@ the schemas, by stage:
 
 A node has one name from Construct to Search: its row in the ``(p, d)``
 :class:`~repro.dist.hat.HatShape`, which precedes both.  Construct's
-``tree`` key and group numbers are read off the shape; in Search,
+tree keys and group numbers are read off the shape; in Search,
 ``node`` is a hat row and ``element`` the hat-leaf row whose forest
 element it roots (``hat.path(row)`` is its Definition 2 label,
 ``hat.shape.location[row]`` its owner; part ``b`` of a pass names its

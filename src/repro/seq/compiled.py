@@ -68,6 +68,7 @@ from typing import Any, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .._util import ilog2, require_power_of_two, slice_positions
+from ..errors import GeometryError
 from ..semigroup import Semigroup
 from ..semigroup.kernels import KernelColumn, batched_heap_fold
 
@@ -292,11 +293,14 @@ class CompiledForest:
         dimension within a tree), dividing dimensions ``start_dim .. d−1``,
         emitted directly as arrays: one tree for a ``(w, d)`` matrix, a
         stack of ``trees`` for a ``(trees, w, d)`` array.  ``values``
-        aligns with the rows, tree after tree.
+        aligns with the rows, tree after tree.  A rank that repeats in a
+        divided dimension of one tree raises :class:`GeometryError`.
 
-        One dimension at a time, one width class at a time: the trees of
-        a class take their rows from their parents' sorted key slices and
-        are one ``argsort(axis=1)`` plus two scatters.
+        One pass per dimension: every segment tree takes its rows from
+        its parent's sorted key slice (one gather for the whole block),
+        keyed ``tree_start · span + rank``.  Those keys are distinct and
+        ascend across the block in block order, so one ``argsort`` of
+        them lays out the block and the sorted keys *are* it.
         """
         ranks = np.asarray(ranks, dtype=_I64)
         count, m, d = ranks.reshape(-1, *ranks.shape[-2:]).shape
@@ -306,20 +310,21 @@ class CompiledForest:
         keys: List[np.ndarray] = []
         rows_above = np.arange(count * m, dtype=_I64)
         for k, classes in enumerate(_layout(m, d - start_dim, count)):
-            col = ranks[:, start_dim + k]
-            block = np.empty(count * _sizes(m, k + 1)[1], dtype=_I64)
-            rows_here = np.empty_like(block)
-            for w, (starts, parent) in classes.items():
-                at = np.arange(w, dtype=_I64)
-                rows = rows_above[parent[:, None] + at]
-                tree_keys = col[rows]
-                # stable, as the per-tree argsort of the object builder
-                order = np.argsort(tree_keys, axis=1, kind="stable")
-                start = starts[:, :1]
-                block[start + at] = start * span + np.take_along_axis(tree_keys, order, axis=1)
-                rows_here[start + at] = np.take_along_axis(rows, order, axis=1)
+            # every segment tree of the block: its start, where its
+            # parent's key slice starts one block up, its width
+            starts = np.concatenate([s[:, 0] for s, _parent in classes.values()])
+            parents = np.concatenate([parent for _s, parent in classes.values()])
+            widths = np.repeat(list(classes), [len(parent) for _s, parent in classes.values()])
+            rows = rows_above[slice_positions(parents, widths)]
+            tree_keys = np.repeat(starts, widths) * span + ranks[rows, start_dim + k]
+            order = np.argsort(tree_keys)
+            block = tree_keys[order]
+            if (block[1:] <= block[:-1]).any():
+                raise GeometryError(
+                    f"a rank repeats within one tree in dimension {start_dim + k}"
+                )
             keys.append(block)
-            rows_above = rows_here
+            rows_above = rows[order]
         forest = cls(span=span, width=m, keys=tuple(keys), row_block=rows_above)
         forest.annotate(values, semigroup)
         return forest

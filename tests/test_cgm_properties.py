@@ -2,11 +2,13 @@
 
 Whatever the algorithms above it do, the exchange layer must never create,
 drop, duplicate or reorder records — these hypothesis tests pin that down
-for arbitrary traffic patterns.
+for arbitrary traffic patterns, and hold the sample sort to its
+``(key, source rank, source index)`` oracle.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
@@ -119,7 +121,51 @@ class TestHigherPrimitiveInvariants:
     def test_sort_is_permutation_and_ordered(self, pairs):
         mach = Machine(P)
         dist = _distribute({"k": [k for k, _ in pairs], "v": [v for _, v in pairs]})
-        out = sample_sort_cols(mach, dist, ("k",))
+        out = sample_sort_cols(mach, dist, "k")
         flat = [(row.k, row.v) for b in out for row in b]
         assert Counter(flat) == Counter(pairs)
         assert [k for k, _ in flat] == sorted(k for k, _ in pairs)
+
+
+class TestSampleSortOracle:
+    """Keys from 0..3 (ties everywhere), some ranks empty: the sort is the
+    ``(key, source rank, source index)`` order, balanced, and routes each
+    row where the tuple splitters send it."""
+
+    @given(
+        p=st.sampled_from([1, 2, 4, 8]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_tuple_oracle(self, p, data):
+        runs = data.draw(
+            st.lists(st.lists(st.integers(0, 3), max_size=12), min_size=p, max_size=p)
+        )
+        batches = [
+            RecordBatch(
+                "t.prop",
+                {
+                    "k": np.asarray(run, dtype=np.int64),
+                    "src": np.full(len(run), r, dtype=np.int64),
+                    "i": np.arange(len(run), dtype=np.int64),
+                },
+            )
+            for r, run in enumerate(runs)
+        ]
+        rows = sorted((k, r, i) for r, run in enumerate(runs) for i, k in enumerate(run))
+        mach = Machine(p)
+        out = sample_sort_cols(mach, batches, "k")
+
+        assert [(row.k, row.src, row.i) for b in out for row in b] == rows
+        assert max(len(b) for b in out) <= -(-len(rows) // p)
+
+        # the oracle's splitters: every (n_r // p)-th row of each sorted
+        # run as a tuple, pooled and sorted, every (pool // p)-th of them
+        pool = sorted(
+            t for r in range(p) for t in [t for t in rows if t[1] == r][:: max(1, len(runs[r]) // p)]
+        )
+        step = max(1, len(pool) // p)
+        splitters = pool[step::step][: p - 1]
+        want = Counter(bisect_right(splitters, t) for t in rows)
+        (route,) = [s for s in mach.metrics.comm_steps() if s.label == "sort:route"]
+        assert list(route.received) == [want[r] for r in range(p)]

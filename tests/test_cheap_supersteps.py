@@ -368,16 +368,17 @@ def test_zero_row_sort_phases():
                 "val": np.empty(0, object),
             },
         )
-        assert get_phase("cgm.sort.local_cols")(ctx, (empty, ("qid",), "t")) == []
-        assert get_phase("cgm.sort.partition_cols")(ctx, ([b"x"], "t")) == [None] * 4
+        assert len(get_phase("cgm.sort.local_cols")(ctx, (empty, "qid", "t"))) == 0
+        splitter = np.array([[5, 0, 0]], dtype=np.int64)  # (key, rank, index)
+        assert get_phase("cgm.sort.partition_cols")(ctx, (splitter, "qid", "t")) == [None] * 4
         assert "t" not in state
-        merged = get_phase("cgm.sort.merge_cols")(ctx, empty)
+        merged = get_phase("cgm.sort.merge_cols")(ctx, (empty, "qid"))
         assert _schema(merged) == _schema(empty)
         assert ctx.ops == 1 + 0 + 1  # what sorting nothing has always charged
 
         # the whole sort over nothing: schema-shaped output from the same
         # four rounds as any sort (the round count does not read the data)
-        out = sample_sort_cols(mach, [empty] * 4, ("qid",), label="s")
+        out = sample_sort_cols(mach, [empty] * 4, "qid", label="s")
         assert [_schema(b) for b in out] == [_schema(empty)] * 4
         assert [s.label for s in mach.metrics.comm_steps()] == [
             "s:samples",

@@ -31,6 +31,7 @@ from repro.dist import DistributedRangeTree
 from repro.dist.forest import build_stack
 from repro.dist.hat import walk_hats
 from repro.dist.records import KIND_EXPAND, KIND_SUBQUERY
+from repro.errors import GeometryError
 from repro.geometry import Box
 from repro.geometry.box import RankBox, rank_bounds
 from repro.query import QueryBatch, aggregate
@@ -200,6 +201,28 @@ class TestDirectBuildAgainstTheObjectOracle:
             assert (stack.aggs.data.dtype == object) == isinstance(kernel, ObjectKernel)
             refs = _oracles(ranks, fresh, refit_sg, dim, width)
             assert _array_walk(stack, trees, boxes) == want(refs)
+
+
+class TestRepeatedRanks:
+    """The one-sort build is exact only for distinct ranks per tree and
+    dimension: a repeat is refused, in any divided dimension."""
+
+    @pytest.mark.parametrize("dim", [0, 1, 2])
+    def test_a_rank_repeated_within_a_tree_raises(self, dim):
+        rng = np.random.default_rng(dim)
+        ranks = np.stack([np.stack([rng.permutation(8) for _ in range(3)], axis=1)] * 2)
+        # tree 1 repeats one rank in dimension ``dim``
+        ranks[1, 5, dim] = ranks[1, 2, dim]
+        with pytest.raises(GeometryError, match=f"repeats within one tree in dimension {dim}"):
+            CompiledForest.from_ranks(ranks, [1] * 16, COUNT)
+
+    def test_a_rank_repeated_across_trees_is_fine(self):
+        """Trees of a stack share one rank space but not their ranks: the
+        same permutation in every tree builds."""
+        ranks = np.stack([np.stack([np.arange(8)[::-1], np.arange(8)], axis=1)] * 3)
+        stack = CompiledForest.from_ranks(ranks, [1] * 24, COUNT)
+        assert stack.shape == (3, 8, 2)
+        assert stack.root_aggs() == [8, 8, 8]
 
 
 class TestOneWalkOverManyStacks:

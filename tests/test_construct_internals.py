@@ -127,7 +127,7 @@ class TestHatBuildErrors:
         inbox = RecordBatch(
             "dist.srecord",
             {
-                "tree": np.zeros(k, dtype=np.int64),
+                "key": np.arange(k, dtype=np.int64),
                 "ranks": np.repeat(np.arange(k, dtype=np.int64)[:, None], d, axis=1),
                 "pid": np.arange(k, dtype=np.int64),
                 "value": KernelColumn.from_values(COUNT.kernel, [1] * k),

@@ -136,7 +136,7 @@ class TestProcessPipeline:
 
         data = [[9, 1, 5], [8, 2], [7, 3, 0], [6]]
         batches = [RecordBatch("t.x", {"x": np.asarray(box, dtype=np.int64)}) for box in data]
-        out = [b.col("x").tolist() for b in sample_sort_cols(pmach, batches, ("x",))]
+        out = [b.col("x").tolist() for b in sample_sort_cols(pmach, batches, "x")]
         assert [x for box in out for x in box] == sorted(x for box in data for x in box)
         assert sorted_and_balanced(pmach, out, key=lambda x: x)
 

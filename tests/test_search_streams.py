@@ -85,7 +85,14 @@ def test_every_shipped_column_is_an_array_and_every_name_a_hat_row(
     cycle = [count, report, lambda b: aggregate(b, sg)]
     with mock.patch.object(Machine, "exchange_batches", tapped):
         with DistributedRangeTree.build(pts, p=p, backend=backend, semigroup=sg) as tree:
-            assert {b.schema for b in shipped} == {"dist.srecord"}
+            assert {b.schema for b in shipped} == {"dist.srecord", "cgm.sort.sample"}
+            # Construct's sort orders by the S-record's int64 key: no batch
+            # it ships carries a byte-string key or a helper column
+            for batch in shipped:
+                assert not [c for c in batch.cols if c.startswith("__")], batch
+                assert not [
+                    c for c, v in batch.cols.items() if type(v) is np.ndarray and v.dtype.kind == "S"
+                ], batch
             out = tree.search(boxes, report=mask)
             tree.run(QueryBatch([cycle[i % 3](b) for i, b in enumerate(boxes)]))
             shape = tree.hat.shape
@@ -93,7 +100,7 @@ def test_every_shipped_column_is_an_array_and_every_name_a_hat_row(
                 (r, j): st.shape[0] for r, store in enumerate(tree.forest_store) for j, st in store.items()
             }
     assert {b.schema for b in shipped} == {
-        "dist.srecord", "dist.search.routing", "query.piece", "dist.report_pair"
+        "dist.srecord", "cgm.sort.sample", "dist.search.routing", "query.piece", "dist.report_pair"
     }
     batches = shipped + out.hat_selections + out.forest_selections + out.report_pairs
 
