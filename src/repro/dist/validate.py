@@ -40,22 +40,21 @@ class ValidationReport:
         return f"validation: FAILED after {self.checks_run} checks — {shown}{tail}"
 
 
-def _closed_form_sizes(w: int, r: int) -> Tuple[int, int, int]:
-    """``(T, R, S)`` of an ``r``-dimensional range tree on ``w`` leaves:
-    nodes, ``row_block`` rows (last-dimension leaves) and leaf records of
-    all segment trees.  Summed level by level — a primary tree has
-    ``2^l`` nodes of width ``w/2^l`` at level ``l``, each anchoring one
+def _closed_form_sizes(w: int, r: int) -> Tuple[int, int]:
+    """``(R, S)`` of an ``r``-dimensional range tree on ``w`` leaves:
+    ``row_block`` rows (last-dimension leaves) and leaf records of all
+    segment trees.  Summed level by level — a primary tree has ``2^l``
+    nodes of width ``w/2^l`` at level ``l``, each anchoring one
     ``(r−1)``-dimensional tree — where the builder recurses root-down:
     the independent form."""
     if r == 1:
-        return 2 * w - 1, w, w
-    nodes, rows, leaves = 0, 0, w
+        return w, w
+    rows, leaves = 0, w
     for level in range(ilog2(w) + 1):
-        t, rr, s = _closed_form_sizes(w >> level, r - 1)
-        nodes += (1 + t) << level
+        rr, s = _closed_form_sizes(w >> level, r - 1)
         rows += rr << level
         leaves += s << level
-    return nodes, rows, leaves
+    return rows, leaves
 
 
 def _ranked_rows(ranked, pids: np.ndarray) -> np.ndarray:
@@ -79,13 +78,14 @@ def _check_stack(stack, count, ranks, values, semigroup, dim, name, check) -> bo
     """
     m = stack.width
     r = ranks.shape[1] - dim
-    n_want, rows_want, records_want = (count * x for x in _closed_form_sizes(m, r))
-    sized = len(stack.aggs) == n_want
-    check(sized, f"{name}: node count is not T({m}, {r}) x {count} = {n_want}")
+    rows_want, records_want = (count * x for x in _closed_form_sizes(m, r))
+    # one heap of 2m rows per width-m block of row_block
+    sized = len(stack.aggs) == 2 * rows_want
+    check(sized, f"{name}: aggregate row count is not 2·R({m}, {r}) x {count} = {2 * rows_want}")
     rows_ok = (
         len(stack.keys) == r
         and all(
-            len(block) == count * _closed_form_sizes(m, k + 1)[1]
+            len(block) == count * _closed_form_sizes(m, k + 1)[0]
             for k, block in enumerate(stack.keys)
         )
         and len(stack.row_block) == rows_want
@@ -105,7 +105,7 @@ def _check_stack(stack, count, ranks, values, semigroup, dim, name, check) -> bo
     for k, classes in enumerate(stack.layout()):
         for w, (starts, parent) in classes.items():
             at = np.arange(w, dtype=np.int64)
-            rows = stack.row_block[starts[:, -2:-1] + at]
+            rows = stack.row_block[starts[:, -1:] + at]
             own = ranks[rows, dim + k]
             if k < r - 1:
                 own = np.sort(own, axis=1)  # the last block is held in row_block order

@@ -36,10 +36,12 @@ reduction order is chosen per column kind (``col_ops``):
 Heap folds (node annotation) combine children pairwise by structure, as
 the per-node ``combine`` loop does, so the vectorized level-by-level fold
 is bit-identical by construction for every column kind.  Their one
-consumer is :meth:`repro.seq.compiled.CompiledForest.annotate`, which
-stacks each size class of a forest element's last-dimension trees into
-one :func:`batched_heap_fold` per annotation layer (``kernel.layers``: a
-product's components, each under its own kernel) and joins the layers
+consumer is :meth:`repro.seq.compiled.CompiledForest.annotate`: a
+stack's last-dimension trees tile ``row_block`` in aligned width-``m``
+blocks, each tree a subtree of its block's heap, so one
+:func:`batched_heap_fold` over those blocks annotates the whole stack,
+per annotation layer (``kernel.layers``: a product's components, each
+under its own kernel), and the layers join
 (:meth:`KernelColumn.from_layers`) into the stack's ``aggs`` column —
 the aggregates live there, not in a per-tree store.  A layer the column
 already holds is taken back out (:meth:`KernelColumn.layer`), so a
@@ -76,7 +78,6 @@ __all__ = [
     "ProductKernel",
     "ObjectKernel",
     "KernelColumn",
-    "heap_fold",
     "batched_heap_fold",
     "fold_segments",
     "lift_kernel_column",
@@ -540,12 +541,6 @@ def _col_groups(col_ops: Sequence[str]) -> List[Tuple[str, List[int]]]:
     for j, op in enumerate(col_ops):
         groups.setdefault(op, []).append(j)
     return list(groups.items())
-
-
-def heap_fold(kernel: SemigroupKernel, leaves: np.ndarray) -> np.ndarray:
-    """One tree's heap-ordered node aggregates from its ``m`` leaf rows:
-    a one-plane :func:`batched_heap_fold`."""
-    return batched_heap_fold(kernel, leaves[None])[0]
 
 
 def batched_heap_fold(kernel: SemigroupKernel, leaves: np.ndarray) -> np.ndarray:

@@ -16,30 +16,38 @@ pair and a closed-form cover per dimension.  This is the only form a
 range tree is held in outside the reference.
 
 Trees of one width can be **stacked**: tree ``t`` of a stack holds rows
-``t·w .. (t+1)·w − 1`` and starts, in every key block and in node ids,
-where tree ``t − 1`` ends.  One walk serves stacks of any widths that
-divide the same dimensions: each box names its stack and tree, whose
-offsets are its walk's starting point.  So :mod:`repro.dist` holds a
-processor's forest group as one stack per dimension and walks a
-dimension's stacks, its own and its copies, in one call.
+``t·w .. (t+1)·w − 1`` and starts, in every key block, where tree
+``t − 1`` ends.  One walk serves stacks of any widths that divide the
+same dimensions: each box names its stack and tree, whose offsets are
+its walk's starting point.  So :mod:`repro.dist` holds a processor's
+forest group as one stack per dimension and walks a dimension's stacks,
+its own and its copies, in one call.
 
-Three invariants make the arithmetic exact:
+Four invariants make the arithmetic exact:
 
-* **Emission order.**  Node ids are the object walk's own DFS emission
-  order — ``order(v) = [v] + order(descendant tree of v) + order(left
-  subtree) + order(right subtree)``, plain preorder inside a
-  last-dimension tree.  With ``T(w, r)`` nodes and ``R(w, r)``
-  ``row_block`` rows in an ``r``-dimensional tree on ``w`` leaves,
-  ``T(w, 1) = 2w − 1``, ``R(w, 1) = w`` and, for ``r > 1``,
-  ``T(w, r) = 1 + T(w, r−1) + 2·T(w/2, r)`` (``R`` likewise without the
-  ``1``; the halves vanish at ``w = 1``).  A node covering positions
-  ``[s, s + 2^t)`` of a width-``2^e`` tree therefore sits, past the
-  tree's first id, the descendant trees of its ``e − t`` proper
-  ancestors plus one half-width subtree per set bit of ``s``
-  (:func:`_path_sums`) — ``2s − popcount(s) + (e − t)`` in the last
-  dimension.  Canonical nodes of one query are disjoint, so their
-  left-to-right order *is* their id order: the walk emits selections
-  already in the object walk's per-query order, no sort.
+* **Emission order.**  Every key block lays its segment trees out in the
+  object walk's own DFS emission order — ``order(v) = [v] +
+  order(descendant tree of v) + order(left subtree) + order(right
+  subtree)``.  With ``R(w, r)`` ``row_block`` rows in an
+  ``r``-dimensional tree on ``w`` leaves, ``R(w, 1) = w`` and, for
+  ``r > 1``, ``R(w, r) = R(w, r−1) + 2·R(w/2, r)`` (the halves vanish at
+  ``w = 1``).  The descendant tree of a node covering ``[s, s + 2^t)``
+  of a width-``2^e`` tree therefore starts, past the tree's own start,
+  after the descendant trees of its ``e − t`` proper ancestors plus one
+  half-width subtree per set bit of ``s`` (:func:`_path_sums`).
+  Canonical nodes of one query are disjoint, so left to right *is* the
+  object walk's per-query order: the walk emits selections already in
+  it, no sort.
+* **Alignment.**  Every last-dimension tree of width ``w`` starts in
+  ``row_block`` at a multiple of ``w``, and those trees tile
+  ``row_block`` exactly (``R(w, r)`` is a multiple of ``w``, and a
+  tree's descendant tree and halves follow one another from its
+  start).  So each one is a subtree of the heap over its aligned
+  width-``m`` block, ``m`` the stack's width, and ``aggs`` is one such
+  heap of ``2m`` rows per block: the node covering ``[off, off + 2^t)``
+  sits at row ``2m·(off // m) + ((m + off % m) >> t)``.  Row 0 of a
+  heap is the identity; a row whose span crosses two narrower trees is
+  folded and never read.
 * **Closed-form cover.**  A closed rank interval ``[a, b]`` is the
   position interval ``[i, j)`` of a tree's sorted keys.  With
   ``z = bit_length(i ^ j) − 1`` the split level and
@@ -63,7 +71,7 @@ tree: same selections, same order, same visit counts, same aggregates.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -115,27 +123,20 @@ def _path_sums(e: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
     (``e' ≤ e``) dividing ``q`` dimensions sits, as sums along its root
     path: ``before[e'] − before[t] + sibs[s]`` past the tree's own start
     — ``before`` sums what each proper ancestor (widths ``2^(t+1) ..
-    2^e'``) emits ahead of its subtrees, ``sibs[s]`` one left sibling
+    2^e'``) lays out ahead of its subtrees, ``sibs[s]`` one left sibling
     subtree per set bit of ``s``.
 
-    One column per space the tree occupies.  Columns ``b = 0 .. q−1``:
-    the key block ``b`` dimensions down — an ancestor's descendant tree
-    holds ``R(·, b)`` rows there, a sibling subtree ``R(·, b + 1)`` — so
+    One column per key block the tree occupies, ``b = 0 .. q−1`` the
+    block ``b`` dimensions down — an ancestor's descendant tree holds
+    ``R(·, b)`` rows there, a sibling subtree ``R(·, b + 1)`` — so
     column 0 is just ``s`` (the node's own key slice) and the others are
-    where its descendant tree starts.  Column ``q``: node ids — an
-    ancestor emits itself and its ``T(·, q−1)`` descendant tree, a
-    sibling ``T(·, q)`` ids (``2s − popcount(s) + e' − t`` when
-    ``q = 1``); the descendant tree starts one id later.
+    where its descendant tree starts.
     """
-    ahead = [
-        [_sizes(1 << u, b)[1] for b in range(q)] + [1 + _sizes(1 << u, q - 1)[0]]
-        for u in range(e + 1)
-    ]
+    ahead = [[_sizes(1 << u, b)[1] for b in range(q)] for u in range(e + 1)]
     before = np.cumsum(ahead, axis=0, dtype=_I64)
-    sibs = np.zeros((1, q + 1), dtype=_I64)
+    sibs = np.zeros((1, q), dtype=_I64)
     for u in range(e):
-        half = [_sizes(1 << u, b + 1)[1] for b in range(q)] + [_sizes(1 << u, q)[0]]
-        sibs = np.concatenate([sibs, sibs + half])
+        sibs = np.concatenate([sibs, sibs + [_sizes(1 << u, b + 1)[1] for b in range(q)]])
     return before, sibs
 
 
@@ -150,29 +151,12 @@ def _cover_bits(nbits: int) -> Tuple[np.ndarray, np.ndarray]:
     return level, (1 << level).reshape(2, nbits)
 
 
-@lru_cache(maxsize=128)
-def _preorder_heap(w: int) -> np.ndarray:
-    """The heap id at each preorder position of a complete segment tree
-    with ``w`` leaves — preorder is the emission order within one
-    last-dimension tree.  Memoized; every tree of a size class shares it.
-    """
-    e = ilog2(w)
-    heap = np.arange(1, 2 * w, dtype=_I64)
-    depth = _bit_length(heap) - 1
-    before, sibs = _path_sums(e, 1)
-    at = before[e] - before[e - depth] + sibs[(heap - (1 << depth)) << (e - depth)]
-    out = np.empty(2 * w - 1, dtype=_I64)
-    out[at[:, 1]] = heap
-    return out
-
-
 @lru_cache(maxsize=None)
 def _tree_step(m: int, r: int) -> np.ndarray:
     """How far tree ``t + 1`` of a stack of ``r``-dimensional trees on
     ``m`` leaves starts past tree ``t``: ``R(m, b + 1)`` slots in each
-    key block ``b``, then ``T(m, r)`` node ids — the columns of
-    :func:`_path_sums`."""
-    step = np.array([_sizes(m, b + 1)[1] for b in range(r)] + [_sizes(m, r)[0]], dtype=_I64)
+    key block ``b`` — the columns of :func:`_path_sums`."""
+    step = np.array([_sizes(m, b + 1)[1] for b in range(r)], dtype=_I64)
     step.setflags(write=False)  # memoized: every stack of this shape shares it
     return step
 
@@ -183,12 +167,11 @@ def _layout(m: int, r: int, count: int) -> Tuple[Dict[int, Tuple[np.ndarray, np.
     trees on ``m`` leaves, by arithmetic: per divided dimension ``k``,
     per tree width ``w``, the trees' ``(starts, parent)`` — ``starts``
     one row per tree, columns as in :func:`_path_sums` (its start in
-    each key block ``k .. r−1``, then its first node id); ``parent`` the
-    block-``k−1`` position of the parent node's key slice, whose rows
-    are the tree's (for a primary tree, its first row).
+    each key block ``k .. r−1``); ``parent`` the block-``k−1`` position
+    of the parent node's key slice, whose rows are the tree's (for a
+    primary tree, its first row).
 
-    The one enumeration behind the build, the aggregate fill and the
-    validator; read-only.
+    The one enumeration behind the build and the validator; read-only.
     """
     t = np.arange(count, dtype=_I64)
     levels = [{m: (t[:, None] * _tree_step(m, r), t * m)}]
@@ -199,13 +182,10 @@ def _layout(m: int, r: int, count: int) -> Tuple[Dict[int, Tuple[np.ndarray, np.
             e = ilog2(w)
             for t in range(e + 1):
                 off = before[e] - before[t] + sibs[: w : 1 << t]
-                kids.setdefault(1 << t, []).append(
-                    (starts[:, None, :] + off).reshape(-1, r - k + 1)
-                )
+                kids.setdefault(1 << t, []).append((starts[:, None, :] + off).reshape(-1, r - k))
         level = {}
         for w, parts in kids.items():
             at = np.concatenate(parts)
-            at[:, -1] += 1  # a descendant tree starts one id after its anchor
             level[w] = (at[:, 1:], at[:, 0])
         levels.append(level)
     return tuple(levels)
@@ -217,7 +197,7 @@ class Selections(NamedTuple):
     the per-box visit counts."""
 
     q: np.ndarray  #: index of the box that selected the node
-    node: np.ndarray  #: its emission-order node id (indexes the aggregates)
+    node: np.ndarray  #: its row in the aggregates: a block-heap row
     off: np.ndarray  #: its leaf rows start here in ``row_block`` …
     length: np.ndarray  #: … and are this many (the node's width)
     visits: np.ndarray  #: per *box*: nodes visited, ``decompose_counted``'s count
@@ -237,8 +217,9 @@ class CompiledForest:
     aligns with the last block: the row whose last-dimension rank each
     slot holds, so a last-dimension node's leaf rows are a contiguous
     ``(offset, width)`` slice.  Node aggregates live in one
-    :class:`~repro.semigroup.kernels.KernelColumn`, ``aggs``, indexed by
-    emission-order node id and held under the semigroup's kernel.  Every
+    :class:`~repro.semigroup.kernels.KernelColumn`, ``aggs``, one heap per
+    width-``width`` block of ``row_block`` (see *Alignment* above), held
+    under the semigroup's kernel.  Every
     range tree of the stack has ``width`` leaves.  ``pids`` is the point
     id of each row when the holder files them (:mod:`repro.dist` does;
     the sequential tree maps rows to ids itself).
@@ -263,6 +244,8 @@ class CompiledForest:
 
     @property
     def size_nodes(self) -> int:
+        """Nodes across all segment trees (a topology count: ``aggs``
+        holds ``2·R(m, r)`` rows a tree, not one per node)."""
         count, m, r = self.shape
         return count * _sizes(m, r)[0]
 
@@ -329,21 +312,6 @@ class CompiledForest:
         forest.annotate(values, semigroup)
         return forest
 
-    def _last_dim_classes(
-        self,
-    ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The last-dimension segment trees, one size class at a time.
-
-        Yields ``(rows, gids, heap)`` per leaf count ``w``: the ``(k, w)``
-        leaf rows of the class's ``k`` trees in last-dimension rank
-        order, their ``(k, 2w − 1)`` node ids, and the heap id at each
-        preorder position — so a build and a refit annotate through the
-        same child pairs.
-        """
-        for w, (starts, _parent) in self.layout()[-1].items():
-            rows = self.row_block[starts[:, :1] + np.arange(w, dtype=_I64)]
-            yield rows, starts[:, 1:] + np.arange(2 * w - 1, dtype=_I64), _preorder_heap(w)
-
     def annotate(self, values: Sequence[Any], semigroup: Semigroup) -> None:
         """(Re)compute every last-dimension node's aggregate ``f(v)`` over
         the held topology and rebind the aggregate column.
@@ -372,19 +340,18 @@ class CompiledForest:
 
     def _fold(self, leaves: KernelColumn) -> KernelColumn:
         """One layer's aggregate column from its leaf values, under their
-        kernel; the nodes of earlier dimensions (never read) hold zeros.
+        kernel: one heap fold over the width-``m`` blocks of
+        ``row_block`` (*Alignment*), its ``(blocks · 2m, width)`` output
+        as is.
 
-        Each size class of last-dimension trees folds as one stack —
-        thousands of mostly tiny trees would drown per-tree calls —
-        combining the same child pairs as a per-node bottom-up
+        Every last-dimension tree is a subtree of its block's heap, so
+        its nodes combine the same child pairs as a per-node bottom-up
         ``combine`` loop, hence bit-identical values.
         """
         kernel = leaves.kernel
-        aggs = np.zeros((self.size_nodes, kernel.width), dtype=kernel.dtype)
-        for rows, gids, heap in self._last_dim_classes():
-            heaps = batched_heap_fold(kernel, leaves.data[rows])
-            aggs[gids.ravel()] = heaps[:, heap].reshape(-1, kernel.width)
-        return KernelColumn(kernel, aggs)
+        blocks = leaves.data[self.row_block].reshape(-1, self.width, kernel.width)
+        heaps = batched_heap_fold(kernel, blocks)
+        return KernelColumn(kernel, heaps.reshape(-1, kernel.width))
 
     # ------------------------------------------------------------------
     # the batched walk
@@ -472,8 +439,10 @@ class CompiledForest:
             )
             # the next dimension's pairs: each cover node's descendant tree
             pq, on, e, starts = pq[pair], on[pair], t, at[:, 1:]
-        # a descendant tree starts one id after its anchor: r − 1 skipped
-        return Selections(pq, at[:, -1] + (r - 1), at[:, 0], width, visits)
+        # the block-heap row of each last-dimension node (*Alignment*)
+        m = 1 << top[on]
+        block, pos = np.divmod(at[:, 0], m)
+        return Selections(pq, 2 * m * block + ((m + pos) >> t), at[:, 0], width, visits)
 
     def rows_flat(
         self, sel_off: np.ndarray, lengths: np.ndarray
@@ -497,7 +466,7 @@ class CompiledForest:
     def root_aggs(self) -> List[Any]:
         """Each tree's aggregate over all its points, tree by tree: the
         root of the last-dimension tree reached through the root's
-        descendant trees (each starts one id after its anchor, one hop
-        per earlier dimension)."""
+        descendant trees — the first of the tree's ``row_block`` slice, so
+        row 1 of its first block's heap."""
         count, m, r = self.shape
-        return self.decode_aggs(np.arange(count, dtype=_I64) * _sizes(m, r)[0] + r - 1)
+        return self.decode_aggs(np.arange(count, dtype=_I64) * 2 * _sizes(m, r)[1] + 1)

@@ -122,6 +122,37 @@ def element_pids(stack, t: int) -> np.ndarray:
     return stack.pids[t * stack.width : (t + 1) * stack.width]
 
 
+def last_dim_nodes(stack, t: int | None = None) -> list:
+    """Every last-dimension node of tree ``t`` of ``stack`` (of every
+    tree when ``None``) in emission order, as ``(off, width, row)``: its
+    ``row_block`` slice and its ``aggs`` row.
+
+    The trees come by start (each key block lays them out in emission
+    order), each in preorder.  A width-``w`` tree starting at ``start``
+    is a subtree of the heap over its aligned width-``m`` block: its root
+    is heap index ``(m + start % m) / w`` there, its depth-``l`` node
+    ``k`` heap index ``root · 2^l + k``, and block ``b``'s heap fills
+    ``aggs`` rows ``2m·b .. 2m·(b + 1) − 1``.
+    """
+    m, per_tree = stack.width, len(stack.row_block) // stack.shape[0]
+    trees = sorted(
+        (int(s), w) for w, (starts, _parent) in stack.layout()[-1].items() for s in starts[:, 0]
+    )
+    out = []
+
+    def preorder(w: int, start: int, root: int, level: int = 0, k: int = 0) -> None:
+        width = w >> level
+        out.append((start + k * width, width, 2 * m * (start // m) + (root << level) + k))
+        if width > 1:
+            preorder(w, start, root, level + 1, 2 * k)
+            preorder(w, start, root, level + 1, 2 * k + 1)
+
+    for start, w in trees:
+        if t is None or start // per_tree == t:
+            preorder(w, start, (m + start % m) // w)
+    return out
+
+
 def reference_tree(tree, leaf: int) -> RangeTree:
     """The object-tree oracle of the forest element at hat leaf ``leaf``:
     the sequential :class:`RangeTree` over its points in its stack's row

@@ -177,22 +177,29 @@ def test_hot_spot_still_dispatches_pack_and_unpack(strategy):
 #: row_block, pids, aggregates), summed ``nbytes`` — re-pinned down when a
 #: group became one stack per dimension, by exactly the rank rows and
 #: values the elements had also held: 24 bytes a row at d=2 (4608 a copy
-#: of a 192-row group at p=4, 3072 of a 128-row one at p=8).
+#: of a 192-row group at p=4, 3072 of a 128-row one at p=8).  Then
+#: re-pinned when a stack's aggregates became one heap of 2m rows per
+#: width-m block of row_block: 2·R(m, r) int64 count rows a tree instead
+#: of T(m, r).  A copy is one 2-d tree (2·R(m, 2) = T(m, 2) = 2m·(log m
+#: + 1), unchanged) and c 1-d trees (2·R(m, 1) = 2m = T(m, 1) + 1, one
+#: row more each): +8·c bytes a copy.  At p=4 (m=64, c=2) a copy is
+#: 20464 + 16 = 20480 bytes, two a round; at p=8 (m=32, c=3) it is
+#: 10472 + 24 = 10496 bytes, one, two, four or seven a round.
 PARENT_REPLICATION = {
     (4, "doubling"): [
-        ("search:replicate:double-0", (640, 640, 0, 0), (0, 640, 640, 0), 40928),
+        ("search:replicate:double-0", (640, 640, 0, 0), (0, 640, 640, 0), 2 * 20480),
         ("search:replicate:double-1", (0, 0, 0, 0), (0, 0, 0, 0), 0),
     ],
     (4, "direct"): [
-        ("search:replicate:direct", (640, 640, 0, 0), (0, 640, 640, 0), 40928),
+        ("search:replicate:direct", (640, 640, 0, 0), (0, 640, 640, 0), 2 * 20480),
     ],
     (8, "doubling"): [
-        ("search:replicate:double-0", (0, 0, 320, 0, 0, 0, 0, 0), (320, 0, 0, 0, 0, 0, 0, 0), 10472),
-        ("search:replicate:double-1", (320, 0, 320, 0, 0, 0, 0, 0), (0, 320, 0, 320, 0, 0, 0, 0), 20944),
-        ("search:replicate:double-2", (320, 320, 320, 320, 0, 0, 0, 0), (0, 0, 0, 0, 320, 320, 320, 320), 41888),
+        ("search:replicate:double-0", (0, 0, 320, 0, 0, 0, 0, 0), (320, 0, 0, 0, 0, 0, 0, 0), 10496),
+        ("search:replicate:double-1", (320, 0, 320, 0, 0, 0, 0, 0), (0, 320, 0, 320, 0, 0, 0, 0), 2 * 10496),
+        ("search:replicate:double-2", (320, 320, 320, 320, 0, 0, 0, 0), (0, 0, 0, 0, 320, 320, 320, 320), 4 * 10496),
     ],
     (8, "direct"): [
-        ("search:replicate:direct", (0, 0, 2240, 0, 0, 0, 0, 0), (320, 320, 0, 320, 320, 320, 320, 320), 73304),
+        ("search:replicate:direct", (0, 0, 2240, 0, 0, 0, 0, 0), (320, 320, 0, 320, 320, 320, 320, 320), 7 * 10496),
     ],
 }
 

@@ -18,6 +18,7 @@ pickle may and may not touch.
 
 from __future__ import annotations
 
+import math
 import pickle
 
 import numpy as np
@@ -43,9 +44,10 @@ from repro.semigroup import (
     max_of_dim,
     product_semigroup,
     sum_of_dim,
+    top_k_ids,
 )
 from repro.seq import bf_aggregate
-from repro.seq.compiled import CompiledForest, _path_sums
+from repro.seq.compiled import CompiledForest, _layout, _path_sums
 from repro.seq.range_tree import RangeTree, SequentialRangeTree
 from repro.seq.segment_tree import SegTree, WalkStats
 from repro.workloads import make_points, uniform_points
@@ -53,6 +55,7 @@ from repro.workloads import make_points, uniform_points
 from tests.helpers import (
     element_pids,
     forest_elements,
+    last_dim_nodes,
     random_boxes,
     reference_tree,
     seq_reference,
@@ -102,19 +105,36 @@ def _element_walks(stack, t, boxes):
     return _array_walk(stack, np.full(len(boxes), t), boxes)
 
 
-def _emission_rows(t, h=1):
+def _emission_nodes(t, h=1):
     """The object tree's nodes in DFS emission order — ``[v] +
     order(descendant tree of v) + order(left) + order(right)``, plain
-    preorder inside a last-dimension tree — as each node's leaf rows
+    preorder inside a last-dimension tree — as ``(leaf rows, aggregate)``
     (``None`` for a node of an earlier dimension)."""
     if t.descendants is None:
-        yield t.rows_under(h)
+        yield t.rows_under(h), t.aggs[h]
     else:
         yield None
-        yield from _emission_rows(t.descendants[h])
+        yield from _emission_nodes(t.descendants[h])
     if h < t.seg.m:
-        yield from _emission_rows(t, 2 * h)
-        yield from _emission_rows(t, 2 * h + 1)
+        yield from _emission_nodes(t, 2 * h)
+        yield from _emission_nodes(t, 2 * h + 1)
+
+
+#: the annotations the node-for-node tests run under: an integer count,
+#: a float sum and an object top-k
+NODE_SEMIGROUPS = (COUNT, sum_of_dim(0), top_k_ids(2))
+
+
+def _every_element(seed):
+    """``(tree, leaf, stack, t)`` for every forest element of a padded
+    p=4 build (48 points pad to 64) at d = 1, 2, 3 under each of
+    :data:`NODE_SEMIGROUPS`."""
+    for d in (1, 2, 3):
+        for sg in NODE_SEMIGROUPS:
+            pts = uniform_points(48, d, seed=seed)
+            with DistributedRangeTree.build(pts, p=4, semigroup=sg) as tree:
+                for leaf, stack, t in forest_elements(tree):
+                    yield tree, leaf, stack, t
 
 
 def _random_stack(rng, d, dim, width, count, semigroup, typed):
@@ -280,6 +300,28 @@ class TestOneWalkOverManyStacks:
                         np.testing.assert_array_equal(big[: len(small)], small)
 
 
+class TestAlignment:
+    """Why one heap fold per width-``m`` block of ``row_block`` annotates
+    a stack: every last-dimension tree starts at a multiple of its width,
+    and those trees tile ``row_block`` exactly — so each is a subtree of
+    its aligned block's heap."""
+
+    @given(log_m=st.integers(0, 11), r=st.integers(1, 3), count=st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_last_dimension_trees_are_aligned_and_tile_row_block(self, log_m, r, count):
+        m = 1 << log_m
+        last = _layout(m, r, count)[-1]
+        starts = np.concatenate([s[:, 0] for s, _parent in last.values()])
+        widths = np.repeat(list(last), [len(s) for s, _parent in last.values()])
+        assert (starts % widths == 0).all()
+        order = np.argsort(starts)
+        ends = np.cumsum(widths[order])
+        # each tree starts where the one before ends, from 0 to the last
+        # row: R(m, r) = m·C(log m + r − 1, r − 1) rows a tree
+        assert starts[order].tolist() == [0, *ends[:-1].tolist()]
+        assert ends[-1] == count * m * math.comb(log_m + r - 1, r - 1)
+
+
 class TestClosedFormCover:
     """One dimension, isolated: position arithmetic ≡ the 4-case descent."""
 
@@ -306,11 +348,8 @@ class TestClosedFormCover:
             got = (w + sel.off[mine]) // sel.length[mine]
             assert got.tolist() == want_nodes
             assert int(sel.visits[q]) == want_visits
-            # node ids are preorder positions: 2s − popcount(s) + depth
-            assert sel.node[mine].tolist() == [
-                2 * int(s) - bin(int(s)).count("1") + log_w - int(ln).bit_length() + 1
-                for s, ln in zip(sel.off[mine], sel.length[mine])
-            ]
+            # one tree is one width-w block: its aggregate row is that heap id
+            assert sel.node[mine].tolist() == want_nodes
 
 
 class TestWalkBitIdentity:
@@ -540,32 +579,21 @@ class TestCompileCache:
 
 class TestTilingEquivalence:
     def test_row_tilings_match_rows_under(self):
-        """Every last-dimension node's ``row_block`` slice — its tree's
-        start plus its heap position's leaf span — is the object tree's
-        ``rows_under``, compared node for node, in the emission order the
-        ids encode, for every tree of every stack."""
-        pts = uniform_points(48, 2, seed=21)
-        with DistributedRangeTree.build(pts, p=4) as tree:
-            for leaf, stack, t in forest_elements(tree):
-                ref = reference_tree(tree, leaf)
-                # rows per node id; None off the last dimension
-                want = list(_emission_rows(ref.root_tree))
-                nodes = stack.size_nodes // stack.shape[0]
-                assert len(want) == nodes
-                got = [None] * nodes
-                for rows, gids, heap in stack._last_dim_classes():
-                    w = rows.shape[1]
-                    for tree_rows, tree_ids in zip(rows, gids):
-                        if tree_ids[0] // nodes != t:
-                            continue  # another element's
-                        for j, h in zip(tree_ids, heap):
-                            width = w >> (int(h).bit_length() - 1)
-                            start = (int(h) * width) % w
-                            local = tree_rows[start : start + width] - t * stack.width
-                            got[j - t * nodes] = local.tolist()
-                assert got == [
-                    None if rows is None else rows.tolist() for rows in want
-                ]
+        """Every last-dimension node's ``row_block`` slice and aggregate —
+        read at its block-heap row — is the object tree's ``rows_under``
+        and aggregate, compared node for node in emission order, for every
+        tree of every stack."""
+        for tree, leaf, stack, t in _every_element(seed=21):
+            every = list(_emission_nodes(reference_tree(tree, leaf).root_tree))
+            assert len(every) == stack.size_nodes // stack.shape[0]
+            want = [(node[0].tolist(), repr(node[1])) for node in every if node is not None]
+            nodes = last_dim_nodes(stack, t)
+            aggs = stack.decode_aggs(np.array([row for _off, _w, row in nodes]))
+            got = [
+                ((stack.row_block[off : off + w] - t * stack.width).tolist(), repr(agg))
+                for (off, w, _row), agg in zip(nodes, aggs)
+            ]
+            assert got == want
 
     def test_pid_block_matches_selection_pids(self):
         # padded build: sentinel (negative) pids live in the stacks
@@ -600,24 +628,17 @@ class TestTilingEquivalence:
                 )
 
     def test_kernel_agg_matrix_matches_decoded(self):
-        pts = uniform_points(32, 2, seed=25)
-        with DistributedRangeTree.build(
-            pts, p=4, semigroup=sum_of_dim(0)
-        ) as tree:
-            stack = tree.forest_store[0][1]
-            assert stack.shape[0] > 1, "want a stack of several trees"
-            assert stack.aggs.kernel == tree.semigroup.kernel
-            assert not isinstance(stack.aggs.kernel, ObjectKernel)
-            last = np.concatenate(
-                [gids.ravel() for _rows, gids, _heap in stack._last_dim_classes()]
-            )
-            decoded = stack.decode_aggs(last)
-            for j, val in zip(last, decoded):
-                row = stack.aggs.data[int(j)]
-                dec = stack.aggs.kernel.decode(row[None, :], 0)
-                assert repr(dec) == repr(val)
-            # the object oracle folds Python floats over the same child pairs
-            roots = stack.root_aggs()
-            for leaf, other, t in forest_elements(tree):
-                if other is stack:
-                    assert repr(roots[t]) == repr(reference_tree(tree, leaf).root_agg())
+        """Each real last-dimension node's raw kernel row decodes to the
+        object tree's aggregate (the oracle folds Python values over the
+        same child pairs), and each tree's root is its ``root_aggs``."""
+        several = False
+        for tree, leaf, stack, t in _every_element(seed=25):
+            several |= stack.shape[0] > 1
+            kernel = stack.aggs.kernel
+            assert kernel == tree.semigroup.kernel
+            ref = reference_tree(tree, leaf)
+            want = [repr(node[1]) for node in _emission_nodes(ref.root_tree) if node is not None]
+            rows = [row for _off, _w, row in last_dim_nodes(stack, t)]
+            assert [repr(kernel.decode(stack.aggs.data[[j]], 0)) for j in rows] == want
+            assert repr(stack.root_aggs()[t]) == repr(ref.root_agg())
+        assert several, "want a stack of several trees"

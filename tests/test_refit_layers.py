@@ -117,14 +117,21 @@ class TestLayeredRefit:
             assert evicted and len(after) == MAX_ANNOTATION_LAYERS
 
     def test_adding_a_layer_folds_only_that_layer(self, folded):
+        """One heap fold per stack per layer folded: a build folds its
+        one layer once a stack, a refit that adds one layer folds it once
+        a stack, and one that adds nothing folds nothing."""
         with DistributedRangeTree.build(PTS, p=4) as tree:
-            assert set(folded) == {"count"}
+            stacks = sum(len(store) for store in tree.forest_store)
+            assert stacks and folded == ["count"] * stacks
             for query in STEPS:
                 before = _layer_names(tree)
                 folded.clear()
                 tree.run([query])
                 added = [c.kernel.name for c in tree.semigroup.components if c.name not in before]
-                assert len(added) == 1 and folded and set(folded) == set(added)
+                assert len(added) == 1 and folded == added * stacks
+                folded.clear()
+                tree.run([count(BOX), query])
+                assert folded == []
 
     def test_a_failed_lazy_refit_folds_nothing_to_roll_back(self, folded):
         with DistributedRangeTree.build(PTS, p=4) as tree:

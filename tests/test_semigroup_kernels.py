@@ -53,7 +53,6 @@ from repro.semigroup.kernels import (
     ObjectKernel,
     batched_heap_fold,
     fold_segments,
-    heap_fold,
     lift_kernel_column,
 )
 from repro.seq import bf_aggregate, bf_count
@@ -307,7 +306,7 @@ def test_heap_fold_matches_pairwise_combine(m):
     kernels = [(sg, sg.kernel) for sg in _kernelizable(2)] + _object_kernels(2)
     for sg, kernel in kernels:
         values = _random_values(sg, m, 2, rng)
-        heap = heap_fold(kernel, kernel.encode(values))
+        heap = batched_heap_fold(kernel, kernel.encode(values)[None])[0]
         # reference: the bottom-up ``combine`` loop of _build_aggs
         aggs = [None] * (2 * m)
         for k in range(m):
@@ -325,7 +324,7 @@ def test_batched_heap_fold_matches_per_tree():
     trees = [kernel.encode(_random_values(sg, 8, 2, rng)) for _ in range(5)]
     batched = batched_heap_fold(kernel, np.stack(trees))
     for i, leaves in enumerate(trees):
-        assert np.array_equal(batched[i], heap_fold(kernel, leaves))
+        assert np.array_equal(batched[i], batched_heap_fold(kernel, leaves[None])[0])
 
 
 # ---------------------------------------------------------------------------

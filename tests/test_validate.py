@@ -10,7 +10,7 @@ from repro.query import report
 from repro.semigroup import sum_of_dim
 from repro.workloads import clustered_points, grid_points, uniform_points
 
-from tests.helpers import corrupt_shape
+from tests.helpers import corrupt_shape, last_dim_nodes
 
 
 class TestValidatorPasses:
@@ -108,7 +108,7 @@ class TestValidatorCatchesCorruption:
         tree = self._tree()
         stack = self._stack(tree)
         stack.aggs = stack.aggs[:-1]
-        self._assert_caught(tree, "node count is not T(")
+        self._assert_caught(tree, "aggregate row count is not 2·R(")
 
     def test_detects_wrong_record_counts(self):
         tree = self._tree()
@@ -167,14 +167,15 @@ class TestValidatorCatchesCorruption:
     @pytest.mark.parametrize("dim", [0, 1])
     def test_detects_every_single_slot_corruption(self, dim):
         """Each slot of each held array, one at a time, across every tree
-        of the stack (aggregates: the slots of last-dimension nodes — the
-        others are never read)."""
+        of the stack (aggregates: the block-heap rows of real
+        last-dimension nodes — a heap's identity row and the rows whose
+        span crosses two trees are never read)."""
         tree = self._tree()
         stack = self._stack(tree, dim=dim)
         assert validate_tree(tree).ok
-        last = np.concatenate([g.ravel() for _r, g, _h in stack._last_dim_classes()])
+        last = [row for _off, _w, row in last_dim_nodes(stack)]
         held = (*stack.keys, stack.row_block, stack.pids)
-        for arr, slots in [(b, range(len(b))) for b in held] + [(stack.aggs.data, last.tolist())]:
+        for arr, slots in [(b, range(len(b))) for b in held] + [(stack.aggs.data, last)]:
             for j in slots:
                 keep = arr[j].copy()
                 arr[j] += 1
