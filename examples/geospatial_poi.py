@@ -46,7 +46,6 @@ def main() -> None:
     viewports = make_viewports(m=2000, seed=2)
 
     # frame 1: how many POIs per viewport (cheap: associative count)
-    tree.reset_metrics()
     counts = tree.run([count(v) for v in viewports]).values()
     m = tree.metrics
     print(f"\n{len(viewports)} viewport counts in {m.rounds} rounds, "
@@ -62,7 +61,6 @@ def main() -> None:
 
     # frame 2: actually fetch the POI ids for the 50 busiest viewports
     busiest = sorted(range(len(counts)), key=lambda i: -counts[i])[:50]
-    tree.reset_metrics()
     hits = tree.run([report(viewports[i]) for i in busiest]).values()
     k = sum(len(h) for h in hits)
     print(f"\nreport mode for the 50 busiest viewports: {k} (viewport, POI) pairs "

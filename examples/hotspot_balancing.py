@@ -47,7 +47,6 @@ def main() -> None:
 
     print("\nreplication transport comparison on this batch:")
     for strategy in ("direct", "doubling"):
-        tree.reset_metrics()
         tree.search(queries, replication=strategy)
         m = tree.metrics
         print(f"  {strategy:>9}: rounds={m.rounds:>2}  max h-relation={m.max_h}")

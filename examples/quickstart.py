@@ -37,7 +37,6 @@ def main() -> None:
         + [report(b) for b in boxes[1016:1020]]
         + [aggregate(b, sum_of_dim(0)) for b in boxes[1020:]]
     )
-    tree.reset_metrics()
     rs = tree.run(batch)
     print(f"\nanswered {len(rs)} mixed queries in {rs.rounds} communication rounds")
     print(f"  one search pass for all modes: phases = {rs.metrics.phase_sequence()}")

@@ -48,7 +48,6 @@ def main() -> None:
             )
             labels.append(f"age {lo_age}-{hi_age}, tenure {lo_ten}-{hi_ten}")
 
-    tree.reset_metrics()
     stats = tree.run([aggregate(q) for q in questions]).values()
     print(f"\nanswered {len(questions)} statistics queries in "
           f"{tree.metrics.rounds} communication rounds\n")

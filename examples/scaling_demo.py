@@ -28,7 +28,6 @@ def main() -> None:
     for p in (1, 2, 4, 8, 16):
         tree = DistributedRangeTree.build(points, p=p)
         build = tree.metrics.summary()
-        tree.reset_metrics()
         tree.run([count(q) for q in queries])
         search = tree.metrics.summary()
 

@@ -76,11 +76,11 @@ def run_sq1(n: int = 1024, p: int = 8) -> Table:
         ("half domain", Box([(0.0, 0.5), (0.0, 1.0)])),
     ]
     for name, q in shapes:
-        tree.reset_metrics()
-        out = tree.search([q])
+        with tree.machine.scope() as m:
+            out = tree.search([q])
+            ok = tree.run(count(q)).value(0) == bf_count(pts, q)
         touched = sum(1 for c in out.subqueries_per_proc if c > 0)
-        ok = tree.run(count(q)).value(0) == bf_count(pts, q)
-        t.add_row(name, out.total_subqueries, touched, tree.metrics.rounds, "yes" if ok else "NO")
+        t.add_row(name, out.total_subqueries, touched, m.rounds, "yes" if ok else "NO")
     t.add_note("Section 6 leaves single-query speedup open; the batched machinery still")
     t.add_note("fans one query's forest continuations across owners (no replication needed)")
     return t

@@ -26,7 +26,6 @@ def run_s1(d: int = 2, p: int = 8) -> Table:
     )
     for n in (256, 512, 1024, 2048):
         tree = DistributedRangeTree.build(uniform_points(n, d, seed=5), p=p)
-        tree.reset_metrics()
         qs = selectivity_queries(n, d, seed=6, selectivity=0.01)
         out = tree.search(qs)
         m = tree.metrics
@@ -69,7 +68,6 @@ def run_a1(n: int = 1024, d: int = 2, p: int = 8) -> Table:
     for mode, sg in (("count", None), ("sum[x0]", sum_of_dim(0))):
         kw = {} if sg is None else {"semigroup": sg}
         tree = DistributedRangeTree.build(pts, p=p, **kw)
-        tree.reset_metrics()
         batch = [count(q) for q in qs] if sg is None else [aggregate(q) for q in qs]
         got = tree.run(batch).values()
         # sequential comparator on a subsample
@@ -98,7 +96,6 @@ def run_r1(n: int = 1024, d: int = 2, p: int = 8) -> Table:
     tree = DistributedRangeTree.build(pts, p=p)
     for sel, m in ((0.001, n), (0.01, n), (0.05, n // 2), (0.2, n // 8)):
         qs = selectivity_queries(m, d, seed=10, selectivity=sel)
-        tree.reset_metrics()
         rs = tree.run([report(q) for q in qs])
         sizes = next(
             s.received
@@ -134,7 +131,6 @@ def run_m1(n: int = 1024, d: int = 2, p: int = 8) -> Table:
     ]
     for wname, qs in workloads:
         for strategy in ("direct", "doubling"):
-            tree.reset_metrics()
             out = tree.search(qs, replication=strategy)
             qp = max(1, -(-out.total_subqueries // p))
             t.add_row(

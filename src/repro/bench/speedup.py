@@ -13,7 +13,7 @@ takes over (sooner on worse networks).
 
 from __future__ import annotations
 
-from ..cgm import CostModel
+from ..cgm import CostModel, Machine
 from ..dist import DistributedRangeTree
 from ..workloads import selectivity_queries, uniform_points
 from .tables import Table
@@ -40,9 +40,9 @@ def run_sp1(n: int = 2048, d: int = 2) -> Table:
     qs = selectivity_queries(n, d, seed=41, selectivity=0.01)
     base: dict[str, float] = {}
     for p in (1, 2, 4, 8, 16):
-        tree = DistributedRangeTree.build(pts, p=p)
-        tree.run([count(q) for q in qs])
-        metrics = tree.metrics
+        with Machine(p) as mach, mach.scope() as metrics:
+            tree = DistributedRangeTree.build(pts, machine=mach)
+            tree.run([count(q) for q in qs])
         row = [p, metrics.max_work, metrics.rounds]
         for name, cost in MACHINES:
             model = metrics.modeled_time(cost)

@@ -11,11 +11,12 @@ records::
     results = mach.run_phase("build", "myalgo.build", payloads)
     inboxes = mach.exchange("route", outboxes)   # outboxes[src][dst] = [records]
 
-Every phase is recorded in :attr:`Machine.metrics` — operation counts and
+Every phase is recorded in the trace of the operation running it (one
+:meth:`Machine.scope`: a build, a pass, a refit) — operation counts and
 wall-clock per processor for compute phases, per-processor sent/received
 record counts (the h-relation) for communication rounds.  The paper's
 claims ("O(1) rounds of h-relations with h = s/p", "O(s/p) local work" —
-§5, Theorems 2-5) are *measured*, not assumed.
+§5, Theorems 2-5) are *measured* per operation, not assumed.
 
 Determinism: records within an inbox arrive ordered by source rank and by
 send order within a source, regardless of backend.
@@ -24,7 +25,8 @@ send order within a source, regardless of backend.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, List, Sequence
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, List, Sequence
 
 from ..errors import MachineError, ProtocolError
 from .backend import Backend, make_backend
@@ -114,7 +116,10 @@ class Machine:
         self.backend = make_backend(backend)
         self.cost = cost if cost is not None else CostModel()
         self.capacity = capacity
-        self.metrics = Metrics()
+        #: where steps go: the open scope's trace, else the machine's own
+        self.metrics = self._own_metrics = Metrics()
+        #: the trace of the last outermost scope to close
+        self.last_metrics = Metrics()
         self._peak_storage = [0] * p
         self._state_gen = 0
 
@@ -332,9 +337,25 @@ class Machine:
     def modeled_time(self) -> float:
         return self.metrics.modeled_time(self.cost)
 
-    def reset_metrics(self) -> None:
-        self.metrics.reset()
-        self._peak_storage = [0] * self.p
+    @contextmanager
+    def scope(self) -> Iterator[Metrics]:
+        """Record one operation's steps into a fresh trace, yielded.
+
+        A scope opened inside another adds its steps, in order, to the
+        outer one when it closes; when the outermost closes, the trace
+        becomes :attr:`last_metrics` and steps go to the machine's own
+        log again.  Precondition: a machine runs one operation at a time.
+        """
+        outer, trace = self.metrics, Metrics()
+        self.metrics = trace
+        try:
+            yield trace
+        finally:
+            self.metrics = outer
+            if outer is self._own_metrics:
+                self.last_metrics = trace
+            else:
+                outer.steps.extend(trace.steps)
 
     def close(self) -> None:
         """Shut down an *owned* backend (one created here from a name).

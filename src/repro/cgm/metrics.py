@@ -1,8 +1,10 @@
 """Superstep metrics: the observables the paper's theorems talk about (§5).
 
 Every compute phase and every communication round executed on a
-:class:`~repro.cgm.machine.Machine` appends a :class:`StepRecord`.  The
-experiment harness reads off:
+:class:`~repro.cgm.machine.Machine` appends a :class:`StepRecord` to the
+trace of the operation running it (one build, one pass, one refit — see
+:meth:`~repro.cgm.machine.Machine.scope`).  Per operation, as Theorems
+2-5 state them, the experiment harness reads off:
 
 * ``rounds``          — number of communication supersteps (Theorems 2-5
                         claim these are O(1), independent of n),
@@ -105,8 +107,8 @@ class LatencyStats:
     The superstep trace above measures what the *theorems* talk about —
     rounds, h-relations, charged work per pass.  A serving front-end
     (:mod:`repro.serve`) additionally owes each *client* a latency
-    figure: how long their one query waited in the batching window plus
-    how long the shared pass took.  This accumulator records one sample
+    figure: how long their one query waited in the queue plus how long
+    the shared pass took.  This accumulator records one sample
     per query (milliseconds) and summarises with the shared
     :func:`repro._util.percentiles` estimator, so serve metrics and
     loadgen rows report the same p50/p95/p99 definition.  ``count``,
@@ -153,7 +155,7 @@ class LatencyStats:
 
 @dataclass
 class Metrics:
-    """Accumulated superstep trace for one machine."""
+    """The superstep trace of one operation (or of a machine's raw calls)."""
 
     steps: list[StepRecord] = field(default_factory=list)
 
@@ -185,9 +187,6 @@ class Metrics:
             )
         )
 
-    def reset(self) -> None:
-        self.steps.clear()
-
     # -- aggregate views -----------------------------------------------------
     def comm_steps(self) -> Iterator[StepRecord]:
         return (s for s in self.steps if s.kind == KIND_COMM)
@@ -213,19 +212,6 @@ class Metrics:
     def total_comm_bytes(self) -> int:
         """Bytes routed across all rounds (the Theorem 2-5 volume figure)."""
         return sum(s.volume_bytes for s in self.comm_steps())
-
-    def comm_bytes_by_round(self) -> list[dict]:
-        """Per-round bytes accounting, in execution order (table-ready)."""
-        return [
-            {
-                "label": s.label,
-                "phase": s.phase,
-                "h": s.h,
-                "records": s.volume,
-                "bytes": s.volume_bytes,
-            }
-            for s in self.comm_steps()
-        ]
 
     @property
     def max_work(self) -> int:
@@ -289,22 +275,3 @@ class Metrics:
     def phase_summary(self) -> dict[str, dict]:
         """Per-phase rounds / h / work attribution (flat, table-ready)."""
         return {ph: m.summary() for ph, m in self.by_phase().items()}
-
-    def rounds_in_phase(self, phase: str) -> int:
-        """Communication rounds attributed to one phase prefix."""
-        return sum(1 for s in self.comm_steps() if s.phase == phase)
-
-    def mark(self) -> int:
-        """Position in the trace, for :meth:`since` — O(1), unlike
-        :meth:`snapshot`, so a per-pass diff never costs the uptime."""
-        return len(self.steps)
-
-    def snapshot(self) -> "Metrics":
-        """Copy of the current trace (for before/after diffs)."""
-        return Metrics(steps=list(self.steps))
-
-    def since(self, snap: "Metrics | int") -> "Metrics":
-        """Trace of steps recorded after ``snap`` (a :meth:`mark` or a
-        :meth:`snapshot`) was taken."""
-        start = snap if isinstance(snap, int) else len(snap.steps)
-        return Metrics(steps=self.steps[start:])

@@ -1,6 +1,6 @@
 """Human-readable rendering of a machine's superstep trace.
 
-``render_trace(machine.metrics)`` produces the execution timeline the
+``render_trace(tree.metrics)`` produces the execution timeline the
 paper's analysis reasons about (§1's alternation of supersteps):
 alternating local-computation phases and
 h-relation rounds, with per-step work/volume columns.  Used by the CLI's

@@ -355,7 +355,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     with DistributedRangeTree.build(points, p=args.p, backend=args.backend) as tree:
         if not args.json:
             print(f"built {tree}: {tree.space_report()}")
-        tree.reset_metrics()
 
         rs = tree.run(_make_batch(args.mode, queries))
         # With --json, stdout carries exactly one JSON document; every other

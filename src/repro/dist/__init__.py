@@ -116,7 +116,7 @@ class DistributedRangeTree:
     :class:`~repro.query.QueryBatch` — or a plain list of
     :mod:`repro.query` descriptors — to :meth:`run`; change the
     aggregate function in place with :meth:`reannotate`; inspect the
-    machine's superstep trace through :attr:`metrics`.  All
+    last operation's superstep trace through :attr:`metrics`.  All
     communication happens on the attached
     :class:`~repro.cgm.machine.Machine`, so every theorem-level claim
     (rounds, h-relations, per-processor work) is measurable.
@@ -186,7 +186,8 @@ class DistributedRangeTree:
             require_power_of_two("processor count p", p)
         ranked = pad_to_power_of_two(points, minimum=p)
         values = lift_values(semigroup, ranked, points)
-        result = construct_distributed_tree(machine, ranked, values, semigroup)
+        with machine.scope():
+            result = construct_distributed_tree(machine, ranked, values, semigroup)
         return cls(
             points, ranked, machine, semigroup, result, owns_machine=owns_machine
         )
@@ -214,11 +215,9 @@ class DistributedRangeTree:
 
     @property
     def metrics(self):
-        """The machine's superstep trace (rounds, h-relations, work)."""
-        return self.machine.metrics
-
-    def reset_metrics(self) -> None:
-        self.machine.reset_metrics()
+        """The superstep trace (rounds, h-relations, work) of the last
+        operation on the machine: a build, a pass or a refit."""
+        return self.machine.last_metrics
 
     def space_report(self) -> dict:
         """Where the structure's records live (Theorem 1 observables)."""
@@ -266,12 +265,13 @@ class DistributedRangeTree:
         """Run Algorithm Search for a batch of real-coordinate boxes;
         ``report`` (one bool, or a mask over ``boxes``) marks the queries
         whose points the pass emits as ``(qid, pid)`` pairs."""
-        return run_search(
-            self.machine,
-            [(self.construct_result.ns, self.ranked.to_rank_bounds(*Box.stack(boxes)))],
-            report=report,
-            replication=replication,
-        )
+        with self.machine.scope():
+            return run_search(
+                self.machine,
+                [(self.construct_result.ns, self.ranked.to_rank_bounds(*Box.stack(boxes)))],
+                report=report,
+                replication=replication,
+            )
 
     # ------------------------------------------------------------------
     # lifecycle: the tree owns the machine it built for itself
@@ -319,7 +319,8 @@ class DistributedRangeTree:
         batch folds semigroups the annotation lacks.  A swap that raises
         leaves the tree as it was.
         """
-        self._refit(semigroup)
+        with self.machine.scope():
+            self._refit(semigroup)
         self.base_semigroup = semigroup
 
     def _refit(self, semigroup: Semigroup, label: str = "reannotate") -> None:

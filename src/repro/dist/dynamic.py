@@ -234,15 +234,16 @@ class DynamicDistributedRangeTree:
         pid = self._next_auto_id if pid is None else checked_pid(pid)
         if pid in self._coords_by_id:
             raise ReproError(f"point id {pid} already present")
-        if pid in self._dead:
-            # a dead copy of this id still sits in a bucket; a plain
-            # re-insert would be hidden by its own tombstone — purge first
-            self._compact()
-        self._buffer.add(pid, coords_t)
-        self._coords_by_id[pid] = coords_t
-        self._next_auto_id = max(self._next_auto_id, pid + 1)
-        if len(self._buffer) >= self.flush_threshold:
-            self.flush()
+        with self.machine.scope():
+            if pid in self._dead:
+                # a dead copy of this id still sits in a bucket; a plain
+                # re-insert would be hidden by its own tombstone — purge first
+                self._compact()
+            self._buffer.add(pid, coords_t)
+            self._coords_by_id[pid] = coords_t
+            self._next_auto_id = max(self._next_auto_id, pid + 1)
+            if len(self._buffer) >= self.flush_threshold:
+                self.flush()
         return pid
 
     def insert_many(self, coords_list: Iterable[Sequence[float]]) -> List[int]:
@@ -258,21 +259,23 @@ class DynamicDistributedRangeTree:
         self._check_open()
         if pid not in self._coords_by_id:
             raise ReproError(f"point id {pid} not present")
-        coords = self._coords_by_id.pop(pid)
-        if pid in self._buffer:
-            self._buffer.remove(pid)
-            return
-        self._dead.add(pid, coords)
-        total = sum(len(b.tree.points) for b in self._buckets.values())
-        if 2 * len(self._dead) >= total:
-            self._compact()
+        with self.machine.scope():
+            coords = self._coords_by_id.pop(pid)
+            if pid in self._buffer:
+                self._buffer.remove(pid)
+                return
+            self._dead.add(pid, coords)
+            total = sum(len(b.tree.points) for b in self._buckets.values())
+            if 2 * len(self._dead) >= total:
+                self._compact()
 
     def flush(self) -> None:
         """Absorb the update buffer into the bucket forests now."""
         self._check_open()
-        if len(self._buffer):
-            self._absorb(self._buffer.ids, self._buffer.xy)
-            self._buffer.clear()
+        with self.machine.scope():
+            if len(self._buffer):
+                self._absorb(self._buffer.ids, self._buffer.xy)
+                self._buffer.clear()
 
     def _absorb(self, ids: np.ndarray, xy: np.ndarray) -> None:
         """Logarithmic-method merge: new points + colliding buckets rebuild.
@@ -347,8 +350,6 @@ class DynamicDistributedRangeTree:
         for qid, q in enumerate(batch):
             if q.box.dim != self.dim:
                 raise DimensionMismatch(self.dim, q.box.dim, f"query {qid} box")
-        mach = self.machine
-        snap = mach.metrics.mark()
         combiner = EpochCombiner(
             batch, self.semigroup, self.dim, self._coords_of
         )
@@ -364,10 +365,10 @@ class DynamicDistributedRangeTree:
                 trees.append(bucket.tree)
             else:
                 self._pruned_bucket_passes += 1
-        values = QueryEngine(*trees).run(sub).values() if trees else None
+        with self.machine.scope() as metrics:
+            values = QueryEngine(*trees).run(sub).values() if trees else None
         buffered_ids, dead_ids = self._side_matches(sub)
         answers = combiner.finalize_all(values, buffered_ids, dead_ids)
-        metrics = mach.metrics.since(snap)
         return ResultSet(batch.queries, answers, metrics)
 
     def _side_matches(
@@ -393,17 +394,18 @@ class DynamicDistributedRangeTree:
         """
         self._check_open()
         swapped = []
-        try:
-            for level in sorted(self._buckets):
-                tree = self._buckets[level].tree
-                prior = (tree.semigroup, tree.base_semigroup)
-                tree.reannotate(semigroup)
-                swapped.append((tree, prior))
-        except Exception:
-            for tree, (annotation, base) in swapped:
-                tree._refit(annotation, label="reannotate-rollback")
-                tree.base_semigroup = base
-            raise
+        with self.machine.scope():
+            try:
+                for level in sorted(self._buckets):
+                    tree = self._buckets[level].tree
+                    prior = (tree.semigroup, tree.base_semigroup)
+                    tree.reannotate(semigroup)
+                    swapped.append((tree, prior))
+            except Exception:
+                for tree, (annotation, base) in swapped:
+                    tree._refit(annotation, label="reannotate-rollback")
+                    tree.base_semigroup = base
+                raise
         self.semigroup = semigroup
 
     # ------------------------------------------------------------------
@@ -418,8 +420,9 @@ class DynamicDistributedRangeTree:
 
     @property
     def metrics(self):
-        """The shared machine's superstep trace."""
-        return self.machine.metrics
+        """The superstep trace of the last operation on the shared
+        machine: an update, a flush, a pass or a refit."""
+        return self.machine.last_metrics
 
     @property
     def bucket_sizes(self) -> List[int]:

@@ -258,25 +258,22 @@ class QueryEngine:
         if plan.annotation_token is not tree.semigroup:
             plan = self.plan(plan.batch)
         batch = plan.batch
-        snap = tree.machine.metrics.mark()
+        with tree.machine.scope() as metrics:
+            # Lazy annotation refit: local work + one broadcast round, cached.
+            annotation = plan.annotation
+            for part in self.trees:
+                if part.semigroup.name != annotation.name:
+                    part._refit(annotation, label="query:refit")
 
-        # Lazy annotation refit: local work + one broadcast round, cached.
-        annotation = plan.annotation
-        for part in self.trees:
-            if part.semigroup.name != annotation.name:
-                part._refit(annotation, label="query:refit")
-
-        out = run_search(
-            tree.machine,
-            [
-                (part.construct_result.ns, part.ranked.to_rank_bounds(*batch.bounds))
-                for part in self.trees
-            ],
-            report=plan.report,
-        )
-
-        answers = self._demux(plan, out)
-        metrics = tree.machine.metrics.since(snap)
+            out = run_search(
+                tree.machine,
+                [
+                    (part.construct_result.ns, part.ranked.to_rank_bounds(*batch.bounds))
+                    for part in self.trees
+                ],
+                report=plan.report,
+            )
+            answers = self._demux(plan, out)
         return ResultSet(batch.queries, answers, metrics)
 
     # ------------------------------------------------------------------

@@ -450,22 +450,12 @@ class QueryService:
             return
         self._answer(log, zip(live, rs.values()), loop.time())
 
-    def _one_pass(self, batch: QueryBatch):
-        """``tree.run(batch)`` on the worker thread, its steps then dropped
-        from the machine's trace: the ``ResultSet`` carries its own copy,
-        nothing here reads the machine's, and a daemon's must not grow
-        with uptime."""
-        try:
-            return self.tree.run(batch)
-        finally:
-            self.tree.machine.metrics.reset()
-
     def _run_batch(self, batch: QueryBatch):
         """The worker-thread body: one shared engine pass for the batch."""
         from ..faults import maybe_inject
 
         maybe_inject("serve.execute")
-        return self._one_pass(batch)
+        return self.tree.run(batch)
 
     def _bisect_batch(self, requests: List[_Request]):
         """Worker-thread body: isolate poisoned queries in a failed batch.
@@ -477,7 +467,7 @@ class QueryService:
         Returns ``[(request, ("ok", value) | ("err", exc)), ...]``.
         """
         try:
-            rs = self._one_pass(QueryBatch([r.query for r in requests]))
+            rs = self.tree.run(QueryBatch([r.query for r in requests]))
         except Exception as exc:
             if len(requests) == 1:
                 return [(requests[0], ("err", exc))]

@@ -197,9 +197,8 @@ def search_summary(tree, boxes, replication: str = "doubling", report=False) -> 
     and every selection and report pair as a sorted list (a multiset:
     which copy of a group serves a subquery is the strategy's choice, not
     the answer)."""
-    snap = tree.metrics.mark()
     out = tree.search(boxes, report=report, replication=replication)
-    m = tree.metrics.since(snap)
+    m = tree.metrics
     counts = np.zeros(len(boxes), dtype=np.int64)
     for b in (*out.hat_selections, *out.forest_selections):
         np.add.at(counts, b.col("qid"), b.col("nleaves"))

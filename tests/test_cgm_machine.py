@@ -141,22 +141,6 @@ class TestMetrics:
         # 10 ops + g*2 + L = 10 + 4 + 5
         assert mach.modeled_time() == 19.0
 
-    def test_reset(self):
-        mach = Machine(2)
-        mach.run_phase("c", "test.charge", [1, 1])
-        mach.reset_metrics()
-        assert mach.metrics.steps == []
-        assert mach.peak_storage == [0, 0]
-
-    def test_snapshot_since(self):
-        mach = Machine(2)
-        mach.run_phase("c1", "test.echo")
-        snap = mach.metrics.snapshot()
-        mach.exchange("x", mach.empty_outboxes())
-        diff = mach.metrics.since(snap)
-        assert diff.rounds == 1
-        assert len(diff.steps) == 1
-
     def test_summary_keys(self):
         mach = Machine(2)
         mach.run_phase("c", "test.charge", [3, 3])

@@ -250,9 +250,8 @@ def test_a_masked_pass_charges_the_parents_numbers(backend):
     boxes = [HOT] * 6 + [BOX] * 3 + [Box.full(2, -1.0, 2.0)] * 3
     mask = np.arange(len(boxes)) % 3 != 0
     with DistributedRangeTree.build(pts, p=4, backend=backend) as tree:
-        snap = tree.metrics.mark()
         out = tree.search(boxes, report=mask)
-        m = tree.metrics.since(snap)
+        m = tree.metrics
     assert [(s.label, tuple(s.ops)) for s in m.compute_steps()] == PARENT_MASKED_OPS
     assert _comm(m) == PARENT_MASKED_ROUNDS
     # replication, hat selections and expansion requests all occurred
@@ -427,10 +426,11 @@ def test_record_list_round_bytes_are_deterministic_and_sized_once(monkeypatch):
     for _ in range(2):
         with DistributedRangeTree.build(pts, p=8) as tree:
             monkeypatch.setattr(random, "Random", CountingRandom)
-            by_round.append(tree.run(batch).metrics.comm_bytes_by_round())
+            steps = tree.run(batch).metrics.comm_steps()
+            by_round.append([(s.label, s.h, s.volume, s.volume_bytes) for s in steps])
             monkeypatch.undo()
     assert by_round[0] == by_round[1]
-    assert all(r["bytes"] > 0 for r in by_round[0] if r["records"])
+    assert all(nbytes > 0 for _l, _h, records, nbytes in by_round[0] if records)
     assert made == []
 
     # a broadcast list is sized once per source, not once per destination
@@ -450,37 +450,23 @@ def test_record_list_round_bytes_are_deterministic_and_sized_once(monkeypatch):
 # ---------------------------------------------------------------------------
 # satellite: per-pass metrics cost nothing of the uptime
 # ---------------------------------------------------------------------------
-def test_pass_metrics_do_not_depend_on_or_copy_history(monkeypatch):
+def test_pass_metrics_do_not_depend_on_or_copy_history():
     pts = make_points("uniform", 128, 2, seed=17)
 
     def pass_trace(preceding: int):
         with DistributedRangeTree.build(pts, p=4) as tree:
-            tree.reset_metrics()
             for _ in range(preceding):
-                tree.metrics.record_compute("uptime:filler", [0] * 4, [0.0] * 4)
-            monkeypatch.setattr(
-                Metrics, "snapshot", lambda self: pytest.fail("history copied")
-            )
+                tree.run([count(BOX), report(BOX)])
             rs = tree.run([count(BOX), report(BOX)])
-            monkeypatch.undo()
-            assert type(tree.metrics.steps) is list
-            assert len(tree.metrics.steps) == preceding + len(rs.metrics.steps)
+            # the pass's trace is its own; the machine keeps no log of it
+            assert tree.metrics is rs.metrics
+            assert tree.machine.metrics.steps == []
             return [
                 (s.kind, s.label, s.ops, s.sent, s.received, s.sent_bytes)
                 for s in rs.metrics.steps
             ], rs.metrics.summary()["rounds"]
 
-    assert pass_trace(0) == pass_trace(5000)
-
-
-def test_since_accepts_a_mark_or_a_snapshot():
-    m = Metrics()
-    m.record_comm("a", [1], [1])
-    mark, snap = m.mark(), m.snapshot()
-    m.record_comm("b", [2], [2])
-    assert mark == 1
-    assert [s.label for s in m.since(mark).steps] == ["b"]
-    assert [s.label for s in m.since(snap).steps] == ["b"]
+    assert pass_trace(0) == pass_trace(50)
 
 
 # ---------------------------------------------------------------------------

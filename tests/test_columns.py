@@ -293,10 +293,10 @@ class TestPlaneParity:
         with DistributedRangeTree.build(pts, p=4) as tree:
             rs = tree.run(QueryBatch([count(b) for b in boxes]))
         rows = [
-            row
-            for row in rs.metrics.comm_bytes_by_round()
-            if row["phase"] in ("search", "query")
+            (s.volume_bytes, s.volume)
+            for s in rs.metrics.comm_steps()
+            if s.phase in ("search", "query")
         ]
         assert rows, "search pass recorded no communication rounds"
-        for row in rows:
-            assert row["bytes"] > 0 or row["records"] == 0
+        for nbytes, records in rows:
+            assert nbytes > 0 or records == 0

@@ -444,7 +444,6 @@ class TestSearchOutputParity:
         boxes = random_boxes(np.random.default_rng(800 + d), 10, d)
         boxes += [boxes[0]] * 12
         with DistributedRangeTree.build(pts, p=4) as tree:
-            tree.reset_metrics()
             out = tree.search(boxes, report=True)
             forest_ops = next(
                 s.ops for s in tree.metrics.steps if s.label == "search:forest"

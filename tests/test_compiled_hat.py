@@ -198,7 +198,6 @@ class TestSearchOutputParity:
         boxes.append(Box.full(d, -1.0, 2.0))
         report = np.arange(len(boxes)) % 3 != 1
         with DistributedRangeTree.build(pts, p=4) as tree:
-            tree.reset_metrics()
             out = tree.search(boxes, report=report)
             ops = {
                 s.label: s.ops

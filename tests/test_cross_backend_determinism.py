@@ -43,12 +43,13 @@ def _fingerprint(backend: str, d: int, dist_name: str, m: int = 9) -> tuple:
     pts = make_points(dist_name, 48, d, seed=1000 + d)
     boxes = random_boxes(np.random.default_rng(2000 + d), 9, d)[:m]
     with DistributedRangeTree.build(pts, p=4, backend=backend) as tree:
+        built = tree.metrics
         rs = tree.run(_mixed_batch(boxes))
         payload = rs.to_dict()
         assert payload.pop("wall_seconds") >= 0
         trace = tuple(
             (s.kind, s.label, s.ops, s.sent, s.received)
-            for s in tree.metrics.steps
+            for s in (*built.steps, *rs.metrics.steps)
         )
         sizes = tuple(tree.construct_result.forest_group_sizes())
     return json.dumps(payload, sort_keys=True), trace, sizes
@@ -137,6 +138,7 @@ def _dynamic_fingerprint(
         d, p=4, backend=backend, semigroup=semigroup, flush_threshold=8
     ) as dyn:
         checkpoints = 0
+        steps = []
         for op in ops:
             if op.kind == "insert":
                 dyn.insert(op.coords, pid=op.pid)
@@ -145,15 +147,17 @@ def _dynamic_fingerprint(
                     dyn.delete(op.pid)
                 except ReproError:
                     assert op.absent
+                    continue
             else:
                 rs = dyn.run(checkpoint_batch(op.boxes, offset=checkpoints))
                 payload = rs.to_dict()
                 assert payload.pop("wall_seconds") >= 0
                 payloads.append(payload)
                 checkpoints += 1
+            steps += dyn.metrics.steps
         trace = tuple(
             (s.kind, s.label, s.ops, s.sent, s.received)
-            for s in dyn.metrics.steps
+            for s in steps
         )
         layout = (tuple(dyn.bucket_sizes), dyn.buffered_count)
     return json.dumps(payloads, sort_keys=True), trace, layout

@@ -14,12 +14,16 @@ from tests.helpers import search_summary
 def _run(backend: str):
     pts = uniform_points(64, 2, seed=100)
     tree = DistributedRangeTree.build(pts, p=4, backend=backend)
+    built = tree.metrics
     qs = selectivity_queries(32, 2, seed=101, selectivity=0.1)
-    counts = tree.run([count(q) for q in qs]).values()
-    reports = tree.run([report(q) for q in qs]).values()
+    counts = tree.run([count(q) for q in qs])
+    reports = tree.run([report(q) for q in qs])
     trace = [
-        (s.kind, s.label, s.ops, s.sent, s.received) for s in tree.metrics.steps
+        (s.kind, s.label, s.ops, s.sent, s.received)
+        for m in (built, counts.metrics, reports.metrics)
+        for s in m.steps
     ]
+    counts, reports = counts.values(), reports.values()
     sizes = tree.construct_result.forest_group_sizes()
     tree.machine.close()
     return counts, reports, trace, sizes

@@ -206,16 +206,21 @@ class TestUpdates:
             [(dyadic(i), 0.5) for i in range(8)], p=4, backend=backend, flush_threshold=8
         ) as dt:
             monkeypatch.setattr(Machine, "run_phase", counted)
-            steps = len(dt.metrics.steps)
-            ids = [dt.insert((dyadic(i), 0.25)) for i in range(7)]
+            ids, traces = [], []
+            for i in range(7):
+                ids.append(dt.insert((dyadic(i), 0.25)))
+                traces.append(dt.metrics.steps)
             dt.delete(ids[3])
+            traces.append(dt.metrics.steps)
             dt.insert((0.75, 0.75))
+            traces.append(dt.metrics.steps)
             assert dt.buffered_count == 7
-            assert len(dt.metrics.steps) == steps and dispatches == []
+            assert traces == [[]] * 9 and dispatches == []
             rs = dt.run([count(unit_box(2)), report(unit_box(2))])
             assert rs.values()[0] == 15
             assert "dynamic" not in rs.metrics.phase_sequence()
-            assert len(dt.metrics.steps) == steps + len(rs.metrics.steps)
+            assert dt.metrics is rs.metrics and rs.metrics.steps
+            assert dt.machine.metrics.steps == []
 
     def test_delete_unknown_and_double_delete_rejected(self):
         with DynamicDistributedRangeTree(1, p=4) as dt:

@@ -57,7 +57,6 @@ class TestReannotate:
     def test_cheaper_than_rebuild(self, built):
         """Re-annotation must not sort or route: zero *new* sort rounds."""
         pts, tree, qs = built
-        tree.reset_metrics()
         tree.reannotate(sum_of_dim(0))
         labels = [s.label for s in tree.metrics.steps if s.kind == "comm"]
         assert labels == ["reannotate:roots"], labels

@@ -157,7 +157,7 @@ class TestSinglePassRounds:
 
         rs_mixed, mixed_rounds = self._rounds(pts, mixed_batch(boxes))
         assert rs_mixed.metrics.phase_sequence().count("search") == 1
-        assert rs_mixed.metrics.rounds_in_phase("search") > 0
+        assert any(s.phase == "search" for s in rs_mixed.metrics.comm_steps())
 
         single_rounds = []
         for maker in (count, report, aggregate):
@@ -170,7 +170,6 @@ class TestSinglePassRounds:
         for n in (32, 64, 128):
             pts = uniform_points(n, 2, seed=72)
             tree = build(pts, p=4)
-            tree.reset_metrics()
             boxes = selectivity_queries(n, 2, seed=73, selectivity=0.1)
             rounds.append(tree.run(mixed_batch(boxes)).rounds)
         assert len(set(rounds)) == 1, rounds
@@ -422,10 +421,9 @@ class TestBatchDescriptors:
         pts = uniform_points(32, 2, seed=121)
         tree = build(pts, p=4)
         good = tree.search([b], replication="direct")
-        before = [(s.kind, s.label) for s in tree.metrics.steps]
         with pytest.raises(ReproError, match=r"'bogus'.*doubling.*direct"):
             tree.search([b], replication="bogus")
-        assert [(s.kind, s.label) for s in tree.metrics.steps] == before
+        assert tree.metrics.steps == []
         with pytest.raises(TypeError):
             tree.run([count(b)], replication="direct")
         with pytest.raises(TypeError):

@@ -85,9 +85,8 @@ def _hat_rows(out) -> list:
 
 
 def _steps(tree, boxes, mask):
-    snap = tree.metrics.mark()
     out = tree.search(boxes, report=mask)
-    m = tree.metrics.since(snap)
+    m = tree.metrics
     ops = {s.label: tuple(s.ops) for s in m.compute_steps()}
     return out, ops, [(s.label, s.sent, s.received) for s in m.comm_steps()]
 
@@ -137,11 +136,10 @@ def test_a_mask_of_the_wrong_length_is_refused_before_any_phase(bad):
     pts = make_points("uniform", 32, 2, seed=5)
     boxes = [Box.full(2, -1.0, 2.0)] * 3
     with DistributedRangeTree.build(pts, p=4) as tree:
-        snap = tree.metrics.mark()
         with pytest.raises(ReproError, match=r"m=3 queries") as err:
             tree.search(boxes, report=bad)
         assert str(np.shape(bad)) in str(err.value)
-        assert not tree.metrics.since(snap).steps
+        assert not tree.metrics.steps
         # one flag and no flag still broadcast
         assert sum(len(b) for b in tree.search(boxes, report=True).report_pairs) == 96
         ns = tree.construct_result.ns

@@ -66,7 +66,6 @@ def test_moments_aggregate_at_scale():
 
 def test_rounds_small_and_fixed_at_scale(big):
     pts, tree, qs = big
-    tree.reset_metrics()
     tree.run([count(q) for q in qs])
     # search (3) + fold (5) + boundary allgather (1) = single digits, always
     assert tree.metrics.rounds <= 12

@@ -194,7 +194,6 @@ class TestSearchInternals:
         for n in (32, 64, 128):
             pts = uniform_points(n, 2, seed=38)
             tree = build(pts, p=4)
-            tree.reset_metrics()
             qs = selectivity_queries(n, 2, seed=39, selectivity=0.1)
             tree.run([count(q) for q in qs])
             rounds.append(tree.metrics.rounds)

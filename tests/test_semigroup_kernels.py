@@ -492,10 +492,13 @@ def test_build_semigroup_kernelized_or_not_agree(d):
         with DistributedRangeTree.build(pts, p=4, semigroup=variant(base)) as tree:
             assert isinstance(tree.semigroup.kernel, ObjectKernel) == (name != "builtin")
             assert tree.hat.aggs.kernel == tree.semigroup.kernel
+            built = tree.metrics
             rs = tree.run(batch)
             # construct + search + demux: every round's h-relation
             rounds = [
-                (s.label, s.sent, s.received) for s in tree.metrics.comm_steps()
+                (s.label, s.sent, s.received)
+                for m in (built, rs.metrics)
+                for s in m.comm_steps()
             ]
             dicts[name] = (repr(_strip_nondeterministic(rs.to_dict())), rounds)
     _assert_variants_agree(dicts)

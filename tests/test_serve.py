@@ -328,12 +328,11 @@ def test_batch_log_timestamps_are_ordered(tree):
 
 def test_daemon_memory_does_not_grow_with_uptime(tree, monkeypatch):
     """200 one-query batches: the machine keeps no pass's steps (each
-    ``ResultSet`` carries its own copy), the batch log is a ring, the
+    ``ResultSet`` carries its own trace), the batch log is a ring, the
     latency samples are a window (shrunk here below the run's length),
     and the summary's mean batch size no longer reads the log."""
     window = 64
     monkeypatch.setattr(repro.cgm.metrics, "LATENCY_WINDOW", window)
-    tree.reset_metrics()
     one_pass = len(tree.run(QueryBatch([count(BOX)])).metrics.steps)
     assert len(tree.metrics.steps) == one_pass
     batches = 200
@@ -348,6 +347,7 @@ def test_daemon_memory_does_not_grow_with_uptime(tree, monkeypatch):
 
     first, (summary, log), metrics = run(go())
     assert len(tree.metrics.steps) <= one_pass
+    assert tree.machine.metrics.steps == []
     assert first.value == tree.run(QueryBatch([count(BOX)])).values()[0]
     # a short run: the summary the unbounded log gave
     assert summary["batches"] == len(log) == 1
