@@ -17,10 +17,11 @@ Builds n=512, p=8 and runs an empty, a one-query and a 64-query
 * a batch pass calls no one-box ``to_rank_box`` and a ``dyn.run`` over
   >= 100 tombstones no ``Box.contains_point`` (``object_loop_calls``);
 * on both backends a build, a lazy refit and a replicating pass construct
-  no ``DimTree``/``SegTree``/``RangeTree``, no pass calls
-  ``CompiledForest.from_ranks``, ``Hat.build`` runs once per rank per
-  Construct and never on a pass, a refit or outside a dynamic absorb's
-  Construct (``second_representation_calls``);
+  no ``SegTree``, no pass calls ``CompiledForest.from_ranks``,
+  ``Hat.build`` runs once per rank per Construct and never on a pass, a
+  refit or outside a dynamic absorb's Construct, and no ``repro`` module
+  holds a test reference (``RangeTree``, ``DimTree``, ``CanonicalSelection``,
+  ``rank_bounds``, ``Hat.walk``; ``second_representation_calls``);
 * a refit rebinds only the hat's annotation (``one_hat_shape_failures``);
 * the forest walk makes one ``searchsorted`` and one closed-form cover per
   divided dimension whether an element holds 64 points or 2048
@@ -59,9 +60,10 @@ from __future__ import annotations
 import ast
 import builtins
 import dataclasses
-import gc
+import importlib
 import inspect
 import os
+import pkgutil
 import sys
 import tempfile
 from contextlib import contextmanager
@@ -142,28 +144,30 @@ def bound_in_repro(*names) -> list:
 
 
 def second_representation_calls() -> dict:
-    """Object trees built, and array builds on a pass: all must be 0."""
+    """Test references shipped, segment trees built, array builds on a pass: all 0."""
+    import repro
     from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree
     from repro.dist.hat import Hat
     from repro.query import aggregate, count
     from repro.semigroup import sum_of_dim
     from repro.seq.compiled import CompiledForest
-    from repro.seq.range_tree import DimTree, RangeTree
     from repro.seq.segment_tree import SegTree
     from repro.workloads import make_points
 
-    calls: dict = {}
+    calls: dict = {"Hat.walk in the package": int(hasattr(Hat, "walk"))}
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        importlib.import_module(info.name)
+    for mod, name in bound_in_repro("RangeTree", "DimTree", "CanonicalSelection", "rank_bounds"):
+        calls[f"{mod.__name__}.{name} in the package"] = 1
     pts = make_points("uniform", 512, 2, seed=1)
     hot_box = Box(((0.0, 0.2), (0.0, 1.0)))
     hot = [count(hot_box)] * 64
     for backend in ("serial", "process"):
         # patched before the build: the process backend forks its workers
         # at first use, and they must inherit the counter
-        with counting(
-            calls, (DimTree, "__init__"), (SegTree, "__init__"), (RangeTree, "__init__")
-        ), counting_across_forks(CompiledForest, "from_ranks") as builds, counting_across_forks(
-            Hat, "build"
-        ) as hats:
+        with counting(calls, (SegTree, "__init__")), counting_across_forks(
+            CompiledForest, "from_ranks"
+        ) as builds, counting_across_forks(Hat, "build") as hats:
             with DistributedRangeTree.build(pts, p=8, backend=backend) as tree:
                 built = builds()
                 calls[f"Hat.build not once per rank in Construct ({backend})"] = hats() - tree.p
@@ -189,10 +193,6 @@ def second_representation_calls() -> dict:
             calls["Hat.build outside Construct in dynamic absorbs"] = hats() - 4 * constructs()
             if not constructs():
                 calls["(no dynamic absorb was counted)"] = 1
-            gc.collect()
-            calls["DimTree alive after dynamic absorbs"] = sum(
-                isinstance(o, DimTree) for o in gc.get_objects()
-            )
     return calls
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -16,7 +16,6 @@ __all__ = [
     "ilog2",
     "require_power_of_two",
     "chunks",
-    "pairwise_disjoint",
     "percentiles",
     "slice_positions",
 ]
@@ -84,17 +83,6 @@ def percentiles(
         # never overshoots b (the two-product form can, by an ulp)
         out[key] = ordered[lo] + (ordered[hi] - ordered[lo]) * frac
     return out
-
-
-def pairwise_disjoint(sets: Iterable[Iterable[T]]) -> bool:
-    """Return True iff the given collections share no element."""
-    seen: set[T] = set()
-    for s in sets:
-        for x in s:
-            if x in seen:
-                return False
-            seen.add(x)
-    return True
 
 
 def slice_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

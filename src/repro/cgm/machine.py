@@ -120,7 +120,6 @@ class Machine:
         self.metrics = self._own_metrics = Metrics()
         #: the trace of the last outermost scope to close
         self.last_metrics = Metrics()
-        self._peak_storage = [0] * p
         self._state_gen = 0
 
     # ------------------------------------------------------------------
@@ -212,7 +211,6 @@ class Machine:
                     inboxes[dst].extend(box)
         received = [len(b) for b in inboxes]
         self.metrics.record_comm(label, sent, received, sent_bytes)
-        self._note_storage(received)
         return inboxes
 
     def exchange_batches(
@@ -256,7 +254,6 @@ class Machine:
         inboxes = [RecordBatch.concat(part) if part else nothing for part in parts]
         received = [len(b) for b in inboxes]
         self.metrics.record_comm(label, sent, received, sent_bytes)
-        self._note_storage(received)
         return inboxes
 
     def exchange_weighted(
@@ -291,7 +288,6 @@ class Machine:
                     received[dst] += w
                     sent_bytes[src] += w * 32 if nbytes is None else nbytes(rec)
         self.metrics.record_comm(label, sent, received, sent_bytes)
-        self._note_storage(received)
         return inboxes
 
     def _validate_outboxes(self, outboxes: Sequence[Sequence[Sequence[Any]]]) -> None:
@@ -310,22 +306,12 @@ class Machine:
     # ------------------------------------------------------------------
     def check_capacity(self, rank: int, records: int) -> None:
         """Assert a processor's local storage stays within CGM(s,p) memory."""
-        self._peak_storage[rank] = max(self._peak_storage[rank], records)
         if self.capacity is not None and records > self.capacity:
             from ..errors import CapacityExceeded
 
             raise CapacityExceeded(
                 f"rank {rank} holds {records} records, capacity {self.capacity}"
             )
-
-    def _note_storage(self, received: list[int]) -> None:
-        for r, cnt in enumerate(received):
-            self._peak_storage[r] = max(self._peak_storage[r], cnt)
-
-    @property
-    def peak_storage(self) -> list[int]:
-        """Per-processor high-water mark of records held/received."""
-        return list(self._peak_storage)
 
     # ------------------------------------------------------------------
     # conveniences

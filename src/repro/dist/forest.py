@@ -19,9 +19,8 @@ one call (:func:`build_stack`), a refit re-annotates it in place,
 replication ships it as it is, and Search step 5 walks it once per
 inbox (:func:`repro.dist.forest_compiled.stack_selections`).  The sequential
 :class:`~repro.seq.range_tree.SequentialRangeTree` holds its one tree as
-the same arrays; the object :class:`~repro.seq.range_tree.RangeTree`
-stays in ``repro.seq`` only as the reference each tree of a stack is
-tested against.
+the same arrays.  The object range tree each tree of a stack is tested
+against is ``tests.helpers.RangeTree``, kept beside the tests, not here.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ every stack of that dimension the subqueries aim at, one gather from a
 stack's ``pids`` for the expansion requests aimed at it, packed straight
 into the ``dist.forest_selection`` and ``dist.report_pair`` columns.
 
-The contract is bit-identity with a per-subquery
-:meth:`~repro.seq.range_tree.RangeTree.canonical` loop over each
+The contract is bit-identity with a per-subquery ``canonical`` loop
+of the tests' object reference (``tests.helpers.RangeTree``) over each
 element's points: same selections in the same order (inbox row order,
 emission order within a row), same charged visit totals.
 """

@@ -22,22 +22,21 @@ alone.
 :func:`walk_hats` is step 1 of Algorithm Search: the four-case segment
 tree walk (§4) for a rank's query slice over every part of a pass as one
 frontier expansion, emitting dimension-``d`` selections and subquery
-continuations into the forest.  :meth:`Hat.walk` is the same walk one
-query and one node at a time — the reference the batched walk is pinned
-against.
+continuations into the forest.  The same walk one query and one node at
+a time, the reference the batched walk is pinned against, is
+``tests.helpers.hat_walk``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .._util import ilog2, require_power_of_two, slice_positions
 from ..cgm.columns import RecordBatch
 from ..errors import MachineError, ProtocolError
-from ..geometry.box import RankBox
 from ..semigroup import Semigroup
 from ..semigroup.kernels import KernelColumn
 from .labeling import Path, make_path
@@ -308,61 +307,6 @@ class Hat:
         """The annotation ``f(v)`` of node ``i`` as a semigroup value."""
         return self.aggs[i]
 
-    def walk(
-        self,
-        qid: int,
-        box: RankBox,
-        report: bool = False,
-        charge: Callable[[int], None] | None = None,
-    ) -> Tuple[List[tuple], List[tuple], List[tuple]]:
-        """Walk the hat for one rank-space query (§4's four cases).
-
-        Returns ``(selections, subqueries, expansions)`` as the rows
-        :func:`walk_hats` packs: ``(qid, node, nleaves, agg)`` per
-        dimension-``d`` node inside the query, ``(KIND_SUBQUERY, qid, los,
-        his, element, location)`` per hat leaf reached, and — with
-        ``report`` — ``(KIND_EXPAND, qid, zeros, zeros, element,
-        location)`` per forest element tiling a selection.  ``charge`` (if
-        given) receives the nodes visited, Theorem 3's O(log^d p) term.
-        """
-        sels: List[tuple] = []
-        subqs: List[tuple] = []
-        exps: List[tuple] = []
-        if box.is_empty():
-            return sels, subqs, exps
-        shape = self.shape
-        zeros = (0,) * shape.d
-        visited = 0
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            visited += 1
-            a, b = box.interval(int(shape.dim[i]))
-            v_lo, v_hi = int(self.lo[i]), int(self.hi[i])
-            if b < v_lo or v_hi < a:
-                continue  # die
-            selected = a <= v_lo and v_hi <= b
-            if selected and shape.last_dim[i]:
-                sels.append((qid, i, int(self.nleaves[i]), self.agg(i)))
-                if report:
-                    off = int(shape.tile_off[i])
-                    for l in shape.tile_leaf_ids[off : off + int(shape.tile_len[i])].tolist():
-                        exps.append(
-                            (KIND_EXPAND, qid, zeros, zeros, l, int(shape.location[l]))
-                        )
-            elif shape.leaf[i]:  # continue inside the forest element
-                subqs.append(
-                    (KIND_SUBQUERY, qid, box.los, box.his, i, int(shape.location[i]))
-                )
-            elif selected:  # off the last dimension: descend
-                stack.append(int(shape.desc[i]))
-            else:  # split
-                stack.append(int(shape.right[i]))
-                stack.append(int(shape.left[i]))
-        if charge is not None:
-            charge(visited)
-        return sels, subqs, exps
-
     def refresh_aggregates(self, roots: Sequence[Root], semigroup: Semigroup) -> None:
         """Reseed hat-leaf aggregates from fresh forest roots and fold up.
 
@@ -396,7 +340,7 @@ def walk_hats(
     part·H + row)`` pairs on the parts' bounds and tree columns laid end
     to end and the shape tiled per part (one part reads its hat's own
     arrays); each iteration classifies every live pair into die/select/
-    split/descend — row for row what :meth:`Hat.walk` emits per query.
+    split/descend — row for row what a walk per query emits.
 
     Returns ``(selections, subqueries, expansions, visits)``: the
     ``dist.hat_selection`` batch (``agg`` under the hats' kernel), two

@@ -5,7 +5,7 @@ number of h-relations:
 
 1. **Hat walk** (local): each processor walks its resident hat replicas
    for its block of queries, every part in one call
-   (:func:`repro.dist.hat.walk_hats`; :meth:`repro.dist.hat.Hat.walk` is
+   (:func:`repro.dist.hat.walk_hats`; ``tests.helpers.hat_walk`` is
    the per-query reference), producing dimension-``d`` hat selections
    and the surviving subquery set ``Q'`` aimed at forest elements.
 2. **Demand count** (1 round): one all-gather sums, per owner ``j``, the
@@ -94,12 +94,11 @@ class SearchOutput:
     ``hat_selections[r]``/``forest_selections[r]`` are the selections
     produced at rank ``r`` as ``dist.hat_selection`` /
     ``dist.forest_selection`` batches naming nodes and elements ``part·H
-    + row`` — for one part, row for row what the reference walks
-    (:meth:`Hat.walk`, :meth:`RangeTree.canonical
-    <repro.seq.range_tree.RangeTree.canonical>`) emit.  The
-    load-balancing observables of steps 2-4 (``demands`` per owner,
-    ``copy_counts``, per-processor subquery counts) are what the M1/S1
-    experiments and the Theorem 3 tests measure.
+    + row`` — for one part, row for row what the tests' reference walks
+    (``tests.helpers.hat_walk``, ``tests.helpers.RangeTree.canonical``)
+    emit.  The load-balancing observables of steps 2-4 (``demands`` per
+    owner, ``copy_counts``, per-processor subquery counts) are what the
+    M1/S1 experiments and the Theorem 3 tests measure.
     """
 
     hat_selections: List[RecordBatch]
@@ -123,10 +122,10 @@ def _phase_walk_cols(ctx: ProcContext, payload) -> tuple:
     in each part's rank space; one :func:`~repro.dist.hat.walk_hats` call
     returns the ``dist.hat_selection`` batch and the two routing batches
     the step-4 exchange ships, naming nodes and elements ``part·H +
-    row``, and charges the same Theorem 3 total as per-query
-    :meth:`Hat.walk` calls.  This rank's share of step 2's demand count
-    (subqueries per owner) rides along: nothing is exchanged between the
-    walk and the count.  Also resets the pass-local replica caches —
+    row``, and charges the same Theorem 3 total as a walk of the hat per
+    query.  This rank's share of step 2's demand count (subqueries per
+    owner) rides along: nothing is exchanged between the walk and the
+    count.  Also resets the pass-local replica caches —
     stale copies from a previous batch must never serve this one.
     """
     qlo, nss, bounds, report = payload

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import DimensionMismatch, GeometryError
 
-__all__ = ["Box", "RankBox", "Interval", "rank_bounds"]
+__all__ = ["Box", "RankBox", "Interval"]
 
 
 def _stack(rows: Sequence, dtype, what: str) -> np.ndarray:
@@ -173,26 +173,3 @@ class RankBox:
 
     def interval(self, dim: int) -> tuple[int, int]:
         return self.los[dim], self.his[dim]
-
-    def contains_ranks(self, ranks: Sequence[int]) -> bool:
-        if len(ranks) != self.dim:
-            raise DimensionMismatch(self.dim, len(ranks), "rank vector")
-        return all(lo <= r <= hi for r, lo, hi in zip(ranks, self.los, self.his))
-
-    def max_matches(self) -> int:
-        """Upper bound on the number of matching points (tightest dimension)."""
-        if self.is_empty():
-            return 0
-        return min(hi - lo + 1 for lo, hi in zip(self.los, self.his))
-
-
-def rank_bounds(boxes: Sequence[RankBox]) -> tuple[np.ndarray, np.ndarray]:
-    """:class:`RankBox` objects stacked into the int64 ``(m, d)`` pair
-    ``(los, his)`` — the form :meth:`RankSpace.to_rank_bounds
-    <repro.geometry.rankspace.RankSpace.to_rank_bounds>` produces and
-    every batched walk takes (tests and reference code build boxes one
-    at a time)."""
-    return (
-        _stack([b.los for b in boxes], np.int64, "rank box"),
-        _stack([b.his for b in boxes], np.int64, "rank box"),
-    )

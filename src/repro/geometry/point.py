@@ -189,14 +189,3 @@ class PointSet:
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         """(mins, maxs) arrays over all points."""
         return self._coords.min(axis=0), self._coords.max(axis=0)
-
-    @staticmethod
-    def from_points(points: Iterable[Point]) -> "PointSet":
-        pts = list(points)
-        if not pts:
-            raise EmptyPointSet("a PointSet needs at least one point")
-        d = pts[0].dim
-        for p in pts:
-            if p.dim != d:
-                raise DimensionMismatch(d, p.dim, "point")
-        return PointSet([p.coords for p in pts])

@@ -73,10 +73,6 @@ class RankSpace:
         """Coordinates of dimension ``dim`` in rank order."""
         return self._sorted_coords[dim]
 
-    def coord_at_rank(self, dim: int, rank: int) -> float:
-        """The real coordinate occupying ``rank`` in dimension ``dim``."""
-        return float(self._sorted_coords[dim][rank])
-
     def to_rank_bounds(
         self, lo: np.ndarray, hi: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -106,10 +102,6 @@ class RankSpace:
         """:meth:`to_rank_bounds` for one box, as a :class:`RankBox`."""
         los, his = self.to_rank_bounds(box.lo[None], box.hi[None])
         return RankBox(tuple(los[0].tolist()), tuple(his[0].tolist()))
-
-    def full_rank_box(self) -> RankBox:
-        """The rank box covering every real point."""
-        return RankBox((0,) * self._dim, (self._n - 1,) * self._dim)
 
 
 @dataclass(frozen=True)
@@ -143,9 +135,6 @@ class RankedPointSet:
     @property
     def dim(self) -> int:
         return int(self.ranks.shape[1])
-
-    def is_sentinel(self, row: int) -> bool:
-        return row >= self.n_real
 
     def to_rank_box(self, box: Box) -> RankBox:
         """Rank-space translation (sentinels can never match)."""

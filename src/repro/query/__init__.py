@@ -33,7 +33,7 @@ from .descriptors import (
     sample_report,
     top_k,
 )
-from .engine import QueryEngine, QueryPlan, plan_batch
+from .engine import QueryEngine, QueryPlan
 from .epochs import EpochCombiner
 from .modes import (
     AggregateMode,
@@ -59,7 +59,6 @@ __all__ = [
     "as_box",
     "QueryEngine",
     "QueryPlan",
-    "plan_batch",
     "EpochCombiner",
     "OutputMode",
     "register_mode",

@@ -58,7 +58,7 @@ from .descriptors import QueryBatch
 from .modes import OutputMode, get_mode
 from .result import ResultSet
 
-__all__ = ["QueryEngine", "QueryPlan", "Fold", "plan_batch"]
+__all__ = ["QueryEngine", "QueryPlan", "Fold"]
 
 
 class Fold(NamedTuple):
@@ -495,8 +495,3 @@ def _piece_values(cols: Dict[str, np.ndarray], kernel: SemigroupKernel) -> np.nd
     if kernel.dtype is object:
         return cols["val"][:, None]
     return cols["kval"][:, : kernel.width]
-
-
-def plan_batch(tree, batch: QueryBatch) -> QueryPlan:
-    """Convenience: plan without executing (used by tests and tooling)."""
-    return QueryEngine(tree).plan(batch)

@@ -68,10 +68,3 @@ class Semigroup(Generic[V]):
         for v in values:
             acc = self.combine(acc, v)
         return acc
-
-    def lift_many(self, ids: Iterable[int], rows: Iterable[Sequence[float]]) -> V:
-        """Lift and fold a stream of points."""
-        acc = self.identity
-        for pid, row in zip(ids, rows):
-            acc = self.combine(acc, self.lift(pid, row))
-        return acc

@@ -1,11 +1,15 @@
-"""Sequential data structures: segment tree, range tree, baselines."""
+"""Sequential data structures: segment tree, range tree, baselines.
+
+Each tree here is one a user queries; the object range tree the tests
+compare the arrays against is ``tests.helpers.RangeTree``, not shipped.
+"""
 
 from .bruteforce import BruteForceIndex, bf_aggregate, bf_count, bf_report
 from .dominance import DominanceRangeIndex, FenwickTree, offline_dominance
 from .dynamic import DynamicRangeTree
 from .kdtree import KDTree
 from .layered import LayeredRangeTree, LayeredSequentialRangeTree
-from .range_tree import CanonicalSelection, DimTree, RangeTree, SequentialRangeTree
+from .range_tree import SequentialRangeTree
 from .segment_tree import SegTree, WalkStats
 
 __all__ = [
@@ -15,9 +19,6 @@ __all__ = [
     "offline_dominance",
     "DynamicRangeTree",
     "WalkStats",
-    "RangeTree",
-    "DimTree",
-    "CanonicalSelection",
     "SequentialRangeTree",
     "LayeredRangeTree",
     "LayeredSequentialRangeTree",

@@ -1,8 +1,8 @@
 """The range tree as sorted arrays: direct build + arithmetic walks.
 
-The canonical walk (:meth:`repro.seq.range_tree.RangeTree.canonical`)
-chases Python objects one query at a time; it is the reference.  A range
-tree's topology is *fixed* after construction (refits replace
+The canonical walk of the object range tree (``tests.helpers.RangeTree``)
+chases Python objects one query at a time; it is the tests' reference.
+A range tree's topology is *fixed* after construction (refits replace
 aggregates, never structure): every segment tree in it is perfect, every
 label Definition 2 arithmetic.  So the structure held here is, per
 divided dimension, one **key block** — every segment tree of that
@@ -459,8 +459,7 @@ class CompiledForest:
 
     def decode_aggs(self, sel_n: np.ndarray) -> List[Any]:
         """The semigroup values of selected nodes, in order — exactly
-        what :meth:`~repro.seq.range_tree.CanonicalSelection.agg` reads
-        off the object tree."""
+        what a selection of the tests' object reference tree reads."""
         return self.aggs.take(sel_n).to_list()
 
     def root_aggs(self) -> List[Any]:

@@ -191,9 +191,3 @@ class WalkStats:
     nodes_selected: int = 0
     points_reported: int = 0
     extra: dict = field(default_factory=dict)
-
-    def merge(self, other: "WalkStats") -> None:
-        self.nodes_visited += other.nodes_visited
-        self.nodes_selected += other.nodes_selected
-        self.points_reported += other.points_reported
-

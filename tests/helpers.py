@@ -1,17 +1,21 @@
 """Shared test helpers (query generators, two tiny compute phases, the
-dynamic stream harness, and a serve worker held inside its pass)."""
+object references the arrays are pinned against, the dynamic stream
+harness, and a serve worker held inside its pass)."""
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
 import threading
+from typing import Any, Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.cgm import register_phase
-from repro.errors import ReproError
-from repro.geometry import Box
+from repro.dist.records import KIND_EXPAND, KIND_SUBQUERY
+from repro.errors import DimensionMismatch, GeometryError, ReproError
+from repro.geometry import Box, RankBox
+from repro.geometry.box import _stack
 from repro.query import (
     QueryBatch,
     aggregate,
@@ -27,7 +31,7 @@ from repro.semigroup import (
     product_semigroup,
 )
 from repro.semigroup.group import sum_group
-from repro.seq.range_tree import RangeTree
+from repro.seq.segment_tree import SegTree, WalkStats
 from repro.serve import QueryService
 
 
@@ -151,6 +155,288 @@ def last_dim_nodes(stack, t: int | None = None) -> list:
         if t is None or start // per_tree == t:
             preorder(w, start, (m + start % m) // w)
     return out
+
+
+# ---------------------------------------------------------------------------
+# object references: the range tree and the hat walk, one query at a time
+# ---------------------------------------------------------------------------
+def rank_bounds(boxes: Sequence[RankBox]) -> tuple[np.ndarray, np.ndarray]:
+    """:class:`RankBox` objects stacked into the int64 ``(m, d)`` pair
+    ``(los, his)`` — the form :meth:`RankSpace.to_rank_bounds
+    <repro.geometry.rankspace.RankSpace.to_rank_bounds>` produces and
+    every batched walk takes (the references take boxes one at a time)."""
+    return (
+        _stack([b.los for b in boxes], np.int64, "rank box"),
+        _stack([b.his for b in boxes], np.int64, "rank box"),
+    )
+
+
+class DimTree:
+    """One segment tree of the range tree, dividing dimension ``dim``.
+
+    Holds the point rows in rank order of its dimension, the implicit
+    segment tree over their ranks, and either per-node descendant trees
+    (``dim < last``) or per-node aggregate values (``dim == last``).
+    """
+
+    __slots__ = ("dim", "seg", "order", "descendants", "aggs")
+
+    def __init__(
+        self,
+        dim: int,
+        seg: SegTree,
+        order: np.ndarray,
+        descendants: list["DimTree"] | None,
+        aggs: list[Any] | None,
+    ) -> None:
+        self.dim = dim
+        self.seg = seg
+        self.order = order
+        self.descendants = descendants
+        self.aggs = aggs
+
+    def rows_under(self, node: int) -> np.ndarray:
+        """Point rows (global row indices) below a node of this tree."""
+        s, e = self.seg.slice_of(node)
+        return self.order[s:e]
+
+
+class CanonicalSelection:
+    """A dimension-d canonical node selected by a query.
+
+    ``tree`` is the last-dimension :class:`DimTree` containing the node and
+    ``node`` its heap id; the selection's answer set is exactly the leaves
+    below it.
+    """
+
+    __slots__ = ("tree", "node")
+
+    def __init__(self, tree: DimTree, node: int) -> None:
+        self.tree = tree
+        self.node = node
+
+    @property
+    def leaf_count(self) -> int:
+        # width of the node's slice: m >> depth, no slice round-trip
+        return self.tree.seg.m >> (self.node.bit_length() - 1)
+
+    def rows(self) -> np.ndarray:
+        return self.tree.rows_under(self.node)
+
+    def agg(self) -> Any:
+        assert self.tree.aggs is not None
+        return self.tree.aggs[self.node]
+
+
+class RangeTree:
+    """Rank-space range tree (Definition 1) as explicit objects over the
+    rows of a global rank table: one :class:`DimTree` per segment tree,
+    aggregates as the semigroup's own Python values, walked one query at
+    a time — the reference the shipped arrays
+    (:class:`~repro.seq.compiled.CompiledForest`) are pinned against.
+
+    Parameters
+    ----------
+    ranks:
+        ``(N, d)`` global rank table (each column a permutation-unique
+        integer key); ``N`` must be a power of two.
+    values:
+        Sequence of length ``N``: the lifted semigroup value of each row
+        (identity for padding sentinels).
+    semigroup:
+        Supplies ``combine``/``identity`` for aggregate maintenance.
+    start_dim:
+        First dimension this tree divides; the tree spans dimensions
+        ``start_dim .. d-1`` (a ``(d - start_dim)``-dimensional range tree,
+        matching forest elements "of dimension j <= d").
+    """
+
+    __slots__ = (
+        "ranks",
+        "values",
+        "semigroup",
+        "start_dim",
+        "d",
+        "root_tree",
+        "stats",
+    )
+
+    def __init__(
+        self,
+        ranks: np.ndarray,
+        values: Sequence[Any],
+        semigroup: Semigroup,
+        start_dim: int = 0,
+        stats: WalkStats | None = None,
+    ) -> None:
+        ranks = np.asarray(ranks, dtype=np.int64)
+        if ranks.ndim != 2:
+            raise GeometryError("ranks must be an (N, d) array")
+        self.ranks = ranks
+        self.values = values
+        self.semigroup = semigroup
+        self.d = int(ranks.shape[1])
+        if not 0 <= start_dim < self.d:
+            raise DimensionMismatch(self.d, start_dim, "start dimension")
+        self.start_dim = start_dim
+        self.stats = stats if stats is not None else WalkStats()
+        self.root_tree = self._build(
+            np.arange(ranks.shape[0], dtype=np.int64), start_dim
+        )
+
+    # construction (the classical bottom-up sequential algorithm)
+    def _build(self, rows: np.ndarray, dim: int) -> DimTree:
+        order = rows[np.argsort(self.ranks[rows, dim], kind="stable")]
+        # ranks are unique per dimension and just sorted: trusted input
+        seg = SegTree(self.ranks[order, dim], validate=False)
+        if dim == self.d - 1:
+            return DimTree(dim, seg, order, None, self._build_aggs(seg, order))
+        m = seg.m
+        descendants: list[DimTree | None] = [None] * (2 * m)
+        for node in range(2 * m - 1, 0, -1):
+            s, e = seg.slice_of(node)
+            descendants[node] = self._build(order[s:e], dim + 1)
+        return DimTree(dim, seg, order, descendants, None)  # type: ignore[arg-type]
+
+    def _build_aggs(self, seg: SegTree, order: np.ndarray) -> list[Any]:
+        combine = self.semigroup.combine
+        values = self.values
+        m = seg.m
+        aggs: list[Any] = [None] * (2 * m)
+        for k in range(m):
+            aggs[m + k] = values[order[k]]
+        for node in range(m - 1, 0, -1):
+            aggs[node] = combine(aggs[2 * node], aggs[2 * node + 1])
+        return aggs
+
+    # queries
+    def _check_box(self, box: RankBox) -> None:
+        if box.dim != self.d:
+            raise DimensionMismatch(self.d, box.dim, "rank box")
+
+    def canonical(
+        self, box: RankBox, stats: WalkStats | None = None
+    ) -> list[CanonicalSelection]:
+        """The selected dimension-d segment-tree nodes for ``box``.
+
+        This is the output of the paper's Algorithm Search restricted to
+        one query: the ``O(log^d n)`` maximal last-dimension nodes whose
+        leaves are exactly the points in the query domain.
+
+        ``stats`` overrides the tree's shared counter for this call.
+        """
+        self._check_box(box)
+        st = stats if stats is not None else self.stats
+        if box.is_empty():
+            return []
+        out: list[CanonicalSelection] = []
+        self._canonical_rec(self.root_tree, box, out, st)
+        st.nodes_selected += len(out)
+        return out
+
+    def _canonical_rec(
+        self,
+        tree: DimTree,
+        box: RankBox,
+        out: list[CanonicalSelection],
+        st: WalkStats,
+    ) -> None:
+        a, b = box.interval(tree.dim)
+        nodes, visited = tree.seg.decompose_counted(a, b)
+        st.nodes_visited += visited
+        if tree.dim == self.d - 1:
+            out.extend(CanonicalSelection(tree, node) for node in nodes)
+            return
+        assert tree.descendants is not None
+        for node in nodes:
+            self._canonical_rec(tree.descendants[node], box, out, st)
+
+    def aggregate(self, box: RankBox, stats: WalkStats | None = None) -> Any:
+        """Associative-function mode: fold ``f`` over the selection."""
+        sel = self.canonical(box, stats)
+        return self.semigroup.fold(s.agg() for s in sel)
+
+    def report(self, box: RankBox, stats: WalkStats | None = None) -> np.ndarray:
+        """Report mode: the global row indices inside the box (unsorted)."""
+        st = stats if stats is not None else self.stats
+        sel = self.canonical(box, st)
+        if not sel:
+            return np.empty(0, dtype=np.int64)
+        parts = [s.rows() for s in sel]
+        rows = np.concatenate(parts)
+        st.points_reported += int(rows.shape[0])
+        return rows
+
+    def count(self, box: RankBox, stats: WalkStats | None = None) -> int:
+        """Number of points in the box (works for any semigroup: uses leaf counts)."""
+        return sum(s.leaf_count for s in self.canonical(box, stats))
+
+    # sizes (Theorem 1)
+    def space_nodes(self) -> int:
+        """Total segment-tree node count (the ``s`` of the paper)."""
+        return sum(2 * t.seg.m - 1 for t in self.iter_dim_trees())
+
+    def iter_dim_trees(self) -> Iterator[DimTree]:
+        stack = [self.root_tree]
+        while stack:
+            t = stack.pop()
+            yield t
+            if t.descendants is not None:
+                stack.extend(c for c in t.descendants[1:] if c is not None)
+
+
+def hat_walk(
+    hat,
+    qid: int,
+    box: RankBox,
+    report: bool = False,
+    charge: Callable[[int], None] | None = None,
+) -> Tuple[List[tuple], List[tuple], List[tuple]]:
+    """Walk ``hat`` for one rank-space query (§4's four cases), one node
+    at a time — the reference :func:`repro.dist.hat.walk_hats` is pinned
+    against.
+
+    Returns ``(selections, subqueries, expansions)`` as the rows
+    ``walk_hats`` packs: ``(qid, node, nleaves, agg)`` per
+    dimension-``d`` node inside the query, ``(KIND_SUBQUERY, qid, los,
+    his, element, location)`` per hat leaf reached, and — with
+    ``report`` — ``(KIND_EXPAND, qid, zeros, zeros, element,
+    location)`` per forest element tiling a selection.  ``charge`` (if
+    given) receives the nodes visited, Theorem 3's O(log^d p) term.
+    """
+    sels: List[tuple] = []
+    subqs: List[tuple] = []
+    exps: List[tuple] = []
+    if box.is_empty():
+        return sels, subqs, exps
+    shape = hat.shape
+    zeros = (0,) * shape.d
+    visited = 0
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        visited += 1
+        a, b = box.interval(int(shape.dim[i]))
+        v_lo, v_hi = int(hat.lo[i]), int(hat.hi[i])
+        if b < v_lo or v_hi < a:
+            continue  # die
+        selected = a <= v_lo and v_hi <= b
+        if selected and shape.last_dim[i]:
+            sels.append((qid, i, int(hat.nleaves[i]), hat.agg(i)))
+            if report:
+                off = int(shape.tile_off[i])
+                for l in shape.tile_leaf_ids[off : off + int(shape.tile_len[i])].tolist():
+                    exps.append((KIND_EXPAND, qid, zeros, zeros, l, int(shape.location[l])))
+        elif shape.leaf[i]:  # continue inside the forest element
+            subqs.append((KIND_SUBQUERY, qid, box.los, box.his, i, int(shape.location[i])))
+        elif selected:  # off the last dimension: descend
+            stack.append(int(shape.desc[i]))
+        else:  # split
+            stack.append(int(shape.right[i]))
+            stack.append(int(shape.left[i]))
+    if charge is not None:
+        charge(visited)
+    return sels, subqs, exps
 
 
 def reference_tree(tree, leaf: int) -> RangeTree:

@@ -105,23 +105,10 @@ class TestExchange:
 
 
 class TestCapacity:
-    def test_peak_storage_tracked(self):
-        mach = Machine(2)
-        mach.check_capacity(0, 100)
-        mach.check_capacity(0, 50)
-        assert mach.peak_storage[0] == 100
-
     def test_capacity_enforced(self):
         mach = Machine(2, capacity=10)
         with pytest.raises(CapacityExceeded):
             mach.check_capacity(1, 11)
-
-    def test_exchange_updates_peak(self):
-        mach = Machine(2)
-        out = mach.empty_outboxes()
-        out[0][1] = list(range(7))
-        mach.exchange("x", out)
-        assert mach.peak_storage[1] >= 7
 
 
 class TestMetrics:

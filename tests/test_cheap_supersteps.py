@@ -32,14 +32,20 @@ from repro.dist import DistributedRangeTree
 from repro.dist.hat import walk_hats
 from repro.errors import InjectedFault
 from repro.faults import FaultPlan, FaultRule, injected
-from repro.geometry.box import Box, RankBox, rank_bounds
+from repro.geometry.box import Box, RankBox
 from repro.query import aggregate, count, report
 from repro.semigroup import sum_of_dim
 from repro.semigroup.kernels import KernelColumn, ObjectKernel
 from repro.seq import bf_count, bf_report
 from repro.workloads import make_points
 
-from tests.helpers import forest_elements, reference_tree, search_summary, unkernelized
+from tests.helpers import (
+    forest_elements,
+    rank_bounds,
+    reference_tree,
+    search_summary,
+    unkernelized,
+)
 
 BOX = Box(((0.2, 0.7), (0.1, 0.6)))
 HOT = Box(((0.0, 0.25), (0.0, 1.0)))
@@ -271,7 +277,8 @@ def test_the_stored_record_count_is_the_tree_walk_and_survives_a_pickle():
     with DistributedRangeTree.build(pts, p=4) as tree:
         leaves: dict = {}
         for leaf, stack, _t in forest_elements(tree):
-            leaves[id(stack)] = leaves.get(id(stack), 0) + reference_tree(tree, leaf).space_leaves()
+            trees = reference_tree(tree, leaf).iter_dim_trees()
+            leaves[id(stack)] = leaves.get(id(stack), 0) + sum(t.seg.m for t in trees)
         for store in tree.forest_store:
             for stack in store.values():
                 assert stack.size_records == leaves[id(stack)]

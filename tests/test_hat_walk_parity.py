@@ -1,14 +1,14 @@
 """Batched hat walk ≡ reference hat walk, bit for bit.
 
-The batched walk (:func:`repro.dist.hat.walk_hats`) must reproduce
-:meth:`repro.dist.hat.Hat.walk` exactly — same selections in
-the same order, same subqueries, same per-query visit counts — because
-everything downstream (answers, rounds, charged ops) rests on step 1
-emitting that stream.  These tests pin the walk-level identity
-directly, Algorithm Search's whole output against the per-query
-reference walks, the engine's answers against the sequential oracle,
-and — on batches of wide boxes, the one traffic that reaches hat
-selections — every fold family's answers across a refit.
+The batched walk (:func:`repro.dist.hat.walk_hats`) must reproduce the
+per-query reference walk (:func:`tests.helpers.hat_walk`) exactly — same
+selections in the same order, same subqueries, same per-query visit
+counts — because everything downstream (answers, rounds, charged ops)
+rests on step 1 emitting that stream.  These tests pin the walk-level
+identity directly, Algorithm Search's whole output against the
+per-query reference walks, the engine's answers against the sequential
+oracle, and — on batches of wide boxes, the one traffic that reaches
+hat selections — every fold family's answers across a refit.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import pytest
 from repro.cgm.columns import RecordBatch
 from repro.dist import DistributedRangeTree
 from repro.dist.hat import walk_hats
-from repro.geometry.box import RankBox, rank_bounds
+from repro.geometry.box import RankBox
 from repro.geometry import Box
 from repro.query import QueryBatch, aggregate, count, report, top_k
 from repro.semigroup import max_of_dim, sum_of_dim
@@ -30,7 +30,14 @@ from repro.semigroup.kernels import KernelColumn, ObjectKernel
 from repro.seq.segment_tree import WalkStats
 from repro.workloads import make_points, uniform_points
 
-from tests.helpers import element_pids, forest_elements, random_boxes, reference_tree
+from tests.helpers import (
+    element_pids,
+    forest_elements,
+    hat_walk,
+    random_boxes,
+    rank_bounds,
+    reference_tree,
+)
 
 BACKENDS = ("serial", "process")
 
@@ -81,8 +88,8 @@ class TestWalkBatchBitIdentity:
             exp_sels, exp_subqs, exp_exps, charges = [], [], [], []
             for i, box in enumerate(boxes):
                 got: list[int] = []
-                s, q, e = hat.walk(
-                    qlo + i, box, report=bool(mask[i]), charge=got.append
+                s, q, e = hat_walk(
+                    hat, qlo + i, box, report=bool(mask[i]), charge=got.append
                 )
                 exp_sels.extend(s)
                 exp_subqs.extend(q)
@@ -125,7 +132,7 @@ class TestWalkBatchBitIdentity:
 def reference_search(tree, boxes, report):
     """Algorithm Search from the per-record reference walks alone.
 
-    ``Hat.walk`` per query over each rank's block, then the object
+    ``hat_walk`` per query over each rank's block, then the object
     tree's ``canonical`` (:func:`tests.helpers.reference_tree`) per
     surviving subquery at its owner, then one expansion per request the
     walk emitted for a reporting query's hat selections — the record-at-a-time
@@ -145,8 +152,8 @@ def reference_search(tree, boxes, report):
     for r in range(p):
         sels, ops = [], []
         for qid in range(r * chunk, min(len(rank_boxes), (r + 1) * chunk)):
-            s, q, e = tree.hat.walk(
-                qid, rank_boxes[qid], report=bool(report[qid]),
+            s, q, e = hat_walk(
+                tree.hat, qid, rank_boxes[qid], report=bool(report[qid]),
                 charge=ops.append,
             )
             sels.extend(s)

@@ -100,8 +100,11 @@ class TestCapacityModel:
         s = n * (ilog2(n) + 1) ** (d - 1)
         mach = Machine(p, capacity=8 * s // p)
         pts = make_points("uniform", n, d, seed=5)
-        tree = DistributedRangeTree.build(pts, machine=mach)
-        assert max(mach.peak_storage) <= 8 * s // p
+        # what a rank holds is checked against the capacity in Construct
+        # (CapacityExceeded); what it receives in one round is read here
+        with DistributedRangeTree.build(pts, machine=mach) as tree:
+            received = max(max(step.received) for step in tree.metrics.comm_steps())
+        assert received <= 8 * s // p
 
     def test_unreasonably_small_capacity_detected(self):
         mach = Machine(4, capacity=10)

@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 from repro.geometry import Box, PointSet, RankBox
 from repro.semigroup import COUNT, id_set, max_of_dim, sum_of_dim, top_k_ids
 from repro.seq import SequentialRangeTree, WalkStats, bf_aggregate, bf_count, bf_report
-from repro.seq.range_tree import DimTree, RangeTree
 from repro.seq.segment_tree import SegTree
 from repro.workloads import grid_points, uniform_points
 
-from tests.helpers import grid_of_boxes, random_boxes, seq_reference
+from tests.helpers import RangeTree, grid_of_boxes, random_boxes, seq_reference
 
 
 class TestCoreRankTree:
@@ -79,14 +78,6 @@ class TestCoreRankTree:
         logn = 8
         assert len(tree.canonical(box)) <= 4 * logn * logn
 
-    def test_space_matches_theory(self):
-        """Total leaves across segment trees = n * (log2 n + 1) for d=2."""
-        n = 64
-        tree, _ = self._tree(n=n, d=2, seed=13)
-        # primary tree leaves: n; each of its 2n-1 nodes holds a descendant
-        # over its slice: total descendant leaves = sum over levels = n(log n + 1)
-        assert tree.space_leaves() == n + n * (int(math.log2(n)) + 1)
-
     def test_stats_accumulate(self):
         tree, _ = self._tree()
         before = tree.stats.nodes_visited
@@ -99,14 +90,9 @@ class TestCoreRankTree:
         n, d = 16, 3
         ranks = np.stack([rng.permutation(n) for _ in range(d)], axis=1)
         tree = RangeTree(ranks, [1] * n, COUNT, start_dim=1)
-        assert tree.dims_spanned == 2
         box = RankBox((0, 2, 3), (15, 12, 13))  # dim 0 is ignored by this tree
         expected = sum(1 for row in ranks if 2 <= row[1] <= 12 and 3 <= row[2] <= 13)
         assert tree.count(box) == expected
-
-    def test_root_agg_covers_everything(self):
-        tree, _ = self._tree(n=32)
-        assert tree.root_agg() == 32
 
     def test_one_dimensional(self):
         rng = np.random.default_rng(19)
@@ -238,20 +224,22 @@ def _charged(stats: WalkStats, call):
 
 class TestOneRepresentation:
     """The sequential tree is held once, as its ``forest``: building and
-    querying it constructs no object tree, and each call answers what
-    brute force does and charges what the reference object walk does."""
+    querying it constructs no segment tree (the package holds no object
+    range tree to build: ``test_smoke_imports``), and each call answers
+    what brute force does and charges what the reference object walk
+    does."""
 
     @pytest.mark.parametrize("sg_name", sorted(SEMIGROUPS))
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_forest_only_and_reference_stats(self, d, sg_name, monkeypatch):
         sg = SEMIGROUPS[sg_name]
-        built = dict.fromkeys(("DimTree", "SegTree", "RangeTree"), 0)
-        for cls in (DimTree, SegTree, RangeTree):
-            def counted(self, *args, _real=cls.__init__, _name=cls.__name__, **kwargs):
-                built[_name] += 1
-                _real(self, *args, **kwargs)
+        built = {"SegTree": 0}
 
-            monkeypatch.setattr(cls, "__init__", counted)
+        def counted(self, *args, _real=SegTree.__init__, **kwargs):
+            built["SegTree"] += 1
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(SegTree, "__init__", counted)
         pts = uniform_points(40 + 7 * d, d, seed=110 + d)
         boxes = random_boxes(np.random.default_rng(120 + d), 12, d)
         boxes += [Box.full(d, 0.0, 1.0), Box.full(d, 2.0, 3.0)]

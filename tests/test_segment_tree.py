@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GeometryError, PowerOfTwoError
-from repro.seq.segment_tree import SegTree, WalkStats
+from repro.seq.segment_tree import SegTree
 
 
 def contiguous(m: int) -> SegTree:
@@ -167,11 +167,3 @@ class TestDecompose:
             int(t.ranks[i]) for v in nodes for i in range(*t.slice_of(v))
         )
         assert covered == [r for r in ranks if a <= r <= b]
-
-
-class TestWalkStats:
-    def test_merge(self):
-        a = WalkStats(nodes_visited=3, nodes_selected=1, points_reported=2)
-        b = WalkStats(nodes_visited=4, nodes_selected=2, points_reported=5)
-        a.merge(b)
-        assert (a.nodes_visited, a.nodes_selected, a.points_reported) == (7, 3, 7)

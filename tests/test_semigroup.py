@@ -133,11 +133,3 @@ class TestMoments:
         var = ss / cnt - mean * mean
         assert mean == pytest.approx(2.5)
         assert var == pytest.approx(1.25)
-
-
-class TestLiftMany:
-    def test_lift_many_equals_fold_of_lifts(self):
-        sg = sum_of_dim(0)
-        ids = [0, 1, 2]
-        rows = [(1.0,), (2.0,), (3.0,)]
-        assert sg.lift_many(ids, rows) == 6.0

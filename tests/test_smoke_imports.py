@@ -65,3 +65,38 @@ def test_cli_help_in_fresh_interpreter():
     assert "repro-range-search" in proc.stdout
     for sub in ("experiments", "query", "demo"):
         assert sub in proc.stdout
+
+
+#: What the tests keep as references and the package must not ship.
+TEST_REFERENCES = {"RangeTree", "DimTree", "CanonicalSelection", "rank_bounds"}
+
+
+def test_references_live_beside_the_tests():
+    """The object range tree, its selections, ``rank_bounds`` and the
+    per-query hat walk are ``tests.helpers``' own: no ``repro`` module
+    defines or exports one, and importing every module of the package in
+    a fresh interpreter loads no ``tests`` module."""
+    from repro.dist.hat import Hat
+
+    assert not hasattr(Hat, "walk")
+    for name in all_module_names():
+        mod = importlib.import_module(name)
+        assert not TEST_REFERENCES & {*vars(mod), *getattr(mod, "__all__", ())}, name
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import importlib, pkgutil, sys, repro\n"
+        "for m in pkgutil.walk_packages(repro.__path__, prefix='repro.'):\n"
+        "    importlib.import_module(m.name)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('tests')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=Path(SRC_DIR).parent,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -11,7 +11,6 @@ from repro._util import (
     ilog2,
     is_power_of_two,
     next_power_of_two,
-    pairwise_disjoint,
     percentiles,
     require_power_of_two,
 )
@@ -78,17 +77,6 @@ class TestChunks:
     @given(st.lists(st.integers(), max_size=50), st.integers(min_value=1, max_value=10))
     def test_concat_roundtrip(self, xs: list[int], size: int):
         assert [x for c in chunks(xs, size) for x in c] == xs
-
-
-class TestPairwiseDisjoint:
-    def test_disjoint(self):
-        assert pairwise_disjoint([[1, 2], [3], [4, 5]])
-
-    def test_overlap(self):
-        assert not pairwise_disjoint([[1, 2], [2, 3]])
-
-    def test_empty_collections(self):
-        assert pairwise_disjoint([[], [], []])
 
 
 class TestPercentiles:
