@@ -37,7 +37,7 @@ from ..cgm.phases import ProcContext, register_phase
 from ..geometry.box import Box
 from ..geometry.point import PointSet
 from ..geometry.rankspace import RankedPointSet, pad_to_power_of_two
-from ..semigroup import COUNT, Semigroup
+from ..semigroup import COUNT, Semigroup, annotation_of
 from ..semigroup.kernels import lift_kernel_column
 from .construct import (
     ConstructResult,
@@ -69,7 +69,9 @@ def lift_values(semigroup: Semigroup, ranked: RankedPointSet, points: PointSet):
     """``f`` over every row of ``ranked``, identity on the sentinel rows:
     one column under the semigroup's kernel (a typed kernel lifts the
     whole coordinate matrix in a few array ops).  How values reach a
-    build is how they reach a refit.
+    build is how they reach a refit.  ``semigroup`` is an annotation
+    (:func:`~repro.semigroup.annotation_of`): a count's is
+    :data:`~repro.semigroup.NO_LAYERS`, whose column is zero wide.
     """
     return lift_kernel_column(semigroup.kernel, points.coords, ranked.n, points.ids)
 
@@ -121,11 +123,14 @@ class DistributedRangeTree:
     :class:`~repro.cgm.machine.Machine`, so every theorem-level claim
     (rounds, h-relations, per-processor work) is measurable.
 
-    ``semigroup`` is the user-declared aggregate (``f``); the tree's
-    *annotation* may temporarily widen to a
-    :class:`~repro.semigroup.ProductSemigroup` when the query engine
-    lazily refits extra per-query semigroups — :attr:`base_semigroup`
-    always names the declared one.
+    :attr:`base_semigroup` is the user-declared aggregate (``f``),
+    :attr:`semigroup` the tree's *annotation*: the value layers its
+    nodes store.  A count is a node's width, so COUNT is never a layer —
+    a COUNT-declared tree (the default) is annotated with
+    :data:`~repro.semigroup.NO_LAYERS` and stores no aggregate column.
+    The annotation widens to a :class:`~repro.semigroup.ProductSemigroup`
+    when the query engine lazily refits the value semigroups a batch
+    folds.
     """
 
     def __init__(
@@ -140,7 +145,7 @@ class DistributedRangeTree:
         self.points = points
         self.ranked = ranked
         self.machine = machine
-        self.semigroup = semigroup
+        self.semigroup = annotation_of(semigroup)
         self.base_semigroup = semigroup
         self.construct_result = construct_result
         self.forest_store = construct_result.forest_store
@@ -171,7 +176,9 @@ class DistributedRangeTree:
         wins); both paths require a power-of-two processor count.
         Points are rank-normalised and padded so that ``n`` is a power
         of two and ``n >= p`` (§3's "without loss of generality"
-        assumptions).
+        assumptions).  Construct lifts, ships and folds the annotation
+        of ``semigroup``: nothing for COUNT, whose folds read node
+        widths.
         """
         if not isinstance(points, PointSet):
             points = PointSet(points)
@@ -185,9 +192,10 @@ class DistributedRangeTree:
             p = machine.p
             require_power_of_two("processor count p", p)
         ranked = pad_to_power_of_two(points, minimum=p)
-        values = lift_values(semigroup, ranked, points)
+        annotation = annotation_of(semigroup)
+        values = lift_values(annotation, ranked, points)
         with machine.scope():
-            result = construct_distributed_tree(machine, ranked, values, semigroup)
+            result = construct_distributed_tree(machine, ranked, values, annotation)
         return cls(
             points, ranked, machine, semigroup, result, owns_machine=owns_machine
         )
@@ -317,10 +325,10 @@ class DistributedRangeTree:
         (:attr:`base_semigroup`) swap; the query engine performs the
         same refit lazily — under ``query:refit:*`` labels — when a
         batch folds semigroups the annotation lacks.  A swap that raises
-        leaves the tree as it was.
+        leaves the tree as it was.  A swap to a count drops every layer.
         """
         with self.machine.scope():
-            self._refit(semigroup)
+            self._refit(annotation_of(semigroup))
         self.base_semigroup = semigroup
 
     def _refit(self, semigroup: Semigroup, label: str = "reannotate") -> None:

@@ -37,6 +37,14 @@ finale
 The round count is ``6d + 1`` — fixed by ``d`` alone, never by ``n``,
 which is exactly what the Corollary 1 tests measure.
 
+An S-record's ``value`` column is the lifted annotation
+(:func:`repro.dist.lift_values`): one row per record under its kernel,
+sorted, routed and fanned out with the record and folded into the
+stacks and the hat.  A count is a node's width, so a COUNT build's
+annotation is :data:`~repro.semigroup.NO_LAYERS` and the column is zero
+wide: its records carry no value bytes, its stacks and hat no aggregate
+bytes.
+
 SPMD residency: the per-rank steps run as registered phases
 (``dist.construct.*``), and what they build *stays with the executor* —
 the forest group, one stack per dimension, under the ``{ns}:forest``

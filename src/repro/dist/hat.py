@@ -251,7 +251,8 @@ class Hat:
     row's is its first and last hat leaves'), ``nleaves`` (``width ·
     n/p``) and ``f(v)``, held once in ``aggs``, a
     :class:`~repro.semigroup.kernels.KernelColumn` under the semigroup's
-    kernel.  A row number is the node's name in every Search stream,
+    kernel — zero columns wide under :data:`~repro.semigroup.NO_LAYERS`,
+    a count's annotation, whose ``f(v)`` is ``nleaves``.  A row number is the node's name in every Search stream,
     and a hat-leaf row names the forest element rooted there.  ``idle`` is
     the walk's output for an empty query slice, its ``agg`` column like
     any other.

@@ -7,7 +7,10 @@ annotations ``f(v)`` of Algorithm AssociativeFunction — against a live
 tree.  Used by the CLI's ``--validate`` flag and by tests to prove
 queries never mutate the structure; corruption of any single field (an
 aggregate, an owner location, a tree index, a heap index, one slot of a
-forest stack's arrays, one rank's hat replica) must be caught.
+forest stack's arrays, one rank's hat replica) must be caught.  The
+aggregates checked are the tree's annotation (``tree.semigroup``): its
+value layers, re-folded from a fresh lift — under a count, which no tree
+stores, a zero-width column whose row counts are checked all the same.
 """
 
 from __future__ import annotations

@@ -8,10 +8,14 @@ engine turns a :class:`~repro.query.descriptors.QueryBatch` into:
    each query's fold or ``-1`` for a query that reports, and the
    annotation (semigroup) layers the pass requires;
 2. a lazy **annotation refit** when an aggregate-family query names a
-   semigroup the tree is not currently annotated with — a
+   value semigroup the tree is not currently annotated with — a
    ``reannotate``-style local refit plus one broadcast round, never a
    sort or routing round, cached in the tree's annotation (a
-   :class:`~repro.semigroup.ProductSemigroup` keyed by component name);
+   :class:`~repro.semigroup.ProductSemigroup` keyed by component name).
+   A count is never a layer: every COUNT fold — ``count``,
+   ``aggregate(box, COUNT)``, ``aggregate(box)`` on a COUNT-declared
+   tree — reads the selections' leaf counts (Theorem 4 with f ≡ 1), so
+   it needs no refit and a tree holds only the value layers batches fold;
 3. a single **Algorithm Search pass** over all boxes (one hat walk, one
    demand round, one replication round-set, one routing round — §5);
 4. a **demux** that gives each output mode of §5 what its theorem asks
@@ -52,7 +56,14 @@ from ..cgm.collectives import route_batches
 from ..cgm.sort import route_balanced_cols
 from ..dist.search import run_search
 from ..errors import DimensionMismatch, ProtocolError
-from ..semigroup import COUNT, ProductSemigroup, Semigroup, product_semigroup
+from ..semigroup import (
+    COUNT,
+    ProductSemigroup,
+    Semigroup,
+    annotation_of,
+    is_count,
+    product_semigroup,
+)
 from ..semigroup.kernels import SemigroupKernel, fold_segments
 from .descriptors import QueryBatch
 from .modes import OutputMode, get_mode
@@ -64,8 +75,9 @@ __all__ = ["QueryEngine", "QueryPlan", "Fold"]
 class Fold(NamedTuple):
     """How one group of a batch folds: the semigroup, and where its piece
     values sit in a selection row — ``slot is None``: the row's leaf
-    count (under :data:`~repro.semigroup.COUNT`); else the component
-    index in the annotation the pass runs under."""
+    count (under :data:`~repro.semigroup.COUNT`), the one group every
+    count folds in, whichever mode asked; else the component index in
+    the annotation the pass runs under."""
 
     semigroup: Semigroup
     slot: "int | None"
@@ -75,9 +87,9 @@ class Fold(NamedTuple):
 #: long-lived tree serving many distinct per-query semigroups (say
 #: user-chosen top-k sizes) would otherwise grow its per-node aggregate
 #: tuples — and the cost of every future refit — without bound.  When
-#: the cap is hit, the oldest extra layers are evicted (the build-time
-#: semigroup is always kept; the current batch's needs always win, even
-#: past the cap).
+#: the cap is hit, the oldest extra layers are evicted (the declared
+#: semigroup's value layers are always kept — a COUNT-declared tree has
+#: none; the current batch's needs always win, even past the cap).
 MAX_ANNOTATION_LAYERS = 8
 
 
@@ -190,6 +202,8 @@ class QueryEngine:
                 gids.append(-1)
                 continue
             sg = mode.required_semigroup(query, base)
+            if sg is not None and is_count(sg):
+                sg = None  # a count is a node's width: the leaf-count fold
             key = None if sg is None else sg.name
             g = gid_of.get(key)
             if g is None:
@@ -206,18 +220,17 @@ class QueryEngine:
         if missing:
             merged = current + missing
             if len(merged) > MAX_ANNOTATION_LAYERS:
-                # Evict oldest extra layers: keep the build-time layer,
-                # everything this batch needs, then the newest others.
-                keep = [merged[0]]
-                keep += [c for c in merged[1:] if c.name in gid_of]
-                kept = {c.name for c in keep}
-                for c in reversed(merged[1:]):
-                    if len(keep) >= MAX_ANNOTATION_LAYERS:
+                # Evict oldest extra layers: keep the declared semigroup's
+                # value layers, everything this batch needs, then the
+                # newest others — in age order, so the next eviction
+                # reads it too.
+                built = {c.name for c in _annotation_components(annotation_of(base))}
+                kept = {c.name for c in merged if c.name in built or c.name in gid_of}
+                for c in reversed(merged):
+                    if len(kept) >= MAX_ANNOTATION_LAYERS:
                         break
-                    if c.name not in kept:
-                        keep.append(c)
-                        kept.add(c.name)
-                merged = keep
+                    kept.add(c.name)
+                merged = [c for c in merged if c.name in kept]
             refit = product_semigroup(merged)
 
         # Slots are read against the annotation the pass will see.

@@ -4,13 +4,16 @@ from .base import Semigroup
 from .group import AbelianGroup, count_group, sum_group, vector_sum_group
 from .builtin import (
     COUNT,
+    NO_LAYERS,
     ProductSemigroup,
+    annotation_of,
     bounding_box_semigroup,
     count_semigroup,
     histogram_of_dim,
     product_semigroup,
     top_k_ids,
     id_set,
+    is_count,
     max_of_dim,
     min_of_dim,
     moments_of_dim,
@@ -27,6 +30,9 @@ __all__ = [
     "sum_group",
     "vector_sum_group",
     "COUNT",
+    "NO_LAYERS",
+    "annotation_of",
+    "is_count",
     "count_semigroup",
     "sum_of_dim",
     "min_of_dim",

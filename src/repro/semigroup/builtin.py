@@ -33,7 +33,10 @@ from .kernels import BBoxKernel, ObjectKernel, ProductKernel, ScalarKernel
 
 __all__ = [
     "COUNT",
+    "NO_LAYERS",
     "ProductSemigroup",
+    "annotation_of",
+    "is_count",
     "count_semigroup",
     "product_semigroup",
     "sum_of_dim",
@@ -237,6 +240,32 @@ class ProductSemigroup(Semigroup):
     """
 
     components: tuple = ()
+
+
+#: The annotation that stores no layer: the product of no semigroups,
+#: zero columns wide.  A count is a node's width (Theorem 4 with f ≡ 1),
+#: so COUNT is never stored and a tree declared with it holds this.
+NO_LAYERS: ProductSemigroup = ProductSemigroup(
+    name="()",
+    lift=partial(_product_lift, comps=()),
+    combine=partial(_product_combine, comps=()),
+    identity=(),
+    components=(),
+    kernel=ProductKernel(()),
+)
+
+
+def is_count(semigroup: Semigroup) -> bool:
+    """Whether ``semigroup`` counts under COUNT's kernel (int64 ones, exact
+    addition), so its fold over a node is the node's width: the query
+    plan folds it from leaf counts and no tree stores it."""
+    return semigroup.kernel == COUNT.kernel
+
+
+def annotation_of(semigroup: Semigroup) -> Semigroup:
+    """What a tree declared with ``semigroup`` stores per node:
+    :data:`NO_LAYERS` for a count, the semigroup itself otherwise."""
+    return NO_LAYERS if is_count(semigroup) else semigroup
 
 
 def product_semigroup(components: Sequence[Semigroup]) -> ProductSemigroup:

@@ -45,7 +45,10 @@ under its own kernel), and the layers join
 (:meth:`KernelColumn.from_layers`) into the stack's ``aggs`` column —
 the aggregates live there, not in a per-tree store.  A layer the column
 already holds is taken back out (:meth:`KernelColumn.layer`), so a
-refit folds only the layers it adds.
+refit folds only the layers it adds.  The product of no layers
+(:data:`~repro.semigroup.NO_LAYERS`, what a COUNT tree annotates with:
+a count is a node's width) is a zero-width column — every shape still
+holds, and it holds and ships 0 bytes.
 
 Resolution
 ----------
@@ -171,9 +174,10 @@ class SemigroupKernel:
         ``layers[slot]`` (see :meth:`KernelColumn.layer`)."""
         return mat
 
-    def join_layers(self, mats: Sequence[np.ndarray]) -> np.ndarray:
-        """This kernel's matrix from one matrix per layer, each encoded
-        under its layer's kernel (see :meth:`KernelColumn.from_layers`)."""
+    def join_layers(self, mats: Sequence[np.ndarray], rows: int) -> np.ndarray:
+        """This kernel's ``rows``-row matrix from one matrix per layer,
+        each encoded under its layer's kernel (see
+        :meth:`KernelColumn.from_layers`)."""
         return mats[0]
 
     def fold(self, mat: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -387,8 +391,10 @@ class ProductKernel(SemigroupKernel):
         off = self._offsets[slot]
         return mat[:, off : off + self.components[slot].width]
 
-    def join_layers(self, mats):
-        out = np.empty((len(mats[0]), self.width), dtype=self.dtype)
+    def join_layers(self, mats, rows):
+        if len(mats) == 1:  # a one-layer product is its layer, held alone
+            return np.ascontiguousarray(mats[0])
+        out = np.empty((rows, self.width), dtype=self.dtype)
         for c, off, m in zip(self.components, self._offsets, mats):
             out[:, off : off + c.width] = m
         return out
@@ -407,9 +413,10 @@ class ProductKernel(SemigroupKernel):
         )
 
     def lift(self, coords, ids=None):
-        return np.hstack(
-            [c.lift(coords, ids).astype(self.dtype, copy=False) for c in self.components]
-        )
+        out = np.empty((len(coords), self.width), dtype=self.dtype)
+        for c, off in zip(self.components, self._offsets):
+            out[:, off : off + c.width] = c.lift(coords, ids)
+        return out
 
 
 class ObjectKernel(SemigroupKernel):
@@ -484,7 +491,7 @@ class ObjectKernel(SemigroupKernel):
             return mat
         return self.layers[slot].encode([v[slot] for v in mat[:, 0].tolist()])
 
-    def join_layers(self, mats):
+    def join_layers(self, mats, rows):
         if self._components is None:
             return mats[0]
         slots = [layer.decode_list(m) for layer, m in zip(self.layers, mats)]
@@ -601,7 +608,9 @@ class KernelColumn:
 
     def __init__(self, kernel: SemigroupKernel, data: np.ndarray) -> None:
         self.kernel = kernel
-        self.data = np.asarray(data, dtype=kernel.dtype).reshape(-1, kernel.width)
+        data = np.asarray(data, dtype=kernel.dtype)
+        # numpy infers no ``-1`` for width 0: a 2-d matrix keeps its rows
+        self.data = data if data.ndim == 2 else data.reshape(-1, kernel.width)
 
     @classmethod
     def from_values(
@@ -653,13 +662,14 @@ class KernelColumn:
 
     @classmethod
     def from_layers(
-        cls, kernel: SemigroupKernel, layers: Sequence["KernelColumn"]
+        cls, kernel: SemigroupKernel, layers: Sequence["KernelColumn"], rows: int
     ) -> "KernelColumn":
-        """The column under ``kernel`` whose layer ``i`` is ``layers[i]``
-        (under ``kernel.layers[i]``): the inverse of :meth:`layer` — one
-        matrix in the product's layout and dtype, tuples for an object
-        product."""
-        return cls(kernel, kernel.join_layers([c.data for c in layers]))
+        """The ``rows``-row column under ``kernel`` whose layer ``i`` is
+        ``layers[i]`` (under ``kernel.layers[i]``): the inverse of
+        :meth:`layer` — one matrix in the product's layout and dtype,
+        tuples for an object product, zero columns for the product of no
+        layers."""
+        return cls(kernel, kernel.join_layers([c.data for c in layers], rows))
 
     @classmethod
     def concat(cls, cols: Sequence["KernelColumn"]) -> "KernelColumn":

@@ -319,7 +319,9 @@ class CompiledForest:
         Step 1 of Algorithm AssociativeFunction: O(s) work, no topology
         touched.  The annotation is one layer per component of a
         :class:`~repro.semigroup.ProductSemigroup` (the semigroup itself
-        otherwise).  A layer the held column already has — known by its
+        otherwise); :data:`~repro.semigroup.NO_LAYERS`, what a count
+        annotates with, has none, and its column is ``2·R(m, r)`` rows a
+        tree of zero width.  A layer the held column already has — known by its
         kernel's name, read off ``aggs`` itself — is taken from it; only
         the others are folded (:meth:`_fold`), each under its own kernel
         from its slot of ``values``, so a refit that adds one layer folds
@@ -336,7 +338,7 @@ class CompiledForest:
             else self._fold(values.layer(slot))
             for slot, layer in enumerate(values.kernel.layers)
         ]
-        self.aggs = KernelColumn.from_layers(values.kernel, layers)
+        self.aggs = KernelColumn.from_layers(values.kernel, layers, 2 * len(self.row_block))
 
     def _fold(self, leaves: KernelColumn) -> KernelColumn:
         """One layer's aggregate column from its leaf values, under their

@@ -13,7 +13,9 @@ It holds the tree once, as one
 batch of boxes, or one box, with one
 :meth:`~repro.seq.compiled.CompiledForest.walk`, in the paper's three
 outcomes: ``count``, the associative-function mode (``aggregate``) and
-the report mode (``report``).
+the report mode (``report``).  A count is a selected node's width, so a
+tree declared with COUNT stores no aggregate column
+(:data:`~repro.semigroup.NO_LAYERS`) and its ``aggregate`` sums widths.
 
 The same tree as explicit objects, walked one query at a time, is the
 tests' reference (``tests.helpers.RangeTree``): the arrays of a
@@ -31,7 +33,7 @@ import numpy as np
 from ..geometry.box import Box
 from ..geometry.point import PointSet
 from ..geometry.rankspace import RankedPointSet, pad_to_power_of_two
-from ..semigroup import COUNT, Semigroup
+from ..semigroup import COUNT, Semigroup, annotation_of, is_count
 from ..semigroup.kernels import lift_kernel_column
 from .compiled import CompiledForest, Selections
 from .segment_tree import WalkStats
@@ -61,10 +63,11 @@ class SequentialRangeTree:
         self.semigroup = semigroup
         self.ranked: RankedPointSet = pad_to_power_of_two(points)
         self.stats = WalkStats()
+        annotation = annotation_of(semigroup)
         values = lift_kernel_column(
-            semigroup.kernel, points.coords, self.ranked.n, points.ids
+            annotation.kernel, points.coords, self.ranked.n, points.ids
         )
-        self.forest = CompiledForest.from_ranks(self.ranked.ranks, values, semigroup)
+        self.forest = CompiledForest.from_ranks(self.ranked.ranks, values, annotation)
 
     @property
     def n(self) -> int:
@@ -100,7 +103,10 @@ class SequentialRangeTree:
         return [int(c) for c in out]
 
     def aggregate_many(self, boxes: Sequence[Box]) -> list[Any]:
-        """Per-query folds in the object walk's exact emission order."""
+        """Per-query folds in the object walk's exact emission order;
+        under a count, the selected nodes' widths."""
+        if is_count(self.semigroup):
+            return self.count_many(boxes)
         nq, sel = self._walk(boxes)
         vals = self.forest.decode_aggs(sel.node)
         cuts = np.searchsorted(sel.q, np.arange(nq + 1))

@@ -17,8 +17,10 @@ remaining keys are the mode-specific options (``limit`` for report,
 ``k``/``dim`` for topk, ``k``/``seed`` for sample).  ``deadline_ms``
 (optional) bounds the query's total latency server-side — past it the
 answer is a ``DeadlineExceeded`` error line, never a late result.
-Aggregate queries fold the tree's build-time semigroup — per-query
-semigroups are an in-process API (callables do not serialize).
+Aggregate queries fold the tree's declared semigroup (``base_semigroup``;
+on a COUNT-declared tree, the default, that is the selections' widths,
+the same fold as ``count``) — per-query semigroups are an in-process API
+(callables do not serialize).
 
 Response object::
 

@@ -190,7 +190,11 @@ def test_hot_spot_still_dispatches_pack_and_unpack(strategy):
 #: + 1), unchanged) and c 1-d trees (2·R(m, 1) = 2m = T(m, 1) + 1, one
 #: row more each): +8·c bytes a copy.  At p=4 (m=64, c=2) a copy is
 #: 20464 + 16 = 20480 bytes, two a round; at p=8 (m=32, c=3) it is
-#: 10472 + 24 = 10496 bytes, one, two, four or seven a round.
+#: 10472 + 24 = 10496 bytes, one, two, four or seven a round.  These are
+#: the bytes of a tree annotated with one 8-byte layer (``sum[x0]``).  A
+#: COUNT-built tree stores no aggregate column (a count is a node's
+#: width), so its copy ships 8 bytes less per heap row: 1152 rows, 11264
+#: bytes at p=4; 576 rows, 5888 bytes at p=8 (:data:`COUNT_COPY_BYTES`).
 PARENT_REPLICATION = {
     (4, "doubling"): [
         ("search:replicate:double-0", (640, 640, 0, 0), (0, 640, 640, 0), 2 * 20480),
@@ -210,6 +214,16 @@ PARENT_REPLICATION = {
 }
 
 
+#: p -> (bytes of a copy annotated with one 8-byte layer, of a COUNT-built copy)
+COUNT_COPY_BYTES = {4: (20480, 11264), 8: (10496, 5888)}
+
+
+def _without_aggregates(rounds, p):
+    """``rounds`` with each round's copies at their COUNT-built size."""
+    layered, bare = COUNT_COPY_BYTES[p]
+    return [(label, sent, received, b // layered * bare) for label, sent, received, b in rounds]
+
+
 @pytest.mark.parametrize("backend", ["serial", "process"])
 @pytest.mark.parametrize("p, strategy", sorted(PARENT_REPLICATION))
 def test_replication_rounds_charge_the_parents_numbers(backend, p, strategy):
@@ -225,10 +239,12 @@ def test_replication_rounds_charge_the_parents_numbers(backend, p, strategy):
         ]
 
     with DistributedRangeTree.build(pts, p=p, backend=backend) as tree:
-        assert replication_rounds(tree) == PARENT_REPLICATION[(p, strategy)]
-        # the count is structure: a refit neither recounts nor loses it
+        want = PARENT_REPLICATION[(p, strategy)]
+        assert replication_rounds(tree) == _without_aggregates(want, p)
+        # the count is structure: a refit neither recounts nor loses it,
+        # and its copies ship the one layer it adds
         tree.reannotate(sum_of_dim(0))
-        assert replication_rounds(tree) == PARENT_REPLICATION[(p, strategy)]
+        assert replication_rounds(tree) == want
 
 
 #: A Search pass over make_points("uniform", 256, 2, seed=42) at p=4 for

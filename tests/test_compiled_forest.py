@@ -122,9 +122,10 @@ def _emission_nodes(t, h=1):
         yield from _emission_nodes(t, 2 * h + 1)
 
 
-#: the annotations the node-for-node tests run under: an integer count,
-#: a float sum and an object top-k
-NODE_SEMIGROUPS = (COUNT, sum_of_dim(0), top_k_ids(2))
+#: the annotations the node-for-node tests run under: a float max (stored
+#: negated), a float sum and an object top-k.  A count is no layer — a
+#: COUNT-built tree stores a zero-width column — so none is a count.
+NODE_SEMIGROUPS = (max_of_dim(0), sum_of_dim(0), top_k_ids(2))
 
 
 def _every_element(seed):
@@ -359,7 +360,7 @@ class TestWalkBitIdentity:
     def test_matches_object_walk(self, d):
         # 48 points pad to n=64 with sentinel pids in the forest
         pts = uniform_points(48, d, seed=30 + d)
-        with DistributedRangeTree.build(pts, p=4) as tree:
+        with DistributedRangeTree.build(pts, p=4, semigroup=sum_of_dim(0)) as tree:
             rng = np.random.default_rng(40 + d)
             for leaf, stack, t in forest_elements(tree):
                 boxes = _rank_boxes(rng, 25, d, tree.hat.n)
@@ -373,7 +374,7 @@ class TestWalkBitIdentity:
     def test_single_leaf_elements(self):
         # n == p: every forest element is a single point
         pts = uniform_points(8, 2, seed=51)
-        with DistributedRangeTree.build(pts, p=8) as tree:
+        with DistributedRangeTree.build(pts, p=8, semigroup=sum_of_dim(0)) as tree:
             rng = np.random.default_rng(52)
             els = forest_elements(tree)
             assert els and all(stack.width == 1 for _leaf, stack, _t in els)
@@ -445,7 +446,7 @@ class TestSearchOutputParity:
         pts = make_points("uniform", 48, d, seed=700 + d)
         boxes = random_boxes(np.random.default_rng(800 + d), 10, d)
         boxes += [boxes[0]] * 12
-        with DistributedRangeTree.build(pts, p=4) as tree:
+        with DistributedRangeTree.build(pts, p=4, semigroup=sum_of_dim(0)) as tree:
             out = tree.search(boxes, report=True)
             forest_ops = next(
                 s.ops for s in tree.metrics.steps if s.label == "search:forest"

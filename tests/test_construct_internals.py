@@ -15,14 +15,14 @@ from repro.dist import DistributedRangeTree
 from repro.dist.hat import Hat, hat_shape
 from repro.errors import ProtocolError
 from repro.query import count
-from repro.semigroup import COUNT, KernelColumn
+from repro.semigroup import COUNT, KernelColumn, sum_of_dim
 from repro.workloads import uniform_points
 
 from tests.helpers import forest_elements
 
 
-def build(n=64, d=2, p=8, seed=0):
-    return DistributedRangeTree.build(uniform_points(n, d, seed=seed), p=p)
+def build(n=64, d=2, p=8, seed=0, semigroup=COUNT):
+    return DistributedRangeTree.build(uniform_points(n, d, seed=seed), p=p, semigroup=semigroup)
 
 
 def roots_of(tree):
@@ -93,8 +93,9 @@ class TestHatBuildErrors:
         return roots_of(build(n=32, d=2, p=4))
 
     def test_roots_seat_the_built_hat(self):
-        tree = build(n=32, d=2, p=4)
-        hat = Hat.build(roots_of(tree)[::-1], d=2, n=32, p=4, semigroup=COUNT)
+        sg = sum_of_dim(0)
+        tree = build(n=32, d=2, p=4, semigroup=sg)
+        hat = Hat.build(roots_of(tree)[::-1], d=2, n=32, p=4, semigroup=sg)
         for col in ("lo", "hi", "nleaves"):
             np.testing.assert_array_equal(getattr(hat, col), getattr(tree.hat, col))
         np.testing.assert_array_equal(hat.aggs.data, tree.hat.aggs.data)

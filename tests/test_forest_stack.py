@@ -1,5 +1,5 @@
-"""Unit tests for forest elements — trees of a stack — and distributed
-record types."""
+"""Unit tests for forest stacks — a rank's phase-``j`` elements as the
+trees of one stack — and distributed record types."""
 
 from __future__ import annotations
 
@@ -52,7 +52,7 @@ def oracle(ranks, t, semigroup=COUNT, values=None):
     return RangeTree(ranks[t], values, semigroup)
 
 
-class TestForestElement:
+class TestForestStack:
     def test_basic_fields(self):
         stack, ranks = make_stack()
         assert stack.shape == (TREES, WIDTH, 2)
@@ -68,11 +68,13 @@ class TestForestElement:
         — its hat leaf's row, segment and root aggregate — is what the hat
         seats at that row."""
         pts = uniform_points(64, 2, seed=80)
-        with DistributedRangeTree.build(pts, p=4) as tree:
+        with DistributedRangeTree.build(pts, p=4, semigroup=sum_of_dim(0)) as tree:
             hat = tree.hat
             for leaf, stack, t in forest_elements(tree):
                 assert hat.nleaves[leaf] == stack.width
-                assert hat.agg(leaf) == stack.root_aggs()[t] == stack.width
+                assert hat.agg(leaf) == stack.root_aggs()[t]
+                want = pts.coords[element_pids(stack, t), 0].sum()
+                assert stack.root_aggs()[t] == pytest.approx(want)
                 key = stack.keys[0].reshape(-1, stack.width)[t] % stack.span
                 assert (hat.lo[leaf], hat.hi[leaf]) == (key[0], key[-1])
 

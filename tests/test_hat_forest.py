@@ -10,13 +10,14 @@ import pytest
 from repro._util import ilog2
 from repro.dist import DistributedRangeTree
 from repro.geometry import Box
+from repro.semigroup import COUNT, sum_of_dim
 from repro.workloads import uniform_points
 
 from tests.helpers import hat_walk
 
 
-def build(n=64, d=2, p=8, seed=0):
-    return DistributedRangeTree.build(uniform_points(n, d, seed=seed), p=p)
+def build(n=64, d=2, p=8, seed=0, semigroup=COUNT):
+    return DistributedRangeTree.build(uniform_points(n, d, seed=seed), p=p, semigroup=semigroup)
 
 
 class TestTheorem1:
@@ -153,7 +154,7 @@ class TestHatIntegrity:
 
     def test_dim_d_aggregates_consistent(self):
         """f(v) of a dimension-d hat node = sum of its children's values."""
-        tree = build(n=64, d=2, p=8)
+        tree = build(n=64, d=2, p=8, semigroup=sum_of_dim(0))
         hat = tree.hat
         for i in np.nonzero((hat.shape.dim == 1) & ~hat.shape.leaf)[0]:
             assert hat.agg(i) == hat.agg(hat.shape.left[i]) + hat.agg(hat.shape.right[i])
@@ -163,7 +164,12 @@ class TestHatIntegrity:
         tree = build(n=n, d=2, p=8)
         hat = tree.hat
         assert hat.shape.desc[0] >= 0
-        assert hat.agg(hat.shape.desc[0]) == n  # count over every (padded) point
+        assert hat.nleaves[hat.shape.desc[0]] == n  # count over every (padded) point
+        # a count is a width: the COUNT-built hat holds no value column
+        assert hat.aggs.data.shape == (hat.size_nodes(), 0)
+        summed = build(n=n, d=2, p=8, semigroup=sum_of_dim(0))
+        points = uniform_points(n, 2, seed=0)
+        assert summed.hat.agg(hat.shape.desc[0]) == pytest.approx(points.coords[:, 0].sum())
 
     def test_forest_leaves_under_root_is_p(self):
         tree = build(n=64, d=2, p=8)
@@ -221,9 +227,10 @@ class TestHatWalkVsSequential:
         from repro.geometry import RankBox
 
         sels, subqs, exps = hat_walk(tree.hat, 0, RankBox((0, 0), (63, 63)))
-        # the whole domain: one selection (root of root's descendant), no subqueries
+        # the whole domain: one selection (root of root's descendant), no
+        # subqueries; its count is its width, its value the empty annotation's
         assert subqs == [] and exps == []
-        assert sels == [(0, int(tree.hat.shape.desc[0]), 64, 64)]
+        assert sels == [(0, int(tree.hat.shape.desc[0]), 64, ())]
 
     def test_charge_callback_invoked(self):
         tree = build(n=64, d=2, p=8)

@@ -76,7 +76,7 @@ class TestWalkBatchBitIdentity:
     def test_matches_object_walk(self, d, report):
         # 48 points pad to n=64 with sentinel pids in the forest
         pts = uniform_points(48, d, seed=10 + d)
-        with DistributedRangeTree.build(pts, p=4) as tree:
+        with DistributedRangeTree.build(pts, p=4, semigroup=sum_of_dim(0)) as tree:
             hat = tree.hat
             rng = np.random.default_rng(20 + d)
             boxes = _rank_boxes(rng, 30, d, hat.n)
@@ -204,7 +204,7 @@ class TestSearchOutputParity:
         boxes += _wide_boxes(np.random.default_rng(650 + d), 2, d)
         boxes.append(Box.full(d, -1.0, 2.0))
         report = np.arange(len(boxes)) % 3 != 1
-        with DistributedRangeTree.build(pts, p=4) as tree:
+        with DistributedRangeTree.build(pts, p=4, semigroup=sum_of_dim(0)) as tree:
             out = tree.search(boxes, report=report)
             ops = {
                 s.label: s.ops

@@ -215,24 +215,39 @@ class TestLazyRefit:
 
     def test_annotation_layers_are_capped(self):
         """A long-lived tree serving many distinct per-query semigroups
-        must not grow its annotation (and refit cost) without bound."""
+        must not grow its annotation (and refit cost) without bound.  A
+        COUNT-built tree has no build-time layer to keep: past the cap it
+        holds the current batch's layer and the newest others."""
         from repro.query.engine import MAX_ANNOTATION_LAYERS
-        from repro.semigroup import ProductSemigroup
 
         pts = uniform_points(32, 2, seed=87)
         tree = build(pts, p=4)
         b = Box.full(2, 0.0, 1.0)
-        for k in range(1, MAX_ANNOTATION_LAYERS + 5):
+        batches = MAX_ANNOTATION_LAYERS + 2  # each names a new semigroup
+        for k in range(1, batches + 1):
             got = tree.run(top_k(b, k)).value(0)
             xs = sorted((float(pts.coords[i][0]), i) for i in range(32))[:k]
             assert got == [pid for _x, pid in xs]
-        assert isinstance(tree.semigroup, ProductSemigroup)
-        assert len(tree.semigroup.components) <= MAX_ANNOTATION_LAYERS
-        # the build-time layer is never evicted
-        assert tree.semigroup.components[0].name == tree.base_semigroup.name
+            names = [c.name for c in tree.semigroup.components]
+            assert len(names) <= MAX_ANNOTATION_LAYERS and f"top{k}[x0]" in names
+        want = {f"top{k}[x0]" for k in range(batches - MAX_ANNOTATION_LAYERS + 1, batches + 1)}
+        assert set(names) == want  # the oldest layers went, whatever came first
         # evicted layers still answer correctly (they just refit again)
-        assert tree.run(top_k(b, 1)).value(0) == [xs[0][1]] if xs else True
+        assert tree.run(top_k(b, 1)).value(0) == [xs[0][1]]
         assert tree.run([aggregate(q) for q in [b]]).value(0) == 32
+
+    def test_build_time_value_layer_is_never_evicted(self):
+        from repro.query.engine import MAX_ANNOTATION_LAYERS
+
+        pts = uniform_points(32, 2, seed=87)
+        tree = build(pts, p=4, semigroup=sum_of_dim(0))
+        b = Box.full(2, 0.0, 1.0)
+        for k in range(1, MAX_ANNOTATION_LAYERS + 3):
+            tree.run(top_k(b, k))
+            names = [c.name for c in tree.semigroup.components]
+            assert names[0] == "sum[x0]" and f"top{k}[x0]" in names
+            assert len(names) <= MAX_ANNOTATION_LAYERS
+        assert tree.run([aggregate(b)]).value(0) == pytest.approx(pts.coords[:, 0].sum())
 
     def test_plan_exposes_refit_decision(self):
         pts = uniform_points(32, 2, seed=86)

@@ -95,8 +95,8 @@ def _layer_names(tree):
     return [c.name for c in getattr(tree.semigroup, "components", (tree.semigroup,))]
 
 
-#: build count -> add sum[x0] -> add sum[x1] -> add object layers until
-#: the engine evicts past MAX_ANNOTATION_LAYERS
+#: build count (no layer) -> add sum[x0] -> add sum[x1] -> add object
+#: layers until the engine evicts past MAX_ANNOTATION_LAYERS
 STEPS = [aggregate(BOX, sum_of_dim(0)), aggregate(BOX, sum_of_dim(1))] + [
     top_k(BOX, k) for k in range(1, MAX_ANNOTATION_LAYERS + 1)
 ]
@@ -118,11 +118,15 @@ class TestLayeredRefit:
 
     def test_adding_a_layer_folds_only_that_layer(self, folded):
         """One heap fold per stack per layer folded: a build folds its
-        one layer once a stack, a refit that adds one layer folds it once
-        a stack, and one that adds nothing folds nothing."""
-        with DistributedRangeTree.build(PTS, p=4) as tree:
+        one value layer once a stack and a COUNT build none, a refit that
+        adds one layer folds it once a stack, and one that adds nothing —
+        counts, however asked for, add nothing — folds nothing."""
+        with DistributedRangeTree.build(PTS, p=4, semigroup=sum_of_dim(0)) as tree:
             stacks = sum(len(store) for store in tree.forest_store)
-            assert stacks and folded == ["count"] * stacks
+            assert stacks and folded == ["sum[x0]"] * stacks
+        folded.clear()
+        with DistributedRangeTree.build(PTS, p=4) as tree:
+            assert folded == []
             for query in STEPS:
                 before = _layer_names(tree)
                 folded.clear()
@@ -130,7 +134,7 @@ class TestLayeredRefit:
                 added = [c.kernel.name for c in tree.semigroup.components if c.name not in before]
                 assert len(added) == 1 and folded == added * stacks
                 folded.clear()
-                tree.run([count(BOX), query])
+                tree.run([count(BOX), aggregate(BOX), aggregate(BOX, COUNT), query])
                 assert folded == []
 
     def test_a_failed_lazy_refit_folds_nothing_to_roll_back(self, folded):
@@ -180,7 +184,7 @@ class TestFailedRefitRestores:
                 dt.insert((0.5 + i / 64, 0.25), pid=1000 + i)
             assert len(dt.bucket_sizes) == 2
             batch = [count(BOX), report(BOX), aggregate(BOX, sum_of_dim(0))]
-            answers = dt.run(batch).values()  # every bucket widened to (count x sum[x0])
+            answers = dt.run(batch).values()  # every bucket widened to (sum[x0])
             trees = [b.tree for b in dt._buckets.values()]
             prior = [(t.semigroup, t.base_semigroup) for t in trees]
             with pytest.raises(ValueError, match="unliftable"):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.dist import DistributedRangeTree, validate_tree
 from repro.query import report
-from repro.semigroup import sum_of_dim
+from repro.semigroup import COUNT, sum_of_dim
 from repro.workloads import clustered_points, grid_points, uniform_points
 
 from tests.helpers import corrupt_shape, last_dim_nodes
@@ -50,8 +50,10 @@ class TestValidatorPasses:
 
 
 class TestValidatorCatchesCorruption:
-    def _tree(self):
-        return DistributedRangeTree.build(uniform_points(64, 2, seed=66), p=4)
+    def _tree(self, semigroup=sum_of_dim(0)):
+        """Annotated with one value layer, so every aggregate slot is real
+        (a COUNT-built tree stores a zero-width column)."""
+        return DistributedRangeTree.build(uniform_points(64, 2, seed=66), p=4, semigroup=semigroup)
 
     def test_detects_bad_aggregate(self):
         tree = self._tree()
@@ -105,10 +107,11 @@ class TestValidatorCatchesCorruption:
         assert any(needle in f for f in rep.failures), rep.failures
 
     def test_detects_wrong_node_count(self):
-        tree = self._tree()
-        stack = self._stack(tree)
-        stack.aggs = stack.aggs[:-1]
-        self._assert_caught(tree, "aggregate row count is not 2·R(")
+        for sg in (sum_of_dim(0), COUNT):  # a zero-width column has rows too
+            tree = self._tree(sg)
+            stack = self._stack(tree)
+            stack.aggs = stack.aggs[:-1]
+            self._assert_caught(tree, "aggregate row count is not 2·R(")
 
     def test_detects_wrong_record_counts(self):
         tree = self._tree()

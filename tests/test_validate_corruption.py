@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.dist import DistributedRangeTree, validate_tree
-from repro.semigroup import KernelColumn, ObjectKernel
+from repro.semigroup import KernelColumn, ObjectKernel, sum_of_dim
 from repro.workloads import uniform_points
 
 from tests.helpers import corrupt_shape, unkernelized
@@ -25,7 +25,9 @@ from tests.helpers import corrupt_shape, unkernelized
 
 @pytest.fixture
 def tree():
-    return DistributedRangeTree.build(uniform_points(64, 2, seed=120), p=4)
+    """Annotated with one value layer, so every aggregate slot is real (a
+    COUNT-built tree stores a zero-width column)."""
+    return DistributedRangeTree.build(uniform_points(64, 2, seed=120), p=4, semigroup=sum_of_dim(0))
 
 
 def _first_internal(tree, dim) -> int:
@@ -233,7 +235,7 @@ def test_one_ranks_hat_replica_is_caught(backend):
     checked, not assumed: one aggregate off on rank 2 alone — made by a
     phase, where the replica lives — fails exactly the replica check."""
     pts = uniform_points(64, 2, seed=121)
-    with DistributedRangeTree.build(pts, p=4, backend=backend) as tree:
+    with DistributedRangeTree.build(pts, p=4, backend=backend, semigroup=sum_of_dim(0)) as tree:
         assert validate_tree(tree).ok
         tree.machine.run_phase("corrupt", "test.bump_hat", [(tree.construct_result.ns, 2)] * 4)
         report = validate_tree(tree)
