@@ -53,6 +53,12 @@ __all__ = [
 #: ``(result, charged ops, wall seconds)`` for one rank of one phase.
 PhaseOutcome = Tuple[Any, int, float]
 
+#: Journal entries a rank may hold before the recovery journal folds:
+#: past this tail every rank's whole state is fetched and its journal
+#: becomes one ``("restore", state)`` entry, so replay cost stays bounded
+#: however long the workers live.
+JOURNAL_TAIL = 64
+
 
 class WorkerError(RuntimeError):
     """A compute phase failed inside a worker process.
@@ -136,11 +142,12 @@ def _worker_main(rank: int, conn) -> None:
     """Worker loop: rank state lives here and only here.
 
     The driver sends ``("phase", name, payload, p)`` / ``("fetch", key)``
-    / ``("evict", key)`` / ``("faults", spec | None)`` /
-    ``("stop",)`` commands; every command gets exactly one reply, so the
-    pipe can never desynchronize.  ``p`` rides each phase command because
-    one worker set may serve machines of different sizes (mirroring the
-    in-process rank stores).
+    (key ``None``: the whole state dict) / ``("evict", key)`` /
+    ``("restore", state)`` (clear the state, then load a snapshot) /
+    ``("faults", spec | None)`` / ``("stop",)`` commands; every command
+    gets exactly one reply, so the pipe can never desynchronize.  ``p``
+    rides each phase command because one worker set may serve machines
+    of different sizes (mirroring the in-process rank stores).
 
     Fault injection: the worker arms any plan named by the
     ``REPRO_FAULT_PLAN`` environment variable at startup (under ``fork``
@@ -200,9 +207,13 @@ def _worker_main(rank: int, conn) -> None:
                         )
                     )
             elif cmd == "fetch":
-                conn.send(("ok", state.get(msg[1])))
+                conn.send(("ok", state if msg[1] is None else state.get(msg[1])))
             elif cmd == "evict":
                 state.pop(msg[1], None)
+                conn.send(("ok", None))
+            elif cmd == "restore":
+                state.clear()
+                state.update(msg[1])
                 conn.send(("ok", None))
             elif cmd == "faults":
                 if msg[1] is None:
@@ -246,13 +257,16 @@ class ProcessBackend(Backend):
     Recovery (opt-in, ``recovery=True`` / env ``REPRO_WORKER_RECOVERY=1``):
     the backend journals every state-bearing command per rank (``phase``
     dispatches and ``evict`` removals — payload references, no copies).
-    When a worker crashes, the supervisor respawns that rank, disarms
-    fault injection in the replacement, replays its journal to
-    reconstruct the rank-resident state, re-sends the in-flight command,
-    and the round continues — differential tests assert the recovered
-    run is bit-identical to an uninterrupted one.  Phases must be
-    deterministic for replay to be faithful (they are: that is the
-    cross-backend determinism contract).  Without recovery, a crash
+    Once a rank's journal holds more than :data:`JOURNAL_TAIL` entries,
+    every rank's state is fetched whole and its journal becomes one
+    ``("restore", state)`` entry, so a journal never exceeds the tail
+    plus that snapshot.  When a worker crashes, the supervisor respawns
+    that rank, disarms fault injection in the replacement, replays its
+    journal to reconstruct the rank-resident state, re-sends the
+    in-flight command, and the round continues — differential tests
+    assert the recovered run is bit-identical to an uninterrupted one.
+    Phases must be deterministic for replay to be faithful (they are:
+    that is the cross-backend determinism contract).  Without recovery, a crash
     resets the whole pool so the next use fails loudly on missing state
     instead of silently pairing stale replies with new commands.
     """
@@ -434,6 +448,7 @@ class ProcessBackend(Backend):
             raise
         replies: List[Any] = []
         failure: tuple | None = None
+        journaled = False
         for rank in range(p):
             try:
                 crash = send_crashes.get(rank)
@@ -454,6 +469,7 @@ class ProcessBackend(Backend):
                 # re-raised into a recovering worker.
                 if self._recovery:
                     self._journal[rank].append(messages[rank])
+                    journaled = True
             replies.append(reply)
         if failure is not None:
             rank, exc, tb = failure
@@ -468,7 +484,15 @@ class ProcessBackend(Backend):
                     f"{what!r}\n{tb}"
                 ) from exc
             raise WorkerError(f"rank {rank} failed: {exc}\n{tb}")
+        if journaled and any(len(self._journal[r]) > JOURNAL_TAIL for r in range(p)):
+            self._snapshot(p)
         return [r[1] for r in replies]
+
+    def _snapshot(self, p: int) -> None:
+        """Fold every rank's journal into one ``("restore", state)`` entry."""
+        states = self._roundtrip(p, [("fetch", None)] * p, "fetch:snapshot")
+        for rank, state in enumerate(states):
+            self._journal[rank] = [("restore", state)]
 
     # -- Backend interface -------------------------------------------------
     def run_phase(

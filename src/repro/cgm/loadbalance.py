@@ -75,8 +75,10 @@ def replication_schedule(
     list per communication round; each entry is a ``(sender, owner,
     dest)`` transfer: ``sender`` ships its copy of group ``owner`` to
     ``dest``.  The plan depends only on ``(p, targets, strategy)``, never
-    on the groups' contents, so the driver computes it while the stores
-    themselves stay rank-resident.
+    on the groups' contents, so the driver computes it and runs it: each
+    owner packs its group once, every round's records are built from
+    those packed groups and charged to the scheduled senders, and each
+    ``dest`` files its copies once, after the last round.
 
     ``direct``:
         one round; each owner sends every copy itself, so h spikes to

@@ -51,7 +51,7 @@ from typing import Any, Dict, Iterable, List, Sequence, Tuple
 from .._util import require_power_of_two
 from ..cgm.cost import CostModel
 from ..cgm.machine import Machine
-from ..errors import DimensionMismatch, GeometryError, ReproError
+from ..errors import DimensionMismatch, EmptyPointSet, GeometryError, ReproError
 from ..geometry.point import PointSet, checked_coords, checked_pid
 from ..query.descriptors import QueryBatch
 from ..query.engine import QueryEngine
@@ -200,7 +200,10 @@ class DynamicDistributedRangeTree:
         so a bulk load costs one Construct pass, not n buffered inserts.
         """
         if points is not None and not isinstance(points, PointSet):
-            points = PointSet(points)
+            try:
+                points = PointSet(points)
+            except EmptyPointSet:  # an empty collection is no points
+                points = None
         if points is None:
             if dim is None:
                 raise GeometryError(

@@ -17,10 +17,12 @@ number of h-relations:
    (h spikes to ``c_j·|F_j|``); ``doubling`` — the engine's — recruits
    one new holder per existing holder per round, ``log2 p`` rounds always
    run in full, so the round count is a function of ``(p, strategy)``
-   alone.  A copy of a group is its ``{dimension: stack}`` stores, routed
-   like every exchange via the driver's deterministic merge (on the
-   process backend one pickle up and one down per round, the heaviest
-   payload in the pipeline) into the receiving rank's replica cache.
+   alone.  A copy of a group is its ``{dimension: stack}`` stores.  Step
+   3 computes nothing, so the driver runs it: each owner a transfer
+   names packs its group once, the driver runs every scheduled round
+   from those packed groups (a record a forwarder sends is its owner's
+   group, with the same h and bytes), and each holder files everything
+   it received in one unpack — two dispatches however many rounds move.
 4. **Subquery routing** (1 round): owner ``j``'s subqueries are split
    into ``c_j`` chunks of at most ``ceil(|Q'|/p)`` and routed to the
    copy holders, so no processor serves more than ``O(|Q'|/p)``.
@@ -226,33 +228,16 @@ def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
 
 
 @register_phase("dist.search.replicate_pack")
-def _phase_replicate_pack(ctx: ProcContext, payload) -> list:
-    """Step 3a: emit this rank's scheduled copy transfers as an outbox row.
-
-    A copy of owner ``j``'s group is ``(j, stores)``, ``stores`` its
-    store of every part named in ``nss``, in that order.
-    """
-    instructions, nss = payload
-    forests = [ctx.state.get(forest_key(ns)) or {} for ns in nss]
-    holders = [ctx.state.setdefault(holders_key(ns), {}) for ns in nss]
-    out: list[list] = [[] for _ in range(ctx.p)]
-    for owner, dest in instructions:
-        if owner == ctx.rank:
-            stores = tuple(forests)
-        else:
-            stores = tuple(held.get(owner) for held in holders)
-        if None in stores:
-            raise ProtocolError(
-                f"rank {ctx.rank} was scheduled to forward group {owner} "
-                "without holding a copy"
-            )
-        out[dest].append((owner, stores))
-    return out
+def _phase_replicate_pack(ctx: ProcContext, nss) -> tuple:
+    """Step 3a: this rank's own group, its store of every part named in
+    ``nss``, in that order (``nss`` is empty where no transfer names it)."""
+    return tuple(ctx.state.get(forest_key(ns)) or {} for ns in nss)
 
 
 @register_phase("dist.search.replicate_unpack")
 def _phase_replicate_unpack(ctx: ProcContext, payload) -> None:
-    """Step 3b: file the received copies in the rank's replica caches."""
+    """Step 3b: file every copy this rank received, in every round, in
+    its replica caches."""
     inbox, nss = payload
     holders = [ctx.state.setdefault(holders_key(ns), {}) for ns in nss]
     for owner, stores in inbox:
@@ -416,26 +401,27 @@ def _replicate_stores(
     The driver plans the transfers
     (:func:`repro.cgm.loadbalance.replication_schedule`: ``doubling`` is
     always exactly ``log2 p`` rounds, so Theorem 3's "rounds independent
-    of n" holds by construction); a copy of a group — its stores of every
-    part in ``nss`` — moves through the pack/unpack phases into the
-    holder's replica caches.
+    of n" holds by construction) and runs them: every owner a transfer
+    names packs its group — its stores of every part in ``nss`` — once,
+    each round ships ``(owner, stores)`` records from the scheduled
+    senders, and every holder files what it received in one unpack.
     """
     p = mach.p
     schedule = replication_schedule(p, targets, strategy)
+    owners = {owner for transfers in schedule for _sender, owner, _dest in transfers}
+    # Every scheduled round is *recorded* (rounds, not dispatches, are the
+    # observable); pack/unpack run only for a pass that moves a store.
+    if owners:
+        groups = mach.run_phase(
+            "search:replicate:pack",
+            "dist.search.replicate_pack",
+            [nss if r in owners else () for r in range(p)],
+        )
+    received: List[list] = [[] for _ in range(p)]
     for rnd, transfers in enumerate(schedule):
-        # Every scheduled round is *recorded* (rounds, not dispatches, are
-        # the observable); pack/unpack run only for a round that moves a store.
-        if transfers:
-            instructions: List[List[tuple]] = [[] for _ in range(p)]
-            for sender, owner, dest in transfers:
-                instructions[sender].append((owner, dest))
-            rows = mach.run_phase(
-                f"search:replicate:pack-{rnd}",
-                "dist.search.replicate_pack",
-                [(instructions[r], nss) for r in range(p)],
-            )
-        else:
-            rows = mach.empty_outboxes()
+        rows = mach.empty_outboxes()
+        for sender, owner, dest in transfers:
+            rows[sender][dest].append((owner, groups[owner]))
         round_label = (
             "search:replicate:direct"
             if strategy == "direct"
@@ -450,9 +436,11 @@ def _replicate_stores(
             # bytes: the arrays the stacks are, as the pickle ships them
             nbytes=lambda rec: sum(st.nbytes for store in rec[1] for st in store.values()),
         )
-        if transfers:
-            mach.run_phase(
-                f"search:replicate:unpack-{rnd}",
-                "dist.search.replicate_unpack",
-                [(inboxes[r], nss) for r in range(p)],
-            )
+        for held, inbox in zip(received, inboxes):
+            held.extend(inbox)
+    if owners:
+        mach.run_phase(
+            "search:replicate:unpack",
+            "dist.search.replicate_unpack",
+            [(received[r], nss) for r in range(p)],
+        )

@@ -18,7 +18,8 @@ decompose — post-processing does not:
   added (⊕), tombstoned (deleted but not yet compacted) points are
   subtracted, which for aggregates needs an
   :class:`~repro.semigroup.group.AbelianGroup` (the paper's
-  "associative functions with inverses" footnote);
+  "associative functions with inverses" footnote) — except a count
+  aggregate, which corrects like ``count``;
 * ``report`` / ``sample`` / ``topk`` decompose over *matching id sets*:
   the sub-query is a plain unlimited report, buffered ids merge in,
   tombstones filter out, and only then does the mode's finalisation
@@ -36,7 +37,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Sequence
 
 from ..errors import ReproError
-from ..semigroup import Semigroup, top_k_ids
+from ..semigroup import Semigroup, is_count, top_k_ids
 from ..semigroup.group import AbelianGroup
 from .descriptors import Query, QueryBatch
 from .modes import get_mode
@@ -125,7 +126,10 @@ class EpochCombiner:
     def _finalize_one(
         self, q: Query, value: Any, buffered: List[int], dead: List[int]
     ) -> Any:
-        if q.mode == "count":
+        if q.mode == "count" or (
+            q.mode == "aggregate" and is_count(self.semigroup_for(q))
+        ):
+            # a count aggregate is a count: it corrects without an inverse
             return (value or 0) + len(buffered) - len(dead)
         if q.mode == "aggregate":
             sg = self.semigroup_for(q)

@@ -25,7 +25,7 @@ from typing import Any, Iterable, Sequence
 from ..errors import DimensionMismatch, GeometryError, ReproError
 from ..geometry.box import Box
 from ..geometry.point import PointSet, checked_coords, checked_pid
-from ..semigroup import COUNT, Semigroup
+from ..semigroup import COUNT, Semigroup, is_count
 from ..semigroup.group import AbelianGroup
 from .range_tree import SequentialRangeTree
 
@@ -174,6 +174,8 @@ class DynamicRangeTree:
     def aggregate_many(self, boxes: Sequence[Box]) -> list[Any]:
         self._check(boxes)
         sg = self.semigroup
+        if self._tombstones and is_count(sg):
+            return self.count_many(boxes)  # a count needs no inverse
         per_bucket = [
             tree.aggregate_many(boxes) for tree, _recs in self._buckets.values()
         ]

@@ -11,17 +11,23 @@ hang guard turns a hang into a failure).
 from __future__ import annotations
 
 import asyncio
+import os
+import signal
 
 import pytest
 
 from repro.cgm import Machine, ProcessBackend
-from repro.dist import DistributedRangeTree
+from repro.cgm.backend import JOURNAL_TAIL
+from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree
 from repro.errors import InjectedFault, WorkerCrash
 from repro.faults import FaultPlan, FaultRule, injected
 from repro.query import QueryBatch, aggregate, count, report
 from repro.serve import FlushPolicy, QueryService
 from repro.serve.loadgen import run_loadgen
-from repro.workloads import make_points, make_queries
+from repro.seq import DynamicRangeTree
+from repro.workloads import make_points, make_queries, update_query_stream
+
+from tests.helpers import checkpoint_batch, drive_stream, oracle_values
 
 pytestmark = pytest.mark.chaos
 
@@ -80,6 +86,48 @@ class TestCrashChaos:
                     tree.run(QueryBatch(_queries()))
         assert exc.value.rank == 0
         assert exc.value.exit_code == 73  # the injected-crash status
+
+
+class TestBoundedRecovery:
+    """The journal folds into a snapshot, so a worker killed after a long
+    uptime replays at most a snapshot and a tail of commands."""
+
+    @staticmethod
+    def _kill_and_verify(backend, answer):
+        journals = backend._journal.values()
+        assert max(len(j) for j in journals) <= JOURNAL_TAIL + 1
+        want = answer()
+        proc, _conn = backend._workers[1]
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.join(timeout=5)
+        assert answer() == want
+        assert backend.recoveries == 1
+
+    @pytest.mark.timeout(300)
+    def test_kill_after_1000_passes(self):
+        baseline = _fault_free()
+        pts = make_points("uniform", N, D, seed=9)
+        backend = ProcessBackend(recovery=True)
+        with Machine(P, backend=backend) as mach:
+            tree = DistributedRangeTree.build(pts, machine=mach)
+            for _ in range(1000):
+                tree.run(QueryBatch(_queries()))
+            self._kill_and_verify(backend, lambda: tree.run(QueryBatch(_queries())).values())
+            assert tree.run(QueryBatch(_queries())).values() == baseline
+
+    @pytest.mark.timeout(300)
+    def test_kill_after_1000_dynamic_ops(self):
+        ops = update_query_stream(1000, D, seed=5)
+        backend = ProcessBackend(recovery=True)
+        with Machine(P, backend=backend) as mach:
+            with DynamicDistributedRangeTree(D, machine=mach, flush_threshold=8) as dyn:
+                oracle = DynamicRangeTree(D)
+                assert drive_stream(ops, dyn, oracle) > 0
+                batch = checkpoint_batch([b for op in ops if op.kind == "query" for b in op.boxes][:8])
+                self._kill_and_verify(backend, lambda: dyn.run(batch).to_dict()["queries"])
+                assert [g["value"] for g in dyn.run(batch).to_dict()["queries"]] == oracle_values(
+                    oracle, batch
+                )
 
 
 class TestDelayChaos:

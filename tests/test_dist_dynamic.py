@@ -21,7 +21,7 @@ import pytest
 from repro.cgm import Machine
 from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree
 from repro.errors import DimensionMismatch, GeometryError, ReproError
-from repro.geometry import Box
+from repro.geometry import Box, PointSet
 from repro.query import (
     QueryBatch,
     aggregate,
@@ -30,9 +30,9 @@ from repro.query import (
     sample_report,
     top_k,
 )
-from repro.semigroup import Semigroup, max_of_dim, min_of_dim, sum_of_dim
+from repro.semigroup import COUNT, Semigroup, max_of_dim, min_of_dim, sum_of_dim
 from repro.semigroup.group import sum_group
-from repro.seq import DynamicRangeTree
+from repro.seq import DynamicRangeTree, bf_count
 from repro.workloads import stream_counts, update_query_stream
 
 from tests.helpers import (
@@ -289,6 +289,26 @@ class TestUpdates:
             with pytest.raises(ReproError, match="AbelianGroup"):
                 dt.run(aggregate(unit_box(1)))
 
+    def test_count_aggregate_with_deletes_is_the_count(self):
+        # a count needs no inverse: a COUNT aggregate corrects like count
+        coords = [(dyadic(i), dyadic(5 * i % 16)) for i in range(16)]
+        oracle = DynamicRangeTree(2)
+        oracle.insert_many(coords)
+        with DynamicDistributedRangeTree.build(coords, p=4) as dt:
+            for struct in (dt, oracle):
+                struct.delete(3)
+                struct.delete(10)
+                struct.insert((dyadic(7), dyadic(9)), pid=40)  # buffered in dt
+            live = PointSet(
+                [c for i, c in enumerate(coords) if i not in (3, 10)] + [(dyadic(7), dyadic(9))]
+            )
+            boxes = [unit_box(2), Box([(0.0, 0.5), (0.25, 1.0)])]
+            for b in boxes:
+                got = dt.run([aggregate(b), aggregate(b, COUNT), count(b)]).values()
+                assert got == [bf_count(live, b)] * 3
+            # the sequential twin corrects a count aggregate the same way
+            assert oracle.aggregate_many(boxes) == [bf_count(live, b) for b in boxes]
+
     def test_empty_structure_answers_every_mode(self):
         with DynamicDistributedRangeTree(2, p=4) as dt:
             batch = QueryBatch(
@@ -364,6 +384,16 @@ class TestUpdates:
             DynamicDistributedRangeTree.build()
         with DynamicDistributedRangeTree.build(dim=2, p=4) as dt:
             assert len(dt) == 0
+
+    @pytest.mark.parametrize("empty", [[], np.empty((0, 2))], ids=["list", "array"])
+    def test_build_from_an_empty_collection_is_an_empty_build(self, empty):
+        with DynamicDistributedRangeTree.build(empty, dim=2, p=4) as dt:
+            assert len(dt) == 0 and dt.bucket_sizes == []
+            assert dt.run(count(unit_box(2))).values() == [0]
+            dt.insert((0.5, 0.5))
+            assert dt.run(count(unit_box(2))).values() == [1]
+        with pytest.raises(GeometryError):
+            DynamicDistributedRangeTree.build(empty, p=4)
 
     def test_closed_structure_rejects_use(self):
         dt = DynamicDistributedRangeTree(1, p=4)

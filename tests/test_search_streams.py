@@ -1,11 +1,11 @@
-"""What Construct and Search ship, and what step 3 and step 5 refuse.
+"""What Construct and Search ship, and what step 5 refuses.
 
 A name in a Search stream is one int64: a hat row, the same on every
 processor because the hat is replicated.  The property below taps every
 ``Machine.exchange_batches`` round of a build and of a mixed reporting
-pass and holds the streams to that format; the two tests after it pin
-the replication safety checks (a rank never serves a subquery for, nor
-forwards, a group it holds no copy of).
+pass and holds the streams to that format; the test after it pins the
+replication safety check (a rank never serves a subquery for a group it
+holds no copy of).
 """
 
 from __future__ import annotations
@@ -172,23 +172,3 @@ def test_step5_refuses_a_subquery_for_a_group_it_holds_no_copy_of(backend):
             [(inbox if r == 1 else nothing, (ns,), nobody) for r in range(4)],
         )
         assert [len(sel) for sel, _pairs in served] == [0, 2, 0, 0]
-
-
-@pytest.mark.parametrize("backend", ["serial", "process"])
-def test_step3_refuses_to_forward_a_group_it_does_not_hold(backend):
-    pts = make_points("uniform", 64, 2, seed=3)
-    with DistributedRangeTree.build(pts, p=4, backend=backend) as tree:
-        ns = tree.construct_result.ns
-        want = "rank 0 was scheduled to forward group 1 without holding a copy"
-        with pytest.raises(ProtocolError, match=re.escape(want)):
-            tree.machine.run_phase(
-                "t", "dist.search.replicate_pack",
-                [([(1, 2)] if r == 0 else [], (ns,)) for r in range(4)],
-            )
-        # its own group it may forward
-        rows = tree.machine.run_phase(
-            "t", "dist.search.replicate_pack",
-            [([(0, 2)] if r == 0 else [], (ns,)) for r in range(4)],
-        )
-        # a copy carries the owner's store of every part: here, one
-        assert [(owner, len(stores)) for owner, stores in rows[0][2]] == [(0, 1)]

@@ -17,7 +17,7 @@ import pytest
 
 from repro.cgm import Machine, ProcessBackend, register_phase
 from repro.errors import WorkerCrash
-from repro.cgm.backend import WorkerError
+from repro.cgm.backend import JOURNAL_TAIL, WorkerError
 
 
 @register_phase("wf.echo")
@@ -165,6 +165,32 @@ class TestRecovery:
                 assert second == [2, 4]
                 assert backend.recoveries == 1
                 assert mach.fetch_state("wf") == [2, 4]
+        finally:
+            backend.close()
+
+    def test_the_journal_folds_into_a_snapshot_and_replays_it(self):
+        from repro.dist import DistributedRangeTree
+        from repro.geometry import Box
+        from repro.query import count, report
+        from repro.workloads import make_points
+
+        pts = make_points("uniform", 64, 2, seed=4)
+        batch = [count(Box(((0.0, 0.25), (0.0, 1.0))))] * 8 + [report(Box.full(2, 0.2, 0.7))]
+        backend = ProcessBackend(recovery=True)
+        try:
+            with Machine(2, backend=backend) as mach:
+                tree = DistributedRangeTree.build(pts, machine=mach)
+                want = tree.run(batch).values()
+                for _ in range(200):
+                    tree.run(batch)
+                journals = backend._journal.values()
+                assert max(len(j) for j in journals) <= JOURNAL_TAIL + 1
+                assert all(j[0][0] == "restore" for j in journals)
+                proc, _conn = backend._workers[1]
+                os.kill(proc.pid, signal.SIGKILL)
+                proc.join(timeout=5)
+                assert tree.run(batch).values() == want
+                assert backend.recoveries == 1
         finally:
             backend.close()
 
