@@ -278,11 +278,9 @@ class ProcessBackend(Backend):
 
     def __init__(
         self,
-        start_method: str | None = None,
         recv_timeout_s: float | None = None,
         recovery: bool | None = None,
     ) -> None:
-        self._start_method = start_method
         if recv_timeout_s is None:
             env = os.environ.get("REPRO_WORKER_TIMEOUT_S")
             recv_timeout_s = float(env) if env else None
@@ -301,10 +299,10 @@ class ProcessBackend(Backend):
         if self._mp_ctx is None:
             import multiprocessing as mp
 
-            method = self._start_method or (
-                "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-            )
-            self._mp_ctx = mp.get_context(method)
+            try:
+                self._mp_ctx = mp.get_context("fork")
+            except ValueError:  # the platform offers no fork
+                self._mp_ctx = mp.get_context("spawn")
         return self._mp_ctx
 
     def _spawn(self, rank: int) -> tuple:

@@ -206,24 +206,22 @@ def estimate_nbytes(obj: Any, _depth: int = 0) -> int:
 
 
 #: Fixed seed of the object-bytes samplers.  The sample positions are a
-#: pure function of ``(seed, stream length)`` — never of wall clock,
+#: pure function of the stream length — never of wall clock,
 #: hashing salt, or iteration state — so the ``comm_bytes`` of
 #: record-list rounds are reproducible run to run (and across backends,
 #: which route the same streams in the same order).
 ESTIMATE_SAMPLE_SEED = 0xC61A
 
 
-def estimate_object_bytes(
-    items: Sequence[Any], k: int = 8, seed: int = ESTIMATE_SAMPLE_SEED
-) -> int:
+def estimate_object_bytes(items: Sequence[Any], k: int = 8) -> int:
     """Estimated payload bytes of an object stream, by seeded sampling.
 
     Reads ``k`` positions one stride (``n / k``) apart, starting at
-    ``(seed ^ n) % n`` — plain arithmetic, no generator object, since
-    this runs once per routed stream on the hot path — estimates each
-    with :func:`estimate_nbytes`, and extrapolates the mean: O(1) per
-    stream, deterministic run to run, and less biased than head-only
-    sampling when a stream's early records are unrepresentative.
+    ``(ESTIMATE_SAMPLE_SEED ^ n) % n`` — plain arithmetic, no generator
+    object, since this runs once per routed stream on the hot path —
+    estimates each with :func:`estimate_nbytes`, and extrapolates the
+    mean: O(1) per stream, deterministic run to run, and less biased than
+    head-only sampling when a stream's early records are unrepresentative.
     Exact (full sum) when the stream has at most ``k`` items.
     """
     n = len(items)
@@ -231,7 +229,7 @@ def estimate_object_bytes(
         return 0
     if n <= k:
         return sum(estimate_nbytes(items[i]) for i in range(n))
-    start = (seed ^ n) % n
+    start = (ESTIMATE_SAMPLE_SEED ^ n) % n
     sampled = sum(estimate_nbytes(items[(start + i * n // k) % n]) for i in range(k))
     return int(sampled * n / k)
 

@@ -31,7 +31,6 @@ from typing import Any, Callable, Iterator, List, Sequence
 from ..errors import MachineError, ProtocolError
 from .backend import Backend, make_backend
 from .columns import RecordBatch, estimate_box_nbytes
-from .cost import CostModel
 from .metrics import Metrics
 from .phases import ProcContext
 
@@ -94,8 +93,6 @@ class Machine:
         here from a name is *owned*: :meth:`close` (and the context
         manager) shuts it down.  A passed-in instance stays the caller's
         responsibility.
-    cost:
-        BSP parameters used by :meth:`modeled_time`.
     capacity:
         Optional per-processor record capacity (the ``O(s/p)`` memory of
         the model).  Algorithms may call :meth:`check_capacity` to assert
@@ -106,7 +103,6 @@ class Machine:
         self,
         p: int,
         backend: str | Backend = "serial",
-        cost: CostModel | None = None,
         capacity: int | None = None,
     ) -> None:
         if p < 1:
@@ -114,7 +110,6 @@ class Machine:
         self.p = p
         self._owns_backend = not isinstance(backend, Backend)
         self.backend = make_backend(backend)
-        self.cost = cost if cost is not None else CostModel()
         self.capacity = capacity
         #: where steps go: the open scope's trace, else the machine's own
         self.metrics = self._own_metrics = Metrics()
@@ -261,16 +256,14 @@ class Machine:
         label: str,
         outboxes: Sequence[Sequence[Sequence[Any]]],
         weight: Callable[[Any], int],
-        nbytes: "Callable[[Any], int] | None" = None,
+        nbytes: Callable[[Any], int],
     ) -> list[list[Any]]:
         """Like :meth:`exchange` but records carry explicit sizes.
 
         Used when a logical record contains a bulk payload (e.g. a whole
-        forest tree of ``n/p`` points, or a report-mode point chunk), so
-        h-relation accounting reflects true data volume.  ``nbytes``
-        overrides the byte attribution per record (default: ``weight``
-        times a nominal record size, so bulk rounds stay accounted
-        without deep-walking the payloads).
+        forest tree of ``n/p`` points), so h-relation accounting reflects
+        true data volume: ``weight`` is a record's h units and ``nbytes``
+        its routed bytes.
         """
         self._validate_outboxes(outboxes)
         sent = [0] * self.p
@@ -286,7 +279,7 @@ class Machine:
                     w = weight(rec)
                     sent[src] += w
                     received[dst] += w
-                    sent_bytes[src] += w * 32 if nbytes is None else nbytes(rec)
+                    sent_bytes[src] += nbytes(rec)
         self.metrics.record_comm(label, sent, received, sent_bytes)
         return inboxes
 
@@ -319,9 +312,6 @@ class Machine:
     def empty_outboxes(self) -> list[list[list[Any]]]:
         """A fresh ``outboxes[src][dst] = []`` structure."""
         return [[[] for _ in range(self.p)] for _ in range(self.p)]
-
-    def modeled_time(self) -> float:
-        return self.metrics.modeled_time(self.cost)
 
     @contextmanager
     def scope(self) -> Iterator[Metrics]:

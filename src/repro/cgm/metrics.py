@@ -11,7 +11,8 @@ trace of the operation running it (one build, one pass, one refit — see
 * ``max_h``           — the largest h-relation routed (claimed O(s/p)),
 * ``max_work``        — max per-processor charged operations summed over
                         compute steps (claimed O(s/p), O(s log n / p), ...),
-* ``modeled_time``    — the BSP cost under a :class:`~repro.cgm.cost.CostModel`,
+* ``modeled_time(cost)`` — the BSP cost under the given
+                        :class:`~repro.cgm.cost.CostModel`,
 * ``total_comm_bytes`` — routed **bytes** summed over rounds.  The
                         theorems charge rounds by communication *volume*;
                         for batch rounds the byte figure is exact

@@ -21,7 +21,9 @@ and the heavy structures never move.
 
 Phases register at import time under a dotted name (``"cgm.sort.local_cols"``,
 ``"dist.construct.build_elements_cols"``); worker processes resolve the name
-against the same registry after importing :data:`BOOTSTRAP_MODULES`.
+against the same registry after importing :data:`BOOTSTRAP_MODULES` (a
+forked worker also inherits whatever the driver registered before it
+started).
 """
 
 from __future__ import annotations
@@ -41,11 +43,10 @@ __all__ = [
 #: the distributed pipeline is registered before the first dispatch.
 #: ``repro.dist`` transitively imports the cgm sort/collectives phases.
 #:
-#: Under the ``fork`` start method (the default where available) workers
-#: inherit the driver's registry, so user phases registered before the
-#: first dispatch just work.  Under ``spawn`` they do not: list the
-#: modules that register them in the ``REPRO_BOOTSTRAP_MODULES``
-#: environment variable (comma-separated import paths).
+#: Workers start by ``fork`` where the platform offers it and inherit the
+#: driver's registry, so user phases registered before the first dispatch
+#: just work.  Under ``spawn`` (the fallback) a worker knows only the
+#: phases these modules register.
 BOOTSTRAP_MODULES: Tuple[str, ...] = ("repro.dist", "repro.query.engine")
 
 
@@ -109,8 +110,6 @@ def registered_phases() -> Tuple[str, ...]:
 def bootstrap() -> None:
     """Import every phase-defining module (worker-process startup)."""
     import importlib
-    import os
 
-    extra = os.environ.get("REPRO_BOOTSTRAP_MODULES", "")
-    for mod in (*BOOTSTRAP_MODULES, *filter(None, extra.split(","))):
-        importlib.import_module(mod.strip())
+    for mod in BOOTSTRAP_MODULES:
+        importlib.import_module(mod)

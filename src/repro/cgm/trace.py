@@ -1,10 +1,11 @@
 """Human-readable rendering of a machine's superstep trace.
 
-``render_trace(tree.metrics)`` produces the execution timeline the
-paper's analysis reasons about (§1's alternation of supersteps):
-alternating local-computation phases and
-h-relation rounds, with per-step work/volume columns.  Used by the CLI's
-``query --trace`` flag and handy when debugging new distributed algorithms.
+``render_trace(tree.metrics, CostModel())`` produces the execution
+timeline the paper's analysis reasons about (§1's alternation of
+supersteps): alternating local-computation phases and h-relation rounds,
+with per-step work/volume columns, and the trace's BSP time read under
+the given cost model.  Used by the CLI's ``query --trace`` flag and handy
+when debugging new distributed algorithms.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from .metrics import Metrics
 __all__ = ["render_trace"]
 
 
-def render_trace(metrics: Metrics, cost: CostModel | None = None) -> str:
-    """Render every superstep as one line; totals at the bottom."""
+def render_trace(metrics: Metrics, cost: CostModel) -> str:
+    """Render every superstep as one line; totals and the modeled BSP
+    time under ``cost`` at the bottom."""
     lines = [
         f"{'#':>3} {'kind':7} {'label':34} {'max ops':>9} {'h':>7} {'volume':>8} {'max ms':>8}"
     ]
@@ -38,8 +40,7 @@ def render_trace(metrics: Metrics, cost: CostModel | None = None) -> str:
         f"volume {metrics.total_volume}, max work {metrics.max_work}, "
         f"critical path {metrics.critical_seconds * 1e3:.2f} ms"
     )
-    if cost is not None:
-        lines.append(
-            f"modeled BSP time [{cost.describe()}]: {metrics.modeled_time(cost):.1f}"
-        )
+    lines.append(
+        f"modeled BSP time [{cost.describe()}]: {metrics.modeled_time(cost):.1f}"
+    )
     return "\n".join(lines)

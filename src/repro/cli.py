@@ -372,9 +372,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
             print(f"phases: {rs.metrics.phase_sequence()}")
 
         if args.trace:
-            from .cgm.trace import render_trace
+            from .cgm import CostModel, render_trace
 
-            print(render_trace(tree.metrics, tree.machine.cost), file=diag)
+            print(render_trace(tree.metrics, CostModel()), file=diag)
         if args.validate:
             from .dist.validate import validate_tree
 

@@ -31,7 +31,6 @@ import numpy as np
 
 from .._util import require_power_of_two
 from ..cgm.collectives import alltoall_broadcast
-from ..cgm.cost import CostModel
 from ..cgm.machine import Machine
 from ..cgm.phases import ProcContext, register_phase
 from ..geometry.box import Box
@@ -164,8 +163,6 @@ class DistributedRangeTree:
         machine: Machine | None = None,
         backend: str = "serial",
         semigroup: Semigroup = COUNT,
-        cost: CostModel | None = None,
-        capacity: int | None = None,
     ) -> "DistributedRangeTree":
         """Build the tree over ``points`` on ``p`` virtual processors.
 
@@ -187,7 +184,7 @@ class DistributedRangeTree:
             if p is None:
                 p = 4
             require_power_of_two("processor count p", p)
-            machine = Machine(p, backend=backend, cost=cost, capacity=capacity)
+            machine = Machine(p, backend=backend)
         else:
             p = machine.p
             require_power_of_two("processor count p", p)

@@ -49,7 +49,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from .._util import require_power_of_two
-from ..cgm.cost import CostModel
 from ..cgm.machine import Machine
 from ..errors import DimensionMismatch, EmptyPointSet, GeometryError, ReproError
 from ..geometry.point import PointSet, checked_coords, checked_pid
@@ -146,7 +145,6 @@ class DynamicDistributedRangeTree:
         machine: Machine | None = None,
         backend: str = "serial",
         semigroup: Semigroup = COUNT,
-        cost: CostModel | None = None,
         flush_threshold: int = 64,
     ) -> None:
         if dim < 1:
@@ -161,7 +159,7 @@ class DynamicDistributedRangeTree:
         self._owns_machine = machine is None
         if machine is None:
             require_power_of_two("processor count p", p)
-            machine = Machine(p, backend=backend, cost=cost)
+            machine = Machine(p, backend=backend)
         else:
             require_power_of_two("processor count p", machine.p)
         self.machine = machine
@@ -190,7 +188,6 @@ class DynamicDistributedRangeTree:
         machine: Machine | None = None,
         backend: str = "serial",
         semigroup: Semigroup = COUNT,
-        cost: CostModel | None = None,
         flush_threshold: int = 64,
     ) -> "DynamicDistributedRangeTree":
         """Bulk-load ``points`` (may be ``None``/empty: pass ``dim``).
@@ -217,7 +214,6 @@ class DynamicDistributedRangeTree:
             machine=machine,
             backend=backend,
             semigroup=semigroup,
-            cost=cost,
             flush_threshold=flush_threshold,
         )
         if points is not None:

@@ -50,17 +50,13 @@ class SegTree:
 
     __slots__ = ("ranks", "m", "height", "_rank_list")
 
-    def __init__(self, sorted_ranks: np.ndarray, validate: bool = True) -> None:
-        """``validate=False`` skips the strictly-increasing check — for
-        trusted internal callers only (the range tree sorts unique rank
-        columns, so its thousands of per-node subtrees cannot violate
-        it; re-checking each one is pure overhead)."""
+    def __init__(self, sorted_ranks: np.ndarray) -> None:
         ranks = np.asarray(sorted_ranks, dtype=np.int64)
         if ranks.ndim != 1:
             raise GeometryError("SegTree needs a 1-d rank array")
         m = int(ranks.shape[0])
         self.height = ilog2(m)  # validates power of two
-        if validate and m > 1 and not bool(np.all(ranks[1:] > ranks[:-1])):
+        if m > 1 and not bool(np.all(ranks[1:] > ranks[:-1])):
             raise GeometryError("SegTree ranks must be strictly increasing")
         self.ranks = ranks
         self.m = m
@@ -160,14 +156,14 @@ class SegTree:
     # ------------------------------------------------------------------
     # rendering (used by the Figure 1 reproduction)
     # ------------------------------------------------------------------
-    def render(self, one_based: bool = True) -> str:
-        """ASCII rendering of the tree's segments, one level per line.
+    def render(self) -> str:
+        """ASCII rendering of the tree's segments, one level per line,
+        labelled one-based.
 
-        With ``one_based=True`` and contiguous ranks ``0..m-1`` this
-        reproduces the labels of the paper's Figure 1: leaves
-        ``[1,2) [2,3) ... [m,m]`` and dyadic internal segments.
+        With contiguous ranks ``0..m-1`` this reproduces the labels of the
+        paper's Figure 1: leaves ``[1,2) [2,3) ... [m,m]`` and dyadic
+        internal segments.
         """
-        off = 1 if one_based else 0
         last = int(self.ranks[-1])
         lines = []
         for level in range(self.height, -1, -1):
@@ -176,9 +172,9 @@ class SegTree:
                 lo, hi = self.seg(node)
                 if hi == last:
                     # segments touching the right end are closed: [7,8], [5,8], [1,8]
-                    cells.append(f"[{lo + off},{hi + off}]")
+                    cells.append(f"[{lo + 1},{hi + 1}]")
                 else:
-                    cells.append(f"[{lo + off},{hi + off + 1})")
+                    cells.append(f"[{lo + 1},{hi + 2})")
             lines.append(" ".join(cells))
         return "\n".join(lines)
 

@@ -12,10 +12,9 @@ Error lines come back as the *typed* exceptions the daemon raised
 :func:`repro.serve.protocol.error_from_obj`), so callers can branch on
 type instead of parsing messages.  When constructed with ``retries >
 0`` the client absorbs :class:`~repro.errors.Overloaded` sheds itself:
-each retry waits a *jittered exponential backoff* (``base * 2**attempt``
-capped at ``cap``, scaled by a seeded uniform in ``[0.5, 1)`` so
-concurrent clients desynchronize deterministically) and re-sends under
-a fresh request id.
+each retry waits :func:`backoff_s` and re-sends under a fresh request
+id.  Once the daemon closes or resets the connection, every request
+raises ``ServeError("connection closed")``.
 """
 
 from __future__ import annotations
@@ -30,7 +29,23 @@ from ..errors import Overloaded, ServeError
 from ..query.descriptors import Query
 from .protocol import decode_line, error_from_obj, request_to_obj
 
-__all__ = ["ServeClient"]
+__all__ = ["ServeClient", "backoff_s", "RETRY_BASE_MS", "RETRY_CAP_MS"]
+
+#: Backoff before the first retry, in ms (before jitter); it doubles per retry.
+RETRY_BASE_MS = 10
+#: The longest backoff, in ms (before jitter).
+RETRY_CAP_MS = 500
+
+
+def backoff_s(attempt: int, rng: random.Random) -> float:
+    """Jittered exponential backoff before retry ``attempt`` (0-based), in s.
+
+    ``RETRY_BASE_MS * 2**attempt`` capped at ``RETRY_CAP_MS``, scaled by
+    a uniform draw from ``rng`` in ``[0.5, 1)`` so that concurrent
+    clients seeded apart desynchronize deterministically.
+    """
+    delay_ms = min(RETRY_CAP_MS, RETRY_BASE_MS * 2**attempt)
+    return delay_ms * (0.5 + rng.random() / 2.0) / 1000.0
 
 
 class ServeClient:
@@ -42,8 +57,6 @@ class ServeClient:
         writer: asyncio.StreamWriter,
         *,
         retries: int = 0,
-        retry_base_ms: float = 10.0,
-        retry_cap_ms: float = 500.0,
         retry_seed: int = 0,
     ) -> None:
         if retries < 0:
@@ -55,8 +68,6 @@ class ServeClient:
         self._reader_task = asyncio.ensure_future(self._read_loop())
         self._closed = False
         self.retries = retries
-        self.retry_base_ms = retry_base_ms
-        self.retry_cap_ms = retry_cap_ms
         self._rng = random.Random(retry_seed)
         self.retried = 0  # Overloaded sheds absorbed by backoff
 
@@ -67,8 +78,6 @@ class ServeClient:
         port: int,
         *,
         retries: int = 0,
-        retry_base_ms: float = 10.0,
-        retry_cap_ms: float = 500.0,
         retry_seed: int = 0,
     ) -> "ServeClient":
         reader, writer = await asyncio.open_connection(host, port)
@@ -76,13 +85,10 @@ class ServeClient:
             reader,
             writer,
             retries=retries,
-            retry_base_ms=retry_base_ms,
-            retry_cap_ms=retry_cap_ms,
             retry_seed=retry_seed,
         )
 
     async def _read_loop(self) -> None:
-        error: Exception | None = None
         try:
             while True:
                 line = await self._reader.readline()
@@ -92,27 +98,22 @@ class ServeClient:
                 future = self._pending.pop(obj.get("id"), None)
                 if future is not None and not future.done():
                     future.set_result(obj)
-        except (ConnectionError, asyncio.CancelledError) as exc:
-            error = exc if isinstance(exc, ConnectionError) else None
-            if error is None:
-                raise
+        except ConnectionError:
+            pass  # a reset is a close: the requests still pending fail below
         finally:
-            failure = error or ServeError("connection closed")
             for future in self._pending.values():
                 if not future.done():
-                    future.set_exception(failure)
+                    future.set_exception(ServeError("connection closed"))
             self._pending.clear()
-
-    def _backoff_s(self, attempt: int) -> float:
-        """Jittered exponential backoff before retry ``attempt`` (0-based)."""
-        delay_ms = min(self.retry_cap_ms, self.retry_base_ms * (2**attempt))
-        return delay_ms * (0.5 + self._rng.random() / 2.0) / 1000.0
 
     async def _request_once(
         self, query: Query, deadline_ms: "float | None"
     ) -> dict:
         if self._closed:
             raise ServeError("ServeClient is closed")
+        if self._reader_task.done():
+            # no read loop is left to answer the request
+            raise ServeError("connection closed")
         req_id = next(self._ids)
         future = asyncio.get_running_loop().create_future()
         self._pending[req_id] = future
@@ -132,28 +133,25 @@ class ServeClient:
         query: Query,
         *,
         deadline_ms: "float | None" = None,
-        retries: "int | None" = None,
     ) -> dict:
         """Send one query; return the raw response object.
 
         A daemon error line raises the *typed* exception it describes
         (``Overloaded`` / ``DeadlineExceeded`` / ``QueryFailed`` /
-        ``ServeError``).  ``Overloaded`` is retried up to ``retries``
-        times (default: the client's configured ``retries``) under
-        jittered exponential backoff, each attempt on a fresh request
-        id; the other error types are never retried — a deadline or a
-        poisoned query fails the same way again.
+        ``ServeError``).  ``Overloaded`` is retried up to the client's
+        ``retries`` times under :func:`backoff_s`, each attempt on a
+        fresh request id; the other error types are never retried — a
+        deadline or a poisoned query fails the same way again.
         """
-        budget = self.retries if retries is None else retries
         attempt = 0
         while True:
             try:
                 return await self._request_once(query, deadline_ms)
             except Overloaded:
-                if attempt >= budget:
+                if attempt >= self.retries:
                     raise
                 self.retried += 1
-                await asyncio.sleep(self._backoff_s(attempt))
+                await asyncio.sleep(backoff_s(attempt, self._rng))
                 attempt += 1
 
     async def value(

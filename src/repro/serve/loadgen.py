@@ -38,7 +38,7 @@ from ..errors import Overloaded, ServeError
 from ..query.descriptors import Query, QueryBatch, aggregate, count, report
 from ..query.result import _json_safe
 from ..workloads import make_queries
-from .client import ServeClient
+from .client import ServeClient, backoff_s
 from .server import start_tcp_server
 from .service import FlushPolicy, QueryService
 
@@ -135,8 +135,8 @@ def _error_stats(errors: List["str | None"]) -> "tuple[int, dict]":
 
 async def _run_inproc(service: QueryService, queries, arrival, clients,
                       rate_qps, seed, deadline_ms=None, retries=0):
-    # Mirror ServeClient's Overloaded backoff for the in-process
-    # transport, so `retries` means the same thing on both.
+    # ServeClient's Overloaded backoff on the in-process transport, so
+    # `retries` means the same thing on both.
     rng = random.Random(seed ^ 0x5E12E)
 
     async def submit(q: Query):
@@ -149,10 +149,7 @@ async def _run_inproc(service: QueryService, queries, arrival, clients,
             except Overloaded:
                 if attempt >= retries:
                     raise
-                delay_ms = min(500.0, 10.0 * (2**attempt))
-                await asyncio.sleep(
-                    delay_ms * (0.5 + rng.random() / 2.0) / 1000.0
-                )
+                await asyncio.sleep(backoff_s(attempt, rng))
                 attempt += 1
 
     async with service:
@@ -261,7 +258,6 @@ def run_loadgen(
     rate_qps: float | None = None,
     max_batch: int = 1024,
     transport: str = "inproc",
-    verify: bool = True,
     max_inflight: int | None = None,
     deadline_ms: float | None = None,
     retries: int = 0,
@@ -269,9 +265,9 @@ def run_loadgen(
     """One complete loadgen measurement; returns a flat row dict.
 
     The caller owns ``tree`` (it stays open); the service and any TCP
-    plumbing live only for the measurement.  With ``verify=True`` the
-    same queries also run as one direct ``tree.run`` batch and every
-    *successfully served* answer is compared — bit-identical for the
+    plumbing live only for the measurement.  The same queries also run
+    as one direct ``tree.run`` batch and every *successfully served*
+    answer is compared — bit-identical for the
     in-process transport, JSON-coerced for TCP (the wire's
     representation); a shed/expired query contributes to the error
     counts, never a wrong answer.
@@ -287,9 +283,7 @@ def run_loadgen(
     if transport not in ("inproc", "tcp"):
         raise ServeError(f"unknown transport {transport!r} (inproc | tcp)")
 
-    expected = None
-    if verify:
-        expected = tree.run(QueryBatch(queries)).values()
+    expected = tree.run(QueryBatch(queries)).values()
 
     service = QueryService(
         tree,
@@ -305,21 +299,19 @@ def run_loadgen(
     )
 
     n_errors, error_types = _error_stats(errors)
-    answers_match = None
-    if expected is not None:
-        # Compare only the queries that got answers: errors are counted,
-        # not compared (there is nothing to compare them against).
-        pairs = [
-            (exp, got)
-            for exp, got, err in zip(expected, values, errors)
-            if err is None
-        ]
-        if transport == "tcp":
-            answers_match = all(
-                _json_safe(exp) == got for exp, got in pairs
-            )
-        else:
-            answers_match = all(exp == got for exp, got in pairs)
+    # Compare only the queries that got answers: errors are counted,
+    # not compared (there is nothing to compare them against).
+    pairs = [
+        (exp, got)
+        for exp, got, err in zip(expected, values, errors)
+        if err is None
+    ]
+    if transport == "tcp":
+        answers_match = all(
+            _json_safe(exp) == got for exp, got in pairs
+        )
+    else:
+        answers_match = all(exp == got for exp, got in pairs)
 
     ok_latencies = [
         lat for lat, err in zip(latencies, errors) if err is None

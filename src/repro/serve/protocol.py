@@ -14,9 +14,12 @@ Request object::
 ``mode`` defaults to ``"count"``; ``box`` is the per-dimension
 ``(lo, hi)`` list the :mod:`repro.query` constructors accept; the
 remaining keys are the mode-specific options (``limit`` for report,
-``k``/``dim`` for topk, ``k``/``seed`` for sample).  ``deadline_ms``
-(optional) bounds the query's total latency server-side — past it the
-answer is a ``DeadlineExceeded`` error line, never a late result.
+``k``/``dim`` for topk, ``k``/``seed`` for sample), each a JSON integer.
+``deadline_ms`` (optional, a JSON number) bounds the query's total
+latency server-side — past it the answer is a ``DeadlineExceeded``
+error line, never a late result.  A value of the wrong JSON type (a
+bool, a string, a fraction where an integer is due) is a bad request,
+never coerced.
 Aggregate queries fold the tree's declared semigroup (``base_semigroup``;
 on a COUNT-declared tree, the default, that is the selections' widths,
 the same fold as ``count``) — per-query semigroups are an in-process API
@@ -62,6 +65,7 @@ from .service import ServeResponse
 
 __all__ = [
     "query_from_request",
+    "deadline_from_request",
     "request_to_obj",
     "decode_line",
     "encode_response",
@@ -87,6 +91,29 @@ def decode_line(line: bytes) -> dict:
     return obj
 
 
+def _number(obj: dict, key: str, types: tuple, what: str) -> Any:
+    """``obj[key]`` (``None`` when absent) if it is a JSON ``what``.
+
+    ``bool`` is an ``int`` to Python but not a number to JSON, so it is
+    refused by name.
+    """
+    value = obj.get(key)
+    if value is not None and (isinstance(value, bool) or not isinstance(value, types)):
+        raise ServeError(f"{key!r} must be a JSON {what}, got {value!r}")
+    return value
+
+
+def _integer(obj: dict, key: str, default: Any = None) -> Any:
+    value = _number(obj, key, (int,), "integer")
+    return default if value is None else value
+
+
+def deadline_from_request(obj: dict) -> "float | None":
+    """The request's ``deadline_ms`` (``None`` when it has none)."""
+    value = _number(obj, "deadline_ms", (int, float), "number")
+    return None if value is None else float(value)
+
+
 def query_from_request(obj: dict) -> Query:
     """Build the :class:`~repro.query.Query` one wire request describes."""
     mode = obj.get("mode", "count")
@@ -97,19 +124,18 @@ def query_from_request(obj: dict) -> Query:
         if mode == "count":
             return count(box)
         if mode == "report":
-            limit = obj.get("limit")
-            return report(box, limit=None if limit is None else int(limit))
+            return report(box, limit=_integer(obj, "limit"))
         if mode == "aggregate":
             return aggregate(box)
         if mode == "topk":
             if "k" not in obj:
                 raise ServeError("topk request is missing 'k'")
-            return top_k(box, int(obj["k"]), dim=int(obj.get("dim", 0)))
+            return top_k(box, _integer(obj, "k"), dim=_integer(obj, "dim", 0))
         if mode == "sample":
             if "k" not in obj:
                 raise ServeError("sample request is missing 'k'")
             return sample_report(
-                box, int(obj["k"]), seed=int(obj.get("seed", 0))
+                box, _integer(obj, "k"), seed=_integer(obj, "seed", 0)
             )
     except ServeError:
         raise

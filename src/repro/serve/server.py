@@ -17,6 +17,7 @@ import asyncio
 
 from ..errors import ReproError
 from .protocol import (
+    deadline_from_request,
     decode_line,
     encode_error,
     encode_response,
@@ -80,22 +81,15 @@ async def _handle_connection(
             try:
                 obj = decode_line(line)
                 req_id = obj.get("id")
-                deadline_ms = obj.get("deadline_ms")
-                if deadline_ms is not None:
-                    deadline_ms = float(deadline_ms)
                 future = service.submit(
-                    query_from_request(obj), deadline_ms=deadline_ms
+                    query_from_request(obj),
+                    deadline_ms=deadline_from_request(obj),
                 )
             except ReproError as exc:
                 # Sheds (Overloaded), deadline validation, and malformed
                 # requests all answer as typed error lines; the
                 # connection lives on.
                 await send(encode_error(req_id, exc))
-                continue
-            except (TypeError, ValueError) as exc:
-                await send(
-                    encode_error(req_id, f"bad deadline_ms: {exc}")
-                )
                 continue
             task = asyncio.ensure_future(respond(req_id, future))
             responders.add(task)

@@ -18,8 +18,8 @@ exercise the same adversarial shapes:
 * **empty-structure queries** — the stream opens with a query before any
   insert, so every mode's empty answer is exercised.
 
-Coordinates are *dyadic rationals* (``i / grid`` with ``grid`` a power of
-two) so that floating-point sums over any subset are exact and
+Coordinates are *dyadic rationals* (``i / GRID`` with :data:`GRID` a
+power of two) so that floating-point sums over any subset are exact and
 order-independent — the bit-identity the differential suite asserts is
 then honest even for ``sum``-style aggregates folded in different bucket
 orders.
@@ -35,6 +35,23 @@ import numpy as np
 from ..geometry.box import Box
 
 __all__ = ["StreamOp", "update_query_stream", "stream_counts"]
+
+#: Coordinates and box corners are multiples of ``1 / GRID``.
+GRID = 64
+#: An insert burst adds 1 to ``INSERT_BURST`` points.
+INSERT_BURST = 4
+#: Chance that a step deletes (once anything is live) rather than inserts.
+DELETE_RATE = 0.3
+#: Chance that a delete targets an already deleted id (a delete-of-absent).
+ABSENT_DELETE_RATE = 0.15
+#: Chance that an insert reuses coordinates an earlier insert used.
+DUPLICATE_COORD_RATE = 0.2
+#: A query checkpoint follows every ``QUERY_EVERY`` updates.
+QUERY_EVERY = 8
+#: Boxes per query checkpoint.
+QUERIES_PER_CHECKPOINT = 3
+#: A box side spans at most this share of the domain.
+MAX_SIDE = 0.6
 
 
 @dataclass(frozen=True)
@@ -54,34 +71,22 @@ class StreamOp:
     absent: bool = False
 
 
-def _dyadic_box(rng: np.random.Generator, d: int, grid: int, max_side: float) -> Box:
+def _dyadic_box(rng: np.random.Generator, d: int) -> Box:
     """A closed query box with dyadic-rational corners."""
     bounds = []
-    max_cells = max(1, int(grid * max_side))
+    max_cells = max(1, int(GRID * MAX_SIDE))
     for _ in range(d):
-        lo = int(rng.integers(0, grid))
+        lo = int(rng.integers(0, GRID))
         side = int(rng.integers(1, max_cells + 1))
-        bounds.append((lo / grid, min(grid, lo + side) / grid))
+        bounds.append((lo / GRID, min(GRID, lo + side) / GRID))
     return Box(bounds)
 
 
-def update_query_stream(
-    n_ops: int,
-    d: int,
-    seed: int = 0,
-    *,
-    grid: int = 64,
-    insert_burst: int = 4,
-    delete_rate: float = 0.3,
-    absent_delete_rate: float = 0.15,
-    duplicate_coord_rate: float = 0.2,
-    query_every: int = 8,
-    queries_per_checkpoint: int = 3,
-    max_side: float = 0.6,
-) -> list[StreamOp]:
+def update_query_stream(n_ops: int, d: int, seed: int = 0) -> list[StreamOp]:
     """A seeded stream of ~``n_ops`` interleaved updates and queries.
 
-    Deterministic given ``(n_ops, d, seed)`` and the knobs.  The stream
+    Deterministic given ``(n_ops, d, seed)``; its shape is set by the
+    module constants (:data:`GRID` … :data:`MAX_SIDE`).  The stream
     always opens with an empty-structure query checkpoint and closes
     with a final checkpoint, and is guaranteed to contain at least one
     insert burst, at least one valid delete (once anything is live), and
@@ -95,16 +100,13 @@ def update_query_stream(
     retired: list[int] = []  # deleted pids — targets for absent deletes
 
     def checkpoint() -> StreamOp:
-        boxes = tuple(
-            _dyadic_box(rng, d, grid, max_side)
-            for _ in range(queries_per_checkpoint)
-        )
+        boxes = tuple(_dyadic_box(rng, d) for _ in range(QUERIES_PER_CHECKPOINT))
         return StreamOp(kind="query", boxes=boxes)
 
     def fresh_coords() -> Tuple[float, ...]:
-        if used_coords and rng.random() < duplicate_coord_rate:
+        if used_coords and rng.random() < DUPLICATE_COORD_RATE:
             return used_coords[int(rng.integers(0, len(used_coords)))]
-        c = tuple(float(x) / grid for x in rng.integers(0, grid + 1, size=d))
+        c = tuple(float(x) / GRID for x in rng.integers(0, GRID + 1, size=d))
         used_coords.append(c)
         return c
 
@@ -112,8 +114,8 @@ def update_query_stream(
     updates_since_checkpoint = 0
     while len(ops) < n_ops:
         roll = rng.random()
-        if live and roll < delete_rate:
-            if retired and rng.random() < absent_delete_rate:
+        if live and roll < DELETE_RATE:
+            if retired and rng.random() < ABSENT_DELETE_RATE:
                 pid = retired[int(rng.integers(0, len(retired)))]
                 ops.append(StreamOp(kind="delete", pid=pid, absent=True))
             else:
@@ -123,14 +125,14 @@ def update_query_stream(
                 ops.append(StreamOp(kind="delete", pid=pid))
             updates_since_checkpoint += 1
         else:
-            burst = 1 + int(rng.integers(0, insert_burst))
+            burst = 1 + int(rng.integers(0, INSERT_BURST))
             for _ in range(burst):
                 pid = next_pid
                 next_pid += 1
                 live.append(pid)
                 ops.append(StreamOp(kind="insert", pid=pid, coords=fresh_coords()))
                 updates_since_checkpoint += 1
-        if updates_since_checkpoint >= query_every:
+        if updates_since_checkpoint >= QUERY_EVERY:
             ops.append(checkpoint())
             updates_since_checkpoint = 0
     if not retired and live:

@@ -287,8 +287,7 @@ class RangeTree:
     # construction (the classical bottom-up sequential algorithm)
     def _build(self, rows: np.ndarray, dim: int) -> DimTree:
         order = rows[np.argsort(self.ranks[rows, dim], kind="stable")]
-        # ranks are unique per dimension and just sorted: trusted input
-        seg = SegTree(self.ranks[order, dim], validate=False)
+        seg = SegTree(self.ranks[order, dim])
         if dim == self.d - 1:
             return DimTree(dim, seg, order, None, self._build_aggs(seg, order))
         m = seg.m

@@ -85,7 +85,7 @@ class TestExchange:
         mach = Machine(2)
         out = mach.empty_outboxes()
         out[0][1] = [("blob", 10)]
-        mach.exchange_weighted("x", out, weight=lambda rec: rec[1])
+        mach.exchange_weighted("x", out, weight=lambda rec: rec[1], nbytes=lambda rec: 8)
         step = mach.metrics.steps[-1]
         assert step.h == 10
 
@@ -120,13 +120,13 @@ class TestMetrics:
         assert mach.metrics.rounds == 1
 
     def test_modeled_time(self):
-        mach = Machine(2, cost=CostModel(g=2.0, L=5.0))
+        mach = Machine(2)
         mach.run_phase("c", "test.charge", [10, 10])
         out = mach.empty_outboxes()
         out[0][1] = [1, 2]
         mach.exchange("x", out)
         # 10 ops + g*2 + L = 10 + 4 + 5
-        assert mach.modeled_time() == 19.0
+        assert mach.metrics.modeled_time(CostModel(g=2.0, L=5.0)) == 19.0
 
     def test_summary_keys(self):
         mach = Machine(2)

@@ -103,6 +103,7 @@ class TestQueryCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "totals:" in out
+        assert "modeled BSP time [BSP(g=1.0, L=100.0)]: " in out
         assert "validation: OK" in out
 
     def test_hotspot_workload(self, capsys):

@@ -128,7 +128,9 @@ def test_inside_a_scope_the_last_step_after_an_exchange_is_that_exchange():
 
         heavy = mach.empty_outboxes()
         heavy[1][0] = [("blob", 10)]
-        mach.exchange_weighted("weighted", heavy, weight=lambda rec: rec[1])
+        mach.exchange_weighted(
+            "weighted", heavy, weight=lambda rec: rec[1], nbytes=lambda rec: 8
+        )
         assert (mach.metrics.steps[-1].label, mach.metrics.steps[-1].h) == ("weighted", 10)
 
         batch = RecordBatch("test.rows", {"x": np.arange(4)})

@@ -624,11 +624,6 @@ def test_estimate_object_bytes_is_deterministic_and_seeded():
     a = estimate_object_bytes(items)
     b = estimate_object_bytes(items)
     assert a == b  # reproducible run to run
-    assert estimate_object_bytes(items, seed=123) != a or True  # seed is honored
-    # seed changes the sampled positions (statistically certain here)
-    assert estimate_object_bytes(items, seed=1) == estimate_object_bytes(
-        items, seed=1
-    )
     # exact for short streams
     small = [(1, 2), (3,)]
     assert estimate_object_bytes(small) == sum(

@@ -13,6 +13,8 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import socket
+import struct
 
 import pytest
 
@@ -33,6 +35,7 @@ from repro.serve import (
     error_to_obj,
     start_tcp_server,
 )
+from repro.serve.client import RETRY_BASE_MS, RETRY_CAP_MS
 from repro.serve.loadgen import run_loadgen
 from repro.workloads import make_points
 from tests.helpers import HeldWorker
@@ -392,11 +395,11 @@ class TestWireErrors:
         assert shed.max_inflight == 1
 
     def test_client_retries_absorb_sheds(self, tree):
-        callers, base_ms, cap_ms = 6, 2.0, 500.0
+        callers = 6
         # One slot: a caller can lose it about once per other caller's
         # in-flight window, plus the attempts its backoff needs to ramp
         # from base to cap (by then the others are long answered).
-        retries = (callers - 1) + math.ceil(math.log2(cap_ms / base_ms)) + 2
+        retries = (callers - 1) + math.ceil(math.log2(RETRY_CAP_MS / RETRY_BASE_MS)) + 2
 
         async def go():
             async with QueryService(tree, max_inflight=1) as svc:
@@ -407,8 +410,6 @@ class TestWireErrors:
                         "127.0.0.1",
                         port,
                         retries=retries,
-                        retry_base_ms=base_ms,
-                        retry_cap_ms=cap_ms,
                     )
                     values = await asyncio.gather(
                         *[client.value(count(BOX)) for _ in range(callers)]
@@ -426,6 +427,90 @@ class TestWireErrors:
         assert values == [direct] * 6  # every query answered, correctly
         assert shed > 0  # the service really did shed
         assert retried == shed  # ... and the client absorbed every one
+
+
+    @pytest.mark.parametrize(
+        "mode, key, value",
+        [
+            ("report", "limit", 2.7),
+            ("topk", "k", "3"),
+            ("topk", "k", True),
+            ("topk", "dim", 0.0),
+            ("sample", "seed", False),
+            ("count", "deadline_ms", True),
+            ("count", "deadline_ms", "5"),
+        ],
+    )
+    def test_a_mistyped_option_is_a_bad_request(self, tree, mode, key, value):
+        """An integer option takes only a JSON integer and ``deadline_ms``
+        only a JSON number: nothing is coerced, and the connection lives on."""
+        request = {"id": 1, "mode": mode, "box": BOX, "k": 2, key: value}
+        good = {"id": 2, "mode": "count", "box": BOX}
+
+        async def go():
+            async with QueryService(tree) as svc:
+                server = await start_tcp_server(svc, "127.0.0.1", 0)
+                port = server.sockets[0].getsockname()[1]
+                try:
+                    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                    answers = []
+                    for obj in (request, good):
+                        writer.write(json.dumps(obj).encode() + b"\n")
+                        await writer.drain()
+                        answers.append(json.loads(await reader.readline()))
+                    writer.close()
+                    await writer.wait_closed()
+                    return answers
+                finally:
+                    server.close()
+                    await server.wait_closed()
+
+        bad, ok = run(go())
+        assert (bad["id"], bad["ok"], bad["error"]["type"]) == (1, False, "ServeError")
+        assert repr(key) in bad["error"]["message"]
+        direct = tree.run(QueryBatch([count(BOX)])).values()[0]
+        assert (ok["id"], ok["ok"], ok["value"]) == (2, True, direct)
+
+    @pytest.mark.parametrize("hang_up", ["close", "reset"])
+    def test_requests_after_the_daemon_hangs_up_raise(self, hang_up):
+        """A daemon that answers one line, then closes or resets the
+        connection under the next request: that request and every later
+        one raise ``ServeError``, the type a loadgen run counts, at once
+        (never a bare ``ConnectionResetError``, never a wait on a reply
+        that cannot come)."""
+
+        async def answer_once(reader, writer):
+            obj = json.loads(await reader.readline())
+            reply = {"id": obj["id"], "ok": True, "value": 1}
+            writer.write(json.dumps(reply).encode() + b"\n")
+            await writer.drain()
+            await reader.readline()
+            if hang_up == "reset":
+                linger_zero = struct.pack("ii", 1, 0)  # closing sends a RST
+                writer.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, linger_zero
+                )
+                writer.transport.abort()
+            else:
+                writer.close()
+
+        async def go():
+            server = await asyncio.start_server(answer_once, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                async with await ServeClient.connect("127.0.0.1", port) as client:
+                    first = await client.value(count(BOX))
+                    errors = []
+                    for _ in range(2):
+                        with pytest.raises(ServeError) as exc:
+                            await asyncio.wait_for(client.value(count(BOX)), 2)
+                        errors.append(str(exc.value))
+                    return first, errors
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        assert run(go()) == (1, ["connection closed"] * 2)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -100,3 +101,20 @@ def test_references_live_beside_the_tests():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+#: The environment variables the package reads: the fault plan and the
+#: process backend's two deployment settings.
+ENVIRONMENT = {"REPRO_FAULT_PLAN", "REPRO_WORKER_TIMEOUT_S", "REPRO_WORKER_RECOVERY"}
+
+
+def test_the_package_reads_only_its_known_environment():
+    """Every ``REPRO_*`` name in the package source is one of
+    :data:`ENVIRONMENT`: a new environment setting is a new option, and
+    a removed one leaves no reader behind."""
+    names = {
+        name
+        for path in Path(SRC_DIR, "repro").rglob("*.py")
+        for name in re.findall(r"\bREPRO_[A-Z0-9_]+", path.read_text())
+    }
+    assert names == ENVIRONMENT
