@@ -18,6 +18,7 @@ __all__ = [
     "chunks",
     "percentiles",
     "slice_positions",
+    "stable_argsort",
 ]
 
 
@@ -92,3 +93,28 @@ def slice_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     first = np.cumsum(lengths) - lengths
     total = int(lengths.sum())
     return np.repeat(starts - first, lengths) + np.arange(total, dtype=np.int64)
+
+
+def stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """Exactly ``np.argsort(keys, kind="stable")`` (ties in index
+    order), at quicksort cost.
+
+    A quicksort order is already the stable one when no two keys tie, so
+    it is returned as is once the sorted keys are checked strictly
+    distinct; otherwise the pairs ``(dense rank, index)``, packed
+    distinct into one int64 ``rank · n + index``, are quicksorted.
+    numpy's stable sort of a wide key is a timsort, several times slower
+    than a quicksort on unsorted input; on a few sorted runs the timsort
+    merges instead and is as fast, so a merge of runs keeps it.  ``keys``
+    is 1-d and holds no NaN.
+    """
+    keys = np.asarray(keys)
+    order = np.argsort(keys)
+    ranked = keys[order]
+    step = ranked[1:] != ranked[:-1]
+    if step.all():
+        return order
+    n = len(keys)
+    dense = np.empty(n, dtype=np.int64)
+    dense[order] = np.concatenate(([0], np.cumsum(step)))
+    return np.sort(dense * n + np.arange(n, dtype=np.int64)) % n

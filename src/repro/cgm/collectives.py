@@ -42,13 +42,17 @@ def route_batches(
     Each source is split with one stable argsort of its destinations and
     one ``take``; its ``p`` outboxes are slices of that, so rows keep
     their relative order per ``(source, destination)`` pair and each
-    inbox is ordered by source rank, then by row.  Every destination
+    inbox is ordered by source rank, then by row.  The destinations are
+    sorted in the narrowest unsigned type that holds ``p - 1``: numpy's
+    stable sort of an integer of 16 bits or fewer is a radix sort, and
+    a stable order does not depend on the key's width.  Every destination
     column is checked before its source is split — integer-typed, one
     entry per row, each in ``[0, p)`` — so a bad one raises
     :class:`ProtocolError` before the round, empty sources included.
     ``template`` shapes empty inboxes (any batch of the stream's schema).
     """
     p = mach.p
+    narrow = np.min_scalar_type(p - 1)
     outboxes: list[list] = [[None] * p for _ in range(p)]
     for r, batch in enumerate(batches):
         dest = np.asarray(dests[r])
@@ -64,7 +68,7 @@ def route_batches(
             raise ProtocolError(
                 f"destination out of range for p={p} at rank {r}"
             )
-        routed = batch.take(np.argsort(dest, kind="stable"))
+        routed = batch.take(np.argsort(dest.astype(narrow), kind="stable"))
         ends = np.cumsum(np.bincount(dest.astype(np.int64, copy=False), minlength=p)).tolist()
         for dst, (lo, hi) in enumerate(zip([0, *ends], ends)):
             if hi > lo:

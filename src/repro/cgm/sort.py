@@ -20,13 +20,15 @@ constant the theorems require.  Rows order by one int64 key column, and
 duplicate keys are totally ordered by ``(key, source rank, source
 index)``, making the sort stable with respect to the original global
 order and the whole pipeline deterministic — without encoding that
-triple.  The local sort is a stable argsort (ties keep source index
-order); a sample and a splitter are ``(key, rank, index)`` rows; the
-partition cuts a run with ``searchsorted`` on the key, plus one on the
-run's source indices for a splitter sampled from this rank; the merge is
-a stable argsort of an inbox that arrives ordered by source rank.  The
-routed payloads are whole column arrays, and the key travels as the
-column it already is.
+triple.  The local sort is an exact stable order at quicksort cost
+(:func:`~repro._util.stable_argsort`: ties keep source index order); a
+sample and a splitter are ``(key, rank, index)`` rows; the partition
+cuts a run with ``searchsorted`` on the key, plus one on the run's
+source indices for a splitter sampled from this rank; the merge is a
+timsort (``kind="stable"``) of an inbox that arrives as ``p`` sorted
+runs ordered by source rank, which it merges as fast as the quicksort
+route sorts them.  The routed payloads are whole column arrays, and the
+key travels as the column it already is.
 
 The per-rank steps (1, 4, 5) are registered SPMD phases, so they execute
 wherever the backend's ranks live.
@@ -42,6 +44,7 @@ from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
 
+from .._util import stable_argsort
 from .collectives import allgather
 from .columns import RecordBatch
 from .machine import Machine
@@ -54,7 +57,7 @@ __all__ = ["sample_sort_cols", "route_balanced_cols", "sorted_and_balanced"]
 
 @register_phase("cgm.sort.local_cols")
 def _phase_local_sort_cols(ctx: ProcContext, payload) -> RecordBatch:
-    """Steps 1-2: stable argsort by the key column, sample.
+    """Steps 1-2: stable order by the key column, sample.
 
     The sorted run stays rank-resident under the call's state token,
     beside each row's source index (the argsort itself); only the
@@ -63,7 +66,7 @@ def _phase_local_sort_cols(ctx: ProcContext, payload) -> RecordBatch:
     """
     batch, key, token = payload
     n = len(batch)
-    order = np.argsort(batch.col(key), kind="stable")
+    order = stable_argsort(batch.col(key))
     ctx.charge(max(1, n) * max(1, n.bit_length()))
     run = batch.take(order)
     ctx.state[token] = (run, order)

@@ -79,17 +79,19 @@ def lift_values(semigroup: Semigroup, ranked: RankedPointSet, points: PointSet):
 def _phase_refit_relabel(ctx: ProcContext, payload) -> list:
     """Re-annotate this rank's resident stacks; return their roots.
 
-    ``values`` is :func:`lift_values`' column reordered
-    to run along ``ids``, the ranked ids in sorted order, so one
-    ``searchsorted`` finds a stack's fresh values.  The hat shape names
-    the trees: tree ``t`` of the dimension-``j`` stack roots below hat
-    leaf ``stack_rows(rank, j, trees)[t]``.
+    ``by_rank[j]`` is :func:`lift_values`' column in dimension-``j``
+    rank order, so a dimension-``j`` stack's fresh values are that
+    column read at its rows' ranks
+    (:meth:`~repro.seq.compiled.CompiledForest.row_ranks`) — one gather,
+    whatever the point ids are.  The hat shape names the trees: tree
+    ``t`` of the dimension-``j`` stack roots below hat leaf
+    ``stack_rows(rank, j, trees)[t]``.
     """
-    values, ids, semigroup, ns = payload
+    by_rank, semigroup, ns = payload
     hat = ctx.state[hat_key(ns)]
     roots = []
     for j, stack in (ctx.state.get(forest_key(ns)) or {}).items():
-        stack.annotate(values[np.searchsorted(ids, stack.pids)], semigroup)
+        stack.annotate(by_rank[j][stack.row_ranks()], semigroup)
         rows = hat.shape.stack_rows(ctx.rank, j, stack.shape[0]).tolist()
         roots += [(i, int(hat.lo[i]), int(hat.hi[i]), agg) for i, agg in zip(rows, stack.root_aggs())]
         ctx.charge(stack.size_records)
@@ -357,14 +359,22 @@ class DistributedRangeTree:
     def _relabel(self, values, semigroup: Semigroup, label: str) -> None:
         """Annotate every rank's stacks and hat replica with ``semigroup``
         from its lifted ``values``: one relabel phase, one broadcast of
-        the roots, one hat refresh."""
-        by_id = np.argsort(self.ranked.ids)
+        the roots, one hat refresh.  Each rank gets the column once per
+        dimension, permuted into that dimension's rank order (rank ``k``
+        of dimension ``j`` is row ``inverse[k, j]``): ``d × w`` bytes a
+        row for a ``w``-byte value row, against ``w + 8`` for values
+        shipped with their ids, so no id is searched on a rank."""
+        ranks = self.ranked.ranks
+        n, d = ranks.shape
+        inverse = np.empty_like(ranks)
+        inverse[ranks, np.arange(d)] = np.arange(n, dtype=ranks.dtype)[:, None]
+        by_rank = [values[inverse[:, j]] for j in range(d)]
         mach = self.machine
         ns = self.construct_result.ns
         roots_local = mach.run_phase(
             f"{label}:relabel",
             "dist.refit.relabel",
-            [(values[by_id], self.ranked.ids[by_id], semigroup, ns)] * mach.p,
+            [(by_rank, semigroup, ns)] * mach.p,
         )
         gathered = alltoall_broadcast(mach, roots_local, label=f"{label}:roots")
         mach.run_phase(

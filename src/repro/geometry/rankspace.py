@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._util import next_power_of_two
+from .._util import next_power_of_two, stable_argsort
 from ..errors import DimensionMismatch
 from .box import Box, RankBox
 from .point import PointSet
@@ -47,7 +47,7 @@ class RankSpace:
         sorted_coords: list[np.ndarray] = []
         for j in range(d):
             # stable argsort == tie-break by insertion order
-            perm = np.argsort(coords[:, j], kind="stable")
+            perm = stable_argsort(coords[:, j])
             ranks[perm, j] = np.arange(n, dtype=np.int64)
             col = coords[perm, j].copy()
             col.setflags(write=False)

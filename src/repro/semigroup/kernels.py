@@ -226,24 +226,20 @@ class SemigroupKernel:
 
     def fold_heaps(self, leaves: np.ndarray) -> np.ndarray:
         """:func:`batched_heap_fold` for a typed kernel: one level loop,
-        one array op per column kind per level."""
+        one array op per run of like columns per level, on views written
+        into the level in place."""
         k, m, w = leaves.shape
         out = np.empty((k, 2 * m, w), dtype=self.dtype)
         out[:, 0] = np.asarray(self.identity_row, dtype=self.dtype)
         out[:, m:] = leaves
-        groups = _col_groups(self.col_ops)
+        runs = _heap_runs(self.col_ops)
         pos = m
         while pos > 1:
             lo = pos >> 1
             left = out[:, pos : 2 * pos : 2]
             right = out[:, pos + 1 : 2 * pos : 2]
-            for op, cols in groups:
-                if op == OP_MIN:
-                    out[:, lo:pos, cols] = np.minimum(
-                        left[:, :, cols], right[:, :, cols]
-                    )
-                else:
-                    out[:, lo:pos, cols] = left[:, :, cols] + right[:, :, cols]
+            for ufunc, cols in runs:
+                ufunc(left[:, :, cols], right[:, :, cols], out=out[:, lo:pos, cols])
             pos = lo
         return out
 
@@ -548,6 +544,21 @@ def _col_groups(col_ops: Sequence[str]) -> List[Tuple[str, List[int]]]:
     for j, op in enumerate(col_ops):
         groups.setdefault(op, []).append(j)
     return list(groups.items())
+
+
+def _heap_runs(col_ops: Sequence[str]) -> List[Tuple[Any, slice]]:
+    """A heap fold's ``(ufunc, columns)`` per maximal run of adjacent
+    columns that combine alike, the columns a ``slice`` so a level
+    combines views.  The ufuncs are elementwise, so how the columns are
+    cut into runs does not change a bit; integer and float additions
+    pair children alike."""
+    runs: List[Tuple[Any, slice]] = []
+    start = 0
+    for j in range(1, len(col_ops) + 1):
+        if j == len(col_ops) or (col_ops[j] == OP_MIN) != (col_ops[start] == OP_MIN):
+            runs.append((np.minimum if col_ops[start] == OP_MIN else np.add, slice(start, j)))
+            start = j
+    return runs
 
 
 def batched_heap_fold(kernel: SemigroupKernel, leaves: np.ndarray) -> np.ndarray:

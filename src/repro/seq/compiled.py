@@ -312,6 +312,20 @@ class CompiledForest:
         forest.annotate(values, semigroup)
         return forest
 
+    def row_ranks(self) -> np.ndarray:
+        """Each input row's rank in the first divided dimension, in
+        input-row order: the index a rank-ordered value column is read
+        at to give the values :meth:`from_ranks` aligns with the rows.
+
+        Exact when every tree's rows were given ascending in that
+        dimension, as :func:`repro.dist.forest.build_stack` requires:
+        the first block's argsort is then the identity, so its sorted
+        keys ``tree_start · span + rank`` run in input-row order.  A
+        stack built from rows in any other order (the sequential tree's)
+        has no such reading.
+        """
+        return self.keys[0] % self.span
+
     def annotate(self, values: Sequence[Any], semigroup: Semigroup) -> None:
         """(Re)compute every last-dimension node's aggregate ``f(v)`` over
         the held topology and rebind the aggregate column.

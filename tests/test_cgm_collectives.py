@@ -150,6 +150,24 @@ class TestRouteSplit:
             ref_step.sent_bytes,
         )
 
+    @pytest.mark.parametrize("p", [1, 2, 256, 512])
+    def test_narrow_destinations_keep_row_order(self, p):
+        """The split sorts destinations as uint8 up to p = 256 and as
+        uint16 above it; either way each (source, destination) pair
+        keeps its rows in order, and each inbox is ordered by source."""
+        rng = np.random.default_rng(p)
+        sizes = rng.integers(0, 12, p)
+        batches = [
+            RecordBatch("t.src", {"src": np.full(n, r), "row": np.arange(n)})
+            for r, n in enumerate(sizes.tolist())
+        ]
+        # the top destination p - 1 is on every source, with repeats
+        dests = [np.where(rng.random(n) < 0.3, p - 1, rng.integers(0, p, n)) for n in sizes]
+        inboxes = route_batches(Machine(p), batches, dests, template=batches[0])
+        for dst, inbox in enumerate(inboxes):
+            want = [(r, i) for r in range(p) for i in np.flatnonzero(dests[r] == dst).tolist()]
+            assert list(zip(inbox.col("src").tolist(), inbox.col("row").tolist())) == want
+
     @pytest.mark.parametrize("p", [1, 4, 8])
     def test_one_take_per_nonempty_source(self, p, monkeypatch):
         rng = np.random.default_rng(p)

@@ -327,6 +327,33 @@ def test_batched_heap_fold_matches_per_tree():
         assert np.array_equal(batched[i], batched_heap_fold(kernel, leaves[None])[0])
 
 
+@pytest.mark.parametrize(
+    "components",
+    [
+        # kinds interleave (fadd, min, fadd, min, iadd): one run per column
+        [sum_of_dim(0), min_of_dim(1), sum_of_dim(1), min_of_dim(0), COUNT],
+        # every kind's columns contiguous: one run per kind
+        [COUNT, sum_of_dim(0), bounding_box_semigroup(2)],
+    ],
+    ids=["interleaved", "contiguous"],
+)
+def test_product_heap_fold_matches_per_node_combine(components):
+    """A product's heap fold, however its columns fall into runs,
+    equals the per-node ``combine`` loop bit for bit."""
+    sg = product_semigroup(components)
+    kernel = sg.kernel
+    rng = random.Random(len(components))
+    trees, m = 3, 16
+    values = [_random_values(sg, m, 2, rng) for _ in range(trees)]
+    heaps = batched_heap_fold(kernel, np.stack([kernel.encode(v) for v in values]))
+    for t, leaves in enumerate(values):
+        aggs = [sg.identity] * m + list(leaves)
+        for node in range(m - 1, 0, -1):
+            aggs[node] = sg.combine(aggs[2 * node], aggs[2 * node + 1])
+        want = kernel.encode(aggs)
+        assert heaps[t].dtype == want.dtype and heaps[t].tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # vectorized lifts
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from repro._util import (
     next_power_of_two,
     percentiles,
     require_power_of_two,
+    stable_argsort,
 )
 from repro.errors import PowerOfTwoError
 
@@ -134,3 +136,57 @@ class TestLatencyStats:
             "p99_ms": None,
             "max_ms": 0.0,
         }
+
+
+_I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
+
+
+def _same_as_numpy_stable(keys: np.ndarray) -> None:
+    want = np.argsort(keys, kind="stable")
+    got = stable_argsort(keys)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestStableArgsort:
+    """``stable_argsort`` is exactly ``np.argsort(kind="stable")``."""
+
+    @given(st.lists(st.integers(_I64_MIN, _I64_MAX), max_size=200))
+    def test_wide_int64_keys(self, keys):
+        _same_as_numpy_stable(np.array(keys, dtype=np.int64))
+
+    @given(st.lists(st.integers(-4, 4), max_size=200))
+    def test_int64_keys_with_ties(self, keys):
+        _same_as_numpy_stable(np.array(keys, dtype=np.int64))
+
+    @given(
+        st.lists(
+            st.sampled_from([_I64_MIN, _I64_MIN + 1, -1, 0, 1, _I64_MAX - 1, _I64_MAX]),
+            max_size=100,
+        )
+    )
+    def test_keys_at_the_int64_extremes(self, keys):
+        _same_as_numpy_stable(np.array(keys, dtype=np.int64))
+
+    @given(
+        st.lists(
+            st.integers(-64, 64).map(lambda k: k / 8) | st.sampled_from([0.0, -0.0]),
+            max_size=200,
+        )
+    )
+    def test_dyadic_floats_with_ties_and_signed_zeros(self, keys):
+        _same_as_numpy_stable(np.array(keys, dtype=np.float64))
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            np.full(50, 7, dtype=np.int64),
+            np.full(50, -0.0),
+            np.array([], dtype=np.int64),
+            np.array([], dtype=np.float64),
+            np.array([3], dtype=np.int64),
+            np.array([0.5]),
+        ],
+        ids=["all-equal-int", "all-equal-float", "empty-int", "empty-float", "one-int", "one-float"],
+    )
+    def test_degenerate_inputs(self, keys):
+        _same_as_numpy_stable(keys)
