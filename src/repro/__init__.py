@@ -14,104 +14,56 @@ Query layer:        :mod:`repro.query` — :class:`Query`, :class:`QueryBatch`,
                     :func:`count`/:func:`report`/:func:`aggregate`,
                     :class:`ResultSet`
 Workloads:          :mod:`repro.workloads`
+
+Every name here, and in each subpackage's ``__all__``, resolves on first
+access: ``from repro import KDTree`` imports the k-d tree module then,
+and a process that never names it never loads it.
 """
 
 from __future__ import annotations
 
-from .errors import (
-    CapacityExceeded,
-    DimensionMismatch,
-    EmptyPointSet,
-    GeometryError,
-    MachineError,
-    PowerOfTwoError,
-    ProtocolError,
-    ReproError,
-)
-from .geometry import Box, Point, PointSet, RankBox, RankSpace, pad_to_power_of_two
-from .semigroup import (
-    COUNT,
-    Semigroup,
-    bounding_box_semigroup,
-    count_semigroup,
-    id_set,
-    max_of_dim,
-    min_of_dim,
-    moments_of_dim,
-    sum_of_dim,
-)
-from .seq import (
-    BruteForceIndex,
-    DynamicRangeTree,
-    KDTree,
-    LayeredSequentialRangeTree,
-    SequentialRangeTree,
-    bf_aggregate,
-    bf_count,
-    bf_report,
-)
-from .cgm import CostModel, Machine
-from .dist import DistributedRangeTree, DynamicDistributedRangeTree
-from .query import (
-    Query,
-    QueryBatch,
-    QueryEngine,
-    ResultSet,
-    aggregate,
-    count,
-    report,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "ReproError",
-    "GeometryError",
-    "DimensionMismatch",
-    "EmptyPointSet",
-    "MachineError",
-    "PowerOfTwoError",
-    "CapacityExceeded",
-    "ProtocolError",
-    # geometry
-    "Box",
-    "Point",
-    "PointSet",
-    "RankBox",
-    "RankSpace",
-    "pad_to_power_of_two",
-    # semigroups
-    "Semigroup",
-    "COUNT",
-    "count_semigroup",
-    "sum_of_dim",
-    "min_of_dim",
-    "max_of_dim",
-    "id_set",
-    "bounding_box_semigroup",
-    "moments_of_dim",
-    # sequential structures
-    "SequentialRangeTree",
-    "LayeredSequentialRangeTree",
-    "KDTree",
-    "BruteForceIndex",
-    "DynamicRangeTree",
-    "bf_report",
-    "bf_count",
-    "bf_aggregate",
-    # parallel machine + distributed tree
-    "Machine",
-    "CostModel",
-    "DistributedRangeTree",
-    "DynamicDistributedRangeTree",
-    # the unified query layer
-    "Query",
-    "QueryBatch",
-    "QueryEngine",
-    "ResultSet",
-    "count",
-    "report",
-    "aggregate",
-]
+_names, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".errors": (
+            "ReproError",
+            "GeometryError",
+            "DimensionMismatch",
+            "EmptyPointSet",
+            "MachineError",
+            "PowerOfTwoError",
+            "CapacityExceeded",
+            "ProtocolError",
+        ),
+        ".geometry": ("Box", "Point", "PointSet", "RankBox", "RankSpace", "pad_to_power_of_two"),
+        ".semigroup": (
+            "Semigroup",
+            "COUNT",
+            "count_semigroup",
+            "sum_of_dim",
+            "min_of_dim",
+            "max_of_dim",
+            "id_set",
+            "bounding_box_semigroup",
+            "moments_of_dim",
+        ),
+        ".seq": (
+            "SequentialRangeTree",
+            "LayeredSequentialRangeTree",
+            "KDTree",
+            "BruteForceIndex",
+            "DynamicRangeTree",
+            "bf_report",
+            "bf_count",
+            "bf_aggregate",
+        ),
+        ".cgm": ("Machine", "CostModel"),
+        ".dist": ("DistributedRangeTree", "DynamicDistributedRangeTree"),
+        ".query": ("Query", "QueryBatch", "QueryEngine", "ResultSet", "count", "report", "aggregate"),
+    },
+)
+__all__ = ["__version__", *_names]

@@ -25,10 +25,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .._util import percentiles
-from .cost import CostModel
+
+if TYPE_CHECKING:  # a trace is read under a cost model; recording one needs none
+    from .cost import CostModel
 
 __all__ = ["StepRecord", "Metrics", "LatencyStats", "phase_of"]
 

@@ -29,6 +29,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
+from .._lazy import lazy_exports
 from .._util import require_power_of_two
 from ..cgm.collectives import alltoall_broadcast
 from ..cgm.machine import Machine
@@ -48,19 +49,27 @@ from .construct import (
 from .hat import Hat
 from .labeling import is_valid_path
 from .search import SearchOutput, run_search
-from .validate import ValidationReport, validate_tree
+
+# The dynamization and the validator load on first access.  Every module
+# that registers a phase (construct, search, this one) is imported above,
+# so BOOTSTRAP_MODULES' closure still registers them in spawned workers.
+_deferred, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".dynamic": ("DynamicDistributedRangeTree",),
+        ".validate": ("ValidationReport", "validate_tree"),
+    },
+)
 
 __all__ = [
     "DistributedRangeTree",
-    "DynamicDistributedRangeTree",
     "ConstructResult",
     "construct_distributed_tree",
     "Hat",
     "SearchOutput",
     "run_search",
-    "ValidationReport",
-    "validate_tree",
     "is_valid_path",
+    *_deferred,
 ]
 
 
@@ -389,8 +398,3 @@ class DistributedRangeTree:
             f"semigroup={self.base_semigroup.name})"
         )
 
-
-# Imported last: repro.dist.dynamic wraps DistributedRangeTree, and living
-# under this package keeps its phases inside BOOTSTRAP_MODULES' closure so
-# spawn-started worker processes register them too.
-from .dynamic import DynamicDistributedRangeTree  # noqa: E402

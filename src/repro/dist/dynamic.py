@@ -57,6 +57,7 @@ from ..query.engine import QueryEngine
 from ..query.epochs import EpochCombiner
 from ..query.result import ResultSet
 from ..semigroup import COUNT, Semigroup
+from . import DistributedRangeTree
 
 import numpy as np
 
@@ -320,8 +321,6 @@ class DynamicDistributedRangeTree:
         that raises leaves every bucket as it was."""
         bucket = None
         if len(ids):
-            from . import DistributedRangeTree  # the facade lives in the package root
-
             pts = PointSet(xy, ids=ids)
             tree = DistributedRangeTree.build(
                 pts, machine=self.machine, semigroup=self.semigroup

@@ -21,6 +21,7 @@ from typing import Any, Callable, List, Tuple
 import numpy as np
 
 from .._util import ilog2
+from . import lift_values
 
 __all__ = ["ValidationReport", "validate_tree"]
 
@@ -143,8 +144,6 @@ def _check_forest(tree, check: Callable[[bool, str], None]) -> None:
     element.  A stack's rank rows and values are read from the tree's own
     point set and a fresh lift, by id, not from anything the stack holds.
     """
-    from . import lift_values  # the package imports this module
-
     hat, shape = tree.hat, tree.hat.shape
     values = lift_values(tree.semigroup, tree.ranked, tree.points)
     named: dict = {}  # (rank, dimension) -> the hat leaves naming that stack's trees

@@ -76,7 +76,7 @@ class ProtocolError(MachineError):
 class WorkerCrash(MachineError):
     """A worker process died (or stopped responding) mid-command.
 
-    Raised by the supervised :class:`~repro.cgm.backend.ProcessBackend`
+    Raised by the supervised :class:`~repro.cgm.process.ProcessBackend`
     instead of hanging on a dead pipe: ``rank`` is the virtual processor
     whose worker failed, ``phase`` the command it was executing (a phase
     name, or ``"evict"``/``"fetch"`` for state plumbing), ``exit_code``

@@ -32,34 +32,23 @@ against the full stack and asserts surviving answers are bit-identical
 to a fault-free run.
 """
 
-from .plan import (
-    ACTIONS,
-    CRASH_EXIT_CODE,
-    ENV_VAR,
-    FaultPlan,
-    FaultRule,
-    active_plan,
-    clear_runtime,
-    injected,
-    install_plan,
-    load_plan_from_env,
-    mark_in_worker,
-    maybe_inject,
-    uninstall_plan,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ACTIONS",
-    "CRASH_EXIT_CODE",
-    "ENV_VAR",
-    "FaultRule",
-    "FaultPlan",
-    "install_plan",
-    "uninstall_plan",
-    "active_plan",
-    "injected",
-    "maybe_inject",
-    "load_plan_from_env",
-    "mark_in_worker",
-    "clear_runtime",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".plan": ("ACTIONS", "FaultRule", "FaultPlan"),
+        ".runtime": (
+            "CRASH_EXIT_CODE",
+            "ENV_VAR",
+            "install_plan",
+            "uninstall_plan",
+            "active_plan",
+            "injected",
+            "maybe_inject",
+            "load_plan_from_env",
+            "mark_in_worker",
+            "clear_runtime",
+        ),
+    },
+)

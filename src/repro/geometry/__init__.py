@@ -1,16 +1,12 @@
 """Geometric substrate: points, boxes, rank-space normalisation."""
 
-from .box import Box, Interval, RankBox
-from .point import Point, PointSet
-from .rankspace import RankedPointSet, RankSpace, pad_to_power_of_two
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Box",
-    "Interval",
-    "RankBox",
-    "Point",
-    "PointSet",
-    "RankSpace",
-    "RankedPointSet",
-    "pad_to_power_of_two",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".box": ("Box", "Interval", "RankBox"),
+        ".point": ("Point", "PointSet"),
+        ".rankspace": ("RankSpace", "RankedPointSet", "pad_to_power_of_two"),
+    },
+)

@@ -23,52 +23,34 @@ New output modes (top-k, sampled report, yours) plug in through the
 :mod:`repro.query.modes` registry without touching the search kernel.
 """
 
-from .descriptors import (
-    Query,
-    QueryBatch,
-    aggregate,
-    as_box,
-    count,
-    report,
-    sample_report,
-    top_k,
-)
-from .engine import QueryEngine, QueryPlan
-from .epochs import EpochCombiner
-from .modes import (
-    AggregateMode,
-    CountMode,
-    OutputMode,
-    ReportMode,
-    SampleReportMode,
-    TopKMode,
-    get_mode,
-    register_mode,
-    registered_modes,
-)
-from .result import QueryResult, ResultSet
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Query",
-    "QueryBatch",
-    "count",
-    "report",
-    "aggregate",
-    "top_k",
-    "sample_report",
-    "as_box",
-    "QueryEngine",
-    "QueryPlan",
-    "EpochCombiner",
-    "OutputMode",
-    "register_mode",
-    "get_mode",
-    "registered_modes",
-    "CountMode",
-    "AggregateMode",
-    "ReportMode",
-    "TopKMode",
-    "SampleReportMode",
-    "QueryResult",
-    "ResultSet",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".descriptors": (
+            "Query",
+            "QueryBatch",
+            "count",
+            "report",
+            "aggregate",
+            "top_k",
+            "sample_report",
+            "as_box",
+        ),
+        ".engine": ("QueryEngine", "QueryPlan"),
+        ".epochs": ("EpochCombiner",),
+        ".modes": (
+            "OutputMode",
+            "register_mode",
+            "get_mode",
+            "registered_modes",
+            "CountMode",
+            "AggregateMode",
+            "ReportMode",
+            "TopKMode",
+            "SampleReportMode",
+        ),
+        ".result": ("QueryResult", "ResultSet"),
+    },
+)

@@ -4,27 +4,17 @@ Each tree here is one a user queries; the object range tree the tests
 compare the arrays against is ``tests.helpers.RangeTree``, not shipped.
 """
 
-from .bruteforce import BruteForceIndex, bf_aggregate, bf_count, bf_report
-from .dominance import DominanceRangeIndex, FenwickTree, offline_dominance
-from .dynamic import DynamicRangeTree
-from .kdtree import KDTree
-from .layered import LayeredRangeTree, LayeredSequentialRangeTree
-from .range_tree import SequentialRangeTree
-from .segment_tree import SegTree, WalkStats
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SegTree",
-    "DominanceRangeIndex",
-    "FenwickTree",
-    "offline_dominance",
-    "DynamicRangeTree",
-    "WalkStats",
-    "SequentialRangeTree",
-    "LayeredRangeTree",
-    "LayeredSequentialRangeTree",
-    "KDTree",
-    "BruteForceIndex",
-    "bf_report",
-    "bf_count",
-    "bf_aggregate",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".segment_tree": ("SegTree", "WalkStats"),
+        ".dominance": ("DominanceRangeIndex", "FenwickTree", "offline_dominance"),
+        ".dynamic": ("DynamicRangeTree",),
+        ".range_tree": ("SequentialRangeTree",),
+        ".layered": ("LayeredRangeTree", "LayeredSequentialRangeTree"),
+        ".kdtree": ("KDTree",),
+        ".bruteforce": ("BruteForceIndex", "bf_report", "bf_count", "bf_aggregate"),
+    },
+)

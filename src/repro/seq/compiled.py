@@ -71,7 +71,8 @@ tree: same selections, same order, same visit counts, same aggregates.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Dict, List, NamedTuple, Sequence, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -117,6 +118,15 @@ def _sizes(w: int, r: int) -> Tuple[int, int, int]:
     return 1 + t1 + 2 * th, r1 + 2 * rh, s1 + 2 * sh
 
 
+def _frozen(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """``arrays``, read-only: a memoized result is shared by every stack
+    and walk of its shape, so a stray in-place write must raise, not
+    corrupt every later build."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=None)
 def _path_sums(e: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
     """Where the node covering ``[s, s + 2^t)`` of a width-``2^e'`` tree
@@ -137,7 +147,7 @@ def _path_sums(e: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
     sibs = np.zeros((1, q), dtype=_I64)
     for u in range(e):
         sibs = np.concatenate([sibs, sibs + [_sizes(1 << u, b + 1)[1] for b in range(q)]])
-    return before, sibs
+    return _frozen(before, sibs)
 
 
 @lru_cache(maxsize=None)
@@ -148,7 +158,7 @@ def _cover_bits(nbits: int) -> Tuple[np.ndarray, np.ndarray]:
     matching ``(2, nbits)`` bit masks."""
     level = np.arange(nbits, dtype=_I64)
     level = np.concatenate([level, level[::-1]])
-    return level, (1 << level).reshape(2, nbits)
+    return _frozen(level, (1 << level).reshape(2, nbits))
 
 
 @lru_cache(maxsize=None)
@@ -156,13 +166,12 @@ def _tree_step(m: int, r: int) -> np.ndarray:
     """How far tree ``t + 1`` of a stack of ``r``-dimensional trees on
     ``m`` leaves starts past tree ``t``: ``R(m, b + 1)`` slots in each
     key block ``b`` — the columns of :func:`_path_sums`."""
-    step = np.array([_sizes(m, b + 1)[1] for b in range(r)], dtype=_I64)
-    step.setflags(write=False)  # memoized: every stack of this shape shares it
+    (step,) = _frozen(np.array([_sizes(m, b + 1)[1] for b in range(r)], dtype=_I64))
     return step
 
 
 @lru_cache(maxsize=32)
-def _layout(m: int, r: int, count: int) -> Tuple[Dict[int, Tuple[np.ndarray, np.ndarray]], ...]:
+def _layout(m: int, r: int, count: int) -> Tuple[Mapping[int, Tuple[np.ndarray, np.ndarray]], ...]:
     """Every segment tree of a stack of ``count`` ``r``-dimensional range
     trees on ``m`` leaves, by arithmetic: per divided dimension ``k``,
     per tree width ``w``, the trees' ``(starts, parent)`` — ``starts``
@@ -188,7 +197,10 @@ def _layout(m: int, r: int, count: int) -> Tuple[Dict[int, Tuple[np.ndarray, np.
             at = np.concatenate(parts)
             level[w] = (at[:, 1:], at[:, 0])
         levels.append(level)
-    return tuple(levels)
+    for level in levels:
+        for w, pair in level.items():
+            level[w] = _frozen(*pair)
+    return tuple(MappingProxyType(level) for level in levels)
 
 
 class Selections(NamedTuple):
@@ -237,7 +249,7 @@ class CompiledForest:
         topology there is."""
         return len(self.keys[0]) // self.width, self.width, len(self.keys)
 
-    def layout(self) -> Tuple[Dict[int, Tuple[np.ndarray, np.ndarray]], ...]:
+    def layout(self) -> Tuple[Mapping[int, Tuple[np.ndarray, np.ndarray]], ...]:
         """Every segment tree by arithmetic — see :func:`_layout`."""
         count, m, r = self.shape
         return _layout(m, r, count)

@@ -25,36 +25,21 @@ engine pass, so they are bit-identical to handing the same queries to
 ``tree.run`` directly — asserted by the serve test suite.
 """
 
-from .client import ServeClient
-from .loadgen import make_serve_queries, run_loadgen, run_loadgen_remote
-from .protocol import (
-    error_from_obj,
-    error_to_obj,
-    query_from_request,
-    request_to_obj,
-)
-from .server import start_tcp_server
-from .service import (
-    DEFAULT_MAX_INFLIGHT,
-    FlushPolicy,
-    QueryService,
-    ServeMetrics,
-    ServeResponse,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_MAX_INFLIGHT",
-    "FlushPolicy",
-    "QueryService",
-    "ServeMetrics",
-    "ServeResponse",
-    "ServeClient",
-    "start_tcp_server",
-    "query_from_request",
-    "request_to_obj",
-    "error_to_obj",
-    "error_from_obj",
-    "make_serve_queries",
-    "run_loadgen",
-    "run_loadgen_remote",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".service": (
+            "DEFAULT_MAX_INFLIGHT",
+            "FlushPolicy",
+            "QueryService",
+            "ServeMetrics",
+            "ServeResponse",
+        ),
+        ".client": ("ServeClient",),
+        ".server": ("start_tcp_server",),
+        ".protocol": ("query_from_request", "request_to_obj", "error_to_obj", "error_from_obj"),
+        ".loadgen": ("make_serve_queries", "run_loadgen", "run_loadgen_remote"),
+    },
+)

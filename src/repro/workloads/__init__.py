@@ -1,37 +1,26 @@
 """Synthetic point and query workload generators."""
 
-from .points import (
-    POINT_DISTRIBUTIONS,
-    clustered_points,
-    diagonal_points,
-    grid_points,
-    make_points,
-    uniform_points,
-)
-from .streams import StreamOp, stream_counts, update_query_stream
-from .queries import (
-    QUERY_WORKLOADS,
-    hotspot_queries,
-    make_queries,
-    point_centred_queries,
-    selectivity_queries,
-    uniform_queries,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "POINT_DISTRIBUTIONS",
-    "uniform_points",
-    "clustered_points",
-    "grid_points",
-    "diagonal_points",
-    "make_points",
-    "QUERY_WORKLOADS",
-    "uniform_queries",
-    "selectivity_queries",
-    "hotspot_queries",
-    "point_centred_queries",
-    "make_queries",
-    "StreamOp",
-    "update_query_stream",
-    "stream_counts",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".points": (
+            "POINT_DISTRIBUTIONS",
+            "uniform_points",
+            "clustered_points",
+            "grid_points",
+            "diagonal_points",
+            "make_points",
+        ),
+        ".queries": (
+            "QUERY_WORKLOADS",
+            "uniform_queries",
+            "selectivity_queries",
+            "hotspot_queries",
+            "point_centred_queries",
+            "make_queries",
+        ),
+        ".streams": ("StreamOp", "update_query_stream", "stream_counts"),
+    },
+)

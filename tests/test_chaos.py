@@ -17,7 +17,7 @@ import signal
 import pytest
 
 from repro.cgm import Machine, ProcessBackend
-from repro.cgm.backend import JOURNAL_TAIL
+from repro.cgm.process import JOURNAL_TAIL
 from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree
 from repro.errors import InjectedFault, WorkerCrash
 from repro.faults import FaultPlan, FaultRule, injected

@@ -47,7 +47,7 @@ from repro.semigroup import (
     top_k_ids,
 )
 from repro.seq import bf_aggregate
-from repro.seq.compiled import CompiledForest, _layout, _path_sums
+from repro.seq.compiled import CompiledForest, _cover_bits, _layout, _path_sums, _tree_step
 from repro.seq.range_tree import SequentialRangeTree
 from repro.seq.segment_tree import SegTree, WalkStats
 from repro.workloads import make_points, uniform_points
@@ -577,6 +577,20 @@ class TestCompileCache:
             assert rs.values() == pytest.approx(
                 [bf_aggregate(pts, b, sum_of_dim(1)) for b in boxes]
             )
+
+    def test_memoized_shape_arrays_are_read_only(self):
+        """Every stack and walk of one shape shares the memoized layout,
+        path sums, cover bits and tree step: an in-place write into one
+        must raise instead of corrupting every later build and walk."""
+        shared = [*_path_sums(4, 3), *_cover_bits(5), _tree_step(8, 3)]
+        shared += [a for level in _layout(8, 3, 2) for pair in level.values() for a in pair]
+        assert len(shared) > 5
+        for a in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] += 1
+        for level in _layout(8, 3, 2):
+            with pytest.raises(TypeError):
+                level[1] = level[next(iter(level))]
 
 
 class TestTilingEquivalence:

@@ -17,7 +17,7 @@ import pytest
 
 from repro.cgm import Machine, ProcessBackend, register_phase
 from repro.errors import WorkerCrash
-from repro.cgm.backend import JOURNAL_TAIL, WorkerError
+from repro.cgm.process import JOURNAL_TAIL, WorkerError
 
 
 @register_phase("wf.echo")
