@@ -72,13 +72,15 @@ def _check_stack(stack, count, ranks, values, semigroup, dim, name, check) -> bo
     """A stack of ``count`` trees against Definition 2's closed forms.
 
     ``ranks`` and ``values`` are the rank rows and lifted values of the
-    stack's rows, looked up by id.  Checks block sizes; per segment tree
-    — enumerated by arithmetic, its rows read through ``row_block`` —
+    stack's rows, looked up by id.  Checks block sizes and index types
+    (one signed type over the key blocks that holds ``R(m, r) · trees ·
+    span``, so no key wrapped; an integer ``row_block``); per segment
+    tree — enumerated by arithmetic, its rows read through ``row_block`` —
     that its key slice is its own start plus its rows' ranks, ascending,
     and that the same rows carry exactly the ranks of the parent node's
     key slice (so every tree's rows are the rows under its parent node);
     and every aggregate slot, by re-folding.  Returns whether the sizes
-    held, which the per-tree checks index by.
+    and types held, which the per-tree checks index by.
     """
     m = stack.width
     r = ranks.shape[1] - dim
@@ -102,7 +104,21 @@ def _check_stack(stack, count, ranks, values, semigroup, dim, name, check) -> bo
         f"{name}: not R({m}, {r}) x {count} = {rows_want} row_block rows "
         f"in 0..{count * m - 1} and {records_want} leaf records",
     )
-    if not (sized and rows_ok):
+    # every key, row and walk probe lies below R(m, r) x trees x span:
+    # the blocks' one type must hold it, or a key has wrapped
+    bound = rows_want * stack.span
+    types = {block.dtype for block in stack.keys}
+    wide = (
+        len(types) == 1
+        and all(np.issubdtype(t, np.signedinteger) and np.iinfo(t).max >= bound for t in types)
+        and np.issubdtype(stack.row_block.dtype, np.integer)
+    )
+    check(
+        wide,
+        f"{name}: key blocks are not one signed integer type holding R({m}, {r}) x {count} "
+        f"x span = {bound}, or row_block is not integer",
+    )
+    if not (sized and rows_ok and wide):
         return False
 
     keyed = partitions = True

@@ -150,15 +150,27 @@ def _path_sums(e: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
     return _frozen(before, sibs)
 
 
+def _index_type(bound: int) -> np.dtype:
+    """A stack's index type: every key, row and walk probe of a stack
+    lies below ``bound`` = ``R(m, r) · trees · span``, so int32 when it
+    holds ``bound``, int64 otherwise — the type
+    :meth:`CompiledForest.from_ranks` stores ``keys`` and ``row_block``
+    in."""
+    return np.dtype(np.int32 if bound <= np.iinfo(np.int32).max else _I64)
+
+
 @lru_cache(maxsize=None)
 def _cover_bits(nbits: int) -> Tuple[np.ndarray, np.ndarray]:
     """The candidate blocks of a cover whose two sides fit ``nbits``
     bits, left to right: ``level`` (log2 width per column — the bits of
     ``c − i`` ascending, then the bits of ``j − c`` descending) and the
-    matching ``(2, nbits)`` bit masks."""
+    matching ``(2, nbits)`` bit masks, in the narrowest unsigned type
+    that holds ``2^(nbits − 1)`` (the walk casts the sides to it, so the
+    ``(pairs, 2, nbits)`` cover mask moves no more bytes than it needs)."""
     level = np.arange(nbits, dtype=_I64)
     level = np.concatenate([level, level[::-1]])
-    return _frozen(level, (1 << level).reshape(2, nbits))
+    bits = next(b for b in (8, 16, 32, 64) if nbits <= b)
+    return _frozen(level, (1 << level).reshape(2, nbits).astype(f"uint{bits}"))
 
 
 @lru_cache(maxsize=None)
@@ -219,8 +231,8 @@ class CompiledForest:
     """A stack of range trees as sorted arrays, walked for many boxes at once.
 
     ``keys[k]`` is the key block of divided dimension ``k`` (the last
-    ``len(keys)`` dimensions are the divided ones): one int64 per stored row,
-    ``tree_start · span + rank`` with the segment trees in emission
+    ``len(keys)`` dimensions are the divided ones): one integer per stored
+    row, ``tree_start · span + rank`` with the segment trees in emission
     order, the stack's range trees one after another, and each segment
     tree's ranks ascending — so the whole block ascends and one
     ``searchsorted`` locates a bound inside any tree.  ``span`` exceeds
@@ -228,7 +240,10 @@ class CompiledForest:
     "after all" without leaving the tree's key range.  ``row_block``
     aligns with the last block: the row whose last-dimension rank each
     slot holds, so a last-dimension node's leaf rows are a contiguous
-    ``(offset, width)`` slice.  Node aggregates live in one
+    ``(offset, width)`` slice.  Both are held in the stack's index type
+    (:func:`_index_type`): 4 bytes a slot when ``R(m, r) · trees · span``
+    fits int32, which bounds every key, row and walk probe, else 8.
+    Node aggregates live in one
     :class:`~repro.semigroup.kernels.KernelColumn`, ``aggs``, one heap per
     width-``width`` block of ``row_block`` (see *Alignment* above), held
     under the semigroup's kernel.  Every
@@ -295,23 +310,26 @@ class CompiledForest:
         its parent's sorted key slice (one gather for the whole block),
         keyed ``tree_start · span + rank``.  Those keys are distinct and
         ascend across the block in block order, so one ``argsort`` of
-        them lays out the block and the sorted keys *are* it.
+        them lays out the block and the sorted keys *are* it.  Keys,
+        sort and row gathers run in the stack's :func:`_index_type`.
         """
         ranks = np.asarray(ranks, dtype=_I64)
         count, m, d = ranks.reshape(-1, *ranks.shape[-2:]).shape
         ranks = ranks.reshape(count * m, d)
         require_power_of_two("range tree point count", m)
         span = int(ranks.max()) + 2
+        index = _index_type(_sizes(m, d - start_dim)[1] * count * span)
+        ranks = ranks[:, start_dim:].astype(index)
         keys: List[np.ndarray] = []
-        rows_above = np.arange(count * m, dtype=_I64)
+        rows_above = np.arange(count * m, dtype=index)
         for k, classes in enumerate(_layout(m, d - start_dim, count)):
             # every segment tree of the block: its start, where its
             # parent's key slice starts one block up, its width
-            starts = np.concatenate([s[:, 0] for s, _parent in classes.values()])
+            starts = np.concatenate([s[:, 0] for s, _parent in classes.values()]).astype(index)
             parents = np.concatenate([parent for _s, parent in classes.values()])
             widths = np.repeat(list(classes), [len(parent) for _s, parent in classes.values()])
             rows = rows_above[slice_positions(parents, widths)]
-            tree_keys = np.repeat(starts, widths) * span + ranks[rows, start_dim + k]
+            tree_keys = np.repeat(starts, widths) * span + ranks[rows, k]
             order = np.argsort(tree_keys)
             block = tree_keys[order]
             if (block[1:] <= block[:-1]).any():
@@ -434,15 +452,20 @@ class CompiledForest:
             start = starts[:, :1]
             probe = start * span[on, None] + bounds[k].take(pq, axis=0)
             cut = np.bincount(on, minlength=len(stacks)).cumsum().tolist()
+            # a stack's probes lie below its _index_type bound: searched
+            # at its keys' width, its block is not upcast and copied
             ends = np.concatenate(
-                [np.searchsorted(st.keys[k], probe[a:b]) for st, a, b in zip(stacks, [0] + cut, cut)]
+                [
+                    np.searchsorted(st.keys[k], probe[a:b].astype(st.keys[k].dtype, copy=False))
+                    for st, a, b in zip(stacks, [0] + cut, cut)
+                ]
             ) - start
             i, j = ends[:, 0], ends[:, 1]
             z = np.maximum(_bit_length(i ^ j) - 1, 0)
             c = (j >> z) << z
             sides = np.abs(ends - c[:, None])  # c − i, j − c
             level, masks = _cover_bits(int(z.max(initial=0)) + 1)
-            hits = np.flatnonzero((sides[:, :, None] & masks) != 0)
+            hits = np.flatnonzero((sides.astype(masks.dtype)[:, :, None] & masks) != 0)
             pair = hits // len(level)
             t = level[hits - pair * len(level)]
             width = 1 << t
@@ -482,7 +505,7 @@ class CompiledForest:
         to skip a selection) — one fancy gather, no traversal.
         """
         if not lengths.any():
-            return np.empty(0, dtype=_I64)
+            return self.row_block[:0]
         return self.row_block[slice_positions(sel_off, lengths)]
 
     def decode_aggs(self, sel_n: np.ndarray) -> List[Any]:

@@ -197,27 +197,34 @@ def test_hot_spot_still_dispatches_pack_and_unpack(strategy):
 #: COUNT-built tree stores no aggregate column (a count is a node's
 #: width), so its copy ships 8 bytes less per heap row: 1152 rows, 11264
 #: bytes at p=4; 576 rows, 5888 bytes at p=8 (:data:`COUNT_COPY_BYTES`).
+#: Then re-pinned when a stack's key blocks and row_block became int32
+#: (every key and row of these stacks lies below 2^31): 4 bytes less per
+#: key slot and row_block slot, pids and aggregates unchanged.  At p=4 a
+#: copy holds 64 + 448 + 128 key slots and 448 + 128 row_block slots,
+#: 1216 slots: 20480 − 4864 = 15616 bytes (COUNT: 11264 − 4864 = 6400);
+#: at p=8 224 + 96 key slots and 192 + 96 row_block slots, 608 slots:
+#: 10496 − 2432 = 8064 bytes (COUNT: 5888 − 2432 = 3456).
 PARENT_REPLICATION = {
     (4, "doubling"): [
-        ("search:replicate:double-0", (640, 640, 0, 0), (0, 640, 640, 0), 2 * 20480),
+        ("search:replicate:double-0", (640, 640, 0, 0), (0, 640, 640, 0), 2 * 15616),
         ("search:replicate:double-1", (0, 0, 0, 0), (0, 0, 0, 0), 0),
     ],
     (4, "direct"): [
-        ("search:replicate:direct", (640, 640, 0, 0), (0, 640, 640, 0), 2 * 20480),
+        ("search:replicate:direct", (640, 640, 0, 0), (0, 640, 640, 0), 2 * 15616),
     ],
     (8, "doubling"): [
-        ("search:replicate:double-0", (0, 0, 320, 0, 0, 0, 0, 0), (320, 0, 0, 0, 0, 0, 0, 0), 10496),
-        ("search:replicate:double-1", (320, 0, 320, 0, 0, 0, 0, 0), (0, 320, 0, 320, 0, 0, 0, 0), 2 * 10496),
-        ("search:replicate:double-2", (320, 320, 320, 320, 0, 0, 0, 0), (0, 0, 0, 0, 320, 320, 320, 320), 4 * 10496),
+        ("search:replicate:double-0", (0, 0, 320, 0, 0, 0, 0, 0), (320, 0, 0, 0, 0, 0, 0, 0), 8064),
+        ("search:replicate:double-1", (320, 0, 320, 0, 0, 0, 0, 0), (0, 320, 0, 320, 0, 0, 0, 0), 2 * 8064),
+        ("search:replicate:double-2", (320, 320, 320, 320, 0, 0, 0, 0), (0, 0, 0, 0, 320, 320, 320, 320), 4 * 8064),
     ],
     (8, "direct"): [
-        ("search:replicate:direct", (0, 0, 2240, 0, 0, 0, 0, 0), (320, 320, 0, 320, 320, 320, 320, 320), 7 * 10496),
+        ("search:replicate:direct", (0, 0, 2240, 0, 0, 0, 0, 0), (320, 320, 0, 320, 320, 320, 320, 320), 7 * 8064),
     ],
 }
 
 
 #: p -> (bytes of a copy annotated with one 8-byte layer, of a COUNT-built copy)
-COUNT_COPY_BYTES = {4: (20480, 11264), 8: (10496, 5888)}
+COUNT_COPY_BYTES = {4: (15616, 6400), 8: (8064, 3456)}
 
 
 def _without_aggregates(rounds, p):

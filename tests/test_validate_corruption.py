@@ -4,9 +4,9 @@ The seed suite (test_validate.py) corrupts an aggregate, a location, an
 index, a forest stack's slots, and drops a stack.  Here every other
 field the validator guards is corrupted one at a time: hat-leaf counts,
 segment unions, descendant pointers, tree indices (group ranks), stale
-hat-leaf aggregates, swapped elements, and stacks filed at the wrong
-rank or dimension — each must be caught, and the failure summary must
-say so.  A topology column belongs to the hat's shape, which every tree
+hat-leaf aggregates, swapped elements, stacks filed at the wrong rank
+or dimension, and key blocks or ``row_block`` at a type that does not
+hold them — each must be caught, and the failure summary must say so.  A topology column belongs to the hat's shape, which every tree
 on ``(p, d)`` shares read-only: a test binds a corrupted copy of it to
 the one hat it corrupts.
 """
@@ -216,6 +216,38 @@ class TestMislabeledForest:
         store = tree.forest_store[3]
         store[7] = store.pop(1)
         _assert_caught(tree, "named by no hat leaf")
+
+
+class TestIndexWidths:
+    """A stack's key blocks share one signed integer type that holds
+    ``R(m, r) · trees · span``, a bound on every key, and its
+    ``row_block`` is integer: a block at another width, or one whose
+    keys wrapped, is caught before any slot is read."""
+
+    def _stack(self, tree):
+        stack = tree.forest_store[0][0]
+        assert {block.dtype for block in stack.keys} == {np.dtype(np.int32)}
+        return stack
+
+    def test_detects_an_int16_key_block(self, tree):
+        """Its keys still fit (the bound is 80 x 1 x 64 = 5120), but the
+        blocks no longer share one type."""
+        stack = self._stack(tree)
+        stack.keys = (stack.keys[0].astype(np.int16), *stack.keys[1:])
+        _assert_caught(tree, "not one signed integer type holding R(16, 2) x 1 x span = 5120")
+
+    def test_detects_a_block_whose_keys_wrapped(self, tree):
+        """One type, too narrow for the bound: the keys wrapped."""
+        stack = self._stack(tree)
+        wrapped = tuple(block.astype(np.int8) for block in stack.keys)
+        assert any((w != block).any() for w, block in zip(wrapped, stack.keys))
+        stack.keys = wrapped
+        _assert_caught(tree, "not one signed integer type holding")
+
+    def test_detects_a_row_block_that_is_not_integer(self, tree):
+        stack = self._stack(tree)
+        stack.row_block = stack.row_block.astype(np.float64)
+        _assert_caught(tree, "row_block is not integer")
 
 
 class TestReportShape:
