@@ -92,9 +92,10 @@ def _phase_refit_relabel(ctx: ProcContext, payload) -> list:
     rank order, so a dimension-``j`` stack's fresh values are that
     column read at its rows' ranks
     (:meth:`~repro.seq.compiled.CompiledForest.row_ranks`) — one gather,
-    whatever the point ids are.  The hat shape names the trees: tree
-    ``t`` of the dimension-``j`` stack roots below hat leaf
-    ``stack_rows(rank, j, trees)[t]``.
+    whatever the point ids are.  That column becomes the tail of the
+    stack's aggregate column, where its leaves are read.  The hat shape
+    names the trees: tree ``t`` of the dimension-``j`` stack roots below
+    hat leaf ``stack_rows(rank, j, trees)[t]``.
     """
     by_rank, semigroup, ns = payload
     hat = ctx.state[hat_key(ns)]

@@ -202,7 +202,8 @@ def _phase_forest_cols(ctx: ProcContext, payload) -> tuple:
     key = ((kind * shape.d + dim) * len(nss) + part) * p + owner
     rows = np.argsort(key, kind="stable")
     walks, expansions = {}, []
-    for group in np.split(rows, np.unique(key[rows], return_index=True)[1][1:]):
+    # the sorted keys' runs are the groups
+    for group in np.split(rows, np.flatnonzero(np.diff(key[rows])) + 1):
         i = int(group[0])
         b, o, j = int(part[i]), int(owner[i]), int(dim[i])
         stack = held[b].get(o, {}).get(j)

@@ -79,15 +79,21 @@ def _check_stack(stack, count, ranks, values, semigroup, dim, name, check) -> bo
     that its key slice is its own start plus its rows' ranks, ascending,
     and that the same rows carry exactly the ranks of the parent node's
     key slice (so every tree's rows are the rows under its parent node);
-    and every aggregate slot, by re-folding.  Returns whether the sizes
-    and types held, which the per-tree checks index by.
+    that the aggregate column's tail is the rows' values; and every heap
+    row, by re-folding.  Returns whether the sizes and types held, which
+    the per-tree checks index by.
     """
     m = stack.width
     r = ranks.shape[1] - dim
     rows_want, records_want = (count * x for x in _closed_form_sizes(m, r))
-    # one heap of 2m rows per width-m block of row_block
-    sized = len(stack.aggs) == 2 * rows_want
-    check(sized, f"{name}: aggregate row count is not 2·R({m}, {r}) x {count} = {2 * rows_want}")
+    # one heap of m rows per width-m block of row_block, then one row per
+    # stack row: its own value
+    aggs_want = rows_want + count * m
+    sized = len(stack.aggs) == aggs_want
+    check(
+        sized,
+        f"{name}: aggregate row count is not R({m}, {r}) x {count} + {count} x {m} = {aggs_want}",
+    )
     rows_ok = (
         len(stack.keys) == r
         and all(
@@ -141,12 +147,18 @@ def _check_stack(stack, count, ranks, values, semigroup, dim, name, check) -> bo
         partitions,
         f"{name}: a tree's row_block slice is not a permutation of its parent's",
     )
-    # every aggregate slot: re-fold the values over the held topology
+    # every aggregate slot: the tail is the rows' values, the heap rows
+    # their re-fold over the held topology
     fresh = type(stack)(span=stack.span, width=m, keys=stack.keys, row_block=stack.row_block)
     fresh.annotate(values, semigroup)
+    kernel = fresh.aggs.kernel == stack.aggs.kernel
+    held, want = stack.aggs.data, fresh.aggs.data
     check(
-        fresh.aggs.kernel == stack.aggs.kernel
-        and np.array_equal(fresh.aggs.data, stack.aggs.data),
+        kernel and np.array_equal(want[rows_want:], held[rows_want:]),
+        f"{name}: a leaf aggregate is not its row's lifted value",
+    )
+    check(
+        kernel and np.array_equal(want[:rows_want], held[:rows_want]),
         f"{name}: an aggregate is not the fold of the values under its node",
     )
     return True

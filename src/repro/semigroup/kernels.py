@@ -39,9 +39,11 @@ is bit-identical by construction for every column kind.  Their one
 consumer is :meth:`repro.seq.compiled.CompiledForest.annotate`: a
 stack's last-dimension trees tile ``row_block`` in aligned width-``m``
 blocks, each tree a subtree of its block's heap, so one
-:func:`batched_heap_fold` over those blocks annotates the whole stack,
-per annotation layer (``kernel.layers``: a product's components, each
-under its own kernel), and the layers join
+:func:`batched_heap_fold` over those blocks annotates the whole stack's
+internal nodes (a leaf is its row's own value, held once in the
+column's tail, not again in a heap), per annotation layer
+(``kernel.layers``: a product's components, each under its own
+kernel), and the layers join
 (:meth:`KernelColumn.from_layers`) into the stack's ``aggs`` column —
 the aggregates live there, not in a per-tree store.  A layer the column
 already holds is taken back out (:meth:`KernelColumn.layer`), so a
@@ -224,23 +226,20 @@ class SemigroupKernel:
             out[np.ix_(ne_idx[order], fadd_cols)] = acc
         return out
 
-    def fold_heaps(self, leaves: np.ndarray) -> np.ndarray:
+    def fold_heaps(self, leaves: np.ndarray, out: np.ndarray) -> np.ndarray:
         """:func:`batched_heap_fold` for a typed kernel: one level loop,
-        one array op per run of like columns per level, on views written
-        into the level in place."""
-        k, m, w = leaves.shape
-        out = np.empty((k, 2 * m, w), dtype=self.dtype)
+        one array op per run of like columns per level, the first level
+        from the leaves and each one above from views of the level below,
+        written into ``out`` in place."""
+        m = leaves.shape[1]
         out[:, 0] = np.asarray(self.identity_row, dtype=self.dtype)
-        out[:, m:] = leaves
         runs = _heap_runs(self.col_ops)
-        pos = m
+        below, pos = leaves, m
         while pos > 1:
             lo = pos >> 1
-            left = out[:, pos : 2 * pos : 2]
-            right = out[:, pos + 1 : 2 * pos : 2]
             for ufunc, cols in runs:
-                ufunc(left[:, :, cols], right[:, :, cols], out=out[:, lo:pos, cols])
-            pos = lo
+                ufunc(below[:, 0::2, cols], below[:, 1::2, cols], out=out[:, lo:pos, cols])
+            below, pos = out[:, lo:pos], lo
         return out
 
     # equality by name: kernels are parameterized only by what the name
@@ -505,17 +504,14 @@ class ObjectKernel(SemigroupKernel):
                 out[k, 0] = acc
         return out
 
-    def fold_heaps(self, leaves):
-        k, m, _w = leaves.shape
+    def fold_heaps(self, leaves, out):
         combine = np.frompyfunc(self.semigroup.combine, 2, 1)
-        out = np.empty((k, 2 * m, 1), dtype=object)
         out[:, 0].fill(self.semigroup.identity)
-        out[:, m:] = leaves
-        pos = m
+        below, pos = leaves, leaves.shape[1]
         while pos > 1:
             lo = pos >> 1
-            out[:, lo:pos] = combine(out[:, pos : 2 * pos : 2], out[:, pos + 1 : 2 * pos : 2])
-            pos = lo
+            out[:, lo:pos] = combine(below[:, 0::2], below[:, 1::2])
+            below, pos = out[:, lo:pos], lo
         return out
 
 
@@ -561,20 +557,23 @@ def _heap_runs(col_ops: Sequence[str]) -> List[Tuple[Any, slice]]:
     return runs
 
 
-def batched_heap_fold(kernel: SemigroupKernel, leaves: np.ndarray) -> np.ndarray:
-    """Heap-ordered node aggregates of a stack of equal-size trees.
+def batched_heap_fold(kernel: SemigroupKernel, leaves: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Heap-ordered internal-node aggregates of a stack of equal-size
+    trees, leaves not included.
 
-    ``leaves`` is ``(trees, m, width)``; the result is ``(trees, 2m,
-    width)`` with each tree's heap in its own plane: row ``m + k`` is
-    leaf ``k``, row ``v < m`` is ``combine(row 2v, row 2v+1)`` and row 0
-    the identity.  Children combine pairwise — the exact association of
-    the per-node bottom-up ``combine`` loop — so every column kind is
-    bit-identical.  One level loop annotates the whole stack — the
-    batching that makes kernel annotation win even when a range tree
-    holds thousands of tiny last-dimension trees (per-tree numpy calls
-    would cost more than the Python combines they replace).
+    ``leaves`` is ``(trees, m, width)``; the result, written into and
+    returned as ``out``, is ``(trees, m, width)`` under ``kernel.dtype``
+    with each tree's heap in its own plane: row
+    ``v < m`` is ``combine(child 2v, child 2v+1)``, where a child ``c ≥
+    m`` is leaf ``c − m`` (read from ``leaves``, never stored here), and
+    row 0 is the identity.  Children combine pairwise — the exact
+    association of the per-node bottom-up ``combine`` loop — so every
+    column kind is bit-identical.  One level loop annotates the whole
+    stack — the batching that makes kernel annotation win even when a
+    range tree holds thousands of tiny last-dimension trees (per-tree
+    numpy calls would cost more than the Python combines they replace).
     """
-    return kernel.fold_heaps(leaves)
+    return kernel.fold_heaps(leaves, out)
 
 
 def fold_segments(

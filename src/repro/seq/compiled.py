@@ -43,11 +43,16 @@ Four invariants make the arithmetic exact:
   ``row_block`` exactly (``R(w, r)`` is a multiple of ``w``, and a
   tree's descendant tree and halves follow one another from its
   start).  So each one is a subtree of the heap over its aligned
-  width-``m`` block, ``m`` the stack's width, and ``aggs`` is one such
-  heap of ``2m`` rows per block: the node covering ``[off, off + 2^t)``
-  sits at row ``2m·(off // m) + ((m + off % m) >> t)``.  Row 0 of a
-  heap is the identity; a row whose span crosses two narrower trees is
-  folded and never read.
+  width-``m`` block, ``m`` the stack's width, and ``aggs`` opens with
+  one such heap of ``m`` rows per block, its leaf level left out: the
+  node covering ``[off, off + 2^t)``, ``t ≥ 1``, sits at row
+  ``m·(off // m) + ((m + off % m) >> t)``.  Row 0 of a heap is the
+  identity; a row whose span crosses two narrower trees is folded and
+  never read.  A leaf is its row's own value, held once: after the
+  ``R = len(row_block)`` heap rows come ``trees·m`` rows, row ``R + i``
+  the value of stack row ``i`` (``pids`` order), so the leaf at ``off``
+  sits at row ``R + row_block[off]``.  A width-1 tree's root is a
+  leaf.
 * **Closed-form cover.**  A closed rank interval ``[a, b]`` is the
   position interval ``[i, j)`` of a tree's sorted keys.  With
   ``z = bit_length(i ^ j) − 1`` the split level and
@@ -84,6 +89,8 @@ from ..semigroup.kernels import KernelColumn, batched_heap_fold
 __all__ = ["CompiledForest", "Selections"]
 
 _I64 = np.int64
+#: the walk clips each (lo, hi) to [(0, −1), span − (1, 2)], then adds (0, 1)
+_CLIP_LO, _CLIP_HI, _CLIP_UP = np.array([0, -1]), np.array([1, 2]), np.array([0, 1])
 
 
 def _bit_length(x: np.ndarray) -> np.ndarray:
@@ -221,7 +228,7 @@ class Selections(NamedTuple):
     the per-box visit counts."""
 
     q: np.ndarray  #: index of the box that selected the node
-    node: np.ndarray  #: its row in the aggregates: a block-heap row
+    node: np.ndarray  #: its row in the aggregates: a block-heap row, a leaf's tail row
     off: np.ndarray  #: its leaf rows start here in ``row_block`` …
     length: np.ndarray  #: … and are this many (the node's width)
     visits: np.ndarray  #: per *box*: nodes visited, ``decompose_counted``'s count
@@ -244,9 +251,10 @@ class CompiledForest:
     (:func:`_index_type`): 4 bytes a slot when ``R(m, r) · trees · span``
     fits int32, which bounds every key, row and walk probe, else 8.
     Node aggregates live in one
-    :class:`~repro.semigroup.kernels.KernelColumn`, ``aggs``, one heap per
-    width-``width`` block of ``row_block`` (see *Alignment* above), held
-    under the semigroup's kernel.  Every
+    :class:`~repro.semigroup.kernels.KernelColumn`, ``aggs``, one heap of
+    ``width`` internal-node rows per width-``width`` block of
+    ``row_block``, then each row's own value (see *Alignment* above),
+    held under the semigroup's kernel.  Every
     range tree of the stack has ``width`` leaves.  ``pids`` is the point
     id of each row when the holder files them (:mod:`repro.dist` does;
     the sequential tree maps rows to ids itself).
@@ -272,7 +280,7 @@ class CompiledForest:
     @property
     def size_nodes(self) -> int:
         """Nodes across all segment trees (a topology count: ``aggs``
-        holds ``2·R(m, r)`` rows a tree, not one per node)."""
+        holds ``R(m, r) + m`` rows a tree, not one per node)."""
         count, m, r = self.shape
         return count * _sizes(m, r)[0]
 
@@ -364,15 +372,16 @@ class CompiledForest:
         touched.  The annotation is one layer per component of a
         :class:`~repro.semigroup.ProductSemigroup` (the semigroup itself
         otherwise); :data:`~repro.semigroup.NO_LAYERS`, what a count
-        annotates with, has none, and its column is ``2·R(m, r)`` rows a
-        tree of zero width.  A layer the held column already has — known by its
-        kernel's name, read off ``aggs`` itself — is taken from it; only
-        the others are folded (:meth:`_fold`), each under its own kernel
-        from its slot of ``values``, so a refit that adds one layer folds
-        one.  ``values`` is a column or a plain sequence (encoded here);
-        a held layer is trusted to be their fold (a stack's rows never
-        change).  The new column is bound only once every layer is in
-        hand: a fold that raises leaves ``aggs`` as it was.
+        annotates with, has none, and its column is ``R(m, r) + m`` rows
+        a tree of zero width.  A layer the held column already has —
+        known by its kernel's name, read off ``aggs`` itself — is taken
+        from it; only the others are folded (:meth:`_fold`), each under
+        its own kernel from its slot of ``values``, so a refit that adds
+        one layer folds one.  ``values`` is a column or a plain sequence
+        (encoded here); a held layer is trusted to be their fold (a
+        stack's rows never change).  The new column is bound only once
+        every layer is in hand: a fold that raises leaves ``aggs`` as it
+        was.
         """
         values = KernelColumn.from_values(semigroup.kernel, values)
         held = [] if self.aggs is None else [layer.name for layer in self.aggs.kernel.layers]
@@ -382,22 +391,27 @@ class CompiledForest:
             else self._fold(values.layer(slot))
             for slot, layer in enumerate(values.kernel.layers)
         ]
-        self.aggs = KernelColumn.from_layers(values.kernel, layers, 2 * len(self.row_block))
+        rows = len(self.row_block) + len(self.keys[0])
+        self.aggs = KernelColumn.from_layers(values.kernel, layers, rows)
 
     def _fold(self, leaves: KernelColumn) -> KernelColumn:
         """One layer's aggregate column from its leaf values, under their
         kernel: one heap fold over the width-``m`` blocks of
-        ``row_block`` (*Alignment*), its ``(blocks · 2m, width)`` output
-        as is.
+        ``row_block`` (*Alignment*), written into the head of the
+        ``R + trees·m``-row column whose tail is ``leaves`` as given.
 
         Every last-dimension tree is a subtree of its block's heap, so
         its nodes combine the same child pairs as a per-node bottom-up
         ``combine`` loop, hence bit-identical values.
         """
         kernel = leaves.kernel
-        blocks = leaves.data[self.row_block].reshape(-1, self.width, kernel.width)
-        heaps = batched_heap_fold(kernel, blocks)
-        return KernelColumn(kernel, heaps.reshape(-1, kernel.width))
+        heads = len(self.row_block)
+        out = np.empty((heads + len(leaves), kernel.width), dtype=kernel.dtype)
+        out[heads:] = leaves.data
+        blocks = (-1, self.width, kernel.width)
+        gathered = leaves.data[self.row_block].reshape(blocks)
+        batched_heap_fold(kernel, gathered, out[:heads].reshape(blocks))
+        return KernelColumn(kernel, out)
 
     # ------------------------------------------------------------------
     # the batched walk
@@ -441,8 +455,8 @@ class CompiledForest:
         widest = int(top.max())
         # (lo, hi) per divided dimension, clipped once to "before all" ..
         # "after all" of any tree's key range; hi + 1 makes both left searches
-        bounds = np.stack([los.T[-r:], his.T[-r:]], axis=2)
-        bounds = np.clip(bounds, (0, -1), span[which, None] - (1, 2)) + (0, 1)
+        bounds = np.array((los.T[-r:], his.T[-r:])).transpose(1, 2, 0)
+        bounds = np.minimum(np.maximum(bounds, _CLIP_LO), span[which, None] - _CLIP_HI) + _CLIP_UP
         on = which[pq]  # each pair's stack
         e = top[on]  # log2 width of each pair's tree
         # each pair's starts, columns as in _path_sums
@@ -473,7 +487,7 @@ class CompiledForest:
             length = j - i
             s = np.cumsum(width) - width + (i - (np.cumsum(length) - length))[pair]
 
-            low = _trailing_zeros(np.stack([sides[:, 0], sides[:, 1] | (1 << z), i | (1 << e)]))
+            low = _trailing_zeros(np.array((sides[:, 0], sides[:, 1] | (1 << z), i | (1 << e))))
             seen = np.where(
                 length > 0,
                 np.bincount(pair, minlength=len(pq)) + e + z - low[0] - low[1],
@@ -490,10 +504,18 @@ class CompiledForest:
             )
             # the next dimension's pairs: each cover node's descendant tree
             pq, on, e, starts = pq[pair], on[pair], t, at[:, 1:]
-        # the block-heap row of each last-dimension node (*Alignment*)
+        # each last-dimension node's aggs row (*Alignment*): a block-heap
+        # row, or for a leaf its row's tail row, read in its own stack's
+        # row_block (selections come grouped by stack)
+        off = at[:, 0]
         m = 1 << top[on]
-        block, pos = np.divmod(at[:, 0], m)
-        return Selections(pq, 2 * m * block + ((m + pos) >> t), at[:, 0], width, visits)
+        pos = off & (m - 1)
+        cut = np.bincount(on, minlength=len(stacks)).cumsum().tolist()
+        tail = np.concatenate(
+            [len(st.row_block) + st.row_block[off[a:b]] for st, a, b in zip(stacks, [0] + cut, cut)]
+        )
+        node = np.where(t > 0, off - pos + ((m + pos) >> t), tail)
+        return Selections(pq, node, off, width, visits)
 
     def rows_flat(
         self, sel_off: np.ndarray, lengths: np.ndarray
@@ -517,6 +539,8 @@ class CompiledForest:
         """Each tree's aggregate over all its points, tree by tree: the
         root of the last-dimension tree reached through the root's
         descendant trees — the first of the tree's ``row_block`` slice, so
-        row 1 of its first block's heap."""
+        row 1 of its first block's heap, or the tail row of that slot's
+        row when the tree is one leaf wide."""
         count, m, r = self.shape
-        return self.decode_aggs(np.arange(count, dtype=_I64) * 2 * _sizes(m, r)[1] + 1)
+        off = np.arange(count, dtype=_I64) * _sizes(m, r)[1]
+        return self.decode_aggs(off + 1 if m > 1 else len(self.row_block) + self.row_block[off])

@@ -136,9 +136,12 @@ def last_dim_nodes(stack, t: int | None = None) -> list:
     is a subtree of the heap over its aligned width-``m`` block: its root
     is heap index ``(m + start % m) / w`` there, its depth-``l`` node
     ``k`` heap index ``root · 2^l + k``, and block ``b``'s heap fills
-    ``aggs`` rows ``2m·b .. 2m·(b + 1) − 1``.
+    ``aggs`` rows ``m·b .. m·(b + 1) − 1`` — its internal nodes; a leaf,
+    heap index ``≥ m``, is the tail row ``len(row_block) + row`` of the
+    row it holds.
     """
     m, per_tree = stack.width, len(stack.row_block) // stack.shape[0]
+    heads = len(stack.row_block)
     trees = sorted(
         (int(s), w) for w, (starts, _parent) in stack.layout()[-1].items() for s in starts[:, 0]
     )
@@ -146,7 +149,9 @@ def last_dim_nodes(stack, t: int | None = None) -> list:
 
     def preorder(w: int, start: int, root: int, level: int = 0, k: int = 0) -> None:
         width = w >> level
-        out.append((start + k * width, width, 2 * m * (start // m) + (root << level) + k))
+        off, heap = start + k * width, (root << level) + k
+        row = m * (start // m) + heap if heap < m else heads + int(stack.row_block[off])
+        out.append((off, width, row))
         if width > 1:
             preorder(w, start, root, level + 1, 2 * k)
             preorder(w, start, root, level + 1, 2 * k + 1)

@@ -203,28 +203,35 @@ def test_hot_spot_still_dispatches_pack_and_unpack(strategy):
 #: copy holds 64 + 448 + 128 key slots and 448 + 128 row_block slots,
 #: 1216 slots: 20480 − 4864 = 15616 bytes (COUNT: 11264 − 4864 = 6400);
 #: at p=8 224 + 96 key slots and 192 + 96 row_block slots, 608 slots:
-#: 10496 − 2432 = 8064 bytes (COUNT: 5888 − 2432 = 3456).
+#: 10496 − 2432 = 8064 bytes (COUNT: 5888 − 2432 = 3456).  Then
+#: re-pinned when a stack's aggregate heaps dropped their leaf level and
+#: a leaf became its row's own value, held once: R(m, r) + m rows a tree
+#: instead of 2·R(m, r).  The 2-d tree holds R(m, 2) + m rows, the 1-d
+#: trees 2m each as before.  At p=4 a copy holds 448 + 64 + 2 · 128 = 768
+#: rows: 6400 + 768 · 8 = 12544 bytes; at p=8 192 + 32 + 3 · 64 = 416
+#: rows: 3456 + 416 · 8 = 6784 bytes.  COUNT copies hold no aggregate
+#: bytes and keep theirs.
 PARENT_REPLICATION = {
     (4, "doubling"): [
-        ("search:replicate:double-0", (640, 640, 0, 0), (0, 640, 640, 0), 2 * 15616),
+        ("search:replicate:double-0", (640, 640, 0, 0), (0, 640, 640, 0), 2 * 12544),
         ("search:replicate:double-1", (0, 0, 0, 0), (0, 0, 0, 0), 0),
     ],
     (4, "direct"): [
-        ("search:replicate:direct", (640, 640, 0, 0), (0, 640, 640, 0), 2 * 15616),
+        ("search:replicate:direct", (640, 640, 0, 0), (0, 640, 640, 0), 2 * 12544),
     ],
     (8, "doubling"): [
-        ("search:replicate:double-0", (0, 0, 320, 0, 0, 0, 0, 0), (320, 0, 0, 0, 0, 0, 0, 0), 8064),
-        ("search:replicate:double-1", (320, 0, 320, 0, 0, 0, 0, 0), (0, 320, 0, 320, 0, 0, 0, 0), 2 * 8064),
-        ("search:replicate:double-2", (320, 320, 320, 320, 0, 0, 0, 0), (0, 0, 0, 0, 320, 320, 320, 320), 4 * 8064),
+        ("search:replicate:double-0", (0, 0, 320, 0, 0, 0, 0, 0), (320, 0, 0, 0, 0, 0, 0, 0), 6784),
+        ("search:replicate:double-1", (320, 0, 320, 0, 0, 0, 0, 0), (0, 320, 0, 320, 0, 0, 0, 0), 2 * 6784),
+        ("search:replicate:double-2", (320, 320, 320, 320, 0, 0, 0, 0), (0, 0, 0, 0, 320, 320, 320, 320), 4 * 6784),
     ],
     (8, "direct"): [
-        ("search:replicate:direct", (0, 0, 2240, 0, 0, 0, 0, 0), (320, 320, 0, 320, 320, 320, 320, 320), 7 * 8064),
+        ("search:replicate:direct", (0, 0, 2240, 0, 0, 0, 0, 0), (320, 320, 0, 320, 320, 320, 320, 320), 7 * 6784),
     ],
 }
 
 
 #: p -> (bytes of a copy annotated with one 8-byte layer, of a COUNT-built copy)
-COUNT_COPY_BYTES = {4: (15616, 6400), 8: (8064, 3456)}
+COUNT_COPY_BYTES = {4: (12544, 6400), 8: (6784, 3456)}
 
 
 def _without_aggregates(rounds, p):

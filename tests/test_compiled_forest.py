@@ -351,7 +351,8 @@ class TestClosedFormCover:
             got = (w + sel.off[mine]) // sel.length[mine]
             assert got.tolist() == want_nodes
             assert int(sel.visits[q]) == want_visits
-            # one tree is one width-w block: its aggregate row is that heap id
+            # one tree is one width-w block: its aggregate row is that heap
+            # id (a leaf's tail row w + row is too: a 1-d tree's rows ascend)
             assert sel.node[mine].tolist() == want_nodes
 
 

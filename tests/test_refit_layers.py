@@ -83,9 +83,9 @@ def folded(monkeypatch):
     calls = []
     real = compiled.batched_heap_fold
 
-    def counted(kernel, leaves):
+    def counted(kernel, leaves, out):
         calls.append(kernel.name)
-        return real(kernel, leaves)
+        return real(kernel, leaves, out)
 
     monkeypatch.setattr(compiled, "batched_heap_fold", counted)
     return calls

@@ -300,21 +300,34 @@ def test_fold_segments_folds_each_segment_left_in_row_order(case):
 # ---------------------------------------------------------------------------
 # heap folds vs the bottom-up object loop
 # ---------------------------------------------------------------------------
+def _heaps(kernel, leaves):
+    """:func:`batched_heap_fold` into a fresh ``(trees, m, width)`` array."""
+    return batched_heap_fold(kernel, leaves, np.empty(leaves.shape, dtype=kernel.dtype))
+
+
+def _pairwise_heap(sg, leaves):
+    """The per-node bottom-up ``combine`` loop of ``_build_aggs``: rows
+    ``0 .. m−1`` internal (row 0 the identity), ``m .. 2m−1`` the leaves."""
+    m = len(leaves)
+    aggs = [sg.identity] * m + list(leaves)
+    for node in range(m - 1, 0, -1):
+        aggs[node] = sg.combine(aggs[2 * node], aggs[2 * node + 1])
+    return aggs
+
+
 @pytest.mark.parametrize("m", [1, 2, 8, 64])
 def test_heap_fold_matches_pairwise_combine(m):
+    """The ``(trees, m, width)`` heap holds the internal rows alone: row
+    ``v < m`` is the pairwise combine of its children, leaves included."""
     rng = random.Random(m)
     kernels = [(sg, sg.kernel) for sg in _kernelizable(2)] + _object_kernels(2)
     for sg, kernel in kernels:
         values = _random_values(sg, m, 2, rng)
-        heap = batched_heap_fold(kernel, kernel.encode(values)[None])[0]
-        # reference: the bottom-up ``combine`` loop of _build_aggs
-        aggs = [None] * (2 * m)
-        for k in range(m):
-            aggs[m + k] = values[k]
-        for node in range(m - 1, 0, -1):
-            aggs[node] = sg.combine(aggs[2 * node], aggs[2 * node + 1])
-        for node in range(1, 2 * m):
-            _assert_same_value(kernel.decode(heap, node), aggs[node])
+        heap = _heaps(kernel, kernel.encode(values)[None])
+        assert heap.shape == (1, m, kernel.width) and heap.dtype == kernel.dtype
+        want = _pairwise_heap(sg, values)
+        for node in range(m):
+            _assert_same_value(kernel.decode(heap[0], node), want[node])
 
 
 def test_batched_heap_fold_matches_per_tree():
@@ -322,9 +335,26 @@ def test_batched_heap_fold_matches_per_tree():
     sg = product_semigroup([COUNT, sum_of_dim(0), bounding_box_semigroup(2)])
     kernel = sg.kernel
     trees = [kernel.encode(_random_values(sg, 8, 2, rng)) for _ in range(5)]
-    batched = batched_heap_fold(kernel, np.stack(trees))
+    batched = _heaps(kernel, np.stack(trees))
     for i, leaves in enumerate(trees):
-        assert np.array_equal(batched[i], batched_heap_fold(kernel, leaves[None])[0])
+        assert np.array_equal(batched[i], _heaps(kernel, leaves[None])[0])
+
+
+@pytest.mark.parametrize("object_kernel", [False, True], ids=["typed", "object"])
+def test_heap_fold_writes_into_the_given_rows(object_kernel):
+    """The fold writes every heap row into ``out`` and returns it: the
+    head of a stack's aggregate column, the leaves untouched."""
+    sg = sum_of_dim(0)
+    kernel = ObjectKernel(sg) if object_kernel else sg.kernel
+    rng = random.Random(4)
+    trees, m = 3, 8
+    leaves = np.stack([kernel.encode(_random_values(sg, m, 2, rng)) for _ in range(trees)])
+    column = np.empty((2 * trees * m, kernel.width), dtype=kernel.dtype)
+    column[trees * m :] = leaves.reshape(-1, kernel.width)
+    head = column[: trees * m].reshape(trees, m, kernel.width)
+    assert batched_heap_fold(kernel, leaves, head) is head
+    assert np.array_equal(head, _heaps(kernel, leaves))
+    assert np.array_equal(column[trees * m :], leaves.reshape(-1, kernel.width))
 
 
 @pytest.mark.parametrize(
@@ -345,12 +375,9 @@ def test_product_heap_fold_matches_per_node_combine(components):
     rng = random.Random(len(components))
     trees, m = 3, 16
     values = [_random_values(sg, m, 2, rng) for _ in range(trees)]
-    heaps = batched_heap_fold(kernel, np.stack([kernel.encode(v) for v in values]))
+    heaps = _heaps(kernel, np.stack([kernel.encode(v) for v in values]))
     for t, leaves in enumerate(values):
-        aggs = [sg.identity] * m + list(leaves)
-        for node in range(m - 1, 0, -1):
-            aggs[node] = sg.combine(aggs[2 * node], aggs[2 * node + 1])
-        want = kernel.encode(aggs)
+        want = kernel.encode(_pairwise_heap(sg, leaves)[:m])
         assert heaps[t].dtype == want.dtype and heaps[t].tobytes() == want.tobytes()
 
 

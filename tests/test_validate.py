@@ -111,7 +111,7 @@ class TestValidatorCatchesCorruption:
             tree = self._tree(sg)
             stack = self._stack(tree)
             stack.aggs = stack.aggs[:-1]
-            self._assert_caught(tree, "aggregate row count is not 2·R(")
+            self._assert_caught(tree, "aggregate row count is not R(")
 
     def test_detects_wrong_record_counts(self):
         tree = self._tree()

@@ -5,8 +5,9 @@ index, a forest stack's slots, and drops a stack.  Here every other
 field the validator guards is corrupted one at a time: hat-leaf counts,
 segment unions, descendant pointers, tree indices (group ranks), stale
 hat-leaf aggregates, swapped elements, stacks filed at the wrong rank
-or dimension, and key blocks or ``row_block`` at a type that does not
-hold them — each must be caught, and the failure summary must say so.  A topology column belongs to the hat's shape, which every tree
+or dimension, key blocks or ``row_block`` at a type that does not
+hold them, and a leafless aggregate column's tail, heap rows or row
+count — each must be caught, and the failure summary must say so.  A topology column belongs to the hat's shape, which every tree
 on ``(p, d)`` shares read-only: a test binds a corrupted copy of it to
 the one hat it corrupts.
 """
@@ -248,6 +249,50 @@ class TestIndexWidths:
         stack = self._stack(tree)
         stack.row_block = stack.row_block.astype(np.float64)
         _assert_caught(tree, "row_block is not integer")
+
+
+class TestLeaflessAggregates:
+    """A stack's aggregate column is one heap of ``m`` internal-node rows
+    per width-``m`` block of ``row_block``, then each row's own value:
+    a wrong tail value, a wrong internal row and a column in the former
+    layout (one heap of ``2m`` rows a block, its leaves included) are
+    each caught by their own check."""
+
+    def _stack(self, tree, dim=0):
+        stack = tree.forest_store[0][dim]
+        heads = len(stack.row_block)
+        assert len(stack.aggs) == heads + len(stack.pids)
+        return stack, heads
+
+    def test_detects_a_wrong_tail_value(self, tree):
+        stack, heads = self._stack(tree)
+        stack.aggs.data[heads + 5] += 1
+        _assert_caught(tree, "a leaf aggregate is not its row's lifted value")
+
+    def test_detects_a_wrong_internal_row(self, tree):
+        stack, _heads = self._stack(tree)
+        stack.aggs.data[2] += 1  # the root's left child, in the first heap
+        _assert_caught(tree, "an aggregate is not the fold of the values under its node")
+
+    @pytest.mark.parametrize(
+        "dim, needle",
+        [
+            # 2-d trees: 2·R(16, 2) = 160 rows, not R(16, 2) + 16 = 96
+            (0, "aggregate row count is not R(16, 2) x 1 + 1 x 16 = 96"),
+            # 1-d trees hold 2m rows a tree either way: the rows are wrong
+            (1, "an aggregate is not the fold of the values under its node"),
+        ],
+    )
+    def test_detects_a_column_in_the_former_layout(self, tree, dim, needle):
+        stack, heads = self._stack(tree, dim)
+        assert stack.shape[0] > 1 or dim == 0  # two 1-d trees interleave
+        m, w = stack.width, stack.aggs.kernel.width
+        data = stack.aggs.data
+        heaps = data[:heads].reshape(-1, m, w)
+        leaves = data[heads:][stack.row_block].reshape(-1, m, w)
+        former = np.concatenate([heaps, leaves], axis=1).reshape(-1, w)
+        stack.aggs = KernelColumn(stack.aggs.kernel, former)
+        _assert_caught(tree, needle)
 
 
 class TestReportShape:
