@@ -518,7 +518,7 @@ def kernel_field_failures() -> list:
     lift one column through ``lift_kernel_column`` and fold through
     ``fold_segments`` — by columns, never per point, under a typed kernel
     whatever ``lift`` is, and by ``n_real`` per-point calls under an
-    ``ObjectKernel``."""
+    ``ObjectKernel`` (the refit product's first layer: ``sg``'s kernel)."""
     global _LIFT_LOG
     from repro.dist import DistributedRangeTree
     from repro.query import aggregate
@@ -537,7 +537,7 @@ def kernel_field_failures() -> list:
                 with counting({}, *bound_in_repro("lift_kernel_column", "fold_segments")) as calls:
                     with DistributedRangeTree.build(pts, p=4, backend=backend, semigroup=sg) as tree:
                         got = tree.run([aggregate(box, max_of_dim(1))]).values()  # lazy refit
-                        typed = not isinstance(tree.semigroup.kernel, ObjectKernel)
+                        typed = not isinstance(tree.semigroup.kernel.component(0), ObjectKernel)
                 lifts, columns = os.path.getsize(_LIFT_LOG), total(calls, "lift_kernel_column")
                 folds, right = total(calls, "fold_segments"), got == [pts.coords[:, 1].max()]
                 if (lifts, columns, typed, right) != (want, 2, kernel is not None, True) or not folds:

@@ -13,9 +13,11 @@ its stream (the schemas Construct and Search ship are listed in
 :mod:`repro.dist.records`); iterating a batch yields one named tuple per
 record, its fields named by the columns.
 
-Batches are how Construct, Search, the sort (its samples included) and
-the demux move records; only a few small rounds (row counts, root
-summaries) still exchange plain Python lists.
+Batches are how Construct, Search, the sort (its samples included), the
+demux and a refit move records, Construct's and a refit's forest roots
+included; only row counts and demands still travel as plain lists, and
+Search's replicated stores as records of explicit size
+(:meth:`~repro.cgm.machine.Machine.exchange_weighted`).
 """
 
 from __future__ import annotations
@@ -56,11 +58,9 @@ def _col_nbytes(col: Any) -> int:
         # semigroup values: the kernel sizes its own storage
         return col.nbytes
     if col.dtype == object:
-        # Estimate object payloads by seeded sampling (exact when empty).
-        n = len(col)
-        if n == 0:
-            return 0
-        return estimate_object_bytes(col) + col.nbytes
+        # Estimate object payloads, cell by cell, by seeded sampling
+        # (exact when empty).
+        return estimate_object_bytes(col.reshape(-1)) + col.nbytes
     return int(col.nbytes)
 
 
@@ -172,9 +172,8 @@ def estimate_nbytes(obj: Any, _depth: int = 0) -> int:
 
     Exact for numpy arrays; shallow-recursive (two levels) for tuples,
     lists, and slotted/dataclass records; ``sys.getsizeof`` otherwise.
-    Used to attribute routed bytes to record-list rounds (summaries,
-    broadcast roots, replicated stores) — batch rounds report exact column
-    nbytes instead.
+    Used to attribute routed bytes to record-list rounds (row counts,
+    demands) — batch rounds report exact column nbytes instead.
     """
     t = type(obj)
     fixed = _SCALAR_NBYTES.get(t)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .._lazy import lazy_exports
 from .._util import require_power_of_two
-from ..cgm.collectives import alltoall_broadcast
+from ..cgm.columns import RecordBatch
 from ..cgm.machine import Machine
 from ..cgm.phases import ProcContext, register_phase
 from ..geometry.box import Box
@@ -46,7 +46,7 @@ from .construct import (
     hat_key,
     tree_keys,
 )
-from .hat import Hat
+from .hat import Hat, forest_roots
 from .labeling import is_valid_path
 from .search import SearchOutput, run_search
 
@@ -85,8 +85,9 @@ def lift_values(semigroup: Semigroup, ranked: RankedPointSet, points: PointSet):
 
 
 @register_phase("dist.refit.relabel")
-def _phase_refit_relabel(ctx: ProcContext, payload) -> list:
-    """Re-annotate this rank's resident stacks; return their roots.
+def _phase_refit_relabel(ctx: ProcContext, payload) -> RecordBatch:
+    """Re-annotate this rank's resident stacks; return their roots as one
+    ``dist.root`` batch (:func:`~repro.dist.hat.forest_roots`).
 
     ``by_rank[j]`` is :func:`lift_values`' column in dimension-``j``
     rank order, so a dimension-``j`` stack's fresh values are that
@@ -100,12 +101,12 @@ def _phase_refit_relabel(ctx: ProcContext, payload) -> list:
     by_rank, semigroup, ns = payload
     hat = ctx.state[hat_key(ns)]
     roots = []
-    for j, stack in (ctx.state.get(forest_key(ns)) or {}).items():
+    for j, stack in ctx.state[forest_key(ns)].items():
         stack.annotate(by_rank[j][stack.row_ranks()], semigroup)
-        rows = hat.shape.stack_rows(ctx.rank, j, stack.shape[0]).tolist()
-        roots += [(i, int(hat.lo[i]), int(hat.hi[i]), agg) for i, agg in zip(rows, stack.root_aggs())]
+        rows = hat.shape.stack_rows(ctx.rank, j, stack.shape[0])
+        roots.append(forest_roots(rows, hat.lo[rows], hat.hi[rows], stack.root_aggs()))
         ctx.charge(stack.size_records)
-    return roots
+    return RecordBatch.concat(roots)
 
 
 @register_phase("dist.refit.refresh_hat")
@@ -386,7 +387,9 @@ class DistributedRangeTree:
             "dist.refit.relabel",
             [(by_rank, semigroup, ns)] * mach.p,
         )
-        gathered = alltoall_broadcast(mach, roots_local, label=f"{label}:roots")
+        gathered = mach.exchange_batches(
+            f"{label}:roots", [[b] * mach.p for b in roots_local], roots_local[0]
+        )
         mach.run_phase(
             f"{label}:refresh-hat",
             "dist.refit.refresh_hat",

@@ -30,9 +30,12 @@ phase ``j`` (one per dimension, ``j = 0 .. d-1``)
        input of phase ``j+1``.
 
 finale
-    5. **Broadcast** every element's ``(row, lo, hi, agg)`` root (1
-       round); every processor then seats the identical hat columns by
-       row (:meth:`repro.dist.hat.Hat.build`) with zero further rounds.
+    5. **Broadcast** every element's root — its hat leaf's row, its rank
+       segment and its encoded aggregate, one ``dist.root`` batch per
+       rank (:func:`repro.dist.hat.forest_roots`) — in 1 round; every
+       processor then seats the identical hat columns by row and folds
+       them up (:meth:`repro.dist.hat.Hat.build`) with zero further
+       rounds.
 
 The round count is ``6d + 1`` — fixed by ``d`` alone, never by ``n``,
 which is exactly what the Corollary 1 tests measure.
@@ -48,8 +51,8 @@ bytes.
 SPMD residency: the per-rank steps run as registered phases
 (``dist.construct.*``), and what they build *stays with the executor* —
 the forest group, one stack per dimension, under the ``{ns}:forest``
-state key, each rank's own hat replica under ``{ns}:hat``.  Only records
-(S-record batches, roots) and numpy rank blocks ever cross the
+state key, each rank's own hat replica under ``{ns}:hat``.  Only record
+batches (S-records, roots) and numpy rank blocks ever cross the
 driver/worker boundary; the driver reads the rest through state views.
 """
 
@@ -61,7 +64,7 @@ from typing import Any, List, Sequence
 import numpy as np
 
 from .._util import require_power_of_two, slice_positions
-from ..cgm.collectives import allgather, alltoall_broadcast, route_batches
+from ..cgm.collectives import allgather, route_batches
 from ..cgm.columns import RecordBatch
 from ..cgm.machine import Machine
 from ..cgm.phases import ProcContext, register_phase
@@ -71,7 +74,7 @@ from ..geometry.rankspace import RankedPointSet
 from ..semigroup import Semigroup
 from ..semigroup.kernels import KernelColumn
 from .forest import build_stack
-from .hat import Hat, hat_shape
+from .hat import Hat, forest_roots, hat_shape
 
 __all__ = ["ConstructResult", "construct_distributed_tree"]
 
@@ -170,7 +173,7 @@ def _phase_build_elements_cols(ctx: ProcContext, payload) -> dict:
 
     The rank's phase-``j`` elements land in the rank-resident
     ``{ns}:forest`` store as one stack (:func:`~repro.dist.forest.build_stack`)
-    under key ``j``; only the broadcastable roots, the next phase's
+    under key ``j``; only its trees' ``dist.root`` batch, the next phase's
     records, and the held record count — the rank's stacks plus the
     next phase's records, for the driver's capacity check — are returned.
 
@@ -190,14 +193,12 @@ def _phase_build_elements_cols(ctx: ProcContext, payload) -> dict:
     n = len(batch)
     rows = shape.stack_rows(ctx.rank, j, n // k)
     ranks, pids, values = batch.col("ranks"), batch.col("pid"), batch.col("value")
-    roots: list = []
+    aggs = values[:0]
     if n:
         stack = forest[j] = build_stack(ranks, pids, values, payload["semigroup"], j, k)
         ctx.charge(stack.size_records)
-        roots = list(
-            zip(rows.tolist(), ranks[::k, j].tolist(), ranks[k - 1 :: k, j].tolist(),
-                stack.root_aggs())
-        )
+        aggs = stack.root_aggs()
+    roots = forest_roots(rows, ranks[::k, j], ranks[k - 1 :: k, j], aggs)
     if j < payload["d"] - 1:
         ctx.charge(n)
 
@@ -268,7 +269,7 @@ def construct_distributed_tree(
         ],
     )
 
-    roots_local: List[list] = [[] for _ in range(p)]
+    roots_local: List[List[RecordBatch]] = [[] for _ in range(p)]
     phase_counts: List[int] = []
 
     for j in range(d):
@@ -309,12 +310,13 @@ def construct_distributed_tree(
             ],
         )
         for r in range(p):
-            roots_local[r].extend(built[r]["roots"])
+            roots_local[r].append(built[r]["roots"])
             mach.check_capacity(r, built[r]["held"])
         current = [built[r]["next_records"] for r in range(p)]
 
     # -- step 5: broadcast forest roots; rebuild the identical hat locally --
-    gathered = alltoall_broadcast(mach, roots_local, label="construct:roots")
+    roots = [RecordBatch.concat(batches) for batches in roots_local]
+    gathered = mach.exchange_batches("construct:roots", [[b] * p for b in roots], roots[0])
 
     mach.run_phase(
         "construct:build-hat",

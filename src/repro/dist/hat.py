@@ -14,10 +14,11 @@ a pass.  The shape precedes Construct, which names
 every group, element and segment tree by it, so a row is a node's one
 name from Construct to Search.  A :class:`Hat` is that shape plus one
 tree's segments, leaf counts and ``f(v)``, seated by :meth:`Hat.build`
-from the ``(row, lo, hi, agg)`` roots of Construct step 5, so every
-processor emits bit-identical rows with no further communication; a
-refit (:meth:`Hat.refresh_aggregates`) rebinds the aggregate column
-alone.
+from the ``dist.root`` batch Construct step 5 broadcasts
+(:func:`forest_roots`) and folded up level by level under the
+semigroup's kernel, so every processor emits bit-identical rows with no
+further communication; a refit (:meth:`Hat.refresh_aggregates`) rebinds
+the aggregate column alone.
 
 :func:`walk_hats` is step 1 of Algorithm Search: the four-case segment
 tree walk (§4) for a rank's query slice over every part of a pass as one
@@ -42,7 +43,7 @@ from ..semigroup.kernels import KernelColumn
 from .labeling import Path, make_path
 from .records import KIND_EXPAND, KIND_SUBQUERY, flatten_path, unflatten_path
 
-__all__ = ["Hat", "HatShape", "hat_shape", "walk_hats"]
+__all__ = ["Hat", "HatShape", "forest_roots", "hat_shape", "walk_hats"]
 
 
 class HatShape:
@@ -203,42 +204,56 @@ def hat_shape(p: int, d: int) -> HatShape:
     )
 
 
-def _fold(semigroup: Semigroup, aggs: List[Any], shape: HatShape) -> KernelColumn:
-    """The aggregate column for leaf-seeded ``aggs``, under the
-    semigroup's kernel.
-
-    Children follow their parent in row order, so one backward sweep
-    folds every child pair before its parent reads it.
-    """
-    left, right = shape.left.tolist(), shape.right.tolist()
-    for i in range(len(aggs) - 1, -1, -1):
-        if left[i] >= 0:
-            aggs[i] = semigroup.combine(aggs[left[i]], aggs[right[i]])
-    return KernelColumn.from_values(semigroup.kernel, aggs)
+def forest_roots(row, lo, hi, agg: KernelColumn) -> RecordBatch:
+    """What Construct step 5 and a refit broadcast, one ``dist.root`` row
+    per forest element: its hat leaf's ``row``, the closed rank segment
+    ``lo`` .. ``hi`` it covers, and its root aggregate ``agg``, encoded."""
+    cols = {name: np.asarray(a, dtype=np.int64) for name, a in (("row", row), ("lo", lo), ("hi", hi))}
+    return RecordBatch("dist.root", {**cols, "agg": agg}, len(agg))
 
 
-#: What Construct step 5 and a refit broadcast per forest element: its hat
-#: leaf's row, the closed rank segment it covers, its root aggregate.
-Root = Tuple[int, int, int, Any]
-
-
-def _seat(shape: HatShape, roots: Sequence[Root]) -> tuple:
-    """Each root's segment and aggregate at its row; a
-    :class:`~repro.errors.ProtocolError` for a row that is no hat leaf, a
-    second root for one, and a hat leaf no root names."""
-    seg = np.zeros((shape.size, 2), dtype=np.int64)
-    aggs: List[Any] = [None] * shape.size
+def _seat(shape: HatShape, roots: RecordBatch, kernel) -> tuple:
+    """Each root's segment and aggregate at its row, the other rows'
+    aggregates the identity; a :class:`~repro.errors.ProtocolError` for
+    the first row that is no hat leaf or seats a second root, and for a
+    hat leaf no root names."""
+    row = roots.col("row")
+    known = (row >= 0) & (row < shape.size)
+    known[known] = shape.leaf[row[known]]
+    first = np.zeros(len(row), dtype=bool)
+    first[np.unique(row, return_index=True)[1]] = True
+    bad = np.flatnonzero(~(known & first))
+    if len(bad):
+        what = "duplicate" if known[bad[0]] else "unknown"
+        raise ProtocolError(f"forest roots do not match the hat: {what} row {row[bad[0]]}")
     seated = np.zeros(shape.size, dtype=bool)
-    for i, lo, hi, agg in roots:
-        known = 0 <= i < shape.size and shape.leaf[i]
-        if not known or seated[i]:
-            what = "duplicate" if known else "unknown"
-            raise ProtocolError(f"forest roots do not match the hat: {what} row {i}")
-        seated[i], seg[i], aggs[i] = True, (lo, hi), agg
+    seated[row] = True
     missing = np.flatnonzero(shape.leaf & ~seated)
     if len(missing):
         raise ProtocolError(f"forest roots incomplete: no root for hat leaf row {missing[0]}")
+    seg = np.zeros((shape.size, 2), dtype=np.int64)
+    seg[row, 0], seg[row, 1] = roots.col("lo"), roots.col("hi")
+    aggs = kernel.identity_mat(shape.size)
+    aggs[row] = roots.col("agg").data
     return seg, aggs
+
+
+def _fold(kernel, aggs: np.ndarray, shape: HatShape) -> KernelColumn:
+    """The aggregate column for leaf-seeded ``aggs``, under ``kernel``.
+
+    A row's children are half its width, so the rows fold one width at a
+    time, narrowest first: each level is one kernel fold over its rows'
+    ``(left, right)`` child pairs — the pairs the per-node ``combine``
+    would take.
+    """
+    width = 2
+    while width <= shape.p:
+        rows = np.flatnonzero(shape.width == width)
+        pairs = np.stack([shape.left[rows], shape.right[rows]], axis=1).ravel()
+        starts = np.arange(0, len(pairs), 2)
+        aggs[rows] = kernel.fold(aggs[pairs], starts, starts + 2)
+        width *= 2
+    return KernelColumn(kernel, aggs)
 
 
 class Hat:
@@ -264,31 +279,32 @@ class Hat:
     @classmethod
     def build(
         cls,
-        roots: Sequence[Root],
+        roots: RecordBatch,
         d: int,
         n: int,
         p: int,
         semigroup: Semigroup,
     ) -> "Hat":
-        """Deterministically emit the hat from the forest roots.
+        """Deterministically emit the hat from the ``dist.root`` batch
+        of the forest roots (:func:`forest_roots`).
 
         Raises :class:`~repro.errors.ProtocolError` when the roots' rows
         do not seat every hat leaf of the ``(p, d)`` shape exactly once —
         a missing, duplicated or unknown row means the construction
         protocol was violated on some processor.
         """
-        if not roots:
+        if not len(roots):
             raise MachineError("cannot build a hat from zero forest roots")
         require_power_of_two("point count n", n)
         if p > n:
             raise MachineError(f"p={p} exceeds the padded point count n={n}")
         shape = hat_shape(p, d)
         leaf_level = ilog2(n) - ilog2(p)
-        seg, aggs = _seat(shape, roots)
+        seg, aggs = _seat(shape, roots, semigroup.kernel)
         hat = cls(
             shape=shape, n=n, leaf_level=leaf_level, semigroup=semigroup,
             lo=seg[shape.first, 0], hi=seg[shape.last, 1], nleaves=shape.width * (n // p),
-            aggs=_fold(semigroup, aggs, shape),
+            aggs=_fold(semigroup.kernel, aggs, shape),
         )
         # What a rank holding no queries returns: the walk's own zero-row
         # output, made once, so an idle rank does no numpy work per pass.
@@ -308,7 +324,7 @@ class Hat:
         """The annotation ``f(v)`` of node ``i`` as a semigroup value."""
         return self.aggs[i]
 
-    def refresh_aggregates(self, roots: Sequence[Root], semigroup: Semigroup) -> None:
+    def refresh_aggregates(self, roots: RecordBatch, semigroup: Semigroup) -> None:
         """Reseed hat-leaf aggregates from fresh forest roots and fold up.
 
         Local work only — the one communication round of re-annotation is
@@ -316,9 +332,8 @@ class Hat:
         aside and bound, with the ``idle`` output typed for it, in one
         assignment: a walk reads the old annotation or the new one.
         """
-        shape = self.shape
-        _seg, aggs = _seat(shape, roots)
-        aggs = _fold(semigroup, aggs, shape)
+        _seg, aggs = _seat(self.shape, roots, semigroup.kernel)
+        aggs = _fold(semigroup.kernel, aggs, self.shape)
         idle = (self.idle[0].with_col("agg", aggs[:0]), *self.idle[1:])
         self.semigroup, self.aggs, self.idle = semigroup, aggs, idle
 

@@ -24,6 +24,10 @@ the schemas, by stage:
 ``dist.forest_selection``   Search step 5: ``qid``, ``element``,
                             ``nleaves``, ``agg``
 ``dist.report_pair``        Search step 5: ``qid``, ``pid``
+``dist.root``               Construct step 5 and every refit's broadcast:
+                            ``row`` (a forest element's hat-leaf row),
+                            ``lo``, ``hi`` (the closed rank segment it
+                            covers), ``agg`` (its root aggregate)
 ==========================  ================================================
 
 A node has one name from Construct to Search: its row in the ``(p, d)``
@@ -34,11 +38,8 @@ element it roots (``hat.path(row)`` is its Definition 2 label,
 ``hat.shape.location[row]`` its owner; part ``b`` of a pass names its
 row ``i`` as ``b·H + i``, every hat on ``(p, d)`` having ``H`` rows).
 ``agg`` and ``value`` columns are a
-:class:`~repro.semigroup.kernels.KernelColumn` when a kernel encodes
-the values, an object array otherwise.
-
-Construct's step-5 broadcast carries ``(row, lo, hi, agg)`` tuples, one
-per forest element, as plain records.
+:class:`~repro.semigroup.kernels.KernelColumn` under the annotation's
+kernel; every other column is int64.
 """
 
 from __future__ import annotations

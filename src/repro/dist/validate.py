@@ -194,7 +194,7 @@ def _check_forest(tree, check: Callable[[bool, str], None]) -> None:
             ranks = tree.ranked.ranks[rows]
             if not _check_stack(stack, count, ranks, values[rows], tree.semigroup, j, name, check):
                 continue
-            roots = stack.root_aggs()
+            roots = stack.root_aggs().to_list()
             for i in mine:
                 t, path = int(shape.tree[i]), hat.path(i)
                 if not 0 <= t < count:

@@ -417,9 +417,10 @@ class QueryEngine:
 
     def _pieces(self, plan: QueryPlan, kernels: list, batch: RecordBatch) -> RecordBatch:
         """The fold rows of one selection batch — hat and forest batches
-        alike — as ``query.piece`` rows: ``qid``, an object ``val`` column
-        when some group's kernel is an object one, a float64 ``kval``
-        matrix when some group is typed (as wide as the widest kernel).
+        alike — as ``query.piece`` rows: ``qid``, an object ``val``
+        matrix when some group's kernel stores objects, a float64 ``kval``
+        matrix when some group is typed (each as wide as the widest kernel
+        it carries).
 
         One gather per fold group, from the typed ``nleaves`` column or
         the ``agg`` column's slot (:meth:`~repro.semigroup.kernels.KernelColumn.component_rows`),
@@ -428,6 +429,7 @@ class QueryEngine:
         """
         group, folds = plan.group, plan.folds
         W = max((k.width for k in kernels if k.dtype is not object), default=0)
+        Wo = max((k.width for k in kernels if k.dtype is object), default=0)
         qid = np.asarray(batch.col("qid"))
         gid = group[qid]
         idx = np.nonzero(gid >= 0)[0]
@@ -436,8 +438,8 @@ class QueryEngine:
         cols: Dict[str, np.ndarray] = {"qid": q_col}
         if "__rank" in batch.cols:
             cols["__rank"] = batch.col("__rank")[idx]
-        if any(k.dtype is object for k in kernels):
-            cols["val"] = np.empty(n, dtype=object)
+        if Wo:
+            cols["val"] = np.empty((n, Wo), dtype=object)
         if W:
             cols["kval"] = np.zeros((n, W), dtype=np.float64)
         if n:
@@ -488,7 +490,7 @@ class QueryEngine:
         if rank is not None:
             cols["__rank"] = pieces.col("__rank")[starts]
         if val is not None:
-            cols["val"] = np.empty(len(run_q), dtype=object)
+            cols["val"] = np.empty((len(run_q), val.shape[1]), dtype=object)
         if kval is not None:
             cols["kval"] = np.zeros((len(run_q), kval.shape[1]), dtype=np.float64)
         for g, kern in enumerate(kernels):
@@ -502,9 +504,8 @@ class QueryEngine:
 
 def _piece_values(cols: Dict[str, np.ndarray], kernel: SemigroupKernel) -> np.ndarray:
     """The piece matrix a group under ``kernel`` rides, as a writable view:
-    the shared float64 ``kval`` matrix for a typed kernel, the object
-    ``val`` column for an object one — the demux's one read of a storage
-    kind (its layout sets the bytes of ``query:demux:fold``)."""
-    if kernel.dtype is object:
-        return cols["val"][:, None]
-    return cols["kval"][:, : kernel.width]
+    the shared float64 ``kval`` matrix for a typed kernel, the shared
+    object ``val`` matrix for one that stores objects — the demux's one
+    read of a storage kind (its layout sets the bytes of
+    ``query:demux:fold``)."""
+    return cols["val" if kernel.dtype is object else "kval"][:, : kernel.width]

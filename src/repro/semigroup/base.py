@@ -48,8 +48,9 @@ class Semigroup(Generic[V]):
         third-party semigroup) names, else — passing ``None`` — an
         :class:`~repro.semigroup.kernels.ObjectKernel` over this
         semigroup's own functions, resolved here and never ``None``
-        afterwards.  An object kernel always describes the semigroup
-        holding it: ``dataclasses.replace`` re-resolves it.
+        afterwards (a :class:`~repro.semigroup.builtin.ProductSemigroup`
+        resolves its own).  An object kernel always describes the
+        semigroup holding it: ``dataclasses.replace`` re-resolves it.
     """
 
     name: str

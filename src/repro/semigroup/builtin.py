@@ -13,10 +13,11 @@ semigroups built from lambdas still work on the in-process backends.
 
 A constructor whose values have a typed columnar form says so here, once:
 it passes the :mod:`~repro.semigroup.kernels` kernel as the semigroup's
-``kernel`` field (a product has one when every component does).  The
-others — sets, moments, top-k, histograms — pass none and get an
-:class:`~repro.semigroup.kernels.ObjectKernel` over their own
-``lift``/``combine``.
+``kernel`` field.  The others — sets, moments, top-k, histograms — pass
+none and get an :class:`~repro.semigroup.kernels.ObjectKernel` over
+their own ``lift``/``combine``; a product resolves a
+:class:`~repro.semigroup.kernels.ProductKernel` over its components'
+kernels, whatever they are.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import partial
 from typing import Sequence
 
 from .base import Semigroup
-from .kernels import BBoxKernel, ObjectKernel, ProductKernel, ScalarKernel
+from .kernels import BBoxKernel, ProductKernel, ScalarKernel
 
 __all__ = [
     "COUNT",
@@ -236,10 +237,15 @@ class ProductSemigroup(Semigroup):
     ``identity`` act slot by slot.  The query engine uses products as
     *annotation layers*: re-annotating the tree once with a product makes
     every component's aggregate available to later batches without
-    another refit (components are looked up by ``name``).
+    another refit (components are looked up by ``name``).  Its kernel is
+    always the :class:`~repro.semigroup.kernels.ProductKernel` over its
+    components' kernels, resolved here.
     """
 
     components: tuple = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "kernel", ProductKernel([c.kernel for c in self.components]))
 
 
 #: The annotation that stores no layer: the product of no semigroups,
@@ -251,7 +257,6 @@ NO_LAYERS: ProductSemigroup = ProductSemigroup(
     combine=partial(_product_combine, comps=()),
     identity=(),
     components=(),
-    kernel=ProductKernel(()),
 )
 
 
@@ -278,15 +283,12 @@ def product_semigroup(components: Sequence[Semigroup]) -> ProductSemigroup:
         if c.name in seen:
             raise ValueError(f"duplicate component semigroup name {c.name!r}")
         seen.add(c.name)
-    kernels = [c.kernel for c in comps]
-    typed = not any(isinstance(k, ObjectKernel) for k in kernels)
     return ProductSemigroup(
         name="(" + " x ".join(c.name for c in comps) + ")",
         lift=partial(_product_lift, comps=comps),
         combine=partial(_product_combine, comps=comps),
         identity=tuple(c.identity for c in comps),
         components=comps,
-        kernel=ProductKernel(kernels) if typed else None,
     )
 
 

@@ -6,8 +6,8 @@ aggregation during Search.  Carried as a numpy ``object`` column and
 combined one Python ``combine(a, b)`` call at a time, those folds are
 the dominant interpreter cost left on the hot path.  This module maps
 the *builtin* semigroups onto **kernels**: fixed-width typed numpy
-columns (int64 for count, float64 for sums/extremes/boxes, concatenated
-blocks for :class:`~repro.semigroup.builtin.ProductSemigroup`) whose
+columns (int64 for count, float64 for sums/extremes/boxes, side-by-side
+component blocks for :class:`~repro.semigroup.builtin.ProductSemigroup`) whose
 folds run as segmented numpy reductions over a whole record stream in a
 handful of array calls.
 
@@ -56,15 +56,15 @@ Resolution
 ----------
 Every semigroup has exactly one kernel, in its ``kernel`` field.  The
 builtin constructors name a typed one (:mod:`repro.semigroup.builtin`
-imports this module, not the reverse; a product is typed when every
-component is); any other semigroup — unions, top-k merges, moments,
-user lambdas, a hand-built one that passes none — gets an
-:class:`ObjectKernel` from :class:`~repro.semigroup.base.Semigroup`
-itself: a width-1 ``object`` column of the semigroup's own values,
-lifted by its ``lift`` and folded through its ``combine``.  A kernel is
-total: it encodes, decodes, lifts, folds and sizes its columns, so every
-value column is a :class:`KernelColumn` and "typed or object" is decided
-in this package and nowhere else.
+imports this module, not the reverse); a product gets a
+:class:`ProductKernel` over its components' kernels; any other
+semigroup — unions, top-k merges, moments, user lambdas, a hand-built
+one that passes none — gets an :class:`ObjectKernel` from
+:class:`~repro.semigroup.base.Semigroup` itself: a width-1 ``object``
+column of the semigroup's own values, lifted by its ``lift`` and folded
+through its ``combine``.  A kernel is total: it encodes, decodes,
+lifts, folds and sizes its columns, so a value's layout is decided, and
+``⊕`` evaluated, in this module alone.
 """
 
 from __future__ import annotations
@@ -149,8 +149,9 @@ class SemigroupKernel:
         return out
 
     def nbytes(self, mat: np.ndarray) -> int:
-        """Bytes a column's matrix ships as: exact for typed storage."""
-        return int(mat.nbytes)
+        """Bytes a column's matrix ships as: exact for typed storage,
+        counted in this kernel's dtype whatever ``mat``'s is."""
+        return len(mat) * self.width * np.dtype(self.dtype).itemsize
 
     def component(self, slot: int) -> "SemigroupKernel":
         """The kernel of annotation slot ``slot`` (a product's component;
@@ -165,10 +166,7 @@ class SemigroupKernel:
     def layers(self) -> Tuple["SemigroupKernel", ...]:
         """The annotation layers a column under this kernel holds, each
         under its own kernel: a product's components, else the kernel
-        itself.  Unlike :meth:`component`, an object product's layer keeps
-        its component's own kernel — typed when the component is — so a
-        layer is folded, and known by name, under one kernel whatever
-        product stores it."""
+        itself."""
         return (self,)
 
     def layer_data(self, mat: np.ndarray, slot: int) -> np.ndarray:
@@ -342,75 +340,90 @@ class BBoxKernel(SemigroupKernel):
 
 
 class ProductKernel(SemigroupKernel):
-    """Componentwise product: component blocks concatenated column-wise.
+    """Componentwise product: one matrix of component blocks, side by side.
 
-    ``component(i)``/``component_rows`` expose the slot layout so the
-    query engine can fold one component's columns without touching the
-    rest — the annotation-layer slot extraction, vectorized; ``layers``
-    / ``layer_data`` / ``join_layers`` take a whole layer out of a column
-    and put layers back together, so an annotation folds layer by layer.
+    Block ``i`` holds component ``i``'s encoding under its own kernel,
+    ``components[i]``, which :meth:`component` and :attr:`layers` return
+    as it is — so the query engine folds one component's block without
+    touching the rest, and an annotation folds, and is known by name,
+    layer by layer.  The matrix is int64/float64 when every component is
+    typed and ``object`` otherwise (a typed block then holds its numbers
+    as Python scalars); every fold, identity and size runs block by
+    block in the component's own dtype.
     """
 
     def __init__(self, components: Sequence[SemigroupKernel]) -> None:
         self.components = tuple(components)
         self.name = "product(" + ",".join(c.name for c in self.components) + ")"
         self.width = sum(c.width for c in self.components)
-        self.dtype = (
-            _I64 if all(c.dtype == _I64 for c in self.components) else _F64
+        dtypes = {np.dtype(c.dtype).char for c in self.components}
+        self.dtype = object if "O" in dtypes else _F64 if "d" in dtypes else _I64
+        self.col_ops = tuple(op for c in self.components for op in c.col_ops)
+        self.identity_row = tuple(x for c in self.components for x in c.identity_row)
+        ends = np.cumsum([0] + [c.width for c in self.components]).tolist()
+        self._blocks = tuple(
+            (c, slice(lo, hi)) for c, lo, hi in zip(self.components, ends, ends[1:])
         )
-        self.col_ops = tuple(
-            op for c in self.components for op in c.col_ops
-        )
-        self.identity_row = tuple(
-            x for c in self.components for x in c.identity_row
-        )
-        offs = []
-        off = 0
-        for c in self.components:
-            offs.append(off)
-            off += c.width
-        self._offsets = tuple(offs)
+
+    def _each(self, mat: np.ndarray):
+        """``(component, block)`` per component: its columns of ``mat``
+        in the component's own dtype."""
+        return ((c, np.asarray(mat[..., cols], dtype=c.dtype)) for c, cols in self._blocks)
 
     def component(self, i: int) -> SemigroupKernel:
         return self.components[i]
 
     def component_rows(self, mat, idx, slot):
-        off = self._offsets[slot]
-        return mat.take(idx, axis=0)[:, off : off + self.components[slot].width]
+        return mat.take(idx, axis=0)[:, self._blocks[slot][1]]
 
     @property
     def layers(self):
         return self.components
 
     def layer_data(self, mat, slot):
-        off = self._offsets[slot]
-        return mat[:, off : off + self.components[slot].width]
+        return mat[:, self._blocks[slot][1]]
 
     def join_layers(self, mats, rows):
         if len(mats) == 1:  # a one-layer product is its layer, held alone
             return np.ascontiguousarray(mats[0])
         out = np.empty((rows, self.width), dtype=self.dtype)
-        for c, off, m in zip(self.components, self._offsets, mats):
-            out[:, off : off + c.width] = m
+        for (_c, cols), m in zip(self._blocks, mats):
+            out[:, cols] = m
         return out
 
     def encode(self, values):
         out = np.empty((len(values), self.width), dtype=self.dtype)
-        for i, c in enumerate(self.components):
-            off = self._offsets[i]
-            out[:, off : off + c.width] = c.encode([v[i] for v in values])
+        for i, (c, cols) in enumerate(self._blocks):
+            out[:, cols] = c.encode([v[i] for v in values])
         return out
 
     def decode_row(self, row):
-        return tuple(
-            c.decode_row(row[off : off + c.width])
-            for c, off in zip(self.components, self._offsets)
-        )
+        return tuple(c.decode_row(row[cols]) for c, cols in self._blocks)
 
     def lift(self, coords, ids=None):
         out = np.empty((len(coords), self.width), dtype=self.dtype)
-        for c, off in zip(self.components, self._offsets):
-            out[:, off : off + c.width] = c.lift(coords, ids)
+        for c, cols in self._blocks:
+            out[:, cols] = c.lift(coords, ids)
+        return out
+
+    def identity_mat(self, k):
+        out = np.empty((k, self.width), dtype=self.dtype)
+        for c, cols in self._blocks:
+            out[:, cols] = c.identity_mat(k)
+        return out
+
+    def nbytes(self, mat):
+        return sum(c.nbytes(mat[:, cols]) for c, cols in self._blocks)
+
+    def fold(self, mat, starts, ends):
+        out = np.empty((len(starts), self.width), dtype=mat.dtype)
+        for (c, block), (_c, cols) in zip(self._each(mat[:, : self.width]), self._blocks):
+            out[:, cols] = c.fold(block, starts, ends)
+        return out
+
+    def fold_heaps(self, leaves, out):
+        for (c, block), (_c, cols) in zip(self._each(leaves), self._blocks):
+            out[..., cols] = c.fold_heaps(block, np.empty(block.shape, dtype=c.dtype))
         return out
 
 
@@ -424,9 +437,10 @@ class ObjectKernel(SemigroupKernel):
     :class:`~repro.semigroup.base.Semigroup` itself.  A segment fold
     starts at the segment's first row and combines left to right; a heap
     fold combines children pairwise, level by level.  A column's bytes
-    are a seeded sampled estimate of its objects plus its pointers.  Over
-    a :class:`~repro.semigroup.builtin.ProductSemigroup` a slot is the
-    tuple index, folded by an object kernel of that component.
+    are a seeded sampled estimate of its objects plus its pointers.  It
+    holds one semigroup's values whole: a
+    :class:`~repro.semigroup.builtin.ProductSemigroup` holds a
+    :class:`ProductKernel` over its components' kernels instead.
     """
 
     dtype = object
@@ -461,36 +475,6 @@ class ObjectKernel(SemigroupKernel):
         from ..cgm.columns import estimate_object_bytes
 
         return estimate_object_bytes(mat[:, 0]) + int(mat.nbytes)
-
-    @property
-    def _components(self) -> "tuple | None":
-        """The product's component semigroups; ``None`` for a non-product."""
-        return getattr(self.semigroup, "components", None)
-
-    def component(self, slot):
-        return self if self._components is None else ObjectKernel(self._components[slot])
-
-    def component_rows(self, mat, idx, slot):
-        if self._components is None:
-            return mat.take(idx, axis=0)
-        return self.encode([v[slot] for v in mat[idx, 0].tolist()])
-
-    @property
-    def layers(self):
-        if self._components is None:
-            return (self,)
-        return tuple(c.kernel for c in self._components)
-
-    def layer_data(self, mat, slot):
-        if self._components is None:
-            return mat
-        return self.layers[slot].encode([v[slot] for v in mat[:, 0].tolist()])
-
-    def join_layers(self, mats, rows):
-        if self._components is None:
-            return mats[0]
-        slots = [layer.decode_list(m) for layer, m in zip(self.layers, mats)]
-        return self.encode(list(zip(*slots)))
 
     def fold(self, mat, starts, ends):
         combine = self.semigroup.combine
@@ -658,16 +642,15 @@ class KernelColumn:
         """Annotation slot ``slot``'s rows at ``idx``, still encoded.
 
         The demux gathers fold pieces from the storage without decoding
-        them: a typed product's component columns, an object product's
-        tuple slot, or the whole value of a non-product annotation.
+        them: a product's component block, or the whole value of a
+        non-product annotation.
         """
         return self.kernel.component_rows(self.data, np.asarray(idx, dtype=_I64), slot)
 
     def layer(self, slot: int) -> "KernelColumn":
         """Annotation layer ``slot`` as a column of its own, under
-        ``kernel.layers[slot]``: a typed product's column block, an
-        object product's tuple slot, or the whole column of a
-        non-product."""
+        ``kernel.layers[slot]``: a product's component block, or the
+        whole column of a non-product."""
         return KernelColumn(self.kernel.layers[slot], self.kernel.layer_data(self.data, slot))
 
     @classmethod
@@ -677,8 +660,7 @@ class KernelColumn:
         """The ``rows``-row column under ``kernel`` whose layer ``i`` is
         ``layers[i]`` (under ``kernel.layers[i]``): the inverse of
         :meth:`layer` — one matrix in the product's layout and dtype,
-        tuples for an object product, zero columns for the product of no
-        layers."""
+        zero columns for the product of no layers."""
         return cls(kernel, kernel.join_layers([c.data for c in layers], rows))
 
     @classmethod

@@ -530,17 +530,12 @@ class CompiledForest:
             return self.row_block[:0]
         return self.row_block[slice_positions(sel_off, lengths)]
 
-    def decode_aggs(self, sel_n: np.ndarray) -> List[Any]:
-        """The semigroup values of selected nodes, in order — exactly
-        what a selection of the tests' object reference tree reads."""
-        return self.aggs.take(sel_n).to_list()
-
-    def root_aggs(self) -> List[Any]:
-        """Each tree's aggregate over all its points, tree by tree: the
-        root of the last-dimension tree reached through the root's
-        descendant trees — the first of the tree's ``row_block`` slice, so
-        row 1 of its first block's heap, or the tail row of that slot's
-        row when the tree is one leaf wide."""
+    def root_aggs(self) -> KernelColumn:
+        """Each tree's aggregate over all its points, tree by tree, still
+        encoded: the root of the last-dimension tree reached through the
+        root's descendant trees — the first of the tree's ``row_block``
+        slice, so row 1 of its first block's heap, or the tail row of
+        that slot's row when the tree is one leaf wide."""
         count, m, r = self.shape
         off = np.arange(count, dtype=_I64) * _sizes(m, r)[1]
-        return self.decode_aggs(off + 1 if m > 1 else len(self.row_block) + self.row_block[off])
+        return self.aggs.take(off + 1 if m > 1 else len(self.row_block) + self.row_block[off])

@@ -103,15 +103,17 @@ class SequentialRangeTree:
         return [int(c) for c in out]
 
     def aggregate_many(self, boxes: Sequence[Box]) -> list[Any]:
-        """Per-query folds in the object walk's exact emission order;
-        under a count, the selected nodes' widths."""
+        """Per-query folds in the object walk's exact emission order: one
+        kernel fold of the selected rows, a segment per query, each
+        folded left from its first row (the identity when empty), as the
+        query demux folds; under a count, the selected nodes' widths."""
         if is_count(self.semigroup):
             return self.count_many(boxes)
         nq, sel = self._walk(boxes)
-        vals = self.forest.decode_aggs(sel.node)
+        aggs = self.forest.aggs
         cuts = np.searchsorted(sel.q, np.arange(nq + 1))
-        fold = self.semigroup.fold
-        return [fold(vals[cuts[i] : cuts[i + 1]]) for i in range(nq)]
+        folded = aggs.kernel.fold(aggs.data.take(sel.node, axis=0), cuts[:-1], cuts[1:])
+        return aggs.kernel.decode_list(folded)
 
     def report_many(self, boxes: Sequence[Box]) -> list[list[int]]:
         """Selection rows gathered with one flat fancy index over the

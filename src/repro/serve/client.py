@@ -23,13 +23,13 @@ import asyncio
 import itertools
 import json
 import random
-from typing import Any, Dict
+from typing import Any, Awaitable, Callable, Dict
 
 from ..errors import Overloaded, ServeError
 from ..query.descriptors import Query
 from .protocol import decode_line, error_from_obj, request_to_obj
 
-__all__ = ["ServeClient", "backoff_s", "RETRY_BASE_MS", "RETRY_CAP_MS"]
+__all__ = ["ServeClient", "backoff_s", "retry_overloaded", "RETRY_BASE_MS", "RETRY_CAP_MS"]
 
 #: Backoff before the first retry, in ms (before jitter); it doubles per retry.
 RETRY_BASE_MS = 10
@@ -46,6 +46,31 @@ def backoff_s(attempt: int, rng: random.Random) -> float:
     """
     delay_ms = min(RETRY_CAP_MS, RETRY_BASE_MS * 2**attempt)
     return delay_ms * (0.5 + rng.random() / 2.0) / 1000.0
+
+
+async def retry_overloaded(
+    send: Callable[[], Awaitable[Any]],
+    retries: int,
+    rng: random.Random,
+    on_retry: Callable[[], None] = lambda: None,
+) -> Any:
+    """Await ``send()``, absorbing up to ``retries``
+    :class:`~repro.errors.Overloaded` sheds: before retry ``k`` (0-based)
+    call ``on_retry`` and wait ``backoff_s(k, rng)``.  Any other
+    error, and the shed after the last retry, propagates — a deadline or
+    a poisoned query fails the same way again.  The one retry rule of
+    :class:`ServeClient` and the load generator's in-process transport.
+    """
+    attempt = 0
+    while True:
+        try:
+            return await send()
+        except Overloaded:
+            if attempt >= retries:
+                raise
+            on_retry()
+            await asyncio.sleep(backoff_s(attempt, rng))
+            attempt += 1
 
 
 class ServeClient:
@@ -125,7 +150,7 @@ class ServeClient:
         await self._writer.drain()
         obj = await future
         if not obj.get("ok"):
-            raise error_from_obj(obj.get("error", "remote query failed"))
+            raise error_from_obj(obj.get("error", {}))
         return obj
 
     async def request(
@@ -139,20 +164,15 @@ class ServeClient:
         A daemon error line raises the *typed* exception it describes
         (``Overloaded`` / ``DeadlineExceeded`` / ``QueryFailed`` /
         ``ServeError``).  ``Overloaded`` is retried up to the client's
-        ``retries`` times under :func:`backoff_s`, each attempt on a
-        fresh request id; the other error types are never retried — a
-        deadline or a poisoned query fails the same way again.
+        ``retries`` times (:func:`retry_overloaded`), each attempt on a
+        fresh request id; the other error types are never retried.
         """
-        attempt = 0
-        while True:
-            try:
-                return await self._request_once(query, deadline_ms)
-            except Overloaded:
-                if attempt >= self.retries:
-                    raise
-                self.retried += 1
-                await asyncio.sleep(backoff_s(attempt, self._rng))
-                attempt += 1
+        return await retry_overloaded(
+            lambda: self._request_once(query, deadline_ms), self.retries, self._rng, self._absorbed
+        )
+
+    def _absorbed(self) -> None:
+        self.retried += 1
 
     async def value(
         self, query: Query, *, deadline_ms: "float | None" = None

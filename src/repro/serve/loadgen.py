@@ -34,11 +34,11 @@ import random
 from typing import Any, Callable, List
 
 from .._util import percentiles
-from ..errors import Overloaded, ServeError
+from ..errors import ServeError
 from ..query.descriptors import Query, QueryBatch, aggregate, count, report
 from ..query.result import _json_safe
 from ..workloads import make_queries
-from .client import ServeClient, backoff_s
+from .client import ServeClient, retry_overloaded
 from .server import start_tcp_server
 from .service import FlushPolicy, QueryService
 
@@ -124,13 +124,35 @@ async def _drive(
     return values, latencies, errors, loop.time() - t_start
 
 
-def _error_stats(errors: List["str | None"]) -> "tuple[int, dict]":
-    """Count failed queries and bucket them by exception type name."""
+def _row(transport, arrival, clients, m, wall_s, latencies, errors,
+         rate_qps, deadline_ms, retries) -> dict:
+    """The keys every loadgen row shares: ``transport`` through
+    ``error_types`` — latency percentiles over the successful queries
+    only, failed ones bucketed by exception type name — plus
+    ``rate_qps``, ``deadline_ms`` and ``retries`` when set."""
     types: dict = {}
     for name in errors:
         if name is not None:
             types[name] = types.get(name, 0) + 1
-    return sum(types.values()), types
+    n_errors = sum(types.values())
+    ok = [lat for lat, err in zip(latencies, errors) if err is None]
+    pct = percentiles(ok or [0.0], (50, 95, 99))
+    row = {
+        "transport": transport,
+        "arrival": arrival,
+        "clients": clients,
+        "m": m,
+        "qps": round(m / wall_s, 1) if wall_s > 0 else None,
+        "p50_ms": round(pct["p50"], 4),
+        "p95_ms": round(pct["p95"], 4),
+        "p99_ms": round(pct["p99"], 4),
+        "errors": n_errors,
+        "error_rate": round(n_errors / m, 4) if m else 0.0,
+        "error_types": types,
+    }
+    optional = {"rate_qps": rate_qps, "deadline_ms": deadline_ms, "retries": retries or None}
+    row.update((key, value) for key, value in optional.items() if value is not None)
+    return row
 
 
 async def _run_inproc(service: QueryService, queries, arrival, clients,
@@ -140,17 +162,10 @@ async def _run_inproc(service: QueryService, queries, arrival, clients,
     rng = random.Random(seed ^ 0x5E12E)
 
     async def submit(q: Query):
-        attempt = 0
-        while True:
-            try:
-                return (
-                    await service.submit(q, deadline_ms=deadline_ms)
-                ).value
-            except Overloaded:
-                if attempt >= retries:
-                    raise
-                await asyncio.sleep(backoff_s(attempt, rng))
-                attempt += 1
+        response = await retry_overloaded(
+            lambda: service.submit(q, deadline_ms=deadline_ms), retries, rng
+        )
+        return response.value
 
     async with service:
         return await _drive(submit, queries, arrival, clients, rate_qps, seed)
@@ -219,37 +234,14 @@ def run_loadgen_remote(
     _values, latencies, errors, wall_s = asyncio.run(
         _drive_tcp(host, port, queries, arrival, clients, rate_qps, seed, deadline_ms, retries)
     )
-    n_errors, error_types = _error_stats(errors)
-    ok_latencies = [
-        lat for lat, err in zip(latencies, errors) if err is None
-    ]
-    pct = percentiles(ok_latencies or [0.0], (50, 95, 99))
-    row = {
-        "transport": "tcp",
-        "arrival": arrival,
-        "clients": clients,
-        "m": len(queries),
-        "qps": round(len(queries) / wall_s, 1) if wall_s > 0 else None,
-        "p50_ms": round(pct["p50"], 4),
-        "p95_ms": round(pct["p95"], 4),
-        "p99_ms": round(pct["p99"], 4),
-        "errors": n_errors,
-        "error_rate": round(n_errors / len(queries), 4) if queries else 0.0,
-        "error_types": error_types,
-        "answers_match_direct": None,
-    }
-    if rate_qps is not None:
-        row["rate_qps"] = rate_qps
-    if deadline_ms is not None:
-        row["deadline_ms"] = deadline_ms
-    if retries:
-        row["retries"] = retries
+    row = _row("tcp", arrival, clients, len(queries), wall_s, latencies, errors,
+               rate_qps, deadline_ms, retries)
+    row["answers_match_direct"] = None
     return row
 
 
 def run_loadgen(
     tree,
-    queries: "List[Query] | None" = None,
     *,
     m: int = 256,
     seed: int = 0,
@@ -265,8 +257,8 @@ def run_loadgen(
     """One complete loadgen measurement; returns a flat row dict.
 
     The caller owns ``tree`` (it stays open); the service and any TCP
-    plumbing live only for the measurement.  The same queries also run
-    as one direct ``tree.run`` batch and every *successfully served*
+    plumbing live only for the measurement.  Its ``m`` mixed queries
+    (:func:`make_serve_queries`, seeded by ``seed``) also run as one direct ``tree.run`` batch and every *successfully served*
     answer is compared — bit-identical for the
     in-process transport, JSON-coerced for TCP (the wire's
     representation); a shed/expired query contributes to the error
@@ -276,9 +268,7 @@ def run_loadgen(
     ``deadline_ms`` rides on every query, and ``retries`` turns on the
     client-side Overloaded backoff (both transports).
     """
-    if queries is None:
-        queries = make_serve_queries(m, tree.dim, seed=seed)
-    queries = list(queries)
+    queries = make_serve_queries(m, tree.dim, seed=seed)
     clients = max(1, int(clients))
     if transport not in ("inproc", "tcp"):
         raise ServeError(f"unknown transport {transport!r} (inproc | tcp)")
@@ -298,7 +288,6 @@ def run_loadgen(
         )
     )
 
-    n_errors, error_types = _error_stats(errors)
     # Compare only the queries that got answers: errors are counted,
     # not compared (there is nothing to compare them against).
     pairs = [
@@ -313,36 +302,17 @@ def run_loadgen(
     else:
         answers_match = all(exp == got for exp, got in pairs)
 
-    ok_latencies = [
-        lat for lat, err in zip(latencies, errors) if err is None
-    ]
-    pct = percentiles(ok_latencies or [0.0], (50, 95, 99))
     sm = service.metrics
-    row = {
-        "transport": transport,
-        "arrival": arrival,
-        "clients": clients,
-        "m": len(queries),
-        "max_batch": max_batch,
-        "qps": round(len(queries) / wall_s, 1) if wall_s > 0 else None,
-        "p50_ms": round(pct["p50"], 4),
-        "p95_ms": round(pct["p95"], 4),
-        "p99_ms": round(pct["p99"], 4),
-        "mean_batch_size": round(sm.mean_batch_size, 2),
-        "batches": sm.batches,
-        "flushes": dict(sm.flushes),
-        "errors": n_errors,
-        "error_rate": round(n_errors / len(queries), 4) if queries else 0.0,
-        "error_types": error_types,
-        "serve_metrics": sm.summary(),
-        "answers_match_direct": answers_match,
-    }
-    if rate_qps is not None:
-        row["rate_qps"] = rate_qps
+    row = _row(transport, arrival, clients, len(queries), wall_s, latencies, errors,
+               rate_qps, deadline_ms, retries)
+    row.update(
+        max_batch=max_batch,
+        mean_batch_size=round(sm.mean_batch_size, 2),
+        batches=sm.batches,
+        flushes=dict(sm.flushes),
+        serve_metrics=sm.summary(),
+        answers_match_direct=answers_match,
+    )
     if max_inflight is not None:
         row["max_inflight"] = max_inflight
-    if deadline_ms is not None:
-        row["deadline_ms"] = deadline_ms
-    if retries:
-        row["retries"] = retries
     return row

@@ -40,8 +40,8 @@ Error objects are **typed**: ``type`` names the
 :mod:`repro.errors` class (``Overloaded`` / ``DeadlineExceeded`` /
 ``QueryFailed`` / ``ServeError``), ``message`` is human-readable, and
 the type-specific fields ride along so :func:`error_from_obj` can
-reconstruct the exact exception client-side.  Decoding also accepts the
-legacy bare-string form ``"error": "<message>"`` (pre-typed servers).
+reconstruct the exact exception client-side; any other payload decodes
+to a plain ``ServeError``.
 Values pass through :func:`repro.query.result._json_safe`, the same
 coercion the CLI's ``--json`` contract uses.
 """
@@ -227,12 +227,11 @@ def error_to_obj(error: Any) -> dict:
 def error_from_obj(payload: Any) -> ServeError:
     """Reconstruct the typed exception one error payload describes.
 
-    Accepts the typed object form and (for legacy peers) a bare message
-    string; unknown types degrade to :class:`~repro.errors.ServeError`
-    so a newer server never breaks an older client.
+    A payload that is no object (a bare string included) decodes to a
+    :class:`~repro.errors.ServeError` naming it; unknown types degrade to
+    one carrying their message, so a newer server never breaks an older
+    client.
     """
-    if isinstance(payload, str):
-        return ServeError(payload)
     if not isinstance(payload, dict):
         return ServeError(f"remote query failed: {payload!r}")
     etype = payload.get("type")

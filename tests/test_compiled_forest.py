@@ -95,7 +95,7 @@ def _array_walk(stack, trees, boxes):
     ``trees[i]``: leaf rows are its tree's own (stack row − t·width)."""
     trees = np.asarray(trees, dtype=np.int64)
     sel = CompiledForest.walk([stack], *rank_bounds(boxes), trees)
-    aggs = stack.decode_aggs(sel.node)
+    aggs = stack.aggs.take(sel.node).to_list()
     sels = [[] for _ in boxes]
     for q, off, ln, agg in zip(sel.q, sel.off, sel.length, aggs):
         rows = stack.row_block[off : off + ln] - trees[q] * stack.width
@@ -157,7 +157,7 @@ def _random_stack(rng, d, dim, width, count, semigroup, typed):
     coords = rng.random((count * width, d))
     values = [semigroup.lift(i, tuple(coords[i])) for i in range(count * width)]
     sg = semigroup if typed else unkernelized(semigroup)
-    assert isinstance(sg.kernel, ObjectKernel) != typed
+    assert (sg.kernel.dtype is object) != typed
     column = KernelColumn.from_values(sg.kernel, values) if typed else values
     stack = build_stack(ranks, np.arange(count * width) + 7, column, sg, dim, width)
     return stack, _oracles(ranks, values, sg, dim, width), span
@@ -245,7 +245,7 @@ class TestRepeatedRanks:
         ranks = np.stack([np.stack([np.arange(8)[::-1], np.arange(8)], axis=1)] * 3)
         stack = CompiledForest.from_ranks(ranks, [1] * 24, COUNT)
         assert stack.shape == (3, 8, 2)
-        assert stack.root_aggs() == [8, 8, 8]
+        assert stack.root_aggs().to_list() == [8, 8, 8]
 
 
 class TestOneWalkOverManyStacks:
@@ -605,7 +605,7 @@ class TestTilingEquivalence:
             assert len(every) == stack.size_nodes // stack.shape[0]
             want = [(node[0].tolist(), repr(node[1])) for node in every if node is not None]
             nodes = last_dim_nodes(stack, t)
-            aggs = stack.decode_aggs(np.array([row for _off, _w, row in nodes]))
+            aggs = stack.aggs.take(np.array([row for _off, _w, row in nodes])).to_list()
             got = [
                 ((stack.row_block[off : off + w] - t * stack.width).tolist(), repr(agg))
                 for (off, w, _row), agg in zip(nodes, aggs)

@@ -12,7 +12,7 @@ from repro._util import ilog2
 from repro.cgm.columns import RecordBatch
 from repro.cgm.phases import ProcContext, get_phase
 from repro.dist import DistributedRangeTree
-from repro.dist.hat import Hat, hat_shape
+from repro.dist.hat import Hat, forest_roots, hat_shape
 from repro.errors import ProtocolError
 from repro.query import count
 from repro.semigroup import COUNT, KernelColumn, sum_of_dim
@@ -26,10 +26,11 @@ def build(n=64, d=2, p=8, seed=0, semigroup=COUNT):
 
 
 def roots_of(tree):
-    """The ``(row, lo, hi, agg)`` roots Construct step 5 broadcast."""
-    hat = tree.hat
-    return [(leaf, int(hat.lo[leaf]), int(hat.hi[leaf]), stack.root_aggs()[t])
-            for leaf, stack, t in forest_elements(tree)]
+    """The ``dist.root`` batch Construct step 5 broadcast."""
+    hat, elements = tree.hat, forest_elements(tree)
+    rows = np.array([leaf for leaf, _stack, _t in elements])
+    aggs = KernelColumn.concat([stack.root_aggs()[t : t + 1] for _leaf, stack, t in elements])
+    return forest_roots(rows, hat.lo[rows], hat.hi[rows], aggs)
 
 
 class TestRecordFlow:
@@ -95,7 +96,8 @@ class TestHatBuildErrors:
     def test_roots_seat_the_built_hat(self):
         sg = sum_of_dim(0)
         tree = build(n=32, d=2, p=4, semigroup=sg)
-        hat = Hat.build(roots_of(tree)[::-1], d=2, n=32, p=4, semigroup=sg)
+        roots = roots_of(tree)
+        hat = Hat.build(roots.take(np.arange(len(roots))[::-1]), d=2, n=32, p=4, semigroup=sg)
         for col in ("lo", "hi", "nleaves"):
             np.testing.assert_array_equal(getattr(hat, col), getattr(tree.hat, col))
         np.testing.assert_array_equal(hat.aggs.data, tree.hat.aggs.data)
@@ -103,12 +105,14 @@ class TestHatBuildErrors:
     def test_missing_root_detected(self):
         roots = self._roots()
         with pytest.raises(ProtocolError, match="no root for hat leaf row"):
-            Hat.build(roots[:-1], d=2, n=32, p=4, semigroup=COUNT)
+            Hat.build(roots.islice(0, len(roots) - 1), d=2, n=32, p=4, semigroup=COUNT)
 
     def test_duplicate_row_detected(self):
         roots = self._roots()
         with pytest.raises(ProtocolError, match="duplicate row"):
-            Hat.build(roots + roots[:1], d=2, n=32, p=4, semigroup=COUNT)
+            Hat.build(
+                RecordBatch.concat([roots, roots.islice(0, 1)]), d=2, n=32, p=4, semigroup=COUNT
+            )
 
     @pytest.mark.parametrize("row", ["internal", "past the end", "negative"])
     def test_unknown_row_detected(self, row):
@@ -117,7 +121,8 @@ class TestHatBuildErrors:
         bad = {"internal": 0, "past the end": shape.size, "negative": -1}[row]
         assert bad < 0 or bad >= shape.size or not shape.leaf[bad]
         with pytest.raises(ProtocolError, match="unknown row"):
-            Hat.build([(bad, *roots[0][1:])] + roots[1:], d=2, n=32, p=4, semigroup=COUNT)
+            rows = np.concatenate([[bad], roots.col("row")[1:]])
+            Hat.build(roots.with_col("row", rows), d=2, n=32, p=4, semigroup=COUNT)
 
     def test_tree_count_mismatch_detected(self):
         """An owner whose inbox holds another number of groups than the
@@ -143,7 +148,7 @@ class TestHatBuildErrors:
         from repro.errors import MachineError
 
         with pytest.raises(MachineError):
-            Hat.build([], d=2, n=32, p=4, semigroup=COUNT)
+            Hat.build(self._roots().islice(0, 0), d=2, n=32, p=4, semigroup=COUNT)
 
     def test_non_power_of_two_p_rejected(self):
         from repro.errors import PowerOfTwoError

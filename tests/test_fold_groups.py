@@ -166,15 +166,12 @@ def test_mixed_batch_folds_by_group(trees, case):
     rs = tree.run(batch)
     assert rs.values() == [_expected(pts, q, sg) for q, sg in made]
 
-    # leaf counts always fold typed; an annotation group under its slot of
-    # the annotation's kernel: typed off typed storage, object otherwise
+    # leaf counts always fold typed; an annotation group under its own
+    # semigroup's kernel, whatever storage the annotation's product holds
     kernels = tree.engine._fold_kernels(QueryEngine(tree).plan(batch))
-    object_storage = isinstance(tree.semigroup.kernel, ObjectKernel)
     for fold, kernel in zip(plan.folds, kernels):
-        typed = fold.slot is None or not object_storage
-        assert isinstance(kernel, ObjectKernel) != typed
-        if fold.slot is not None and typed:
-            assert kernel == fold.semigroup.kernel
+        assert kernel == (COUNT.kernel if fold.slot is None else fold.semigroup.kernel)
+        assert isinstance(kernel, ObjectKernel) == any(fold.semigroup is sg for sg in OBJECT_SGS)
 
     # (d) the annotation is in place now, and (c) the mix adds no round
     assert QueryEngine(tree).plan(batch).needs_refit is False

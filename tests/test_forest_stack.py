@@ -127,7 +127,7 @@ class TestForestStack:
         sg = sum_of_dim(0)
         stack, _ = make_stack()
         stack.annotate([float(i) for i in range(TREES * WIDTH)], sg)
-        assert stack.root_aggs() == [
+        assert stack.root_aggs().to_list() == [
             sum(range(t * WIDTH, (t + 1) * WIDTH)) for t in range(TREES)
         ]
 

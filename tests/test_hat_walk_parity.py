@@ -330,12 +330,15 @@ def test_hat_selections_answer_every_fold_family_across_refits(d, backend):
         assert isinstance(idle_agg, KernelColumn)
         assert idle_agg.kernel == hat.aggs.kernel == tree.semigroup.kernel
         assert idle_agg.kernel.name != "product"
-        # a lazy refit to sg2 x top-3, which no typed kernel holds: object folds
+        # a lazy refit to sg2 x top-3, which no typed kernel holds: an
+        # object matrix, whose sg2 block still folds under sg2's kernel
         answers_hold(
             tree, [count, report, aggregate, lambda b: top_k(b, 3, dim=0)]
         )
         hat = refitted(hat)
-        assert isinstance(hat.aggs.kernel, ObjectKernel)
+        assert hat.aggs.data.dtype == object
+        assert hat.aggs.kernel.components[0] == sg2.kernel
+        assert isinstance(hat.aggs.kernel.components[1], ObjectKernel)
         assert hat.idle[0].col("agg").kernel == hat.aggs.kernel
 
         bounds = tree.ranked.to_rank_bounds(*Box.stack(boxes))

@@ -54,7 +54,7 @@ class TestWidthOne:
                 heads = len(stack.row_block)
                 assert len(stack.aggs) == heads + len(stack.pids)
                 # tree t is stack row t alone
-                assert stack.root_aggs() == stack.aggs[heads:].to_list()
+                assert stack.root_aggs().to_list() == stack.aggs[heads:].to_list()
             for layers in ([sum_of_dim(0)], [sum_of_dim(0), sum_of_dim(1)]):
                 if len(layers) > 1:
                     tree.reannotate(product_semigroup(layers))  # refreshes every hat
@@ -131,7 +131,7 @@ def test_a_product_refit_folds_only_the_added_layer(monkeypatch):
     assert (sel.length == 1).any() and (sel.length > 1).any()
     for nodes in (rows, sel.node):
         assert stack.aggs.take(nodes).data.tobytes() == fresh.aggs.take(nodes).data.tobytes()
-        assert stack.decode_aggs(nodes) == fresh.decode_aggs(nodes)
+        assert stack.aggs.take(nodes).to_list() == fresh.aggs.take(nodes).to_list()
 
 
 def _divide_by_zero(a, b):

@@ -32,14 +32,14 @@ def fold():
         def pieces(rows):
             cols = {
                 "qid": np.array([q for q, _v in rows], dtype=np.int64),
-                "val": np.array([v for _q, v in rows], dtype=object),
+                "val": np.array([v for _q, v in rows], dtype=object).reshape(-1, 1),
             }
             return RecordBatch("query.piece", cols, len(rows))
 
         def run(per_rank):
             partial = [engine._fold_pieces(plan, kernels, pieces(r)) for r in per_rank]
             home = engine._fold_pieces(plan, kernels, RecordBatch.concat(partial))
-            return list(zip(home.col("qid").tolist(), home.col("val").tolist()))
+            return list(zip(home.col("qid").tolist(), home.col("val")[:, 0].tolist()))
 
         yield run
 

@@ -37,9 +37,10 @@ def _cells(col) -> list:
     view's whole-column conversion is checked against."""
     if isinstance(col, KernelColumn):
         return [col[i] for i in range(len(col))]
+    cell = (lambda x: x) if col.dtype == object else (lambda x: x.item())
     if col.ndim == 2:
-        return [tuple(x.item() for x in row) for row in col]
-    return [x if col.dtype == object else x.item() for x in col]
+        return [tuple(map(cell, row)) for row in col]
+    return [cell(x) for x in col]
 
 
 def _tile(shape, node: int) -> list:
@@ -85,7 +86,7 @@ def test_every_shipped_column_is_an_array_and_every_name_a_hat_row(
     cycle = [count, report, lambda b: aggregate(b, sg)]
     with mock.patch.object(Machine, "exchange_batches", tapped):
         with DistributedRangeTree.build(pts, p=p, backend=backend, semigroup=sg) as tree:
-            assert {b.schema for b in shipped} == {"dist.srecord", "cgm.sort.sample"}
+            assert {b.schema for b in shipped} == {"dist.srecord", "cgm.sort.sample", "dist.root"}
             # Construct's sort orders by the S-record's int64 key: no batch
             # it ships carries a byte-string key or a helper column
             for batch in shipped:
@@ -100,7 +101,8 @@ def test_every_shipped_column_is_an_array_and_every_name_a_hat_row(
                 (r, j): st.shape[0] for r, store in enumerate(tree.forest_store) for j, st in store.items()
             }
     assert {b.schema for b in shipped} == {
-        "dist.srecord", "cgm.sort.sample", "dist.search.routing", "query.piece", "dist.report_pair"
+        "dist.srecord", "cgm.sort.sample", "dist.root", "dist.search.routing", "query.piece",
+        "dist.report_pair",
     }
     batches = shipped + out.hat_selections + out.forest_selections + out.report_pairs
 
@@ -118,6 +120,8 @@ def test_every_shipped_column_is_an_array_and_every_name_a_hat_row(
                 assert shape.leaf[e] and shape.tree[e] < trees[shape.location[e], shape.dim[e]]
         if "location" in batch.cols:
             assert (batch.col("location") == shape.location[batch.col("element")]).all()
+        if batch.schema == "dist.root":
+            assert shape.leaf[batch.col("row")].all()
     sels = [h for per in out.hat_selections for h in per]
     assert sels and all(shape.last_dim[h.node] for h in sels)
     routed = [row for inbox in search_inboxes for row in inbox]

@@ -51,6 +51,7 @@ from repro.semigroup import (
 from repro.semigroup.kernels import (
     KernelColumn,
     ObjectKernel,
+    ProductKernel,
     batched_heap_fold,
     fold_segments,
     lift_kernel_column,
@@ -105,11 +106,25 @@ def _object_semigroups(d: int):
 
 
 def _object_kernels(d: int):
-    """``(semigroup, ObjectKernel)`` pairs: over every typed builtin (its
-    object twin) and over every semigroup without a typed form."""
-    return [(sg, ObjectKernel(sg)) for sg in _kernelizable(d)] + [
+    """``(semigroup, object kernel)`` pairs: over every typed builtin (its
+    object twin's — for a product, a product of object components) and
+    over every semigroup without a typed form."""
+    return [(sg, unkernelized(sg).kernel) for sg in _kernelizable(d)] + [
         (sg, sg.kernel) for sg in _object_semigroups(d)
     ]
+
+
+def _assert_object_twin(twin: Semigroup) -> None:
+    """``twin`` stores object columns: an :class:`ObjectKernel` over
+    itself, or — a product — an ``object`` matrix whose every component
+    folds under an :class:`ObjectKernel` over that component."""
+    kernel = twin.kernel
+    if isinstance(twin, ProductSemigroup):
+        assert isinstance(kernel, ProductKernel) and kernel.dtype is object, twin.name
+        for c, ck in zip(twin.components, kernel.components, strict=True):
+            assert isinstance(ck, ObjectKernel) and ck.semigroup is c, twin.name
+    else:
+        assert isinstance(kernel, ObjectKernel) and kernel.semigroup is twin, twin.name
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +144,16 @@ def test_unkernelizable_semigroups_resolve_to_none():
         top_k_ids(3),
         moments_of_dim(0),
         histogram_of_dim(0, [0.5]),
-        product_semigroup([COUNT, top_k_ids(2)]),  # one bad component
         Semigroup("count", lambda p, c: 1, lambda a, b: max(a, b), 0),
     ):
         assert isinstance(sg.kernel, ObjectKernel) and sg.kernel.semigroup is sg, sg.name
+    # a product resolves its own kernel over its components' kernels: one
+    # component without a typed form makes the matrix an object one, and
+    # the typed component keeps its kernel
+    mixed = product_semigroup([COUNT, top_k_ids(2)])
+    assert isinstance(mixed.kernel, ProductKernel) and mixed.kernel.dtype is object
+    assert mixed.kernel.components == (COUNT.kernel, mixed.components[1].kernel)
+    assert mixed.kernel.component(0) is COUNT.kernel
 
 
 def _handbuilt(sg: Semigroup) -> Semigroup:
@@ -147,7 +168,8 @@ def _handbuilt(sg: Semigroup) -> Semigroup:
 def test_handbuilt_semigroup_over_builtin_functions_has_no_kernel(d):
     for sg in _kernelizable(d):
         twin = _handbuilt(sg)
-        assert isinstance(twin.kernel, ObjectKernel) and twin != sg, sg.name
+        assert twin != sg, sg.name
+        _assert_object_twin(twin)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -158,8 +180,8 @@ def test_kernelized_semigroup_pickles_with_an_equal_kernel(d):
         assert back.kernel.col_ops == sg.kernel.col_ops
         # the object twin crosses a process boundary too
         twin = pickle.loads(pickle.dumps(unkernelized(sg)))
-        assert isinstance(twin.kernel, ObjectKernel) and twin.name == sg.name
-        assert twin.kernel.semigroup is twin
+        assert twin.name == sg.name
+        _assert_object_twin(twin)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +236,7 @@ def test_fold_segments_matches_object_fold(d, seed):
         starts, ends = _segments(rng, n)
         folded = fold_segments(kernel, mat, starts, ends)
         # the object twin folds the same segments to the same bits
-        twin = ObjectKernel(sg)
+        twin = unkernelized(sg).kernel
         by_object = fold_segments(twin, twin.encode(values), starts, ends)
         for i, (s, e) in enumerate(zip(starts, ends)):
             expected = sg.fold(values[s:e])
@@ -434,10 +456,11 @@ def test_kernel_column_pickles():
             continue
         values = _random_values(sg, 5, 2, rng)
         back = pickle.loads(pickle.dumps(KernelColumn.from_values(kernel, values)))
-        assert back.kernel == kernel and back.kernel.semigroup.name == sg.name
+        assert back.kernel == kernel and back.kernel.name == kernel.name
         for got, v in zip(back.to_list(), values):
             _assert_same_value(got, v)
-        assert fold_segments(back.kernel, back.data, [0], [5])[0, 0] == sg.fold(values)
+        folded = fold_segments(back.kernel, back.data, [0], [5])
+        assert back.kernel.decode_row(folded[0]) == sg.fold(values)
 
 
 # ---------------------------------------------------------------------------
@@ -510,10 +533,18 @@ def test_planes_bit_identical_end_to_end(d):
         plain = _mixed_batch(d, variant, topk=False)
         batch = _mixed_batch(d, variant, topk=True)
         with DistributedRangeTree.build(pts, p=4) as tree:
-            rs0 = tree.run(plain)  # lazy refit to a 5-layer product
-            assert isinstance(tree.semigroup.kernel, ObjectKernel) == (name != "builtin")
+            rs0 = tree.run(plain)  # lazy refit to a 4-layer product
+            kernel = tree.semigroup.kernel
+            assert (kernel.dtype is object) == (name != "builtin")
+            assert [isinstance(c, ObjectKernel) for c in kernel.components] == [
+                name != "builtin"
+            ] * 4
             rs1 = tree.run(batch)  # refit again: top-k joins the product
-            assert isinstance(tree.semigroup.kernel, ObjectKernel)
+            kernel = tree.semigroup.kernel
+            assert kernel.dtype is object
+            assert [isinstance(c, ObjectKernel) for c in kernel.components] == [
+                name != "builtin"
+            ] * 4 + [True]
             rs2 = tree.run(batch)  # cached annotation
             dicts[name] = [
                 repr(_strip_nondeterministic(rs.to_dict()))
@@ -544,7 +575,10 @@ def test_build_semigroup_kernelized_or_not_agree(d):
     dicts = {}
     for name, variant in _VARIANTS.items():
         with DistributedRangeTree.build(pts, p=4, semigroup=variant(base)) as tree:
-            assert isinstance(tree.semigroup.kernel, ObjectKernel) == (name != "builtin")
+            if name == "builtin":
+                assert tree.semigroup.kernel == base.kernel and base.kernel.dtype is np.float64
+            else:
+                _assert_object_twin(tree.semigroup)
             assert tree.hat.aggs.kernel == tree.semigroup.kernel
             built = tree.metrics
             rs = tree.run(batch)

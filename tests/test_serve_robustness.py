@@ -349,15 +349,14 @@ class TestWireErrors:
         assert str(again) == str(exc)
         assert vars(again) == vars(exc)
 
-    def test_legacy_string_errors_still_decode(self):
-        assert isinstance(error_from_obj("boom"), ServeError)
-        assert str(error_from_obj("boom")) == "boom"
-
     def test_unknown_and_malformed_payloads_degrade(self):
         exc = error_from_obj({"type": "Future", "message": "m"})
         assert type(exc) is ServeError and str(exc) == "m"
         exc = error_from_obj({"type": "Overloaded"})  # missing fields
         assert type(exc) is ServeError
+        # a bare string is no object: no server sends one
+        exc = error_from_obj("boom")
+        assert type(exc) is ServeError and str(exc) == "remote query failed: 'boom'"
 
     def test_typed_errors_cross_tcp(self, tree, monkeypatch):
         held = HeldWorker(monkeypatch)
