@@ -102,9 +102,8 @@ def counting(calls: dict, *targets, by=None):
 
 @contextmanager
 def counting_across_forks(cls, name):
-    """Count calls to a classmethod here *and* in worker processes forked
-    while it is patched: every call appends one byte to a temp file.
-    Yields a function returning the count so far."""
+    """Count calls to a classmethod here *and* in workers forked while it is
+    patched (one byte per call to a temp file); yields a count getter."""
     real = cls.__dict__[name]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "calls")
@@ -251,7 +250,6 @@ def object_loop_calls() -> dict:
 
 def walk_shape_failures() -> list:
     """The walk's step counts must not grow with an element's size."""
-    from repro.semigroup import COUNT
     from repro.seq import compiled
     from repro.seq.compiled import CompiledForest
 
@@ -261,7 +259,7 @@ def walk_shape_failures() -> list:
         steps = {}
         for m in (64, 2048):
             ranks = np.stack([rng.permutation(m) for _ in range(d)], axis=1)
-            forest = CompiledForest.from_ranks(ranks, [1] * m, COUNT)
+            forest = CompiledForest.from_ranks(ranks)
             los = rng.integers(0, m // 2, size=(32, d))
             with counting({}, (np, "searchsorted"), (compiled, "_cover_bits")) as calls:
                 CompiledForest.walk([forest], los, los + m // 3)
@@ -323,8 +321,7 @@ def forest_walk_failures() -> list:
     return failures
 
 
-#: The one function that may compare a pid with 0 between the hat walk
-#: and the demux.
+#: The one function that may compare a pid with 0 between the hat walk and the demux.
 SENTINEL_FILTER = ["repro.dist.search._forest_output"]
 
 
@@ -518,7 +515,7 @@ def kernel_field_failures() -> list:
     lift one column through ``lift_kernel_column`` and fold through
     ``fold_segments`` — by columns, never per point, under a typed kernel
     whatever ``lift`` is, and by ``n_real`` per-point calls under an
-    ``ObjectKernel`` (the refit product's first layer: ``sg``'s kernel)."""
+    ``ObjectKernel`` (layer 0 of the build's and the refit's product)."""
     global _LIFT_LOG
     from repro.dist import DistributedRangeTree
     from repro.query import aggregate
@@ -536,11 +533,13 @@ def kernel_field_failures() -> list:
                 sg = dataclasses.replace(sum_of_dim(0), lift=counting_lift, kernel=kernel)
                 with counting({}, *bound_in_repro("lift_kernel_column", "fold_segments")) as calls:
                     with DistributedRangeTree.build(pts, p=4, backend=backend, semigroup=sg) as tree:
+                        kinds = [tree.semigroup.kernel.component(0)]  # layer 0, as built
                         got = tree.run([aggregate(box, max_of_dim(1))]).values()  # lazy refit
-                        typed = not isinstance(tree.semigroup.kernel.component(0), ObjectKernel)
+                        kinds.append(tree.semigroup.kernel.component(0))  # and as refit
+                typed = {not isinstance(k, ObjectKernel) for k in kinds}
                 lifts, columns = os.path.getsize(_LIFT_LOG), total(calls, "lift_kernel_column")
                 folds, right = total(calls, "fold_segments"), got == [pts.coords[:, 1].max()]
-                if (lifts, columns, typed, right) != (want, 2, kernel is not None, True) or not folds:
+                if (lifts, columns, typed, right) != (want, 2, {kernel is not None}, True) or not folds:
                     failures.append(
                         f"build + refit to a product under kernel={kernel!r} on {backend}: "
                         f"{lifts} per-point lift calls (want {want}), {columns} lifted columns "

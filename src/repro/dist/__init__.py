@@ -37,14 +37,14 @@ from ..cgm.phases import ProcContext, register_phase
 from ..geometry.box import Box
 from ..geometry.point import PointSet
 from ..geometry.rankspace import RankedPointSet, pad_to_power_of_two
-from ..semigroup import COUNT, Semigroup, annotation_of
+from ..semigroup import COUNT, NO_LAYERS, Semigroup, annotation_of
 from ..semigroup.kernels import lift_kernel_column
 from .construct import (
     ConstructResult,
     construct_distributed_tree,
+    evict_tree,
     forest_key,
     hat_key,
-    tree_keys,
 )
 from .hat import Hat, forest_roots
 from .labeling import is_valid_path
@@ -76,8 +76,8 @@ __all__ = [
 def lift_values(semigroup: Semigroup, ranked: RankedPointSet, points: PointSet):
     """``f`` over every row of ``ranked``, identity on the sentinel rows:
     one column under the semigroup's kernel (a typed kernel lifts the
-    whole coordinate matrix in a few array ops).  How values reach a
-    build is how they reach a refit.  ``semigroup`` is an annotation
+    whole coordinate matrix in a few array ops), what every refit ships.
+    ``semigroup`` is an annotation
     (:func:`~repro.semigroup.annotation_of`): a count's is
     :data:`~repro.semigroup.NO_LAYERS`, whose column is zero wide.
     """
@@ -136,13 +136,14 @@ class DistributedRangeTree:
     (rounds, h-relations, per-processor work) is measurable.
 
     :attr:`base_semigroup` is the user-declared aggregate (``f``),
-    :attr:`semigroup` the tree's *annotation*: the value layers its
-    nodes store.  A count is a node's width, so COUNT is never a layer —
-    a COUNT-declared tree (the default) is annotated with
+    :attr:`semigroup` the tree's *annotation*: always a
+    :class:`~repro.semigroup.ProductSemigroup` whose components are the
+    value layers its nodes store (:func:`~repro.semigroup.annotation_of`).
+    A count is a node's width, so COUNT is never a layer — a
+    COUNT-declared tree (the default) is annotated with
     :data:`~repro.semigroup.NO_LAYERS` and stores no aggregate column.
-    The annotation widens to a :class:`~repro.semigroup.ProductSemigroup`
-    when the query engine lazily refits the value semigroups a batch
-    folds.
+    The annotation gains layers when the query engine lazily refits the
+    value semigroups a batch folds.
     """
 
     def __init__(
@@ -157,7 +158,7 @@ class DistributedRangeTree:
         self.points = points
         self.ranked = ranked
         self.machine = machine
-        self.semigroup = annotation_of(semigroup)
+        self.semigroup = NO_LAYERS  # Construct's topology holds no layer
         self.base_semigroup = semigroup
         self.construct_result = construct_result
         self.forest_store = construct_result.forest_store
@@ -186,9 +187,13 @@ class DistributedRangeTree:
         wins); both paths require a power-of-two processor count.
         Points are rank-normalised and padded so that ``n`` is a power
         of two and ``n >= p`` (§3's "without loss of generality"
-        assumptions).  Construct lifts, ships and folds the annotation
-        of ``semigroup``: nothing for COUNT, whose folds read node
-        widths.
+        assumptions).  Construct builds the topology alone; the
+        annotation of ``semigroup`` is then applied by the refit every
+        re-annotation takes (``annotate:*`` steps: one broadcast round) —
+        nothing for COUNT, whose folds read node widths.  The values are
+        lifted first, so a semigroup that cannot read the points raises
+        before any rank is touched; a build that raises later leaves no
+        rank state.
         """
         if not isinstance(points, PointSet):
             points = PointSet(points)
@@ -205,10 +210,16 @@ class DistributedRangeTree:
         annotation = annotation_of(semigroup)
         values = lift_values(annotation, ranked, points)
         with machine.scope():
-            result = construct_distributed_tree(machine, ranked, values, annotation)
-        return cls(
-            points, ranked, machine, semigroup, result, owns_machine=owns_machine
-        )
+            result = construct_distributed_tree(machine, ranked)
+            tree = cls(points, ranked, machine, semigroup, result, owns_machine=owns_machine)
+            if annotation.components:
+                try:
+                    tree._relabel(values, annotation, "annotate")
+                except BaseException:
+                    tree.close()
+                    raise
+                tree.semigroup = annotation
+        return tree
 
     # ------------------------------------------------------------------
     # basic shape
@@ -304,11 +315,7 @@ class DistributedRangeTree:
         yourself or use it as a context manager.
         """
         if not self._closed:
-            for key in tree_keys(self.construct_result.ns):
-                try:
-                    self.machine.evict_state(key)
-                except Exception:  # backend already shut down
-                    break
+            evict_tree(self.machine, self.construct_result.ns)
         self._closed = True
         # the engine points back at the tree: drop it, so a closed tree
         # (and the arrays it holds) is freed by reference count instead

@@ -40,13 +40,15 @@ finale
 The round count is ``6d + 1`` — fixed by ``d`` alone, never by ``n``,
 which is exactly what the Corollary 1 tests measure.
 
-An S-record's ``value`` column is the lifted annotation
-(:func:`repro.dist.lift_values`): one row per record under its kernel,
-sorted, routed and fanned out with the record and folded into the
-stacks and the hat.  A count is a node's width, so a COUNT build's
-annotation is :data:`~repro.semigroup.NO_LAYERS` and the column is zero
-wide: its records carry no value bytes, its stacks and hat no aggregate
-bytes.
+Construct builds topology only: an S-record carries no value, and the
+stacks and the hat are born under :data:`~repro.semigroup.NO_LAYERS`,
+zero columns wide (a count is a node's width, so a COUNT tree stays
+so).  A declared value annotation is Algorithm AssociativeFunction's
+step 1, applied after Construct by the refit every re-annotation takes
+(:meth:`repro.dist.DistributedRangeTree.build`).
+
+If a step raises, Construct evicts what it left on the ranks before
+the error propagates: a failed build leaves no rank state.
 
 SPMD residency: the per-rank steps run as registered phases
 (``dist.construct.*``), and what they build *stays with the executor* —
@@ -59,7 +61,7 @@ driver/worker boundary; the driver reads the rest through state views.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -71,7 +73,7 @@ from ..cgm.phases import ProcContext, register_phase
 from ..cgm.sort import sample_sort_cols
 from ..errors import MachineError
 from ..geometry.rankspace import RankedPointSet
-from ..semigroup import Semigroup
+from ..semigroup import NO_LAYERS
 from ..semigroup.kernels import KernelColumn
 from .forest import build_stack
 from .hat import Hat, forest_roots, hat_shape
@@ -97,6 +99,16 @@ def holders_key(ns: str) -> str:
 def tree_keys(ns: str) -> tuple:
     """Every state key a tree may hold on a rank: what closing it evicts."""
     return forest_key(ns), hat_key(ns), holders_key(ns)
+
+
+def evict_tree(mach: Machine, ns: str) -> None:
+    """Evict every key of tree ``ns`` from the ranks; stop quietly when
+    the backend is already shut down (its state went with it)."""
+    for key in tree_keys(ns):
+        try:
+            mach.evict_state(key)
+        except Exception:
+            break
 
 
 @dataclass
@@ -138,8 +150,8 @@ def _phase_build_hat(ctx: ProcContext, payload) -> None:
     The hat — its columns, the only form it has — stays rank-resident
     under ``{ns}:hat``, one replica per rank; none crosses back.
     """
-    roots, d, n, p, semigroup, ns = payload
-    hat = Hat.build(roots, d=d, n=n, p=p, semigroup=semigroup)
+    roots, d, n, p, ns = payload
+    hat = Hat.build(roots, d=d, n=n, p=p)
     ctx.charge(hat.size_nodes())
     ctx.state[hat_key(ns)] = hat
 
@@ -147,11 +159,8 @@ def _phase_build_hat(ctx: ProcContext, payload) -> None:
 @register_phase("dist.construct.scatter_cols")
 def _phase_scatter_cols(ctx: ProcContext, payload) -> RecordBatch:
     """Initial distribution: this rank's block of points as one batch,
-    every record in ``T1`` (tree 0, so its sort key is its rank).
-
-    ``values`` arrives as a slice of the driver's one value column.
-    """
-    rank_rows, ids, values = payload
+    every record in ``T1`` (tree 0, so its sort key is its rank)."""
+    rank_rows, ids = payload
     n = len(ids)
     ctx.charge(n)
     ranks = np.ascontiguousarray(rank_rows, dtype=np.int64)
@@ -161,7 +170,6 @@ def _phase_scatter_cols(ctx: ProcContext, payload) -> RecordBatch:
             "key": ranks[:, 0].copy(),
             "ranks": ranks,
             "pid": np.asarray(ids, dtype=np.int64),
-            "value": values,
         },
         n,
     )
@@ -192,10 +200,10 @@ def _phase_build_elements_cols(ctx: ProcContext, payload) -> dict:
 
     n = len(batch)
     rows = shape.stack_rows(ctx.rank, j, n // k)
-    ranks, pids, values = batch.col("ranks"), batch.col("pid"), batch.col("value")
-    aggs = values[:0]
+    ranks, pids = batch.col("ranks"), batch.col("pid")
+    aggs = KernelColumn.from_values(NO_LAYERS.kernel, ())  # p = 1 has no phase-j > 0 trees
     if n:
-        stack = forest[j] = build_stack(ranks, pids, values, payload["semigroup"], j, k)
+        stack = forest[j] = build_stack(ranks, pids, j, k)
         ctx.charge(stack.size_records)
         aggs = stack.root_aggs()
     roots = forest_roots(rows, ranks[::k, j], ranks[k - 1 :: k, j], aggs)
@@ -213,26 +221,20 @@ def _phase_build_elements_cols(ctx: ProcContext, payload) -> dict:
             "key": tree * (k * ctx.p) + next_ranks[:, j + 1] if j + 1 < payload["d"] else tree,
             "ranks": next_ranks,
             "pid": np.repeat(pids, fan),
-            "value": values.repeat(fan),
         },
     )
     held = sum(stack.size_records for stack in forest.values()) + len(next_batch)
     return {"roots": roots, "next_records": next_batch, "held": held}
 
 
-def construct_distributed_tree(
-    mach: Machine,
-    ranked: RankedPointSet,
-    values: Sequence[Any],
-    semigroup: Semigroup,
-) -> ConstructResult:
-    """Run Algorithm Construct on ``mach`` (§5, Theorem 2).
+def construct_distributed_tree(mach: Machine, ranked: RankedPointSet) -> ConstructResult:
+    """Run Algorithm Construct on ``mach`` (§5, Theorem 2): the tree's
+    topology, under :data:`~repro.semigroup.NO_LAYERS`.
 
-    ``ranked`` must be power-of-two padded with ``n >= p``;``values`` are
-    the lifted semigroup values aligned with its rows (identity for
-    sentinels).  Raises :class:`~repro.errors.MachineError` when ``p``
-    exceeds the padded point count and
-    :class:`~repro.errors.PowerOfTwoError` for a non-power-of-two ``p``.
+    ``ranked`` must be power-of-two padded with ``n >= p``.  Raises
+    :class:`~repro.errors.MachineError` when ``p`` exceeds the padded
+    point count and :class:`~repro.errors.PowerOfTwoError` for a
+    non-power-of-two ``p``; a step that raises leaves no rank state.
     """
     p = mach.p
     require_power_of_two("processor count p", p)
@@ -243,30 +245,33 @@ def construct_distributed_tree(
             f"p={p} processors exceed the padded point count n={n}; "
             "pad with minimum=p (see pad_to_power_of_two)"
         )
-    if len(values) != n:
-        raise MachineError(f"need one lifted value per row ({n}), got {len(values)}")
+    ns = mach.new_ns("tree")
+    try:
+        phase_counts = _construct(mach, ranked, ns)
+    except BaseException:
+        evict_tree(mach, ns)
+        raise
+    return ConstructResult(
+        hats=mach.state_view(hat_key(ns)),
+        forest_store=mach.state_view(forest_key(ns), default=dict),
+        phase_record_counts=phase_counts,
+        ns=ns,
+    )
 
-    d = ranked.dim
+
+def _construct(mach: Machine, ranked: RankedPointSet, ns: str) -> List[int]:
+    """Construct's steps, resident under ``ns``; returns the records each
+    phase sorted."""
+    p, n, d = mach.p, ranked.n, ranked.dim
     shape = hat_shape(p, d)
     k = n // p  # records per forest group
-    ns = mach.new_ns("tree")
 
     # Initial distribution: block of n/p point records per processor (the
-    # CGM input convention; a local-computation step, no round).  The
-    # values ship as per-rank slices of one column under the semigroup's
-    # kernel (a plain list from a low-level caller is encoded here).
-    values = KernelColumn.from_values(semigroup.kernel, values)
+    # CGM input convention; a local-computation step, no round).
     current = mach.run_phase(
         "construct:scatter-points",
         "dist.construct.scatter_cols",
-        [
-            (
-                ranked.ranks[r * k : (r + 1) * k],
-                ranked.ids[r * k : (r + 1) * k],
-                values[r * k : (r + 1) * k],
-            )
-            for r in range(p)
-        ],
+        [(ranked.ranks[r * k : (r + 1) * k], ranked.ids[r * k : (r + 1) * k]) for r in range(p)],
     )
 
     roots_local: List[List[RecordBatch]] = [[] for _ in range(p)]
@@ -305,7 +310,7 @@ def construct_distributed_tree(
             f"{label}:build-elements",
             "dist.construct.build_elements_cols",
             [
-                {"inbox": inboxes[r], "j": j, "k": k, "d": d, "semigroup": semigroup, "ns": ns}
+                {"inbox": inboxes[r], "j": j, "k": k, "d": d, "ns": ns}
                 for r in range(p)
             ],
         )
@@ -321,12 +326,6 @@ def construct_distributed_tree(
     mach.run_phase(
         "construct:build-hat",
         "dist.construct.build_hat",
-        [(gathered[r], d, n, p, semigroup, ns) for r in range(p)],
+        [(gathered[r], d, n, p, ns) for r in range(p)],
     )
-
-    return ConstructResult(
-        hats=mach.state_view(hat_key(ns)),
-        forest_store=mach.state_view(forest_key(ns), default=dict),
-        phase_record_counts=phase_counts,
-        ns=ns,
-    )
+    return phase_counts

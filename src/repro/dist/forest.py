@@ -15,7 +15,7 @@ are the processor's phase-``j`` elements laid end to end, with the
 rows' point ids in ``pids``.  An element is a tree index in its stack;
 the hat leaf naming it keeps that index next to its owner
 (``hat.shape.tree`` beside ``hat.shape.location``).  Construct emits each stack in
-one call (:func:`build_stack`), a refit re-annotates it in place,
+one call (:func:`build_stack`), topology only; a refit annotates it in place,
 replication ships it as it is, and Search step 5 walks it once per
 inbox (:func:`repro.dist.forest_compiled.stack_selections`).  The sequential
 :class:`~repro.seq.range_tree.SequentialRangeTree` holds its one tree as
@@ -25,12 +25,9 @@ against is ``tests.helpers.RangeTree``, kept beside the tests, not here.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
-
 import numpy as np
 
 from ..errors import GeometryError
-from ..semigroup import Semigroup
 from ..seq.compiled import CompiledForest
 
 __all__ = ["build_stack"]
@@ -38,26 +35,20 @@ __all__ = ["build_stack"]
 _I64 = np.int64
 
 
-def build_stack(
-    ranks: np.ndarray,
-    pids: np.ndarray,
-    values: Sequence[Any],
-    semigroup: Semigroup,
-    dim: int,
-    width: int,
-) -> CompiledForest:
+def build_stack(ranks: np.ndarray, pids: np.ndarray, dim: int, width: int) -> CompiledForest:
     """Construct step 3 at one owner: its phase-``dim`` elements as one stack.
 
     ``ranks`` holds the routed groups' global rank rows, ``width`` (the
     ``n/p`` of the build) rows per group, groups in arrival order — each
     tiles one hat-leaf segment, so its rows must ascend in dimension
-    ``dim`` (the order Construct's sort delivers them in).  ``pids`` and
-    the lifted ``values`` align row for row.
+    ``dim`` (the order Construct's sort delivers them in).  ``pids``
+    align row for row.  The stack holds no layer
+    (:data:`~repro.semigroup.NO_LAYERS`) until a refit annotates it.
     """
     ranks = np.asarray(ranks, dtype=_I64).reshape(-1, width, ranks.shape[1])
     key = ranks[:, :, dim]
     if (key[:, 1:] <= key[:, :-1]).any():
         raise GeometryError(f"a forest element's rows must ascend in dimension {dim}")
-    stack = CompiledForest.from_ranks(ranks, values, semigroup, start_dim=dim)
+    stack = CompiledForest.from_ranks(ranks, start_dim=dim)
     stack.pids = np.asarray(pids, dtype=_I64)
     return stack

@@ -15,10 +15,11 @@ every group, element and segment tree by it, so a row is a node's one
 name from Construct to Search.  A :class:`Hat` is that shape plus one
 tree's segments, leaf counts and ``f(v)``, seated by :meth:`Hat.build`
 from the ``dist.root`` batch Construct step 5 broadcasts
-(:func:`forest_roots`) and folded up level by level under the
-semigroup's kernel, so every processor emits bit-identical rows with no
-further communication; a refit (:meth:`Hat.refresh_aggregates`) rebinds
-the aggregate column alone.
+(:func:`forest_roots`), so every processor emits bit-identical rows with
+no further communication.  Construct's hat holds no layer
+(:data:`~repro.semigroup.NO_LAYERS`); a refit
+(:meth:`Hat.refresh_aggregates`) rebinds the aggregate column alone,
+folded up level by level under the annotation's kernel.
 
 :func:`walk_hats` is step 1 of Algorithm Search: the four-case segment
 tree walk (§4) for a rank's query slice over every part of a pass as one
@@ -38,7 +39,7 @@ import numpy as np
 from .._util import ilog2, require_power_of_two, slice_positions
 from ..cgm.columns import RecordBatch
 from ..errors import MachineError, ProtocolError
-from ..semigroup import Semigroup
+from ..semigroup import NO_LAYERS, Semigroup
 from ..semigroup.kernels import KernelColumn
 from .labeling import Path, make_path
 from .records import KIND_EXPAND, KIND_SUBQUERY, flatten_path, unflatten_path
@@ -265,7 +266,7 @@ class Hat:
     cover of its points' ranks — exact for the four-case walk; an internal
     row's is its first and last hat leaves'), ``nleaves`` (``width ·
     n/p``) and ``f(v)``, held once in ``aggs``, a
-    :class:`~repro.semigroup.kernels.KernelColumn` under the semigroup's
+    :class:`~repro.semigroup.kernels.KernelColumn` under the annotation's
     kernel — zero columns wide under :data:`~repro.semigroup.NO_LAYERS`,
     a count's annotation, whose ``f(v)`` is ``nleaves``.  A row number is the node's name in every Search stream,
     and a hat-leaf row names the forest element rooted there.  ``idle`` is
@@ -277,16 +278,10 @@ class Hat:
         self.__dict__.update(columns)
 
     @classmethod
-    def build(
-        cls,
-        roots: RecordBatch,
-        d: int,
-        n: int,
-        p: int,
-        semigroup: Semigroup,
-    ) -> "Hat":
+    def build(cls, roots: RecordBatch, d: int, n: int, p: int) -> "Hat":
         """Deterministically emit the hat from the ``dist.root`` batch
-        of the forest roots (:func:`forest_roots`).
+        of the forest roots (:func:`forest_roots`), under
+        :data:`~repro.semigroup.NO_LAYERS` as Construct's stacks are.
 
         Raises :class:`~repro.errors.ProtocolError` when the roots' rows
         do not seat every hat leaf of the ``(p, d)`` shape exactly once —
@@ -300,11 +295,11 @@ class Hat:
             raise MachineError(f"p={p} exceeds the padded point count n={n}")
         shape = hat_shape(p, d)
         leaf_level = ilog2(n) - ilog2(p)
-        seg, aggs = _seat(shape, roots, semigroup.kernel)
+        seg, aggs = _seat(shape, roots, NO_LAYERS.kernel)
         hat = cls(
-            shape=shape, n=n, leaf_level=leaf_level, semigroup=semigroup,
+            shape=shape, n=n, leaf_level=leaf_level, semigroup=NO_LAYERS,
             lo=seg[shape.first, 0], hi=seg[shape.last, 1], nleaves=shape.width * (n // p),
-            aggs=_fold(semigroup.kernel, aggs, shape),
+            aggs=KernelColumn(NO_LAYERS.kernel, aggs),
         )
         # What a rank holding no queries returns: the walk's own zero-row
         # output, made once, so an idle rank does no numpy work per pass.

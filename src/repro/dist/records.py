@@ -9,8 +9,8 @@ the schemas, by stage:
                             segment tree the point is being inserted into,
                             as its rank among the phase's tree labels),
                             ``ranks`` ``(n, d)``, ``pid`` (negative for
-                            power-of-two padding sentinels), ``value``
-                            (the lifted semigroup value)
+                            power-of-two padding sentinels); no value:
+                            Construct builds topology only
 ``dist.hat_selection``      Search step 1: ``qid``, ``node`` (the hat row
                             of a selected dimension-``d`` node),
                             ``nleaves``, ``agg`` (its ``f(v)``)
@@ -37,7 +37,7 @@ tree keys and group numbers are read off the shape; in Search,
 element it roots (``hat.path(row)`` is its Definition 2 label,
 ``hat.shape.location[row]`` its owner; part ``b`` of a pass names its
 row ``i`` as ``b·H + i``, every hat on ``(p, d)`` having ``H`` rows).
-``agg`` and ``value`` columns are a
+``agg`` columns are a
 :class:`~repro.semigroup.kernels.KernelColumn` under the annotation's
 kernel; every other column is int64.
 """

@@ -10,8 +10,9 @@ engine turns a :class:`~repro.query.descriptors.QueryBatch` into:
 2. a lazy **annotation refit** when an aggregate-family query names a
    value semigroup the tree is not currently annotated with — a
    ``reannotate``-style local refit plus one broadcast round, never a
-   sort or routing round, cached in the tree's annotation (a
-   :class:`~repro.semigroup.ProductSemigroup` keyed by component name).
+   sort or routing round, cached in the tree's annotation (always a
+   :class:`~repro.semigroup.ProductSemigroup`, a layer per component,
+   each known by its semigroup's name — a declared product is one).
    A count is never a layer: every COUNT fold — ``count``,
    ``aggregate(box, COUNT)``, ``aggregate(box)`` on a COUNT-declared
    tree — reads the selections' leaf counts (Theorem 4 with f ≡ 1), so
@@ -56,14 +57,7 @@ from ..cgm.collectives import route_batches
 from ..cgm.sort import route_balanced_cols
 from ..dist.search import run_search
 from ..errors import DimensionMismatch, ProtocolError
-from ..semigroup import (
-    COUNT,
-    ProductSemigroup,
-    Semigroup,
-    annotation_of,
-    is_count,
-    product_semigroup,
-)
+from ..semigroup import COUNT, Semigroup, annotation_of, is_count, product_semigroup
 from ..semigroup.kernels import SemigroupKernel, fold_segments
 from .descriptors import QueryBatch
 from .modes import OutputMode, get_mode
@@ -152,13 +146,6 @@ class QueryPlan:
         )
 
 
-def _annotation_components(semigroup: Semigroup) -> List[Semigroup]:
-    """The annotation layers currently on the tree, outermost first."""
-    if isinstance(semigroup, ProductSemigroup):
-        return list(semigroup.components)
-    return [semigroup]
-
-
 class QueryEngine:
     """Plans and executes query batches against one distributed tree, or
     against several on one machine as the parts of one pass (``tree`` —
@@ -175,7 +162,7 @@ class QueryEngine:
         """Resolve modes (once per name), fold groups and annotation needs."""
         tree = self.tree
         base = tree.base_semigroup
-        current = _annotation_components(tree.semigroup)
+        current = list(tree.semigroup.components)
         current_names = [c.name for c in current]
 
         dim = tree.dim
@@ -224,7 +211,7 @@ class QueryEngine:
                 # value layers, everything this batch needs, then the
                 # newest others — in age order, so the next eviction
                 # reads it too.
-                built = {c.name for c in _annotation_components(annotation_of(base))}
+                built = {c.name for c in annotation_of(base).components}
                 kept = {c.name for c in merged if c.name in built or c.name in gid_of}
                 for c in reversed(merged):
                     if len(kept) >= MAX_ANNOTATION_LAYERS:
@@ -234,7 +221,7 @@ class QueryEngine:
             refit = product_semigroup(merged)
 
         # Slots are read against the annotation the pass will see.
-        final = _annotation_components(refit if refit is not None else tree.semigroup)
+        final = list((tree.semigroup if refit is None else refit).components)
         final_names = [c.name for c in final]
         folds = [
             Fold(COUNT, None) if sg is None else Fold(sg, final_names.index(sg.name))
@@ -297,9 +284,8 @@ class QueryEngine:
 
         Leaf counts fold under :data:`~repro.semigroup.COUNT`'s kernel
         (their piece values are the ``nleaves`` column); an annotation
-        fold under its slot of the annotation's kernel — a typed
-        product's component, or an object column's slot, folded through
-        the component's ``combine``.
+        fold under its layer's kernel in the annotation's product, typed
+        or folding through the layer's ``combine``.
         """
         kernel = plan.annotation.kernel
         return [

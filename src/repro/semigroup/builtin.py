@@ -234,10 +234,11 @@ class ProductSemigroup(Semigroup):
     """Componentwise product of several semigroups.
 
     Values are tuples, one slot per component; ``lift``/``combine``/
-    ``identity`` act slot by slot.  The query engine uses products as
-    *annotation layers*: re-annotating the tree once with a product makes
-    every component's aggregate available to later batches without
-    another refit (components are looked up by ``name``).  Its kernel is
+    ``identity`` act slot by slot.  Every tree annotation is one
+    (:func:`annotation_of`): its components are the *layers* a tree
+    stores, so re-annotating the tree once with a product makes every
+    component's aggregate available to later batches without another
+    refit (a layer is looked up by its semigroup's ``name``).  Its kernel is
     always the :class:`~repro.semigroup.kernels.ProductKernel` over its
     components' kernels, resolved here.
     """
@@ -267,10 +268,12 @@ def is_count(semigroup: Semigroup) -> bool:
     return semigroup.kernel == COUNT.kernel
 
 
-def annotation_of(semigroup: Semigroup) -> Semigroup:
-    """What a tree declared with ``semigroup`` stores per node:
-    :data:`NO_LAYERS` for a count, the semigroup itself otherwise."""
-    return NO_LAYERS if is_count(semigroup) else semigroup
+def annotation_of(semigroup: Semigroup) -> ProductSemigroup:
+    """What a tree declared with ``semigroup`` stores per node, as a
+    product of layers: :data:`NO_LAYERS` for a count, else the one layer
+    ``semigroup`` (a declared product is one layer too, known by its
+    own name)."""
+    return NO_LAYERS if is_count(semigroup) else product_semigroup([semigroup])
 
 
 def product_semigroup(components: Sequence[Semigroup]) -> ProductSemigroup:

@@ -41,9 +41,9 @@ stack's last-dimension trees tile ``row_block`` in aligned width-``m``
 blocks, each tree a subtree of its block's heap, so one
 :func:`batched_heap_fold` over those blocks annotates the whole stack's
 internal nodes (a leaf is its row's own value, held once in the
-column's tail, not again in a heap), per annotation layer
-(``kernel.layers``: a product's components, each under its own
-kernel), and the layers join
+column's tail, not again in a heap), per annotation layer (every
+annotation is a product: ``kernel.layers`` are its components, each
+under its own kernel), and the layers join
 (:meth:`KernelColumn.from_layers`) into the stack's ``aggs`` column —
 the aggregates live there, not in a per-tree store.  A layer the column
 already holds is taken back out (:meth:`KernelColumn.layer`), so a
@@ -152,33 +152,6 @@ class SemigroupKernel:
         """Bytes a column's matrix ships as: exact for typed storage,
         counted in this kernel's dtype whatever ``mat``'s is."""
         return len(mat) * self.width * np.dtype(self.dtype).itemsize
-
-    def component(self, slot: int) -> "SemigroupKernel":
-        """The kernel of annotation slot ``slot`` (a product's component;
-        the whole value for a non-product)."""
-        return self
-
-    def component_rows(self, mat: np.ndarray, idx: np.ndarray, slot: int) -> np.ndarray:
-        """Slot ``slot``'s encoded rows of ``mat`` at ``idx``, still encoded."""
-        return mat.take(idx, axis=0)
-
-    @property
-    def layers(self) -> Tuple["SemigroupKernel", ...]:
-        """The annotation layers a column under this kernel holds, each
-        under its own kernel: a product's components, else the kernel
-        itself."""
-        return (self,)
-
-    def layer_data(self, mat: np.ndarray, slot: int) -> np.ndarray:
-        """Layer ``slot``'s column out of ``mat``, encoded under
-        ``layers[slot]`` (see :meth:`KernelColumn.layer`)."""
-        return mat
-
-    def join_layers(self, mats: Sequence[np.ndarray], rows: int) -> np.ndarray:
-        """This kernel's ``rows``-row matrix from one matrix per layer,
-        each encoded under its layer's kernel (see
-        :meth:`KernelColumn.from_layers`)."""
-        return mats[0]
 
     def fold(self, mat: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         """:func:`fold_segments` for a typed kernel: ``reduceat`` over
@@ -371,19 +344,25 @@ class ProductKernel(SemigroupKernel):
         return ((c, np.asarray(mat[..., cols], dtype=c.dtype)) for c, cols in self._blocks)
 
     def component(self, i: int) -> SemigroupKernel:
+        """The kernel of annotation layer ``i``."""
         return self.components[i]
 
     def component_rows(self, mat, idx, slot):
+        """Layer ``slot``'s encoded rows of ``mat`` at ``idx``."""
         return mat.take(idx, axis=0)[:, self._blocks[slot][1]]
 
     @property
     def layers(self):
+        """The annotation layers a column under this kernel holds."""
         return self.components
 
     def layer_data(self, mat, slot):
+        """Layer ``slot``'s column out of ``mat`` (see :meth:`KernelColumn.layer`)."""
         return mat[:, self._blocks[slot][1]]
 
     def join_layers(self, mats, rows):
+        """The ``rows``-row matrix from one matrix per layer (see
+        :meth:`KernelColumn.from_layers`)."""
         if len(mats) == 1:  # a one-layer product is its layer, held alone
             return np.ascontiguousarray(mats[0])
         out = np.empty((rows, self.width), dtype=self.dtype)
@@ -639,18 +618,16 @@ class KernelColumn:
         return KernelColumn(self.kernel, np.repeat(self.data, k, axis=0))
 
     def component_rows(self, idx: np.ndarray, slot: int) -> np.ndarray:
-        """Annotation slot ``slot``'s rows at ``idx``, still encoded.
+        """Annotation layer ``slot``'s rows at ``idx``, still encoded.
 
         The demux gathers fold pieces from the storage without decoding
-        them: a product's component block, or the whole value of a
-        non-product annotation.
+        them: one component block of the annotation's product.
         """
         return self.kernel.component_rows(self.data, np.asarray(idx, dtype=_I64), slot)
 
     def layer(self, slot: int) -> "KernelColumn":
         """Annotation layer ``slot`` as a column of its own, under
-        ``kernel.layers[slot]``: a product's component block, or the
-        whole column of a non-product."""
+        ``kernel.layers[slot]``: the product's component block."""
         return KernelColumn(self.kernel.layers[slot], self.kernel.layer_data(self.data, slot))
 
     @classmethod

@@ -83,7 +83,7 @@ import numpy as np
 
 from .._util import ilog2, require_power_of_two, slice_positions
 from ..errors import GeometryError
-from ..semigroup import Semigroup
+from ..semigroup import NO_LAYERS, Semigroup
 from ..semigroup.kernels import KernelColumn, batched_heap_fold
 
 __all__ = ["CompiledForest", "Selections"]
@@ -254,7 +254,7 @@ class CompiledForest:
     :class:`~repro.semigroup.kernels.KernelColumn`, ``aggs``, one heap of
     ``width`` internal-node rows per width-``width`` block of
     ``row_block``, then each row's own value (see *Alignment* above),
-    held under the semigroup's kernel.  Every
+    held under the annotation's kernel (a product of layers).  Every
     range tree of the stack has ``width`` leaves.  ``pids`` is the point
     id of each row when the holder files them (:mod:`repro.dist` does;
     the sequential tree maps rows to ids itself).
@@ -300,18 +300,13 @@ class CompiledForest:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_ranks(
-        cls,
-        ranks: np.ndarray,
-        values: Sequence[Any],
-        semigroup: Semigroup,
-        start_dim: int = 0,
-    ) -> "CompiledForest":
+    def from_ranks(cls, ranks: np.ndarray, start_dim: int = 0) -> "CompiledForest":
         """The range trees over ``ranks`` (non-negative, distinct per
         dimension within a tree), dividing dimensions ``start_dim .. d−1``,
         emitted directly as arrays: one tree for a ``(w, d)`` matrix, a
-        stack of ``trees`` for a ``(trees, w, d)`` array.  ``values``
-        aligns with the rows, tree after tree.  A rank that repeats in a
+        stack of ``trees`` for a ``(trees, w, d)`` array.  Topology only:
+        the stack is born under :data:`~repro.semigroup.NO_LAYERS` and
+        :meth:`annotate` adds its values.  A rank that repeats in a
         divided dimension of one tree raises :class:`GeometryError`.
 
         One pass per dimension: every segment tree takes its rows from
@@ -347,13 +342,13 @@ class CompiledForest:
             keys.append(block)
             rows_above = rows[order]
         forest = cls(span=span, width=m, keys=tuple(keys), row_block=rows_above)
-        forest.annotate(values, semigroup)
+        forest.annotate((), NO_LAYERS)
         return forest
 
     def row_ranks(self) -> np.ndarray:
         """Each input row's rank in the first divided dimension, in
         input-row order: the index a rank-ordered value column is read
-        at to give the values :meth:`from_ranks` aligns with the rows.
+        at to give the values :meth:`annotate` aligns with the rows.
 
         Exact when every tree's rows were given ascending in that
         dimension, as :func:`repro.dist.forest.build_stack` requires:
@@ -369,11 +364,13 @@ class CompiledForest:
         the held topology and rebind the aggregate column.
 
         Step 1 of Algorithm AssociativeFunction: O(s) work, no topology
-        touched.  The annotation is one layer per component of a
-        :class:`~repro.semigroup.ProductSemigroup` (the semigroup itself
-        otherwise); :data:`~repro.semigroup.NO_LAYERS`, what a count
+        touched.  ``semigroup`` is an annotation
+        (:func:`~repro.semigroup.annotation_of`), a
+        :class:`~repro.semigroup.ProductSemigroup` with one layer per
+        component; :data:`~repro.semigroup.NO_LAYERS`, what a count
         annotates with, has none, and its column is ``R(m, r) + m`` rows
-        a tree of zero width.  A layer the held column already has —
+        a tree of zero width.  ``values`` align with the rows, tree
+        after tree.  A layer the held column already has —
         known by its kernel's name, read off ``aggs`` itself — is taken
         from it; only the others are folded (:meth:`_fold`), each under
         its own kernel from its slot of ``values``, so a refit that adds

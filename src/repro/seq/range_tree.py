@@ -9,7 +9,8 @@ to a (j-1)-dimensional range tree over the points ``W(v)`` covered by
 coordinates (rank normalisation, power-of-two padding, id filtering).
 It holds the tree once, as one
 :class:`~repro.seq.compiled.CompiledForest` built by
-:meth:`~repro.seq.compiled.CompiledForest.from_ranks`, and answers a
+:meth:`~repro.seq.compiled.CompiledForest.from_ranks` and annotated by
+:meth:`~repro.seq.compiled.CompiledForest.annotate`, and answers a
 batch of boxes, or one box, with one
 :meth:`~repro.seq.compiled.CompiledForest.walk`, in the paper's three
 outcomes: ``count``, the associative-function mode (``aggregate``) and
@@ -67,7 +68,8 @@ class SequentialRangeTree:
         values = lift_kernel_column(
             annotation.kernel, points.coords, self.ranked.n, points.ids
         )
-        self.forest = CompiledForest.from_ranks(self.ranked.ranks, values, annotation)
+        self.forest = CompiledForest.from_ranks(self.ranked.ranks)
+        self.forest.annotate(values, annotation)
 
     @property
     def n(self) -> int:
@@ -104,13 +106,14 @@ class SequentialRangeTree:
 
     def aggregate_many(self, boxes: Sequence[Box]) -> list[Any]:
         """Per-query folds in the object walk's exact emission order: one
-        kernel fold of the selected rows, a segment per query, each
-        folded left from its first row (the identity when empty), as the
-        query demux folds; under a count, the selected nodes' widths."""
+        kernel fold of the selected rows of the annotation's one layer, a
+        segment per query, each folded left from its first row (the
+        identity when empty), as the query demux folds; under a count,
+        the selected nodes' widths."""
         if is_count(self.semigroup):
             return self.count_many(boxes)
         nq, sel = self._walk(boxes)
-        aggs = self.forest.aggs
+        aggs = self.forest.aggs.layer(0)
         cuts = np.searchsorted(sel.q, np.arange(nq + 1))
         folded = aggs.kernel.fold(aggs.data.take(sel.node, axis=0), cuts[:-1], cuts[1:])
         return aggs.kernel.decode_list(folded)

@@ -159,7 +159,8 @@ def _random_stack(rng, d, dim, width, count, semigroup, typed):
     sg = semigroup if typed else unkernelized(semigroup)
     assert (sg.kernel.dtype is object) != typed
     column = KernelColumn.from_values(sg.kernel, values) if typed else values
-    stack = build_stack(ranks, np.arange(count * width) + 7, column, sg, dim, width)
+    stack = build_stack(ranks, np.arange(count * width) + 7, dim, width)
+    stack.annotate(column, sg)
     return stack, _oracles(ranks, values, sg, dim, width), span
 
 
@@ -210,18 +211,19 @@ class TestDirectBuildAgainstTheObjectOracle:
         clone = pickle.loads(pickle.dumps(stack))
         assert _array_walk(clone, trees, boxes) == want(refs)
 
-        # refits, kernel -> object -> kernel: topology arrays stay the
-        # *same objects*, only the aggregate slots change
+        # refits to one-layer annotations, kernel -> object -> kernel:
+        # topology arrays stay the *same objects*, only the aggregate
+        # slots change
         held = {name: getattr(stack, name) for name in TOPOLOGY}
         ranks = np.concatenate([r.ranks for r in refs])
-        for refit_sg in (COUNT, unkernelized(sum_of_dim(0)), sum_of_dim(dim)):
+        for layer in (COUNT, unkernelized(sum_of_dim(0)), sum_of_dim(dim)):
             coords = rng.random((count * width, d))
+            refit_sg = product_semigroup([layer])
             fresh = [refit_sg.lift(i, tuple(coords[i])) for i in range(count * width)]
-            kernel = refit_sg.kernel
-            stack.annotate(KernelColumn.from_values(kernel, fresh), refit_sg)
+            stack.annotate(KernelColumn.from_values(refit_sg.kernel, fresh), refit_sg)
             assert all(getattr(stack, name) is arr for name, arr in held.items())
-            assert stack.aggs.kernel == kernel
-            assert (stack.aggs.data.dtype == object) == isinstance(kernel, ObjectKernel)
+            assert stack.aggs.kernel.layers == (layer.kernel,)
+            assert (stack.aggs.data.dtype == object) == isinstance(layer.kernel, ObjectKernel)
             refs = _oracles(ranks, fresh, refit_sg, dim, width)
             assert _array_walk(stack, trees, boxes) == want(refs)
 
@@ -237,15 +239,17 @@ class TestRepeatedRanks:
         # tree 1 repeats one rank in dimension ``dim``
         ranks[1, 5, dim] = ranks[1, 2, dim]
         with pytest.raises(GeometryError, match=f"repeats within one tree in dimension {dim}"):
-            CompiledForest.from_ranks(ranks, [1] * 16, COUNT)
+            CompiledForest.from_ranks(ranks)
 
     def test_a_rank_repeated_across_trees_is_fine(self):
         """Trees of a stack share one rank space but not their ranks: the
         same permutation in every tree builds."""
         ranks = np.stack([np.stack([np.arange(8)[::-1], np.arange(8)], axis=1)] * 3)
-        stack = CompiledForest.from_ranks(ranks, [1] * 24, COUNT)
+        stack = CompiledForest.from_ranks(ranks)
         assert stack.shape == (3, 8, 2)
-        assert stack.root_aggs().to_list() == [8, 8, 8]
+        ones = product_semigroup([COUNT])
+        stack.annotate([(1,)] * 24, ones)
+        assert stack.root_aggs().to_list() == [(8,)] * 3
 
 
 class TestOneWalkOverManyStacks:
@@ -274,7 +278,7 @@ class TestOneWalkOverManyStacks:
                 np.stack([rng.permutation(w + gaps)[:w] for _ in range(r)], axis=1)
                 for _ in range(count)
             ]
-            stacks.append(CompiledForest.from_ranks(np.stack(ranks), [1] * count * w, COUNT))
+            stacks.append(CompiledForest.from_ranks(np.stack(ranks)))
         # boxes grouped by stack, each in one of its stack's trees; some
         # are inverted, empty (between ranks) or out of every key range
         which = np.sort(rng.integers(0, len(stacks), size=nboxes))
@@ -339,7 +343,7 @@ class TestClosedFormCover:
         bound = st.integers(-3, top + 3)  # gaps, a > b, outside the key range
         bounds = data.draw(st.lists(st.tuples(bound, bound), min_size=1, max_size=8))
         seg = SegTree(keys)
-        forest = CompiledForest.from_ranks(keys[:, None], [1] * w, unkernelized(COUNT))
+        forest = CompiledForest.from_ranks(keys[:, None])
         sel = CompiledForest.walk(
             [forest], np.array([[a] for a, _b in bounds]), np.array([[b] for _a, b in bounds])
         )

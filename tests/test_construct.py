@@ -10,7 +10,7 @@ from repro.cgm import Machine
 from repro.dist import DistributedRangeTree
 from repro.errors import MachineError, PowerOfTwoError
 from repro.geometry import pad_to_power_of_two
-from repro.semigroup import COUNT
+from repro.semigroup import NO_LAYERS
 from repro.dist.construct import construct_distributed_tree
 from repro.workloads import uniform_points
 
@@ -149,9 +149,11 @@ class TestStructuralAgreement:
         pts = uniform_points(32, 2, seed=9)
         ranked = pad_to_power_of_two(pts, minimum=4)
         mach = Machine(4)
-        values = [1] * ranked.n
-        res = construct_distributed_tree(mach, ranked, values, COUNT)
+        res = construct_distributed_tree(mach, ranked)
         assert res.hat.size_nodes() > 0
+        # topology only: the hat and every stack hold no layer
+        held = [res.hat.aggs] + [st.aggs for s in res.forest_store for st in s.values()]
+        assert all(c.kernel == NO_LAYERS.kernel and c.data.shape[1] == 0 for c in held)
         assert sum(st.shape[0] for s in res.forest_store for st in s.values()) == int(
             res.hat.shape.leaf.sum()
         )
@@ -161,4 +163,4 @@ class TestStructuralAgreement:
         ranked = pad_to_power_of_two(pts)  # n = 4
         mach = Machine(8)
         with pytest.raises(MachineError):
-            construct_distributed_tree(mach, ranked, [1] * 4, COUNT)
+            construct_distributed_tree(mach, ranked)

@@ -15,7 +15,7 @@ from repro.dist import DistributedRangeTree
 from repro.dist.hat import Hat, forest_roots, hat_shape
 from repro.errors import ProtocolError
 from repro.query import count
-from repro.semigroup import COUNT, KernelColumn, sum_of_dim
+from repro.semigroup import COUNT, NO_LAYERS, KernelColumn, sum_of_dim
 from repro.workloads import uniform_points
 
 from tests.helpers import forest_elements
@@ -94,24 +94,29 @@ class TestHatBuildErrors:
         return roots_of(build(n=32, d=2, p=4))
 
     def test_roots_seat_the_built_hat(self):
-        sg = sum_of_dim(0)
-        tree = build(n=32, d=2, p=4, semigroup=sg)
-        roots = roots_of(tree)
-        hat = Hat.build(roots.take(np.arange(len(roots))[::-1]), d=2, n=32, p=4, semigroup=sg)
+        """Hat.build seats Construct's roots, in any order, as a hat under
+        no layer; a refit's roots, in any order, refresh it to the
+        declared layer."""
+        tree = build(n=32, d=2, p=4, semigroup=sum_of_dim(0))
+        roots = roots_of(build(n=32, d=2, p=4))
+        reverse = np.arange(len(roots))[::-1]
+        hat = Hat.build(roots.take(reverse), d=2, n=32, p=4)
         for col in ("lo", "hi", "nleaves"):
             np.testing.assert_array_equal(getattr(hat, col), getattr(tree.hat, col))
+        assert hat.semigroup is NO_LAYERS and hat.aggs.data.shape == (hat.size_nodes(), 0)
+        hat.refresh_aggregates(roots_of(tree).take(reverse), tree.semigroup)
         np.testing.assert_array_equal(hat.aggs.data, tree.hat.aggs.data)
 
     def test_missing_root_detected(self):
         roots = self._roots()
         with pytest.raises(ProtocolError, match="no root for hat leaf row"):
-            Hat.build(roots.islice(0, len(roots) - 1), d=2, n=32, p=4, semigroup=COUNT)
+            Hat.build(roots.islice(0, len(roots) - 1), d=2, n=32, p=4)
 
     def test_duplicate_row_detected(self):
         roots = self._roots()
         with pytest.raises(ProtocolError, match="duplicate row"):
             Hat.build(
-                RecordBatch.concat([roots, roots.islice(0, 1)]), d=2, n=32, p=4, semigroup=COUNT
+                RecordBatch.concat([roots, roots.islice(0, 1)]), d=2, n=32, p=4
             )
 
     @pytest.mark.parametrize("row", ["internal", "past the end", "negative"])
@@ -122,7 +127,7 @@ class TestHatBuildErrors:
         assert bad < 0 or bad >= shape.size or not shape.leaf[bad]
         with pytest.raises(ProtocolError, match="unknown row"):
             rows = np.concatenate([[bad], roots.col("row")[1:]])
-            Hat.build(roots.with_col("row", rows), d=2, n=32, p=4, semigroup=COUNT)
+            Hat.build(roots.with_col("row", rows), d=2, n=32, p=4)
 
     def test_tree_count_mismatch_detected(self):
         """An owner whose inbox holds another number of groups than the
@@ -136,11 +141,10 @@ class TestHatBuildErrors:
                 "key": np.arange(k, dtype=np.int64),
                 "ranks": np.repeat(np.arange(k, dtype=np.int64)[:, None], d, axis=1),
                 "pid": np.arange(k, dtype=np.int64),
-                "value": KernelColumn.from_values(COUNT.kernel, [1] * k),
             },
             k,
         )
-        payload = {"inbox": inbox, "j": 1, "k": k, "d": d, "semigroup": COUNT, "ns": "t"}
+        payload = {"inbox": inbox, "j": 1, "k": k, "d": d, "ns": "t"}
         with pytest.raises(ProtocolError, match="stacks 1 phase-1 trees, the hat shape names 2"):
             get_phase("dist.construct.build_elements_cols")(ProcContext(rank=0, p=4), payload)
 
@@ -148,14 +152,14 @@ class TestHatBuildErrors:
         from repro.errors import MachineError
 
         with pytest.raises(MachineError):
-            Hat.build(self._roots().islice(0, 0), d=2, n=32, p=4, semigroup=COUNT)
+            Hat.build(self._roots().islice(0, 0), d=2, n=32, p=4)
 
     def test_non_power_of_two_p_rejected(self):
         from repro.errors import PowerOfTwoError
 
         roots = self._roots()
         with pytest.raises(PowerOfTwoError):
-            Hat.build(roots, d=2, n=32, p=3, semigroup=COUNT)
+            Hat.build(roots, d=2, n=32, p=3)
 
 
 class TestHatReplicas:

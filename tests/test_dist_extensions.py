@@ -70,7 +70,7 @@ class TestReannotate:
         while hat.shape.desc[root] >= 0:
             root = hat.shape.desc[root]
         total = bf_aggregate(pts, Box.full(2, -10.0, 10.0), sg)
-        assert hat.agg(root) == pytest.approx(total)
+        assert hat.agg(root) == (pytest.approx(total),)
 
 
 class TestSingleQueryAPI:

@@ -11,7 +11,7 @@ from repro.dist.forest import build_stack
 from repro.dist.records import KIND_SUBQUERY
 from repro.errors import GeometryError
 from repro.geometry import RankBox
-from repro.semigroup import COUNT, sum_of_dim
+from repro.semigroup import COUNT, NO_LAYERS, annotation_of, sum_of_dim
 from repro.seq.compiled import CompiledForest
 from repro.seq.segment_tree import WalkStats
 from repro.workloads import uniform_points
@@ -28,7 +28,7 @@ from tests.helpers import (
 TREES, WIDTH = 3, 8
 
 
-def make_stack(d=2, dim=0, seed=0, semigroup=COUNT):
+def make_stack(d=2, dim=0, seed=0):
     """Three elements of width 8 stacked as Construct stacks a rank's
     phase-``dim`` groups: tree ``t`` holds ranks ``16 + 8t ..`` in
     ``dim`` (contiguous, ascending), arbitrary ones elsewhere."""
@@ -38,10 +38,7 @@ def make_stack(d=2, dim=0, seed=0, semigroup=COUNT):
     for j in range(d):
         if j != dim:
             ranks[:, j] = np.concatenate([rng.permutation(64)[:WIDTH] for _ in range(TREES)])
-    values = [semigroup.lift(i, (0.0,) * d) for i in range(TREES * WIDTH)]
-    stack = build_stack(
-        ranks, np.arange(100, 100 + TREES * WIDTH), values, semigroup, dim, WIDTH
-    )
+    stack = build_stack(ranks, np.arange(100, 100 + TREES * WIDTH), dim, WIDTH)
     return stack, ranks.reshape(TREES, WIDTH, d)
 
 
@@ -74,7 +71,7 @@ class TestForestStack:
                 assert hat.nleaves[leaf] == stack.width
                 assert hat.agg(leaf) == stack.root_aggs()[t]
                 want = pts.coords[element_pids(stack, t), 0].sum()
-                assert stack.root_aggs()[t] == pytest.approx(want)
+                assert stack.root_aggs().layer(0)[t] == pytest.approx(want)
                 key = stack.keys[0].reshape(-1, stack.width)[t] % stack.span
                 assert (hat.lo[leaf], hat.hi[leaf]) == (key[0], key[-1])
 
@@ -109,7 +106,7 @@ class TestForestStack:
         flat = ranks.reshape(-1, 2).copy()
         flat[WIDTH : 2 * WIDTH] = flat[WIDTH : 2 * WIDTH][::-1]  # tree 1 descends
         with pytest.raises(GeometryError, match="ascend in dimension 0"):
-            build_stack(flat, np.arange(len(flat)), [1] * len(flat), COUNT, 0, WIDTH)
+            build_stack(flat, np.arange(len(flat)), 0, WIDTH)
 
     def test_stats_override_isolated(self):
         # visits are returned per box by the walk itself: nothing shared
@@ -124,10 +121,11 @@ class TestForestStack:
             assert visits.tolist() == [st.nodes_visited] * 2
 
     def test_reannotate(self):
-        sg = sum_of_dim(0)
+        """A stack is born under no layer; annotating it folds one."""
         stack, _ = make_stack()
-        stack.annotate([float(i) for i in range(TREES * WIDTH)], sg)
-        assert stack.root_aggs().to_list() == [
+        assert stack.aggs.kernel == NO_LAYERS.kernel and stack.aggs.data.shape[1] == 0
+        stack.annotate([(float(i),) for i in range(TREES * WIDTH)], annotation_of(sum_of_dim(0)))
+        assert stack.root_aggs().layer(0).to_list() == [
             sum(range(t * WIDTH, (t + 1) * WIDTH)) for t in range(TREES)
         ]
 

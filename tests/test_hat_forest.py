@@ -155,9 +155,9 @@ class TestHatIntegrity:
     def test_dim_d_aggregates_consistent(self):
         """f(v) of a dimension-d hat node = sum of its children's values."""
         tree = build(n=64, d=2, p=8, semigroup=sum_of_dim(0))
-        hat = tree.hat
+        hat, f = tree.hat, tree.hat.aggs.layer(0)
         for i in np.nonzero((hat.shape.dim == 1) & ~hat.shape.leaf)[0]:
-            assert hat.agg(i) == hat.agg(hat.shape.left[i]) + hat.agg(hat.shape.right[i])
+            assert f[i] == f[hat.shape.left[i]] + f[hat.shape.right[i]]
 
     def test_root_aggregate_counts_all_points(self):
         n = 64

@@ -57,10 +57,11 @@ def test_construct_names_nodes_by_hat_row(p, d, n, seed):
         want = [tree.n] + [tree.n * comb(h + j - 1, j) for j in range(1, d)]
         assert tree.construct_result.phase_record_counts == want
         # an S-record names its segment tree inside one int64 sort key,
-        # tree·n + rank_j, no path; the sort ships no column of its own
+        # tree·n + rank_j, no path; the sort ships no column of its own,
+        # and Construct ships no value
         for batch in shipped:
             if batch.schema == "dist.srecord":
-                assert list(batch.cols) == ["key", "ranks", "pid", "value"]
+                assert list(batch.cols) == ["key", "ranks", "pid"]
                 assert batch.col("key").dtype == np.int64 and batch.col("key").ndim == 1
         boxes = random_boxes(np.random.default_rng(seed), 12, d)
         assert tree.run([count(b) for b in boxes]).values() == [bf_count(pts, b) for b in boxes]

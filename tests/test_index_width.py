@@ -19,7 +19,7 @@ import repro.seq.compiled as compiled
 from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree
 from repro.geometry import PointSet
 from repro.query import aggregate, count, report
-from repro.semigroup import KernelColumn, sum_of_dim
+from repro.semigroup import KernelColumn, annotation_of, sum_of_dim
 from repro.seq import bf_count
 from repro.seq.compiled import CompiledForest
 from repro.workloads import make_points, uniform_points
@@ -54,15 +54,12 @@ def _twins(seed, count=3, width=16, r=2):
         v = np.asarray(v, dtype=np.int64)
         return np.where(v >= top, v - top + HUGE, v)
 
-    sg = sum_of_dim(0)
-    coords = rng.random((count * width, r))
-    values = KernelColumn.from_values(sg.kernel, [sg.lift(i, tuple(c)) for i, c in enumerate(coords)])
-    return (
-        CompiledForest.from_ranks(small, values, sg),
-        CompiledForest.from_ranks(widen(small), values, sg),
-        widen,
-        top,
-    )
+    sg = annotation_of(sum_of_dim(0))
+    values = KernelColumn(sg.kernel, sg.kernel.lift(rng.random((count * width, r))))
+    twins = CompiledForest.from_ranks(small), CompiledForest.from_ranks(widen(small))
+    for stack in twins:
+        stack.annotate(values, sg)
+    return (*twins, widen, top)
 
 
 def _boxes(rng, nboxes, r, top, count):

@@ -23,6 +23,7 @@ from repro.query import aggregate
 from repro.semigroup import (
     KernelColumn,
     Semigroup,
+    annotation_of,
     id_set,
     product_semigroup,
     sum_of_dim,
@@ -97,8 +98,9 @@ def _stack(sg, trees=4, m=8, d=3, seed=7):
     rng = np.random.default_rng(seed)
     ranks = np.stack([np.argsort(rng.random((m, d)), axis=0) for _ in range(trees)])
     coords = rng.random((trees * m, d))
-    values = KernelColumn(sg.kernel, sg.kernel.lift(coords))
-    return CompiledForest.from_ranks(ranks, values, sg), ranks, coords
+    stack = CompiledForest.from_ranks(ranks)
+    stack.annotate(KernelColumn(sg.kernel, sg.kernel.lift(coords)), sg)
+    return stack, ranks, coords
 
 
 def test_a_product_refit_folds_only_the_added_layer(monkeypatch):
@@ -106,7 +108,7 @@ def test_a_product_refit_folds_only_the_added_layer(monkeypatch):
     is folded, and every node and every walk selection decodes to a
     fresh build's bits."""
     sum0, both = sum_of_dim(0), product_semigroup([sum_of_dim(0), sum_of_dim(1)])
-    stack, ranks, coords = _stack(sum0)
+    stack, ranks, coords = _stack(annotation_of(sum0))
     held = stack.aggs.data.copy()
     folded = []
     real = compiled.batched_heap_fold
@@ -121,7 +123,8 @@ def test_a_product_refit_folds_only_the_added_layer(monkeypatch):
     assert folded == ["sum[x1]"]
     assert stack.aggs.layer(0).data.tobytes() == held.tobytes()
 
-    fresh = CompiledForest.from_ranks(ranks, values, both)
+    fresh = CompiledForest.from_ranks(ranks)
+    fresh.annotate(values, both)
     assert stack.aggs.data.tobytes() == fresh.aggs.data.tobytes()
     rows = np.array([row for _off, _w, row in last_dim_nodes(stack)])
     trees, m, d = stack.shape[0], stack.width, ranks.shape[-1]
@@ -140,7 +143,7 @@ def _divide_by_zero(a, b):
 
 def test_a_refit_that_raises_leaves_aggs_as_it_was():
     sum0 = sum_of_dim(0)
-    stack, _ranks, coords = _stack(sum0)
+    stack, _ranks, coords = _stack(annotation_of(sum0))
     before, held = stack.aggs, stack.aggs.data.copy()
     poison = product_semigroup([sum0, Semigroup("poison", lambda pid, c: 1.0, _divide_by_zero, 0.0)])
     with pytest.raises(ZeroDivisionError):

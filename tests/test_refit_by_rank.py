@@ -59,7 +59,8 @@ def _same_column(got, want) -> bool:
 
 def _assert_refit_equals_a_build(tree, mach) -> None:
     """Every stack's ``aggs`` and every hat replica of ``tree`` equal
-    those of a build over its points under its annotation."""
+    those of a build over its points declared with its annotation — the
+    product of its layers, which that build holds as its one layer."""
     assert validate_tree(tree).ok
     with DistributedRangeTree.build(tree.points, machine=mach, semigroup=tree.semigroup) as fresh:
         for r in range(mach.p):
@@ -67,9 +68,9 @@ def _assert_refit_equals_a_build(tree, mach) -> None:
             assert got.keys() == want.keys()
             for j in got:
                 assert np.array_equal(got[j].pids, want[j].pids)
-                assert _same_column(got[j].aggs, want[j].aggs)
+                assert _same_column(got[j].aggs, want[j].aggs.layer(0))
             got_hat = tree.construct_result.hats[r]
-            assert _same_column(got_hat.aggs, fresh.construct_result.hats[r].aggs)
+            assert _same_column(got_hat.aggs, fresh.construct_result.hats[r].aggs.layer(0))
 
 
 @pytest.mark.parametrize("backend", ["serial", "process"])

@@ -575,10 +575,12 @@ def test_build_semigroup_kernelized_or_not_agree(d):
     dicts = {}
     for name, variant in _VARIANTS.items():
         with DistributedRangeTree.build(pts, p=4, semigroup=variant(base)) as tree:
+            # the declared product is the annotation's one layer
             if name == "builtin":
-                assert tree.semigroup.kernel == base.kernel and base.kernel.dtype is np.float64
+                assert tree.semigroup.kernel.component(0) == base.kernel
+                assert base.kernel.dtype is np.float64
             else:
-                _assert_object_twin(tree.semigroup)
+                _assert_object_twin(tree.semigroup.components[0])
             assert tree.hat.aggs.kernel == tree.semigroup.kernel
             built = tree.metrics
             rs = tree.run(batch)
@@ -602,13 +604,13 @@ def test_refit_from_kernel_to_object_storage_and_back():
     batch = [aggregate(b) for b in boxes]
     want = [bf_aggregate(pts, b, sg) for b in boxes]
     with DistributedRangeTree.build(pts, p=4, semigroup=sg) as tree:
-        assert tree.hat.aggs.kernel == sg.kernel
+        assert tree.hat.aggs.kernel.component(0) == sg.kernel
         first = tree.run(batch)
         tree.reannotate(unkernelized(sg))
-        assert isinstance(tree.hat.aggs.kernel, ObjectKernel)
+        assert isinstance(tree.hat.aggs.kernel.component(0), ObjectKernel)
         second = tree.run(batch)
         tree.reannotate(sg)
-        assert tree.hat.aggs.kernel == sg.kernel
+        assert tree.hat.aggs.kernel.component(0) == sg.kernel
         third = tree.run(batch)
     for rs in (second, third):
         for got, same, exp in zip(rs.values(), first.values(), want):
@@ -639,14 +641,15 @@ def test_failed_refit_leaves_the_tree_as_it_was(bad, via):
     sg = sum_of_dim(0)
     error = IndexError if bad.endswith("-object") else DimensionMismatch
     with DistributedRangeTree.build(pts, p=4, semigroup=sg) as tree:
+        prior = tree.semigroup
         before = tree.run([aggregate(box)]).values()
         with pytest.raises(error):
             if via == "reannotate":
                 tree.reannotate(_UNREADABLE[bad]())
             else:  # the engine's lazy refit, and its rollback
                 tree.run([aggregate(box, _UNREADABLE[bad]())])
-        assert tree.semigroup is sg and tree.base_semigroup is sg
-        assert tree.semigroup.kernel == sg.kernel == tree.hat.aggs.kernel
+        assert tree.semigroup is prior and tree.base_semigroup is sg
+        assert prior.components == (sg,) and prior.kernel == tree.hat.aggs.kernel
         after = tree.run([aggregate(box)]).values()
     _assert_same_value(after[0], before[0])
     assert after[0] == pytest.approx(bf_aggregate(pts, box, sg))
@@ -697,7 +700,8 @@ def test_object_storage_with_kernel_demux_counts():
     pts = uniform_points(48, 2, seed=61)
     boxes = selectivity_queries(12, 2, seed=62, selectivity=0.2)
     with DistributedRangeTree.build(pts, p=4, semigroup=id_set()) as tree:
-        assert isinstance(tree.semigroup.kernel, ObjectKernel)  # id_set has no typed form
+        # id_set has no typed form
+        assert isinstance(tree.semigroup.kernel.component(0), ObjectKernel)
         plan = tree.engine.plan(QueryBatch([count(b) for b in boxes]))
         assert tree.engine._fold_kernels(plan) == [COUNT.kernel]
         counts = tree.run([count(b) for b in boxes]).values()

@@ -178,7 +178,8 @@ class TestCorruptHat:
         tree = DistributedRangeTree.build(
             uniform_points(64, 2, seed=121), p=4, semigroup=top_k_ids(2)
         )
-        assert isinstance(tree.hat.aggs.kernel, ObjectKernel) and validate_tree(tree).ok
+        assert isinstance(tree.hat.aggs.kernel.component(0), ObjectKernel)
+        assert validate_tree(tree).ok
         tree.hat.aggs.data[0, 0] = ()
         _assert_caught(tree, "aggregate f(v) mismatch")
 
