@@ -25,7 +25,7 @@ Builds n=512, p=8 and runs an empty, a one-query and a 64-query
 * a refit rebinds only the hat's annotation (``one_hat_shape_failures``);
 * the forest walk makes one ``searchsorted`` and one closed-form cover per
   divided dimension whether an element holds 64 points or 2048
-  (``walk_shape_failures``); per rank, a pass over 1-6 parts or copies
+  (``walk_shape_failures``); per host, a pass over 1-6 parts or copies
   makes one hat walk and one forest walk per dimension (``forest_walk_failures``);
 * on a 64-query mixed pass no phase calls ``np.isin`` or builds a
   ``frozenset`` (the report mask is indexed, never rebuilt from a qid
@@ -274,9 +274,9 @@ def walk_shape_failures() -> list:
 
 
 def forest_walk_failures() -> list:
-    """Per rank and pass, one hat walk and one forest walk per dimension
-    however many stacks it holds: a p=8 hot-spot pass (copies replicated)
-    and dynamic passes over 1-6 parts (p=4, built as ``TestOnePass`` does)."""
+    """Per host (serial: all p ranks) and pass, one hat walk and one forest walk per
+    dimension however many stacks its ranks hold: a p=8 hot-spot pass (copies
+    replicated) and dynamic passes over 1-6 parts (p=4, as ``TestOnePass``)."""
     from unittest import mock
 
     from repro.cgm import phases
@@ -286,15 +286,16 @@ def forest_walk_failures() -> list:
     from repro.seq.compiled import CompiledForest
     from repro.workloads import make_points
 
-    ranks, calls, real_step5 = [], {}, phases.get_phase("dist.search.forest_cols")
+    hosts, calls, real_step5 = [], {}, phases.get_phase("dist.search.forest_cols")
 
-    def step5(ctx, payload):
-        inbox, shape, before = payload[0], hat_shape(ctx.p, 2), calls["CompiledForest.walk"]
-        eid, loc = (inbox.col(name)[inbox.col("kind") == 0] for name in ("element", "location"))
-        part, leaf = np.divmod(eid, shape.size)
-        dims, out = shape.dim[leaf].tolist(), real_step5(ctx, payload)
-        stacks = set(zip(part.tolist(), loc.tolist(), dims))
-        ranks.append((calls["CompiledForest.walk"] - before, len(set(dims)), len(stacks)))
+    def step5(ctxs, payloads):  # stacks: (rank, part, owner, dimension) the subqueries reach
+        shape, before, stacks = hat_shape(ctxs[0].p, 2), calls["CompiledForest.walk"], set()
+        for ctx, (inbox, *_rest) in zip(ctxs, payloads):
+            eid, loc = (inbox.col(name)[inbox.col("kind") == 0] for name in ("element", "location"))
+            part, leaf = np.divmod(eid, shape.size)
+            stacks |= {(ctx.rank, *st) for st in zip(part.tolist(), loc.tolist(), shape.dim[leaf].tolist())}
+        out = real_step5(ctxs, payloads)
+        hosts.append((calls["CompiledForest.walk"] - before, len({st[3] for st in stacks}), len(stacks)))
         return out
 
     boxes = [Box(((0.0, 0.3), (0.1, 0.9)))] * 48
@@ -304,19 +305,19 @@ def forest_walk_failures() -> list:
     with counting(calls, (CompiledForest, "walk"), (search, "walk_hats")), mock.patch.dict(
         phases._PHASES, {"dist.search.forest_cols": step5}
     ), DistributedRangeTree.build(make_points("uniform", 512, 2, seed=1), p=8) as tree:
-        rs, hats = tree.run([count(b) for b in boxes]), calls["repro.dist.search.walk_hats"]
+        rs = tree.run([count(b) for b in boxes])
         with DynamicDistributedRangeTree.build(coords[:128], p=4, flush_threshold=2) as dyn:
             for n, c in enumerate(coords[128:], 1):
                 dyn.insert(c)
                 if not (n + 1) & n:  # 1, 2, .., 6 buckets
                     dyn.run([count(b) for b in cuts * 4])
                     parts.append(len(dyn.bucket_sizes))
-    failures = [f"step 5 made {w} forest walks at a rank whose subqueries reach {dims} dimension(s)"
-                f" in {n} stacks: a walk per stack?" for w, dims, n in ranks if w > dims]
-    if calls["repro.dist.search.walk_hats"] - hats > 4 * len(parts):
-        hats = calls["repro.dist.search.walk_hats"] - hats
-        failures.append(f"passes over {parts} parts made {hats} hat walks on p=4 (max 4 each)")
-    if not replicated(rs) or parts != [1, 2, 3, 4, 5, 6] or not any(n > dims for _w, dims, n in ranks):
+    failures = [f"step 5 made {w} forest walks at a host whose subqueries reach {dims} dimension(s)"
+                f" in {n} stacks: a walk per stack?" for w, dims, n in hosts if w > dims]
+    if calls["repro.dist.search.walk_hats"] != 1 + len(parts) or len(hosts) != 1 + len(parts):
+        failures.append(f"a pass and passes over {parts} parts made {calls['repro.dist.search.walk_hats']}"
+                        f" hat walks and {len(hosts)} step-5 calls on one host (want one each a pass)")
+    if not replicated(rs) or parts != [1, 2, 3, 4, 5, 6] or not any(n > dims for _w, dims, n in hosts):
         failures.append(f"(no replication, {parts} parts, or no rank held two stacks of a dimension)")
     return failures
 
@@ -395,7 +396,7 @@ def report_mask_failures(tree, batch) -> list:
     forest_cols = get_phase("dist.search.forest_cols")
 
     def step5(rows: int) -> int:
-        """Python-level calls of step 5 on ``rows`` of ``owner``'s subqueries."""
+        """Python-level calls of step 5 on ``rows`` of ``owner``'s subqueries (a block of one)."""
         ctx = ProcContext(rank=owner, p=mach.p, state=mach.backend.states(mach.p)[owner])
         inbox = routing.take(np.resize(mine, rows))
         n = 0
@@ -406,7 +407,7 @@ def report_mask_failures(tree, batch) -> list:
 
         sys.setprofile(profile)
         try:
-            forest_cols(ctx, (inbox, (ns,), mask))
+            forest_cols([ctx], [(inbox, (ns,), mask)])
         finally:
             sys.setprofile(None)
         return n

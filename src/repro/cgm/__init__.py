@@ -9,7 +9,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ".backend": ("Backend", "SerialBackend", "make_backend", "available_backends"),
         ".process": ("ProcessBackend", "WorkerError"),
         "..errors": ("WorkerCrash",),
-        ".phases": ("register_phase", "get_phase", "registered_phases"),
+        ".phases": ("register_phase", "register_host_phase", "get_phase", "registered_phases"),
         ".cost": ("CostModel",),
         ".metrics": ("Metrics", "StepRecord"),
         ".collectives": ("alltoall_broadcast", "allgather"),

@@ -7,14 +7,12 @@ supersteps.  Two implementations ship, each under one name (the
 factory's error message and the CLI's ``--backend`` choices both read
 :func:`available_backends`, so they can never drift from the real set):
 
-* :class:`SerialBackend` — runs ranks in a loop, in-process.
-  Deterministic, zero overhead, the default for tests and benches
-  (per-processor work is still *measured* per processor, so scaling
-  claims are observable).
+* :class:`SerialBackend` — one host holding all ``p`` ranks, in-process.
+  Deterministic, zero overhead, the default for tests and benches.
 * :class:`~repro.cgm.process.ProcessBackend` — persistent worker
-  *processes*, one per rank.  Payloads and results cross the boundary by
-  pickle; rank state lives in the worker and never moves, so no rank can
-  reach another's state.  This is the backend that turns the theorems'
+  *processes*, each a host holding one rank.  Payloads and results cross
+  the boundary by pickle; rank state lives in the worker and never moves,
+  so no rank can reach another's state.  This is the backend that turns the theorems'
   measured speedups into wall-clock speedups.  Its module loads only
   when one is made, so an in-process run never compiles it.
 
@@ -25,8 +23,19 @@ serializes a handful of numpy column arrays (O(1) objects) instead of an
 object list with one dataclass per record.  The backends need no special
 casing: a batch is just a payload whose pickle happens to be flat.
 
-Both backends must produce bit-identical results and identical metric
-traces; tests assert this.
+A backend runs a phase once per **host**, over the block of ranks the
+host holds (:func:`run_block`): per rank, in rank order and before the
+body runs, it fires the fault site ``maybe_inject(phase, rank)``; the
+body runs once over the block (:func:`~repro.cgm.phases.host_body`);
+each rank's charged ops are its own ``ctx``'s, exactly as if it had run
+alone.  Wall-clock is measured per host, not per processor: the host's
+wall is split over its ranks in proportion to their charged ops (equal
+shares when none charged), so a step's ``seconds`` sum to the wall its
+hosts spent and a rank's share reads its part of the work at the host's
+pace.
+
+Both backends must produce bit-identical results and identical charged
+ops, rounds, h and bytes; tests assert this.
 """
 
 from __future__ import annotations
@@ -36,29 +45,46 @@ import time
 from types import MappingProxyType
 from typing import Any, List, Sequence, Tuple
 
+from ..errors import ProtocolError
 from ..faults import maybe_inject
-from .phases import ProcContext, get_phase
+from .phases import HostFn, ProcContext, host_body
 
 __all__ = [
     "Backend",
     "SerialBackend",
     "make_backend",
     "available_backends",
+    "run_block",
 ]
 
 #: ``(result, charged ops, wall seconds)`` for one rank of one phase.
 PhaseOutcome = Tuple[Any, int, float]
 
 
-def _invoke(fn, ctx: ProcContext, payload: Any, site: str) -> PhaseOutcome:
-    maybe_inject(site, ctx.rank)
+def run_block(
+    body: HostFn, ctxs: Sequence[ProcContext], payloads: Sequence[Any], site: str
+) -> List[PhaseOutcome]:
+    """One host's share of a phase: each rank's fault site in rank order,
+    then ``body`` once over the block, its wall split over the ranks in
+    proportion to their charged ops (equal shares when none charged)."""
+    for ctx in ctxs:
+        maybe_inject(site, ctx.rank)
     t0 = time.perf_counter()
-    result = fn(ctx, payload)
-    return result, ctx.ops, time.perf_counter() - t0
+    results = body(ctxs, payloads)
+    wall = time.perf_counter() - t0
+    if len(results) != len(ctxs):
+        raise ProtocolError(
+            f"phase {site!r} returned {len(results)} results for a block of {len(ctxs)} ranks"
+        )
+    ops = [ctx.ops for ctx in ctxs]
+    total = sum(ops)
+    shares = [wall * k / total for k in ops] if total else [wall / len(ops)] * len(ops)
+    return list(zip(results, ops, shares))
 
 
 class Backend:
-    """Abstract executor of per-processor compute phases.
+    """Abstract executor of compute phases, once per host over the ranks
+    it holds (:func:`run_block`).
 
     One rank-state contract holds on every backend: only compute phases
     write a rank's state; the driver reads it (``fetch_state``: live
@@ -86,7 +112,8 @@ class Backend:
 
 
 class SerialBackend(Backend):
-    """Run every virtual processor's phase in rank order, in-process."""
+    """One host holding every virtual processor, in-process: a phase runs
+    once over the block of all ``p`` ranks."""
 
     name = "serial"
 
@@ -102,11 +129,9 @@ class SerialBackend(Backend):
     def run_phase(
         self, p: int, phase: str, payloads: Sequence[Any]
     ) -> List[PhaseOutcome]:
-        fn = get_phase(phase)
-        return [
-            _invoke(fn, ProcContext(rank=r, p=p, state=st), payloads[r], phase)
-            for r, st in enumerate(self.states(p))
-        ]
+        body = host_body(phase)
+        ctxs = [ProcContext(rank=r, p=p, state=st) for r, st in enumerate(self.states(p))]
+        return run_block(body, ctxs, payloads, phase)
 
     def fetch_state(self, p: int, key: str) -> List[Any]:
         return [st.get(key) for st in self.states(p)]

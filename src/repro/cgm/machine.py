@@ -129,8 +129,9 @@ class Machine:
         omitted); the per-rank results come back in rank order.  Payloads
         and results must be serializable records on the process backend —
         anything a rank keeps between phases belongs in its rank-resident
-        state, not in the return value.  Charged ops and wall-clock are
-        recorded per rank under ``label``.
+        state, not in the return value.  Charged ops are recorded per
+        rank under ``label``, with each rank's share of its host's wall
+        (:func:`~repro.cgm.backend.run_block`).
         """
         if payloads is None:
             payloads = [None] * self.p

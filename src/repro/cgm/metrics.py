@@ -56,7 +56,8 @@ class StepRecord:
     label: str
     #: per-processor charged operation counts (compute) — empty for comm
     ops: tuple[int, ...] = ()
-    #: per-processor wall-clock seconds (compute) — empty for comm
+    #: per-processor share of its host's wall-clock seconds, split by
+    #: charged ops (compute) — empty for comm
     seconds: tuple[float, ...] = ()
     #: per-processor records sent / received (comm) — empty for compute
     sent: tuple[int, ...] = ()
@@ -227,7 +228,14 @@ class Metrics:
 
     @property
     def critical_seconds(self) -> float:
-        """Ideal parallel wall-clock: per step, the slowest processor."""
+        """Ideal parallel wall-clock: per step, the largest processor share.
+
+        A processor's seconds are its share of its host's measured wall,
+        split over the host's ranks by charged ops (equal shares when
+        none charged): on the process backend (a host per rank) the
+        slowest worker's wall; on the serial backend (one host) the
+        step's wall scaled by the busiest rank's share of its ops.
+        """
         return sum(s.max_seconds for s in self.compute_steps())
 
     def modeled_time(self, cost: CostModel) -> float:

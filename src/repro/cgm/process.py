@@ -1,8 +1,11 @@
 """The process backend: persistent supervised workers, one per rank.
 
-Compute phases travel by name and payloads by pickle; each rank's state
-lives in its worker and never moves (see :mod:`repro.cgm.backend` for
-the contract both backends keep).  Only a machine made with
+Each worker is a host holding one rank: it runs a phase's body over a
+block of one (:func:`~repro.cgm.backend.run_block`), the same body the
+serial backend runs over all ``p``.  Compute phases travel by name and
+payloads by pickle; each rank's state lives in its worker and never
+moves (see :mod:`repro.cgm.backend` for the contract both backends
+keep).  Only a machine made with
 ``backend="process"`` loads this module.
 """
 
@@ -14,8 +17,8 @@ import traceback
 from typing import Any, Dict, List, Sequence
 
 from ..errors import WorkerCrash
-from .backend import Backend, PhaseOutcome, _invoke
-from .phases import ProcContext, bootstrap, get_phase
+from .backend import Backend, PhaseOutcome, run_block
+from .phases import ProcContext, bootstrap, host_body
 
 __all__ = ["ProcessBackend", "WorkerError", "JOURNAL_TAIL"]
 
@@ -77,7 +80,7 @@ def _worker_main(rank: int, conn) -> None:
             if cmd == "phase":
                 _, name, payload, p = msg
                 try:
-                    fn = get_phase(name)
+                    body = host_body(name)
                 except KeyError:
                     if boot_failure is not None:
                         raise WorkerError(
@@ -86,7 +89,7 @@ def _worker_main(rank: int, conn) -> None:
                         ) from None
                     raise
                 ctx = ProcContext(rank=rank, p=p, state=state)
-                outcome = _invoke(fn, ctx, payload, name)
+                (outcome,) = run_block(body, [ctx], [payload], name)
                 try:
                     conn.send(("ok", outcome))
                 except Exception as exc:

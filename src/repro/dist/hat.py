@@ -22,8 +22,8 @@ no further communication.  Construct's hat holds no layer
 folded up level by level under the annotation's kernel.
 
 :func:`walk_hats` is step 1 of Algorithm Search: the four-case segment
-tree walk (§4) for a rank's query slice over every part of a pass as one
-frontier expansion, emitting dimension-``d`` selections and subquery
+tree walk (§4) for a host's query slices over every part of a pass as
+one frontier expansion, emitting dimension-``d`` selections and subquery
 continuations into the forest.  The same walk one query and one node at
 a time, the reference the batched walk is pinned against, is
 ``tests.helpers.hat_walk``.
@@ -340,7 +340,11 @@ class Hat:
 
 
 def walk_hats(
-    hats: Sequence[Hat], qlo: int, bounds: Sequence[Tuple[np.ndarray, np.ndarray]], report
+    hats: Sequence[Hat],
+    qlo: int,
+    bounds: Sequence[Tuple[np.ndarray, np.ndarray]],
+    report,
+    sizes: "Sequence[int] | None" = None,
 ) -> Tuple[RecordBatch, RecordBatch, RecordBatch, np.ndarray]:
     """Search step 1 for a whole query slice over every part at once.
 
@@ -353,13 +357,18 @@ def walk_hats(
     arrays); each iteration classifies every live pair into die/select/
     split/descend — row for row what a walk per query emits.
 
+    ``sizes`` cuts the slice into consecutive rank slices (a host's
+    block, laid end to end; default one slice): the output comes slice by
+    slice, each slice's rows what a walk of that slice alone emits.
+
     Returns ``(selections, subqueries, expansions, visits)``: the
     ``dist.hat_selection`` batch (``agg`` under the hats' kernel), two
     ``dist.search.routing`` batches — the surviving subqueries, and one
     expansion request per forest element tiling a selection whose query
     ``report`` marks — and the visited-node counts per ``part·nq + query``
-    (Theorem 3's charge; empty boxes visit nothing).  Rows come by part,
-    then query, then row, and name nodes and elements ``part·H + row``.
+    (Theorem 3's charge; empty boxes visit nothing).  Rows come by slice,
+    then part, then query, then row, and name nodes and elements
+    ``part·H + row``.
     """
     hat, parts, nq = hats[0], len(hats), len(report)
     shape = hat.shape.tiled(parts)
@@ -405,14 +414,17 @@ def walk_hats(
             [shape.desc[fn[down]], shape.left[fn[split]], shape.right[fn[split]]]
         )
 
-    sq = np.concatenate(sel_q) if sel_q else np.empty(0, np.int64)
-    sn = np.concatenate(sel_n) if sel_n else np.empty(0, np.int64)
-    order = np.lexsort((sn, sq))
-    sq, sn = sq[order], sn[order]
-    uq = np.concatenate(sub_q) if sub_q else np.empty(0, np.int64)
-    un = np.concatenate(sub_n) if sub_n else np.empty(0, np.int64)
-    order = np.lexsort((un, uq))
-    uq, un = uq[order], un[order]
+    # (slice,) part·nq + query, row: one lexsort per stream
+    slot = None if sizes is None or len(sizes) < 2 else np.repeat(np.arange(len(sizes)), sizes)
+
+    def ordered(qs: List[np.ndarray], ns: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+        q = np.concatenate(qs) if qs else np.empty(0, np.int64)
+        n = np.concatenate(ns) if ns else np.empty(0, np.int64)
+        order = np.lexsort((n, q) if slot is None else (n, q, slot[q % nq]))
+        return q[order], n[order]
+
+    sq, sn = ordered(sel_q, sel_n)
+    uq, un = ordered(sub_q, sub_n)
     sel_qid = qlo + sq % nq
 
     # expansions: each reporting selection's slice of its tree block

@@ -117,6 +117,10 @@ class InjectedFault(ReproError):
         self.site = site
         self.rank = rank
 
+    def __reduce__(self):
+        # across the process boundary with its site and rank, not just its text
+        return type(self), (self.site, self.rank, str(self))
+
 
 class ServeError(ReproError):
     """Errors raised by the query-service layer (:mod:`repro.serve`):

@@ -471,26 +471,33 @@ class CompiledForest:
                     for st, a, b in zip(stacks, [0] + cut, cut)
                 ]
             ) - start
+            # each temporary goes as soon as it is used: the last level's
+            # pairs are the walk's peak
+            del probe
             i, j = ends[:, 0], ends[:, 1]
             z = np.maximum(_bit_length(i ^ j) - 1, 0)
-            c = (j >> z) << z
-            sides = np.abs(ends - c[:, None])  # c − i, j − c
+            sides = np.abs(ends - ((j >> z) << z)[:, None])  # c − i, j − c
             level, masks = _cover_bits(int(z.max(initial=0)) + 1)
             hits = np.flatnonzero((sides.astype(masks.dtype)[:, :, None] & masks) != 0)
             pair = hits // len(level)
             t = level[hits - pair * len(level)]
+            del hits
             width = 1 << t
             # a pair's blocks tile [i, j) left to right
             length = j - i
             s = np.cumsum(width) - width + (i - (np.cumsum(length) - length))[pair]
+            del width
 
-            low = _trailing_zeros(np.array((sides[:, 0], sides[:, 1] | (1 << z), i | (1 << e))))
+            low = [_trailing_zeros(x) for x in (sides[:, 0], sides[:, 1] | (1 << z), i | (1 << e))]
+            del ends, i, j, sides
             seen = np.where(
                 length > 0,
                 np.bincount(pair, minlength=len(pq)) + e + z - low[0] - low[1],
                 np.maximum(e - low[2], 1),
             )
+            del low, z, length
             visits += np.bincount(pq, weights=seen, minlength=nq).astype(_I64)
+            del seen
 
             before, sibs = _path_sums(widest, r - k)
             at = (
@@ -499,12 +506,14 @@ class CompiledForest:
                 - before.take(t, axis=0)
                 + sibs.take(s, axis=0)
             )
+            del start, starts, s
             # the next dimension's pairs: each cover node's descendant tree
             pq, on, e, starts = pq[pair], on[pair], t, at[:, 1:]
+            del pair
         # each last-dimension node's aggs row (*Alignment*): a block-heap
         # row, or for a leaf its row's tail row, read in its own stack's
         # row_block (selections come grouped by stack)
-        off = at[:, 0]
+        off, width = at[:, 0], 1 << t
         m = 1 << top[on]
         pos = off & (m - 1)
         cut = np.bincount(on, minlength=len(stacks)).cumsum().tolist()

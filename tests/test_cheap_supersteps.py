@@ -393,7 +393,7 @@ def test_zero_row_walk_and_forest_match_the_general_path(kernelised):
             ctx = ProcContext(
                 rank=owner, p=mach.p, state=mach.backend.states(mach.p)[owner]
             )
-            return forest_cols(ctx, (inbox, (ns,), np.zeros(1, dtype=bool))), ctx.ops
+            return forest_cols([ctx], [(inbox, (ns,), np.zeros(1, dtype=bool))])[0], ctx.ops
 
         (idle_sel, idle_pairs), idle_ops = step5(routing.take(np.array([], int)))
         (gen_sel, gen_pairs), gen_ops = step5(missing)

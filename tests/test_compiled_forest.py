@@ -511,8 +511,8 @@ class TestSearchOutputParity:
                 ctx = ProcContext(
                     rank=owner, p=tree.p, state=mach.backend.states(tree.p)[owner]
                 )
-                sel_b, pair_b = get_phase("dist.search.forest_cols")(
-                    ctx, (mine, (ns,), report)
+                ((sel_b, pair_b),) = get_phase("dist.search.forest_cols")(
+                    [ctx], [(mine, (ns,), report)]
                 )
                 assert set(sel_b.cols) == {"qid", "element", "nleaves", "agg"}
                 assert list(pair_b) == [pair for pair in raw if pair[1] >= 0]

@@ -787,8 +787,9 @@ class TestOnePass:
             assert rs.metrics.rounds == 0
 
     def test_one_hat_walk_per_rank_whatever_the_bucket_count(self, monkeypatch):
-        """Step 1 walks every bucket's hat in one call per rank: at most
-        p calls per pass over 1-6 parts, each over all of them."""
+        """Step 1 walks every bucket's hat in one call per host: one call
+        per pass over 1-6 parts on the serial backend (one host of all p
+        ranks), over all of them."""
         from repro.dist import search
 
         p, walks, real = 4, [], search.walk_hats
@@ -807,7 +808,7 @@ class TestOnePass:
                     continue
                 walks.clear()
                 got = dyn.run(batch).values()
-                assert len(walks) <= p and set(walks) == {len(dyn.bucket_sizes)}
+                assert walks == [len(dyn.bucket_sizes)]
                 assert got == self._rebuilt(dyn, batch)[0]
                 parts.append(len(dyn.bucket_sizes))
         assert parts == [1, 2, 3, 4, 5, 6]
@@ -815,24 +816,25 @@ class TestOnePass:
     def test_one_forest_walk_per_rank_and_dimension_whatever_the_bucket_count(
         self, monkeypatch
     ):
-        """Step 5 walks, per rank and dimension, every stack it holds for
-        that dimension in one call: at most d walks per rank per pass over
-        1-6 parts, and a walk spans the parts."""
+        """Step 5 walks, per host and dimension, every stack any of its
+        ranks holds for that dimension in one call: on the serial backend
+        (one host of all p ranks) one step-5 call of at most d walks per
+        pass over 1-6 parts, and a walk spans the parts."""
         from repro.cgm import phases
         from repro.seq.compiled import CompiledForest
 
-        p, d, ranks = 4, 2, []  # per step-5 call: the stack count of each walk
+        p, d, hosts = 4, 2, []  # per step-5 call: the stack count of each walk
         real_walk, real_step5 = CompiledForest.walk, phases.get_phase("dist.search.forest_cols")
 
         def walk(stacks, *args):
-            ranks[-1].append(len(stacks))
+            hosts[-1].append(len(stacks))
             return real_walk(stacks, *args)
 
         monkeypatch.setattr(CompiledForest, "walk", staticmethod(walk))
         monkeypatch.setitem(
             phases._PHASES,
             "dist.search.forest_cols",
-            lambda ctx, payload: ranks.append([]) or real_step5(ctx, payload),
+            lambda ctxs, payloads: hosts.append([]) or real_step5(ctxs, payloads),
         )
         coords = _grid_coords(128 + 63, seed=44)
         batch = checkpoint_batch(self.BOXES * 2)
@@ -844,11 +846,11 @@ class TestOnePass:
                 dyn.insert(c)
                 if (n + 1) & n:
                     continue
-                ranks.clear()
+                hosts.clear()
                 got = dyn.run(batch).values()
-                assert len(ranks) == p and all(len(walks) <= d for walks in ranks)
+                assert len(hosts) == 1 and len(hosts[0]) <= d, hosts
                 assert got == self._rebuilt(dyn, batch)[0]
-                widest[len(dyn.bucket_sizes)] = max(max(walks, default=0) for walks in ranks)
+                widest[len(dyn.bucket_sizes)] = max(hosts[0], default=0)
         assert sorted(widest) == [1, 2, 3, 4, 5, 6]
         assert all(widest[parts] > 1 for parts in range(2, 7)), widest
 

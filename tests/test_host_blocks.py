@@ -1,0 +1,287 @@
+"""A host runs a phase once over the block of ranks it holds.
+
+The serial backend is one host of all ``p`` ranks, each process worker a
+host of one.  Search steps 1 and 5 are host phases: one hat walk and one
+forest walk per dimension over the whole block, cut back per rank.  What
+a rank emits, charges, sends and receives must not depend on the block it
+ran in; the fault sites still fire per rank before the body runs; and a
+host's measured wall is split over its ranks by charged ops.
+"""
+
+from __future__ import annotations
+
+import itertools
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from repro import Box
+from repro.cgm import Machine, register_host_phase
+from repro.cgm import backend as cgm_backend
+from repro.cgm import phases
+from repro.cgm.columns import RecordBatch
+from repro.cgm.phases import ProcContext, get_phase
+from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree
+from repro.dist.hat import walk_hats
+from repro.errors import InjectedFault, ProtocolError
+from repro.faults import FaultPlan, FaultRule, injected
+from repro.query import QueryBatch, aggregate, count, engine, report
+from repro.semigroup import sum_of_dim
+from repro.semigroup.kernels import KernelColumn
+from repro.workloads import make_points, make_queries
+
+from tests.helpers import STREAM_GROUP
+
+
+@register_host_phase("test.host_charge")
+def _phase_host_charge(ctxs, payloads):
+    """Charge each rank of the block its payload; one call per host."""
+    for ctx, k in zip(ctxs, payloads):
+        ctx.charge(k)
+    return [len(ctxs)] * len(ctxs)
+
+
+def _rows(batch: RecordBatch) -> tuple:
+    """A batch as plain values, column by column (bit-exact for floats)."""
+    cols = []
+    for name, col in batch.cols.items():
+        data = col.data if isinstance(col, KernelColumn) else col
+        cols.append((name, str(data.dtype), data.tolist()))
+    return batch.schema, len(batch), tuple(cols)
+
+
+def _steps(metrics) -> tuple:
+    return tuple(
+        (s.kind, s.label, s.ops, s.sent, s.received, s.sent_bytes) for s in metrics.steps
+    )
+
+
+class TestWallSplit:
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        """The backend's clock reads 0, 2, 4, ...: every host phase spans 2 s."""
+        ticks = itertools.count(0.0, 2.0)
+        monkeypatch.setattr(cgm_backend, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+
+    @pytest.mark.parametrize("phase", ["test.host_charge", "test.charge"])
+    def test_seconds_sum_to_the_host_wall_split_by_charged_ops(self, clock, phase):
+        with Machine(4) as mach:
+            with mach.scope() as trace:
+                mach.run_phase("charged", phase, [1, 3, 0, 4])
+                mach.run_phase("uncharged", phase, [0, 0, 0, 0])
+        charged, uncharged = trace.steps
+        assert charged.ops == (1, 3, 0, 4)
+        assert charged.seconds == (0.25, 0.75, 0.0, 1.0)
+        assert sum(charged.seconds) == 2.0
+        assert uncharged.seconds == (0.5,) * 4  # no rank charged: equal shares
+        assert trace.critical_seconds == 1.0 + 0.5
+
+    def test_a_search_pass_splits_each_walk_by_its_ranks_charges(self, clock):
+        pts = make_points("uniform", 512, 2, seed=5)
+        qs = make_queries("uniform", 40, 2, seed=6)
+        with DistributedRangeTree.build(pts, p=4) as tree:
+            steps = tree.run([count(q) for q in qs]).metrics.compute_steps()
+        walks = [s for s in steps if s.label in ("search:walk", "search:forest")]
+        assert [s.label for s in walks] == ["search:walk", "search:forest"]
+        for s in steps:
+            assert sum(s.seconds) == pytest.approx(2.0)
+        for s in walks:
+            assert sum(s.ops) > 0
+            assert list(s.seconds) == pytest.approx([2.0 * k / sum(s.ops) for k in s.ops])
+
+    def test_one_call_per_host(self):
+        with Machine(4) as mach:
+            assert mach.run_phase("a", "test.host_charge", [1, 1, 1, 1]) == [4] * 4
+
+
+@register_host_phase("test.host_short")
+def _phase_host_short(ctxs, payloads):
+    """One result for a whole block: a broken host body."""
+    return [None]
+
+
+def test_a_host_body_returns_one_result_per_rank():
+    with Machine(2) as mach, pytest.raises(ProtocolError, match="block of 2 ranks"):
+        mach.run_phase("short", "test.host_short", [None, None])
+
+
+class TestBlockEqualsRanksAlone:
+    """Steps 1 and 5 over a block give each rank what it gets alone."""
+
+    @pytest.mark.parametrize("d, parts", [(1, 1), (2, 1), (3, 1), (2, 3)])
+    def test_walk_and_forest_per_rank(self, d, parts):
+        pts = [make_points("uniform", 256, d, seed=40 + b) for b in range(parts)]
+        qs = make_queries("uniform", 14, d, seed=7)  # p = 4: slices 4, 4, 4, 2
+        mask = np.arange(len(qs)) % 2 == 0
+        trees = [DistributedRangeTree.build(x, p=4) for x in pts[:1]]
+        trees += [DistributedRangeTree.build(x, machine=trees[0].machine) for x in pts[1:]]
+        try:
+            mach, p = trees[0].machine, 4
+            nss = tuple(t.construct_result.ns for t in trees)
+            bounds = [t.ranked.to_rank_bounds(*Box.stack(qs)) for t in trees]
+            chunk = -(-len(qs) // p)
+            walk_payloads = [
+                (r * chunk, nss, [(lo[r * chunk : (r + 1) * chunk], hi[r * chunk : (r + 1) * chunk])
+                                  for lo, hi in bounds], mask[r * chunk : (r + 1) * chunk])
+                for r in range(p)
+            ]
+            walked, walk_ops = self._block_and_alone(mach, "dist.search.walk_cols", walk_payloads)
+            # every rank's subqueries and expansions, routed to their owners
+            routing = RecordBatch.concat([b for w in walked for b in w[1:3] if len(b)])
+            owner = routing.col("location")
+            inboxes = [routing.take(np.flatnonzero(owner == r)) for r in range(p)]
+            inboxes[1] = inboxes[1].islice(0, 0)  # an idle rank inside the block
+            self._block_and_alone(
+                mach, "dist.search.forest_cols", [(inboxes[r], nss, mask) for r in range(p)]
+            )
+            assert sum(walk_ops) > 0
+        finally:
+            for t in reversed(trees):
+                t.close()
+
+    @staticmethod
+    def _block_and_alone(mach, name, payloads):
+        p, body, states = mach.p, get_phase(name), mach.backend.states(mach.p)
+        block = [ProcContext(rank=r, p=p, state=states[r]) for r in range(p)]
+        together = body(block, payloads)
+        alone = []
+        for r in range(p):
+            ctx = ProcContext(rank=r, p=p, state=states[r])
+            alone.append((body([ctx], [payloads[r]])[0], ctx.ops))
+        for r in range(p):
+            got, want = together[r], alone[r][0]
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                if isinstance(g, RecordBatch):
+                    assert _rows(g) == _rows(w), (name, r)
+                else:
+                    assert g.tolist() == w.tolist(), (name, r)
+            assert block[r].ops == alone[r][1], (name, r)
+        return together, [ctx.ops for ctx in block]
+
+    def test_a_block_of_scattered_slices_is_refused(self):
+        with DistributedRangeTree.build(make_points("uniform", 64, 2, seed=1), p=2) as tree:
+            ns = tree.construct_result.ns
+            lo, hi = tree.ranked.to_rank_bounds(*Box.stack(make_queries("uniform", 4, 2, seed=2)))
+            payloads = [(0, (ns,), [(lo[:2], hi[:2])], np.zeros(2, bool)),
+                        (3, (ns,), [(lo[2:], hi[2:])], np.zeros(2, bool))]
+            states = tree.machine.backend.states(2)
+            ctxs = [ProcContext(rank=r, p=2, state=states[r]) for r in range(2)]
+            with pytest.raises(ProtocolError, match="consecutive"):
+                get_phase("dist.search.walk_cols")(ctxs, payloads)
+
+
+def test_walk_hats_orders_a_block_slice_by_slice():
+    """``sizes`` only reorders: each slice's rows are its own walk's."""
+    with DistributedRangeTree.build(make_points("uniform", 256, 2, seed=3), p=4) as tree:
+        qs = make_queries("uniform", 9, 2, seed=4)
+        lo, hi = tree.ranked.to_rank_bounds(*Box.stack(qs))
+        report_mask = np.ones(9, dtype=bool)
+        hats, sizes = [tree.hat, tree.hat], [4, 0, 3, 2]
+        block = walk_hats(hats, 5, [(lo, hi), (lo, hi)], report_mask, sizes)
+        starts = np.cumsum(sizes) - sizes
+        alone = [
+            walk_hats(hats, 5 + a, [(lo[a : a + n], hi[a : a + n])] * 2, report_mask[a : a + n])
+            for a, n in zip(starts, sizes)
+        ]
+        for i in range(3):
+            want = RecordBatch.concat([w[i] for w in alone])
+            assert _rows(block[i]) == _rows(want)
+
+
+class TestFaultPlane:
+    RULE = FaultRule("dist.search.forest_cols", "raise", rank=2, at=1)
+
+    def _failed_pass(self, backend: str):
+        pts = make_points("uniform", 256, 2, seed=9)
+        qs = make_queries("uniform", 24, 2, seed=10)
+        with injected(FaultPlan(rules=(self.RULE,), name="raise-rank2-step5")):
+            with DistributedRangeTree.build(pts, p=4, backend=backend) as tree:
+                with pytest.raises(InjectedFault) as exc:
+                    tree.run([count(q) for q in qs])
+        return exc.value
+
+    def test_a_raise_at_rank_2_fails_the_pass_alike_on_both_backends(self, monkeypatch):
+        entered, real = [], get_phase("dist.search.forest_cols")
+        monkeypatch.setitem(
+            phases._PHASES,
+            "dist.search.forest_cols",
+            lambda ctxs, payloads: entered.append([c.rank for c in ctxs]) or real(ctxs, payloads),
+        )
+        serial = self._failed_pass("serial")
+        assert entered == []  # the fault fired before the body: no rank produced output
+        process = self._failed_pass("process")
+        for exc in (serial, process):
+            assert (type(exc), str(exc), exc.site, exc.rank) == (
+                InjectedFault, "injected fault at dist.search.forest_cols on rank 2",
+                "dist.search.forest_cols", 2,
+            )
+
+
+class TestSerialProcessParity:
+    """One host of p ranks (serial) and p hosts of one rank (process)."""
+
+    @staticmethod
+    def _capture(monkeypatch) -> list:
+        """Each pass's ``(parts, SearchOutput)``."""
+        outs, real = [], engine.run_search
+
+        def run_search(mach, parts, **kwargs):
+            outs.append((len(parts), real(mach, parts, **kwargs)))
+            return outs[-1][1]
+
+        monkeypatch.setattr(engine, "run_search", run_search)
+        return outs
+
+    @staticmethod
+    def _search_rows(out) -> tuple:
+        return tuple(
+            tuple(_rows(b) for b in batches)
+            for batches in (out.hat_selections, out.forest_selections, out.report_pairs)
+        )
+
+    def _static(self, backend, d, monkeypatch):
+        outs = self._capture(monkeypatch)
+        pts = make_points("clustered", 300, d, seed=60 + d)
+        qs = make_queries("uniform", 30, d, seed=70 + d)
+        qs.append(Box([(-1.0, 2.0)] * d))  # all of the space: hat selections
+        cycle = (count, report, lambda b: aggregate(b, sum_of_dim(0)))
+        with DistributedRangeTree.build(pts, p=4, backend=backend) as tree:
+            built = tree.metrics
+            rs = tree.run(QueryBatch([cycle[i % 3](q) for i, q in enumerate(qs)]))
+        ((_parts, out),) = outs
+        return rs.values(), self._search_rows(out), _steps(built) + _steps(rs.metrics)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_mixed_batch(self, d, monkeypatch):
+        serial = self._static("serial", d, monkeypatch)
+        process = self._static("process", d, monkeypatch)
+        assert any(rows[1] for rows in serial[1][0]), "no hat selection"
+        assert process[0] == serial[0]
+        assert process[1] == serial[1]
+        assert process[2] == serial[2]
+
+    def _dynamic(self, backend, monkeypatch):
+        outs = self._capture(monkeypatch)
+        coords = (np.random.default_rng(44).integers(0, 17, size=(160, 2)) / 16).tolist()
+        boxes = [Box(((0.0, 0.5), (0.25, 1.0))), Box(((0.5, 1.0), (0.0, 0.75)))]
+        boxes.append(Box(((0.25, 0.75),) * 2))
+        with DynamicDistributedRangeTree.build(
+            coords[:128], p=4, backend=backend, semigroup=STREAM_GROUP, flush_threshold=2
+        ) as dyn:
+            for c in coords[128:]:
+                dyn.insert(c)
+                if len(dyn.bucket_sizes) == 3:
+                    break
+            assert len(dyn.bucket_sizes) == 3
+            outs.clear()
+            rs = dyn.run([(count, report, aggregate)[i % 3](b) for i, b in enumerate(boxes * 3)])
+        ((parts, out),) = outs
+        assert parts == 3  # every bucket is a part of the pass
+        return rs.values(), self._search_rows(out), _steps(rs.metrics)
+
+    def test_three_bucket_dynamic_pass(self, monkeypatch):
+        serial = self._dynamic("serial", monkeypatch)
+        process = self._dynamic("process", monkeypatch)
+        assert process == serial
