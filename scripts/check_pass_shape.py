@@ -280,7 +280,7 @@ def forest_walk_failures() -> list:
     from unittest import mock
 
     from repro.cgm import phases
-    from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree, search
+    from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree, search_walks
     from repro.dist.hat import hat_shape
     from repro.query import count
     from repro.seq.compiled import CompiledForest
@@ -302,7 +302,7 @@ def forest_walk_failures() -> list:
     boxes += [Box(((0.0, 0.55 + 0.03 * i), (0.05 * i, 0.9))) for i in range(14)]
     cuts = [Box(((0.0, 0.5), (0.25, 1.0))), Box(((0.5, 1.0), (0.0, 0.75))), Box(((0.25, 0.75),) * 2)]
     coords, parts = (np.random.default_rng(44).integers(0, 17, size=(191, 2)) / 16).tolist(), []
-    with counting(calls, (CompiledForest, "walk"), (search, "walk_hats")), mock.patch.dict(
+    with counting(calls, (CompiledForest, "walk"), (search_walks, "walk_hats")), mock.patch.dict(
         phases._PHASES, {"dist.search.forest_cols": step5}
     ), DistributedRangeTree.build(make_points("uniform", 512, 2, seed=1), p=8) as tree:
         rs = tree.run([count(b) for b in boxes])
@@ -314,8 +314,8 @@ def forest_walk_failures() -> list:
                     parts.append(len(dyn.bucket_sizes))
     failures = [f"step 5 made {w} forest walks at a host whose subqueries reach {dims} dimension(s)"
                 f" in {n} stacks: a walk per stack?" for w, dims, n in hosts if w > dims]
-    if calls["repro.dist.search.walk_hats"] != 1 + len(parts) or len(hosts) != 1 + len(parts):
-        failures.append(f"a pass and passes over {parts} parts made {calls['repro.dist.search.walk_hats']}"
+    if calls["repro.dist.search_walks.walk_hats"] != 1 + len(parts) or len(hosts) != 1 + len(parts):
+        failures.append(f"a pass and passes over {parts} parts made {calls['repro.dist.search_walks.walk_hats']}"
                         f" hat walks and {len(hosts)} step-5 calls on one host (want one each a pass)")
     if not replicated(rs) or parts != [1, 2, 3, 4, 5, 6] or not any(n > dims for _w, dims, n in hosts):
         failures.append(f"(no replication, {parts} parts, or no rank held two stacks of a dimension)")
@@ -323,7 +323,7 @@ def forest_walk_failures() -> list:
 
 
 #: The one function that may compare a pid with 0 between the hat walk and the demux.
-SENTINEL_FILTER = ["repro.dist.search._forest_output"]
+SENTINEL_FILTER = ["repro.dist.search_walks._forest_output"]
 
 
 def report_mask_failures(tree, batch) -> list:
@@ -333,7 +333,7 @@ def report_mask_failures(tree, batch) -> list:
     an array, a per-row decode in step 5) must stay gone."""
     from repro.cgm.machine import Machine
     from repro.cgm.phases import ProcContext, get_phase
-    from repro.dist import forest_compiled, hat, search
+    from repro.dist import forest_compiled, hat, search, search_walks
     from repro.query import engine
     from repro.semigroup.kernels import KernelColumn
 
@@ -421,7 +421,7 @@ def report_mask_failures(tree, batch) -> list:
         )
 
     filters = []
-    for module in (hat, search, forest_compiled, engine):
+    for module in (hat, search, search_walks, forest_compiled, engine):
         for fn in ast.walk(ast.parse(inspect.getsource(module))):
             if not isinstance(fn, ast.FunctionDef):
                 continue

@@ -51,8 +51,9 @@ from .labeling import is_valid_path
 from .search import SearchOutput, run_search
 
 # The dynamization and the validator load on first access.  Every module
-# that registers a phase (construct, search, this one) is imported above,
-# so BOOTSTRAP_MODULES' closure still registers them in spawned workers.
+# that registers a phase (construct, search and its walks, this one) is
+# imported above, so BOOTSTRAP_MODULES' closure still registers them in
+# spawned workers.
 _deferred, __getattr__, __dir__ = lazy_exports(
     __name__,
     {

@@ -790,11 +790,11 @@ class TestOnePass:
         """Step 1 walks every bucket's hat in one call per host: one call
         per pass over 1-6 parts on the serial backend (one host of all p
         ranks), over all of them."""
-        from repro.dist import search
+        from repro.dist import search_walks
 
-        p, walks, real = 4, [], search.walk_hats
+        p, walks, real = 4, [], search_walks.walk_hats
         monkeypatch.setattr(
-            search, "walk_hats", lambda hats, *args: walks.append(len(hats)) or real(hats, *args)
+            search_walks, "walk_hats", lambda hats, *args: walks.append(len(hats)) or real(hats, *args)
         )
         coords = _grid_coords(128 + 63, seed=44)
         batch = checkpoint_batch(self.BOXES * 2)  # unit_box meets every bucket
