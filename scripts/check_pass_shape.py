@@ -18,7 +18,7 @@ Builds n=512, p=8 and runs an empty, a one-query and a 64-query
   >= 100 tombstones no ``Box.contains_point`` (``object_loop_calls``);
 * on both backends a build, a lazy refit and a replicating pass construct
   no ``SegTree``, no pass calls ``CompiledForest.from_ranks``,
-  ``Hat.build`` runs once per rank per Construct and never on a pass, a
+  ``Hat.build`` runs once per host per Construct and never on a pass, a
   refit or outside a dynamic absorb's Construct, and no ``repro`` module
   holds a test reference (``RangeTree``, ``DimTree``, ``CanonicalSelection``,
   ``rank_bounds``, ``Hat.walk``; ``second_representation_calls``);
@@ -168,13 +168,13 @@ def second_representation_calls() -> dict:
             CompiledForest, "from_ranks"
         ) as builds, counting_across_forks(Hat, "build") as hats:
             with DistributedRangeTree.build(pts, p=8, backend=backend) as tree:
-                built = builds()
-                calls[f"Hat.build not once per rank in Construct ({backend})"] = hats() - tree.p
+                built, hosts = builds(), 1 if backend == "serial" else tree.p  # serial: one host
+                calls[f"Hat.build not once per host in Construct ({backend})"] = hats() - hosts
                 first = tree.run(hot)  # first pass after the build; replicates
                 tree.run([aggregate(hot_box, sum_of_dim(0))] * 64)  # lazy refit + pass
                 again = tree.run(hot)
                 calls[f"CompiledForest.from_ranks on a pass ({backend})"] = builds() - built
-                calls[f"Hat.build on a pass or a refit ({backend})"] = hats() - tree.p
+                calls[f"Hat.build on a pass or a refit ({backend})"] = hats() - hosts
         for rs in (first, again):
             if not replicated(rs):
                 calls[f"(a hot-spot pass replicated nothing on {backend})"] = 1
@@ -189,7 +189,7 @@ def second_representation_calls() -> dict:
             for c in coords[300:]:
                 dyn.insert(c)
             dyn.run([count(hot_box)])
-            calls["Hat.build outside Construct in dynamic absorbs"] = hats() - 4 * constructs()
+            calls["Hat.build outside Construct in dynamic absorbs"] = hats() - constructs()  # one host
             if not constructs():
                 calls["(no dynamic absorb was counted)"] = 1
     return calls

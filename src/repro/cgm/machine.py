@@ -226,18 +226,25 @@ class Machine:
         :meth:`exchange`; routed bytes are exact column sizes.
         ``template`` supplies the schema for destinations that receive
         nothing (any batch of the stream's schema works).
+
+        Inboxes are read-only: a broadcast puts one batch object in every
+        destination slot, so every destination of it receives one shared
+        inbox (and a lone batch arrives as the sender's own object).
         """
         self._validate_outboxes(outboxes)
         sent = [0] * self.p
         sent_bytes = [0] * self.p
         parts: list[list[RecordBatch]] = [[] for _ in range(self.p)]
         for src, procbox in enumerate(outboxes):
+            last = None  # a broadcast repeats one batch: size it once
             for dst, batch in enumerate(procbox):
                 if batch is not None:
                     parts[dst].append(batch)
                     if len(batch):
+                        if batch is not last:
+                            last, nbytes = batch, batch.nbytes
                         sent[src] += len(batch)
-                        sent_bytes[src] += batch.nbytes
+                        sent_bytes[src] += nbytes
         if template is None:
             template = next((b for part in parts for b in part), None)
         if template is None:
@@ -245,9 +252,16 @@ class Machine:
                 "exchange_batches needs at least one batch or a template "
                 "to shape empty inboxes"
             )
-        # one zero-row batch serves every rank that receives nothing
+        # one zero-row batch serves every rank that receives nothing, and
+        # one concatenation every rank after the first of a broadcast
+        # (batches compare by identity, so equal part lists are the same batches)
         nothing = RecordBatch.empty_like(template)
-        inboxes = [RecordBatch.concat(part) if part else nothing for part in parts]
+        inboxes: list[RecordBatch] = []
+        prev = None
+        for part in parts:
+            if part != prev:
+                merged, prev = (RecordBatch.concat(part) if part else nothing), part
+            inboxes.append(merged)
         received = [len(b) for b in inboxes]
         self.metrics.record_comm(label, sent, received, sent_bytes)
         return inboxes

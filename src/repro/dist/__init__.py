@@ -33,7 +33,7 @@ from .._lazy import lazy_exports
 from .._util import require_power_of_two
 from ..cgm.columns import RecordBatch
 from ..cgm.machine import Machine
-from ..cgm.phases import ProcContext, register_phase
+from ..cgm.phases import ProcContext, register_host_phase, register_phase
 from ..geometry.box import Box
 from ..geometry.point import PointSet
 from ..geometry.rankspace import RankedPointSet, pad_to_power_of_two
@@ -110,18 +110,28 @@ def _phase_refit_relabel(ctx: ProcContext, payload) -> RecordBatch:
     return RecordBatch.concat(roots)
 
 
-@register_phase("dist.refit.refresh_hat")
-def _phase_refit_refresh(ctx: ProcContext, payload) -> None:
-    """Refresh this rank's own hat replica from the broadcast roots.
+@register_host_phase("dist.refit.refresh_hat")
+def _phase_refit_refresh(ctxs: Sequence[ProcContext], payloads) -> list:
+    """Refresh every rank's own hat replica from the broadcast roots.
 
-    Every rank refreshes its replica; the work is charged to rank 0
-    alone, as one refresh of the replicated hat.
+    A host folds once per distinct roots batch and semigroup (a
+    broadcast delivers one to its whole block) and binds a copy of the
+    result on each other rank (:meth:`~repro.dist.hat.Hat.copy_annotation`).
+    The work is charged to rank 0 alone, as one refresh of the
+    replicated hat.
     """
-    roots, semigroup, ns = payload
-    hat = ctx.state[hat_key(ns)]
-    hat.refresh_aggregates(roots, semigroup)
-    if ctx.rank == 0:
-        ctx.charge(hat.size_nodes())
+    folded: dict = {}
+    for ctx, (roots, semigroup, ns) in zip(ctxs, payloads):
+        hat = ctx.state[hat_key(ns)]
+        source = folded.get((id(roots), id(semigroup)))
+        if source is None:
+            hat.refresh_aggregates(roots, semigroup)
+            folded[id(roots), id(semigroup)] = hat
+        else:
+            hat.copy_annotation(source)
+        if ctx.rank == 0:
+            ctx.charge(hat.size_nodes())
+    return [None] * len(ctxs)
 
 
 class DistributedRangeTree:

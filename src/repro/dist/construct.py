@@ -33,9 +33,9 @@ finale
     5. **Broadcast** every element's root — its hat leaf's row, its rank
        segment and its encoded aggregate, one ``dist.root`` batch per
        rank (:func:`repro.dist.hat.forest_roots`) — in 1 round; every
-       processor then seats the identical hat columns by row and folds
-       them up (:meth:`repro.dist.hat.Hat.build`) with zero further
-       rounds.
+       host then seats the identical hat columns by row once
+       (:meth:`repro.dist.hat.Hat.build`) and copies them to its other
+       ranks, with zero further rounds.
 
 The round count is ``6d + 1`` — fixed by ``d`` alone, never by ``n``,
 which is exactly what the Corollary 1 tests measure.
@@ -69,7 +69,7 @@ from .._util import require_power_of_two, slice_positions
 from ..cgm.collectives import allgather, route_batches
 from ..cgm.columns import RecordBatch
 from ..cgm.machine import Machine
-from ..cgm.phases import ProcContext, register_phase
+from ..cgm.phases import ProcContext, register_host_phase, register_phase
 from ..cgm.sort import sample_sort_cols
 from ..errors import MachineError
 from ..geometry.rankspace import RankedPointSet
@@ -143,17 +143,26 @@ class ConstructResult:
         ]
 
 
-@register_phase("dist.construct.build_hat")
-def _phase_build_hat(ctx: ProcContext, payload) -> None:
-    """Construct step 5 finale: every rank emits the identical hat.
+@register_host_phase("dist.construct.build_hat")
+def _phase_build_hat(ctxs: Sequence[ProcContext], payloads) -> list:
+    """Construct step 5 finale: every rank holds the identical hat.
 
-    The hat — its columns, the only form it has — stays rank-resident
-    under ``{ns}:hat``, one replica per rank; none crosses back.
+    A host builds it once per distinct roots batch (a broadcast delivers
+    one to its whole block) and gives each other rank its own replica
+    (:meth:`~repro.dist.hat.Hat.replica`); each rank is charged the
+    build it would make alone.  The hat — its columns, the only form it
+    has — stays rank-resident under ``{ns}:hat``; none crosses back.
     """
-    roots, d, n, p, ns = payload
-    hat = Hat.build(roots, d=d, n=n, p=p)
-    ctx.charge(hat.size_nodes())
-    ctx.state[hat_key(ns)] = hat
+    built: dict = {}
+    for ctx, (roots, d, n, p, ns) in zip(ctxs, payloads):
+        hat = built.get(id(roots))
+        if hat is None:
+            hat = built[id(roots)] = Hat.build(roots, d=d, n=n, p=p)
+        else:
+            hat = hat.replica()
+        ctx.charge(hat.size_nodes())
+        ctx.state[hat_key(ns)] = hat
+    return [None] * len(ctxs)
 
 
 @register_phase("dist.construct.scatter_cols")
@@ -319,7 +328,7 @@ def _construct(mach: Machine, ranked: RankedPointSet, ns: str) -> List[int]:
             mach.check_capacity(r, built[r]["held"])
         current = [built[r]["next_records"] for r in range(p)]
 
-    # -- step 5: broadcast forest roots; rebuild the identical hat locally --
+    # -- step 5: broadcast forest roots; build the identical hat per host --
     roots = [RecordBatch.concat(batches) for batches in roots_local]
     gathered = mach.exchange_batches("construct:roots", [[b] * p for b in roots], roots[0])
 

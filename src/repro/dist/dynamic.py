@@ -13,8 +13,9 @@ machine:
   :class:`~repro.cgm.machine.Machine`.  They are the only rank-resident
   state;
 * fresh inserts wait in a small **driver-side buffer**, a side set of
-  ids plus a ``(k, d)`` coordinate matrix: an update that does not
-  trigger an absorb touches no rank and is no superstep;
+  ids and coordinates whose arrays are built when a query or an absorb
+  reads them: an update that does not trigger an absorb is O(1),
+  touches no rank and is no superstep;
 * when the buffer reaches ``flush_threshold`` points it is **absorbed**:
   the buffered points plus every colliding bucket merge into one
   rebuilt bucket via the ordinary Construct machinery (amortised
@@ -58,6 +59,7 @@ from ..query.epochs import EpochCombiner
 from ..query.result import ResultSet
 from ..semigroup import COUNT, Semigroup
 from . import DistributedRangeTree
+from .sideset import SideSet
 
 import numpy as np
 
@@ -73,51 +75,6 @@ class _Bucket:
     #: tight ``(mins, maxs)`` over *all* its points — live and tombstoned —
     #: so pruning on it can never hide a pending aggregate subtraction
     bbox: Tuple[np.ndarray, np.ndarray]
-
-
-class _SideSet:
-    """A small driver-side point set: ids and a ``(k, d)`` coordinate
-    matrix, rows in arrival order.  The update buffer and the tombstones
-    are each one."""
-
-    def __init__(self, dim: int) -> None:
-        self.ids = np.empty(0, dtype=np.int64)
-        self.xy = np.empty((0, dim), dtype=np.float64)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __contains__(self, pid: int) -> bool:
-        return bool((self.ids == pid).any())
-
-    def add(self, pid: int, coords: Tuple[float, ...]) -> None:
-        self.ids = np.append(self.ids, pid)
-        self.xy = np.vstack((self.xy, coords))
-
-    def remove(self, pid: int) -> None:
-        keep = self.ids != pid
-        self.ids, self.xy = self.ids[keep], self.xy[keep]
-
-    def clear(self) -> None:
-        self.ids, self.xy = self.ids[:0], self.xy[:0]
-
-    def coords(self, pid: int) -> Tuple[float, ...]:
-        return tuple(self.xy[self.ids == pid][0].tolist())
-
-    def matches(self, lo: np.ndarray, hi: np.ndarray) -> Dict[int, List[int]]:
-        """Per query ``qid``, the ids of the rows inside the closed box
-        ``[lo[qid], hi[qid]]`` in ascending order — one broadcast
-        comparison for the whole batch."""
-        out: Dict[int, List[int]] = {}
-        if not (len(lo) and len(self.ids)):
-            return out
-        inside = ((self.xy >= lo[:, None]) & (self.xy <= hi[:, None])).all(axis=2)
-        qid, k = np.nonzero(inside)
-        pid = self.ids[k]
-        order = np.lexsort((pid, qid))
-        for q, i in zip(qid[order].tolist(), pid[order].tolist()):
-            out.setdefault(q, []).append(i)
-        return out
 
 
 def _bbox_hits_any(bbox, batch: QueryBatch) -> bool:
@@ -169,9 +126,9 @@ class DynamicDistributedRangeTree:
         #: every live point, by id
         self._coords_by_id: Dict[int, Tuple[float, ...]] = {}
         #: live points not yet absorbed into a bucket
-        self._buffer = _SideSet(dim)
+        self._buffer = SideSet(dim)
         #: deleted points still held by some bucket (the tombstones)
-        self._dead = _SideSet(dim)
+        self._dead = SideSet(dim)
         self._next_auto_id = 0
         self._rebuild_points = 0
         self._pruned_bucket_passes = 0

@@ -15,7 +15,7 @@ every group, element and segment tree by it, so a row is a node's one
 name from Construct to Search.  A :class:`Hat` is that shape plus one
 tree's segments, leaf counts and ``f(v)``, seated by :meth:`Hat.build`
 from the ``dist.root`` batch Construct step 5 broadcasts
-(:func:`forest_roots`), so every processor emits bit-identical rows with
+(:func:`forest_roots`), so every processor holds bit-identical rows with
 no further communication.  Construct's hat holds no layer
 (:data:`~repro.semigroup.NO_LAYERS`); a refit
 (:meth:`Hat.refresh_aggregates`) rebinds the aggregate column alone,
@@ -307,6 +307,13 @@ class Hat:
         hat.idle = walk_hats([hat], 0, [(none, none)], np.zeros(0, dtype=bool))
         return hat
 
+    def replica(self) -> "Hat":
+        """Another rank's own replica of this hat: its own copies of the
+        tree's arrays (``lo``, ``hi``, ``nleaves``, ``aggs``); the shape
+        and the ``idle`` output, both read-only, stay shared."""
+        copies = {name: getattr(self, name).copy() for name in ("lo", "hi", "nleaves", "aggs")}
+        return Hat(**{**vars(self), **copies})
+
     def size_nodes(self) -> int:
         """Total node count ``|H|`` (Theorem 1: ``O(p log^{d-1} p)``)."""
         return self.shape.size
@@ -331,6 +338,12 @@ class Hat:
         aggs = _fold(semigroup.kernel, aggs, self.shape)
         idle = (self.idle[0].with_col("agg", aggs[:0]), *self.idle[1:])
         self.semigroup, self.aggs, self.idle = semigroup, aggs, idle
+
+    def copy_annotation(self, other: "Hat") -> None:
+        """Bind a copy of replica ``other``'s annotation: what
+        :meth:`refresh_aggregates` binds from the roots ``other`` was
+        refreshed from, without folding them again."""
+        self.semigroup, self.aggs, self.idle = other.semigroup, other.aggs.copy(), other.idle
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

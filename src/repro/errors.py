@@ -26,7 +26,21 @@ __all__ = [
 
 
 class ReproError(Exception):
-    """Base class for all errors raised by the repro library."""
+    """Base class for all errors raised by the repro library.
+
+    Every subclass pickles as it is: its message and attributes, not its
+    constructor's arguments, cross a process boundary (a phase that
+    raises on a worker raises the same error in the driver).
+    """
+
+    def __reduce__(self):
+        return _restore, (type(self), self.args), self.__dict__
+
+
+def _restore(cls: type, args: tuple) -> ReproError:
+    """An unpickled :class:`ReproError`: made without its ``__init__``,
+    its attributes set from the pickled state afterwards."""
+    return cls.__new__(cls, *args)
 
 
 class GeometryError(ReproError):
@@ -116,10 +130,6 @@ class InjectedFault(ReproError):
         super().__init__(message or f"injected fault at {where}")
         self.site = site
         self.rank = rank
-
-    def __reduce__(self):
-        # across the process boundary with its site and rank, not just its text
-        return type(self), (self.site, self.rank, str(self))
 
 
 class ServeError(ReproError):

@@ -614,6 +614,9 @@ class KernelColumn:
     def islice(self, start: int, stop: int) -> "KernelColumn":
         return KernelColumn(self.kernel, self.data[start:stop])
 
+    def copy(self) -> "KernelColumn":
+        return KernelColumn(self.kernel, self.data.copy())
+
     def repeat(self, k: int) -> "KernelColumn":
         return KernelColumn(self.kernel, np.repeat(self.data, k, axis=0))
 

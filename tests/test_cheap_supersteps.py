@@ -487,6 +487,26 @@ def test_record_list_round_bytes_are_deterministic_and_sized_once(monkeypatch):
     assert step.sent_bytes == (8 * real([(0, 0)]),) * 8
 
 
+def test_batch_broadcast_bytes_are_sized_once_and_unchanged(monkeypatch):
+    """A broadcast of batches sizes each distinct batch once, keeps its
+    per-destination bytes, and concatenates one inbox for every rank."""
+    batches = [
+        RecordBatch("t", {"v": np.arange(r + 1, dtype=np.int64), "w": np.ones((r + 1, 2))})
+        for r in range(8)
+    ]
+    want = [8 * b.nbytes for b in batches]
+    sized, real = [], RecordBatch.nbytes
+    monkeypatch.setattr(RecordBatch, "nbytes", property(lambda b: sized.append(b) or real.fget(b)))
+    with Machine(8) as mach:
+        inboxes = mach.exchange_batches("g", [[b] * 8 for b in batches], batches[0])
+        step = mach.metrics.steps[-1]
+    assert len(sized) == 8 and {id(b) for b in sized} == {id(b) for b in batches}
+    assert step.sent_bytes == tuple(want)
+    assert step.sent == tuple(8 * len(b) for b in batches) and step.received == (36,) * 8
+    assert all(inbox is inboxes[0] for inbox in inboxes)
+    assert inboxes[0].col("v").tolist() == [v for b in batches for v in b.col("v").tolist()]
+
+
 # ---------------------------------------------------------------------------
 # satellite: per-pass metrics cost nothing of the uptime
 # ---------------------------------------------------------------------------

@@ -17,9 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cgm import Machine
-from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree
+from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree, sideset
+from repro.dist.sideset import SideSet
 from repro.errors import DimensionMismatch, GeometryError, ReproError
 from repro.geometry import Box, PointSet
 from repro.query import (
@@ -522,6 +525,81 @@ class TestSideScansAreClosed:
             for c in (grid[7], live[7], grid[3], grid[2]):
                 boxes += self._faces_through(c)
             self._check(dt, live, boxes)
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 7), st.tuples(*[st.integers(0, 4)] * 2)),
+        st.tuples(st.sampled_from(["remove", "in", "coords"]), st.integers(0, 7)),
+        st.tuples(st.sampled_from(["clear", "read"])),
+        st.tuples(st.just("matches"), st.lists(st.tuples(*[st.integers(0, 4)] * 4), max_size=3)),
+    ),
+    max_size=40,
+)
+
+
+class TestSideSet:
+    """The update buffer and the tombstones: a dict of distinct ids in
+    arrival order, arrays built on read for the rows added since."""
+
+    @staticmethod
+    def _same_rows(side, model):
+        assert len(side) == len(model)
+        assert side.ids.tolist() == [pid for pid, _c in model]
+        assert side.xy.tolist() == [list(c) for _pid, c in model]
+        assert side.ids.dtype == np.int64 and side.xy.shape == (len(model), 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ops=_OPS)
+    def test_agrees_with_a_plain_list(self, ops):
+        side, model = SideSet(2), []  # model: [(pid, coords)] in arrival order
+        for op, *args in ops:
+            ids = [pid for pid, _c in model]
+            if op == "add":
+                pid, (x, y) = args
+                if pid in ids:  # a side set holds each id once
+                    continue
+                side.add(pid, (x / 4, y / 4))
+                model.append((pid, (x / 4, y / 4)))
+            elif op == "remove":
+                side.remove(args[0])
+                model = [row for row in model if row[0] != args[0]]
+            elif op == "clear":
+                side.clear()
+                model = []
+            elif op == "read":
+                self._same_rows(side, model)
+            elif op == "in":
+                assert (args[0] in side) == (args[0] in ids)
+            elif op == "coords":
+                if args[0] in ids:
+                    assert side.coords(args[0]) == dict(model)[args[0]]
+            else:
+                boxes = [(min(a, b) / 4, max(a, b) / 4, min(c, e) / 4, max(c, e) / 4)
+                         for a, b, c, e in args[0]]
+                lo = np.array([[x0, y0] for x0, _x1, y0, _y1 in boxes]).reshape(-1, 2)
+                hi = np.array([[x1, y1] for _x0, x1, _y0, y1 in boxes]).reshape(-1, 2)
+                want = {}
+                for q, (x0, x1, y0, y1) in enumerate(boxes):
+                    inside = sorted(pid for pid, (x, y) in model if x0 <= x <= x1 and y0 <= y <= y1)
+                    if inside:
+                        want[q] = inside
+                assert side.matches(lo, hi) == want
+            assert len(side) == len(model)
+        self._same_rows(side, model)
+
+    def test_an_update_builds_no_array(self, monkeypatch):
+        side = SideSet(2)
+        side.add(1, (0.5, 0.5))
+        assert side.ids.tolist() == [1]  # built on read
+        monkeypatch.setattr(sideset, "np", None)  # any numpy call raises
+        side.add(2, (0.25, 0.75))
+        side.add(3, (0.0, 1.0))
+        side.remove(1)
+        assert 2 in side and side.coords(3) == (0.0, 1.0) and len(side) == 2
+        monkeypatch.undo()
+        assert side.ids.tolist() == [2, 3]
+        assert side.xy.tolist() == [[0.25, 0.75], [0.0, 1.0]]
 
 
 class TestDifferentialQuick:

@@ -2,7 +2,9 @@
 
 The serial backend is one host of all ``p`` ranks, each process worker a
 host of one.  Search steps 1 and 5 are host phases: one hat walk and one
-forest walk per dimension over the whole block, cut back per rank.  What
+forest walk per dimension over the whole block, cut back per rank.  So
+are Construct's hat build and the refit's hat refresh: built or folded
+once per host, copied to each other rank's own replica.  What
 a rank emits, charges, sends and receives must not depend on the block it
 ran in; the fault sites still fire per rank before the body runs; and a
 host's measured wall is split over its ranks by charged ops.
@@ -11,6 +13,7 @@ host's measured wall is split over its ranks by charged ops.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,12 +25,12 @@ from repro.cgm import backend as cgm_backend
 from repro.cgm import phases
 from repro.cgm.columns import RecordBatch
 from repro.cgm.phases import ProcContext, get_phase
-from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree
-from repro.dist.hat import walk_hats
+from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree, validate_tree
+from repro.dist.hat import Hat, walk_hats
 from repro.errors import InjectedFault, ProtocolError
 from repro.faults import FaultPlan, FaultRule, injected
 from repro.query import QueryBatch, aggregate, count, engine, report
-from repro.semigroup import sum_of_dim
+from repro.semigroup import max_of_dim, sum_of_dim
 from repro.semigroup.kernels import KernelColumn
 from repro.workloads import make_points, make_queries
 
@@ -284,4 +287,71 @@ class TestSerialProcessParity:
     def test_three_bucket_dynamic_pass(self, monkeypatch):
         serial = self._dynamic("serial", monkeypatch)
         process = self._dynamic("process", monkeypatch)
+        assert process == serial
+
+
+class TestConstructAndRefitHostPhases:
+    """The hat build and the hat refresh run once per host: the serial
+    backend builds and folds one hat and gives every other rank its own
+    copy; a process worker, a host of one, builds and folds its own."""
+
+    @staticmethod
+    def _counting(monkeypatch, tmp_path):
+        """Count ``Hat.build`` and ``Hat.refresh_aggregates`` calls here and
+        in workers forked after the patch (one line per call to a file)."""
+        log = tmp_path / "calls"
+        log.touch()
+        real_build, real_refresh = Hat.build.__func__, Hat.refresh_aggregates
+
+        def build(cls, *args, **kwargs):
+            with open(log, "a") as f:
+                f.write("build\n")
+            return real_build(cls, *args, **kwargs)
+
+        def refresh(self, *args, **kwargs):
+            with open(log, "a") as f:
+                f.write("refresh\n")
+            return real_refresh(self, *args, **kwargs)
+
+        monkeypatch.setattr(Hat, "build", classmethod(build))
+        monkeypatch.setattr(Hat, "refresh_aggregates", refresh)
+        return lambda: Counter(log.read_text().split())
+
+    @staticmethod
+    def _build_and_refit(backend: str):
+        """A build under ``sum[x0]`` (Construct + one refit), one more
+        refit; the trace of each and every rank's replica after."""
+        pts = make_points("clustered", 300, 2, seed=81)
+        with DistributedRangeTree.build(pts, p=4, backend=backend, semigroup=sum_of_dim(0)) as tree:
+            built = tree.metrics
+            tree.reannotate(max_of_dim(1))
+            hats = list(tree.construct_result.hats)
+            return _steps(built) + _steps(tree.metrics), hats, validate_tree(tree).ok
+
+    @pytest.mark.parametrize("backend, hosts", [("serial", 1), ("process", 4)])
+    def test_build_and_refresh_run_once_per_host(self, backend, hosts, monkeypatch, tmp_path):
+        calls = self._counting(monkeypatch, tmp_path)
+        _steps_, _hats, ok = self._build_and_refit(backend)
+        assert ok
+        # one build; two refits (the build's annotation, the reannotate)
+        assert calls() == Counter(build=hosts, refresh=2 * hosts)
+
+    def test_every_rank_holds_its_own_replica(self):
+        _steps_, hats, ok = self._build_and_refit("serial")
+        assert ok and len({id(h) for h in hats}) == 4
+        first = hats[0]
+        for hat in hats[1:]:
+            assert hat.shape is first.shape
+            for col in ("lo", "hi", "nleaves"):
+                mine, theirs = getattr(hat, col), getattr(first, col)
+                assert np.array_equal(mine, theirs) and not np.shares_memory(mine, theirs)
+            assert hat.aggs.kernel == first.aggs.kernel
+            assert np.array_equal(hat.aggs.data, first.aggs.data)
+            assert not np.shares_memory(hat.aggs.data, first.aggs.data)
+
+    def test_build_and_refit_steps_match_across_backends(self):
+        serial, _hats, _ok = self._build_and_refit("serial")
+        process, _hats, _ok = self._build_and_refit("process")
+        labels = [step[1] for step in serial]
+        assert "construct:build-hat" in labels and "reannotate:refresh-hat" in labels
         assert process == serial

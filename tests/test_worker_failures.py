@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.cgm import Machine, ProcessBackend, register_phase
-from repro.errors import WorkerCrash
+from repro.errors import DimensionMismatch, WorkerCrash
 from repro.cgm.process import JOURNAL_TAIL, WorkerError
 
 
@@ -53,6 +53,13 @@ def _phase_unpicklable(ctx, payload):
     return ctx.rank
 
 
+@register_phase("wf.mismatch")
+def _phase_mismatch(ctx, payload):
+    if ctx.rank == payload:
+        raise DimensionMismatch(2, 5, "box")
+    return ctx.rank
+
+
 @register_phase("wf.stall")
 def _phase_stall(ctx, payload):
     if ctx.rank == payload:
@@ -80,6 +87,20 @@ class TestStructuredCrashes:
             # the pool survives a raised (not crashed) worker
             out = backend.run_phase(2, "wf.echo", [7, 8])
             assert [o[0] for o in out] == [7, 8]
+        finally:
+            backend.close()
+
+    def test_a_library_error_reaches_the_driver_as_raised(self):
+        backend = ProcessBackend()
+        try:
+            with pytest.raises(DimensionMismatch) as exc:
+                backend.run_phase(2, "wf.mismatch", [1, 1])
+            assert (str(exc.value), exc.value.expected, exc.value.got) == (
+                "expected box of dimension 2, got 5", 2, 5,
+            )
+            # every reply was read: the next command gets its own
+            out = backend.run_phase(2, "wf.echo", [3, 4])
+            assert [o[0] for o in out] == [3, 4]
         finally:
             backend.close()
 
