@@ -168,7 +168,7 @@ def second_representation_calls() -> dict:
             CompiledForest, "from_ranks"
         ) as builds, counting_across_forks(Hat, "build") as hats:
             with DistributedRangeTree.build(pts, p=8, backend=backend) as tree:
-                built, hosts = builds(), 1 if backend == "serial" else tree.p  # serial: one host
+                built, hosts = builds(), len(tree.machine.backend.blocks(tree.p))
                 calls[f"Hat.build not once per host in Construct ({backend})"] = hats() - hosts
                 first = tree.run(hot)  # first pass after the build; replicates
                 tree.run([aggregate(hot_box, sum_of_dim(0))] * 64)  # lazy refit + pass

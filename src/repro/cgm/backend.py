@@ -10,7 +10,7 @@ factory's error message and the CLI's ``--backend`` choices both read
 * :class:`SerialBackend` — one host holding all ``p`` ranks, in-process.
   Deterministic, zero overhead, the default for tests and benches.
 * :class:`~repro.cgm.process.ProcessBackend` — persistent worker
-  *processes*, each a host holding one rank.  Payloads and results cross
+  *processes*, each a host holding a block of ranks.  Payloads and results cross
   the boundary by pickle; rank state lives in the worker and never moves,
   so no rank can reach another's state.  This is the backend that turns the theorems'
   measured speedups into wall-clock speedups.  Its module loads only
@@ -24,7 +24,7 @@ object list with one dataclass per record.  The backends need no special
 casing: a batch is just a payload whose pickle happens to be flat.
 
 A backend runs a phase once per **host**, over the block of ranks the
-host holds (:func:`run_block`): per rank, in rank order and before the
+host holds (:meth:`RankStore.run_block`): per rank, in rank order and before the
 body runs, it fires the fault site ``maybe_inject(phase, rank)``; the
 body runs once over the block (:func:`~repro.cgm.phases.host_body`);
 each rank's charged ops are its own ``ctx``'s, exactly as if it had run
@@ -43,48 +43,83 @@ from __future__ import annotations
 import sys
 import time
 from types import MappingProxyType
-from typing import Any, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from ..errors import ProtocolError
 from ..faults import maybe_inject
-from .phases import HostFn, ProcContext, host_body
+from .phases import ProcContext, host_body
 
 __all__ = [
     "Backend",
     "SerialBackend",
+    "RankStore",
     "make_backend",
     "available_backends",
-    "run_block",
 ]
 
 #: ``(result, charged ops, wall seconds)`` for one rank of one phase.
 PhaseOutcome = Tuple[Any, int, float]
 
 
-def run_block(
-    body: HostFn, ctxs: Sequence[ProcContext], payloads: Sequence[Any], site: str
-) -> List[PhaseOutcome]:
-    """One host's share of a phase: each rank's fault site in rank order,
-    then ``body`` once over the block, its wall split over the ranks in
-    proportion to their charged ops (equal shares when none charged)."""
-    for ctx in ctxs:
-        maybe_inject(site, ctx.rank)
-    t0 = time.perf_counter()
-    results = body(ctxs, payloads)
-    wall = time.perf_counter() - t0
-    if len(results) != len(ctxs):
-        raise ProtocolError(
-            f"phase {site!r} returned {len(results)} results for a block of {len(ctxs)} ranks"
-        )
-    ops = [ctx.ops for ctx in ctxs]
-    total = sum(ops)
-    shares = [wall * k / total for k in ops] if total else [wall / len(ops)] * len(ops)
-    return list(zip(results, ops, shares))
+class RankStore:
+    """One host's rank-resident state, ``{rank: dict}`` (a rank's dict made
+    on its first use, never dropped), and the commands a host runs on it:
+    the serial backend keeps one for all ``p`` ranks, each process worker
+    one for the blocks it holds."""
+
+    def __init__(self) -> None:
+        self.states: Dict[int, dict] = {}
+
+    def run(self, command: tuple) -> Any:
+        """Run one host command: a method's name, the block, its arguments."""
+        name, *args = command
+        return getattr(self, name)(*args)
+
+    def block(self, ranks: Sequence[int]) -> List[dict]:
+        return [self.states.setdefault(r, {}) for r in ranks]
+
+    def run_block(
+        self, ranks: Sequence[int], p: int, phase: str, payloads: Sequence[Any]
+    ) -> List[PhaseOutcome]:
+        """One host's share of a phase: each rank's fault site in rank
+        order, then the body once over the block, its wall split over the
+        ranks in proportion to their charged ops (equal shares when none
+        charged)."""
+        body = host_body(phase)
+        ctxs = [ProcContext(rank=r, p=p, state=st) for r, st in zip(ranks, self.block(ranks))]
+        for ctx in ctxs:
+            maybe_inject(phase, ctx.rank)
+        t0 = time.perf_counter()
+        results = body(ctxs, payloads)
+        wall = time.perf_counter() - t0
+        if len(results) != len(ctxs):
+            raise ProtocolError(
+                f"phase {phase!r} returned {len(results)} results for a block of {len(ctxs)} ranks"
+            )
+        ops = [ctx.ops for ctx in ctxs]
+        total = sum(ops)
+        shares = [wall * k / total for k in ops] if total else [wall / len(ops)] * len(ops)
+        return list(zip(results, ops, shares))
+
+    def fetch(self, ranks: Sequence[int], key: str) -> List[Any]:
+        return [st.get(key) for st in self.block(ranks)]
+
+    def evict(self, ranks: Sequence[int], key: str) -> None:
+        for st in self.block(ranks):
+            st.pop(key, None)
+
+    def snapshot(self, ranks: Sequence[int]) -> Dict[int, dict]:
+        """The whole store, every layout's ranks (for :meth:`restore`)."""
+        return self.states
+
+    def restore(self, ranks: Sequence[int], states: Dict[int, dict]) -> None:
+        self.states = states
 
 
 class Backend:
-    """Abstract executor of compute phases, once per host over the ranks
-    it holds (:func:`run_block`).
+    """Abstract executor of compute phases: hosts laid out over the ranks
+    (:meth:`blocks`), each running commands on its :class:`RankStore`
+    (:meth:`on_hosts`), their replies flattened here into rank order.
 
     One rank-state contract holds on every backend: only compute phases
     write a rank's state; the driver reads it (``fetch_state``: live
@@ -94,18 +129,31 @@ class Backend:
 
     name = "abstract"
 
+    def blocks(self, p: int) -> List[range]:
+        """The rank layout: each host's block of ranks, in host order."""
+        return [range(p)]
+
+    def on_hosts(self, p: int, what: str, command: Callable[[range], tuple]) -> List[Any]:
+        """Run ``command(block)`` (:meth:`RankStore.run`) on each host of a
+        ``p``-rank machine; one reply per host, in host order."""
+        raise NotImplementedError
+
     def run_phase(
         self, p: int, phase: str, payloads: Sequence[Any]
     ) -> List[PhaseOutcome]:
-        raise NotImplementedError
+        hosts = self.on_hosts(
+            p, phase, lambda b: ("run_block", b, p, phase, payloads[b.start : b.stop])
+        )
+        return [outcome for outcomes in hosts for outcome in outcomes]
 
     def fetch_state(self, p: int, key: str) -> List[Any]:
         """Per-rank value of one state key (``None`` where absent)."""
-        raise NotImplementedError
+        hosts = self.on_hosts(p, f"fetch:{key}", lambda b: ("fetch", b, key))
+        return [value for values in hosts for value in values]
 
     def evict_state(self, p: int, key: str) -> None:
         """Delete one state key on every rank, so it leaves no trace."""
-        raise NotImplementedError
+        self.on_hosts(p, f"evict:{key}", lambda b: ("evict", b, key))
 
     def close(self) -> None:  # pragma: no cover - trivial
         pass
@@ -118,27 +166,15 @@ class SerialBackend(Backend):
     name = "serial"
 
     def __init__(self) -> None:
-        self._states: List[dict] = []
+        self._store = RankStore()
 
     def states(self, p: int) -> List[dict]:
         """The first ``p`` rank stores (grown on demand, never shrunk —
         a backend may serve a p=8 machine and a p=4 machine in turn)."""
-        self._states.extend(dict() for _ in range(p - len(self._states)))
-        return self._states[:p]
+        return self._store.block(range(p))
 
-    def run_phase(
-        self, p: int, phase: str, payloads: Sequence[Any]
-    ) -> List[PhaseOutcome]:
-        body = host_body(phase)
-        ctxs = [ProcContext(rank=r, p=p, state=st) for r, st in enumerate(self.states(p))]
-        return run_block(body, ctxs, payloads, phase)
-
-    def fetch_state(self, p: int, key: str) -> List[Any]:
-        return [st.get(key) for st in self.states(p)]
-
-    def evict_state(self, p: int, key: str) -> None:
-        for st in self.states(p):
-            st.pop(key, None)
+    def on_hosts(self, p: int, what: str, command: Callable[[range], tuple]) -> List[Any]:
+        return [self._store.run(command(block)) for block in self.blocks(p)]
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,7 @@ class Machine:
         anything a rank keeps between phases belongs in its rank-resident
         state, not in the return value.  Charged ops are recorded per
         rank under ``label``, with each rank's share of its host's wall
-        (:func:`~repro.cgm.backend.run_block`).
+        (:meth:`~repro.cgm.backend.RankStore.run_block`).
         """
         if payloads is None:
             payloads = [None] * self.p

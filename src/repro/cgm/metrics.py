@@ -232,9 +232,8 @@ class Metrics:
 
         A processor's seconds are its share of its host's measured wall,
         split over the host's ranks by charged ops (equal shares when
-        none charged): on the process backend (a host per rank) the
-        slowest worker's wall; on the serial backend (one host) the
-        step's wall scaled by the busiest rank's share of its ops.
+        none charged): on each host the step's wall scaled by its
+        busiest rank's share of the host's ops, the largest over hosts.
         """
         return sum(s.max_seconds for s in self.compute_steps())
 

@@ -4,7 +4,7 @@ The runtime's execution contract (see docs/ARCHITECTURE.md, "Execution
 model"): a *compute phase* is a named, registered function that a
 **host** runs once over the block of virtual processors it holds — the
 serial backend is one host holding all ``p`` ranks, each process worker
-a host holding one.  A phase is written in one of two forms:
+a host holding a block of them.  A phase is written in one of two forms:
 
 * per rank, ``fn(ctx: ProcContext, payload) -> result``
   (:func:`register_phase`): the host runs it for each rank of its block,

@@ -1,12 +1,11 @@
-"""The process backend: persistent supervised workers, one per rank.
+"""The process backend: persistent supervised workers, one per usable CPU.
 
-Each worker is a host holding one rank: it runs a phase's body over a
-block of one (:func:`~repro.cgm.backend.run_block`), the same body the
-serial backend runs over all ``p``.  Compute phases travel by name and
+Each worker is a host holding a contiguous block of ranks in a
+:class:`~repro.cgm.backend.RankStore`, the store and phase runner the
+serial backend keeps for all ``p``.  Compute phases travel by name and
 payloads by pickle; each rank's state lives in its worker and never
 moves (see :mod:`repro.cgm.backend` for the contract both backends
-keep).  Only a machine made with
-``backend="process"`` loads this module.
+keep).  Only a machine made with ``backend="process"`` loads this module.
 """
 
 from __future__ import annotations
@@ -14,19 +13,31 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from typing import Any, Dict, List, Sequence
+from typing import Any, Callable, Dict, List
 
 from ..errors import WorkerCrash
-from .backend import Backend, PhaseOutcome, run_block
-from .phases import ProcContext, bootstrap, host_body
+from .backend import Backend, RankStore
+from .phases import bootstrap, registered_phases
 
-__all__ = ["ProcessBackend", "WorkerError", "JOURNAL_TAIL"]
+__all__ = ["ProcessBackend", "WorkerError", "JOURNAL_TAIL", "usable_cpus"]
 
-#: Journal entries a rank may hold before the recovery journal folds:
-#: past this tail every rank's whole state is fetched and its journal
-#: becomes one ``("restore", state)`` entry, so replay cost stays bounded
+#: Journal entries a host may hold before the recovery journal folds:
+#: past this tail every host's whole store is fetched and its journal
+#: becomes one ``("restore", block, states)`` entry, so replay cost stays bounded
 #: however long the workers live.
 JOURNAL_TAIL = 64
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # pragma: no cover - no affinity here
+
+
+def _named(block: range) -> str:
+    return f"rank {block[0]}" if len(block) == 1 else f"ranks {block[0]}-{block[-1]}"
 
 
 class WorkerError(RuntimeError):
@@ -38,16 +49,17 @@ class WorkerError(RuntimeError):
     """
 
 
-def _worker_main(rank: int, conn) -> None:
-    """Worker loop: rank state lives here and only here.
+def _worker_main(host: int, conn) -> None:
+    """Worker loop: the state of the ranks this host holds lives here and
+    only here.
 
-    The driver sends ``("phase", name, payload, p)`` / ``("fetch", key)``
-    (key ``None``: the whole state dict) / ``("evict", key)`` /
-    ``("restore", state)`` (clear the state, then load a snapshot) /
-    ``("faults", spec | None)`` / ``("stop",)`` commands; every command
-    gets exactly one reply, so the pipe can never desynchronize.  ``p``
-    rides each phase command because one worker set may serve machines
-    of different sizes (mirroring the in-process rank stores).
+    The driver sends :class:`~repro.cgm.backend.RankStore` commands
+    (``("run_block", block, p, phase, payloads)``, ``fetch``, ``evict``,
+    ``snapshot``, ``restore``: each names the block of ranks it is for,
+    since one worker set may serve machines of different sizes, each laid
+    out in its own blocks), ``("faults", spec | None)`` and ``("stop",)``;
+    every command gets exactly one reply, so the pipe can never
+    desynchronize.
 
     Fault injection: the worker arms any plan named by the
     ``REPRO_FAULT_PLAN`` environment variable at startup (under ``fork``
@@ -58,7 +70,7 @@ def _worker_main(rank: int, conn) -> None:
     """
     from .. import faults
 
-    faults.mark_in_worker(rank)
+    faults.mark_in_worker(host)
     try:
         bootstrap()
         faults.load_plan_from_env()
@@ -67,7 +79,7 @@ def _worker_main(rank: int, conn) -> None:
         # Keep serving: the failure is reported with the first phase the
         # missing imports would have registered, full traceback attached.
         boot_failure = traceback.format_exc()
-    state: dict = {}
+    store = RankStore()
     while True:
         try:
             msg = conn.recv()
@@ -77,52 +89,36 @@ def _worker_main(rank: int, conn) -> None:
         if cmd == "stop":
             break
         try:
-            if cmd == "phase":
-                _, name, payload, p = msg
-                try:
-                    body = host_body(name)
-                except KeyError:
-                    if boot_failure is not None:
-                        raise WorkerError(
-                            f"worker bootstrap failed, phase {name!r} "
-                            f"unavailable; bootstrap traceback:\n{boot_failure}"
-                        ) from None
-                    raise
-                ctx = ProcContext(rank=rank, p=p, state=state)
-                (outcome,) = run_block(body, [ctx], [payload], name)
-                try:
-                    conn.send(("ok", outcome))
-                except Exception as exc:
-                    # The *result* failed to serialize: the command still
-                    # gets its one reply, with rank/phase context intact.
-                    conn.send(
-                        (
-                            "error",
-                            WorkerError(
-                                f"rank {rank} phase {name!r} produced an "
-                                f"unserializable result: "
-                                f"{type(exc).__name__}: {exc}"
-                            ),
-                            traceback.format_exc(),
-                        )
-                    )
-            elif cmd == "fetch":
-                conn.send(("ok", state if msg[1] is None else state.get(msg[1])))
-            elif cmd == "evict":
-                state.pop(msg[1], None)
-                conn.send(("ok", None))
-            elif cmd == "restore":
-                state.clear()
-                state.update(msg[1])
-                conn.send(("ok", None))
-            elif cmd == "faults":
+            if cmd == "faults":
                 if msg[1] is None:
                     faults.uninstall_plan()
                 else:
                     faults.install_plan(faults.FaultPlan.from_spec(msg[1]))
                 conn.send(("ok", None))
-            else:  # pragma: no cover - protocol bug
-                conn.send(("error", RuntimeError(f"unknown command {cmd!r}"), ""))
+                continue
+            if cmd == "run_block" and boot_failure and msg[3] not in registered_phases():
+                raise WorkerError(
+                    f"worker bootstrap failed, phase {msg[3]!r} "
+                    f"unavailable; bootstrap traceback:\n{boot_failure}"
+                )
+            reply = store.run(msg)
+            try:
+                conn.send(("ok", reply))
+            except Exception as exc:
+                # The *result* failed to serialize: the command still
+                # gets its one reply, with ranks/command context intact.
+                what = f"phase {msg[3]!r}" if cmd == "run_block" else repr(cmd)
+                conn.send(
+                    (
+                        "error",
+                        WorkerError(
+                            f"{_named(msg[1])} {what} produced an "
+                            f"unserializable result: "
+                            f"{type(exc).__name__}: {exc}"
+                        ),
+                        traceback.format_exc(),
+                    )
+                )
         except BaseException as exc:  # noqa: BLE001 - ship it to the driver
             tb = traceback.format_exc()
             try:
@@ -138,33 +134,37 @@ class ProcessBackend(Backend):
     """Persistent *supervised* worker processes — the true process-parallel
     backend.
 
-    One worker per rank, started lazily on first use (``fork`` where the
-    platform offers it, ``spawn`` otherwise).  Compute phases are routed
-    by *name*; payloads, results, and exchanged records are pickled
-    through per-rank pipes, and per-rank state (forest elements, hat
-    replicas) stays resident in the worker across phases — nothing else
-    crosses the boundary.  Results are collected in rank order, so
-    dispatch is deterministic; the machine's driver-side inbox merge
-    (ordered by source rank, then send order) does the rest.
+    A ``p``-rank machine runs on ``k = min(p, usable_cpus())`` workers,
+    worker ``h`` holding ranks ``p*h//k`` to ``p*(h+1)//k - 1``
+    (:meth:`blocks`; the CPUs are counted once, so a rank never changes
+    host), started lazily on first use (``fork`` where the platform
+    offers it, ``spawn`` otherwise).  Compute phases are routed by
+    *name*; payloads, results, and exchanged records are pickled through
+    per-host pipes, and rank state (forest elements, hat replicas) stays
+    resident in the worker across phases — nothing else crosses the
+    boundary.  Replies come back in host order, so dispatch is
+    deterministic; the machine's driver-side inbox merge (ordered by
+    source rank, then send order) does the rest.
 
     Supervision: replies are awaited with poll-plus-liveness, never a
     bare blocking ``recv`` — a SIGKILL'd, segfaulted, or OOM-killed
-    worker raises a structured :class:`~repro.errors.WorkerCrash`
-    (rank, command, exit code) instead of hanging the driver, and
+    worker raises a structured :class:`~repro.errors.WorkerCrash` (the
+    host's ranks, command, exit code) instead of hanging the driver, and
     ``recv_timeout_s`` (env ``REPRO_WORKER_TIMEOUT_S``) bounds how long
     an *alive but unresponsive* worker may sit on one command.
 
     Recovery (opt-in, ``recovery=True`` / env ``REPRO_WORKER_RECOVERY=1``):
-    the backend journals every state-bearing command per rank (``phase``
-    dispatches and ``evict`` removals — payload references, no copies).
-    Once a rank's journal holds more than :data:`JOURNAL_TAIL` entries,
-    every rank's state is fetched whole and its journal becomes one
-    ``("restore", state)`` entry, so a journal never exceeds the tail
-    plus that snapshot.  When a worker crashes, the supervisor respawns
-    that rank, disarms fault injection in the replacement, replays its
-    journal to reconstruct the rank-resident state, re-sends the
-    in-flight command, and the round continues — differential tests
-    assert the recovered run is bit-identical to an uninterrupted one.
+    the backend journals every state-bearing command per host
+    (``run_block`` dispatches and ``evict`` removals — payload
+    references, no copies).  Once a host's journal holds more than
+    :data:`JOURNAL_TAIL` entries, every host's store is fetched whole and
+    its journal becomes one ``restore`` entry, so a journal never exceeds
+    the tail plus that snapshot.  A crash loses the host's whole block:
+    the supervisor respawns that host, disarms fault injection in the
+    replacement, replays its journal to rebuild the block's state,
+    re-sends the in-flight command, and the round continues —
+    differential tests assert the recovered run is bit-identical to an
+    uninterrupted one.
     Phases must be deterministic for replay to be faithful (they are:
     that is the cross-backend determinism contract).  Without recovery, a crash
     resets the whole pool so the next use fails loudly on missing state
@@ -188,7 +188,8 @@ class ProcessBackend(Backend):
             recovery = os.environ.get("REPRO_WORKER_RECOVERY", "") == "1"
         self._recv_timeout_s = recv_timeout_s
         self._recovery = bool(recovery)
-        self._workers: List[tuple] = []  # (Process, Connection) per rank
+        self._cpus = usable_cpus()
+        self._workers: List[tuple] = []  # (Process, Connection) per host
         self._journal: Dict[int, List[tuple]] = {}
         self._mp_ctx = None
         #: Successful crash recoveries performed (observability/tests).
@@ -205,40 +206,44 @@ class ProcessBackend(Backend):
                 self._mp_ctx = mp.get_context("spawn")
         return self._mp_ctx
 
-    def _spawn(self, rank: int) -> tuple:
+    def blocks(self, p: int) -> List[range]:
+        k = min(p, self._cpus)
+        return [range(p * h // k, p * (h + 1) // k) for h in range(k)]
+
+    def _spawn(self, host: int) -> tuple:
         ctx = self._context()
         parent, child = ctx.Pipe()
         proc = ctx.Process(
             target=_worker_main,
-            args=(rank, child),
-            name=f"cgm-proc-{rank}",
+            args=(host, child),
+            name=f"cgm-host-{host}",
             daemon=True,
         )
         proc.start()
         child.close()
         return proc, parent
 
-    def _ensure_workers(self, p: int) -> None:
-        """Grow the worker set to at least ``p`` ranks, never shrinking.
+    def _ensure_workers(self, k: int) -> None:
+        """Grow the worker set to at least ``k`` hosts, never shrinking.
 
-        Like the in-process rank stores, one worker set may serve
+        Like the in-process rank store, one worker set may serve
         machines of different sizes in turn; existing workers (and their
         resident state) survive a larger or smaller machine coming along.
         """
-        for rank in range(len(self._workers), p):
-            self._workers.append(self._spawn(rank))
-            self._journal.setdefault(rank, [])
+        for host in range(len(self._workers), k):
+            self._workers.append(self._spawn(host))
+            self._journal.setdefault(host, [])
 
     # -- supervised receive ------------------------------------------------
-    def _recv_reply(self, rank: int, what: str):
-        """One reply from one rank, or a structured :class:`WorkerCrash`.
+    def _recv_reply(self, host: int, block: range, what: str):
+        """One reply from one host, or a :class:`WorkerCrash` naming its block.
 
         Polls the pipe at :data:`POLL_INTERVAL_S` so a dead worker is
         noticed within one interval; a pending reply always wins over a
         death verdict (a worker may exit right after flushing its last
         reply), so no successful result is ever discarded.
         """
-        proc, conn = self._workers[rank]
+        proc, conn = self._workers[host]
         deadline = (
             None
             if self._recv_timeout_s is None
@@ -250,27 +255,25 @@ class ProcessBackend(Backend):
                     return conn.recv()
                 except (EOFError, OSError):
                     proc.join(timeout=1)
-                    raise WorkerCrash(
-                        rank, what, proc.exitcode,
-                        reason="pipe closed mid-command",
-                    ) from None
+                    reason = "pipe closed mid-command"
+                    break
             if not proc.is_alive():
                 if conn.poll(0):  # reply flushed just before death
                     continue
                 proc.join(timeout=1)
-                raise WorkerCrash(rank, what, proc.exitcode)
+                reason = "worker died mid-command"
+                break
             if deadline is not None and time.monotonic() > deadline:
-                raise WorkerCrash(
-                    rank, what, None,
-                    reason=(
-                        f"no reply within {self._recv_timeout_s:g}s "
-                        "(worker alive but unresponsive)"
-                    ),
+                reason = (
+                    f"no reply within {self._recv_timeout_s:g}s "
+                    "(worker alive but unresponsive)"
                 )
+                break
+        raise WorkerCrash(block[0], what, proc.exitcode, reason=reason, ranks=tuple(block))
 
     # -- crash recovery ----------------------------------------------------
-    def _recover(self, rank: int, msg: tuple, what: str, crash: WorkerCrash):
-        """Respawn a crashed rank, replay its journal, re-send ``msg``.
+    def _recover(self, host: int, block: range, msg: tuple, what: str, crash: WorkerCrash):
+        """Respawn a crashed host, replay its journal, re-send ``msg``.
 
         Returns the re-sent command's reply.  Fault injection is
         disarmed in the replacement first, so the occurrence-counted
@@ -278,133 +281,103 @@ class ProcessBackend(Backend):
         second crash during recovery gives up: the pool resets and the
         *original* crash propagates (chained).
         """
+        old_proc, old_conn = self._workers[host]
+        if old_proc.is_alive():  # recv-timeout crash: worker hung, not dead
+            old_proc.terminate()  # (and not to be waited on at "stop")
         if not self._recovery:
-            proc, _conn = self._workers[rank]
-            if proc.is_alive():  # timed out, not dead: don't wait on "stop"
-                proc.terminate()
             self.close()
             raise crash
-        old_proc, old_conn = self._workers[rank]
         old_conn.close()
-        if old_proc.is_alive():  # recv-timeout crash: worker hung, not dead
-            old_proc.terminate()
         old_proc.join(timeout=1)
-        self._workers[rank] = self._spawn(rank)
-        _proc, conn = self._workers[rank]
+        self._workers[host] = self._spawn(host)
+        _proc, conn = self._workers[host]
         try:
             conn.send(("faults", None))
-            self._recv_reply(rank, "faults:disarm")
-            for entry in self._journal[rank]:
+            self._recv_reply(host, block, "faults:disarm")
+            for entry in self._journal[host]:
                 conn.send(entry)
-                reply = self._recv_reply(rank, f"replay:{entry[0]}")
-                if reply[0] == "error":
-                    raise WorkerCrash(
-                        rank, what, None,
-                        reason=(
-                            f"journal replay diverged on {entry[0]!r}: "
-                            f"{reply[1]}"
-                        ),
-                    )
+                reply = self._recv_reply(host, block, f"replay:{entry[0]}")
+                if reply[0] == "error":  # the replay diverged: give up
+                    raise crash
             conn.send(msg)
-            reply = self._recv_reply(rank, what)
+            reply = self._recv_reply(host, block, what)
         except WorkerCrash:
             self.close()
             raise crash from None
         self.recoveries += 1
         return reply
 
-    def _roundtrip(self, p: int, messages: Sequence[tuple], what: str) -> List[Any]:
-        """Send one command per rank, collect one reply per rank (in order)."""
-        self._ensure_workers(p)
-        workers = self._workers[:p]
-        send_crashes: Dict[int, WorkerCrash] = {}
+    def on_hosts(self, p: int, what: str, command: Callable[[range], tuple]) -> List[Any]:
+        """Send ``command(block)`` to each host of a ``p``-rank machine,
+        collect one reply per host (in host order)."""
+        blocks = self.blocks(p)
+        messages = [command(b) for b in blocks]
+        self._ensure_workers(len(blocks))
         delivered: List[int] = []
         try:
-            for rank, ((proc, conn), msg) in enumerate(zip(workers, messages)):
+            for host, ((_proc, conn), msg) in enumerate(zip(self._workers, messages)):
                 try:
                     conn.send(msg)
                 except (BrokenPipeError, ConnectionResetError, EOFError):
-                    # The worker on the other end is gone: note the crash
-                    # and keep feeding the live ranks; the reply loop
-                    # below recovers (or gives up) in rank order.
-                    proc.join(timeout=1)
-                    send_crashes[rank] = WorkerCrash(
-                        rank, what, proc.exitcode,
-                        reason="pipe broken on send",
-                    )
-                else:
-                    delivered.append(rank)
+                    # The worker on the other end is gone: keep feeding the
+                    # live hosts; the reply loop below finds its pipe closed
+                    # and recovers (or gives up) in host order.
+                    continue
+                delivered.append(host)
         except Exception:
             # A driver-side send failure (unpicklable payload) must not
             # desynchronize the pipes: every delivered command gets exactly
             # one reply, so drain the acks already owed before re-raising.
             try:
-                for rank in delivered:
-                    self._recv_reply(rank, what)
+                for host in delivered:
+                    self._recv_reply(host, blocks[host], what)
             except WorkerCrash:
                 self.close()  # pool is broken anyway; the send error leads
             raise
         replies: List[Any] = []
         failure: tuple | None = None
         journaled = False
-        for rank in range(p):
+        for host, block in enumerate(blocks):
             try:
-                crash = send_crashes.get(rank)
-                if crash is not None:
-                    raise crash
-                reply = self._recv_reply(rank, what)
+                reply = self._recv_reply(host, block, what)
             except WorkerCrash as crash:
                 # _recover raises the crash (after a pool reset) when
-                # recovery is off or fails; otherwise the rank is rebuilt
+                # recovery is off or fails; otherwise the host is rebuilt
                 # and this is its reply to the re-sent command.
-                reply = self._recover(rank, messages[rank], what, crash)
+                reply = self._recover(host, block, messages[host], what, crash)
             if reply[0] == "error":
                 if failure is None:
-                    failure = (rank, reply[1], reply[2] if len(reply) > 2 else "")
-            elif messages[rank][0] in ("phase", "evict"):
+                    failure = (block, reply[1], reply[2] if len(reply) > 2 else "")
+            elif messages[host][0] in ("run_block", "evict"):
                 # Journal only state-bearing commands that *succeeded*:
                 # replay reconstructs state, and failed phases are not
                 # re-raised into a recovering worker.
                 if self._recovery:
-                    self._journal[rank].append(messages[rank])
+                    self._journal[host].append(messages[host])
                     journaled = True
             replies.append(reply)
         if failure is not None:
-            rank, exc, tb = failure
+            block, exc, tb = failure
             if isinstance(exc, Exception):
                 raise exc
             if isinstance(exc, BaseException):
                 # A worker-raised BaseException (SystemExit,
                 # KeyboardInterrupt) must not masquerade as a driver-side
-                # one — wrap it with its rank/command context instead.
+                # one — wrap it with its ranks/command context instead.
                 raise WorkerError(
-                    f"rank {rank} raised {type(exc).__name__} during "
+                    f"{_named(block)} raised {type(exc).__name__} during "
                     f"{what!r}\n{tb}"
                 ) from exc
-            raise WorkerError(f"rank {rank} failed: {exc}\n{tb}")
-        if journaled and any(len(self._journal[r]) > JOURNAL_TAIL for r in range(p)):
+            raise WorkerError(f"{_named(block)} failed: {exc}\n{tb}")
+        if journaled and any(len(self._journal[h]) > JOURNAL_TAIL for h in range(len(blocks))):
             self._snapshot(p)
         return [r[1] for r in replies]
 
     def _snapshot(self, p: int) -> None:
-        """Fold every rank's journal into one ``("restore", state)`` entry."""
-        states = self._roundtrip(p, [("fetch", None)] * p, "fetch:snapshot")
-        for rank, state in enumerate(states):
-            self._journal[rank] = [("restore", state)]
-
-    # -- Backend interface -------------------------------------------------
-    def run_phase(
-        self, p: int, phase: str, payloads: Sequence[Any]
-    ) -> List[PhaseOutcome]:
-        return self._roundtrip(
-            p, [("phase", phase, payloads[r], p) for r in range(p)], phase
-        )
-
-    def fetch_state(self, p: int, key: str) -> List[Any]:
-        return self._roundtrip(p, [("fetch", key)] * p, f"fetch:{key}")
-
-    def evict_state(self, p: int, key: str) -> None:
-        self._roundtrip(p, [("evict", key)] * p, f"evict:{key}")
+        """Fold every host's journal into one ``("restore", block, states)`` entry."""
+        stores = self.on_hosts(p, "snapshot", lambda b: ("snapshot", b))
+        for host, (block, states) in enumerate(zip(self.blocks(p), stores)):
+            self._journal[host] = [("restore", block, states)]
 
     def close(self) -> None:
         """Stop all workers; safe after a crash, safe to call twice.

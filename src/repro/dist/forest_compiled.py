@@ -1,7 +1,7 @@
 """Batched forest walks: Search step 5 over the stacks' arrays.
 
 A host runs step 5 once for all the ranks it holds (the serial backend
-is one host of all ``p``, a process worker a host of one).  Each rank's
+is one host of all ``p``, a process worker a host of a block).  Each rank's
 inbox reaches a few stacks — its own group's, one per dimension and
 part, and the replicated copies it holds.  This module supplies the
 dist-side consumer of :class:`~repro.seq.compiled.CompiledForest`: one

@@ -91,12 +91,12 @@ class WorkerCrash(MachineError):
     """A worker process died (or stopped responding) mid-command.
 
     Raised by the supervised :class:`~repro.cgm.process.ProcessBackend`
-    instead of hanging on a dead pipe: ``rank`` is the virtual processor
-    whose worker failed, ``phase`` the command it was executing (a phase
-    name, or ``"evict"``/``"fetch"`` for state plumbing), ``exit_code``
-    the process exit status when the worker actually died (``-9`` for
-    SIGKILL; ``None`` when the worker is alive but missed the configured
-    reply timeout).
+    instead of hanging on a dead pipe: ``ranks`` is the block of virtual
+    processors the lost worker held (``rank`` its first), ``phase`` the
+    command it was executing (a phase name, or ``"evict"``/``"fetch"``
+    for state plumbing), ``exit_code`` the process exit status when the
+    worker actually died (``-9`` for SIGKILL; ``None`` when the worker is
+    alive but missed the configured reply timeout).
     """
 
     def __init__(
@@ -105,13 +105,14 @@ class WorkerCrash(MachineError):
         phase: str,
         exit_code: "int | None" = None,
         reason: str = "worker died mid-command",
+        ranks: "tuple[int, ...] | None" = None,
     ) -> None:
         detail = (
             f"exit code {exit_code}" if exit_code is not None else "no exit"
         )
-        super().__init__(
-            f"rank {rank} crashed during {phase!r}: {reason} ({detail})"
-        )
+        self.ranks = ranks or (rank,)
+        who = f"rank {rank}" if len(self.ranks) == 1 else f"ranks {rank}-{self.ranks[-1]}"
+        super().__init__(f"{who} crashed during {phase!r}: {reason} ({detail})")
         self.rank = rank
         self.phase = phase
         self.exit_code = exit_code

@@ -114,7 +114,7 @@ def load_plan_from_env() -> Optional[FaultPlan]:
     return plan
 
 
-def mark_in_worker(rank: int) -> None:
+def mark_in_worker(host: int) -> None:
     """Called by worker-process mains: enables real ``crash`` actions and
     resets any counters inherited across a ``fork``."""
     global _in_worker

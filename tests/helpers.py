@@ -1,6 +1,7 @@
 """Shared test helpers (query generators, two tiny compute phases, the
 object references the arrays are pinned against, the dynamic stream
-harness, and a serve worker held inside its pass)."""
+harness, a serve worker held inside its pass, and a pinned process
+backend layout)."""
 
 from __future__ import annotations
 
@@ -73,6 +74,14 @@ def _phase_bump_hat(ctx, payload):
 def _phase_state_keys(ctx, payload):
     """The keys this rank's state holds, sorted."""
     return sorted(ctx.state)
+
+
+def pin_usable_cpus(monkeypatch, cpus: int) -> None:
+    """Lay out every process backend made after this on ``min(p, cpus)``
+    workers, whatever CPUs this machine has."""
+    from repro.cgm import process
+
+    monkeypatch.setattr(process, "usable_cpus", lambda: cpus)
 
 
 def random_boxes(rng: np.random.Generator, m: int, d: int, max_side: float = 0.5) -> list[Box]:

@@ -27,7 +27,7 @@ from repro.serve.loadgen import run_loadgen
 from repro.seq import DynamicRangeTree
 from repro.workloads import make_points, make_queries, update_query_stream
 
-from tests.helpers import checkpoint_batch, drive_stream, oracle_values
+from tests.helpers import checkpoint_batch, drive_stream, oracle_values, pin_usable_cpus
 
 pytestmark = pytest.mark.chaos
 
@@ -72,6 +72,26 @@ class TestCrashChaos:
         assert values == baseline  # ... and the answers don't show it
 
     @pytest.mark.timeout(120)
+    def test_a_crash_loses_a_block_and_recovery_rebuilds_it(self, monkeypatch):
+        # two hosts of two ranks: rank 1's crash takes rank 0's state too,
+        # and the respawned host replays the journal of both
+        pin_usable_cpus(monkeypatch, 2)
+        baseline = _fault_free()
+        plan = FaultPlan(
+            rules=(FaultRule("dist.search.forest_cols", "crash", rank=1, at=1),),
+            name="crash-rank1-of-block-0-1",
+        )
+        pts = make_points("uniform", N, D, seed=9)
+        backend = ProcessBackend(recovery=True)
+        with injected(plan):
+            with Machine(P, backend=backend) as mach:
+                assert backend.blocks(P) == [range(0, 2), range(2, 4)]
+                tree = DistributedRangeTree.build(pts, machine=mach)
+                values = tree.run(QueryBatch(_queries())).values()
+        assert backend.recoveries == 1
+        assert values == baseline
+
+    @pytest.mark.timeout(120)
     def test_worker_crash_without_recovery_fails_fast(self):
         plan = FaultPlan(
             rules=(FaultRule("dist.search.*", "crash", rank=0, at=1),),
@@ -90,10 +110,16 @@ class TestCrashChaos:
 
 class TestBoundedRecovery:
     """The journal folds into a snapshot, so a worker killed after a long
-    uptime replays at most a snapshot and a tail of commands."""
+    uptime replays at most a snapshot and a tail of commands.  Each host
+    (here two, of two ranks each) keeps one journal for its block."""
+
+    @pytest.fixture(autouse=True)
+    def _two_hosts(self, monkeypatch):
+        pin_usable_cpus(monkeypatch, 2)
 
     @staticmethod
     def _kill_and_verify(backend, answer):
+        assert sorted(backend._journal) == [0, 1]
         journals = backend._journal.values()
         assert max(len(j) for j in journals) <= JOURNAL_TAIL + 1
         want = answer()

@@ -1,7 +1,10 @@
 """A host runs a phase once over the block of ranks it holds.
 
-The serial backend is one host of all ``p`` ranks, each process worker a
-host of one.  Search steps 1 and 5 are host phases: one hat walk and one
+The serial backend is one host of all ``p`` ranks; the process backend
+runs ``k = min(p, usable CPUs)`` workers, worker ``h`` the host of ranks
+``p*h//k`` to ``p*(h+1)//k - 1``, and the parity tests pin ``k``: one
+rank a host, and blocks of several, even and uneven.  Search steps 1
+and 5 are host phases: one hat walk and one
 forest walk per dimension over the whole block, cut back per rank.  So
 are Construct's hat build and the refit's hat refresh: built or folded
 once per host, copied to each other rank's own replica.  What
@@ -20,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro import Box
-from repro.cgm import Machine, register_host_phase
+from repro.cgm import Machine, register_host_phase, register_phase
 from repro.cgm import backend as cgm_backend
 from repro.cgm import phases
 from repro.cgm.columns import RecordBatch
@@ -34,7 +37,7 @@ from repro.semigroup import max_of_dim, sum_of_dim
 from repro.semigroup.kernels import KernelColumn
 from repro.workloads import make_points, make_queries
 
-from tests.helpers import STREAM_GROUP
+from tests.helpers import STREAM_GROUP, pin_usable_cpus
 
 
 @register_host_phase("test.host_charge")
@@ -43,6 +46,12 @@ def _phase_host_charge(ctxs, payloads):
     for ctx, k in zip(ctxs, payloads):
         ctx.charge(k)
     return [len(ctxs)] * len(ctxs)
+
+
+@register_phase("test.keep")
+def _phase_keep(ctx, payload):
+    """Keep ``payload`` in this rank's state under ``"kept"``."""
+    ctx.state["kept"] = payload
 
 
 def _rows(batch: RecordBatch) -> tuple:
@@ -222,8 +231,30 @@ class TestFaultPlane:
             )
 
 
+def test_a_raw_phase_on_uneven_hosts(monkeypatch):
+    """``Machine(5)`` on two process hosts, blocks of 2 and 3: one host
+    call per block, and the per-rank results, ops and state of serial."""
+    pin_usable_cpus(monkeypatch, 2)
+    seen = {}
+    for backend in ("serial", "process"):
+        with Machine(5, backend=backend) as mach:
+            with mach.scope() as trace:
+                calls = mach.run_phase("charge", "test.host_charge", [1, 2, 3, 4, 5])
+                echo = mach.run_phase("echo", "test.echo")
+                mach.run_phase("keep", "test.keep", [10, 11, 12, 13, 14])
+            kept = mach.fetch_state("kept")
+            mach.evict_state("kept")
+            seen[backend] = ([len(b) for b in mach.backend.blocks(5)], calls, echo, kept,
+                             mach.fetch_state("kept"), [s.ops for s in trace.steps])
+    serial, process = seen["serial"], seen["process"]
+    assert (serial[:2], process[:2]) == (([5], [5] * 5), ([2, 3], [2, 2, 3, 3, 3]))
+    assert process[2:] == serial[2:]
+    assert serial[2:5] == ([(r, 5) for r in range(5)], [10, 11, 12, 13, 14], [None] * 5)
+
+
 class TestSerialProcessParity:
-    """One host of p ranks (serial) and p hosts of one rank (process)."""
+    """One host of p ranks (serial) against process hosts of one rank and
+    of even and uneven blocks of several (pinned layouts)."""
 
     @staticmethod
     def _capture(monkeypatch) -> list:
@@ -244,26 +275,41 @@ class TestSerialProcessParity:
             for batches in (out.hat_selections, out.forest_selections, out.report_pairs)
         )
 
-    def _static(self, backend, d, monkeypatch):
+    def _static(self, backend, d, monkeypatch, p=4):
         outs = self._capture(monkeypatch)
         pts = make_points("clustered", 300, d, seed=60 + d)
         qs = make_queries("uniform", 30, d, seed=70 + d)
         qs.append(Box([(-1.0, 2.0)] * d))  # all of the space: hat selections
         cycle = (count, report, lambda b: aggregate(b, sum_of_dim(0)))
-        with DistributedRangeTree.build(pts, p=4, backend=backend) as tree:
+        with DistributedRangeTree.build(pts, p=p, backend=backend) as tree:
             built = tree.metrics
             rs = tree.run(QueryBatch([cycle[i % 3](q) for i, q in enumerate(qs)]))
+            blocks = [len(b) for b in tree.machine.backend.blocks(p)]
         ((_parts, out),) = outs
-        return rs.values(), self._search_rows(out), _steps(built) + _steps(rs.metrics)
+        return rs.values(), self._search_rows(out), _steps(built) + _steps(rs.metrics), blocks
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_mixed_batch(self, d, monkeypatch):
-        serial = self._static("serial", d, monkeypatch)
-        process = self._static("process", d, monkeypatch)
+    def _agree(self, d, monkeypatch, p, blocks):
+        serial = self._static("serial", d, monkeypatch, p)
+        process = self._static("process", d, monkeypatch, p)
+        assert (serial[3], process[3]) == ([p], blocks)
         assert any(rows[1] for rows in serial[1][0]), "no hat selection"
         assert process[0] == serial[0]
         assert process[1] == serial[1]
         assert process[2] == serial[2]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_mixed_batch(self, d, monkeypatch):
+        pin_usable_cpus(monkeypatch, 4)  # a host per rank
+        self._agree(d, monkeypatch, 4, [1, 1, 1, 1])
+
+    @pytest.mark.parametrize(
+        "p, cpus, blocks, d",
+        [(4, 2, [2, 2], 2), (8, 3, [2, 3, 3], 2), (8, 3, [2, 3, 3], 3)],
+        ids=["p4-2hosts-d2", "p8-3hosts-d2", "p8-3hosts-d3"],
+    )
+    def test_mixed_batch_on_blocks(self, p, cpus, blocks, d, monkeypatch):
+        pin_usable_cpus(monkeypatch, cpus)
+        self._agree(d, monkeypatch, p, blocks)
 
     def _dynamic(self, backend, monkeypatch):
         outs = self._capture(monkeypatch)
@@ -285,15 +331,22 @@ class TestSerialProcessParity:
         return rs.values(), self._search_rows(out), _steps(rs.metrics)
 
     def test_three_bucket_dynamic_pass(self, monkeypatch):
+        pin_usable_cpus(monkeypatch, 4)  # a host per rank
+        serial = self._dynamic("serial", monkeypatch)
+        process = self._dynamic("process", monkeypatch)
+        assert process == serial
+
+    def test_three_bucket_dynamic_pass_on_uneven_blocks(self, monkeypatch):
+        pin_usable_cpus(monkeypatch, 3)  # blocks of 1, 1 and 2 ranks
         serial = self._dynamic("serial", monkeypatch)
         process = self._dynamic("process", monkeypatch)
         assert process == serial
 
 
 class TestConstructAndRefitHostPhases:
-    """The hat build and the hat refresh run once per host: the serial
-    backend builds and folds one hat and gives every other rank its own
-    copy; a process worker, a host of one, builds and folds its own."""
+    """The hat build and the hat refresh run once per host: each host
+    (the serial backend's one, each process worker) builds and folds one
+    hat and gives every other rank of its block its own copy."""
 
     @staticmethod
     def _counting(monkeypatch, tmp_path):
@@ -320,24 +373,27 @@ class TestConstructAndRefitHostPhases:
     @staticmethod
     def _build_and_refit(backend: str):
         """A build under ``sum[x0]`` (Construct + one refit), one more
-        refit; the trace of each and every rank's replica after."""
+        refit; the trace of each and every rank's replica after, and the
+        backend's host count."""
         pts = make_points("clustered", 300, 2, seed=81)
         with DistributedRangeTree.build(pts, p=4, backend=backend, semigroup=sum_of_dim(0)) as tree:
             built = tree.metrics
             tree.reannotate(max_of_dim(1))
             hats = list(tree.construct_result.hats)
-            return _steps(built) + _steps(tree.metrics), hats, validate_tree(tree).ok
+            hosts = len(tree.machine.backend.blocks(tree.p))
+            return _steps(built) + _steps(tree.metrics), hats, validate_tree(tree).ok, hosts
 
-    @pytest.mark.parametrize("backend, hosts", [("serial", 1), ("process", 4)])
-    def test_build_and_refresh_run_once_per_host(self, backend, hosts, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_build_and_refresh_run_once_per_host(self, backend, monkeypatch, tmp_path):
+        pin_usable_cpus(monkeypatch, 2)  # the process backend: 2 hosts of 2
         calls = self._counting(monkeypatch, tmp_path)
-        _steps_, _hats, ok = self._build_and_refit(backend)
-        assert ok
+        _steps_, _hats, ok, hosts = self._build_and_refit(backend)
+        assert ok and hosts == {"serial": 1, "process": 2}[backend]
         # one build; two refits (the build's annotation, the reannotate)
         assert calls() == Counter(build=hosts, refresh=2 * hosts)
 
     def test_every_rank_holds_its_own_replica(self):
-        _steps_, hats, ok = self._build_and_refit("serial")
+        _steps_, hats, ok, _hosts = self._build_and_refit("serial")
         assert ok and len({id(h) for h in hats}) == 4
         first = hats[0]
         for hat in hats[1:]:
@@ -350,8 +406,8 @@ class TestConstructAndRefitHostPhases:
             assert not np.shares_memory(hat.aggs.data, first.aggs.data)
 
     def test_build_and_refit_steps_match_across_backends(self):
-        serial, _hats, _ok = self._build_and_refit("serial")
-        process, _hats, _ok = self._build_and_refit("process")
+        serial, _hats, _ok, _hosts = self._build_and_refit("serial")
+        process, _hats, _ok, _hosts = self._build_and_refit("process")
         labels = [step[1] for step in serial]
         assert "construct:build-hat" in labels and "reannotate:refresh-hat" in labels
         assert process == serial

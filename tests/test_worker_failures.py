@@ -2,9 +2,13 @@
 
 Every scenario here used to be a driver hang (a bare ``conn.recv`` on a
 pipe nobody will ever write to); now each is a structured
-:class:`~repro.errors.WorkerCrash` / ``WorkerError`` carrying the rank
+:class:`~repro.errors.WorkerCrash` / ``WorkerError`` carrying the ranks
 and the command it died under.  The conftest hang guard (pytest-timeout
 or the SIGALRM fallback) turns any regression back into a loud failure.
+
+Every test here runs the process backend on two workers, whatever CPUs
+the machine has: a ``p = 2`` machine is two hosts of one rank, a
+``p = 4`` machine two hosts of two.
 """
 
 from __future__ import annotations
@@ -18,6 +22,13 @@ import pytest
 from repro.cgm import Machine, ProcessBackend, register_phase
 from repro.errors import DimensionMismatch, WorkerCrash
 from repro.cgm.process import JOURNAL_TAIL, WorkerError
+
+from tests.helpers import pin_usable_cpus
+
+
+@pytest.fixture(autouse=True)
+def _two_hosts(monkeypatch):
+    pin_usable_cpus(monkeypatch, 2)
 
 
 @register_phase("wf.echo")
@@ -125,6 +136,30 @@ class TestStructuredCrashes:
         finally:
             backend.close()
 
+    def test_a_crash_names_every_rank_of_the_lost_block(self):
+        backend = ProcessBackend()
+        try:
+            with pytest.raises(WorkerCrash) as exc:
+                backend.run_phase(4, "wf.sigkill", [3] * 4)
+            assert (exc.value.rank, exc.value.ranks) == (2, (2, 3))
+            assert str(exc.value).startswith("ranks 2-3 crashed during 'wf.sigkill'")
+        finally:
+            backend.close()
+
+    def test_a_failed_bootstrap_is_reported_with_the_missing_phase(self, monkeypatch):
+        from repro.cgm import phases
+
+        monkeypatch.setattr(phases, "BOOTSTRAP_MODULES", ("repro.no_such_module",))
+        backend = ProcessBackend()
+        try:
+            # a forked worker still knows the driver's phases ...
+            assert [o[0] for o in backend.run_phase(2, "wf.echo", [5, 6])] == [5, 6]
+            # ... and names the bootstrap failure for one it lacks
+            with pytest.raises(WorkerError, match="(?s)bootstrap failed, phase 'wf.nowhere'.*no_such_module"):
+                backend.run_phase(2, "wf.nowhere", [None, None])
+        finally:
+            backend.close()
+
     @pytest.mark.timeout(20)
     def test_recv_timeout_on_unresponsive_worker(self):
         backend = ProcessBackend(recv_timeout_s=0.5)
@@ -186,6 +221,21 @@ class TestRecovery:
                 assert second == [2, 4]
                 assert backend.recoveries == 1
                 assert mach.fetch_state("wf") == [2, 4]
+        finally:
+            backend.close()
+
+    def test_a_killed_host_replays_its_whole_block(self):
+        backend = ProcessBackend(recovery=True)
+        try:
+            with Machine(4, backend=backend) as mach:
+                assert mach.run_phase("a", "wf.stash", [1, 2, 3, 4]) == [1, 2, 3, 4]
+                assert sorted(backend._journal) == [0, 1]  # one journal a host
+                proc, _conn = backend._workers[1]  # the host of ranks 2 and 3
+                os.kill(proc.pid, signal.SIGKILL)
+                proc.join(timeout=5)
+                assert mach.run_phase("b", "wf.stash", [1, 1, 1, 1]) == [2, 3, 4, 5]
+                assert backend.recoveries == 1
+                assert mach.fetch_state("wf") == [2, 3, 4, 5]
         finally:
             backend.close()
 
