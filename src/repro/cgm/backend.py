@@ -40,6 +40,7 @@ ops, rounds, h and bytes; tests assert this.
 
 from __future__ import annotations
 
+import pickle
 import sys
 import time
 from types import MappingProxyType
@@ -108,12 +109,12 @@ class RankStore:
         for st in self.block(ranks):
             st.pop(key, None)
 
-    def snapshot(self, ranks: Sequence[int]) -> Dict[int, dict]:
-        """The whole store, every layout's ranks (for :meth:`restore`)."""
-        return self.states
+    def snapshot(self, ranks: Sequence[int]) -> bytes:
+        """The whole store pickled, every layout's ranks (for :meth:`restore`)."""
+        return pickle.dumps(self.states)
 
-    def restore(self, ranks: Sequence[int], states: Dict[int, dict]) -> None:
-        self.states = states
+    def restore(self, ranks: Sequence[int], states: bytes) -> None:
+        self.states = pickle.loads(states)
 
 
 class Backend:

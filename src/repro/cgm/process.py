@@ -13,19 +13,29 @@ from __future__ import annotations
 import os
 import time
 import traceback
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Dict, List
 
-from ..errors import WorkerCrash
+from ..errors import MachineError, WorkerCrash
 from .backend import Backend, RankStore
 from .phases import bootstrap, registered_phases
 
 __all__ = ["ProcessBackend", "WorkerError", "JOURNAL_TAIL", "usable_cpus"]
 
 #: Journal entries a host may hold before the recovery journal folds:
-#: past this tail every host's whole store is fetched and its journal
-#: becomes one ``("restore", block, states)`` entry, so replay cost stays bounded
-#: however long the workers live.
+#: past this tail every worker pickles its whole store and its host's
+#: journal becomes one ``("restore", block, store)`` frame, so replay cost
+#: stays bounded however long the workers live.
 JOURNAL_TAIL = 64
+
+
+def _frame(message: tuple) -> memoryview:
+    """A message pickled once: what crosses a pipe, is journaled and replayed."""
+    return ForkingPickler.dumps(message)
+
+
+_STOP = _frame(("stop",))
+_DISARM = _frame(("faults", None))
 
 
 def usable_cpus() -> int:
@@ -38,6 +48,17 @@ def usable_cpus() -> int:
 
 def _named(block: range) -> str:
     return f"rank {block[0]}" if len(block) == 1 else f"ranks {block[0]}-{block[-1]}"
+
+
+def _seconds(value: Any, name: str) -> float:
+    """A reply timeout: a finite number of seconds above 0."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        seconds = float("nan")
+    if not 0 < seconds < float("inf"):
+        raise MachineError(f"{name} must be a finite number of seconds > 0, got {value!r}")
+    return seconds
 
 
 class WorkerError(RuntimeError):
@@ -58,8 +79,8 @@ def _worker_main(host: int, conn) -> None:
     ``snapshot``, ``restore``: each names the block of ranks it is for,
     since one worker set may serve machines of different sizes, each laid
     out in its own blocks), ``("faults", spec | None)`` and ``("stop",)``;
-    every command gets exactly one reply, so the pipe can never
-    desynchronize.
+    every command but ``stop`` gets exactly one reply frame, so the pipe
+    can never desynchronize.
 
     Fault injection: the worker arms any plan named by the
     ``REPRO_FAULT_PLAN`` environment variable at startup (under ``fork``
@@ -94,39 +115,28 @@ def _worker_main(host: int, conn) -> None:
                     faults.uninstall_plan()
                 else:
                     faults.install_plan(faults.FaultPlan.from_spec(msg[1]))
-                conn.send(("ok", None))
-                continue
-            if cmd == "run_block" and boot_failure and msg[3] not in registered_phases():
+                reply = ("ok", None)
+            elif cmd == "run_block" and boot_failure and msg[3] not in registered_phases():
                 raise WorkerError(
                     f"worker bootstrap failed, phase {msg[3]!r} "
                     f"unavailable; bootstrap traceback:\n{boot_failure}"
                 )
-            reply = store.run(msg)
-            try:
-                conn.send(("ok", reply))
-            except Exception as exc:
-                # The *result* failed to serialize: the command still
-                # gets its one reply, with ranks/command context intact.
-                what = f"phase {msg[3]!r}" if cmd == "run_block" else repr(cmd)
-                conn.send(
-                    (
-                        "error",
-                        WorkerError(
-                            f"{_named(msg[1])} {what} produced an "
-                            f"unserializable result: "
-                            f"{type(exc).__name__}: {exc}"
-                        ),
-                        traceback.format_exc(),
-                    )
-                )
+            else:
+                reply = ("ok", store.run(msg))
         except BaseException as exc:  # noqa: BLE001 - ship it to the driver
-            tb = traceback.format_exc()
-            try:
-                conn.send(("error", exc, tb))
-            except Exception:
-                conn.send(
-                    ("error", WorkerError(f"{type(exc).__name__}: {exc}"), tb)
-                )
+            reply = ("error", exc, traceback.format_exc())
+        try:
+            frame = _frame(reply)
+        except Exception as exc:
+            what = f"phase {msg[3]!r}" if cmd == "run_block" else repr(cmd)
+            shipped = "result" if reply[0] == "ok" else repr(reply[1])
+            error = WorkerError(
+                f"{_named(msg[1])} {what} produced an unserializable "
+                f"{shipped}: {type(exc).__name__}: {exc}"
+            )
+            tb = reply[2] if reply[0] == "error" else traceback.format_exc()
+            frame = _frame(("error", error, tb))
+        conn.send_bytes(frame)
     conn.close()
 
 
@@ -139,10 +149,11 @@ class ProcessBackend(Backend):
     (:meth:`blocks`; the CPUs are counted once, so a rank never changes
     host), started lazily on first use (``fork`` where the platform
     offers it, ``spawn`` otherwise).  Compute phases are routed by
-    *name*; payloads, results, and exchanged records are pickled through
-    per-host pipes, and rank state (forest elements, hat replicas) stays
-    resident in the worker across phases — nothing else crosses the
-    boundary.  Replies come back in host order, so dispatch is
+    *name*; payloads, results, and exchanged records cross per-host
+    pipes as frames (:func:`_frame`; a command is pickled for every host
+    before any is sent, so it runs on all or none), and rank state
+    (forest elements, hat replicas) stays resident in the worker across
+    phases.  Replies come back in host order, so dispatch is
     deterministic; the machine's driver-side inbox merge (ordered by
     source rank, then send order) does the rest.
 
@@ -150,21 +161,19 @@ class ProcessBackend(Backend):
     bare blocking ``recv`` — a SIGKILL'd, segfaulted, or OOM-killed
     worker raises a structured :class:`~repro.errors.WorkerCrash` (the
     host's ranks, command, exit code) instead of hanging the driver, and
-    ``recv_timeout_s`` (env ``REPRO_WORKER_TIMEOUT_S``) bounds how long
-    an *alive but unresponsive* worker may sit on one command.
+    ``recv_timeout_s`` (env ``REPRO_WORKER_TIMEOUT_S``; seconds > 0) bounds
+    how long an *alive but unresponsive* worker may sit on one command.
 
     Recovery (opt-in, ``recovery=True`` / env ``REPRO_WORKER_RECOVERY=1``):
-    the backend journals every state-bearing command per host
-    (``run_block`` dispatches and ``evict`` removals — payload
-    references, no copies).  Once a host's journal holds more than
-    :data:`JOURNAL_TAIL` entries, every host's store is fetched whole and
-    its journal becomes one ``restore`` entry, so a journal never exceeds
-    the tail plus that snapshot.  A crash loses the host's whole block:
-    the supervisor respawns that host, disarms fault injection in the
-    replacement, replays its journal to rebuild the block's state,
-    re-sends the in-flight command, and the round continues —
-    differential tests assert the recovered run is bit-identical to an
-    uninterrupted one.
+    the backend journals the frame of every state-bearing command a host
+    acknowledged (``run_block`` dispatches and ``evict`` removals).  Past
+    :data:`JOURNAL_TAIL` frames, every worker pickles its whole store and
+    its host's journal becomes one ``restore`` frame of those bytes.  A
+    crash loses the host's whole block: the supervisor respawns that
+    host, disarms fault injection in the replacement, replays its
+    journal's frames to rebuild the block's state, re-sends the in-flight
+    frame, and the round continues — differential tests assert the
+    recovered run is bit-identical to an uninterrupted one.
     Phases must be deterministic for replay to be faithful (they are:
     that is the cross-backend determinism contract).  Without recovery, a crash
     resets the whole pool so the next use fails loudly on missing state
@@ -181,16 +190,21 @@ class ProcessBackend(Backend):
         recv_timeout_s: float | None = None,
         recovery: bool | None = None,
     ) -> None:
-        if recv_timeout_s is None:
-            env = os.environ.get("REPRO_WORKER_TIMEOUT_S")
-            recv_timeout_s = float(env) if env else None
+        env = os.environ.get("REPRO_WORKER_TIMEOUT_S")
+        if recv_timeout_s is not None:
+            recv_timeout_s = _seconds(recv_timeout_s, "recv_timeout_s")
+        elif env:
+            recv_timeout_s = _seconds(env, "REPRO_WORKER_TIMEOUT_S")
         if recovery is None:
-            recovery = os.environ.get("REPRO_WORKER_RECOVERY", "") == "1"
+            env = os.environ.get("REPRO_WORKER_RECOVERY", "")
+            if env not in ("", "0", "1"):
+                raise MachineError(f"REPRO_WORKER_RECOVERY must be '', '0' or '1', got {env!r}")
+            recovery = env == "1"
         self._recv_timeout_s = recv_timeout_s
         self._recovery = bool(recovery)
         self._cpus = usable_cpus()
         self._workers: List[tuple] = []  # (Process, Connection) per host
-        self._journal: Dict[int, List[tuple]] = {}
+        self._journal: Dict[int, List[memoryview]] = {}  # frames per host
         self._mp_ctx = None
         #: Successful crash recoveries performed (observability/tests).
         self.recoveries = 0
@@ -272,8 +286,8 @@ class ProcessBackend(Backend):
         raise WorkerCrash(block[0], what, proc.exitcode, reason=reason, ranks=tuple(block))
 
     # -- crash recovery ----------------------------------------------------
-    def _recover(self, host: int, block: range, msg: tuple, what: str, crash: WorkerCrash):
-        """Respawn a crashed host, replay its journal, re-send ``msg``.
+    def _recover(self, host: int, block: range, frame: memoryview, what: str, crash: WorkerCrash):
+        """Respawn a crashed host, replay its journal, re-send ``frame``.
 
         Returns the re-sent command's reply.  Fault injection is
         disarmed in the replacement first, so the occurrence-counted
@@ -292,14 +306,11 @@ class ProcessBackend(Backend):
         self._workers[host] = self._spawn(host)
         _proc, conn = self._workers[host]
         try:
-            conn.send(("faults", None))
-            self._recv_reply(host, block, "faults:disarm")
-            for entry in self._journal[host]:
-                conn.send(entry)
-                reply = self._recv_reply(host, block, f"replay:{entry[0]}")
-                if reply[0] == "error":  # the replay diverged: give up
-                    raise crash
-            conn.send(msg)
+            for entry in (_DISARM, *self._journal[host]):
+                conn.send_bytes(entry)
+                if self._recv_reply(host, block, "replay")[0] == "error":
+                    raise crash  # the replay diverged: give up
+            conn.send_bytes(frame)
             reply = self._recv_reply(host, block, what)
         except WorkerCrash:
             self.close()
@@ -308,76 +319,60 @@ class ProcessBackend(Backend):
         return reply
 
     def on_hosts(self, p: int, what: str, command: Callable[[range], tuple]) -> List[Any]:
-        """Send ``command(block)`` to each host of a ``p``-rank machine,
-        collect one reply per host (in host order)."""
+        """Send ``command(block)`` to each host of a ``p``-rank machine as
+        one frame, every frame pickled before the first is sent (so none
+        runs if one will not pickle); one reply per host, in host order."""
         blocks = self.blocks(p)
         messages = [command(b) for b in blocks]
+        frames = [_frame(msg) for msg in messages]
         self._ensure_workers(len(blocks))
-        delivered: List[int] = []
-        try:
-            for host, ((_proc, conn), msg) in enumerate(zip(self._workers, messages)):
-                try:
-                    conn.send(msg)
-                except (BrokenPipeError, ConnectionResetError, EOFError):
-                    # The worker on the other end is gone: keep feeding the
-                    # live hosts; the reply loop below finds its pipe closed
-                    # and recovers (or gives up) in host order.
-                    continue
-                delivered.append(host)
-        except Exception:
-            # A driver-side send failure (unpicklable payload) must not
-            # desynchronize the pipes: every delivered command gets exactly
-            # one reply, so drain the acks already owed before re-raising.
+        for (_proc, conn), frame in zip(self._workers, frames):
             try:
-                for host in delivered:
-                    self._recv_reply(host, blocks[host], what)
-            except WorkerCrash:
-                self.close()  # pool is broken anyway; the send error leads
-            raise
+                conn.send_bytes(frame)
+            except (BrokenPipeError, ConnectionResetError):
+                # The worker on the other end is gone: keep feeding the
+                # live hosts; the reply loop below finds its pipe closed
+                # and recovers (or gives up) in host order.
+                continue
+        # Journal only state-bearing commands, and only where they
+        # succeeded: replay reconstructs state, and failed phases are not
+        # re-raised into a recovering worker.
+        journaled = self._recovery and messages[0][0] in ("run_block", "evict")
         replies: List[Any] = []
         failure: tuple | None = None
-        journaled = False
         for host, block in enumerate(blocks):
             try:
                 reply = self._recv_reply(host, block, what)
             except WorkerCrash as crash:
                 # _recover raises the crash (after a pool reset) when
                 # recovery is off or fails; otherwise the host is rebuilt
-                # and this is its reply to the re-sent command.
-                reply = self._recover(host, block, messages[host], what, crash)
+                # and this is its reply to the re-sent frame.
+                reply = self._recover(host, block, frames[host], what, crash)
             if reply[0] == "error":
                 if failure is None:
-                    failure = (block, reply[1], reply[2] if len(reply) > 2 else "")
-            elif messages[host][0] in ("run_block", "evict"):
-                # Journal only state-bearing commands that *succeeded*:
-                # replay reconstructs state, and failed phases are not
-                # re-raised into a recovering worker.
-                if self._recovery:
-                    self._journal[host].append(messages[host])
-                    journaled = True
-            replies.append(reply)
+                    failure = (block, reply[1], reply[2])
+            elif journaled:
+                self._journal[host].append(frames[host])
+            replies.append(reply[1])
         if failure is not None:
             block, exc, tb = failure
             if isinstance(exc, Exception):
                 raise exc
-            if isinstance(exc, BaseException):
-                # A worker-raised BaseException (SystemExit,
-                # KeyboardInterrupt) must not masquerade as a driver-side
-                # one — wrap it with its ranks/command context instead.
-                raise WorkerError(
-                    f"{_named(block)} raised {type(exc).__name__} during "
-                    f"{what!r}\n{tb}"
-                ) from exc
-            raise WorkerError(f"{_named(block)} failed: {exc}\n{tb}")
+            # A worker-raised BaseException (SystemExit, KeyboardInterrupt)
+            # must not masquerade as a driver-side one — wrap it with its
+            # ranks/command context instead.
+            raise WorkerError(
+                f"{_named(block)} raised {type(exc).__name__} during {what!r}\n{tb}"
+            ) from exc
         if journaled and any(len(self._journal[h]) > JOURNAL_TAIL for h in range(len(blocks))):
             self._snapshot(p)
-        return [r[1] for r in replies]
+        return replies
 
     def _snapshot(self, p: int) -> None:
-        """Fold every host's journal into one ``("restore", block, states)`` entry."""
+        """Fold every host's journal into one ``restore`` frame of its worker's pickled store."""
         stores = self.on_hosts(p, "snapshot", lambda b: ("snapshot", b))
-        for host, (block, states) in enumerate(zip(self.blocks(p), stores)):
-            self._journal[host] = [("restore", block, states)]
+        for host, (block, store) in enumerate(zip(self.blocks(p), stores)):
+            self._journal[host] = [_frame(("restore", block, store))]
 
     def close(self) -> None:
         """Stop all workers; safe after a crash, safe to call twice.
@@ -390,7 +385,7 @@ class ProcessBackend(Backend):
         """
         for proc, conn in self._workers:
             try:
-                conn.send(("stop",))
+                conn.send_bytes(_STOP)
             except (OSError, BrokenPipeError, ValueError):
                 pass  # dead worker or already-closed pipe
         for proc, conn in self._workers:

@@ -2,8 +2,8 @@
 as host phases (:func:`~repro.cgm.phases.register_host_phase`).
 
 A host runs each step once for all the ranks it holds — the serial
-backend is one host of all ``p`` ranks, each process worker a host of
-one — and cuts the output back per rank: every rank's batches, charge, h
+backend is one host of all ``p`` ranks, each process worker the host of
+a rank block — and cuts the output back per rank: every rank's batches, charge, h
 and bytes are what it would emit alone.  :func:`repro.dist.search.run_search`
 dispatches both by name (``dist.search.walk_cols``,
 ``dist.search.forest_cols``); see :mod:`repro.dist.search` for the five

@@ -118,7 +118,8 @@ class TestProcessExecution:
             backend.close()
 
     def test_unpicklable_payload_does_not_desync_pipes(self, pmach):
-        """A driver-side send failure mid-loop must drain the owed acks."""
+        """A payload that will not pickle raises before any host is sent
+        its frame, so no host owes a reply and no rank's state moves."""
         pmach.run_phase("stash", "test.stash", [1] * 4)
         with pytest.raises(Exception):  # pickling error, backend-raised
             pmach.run_phase("bad", "test.double", [5, 6, 7, lambda: None])

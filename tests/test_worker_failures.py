@@ -14,13 +14,14 @@ the machine has: a ``p = 2`` machine is two hosts of one rank, a
 from __future__ import annotations
 
 import os
+import pickle
 import signal
 import time
 
 import pytest
 
 from repro.cgm import Machine, ProcessBackend, register_phase
-from repro.errors import DimensionMismatch, WorkerCrash
+from repro.errors import DimensionMismatch, MachineError, WorkerCrash
 from repro.cgm.process import JOURNAL_TAIL, WorkerError
 
 from tests.helpers import pin_usable_cpus
@@ -61,6 +62,21 @@ def _phase_sysexit(ctx, payload):
 def _phase_unpicklable(ctx, payload):
     if ctx.rank == payload:
         return lambda: None  # locals never pickle
+    return ctx.rank
+
+
+class _Unpicklable(Exception):
+    """An error carrying a value that never pickles."""
+
+    def __init__(self) -> None:
+        super().__init__("holds a lambda")
+        self.held = lambda: None
+
+
+@register_phase("wf.raise_unpicklable")
+def _phase_raise_unpicklable(ctx, payload):
+    if ctx.rank == payload:
+        raise _Unpicklable()
     return ctx.rank
 
 
@@ -122,6 +138,20 @@ class TestStructuredCrashes:
                 WorkerError, match="rank 0 .*unserializable result"
             ):
                 backend.run_phase(2, "wf.unpicklable", [0, 0])
+            # one command, one reply: the pipes stay synchronized
+            out = backend.run_phase(2, "wf.echo", [1, 2])
+            assert [o[0] for o in out] == [1, 2]
+        finally:
+            backend.close()
+
+    def test_an_unpicklable_error_reports_rank_phase_and_error(self):
+        backend = ProcessBackend()
+        try:
+            with pytest.raises(
+                WorkerError, match=r"rank 1 phase 'wf.raise_unpicklable' .*unserializable _Unpicklable"
+            ) as exc:
+                backend.run_phase(2, "wf.raise_unpicklable", [1, 1])
+            assert "holds a lambda" in str(exc.value)
             # one command, one reply: the pipes stay synchronized
             out = backend.run_phase(2, "wf.echo", [1, 2])
             assert [o[0] for o in out] == [1, 2]
@@ -256,11 +286,34 @@ class TestRecovery:
                     tree.run(batch)
                 journals = backend._journal.values()
                 assert max(len(j) for j in journals) <= JOURNAL_TAIL + 1
-                assert all(j[0][0] == "restore" for j in journals)
+                # each journal opens with a restore frame of the store its
+                # worker pickled, held as bytes the driver never opened
+                heads = [pickle.loads(j[0]) for j in journals]
+                assert [h[0] for h in heads] == ["restore", "restore"]
+                assert all(isinstance(h[2], bytes) for h in heads)
                 proc, _conn = backend._workers[1]
                 os.kill(proc.pid, signal.SIGKILL)
                 proc.join(timeout=5)
                 assert tree.run(batch).values() == want
+                assert backend.recoveries == 1
+        finally:
+            backend.close()
+
+    def test_an_unpicklable_payload_runs_on_no_host(self):
+        """A phase runs on every host or on none: a payload that will not
+        pickle for rank 3 raises before host 0 runs it, so no rank's state
+        moves and a recovery replays the state the hosts really hold."""
+        backend = ProcessBackend(recovery=True)
+        try:
+            with Machine(4, backend=backend) as mach:
+                mach.run_phase("a", "wf.stash", [1, 1, 1, 1])
+                with pytest.raises((pickle.PicklingError, AttributeError)):
+                    mach.run_phase("b", "wf.stash", [1, 1, 1, lambda: None])
+                assert mach.fetch_state("wf") == [1, 1, 1, 1]
+                proc, _conn = backend._workers[0]  # the host of ranks 0 and 1
+                os.kill(proc.pid, signal.SIGKILL)
+                proc.join(timeout=5)
+                assert mach.fetch_state("wf") == [1, 1, 1, 1]
                 assert backend.recoveries == 1
         finally:
             backend.close()
@@ -283,3 +336,27 @@ class TestRecovery:
         backend = ProcessBackend()
         assert backend._recv_timeout_s == 2.5
         assert backend._recovery is True
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "abc"])
+    def test_a_bad_timeout_in_the_environment_is_refused(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_WORKER_TIMEOUT_S", value)
+        with pytest.raises(MachineError, match="REPRO_WORKER_TIMEOUT_S must be a finite"):
+            ProcessBackend()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1, 0, "abc"])
+    def test_a_bad_timeout_argument_is_refused(self, value):
+        with pytest.raises(MachineError, match="recv_timeout_s must be a finite"):
+            ProcessBackend(recv_timeout_s=value)
+
+    @pytest.mark.parametrize("value", ["true", "yes", "2", " 1"])
+    def test_a_bad_recovery_value_in_the_environment_is_refused(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_WORKER_RECOVERY", value)
+        with pytest.raises(MachineError, match="REPRO_WORKER_RECOVERY must be"):
+            ProcessBackend()
+
+    @pytest.mark.parametrize("value, on", [("", False), ("0", False), ("1", True)])
+    def test_the_recovery_values_in_the_environment(self, monkeypatch, value, on):
+        monkeypatch.setenv("REPRO_WORKER_RECOVERY", value)
+        monkeypatch.delenv("REPRO_WORKER_TIMEOUT_S", raising=False)
+        backend = ProcessBackend()
+        assert (backend._recovery, backend._recv_timeout_s) == (on, None)
