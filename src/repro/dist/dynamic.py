@@ -81,7 +81,13 @@ def _bbox_hits_any(bbox, batch: QueryBatch) -> bool:
     """Does ``(mins, maxs)`` intersect at least one query box (closed)?"""
     mins, maxs = bbox
     lo, hi = batch.bounds
-    return len(lo) > 0 and bool(((lo <= maxs) & (hi >= mins)).all(axis=1).any())
+    if not len(lo):
+        return False
+    # one coordinate column at a time
+    hit = (lo[:, 0] <= maxs[0]) & (hi[:, 0] >= mins[0])
+    for k in range(1, len(mins)):
+        hit &= (lo[:, k] <= maxs[k]) & (hi[:, k] >= mins[k])
+    return bool(hit.any())
 
 
 class DynamicDistributedRangeTree:

@@ -17,7 +17,8 @@ the hat leaf naming it keeps that index next to its owner
 (``hat.shape.tree`` beside ``hat.shape.location``).  Construct emits each stack in
 one call (:func:`build_stack`), topology only; a refit annotates it in place,
 replication ships it as it is, and Search step 5 walks it once per
-host's inbox, under each rank of the host that holds it
+host's inbox, however many of the host's ranks hold it, each rank's
+output and charge as if alone
 (:func:`repro.dist.forest_compiled.stack_selections`).  The sequential
 :class:`~repro.seq.range_tree.SequentialRangeTree` holds its one tree as
 the same arrays.  The object range tree each tree of a stack is tested

@@ -5,9 +5,10 @@ is one host of all ``p``, a process worker a host of a block).  Each rank's
 inbox reaches a few stacks — its own group's, one per dimension and
 part, and the replicated copies it holds.  This module supplies the
 dist-side consumer of :class:`~repro.seq.compiled.CompiledForest`: one
-walk per dimension over every stack of that dimension the block's
-subqueries aim at, under each rank that holds it, one gather from a
-stack's ``pids`` for the expansion requests aimed at it, packed straight
+walk per dimension over every distinct stack of that dimension the
+block's subqueries aim at (one walk per distinct stack a host holds;
+each rank's output and charge as if alone), one gather from a stack's
+``pids`` for the expansion requests aimed at it, packed straight
 into the ``dist.forest_selection`` and ``dist.report_pair`` columns rank
 by rank, so the phase cuts each rank's output as a view.
 
@@ -47,11 +48,11 @@ def stack_selections(
 
     The inbox is the block's ranks' inboxes laid end to end, rank ``s``'s
     rows ending before ``ends[s]``.  ``walks`` holds, per dimension the
-    inbox's subqueries reach, a ``(stack, rows)`` pair per stack of it
-    they aim at under one rank (the rows ascending) — each rank's own
-    group's of every part and every replica it holds, so a copy two ranks
-    hold appears once under each — and ``expansions`` one per stack and
-    rank expansion requests aim at; ``tree`` (each row's tree index in its
+    inbox's subqueries reach, a ``(stack, rows)`` pair per distinct
+    stack of it they aim at (the rows ascending, from any of the block's
+    ranks: a rank's own group's of every part and every replica it holds,
+    a stack two ranks hold appearing once) — and ``expansions`` one per
+    stack expansion requests aim at; ``tree`` (each row's tree index in its
     stack), the bound matrices ``los``/``his`` and ``report`` (does the
     row's query consume point ids) are per inbox row.  A dimension's
     subqueries are one :meth:`~repro.seq.compiled.CompiledForest.walk`

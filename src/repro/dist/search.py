@@ -33,8 +33,9 @@ number of h-relations:
    element's tree, emitting a ``dist.forest_selection`` batch and, for
    the queries the pass's ``report`` mask marks, the ``(qid, pid)``
    pairs of a ``dist.report_pair`` batch.  A host runs the step once for
-   all the ranks it holds: one walk per dimension over every stack any
-   of them holds for that dimension, its output cut back per rank.
+   all the ranks it holds: one walk per dimension over every distinct
+   stack any of them holds for that dimension (a copy two ranks hold is
+   walked once), its output cut back per rank.
 
 A query folds or it reports (Theorems 4-5): one bool mask over the batch
 says which, from the hat walk's expansion requests to step 5's pairs,

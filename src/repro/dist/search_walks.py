@@ -152,7 +152,8 @@ def _forest_output(
 
 @register_host_phase("dist.search.forest_cols")
 def _phase_forest_cols(ctxs: Sequence[ProcContext], payloads) -> list:
-    """Step 5: one walk per dimension over every stack the host's ranks hold.
+    """Step 5: one walk per dimension over every distinct stack the host's
+    ranks hold.
 
     A rank's payload is ``(inbox, nss, report)``: its inbox is one routing
     batch (subqueries and expansion requests mixed, source-ordered),
@@ -160,12 +161,13 @@ def _phase_forest_cols(ctxs: Sequence[ProcContext], payloads) -> list:
     pass's bool mask over query ids.  The block's inboxes are laid end to
     end; each row's element ``part·H + leaf`` gives its part by one
     ``divmod`` and its dimension and tree index off the shared shape; one
-    stable argsort groups the rows by ``(kind, dimension, part, rank,
-    owner)``, the last three naming the stack that serves them (a rank's
-    own group's or a copy it holds: a copy two ranks hold is walked under
-    each).  :func:`~repro.dist.forest_compiled.stack_selections` then
-    walks each dimension's stacks in one call — at most ``d`` walks per
-    host, however many ranks, parts and copies — and its output is cut
+    stable argsort groups the rows by ``(kind, dimension, part, owner)``,
+    the last two naming the stack that serves them (a rank's own group's
+    or a copy it holds: one walk per distinct stack the host holds, each
+    rank's output and charge as if alone; each row's rank must hold the
+    stack itself).  :func:`~repro.dist.forest_compiled.stack_selections`
+    then walks each dimension's stacks in one call — at most ``d`` walks
+    per host, however many ranks, parts and copies — and its output is cut
     back per rank, each rank's in its inbox-row order: the
     ``dist.forest_selection`` batch and, for the queries ``report`` marks,
     the ``dist.report_pair`` batch of the points under each reporting
@@ -204,15 +206,27 @@ def _forest(shape, ctxs: Sequence[ProcContext], payloads) -> list:
     eid, owner, kind = inbox.col("element"), inbox.col("location"), inbox.col("kind")
     part, leaf = np.divmod(eid, shape.size)
     dim, tree = shape.dim[leaf], shape.tree[leaf]
-    # (kind, dimension) picks the walk or the gather, (part, rank, owner)
-    # the stack
-    key = (((kind * shape.d + dim) * len(nss) + part) * slots + slot) * p + owner
+    # (kind, dimension) picks the walk or the gather, (part, owner) the
+    # stack: every copy of it on the host is the same, so the rows all the
+    # block's ranks aim at it are one group
+    key = ((kind * shape.d + dim) * len(nss) + part) * p + owner
     rows = np.argsort(key, kind="stable")
+    sorted_key, sorted_slot = key[rows], slot[rows]
+    # a group opens where the key changes, and a run of one rank's rows
+    # where the key or the rank does: a group's rows ascend, so its ranks'
+    # runs do, and each run's rank must hold the stack itself
+    opens = np.empty(len(rows), dtype=bool)
+    opens[0] = True
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=opens[1:])
+    groups = iter(np.split(rows, np.flatnonzero(opens)[1:]))
+    run = opens.copy()
+    run[1:] |= sorted_slot[1:] != sorted_slot[:-1]
+    runs = np.flatnonzero(run)
     walks, expansions = {}, []
-    # the sorted keys' runs are the groups
-    for group in np.split(rows, np.flatnonzero(np.diff(key[rows])) + 1):
-        i = int(group[0])
-        b, s, o, j = int(part[i]), int(slot[i]), int(owner[i]), int(dim[i])
+    for i, s, opens_group in zip(
+        rows[runs].tolist(), sorted_slot[runs].tolist(), opens[runs].tolist()
+    ):
+        b, o, j = int(part[i]), int(owner[i]), int(dim[i])
         stack = held[s][b].get(o, {}).get(j)
         if stack is None:
             raise ProtocolError(
@@ -220,11 +234,13 @@ def _forest(shape, ctxs: Sequence[ProcContext], payloads) -> list:
                 f"{ctxs[s].state[hat_key(nss[b])].path(int(leaf[i]))} "
                 f"without holding a copy of group {o}"
             )
+        if not opens_group:
+            continue
         if kind[i] == KIND_SUBQUERY:
-            walks.setdefault(j, []).append((stack, group))
+            walks.setdefault(j, []).append((stack, next(groups)))
         else:
-            expansions.append((stack, group))
-    del key, rows
+            expansions.append((stack, next(groups)))
+    del key, rows, sorted_key, sorted_slot
 
     qid_col = inbox.col("qid")
     sel_rows, nleaves, agg_col, pair_rows, pair_pids, cost = stack_selections(

@@ -66,16 +66,20 @@ class SideSet:
 
     def matches(self, lo: np.ndarray, hi: np.ndarray) -> Dict[int, List[int]]:
         """Per query ``qid``, the ids of the rows inside the closed box
-        ``[lo[qid], hi[qid]]`` in ascending order — one broadcast
-        comparison for the whole batch."""
-        out: Dict[int, List[int]] = {}
+        ``[lo[qid], hi[qid]]`` in ascending order — one comparison of the
+        whole batch per coordinate column."""
         if not (len(lo) and self._rows):
-            return out
+            return {}
         ids, xy = self._columns()
-        inside = ((xy >= lo[:, None]) & (xy <= hi[:, None])).all(axis=2)
-        qid, k = np.nonzero(inside)
-        pid = ids[k]
-        order = np.lexsort((pid, qid))
-        for q, i in zip(qid[order].tolist(), pid[order].tolist()):
-            out.setdefault(q, []).append(i)
-        return out
+        # the rows in id order, one contiguous column per coordinate: a
+        # query's matches come out ascending
+        order = np.argsort(ids)
+        cols = xy.T.take(order, axis=1)
+        inside = (cols[0] >= lo[:, 0, None]) & (cols[0] <= hi[:, 0, None])
+        for k in range(1, self._dim):
+            inside &= (cols[k] >= lo[:, k, None]) & (cols[k] <= hi[:, k, None])
+        # the matches row by row: each query's are one slice
+        pid = ids[order[np.flatnonzero(inside) % len(ids)]].tolist()
+        counts = np.count_nonzero(inside, axis=1).tolist()
+        stops = itertools.accumulate(counts)
+        return {q: pid[b - c : b] for q, (c, b) in enumerate(zip(counts, stops)) if c}

@@ -527,15 +527,26 @@ class TestSideScansAreClosed:
             self._check(dt, live, boxes)
 
 
-_OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("add"), st.integers(0, 7), st.tuples(*[st.integers(0, 4)] * 2)),
-        st.tuples(st.sampled_from(["remove", "in", "coords"]), st.integers(0, 7)),
-        st.tuples(st.sampled_from(["clear", "read"])),
-        st.tuples(st.just("matches"), st.lists(st.tuples(*[st.integers(0, 4)] * 4), max_size=3)),
-    ),
-    max_size=40,
-)
+def _side_ops(d: int):
+    """A side set's op stream in ``d`` dimensions: ids 0-7 arrive in any
+    order, coordinates and box corners sit on a grid of quarters (so a
+    box is often degenerate), and ``at`` asks for the box ``lo == hi`` on
+    a row's own point."""
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("add"), st.integers(0, 7), st.tuples(*[st.integers(0, 4)] * d)),
+            st.tuples(st.sampled_from(["remove", "in", "coords", "at"]), st.integers(0, 7)),
+            st.tuples(st.sampled_from(["clear", "read"])),
+            st.tuples(
+                st.just("matches"),
+                st.lists(st.tuples(*[st.integers(0, 4)] * (2 * d)), max_size=3),
+            ),
+        ),
+        max_size=40,
+    )
+
+
+_SIDE_STREAMS = st.integers(1, 3).flatmap(lambda d: st.tuples(st.just(d), _side_ops(d)))
 
 
 class TestSideSet:
@@ -543,24 +554,40 @@ class TestSideSet:
     arrival order, arrays built on read for the rows added since."""
 
     @staticmethod
-    def _same_rows(side, model):
+    def _same_rows(side, model, d):
         assert len(side) == len(model)
         assert side.ids.tolist() == [pid for pid, _c in model]
         assert side.xy.tolist() == [list(c) for _pid, c in model]
-        assert side.ids.dtype == np.int64 and side.xy.shape == (len(model), 2)
+        assert side.ids.dtype == np.int64 and side.xy.shape == (len(model), d)
 
-    @settings(max_examples=100, deadline=None)
-    @given(ops=_OPS)
-    def test_agrees_with_a_plain_list(self, ops):
-        side, model = SideSet(2), []  # model: [(pid, coords)] in arrival order
+    @staticmethod
+    def _same_matches(side, model, boxes):
+        """``boxes``: ``[(lo, hi)]`` coordinate tuples."""
+        d = side.xy.shape[1]
+        lo = np.array([box_lo for box_lo, _hi in boxes], dtype=np.float64).reshape(-1, d)
+        hi = np.array([box_hi for _lo, box_hi in boxes], dtype=np.float64).reshape(-1, d)
+        want = {}
+        for q, (box_lo, box_hi) in enumerate(boxes):
+            inside = sorted(
+                pid for pid, c in model if all(a <= x <= b for a, x, b in zip(box_lo, c, box_hi))
+            )
+            if inside:
+                want[q] = inside
+        assert side.matches(lo, hi) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(stream=_SIDE_STREAMS)
+    def test_agrees_with_a_plain_list(self, stream):
+        d, ops = stream
+        side, model = SideSet(d), []  # model: [(pid, coords)] in arrival order
         for op, *args in ops:
             ids = [pid for pid, _c in model]
             if op == "add":
-                pid, (x, y) = args
+                pid, grid = args
                 if pid in ids:  # a side set holds each id once
                     continue
-                side.add(pid, (x / 4, y / 4))
-                model.append((pid, (x / 4, y / 4)))
+                side.add(pid, tuple(x / 4 for x in grid))
+                model.append((pid, tuple(x / 4 for x in grid)))
             elif op == "remove":
                 side.remove(args[0])
                 model = [row for row in model if row[0] != args[0]]
@@ -568,25 +595,27 @@ class TestSideSet:
                 side.clear()
                 model = []
             elif op == "read":
-                self._same_rows(side, model)
+                self._same_rows(side, model, d)
             elif op == "in":
                 assert (args[0] in side) == (args[0] in ids)
             elif op == "coords":
                 if args[0] in ids:
                     assert side.coords(args[0]) == dict(model)[args[0]]
+            elif op == "at":
+                if model:
+                    point = model[args[0] % len(model)][1]
+                    self._same_matches(side, model, [(point, point)])
             else:
-                boxes = [(min(a, b) / 4, max(a, b) / 4, min(c, e) / 4, max(c, e) / 4)
-                         for a, b, c, e in args[0]]
-                lo = np.array([[x0, y0] for x0, _x1, y0, _y1 in boxes]).reshape(-1, 2)
-                hi = np.array([[x1, y1] for _x0, x1, _y0, y1 in boxes]).reshape(-1, 2)
-                want = {}
-                for q, (x0, x1, y0, y1) in enumerate(boxes):
-                    inside = sorted(pid for pid, (x, y) in model if x0 <= x <= x1 and y0 <= y <= y1)
-                    if inside:
-                        want[q] = inside
-                assert side.matches(lo, hi) == want
+                boxes = [
+                    (
+                        tuple(min(a, b) / 4 for a, b in zip(c[::2], c[1::2])),
+                        tuple(max(a, b) / 4 for a, b in zip(c[::2], c[1::2])),
+                    )
+                    for c in args[0]
+                ]
+                self._same_matches(side, model, boxes)
             assert len(side) == len(model)
-        self._same_rows(side, model)
+        self._same_rows(side, model, d)
 
     def test_an_update_builds_no_array(self, monkeypatch):
         side = SideSet(2)

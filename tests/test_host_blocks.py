@@ -15,7 +15,9 @@ host's measured wall is split over its ranks by charged ops.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import re
 from collections import Counter
 from types import SimpleNamespace
 
@@ -29,12 +31,16 @@ from repro.cgm import phases
 from repro.cgm.columns import RecordBatch
 from repro.cgm.phases import ProcContext, get_phase
 from repro.dist import DistributedRangeTree, DynamicDistributedRangeTree, validate_tree
+from repro.dist.construct import forest_key, holders_key
 from repro.dist.hat import Hat, walk_hats
+from repro.dist.records import KIND_SUBQUERY
 from repro.errors import InjectedFault, ProtocolError
 from repro.faults import FaultPlan, FaultRule, injected
 from repro.query import QueryBatch, aggregate, count, engine, report
 from repro.semigroup import max_of_dim, sum_of_dim
 from repro.semigroup.kernels import KernelColumn
+from repro.seq import bf_count, bf_report
+from repro.seq.compiled import CompiledForest
 from repro.workloads import make_points, make_queries
 
 from tests.helpers import STREAM_GROUP, pin_usable_cpus
@@ -411,3 +417,111 @@ class TestConstructAndRefitHostPhases:
         labels = [step[1] for step in serial]
         assert "construct:build-hat" in labels and "reannotate:refresh-hat" in labels
         assert process == serial
+
+
+@register_phase("test.hold_partial")
+def _phase_hold_partial(ctx, payload):
+    """Hold, as the copy of group ``owner``, only dimensions ``dims`` of
+    this rank's own store."""
+    ns, owner, dims = payload
+    own = ctx.state[forest_key(ns)]
+    ctx.state[holders_key(ns)] = {owner: {j: own[j] for j in dims}}
+
+
+class TestOneWalkPerStack:
+    """Step 5 walks each stack once per host, however many of the host's
+    ranks hold it (their own group or a copy), and still serves a row only
+    at a rank that holds the stack itself."""
+
+    @staticmethod
+    def _spy(monkeypatch, log):
+        """Append each ``CompiledForest.walk`` call's stacks, one digest
+        per stack's point ids, as a line of ``log`` (forked workers
+        inherit the spy and the path)."""
+        real = CompiledForest.walk
+
+        def walk(stacks, *args, **kwargs):
+            with open(log, "a") as f:
+                f.write(" ".join(hashlib.sha1(s.pids.tobytes()).hexdigest() for s in stacks) + "\n")
+            return real(stacks, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledForest, "walk", staticmethod(walk))
+
+    def _hot_spot_pass(self, backend, monkeypatch, log):
+        self._spy(monkeypatch, log)
+        pts = make_points("uniform", 512, 2, seed=5)
+        qs = make_queries("hotspot", 128, 2, seed=6)
+        with DistributedRangeTree.build(pts, p=8, backend=backend) as tree:
+            rs = tree.run(QueryBatch([(count, report)[i % 2](q) for i, q in enumerate(qs)]))
+            blocks = [len(b) for b in tree.machine.backend.blocks(8)]
+        copies = sum(s.volume for s in rs.metrics.comm_steps() if s.label.startswith("search:replicate"))
+        assert copies > 0, "the hot spot replicated nothing"
+        want = [(bf_count, bf_report)[i % 2](pts, q) for i, q in enumerate(qs)]
+        assert rs.values() == want
+        walks = [line.split() for line in log.read_text().splitlines()]
+        assert walks, "step 5 walked nothing"
+        for stacks in walks:
+            assert len(stacks) == len(set(stacks)), f"a stack walked twice in one call: {stacks}"
+        return blocks, _steps(rs.metrics)
+
+    def test_a_hot_spot_pass_walks_each_stack_once(self, monkeypatch, tmp_path):
+        pin_usable_cpus(monkeypatch, 2)  # hosts of 4 ranks, several holding copies
+        serial = self._hot_spot_pass("serial", monkeypatch, tmp_path / "serial")
+        process = self._hot_spot_pass("process", monkeypatch, tmp_path / "process")
+        assert (serial[0], process[0]) == ([8], [4, 4])
+        assert process[1] == serial[1]  # each rank's ops, sent, received and bytes
+
+    @staticmethod
+    def _inbox(shape, elements) -> RecordBatch:
+        k = len(elements)
+        return RecordBatch(
+            "dist.search.routing",
+            {
+                "kind": np.full(k, KIND_SUBQUERY),
+                "qid": np.arange(k),
+                "los": np.zeros((k, 2), dtype=np.int64),
+                "his": np.full((k, 2), 63),
+                "element": elements,
+                "location": shape.location[elements],
+            },
+        )
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_a_group_shared_with_a_rank_without_a_copy_is_refused(self, backend, monkeypatch):
+        pin_usable_cpus(monkeypatch, 2)  # process: hosts of ranks 0-1 and 2-3
+        with DistributedRangeTree.build(make_points("uniform", 64, 2, seed=3), p=4, backend=backend) as tree:
+            ns, hat = tree.construct_result.ns, tree.hat
+            elements = np.flatnonzero(hat.shape.leaf & (hat.shape.location == 0))[:2]
+            inbox = self._inbox(hat.shape, elements)
+            nothing = RecordBatch.empty_like(inbox)
+            nobody = np.zeros(2, dtype=bool)
+            # the owner (rank 0) and rank 1, one host, aim at group 0's stacks
+            want = f"rank 1 received subquery for {hat.path(elements[0])} without holding a copy of group 0"
+            with pytest.raises(ProtocolError, match=re.escape(want)):
+                tree.machine.run_phase(
+                    "t", "dist.search.forest_cols",
+                    [(inbox if r < 2 else nothing, (ns,), nobody) for r in range(4)],
+                )
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_a_copy_without_the_dimension_is_refused(self, backend):
+        with DistributedRangeTree.build(make_points("uniform", 64, 2, seed=3), p=4, backend=backend) as tree:
+            ns, hat = tree.construct_result.ns, tree.hat
+            shape = hat.shape
+            mine = np.flatnonzero(shape.leaf & (shape.location == 1) & (shape.dim == 0))[:1]
+            theirs = np.flatnonzero(shape.leaf & (shape.location == 1) & (shape.dim == 1))[:1]
+            # rank 0 holds a copy of group 1 with dimension 0 only
+            tree.machine.run_phase("hold", "test.hold_partial", [(ns, 1, (0,))] * 4)
+            nothing = RecordBatch.empty_like(self._inbox(shape, mine))
+            nobody = np.zeros(1, dtype=bool)
+            served = tree.machine.run_phase(
+                "t", "dist.search.forest_cols",
+                [(self._inbox(shape, mine) if r == 0 else nothing, (ns,), nobody) for r in range(4)],
+            )
+            assert [len(sel) for sel, _pairs in served] == [1, 0, 0, 0]
+            want = f"rank 0 received subquery for {hat.path(theirs[0])} without holding a copy of group 1"
+            with pytest.raises(ProtocolError, match=re.escape(want)):
+                tree.machine.run_phase(
+                    "t", "dist.search.forest_cols",
+                    [(self._inbox(shape, theirs) if r == 0 else nothing, (ns,), nobody) for r in range(4)],
+                )
